@@ -8,13 +8,13 @@
 //! ```
 
 use regcube_bench::experiments::{
-    alarm, arena, columnar, dims, fig10, fig8, fig9, incremental, lateness, scaling, serve, tilt,
+    alarm, columnar, dims, fig10, fig8, fig9, incremental, lateness, scaling, tilt,
 };
 use regcube_bench::report::{tables_to_json, Table};
 use std::process::ExitCode;
 
 const USAGE: &str =
-    "usage: figures [all|fig8|fig9|fig10|dims|tilt|incremental|scaling|alarm|columnar|arena|lateness|serve]... [--quick] [--json FILE]
+    "usage: figures [all|fig8|fig9|fig10|dims|tilt|incremental|scaling|alarm|columnar|lateness]... [--quick] [--json FILE]
 
   fig8         time & memory vs exception %        (D3L3C10T100K)
   fig9         time & memory vs m-layer size       (D3L3C10, 1% exceptions)
@@ -27,13 +27,8 @@ const USAGE: &str =
   alarm        delta-driven alarm sinks vs rescan consumer overhead
   columnar     struct-of-arrays vs hash-map layout on the tier roll-up,
                plus the kernel-dispatch vs scalar-fallback fold phases
-  arena        allocator churn of the window rollover: row tables vs
-               epoch-reclaimed arena tables, plus the O(1) rollover probe
   lateness     watermark reordering: sorted vs bounded-shuffle vs
                straggler streams (amendment + drop accounting)
-  serve        multi-tenant serving layer: skewed-fleet ingest
-               throughput, lock-free dashboard query p50/p99, and the
-               backpressure probe
   all          everything above
   --quick      shrunken datasets for smoke runs
   --json FILE  additionally write all tables as a JSON document";
@@ -72,9 +67,7 @@ fn main() -> ExitCode {
             "scaling",
             "alarm",
             "columnar",
-            "arena",
             "lateness",
-            "serve",
         ];
     }
 
@@ -130,22 +123,10 @@ fn main() -> ExitCode {
                 let points = columnar::run(quick);
                 all_tables.extend(columnar::print(&points));
             }
-            "arena" => {
-                eprintln!("[figures] running arena ...");
-                let points = arena::run(quick);
-                let phases = arena::run_rollup_phases(quick);
-                let rollover = arena::run_rollover_probe();
-                all_tables.extend(arena::print(&points, &phases, &rollover));
-            }
             "lateness" => {
                 eprintln!("[figures] running lateness ...");
                 let points = lateness::run(quick);
                 all_tables.extend(lateness::print(&points));
-            }
-            "serve" => {
-                eprintln!("[figures] running serve ...");
-                let points = serve::run(quick);
-                all_tables.extend(serve::print(&points));
             }
             other => {
                 eprintln!("unknown experiment: {other}\n{USAGE}");

@@ -15,9 +15,8 @@
 //! Reported per configuration: source rows folded per second (the
 //! paper's work measure), the true allocator peak (`memtrack`, the
 //! peak-RSS proxy) and the analytical table peak. Every configuration
-//! must retain the same exception cells — the layouts differ in bytes,
-//! never in semantics (the contract/golden suites pin the full cube;
-//! this experiment cross-checks while measuring).
+//! must retain the same exception cells (the contract/golden suites pin
+//! the full cube; this experiment cross-checks while measuring).
 
 use crate::memtrack;
 use crate::report::{fmt_count, fmt_mb, fmt_secs, Table};
@@ -137,13 +136,9 @@ pub fn run(quick: bool) -> Vec<Point> {
         measure(
             "tier roll-up, columnar layout",
             &unit_batches,
-            // Both kernel modes are pinned programmatically so the race
-            // stays kernel-vs-scalar even when the suite runs under
-            // REGCUBE_SCALAR_KERNELS=1.
             Box::new(
                 ColumnarCubingEngine::new(schema.clone(), layers.clone(), policy.clone())
-                    .expect("valid engine")
-                    .with_kernel_mode(KernelMode::Auto),
+                    .expect("valid engine"),
             ),
         ),
         measure(
@@ -161,33 +156,6 @@ pub fn run(quick: bool) -> Vec<Point> {
             Box::new(ShardedEngine::columnar(schema, layers, policy, 2).expect("valid engine")),
         ),
     ]
-}
-
-/// The kernel phase alone: the same columnar replay with auto kernel
-/// dispatch and with the scalar fallback forced, in that order. This
-/// is the pair `col_baseline` gates on — both runs happen in this
-/// process, so their rows/sec ratio normalizes machine speed out.
-pub fn run_kernel_phases(quick: bool) -> (Point, Point) {
-    let (schema, layers, policy, unit_batches) = workload(quick);
-    let vectorized = measure(
-        "columnar tier roll-up, kernel dispatch",
-        &unit_batches,
-        Box::new(
-            ColumnarCubingEngine::new(schema.clone(), layers.clone(), policy.clone())
-                .expect("valid engine")
-                .with_kernel_mode(KernelMode::Auto),
-        ),
-    );
-    let scalar = measure(
-        "columnar tier roll-up, scalar fallback",
-        &unit_batches,
-        Box::new(
-            ColumnarCubingEngine::new(schema, layers, policy)
-                .expect("valid engine")
-                .with_kernel_mode(KernelMode::Scalar),
-        ),
-    );
-    (vectorized, scalar)
 }
 
 /// Prints the sweep and returns it (for JSON export).

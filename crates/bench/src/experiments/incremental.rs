@@ -411,26 +411,27 @@ mod tests {
     #[test]
     fn quiet_stream_drilling_reuses_the_frontier() {
         let (quiet, churny) = run_drill_phases(true);
-        // The quiet phase's exception frontier never changes, so almost
-        // everything is reused: the replayed count stays tiny (only the
-        // apex's immediate off-path children re-drill, their qualifying
-        // region being the whole cube) while skips dominate.
-        assert!(
-            quiet.skipped_cuboids > quiet.replayed_cuboids * 8,
-            "quiet phase must mostly skip: {} skipped vs {} replayed",
-            quiet.skipped_cuboids,
-            quiet.replayed_cuboids
+        // The replayed/skipped counts are deterministic. The quiet
+        // phase's exception frontier never changes, so almost everything
+        // is reused (only the apex's immediate off-path children
+        // re-drill, their qualifying region being the whole cube); the
+        // churny phase replays the whole off-path lattice every batch.
+        assert_eq!(
+            (quiet.replayed_cuboids, quiet.skipped_cuboids),
+            (32, 832),
+            "quiet phase"
+        );
+        assert_eq!(
+            (churny.replayed_cuboids, churny.skipped_cuboids),
+            (864, 0),
+            "churny phase"
         );
         // Wall-clock ratios flake under a loaded shared test runner, so
-        // the unit test only sanity-checks direction; the real ≥3x bar
-        // (typically ~7x) is enforced by the release-mode `pp_baseline`
-        // CI gate on the committed quiet-speedup baseline.
+        // this only sanity-checks direction (typically ~7x).
         assert!(
             quiet.speedup > 1.5,
             "quiet-stream speedup {:.2}x lost even the loose margin",
             quiet.speedup
         );
-        // The churny phase replays much more of the lattice per batch.
-        assert!(churny.replayed_cuboids > quiet.replayed_cuboids);
     }
 }

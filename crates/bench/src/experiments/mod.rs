@@ -1,7 +1,6 @@
 //! One module per figure of the paper's evaluation, plus shared plumbing.
 
 pub mod alarm;
-pub mod arena;
 pub mod columnar;
 pub mod dims;
 pub mod fig10;
@@ -10,7 +9,6 @@ pub mod fig9;
 pub mod incremental;
 pub mod lateness;
 pub mod scaling;
-pub mod serve;
 pub mod tilt;
 
 use crate::memtrack;

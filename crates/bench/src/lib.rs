@@ -17,8 +17,12 @@
 //!   [`experiments::alarm`] (delta-driven sinks vs rescans),
 //!   [`experiments::columnar`] (struct-of-arrays vs hash-map table
 //!   layout on the hot tier roll-up) and
-//!   [`experiments::arena`] (allocator churn of the window rollover:
-//!   fresh row tables vs epoch-reclaimed arena tables).
+//!   [`experiments::lateness`] (watermark reordering under shuffled
+//!   and straggling arrivals).
+//!
+//! These are per-layer micro-experiments. The end-to-end pipeline
+//! benchmark (serving, snapshots, checkpoints, the numbers a change is
+//! accepted or rejected on) is the separate package under `benchmark/`.
 //!
 //! Run everything with:
 //!

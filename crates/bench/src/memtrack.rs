@@ -1,8 +1,7 @@
-//! A counting global allocator: live bytes, a resettable high-water
-//! mark, and allocator *call* counts (alloc / realloc / dealloc) — the
-//! churn figure the arena backend exists to crush. The only `unsafe` in
-//! the whole workspace (see DESIGN.md §6); it delegates every operation
-//! to the system allocator and only adds atomic counters.
+//! A counting global allocator: live bytes and a resettable high-water
+//! mark. The only `unsafe` in the whole workspace (see DESIGN.md §6); it
+//! delegates every operation to the system allocator and only adds atomic
+//! counters.
 
 // The one sanctioned exception to the workspace-wide `unsafe_code` deny:
 // `GlobalAlloc` is an unsafe trait by definition.
@@ -13,9 +12,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
-static ALLOC_CALLS: AtomicUsize = AtomicUsize::new(0);
-static REALLOC_CALLS: AtomicUsize = AtomicUsize::new(0);
-static DEALLOC_CALLS: AtomicUsize = AtomicUsize::new(0);
 
 /// The counting allocator. Install with `#[global_allocator]` (done by
 /// `regcube-bench`'s lib).
@@ -25,7 +21,6 @@ unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
-            ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
             let now = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
             PEAK.fetch_max(now, Ordering::Relaxed);
         }
@@ -34,14 +29,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) };
-        DEALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
         LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let p = unsafe { System.realloc(ptr, layout, new_size) };
         if !p.is_null() {
-            REALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
             if new_size >= layout.size() {
                 let grow = new_size - layout.size();
                 let now = LIVE.fetch_add(grow, Ordering::Relaxed) + grow;
@@ -69,45 +62,6 @@ pub fn reset_peak() {
     PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
 }
 
-/// Allocator call counts: how many times each `GlobalAlloc` entry point
-/// ran. Bytes measure *how much* memory moved; calls measure *how
-/// often* the allocator was in the hot path — the churn metric the
-/// arena backend optimizes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AllocCalls {
-    /// Successful `alloc` calls.
-    pub alloc: usize,
-    /// Successful `realloc` calls.
-    pub realloc: usize,
-    /// `dealloc` calls.
-    pub dealloc: usize,
-}
-
-impl AllocCalls {
-    /// Total allocator round trips (alloc + realloc + dealloc).
-    pub fn total(&self) -> usize {
-        self.alloc + self.realloc + self.dealloc
-    }
-
-    /// Counts since `earlier` (saturating component-wise difference).
-    pub fn since(&self, earlier: &AllocCalls) -> AllocCalls {
-        AllocCalls {
-            alloc: self.alloc.saturating_sub(earlier.alloc),
-            realloc: self.realloc.saturating_sub(earlier.realloc),
-            dealloc: self.dealloc.saturating_sub(earlier.dealloc),
-        }
-    }
-}
-
-/// The process-lifetime allocator call counters.
-pub fn alloc_calls() -> AllocCalls {
-    AllocCalls {
-        alloc: ALLOC_CALLS.load(Ordering::Relaxed),
-        realloc: REALLOC_CALLS.load(Ordering::Relaxed),
-        dealloc: DEALLOC_CALLS.load(Ordering::Relaxed),
-    }
-}
-
 /// Serializes measurement sections: the counters are process-global, so
 /// overlapping measurements (e.g. parallel unit tests) would pollute each
 /// other's peaks.
@@ -121,23 +75,12 @@ static MEASURE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 /// from unrelated threads during `f` still count — run figure harnesses
 /// single-threaded for clean numbers.
 pub fn measure_peak<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let (out, peak, _) = measure_peak_and_calls(f);
-    (out, peak)
-}
-
-/// Like [`measure_peak`], but additionally returns the allocator call
-/// deltas (`alloc` / `realloc` / `dealloc` counts) that accrued while
-/// `f` ran — the alloc-churn columns of the bench output. Same global
-/// lock and same caveat about unrelated threads.
-pub fn measure_peak_and_calls<T>(f: impl FnOnce() -> T) -> (T, usize, AllocCalls) {
     let _guard = MEASURE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let before = live_bytes();
-    let calls_before = alloc_calls();
     reset_peak();
     let out = f();
     let delta = peak_bytes().saturating_sub(before);
-    let calls = alloc_calls().since(&calls_before);
-    (out, delta, calls)
+    (out, delta)
 }
 
 #[cfg(test)]
@@ -175,31 +118,14 @@ mod tests {
     }
 
     #[test]
-    fn allocator_calls_are_counted() {
-        let ((), _, calls) = measure_peak_and_calls(|| {
-            let mut v: Vec<u8> = Vec::with_capacity(1 << 16);
-            v.resize(1 << 18, 0); // forces at least one realloc
-            drop(v);
-        });
-        assert!(calls.alloc >= 1, "missed the alloc: {calls:?}");
-        assert!(calls.realloc >= 1, "missed the realloc: {calls:?}");
-        assert!(calls.dealloc >= 1, "missed the dealloc: {calls:?}");
-        assert_eq!(calls.total(), calls.alloc + calls.realloc + calls.dealloc);
-        assert_eq!(calls.since(&calls), AllocCalls::default());
-    }
-
-    #[test]
     fn analytical_table_bytes_tracks_the_allocator() {
-        use regcube_core::arena::{ArenaTable, ChunkPool};
-        use regcube_core::table::{table_bytes, CuboidTable, TableStorage};
+        use regcube_core::table::{table_bytes, CuboidTable};
         use regcube_olap::cell::CellKey;
         use regcube_regress::Isb;
 
-        // The satellite contract of the layout-aware `table_bytes`: the
-        // analytical estimate must stay within a 2x band of the real
-        // allocator's live-byte delta, for the row and arena layouts
-        // alike. 50k cells keeps concurrent-test noise well below the
-        // band.
+        // The analytical `table_bytes` estimate must stay within a 2x
+        // band of the real allocator's live-byte delta. 50k cells keeps
+        // concurrent-test noise well below the band.
         let _guard = MEASURE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         const N: u32 = 50_000;
         let isb = Isb::new(0, 9, 1.0, 0.5).unwrap();
@@ -215,19 +141,6 @@ mod tests {
         assert!(
             (0.5..=2.0).contains(&ratio),
             "row: analytical {estimate} vs measured {measured} (ratio {ratio:.2})"
-        );
-
-        let before = live_bytes();
-        let mut arena = ArenaTable::new(3, ChunkPool::shared());
-        for v in 0..N {
-            arena.merge_row(&[v, v % 97, v % 53], &isb).unwrap();
-        }
-        let measured = live_bytes().saturating_sub(before);
-        let estimate = arena.approx_bytes(3);
-        let ratio = estimate as f64 / measured.max(1) as f64;
-        assert!(
-            (0.5..=2.0).contains(&ratio),
-            "arena: analytical {estimate} vs measured {measured} (ratio {ratio:.2})"
         );
     }
 

@@ -124,8 +124,8 @@ pub struct ColumnarTable {
 }
 
 impl ColumnarTable {
-    /// Creates an empty table for one cuboid of `schema`, with the
-    /// process-default kernel mode ([`KernelMode::from_env`]).
+    /// Creates an empty table for one cuboid of `schema`, running the
+    /// chunked kernels ([`KernelMode::Auto`]).
     ///
     /// # Errors
     /// [`CoreError::BadInput`](crate::CoreError::BadInput) when the cuboid's cell space does not fit
@@ -139,7 +139,7 @@ impl ColumnarTable {
             bases: Vec::new(),
             slopes: Vec::new(),
             compacted: 0,
-            kernel: KernelMode::from_env(),
+            kernel: KernelMode::Auto,
         })
     }
 
@@ -578,7 +578,7 @@ impl ColumnarCubingEngine {
             schema: Arc::new(schema),
             layers,
             policy,
-            kernel: KernelMode::from_env(),
+            kernel: KernelMode::Auto,
             window: None,
             units_opened: 0,
             stats: RunStats::default(),
@@ -593,8 +593,7 @@ impl ColumnarCubingEngine {
     /// exceptions and deltas (the kernel-parity suite pins it); the
     /// split is reported in
     /// [`RunStats::rows_folded_simd`](crate::stats::RunStats::rows_folded_simd)
-    /// / `rows_folded_scalar`. The process default honors
-    /// `REGCUBE_SCALAR_KERNELS=1` (see [`KernelMode::from_env`]).
+    /// / `rows_folded_scalar`.
     pub fn with_kernel_mode(mut self, mode: KernelMode) -> Self {
         self.kernel = mode;
         self

@@ -63,11 +63,18 @@ use std::time::Instant;
 /// The physical layout a cube's cell tables are computed over —
 /// selected per engine, orthogonal to the [`Algorithm`].
 ///
-/// Every backend produces the same cube (the contract and golden suites
-/// pin it at shard counts 1, 2, 3 and 7); they differ in how the hot
-/// roll-up path touches memory. See `ARCHITECTURE.md` ("Memory
-/// management" / "Choosing a backend") for trade-offs and the
-/// `columnar` / `arena` bench experiments for measured numbers.
+/// Both layouts produce the same cell sets, counts, [`UnitDelta`]s and
+/// alarm episodes, with bit-identical m-layer measures (the contract
+/// and golden suites pin it at shard counts 1, 2, 3 and 7). Aggregated
+/// measures are equal only up to reassociation of `f64` sums — Row
+/// folds siblings in hash order, Columnar in sorted cell-id order — so
+/// on non-dyadic data they may differ in the last ulp
+/// (`layouts_agree_up_to_f64_reassociation` in
+/// `tests/engine_contract.rs`). Byte identity is guaranteed only for
+/// one layout against itself, which is what checkpoints and the
+/// benchmark's `canonical_text()` digests rely on. See
+/// `ARCHITECTURE.md` ("Choosing a backend") for the trade-offs and
+/// `BENCHMARK.json`'s workloads for measured numbers.
 ///
 /// ```
 /// use regcube_core::engine::Backend;
@@ -88,27 +95,6 @@ pub enum Backend {
     /// cache-friendly choice for the full-table tier roll-up
     /// ([`crate::columnar::ColumnarCubingEngine`]).
     Columnar,
-    /// Interned-key arena layout
-    /// ([`ArenaTable`](crate::arena::ArenaTable)): cell keys are
-    /// hash-consed into pooled chunks as [`KeyId`](crate::arena::KeyId)
-    /// handles and window rollover reclaims whole epochs in O(1). The
-    /// allocation-free steady state for long-running streams
-    /// ([`crate::arena::ArenaCubingEngine`]).
-    Arena,
-}
-
-impl Backend {
-    /// The backend the process environment selects:
-    /// [`Backend::Arena`] when `REGCUBE_ARENA_BACKEND=1`, otherwise the
-    /// default row layout. This is how CI forces a full workspace test
-    /// pass through the arena path without touching any call site.
-    pub fn from_env() -> Self {
-        if std::env::var("REGCUBE_ARENA_BACKEND").is_ok_and(|v| v == "1") {
-            Backend::Arena
-        } else {
-            Backend::Row
-        }
-    }
 }
 
 /// What one [`CubingEngine::ingest_unit`] call changed.

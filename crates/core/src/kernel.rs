@@ -47,19 +47,17 @@
 //! Dispatch is per-table/per-engine via [`KernelMode`]: `Auto` (the
 //! default) runs the kernels and falls back per call site where a
 //! kernel cannot apply (per-row hierarchy walks, oversized row counts);
-//! `Scalar` forces the generic scalar path everywhere. The process-wide
-//! default honors the `REGCUBE_SCALAR_KERNELS=1` environment variable
-//! (read once), and
+//! `Scalar` forces the generic scalar path everywhere, selected
+//! explicitly with
 //! [`ColumnarCubingEngine::with_kernel_mode`](crate::columnar::ColumnarCubingEngine::with_kernel_mode)
-//! overrides it programmatically. Which path folded each row is
-//! reported in
+//! (the parity suite uses it as the reference the kernels are compared
+//! against). Which path folded each row is reported in
 //! [`RunStats::rows_folded_simd`](crate::stats::RunStats::rows_folded_simd) /
 //! [`rows_folded_scalar`](crate::stats::RunStats::rows_folded_scalar).
 
 use crate::measure::merge_sibling;
 use crate::Result;
 use regcube_regress::Isb;
-use std::sync::OnceLock;
 
 /// Lane width the chunked kernels are written around. Eight 64-bit
 /// lanes span one AVX-512 register or two AVX2/NEON registers; the
@@ -78,23 +76,6 @@ pub enum KernelMode {
 }
 
 impl KernelMode {
-    /// The process-wide default: [`KernelMode::Scalar`] when the
-    /// environment variable `REGCUBE_SCALAR_KERNELS=1` was set at first
-    /// use, [`KernelMode::Auto`] otherwise. Read once and cached —
-    /// tests that need a specific mode should set it programmatically
-    /// (e.g. [`crate::columnar::ColumnarCubingEngine::with_kernel_mode`])
-    /// instead of mutating the environment.
-    pub fn from_env() -> KernelMode {
-        static MODE: OnceLock<KernelMode> = OnceLock::new();
-        *MODE.get_or_init(|| {
-            if std::env::var("REGCUBE_SCALAR_KERNELS").is_ok_and(|v| v == "1") {
-                KernelMode::Scalar
-            } else {
-                KernelMode::Auto
-            }
-        })
-    }
-
     /// Whether this mode runs the chunked kernels.
     #[inline]
     pub fn use_kernel(self) -> bool {
@@ -525,9 +506,6 @@ mod tests {
         assert!(KernelMode::Auto.use_kernel());
         assert!(!KernelMode::Scalar.use_kernel());
         assert_eq!(KernelMode::default(), KernelMode::Auto);
-        // Whatever the process environment says, from_env is stable
-        // across calls (OnceLock).
-        assert_eq!(KernelMode::from_env(), KernelMode::from_env());
     }
 
     #[test]

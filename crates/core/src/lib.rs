@@ -79,7 +79,6 @@
 #![forbid(unsafe_code)]
 
 pub mod alarm;
-pub mod arena;
 pub mod columnar;
 pub mod cube;
 pub mod drill;
@@ -104,7 +103,6 @@ pub mod table;
 pub use alarm::{
     AlarmContext, AlarmLog, AlarmSink, DashboardSummary, LateAmendment, SinkSet, ThresholdEscalator,
 };
-pub use arena::{ArenaCubingEngine, ArenaTable, ChunkPool, KeyId, KeyInterner};
 pub use columnar::{ColumnarCubingEngine, ColumnarTable};
 pub use cube::RegressionCube;
 pub use engine::{Backend, CubingEngine, MoCubingEngine, PopularPathEngine, UnitDelta};
@@ -128,7 +126,6 @@ pub mod prelude {
         AlarmContext, AlarmLog, AlarmSink, DashboardSummary, Episode, Escalation, SinkSet,
         ThresholdEscalator,
     };
-    pub use crate::arena::ArenaCubingEngine;
     pub use crate::columnar::ColumnarCubingEngine;
     pub use crate::cube::RegressionCube;
     pub use crate::engine::{Backend, CubingEngine, MoCubingEngine, PopularPathEngine, UnitDelta};

@@ -195,35 +195,6 @@ impl ShardedEngine<crate::columnar::ColumnarCubingEngine> {
     }
 }
 
-impl ShardedEngine<crate::arena::ArenaCubingEngine> {
-    /// Sharded Algorithm 1 on the arena backend
-    /// ([`crate::arena::ArenaCubingEngine`]). Like the columnar engine,
-    /// the arena engine keeps no between-layer row tables across batches
-    /// (its working set is the recycled arena capacity), so with more
-    /// than one shard the inner engines run under the always-retain
-    /// fallback and the merged cube is screened with the real policy —
-    /// identical to the row backend at every shard count, pinned by the
-    /// contract and golden suites. The per-shard arena counters sum in
-    /// the merged [`RunStats`].
-    ///
-    /// # Errors
-    /// Construction errors of the inner engines.
-    pub fn arena(
-        schema: CubeSchema,
-        layers: CriticalLayers,
-        policy: ExceptionPolicy,
-        shards: usize,
-    ) -> Result<Self> {
-        Self::with_factory(
-            schema,
-            layers,
-            policy,
-            shards,
-            crate::arena::ArenaCubingEngine::new,
-        )
-    }
-}
-
 impl<E: CubingEngine + Send + Sync + 'static> ShardedEngine<E> {
     /// Builds a sharded engine over `shards` inner engines produced by
     /// `make` (clamped to at least 1).
@@ -438,12 +409,6 @@ impl<E: CubingEngine + Send + Sync + 'static> ShardedEngine<E> {
             // total step-3 work (and total reuse) across the partition.
             stats.drill_replayed_cuboids += s.drill_replayed_cuboids;
             stats.drill_skipped_cuboids += s.drill_skipped_cuboids;
-            // Arena counters sum like the fold counters: each shard
-            // interns and reclaims over its own partition of the cube.
-            stats.keys_interned += s.keys_interned;
-            stats.epochs_reclaimed += s.epochs_reclaimed;
-            stats.arena_alloc_calls += s.arena_alloc_calls;
-            stats.arena_chunks_recycled += s.arena_chunks_recycled;
             stats.late_dropped += s.late_dropped;
             stats.late_amendments += s.late_amendments;
             stats.watermark_held_units += s.watermark_held_units;
@@ -455,7 +420,6 @@ impl<E: CubingEngine + Send + Sync + 'static> ShardedEngine<E> {
             stats.snapshots_published += s.snapshots_published;
             stats.snapshot_reads += s.snapshot_reads;
             stats.overload_rejections += s.overload_rejections;
-            stats.arena_bytes_retained += s.arena_bytes_retained;
             // Upper bound of the concurrent high-water mark: every shard
             // could hit its peak at the same instant.
             stats.peak_bytes += s.peak_bytes;

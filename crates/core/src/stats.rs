@@ -20,11 +20,10 @@ pub struct RunStats {
     /// counters zero.
     pub rows_folded_simd: u64,
     /// Rows folded through the scalar per-row fallback — either forced
-    /// (`REGCUBE_SCALAR_KERNELS=1`, [`crate::kernel::KernelMode::Scalar`])
-    /// or because a fold is inherently per-row (hash-map layouts,
-    /// `Walk`-projected dimensions, id spaces past the block-index
-    /// range). See [`rows_folded_simd`](Self::rows_folded_simd) for the
-    /// invariant.
+    /// ([`crate::kernel::KernelMode::Scalar`]) or because a fold is
+    /// inherently per-row (hash-map layouts, `Walk`-projected
+    /// dimensions, id spaces past the block-index range). See
+    /// [`rows_folded_simd`](Self::rows_folded_simd) for the invariant.
     pub rows_folded_scalar: u64,
     /// Cells materialized across all cuboids (computed, before filtering).
     pub cells_computed: u64,
@@ -53,30 +52,6 @@ pub struct RunStats {
     /// [`drill_replayed_cuboids`](Self::drill_replayed_cuboids) this
     /// partitions the off-path lattice each batch.
     pub drill_skipped_cuboids: u64,
-    /// Cell keys interned into arena chunks
-    /// ([`Backend::Arena`](crate::engine::Backend::Arena) only; zero for
-    /// the row and columnar backends). Fresh interns only — hash-cons
-    /// hits reuse an existing [`crate::arena::KeyId`] and do not count.
-    pub keys_interned: u64,
-    /// Whole arena epochs reclaimed in O(1) at window rollovers
-    /// ([`crate::arena::ArenaTable::reset_epoch`]): each reclamation
-    /// recycles a table's chunks, index and measure column in place
-    /// instead of freeing cell by cell. Arena backend only.
-    pub epochs_reclaimed: u64,
-    /// Heap allocations the arena layer performed (new key chunks, index
-    /// growth, measure-column growth). After the first unit builds the
-    /// working set this should sit at zero in steady state — the figure
-    /// the arena backend exists to crush. Arena backend only.
-    pub arena_alloc_calls: u64,
-    /// Chunk requests served without touching the allocator: free-list
-    /// hits in the shared [`crate::arena::ChunkPool`] plus in-place reuse
-    /// of a table's own chunks after an epoch reset. Arena backend only.
-    pub arena_chunks_recycled: u64,
-    /// Bytes the arena working set holds across epochs (chunks, probe
-    /// indexes, measure columns, pool free list). Deliberately retained —
-    /// this capacity is what makes steady-state rollovers
-    /// allocation-free. Arena backend only.
-    pub arena_bytes_retained: usize,
     /// Stream records that arrived **beyond the allowed lateness** and
     /// were dropped — deterministically counted, never silently lost.
     /// Only the stream layer's watermark path increments this; batch

@@ -94,9 +94,6 @@ fn replay_and_compare(
     policy: &ExceptionPolicy,
     units: &[Vec<&[MTuple]>],
 ) -> (ColumnarCubingEngine, ColumnarCubingEngine) {
-    // Both modes are forced programmatically (not read from the env),
-    // so the comparison stays kernel-vs-scalar even under the CI run
-    // that exports REGCUBE_SCALAR_KERNELS=1 for the whole suite.
     let mut auto = ColumnarCubingEngine::new(schema.clone(), layers.clone(), policy.clone())
         .unwrap()
         .with_kernel_mode(KernelMode::Auto);

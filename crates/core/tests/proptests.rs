@@ -3,7 +3,6 @@
 //! regardless of data, threshold or schema shape.
 
 use proptest::prelude::*;
-use regcube_core::arena::{ChunkPool, KeyId, KeyInterner};
 use regcube_core::prelude::*;
 use regcube_core::query;
 use regcube_core::table::{aggregate_from, DenseCellCodec};
@@ -248,59 +247,6 @@ proptest! {
         // The extreme cell encodes to exactly card^dims - 1: the codec
         // uses the whole dense range and nothing outside it.
         prop_assert_eq!(codec.encode(&keys[1]), card.pow(dims as u32) - 1);
-    }
-
-    /// Arena interner laws: interning is a pure function of the id
-    /// slice within an epoch (same ids ⇒ same `KeyId`, distinct ids ⇒
-    /// distinct `KeyId`s, resolve is the inverse), and an epoch reset
-    /// invalidates nothing still reachable — every handle issued after
-    /// the reset keeps resolving correctly no matter how much more is
-    /// interned on top.
-    #[test]
-    fn interner_laws_hold(
-        arity in 1usize..=4,
-        first in prop::collection::vec(prop::collection::vec(0u32..40, 4), 1..50),
-        second in prop::collection::vec(prop::collection::vec(0u32..40, 4), 1..50),
-    ) {
-        let mut interner = KeyInterner::new(arity, ChunkPool::shared());
-        let mut seen: Vec<(Vec<u32>, KeyId)> = Vec::new();
-        for key in &first {
-            let ids = &key[..arity];
-            let (id, fresh) = interner.intern(ids);
-            let known = seen.iter().find(|(k, _)| k == ids).map(|&(_, id)| id);
-            match known {
-                Some(prior) => {
-                    prop_assert!(!fresh, "duplicate ids reported fresh");
-                    prop_assert_eq!(id, prior, "same ids must yield the same KeyId");
-                }
-                None => {
-                    prop_assert!(fresh, "new ids reported stale");
-                    seen.push((ids.to_vec(), id));
-                }
-            }
-        }
-        // Every issued handle still resolves to exactly its ids.
-        for (ids, id) in &seen {
-            prop_assert_eq!(interner.resolve(*id), &ids[..]);
-        }
-        prop_assert_eq!(interner.len(), seen.len());
-
-        // Epoch reset: the new epoch starts empty, and handles issued
-        // after the reset stay valid while the epoch fills up.
-        interner.reset();
-        prop_assert!(interner.is_empty());
-        let mut reissued: Vec<(Vec<u32>, KeyId)> = Vec::new();
-        for key in &second {
-            let ids = &key[..arity];
-            let (id, _) = interner.intern(ids);
-            if !reissued.iter().any(|(k, _)| k == ids) {
-                reissued.push((ids.to_vec(), id));
-            }
-            // Nothing reachable was invalidated by interning more.
-            for (prior_ids, prior_id) in &reissued {
-                prop_assert_eq!(interner.resolve(*prior_id), &prior_ids[..]);
-            }
-        }
     }
 
     /// The o-layer's total (apex view through any cuboid) conserves the

@@ -4,7 +4,7 @@
 //! **bit-identical** to the single-threaded engine's state at the same
 //! unit boundary (no torn reads), and every reader's observed epochs
 //! must be monotone — under shards {1, 2, 3, 7} and on both the row
-//! and arena backends.
+//! and columnar backends.
 
 use regcube_core::{Backend, ExceptionPolicy};
 use regcube_olap::{CubeSchema, CuboidSpec};
@@ -151,8 +151,8 @@ fn concurrent_reads_are_bit_identical_row_backend() {
 }
 
 #[test]
-fn concurrent_reads_are_bit_identical_arena_backend() {
+fn concurrent_reads_are_bit_identical_columnar_backend() {
     for shards in [1, 2, 3, 7] {
-        stress(shards, Backend::Arena);
+        stress(shards, Backend::Columnar);
     }
 }

@@ -10,7 +10,6 @@ use crate::Result;
 use regcube_core::alarm::{
     AlarmContext, AlarmRevision, LateAmendment, SharedSink, SinkError, SinkSet,
 };
-use regcube_core::arena::ArenaCubingEngine;
 use regcube_core::columnar::ColumnarCubingEngine;
 use regcube_core::drill::{drill_children, drill_descendants, DrillHit};
 use regcube_core::engine::{Backend, CubingEngine, MoCubingEngine, PopularPathEngine, UnitDelta};
@@ -91,23 +90,6 @@ pub struct UnitReport {
     /// folded rows. See
     /// [`RunStats::rows_folded_scalar`](regcube_core::RunStats).
     pub rows_folded_scalar: u64,
-    /// Cell keys the arena backend interned for the unit, summed across
-    /// shards. Zero for the row and columnar backends and for empty
-    /// units. See [`RunStats::keys_interned`](regcube_core::RunStats).
-    pub keys_interned: u64,
-    /// Whole arena epochs the unit reclaimed in O(1), summed across
-    /// shards (arena backend only). See
-    /// [`RunStats::epochs_reclaimed`](regcube_core::RunStats).
-    pub epochs_reclaimed: u64,
-    /// Heap allocations the arena layer performed for the unit, summed
-    /// across shards — zero in steady state once the working set is
-    /// built. See
-    /// [`RunStats::arena_alloc_calls`](regcube_core::RunStats).
-    pub arena_alloc_calls: u64,
-    /// Bytes the arena working set retains across windows, summed
-    /// across shards (arena backend only). See
-    /// [`RunStats::arena_bytes_retained`](regcube_core::RunStats).
-    pub arena_bytes_retained: usize,
     /// Late-record corrections applied to the warehoused tilt frames
     /// since the previous report (watermark mode only — see
     /// [`EngineConfig::with_reordering`]). Also fanned out to the alarm
@@ -173,12 +155,8 @@ pub struct EngineConfig {
     pub algorithm: Algorithm,
     /// Physical table layout of the cubing backend; defaults to the row
     /// (hash-map) layout. [`Backend::Columnar`] selects the
-    /// struct-of-arrays roll-up of [`regcube_core::columnar`] and
-    /// [`Backend::Arena`] the interned-key arena tables of
-    /// [`regcube_core::arena`] (both Algorithm 1 only). A row-default
-    /// configuration running Algorithm 1 is upgraded at
-    /// [`build`](Self::build) time by [`Backend::from_env`]
-    /// (`REGCUBE_ARENA_BACKEND=1` — CI's whole-workspace arena pass).
+    /// struct-of-arrays roll-up of [`regcube_core::columnar`]
+    /// (Algorithm 1 only).
     pub backend: Backend,
     /// Number of cubing shards (m-layer hash partitions cubed in
     /// parallel and merged via Theorem 3.2); defaults to 1 (unsharded).
@@ -191,12 +169,11 @@ pub struct EngineConfig {
     /// Retained depth of the per-window exception history
     /// ([`CubeHistory`]); defaults to 16 windows. Must be at least 1.
     pub history_depth: usize,
-    /// Out-of-order handling: `None` (the default) consults
-    /// [`ReorderConfig::from_env`] at [`build`](Self::build) time
-    /// (`REGCUBE_REORDER_CAP` / `REGCUBE_REORDER_LATENESS`); an explicit
-    /// [`with_reordering`](Self::with_reordering) choice always wins.
-    /// Disabled reordering leaves the ingest path byte-identical to the
-    /// strictly-ordered engine.
+    /// Out-of-order handling: `None` (the default) means disabled, as
+    /// does a zero capacity; see
+    /// [`with_reordering`](Self::with_reordering). Disabled reordering
+    /// leaves the ingest path byte-identical to the strictly-ordered
+    /// engine.
     pub reordering: Option<ReorderConfig>,
     /// A shared [`WorkerPool`] for the cubing layer
     /// ([`with_cubing_pool`](Self::with_cubing_pool)); defaults to
@@ -261,8 +238,7 @@ impl EngineConfig {
     /// [`Isb::amend_tick`](regcube_regress::Isb::amend_tick)). Records
     /// older than the allowed lateness are counted in
     /// [`RunStats::late_dropped`](regcube_core::RunStats) — never
-    /// silently lost. `capacity == 0` disables reordering explicitly
-    /// (overriding any `REGCUBE_REORDER_CAP` environment default).
+    /// silently lost. `capacity == 0` disables reordering.
     #[must_use]
     pub fn with_reordering(mut self, capacity: usize, lateness: i64) -> Self {
         let policy = self
@@ -277,12 +253,12 @@ impl EngineConfig {
     /// [`WatermarkPolicy::PerSource`] keys the low watermark on the
     /// minimum over live [`RawRecord::source`] maxima instead of the
     /// global frontier, so a slow source holds closes back until it
-    /// catches up — or idles beyond `idle_units` and is evicted. Without
-    /// an explicit [`with_reordering`](Self::with_reordering) call the
-    /// policy applies on top of the environment default capacity.
+    /// catches up — or idles beyond `idle_units` and is evicted. The
+    /// policy takes effect only once
+    /// [`with_reordering`](Self::with_reordering) enables the stage.
     #[must_use]
     pub fn with_watermark_policy(mut self, policy: WatermarkPolicy) -> Self {
-        let cfg = self.reordering.unwrap_or_else(ReorderConfig::from_env);
+        let cfg = self.reordering.unwrap_or_default();
         self.reordering = Some(cfg.with_policy(policy));
         self
     }
@@ -323,11 +299,12 @@ impl EngineConfig {
     }
 
     /// Sets the physical table layout of the cubing backend. The
-    /// columnar and arena backends implement Algorithm 1 (m/o-cubing)
-    /// only; [`build`](Self::build) rejects `Columnar` or `Arena`
-    /// together with [`Algorithm::PopularPath`]. Every backend produces
-    /// the same cube at every shard count — see the README's "Choosing
-    /// a backend".
+    /// columnar backend implements Algorithm 1 (m/o-cubing) only;
+    /// [`build`](Self::build) rejects `Columnar` together with
+    /// [`Algorithm::PopularPath`]. Both layouts produce the same cells,
+    /// deltas and alarms at every shard count, with aggregated measures
+    /// equal up to `f64` reassociation — see [`Backend`] and the
+    /// README's "Choosing a backend".
     ///
     /// ```
     /// use regcube_stream::online::EngineConfig;
@@ -406,25 +383,16 @@ impl EngineConfig {
     /// [`algorithm`](Self::algorithm) and [`backend`](Self::backend)
     /// (type-erased behind [`BoxedEngine`]); a [`shards`](Self::shards)
     /// count above 1 wraps the strategy in a [`ShardedEngine`].
-    /// Row-default Algorithm 1 configurations honor
-    /// [`Backend::from_env`] (`REGCUBE_ARENA_BACKEND=1` forces the
-    /// arena layout process-wide).
     ///
     /// # Errors
-    /// [`StreamError::BadConfig`] for [`Backend::Columnar`] or
-    /// [`Backend::Arena`] combined with [`Algorithm::PopularPath`]
-    /// (those backends implement Algorithm 1 only); otherwise
+    /// [`StreamError::BadConfig`] for [`Backend::Columnar`] combined
+    /// with [`Algorithm::PopularPath`] (the columnar backend
+    /// implements Algorithm 1 only); otherwise
     /// configuration validation from the ingestor and cube substrates.
     pub fn build(self) -> Result<OnlineEngine<BoxedEngine>> {
         let algorithm = self.algorithm;
-        let mut backend = self.backend;
+        let backend = self.backend;
         let shards = self.shards;
-        // The env override upgrades row-default Algorithm 1 configs only:
-        // explicit backend choices and popular-path runs keep their
-        // layout (the arena implements Algorithm 1, not drilling).
-        if backend == Backend::Row && algorithm == Algorithm::MoCubing {
-            backend = Backend::from_env();
-        }
         if algorithm == Algorithm::PopularPath && backend != Backend::Row {
             return Err(StreamError::BadConfig {
                 detail: format!(
@@ -458,18 +426,6 @@ impl EngineConfig {
                 }
                 (Algorithm::MoCubing, Backend::Columnar, n) => {
                     ShardedEngine::columnar(schema, layers, policy, n)
-                        .map(|e| match &pool {
-                            Some(p) => e.with_shared_pool(Arc::clone(p)),
-                            None => e,
-                        })
-                        .map(|e| Box::new(e) as BoxedEngine)
-                }
-                (Algorithm::MoCubing, Backend::Arena, 1) => {
-                    ArenaCubingEngine::new(schema, layers, policy)
-                        .map(|e| Box::new(e) as BoxedEngine)
-                }
-                (Algorithm::MoCubing, Backend::Arena, n) => {
-                    ShardedEngine::arena(schema, layers, policy, n)
                         .map(|e| match &pool {
                             Some(p) => e.with_shared_pool(Arc::clone(p)),
                             None => e,
@@ -518,23 +474,6 @@ impl EngineConfig {
         let pool = self.cubing_pool.clone();
         self.build_with(move |schema, layers, policy| {
             ShardedEngine::columnar(schema, layers, policy, shards).map(|e| match pool {
-                Some(p) => e.with_shared_pool(p),
-                None => e,
-            })
-        })
-    }
-
-    /// Builds a statically-typed engine running the arena backend
-    /// ([`ArenaCubingEngine`]) across [`shards`](Self::shards)
-    /// partitions (a single shard is an exact passthrough).
-    ///
-    /// # Errors
-    /// Configuration validation from the ingestor and cube substrates.
-    pub fn build_arena(self) -> Result<OnlineEngine<ShardedEngine<ArenaCubingEngine>>> {
-        let shards = self.shards;
-        let pool = self.cubing_pool.clone();
-        self.build_with(move |schema, layers, policy| {
-            ShardedEngine::arena(schema, layers, policy, shards).map(|e| match pool {
                 Some(p) => e.with_shared_pool(p),
                 None => e,
             })
@@ -607,10 +546,7 @@ impl EngineConfig {
                 detail: "history_depth must be at least 1".into(),
             });
         }
-        // An explicit reordering choice wins; otherwise the environment
-        // fills the default (CI's REGCUBE_REORDER_CAP=0 pass pins the
-        // watermark-off path without disturbing tests that opt in).
-        let reorder_cfg = reordering.unwrap_or_else(ReorderConfig::from_env);
+        let reorder_cfg = reordering.unwrap_or_default();
         let ingestor = Ingestor::new(schema.clone(), primitive, m_layer.clone(), ticks_per_unit)?;
         let layers = CriticalLayers::new(&schema, o_layer.clone(), m_layer.clone())
             .map_err(StreamError::from)?;
@@ -1064,10 +1000,6 @@ impl<E: CubingEngine> OnlineEngine<E> {
                 drill_skipped_cuboids: 0,
                 rows_folded_simd: 0,
                 rows_folded_scalar: 0,
-                keys_interned: 0,
-                epochs_reclaimed: 0,
-                arena_alloc_calls: 0,
-                arena_bytes_retained: 0,
                 late_amendments,
                 alarm_revisions,
                 late_dropped,
@@ -1173,10 +1105,6 @@ impl<E: CubingEngine> OnlineEngine<E> {
             drill_skipped_cuboids: drill_stats.drill_skipped_cuboids,
             rows_folded_simd: drill_stats.rows_folded_simd,
             rows_folded_scalar: drill_stats.rows_folded_scalar,
-            keys_interned: drill_stats.keys_interned,
-            epochs_reclaimed: drill_stats.epochs_reclaimed,
-            arena_alloc_calls: drill_stats.arena_alloc_calls,
-            arena_bytes_retained: drill_stats.arena_bytes_retained,
             late_amendments,
             alarm_revisions,
             late_dropped,

@@ -112,23 +112,6 @@ impl ReorderConfig {
     pub fn enabled(&self) -> bool {
         self.capacity > 0
     }
-
-    /// Reads the process-wide default from `REGCUBE_REORDER_CAP` and
-    /// `REGCUBE_REORDER_LATENESS` (used only when the configuration does
-    /// not set reordering explicitly — CI's `REGCUBE_REORDER_CAP=0` pass
-    /// pins the watermark-off path without disturbing tests that opt
-    /// in). Unset or unparsable variables mean disabled; the policy is
-    /// always `Global` from the environment.
-    pub fn from_env() -> Self {
-        let parse = |name: &str| {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.trim().parse::<i64>().ok())
-        };
-        let capacity = parse("REGCUBE_REORDER_CAP").unwrap_or(0).max(0) as usize;
-        let lateness = parse("REGCUBE_REORDER_LATENESS").unwrap_or(1);
-        ReorderConfig::new(capacity, lateness)
-    }
 }
 
 impl Default for ReorderConfig {
@@ -361,10 +344,6 @@ mod tests {
             WatermarkPolicy::PerSource { idle_units: 0 },
             "idle allowance clamps at zero"
         );
-        // No env vars set in the test environment: disabled.
-        if std::env::var("REGCUBE_REORDER_CAP").is_err() {
-            assert!(!ReorderConfig::from_env().enabled());
-        }
     }
 
     #[test]

@@ -109,8 +109,8 @@ proptest! {
         for (backend, shards) in [
             (Backend::Row, 1usize),
             (Backend::Row, 3),
-            (Backend::Arena, 1),
-            (Backend::Arena, 3),
+            (Backend::Columnar, 1),
+            (Backend::Columnar, 3),
         ] {
             let cfg = || config().with_backend(backend).with_shards(shards);
 

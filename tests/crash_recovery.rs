@@ -1,9 +1,9 @@
-//! The crash-recovery drill CI runs on every push (and again with
-//! `REGCUBE_ARENA_BACKEND=1`): run a jittered multi-source workload to
-//! the midpoint, checkpoint, throw the engine away as a crash would,
-//! restore from the file, finish — and require the revived run
-//! byte-identical to the uninterrupted one: every report, alarm,
-//! amendment, revision, drill and counter.
+//! The crash-recovery drill CI runs on every push, on both table
+//! layouts: run a jittered multi-source workload to the midpoint,
+//! checkpoint, throw the engine away as a crash would, restore from the
+//! file, finish — and require the revived run byte-identical to the
+//! uninterrupted one: every report, alarm, amendment, revision, drill
+//! and counter.
 
 use regcube::prelude::*;
 use regcube::stream::UnitReport;
@@ -11,9 +11,8 @@ use std::fmt::Write as _;
 
 const TPU: usize = 4;
 
-/// A watermark engine with per-source eviction; the backend is left to
-/// the environment so the same drill covers row and arena tables.
-fn config() -> EngineConfig {
+/// A watermark engine with per-source eviction on the given layout.
+fn config(backend: Backend) -> EngineConfig {
     let schema = CubeSchema::synthetic(2, 2, 2).unwrap();
     EngineConfig::new(
         schema,
@@ -25,6 +24,7 @@ fn config() -> EngineConfig {
     .with_ticks_per_unit(TPU)
     .with_reordering(32, 2)
     .with_watermark_policy(WatermarkPolicy::PerSource { idle_units: 4 })
+    .with_backend(backend)
 }
 
 /// A deterministic jittered feed: shuffled-within-lateness ticks,
@@ -95,6 +95,13 @@ fn drills(engine: &regcube::stream::OnlineEngine) -> String {
 
 #[test]
 fn interrupted_run_finishes_byte_identical_to_uninterrupted() {
+    for backend in [Backend::Row, Backend::Columnar] {
+        drill(backend);
+    }
+}
+
+fn drill(backend: Backend) {
+    let config = || config(backend);
     let feed = records();
     let half = feed.len() / 2;
 
@@ -132,12 +139,12 @@ fn interrupted_run_finishes_byte_identical_to_uninterrupted() {
     assert_eq!(
         render(&ref_reports),
         render(&revived_reports),
-        "reports diverged after recovery"
+        "{backend:?}: reports diverged after recovery"
     );
     assert_eq!(
         reference.snapshot().canonical_text(),
         revived.snapshot().canonical_text(),
-        "final snapshots diverged after recovery"
+        "{backend:?}: final snapshots diverged after recovery"
     );
     assert_eq!(drills(&reference), drills(&revived), "drills diverged");
 

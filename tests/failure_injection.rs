@@ -442,10 +442,9 @@ fn forced_scalar_fallback_survives_the_stale_shard_rollover() {
     use regcube::core::columnar::ColumnarCubingEngine;
     use regcube::core::KernelMode;
     // Kernel dispatch is a pure perf decision: with the chunked kernels
-    // forced off (the REGCUBE_SCALAR_KERNELS=1 path, injected here
-    // programmatically so parallel tests stay race-free), the sharded
-    // columnar engine weathers the same stale-shard rollover with a
-    // bit-identical cube — and honestly reports zero kernel rows.
+    // forced off (`KernelMode::Scalar`), the sharded columnar engine
+    // weathers the same stale-shard rollover with a bit-identical cube
+    // — and honestly reports zero kernel rows.
     let schema = CubeSchema::synthetic(2, 2, 2).unwrap();
     let layers = CriticalLayers::new(
         &schema,

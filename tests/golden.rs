@@ -394,14 +394,14 @@ fn pipeline_matches_golden_snapshot() {
     let actual = run_pipeline(1, Backend::Row) + &run_lateness_pipeline(1, Backend::Row);
 
     // The identical pipeline through 3 shards, and through the columnar
-    // and arena backends at both shard counts, must serialize
-    // byte-for-byte the same — merged deltas, episodes and all.
+    // backend at both shard counts, must serialize byte-for-byte the
+    // same — merged deltas, episodes and all. (That holds for this
+    // stream; in general the layouts agree on aggregated measures only
+    // up to `f64` reassociation — see `engine_contract.rs`.)
     for (label, shards, backend) in [
         ("shards=3", 3, Backend::Row),
         ("columnar", 1, Backend::Columnar),
         ("columnar shards=3", 3, Backend::Columnar),
-        ("arena", 1, Backend::Arena),
-        ("arena shards=3", 3, Backend::Arena),
     ] {
         let other = run_pipeline(shards, backend) + &run_lateness_pipeline(shards, backend);
         assert!(
