@@ -1,4 +1,4 @@
-//! Ablations of the design choices DESIGN.md calls out:
+//! Ablations of the design choices the paper and ARCHITECTURE.md call out:
 //!
 //! 1. H-tree attribute ordering: ascending cardinality (the paper's
 //!    choice) vs descending — sharing near the root vs near the leaves.

@@ -7,10 +7,10 @@
 //! same multi-unit stream through:
 //!
 //! * a transient `MoCubingEngine` — the row (hash-map) layout baseline;
-//! * a `ColumnarCubingEngine` — the same algorithm with the roll-up
+//! * the same engine `with_backend(Backend::Columnar)` — the roll-up
 //!   running over sorted dense-id component vectors;
-//! * a 2-shard `ShardedEngine<ColumnarCubingEngine>` — the columnar
-//!   backend composed behind the sharding seam.
+//! * a 2-shard `ShardedEngine` of it — the columnar layout composed
+//!   behind the sharding seam.
 //!
 //! Reported per configuration: source rows folded per second (the
 //! paper's work measure), the true allocator peak (`memtrack`, the
@@ -20,8 +20,7 @@
 
 use crate::memtrack;
 use crate::report::{fmt_count, fmt_mb, fmt_secs, Table};
-use regcube_core::columnar::ColumnarCubingEngine;
-use regcube_core::engine::CubingEngine;
+use regcube_core::engine::{Backend, CubingEngine};
 use regcube_core::shard::ShardedEngine;
 use regcube_core::{CriticalLayers, ExceptionPolicy, KernelMode, MTuple, MoCubingEngine};
 use regcube_datagen::{Dataset, DatasetSpec};
@@ -124,6 +123,11 @@ fn workload(
 /// Runs the sweep and returns one point per configuration.
 pub fn run(quick: bool) -> Vec<Point> {
     let (schema, layers, policy, unit_batches) = workload(quick);
+    let columnar = || {
+        MoCubingEngine::transient(schema.clone(), layers.clone(), policy.clone())
+            .and_then(|e| e.with_backend(Backend::Columnar))
+            .expect("valid engine")
+    };
     vec![
         measure(
             "tier roll-up, row (hash-map) layout",
@@ -136,24 +140,26 @@ pub fn run(quick: bool) -> Vec<Point> {
         measure(
             "tier roll-up, columnar layout",
             &unit_batches,
-            Box::new(
-                ColumnarCubingEngine::new(schema.clone(), layers.clone(), policy.clone())
-                    .expect("valid engine"),
-            ),
+            Box::new(columnar()),
         ),
         measure(
             "columnar layout, scalar kernels",
             &unit_batches,
-            Box::new(
-                ColumnarCubingEngine::new(schema.clone(), layers.clone(), policy.clone())
-                    .expect("valid engine")
-                    .with_kernel_mode(KernelMode::Scalar),
-            ),
+            Box::new(columnar().with_kernel_mode(KernelMode::Scalar)),
         ),
         measure(
             "columnar, 2 shards",
             &unit_batches,
-            Box::new(ShardedEngine::columnar(schema, layers, policy, 2).expect("valid engine")),
+            Box::new(
+                ShardedEngine::mo_cubing_on(
+                    Backend::Columnar,
+                    schema.clone(),
+                    layers.clone(),
+                    policy.clone(),
+                    2,
+                )
+                .expect("valid engine"),
+            ),
         ),
     ]
 }

@@ -31,8 +31,7 @@
 //! ```
 //!
 //! `--quick` shrinks the datasets for smoke runs; the defaults match the
-//! paper's scales (D3L3C10T100K etc.). `EXPERIMENTS.md` records the
-//! paper-vs-measured comparison.
+//! paper's scales (D3L3C10T100K etc.).
 
 pub mod experiments;
 pub mod memtrack;

@@ -1,5 +1,5 @@
 //! A counting global allocator: live bytes and a resettable high-water
-//! mark. The only `unsafe` in the whole workspace (see DESIGN.md §6); it
+//! mark. The only `unsafe` in the whole workspace; it
 //! delegates every operation to the system allocator and only adds atomic
 //! counters.
 

@@ -68,7 +68,7 @@ impl Table {
     /// Renders the table as a JSON object
     /// `{"title": …, "rows": [{col: cell, …}, …]}` for plotting scripts.
     /// Hand-rolled (flat strings only) because `serde_json` is outside
-    /// the allowed offline dependency set (DESIGN.md §5).
+    /// the allowed offline dependency set.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\"title\":");

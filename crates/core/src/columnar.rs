@@ -1,5 +1,5 @@
-//! The columnar regression-table backend: struct-of-arrays cuboid
-//! tables and a [`CubingEngine`] that rolls the cube up over them.
+//! The columnar regression-table layout: struct-of-arrays cuboid tables
+//! for Algorithm 1's tier roll-up.
 //!
 //! # Why a second layout
 //!
@@ -18,34 +18,21 @@
 //!
 //! Merging a row is an append to the staged tail (no per-row
 //! allocation, no hashing); [`finish`](TableStorage::finish) compacts
-//! the stage with one sort + two-run merge. Both layouts implement
-//! [`TableStorage`], so the merge/exception code path is shared with
-//! the row backend — byte layout is the *only* difference.
+//! the stage with one sort + two-run merge.
 //!
-//! # The engine
+//! # Behind the seam
 //!
-//! [`ColumnarCubingEngine`] is Algorithm 1 (m/o-cubing) with the tier
-//! roll-up running entirely over columnar tables; the retained result
-//! (critical layers + exception stores) is materialized in the row
-//! layout so every consumer — [`crate::shard::ShardedEngine`], the
-//! stream engine, alarms, drilling — composes unchanged. It follows the
-//! transient memory model (each tier is dropped as soon as the next is
-//! built), so retained memory matches the paper's model while the
-//! working set is the compact columnar form.
-//!
-//! Select it per [`Backend`](crate::engine::Backend):
+//! [`crate::MoCubingEngine`] is Algorithm 1 for every layout; this
+//! module is [`ColumnarTable`]'s [`TableStorage`] implementation — the
+//! m-layer build, the block-projected kernel fold ([`crate::kernel`])
+//! with its generic per-row fallback, the chunked exception screen and
+//! the conversion to the row tables a [`crate::CubeResult`] exposes, so
+//! every consumer — [`crate::shard::ShardedEngine`], the stream engine,
+//! alarms, drilling — composes unchanged. Select it per engine with
+//! [`Backend::Columnar`](crate::engine::Backend::Columnar):
 //!
 //! ```
-//! use regcube_core::engine::Backend;
-//! assert_eq!(Backend::default(), Backend::Row);
-//! assert_ne!(Backend::Columnar, Backend::Row);
-//! ```
-//!
-//! or construct it directly:
-//!
-//! ```
-//! use regcube_core::columnar::ColumnarCubingEngine;
-//! use regcube_core::engine::CubingEngine;
+//! use regcube_core::engine::{Backend, CubingEngine, MoCubingEngine};
 //! use regcube_core::{CriticalLayers, ExceptionPolicy, MTuple};
 //! use regcube_olap::{CubeSchema, CuboidSpec};
 //! use regcube_regress::Isb;
@@ -56,11 +43,14 @@
 //!     CuboidSpec::new(vec![0, 0]),
 //!     CuboidSpec::new(vec![2, 2]),
 //! ).unwrap();
-//! let mut engine = ColumnarCubingEngine::new(
+//! let mut engine = MoCubingEngine::transient(
 //!     schema,
 //!     layers,
 //!     ExceptionPolicy::slope_threshold(0.5),
-//! ).unwrap();
+//! )
+//! .unwrap()
+//! .with_backend(Backend::Columnar)
+//! .unwrap();
 //! let tuples = vec![
 //!     MTuple::new(vec![0, 0], Isb::new(0, 9, 1.0, 0.9).unwrap()),
 //!     MTuple::new(vec![3, 2], Isb::new(0, 9, 1.0, 0.1).unwrap()),
@@ -70,28 +60,20 @@
 //! assert_eq!(engine.result().m_layer_cells(), 2);
 //! ```
 
-use crate::engine::{
-    batch_window, depth_tiers, empty_result, exception_bytes, fold_tuples_into, CubingEngine,
-    UnitDelta,
-};
 use crate::exception::ExceptionPolicy;
 use crate::kernel::{self, FoldColumns, FoldOutput, KernelMode};
 use crate::layers::CriticalLayers;
-use crate::measure::{merge_sibling, validate_tuples, MTuple};
-use crate::result::{Algorithm, CubeResult};
-use crate::stats::{MemoryAccountant, RunStats};
+use crate::measure::{merge_sibling, MTuple};
+use crate::stats::MemoryAccountant;
 use crate::table::{
-    aggregate_into, collect_exceptions, table_bytes, CuboidTable, Projector, TableStorage,
+    aggregate_into, collect_exceptions, table_bytes, CuboidTable, Folded, Projector, TableStorage,
 };
 
 pub use crate::table::DenseCellCodec;
 use crate::Result;
 use regcube_olap::cell::CellKey;
-use regcube_olap::fxhash::{FxHashMap, FxHashSet};
 use regcube_olap::{CubeSchema, CuboidSpec};
 use regcube_regress::Isb;
-use std::sync::Arc;
-use std::time::Instant;
 
 // ---------------------------------------------------------------------------
 // ColumnarTable
@@ -195,7 +177,7 @@ impl ColumnarTable {
     }
 
     /// Materializes the table in the row layout (for the retained
-    /// [`CubeResult`] every downstream consumer reads).
+    /// [`crate::CubeResult`] every downstream consumer reads).
     pub fn to_row_table(&self) -> CuboidTable {
         let mut out = CuboidTable::with_capacity_and_hasher(self.compacted, Default::default());
         let mut ids = vec![0u32; self.codec.num_dims()];
@@ -209,7 +191,7 @@ impl ColumnarTable {
     /// Compacts the staged tail: stable-sort by id (duplicates keep
     /// arrival order), fold duplicates left-to-right, merge with the
     /// compacted run. Returns `true` when the kernel path ran (the
-    /// dispatch-counter attribution the engine reports).
+    /// dispatch attribution [`Folded::kernel`] carries).
     fn compact(&mut self) -> Result<bool> {
         if self.compacted == self.index.len() {
             // Nothing staged: every merged row hit the compacted region
@@ -359,21 +341,11 @@ impl ColumnarTable {
         self.bases.truncate(self.compacted);
         self.slopes.truncate(self.compacted);
     }
-
-    /// [`TableStorage::finish`] that also reports which path compacted
-    /// the stage: `true` for the kernel path, `false` for the scalar
-    /// fallback — the engine feeds this into the
-    /// [`RunStats::rows_folded_simd`](crate::stats::RunStats::rows_folded_simd)
-    /// / `rows_folded_scalar` dispatch counters.
-    ///
-    /// # Errors
-    /// Deferred merge failures from staged duplicate rows.
-    pub fn finish_with_path(&mut self) -> Result<bool> {
-        self.compact()
-    }
 }
 
 impl TableStorage for ColumnarTable {
+    const KERNEL_DISPATCH: bool = true;
+
     fn len(&self) -> usize {
         debug_assert_eq!(self.compacted, self.index.len(), "finish() before reads");
         self.compacted
@@ -421,10 +393,108 @@ impl TableStorage for ColumnarTable {
                 + 2 * std::mem::size_of::<i64>()
                 + 2 * std::mem::size_of::<f64>())
     }
+
+    /// Every cuboid must fit the dense 64-bit cell-id space.
+    fn check_lattice(schema: &CubeSchema, layers: &CriticalLayers) -> Result<()> {
+        for cuboid in layers.lattice().bottom_up_order() {
+            DenseCellCodec::new(schema, &cuboid)?;
+        }
+        Ok(())
+    }
+
+    fn from_tuples(
+        schema: &CubeSchema,
+        layers: &CriticalLayers,
+        tuples: &[MTuple],
+        kernel: KernelMode,
+        mem: &mut MemoryAccountant,
+    ) -> Result<(Self, Folded)> {
+        let mut m =
+            ColumnarTable::new(schema, layers.lattice().m_layer())?.with_kernel_mode(kernel);
+        for t in tuples {
+            m.merge_row(t.ids(), t.isb())?;
+        }
+        let kernel = m.compact()?;
+        mem.add(m.approx_bytes(schema.num_dims()));
+        let folded = Folded {
+            rows: tuples.len() as u64,
+            kernel,
+        };
+        Ok((m, folded))
+    }
+
+    fn from_row_table(
+        schema: &CubeSchema,
+        cuboid: &CuboidSpec,
+        rows: CuboidTable,
+        kernel: KernelMode,
+        mem: &mut MemoryAccountant,
+    ) -> Result<Self> {
+        // Identity projection through the shared aggregation path.
+        let mut table = ColumnarTable::new(schema, cuboid)?.with_kernel_mode(kernel);
+        aggregate_into(schema, cuboid, &rows, cuboid, &mut table, None)?;
+        let dims = schema.num_dims();
+        mem.add(table.approx_bytes(dims));
+        mem.remove(table_bytes(&rows, dims));
+        Ok(table)
+    }
+
+    /// The block-projected kernel fold when the projector supports it,
+    /// the generic per-row fold otherwise. Both are bit-exact; only the
+    /// dispatch attribution differs. The new table inherits this one's
+    /// kernel mode.
+    fn roll_up(
+        &self,
+        schema: &CubeSchema,
+        source: &CuboidSpec,
+        target: &CuboidSpec,
+    ) -> Result<(Self, Folded)> {
+        let mut table = ColumnarTable::new(schema, target)?.with_kernel_mode(self.kernel);
+        let folded = match aggregate_columnar_kernel(schema, source, self, target, &mut table)? {
+            Some(rows) => Folded { rows, kernel: true },
+            None => Folded {
+                rows: aggregate_into(schema, source, self, target, &mut table, None)?,
+                kernel: false,
+            },
+        };
+        Ok((table, folded))
+    }
+
+    /// A chunked `|slope| >= threshold` scan over the slope column
+    /// ([`crate::kernel::screen_ge_abs`]), then key decoding for the
+    /// (sparse) hits only; the generic [`collect_exceptions`] on
+    /// scalar-forced tables. Bit-exact with the scalar screen: the same
+    /// predicate per cell ([`ExceptionPolicy::is_exception`] resolves
+    /// to one threshold per cuboid), with NaN scores never qualifying.
+    fn exceptions(&self, policy: &ExceptionPolicy, cuboid: &CuboidSpec) -> CuboidTable {
+        debug_assert_eq!(self.compacted, self.index.len(), "finish() before reads");
+        if !self.kernel.use_kernel() || self.compacted > u32::MAX as usize {
+            return collect_exceptions(policy, cuboid, self);
+        }
+        let threshold = policy.threshold_for(cuboid);
+        let mut hits: Vec<u32> = Vec::new();
+        kernel::screen_ge_abs(&self.slopes[..self.compacted], threshold, &mut hits);
+        let mut exc = CuboidTable::with_capacity_and_hasher(hits.len(), Default::default());
+        let mut ids = vec![0u32; self.codec.num_dims()];
+        for &i in &hits {
+            let i = i as usize;
+            self.decode_into(self.index[i], &mut ids);
+            exc.insert(CellKey::new(ids.clone()), self.isb_at(i));
+        }
+        exc
+    }
+
+    /// Converts (both forms coexist for the moment of the conversion).
+    fn into_row_table(self, num_dims: usize, mem: &mut MemoryAccountant) -> CuboidTable {
+        let rows = self.to_row_table();
+        mem.add(table_bytes(&rows, num_dims));
+        mem.remove(self.approx_bytes(num_dims));
+        rows
+    }
 }
 
 // ---------------------------------------------------------------------------
-// Kernel-path aggregation and screening
+// Kernel-path aggregation
 // ---------------------------------------------------------------------------
 
 /// Columnar→columnar group-by-projection on the kernel layer: the
@@ -497,376 +567,10 @@ fn aggregate_columnar_kernel(
     Ok(Some(n as u64))
 }
 
-/// The columnar exception screen: a chunked `|slope| >= threshold`
-/// scan over the slope column ([`crate::kernel::screen_ge_abs`]), then
-/// key decoding for the (sparse) hits only. Falls back to the generic
-/// [`collect_exceptions`] on scalar-forced tables. Bit-exact with the
-/// scalar screen: the same predicate per cell
-/// ([`ExceptionPolicy::is_exception`] resolves to one threshold per
-/// cuboid), with NaN scores never qualifying.
-fn collect_exceptions_columnar(
-    policy: &ExceptionPolicy,
-    cuboid: &CuboidSpec,
-    table: &ColumnarTable,
-) -> CuboidTable {
-    debug_assert_eq!(table.compacted, table.index.len(), "finish() before reads");
-    if !table.kernel.use_kernel() || table.compacted > u32::MAX as usize {
-        return collect_exceptions(policy, cuboid, table);
-    }
-    let threshold = policy.threshold_for(cuboid);
-    let mut hits: Vec<u32> = Vec::new();
-    kernel::screen_ge_abs(&table.slopes[..table.compacted], threshold, &mut hits);
-    let mut exc = CuboidTable::with_capacity_and_hasher(hits.len(), Default::default());
-    let mut ids = vec![0u32; table.codec.num_dims()];
-    for &i in &hits {
-        let i = i as usize;
-        table.decode_into(table.index[i], &mut ids);
-        exc.insert(CellKey::new(ids.clone()), table.isb_at(i));
-    }
-    exc
-}
-
-// ---------------------------------------------------------------------------
-// ColumnarCubingEngine
-// ---------------------------------------------------------------------------
-
-/// Algorithm 1 (m/o-cubing) over the columnar layout — see the module
-/// docs for the design and
-/// [`Backend::Columnar`](crate::engine::Backend::Columnar) for the
-/// configuration
-/// seam.
-///
-/// Semantically this engine is a drop-in for a transient-mode
-/// [`crate::MoCubingEngine`]: identical cube, exception set and
-/// [`UnitDelta`] stream (the contract tests pin it, the golden suite
-/// byte-for-byte). It keeps no between-layer tables across batches
-/// ([`full_between_tables`](CubingEngine::full_between_tables) answers
-/// `None`), so a [`crate::shard::ShardedEngine`] composes with it
-/// through the always-retain fallback, exactly like the popular-path
-/// engine.
-#[derive(Debug, Clone)]
-pub struct ColumnarCubingEngine {
-    schema: Arc<CubeSchema>,
-    layers: CriticalLayers,
-    policy: ExceptionPolicy,
-    kernel: KernelMode,
-    window: Option<(i64, i64)>,
-    units_opened: u64,
-    stats: RunStats,
-    mem: MemoryAccountant,
-    result: CubeResult,
-}
-
-impl ColumnarCubingEngine {
-    /// Creates a columnar engine for the given layers and policy.
-    ///
-    /// # Errors
-    /// [`CoreError::BadInput`](crate::CoreError::BadInput) when a cuboid of the lattice overflows
-    /// the dense 64-bit cell-id space (see [`ColumnarTable::new`]).
-    pub fn new(
-        schema: CubeSchema,
-        layers: CriticalLayers,
-        policy: ExceptionPolicy,
-    ) -> Result<Self> {
-        // Validate the whole lattice up front so `ingest_unit` cannot
-        // fail mid-roll-up on an oversized cuboid.
-        for cuboid in layers.lattice().bottom_up_order() {
-            ColumnarTable::new(&schema, &cuboid)?;
-        }
-        let result = empty_result(&layers, &policy, Algorithm::MoCubing);
-        Ok(ColumnarCubingEngine {
-            schema: Arc::new(schema),
-            layers,
-            policy,
-            kernel: KernelMode::Auto,
-            window: None,
-            units_opened: 0,
-            stats: RunStats::default(),
-            mem: MemoryAccountant::new(),
-            result,
-        })
-    }
-
-    /// Selects which implementation the engine's hot loops run — the
-    /// chunked [`crate::kernel`] layer (`Auto`, the default) or the
-    /// scalar fallback (`Scalar`). Both produce byte-identical cubes,
-    /// exceptions and deltas (the kernel-parity suite pins it); the
-    /// split is reported in
-    /// [`RunStats::rows_folded_simd`](crate::stats::RunStats::rows_folded_simd)
-    /// / `rows_folded_scalar`.
-    pub fn with_kernel_mode(mut self, mode: KernelMode) -> Self {
-        self.kernel = mode;
-        self
-    }
-
-    /// The configured kernel mode.
-    #[inline]
-    pub fn kernel_mode(&self) -> KernelMode {
-        self.kernel
-    }
-
-    /// The critical layers the engine cubes for.
-    pub fn layers(&self) -> &CriticalLayers {
-        &self.layers
-    }
-
-    /// A fresh columnar table for `cuboid`, carrying the engine's
-    /// kernel mode.
-    fn new_table(&self, cuboid: &CuboidSpec) -> Result<ColumnarTable> {
-        Ok(ColumnarTable::new(&self.schema, cuboid)?.with_kernel_mode(self.kernel))
-    }
-
-    /// Attributes `rows` folded source rows to the kernel or scalar
-    /// dispatch counter (keeping `rows_folded` equal to their sum).
-    fn count_folded(&mut self, rows: u64, kernel_path: bool) {
-        self.stats.rows_folded += rows;
-        if kernel_path {
-            self.stats.rows_folded_simd += rows;
-        } else {
-            self.stats.rows_folded_scalar += rows;
-        }
-    }
-
-    /// Consumes the engine, returning the final cube result.
-    pub fn into_result(self) -> CubeResult {
-        self.result
-    }
-
-    /// Bottom-up tier roll-up over columnar tables. Each cuboid
-    /// aggregates from its closest computed descendant (the previous
-    /// tier); finished tiers are dropped as soon as the next no longer
-    /// needs them (the transient memory model). Returns the o-layer
-    /// table and the exception stores in the row layout.
-    fn compute_uppers(
-        &mut self,
-        m_col: &ColumnarTable,
-    ) -> Result<(CuboidTable, FxHashMap<CuboidSpec, CuboidTable>)> {
-        let dims = self.schema.num_dims();
-        let m_spec = self.layers.lattice().m_layer().clone();
-        let o_spec = self.layers.lattice().o_layer().clone();
-
-        let mut o_table = CuboidTable::default();
-        let mut exceptions: FxHashMap<CuboidSpec, CuboidTable> = FxHashMap::default();
-        let mut cache: FxHashMap<CuboidSpec, ColumnarTable> = FxHashMap::default();
-        for tier in depth_tiers(&self.layers) {
-            let mut next_cache: FxHashMap<CuboidSpec, ColumnarTable> = FxHashMap::default();
-            for cuboid in tier {
-                let source_spec: Option<CuboidSpec> = self
-                    .layers
-                    .lattice()
-                    .closest_computed_descendant(&cuboid, cache.keys())
-                    .cloned();
-                let mut table = self.new_table(&cuboid)?;
-                let (source_table, src_spec): (&ColumnarTable, &CuboidSpec) = match &source_spec {
-                    Some(spec) => (&cache[spec], spec),
-                    None => (m_col, &m_spec),
-                };
-                // Block-projected kernel fold when the projector supports
-                // it; the generic per-row fold otherwise. Both are
-                // bit-exact; only the dispatch counter differs.
-                let (rows, kernel_path) = match aggregate_columnar_kernel(
-                    &self.schema,
-                    src_spec,
-                    source_table,
-                    &cuboid,
-                    &mut table,
-                )? {
-                    Some(rows) => (rows, true),
-                    None => (
-                        aggregate_into(
-                            &self.schema,
-                            src_spec,
-                            source_table,
-                            &cuboid,
-                            &mut table,
-                            None,
-                        )?,
-                        false,
-                    ),
-                };
-                self.count_folded(rows, kernel_path);
-                self.stats.cells_computed += table.len() as u64;
-                self.stats.cuboids_computed += 1;
-                self.mem.add(table.approx_bytes(dims));
-
-                if cuboid == o_spec {
-                    o_table = table.to_row_table();
-                    self.mem.add(table_bytes(&o_table, dims));
-                    self.mem.remove(table.approx_bytes(dims));
-                    continue;
-                }
-                let exc = collect_exceptions_columnar(&self.policy, &cuboid, &table);
-                if !exc.is_empty() {
-                    self.mem.add(table_bytes(&exc, dims));
-                    exceptions.insert(cuboid.clone(), exc);
-                }
-                next_cache.insert(cuboid, table);
-            }
-            for (_, table) in cache.drain() {
-                self.mem.remove(table.approx_bytes(dims));
-            }
-            cache = next_cache;
-        }
-        for (_, table) in cache.drain() {
-            self.mem.remove(table.approx_bytes(dims));
-        }
-        Ok((o_table, exceptions))
-    }
-
-    /// Full recomputation for a new unit window.
-    fn open_unit(&mut self, tuples: &[MTuple]) -> Result<()> {
-        let dims = self.schema.num_dims();
-        let m_spec = self.layers.lattice().m_layer().clone();
-        self.stats = RunStats::default();
-        self.mem = MemoryAccountant::new();
-
-        // Step 1: fold the batch into the columnar m-layer. Duplicate
-        // m-cells merge in arrival order, like the H-tree scan.
-        let mut m_col = self.new_table(&m_spec)?;
-        for t in tuples {
-            m_col.merge_row(t.ids(), t.isb())?;
-        }
-        let kernel_path = m_col.finish_with_path()?;
-        self.mem.add(m_col.approx_bytes(dims));
-        self.count_folded(tuples.len() as u64, kernel_path);
-        self.stats.cells_computed += m_col.len() as u64;
-        self.stats.cuboids_computed += 1;
-
-        // Step 2: the rest of the lattice, columnar tier by tier.
-        let (o_table, exceptions) = self.compute_uppers(&m_col)?;
-        let m_table = m_col.to_row_table();
-        self.mem.add(table_bytes(&m_table, dims));
-        self.mem.remove(m_col.approx_bytes(dims));
-        self.result = CubeResult::new(
-            self.layers.clone(),
-            self.policy.clone(),
-            Algorithm::MoCubing,
-            m_table,
-            o_table,
-            exceptions,
-            FxHashMap::default(),
-            self.stats,
-        );
-        Ok(())
-    }
-
-    /// Same-window batch: fold into the retained row m-layer, rebuild
-    /// the columnar working copy and recompute everything above it (the
-    /// transient model keeps no between-layer tables to merge into).
-    fn merge_batch(&mut self, tuples: &[MTuple], delta: &mut UnitDelta) -> Result<()> {
-        let dims = self.schema.num_dims();
-        let m_spec = self.layers.lattice().m_layer().clone();
-        let mut m_table = std::mem::take(self.result.m_table_mut());
-
-        let m_bytes = table_bytes(&m_table, dims);
-        let (touched, created) =
-            fold_tuples_into(&self.schema, &m_spec, &m_spec, &mut m_table, tuples)?;
-        self.mem
-            .add(table_bytes(&m_table, dims).saturating_sub(m_bytes));
-        // Row-layout hash-map fold: always the scalar path.
-        self.count_folded(tuples.len() as u64, false);
-        self.stats.cells_computed += created;
-        delta.cells_touched += touched.len() as u64;
-
-        // Rebuild the columnar m-layer (identity projection through the
-        // shared aggregation path) and recompute the lattice.
-        let mut m_col = self.new_table(&m_spec)?;
-        aggregate_into(&self.schema, &m_spec, &m_table, &m_spec, &mut m_col, None)?;
-        self.mem.add(m_col.approx_bytes(dims));
-        let (o_table, exceptions) = self.compute_uppers(&m_col)?;
-        self.mem.remove(m_col.approx_bytes(dims));
-
-        // The replaced o-table and exception stores die with the old
-        // result; release their analytical bytes.
-        self.mem
-            .remove(table_bytes(self.result.o_table(), dims) + exception_bytes(&self.result, dims));
-        self.result = CubeResult::new(
-            self.layers.clone(),
-            self.policy.clone(),
-            Algorithm::MoCubing,
-            m_table,
-            o_table,
-            exceptions,
-            FxHashMap::default(),
-            self.stats,
-        );
-        Ok(())
-    }
-
-    /// Refreshes the retention statistics and publishes them into the
-    /// exposed result (transient model: critical layers + exceptions).
-    fn refresh_stats(&mut self) {
-        let dims = self.schema.num_dims();
-        let result = &self.result;
-        self.stats.exception_cells = result.total_exception_cells();
-        self.stats.cells_retained = result.m_layer_cells() as u64
-            + result.o_layer_cells() as u64
-            + self.stats.exception_cells;
-        self.stats.retained_bytes = table_bytes(result.m_table(), dims)
-            + table_bytes(result.o_table(), dims)
-            + exception_bytes(result, dims);
-        self.stats.peak_bytes = self.mem.peak();
-        self.result.set_stats(self.stats);
-    }
-
-    /// All retained between-layer exception cells as owned pairs.
-    fn exception_cells(&self) -> FxHashSet<(CuboidSpec, CellKey)> {
-        self.result
-            .iter_exceptions()
-            .map(|(c, k, _)| (c.clone(), k.clone()))
-            .collect()
-    }
-}
-
-impl CubingEngine for ColumnarCubingEngine {
-    fn algorithm(&self) -> Algorithm {
-        Algorithm::MoCubing
-    }
-
-    fn ingest_unit(&mut self, tuples: &[MTuple]) -> Result<UnitDelta> {
-        validate_tuples(&self.schema, self.layers.lattice().m_layer(), tuples)?;
-        let started = Instant::now();
-        let window = batch_window(tuples);
-        let opened_unit = self.window != Some(window);
-        // Diffed against the post-batch state below; on a rollover this
-        // reports the closed window's lapsed exceptions as cleared.
-        let before = self.exception_cells();
-        let mut delta = UnitDelta::for_batch(window, opened_unit, tuples.len());
-        if opened_unit {
-            // Commit the window only after a successful rollover (the
-            // trait's "no half-open window" contract).
-            self.window = None;
-            self.open_unit(tuples)?;
-            self.window = Some(window);
-            self.units_opened += 1;
-            delta.cells_touched = self.stats.cells_computed;
-        } else {
-            self.merge_batch(tuples, &mut delta)?;
-        }
-        delta.unit = self.units_opened.saturating_sub(1);
-        let after = self.exception_cells();
-        delta.appeared = after.difference(&before).cloned().collect();
-        delta.cleared = before.difference(&after).cloned().collect();
-        delta.sort_cells();
-        debug_assert!(delta.is_sorted());
-        self.stats.elapsed += started.elapsed();
-        self.refresh_stats();
-        Ok(delta)
-    }
-
-    fn result(&self) -> &CubeResult {
-        &self.result
-    }
-
-    fn stats(&self) -> &RunStats {
-        &self.stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CoreError, MoCubingEngine};
+    use crate::CoreError;
     use regcube_regress::TimeSeries;
 
     fn isb(slope: f64, base: f64) -> Isb {
@@ -874,25 +578,8 @@ mod tests {
         Isb::fit(&z).unwrap()
     }
 
-    fn setup() -> (CubeSchema, CriticalLayers, ExceptionPolicy) {
-        let schema = CubeSchema::synthetic(2, 2, 2).unwrap();
-        let layers = CriticalLayers::new(
-            &schema,
-            CuboidSpec::new(vec![0, 0]),
-            CuboidSpec::new(vec![2, 2]),
-        )
-        .unwrap();
-        (schema, layers, ExceptionPolicy::slope_threshold(0.4))
-    }
-
-    fn dense_tuples() -> Vec<MTuple> {
-        let mut tuples = Vec::new();
-        for a in 0..4u32 {
-            for b in 0..4u32 {
-                tuples.push(MTuple::new(vec![a, b], isb((a + b) as f64 / 10.0, 1.0)));
-            }
-        }
-        tuples
+    fn schema() -> CubeSchema {
+        CubeSchema::synthetic(2, 2, 2).unwrap()
     }
 
     fn tables_approx_eq(label: &str, a: &CuboidTable, b: &CuboidTable) {
@@ -907,7 +594,7 @@ mod tests {
 
     #[test]
     fn staged_rows_compact_sorted_and_deduplicated() {
-        let (schema, _, _) = setup();
+        let schema = schema();
         let mut t = ColumnarTable::new(&schema, &CuboidSpec::new(vec![2, 2])).unwrap();
         t.merge_row(&[3, 1], &isb(0.3, 1.0)).unwrap();
         t.merge_row(&[0, 2], &isb(0.1, 1.0)).unwrap();
@@ -928,7 +615,7 @@ mod tests {
 
     #[test]
     fn incremental_merges_hit_the_compacted_region() {
-        let (schema, _, _) = setup();
+        let schema = schema();
         let mut t = ColumnarTable::new(&schema, &CuboidSpec::new(vec![2, 2])).unwrap();
         t.merge_row(&[1, 1], &isb(0.1, 1.0)).unwrap();
         t.finish().unwrap();
@@ -943,7 +630,7 @@ mod tests {
 
     #[test]
     fn row_round_trip_preserves_every_cell() {
-        let (schema, _, _) = setup();
+        let schema = schema();
         let cuboid = CuboidSpec::new(vec![2, 1]);
         let mut col = ColumnarTable::new(&schema, &cuboid).unwrap();
         let mut row = CuboidTable::default();
@@ -965,75 +652,5 @@ mod tests {
             ColumnarTable::new(&schema, &spec),
             Err(CoreError::BadInput { .. })
         ));
-    }
-
-    #[test]
-    fn columnar_engine_matches_row_engine_per_unit() {
-        let (schema, layers, policy) = setup();
-        let mut row =
-            MoCubingEngine::transient(schema.clone(), layers.clone(), policy.clone()).unwrap();
-        let mut col = ColumnarCubingEngine::new(schema, layers, policy).unwrap();
-        let tuples = dense_tuples();
-        // Unit 0 in two same-window chunks, then a rollover unit.
-        for batch in [&tuples[..10], &tuples[10..]] {
-            let dr = row.ingest_unit(batch).unwrap();
-            let dc = col.ingest_unit(batch).unwrap();
-            assert_eq!(dr.opened_unit, dc.opened_unit);
-            assert_eq!(dr.appeared, dc.appeared);
-            assert_eq!(dr.cleared, dc.cleared);
-        }
-        let next: Vec<MTuple> = (0..3u32)
-            .map(|a| MTuple::new(vec![a, a], Isb::new(10, 19, 1.0, 0.9).unwrap()))
-            .collect();
-        let dr = row.ingest_unit(&next).unwrap();
-        let dc = col.ingest_unit(&next).unwrap();
-        assert!(dr.opened_unit && dc.opened_unit);
-        assert_eq!(dr.unit, dc.unit);
-        assert_eq!(dr.appeared, dc.appeared);
-        assert_eq!(dr.cleared, dc.cleared);
-        let (a, b) = (col.result(), row.result());
-        tables_approx_eq("m", a.m_table(), b.m_table());
-        tables_approx_eq("o", a.o_table(), b.o_table());
-        assert_eq!(a.total_exception_cells(), b.total_exception_cells());
-        assert_eq!(col.stats().cells_computed, row.stats().cells_computed);
-        assert_eq!(col.stats().rows_folded, row.stats().rows_folded);
-    }
-
-    #[test]
-    fn columnar_retains_fewer_working_bytes() {
-        let (schema, layers, policy) = setup();
-        let mut row =
-            MoCubingEngine::transient(schema.clone(), layers.clone(), policy.clone()).unwrap();
-        let mut col = ColumnarCubingEngine::new(schema, layers, policy).unwrap();
-        row.ingest_unit(&dense_tuples()).unwrap();
-        col.ingest_unit(&dense_tuples()).unwrap();
-        assert!(
-            col.stats().peak_bytes < row.stats().peak_bytes,
-            "columnar peak {} must undercut row peak {}",
-            col.stats().peak_bytes,
-            row.stats().peak_bytes
-        );
-    }
-
-    #[test]
-    fn failed_rollover_does_not_poison_the_engine() {
-        let (schema, layers, policy) = setup();
-        let mut e = ColumnarCubingEngine::new(schema, layers, policy).unwrap();
-        e.ingest_unit(&dense_tuples()).unwrap();
-        let bad = vec![MTuple::new(vec![0], isb(0.1, 0.0))];
-        assert!(e.ingest_unit(&bad).is_err());
-        let next: Vec<MTuple> = (0..3u32)
-            .map(|a| MTuple::new(vec![a, a], Isb::new(10, 19, 1.0, 0.2).unwrap()))
-            .collect();
-        let delta = e.ingest_unit(&next).unwrap();
-        assert!(delta.opened_unit);
-        assert_eq!(e.result().m_layer_cells(), 3);
-    }
-
-    #[test]
-    fn empty_batches_are_rejected() {
-        let (schema, layers, policy) = setup();
-        let mut e = ColumnarCubingEngine::new(schema, layers, policy).unwrap();
-        assert!(e.ingest_unit(&[]).is_err());
     }
 }

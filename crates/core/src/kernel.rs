@@ -49,7 +49,7 @@
 //! kernel cannot apply (per-row hierarchy walks, oversized row counts);
 //! `Scalar` forces the generic scalar path everywhere, selected
 //! explicitly with
-//! [`ColumnarCubingEngine::with_kernel_mode`](crate::columnar::ColumnarCubingEngine::with_kernel_mode)
+//! [`MoCubingEngine::with_kernel_mode`](crate::MoCubingEngine::with_kernel_mode)
 //! (the parity suite uses it as the reference the kernels are compared
 //! against). Which path folded each row is reported in
 //! [`RunStats::rows_folded_simd`](crate::stats::RunStats::rows_folded_simd) /

@@ -41,11 +41,12 @@
 //! algorithms run behind the [`engine::CubingEngine`] trait, so they
 //! compose with hash-partitioned parallel cubing ([`shard`]), a
 //! worker-pool tier roll-up ([`pool`]), streaming exception consumers
-//! ([`alarm`]) and a choice of physical table layout — the row
-//! (hash-map) default or the struct-of-arrays [`columnar`] backend,
-//! selected via [`engine::Backend`], whose hot fold/projection loops
-//! run on the chunked [`kernel`] layer (bit-exact SIMD-friendly
-//! kernels with a scalar fallback). The repository-level
+//! ([`alarm`]) and — for Algorithm 1 — a choice of physical table
+//! layout behind [`table::TableStorage`]: the row (hash-map) default or
+//! the struct-of-arrays [`columnar`] one, selected via
+//! [`engine::Backend`], whose hot fold/projection loops run on the
+//! chunked [`kernel`] layer (bit-exact SIMD-friendly kernels with a
+//! scalar fallback). The repository-level
 //! `ARCHITECTURE.md` maps every paper section to its module and
 //! documents how to add further backends.
 //!
@@ -103,7 +104,7 @@ pub mod table;
 pub use alarm::{
     AlarmContext, AlarmLog, AlarmSink, DashboardSummary, LateAmendment, SinkSet, ThresholdEscalator,
 };
-pub use columnar::{ColumnarCubingEngine, ColumnarTable};
+pub use columnar::ColumnarTable;
 pub use cube::RegressionCube;
 pub use engine::{Backend, CubingEngine, MoCubingEngine, PopularPathEngine, UnitDelta};
 pub use error::CoreError;
@@ -126,7 +127,6 @@ pub mod prelude {
         AlarmContext, AlarmLog, AlarmSink, DashboardSummary, Episode, Escalation, SinkSet,
         ThresholdEscalator,
     };
-    pub use crate::columnar::ColumnarCubingEngine;
     pub use crate::cube::RegressionCube;
     pub use crate::engine::{Backend, CubingEngine, MoCubingEngine, PopularPathEngine, UnitDelta};
     pub use crate::exception::{ExceptionPolicy, RefMode};

@@ -3,8 +3,9 @@
 //! cells in between (all cells at the two critical layers).
 //!
 //! Step 1 follows the paper exactly: one scan of the input aggregates the
-//! stream into an H-tree (attribute order by ascending cardinality) whose
-//! leaves carry the m-layer regressions, merged under Theorems 3.2/3.3.
+//! stream into the m-layer, merged under Theorems 3.2/3.3 (through an
+//! H-tree in ascending-cardinality attribute order on the row layout —
+//! [`TableStorage::from_tuples`]).
 //!
 //! Step 2 computes the lattice bottom-up in depth order. Every cuboid's
 //! full table is aggregated from its **closest computed descendant** — a
@@ -13,62 +14,606 @@
 //! its reference 18 too (footnote 6); the computed and retained cell
 //! sets here are identical to Algorithm 1's).
 //!
-//! Since the engine refactor both steps live in
-//! [`MoCubingEngine`], which additionally
-//! keeps the full tables alive so same-window batches can merge
-//! incrementally; [`compute`] is the batch wrapper that ingests one unit
-//! and drops the working state, retaining exactly critical layers +
-//! exception cells.
+//! [`MoCubingEngine`] is the algorithm, written **once**: rollover,
+//! tier roll-up, same-window merge, delta diff and statistics are
+//! layout-agnostic, and everything a table layout does differently sits
+//! behind [`TableStorage`]. The [`Backend`] an engine is given only
+//! picks which implementation of that trait the tiers are folded into.
+//! [`compute`] is the batch wrapper that ingests one unit and drops the
+//! working state, retaining exactly critical layers + exception cells.
+//!
+//! By default an engine keeps every between-layer cuboid's full table
+//! alive so same-window batches merge incrementally, which costs
+//! memory. [`MoCubingEngine::transient`] trades that away: it keeps only
+//! the critical layers and exceptions (dropping each depth tier's tables
+//! as soon as the next tier is built, like the original batch algorithm)
+//! and services a same-window batch by folding it into the m-layer and
+//! recomputing — the batch wrapper and the online per-unit pipeline use
+//! this mode, so their peak memory matches the paper's memory model.
 
-use crate::engine::{CubingEngine, MoCubingEngine};
-use crate::error::CoreError;
+use crate::columnar::ColumnarTable;
+use crate::engine::{
+    batch_window, empty_result, exception_bytes, exception_cells, fold_tuples_into, Backend,
+    CubingEngine, UnitDelta,
+};
 use crate::exception::ExceptionPolicy;
+use crate::kernel::KernelMode;
 use crate::layers::CriticalLayers;
-use crate::measure::{merge_sibling, MTuple};
-use crate::result::CubeResult;
-use crate::table::CuboidTable;
+use crate::measure::{validate_tuples, MTuple};
+use crate::pool::WorkerPool;
+use crate::result::{Algorithm, CubeResult};
+use crate::stats::{MemoryAccountant, RunStats};
+use crate::table::{table_bytes, CuboidTable, Folded, TableStorage};
 use crate::Result;
-use regcube_olap::cell::CellKey;
-use regcube_olap::htree::{attrs_by_cardinality, expand_tuple, path_values_to_key, HTree};
-use regcube_olap::CubeSchema;
-use regcube_regress::Isb;
+use regcube_olap::fxhash::FxHashMap;
+use regcube_olap::{CubeSchema, CuboidSpec};
+use std::sync::Arc;
+use std::time::Instant;
 
-/// Builds the m-layer table by scanning `tuples` once through an H-tree in
-/// cardinality attribute order (Algorithm 1, Step 1). Returns the table
-/// and the peak bytes the tree occupied.
-pub(crate) fn build_m_layer(
-    schema: &CubeSchema,
-    layers: &CriticalLayers,
-    tuples: &[MTuple],
-) -> Result<(CuboidTable, usize)> {
-    let lattice = layers.lattice();
-    let attrs = attrs_by_cardinality(schema, lattice);
-    let mut tree: HTree<Isb> = HTree::new(attrs)?;
-    for t in tuples {
-        let values = expand_tuple(schema, lattice.m_layer(), t.ids(), tree.order());
-        let leaf = tree.insert_path(&values)?;
-        match tree.payload_mut(leaf) {
-            Some(acc) => merge_sibling(acc, t.isb())?,
-            slot @ None => *slot = Some(*t.isb()),
+/// Groups every cuboid strictly above the m-layer into depth *tiers*
+/// (bottom-up, same total depth per tier) — the roll-up order.
+fn depth_tiers(layers: &CriticalLayers) -> Vec<Vec<CuboidSpec>> {
+    let m_spec = layers.lattice().m_layer();
+    let mut tiers: Vec<(u32, Vec<CuboidSpec>)> = Vec::new();
+    for cuboid in layers.lattice().bottom_up_order() {
+        if &cuboid == m_spec {
+            continue;
+        }
+        let depth = cuboid.total_depth();
+        match tiers.last_mut() {
+            Some((d, group)) if *d == depth => group.push(cuboid),
+            _ => tiers.push((depth, vec![cuboid])),
         }
     }
-    let tree_bytes = tree.approx_bytes();
+    tiers.into_iter().map(|(_, group)| group).collect()
+}
 
-    let mut m_table = CuboidTable::default();
-    let order: Vec<_> = tree.order().to_vec();
-    let m_layer = lattice.m_layer().clone();
-    let mut leaves: Vec<regcube_olap::htree::NodeId> = Vec::with_capacity(tree.num_leaves());
-    tree.for_each_leaf(|leaf| leaves.push(leaf));
-    for leaf in leaves {
-        let values = tree.path_values(leaf);
-        let key =
-            path_values_to_key(&order, &values, &m_layer).ok_or_else(|| CoreError::BadInput {
-                detail: "H-tree order misses an m-layer attribute".into(),
-            })?;
-        let isb = *tree.payload(leaf).expect("leaf payload set at insert");
-        m_table.insert(CellKey::new(key), isb);
+/// One cuboid of a depth tier with its chosen aggregation source —
+/// resolved before the tier fans out so pool tasks are self-contained.
+struct TierPlan<T> {
+    cuboid: CuboidSpec,
+    source: CuboidSpec,
+    table: Arc<T>,
+}
+
+/// Algorithm 1 as an incremental engine, over either table layout.
+///
+/// In the default (incremental) mode every cuboid between the layers is
+/// kept as a **full table** across batches of the open unit, so a
+/// same-window batch merges straight into the affected cells (Theorem
+/// 3.2) and only those cells are re-screened against the exception
+/// policy. Opening a new unit recomputes bottom-up in depth tiers, each
+/// cuboid aggregated from its closest computed descendant — exactly the
+/// work-sharing of the batch algorithm.
+///
+/// [`transient`](Self::transient) mode keeps no between-layer tables
+/// (each tier is dropped once the next is built), matching the batch
+/// algorithm's peak memory; same-window batches then fold into the
+/// m-layer and recompute.
+///
+/// The tiers are rolled up in the layout [`with_backend`](Self::with_backend)
+/// selects (row by default). Whatever the layout, everything the engine
+/// *retains* — the result's critical layers and exception stores, and
+/// the incremental mode's between-layer tables — is in the row form
+/// [`CubeResult`] exposes, so the engine composes identically with
+/// every consumer.
+#[derive(Debug, Clone)]
+pub struct MoCubingEngine {
+    schema: Arc<CubeSchema>,
+    layers: CriticalLayers,
+    policy: ExceptionPolicy,
+    /// The layout the tiers are folded into.
+    backend: Backend,
+    /// Which implementation a layout with kernels runs its hot loops on.
+    kernel: KernelMode,
+    /// Drop between-layer tables after each unit (batch memory model)?
+    transient: bool,
+    /// When attached, cuboids of one depth tier (independent of each
+    /// other) are aggregated on the pool instead of sequentially.
+    pool: Option<Arc<WorkerPool>>,
+    window: Option<(i64, i64)>,
+    units_opened: u64,
+    /// Full tables of the strictly-between cuboids (empty in transient
+    /// mode; the m- and o-layer live in `result`).
+    tables: FxHashMap<CuboidSpec, CuboidTable>,
+    stats: RunStats,
+    mem: MemoryAccountant,
+    result: CubeResult,
+}
+
+impl MoCubingEngine {
+    /// Creates an engine in incremental mode (between-layer tables are
+    /// retained so same-window batches merge in place).
+    ///
+    /// # Errors
+    /// Currently infallible; `Result` keeps room for config validation
+    /// and parity with [`crate::PopularPathEngine::new`].
+    pub fn new(
+        schema: CubeSchema,
+        layers: CriticalLayers,
+        policy: ExceptionPolicy,
+    ) -> Result<Self> {
+        let result = empty_result(&layers, &policy, Algorithm::MoCubing);
+        Ok(MoCubingEngine {
+            schema: Arc::new(schema),
+            layers,
+            policy,
+            backend: Backend::Row,
+            kernel: KernelMode::Auto,
+            transient: false,
+            pool: None,
+            window: None,
+            units_opened: 0,
+            tables: FxHashMap::default(),
+            stats: RunStats::default(),
+            mem: MemoryAccountant::new(),
+            result,
+        })
     }
-    Ok((m_table, tree_bytes))
+
+    /// Creates an engine in transient mode: between-layer tables are
+    /// dropped tier by tier as the batch algorithm computes, so retained
+    /// memory is exactly critical layers + exception cells. Same-window
+    /// batches fold into the m-layer and recompute instead of merging in
+    /// place. This is what the batch wrapper and the per-unit online
+    /// pipeline use.
+    ///
+    /// # Errors
+    /// See [`new`](Self::new).
+    pub fn transient(
+        schema: CubeSchema,
+        layers: CriticalLayers,
+        policy: ExceptionPolicy,
+    ) -> Result<Self> {
+        let mut engine = Self::new(schema, layers, policy)?;
+        engine.transient = true;
+        Ok(engine)
+    }
+
+    /// Selects the table layout the tiers are folded into. Both layouts
+    /// produce the same cells, counts and [`UnitDelta`]s; see
+    /// [`Backend`] for what "same" means for the measures.
+    ///
+    /// # Errors
+    /// [`crate::CoreError::BadInput`] when the layout cannot represent a
+    /// cuboid of the lattice (the columnar layout needs every cell
+    /// space to fit a dense 64-bit id) — checked here so `ingest_unit`
+    /// cannot fail mid-roll-up.
+    pub fn with_backend(mut self, backend: Backend) -> Result<Self> {
+        match backend {
+            Backend::Row => CuboidTable::check_lattice(&self.schema, &self.layers)?,
+            Backend::Columnar => ColumnarTable::check_lattice(&self.schema, &self.layers)?,
+        }
+        self.backend = backend;
+        Ok(self)
+    }
+
+    /// Selects which implementation the hot loops of a layout with
+    /// kernels (the columnar one) run — the chunked [`crate::kernel`]
+    /// layer (`Auto`, the default) or the scalar fallback (`Scalar`).
+    /// Both produce byte-identical cubes, exceptions and deltas (the
+    /// kernel-parity suite pins it); the split is reported in
+    /// [`RunStats::rows_folded_simd`] / `rows_folded_scalar`. The row
+    /// layout has no kernels and ignores the mode.
+    #[must_use]
+    pub fn with_kernel_mode(mut self, mode: KernelMode) -> Self {
+        self.kernel = mode;
+        self
+    }
+
+    /// Attaches a worker pool for the tier roll-up: cuboids at the same
+    /// lattice depth are independent (each aggregates from an already
+    /// computed finer tier), so [`ingest_unit`](CubingEngine::ingest_unit)
+    /// computes every tier's tables in parallel on the pool. Results are
+    /// merged in deterministic lattice order, so the cube is identical
+    /// to a sequential run.
+    ///
+    /// Do **not** attach the pool a [`crate::shard::ShardedEngine`] runs
+    /// on to its inner engines — see the nesting rule in [`crate::pool`].
+    #[must_use]
+    pub fn with_pool(mut self, pool: Arc<WorkerPool>) -> Self {
+        self.pool = Some(pool);
+        self
+    }
+
+    /// The critical layers the engine cubes for.
+    pub fn layers(&self) -> &CriticalLayers {
+        &self.layers
+    }
+
+    /// Consumes the engine, returning the final cube result.
+    pub fn into_result(self) -> CubeResult {
+        self.result
+    }
+
+    /// Counts one layout-level fold, attributing it to the kernel or
+    /// scalar dispatch counter when layout `T` has a kernel path
+    /// (keeping `rows_folded` equal to their sum there).
+    fn count_folded<T: TableStorage>(stats: &mut RunStats, folded: Folded) {
+        stats.rows_folded += folded.rows;
+        if T::KERNEL_DISPATCH {
+            if folded.kernel {
+                stats.rows_folded_simd += folded.rows;
+            } else {
+                stats.rows_folded_scalar += folded.rows;
+            }
+        }
+    }
+
+    /// Counts a [`fold_tuples_into`] of `tuples` into a retained table
+    /// (a hash map on every layout, so always a scalar fold).
+    fn count_row_fold<T: TableStorage>(stats: &mut RunStats, tuples: &[MTuple], created: u64) {
+        let folded = Folded {
+            rows: tuples.len() as u64,
+            kernel: false,
+        };
+        Self::count_folded::<T>(stats, folded);
+        stats.cells_computed += created;
+    }
+
+    /// One batch, on layout `T` — the whole of
+    /// [`ingest_unit`](CubingEngine::ingest_unit) behind the backend
+    /// dispatch.
+    fn ingest_on<T: TableStorage>(&mut self, tuples: &[MTuple]) -> Result<UnitDelta> {
+        validate_tuples(&self.schema, self.layers.lattice().m_layer(), tuples)?;
+        let started = Instant::now();
+        let window = batch_window(tuples);
+        let opened_unit = self.window != Some(window);
+        let mut delta = UnitDelta::for_batch(window, opened_unit, tuples.len());
+        // A rollover and a transient merge both replace the exception
+        // stores wholesale, so their delta is the diff of the sets
+        // before and after. On a rollover that reports the closed
+        // window's exceptions that do not recur as cleared, so
+        // appeared/cleared consumers can maintain a live alarm set
+        // across units. (The incremental merge re-screens only the
+        // touched cells and builds its delta as it goes.)
+        let before = (opened_unit || self.transient).then(|| exception_cells(&self.result));
+        if opened_unit {
+            // Commit the window only after a successful rollover: a
+            // failed one leaves the engine on its previous unit and the
+            // next batch re-opens from scratch.
+            self.window = None;
+            self.open_unit::<T>(tuples)?;
+            self.window = Some(window);
+            self.units_opened += 1;
+            delta.cells_touched = self.stats.cells_computed;
+        } else if self.transient {
+            self.merge_batch_transient::<T>(tuples, &mut delta)?;
+        } else {
+            self.merge_batch_incremental::<T>(tuples, &mut delta)?;
+        }
+        if let Some(before) = before {
+            let after = exception_cells(&self.result);
+            delta.appeared = after.difference(&before).cloned().collect();
+            delta.cleared = before.difference(&after).cloned().collect();
+        }
+        delta.unit = self.units_opened.saturating_sub(1);
+        delta.sort_cells();
+        debug_assert!(delta.is_sorted());
+        self.stats.elapsed += started.elapsed();
+        self.refresh_stats();
+        Ok(delta)
+    }
+
+    /// Full recomputation for a new unit window (the batch algorithm).
+    fn open_unit<T: TableStorage>(&mut self, tuples: &[MTuple]) -> Result<()> {
+        self.tables.clear();
+        self.stats = RunStats::default();
+        self.mem = MemoryAccountant::new();
+
+        // Step 1: one scan of the batch into the m-layer.
+        let (m_table, folded) = T::from_tuples(
+            &self.schema,
+            &self.layers,
+            tuples,
+            self.kernel,
+            &mut self.mem,
+        )?;
+        Self::count_folded::<T>(&mut self.stats, folded);
+        self.stats.cells_computed += m_table.len() as u64;
+        self.stats.cuboids_computed += 1;
+
+        // Step 2: the rest of the lattice.
+        self.result = self.roll_up(m_table)?;
+        Ok(())
+    }
+
+    /// Rolls the lattice up from a finished m-layer table and assembles
+    /// the unit's result around it. The m-table is shared with pool
+    /// workers, so it travels behind an `Arc` and is unwrapped — moved,
+    /// on the row layout — into the result after.
+    fn roll_up<T: TableStorage>(&mut self, m_table: T) -> Result<CubeResult> {
+        let m_table = Arc::new(m_table);
+        let (o_table, exceptions) = self.compute_uppers(&m_table)?;
+        let m_table = Arc::try_unwrap(m_table).unwrap_or_else(|shared| (*shared).clone());
+        let m_table = m_table.into_row_table(self.schema.num_dims(), &mut self.mem);
+        Ok(CubeResult::new(
+            self.layers.clone(),
+            self.policy.clone(),
+            Algorithm::MoCubing,
+            m_table,
+            o_table,
+            exceptions,
+            FxHashMap::default(),
+            self.stats,
+        ))
+    }
+
+    /// Computes every cuboid above the m-layer bottom-up in depth
+    /// *tiers*, each aggregated from its closest computed descendant (a
+    /// one-step-finer table from the previous tier). Cuboids within one
+    /// tier are independent, so a tier is fanned out on the attached
+    /// [`WorkerPool`] (when present) and merged back in lattice order —
+    /// the parallel hot path of the single-engine roll-up. Returns the
+    /// o-layer table and the exception stores; between-layer full
+    /// tables go to `self.tables` (incremental mode) or are dropped as
+    /// soon as the next tier no longer needs them (transient mode).
+    fn compute_uppers<T: TableStorage>(
+        &mut self,
+        m_table: &Arc<T>,
+    ) -> Result<(CuboidTable, FxHashMap<CuboidSpec, CuboidTable>)> {
+        let dims = self.schema.num_dims();
+        let m_spec = self.layers.lattice().m_layer().clone();
+        let o_spec = self.layers.lattice().o_layer().clone();
+
+        let mut o_table = CuboidTable::default();
+        let mut exceptions: FxHashMap<CuboidSpec, CuboidTable> = FxHashMap::default();
+        // Full tables of the previous tier (the aggregation sources).
+        let mut cache: FxHashMap<CuboidSpec, Arc<T>> = FxHashMap::default();
+        for tier in depth_tiers(&self.layers) {
+            // Pick each cuboid's aggregation source first (the choice
+            // needs the whole previous tier), then aggregate the tier.
+            let plans: Vec<TierPlan<T>> = tier
+                .into_iter()
+                .map(|cuboid| {
+                    let (source, table) = self
+                        .layers
+                        .lattice()
+                        .closest_computed_descendant(&cuboid, cache.keys())
+                        .map(|c| (c.clone(), Arc::clone(&cache[c])))
+                        .unwrap_or_else(|| (m_spec.clone(), Arc::clone(m_table)));
+                    TierPlan {
+                        cuboid,
+                        source,
+                        table,
+                    }
+                })
+                .collect();
+
+            let mut next_cache: FxHashMap<CuboidSpec, Arc<T>> = FxHashMap::default();
+            for item in self.compute_tier(plans) {
+                let (cuboid, full, folded) = item?;
+                Self::count_folded::<T>(&mut self.stats, folded);
+                self.stats.cells_computed += full.len() as u64;
+                self.stats.cuboids_computed += 1;
+                self.mem.add(full.approx_bytes(dims));
+
+                if cuboid == o_spec {
+                    o_table = full.into_row_table(dims, &mut self.mem);
+                    continue;
+                }
+                let exc = full.exceptions(&self.policy, &cuboid);
+                if !exc.is_empty() {
+                    self.mem.add(table_bytes(&exc, dims));
+                    exceptions.insert(cuboid.clone(), exc);
+                }
+                next_cache.insert(cuboid, Arc::new(full));
+            }
+            // The old tier is no longer reachable as a source: drop it
+            // (transient) or move it to the retained incremental state.
+            self.retire_tier(&mut cache, dims);
+            cache = next_cache;
+        }
+        self.retire_tier(&mut cache, dims);
+        Ok((o_table, exceptions))
+    }
+
+    /// Aggregates one depth tier. With a pool attached and more than one
+    /// cuboid in the tier, the aggregations fan out to the workers; the
+    /// results come back **in plan order** either way, so stats and
+    /// exception screening stay deterministic.
+    fn compute_tier<T: TableStorage>(
+        &self,
+        plans: Vec<TierPlan<T>>,
+    ) -> Vec<Result<(CuboidSpec, T, Folded)>> {
+        let aggregate = |schema: &CubeSchema, plan: TierPlan<T>| {
+            plan.table
+                .roll_up(schema, &plan.source, &plan.cuboid)
+                .map(|(full, folded)| (plan.cuboid, full, folded))
+        };
+        match &self.pool {
+            Some(pool) if plans.len() > 1 => {
+                let tasks: Vec<_> = plans
+                    .into_iter()
+                    .map(|plan| {
+                        let schema = Arc::clone(&self.schema);
+                        move || aggregate(&schema, plan)
+                    })
+                    .collect();
+                pool.run(tasks)
+            }
+            _ => plans
+                .into_iter()
+                .map(|plan| aggregate(&self.schema, plan))
+                .collect(),
+        }
+    }
+
+    /// Releases a finished tier's tables: dropped in transient mode,
+    /// handed to the retained incremental state otherwise. The Arcs are
+    /// sole owners by now (all aggregation tasks completed), so the
+    /// unwrap is free.
+    fn retire_tier<T: TableStorage>(
+        &mut self,
+        cache: &mut FxHashMap<CuboidSpec, Arc<T>>,
+        dims: usize,
+    ) {
+        for (cuboid, table) in cache.drain() {
+            if self.transient {
+                self.mem.remove(table.approx_bytes(dims));
+            } else {
+                let table = Arc::try_unwrap(table).unwrap_or_else(|shared| (*shared).clone());
+                self.tables
+                    .insert(cuboid, table.into_row_table(dims, &mut self.mem));
+            }
+        }
+    }
+
+    /// Same-window batch, incremental mode: fold into the m/o tables and
+    /// every retained between-layer table in place, re-screening only
+    /// the touched cells.
+    fn merge_batch_incremental<T: TableStorage>(
+        &mut self,
+        tuples: &[MTuple],
+        delta: &mut UnitDelta,
+    ) -> Result<()> {
+        let dims = self.schema.num_dims();
+        let m_spec = self.layers.lattice().m_layer().clone();
+        let o_spec = self.layers.lattice().o_layer().clone();
+
+        // Critical layers, maintained directly in the exposed result.
+        for is_o in [false, true] {
+            let spec = if is_o { &o_spec } else { &m_spec };
+            let table = if is_o {
+                self.result.o_table_mut()
+            } else {
+                self.result.m_table_mut()
+            };
+            let before = table_bytes(table, dims);
+            let (touched, created) = fold_tuples_into(&self.schema, &m_spec, spec, table, tuples)?;
+            self.mem
+                .add(table_bytes(table, dims).saturating_sub(before));
+            Self::count_row_fold::<T>(&mut self.stats, tuples, created);
+            delta.cells_touched += touched.len() as u64;
+        }
+
+        // Between-layer cuboids: fold, then re-screen exactly the
+        // touched cells (exception status can flip either way). The
+        // exception stores are bracketed so the accountant tracks their
+        // growth/shrinkage too.
+        let exc_before = exception_bytes(&self.result, dims);
+        let exceptions = self.result.exceptions_mut();
+        for (cuboid, table) in &mut self.tables {
+            let before = table_bytes(table, dims);
+            let (touched, created) =
+                fold_tuples_into(&self.schema, &m_spec, cuboid, table, tuples)?;
+            self.mem
+                .add(table_bytes(table, dims).saturating_sub(before));
+            Self::count_row_fold::<T>(&mut self.stats, tuples, created);
+            delta.cells_touched += touched.len() as u64;
+
+            let exc = exceptions.entry(cuboid.clone()).or_default();
+            for key in touched {
+                let isb = table[&key];
+                let is_exception = self.policy.is_exception(cuboid, &isb);
+                let was_exception = exc.contains_key(&key);
+                if is_exception {
+                    exc.insert(key.clone(), isb);
+                    if !was_exception {
+                        delta.appeared.push((cuboid.clone(), key));
+                    }
+                } else if was_exception {
+                    exc.remove(&key);
+                    delta.cleared.push((cuboid.clone(), key));
+                }
+            }
+        }
+        exceptions.retain(|_, t| !t.is_empty());
+        let exc_after = exception_bytes(&self.result, dims);
+        self.mem.add(exc_after.saturating_sub(exc_before));
+        self.mem.remove(exc_before.saturating_sub(exc_after));
+        Ok(())
+    }
+
+    /// Same-window batch, transient mode: fold into the retained m-layer
+    /// and recompute everything above it (there are no retained tables
+    /// to merge into).
+    fn merge_batch_transient<T: TableStorage>(
+        &mut self,
+        tuples: &[MTuple],
+        delta: &mut UnitDelta,
+    ) -> Result<()> {
+        let dims = self.schema.num_dims();
+        let m_spec = self.layers.lattice().m_layer().clone();
+        let mut m_table = std::mem::take(self.result.m_table_mut());
+
+        let m_bytes = table_bytes(&m_table, dims);
+        let (touched, created) =
+            fold_tuples_into(&self.schema, &m_spec, &m_spec, &mut m_table, tuples)?;
+        self.mem
+            .add(table_bytes(&m_table, dims).saturating_sub(m_bytes));
+        Self::count_row_fold::<T>(&mut self.stats, tuples, created);
+        delta.cells_touched += touched.len() as u64;
+
+        let m_table =
+            T::from_row_table(&self.schema, &m_spec, m_table, self.kernel, &mut self.mem)?;
+        let result = self.roll_up(m_table)?;
+        // The replaced o-table and exception stores die with the old
+        // result; release their analytical bytes so the accountant's
+        // live set (and therefore future peaks) stays truthful.
+        self.mem
+            .remove(table_bytes(self.result.o_table(), dims) + exception_bytes(&self.result, dims));
+        self.result = result;
+        Ok(())
+    }
+
+    /// Refreshes the retention statistics and publishes them into the
+    /// exposed result. Incremental mode genuinely retains the
+    /// between-layer full tables across batches, so they count toward
+    /// `cells_retained`/`retained_bytes` (in transient mode
+    /// `self.tables` is empty and the figures reduce to the batch
+    /// algorithm's critical-layers-plus-exceptions).
+    fn refresh_stats(&mut self) {
+        let dims = self.schema.num_dims();
+        let result = &self.result;
+        self.stats.exception_cells = result.total_exception_cells();
+        self.stats.cells_retained = result.m_layer_cells() as u64
+            + result.o_layer_cells() as u64
+            + self.stats.exception_cells
+            + self.tables.values().map(|t| t.len() as u64).sum::<u64>();
+        self.stats.retained_bytes = table_bytes(result.m_table(), dims)
+            + table_bytes(result.o_table(), dims)
+            + exception_bytes(result, dims)
+            + self
+                .tables
+                .values()
+                .map(|t| table_bytes(t, dims))
+                .sum::<usize>();
+        self.stats.peak_bytes = self.mem.peak();
+        self.result.set_stats(self.stats);
+    }
+}
+
+impl CubingEngine for MoCubingEngine {
+    fn algorithm(&self) -> Algorithm {
+        Algorithm::MoCubing
+    }
+
+    fn ingest_unit(&mut self, tuples: &[MTuple]) -> Result<UnitDelta> {
+        match self.backend {
+            Backend::Row => self.ingest_on::<CuboidTable>(tuples),
+            Backend::Columnar => self.ingest_on::<ColumnarTable>(tuples),
+        }
+    }
+
+    fn result(&self) -> &CubeResult {
+        &self.result
+    }
+
+    fn stats(&self) -> &RunStats {
+        &self.stats
+    }
+
+    /// Incremental mode keeps every between-layer full table for the
+    /// open unit, which is exactly what a sharded merge needs; transient
+    /// mode drops them and must answer `None`.
+    fn full_between_tables(&self) -> Option<&FxHashMap<CuboidSpec, CuboidTable>> {
+        if self.transient {
+            None
+        } else {
+            Some(&self.tables)
+        }
+    }
 }
 
 /// Runs Algorithm 1 and returns the materialized cube.
@@ -78,7 +623,7 @@ pub(crate) fn build_m_layer(
 /// the engine's result.
 ///
 /// # Errors
-/// * [`CoreError::BadInput`] for structurally invalid tuples.
+/// * [`crate::CoreError::BadInput`] for structurally invalid tuples.
 /// * Substrate errors for inconsistent schema/layers.
 pub fn compute(
     schema: &CubeSchema,
@@ -94,10 +639,9 @@ pub fn compute(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::result::Algorithm;
-    use crate::table::{aggregate_from, table_bytes};
-    use regcube_olap::CuboidSpec;
-    use regcube_regress::TimeSeries;
+    use crate::table::aggregate_from;
+    use regcube_olap::cell::CellKey;
+    use regcube_regress::{Isb, TimeSeries};
 
     fn isb(slope: f64, base: f64) -> Isb {
         let z = TimeSeries::from_fn(0, 9, |t| base + slope * t as f64).unwrap();
@@ -243,5 +787,88 @@ mod tests {
     fn empty_input_is_rejected() {
         let (schema, layers) = small_setup();
         assert!(compute(&schema, &layers, &ExceptionPolicy::never(), &[]).is_err());
+    }
+
+    fn engines(policy: ExceptionPolicy) -> (MoCubingEngine, MoCubingEngine) {
+        let (schema, layers) = small_setup();
+        let transient =
+            MoCubingEngine::transient(schema.clone(), layers.clone(), policy.clone()).unwrap();
+        (
+            transient,
+            MoCubingEngine::new(schema, layers, policy).unwrap(),
+        )
+    }
+
+    #[test]
+    fn fresh_engine_exposes_an_empty_result() {
+        let (_, e) = engines(ExceptionPolicy::slope_threshold(0.4));
+        assert_eq!(e.result().m_layer_cells(), 0);
+        assert_eq!(e.result().total_exception_cells(), 0);
+        assert_eq!(e.stats().cells_computed, 0);
+    }
+
+    #[test]
+    fn transient_merge_does_not_leak_peak_bytes() {
+        let (mut e, _) = engines(ExceptionPolicy::slope_threshold(0.4));
+        let tuples = dense_tuples();
+        e.ingest_unit(&tuples).unwrap();
+        let first_peak = e.stats().peak_bytes;
+        // Re-merging the same cells grows no retained state; with
+        // balanced accounting the peak stabilizes (old + new coexist
+        // once, then the old side is released every batch).
+        for _ in 0..6 {
+            e.ingest_unit(&tuples).unwrap();
+        }
+        assert!(
+            e.stats().peak_bytes <= first_peak * 3,
+            "peak {} drifted from first-batch peak {}",
+            e.stats().peak_bytes,
+            first_peak
+        );
+    }
+
+    #[test]
+    fn incremental_mode_reports_its_extra_retained_memory() {
+        let (mut transient, mut incremental) = engines(ExceptionPolicy::slope_threshold(0.4));
+        let tuples = dense_tuples();
+        transient.ingest_unit(&tuples).unwrap();
+        incremental.ingest_unit(&tuples).unwrap();
+        // Incremental mode retains the between-layer full tables; its
+        // retention figures must say so.
+        assert!(transient.full_between_tables().is_none());
+        assert!(!incremental.full_between_tables().unwrap().is_empty());
+        assert!(incremental.stats().retained_bytes > transient.stats().retained_bytes);
+        assert!(incremental.stats().cells_retained > transient.stats().cells_retained);
+    }
+
+    #[test]
+    fn incremental_exceptions_can_clear() {
+        // Threshold 0.4: a lone +0.5 slope cell is exceptional; merging a
+        // -0.5 sibling into the same coarse cells cancels it out.
+        let (_, mut e) = engines(ExceptionPolicy::slope_threshold(0.4));
+        let up = vec![MTuple::new(vec![0, 0], isb(0.5, 1.0))];
+        let down = vec![MTuple::new(vec![1, 1], isb(-0.5, 1.0))];
+        let d0 = e.ingest_unit(&up).unwrap();
+        assert!(!d0.appeared.is_empty());
+        let d1 = e.ingest_unit(&down).unwrap();
+        assert!(
+            !d1.cleared.is_empty(),
+            "coarse cells covering both streams lose exception status"
+        );
+    }
+
+    #[test]
+    fn columnar_working_set_undercuts_the_row_layout() {
+        let (mut row, _) = engines(ExceptionPolicy::slope_threshold(0.4));
+        let (col, _) = engines(ExceptionPolicy::slope_threshold(0.4));
+        let mut col = col.with_backend(Backend::Columnar).unwrap();
+        row.ingest_unit(&dense_tuples()).unwrap();
+        col.ingest_unit(&dense_tuples()).unwrap();
+        assert!(
+            col.stats().peak_bytes < row.stats().peak_bytes,
+            "columnar peak {} must undercut row peak {}",
+            col.stats().peak_bytes,
+            row.stats().peak_bytes
+        );
     }
 }

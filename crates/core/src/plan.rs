@@ -118,7 +118,7 @@ pub fn recommend(layers: &CriticalLayers, inputs: &PlanInputs) -> Recommendation
     }
 
     // Response time: qualitative bands, following the paper's own
-    // analysis (and our Figure 8 measurements, EXPERIMENTS.md). Computed-
+    // analysis (and our Figure 8 measurements). Computed-
     // cell counts alone mislead here — popular-path's filtered scans pay
     // per-row parent checks that erase its cell-count advantage once
     // exceptions are plentiful.

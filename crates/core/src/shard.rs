@@ -5,7 +5,8 @@
 //! disjoint groups, cube each group independently, and every cell of the
 //! merged cube is the sibling-merge of the per-shard cells — exactly the
 //! value a single engine would have computed. [`ShardedEngine`] realizes
-//! that: it hash-partitions each batch by m-layer [`CellKey`] across `N`
+//! that: it hash-partitions each batch by m-layer
+//! [`CellKey`](regcube_olap::cell::CellKey) across `N`
 //! inner [`CubingEngine`]s, runs their `ingest_unit`s concurrently on a
 //! [`WorkerPool`], and merges the per-shard [`CubeResult`]s (and
 //! [`UnitDelta`]s) back in **deterministic shard order**. The merge
@@ -29,8 +30,8 @@
 //! tables to the merge. Consequently:
 //!
 //! * `ShardedEngine<MoCubingEngine>` produces the **same cube** as an
-//!   unsharded [`MoCubingEngine`] for every shard count (the contract
-//!   tests pin n ∈ {1, 2, 3, 7});
+//!   unsharded [`MoCubingEngine`] for every shard count, on either
+//!   table layout (the contract tests pin n ∈ {1, 2, 3, 7});
 //! * `ShardedEngine<PopularPathEngine>` keeps the critical layers and
 //!   path tables exact, but its exception set is Algorithm 1's — a
 //!   superset of the unsharded engine's drilled set (the footnote-7
@@ -60,7 +61,9 @@
 //! parallelize its per-tier roll-up — the two strategies compose with
 //! the same primitives but are never nested.
 
-use crate::engine::{batch_window, empty_result, CubingEngine, UnitDelta};
+use crate::engine::{
+    batch_window, empty_result, exception_cells, Backend, CubingEngine, UnitDelta,
+};
 use crate::exception::ExceptionPolicy;
 use crate::layers::CriticalLayers;
 use crate::measure::{merge_sibling, validate_tuples, MTuple};
@@ -69,8 +72,7 @@ use crate::result::{Algorithm, CubeResult};
 use crate::stats::RunStats;
 use crate::table::{table_bytes, CuboidTable};
 use crate::{MoCubingEngine, PopularPathEngine, Result};
-use regcube_olap::cell::CellKey;
-use regcube_olap::fxhash::{FxHashMap, FxHashSet, FxHasher};
+use regcube_olap::fxhash::{FxHashMap, FxHasher};
 use regcube_olap::{CubeSchema, CuboidSpec};
 use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
@@ -126,10 +128,8 @@ impl<E: CubingEngine + Send + Sync + 'static> std::fmt::Debug for ShardedEngine<
 }
 
 impl ShardedEngine<MoCubingEngine> {
-    /// Sharded Algorithm 1. Produces the same cube as one unsharded
-    /// engine for any `shards`: a single shard is a transient-mode
-    /// passthrough; more shards run incremental-mode engines whose
-    /// retained between-layer tables feed the merge directly.
+    /// Sharded Algorithm 1 on the row layout — see
+    /// [`mo_cubing_on`](Self::mo_cubing_on).
     ///
     /// # Errors
     /// Construction errors of the inner engines.
@@ -139,11 +139,32 @@ impl ShardedEngine<MoCubingEngine> {
         policy: ExceptionPolicy,
         shards: usize,
     ) -> Result<Self> {
-        if shards <= 1 {
-            Self::with_factory(schema, layers, policy, 1, MoCubingEngine::transient)
-        } else {
-            Self::with_factory(schema, layers, policy, shards, MoCubingEngine::new)
-        }
+        Self::mo_cubing_on(Backend::Row, schema, layers, policy, shards)
+    }
+
+    /// Sharded Algorithm 1 over the given table layout. Produces the
+    /// same cube as one unsharded engine for any `shards`: a single
+    /// shard is a transient-mode passthrough; more shards run
+    /// incremental-mode engines whose retained between-layer tables
+    /// feed the merge directly.
+    ///
+    /// # Errors
+    /// Construction errors of the inner engines.
+    pub fn mo_cubing_on(
+        backend: Backend,
+        schema: CubeSchema,
+        layers: CriticalLayers,
+        policy: ExceptionPolicy,
+        shards: usize,
+    ) -> Result<Self> {
+        Self::with_factory(schema, layers, policy, shards, move |s, l, p| {
+            let engine = if shards <= 1 {
+                MoCubingEngine::transient(s, l, p)
+            } else {
+                MoCubingEngine::new(s, l, p)
+            };
+            engine?.with_backend(backend)
+        })
     }
 }
 
@@ -164,34 +185,6 @@ impl ShardedEngine<PopularPathEngine> {
         Self::with_factory(schema, layers, policy, shards, |schema, layers, policy| {
             PopularPathEngine::new(schema, layers, policy, None)
         })
-    }
-}
-
-impl ShardedEngine<crate::columnar::ColumnarCubingEngine> {
-    /// Sharded Algorithm 1 on the columnar backend
-    /// ([`crate::columnar::ColumnarCubingEngine`]). The columnar engine
-    /// keeps no between-layer tables across batches, so with more than
-    /// one shard the inner engines run under the always-retain fallback
-    /// (their exception stores carry every computed cell to the merge)
-    /// and the merged cube is screened with the real policy — identical
-    /// to the row backend at every shard count, pinned by the contract
-    /// and golden suites.
-    ///
-    /// # Errors
-    /// Construction errors of the inner engines.
-    pub fn columnar(
-        schema: CubeSchema,
-        layers: CriticalLayers,
-        policy: ExceptionPolicy,
-        shards: usize,
-    ) -> Result<Self> {
-        Self::with_factory(
-            schema,
-            layers,
-            policy,
-            shards,
-            crate::columnar::ColumnarCubingEngine::new,
-        )
     }
 }
 
@@ -489,14 +482,6 @@ impl<E: CubingEngine + Send + Sync + 'static> ShardedEngine<E> {
         );
         Ok(())
     }
-
-    /// All retained between-layer exception cells of the merged cube.
-    fn exception_cells(&self) -> FxHashSet<(CuboidSpec, CellKey)> {
-        self.result
-            .iter_exceptions()
-            .map(|(c, k, _)| (c.clone(), k.clone()))
-            .collect()
-    }
 }
 
 impl<E: CubingEngine + Send + Sync + 'static> CubingEngine for ShardedEngine<E> {
@@ -528,7 +513,7 @@ impl<E: CubingEngine + Send + Sync + 'static> CubingEngine for ShardedEngine<E> 
             return Ok(delta);
         }
 
-        let before = self.exception_cells();
+        let before = exception_cells(&self.result);
         let mut delta = UnitDelta::for_batch(window, opened_unit, tuples.len());
         let parts = self.partition(tuples);
         self.ingest_partitions(parts, window, &mut delta)?;
@@ -543,7 +528,7 @@ impl<E: CubingEngine + Send + Sync + 'static> CubingEngine for ShardedEngine<E> 
 
         let pre_batch = self.stats.elapsed;
         self.merge_shards(window)?;
-        let after = self.exception_cells();
+        let after = exception_cells(&self.result);
         delta.appeared = after.difference(&before).cloned().collect();
         delta.cleared = before.difference(&after).cloned().collect();
         delta.sort_cells();
@@ -685,85 +670,22 @@ mod tests {
     }
 
     #[test]
-    fn sharded_mo_matches_unsharded_for_every_shard_count() {
-        let (schema, layers, policy) = setup();
-        let tuples = dense_tuples();
-        let mut reference =
-            MoCubingEngine::transient(schema.clone(), layers.clone(), policy.clone()).unwrap();
-        reference.ingest_unit(&tuples).unwrap();
-        for n in [1usize, 2, 3, 7] {
-            let mut sharded =
-                ShardedEngine::mo_cubing(schema.clone(), layers.clone(), policy.clone(), n)
-                    .unwrap();
-            sharded.ingest_unit(&tuples).unwrap();
-            assert_eq!(sharded.shards(), n);
-            let (a, b) = (sharded.result(), reference.result());
-            tables_approx_eq(&format!("n={n}/m"), a.m_table(), b.m_table());
-            tables_approx_eq(&format!("n={n}/o"), a.o_table(), b.o_table());
-            assert_eq!(a.total_exception_cells(), b.total_exception_cells());
-        }
-    }
-
-    #[test]
     fn multi_shard_inner_engines_skip_exception_retention() {
-        // MoCubing shards retain full between-layer tables, so the probe
-        // must select the no-op inner policy: no shard stores exception
-        // cells of its own, yet the merged cube screens correctly.
-        let (schema, layers, policy) = setup();
-        let mut e = ShardedEngine::mo_cubing(schema, layers, policy, 3).unwrap();
-        e.ingest_unit(&dense_tuples()).unwrap();
-        assert!(e.result().total_exception_cells() > 0, "merged screen");
-        for shard in &e.shards {
-            let engine = read(shard);
-            assert!(engine.full_between_tables().is_some());
-            assert_eq!(engine.result().total_exception_cells(), 0);
+        // MoCubing shards retain full between-layer tables on either
+        // layout, so the probe must select the no-op inner policy: no
+        // shard stores exception cells of its own, yet the merged cube
+        // screens correctly.
+        for backend in [Backend::Row, Backend::Columnar] {
+            let (schema, layers, policy) = setup();
+            let mut e = ShardedEngine::mo_cubing_on(backend, schema, layers, policy, 3).unwrap();
+            e.ingest_unit(&dense_tuples()).unwrap();
+            assert!(e.result().total_exception_cells() > 0, "merged screen");
+            for shard in &e.shards {
+                let engine = read(shard);
+                assert!(engine.full_between_tables().is_some());
+                assert_eq!(engine.result().total_exception_cells(), 0);
+            }
         }
-    }
-
-    #[test]
-    fn sharded_deltas_are_sorted_and_consistent() {
-        let (schema, layers, policy) = setup();
-        let mut e = ShardedEngine::mo_cubing(schema, layers, policy, 3).unwrap();
-        let d = e.ingest_unit(&dense_tuples()).unwrap();
-        assert!(d.opened_unit);
-        assert_eq!(d.unit, 0);
-        assert_eq!(d.tuples, 16);
-        let mut sorted = d.appeared.clone();
-        sorted.sort_unstable();
-        assert_eq!(d.appeared, sorted, "appeared must be pre-sorted");
-    }
-
-    #[test]
-    fn same_window_batches_fold_into_the_open_unit() {
-        let (schema, layers, policy) = setup();
-        let tuples = dense_tuples();
-        let mut split =
-            ShardedEngine::mo_cubing(schema.clone(), layers.clone(), policy.clone(), 4).unwrap();
-        for chunk in tuples.chunks(5) {
-            split.ingest_unit(chunk).unwrap();
-        }
-        let mut whole = ShardedEngine::mo_cubing(schema, layers, policy, 4).unwrap();
-        let d = whole.ingest_unit(&tuples).unwrap();
-        assert!(d.opened_unit);
-        let (a, b) = (split.result(), whole.result());
-        tables_approx_eq("split/m", a.m_table(), b.m_table());
-        tables_approx_eq("split/o", a.o_table(), b.o_table());
-        assert_eq!(a.total_exception_cells(), b.total_exception_cells());
-    }
-
-    #[test]
-    fn rollover_excludes_stale_shards() {
-        let (schema, layers, policy) = setup();
-        // Many shards: the 1-tuple second window leaves most shards
-        // stale, and none of their old-window cells may leak through.
-        let mut e = ShardedEngine::mo_cubing(schema, layers, policy, 7).unwrap();
-        e.ingest_unit(&dense_tuples()).unwrap();
-        let next = vec![MTuple::new(vec![1, 2], Isb::new(10, 19, 1.0, 0.7).unwrap())];
-        let d = e.ingest_unit(&next).unwrap();
-        assert!(d.opened_unit);
-        assert_eq!(d.unit, 1);
-        assert_eq!(e.result().m_layer_cells(), 1, "old unit replaced");
-        assert_eq!(e.result().o_table().len(), 1);
     }
 
     #[test]
@@ -788,13 +710,6 @@ mod tests {
             );
         }
         assert_eq!(a.algorithm(), Algorithm::PopularPath);
-    }
-
-    #[test]
-    fn empty_batches_are_rejected() {
-        let (schema, layers, policy) = setup();
-        let mut e = ShardedEngine::mo_cubing(schema, layers, policy, 2).unwrap();
-        assert!(e.ingest_unit(&[]).is_err());
     }
 
     /// Delegates to an inner engine but fails one `ingest_unit` on

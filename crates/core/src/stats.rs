@@ -15,7 +15,7 @@ pub struct RunStats {
     pub rows_folded: u64,
     /// Rows folded through the chunked [`crate::kernel`] layer (blocked
     /// LUT projection + run folds over the ISB component columns). For
-    /// the columnar engine `rows_folded == rows_folded_simd +
+    /// the columnar layout `rows_folded == rows_folded_simd +
     /// rows_folded_scalar`; backends without kernel dispatch leave both
     /// counters zero.
     pub rows_folded_simd: u64,

@@ -6,11 +6,22 @@
 //! [`ColumnarTable`](crate::columnar::ColumnarTable) (sorted dense
 //! cell-id index plus one vector per ISB component — the cache-friendly
 //! layout of the hot roll-up path). The [`TableStorage`] trait is the
-//! seam between them: the group-by-projection aggregation
-//! ([`aggregate_into`]) and the exception screen
-//! ([`collect_exceptions`]) are written once against the trait, so both
-//! layouts share a single merge/exception code path and a new layout
-//! only has to implement the trait.
+//! seam between them, in two halves:
+//!
+//! * the **cell-store half** (`merge_row` / `finish` /
+//!   `try_for_each_cell`), against which the group-by-projection
+//!   aggregation ([`aggregate_into`]) and the exception screen
+//!   ([`collect_exceptions`]) are written once;
+//! * the **roll-up half** (`from_tuples` / `roll_up` / `exceptions` /
+//!   `into_row_table`), which is everything Algorithm 1
+//!   ([`crate::mo_cubing::MoCubingEngine`]) needs from a layout: build
+//!   the m-layer from a unit's tuples, aggregate one tier from the
+//!   previous one, screen a finished table, and hand a table over in
+//!   the row form every [`crate::CubeResult`] exposes. The engine is
+//!   written once against these; a layout's fast paths (the columnar
+//!   kernel fold) live behind them.
+//!
+//! A new layout only has to implement the trait.
 //!
 //! ```
 //! use regcube_core::table::{aggregate_into, CuboidTable, TableStorage};
@@ -34,11 +45,14 @@
 
 use crate::error::CoreError;
 use crate::exception::ExceptionPolicy;
-use crate::kernel::{BlockDim, BlockProjector};
-use crate::measure::merge_sibling;
+use crate::kernel::{BlockDim, BlockProjector, KernelMode};
+use crate::layers::CriticalLayers;
+use crate::measure::{merge_sibling, MTuple};
+use crate::stats::MemoryAccountant;
 use crate::Result;
 use regcube_olap::cell::CellKey;
 use regcube_olap::fxhash::FxHashMap;
+use regcube_olap::htree::{attrs_by_cardinality, expand_tuple, path_values_to_key, HTree, NodeId};
 use regcube_olap::{CubeSchema, CuboidSpec};
 use regcube_regress::Isb;
 
@@ -50,6 +64,18 @@ pub type CuboidTable = FxHashMap<CellKey, Isb>;
 /// cells an aggregation materializes (Algorithm 2's drilling filter).
 pub type CellFilter<'a> = &'a dyn Fn(&[u32]) -> bool;
 
+/// The work one layout-level fold did: how many source rows it folded
+/// and whether the layout's kernel path (rather than its scalar path)
+/// folded them — what [`crate::RunStats`] reports as `rows_folded` and
+/// its `rows_folded_simd` / `rows_folded_scalar` split.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Folded {
+    /// Source rows folded.
+    pub rows: u64,
+    /// Whether the kernel path folded them.
+    pub kernel: bool,
+}
+
 /// One cuboid's cell store, abstracted over the physical layout.
 ///
 /// The contract mirrors how the cubing algorithms consume tables:
@@ -58,8 +84,15 @@ pub type CellFilter<'a> = &'a dyn Fn(&[u32]) -> bool;
 /// once after a batch of merges (layouts that stage appends compact
 /// here; eager layouts no-op), and reads
 /// ([`len`](Self::len)/[`try_for_each_cell`](Self::try_for_each_cell))
-/// are only made on a finished table.
-pub trait TableStorage {
+/// are only made on a finished table. The remaining methods are the
+/// roll-up half Algorithm 1 is written against (see the module docs).
+pub trait TableStorage: Sized + Clone + Send + Sync + 'static {
+    /// Whether the layout has a kernel path, i.e. whether the engine
+    /// splits `rows_folded` into the `rows_folded_simd` /
+    /// `rows_folded_scalar` dispatch counters for it. Layouts without
+    /// one leave both counters zero.
+    const KERNEL_DISPATCH: bool = false;
+
     /// Number of materialized cells. Only meaningful on a finished
     /// table (after [`finish`](Self::finish)).
     fn len(&self) -> usize;
@@ -96,6 +129,71 @@ pub trait TableStorage {
     /// container overhead), for the analytical accounting in
     /// [`crate::stats`].
     fn approx_bytes(&self, num_dims: usize) -> usize;
+
+    /// Checks that the layout can represent every cuboid between the
+    /// critical layers, so a roll-up cannot fail midway on one it
+    /// cannot. The default accepts everything.
+    ///
+    /// # Errors
+    /// [`CoreError::BadInput`] naming the first unrepresentable cuboid.
+    fn check_lattice(_schema: &CubeSchema, _layers: &CriticalLayers) -> Result<()> {
+        Ok(())
+    }
+
+    /// Builds a unit's m-layer table from its (validated) tuples —
+    /// Algorithm 1, step 1. Duplicate m-cells merge in arrival order.
+    /// The bytes the build holds live (the finished table, and any
+    /// scratch structure while it exists) are reported to `mem`.
+    ///
+    /// # Errors
+    /// Measure merge failures and substrate errors.
+    fn from_tuples(
+        schema: &CubeSchema,
+        layers: &CriticalLayers,
+        tuples: &[MTuple],
+        kernel: KernelMode,
+        mem: &mut MemoryAccountant,
+    ) -> Result<(Self, Folded)>;
+
+    /// Takes over a row-form table of `cuboid` (whose bytes `mem`
+    /// already counts) as a working table of this layout — the inverse
+    /// of [`into_row_table`](Self::into_row_table).
+    ///
+    /// # Errors
+    /// Measure merge failures.
+    fn from_row_table(
+        schema: &CubeSchema,
+        cuboid: &CuboidSpec,
+        rows: CuboidTable,
+        kernel: KernelMode,
+        mem: &mut MemoryAccountant,
+    ) -> Result<Self>;
+
+    /// Aggregates a fresh same-layout table for the ancestor cuboid
+    /// `target` from this (finished) table of `source` — one step of
+    /// the tier roll-up. Runs on pool workers, so it reports no memory;
+    /// the caller accounts the returned table.
+    ///
+    /// # Errors
+    /// Measure merge failures.
+    fn roll_up(
+        &self,
+        schema: &CubeSchema,
+        source: &CuboidSpec,
+        target: &CuboidSpec,
+    ) -> Result<(Self, Folded)>;
+
+    /// The exceptional cells of this (finished) table of `cuboid`, in
+    /// the row form exception stores are retained in.
+    fn exceptions(&self, policy: &ExceptionPolicy, cuboid: &CuboidSpec) -> CuboidTable {
+        collect_exceptions(policy, cuboid, self)
+    }
+
+    /// Hands the (finished) table over in the row form a
+    /// [`crate::CubeResult`] exposes. `mem` already counts the table's
+    /// [`approx_bytes`](Self::approx_bytes); a layout that converts
+    /// rather than moves reports the moment both forms coexist.
+    fn into_row_table(self, num_dims: usize, mem: &mut MemoryAccountant) -> CuboidTable;
 }
 
 impl TableStorage for CuboidTable {
@@ -128,6 +226,85 @@ impl TableStorage for CuboidTable {
 
     fn approx_bytes(&self, num_dims: usize) -> usize {
         table_bytes(self, num_dims)
+    }
+
+    /// One scan of the batch through an H-tree in cardinality attribute
+    /// order, as the paper has it; the leaves become the m-layer cells.
+    /// The insertion sequence into the returned map (leaf order) is what
+    /// fixes the row layout's fold order further up the lattice.
+    fn from_tuples(
+        schema: &CubeSchema,
+        layers: &CriticalLayers,
+        tuples: &[MTuple],
+        _kernel: KernelMode,
+        mem: &mut MemoryAccountant,
+    ) -> Result<(Self, Folded)> {
+        let lattice = layers.lattice();
+        let attrs = attrs_by_cardinality(schema, lattice);
+        let mut tree: HTree<Isb> = HTree::new(attrs)?;
+        for t in tuples {
+            let values = expand_tuple(schema, lattice.m_layer(), t.ids(), tree.order());
+            let leaf = tree.insert_path(&values)?;
+            match tree.payload_mut(leaf) {
+                Some(acc) => merge_sibling(acc, t.isb())?,
+                slot @ None => *slot = Some(*t.isb()),
+            }
+        }
+        let tree_bytes = tree.approx_bytes();
+
+        let mut m_table = CuboidTable::default();
+        let order: Vec<_> = tree.order().to_vec();
+        let m_layer = lattice.m_layer().clone();
+        let mut leaves: Vec<NodeId> = Vec::with_capacity(tree.num_leaves());
+        tree.for_each_leaf(|leaf| leaves.push(leaf));
+        for leaf in leaves {
+            let values = tree.path_values(leaf);
+            let key = path_values_to_key(&order, &values, &m_layer).ok_or_else(|| {
+                CoreError::BadInput {
+                    detail: "H-tree order misses an m-layer attribute".into(),
+                }
+            })?;
+            let isb = *tree.payload(leaf).expect("leaf payload set at insert");
+            m_table.insert(CellKey::new(key), isb);
+        }
+        mem.add(tree_bytes);
+        mem.add(table_bytes(&m_table, schema.num_dims()));
+        mem.remove(tree_bytes);
+        let folded = Folded {
+            rows: tuples.len() as u64,
+            kernel: false,
+        };
+        Ok((m_table, folded))
+    }
+
+    fn from_row_table(
+        _schema: &CubeSchema,
+        _cuboid: &CuboidSpec,
+        rows: CuboidTable,
+        _kernel: KernelMode,
+        _mem: &mut MemoryAccountant,
+    ) -> Result<Self> {
+        Ok(rows)
+    }
+
+    fn roll_up(
+        &self,
+        schema: &CubeSchema,
+        source: &CuboidSpec,
+        target: &CuboidSpec,
+    ) -> Result<(Self, Folded)> {
+        let (table, rows) = aggregate_from(schema, source, self, target, None)?;
+        Ok((
+            table,
+            Folded {
+                rows,
+                kernel: false,
+            },
+        ))
+    }
+
+    fn into_row_table(self, _num_dims: usize, _mem: &mut MemoryAccountant) -> CuboidTable {
+        self
     }
 }
 

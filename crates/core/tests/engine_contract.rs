@@ -1,26 +1,41 @@
 //! Trait-level contract tests for [`CubingEngine`] implementations.
 //!
-//! Every engine must satisfy two laws, checked here generically (so a
-//! future backend is pinned by adding one line to `all_engines`):
+//! There are two algorithms and one sharding wrapper, and every way of
+//! assembling them must behave the same behind the trait. [`subjects`]
+//! lists them — Algorithm 1 transient and retained on both table
+//! layouts, Algorithm 2, and a [`ShardedEngine`] of each at 1, 2, 3 and
+//! 7 shards — and each engine-level contract runs over the whole list, so
+//! a future engine or layout is pinned by adding one entry:
 //!
-//! 1. **Incremental/batch equivalence** — splitting one unit's tuple
+//! 1. an empty batch is rejected;
+//! 2. a failed rollover leaves no half-open window;
+//! 3. a rollover reports the lapsed window's exceptions as cleared;
+//! 4. **incremental/batch equivalence** — splitting one unit's tuple
 //!    stream into same-window batches and ingesting them sequentially
 //!    yields the same cube (critical layers, exception stores, path
-//!    tables) as the one-shot batch `compute` entry point.
-//! 2. **Footnote 7 superset** — after identical ingestion, Algorithm 1
-//!    retains a superset of Algorithm 2's exception cells, with
-//!    identical measures where both retain a cell, and both agree
-//!    exactly on the critical layers.
+//!    tables) as the one-shot batch `compute` entry point;
+//! 5. deltas come back sorted — and every Algorithm-1 engine replays the
+//!    exact delta stream of the plain row engine.
+//!
+//! On top of those, the cross-engine laws: the row and columnar layouts
+//! agree up to `f64` reassociation, a worker pool never changes a bit,
+//! and the **footnote 7 superset** — after identical ingestion,
+//! Algorithm 1 retains a superset of Algorithm 2's exception cells, with
+//! identical measures where both retain a cell, and both agree exactly
+//! on the critical layers.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use regcube_core::columnar::ColumnarCubingEngine;
-use regcube_core::engine::{CubingEngine, MoCubingEngine, PopularPathEngine};
+use regcube_core::engine::{Backend, CubingEngine, MoCubingEngine, PopularPathEngine};
+use regcube_core::result::Algorithm;
 use regcube_core::shard::ShardedEngine;
 use regcube_core::table::CuboidTable;
-use regcube_core::{mo_cubing, popular_path, CriticalLayers, CubeResult, ExceptionPolicy, MTuple};
+use regcube_core::{
+    mo_cubing, popular_path, CriticalLayers, CubeResult, ExceptionPolicy, MTuple, WorkerPool,
+};
 use regcube_olap::{CubeSchema, CuboidSpec};
 use regcube_regress::{Isb, TimeSeries};
+use std::sync::Arc;
 
 fn random_dataset(seed: u64, n: usize) -> (CubeSchema, CriticalLayers, Vec<MTuple>) {
     let (dims, depth, fanout) = (2usize, 2u8, 3u32);
@@ -45,6 +60,21 @@ fn random_dataset(seed: u64, n: usize) -> (CubeSchema, CriticalLayers, Vec<MTupl
     (schema, layers, tuples)
 }
 
+/// The first `take` tuples, shifted into unit `unit` (16 ticks each).
+fn in_unit(tuples: &[MTuple], take: usize, unit: i64) -> Vec<MTuple> {
+    let start = unit * 16;
+    tuples[..take]
+        .iter()
+        .map(|t| {
+            let isb = t.isb();
+            MTuple::new(
+                t.ids().to_vec(),
+                Isb::new(start, start + 15, isb.base(), isb.slope()).unwrap(),
+            )
+        })
+        .collect()
+}
+
 fn tables_approx_eq(label: &str, a: &CuboidTable, b: &CuboidTable) {
     assert_eq!(a.len(), b.len(), "{label}: cell counts differ");
     for (key, m) in a {
@@ -52,6 +82,17 @@ fn tables_approx_eq(label: &str, a: &CuboidTable, b: &CuboidTable) {
             .get(key)
             .unwrap_or_else(|| panic!("{label}: cell {key} missing"));
         assert!(m.approx_eq(other, 1e-8), "{label} {key}: {m} vs {other}");
+    }
+}
+
+/// `a`'s exception stores hold every cell of `b`'s, with equal measures.
+fn exceptions_cover(label: &str, a: &CubeResult, b: &CubeResult) {
+    for (cuboid, key, m) in b.iter_exceptions() {
+        let other = a
+            .exceptions_in(cuboid)
+            .and_then(|t| t.get(key))
+            .unwrap_or_else(|| panic!("{label}: exception {cuboid}{key} missing"));
+        assert!(m.approx_eq(other, 1e-8), "{label} {cuboid}{key}");
     }
 }
 
@@ -63,13 +104,7 @@ fn results_approx_eq(label: &str, a: &CubeResult, b: &CubeResult) {
         b.total_exception_cells(),
         "{label}: exception counts differ"
     );
-    for (cuboid, key, m) in a.iter_exceptions() {
-        let other = b
-            .exceptions_in(cuboid)
-            .and_then(|t| t.get(key))
-            .unwrap_or_else(|| panic!("{label}: exception {cuboid}{key} missing"));
-        assert!(m.approx_eq(other, 1e-8), "{label} {cuboid}{key}");
-    }
+    exceptions_cover(label, b, a);
     assert_eq!(a.path_tables().len(), b.path_tables().len());
     for (cuboid, table) in a.path_tables() {
         tables_approx_eq(
@@ -80,155 +115,342 @@ fn results_approx_eq(label: &str, a: &CubeResult, b: &CubeResult) {
     }
 }
 
-/// The generic half of law 1: ingest `tuples` in `chunk`-sized
-/// same-window batches and compare against a reference result.
-fn assert_incremental_matches_batch<E: CubingEngine>(
-    label: &str,
-    mut engine: E,
-    tuples: &[MTuple],
-    chunk: usize,
-    reference: &CubeResult,
-) {
-    let mut units_opened = 0;
-    for batch in tuples.chunks(chunk) {
-        let delta = engine.ingest_unit(batch).unwrap();
-        if delta.opened_unit {
-            units_opened += 1;
+/// Which batch reference an engine answers to.
+#[derive(Clone, Copy, PartialEq)]
+enum Kind {
+    /// Algorithm 1, in any assembly: the cube of `mo_cubing::compute`.
+    Mo,
+    /// Unsharded Algorithm 2: the cube of `popular_path::compute`.
+    Pp,
+    /// Algorithm 2 behind several shards: `popular_path::compute`'s
+    /// critical layers and path tables, exceptions by Algorithm 1's
+    /// rule (see `regcube_core::shard`) — a superset of the drilled set.
+    ShardedPp,
+}
+
+type Factory =
+    Box<dyn Fn(&CubeSchema, &CriticalLayers, &ExceptionPolicy) -> Box<dyn CubingEngine + Send>>;
+
+/// One way of assembling an engine behind the trait.
+struct Subject {
+    label: String,
+    kind: Kind,
+    /// Behind a [`ShardedEngine`]. A lone engine's work counters must
+    /// match its batch reference's, not just its cube.
+    sharded: bool,
+    /// Recomputes on a same-window batch instead of merging in place.
+    transient: bool,
+    make: Factory,
+}
+
+/// Algorithm 1 on `backend`, transient or retaining its tables.
+fn mo(
+    backend: Backend,
+    transient: bool,
+) -> impl Fn(CubeSchema, CriticalLayers, ExceptionPolicy) -> regcube_core::Result<MoCubingEngine>
+       + Send
+       + Sync
+       + Clone
+       + 'static {
+    move |s, l, p| {
+        let engine = if transient {
+            MoCubingEngine::transient(s, l, p)
+        } else {
+            MoCubingEngine::new(s, l, p)
+        };
+        engine?.with_backend(backend)
+    }
+}
+
+/// Every engine under contract.
+fn subjects() -> Vec<Subject> {
+    fn subject<E: CubingEngine + Send + Sync + 'static>(
+        out: &mut Vec<Subject>,
+        label: &str,
+        kind: Kind,
+        transient: bool,
+        make: impl Fn(CubeSchema, CriticalLayers, ExceptionPolicy) -> regcube_core::Result<E>
+            + Send
+            + Sync
+            + Clone
+            + 'static,
+    ) {
+        let lone = make.clone();
+        out.push(Subject {
+            label: label.to_string(),
+            kind,
+            sharded: false,
+            transient,
+            make: Box::new(move |s, l, p| Box::new(lone(s.clone(), l.clone(), p.clone()).unwrap())),
+        });
+        for shards in [1usize, 2, 3, 7] {
+            let make = make.clone();
+            out.push(Subject {
+                label: format!("{label} x{shards}"),
+                // One shard is a passthrough under the real policy.
+                kind: if kind == Kind::Pp && shards > 1 {
+                    Kind::ShardedPp
+                } else {
+                    kind
+                },
+                sharded: true,
+                transient,
+                make: Box::new(move |s, l, p| {
+                    let make = make.clone();
+                    Box::new(
+                        ShardedEngine::with_factory(s.clone(), l.clone(), p.clone(), shards, make)
+                            .unwrap(),
+                    )
+                }),
+            });
         }
     }
-    assert_eq!(
-        units_opened, 1,
-        "{label}: same-window batches must stay in one unit"
-    );
-    results_approx_eq(label, engine.result(), reference);
-    assert_eq!(engine.result().algorithm(), reference.algorithm());
-}
-
-#[test]
-fn mo_engine_incremental_ingestion_matches_batch_compute() {
-    for (seed, chunk) in [(1u64, 1usize), (2, 7), (3, 50)] {
-        let (schema, layers, tuples) = random_dataset(seed, 120);
-        let policy = ExceptionPolicy::slope_threshold(0.3);
-        let reference = mo_cubing::compute(&schema, &layers, &policy, &tuples).unwrap();
-        let engine = MoCubingEngine::new(schema.clone(), layers.clone(), policy.clone()).unwrap();
-        assert_incremental_matches_batch(
-            &format!("mo seed {seed} chunk {chunk}"),
-            engine,
-            &tuples,
-            chunk,
-            &reference,
-        );
-        // Transient mode (the batch wrapper's memory model) obeys the
-        // same law: same-window batches fold + recompute exactly.
-        let transient = MoCubingEngine::transient(schema, layers, policy).unwrap();
-        assert_incremental_matches_batch(
-            &format!("mo-transient seed {seed} chunk {chunk}"),
-            transient,
-            &tuples,
-            chunk,
-            &reference,
-        );
+    let mut out = Vec::new();
+    for (backend, layout) in [(Backend::Row, "row"), (Backend::Columnar, "columnar")] {
+        for (transient, mode) in [(true, "transient"), (false, "retained")] {
+            let label = format!("{layout} {mode}");
+            subject(
+                &mut out,
+                &label,
+                Kind::Mo,
+                transient,
+                mo(backend, transient),
+            );
+        }
     }
+    subject(&mut out, "popular path", Kind::Pp, false, |s, l, p| {
+        PopularPathEngine::new(s, l, p, None)
+    });
+    out
 }
 
 #[test]
-fn popular_path_engine_incremental_ingestion_matches_batch_compute() {
-    for (seed, chunk) in [(4u64, 1usize), (5, 9), (6, 40)] {
-        let (schema, layers, tuples) = random_dataset(seed, 120);
-        let policy = ExceptionPolicy::slope_threshold(0.3);
-        let reference = popular_path::compute(&schema, &layers, &policy, None, &tuples).unwrap();
-        let engine = PopularPathEngine::new(schema, layers, policy, None).unwrap();
-        assert_incremental_matches_batch(
-            &format!("pp seed {seed} chunk {chunk}"),
-            engine,
-            &tuples,
-            chunk,
-            &reference,
-        );
-    }
-}
-
-#[test]
-fn columnar_engine_incremental_ingestion_matches_batch_compute() {
-    // Law 1 for the columnar backend: the struct-of-arrays roll-up is a
-    // drop-in for Algorithm 1 under every batching.
-    for (seed, chunk) in [(7u64, 1usize), (8, 7), (9, 50)] {
-        let (schema, layers, tuples) = random_dataset(seed, 120);
-        let policy = ExceptionPolicy::slope_threshold(0.3);
-        let reference = mo_cubing::compute(&schema, &layers, &policy, &tuples).unwrap();
-        let engine = ColumnarCubingEngine::new(schema, layers, policy).unwrap();
-        assert_incremental_matches_batch(
-            &format!("columnar seed {seed} chunk {chunk}"),
-            engine,
-            &tuples,
-            chunk,
-            &reference,
-        );
-    }
-}
-
-#[test]
-fn columnar_matches_row_at_every_shard_count() {
-    // The layout pin: sharded columnar cubing equals the unsharded row
-    // reference at n ∈ {1, 2, 3, 7} — full cube and sorted deltas.
-    let (schema, layers, tuples) = random_dataset(70, 150);
+fn empty_batches_are_rejected() {
+    let (schema, layers, _) = random_dataset(1, 1);
     let policy = ExceptionPolicy::slope_threshold(0.3);
-    let mut reference =
-        MoCubingEngine::transient(schema.clone(), layers.clone(), policy.clone()).unwrap();
-    let ref_delta = reference.ingest_unit(&tuples).unwrap();
-    for shards in [1usize, 2, 3, 7] {
-        let mut engine =
-            ShardedEngine::columnar(schema.clone(), layers.clone(), policy.clone(), shards)
-                .unwrap();
-        let delta = engine.ingest_unit(&tuples).unwrap();
-        results_approx_eq(
-            &format!("columnar n={shards}"),
-            engine.result(),
-            reference.result(),
-        );
-        // Deltas are sorted by contract, so they compare directly.
-        assert_eq!(delta.appeared, ref_delta.appeared, "n={shards}");
-        assert_eq!(delta.cleared, ref_delta.cleared, "n={shards}");
-        assert_eq!(engine.result().algorithm(), reference.result().algorithm());
+    for subject in subjects() {
+        let mut engine = (subject.make)(&schema, &layers, &policy);
+        assert!(engine.ingest_unit(&[]).is_err(), "{}", subject.label);
     }
 }
 
 #[test]
-fn columnar_rollover_matches_row() {
-    // Window rollovers through the columnar backend (sharded and not):
-    // after every unit the cube and the delta stream must agree with
-    // the row reference, including units that leave shards stale.
+fn failed_rollover_leaves_no_half_open_window() {
+    let (schema, layers, tuples) = random_dataset(2, 60);
+    let policy = ExceptionPolicy::slope_threshold(0.3);
+    for subject in subjects() {
+        let label = &subject.label;
+        let mut engine = (subject.make)(&schema, &layers, &policy);
+        engine.ingest_unit(&tuples).unwrap();
+        let m_cells = engine.result().m_layer_cells();
+        // A structurally invalid batch (wrong arity) for a new window
+        // fails and leaves the engine on its unit...
+        let bad = vec![MTuple::new(vec![0], Isb::new(16, 31, 1.0, 0.1).unwrap())];
+        assert!(engine.ingest_unit(&bad).is_err(), "{label}");
+        assert_eq!(engine.result().m_layer_cells(), m_cells, "{label}");
+        // ...and a valid batch for that window then opens it from
+        // scratch: exactly the cube a fresh engine computes for it.
+        let next = in_unit(&tuples, 9, 1);
+        let delta = engine.ingest_unit(&next).unwrap();
+        assert!(delta.opened_unit, "{label}");
+        assert_eq!(delta.unit, 1, "{label}");
+        let mut fresh = (subject.make)(&schema, &layers, &policy);
+        fresh.ingest_unit(&next).unwrap();
+        results_approx_eq(label, engine.result(), fresh.result());
+    }
+}
+
+#[test]
+fn rollover_clears_lapsed_exceptions() {
+    // Feeding a later window must open a new unit and leave a cube for
+    // that window only — for every engine behind the same trait calls.
+    let (schema, layers, tuples) = random_dataset(20, 60);
+    let policy = ExceptionPolicy::slope_threshold(0.3);
+    for subject in subjects() {
+        let label = &subject.label;
+        let mut engine = (subject.make)(&schema, &layers, &policy);
+        let d0 = engine.ingest_unit(&tuples).unwrap();
+        assert!(d0.opened_unit, "{label}");
+        assert_eq!(d0.unit, 0, "{label}");
+        assert!(!d0.appeared.is_empty(), "{label}: nothing to lapse");
+
+        let next_window: Vec<MTuple> = (0..5u32)
+            .map(|i| MTuple::new(vec![i, i], Isb::new(16, 31, 1.0, 0.5).unwrap()))
+            .collect();
+        let d1 = engine.ingest_unit(&next_window).unwrap();
+        assert!(d1.opened_unit, "{label}");
+        assert_eq!(d1.unit, 1, "{label}");
+        assert_eq!(d1.window, (16, 31), "{label}");
+        assert_eq!(engine.result().m_layer_cells(), 5, "{label}");
+        // Deltas stay consistent across the rollover: every alarm the
+        // first unit raised is either still exceptional in the new
+        // window or reported as cleared.
+        for cell in &d0.appeared {
+            let still = engine
+                .result()
+                .exceptions_in(&cell.0)
+                .is_some_and(|t| t.contains_key(&cell.1));
+            assert!(
+                still || d1.cleared.contains(cell),
+                "{label}: lapsed exception {}{} neither retained nor cleared",
+                cell.0,
+                cell.1
+            );
+        }
+    }
+}
+
+#[test]
+fn incremental_ingestion_matches_batch_compute() {
+    for (seed, chunk) in [(1u64, 1usize), (2, 7), (3, 50), (4, 120)] {
+        let (schema, layers, tuples) = random_dataset(seed, 120);
+        let policy = ExceptionPolicy::slope_threshold(0.3);
+        let mo_reference = mo_cubing::compute(&schema, &layers, &policy, &tuples).unwrap();
+        let pp_reference = popular_path::compute(&schema, &layers, &policy, None, &tuples).unwrap();
+        for subject in subjects() {
+            let label = format!("{} seed {seed} chunk {chunk}", subject.label);
+            let mut engine = (subject.make)(&schema, &layers, &policy);
+            let mut units_opened = 0;
+            for batch in tuples.chunks(chunk) {
+                let delta = engine.ingest_unit(batch).unwrap();
+                units_opened += usize::from(delta.opened_unit);
+            }
+            assert_eq!(
+                units_opened, 1,
+                "{label}: same-window batches must stay in one unit"
+            );
+            let result = engine.result();
+            // One batch is the batch algorithm: same work, not just the
+            // same cube.
+            if !subject.sharded && chunk >= tuples.len() {
+                let reference = match subject.kind {
+                    Kind::Mo => &mo_reference,
+                    Kind::Pp | Kind::ShardedPp => &pp_reference,
+                };
+                let (s, r) = (engine.stats(), reference.stats());
+                assert_eq!(s.cells_computed, r.cells_computed, "{label}");
+                assert_eq!(s.cuboids_computed, r.cuboids_computed, "{label}");
+            }
+            match subject.kind {
+                Kind::Mo => {
+                    results_approx_eq(&label, result, &mo_reference);
+                    assert_eq!(result.algorithm(), Algorithm::MoCubing);
+                }
+                Kind::Pp => {
+                    results_approx_eq(&label, result, &pp_reference);
+                    assert_eq!(result.algorithm(), Algorithm::PopularPath);
+                }
+                Kind::ShardedPp => {
+                    tables_approx_eq(&label, result.m_table(), pp_reference.m_table());
+                    tables_approx_eq(&label, result.o_table(), pp_reference.o_table());
+                    for (cuboid, table) in pp_reference.path_tables() {
+                        tables_approx_eq(&label, &result.path_tables()[cuboid], table);
+                    }
+                    exceptions_cover(&label, result, &pp_reference);
+                    exceptions_cover(&label, &mo_reference, result);
+                    assert_eq!(result.algorithm(), Algorithm::PopularPath);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn deltas_are_sorted_and_algorithm_one_replays_the_row_delta_stream() {
+    // Unit 0 arrives in two same-window batches, then the window rolls
+    // twice with shrinking batches: unit 2 has 4 tuples, so several
+    // shards stay on an old window and must be excluded from the merge.
     let (schema, layers, tuples) = random_dataset(71, 90);
     let policy = ExceptionPolicy::slope_threshold(0.3);
-    let mut columnar =
-        ColumnarCubingEngine::new(schema.clone(), layers.clone(), policy.clone()).unwrap();
-    let mut sharded =
-        ShardedEngine::columnar(schema.clone(), layers.clone(), policy.clone(), 3).unwrap();
-    let mut single = MoCubingEngine::transient(schema, layers, policy).unwrap();
-    for unit in 0..3usize {
-        let take = [90usize, 30, 4][unit];
-        let start = unit as i64 * 16;
-        let batch: Vec<MTuple> = tuples[..take]
-            .iter()
-            .map(|t| {
-                let isb = t.isb();
-                MTuple::new(
-                    t.ids().to_vec(),
-                    Isb::new(start, start + 15, isb.base(), isb.slope()).unwrap(),
-                )
-            })
-            .collect();
-        let dc = columnar.ingest_unit(&batch).unwrap();
-        let ds = sharded.ingest_unit(&batch).unwrap();
-        let du = single.ingest_unit(&batch).unwrap();
-        for (label, delta, engine) in [
-            ("columnar", &dc, columnar.result()),
-            ("columnar x3", &ds, sharded.result()),
-        ] {
-            assert_eq!(delta.unit, du.unit, "unit {unit} {label}");
-            results_approx_eq(&format!("unit {unit} {label}"), engine, single.result());
-            assert_eq!(delta.appeared, du.appeared, "unit {unit} {label} appeared");
-            assert_eq!(delta.cleared, du.cleared, "unit {unit} {label} cleared");
+    let batches = [
+        in_unit(&tuples, 90, 0)[..50].to_vec(),
+        in_unit(&tuples, 90, 0)[50..].to_vec(),
+        in_unit(&tuples, 30, 1),
+        in_unit(&tuples, 4, 2),
+    ];
+    for subject in subjects() {
+        let mut engine = (subject.make)(&schema, &layers, &policy);
+        let mut reference =
+            MoCubingEngine::transient(schema.clone(), layers.clone(), policy.clone()).unwrap();
+        for (i, batch) in batches.iter().enumerate() {
+            let label = format!("{} batch {i}", subject.label);
+            let delta = engine.ingest_unit(batch).unwrap();
+            assert!(delta.is_sorted(), "{label}");
+            assert_eq!(delta.tuples, batch.len(), "{label}");
+            if subject.kind != Kind::Mo {
+                continue;
+            }
+            // Deltas are sorted by contract, so they compare directly.
+            let expected = reference.ingest_unit(batch).unwrap();
+            assert_eq!(
+                (delta.unit, delta.window, delta.opened_unit),
+                (expected.unit, expected.window, expected.opened_unit),
+                "{label}"
+            );
+            assert_eq!(delta.appeared, expected.appeared, "{label} appeared");
+            assert_eq!(delta.cleared, expected.cleared, "{label} cleared");
+            results_approx_eq(&label, engine.result(), reference.result());
+            // A rollover is the same full computation on every lone
+            // engine; a same-window batch only on the transient ones.
+            if !subject.sharded && (subject.transient || delta.opened_unit) {
+                let (s, r) = (engine.stats(), reference.stats());
+                assert_eq!(s.cells_computed, r.cells_computed, "{label}");
+                assert_eq!(s.rows_folded, r.rows_folded, "{label}");
+            }
+        }
+    }
+}
+
+fn bits(m: &Isb) -> (i64, i64, u64, u64) {
+    let (start, end) = m.interval();
+    (start, end, m.base().to_bits(), m.slope().to_bits())
+}
+
+#[test]
+fn a_worker_pool_never_changes_a_bit() {
+    // The tier fan-out returns results in plan order, so an engine with
+    // a pool attached computes the identical cube and deltas to one
+    // without — on both layouts (the columnar one had no fan-out of its
+    // own before there was one engine).
+    fn tables_bit_eq(label: &str, a: &CuboidTable, b: &CuboidTable) {
+        assert_eq!(a.len(), b.len(), "{label}: cell counts differ");
+        for (key, m) in a {
+            assert_eq!(Some(bits(m)), b.get(key).map(bits), "{label} {key}");
+        }
+    }
+    let (schema, layers, tuples) = random_dataset(72, 150);
+    let policy = ExceptionPolicy::slope_threshold(0.3);
+    let pool = Arc::new(WorkerPool::new(3));
+    for backend in [Backend::Row, Backend::Columnar] {
+        for transient in [true, false] {
+            let make = mo(backend, transient);
+            let mut plain = make(schema.clone(), layers.clone(), policy.clone()).unwrap();
+            let mut pooled = make(schema.clone(), layers.clone(), policy.clone())
+                .unwrap()
+                .with_pool(Arc::clone(&pool));
+            let batches = [
+                in_unit(&tuples, 150, 0)[..100].to_vec(),
+                in_unit(&tuples, 150, 0)[100..].to_vec(),
+                in_unit(&tuples, 40, 1),
+            ];
+            for (i, batch) in batches.iter().enumerate() {
+                let label = format!("{backend:?} transient={transient} batch {i}");
+                let (dp, dq) = (
+                    plain.ingest_unit(batch).unwrap(),
+                    pooled.ingest_unit(batch).unwrap(),
+                );
+                assert_eq!(dp.appeared, dq.appeared, "{label}");
+                assert_eq!(dp.cleared, dq.cleared, "{label}");
+                assert_eq!(dp.cells_touched, dq.cells_touched, "{label}");
+                let (p, q) = (plain.result(), pooled.result());
+                tables_bit_eq(&format!("{label}/m"), p.m_table(), q.m_table());
+                tables_bit_eq(&format!("{label}/o"), p.o_table(), q.o_table());
+                assert_eq!(p.total_exception_cells(), q.total_exception_cells());
+                for (cuboid, key, m) in p.iter_exceptions() {
+                    let other = q.exceptions_in(cuboid).and_then(|t| t.get(key));
+                    assert_eq!(Some(bits(m)), other.map(bits), "{label} {cuboid}{key}");
+                }
+            }
         }
     }
 }
@@ -242,10 +464,6 @@ fn layouts_agree_up_to_f64_reassociation() {
     // to reassociation of the `f64` sums. The test would fail if the
     // layouts were byte-identical on this input: it requires at least
     // one aggregated measure whose bits differ.
-    fn bits(m: &Isb) -> (i64, i64, u64, u64) {
-        let (start, end) = m.interval();
-        (start, end, m.base().to_bits(), m.slope().to_bits())
-    }
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() <= 1e-12 * a.abs().max(b.abs())
     }
@@ -278,13 +496,18 @@ fn layouts_agree_up_to_f64_reassociation() {
     let policy = ExceptionPolicy::slope_threshold(0.3);
     let mut rng = StdRng::seed_from_u64(2002);
     let mut differing = 0;
-    for shards in [1usize, 3] {
-        let mut row =
-            ShardedEngine::mo_cubing(schema.clone(), layers.clone(), policy.clone(), shards)
-                .unwrap();
-        let mut col =
-            ShardedEngine::columnar(schema.clone(), layers.clone(), policy.clone(), shards)
-                .unwrap();
+    for shards in [1usize, 2, 3, 7] {
+        let sharded = |backend| {
+            ShardedEngine::mo_cubing_on(
+                backend,
+                schema.clone(),
+                layers.clone(),
+                policy.clone(),
+                shards,
+            )
+            .unwrap()
+        };
+        let (mut row, mut col) = (sharded(Backend::Row), sharded(Backend::Columnar));
         for unit in 0..4i64 {
             let start = unit * 16;
             let batch: Vec<MTuple> = (0..1500)
@@ -328,67 +551,6 @@ fn layouts_agree_up_to_f64_reassociation() {
         differing > 0,
         "no aggregated measure was reassociated: the input no longer exercises the contract"
     );
-}
-
-#[test]
-fn sharded_engine_incremental_ingestion_matches_batch_compute() {
-    // Law 1 for the sharded backend at n = 1, 2, 3, 7: hash-partitioned
-    // parallel cubing + Theorem 3.2 merge equals the unsharded batch
-    // compute, for one-shot and chunked same-window ingestion alike.
-    for (shards, chunk) in [(1usize, 50usize), (2, 11), (3, 7), (7, 1)] {
-        let (schema, layers, tuples) = random_dataset(40 + shards as u64, 120);
-        let policy = ExceptionPolicy::slope_threshold(0.3);
-        let reference = mo_cubing::compute(&schema, &layers, &policy, &tuples).unwrap();
-        let engine = ShardedEngine::mo_cubing(schema, layers, policy, shards).unwrap();
-        assert_incremental_matches_batch(
-            &format!("sharded n={shards} chunk {chunk}"),
-            engine,
-            &tuples,
-            chunk,
-            &reference,
-        );
-    }
-}
-
-#[test]
-fn sharded_engine_rollover_matches_unsharded() {
-    // Window rollovers: replay three units through sharded and
-    // unsharded engines; after every unit the cubes must agree, even
-    // when a unit activates only a few shards and leaves the rest
-    // holding the previous window's partition.
-    let (schema, layers, tuples) = random_dataset(50, 90);
-    let policy = ExceptionPolicy::slope_threshold(0.3);
-    let mut sharded =
-        ShardedEngine::mo_cubing(schema.clone(), layers.clone(), policy.clone(), 3).unwrap();
-    let mut single = MoCubingEngine::transient(schema, layers, policy).unwrap();
-    for unit in 0..3usize {
-        // Shrinking batches: unit 2 has 4 tuples, so several shards
-        // stay on an old window and must be excluded from the merge.
-        let take = [90usize, 30, 4][unit];
-        let start = unit as i64 * 16;
-        let batch: Vec<MTuple> = tuples[..take]
-            .iter()
-            .map(|t| {
-                let isb = t.isb();
-                MTuple::new(
-                    t.ids().to_vec(),
-                    Isb::new(start, start + 15, isb.base(), isb.slope()).unwrap(),
-                )
-            })
-            .collect();
-        let ds = sharded.ingest_unit(&batch).unwrap();
-        let du = single.ingest_unit(&batch).unwrap();
-        assert!(ds.opened_unit && du.opened_unit, "unit {unit}");
-        assert_eq!(ds.unit, du.unit, "unit {unit}");
-        results_approx_eq(
-            &format!("rollover unit {unit}"),
-            sharded.result(),
-            single.result(),
-        );
-        // Deltas are sorted by contract, so they compare directly.
-        assert_eq!(ds.appeared, du.appeared, "unit {unit} appeared");
-        assert_eq!(ds.cleared, du.cleared, "unit {unit} cleared");
-    }
 }
 
 #[test]
@@ -458,15 +620,14 @@ fn engines_are_send() {
     fn assert_send<T: Send>() {}
     assert_send::<MoCubingEngine>();
     assert_send::<PopularPathEngine>();
-    assert_send::<ColumnarCubingEngine>();
     assert_send::<Box<dyn CubingEngine + Send>>();
     assert_send::<ShardedEngine<MoCubingEngine>>();
     assert_send::<ShardedEngine<PopularPathEngine>>();
-    assert_send::<ShardedEngine<ColumnarCubingEngine>>();
 }
 
-/// Law 2, enforced through the trait with type-erased engines so any
-/// pair of implementations can be cross-checked the same way.
+/// The footnote-7 law, enforced through the trait with type-erased
+/// engines so any pair of implementations can be cross-checked the same
+/// way.
 #[test]
 fn algorithm_one_exceptions_are_a_superset_of_algorithm_two() {
     for seed in [10u64, 11, 12] {
@@ -491,55 +652,6 @@ fn algorithm_one_exceptions_are_a_superset_of_algorithm_two() {
 
         // Superset with matching measures.
         assert!(a2.total_exception_cells() <= a1.total_exception_cells());
-        for (cuboid, key, isb2) in a2.iter_exceptions() {
-            let isb1 = a1
-                .exceptions_in(cuboid)
-                .and_then(|t| t.get(key))
-                .unwrap_or_else(|| {
-                    panic!("seed {seed}: A2 exception {cuboid}{key} missing from A1")
-                });
-            assert!(isb1.approx_eq(isb2, 1e-8), "seed {seed}: {cuboid}{key}");
-        }
-    }
-}
-
-#[test]
-fn unit_rollover_is_part_of_the_contract() {
-    // Feeding a later window must open a new unit and leave a cube for
-    // that window only — for every engine behind the same trait calls.
-    let (schema, layers, tuples) = random_dataset(20, 60);
-    let policy = ExceptionPolicy::slope_threshold(0.3);
-    let engines: Vec<Box<dyn CubingEngine>> = vec![
-        Box::new(MoCubingEngine::new(schema.clone(), layers.clone(), policy.clone()).unwrap()),
-        Box::new(PopularPathEngine::new(schema, layers, policy, None).unwrap()),
-    ];
-    for mut engine in engines {
-        let d0 = engine.ingest_unit(&tuples).unwrap();
-        assert!(d0.opened_unit);
-        assert_eq!(d0.unit, 0);
-
-        let next_window: Vec<MTuple> = (0..5u32)
-            .map(|i| MTuple::new(vec![i, i], Isb::new(16, 31, 1.0, 0.5).unwrap()))
-            .collect();
-        let d1 = engine.ingest_unit(&next_window).unwrap();
-        assert!(d1.opened_unit);
-        assert_eq!(d1.unit, 1);
-        assert_eq!(d1.window, (16, 31));
-        assert_eq!(engine.result().m_layer_cells(), 5);
-        // Deltas stay consistent across the rollover: every alarm the
-        // first unit raised is either still exceptional in the new
-        // window or reported as cleared.
-        for cell in &d0.appeared {
-            let still = engine
-                .result()
-                .exceptions_in(&cell.0)
-                .is_some_and(|t| t.contains_key(&cell.1));
-            assert!(
-                still || d1.cleared.contains(cell),
-                "lapsed exception {}{} neither retained nor cleared",
-                cell.0,
-                cell.1
-            );
-        }
+        exceptions_cover(&format!("seed {seed}: A2 in A1"), a1, a2);
     }
 }

@@ -9,8 +9,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use regcube_core::columnar::ColumnarCubingEngine;
-use regcube_core::engine::{CubingEngine, UnitDelta};
+use regcube_core::engine::{Backend, CubingEngine, MoCubingEngine, UnitDelta};
 use regcube_core::shard::ShardedEngine;
 use regcube_core::table::{CuboidTable, DenseCellCodec};
 use regcube_core::{CriticalLayers, CubeResult, ExceptionPolicy, KernelMode, MTuple};
@@ -38,6 +37,25 @@ fn dataset(seed: u64, n: usize) -> (CubeSchema, CriticalLayers, Vec<MTuple>) {
         })
         .collect();
     (schema, layers, tuples)
+}
+
+/// The factory of a columnar Algorithm-1 engine running `mode`, as a
+/// `ShardedEngine` of `shards` partitions wants it: transient alone,
+/// retaining its between-layer tables as one of several shards.
+fn columnar(
+    mode: KernelMode,
+    shards: usize,
+) -> impl Fn(CubeSchema, CriticalLayers, ExceptionPolicy) -> regcube_core::Result<MoCubingEngine> {
+    move |s, l, p| {
+        let engine = if shards == 1 {
+            MoCubingEngine::transient(s, l, p)
+        } else {
+            MoCubingEngine::new(s, l, p)
+        };
+        Ok(engine?
+            .with_backend(Backend::Columnar)?
+            .with_kernel_mode(mode))
+    }
 }
 
 /// Bit-exact ISB equality: identical interval and identical `f64` bit
@@ -93,13 +111,9 @@ fn replay_and_compare(
     layers: &CriticalLayers,
     policy: &ExceptionPolicy,
     units: &[Vec<&[MTuple]>],
-) -> (ColumnarCubingEngine, ColumnarCubingEngine) {
-    let mut auto = ColumnarCubingEngine::new(schema.clone(), layers.clone(), policy.clone())
-        .unwrap()
-        .with_kernel_mode(KernelMode::Auto);
-    let mut scalar = ColumnarCubingEngine::new(schema.clone(), layers.clone(), policy.clone())
-        .unwrap()
-        .with_kernel_mode(KernelMode::Scalar);
+) -> (MoCubingEngine, MoCubingEngine) {
+    let make = |mode| columnar(mode, 1)(schema.clone(), layers.clone(), policy.clone()).unwrap();
+    let (mut auto, mut scalar) = (make(KernelMode::Auto), make(KernelMode::Scalar));
     for (u, unit) in units.iter().enumerate() {
         for (i, batch) in unit.iter().enumerate() {
             let da = auto.ingest_unit(batch).unwrap();
@@ -192,9 +206,7 @@ fn sharded_kernel_and_scalar_paths_agree_at_every_shard_count() {
             layers.clone(),
             policy.clone(),
             shards,
-            |s, l, p| {
-                ColumnarCubingEngine::new(s, l, p).map(|e| e.with_kernel_mode(KernelMode::Auto))
-            },
+            columnar(KernelMode::Auto, shards),
         )
         .unwrap();
         let mut scalar = ShardedEngine::with_factory(
@@ -202,9 +214,7 @@ fn sharded_kernel_and_scalar_paths_agree_at_every_shard_count() {
             layers.clone(),
             policy.clone(),
             shards,
-            |s, l, p| {
-                ColumnarCubingEngine::new(s, l, p).map(|e| e.with_kernel_mode(KernelMode::Scalar))
-            },
+            columnar(KernelMode::Scalar, shards),
         )
         .unwrap();
         let da = auto.ingest_unit(&tuples).unwrap();
@@ -238,7 +248,7 @@ fn overflow_guard_fires_identically_on_both_paths() {
     assert!(DenseCellCodec::new(&schema, &m).is_err());
     // The codec guard fires at engine construction, before any kernel
     // dispatch decision exists — no mode can route around it.
-    let err = ColumnarCubingEngine::new(schema, layers, ExceptionPolicy::slope_threshold(0.5))
+    let err = columnar(KernelMode::Auto, 1)(schema, layers, ExceptionPolicy::slope_threshold(0.5))
         .map(|_| ())
         .unwrap_err()
         .to_string();
@@ -313,13 +323,11 @@ proptest! {
         let policy = ExceptionPolicy::slope_threshold(rc.threshold);
         let mut auto = ShardedEngine::with_factory(
             schema.clone(), layers.clone(), policy.clone(), rc.shards,
-            |s, l, p| ColumnarCubingEngine::new(s, l, p)
-                .map(|e| e.with_kernel_mode(KernelMode::Auto)),
+            columnar(KernelMode::Auto, rc.shards),
         ).unwrap();
         let mut scalar = ShardedEngine::with_factory(
             schema, layers, policy, rc.shards,
-            |s, l, p| ColumnarCubingEngine::new(s, l, p)
-                .map(|e| e.with_kernel_mode(KernelMode::Scalar)),
+            columnar(KernelMode::Scalar, rc.shards),
         ).unwrap();
         for batch in tuples.chunks(rc.chunk) {
             let da = auto.ingest_unit(batch).unwrap();

@@ -19,22 +19,10 @@ pub enum LinalgError {
         /// Name of the attempted operation.
         op: &'static str,
     },
-    /// The matrix is singular (or numerically so) and cannot be factored.
-    Singular {
-        /// Pivot index at which the factorization broke down.
-        pivot: usize,
-    },
     /// The matrix is not positive definite (Cholesky breakdown).
     NotPositiveDefinite {
         /// Diagonal index at which a non-positive pivot appeared.
         index: usize,
-    },
-    /// A least-squares system has fewer rows than unknowns.
-    Underdetermined {
-        /// Number of observations (rows).
-        rows: usize,
-        /// Number of unknowns (columns).
-        cols: usize,
     },
 }
 
@@ -47,19 +35,12 @@ impl fmt::Display for LinalgError {
                 "dimension mismatch in {op}: left is {}x{}, right is {}x{}",
                 left.0, left.1, right.0, right.1
             ),
-            LinalgError::Singular { pivot } => {
-                write!(f, "matrix is singular (zero pivot at index {pivot})")
-            }
             LinalgError::NotPositiveDefinite { index } => {
                 write!(
                     f,
                     "matrix is not positive definite (diagonal index {index})"
                 )
             }
-            LinalgError::Underdetermined { rows, cols } => write!(
-                f,
-                "least-squares system is underdetermined: {rows} rows < {cols} columns"
-            ),
         }
     }
 }
@@ -82,13 +63,9 @@ mod tests {
         assert!(s.contains("2x3"));
         assert!(s.contains("4x5"));
 
-        assert!(LinalgError::Singular { pivot: 7 }.to_string().contains('7'));
         assert!(LinalgError::NotPositiveDefinite { index: 2 }
             .to_string()
             .contains("positive definite"));
-        assert!(LinalgError::Underdetermined { rows: 1, cols: 3 }
-            .to_string()
-            .contains("underdetermined"));
         assert!(LinalgError::BadShape { detail: "x".into() }
             .to_string()
             .contains("bad matrix shape"));
@@ -96,7 +73,7 @@ mod tests {
 
     #[test]
     fn errors_are_comparable_and_cloneable() {
-        let e = LinalgError::Singular { pivot: 1 };
+        let e = LinalgError::NotPositiveDefinite { index: 1 };
         assert_eq!(e.clone(), e);
     }
 }

@@ -4,19 +4,13 @@
 //! regression to *multiple* linear regression (several regression variables,
 //! e.g. spatial coordinates of sensors in addition to time). Solving the
 //! normal equations for those models needs a dense matrix toolkit. The
-//! offline dependency policy of this repository excludes `nalgebra`/`ndarray`
-//! (see `DESIGN.md` §5), so this crate provides the small, well-tested subset
-//! we need:
+//! offline dependency policy of this repository excludes `nalgebra`/`ndarray`,
+//! so this crate provides the small, well-tested subset `regcube_regress::mlr`
+//! needs:
 //!
 //! * [`Matrix`] — a row-major dense `f64` matrix with the usual arithmetic,
 //! * [`cholesky`] — Cholesky factorization/solve for symmetric
-//!   positive-definite systems (the `XᵀX` normal equations),
-//! * [`lu`] — LU with partial pivoting (general square solves, determinant,
-//!   inverse),
-//! * [`qr`] — Householder QR (rank-revealing-ish least squares for
-//!   ill-conditioned designs),
-//! * [`lstsq`] — a high-level least-squares entry point that picks between
-//!   the normal equations and QR.
+//!   positive-definite systems (the `XᵀX` normal equations).
 //!
 //! All routines are deterministic, allocation-conscious and pure Rust; no
 //! `unsafe` is used anywhere in the crate.
@@ -24,16 +18,14 @@
 //! # Example
 //!
 //! ```
-//! use regcube_linalg::{Matrix, lstsq};
+//! use regcube_linalg::cholesky::Cholesky;
+//! use regcube_linalg::Matrix;
 //!
-//! // Fit y = a + b*t for t = 0..4, y = 1 + 2t (exactly).
-//! let x = Matrix::from_rows(&[
-//!     &[1.0, 0.0], &[1.0, 1.0], &[1.0, 2.0], &[1.0, 3.0], &[1.0, 4.0],
-//! ]).unwrap();
-//! let y = [1.0, 3.0, 5.0, 7.0, 9.0];
-//! let beta = lstsq::solve_least_squares(&x, &y).unwrap();
-//! assert!((beta[0] - 1.0).abs() < 1e-10);
-//! assert!((beta[1] - 2.0).abs() < 1e-10);
+//! // Solve the SPD system [[4, 2], [2, 3]] x = [10, 8].
+//! let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]).unwrap();
+//! let x = Cholesky::factor(&a).unwrap().solve(&[10.0, 8.0]).unwrap();
+//! assert!((x[0] - 1.75).abs() < 1e-12);
+//! assert!((x[1] - 1.5).abs() < 1e-12);
 //! ```
 
 #![deny(missing_docs)]
@@ -41,10 +33,7 @@
 
 pub mod cholesky;
 pub mod error;
-pub mod lstsq;
-pub mod lu;
 pub mod matrix;
-pub mod qr;
 pub mod vecops;
 
 pub use error::LinalgError;

@@ -230,59 +230,6 @@ impl Matrix {
             .collect())
     }
 
-    /// Gram product `selfᵀ * self`, the symmetric matrix behind the normal
-    /// equations. Only the upper triangle is computed and mirrored.
-    pub fn gram(&self) -> Matrix {
-        let n = self.cols;
-        let mut g = Matrix {
-            rows: n,
-            cols: n,
-            data: vec![0.0; n * n],
-        };
-        for r in 0..self.rows {
-            let row = self.row(r);
-            for (i, &xi) in row.iter().enumerate() {
-                if xi == 0.0 {
-                    continue;
-                }
-                for (j, &xj) in row.iter().enumerate().skip(i) {
-                    g.data[i * n + j] += xi * xj;
-                }
-            }
-        }
-        for i in 0..n {
-            for j in 0..i {
-                g.data[i * n + j] = g.data[j * n + i];
-            }
-        }
-        g
-    }
-
-    /// `selfᵀ * y` for an observation vector `y`.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::DimensionMismatch`] when
-    /// `self.rows() != y.len()`.
-    pub fn tr_mul_vec(&self, y: &[f64]) -> Result<Vec<f64>> {
-        if self.rows != y.len() {
-            return Err(LinalgError::DimensionMismatch {
-                left: self.shape(),
-                right: (y.len(), 1),
-                op: "tr_mul_vec",
-            });
-        }
-        let mut out = vec![0.0; self.cols];
-        for (r, &yr) in y.iter().enumerate() {
-            if yr == 0.0 {
-                continue;
-            }
-            for (o, &x) in out.iter_mut().zip(self.row(r).iter()) {
-                *o += yr * x;
-            }
-        }
-        Ok(out)
-    }
-
     /// Element-wise sum `self + rhs`.
     ///
     /// # Errors
@@ -461,20 +408,10 @@ mod tests {
     }
 
     #[test]
-    fn mul_vec_and_tr_mul_vec() {
+    fn mul_vec_checks_the_shape() {
         let a = m(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
         assert_eq!(a.mul_vec(&[1.0, 1.0]).unwrap(), vec![3.0, 7.0, 11.0]);
-        assert_eq!(a.tr_mul_vec(&[1.0, 1.0, 1.0]).unwrap(), vec![9.0, 12.0]);
         assert!(a.mul_vec(&[1.0]).is_err());
-        assert!(a.tr_mul_vec(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn gram_equals_explicit_transpose_product() {
-        let a = m(&[&[1.0, 2.0, 0.5], &[3.0, -4.0, 1.0], &[0.0, 2.0, 2.0]]);
-        let g = a.gram();
-        let explicit = a.transpose().mul(&a).unwrap();
-        assert!(g.approx_eq(&explicit, 1e-12));
     }
 
     #[test]

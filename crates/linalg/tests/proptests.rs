@@ -2,9 +2,6 @@
 
 use proptest::prelude::*;
 use regcube_linalg::cholesky::Cholesky;
-use regcube_linalg::lstsq::{residual_sum_of_squares, solve_least_squares};
-use regcube_linalg::lu::Lu;
-use regcube_linalg::qr::Qr;
 use regcube_linalg::vecops;
 use regcube_linalg::Matrix;
 
@@ -50,17 +47,6 @@ proptest! {
     }
 
     #[test]
-    fn gram_is_symmetric_psd_diagonal(a in square_matrix(4)) {
-        let g = a.gram();
-        for i in 0..4 {
-            prop_assert!(g[(i, i)] >= -1e-12, "Gram diagonal must be nonnegative");
-            for j in 0..4 {
-                prop_assert!((g[(i, j)] - g[(j, i)]).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
     fn cholesky_solves_spd_systems(a in square_matrix(4), x in vector(4)) {
         let spd = make_spd(&a);
         let b = spd.mul_vec(&x).unwrap();
@@ -75,68 +61,5 @@ proptest! {
         let ch = Cholesky::factor(&spd).unwrap();
         let back = ch.l().mul(&ch.l().transpose()).unwrap();
         prop_assert!(back.approx_eq(&spd, 1e-7));
-    }
-
-    #[test]
-    fn lu_solves_diagonally_dominant_systems(a in square_matrix(4), x in vector(4)) {
-        // Force diagonal dominance so the matrix is comfortably invertible.
-        let mut dd = a.clone();
-        for i in 0..4 {
-            let row_sum: f64 = dd.row(i).iter().map(|v| v.abs()).sum();
-            dd[(i, i)] = row_sum + 1.0;
-        }
-        let b = dd.mul_vec(&x).unwrap();
-        let got = Lu::factor(&dd).unwrap().solve(&b).unwrap();
-        prop_assert!(vecops::approx_eq(&got, &x, 1e-6));
-    }
-
-    #[test]
-    fn lu_inverse_really_inverts(a in square_matrix(3)) {
-        let mut dd = a.clone();
-        for i in 0..3 {
-            let row_sum: f64 = dd.row(i).iter().map(|v| v.abs()).sum();
-            dd[(i, i)] = row_sum + 1.0;
-        }
-        let inv = Lu::factor(&dd).unwrap().inverse().unwrap();
-        let eye = Matrix::identity(3).unwrap();
-        prop_assert!(dd.mul(&inv).unwrap().approx_eq(&eye, 1e-7));
-        prop_assert!(inv.mul(&dd).unwrap().approx_eq(&eye, 1e-7));
-    }
-
-    #[test]
-    fn qr_gram_identity(data in prop::collection::vec(-5.0..5.0f64, 12)) {
-        // 6x2 tall matrix; RᵀR must equal AᵀA because Q is orthogonal.
-        let a = Matrix::from_vec(6, 2, data).unwrap();
-        let qr = Qr::factor(&a).unwrap();
-        let r = qr.r();
-        let rtr = r.transpose().mul(&r).unwrap();
-        prop_assert!(rtr.approx_eq(&a.gram(), 1e-7));
-    }
-
-    #[test]
-    fn least_squares_residual_is_minimal(
-        ts in prop::collection::vec(-20.0..20.0f64, 8),
-        noise in prop::collection::vec(-1.0..1.0f64, 8),
-        da in -0.5..0.5f64,
-        db in -0.5..0.5f64,
-    ) {
-        // Build a simple line-fit design over arbitrary abscissae. Skip
-        // degenerate designs where all abscissae coincide.
-        let spread = ts.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
-            - ts.iter().cloned().fold(f64::INFINITY, f64::min);
-        prop_assume!(spread > 0.5);
-
-        let rows: Vec<[f64; 2]> = ts.iter().map(|&t| [1.0, t]).collect();
-        let row_refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let x = Matrix::from_rows(&row_refs).unwrap();
-        let y: Vec<f64> = ts.iter().zip(noise.iter()).map(|(&t, &n)| 0.7 * t - 1.3 + n).collect();
-
-        let beta = solve_least_squares(&x, &y).unwrap();
-        let best = residual_sum_of_squares(&x, &y, &beta).unwrap();
-        // Any perturbation of the solution must not fit better.
-        let perturbed = [beta[0] + da, beta[1] + db];
-        let worse = residual_sum_of_squares(&x, &y, &perturbed).unwrap();
-        prop_assert!(best <= worse + 1e-9,
-            "perturbed solution fits better: {best} > {worse}");
     }
 }

@@ -5,7 +5,7 @@
 //! default SipHash is needlessly defensive for those keys (they are
 //! generated internally, not attacker-controlled), so we use the same
 //! multiply-rotate scheme as rustc's `FxHasher`. The `rustc-hash` crate is
-//! outside the allowed offline dependency set (DESIGN.md §5), hence this
+//! outside the allowed offline dependency set, hence this
 //! ~60-line reimplementation.
 
 use std::collections::{HashMap, HashSet};

@@ -119,7 +119,7 @@ mod tests {
                 name: "degree",
                 detail: "zero".into(),
             },
-            RegressError::Linalg(LinalgError::Singular { pivot: 0 }),
+            RegressError::Linalg(LinalgError::NotPositiveDefinite { index: 0 }),
         ];
         for c in cases {
             assert!(!c.to_string().is_empty());
@@ -128,7 +128,7 @@ mod tests {
 
     #[test]
     fn linalg_errors_convert_and_chain() {
-        let e: RegressError = LinalgError::Singular { pivot: 3 }.into();
+        let e: RegressError = LinalgError::NotPositiveDefinite { index: 3 }.into();
         assert!(matches!(e, RegressError::Linalg(_)));
         use std::error::Error;
         assert!(e.source().is_some());

@@ -10,7 +10,6 @@ use crate::Result;
 use regcube_core::alarm::{
     AlarmContext, AlarmRevision, LateAmendment, SharedSink, SinkError, SinkSet,
 };
-use regcube_core::columnar::ColumnarCubingEngine;
 use regcube_core::drill::{drill_children, drill_descendants, DrillHit};
 use regcube_core::engine::{Backend, CubingEngine, MoCubingEngine, PopularPathEngine, UnitDelta};
 use regcube_core::history::{CubeHistory, ExceptionDiff};
@@ -27,8 +26,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The type-erased cubing engine [`EngineConfig::build`] selects at
-/// runtime from [`EngineConfig::algorithm`].
+/// The type-erased cubing engine [`EngineConfig::build`] assembles at
+/// runtime from [`EngineConfig::algorithm`], [`EngineConfig::backend`]
+/// and [`EngineConfig::shards`].
 pub type BoxedEngine = Box<dyn CubingEngine + Send>;
 
 /// One o-layer alarm raised at a unit close.
@@ -327,7 +327,7 @@ impl EngineConfig {
     }
 
     /// Sets the number of cubing shards (clamped to at least 1). With
-    /// `n > 1` every build path routes cubing through a
+    /// `n > 1` [`build`](Self::build) routes cubing through a
     /// [`ShardedEngine`]: each unit's m-layer batch is hash-partitioned
     /// across `n` inner engines, cubed in parallel on a worker pool and
     /// merged via Theorem 3.2 linearity. One shard is the unsharded
@@ -381,71 +381,56 @@ impl EngineConfig {
 
     /// Builds the engine, selecting the cubing strategy at runtime from
     /// [`algorithm`](Self::algorithm) and [`backend`](Self::backend)
-    /// (type-erased behind [`BoxedEngine`]); a [`shards`](Self::shards)
-    /// count above 1 wraps the strategy in a [`ShardedEngine`].
+    /// (type-erased behind [`BoxedEngine`]). Whatever the strategy, one
+    /// [`shard`](Self::shards) is that engine alone and more wrap it in
+    /// a [`ShardedEngine`], and the [`cubing_pool`](Self::cubing_pool),
+    /// when set, carries the cubing layer's parallel work either way.
     ///
     /// # Errors
     /// [`StreamError::BadConfig`] for [`Backend::Columnar`] combined
-    /// with [`Algorithm::PopularPath`] (the columnar backend
+    /// with [`Algorithm::PopularPath`] (the columnar layout
     /// implements Algorithm 1 only); otherwise
     /// configuration validation from the ingestor and cube substrates.
     pub fn build(self) -> Result<OnlineEngine<BoxedEngine>> {
-        let algorithm = self.algorithm;
-        let backend = self.backend;
-        let shards = self.shards;
-        if algorithm == Algorithm::PopularPath && backend != Backend::Row {
-            return Err(StreamError::BadConfig {
+        let (algorithm, backend, shards) = (self.algorithm, self.backend, self.shards.max(1));
+        let pool = self.cubing_pool.clone();
+        match (algorithm, backend) {
+            (Algorithm::PopularPath, Backend::Columnar) => Err(StreamError::BadConfig {
                 detail: format!(
                     "the {backend:?} backend implements Algorithm 1 (MoCubing) only; \
                      use Backend::Row with Algorithm::PopularPath"
                 ),
-            });
+            }),
+            (Algorithm::MoCubing, _) => {
+                // Alone, the engine is transient (the paper's memory
+                // model) and fans its tiers out on the pool; as one of
+                // several shards it retains its tables for the merge and
+                // leaves the pool to the `ShardedEngine` it runs on
+                // (the nesting rule of `regcube_core::pool`).
+                let tier_pool = pool.clone().filter(|_| shards == 1);
+                self.build_with(move |schema, layers, policy| {
+                    sharded(shards, pool, schema, layers, policy, move |s, l, p| {
+                        let engine = if shards == 1 {
+                            MoCubingEngine::transient(s, l, p)
+                        } else {
+                            MoCubingEngine::new(s, l, p)
+                        }?
+                        .with_backend(backend)?;
+                        Ok(match &tier_pool {
+                            Some(pool) => engine.with_pool(Arc::clone(pool)),
+                            None => engine,
+                        })
+                    })
+                })
+            }
+            (Algorithm::PopularPath, Backend::Row) => {
+                self.build_with(move |schema, layers, policy| {
+                    sharded(shards, pool, schema, layers, policy, |s, l, p| {
+                        PopularPathEngine::new(s, l, p, None)
+                    })
+                })
+            }
         }
-        let pool = self.cubing_pool.clone();
-        self.build_with(
-            move |schema, layers, policy| match (algorithm, backend, shards) {
-                (Algorithm::MoCubing, Backend::Row, 1) => {
-                    MoCubingEngine::transient(schema, layers, policy)
-                        .map(|e| match &pool {
-                            Some(p) => e.with_pool(Arc::clone(p)),
-                            None => e,
-                        })
-                        .map(|e| Box::new(e) as BoxedEngine)
-                }
-                (Algorithm::MoCubing, Backend::Row, n) => {
-                    ShardedEngine::mo_cubing(schema, layers, policy, n)
-                        .map(|e| match &pool {
-                            Some(p) => e.with_shared_pool(Arc::clone(p)),
-                            None => e,
-                        })
-                        .map(|e| Box::new(e) as BoxedEngine)
-                }
-                (Algorithm::MoCubing, Backend::Columnar, 1) => {
-                    ColumnarCubingEngine::new(schema, layers, policy)
-                        .map(|e| Box::new(e) as BoxedEngine)
-                }
-                (Algorithm::MoCubing, Backend::Columnar, n) => {
-                    ShardedEngine::columnar(schema, layers, policy, n)
-                        .map(|e| match &pool {
-                            Some(p) => e.with_shared_pool(Arc::clone(p)),
-                            None => e,
-                        })
-                        .map(|e| Box::new(e) as BoxedEngine)
-                }
-                (Algorithm::PopularPath, _, 1) => {
-                    PopularPathEngine::new(schema, layers, policy, None)
-                        .map(|e| Box::new(e) as BoxedEngine)
-                }
-                (Algorithm::PopularPath, _, n) => {
-                    ShardedEngine::popular_path(schema, layers, policy, n)
-                        .map(|e| match &pool {
-                            Some(p) => e.with_shared_pool(Arc::clone(p)),
-                            None => e,
-                        })
-                        .map(|e| Box::new(e) as BoxedEngine)
-                }
-            },
-        )
     }
 
     /// Builds the engine and restores it from a checkpoint file written
@@ -461,58 +446,6 @@ impl EngineConfig {
     /// [`build`](Self::build).
     pub fn restore(self, path: impl AsRef<std::path::Path>) -> Result<OnlineEngine<BoxedEngine>> {
         crate::checkpoint::restore(self, path)
-    }
-
-    /// Builds a statically-typed engine running the columnar backend
-    /// ([`ColumnarCubingEngine`]) across [`shards`](Self::shards)
-    /// partitions (a single shard is an exact passthrough).
-    ///
-    /// # Errors
-    /// Configuration validation from the ingestor and cube substrates.
-    pub fn build_columnar(self) -> Result<OnlineEngine<ShardedEngine<ColumnarCubingEngine>>> {
-        let shards = self.shards;
-        let pool = self.cubing_pool.clone();
-        self.build_with(move |schema, layers, policy| {
-            ShardedEngine::columnar(schema, layers, policy, shards).map(|e| match pool {
-                Some(p) => e.with_shared_pool(p),
-                None => e,
-            })
-        })
-    }
-
-    /// Builds a statically-typed engine running Algorithm 1 across
-    /// [`shards`](Self::shards) partitions (a single shard is an exact
-    /// passthrough to one transient [`MoCubingEngine`], so the default
-    /// configuration behaves as before the sharding refactor).
-    ///
-    /// # Errors
-    /// Configuration validation from the ingestor and cube substrates.
-    pub fn build_mo(self) -> Result<OnlineEngine<ShardedEngine<MoCubingEngine>>> {
-        let shards = self.shards;
-        let pool = self.cubing_pool.clone();
-        self.build_with(move |schema, layers, policy| {
-            ShardedEngine::mo_cubing(schema, layers, policy, shards).map(|e| match pool {
-                Some(p) => e.with_shared_pool(p),
-                None => e,
-            })
-        })
-    }
-
-    /// Builds a statically-typed engine running Algorithm 2 with the
-    /// default popular path across [`shards`](Self::shards) partitions
-    /// (a single shard is an exact passthrough).
-    ///
-    /// # Errors
-    /// Configuration validation from the ingestor and cube substrates.
-    pub fn build_popular_path(self) -> Result<OnlineEngine<ShardedEngine<PopularPathEngine>>> {
-        let shards = self.shards;
-        let pool = self.cubing_pool.clone();
-        self.build_with(move |schema, layers, policy| {
-            ShardedEngine::popular_path(schema, layers, policy, shards).map(|e| match pool {
-                Some(p) => e.with_shared_pool(p),
-                None => e,
-            })
-        })
     }
 
     /// Builds an engine around any [`CubingEngine`] the caller
@@ -578,6 +511,31 @@ impl EngineConfig {
             snapshots_published: AtomicU64::new(0),
         })
     }
+}
+
+/// The cubing topology of [`EngineConfig::build`], applied once to every
+/// strategy: one shard is `make`'s engine itself, more are a
+/// [`ShardedEngine`] over `make`'s engines — run on the shared cubing
+/// pool when one is configured, on a private pool otherwise.
+fn sharded<E: CubingEngine + Send + Sync + 'static>(
+    shards: usize,
+    pool: Option<Arc<WorkerPool>>,
+    schema: CubeSchema,
+    layers: CriticalLayers,
+    policy: ExceptionPolicy,
+    make: impl Fn(CubeSchema, CriticalLayers, ExceptionPolicy) -> regcube_core::Result<E>
+        + Send
+        + Sync
+        + 'static,
+) -> regcube_core::Result<BoxedEngine> {
+    if shards == 1 {
+        return Ok(Box::new(make(schema, layers, policy)?));
+    }
+    let engine = ShardedEngine::with_factory(schema, layers, policy, shards, make)?;
+    Ok(Box::new(match pool {
+        Some(pool) => engine.with_shared_pool(pool),
+        None => engine,
+    }))
 }
 
 /// The online analysis engine, generic over the cubing strategy `E`.
@@ -937,7 +895,11 @@ impl<E: CubingEngine> OnlineEngine<E> {
     ///
     /// # Errors
     /// Propagates substrate failures; an empty unit (no records at all)
-    /// yields a report with no alarms and leaves the cube untouched.
+    /// yields a report with no alarms and leaves the cube untouched. A
+    /// unit the cubing engine rejects is returned as that error once:
+    /// the unit is spent (its m-layer frames are pushed, its o-layer
+    /// frames zero-filled, the cube stays on the previous unit) and the
+    /// next close proceeds normally.
     pub fn close_unit(&mut self) -> Result<UnitReport> {
         // Watermark mode: drain the open unit's buffered records into
         // the ingestor in canonical order — the same order every arrival
@@ -965,18 +927,7 @@ impl<E: CubingEngine> OnlineEngine<E> {
         )?;
 
         if cells.is_empty() {
-            // O-layer frames must stay contiguous with the global clock
-            // through empty units too: skipping the zero fill here left
-            // a gap that failed the next non-empty unit's o-frame push
-            // with a spurious out-of-order error.
-            push_unit_into_frames(
-                &mut self.o_frames,
-                &self.tilt_spec,
-                &[],
-                unit,
-                window,
-                self.ticks_per_unit,
-            )?;
+            self.close_without_cube(unit, window)?;
             let late_amendments = std::mem::take(&mut self.pending_amendments);
             let alarm_revisions = std::mem::take(&mut self.pending_revisions);
             let late_dropped = self
@@ -985,8 +936,6 @@ impl<E: CubingEngine> OnlineEngine<E> {
                 .map_or(0, ReorderState::take_dropped_since_report);
             let mut sink_errors = self.sinks.dispatch_amendments(&late_amendments);
             sink_errors.extend(self.sinks.dispatch_revisions(&alarm_revisions));
-            self.last_alarms.clear();
-            self.last_closed_unit = Some(unit);
             return Ok(UnitReport {
                 unit,
                 m_cells: 0,
@@ -1011,10 +960,15 @@ impl<E: CubingEngine> OnlineEngine<E> {
         // window differs from the previous unit's).
         let tuples = Ingestor::to_mtuples(&cells);
         let started = Instant::now();
-        let mut delta = self
-            .cubing
-            .ingest_unit(&tuples)
-            .map_err(StreamError::from)?;
+        let mut delta = match self.cubing.ingest_unit(&tuples) {
+            Ok(delta) => delta,
+            Err(e) => {
+                // The unit is spent either way: the ingestor has rolled
+                // over and the m-frames hold it.
+                self.close_without_cube(unit, window)?;
+                return Err(e.into());
+            }
+        };
         // The built-in engines guarantee sorted deltas (the trait's
         // sorted-delta contract) and `sort_cells` skips after one O(n)
         // verification; only foreign `CubingEngine` backends that
@@ -1110,6 +1064,25 @@ impl<E: CubingEngine> OnlineEngine<E> {
             late_dropped,
             snapshot_epoch: self.units_closed,
         })
+    }
+
+    /// Finishes a unit that produced no cube — an empty one, or one the
+    /// cubing engine rejected. The o-layer frames take a zero fill for
+    /// it, so their clock stays contiguous with the m-layer frames';
+    /// without it the next non-empty unit's o-frame push fails as out of
+    /// order, and so does every close after that.
+    fn close_without_cube(&mut self, unit: i64, window: (i64, i64)) -> Result<()> {
+        push_unit_into_frames(
+            &mut self.o_frames,
+            &self.tilt_spec,
+            &[],
+            unit,
+            window,
+            self.ticks_per_unit,
+        )?;
+        self.last_alarms.clear();
+        self.last_closed_unit = Some(unit);
+        Ok(())
     }
 
     /// The low watermark in units: everything strictly below it is
@@ -1660,21 +1633,14 @@ mod tests {
         assert!(e.cube().is_ok());
     }
 
-    /// Compile-time Send audit: shards move engines to worker threads,
-    /// so every cubing backend (and the type-erased box) must be Send.
+    /// Compile-time Send audit: serving layers move whole online engines
+    /// across worker threads.
     #[test]
     fn engines_are_send() {
         fn assert_send<T: Send>() {}
-        assert_send::<MoCubingEngine>();
-        assert_send::<PopularPathEngine>();
-        assert_send::<ColumnarCubingEngine>();
         assert_send::<BoxedEngine>();
-        assert_send::<ShardedEngine<MoCubingEngine>>();
-        assert_send::<ShardedEngine<PopularPathEngine>>();
-        assert_send::<ShardedEngine<ColumnarCubingEngine>>();
         assert_send::<OnlineEngine<BoxedEngine>>();
         assert_send::<OnlineEngine<ShardedEngine<MoCubingEngine>>>();
-        assert_send::<OnlineEngine<ShardedEngine<ColumnarCubingEngine>>>();
     }
 
     #[test]
@@ -1788,46 +1754,42 @@ mod tests {
     }
 
     #[test]
-    fn statically_typed_columnar_builder_works() {
-        let schema = CubeSchema::synthetic(2, 2, 2).unwrap();
-        let mut e = EngineConfig::new(
-            schema,
-            CuboidSpec::new(vec![0, 0]),
-            CuboidSpec::new(vec![2, 2]),
-        )
-        .with_tilt(TiltSpec::new(vec![("unit", 4), ("coarse", 3)]).unwrap())
-        .with_ticks_per_unit(4)
-        .with_shards(2)
-        .build_columnar()
-        .unwrap();
-        assert_eq!(e.cubing().shards(), 2);
-        feed_unit(&mut e, 0, 1.0);
-        let report = e.close_unit().unwrap();
-        assert_eq!(report.m_cells, 2);
-        assert_eq!(e.cube().unwrap().m_layer_cells(), 2);
-    }
-
-    #[test]
-    fn statically_typed_sharded_builders_work() {
-        let schema = CubeSchema::synthetic(2, 2, 2).unwrap();
-        let mut e = EngineConfig::new(
-            schema,
-            CuboidSpec::new(vec![0, 0]),
-            CuboidSpec::new(vec![2, 2]),
-        )
-        .with_tilt(TiltSpec::new(vec![("unit", 4), ("coarse", 3)]).unwrap())
-        .with_ticks_per_unit(4)
-        .with_shards(2)
-        .build_mo()
-        .unwrap();
-        assert_eq!(e.cubing().shards(), 2);
-        for t in 0..4 {
-            e.ingest(&RawRecord::new(vec![0, 0], t, 1.0)).unwrap();
-            e.ingest(&RawRecord::new(vec![3, 2], t, 2.0)).unwrap();
+    fn every_configuration_with_parallel_work_holds_the_cubing_pool() {
+        // No (algorithm, backend, shards) combination may drop the pool
+        // it was given: the built engine keeps a handle on it — except a
+        // lone popular-path engine, which has no parallel work to run.
+        for (algorithm, backend, shards) in [
+            (Algorithm::MoCubing, Backend::Row, 1),
+            (Algorithm::MoCubing, Backend::Row, 3),
+            (Algorithm::MoCubing, Backend::Columnar, 1),
+            (Algorithm::MoCubing, Backend::Columnar, 3),
+            (Algorithm::PopularPath, Backend::Row, 1),
+            (Algorithm::PopularPath, Backend::Row, 3),
+        ] {
+            let pool = Arc::new(WorkerPool::new(2));
+            let schema = CubeSchema::synthetic(2, 2, 2).unwrap();
+            let mut e = EngineConfig::new(
+                schema,
+                CuboidSpec::new(vec![0, 0]),
+                CuboidSpec::new(vec![2, 2]),
+            )
+            .with_tilt(TiltSpec::new(vec![("unit", 4), ("coarse", 3)]).unwrap())
+            .with_ticks_per_unit(4)
+            .with_algorithm(algorithm)
+            .with_backend(backend)
+            .with_shards(shards)
+            .with_cubing_pool(Arc::clone(&pool))
+            .build()
+            .unwrap();
+            let lone_pp = algorithm == Algorithm::PopularPath && shards == 1;
+            assert_eq!(
+                Arc::strong_count(&pool),
+                if lone_pp { 1 } else { 2 },
+                "{algorithm:?} {backend:?} x{shards}"
+            );
+            feed_unit(&mut e, 0, 2.0);
+            assert_eq!(e.close_unit().unwrap().m_cells, 2);
         }
-        let report = e.close_unit().unwrap();
-        assert_eq!(report.m_cells, 2);
-        assert_eq!(e.cube().unwrap().m_layer_cells(), 2);
     }
 
     #[test]
@@ -1990,6 +1952,92 @@ mod tests {
         let r1 = e.close_unit().unwrap();
         assert_eq!(r1.sink_errors.len(), 1);
         assert!(e.cube().is_ok());
+    }
+
+    /// Algorithm 1, except that the `fail_on`-th `ingest_unit` call
+    /// (1-based) is rejected before it reaches the engine.
+    struct FailsOnce {
+        inner: MoCubingEngine,
+        calls: usize,
+        fail_on: usize,
+    }
+    impl CubingEngine for FailsOnce {
+        fn algorithm(&self) -> regcube_core::result::Algorithm {
+            self.inner.algorithm()
+        }
+        fn ingest_unit(
+            &mut self,
+            tuples: &[regcube_core::MTuple],
+        ) -> regcube_core::Result<UnitDelta> {
+            self.calls += 1;
+            if self.calls == self.fail_on {
+                return Err(CoreError::BadInput {
+                    detail: "injected".into(),
+                });
+            }
+            self.inner.ingest_unit(tuples)
+        }
+        fn result(&self) -> &regcube_core::CubeResult {
+            self.inner.result()
+        }
+        fn stats(&self) -> &regcube_core::RunStats {
+            self.inner.stats()
+        }
+    }
+
+    #[test]
+    fn a_failed_cubing_close_surfaces_once_without_poisoning_the_engine() {
+        let schema = CubeSchema::synthetic(2, 2, 2).unwrap();
+        let mut e = EngineConfig::new(
+            schema,
+            CuboidSpec::new(vec![0, 0]),
+            CuboidSpec::new(vec![2, 2]),
+        )
+        .with_policy(ExceptionPolicy::slope_threshold(1.0))
+        .with_tilt(TiltSpec::new(vec![("unit", 4), ("coarse", 3)]).unwrap())
+        .with_ticks_per_unit(4)
+        .build_with(|schema, layers, policy| {
+            MoCubingEngine::transient(schema, layers, policy).map(|inner| FailsOnce {
+                inner,
+                calls: 0,
+                fail_on: 2,
+            })
+        })
+        .unwrap();
+
+        feed_unit(&mut e, 0, 2.0);
+        assert_eq!(e.close_unit().unwrap().unit, 0);
+        feed_unit(&mut e, 1, 2.0);
+        let err = e.close_unit().unwrap_err();
+        assert!(
+            matches!(&err, StreamError::Core(CoreError::BadInput { detail }) if detail == "injected"),
+            "{err}"
+        );
+        assert_eq!(e.units_closed(), 2, "the failed unit is spent, not retried");
+
+        // The next three closes succeed, on the units that follow.
+        for unit in 2..5 {
+            feed_unit(&mut e, unit, 2.0);
+            let report = e.close_unit().unwrap();
+            assert_eq!(report.unit, unit);
+            assert_eq!(report.alarms.len(), 1, "unit {unit}");
+        }
+
+        // Both frame clocks advanced through the failed unit, so the
+        // apex o-cell's ladder reads as one gapless timeline.
+        let apex = CellKey::new(vec![0, 0]);
+        assert_eq!(e.o_layer_frame(&apex).unwrap().next_unit(), 5);
+        assert_eq!(
+            e.tilt_frame(&CellKey::new(vec![0, 0])).unwrap().next_unit(),
+            5
+        );
+        let ladder = e.drill_history(&apex).unwrap();
+        let spans: Vec<(i64, i64)> = ladder.iter().map(|hit| hit.measure.interval()).collect();
+        assert_eq!(spans.first().map(|s| s.0), Some(0));
+        assert_eq!(spans.last().map(|s| s.1), Some(19));
+        for pair in spans.windows(2) {
+            assert_eq!(pair[0].1 + 1, pair[1].0, "gap in the ladder: {spans:?}");
+        }
     }
 
     /// The reorder-enabled twin of [`engine`].

@@ -104,7 +104,10 @@ fn main() {
     )
     .unwrap();
     let mut columnar =
-        ColumnarCubingEngine::new(schema, layers, ExceptionPolicy::slope_threshold(0.8)).unwrap();
+        MoCubingEngine::transient(schema, layers, ExceptionPolicy::slope_threshold(0.8))
+            .unwrap()
+            .with_backend(Backend::Columnar)
+            .unwrap();
     columnar.ingest_unit(&tuples).unwrap();
     assert_eq!(
         columnar.result().total_exception_cells(),

@@ -151,8 +151,10 @@ fn main() {
     // The columnar backend rolls the same field up over struct-of-arrays
     // tables (the cache-friendly layout of the hot aggregation path) —
     // same trait, same cube, different bytes.
-    let mut columnar =
-        ColumnarCubingEngine::new(schema.clone(), layers.clone(), policy.clone()).unwrap();
+    let mut columnar = MoCubingEngine::transient(schema.clone(), layers.clone(), policy.clone())
+        .unwrap()
+        .with_backend(Backend::Columnar)
+        .unwrap();
     columnar.ingest_unit(&tuples).unwrap();
     let mut single = MoCubingEngine::transient(schema, layers, policy).unwrap();
     single.ingest_unit(&tuples).unwrap();

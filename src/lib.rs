@@ -14,7 +14,7 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`regress`] | `regcube-regress` | time series, OLS, ISB, Theorems 3.2/3.3, folding, MLR, transforms |
-//! | [`linalg`] | `regcube-linalg` | dense matrices, Cholesky/LU/QR, least squares |
+//! | [`linalg`] | `regcube-linalg` | dense matrices and the Cholesky solve behind the MLR normal equations |
 //! | [`olap`] | `regcube-olap` | dimensions, hierarchies, cells, cuboid lattices, popular paths, H-tree |
 //! | [`tilt`] | `regcube-tilt` | tilt time frames with lossless slot promotion |
 //! | [`core`] | `regcube-core` | critical layers, exception policies, Algorithms 1 & 2, drilling |
@@ -38,7 +38,7 @@
 //! ```
 //!
 //! See `examples/` for full scenarios (power grid monitoring, network
-//! traffic, sensor fields) and `DESIGN.md` / `EXPERIMENTS.md` for the
+//! traffic, sensor fields) and `ARCHITECTURE.md` for the
 //! paper-reproduction map.
 
 #![deny(missing_docs)]
@@ -89,9 +89,9 @@ pub mod sim {
 /// The most frequently used types, re-exported flat.
 pub mod prelude {
     pub use regcube_core::{
-        mo_cubing, popular_path, Backend, ColumnarCubingEngine, CriticalLayers, CubeResult,
-        CubingEngine, DrillFrontier, ExceptionPolicy, Frontier, MTuple, MoCubingEngine,
-        PopularPathEngine, RefMode, RegressionCube, ShardedEngine, WorkerPool,
+        mo_cubing, popular_path, Backend, CriticalLayers, CubeResult, CubingEngine, DrillFrontier,
+        ExceptionPolicy, Frontier, MTuple, MoCubingEngine, PopularPathEngine, RefMode,
+        RegressionCube, ShardedEngine, WorkerPool,
     };
     pub use regcube_datagen::{Dataset, DatasetSpec};
     pub use regcube_olap::{

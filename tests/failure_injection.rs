@@ -409,7 +409,8 @@ fn columnar_rollover_excludes_stale_shards() {
     )
     .unwrap();
     let policy = ExceptionPolicy::slope_threshold(0.4);
-    let mut engine = ShardedEngine::columnar(schema, layers, policy, 7).unwrap();
+    let mut engine =
+        ShardedEngine::mo_cubing_on(Backend::Columnar, schema, layers, policy, 7).unwrap();
 
     let mut first = Vec::new();
     for a in 0..4u32 {
@@ -439,7 +440,6 @@ fn columnar_rollover_excludes_stale_shards() {
 
 #[test]
 fn forced_scalar_fallback_survives_the_stale_shard_rollover() {
-    use regcube::core::columnar::ColumnarCubingEngine;
     use regcube::core::KernelMode;
     // Kernel dispatch is a pure perf decision: with the chunked kernels
     // forced off (`KernelMode::Scalar`), the sharded columnar engine
@@ -453,10 +453,18 @@ fn forced_scalar_fallback_survives_the_stale_shard_rollover() {
     )
     .unwrap();
     let policy = ExceptionPolicy::slope_threshold(0.4);
-    let mut auto =
-        ShardedEngine::columnar(schema.clone(), layers.clone(), policy.clone(), 7).unwrap();
+    let mut auto = ShardedEngine::mo_cubing_on(
+        Backend::Columnar,
+        schema.clone(),
+        layers.clone(),
+        policy.clone(),
+        7,
+    )
+    .unwrap();
     let mut scalar = ShardedEngine::with_factory(schema, layers, policy, 7, |s, l, p| {
-        ColumnarCubingEngine::new(s, l, p).map(|e| e.with_kernel_mode(KernelMode::Scalar))
+        MoCubingEngine::new(s, l, p)?
+            .with_backend(Backend::Columnar)
+            .map(|e| e.with_kernel_mode(KernelMode::Scalar))
     })
     .unwrap();
 
