@@ -44,6 +44,7 @@ use crate::Result;
 use regcube_olap::cell::{project_key, CellKey};
 use regcube_olap::fxhash::{FxHashMap, FxHashSet};
 use regcube_olap::{CubeSchema, CuboidSpec};
+use std::sync::Arc;
 
 pub use crate::mo_cubing::MoCubingEngine;
 pub use crate::popular_path::PopularPathEngine;
@@ -216,6 +217,16 @@ pub trait CubingEngine {
     /// Work and memory statistics accumulated over the open unit.
     fn stats(&self) -> &RunStats;
 
+    /// The open unit's cube as a shared handle — what a serving
+    /// snapshot keeps. The built-in engines hold their result behind an
+    /// [`Arc`] and hand out a reference count (a later same-window
+    /// batch copies the result only if such a handle is still alive);
+    /// the default clones [`result`](Self::result), so an engine that
+    /// does not override this keeps working, one deep copy per call.
+    fn shared_result(&self) -> Arc<CubeResult> {
+        Arc::new(self.result().clone())
+    }
+
     /// The full tables of every strictly-between cuboid of the open
     /// unit, when the engine retains them all (`None` otherwise — the
     /// default). An engine that answers `Some` lets a
@@ -242,6 +253,9 @@ impl<E: CubingEngine + ?Sized> CubingEngine for Box<E> {
     fn stats(&self) -> &RunStats {
         (**self).stats()
     }
+    fn shared_result(&self) -> Arc<CubeResult> {
+        (**self).shared_result()
+    }
     fn full_between_tables(&self) -> Option<&FxHashMap<CuboidSpec, CuboidTable>> {
         (**self).full_between_tables()
     }
@@ -252,8 +266,8 @@ pub(crate) fn empty_result(
     layers: &CriticalLayers,
     policy: &ExceptionPolicy,
     algorithm: Algorithm,
-) -> CubeResult {
-    CubeResult::new(
+) -> Arc<CubeResult> {
+    Arc::new(CubeResult::new(
         layers.clone(),
         policy.clone(),
         algorithm,
@@ -262,7 +276,13 @@ pub(crate) fn empty_result(
         FxHashMap::default(),
         FxHashMap::default(),
         RunStats::default(),
-    )
+    ))
+}
+
+/// Takes a result back out of its shared handle: moved when the engine
+/// held the only reference, copied when a snapshot still holds one.
+pub(crate) fn unshare_result(result: Arc<CubeResult>) -> CubeResult {
+    Arc::try_unwrap(result).unwrap_or_else(|shared| (*shared).clone())
 }
 
 /// The window of a validated, non-empty batch.

@@ -33,8 +33,8 @@
 
 use crate::columnar::ColumnarTable;
 use crate::engine::{
-    batch_window, empty_result, exception_bytes, exception_cells, fold_tuples_into, Backend,
-    CubingEngine, UnitDelta,
+    batch_window, empty_result, exception_bytes, exception_cells, fold_tuples_into, unshare_result,
+    Backend, CubingEngine, UnitDelta,
 };
 use crate::exception::ExceptionPolicy;
 use crate::kernel::KernelMode;
@@ -49,6 +49,22 @@ use regcube_olap::fxhash::FxHashMap;
 use regcube_olap::{CubeSchema, CuboidSpec};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Source rows a depth tier must fold before it is fanned out on the
+/// pool rather than aggregated on the caller's thread.
+///
+/// A [`WorkerPool::run`] round trip — boxing the jobs, one channel send
+/// and one parked-worker wake-up per job, the results coming back over a
+/// second channel — was measured at 47–50 µs (median of 20,000 runs of
+/// 2–4 empty tasks on a 2-worker pool, 2-vCPU VM). A tier folds a source
+/// row in 33–37 ns on the columnar layout and 170–200 ns on the row
+/// layout (`ingest_unit` over 256–16,384 tuples, time per
+/// `rows_folded`). Two workers at best halve a tier, so the hand-off
+/// pays for itself once `rows × 35 ns / 2 > 48 µs`, about 2,700 rows on
+/// the cheaper layout; the next power of two leaves a margin for the
+/// uneven split of real tiers. Below it — a quiet tenant's 16-row unit —
+/// the hand-off is several times the work it hands off.
+const FAN_OUT_MIN_ROWS: usize = 4096;
 
 /// Groups every cuboid strictly above the m-layer into depth *tiers*
 /// (bottom-up, same total depth per tier) — the roll-up order.
@@ -118,7 +134,8 @@ pub struct MoCubingEngine {
     tables: FxHashMap<CuboidSpec, CuboidTable>,
     stats: RunStats,
     mem: MemoryAccountant,
-    result: CubeResult,
+    /// Shared with every snapshot taken of the open unit.
+    result: Arc<CubeResult>,
 }
 
 impl MoCubingEngine {
@@ -204,9 +221,11 @@ impl MoCubingEngine {
     /// Attaches a worker pool for the tier roll-up: cuboids at the same
     /// lattice depth are independent (each aggregates from an already
     /// computed finer tier), so [`ingest_unit`](CubingEngine::ingest_unit)
-    /// computes every tier's tables in parallel on the pool. Results are
-    /// merged in deterministic lattice order, so the cube is identical
-    /// to a sequential run.
+    /// computes a tier's tables in parallel on the pool — when the pool
+    /// has more than one worker and the tier folds enough source rows
+    /// to pay for the hand-off; a small tier is aggregated on the
+    /// caller's thread. Results are merged in deterministic lattice
+    /// order, so the cube is identical to a sequential run either way.
     ///
     /// Do **not** attach the pool a [`crate::shard::ShardedEngine`] runs
     /// on to its inner engines — see the nesting rule in [`crate::pool`].
@@ -223,7 +242,7 @@ impl MoCubingEngine {
 
     /// Consumes the engine, returning the final cube result.
     pub fn into_result(self) -> CubeResult {
-        self.result
+        unshare_result(self.result)
     }
 
     /// Counts one layout-level fold, attributing it to the kernel or
@@ -314,7 +333,7 @@ impl MoCubingEngine {
         self.stats.cuboids_computed += 1;
 
         // Step 2: the rest of the lattice.
-        self.result = self.roll_up(m_table)?;
+        self.result = Arc::new(self.roll_up(m_table)?);
         Ok(())
     }
 
@@ -342,8 +361,8 @@ impl MoCubingEngine {
     /// Computes every cuboid above the m-layer bottom-up in depth
     /// *tiers*, each aggregated from its closest computed descendant (a
     /// one-step-finer table from the previous tier). Cuboids within one
-    /// tier are independent, so a tier is fanned out on the attached
-    /// [`WorkerPool`] (when present) and merged back in lattice order —
+    /// tier are independent, so a large enough tier is fanned out on
+    /// the attached [`WorkerPool`] and merged back in lattice order —
     /// the parallel hot path of the single-engine roll-up. Returns the
     /// o-layer table and the exception stores; between-layer full
     /// tables go to `self.tables` (incremental mode) or are dropped as
@@ -408,10 +427,10 @@ impl MoCubingEngine {
         Ok((o_table, exceptions))
     }
 
-    /// Aggregates one depth tier. With a pool attached and more than one
-    /// cuboid in the tier, the aggregations fan out to the workers; the
-    /// results come back **in plan order** either way, so stats and
-    /// exception screening stay deterministic.
+    /// Aggregates one depth tier — on the attached pool when the tier is
+    /// worth the hand-off ([`FAN_OUT_MIN_ROWS`]), on the caller's thread
+    /// otherwise. The results come back **in plan order** either way, so
+    /// stats, exception screening and the cube are the same bits.
     fn compute_tier<T: TableStorage>(
         &self,
         plans: Vec<TierPlan<T>>,
@@ -421,8 +440,15 @@ impl MoCubingEngine {
                 .roll_up(schema, &plan.source, &plan.cuboid)
                 .map(|(full, folded)| (plan.cuboid, full, folded))
         };
-        match &self.pool {
-            Some(pool) if plans.len() > 1 => {
+        let fan_out = self.pool.as_ref().filter(|pool| {
+            // One worker would run the tier serially while the caller
+            // blocks on it: a hand-off with nothing to win.
+            pool.threads() > 1
+                && plans.len() > 1
+                && plans.iter().map(|plan| plan.table.len()).sum::<usize>() >= FAN_OUT_MIN_ROWS
+        });
+        match fan_out {
+            Some(pool) => {
                 let tasks: Vec<_> = plans
                     .into_iter()
                     .map(|plan| {
@@ -432,7 +458,7 @@ impl MoCubingEngine {
                     .collect();
                 pool.run(tasks)
             }
-            _ => plans
+            None => plans
                 .into_iter()
                 .map(|plan| aggregate(&self.schema, plan))
                 .collect(),
@@ -475,9 +501,9 @@ impl MoCubingEngine {
         for is_o in [false, true] {
             let spec = if is_o { &o_spec } else { &m_spec };
             let table = if is_o {
-                self.result.o_table_mut()
+                Arc::make_mut(&mut self.result).o_table_mut()
             } else {
-                self.result.m_table_mut()
+                Arc::make_mut(&mut self.result).m_table_mut()
             };
             let before = table_bytes(table, dims);
             let (touched, created) = fold_tuples_into(&self.schema, &m_spec, spec, table, tuples)?;
@@ -492,7 +518,7 @@ impl MoCubingEngine {
         // exception stores are bracketed so the accountant tracks their
         // growth/shrinkage too.
         let exc_before = exception_bytes(&self.result, dims);
-        let exceptions = self.result.exceptions_mut();
+        let exceptions = Arc::make_mut(&mut self.result).exceptions_mut();
         for (cuboid, table) in &mut self.tables {
             let before = table_bytes(table, dims);
             let (touched, created) =
@@ -535,7 +561,12 @@ impl MoCubingEngine {
     ) -> Result<()> {
         let dims = self.schema.num_dims();
         let m_spec = self.layers.lattice().m_layer().clone();
-        let mut m_table = std::mem::take(self.result.m_table_mut());
+        // The m-table moves out of the old result, unless a snapshot
+        // still shares that result: then only the m-table is copied.
+        let mut m_table = match Arc::get_mut(&mut self.result) {
+            Some(result) => std::mem::take(result.m_table_mut()),
+            None => self.result.m_table().clone(),
+        };
 
         let m_bytes = table_bytes(&m_table, dims);
         let (touched, created) =
@@ -553,7 +584,7 @@ impl MoCubingEngine {
         // live set (and therefore future peaks) stays truthful.
         self.mem
             .remove(table_bytes(self.result.o_table(), dims) + exception_bytes(&self.result, dims));
-        self.result = result;
+        self.result = Arc::new(result);
         Ok(())
     }
 
@@ -580,7 +611,7 @@ impl MoCubingEngine {
                 .map(|t| table_bytes(t, dims))
                 .sum::<usize>();
         self.stats.peak_bytes = self.mem.peak();
-        self.result.set_stats(self.stats);
+        Arc::make_mut(&mut self.result).set_stats(self.stats);
     }
 }
 
@@ -602,6 +633,10 @@ impl CubingEngine for MoCubingEngine {
 
     fn stats(&self) -> &RunStats {
         &self.stats
+    }
+
+    fn shared_result(&self) -> Arc<CubeResult> {
+        Arc::clone(&self.result)
     }
 
     /// Incremental mode keeps every between-layer full table for the

@@ -14,8 +14,8 @@
 //! unit and returns the result.
 
 use crate::engine::{
-    batch_window, empty_result, exception_bytes, exception_cells, fold_tuples_into, CubingEngine,
-    UnitDelta,
+    batch_window, empty_result, exception_bytes, exception_cells, fold_tuples_into, unshare_result,
+    CubingEngine, UnitDelta,
 };
 use crate::error::CoreError;
 use crate::exception::ExceptionPolicy;
@@ -31,6 +31,7 @@ use regcube_olap::htree::{attrs_for_path, expand_tuple, HTree, NodeId};
 use regcube_olap::{CubeSchema, CuboidSpec, PopularPath};
 use regcube_regress::Isb;
 use std::cell::RefCell;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The **exception frontier** of one cuboid: the set of its cells that
@@ -188,7 +189,8 @@ pub struct PopularPathEngine {
     full_replay: bool,
     stats: RunStats,
     mem: MemoryAccountant,
-    result: CubeResult,
+    /// Shared with every snapshot taken of the open unit.
+    result: Arc<CubeResult>,
 }
 
 impl PopularPathEngine {
@@ -250,7 +252,7 @@ impl PopularPathEngine {
 
     /// Consumes the engine, returning the final cube result.
     pub fn into_result(self) -> CubeResult {
-        self.result
+        unshare_result(self.result)
     }
 
     /// Full recomputation for a new unit window: path-ordered H-tree
@@ -319,7 +321,7 @@ impl PopularPathEngine {
         self.mem.add(table_bytes(&m_table, dims));
         let o_table = path_tables[lattice.o_layer()].clone();
         self.mem.add(table_bytes(&o_table, dims));
-        self.result = CubeResult::new(
+        self.result = Arc::new(CubeResult::new(
             self.layers.clone(),
             self.policy.clone(),
             Algorithm::PopularPath,
@@ -328,7 +330,7 @@ impl PopularPathEngine {
             FxHashMap::default(),
             path_tables,
             self.stats,
-        );
+        ));
         self.drill_full()
     }
 
@@ -346,8 +348,7 @@ impl PopularPathEngine {
         let mut m_updates: Vec<(CellKey, Isb)> = Vec::new();
         let mut o_updates: Vec<(CellKey, Isb)> = Vec::new();
         for cuboid in &path_specs {
-            let table = self
-                .result
+            let table = Arc::make_mut(&mut self.result)
                 .path_tables_mut()
                 .get_mut(cuboid)
                 .expect("path tables are pre-created per unit");
@@ -383,9 +384,9 @@ impl PopularPathEngine {
         }
         for spec_is_m in [true, false] {
             let (updates, mirror) = if spec_is_m {
-                (&m_updates, self.result.m_table_mut())
+                (&m_updates, Arc::make_mut(&mut self.result).m_table_mut())
             } else {
-                (&o_updates, self.result.o_table_mut())
+                (&o_updates, Arc::make_mut(&mut self.result).o_table_mut())
             };
             let before = table_bytes(mirror, dims);
             for (key, isb) in updates {
@@ -468,7 +469,7 @@ impl PopularPathEngine {
         for table in exceptions.values() {
             self.mem.add(table_bytes(table, dims));
         }
-        let old = std::mem::replace(self.result.exceptions_mut(), exceptions);
+        let old = std::mem::replace(Arc::make_mut(&mut self.result).exceptions_mut(), exceptions);
         for table in old.values() {
             self.mem.remove(table_bytes(table, dims));
         }
@@ -617,7 +618,7 @@ impl PopularPathEngine {
         }
 
         // Apply the collected exception-store updates in one pass.
-        let exceptions = self.result.exceptions_mut();
+        let exceptions = Arc::make_mut(&mut self.result).exceptions_mut();
         for (cuboid, key, value) in exc_updates {
             match value {
                 Some(isb) => {
@@ -733,7 +734,7 @@ impl PopularPathEngine {
                 .map(|t| table_bytes(t, dims))
                 .sum::<usize>();
         self.stats.peak_bytes = self.mem.peak();
-        self.result.set_stats(self.stats);
+        Arc::make_mut(&mut self.result).set_stats(self.stats);
     }
 }
 
@@ -820,6 +821,10 @@ impl CubingEngine for PopularPathEngine {
 
     fn result(&self) -> &CubeResult {
         &self.result
+    }
+
+    fn shared_result(&self) -> Arc<CubeResult> {
+        Arc::clone(&self.result)
     }
 
     fn stats(&self) -> &RunStats {

@@ -62,7 +62,7 @@
 //! the same primitives but are never nested.
 
 use crate::engine::{
-    batch_window, empty_result, exception_cells, Backend, CubingEngine, UnitDelta,
+    batch_window, empty_result, exception_cells, unshare_result, Backend, CubingEngine, UnitDelta,
 };
 use crate::exception::ExceptionPolicy;
 use crate::layers::CriticalLayers;
@@ -112,7 +112,8 @@ pub struct ShardedEngine<E: CubingEngine + Send + Sync + 'static> {
     window: Option<(i64, i64)>,
     units_opened: u64,
     stats: RunStats,
-    result: CubeResult,
+    /// Shared with every snapshot taken of the open unit.
+    result: Arc<CubeResult>,
 }
 
 impl<E: CubingEngine + Send + Sync + 'static> std::fmt::Debug for ShardedEngine<E> {
@@ -277,7 +278,7 @@ impl<E: CubingEngine + Send + Sync + 'static> ShardedEngine<E> {
 
     /// Consumes the engine, returning the final merged cube result.
     pub fn into_result(self) -> CubeResult {
-        self.result
+        unshare_result(self.result)
     }
 
     /// Partitions a validated batch by hashing each tuple's m-layer key.
@@ -470,7 +471,7 @@ impl<E: CubingEngine + Send + Sync + 'static> ShardedEngine<E> {
                 .sum::<usize>();
         stats.elapsed = self.stats.elapsed;
         self.stats = stats;
-        self.result = CubeResult::new(
+        self.result = Arc::new(CubeResult::new(
             self.layers.clone(),
             (*self.policy).clone(),
             self.algorithm,
@@ -479,7 +480,7 @@ impl<E: CubingEngine + Send + Sync + 'static> ShardedEngine<E> {
             exceptions,
             path_tables,
             self.stats,
-        );
+        ));
         Ok(())
     }
 }
@@ -508,7 +509,7 @@ impl<E: CubingEngine + Send + Sync + 'static> CubingEngine for ShardedEngine<E> 
             }
             delta.unit = self.units_opened.saturating_sub(1);
             let engine = read(&self.shards[0]);
-            self.result = engine.result().clone();
+            self.result = engine.shared_result();
             self.stats = *engine.stats();
             return Ok(delta);
         }
@@ -533,12 +534,16 @@ impl<E: CubingEngine + Send + Sync + 'static> CubingEngine for ShardedEngine<E> 
         delta.cleared = before.difference(&after).cloned().collect();
         delta.sort_cells();
         self.stats.elapsed = pre_batch + started.elapsed();
-        self.result.set_stats(self.stats);
+        Arc::make_mut(&mut self.result).set_stats(self.stats);
         Ok(delta)
     }
 
     fn result(&self) -> &CubeResult {
         &self.result
+    }
+
+    fn shared_result(&self) -> Arc<CubeResult> {
+        Arc::clone(&self.result)
     }
 
     fn stats(&self) -> &RunStats {

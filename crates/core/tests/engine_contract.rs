@@ -38,7 +38,17 @@ use regcube_regress::{Isb, TimeSeries};
 use std::sync::Arc;
 
 fn random_dataset(seed: u64, n: usize) -> (CubeSchema, CriticalLayers, Vec<MTuple>) {
-    let (dims, depth, fanout) = (2usize, 2u8, 3u32);
+    random_dataset_of_fanout(seed, n, 3)
+}
+
+/// `n` random tuples over a 2-dimensional, 2-level schema: `fanout⁴`
+/// possible m-cells.
+fn random_dataset_of_fanout(
+    seed: u64,
+    n: usize,
+    fanout: u32,
+) -> (CubeSchema, CriticalLayers, Vec<MTuple>) {
+    let (dims, depth) = (2usize, 2u8);
     let schema = CubeSchema::synthetic(dims, depth, fanout).unwrap();
     let layers = CriticalLayers::new(
         &schema,
@@ -410,45 +420,54 @@ fn bits(m: &Isb) -> (i64, i64, u64, u64) {
 fn a_worker_pool_never_changes_a_bit() {
     // The tier fan-out returns results in plan order, so an engine with
     // a pool attached computes the identical cube and deltas to one
-    // without — on both layouts (the columnar one had no fan-out of its
-    // own before there was one engine).
+    // without — on both layouts.
     fn tables_bit_eq(label: &str, a: &CuboidTable, b: &CuboidTable) {
         assert_eq!(a.len(), b.len(), "{label}: cell counts differ");
         for (key, m) in a {
             assert_eq!(Some(bits(m)), b.get(key).map(bits), "{label} {key}");
         }
     }
-    let (schema, layers, tuples) = random_dataset(72, 150);
+    // The engine fans a tier out only when its source tables hold
+    // thousands of rows, so the parity is checked on both sides of that
+    // gate: 81 possible m-cells keep every tier sequential, while the
+    // 4,000-tuple opening batch over 4,096 possible m-cells (some 2,500
+    // distinct) puts twice that many source rows in front of the first
+    // tier's two cuboids — a fan-out — and 1,536 in front of the
+    // second tier's three.
     let policy = ExceptionPolicy::slope_threshold(0.3);
-    let pool = Arc::new(WorkerPool::new(3));
-    for backend in [Backend::Row, Backend::Columnar] {
-        for transient in [true, false] {
-            let make = mo(backend, transient);
-            let mut plain = make(schema.clone(), layers.clone(), policy.clone()).unwrap();
-            let mut pooled = make(schema.clone(), layers.clone(), policy.clone())
-                .unwrap()
-                .with_pool(Arc::clone(&pool));
-            let batches = [
-                in_unit(&tuples, 150, 0)[..100].to_vec(),
-                in_unit(&tuples, 150, 0)[100..].to_vec(),
-                in_unit(&tuples, 40, 1),
-            ];
-            for (i, batch) in batches.iter().enumerate() {
-                let label = format!("{backend:?} transient={transient} batch {i}");
-                let (dp, dq) = (
-                    plain.ingest_unit(batch).unwrap(),
-                    pooled.ingest_unit(batch).unwrap(),
-                );
-                assert_eq!(dp.appeared, dq.appeared, "{label}");
-                assert_eq!(dp.cleared, dq.cleared, "{label}");
-                assert_eq!(dp.cells_touched, dq.cells_touched, "{label}");
-                let (p, q) = (plain.result(), pooled.result());
-                tables_bit_eq(&format!("{label}/m"), p.m_table(), q.m_table());
-                tables_bit_eq(&format!("{label}/o"), p.o_table(), q.o_table());
-                assert_eq!(p.total_exception_cells(), q.total_exception_cells());
-                for (cuboid, key, m) in p.iter_exceptions() {
-                    let other = q.exceptions_in(cuboid).and_then(|t| t.get(key));
-                    assert_eq!(Some(bits(m)), other.map(bits), "{label} {cuboid}{key}");
+    let pool = Arc::new(WorkerPool::new(2));
+    for (fanout, n) in [(3u32, 150usize), (8, 6000)] {
+        let (schema, layers, tuples) = random_dataset_of_fanout(72, n, fanout);
+        let (first, rest) = (n * 2 / 3, n / 4);
+        for backend in [Backend::Row, Backend::Columnar] {
+            for transient in [true, false] {
+                let make = mo(backend, transient);
+                let mut plain = make(schema.clone(), layers.clone(), policy.clone()).unwrap();
+                let mut pooled = make(schema.clone(), layers.clone(), policy.clone())
+                    .unwrap()
+                    .with_pool(Arc::clone(&pool));
+                let batches = [
+                    in_unit(&tuples, n, 0)[..first].to_vec(),
+                    in_unit(&tuples, n, 0)[first..].to_vec(),
+                    in_unit(&tuples, rest, 1),
+                ];
+                for (i, batch) in batches.iter().enumerate() {
+                    let label = format!("{n} tuples {backend:?} transient={transient} batch {i}");
+                    let (dp, dq) = (
+                        plain.ingest_unit(batch).unwrap(),
+                        pooled.ingest_unit(batch).unwrap(),
+                    );
+                    assert_eq!(dp.appeared, dq.appeared, "{label}");
+                    assert_eq!(dp.cleared, dq.cleared, "{label}");
+                    assert_eq!(dp.cells_touched, dq.cells_touched, "{label}");
+                    let (p, q) = (plain.result(), pooled.result());
+                    tables_bit_eq(&format!("{label}/m"), p.m_table(), q.m_table());
+                    tables_bit_eq(&format!("{label}/o"), p.o_table(), q.o_table());
+                    assert_eq!(p.total_exception_cells(), q.total_exception_cells());
+                    for (cuboid, key, m) in p.iter_exceptions() {
+                        let other = q.exceptions_in(cuboid).and_then(|t| t.get(key));
+                        assert_eq!(Some(bits(m)), other.map(bits), "{label} {cuboid}{key}");
+                    }
                 }
             }
         }

@@ -52,6 +52,7 @@ use regcube_core::alarm::{AlarmRevision, LateAmendment};
 use regcube_core::engine::CubingEngine;
 use regcube_core::MTuple;
 use regcube_olap::cell::CellKey;
+use regcube_olap::fxhash::FxHashMap;
 use regcube_olap::CuboidSpec;
 use regcube_regress::Isb;
 use regcube_tilt::{TiltFrame, TiltSlot};
@@ -60,6 +61,10 @@ use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"RGCK";
 const VERSION: u32 = 1;
+/// Magic, version and payload length ahead of the payload.
+const HEADER_BYTES: usize = 16;
+/// Encoded size of one tilt slot: its unit (`u64`) and its ISB.
+const SLOT_BYTES: usize = 8 + 32;
 
 // ---------------------------------------------------------------------------
 // Public API
@@ -86,14 +91,31 @@ pub fn checkpoint_bytes<E: CubingEngine>(engine: &OnlineEngine<E>) -> Result<Vec
             ),
         });
     }
-    let payload = encode_state(engine);
-    let mut out = Vec::with_capacity(payload.len() + 24);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-    Ok(out)
+    // The file image is written in place: header first (the payload
+    // length patched in once it is known), payload, checksum. The tilt
+    // frames are nearly all of the payload, so sizing the buffer for
+    // them up front spares the doubling copies of a growing `Vec`.
+    let frame_bytes = |frames: &FxHashMap<CellKey, TiltFrame<Isb>>| -> usize {
+        frames
+            .iter()
+            .map(|(key, frame)| {
+                8 + 4 * key.ids().len()
+                    + 24
+                    + 8 * frame.spec().num_levels()
+                    + SLOT_BYTES * frame.retained_slots()
+            })
+            .sum()
+    };
+    let mut enc =
+        Enc::with_capacity(4096 + frame_bytes(&engine.frames) + frame_bytes(&engine.o_frames));
+    enc.buf.extend_from_slice(MAGIC);
+    enc.u32(VERSION);
+    enc.u64(0);
+    encode_state(engine, &mut enc);
+    let payload_len = (enc.buf.len() - HEADER_BYTES) as u64;
+    enc.buf[8..HEADER_BYTES].copy_from_slice(&payload_len.to_le_bytes());
+    enc.u64(fnv1a(&enc.buf[HEADER_BYTES..]));
+    Ok(enc.buf)
 }
 
 /// Writes a checkpoint file for `engine` (see [`checkpoint_bytes`]).
@@ -214,8 +236,10 @@ struct Enc {
 }
 
 impl Enc {
-    fn new() -> Self {
-        Enc { buf: Vec::new() }
+    fn with_capacity(bytes: usize) -> Self {
+        Enc {
+            buf: Vec::with_capacity(bytes),
+        }
     }
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -344,6 +368,22 @@ impl<'a> Dec<'a> {
             detail: format!("invalid ISB decoding {what}: {e}"),
         })
     }
+    /// Total slots of the `levels` level blocks that start at the
+    /// cursor, which stays where it is. The bytes of every counted slot
+    /// are present, so the total is safe to allocate for.
+    fn peek_slot_total(&self, levels: usize) -> Result<usize> {
+        let mut probe = Dec {
+            buf: self.buf,
+            pos: self.pos,
+        };
+        let mut total = 0;
+        for _ in 0..levels {
+            let len = probe.count("frame slot count")?;
+            probe.take(len.saturating_mul(SLOT_BYTES), "frame slots")?;
+            total += len;
+        }
+        Ok(total)
+    }
     fn done(&self) -> Result<()> {
         if self.pos != self.buf.len() {
             return Err(StreamError::Checkpoint {
@@ -391,10 +431,8 @@ fn engine_fingerprint<E: CubingEngine>(engine: &OnlineEngine<E>) -> String {
 fn encode_frame(enc: &mut Enc, frame: &TiltFrame<Isb>) {
     enc.u64(frame.next_unit());
     enc.u64(frame.stats().expired_units);
-    let levels = frame.spec().num_levels();
-    enc.u64(levels as u64);
-    for level in 0..levels {
-        let slots = frame.slots(level).expect("level in range");
+    enc.u64(frame.spec().num_levels() as u64);
+    for slots in frame.levels() {
         enc.u64(slots.len() as u64);
         for slot in slots {
             enc.u64(slot.unit);
@@ -403,7 +441,7 @@ fn encode_frame(enc: &mut Enc, frame: &TiltFrame<Isb>) {
     }
 }
 
-fn encode_frames(enc: &mut Enc, frames: &regcube_olap::fxhash::FxHashMap<CellKey, TiltFrame<Isb>>) {
+fn encode_frames(enc: &mut Enc, frames: &FxHashMap<CellKey, TiltFrame<Isb>>) {
     // Sorted for determinism: the same engine state always produces the
     // same checkpoint bytes.
     let mut keys: Vec<&CellKey> = frames.keys().collect();
@@ -501,7 +539,10 @@ struct SavedState {
 struct FrameParts {
     next_unit: u64,
     expired_units: u64,
-    levels: Vec<Vec<TiltSlot<Isb>>>,
+    num_levels: usize,
+    /// Every slot in timeline order (coarsest level first), the order
+    /// [`TiltFrame::from_parts`] takes them in.
+    slots: Vec<TiltSlot<Isb>>,
 }
 
 struct SavedReorder {
@@ -514,8 +555,7 @@ struct SavedReorder {
     buffered: Vec<(i64, Vec<RawRecord>)>,
 }
 
-fn encode_state<E: CubingEngine>(engine: &OnlineEngine<E>) -> Vec<u8> {
-    let mut enc = Enc::new();
+fn encode_state<E: CubingEngine>(engine: &OnlineEngine<E>, enc: &mut Enc) {
     enc.str(&engine_fingerprint(engine));
     enc.u8(u8::from(engine.computed));
     enc.u64(engine.units_closed);
@@ -535,8 +575,8 @@ fn encode_state<E: CubingEngine>(engine: &OnlineEngine<E>) -> Vec<u8> {
         enc.isb(isb);
     }
 
-    encode_frames(&mut enc, &engine.frames);
-    encode_frames(&mut enc, &engine.o_frames);
+    encode_frames(enc, &engine.frames);
+    encode_frames(enc, &engine.o_frames);
 
     enc.u64(engine.last_alarms.len() as u64);
     for alarm in &engine.last_alarms {
@@ -587,10 +627,9 @@ fn encode_state<E: CubingEngine>(engine: &OnlineEngine<E>) -> Vec<u8> {
 
     enc.u64(engine.pending_revisions.len() as u64);
     for rev in &engine.pending_revisions {
-        encode_revision(&mut enc, rev);
+        encode_revision(enc, rev);
     }
     enc.u64(engine.late_amended_total);
-    enc.buf
 }
 
 fn decode_state(payload: &[u8]) -> Result<SavedState> {
@@ -617,6 +656,9 @@ fn decode_state(payload: &[u8]) -> Result<SavedState> {
         m_tuples.push((key, isb));
     }
 
+    // The file lists a frame's levels finest first; the frame keeps them
+    // coarsest first. Slots are decoded straight into one buffer sized
+    // up front, each level's block rotated to the front as it completes.
     let decode_frames = |dec: &mut Dec<'_>, what: &str| -> Result<Vec<(CellKey, FrameParts)>> {
         let n = dec.count(what)?;
         let mut out = Vec::with_capacity(n);
@@ -625,23 +667,23 @@ fn decode_state(payload: &[u8]) -> Result<SavedState> {
             let next_unit = dec.u64("frame next_unit")?;
             let expired_units = dec.u64("frame expired_units")?;
             let num_levels = dec.count("frame level count")?;
-            let mut levels = Vec::with_capacity(num_levels);
+            let mut slots = Vec::with_capacity(dec.peek_slot_total(num_levels)?);
             for _ in 0..num_levels {
-                let slots = dec.count("frame slot count")?;
-                let mut level = Vec::with_capacity(slots);
-                for _ in 0..slots {
+                let len = dec.count("frame slot count")?;
+                for _ in 0..len {
                     let unit = dec.u64("slot unit")?;
                     let measure = dec.isb("slot measure")?;
-                    level.push(TiltSlot { unit, measure });
+                    slots.push(TiltSlot { unit, measure });
                 }
-                levels.push(level);
+                slots.rotate_right(len);
             }
             out.push((
                 key,
                 FrameParts {
                     next_unit,
                     expired_units,
-                    levels,
+                    num_levels,
+                    slots,
                 },
             ));
         }
@@ -815,17 +857,25 @@ fn apply_state(engine: &mut OnlineEngine<BoxedEngine>, saved: SavedState) -> Res
 
     let spec = engine.tilt_spec.clone();
     let build_family = |entries: Vec<(CellKey, FrameParts)>| -> Result<_> {
-        let mut out = regcube_olap::fxhash::FxHashMap::default();
+        let mut out = FxHashMap::with_capacity_and_hasher(entries.len(), Default::default());
         for (key, parts) in entries {
+            let invalid = |detail: String| StreamError::Checkpoint {
+                detail: format!("invalid tilt frame in checkpoint: {detail}"),
+            };
+            if parts.num_levels != spec.num_levels() {
+                return Err(invalid(format!(
+                    "frame capture has {} levels, spec defines {}",
+                    parts.num_levels,
+                    spec.num_levels()
+                )));
+            }
             let frame = TiltFrame::from_parts(
                 spec.clone(),
-                parts.levels,
+                parts.slots,
                 parts.next_unit,
                 parts.expired_units,
             )
-            .map_err(|e| StreamError::Checkpoint {
-                detail: format!("invalid tilt frame in checkpoint: {e}"),
-            })?;
+            .map_err(|e| invalid(e.to_string()))?;
             out.insert(key, frame);
         }
         Ok(out)
@@ -897,8 +947,16 @@ mod tests {
     }
 
     #[test]
+    fn slot_bytes_is_what_a_slot_encodes_to() {
+        let mut enc = Enc::with_capacity(0);
+        enc.u64(7);
+        enc.isb(&Isb::new(0, 3, 1.0, 0.5).unwrap());
+        assert_eq!(enc.buf.len(), SLOT_BYTES);
+    }
+
+    #[test]
     fn decoder_counts_are_bounded_by_remaining_bytes() {
-        let mut enc = Enc::new();
+        let mut enc = Enc::with_capacity(0);
         enc.u64(u64::MAX); // implausible count
         let mut dec = Dec::new(&enc.buf);
         assert!(dec.count("test").is_err());

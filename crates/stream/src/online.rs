@@ -403,7 +403,7 @@ impl EngineConfig {
             }),
             (Algorithm::MoCubing, _) => {
                 // Alone, the engine is transient (the paper's memory
-                // model) and fans its tiers out on the pool; as one of
+                // model) and may fan large tiers out on the pool; as one of
                 // several shards it retains its tables for the merge and
                 // leaves the pool to the `ShardedEngine` it runs on
                 // (the nesting rule of `regcube_core::pool`).
@@ -486,7 +486,7 @@ impl EngineConfig {
         let cubing = make(schema.clone(), layers, policy.clone()).map_err(StreamError::from)?;
         Ok(OnlineEngine {
             ingestor,
-            schema,
+            schema: Arc::new(schema),
             cubing,
             computed: false,
             tilt_spec,
@@ -497,9 +497,9 @@ impl EngineConfig {
             ticks_per_unit,
             units_closed: 0,
             sinks,
-            m_layer,
-            o_layer,
-            policy,
+            m_layer: Arc::new(m_layer),
+            o_layer: Arc::new(o_layer),
+            policy: Arc::new(policy),
             reorder: reorder_cfg
                 .enabled()
                 .then(|| ReorderState::new(reorder_cfg)),
@@ -559,7 +559,10 @@ fn sharded<E: CubingEngine + Send + Sync + 'static>(
 #[derive(Debug)]
 pub struct OnlineEngine<E: CubingEngine = BoxedEngine> {
     pub(crate) ingestor: Ingestor,
-    pub(crate) schema: CubeSchema,
+    /// The schema, and below it the layer specs and the policy: what
+    /// never changes over an engine's life sits behind `Arc`s built
+    /// once, so every [`CubeSnapshot`] shares them by reference count.
+    pub(crate) schema: Arc<CubeSchema>,
     pub(crate) cubing: E,
     /// Whether at least one non-empty unit reached the cubing engine.
     pub(crate) computed: bool,
@@ -577,11 +580,11 @@ pub struct OnlineEngine<E: CubingEngine = BoxedEngine> {
     /// Alarm sinks receiving the merged, sorted per-unit delta.
     sinks: SinkSet,
     /// The m-layer spec (for projecting late records to their o-cell).
-    pub(crate) m_layer: CuboidSpec,
+    pub(crate) m_layer: Arc<CuboidSpec>,
     /// The o-layer spec (late-amendment projection and drill scoring).
-    pub(crate) o_layer: CuboidSpec,
+    pub(crate) o_layer: Arc<CuboidSpec>,
     /// The exception policy (time-travel drill scoring).
-    pub(crate) policy: ExceptionPolicy,
+    pub(crate) policy: Arc<ExceptionPolicy>,
     /// Bounded reordering + watermark state; `None` when disabled (the
     /// strictly-ordered ingest path, byte-identical to the pre-watermark
     /// engine).
@@ -766,7 +769,7 @@ impl<E: CubingEngine> OnlineEngine<E> {
         let mut revised: Vec<(AlarmRevision, Isb)> = Vec::new();
         // The amended slot itself: same reference, new measure.
         if let Some(rev) = classify_revision(
-            self.o_layer.clone(),
+            (*self.o_layer).clone(),
             o_key.clone(),
             slot_unit,
             level,
@@ -779,7 +782,7 @@ impl<E: CubingEngine> OnlineEngine<E> {
         // The successor slot: same measure, new reference.
         if let Some(succ) = slots.get(idx + 1) {
             if let Some(rev) = classify_revision(
-                self.o_layer.clone(),
+                (*self.o_layer).clone(),
                 o_key.clone(),
                 succ.unit,
                 level,
@@ -980,9 +983,8 @@ impl<E: CubingEngine> OnlineEngine<E> {
 
         // O-layer alarms with the policy's reference mode.
         let result = self.cubing.result();
-        let policy = result.policy().clone();
-        let o_layer = result.layers().o_layer().clone();
-        let threshold = policy.threshold_for(&o_layer);
+        let policy = result.policy();
+        let threshold = policy.threshold_for(result.layers().o_layer());
         let mut alarms = Vec::new();
         let mut new_prev = FxHashMap::default();
         for (key, measure) in result.o_table() {
@@ -1213,14 +1215,18 @@ impl<E: CubingEngine> OnlineEngine<E> {
         CubeSnapshot {
             epoch: self.units_closed,
             unit: self.last_closed_unit,
-            schema: self.schema.clone(),
-            cube: self.computed.then(|| self.cubing.result().clone()),
+            schema: Arc::clone(&self.schema),
+            cube: self.computed.then(|| self.cubing.shared_result()),
+            // Every frame took a push (a unit ISB or a zero fill) since
+            // the last snapshot, so there is no unchanged frame to
+            // share: the maps are copied, one key and one slot block per
+            // frame.
             frames: self.frames.clone(),
             o_frames: self.o_frames.clone(),
             tilt_spec: self.tilt_spec.clone(),
-            policy: self.policy.clone(),
-            m_layer: self.m_layer.clone(),
-            o_layer: self.o_layer.clone(),
+            policy: Arc::clone(&self.policy),
+            m_layer: Arc::clone(&self.m_layer),
+            o_layer: Arc::clone(&self.o_layer),
             alarms: self.last_alarms.clone(),
             stats: self.stats(),
         }
@@ -1427,9 +1433,9 @@ fn push_unit_into_frames(
             // returns, the recreated frame's replayed zero history
             // expires and promotes identically — the same ladder.
             if frame
-                .timeline()
+                .history()
                 .iter()
-                .all(|(_, slot)| slot.measure.base() == 0.0 && slot.measure.slope() == 0.0)
+                .all(|slot| slot.measure.base() == 0.0 && slot.measure.slope() == 0.0)
             {
                 retired.push(key.clone());
             }

@@ -37,6 +37,7 @@ use regcube_olap::{CubeSchema, CuboidSpec};
 use regcube_regress::Isb;
 use regcube_tilt::{TiltFrame, TiltSpec};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// An immutable, internally consistent view of one engine at one unit
 /// boundary: cube, tilt ladders, alarm state and statistics, all from
@@ -47,14 +48,14 @@ use std::fmt::Write as _;
 pub struct CubeSnapshot {
     pub(crate) epoch: u64,
     pub(crate) unit: Option<i64>,
-    pub(crate) schema: CubeSchema,
-    pub(crate) cube: Option<CubeResult>,
+    pub(crate) schema: Arc<CubeSchema>,
+    pub(crate) cube: Option<Arc<CubeResult>>,
     pub(crate) frames: FxHashMap<CellKey, TiltFrame<Isb>>,
     pub(crate) o_frames: FxHashMap<CellKey, TiltFrame<Isb>>,
     pub(crate) tilt_spec: TiltSpec,
-    pub(crate) policy: ExceptionPolicy,
-    pub(crate) m_layer: CuboidSpec,
-    pub(crate) o_layer: CuboidSpec,
+    pub(crate) policy: Arc<ExceptionPolicy>,
+    pub(crate) m_layer: Arc<CuboidSpec>,
+    pub(crate) o_layer: Arc<CuboidSpec>,
     pub(crate) alarms: Vec<Alarm>,
     pub(crate) stats: RunStats,
 }
@@ -80,7 +81,7 @@ impl CubeSnapshot {
     /// [`StreamError::Core`] if no non-empty unit had closed when the
     /// snapshot was taken — the same error the live engine returns.
     pub fn cube(&self) -> Result<&CubeResult> {
-        self.cube.as_ref().ok_or_else(|| {
+        self.cube.as_deref().ok_or_else(|| {
             StreamError::from(CoreError::NotMaterialized {
                 detail: "no unit with data had been closed when this snapshot was taken".into(),
             })
@@ -90,7 +91,7 @@ impl CubeSnapshot {
     /// The captured cube, if any non-empty unit had closed.
     #[inline]
     pub fn try_cube(&self) -> Option<&CubeResult> {
-        self.cube.as_ref()
+        self.cube.as_deref()
     }
 
     /// The schema the cube is built over.

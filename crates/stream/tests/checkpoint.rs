@@ -362,3 +362,66 @@ fn restored_frames_answer_drills_identically() {
         }
     }
 }
+
+/// FNV-1a 64, the checkpoint envelope's checksum.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Byte offset, in a checkpoint file, of the first m-frame's
+/// `next_unit` field (its `expired_units` follows) — found by walking
+/// the version-1 payload layout.
+fn first_frame_offset(file: &[u8]) -> usize {
+    let u64_at = |pos: usize| u64::from_le_bytes(file[pos..pos + 8].try_into().unwrap()) as usize;
+    let ids_len = |pos: usize| 8 + 4 * u64_at(pos);
+    let mut pos = 16; // magic, version, payload length
+    pos += 8 + u64_at(pos); // fingerprint
+    pos += 1 + 8; // computed flag, units_closed
+    pos += if file[pos] == 1 { 9 } else { 1 }; // last_closed_unit
+    pos += 8; // open_unit
+    let tuples = u64_at(pos);
+    pos += 8;
+    for _ in 0..tuples {
+        pos += ids_len(pos) + 32; // key, ISB
+    }
+    assert!(u64_at(pos) > 0, "the checkpoint holds m-frames");
+    pos += 8;
+    pos + ids_len(pos) // past the first frame's key
+}
+
+/// A checkpoint whose bytes are intact (valid checksum) but whose first
+/// tilt frame has a shape no sequence of pushes produces must be a
+/// typed error. The parent commit restored such a file into an engine
+/// whose next promotion merged the wrong run of slots.
+#[test]
+fn reencoded_checkpoint_with_an_impossible_frame_is_a_typed_error() {
+    let mut e = config().build().unwrap();
+    let mut tick = 0i64;
+    for _unit in 0..6 {
+        for _ in 0..TPU {
+            e.ingest(&RawRecord::new(vec![0, 0], tick, 1.0 + tick as f64))
+                .unwrap();
+            tick += 1;
+        }
+        e.drain_ready().unwrap();
+    }
+    let bytes = e.checkpoint_bytes().unwrap();
+    assert!(restore_bytes(config(), &bytes).is_ok());
+    let frame = first_frame_offset(&bytes);
+
+    // (field offset within the frame header, replacement value):
+    // a clock one unit ahead of the slots, and an expiry that never
+    // happened.
+    let next_unit = u64::from_le_bytes(bytes[frame..frame + 8].try_into().unwrap());
+    for (field, value) in [(0, next_unit + 1), (8, 7u64)] {
+        let mut forged = bytes.clone();
+        forged[frame + field..frame + field + 8].copy_from_slice(&value.to_le_bytes());
+        let payload_end = forged.len() - 8;
+        let sum = fnv1a(&forged[16..payload_end]);
+        forged[payload_end..].copy_from_slice(&sum.to_le_bytes());
+        let err = expect_checkpoint_err(restore_bytes(config(), &forged));
+        assert!(err.to_string().contains("invalid tilt frame"), "{err}");
+    }
+}

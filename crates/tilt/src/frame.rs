@@ -4,7 +4,7 @@ use crate::error::TiltError;
 use crate::mergeable::TimeMergeable;
 use crate::scale::TiltSpec;
 use crate::Result;
-use std::collections::VecDeque;
+use std::ops::Range;
 
 /// One registered slot: a measure covering one unit of its level.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,11 +55,20 @@ pub struct TiltStats {
 /// level holds the *exact* regression of its span (Section 4.5: "regression
 /// always keeps up to the most recent granularity time unit at each
 /// layer").
-#[derive(Debug, Clone)]
+///
+/// A frame is one heap block: every retained slot lives in a single
+/// buffer in timeline order (coarsest level first, oldest first within a
+/// level), and the [`TiltSpec`] is shared. How many slots each level
+/// holds is a function of the spec and [`next_unit`](Self::next_unit)
+/// (`TiltSpec::shape`), so it is derived, not stored. A level only ever
+/// fills when every finer level is empty, which puts the slots a
+/// promotion consumes at the buffer's tail: promotion is truncate and
+/// push.
+#[derive(Debug, Clone, PartialEq)]
 pub struct TiltFrame<M> {
     spec: TiltSpec,
-    /// One deque per level, oldest slot first.
-    levels: Vec<VecDeque<TiltSlot<M>>>,
+    /// Every retained slot, oldest → newest.
+    slots: Vec<TiltSlot<M>>,
     next_unit: u64,
     expired_units: u64,
 }
@@ -67,62 +76,74 @@ pub struct TiltFrame<M> {
 impl<M: TimeMergeable> TiltFrame<M> {
     /// Creates an empty frame for `spec`.
     pub fn new(spec: TiltSpec) -> Self {
-        let levels = (0..spec.num_levels()).map(|_| VecDeque::new()).collect();
         TiltFrame {
             spec,
-            levels,
+            slots: Vec::new(),
             next_unit: 0,
             expired_units: 0,
         }
     }
 
     /// Reconstructs a frame from previously captured state — the
-    /// checkpoint/restore seam. `levels` holds each level's slots oldest
-    /// first, exactly as [`slots`](Self::slots) reported them;
-    /// `next_unit` and `expired_units` are the values
+    /// checkpoint/restore seam. `slots` holds every retained slot in
+    /// timeline order, exactly as [`history`](Self::history) reported
+    /// them; `next_unit` and `expired_units` are the values
     /// [`next_unit`](Self::next_unit) and [`stats`](Self::stats)
-    /// reported. The caller is trusted on slot contents (measures are
-    /// opaque here), but the shape is validated so a torn capture cannot
-    /// build a frame that later panics.
+    /// reported. The caller is trusted on the measures (they are opaque
+    /// here), but a frame's shape is a function of `(spec, next_unit)`
+    /// and is validated exactly, so a torn capture cannot build a frame
+    /// that later panics or promotes a wrong run.
     ///
     /// # Errors
-    /// [`TiltError::BadSpec`] when `levels` does not match the spec's
-    /// level count, a level holds more slots than its group size allows,
-    /// or slots are out of order within a level.
+    /// [`TiltError::BadSpec`] when the capture is not what `next_unit`
+    /// pushes into an empty frame of `spec` leave behind: a wrong slot
+    /// count, a slot whose unit is not the one its position must hold,
+    /// or an `expired_units` the coarsest level cannot have aged out.
     pub fn from_parts(
         spec: TiltSpec,
-        levels: Vec<Vec<TiltSlot<M>>>,
+        slots: Vec<TiltSlot<M>>,
         next_unit: u64,
         expired_units: u64,
     ) -> Result<Self> {
-        if levels.len() != spec.num_levels() {
-            return Err(TiltError::BadSpec {
-                detail: format!(
-                    "frame capture has {} levels, spec defines {}",
-                    levels.len(),
-                    spec.num_levels()
-                ),
-            });
+        let bad = |detail: String| Err(TiltError::BadSpec { detail });
+        let mut end = slots.len();
+        for (level, shape) in spec.shape(next_unit).enumerate() {
+            let Some(start) = end.checked_sub(shape.len) else {
+                return bad(format!(
+                    "frame capture holds {} slots, too few for {next_unit} ingested units",
+                    slots.len()
+                ));
+            };
+            let first_unit = shape.completed - shape.len as u64;
+            for (slot, unit) in slots[start..end].iter().zip(first_unit..) {
+                if slot.unit != unit {
+                    return bad(format!(
+                        "level {level} capture holds unit {} where unit {unit} belongs",
+                        slot.unit
+                    ));
+                }
+            }
+            end = start;
+            if level + 1 == spec.num_levels() {
+                // Every coarsest unit older than the retained ones aged out.
+                let aged_out = first_unit.saturating_mul(shape.per);
+                if expired_units != aged_out {
+                    return bad(format!(
+                        "frame capture reports {expired_units} expired units, \
+                         {next_unit} ingested units age out {aged_out}"
+                    ));
+                }
+            }
         }
-        for (idx, level) in levels.iter().enumerate() {
-            let group = spec.levels()[idx].group;
-            if level.len() > group {
-                return Err(TiltError::BadSpec {
-                    detail: format!(
-                        "level {idx} capture holds {} slots, group size is {group}",
-                        level.len()
-                    ),
-                });
-            }
-            if level.windows(2).any(|w| w[0].unit >= w[1].unit) {
-                return Err(TiltError::BadSpec {
-                    detail: format!("level {idx} capture slots are not strictly increasing"),
-                });
-            }
+        if end != 0 {
+            return bad(format!(
+                "frame capture holds {} slots, {end} more than {next_unit} ingested units retain",
+                slots.len()
+            ));
         }
         Ok(TiltFrame {
             spec,
-            levels: levels.into_iter().map(VecDeque::from).collect(),
+            slots,
             next_unit,
             expired_units,
         })
@@ -140,73 +161,112 @@ impl<M: TimeMergeable> TiltFrame<M> {
         self.next_unit
     }
 
+    /// Where each level's slots sit in the buffer, finest level first
+    /// (so the ranges run from the buffer's tail to its head).
+    fn level_ranges(&self) -> impl Iterator<Item = (Range<usize>, u64)> + '_ {
+        let mut end = self.slots.len();
+        self.spec.shape(self.next_unit).map(move |shape| {
+            let start = end - shape.len;
+            let range = start..end;
+            end = start;
+            (range, shape.per)
+        })
+    }
+
     /// Slots at `level`, oldest first.
     ///
     /// # Errors
     /// [`TiltError::UnknownLevel`] for an out-of-range level.
-    pub fn slots(&self, level: usize) -> Result<&VecDeque<TiltSlot<M>>> {
-        self.levels.get(level).ok_or(TiltError::UnknownLevel {
-            level,
-            count: self.levels.len(),
-        })
+    pub fn slots(&self, level: usize) -> Result<&[TiltSlot<M>]> {
+        match self.level_ranges().nth(level) {
+            Some((range, _)) => Ok(&self.slots[range]),
+            None => Err(TiltError::UnknownLevel {
+                level,
+                count: self.spec.num_levels(),
+            }),
+        }
+    }
+
+    /// Every level's slots (oldest first within a level), finest level
+    /// first — [`slots`](Self::slots) for each level in turn, in one
+    /// walk of the frame's shape.
+    pub fn levels(&self) -> impl Iterator<Item = &[TiltSlot<M>]> + '_ {
+        self.level_ranges().map(|(range, _)| &self.slots[range])
+    }
+
+    /// Every retained slot ordered oldest → newest (coarsest level
+    /// first): [`timeline`](Self::timeline) without the level tags, and
+    /// without allocating.
+    #[inline]
+    pub fn history(&self) -> &[TiltSlot<M>] {
+        &self.slots
     }
 
     /// Ingests the measure of the next finest unit and cascades promotion.
     ///
     /// The caller supplies measures in strict unit order; contiguity with
     /// the previous slot is validated through [`TimeMergeable::continues`].
+    /// A failed push leaves the frame as it was.
     ///
     /// # Errors
     /// * [`TiltError::OutOfOrder`] when the measure does not continue the
     ///   frame's newest finest slot.
     /// * Merge errors from promotion.
     pub fn push(&mut self, measure: M) -> Result<()> {
-        if let Some(last) = self.levels[0].back() {
+        let finest = self.slots(0).expect("a spec has at least one level");
+        if let Some(last) = finest.last() {
             if !last.measure.continues(&measure) {
                 return Err(TiltError::OutOfOrder {
                     detail: format!("finest unit {} does not continue the frame", self.next_unit),
                 });
             }
         }
-        let unit = self.next_unit;
-        self.levels[0].push_back(TiltSlot { unit, measure });
-        self.next_unit += 1;
-        self.cascade(0)?;
-        Ok(())
-    }
-
-    /// Promotes full groups from `level` upward.
-    fn cascade(&mut self, level: usize) -> Result<()> {
-        let group = self.spec.levels()[level].group;
-        let is_top = level + 1 == self.levels.len();
-        if is_top {
-            // The coarsest level retains `group` slots and ages out its
-            // oldest on overflow: the frame deliberately forgets the
-            // distant past.
-            let fine_per = self.spec.finest_units_per(level)?;
-            while self.levels[level].len() > group {
-                self.levels[level].pop_front();
-                self.expired_units += fine_per;
+        // Carry the new slot up the ladder: every level its arrival
+        // completes is merged, with the carried slot as the run's newest
+        // member, into one slot of the next level. The consumed slots
+        // are the tail of the buffer beyond `keep`; nothing is written
+        // until every merge has succeeded.
+        let pushed = self.next_unit + 1;
+        let levels = self.spec.levels();
+        let top = levels.len() - 1;
+        let mut carry = TiltSlot {
+            unit: self.next_unit,
+            measure,
+        };
+        let mut keep = self.slots.len();
+        let mut level = 0;
+        let mut per = 1u64;
+        while level < top {
+            let group = levels[level].group;
+            per = per.saturating_mul(group as u64);
+            if pushed % per != 0 {
+                break;
             }
-            return Ok(());
+            let start = keep - (group - 1);
+            let run: Vec<M> = self.slots[start..keep]
+                .iter()
+                .map(|s| s.measure.clone())
+                .chain(std::iter::once(carry.measure))
+                .collect();
+            carry = TiltSlot {
+                unit: self.slots[start].unit / group as u64,
+                measure: M::merge_run(&run)?,
+            };
+            keep = start;
+            level += 1;
         }
-        if self.levels[level].len() < group {
-            return Ok(());
+        self.slots.truncate(keep);
+        self.slots.push(carry);
+        self.next_unit = pushed;
+        // The coarsest level retains `group` slots and ages out its
+        // oldest on overflow: the frame deliberately forgets the distant
+        // past. When the carry reached it every finer level is empty,
+        // so the buffer is the coarsest level alone.
+        if level == top && self.slots.len() > levels[top].group {
+            self.slots.remove(0);
+            self.expired_units += per;
         }
-        debug_assert_eq!(self.levels[level].len(), group);
-        // Merge the whole group into one unit of the next level.
-        let run: Vec<M> = self.levels[level]
-            .iter()
-            .map(|s| s.measure.clone())
-            .collect();
-        let merged = M::merge_run(&run)?;
-        let coarse_unit = self.levels[level].front().expect("non-empty").unit / group as u64;
-        self.levels[level].clear();
-        self.levels[level + 1].push_back(TiltSlot {
-            unit: coarse_unit,
-            measure: merged,
-        });
-        self.cascade(level + 1)
+        Ok(())
     }
 
     /// Amends the retained slot covering finest unit `fine_unit` in place.
@@ -240,15 +300,31 @@ impl<M: TimeMergeable> TiltFrame<M> {
                 ),
             });
         }
-        for level in 0..self.levels.len() {
-            let per = self.spec.finest_units_per(level)?;
-            let slot_unit = fine_unit / per;
-            if let Some(slot) = self.levels[level].iter_mut().find(|s| s.unit == slot_unit) {
-                slot.measure = f(&slot.measure)?;
-                return Ok(AmendOutcome::Amended { level, slot_unit });
-            }
+        let found = self
+            .level_ranges()
+            .enumerate()
+            .find_map(|(level, (range, per))| {
+                let slot_unit = fine_unit / per;
+                let at = self.slots[range.clone()]
+                    .iter()
+                    .position(|s| s.unit == slot_unit)?;
+                Some((level, slot_unit, range.start + at))
+            });
+        let Some((level, slot_unit, index)) = found else {
+            return Ok(AmendOutcome::Expired);
+        };
+        let slot = &mut self.slots[index];
+        slot.measure = f(&slot.measure)?;
+        Ok(AmendOutcome::Amended { level, slot_unit })
+    }
+
+    /// Merges a non-empty run of retained slots into one measure.
+    fn merge_slots(run: &[TiltSlot<M>]) -> Result<Option<M>> {
+        if run.is_empty() {
+            return Ok(None);
         }
-        Ok(AmendOutcome::Expired)
+        let run: Vec<M> = run.iter().map(|s| s.measure.clone()).collect();
+        Ok(Some(M::merge_run(&run)?))
     }
 
     /// Merges all slots currently registered at `level` into one measure
@@ -258,12 +334,7 @@ impl<M: TimeMergeable> TiltFrame<M> {
     /// # Errors
     /// [`TiltError::UnknownLevel`] / merge errors.
     pub fn merge_level(&self, level: usize) -> Result<Option<M>> {
-        let slots = self.slots(level)?;
-        if slots.is_empty() {
-            return Ok(None);
-        }
-        let run: Vec<M> = slots.iter().map(|s| s.measure.clone()).collect();
-        Ok(Some(M::merge_run(&run)?))
+        Self::merge_slots(self.slots(level)?)
     }
 
     /// Merges the most recent `k` slots of `level` ("the last 2 hours at
@@ -274,16 +345,7 @@ impl<M: TimeMergeable> TiltFrame<M> {
     /// [`TiltError::UnknownLevel`] / merge errors.
     pub fn merge_recent(&self, level: usize, k: usize) -> Result<Option<M>> {
         let slots = self.slots(level)?;
-        if slots.is_empty() || k == 0 {
-            return Ok(None);
-        }
-        let take = k.min(slots.len());
-        let run: Vec<M> = slots
-            .iter()
-            .skip(slots.len() - take)
-            .map(|s| s.measure.clone())
-            .collect();
-        Ok(Some(M::merge_run(&run)?))
+        Self::merge_slots(&slots[slots.len() - k.min(slots.len())..])
     }
 
     /// Merges the frame's **entire retained history** into one measure,
@@ -294,34 +356,33 @@ impl<M: TimeMergeable> TiltFrame<M> {
     /// Merge errors (cannot occur for measures ingested through
     /// [`push`](Self::push)).
     pub fn merge_all(&self) -> Result<Option<M>> {
-        let run: Vec<M> = self
-            .levels
-            .iter()
-            .rev()
-            .flat_map(|dq| dq.iter().map(|s| s.measure.clone()))
-            .collect();
-        if run.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some(M::merge_run(&run)?))
+        Self::merge_slots(&self.slots)
     }
 
     /// All retained measures ordered oldest → newest (coarsest level
     /// first), with their level index — the analyst's full observation
     /// deck.
     pub fn timeline(&self) -> Vec<(usize, &TiltSlot<M>)> {
-        let mut out = Vec::with_capacity(self.retained_slots());
-        for (level, dq) in self.levels.iter().enumerate().rev() {
-            for slot in dq {
-                out.push((level, slot));
-            }
-        }
+        // The levels come finest first, from the buffer's tail: tag the
+        // slots newest → oldest, then turn the deck around.
+        let mut out: Vec<(usize, &TiltSlot<M>)> = self
+            .level_ranges()
+            .enumerate()
+            .flat_map(|(level, (range, _))| {
+                self.slots[range]
+                    .iter()
+                    .rev()
+                    .map(move |slot| (level, slot))
+            })
+            .collect();
+        out.reverse();
         out
     }
 
     /// Number of slots currently held.
+    #[inline]
     pub fn retained_slots(&self) -> usize {
-        self.levels.iter().map(VecDeque::len).sum()
+        self.slots.len()
     }
 
     /// Occupancy/compression statistics.
@@ -562,64 +623,100 @@ mod tests {
         for u in 0..17 {
             f.push(unit_isb(u, 5)).unwrap();
         }
-        let levels: Vec<Vec<TiltSlot<Isb>>> = (0..small_spec().num_levels())
-            .map(|l| f.slots(l).unwrap().iter().cloned().collect())
-            .collect();
         let stats = f.stats();
-        let rebuilt =
-            TiltFrame::from_parts(small_spec(), levels, f.next_unit(), stats.expired_units)
-                .unwrap();
-        assert_eq!(rebuilt.next_unit(), f.next_unit());
+        let rebuilt = TiltFrame::from_parts(
+            small_spec(),
+            f.history().to_vec(),
+            f.next_unit(),
+            stats.expired_units,
+        )
+        .unwrap();
+        assert_eq!(rebuilt, f);
         assert_eq!(rebuilt.stats(), stats);
-        let (a, b) = (f.timeline(), rebuilt.timeline());
-        assert_eq!(a.len(), b.len());
-        for ((la, sa), (lb, sb)) in a.iter().zip(b.iter()) {
-            assert_eq!((la, sa), (lb, sb));
-        }
         // Both frames keep evolving identically.
         let mut f2 = rebuilt;
         let mut f1 = f;
-        for u in 17..30 {
+        for u in 17..50 {
             f1.push(unit_isb(u, 5)).unwrap();
             f2.push(unit_isb(u, 5)).unwrap();
         }
-        assert_eq!(f1.timeline(), f2.timeline());
+        assert_eq!(f1, f2);
+    }
+
+    fn slots_of(units: impl IntoIterator<Item = u64>) -> Vec<TiltSlot<CountSum>> {
+        units
+            .into_iter()
+            .map(|unit| TiltSlot {
+                unit,
+                measure: CountSum::unit(unit, 1.0),
+            })
+            .collect()
     }
 
     #[test]
     fn from_parts_rejects_malformed_captures() {
-        // Wrong level count.
-        assert!(
-            TiltFrame::<Isb>::from_parts(small_spec(), vec![Vec::new(), Vec::new()], 0, 0).is_err()
-        );
-        // A level over its group size.
-        let over = vec![
-            (0..4)
-                .map(|u| TiltSlot {
-                    unit: u,
-                    measure: unit_isb(u, 5),
-                })
-                .collect::<Vec<_>>(),
-            Vec::new(),
-            Vec::new(),
-        ];
-        assert!(TiltFrame::<Isb>::from_parts(small_spec(), over, 4, 0).is_err());
+        let build = |slots, next_unit, expired| {
+            TiltFrame::<CountSum>::from_parts(small_spec(), slots, next_unit, expired)
+        };
+        // Five pushes leave one mid slot (unit 0) and fine units 3 and 4.
+        assert!(build(slots_of([0, 3, 4]), 5, 0).is_ok());
+        // Too few and too many slots for the clock.
+        assert!(build(slots_of([3, 4]), 5, 0).is_err());
+        assert!(build(slots_of([0, 2, 3, 4]), 5, 0).is_err());
         // Out-of-order slots within a level.
-        let disordered = vec![
-            vec![
-                TiltSlot {
-                    unit: 2,
-                    measure: unit_isb(2, 5),
-                },
-                TiltSlot {
-                    unit: 1,
-                    measure: unit_isb(1, 5),
-                },
-            ],
-            Vec::new(),
-            Vec::new(),
-        ];
-        assert!(TiltFrame::<Isb>::from_parts(small_spec(), disordered, 3, 0).is_err());
+        assert!(build(slots_of([0, 4, 3]), 5, 0).is_err());
+        // Nothing has aged out after five pushes.
+        assert!(build(slots_of([0, 3, 4]), 5, 12).is_err());
+    }
+
+    /// The parent's `from_parts` checked `len > group` only, so each of
+    /// these captures built a frame whose next push merged `group + 1`
+    /// slots into one coarse slot.
+    #[test]
+    fn from_parts_rejects_shapes_no_push_sequence_produces() {
+        let build = |slots, next_unit, expired| {
+            TiltFrame::<CountSum>::from_parts(small_spec(), slots, next_unit, expired)
+        };
+        // A non-top level holding exactly `group` slots: the third fine
+        // unit must already have been promoted.
+        assert!(matches!(
+            build(slots_of([0, 1, 2]), 3, 0),
+            Err(TiltError::BadSpec { .. })
+        ));
+        // Slot units that disagree with the clock: after four pushes
+        // the fine level holds unit 3, not unit 2.
+        assert!(matches!(
+            build(slots_of([0, 2]), 4, 0),
+            Err(TiltError::BadSpec { .. })
+        ));
+        // An expiry the coarsest level cannot have had: 36 pushes age
+        // out exactly one coarse unit (12 fine units).
+        assert!(build(slots_of([1, 2]), 36, 12).is_ok());
+        assert!(matches!(
+            build(slots_of([1, 2]), 36, 0),
+            Err(TiltError::BadSpec { .. })
+        ));
+        // What the parent accepted and then mis-promoted: pushing onto
+        // a valid capture keeps every level within its group.
+        let mut f = build(slots_of([0, 3, 4]), 5, 0).unwrap();
+        f.push(CountSum::unit(5, 1.0)).unwrap();
+        assert_eq!(f.slots(0).unwrap().len(), 0);
+        assert_eq!(f.slots(1).unwrap().len(), 2);
+        assert_eq!(f.slots(1).unwrap()[1].measure.units, 3);
+    }
+
+    #[test]
+    fn a_failed_promotion_leaves_the_frame_untouched() {
+        // An arrival is checked against the newest fine slot only, so a
+        // gap right after a promotion (fine level empty) goes unnoticed
+        // until the mid level fills and its run is merged.
+        let mut f: TiltFrame<CountSum> = TiltFrame::new(small_spec());
+        for u in (0..3).chain(10..18) {
+            f.push(CountSum::unit(u, 1.0)).unwrap();
+        }
+        let before = f.clone();
+        assert!(f.push(CountSum::unit(18, 1.0)).is_err());
+        assert_eq!(f, before);
     }
 
     #[test]

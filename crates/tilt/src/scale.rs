@@ -2,6 +2,7 @@
 
 use crate::error::TiltError;
 use crate::Result;
+use std::sync::Arc;
 
 /// One granularity level of a tilt frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -16,9 +17,25 @@ pub struct LevelSpec {
 }
 
 /// A tilt time frame specification: levels ordered finest → coarsest.
+///
+/// The levels sit behind an [`Arc`], so every frame of an engine (and
+/// every snapshot of those frames) shares one copy: cloning a spec is a
+/// reference-count bump, not a `Vec` of owned names.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TiltSpec {
-    levels: Vec<LevelSpec>,
+    levels: Arc<[LevelSpec]>,
+}
+
+/// What one level of a frame holds once the frame has ingested a given
+/// number of finest units (see [`TiltSpec::shape`]).
+pub(crate) struct LevelShape {
+    /// Finest units one unit of the level spans.
+    pub per: u64,
+    /// Units of the level completed so far; the level's newest retained
+    /// slot, if it retains any, is unit `completed - 1`.
+    pub completed: u64,
+    /// Slots the level retains.
+    pub len: usize,
 }
 
 impl TiltSpec {
@@ -95,6 +112,32 @@ impl TiltSpec {
             .product())
     }
 
+    /// The shape of a frame after `next_unit` pushes, finest level first.
+    /// Promotion is a mixed-radix carry — a level promotes exactly when
+    /// its `group`-th slot completes — so what each level retains is a
+    /// digit of `next_unit`, and the coarsest level (which ages out
+    /// instead of promoting) retains its newest `group` units.
+    pub(crate) fn shape(&self, next_unit: u64) -> impl Iterator<Item = LevelShape> + '_ {
+        let top = self.levels.len() - 1;
+        let mut per = 1u64;
+        self.levels.iter().enumerate().map(move |(idx, level)| {
+            let group = level.group as u64;
+            let completed = next_unit / per;
+            let len = if idx == top {
+                completed.min(group)
+            } else {
+                completed % group
+            };
+            let shape = LevelShape {
+                per,
+                completed,
+                len: len as usize,
+            };
+            per = per.saturating_mul(group);
+            shape
+        })
+    }
+
     /// Total finest units the full frame spans when every level is at
     /// capacity. Figure 4: `4 + 24·4 + 31·96 + 12·2976 = 38,788` quarters
     /// — more than a flat year because the month level alone retains 12
@@ -102,7 +145,7 @@ impl TiltSpec {
     pub fn span_finest_units(&self) -> u64 {
         let mut span = 0u64;
         let mut per_unit = 1u64;
-        for l in &self.levels {
+        for l in self.levels.iter() {
             span += per_unit * l.group as u64;
             per_unit *= l.group as u64;
         }
@@ -153,6 +196,18 @@ mod tests {
         assert!(TiltSpec::new(vec![("a", 1)]).is_err());
         assert!(TiltSpec::new(vec![("a", 0)]).is_err());
         assert!(TiltSpec::new(vec![("a", 2)]).is_ok());
+    }
+
+    /// Checkpoints embed the spec's `Debug` text in their configuration
+    /// fingerprint: it has to stay what a `Vec` of levels printed.
+    #[test]
+    fn debug_text_is_the_checkpoint_fingerprint_form() {
+        let spec = TiltSpec::new(vec![("unit", 4), ("coarse", 3)]).unwrap();
+        assert_eq!(
+            format!("{spec:?}"),
+            "TiltSpec { levels: [LevelSpec { name: \"unit\", group: 4 }, \
+             LevelSpec { name: \"coarse\", group: 3 }] }"
+        );
     }
 
     #[test]
