@@ -34,6 +34,17 @@ pub enum ServeError {
         /// The unknown id.
         tenant: TenantId,
     },
+    /// A pump of this tenant panicked (a panicking
+    /// [`AlarmSink`](regcube_core::alarm::AlarmSink), say) and left its
+    /// engine in an unknown state. The tenant is failed for good: every
+    /// later write, checkpoint or statistics call reports this again,
+    /// its last published snapshot stays readable, and
+    /// [`drop_tenant`](crate::server::Server::drop_tenant) removes it.
+    /// Other tenants are unaffected.
+    TenantFailed {
+        /// The failed tenant.
+        tenant: TenantId,
+    },
     /// A failure from the tenant's underlying stream engine.
     Stream(StreamError),
 }
@@ -56,6 +67,11 @@ impl fmt::Display for ServeError {
                 write!(f, "tenant {tenant} already exists")
             }
             ServeError::UnknownTenant { tenant } => write!(f, "unknown tenant {tenant}"),
+            ServeError::TenantFailed { tenant } => write!(
+                f,
+                "tenant {tenant} failed: a pump panicked and its engine is unusable; \
+                 drop the tenant and re-admit it"
+            ),
             ServeError::Stream(e) => write!(f, "stream engine error: {e}"),
         }
     }
@@ -96,6 +112,9 @@ mod tests {
                 tenant: TenantId::from("ghost"),
             },
             StreamError::BadConfig { detail: "x".into() }.into(),
+            ServeError::TenantFailed {
+                tenant: TenantId::from("acme"),
+            },
         ];
         for c in &cases {
             assert!(!c.to_string().is_empty());

@@ -8,10 +8,12 @@
 //!
 //! * [`server::Server`] hosts many **tenants**, each a private
 //!   [`OnlineEngine`](regcube_stream::OnlineEngine) built from its own
-//!   [`EngineConfig`](regcube_stream::EngineConfig), all multiplexed
-//!   over two shared [`WorkerPool`](regcube_core::pool::WorkerPool)s
-//!   (one pumps tenants in parallel, one runs their sharded cubing —
-//!   kept distinct to avoid the pool's documented nesting deadlock);
+//!   [`EngineConfig`](regcube_stream::EngineConfig). A tenant lives
+//!   on one **pump lane** — a long-lived thread that runs every drain,
+//!   close and flush of the tenants bound to it, so a tenant's
+//!   snapshots are built and freed by the same thread — and all
+//!   tenants share one [`WorkerPool`](regcube_core::pool::WorkerPool)
+//!   for their cubing fan-out;
 //! * at every unit boundary the tenant publishes an immutable
 //!   [`CubeSnapshot`](regcube_stream::CubeSnapshot) through a
 //!   double-buffered, epoch-swapped [`cell::SnapshotCell`] — readers
@@ -33,6 +35,7 @@
 pub mod cell;
 pub mod dashboard;
 pub mod error;
+mod lane;
 pub mod server;
 pub mod tenant;
 

@@ -1,14 +1,17 @@
-//! The multi-tenant [`Server`]: admission control, shared worker
-//! pools, and the pump that multiplexes every tenant's cube over them.
+//! The multi-tenant [`Server`]: admission control, the pump lanes that
+//! own the tenants, and the cubing pool the tenants share.
 
 use crate::cell::SnapshotCell;
 use crate::dashboard::DashboardSummary;
 use crate::error::ServeError;
-use crate::tenant::{Tenant, TenantId, TenantPump};
+use crate::lane::Lanes;
+use crate::tenant::{PumpOp, Tenant, TenantId, TenantPump};
 use regcube_core::alarm::SharedSink;
 use regcube_core::pool::{default_threads, WorkerPool};
 use regcube_core::RunStats;
-use regcube_stream::{CubeSnapshot, EngineConfig, RawRecord};
+use regcube_stream::{
+    BoxedEngine, CubeSnapshot, EngineConfig, OnlineEngine, RawRecord, StreamError,
+};
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
 
@@ -22,7 +25,9 @@ pub struct ServeConfig {
     /// Bounded per-tenant ingest-queue capacity, in records; a full
     /// queue rejects with [`ServeError::Overloaded`].
     pub queue_capacity: usize,
-    /// Threads of the pump (dispatch) pool.
+    /// Pump lanes: the threads that mutate tenant engines. Each tenant
+    /// is bound to one lane at admission (the lane owning the fewest
+    /// tenants), so more lanes than tenants leaves lanes idle.
     pub pump_threads: usize,
     /// Threads of the cubing pool shared by every tenant's sharded
     /// cubing engine.
@@ -60,7 +65,7 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the pump-pool thread count (clamped to at least 1).
+    /// Sets the number of pump lanes (clamped to at least 1).
     #[must_use]
     pub fn with_pump_threads(mut self, threads: usize) -> Self {
         self.pump_threads = threads.max(1);
@@ -77,14 +82,23 @@ impl ServeConfig {
 
 /// A multi-tenant cube server.
 ///
-/// Each tenant owns a private [`OnlineEngine`](regcube_stream::OnlineEngine)
-/// plus a bounded ingest queue and a snapshot cell; all tenants share
-/// two [`WorkerPool`]s — one that pumps tenants in parallel and one
-/// that the tenants' sharded cubing engines fan their per-unit batches
-/// over. The pools are deliberately distinct: a pump job drives
-/// `close_unit`, which dispatches cubing work, and `WorkerPool::run`
-/// must never be entered from a job of the same pool (nesting
-/// deadlock — see `regcube_core::pool`).
+/// Each tenant owns a private [`OnlineEngine`] plus a bounded ingest
+/// queue and a snapshot cell, and lives on one **pump lane**: a
+/// long-lived thread, chosen at admission as the lane owning the
+/// fewest tenants (lowest index on ties), on which every drain, unit
+/// close and flush of that tenant runs — whether it came from
+/// [`pump`](Self::pump) or from a by-id call. The thread that
+/// builds a tenant's snapshots is therefore the one that frees the
+/// snapshots they replace, which keeps a quiet tenant's publish inside
+/// one allocator arena. Ownership balances tenant *count*, not load: a
+/// hot tenant delays its lane-mates where a shared queue would have
+/// spread them, and tenants are never moved between lanes.
+///
+/// The tenants' cubing engines share one [`WorkerPool`] for tier and
+/// shard fan-out. It is distinct from the lanes on purpose: a lane
+/// drives `close_unit`, which dispatches cubing work and waits for it.
+/// For the same reason an alarm sink — it runs on a lane — must not
+/// call a write method of the `Server` that hosts it.
 ///
 /// Reads ([`snapshot`](Self::snapshot), or a held
 /// [`TenantReader`]) never take an engine lock: they clone an `Arc`
@@ -92,21 +106,39 @@ impl ServeConfig {
 /// answering at full speed while ingestion and unit closes run.
 pub struct Server {
     config: ServeConfig,
-    pump_pool: WorkerPool,
+    lanes: Lanes,
     cubing_pool: Arc<WorkerPool>,
-    tenants: RwLock<BTreeMap<TenantId, Arc<Tenant>>>,
+    fleet: RwLock<Fleet>,
+}
+
+/// A hosted tenant and the lane that owns it.
+#[derive(Clone)]
+struct Hosted {
+    tenant: Arc<Tenant>,
+    lane: usize,
+}
+
+/// The tenant map and, kept in step with it under the same lock, how
+/// many tenants each lane owns.
+struct Fleet {
+    tenants: BTreeMap<TenantId, Hosted>,
+    lane_load: Vec<usize>,
 }
 
 impl Server {
     /// Creates a server with the given configuration.
     pub fn new(config: ServeConfig) -> Self {
-        let pump_pool = WorkerPool::new(config.pump_threads);
+        let lanes = Lanes::new(config.pump_threads);
         let cubing_pool = Arc::new(WorkerPool::new(config.cubing_threads));
+        let fleet = Fleet {
+            tenants: BTreeMap::new(),
+            lane_load: vec![0; lanes.len()],
+        };
         Server {
             config,
-            pump_pool,
+            lanes,
             cubing_pool,
-            tenants: RwLock::new(BTreeMap::new()),
+            fleet: RwLock::new(fleet),
         }
     }
 
@@ -123,20 +155,7 @@ impl Server {
         id: impl Into<TenantId>,
         config: EngineConfig,
     ) -> Result<(), ServeError> {
-        let id = id.into();
-        let mut tenants = self.tenants.write().expect("tenant map lock");
-        if tenants.contains_key(&id) {
-            return Err(ServeError::DuplicateTenant { tenant: id });
-        }
-        if tenants.len() >= self.config.max_tenants {
-            return Err(ServeError::AdmissionDenied {
-                max_tenants: self.config.max_tenants,
-            });
-        }
-        let config = config.with_cubing_pool(Arc::clone(&self.cubing_pool));
-        let tenant = Arc::new(Tenant::new(id.clone(), config, self.config.queue_capacity)?);
-        tenants.insert(id, tenant);
-        Ok(())
+        self.admit(id.into(), config, EngineConfig::build)
     }
 
     /// Writes a durable checkpoint of one tenant's engine to `path`
@@ -146,7 +165,8 @@ impl Server {
     /// [`pump_tenant`](Self::pump_tenant) first to capture them.
     ///
     /// # Errors
-    /// [`ServeError::UnknownTenant`], or the engine's typed
+    /// [`ServeError::UnknownTenant`], [`ServeError::TenantFailed`], or
+    /// the engine's typed
     /// [`StreamError::Checkpoint`](regcube_stream::StreamError) as
     /// [`ServeError::Stream`] (mid-unit strict-order engine, I/O).
     pub fn checkpoint_tenant(
@@ -176,42 +196,69 @@ impl Server {
         config: EngineConfig,
         path: impl AsRef<std::path::Path>,
     ) -> Result<(), ServeError> {
-        let id = id.into();
-        let mut tenants = self.tenants.write().expect("tenant map lock");
-        if tenants.contains_key(&id) {
-            return Err(ServeError::DuplicateTenant { tenant: id });
-        }
-        if tenants.len() >= self.config.max_tenants {
-            return Err(ServeError::AdmissionDenied {
-                max_tenants: self.config.max_tenants,
-            });
-        }
-        let config = config.with_cubing_pool(Arc::clone(&self.cubing_pool));
+        self.admit(id.into(), config, |config| config.restore(path))
+    }
+
+    /// Admission, shared by creation and restore. The engine is built
+    /// (and a checkpoint read and decoded) with no lock held, so a slow
+    /// admission never stalls another tenant's `ingest` or by-id reads:
+    /// the id and the cap are checked under the read lock before paying
+    /// for the build, and again under the write lock when inserting.
+    /// Whoever loses a race gets the typed error and its engine is
+    /// dropped; nothing of it was ever visible.
+    fn admit(
+        &self,
+        id: TenantId,
+        config: EngineConfig,
+        build: impl FnOnce(EngineConfig) -> Result<OnlineEngine<BoxedEngine>, StreamError>,
+    ) -> Result<(), ServeError> {
+        self.admissible(&self.fleet.read().expect("tenant map lock"), &id)?;
         let ticks_per_unit = config.ticks_per_unit as i64;
-        let engine = config.restore(path)?;
-        let tenant = Arc::new(Tenant::from_engine(
+        let engine = build(config.with_cubing_pool(Arc::clone(&self.cubing_pool)))?;
+        let tenant = Arc::new(Tenant::new(
             id.clone(),
             ticks_per_unit,
             engine,
             self.config.queue_capacity,
         ));
-        tenants.insert(id, tenant);
+        let mut fleet = self.fleet.write().expect("tenant map lock");
+        self.admissible(&fleet, &id)?;
+        let lane = (0..fleet.lane_load.len())
+            .min_by_key(|&lane| fleet.lane_load[lane])
+            .expect("a server has at least one lane");
+        fleet.lane_load[lane] += 1;
+        fleet.tenants.insert(id, Hosted { tenant, lane });
         Ok(())
     }
 
-    /// Removes a tenant. In-flight readers holding its snapshots or a
-    /// [`TenantReader`] keep working off their `Arc`s; the tenant just
-    /// stops being servable by id.
+    fn admissible(&self, fleet: &Fleet, id: &TenantId) -> Result<(), ServeError> {
+        if fleet.tenants.contains_key(id) {
+            return Err(ServeError::DuplicateTenant { tenant: id.clone() });
+        }
+        if fleet.tenants.len() >= self.config.max_tenants {
+            return Err(ServeError::AdmissionDenied {
+                max_tenants: self.config.max_tenants,
+            });
+        }
+        Ok(())
+    }
+
+    /// Removes a tenant and gives its place on its lane back. In-flight
+    /// readers holding its snapshots or a [`TenantReader`] keep working
+    /// off their `Arc`s; the tenant just stops being servable by id.
     ///
     /// # Errors
     /// [`ServeError::UnknownTenant`] if no such tenant exists.
     pub fn drop_tenant(&self, id: &TenantId) -> Result<(), ServeError> {
-        self.tenants
-            .write()
-            .expect("tenant map lock")
+        let mut fleet = self.fleet.write().expect("tenant map lock");
+        let hosted = fleet
+            .tenants
             .remove(id)
-            .map(|_| ())
-            .ok_or_else(|| ServeError::UnknownTenant { tenant: id.clone() })
+            .ok_or_else(|| ServeError::UnknownTenant { tenant: id.clone() })?;
+        fleet.lane_load[hosted.lane] -= 1;
+        // The engine may be large: free it after the map is unlocked.
+        drop(fleet);
+        Ok(())
     }
 
     /// Enqueues one record for a tenant. Non-blocking: a full queue is
@@ -224,54 +271,62 @@ impl Server {
         self.tenant(id)?.try_enqueue(record)
     }
 
-    /// Pumps every tenant with queued records, fanning the drains out
-    /// over the pump pool (one job per tenant). A tenant's stream
-    /// errors are contained in its own [`TenantPump`]; a saturated or
-    /// erroring tenant never stalls the others.
+    /// Pumps every tenant with queued records: one job per lane that
+    /// owns a busy tenant, the lanes running in parallel and each
+    /// draining its tenants in id order. Returns once every lane is
+    /// done, one [`TenantPump`] per busy tenant in tenant-id order. A
+    /// tenant's stream errors — and a panic inside its pump, as
+    /// [`ServeError::TenantFailed`] — are contained in its own
+    /// `TenantPump`; a saturated, erroring or failed tenant never stops
+    /// the others.
     pub fn pump(&self) -> Vec<TenantPump> {
-        let busy: Vec<Arc<Tenant>> = {
-            let tenants = self.tenants.read().expect("tenant map lock");
-            tenants
-                .values()
-                .filter(|t| t.queued() > 0)
-                .map(Arc::clone)
-                .collect()
-        };
-        if busy.is_empty() {
-            return Vec::new();
+        let mut batches = vec![Vec::new(); self.lanes.len()];
+        for hosted in self.fleet.read().expect("tenant map lock").tenants.values() {
+            if hosted.tenant.queued() > 0 {
+                batches[hosted.lane].push(Arc::clone(&hosted.tenant));
+            }
         }
-        self.pump_pool.run(
-            busy.into_iter()
-                .map(|tenant| move || tenant.pump())
-                .collect(),
-        )
+        let busy = batches
+            .into_iter()
+            .enumerate()
+            .filter(|(_, tenants)| !tenants.is_empty());
+        let mut pumps = self.lanes.run(busy, PumpOp::Drain);
+        pumps.sort_unstable_by(|a, b| a.tenant.cmp(&b.tenant));
+        pumps
     }
 
-    /// Pumps one tenant inline on the calling thread.
+    /// Pumps one tenant on its lane and waits for it.
     ///
     /// # Errors
     /// [`ServeError::UnknownTenant`].
     pub fn pump_tenant(&self, id: &TenantId) -> Result<TenantPump, ServeError> {
-        Ok(self.tenant(id)?.pump())
+        self.run_on_lane(id, PumpOp::Drain)
     }
 
     /// Drains a tenant's queue, closes its open unit (empty units
     /// close too — the paper's clock tick), and publishes the new
-    /// boundary snapshot.
+    /// boundary snapshot. Runs on the tenant's lane; the caller waits.
     ///
     /// # Errors
     /// [`ServeError::UnknownTenant`].
     pub fn close_unit(&self, id: &TenantId) -> Result<TenantPump, ServeError> {
-        Ok(self.tenant(id)?.close_unit())
+        self.run_on_lane(id, PumpOp::CloseUnit)
     }
 
     /// Drains a tenant's queue and flushes its engine (reorder buffer
-    /// included), publishing the final boundary.
+    /// included), publishing the final boundary. Runs on the tenant's
+    /// lane; the caller waits.
     ///
     /// # Errors
     /// [`ServeError::UnknownTenant`].
     pub fn flush(&self, id: &TenantId) -> Result<TenantPump, ServeError> {
-        Ok(self.tenant(id)?.flush())
+        self.run_on_lane(id, PumpOp::Flush)
+    }
+
+    fn run_on_lane(&self, id: &TenantId, op: PumpOp) -> Result<TenantPump, ServeError> {
+        let Hosted { tenant, lane } = self.hosted(id)?;
+        let mut pumps = self.lanes.run([(lane, vec![tenant])], op);
+        Ok(pumps.pop().expect("one pump per tenant sent"))
     }
 
     /// The tenant's most recently published boundary snapshot — the
@@ -296,8 +351,9 @@ impl Server {
     /// Digests every tenant, sorted by id — the fleet overview query.
     pub fn summaries(&self) -> Vec<DashboardSummary> {
         let tenants: Vec<Arc<Tenant>> = {
-            let map = self.tenants.read().expect("tenant map lock");
-            map.values().map(Arc::clone).collect()
+            let fleet = self.fleet.read().expect("tenant map lock");
+            let hosted = fleet.tenants.values();
+            hosted.map(|h| Arc::clone(&h.tenant)).collect()
         };
         tenants
             .iter()
@@ -322,43 +378,39 @@ impl Server {
     /// [`RunStats::overload_rejections`]) filled in.
     ///
     /// # Errors
-    /// [`ServeError::UnknownTenant`].
+    /// [`ServeError::UnknownTenant`], or [`ServeError::TenantFailed`].
     pub fn tenant_stats(&self, id: &TenantId) -> Result<RunStats, ServeError> {
-        Ok(self.tenant(id)?.stats())
+        self.tenant(id)?.stats()
     }
 
     /// Registers an alarm sink on one tenant's engine — the per-tenant
     /// fan-out point for exception notifications.
     ///
     /// # Errors
-    /// [`ServeError::UnknownTenant`].
+    /// [`ServeError::UnknownTenant`], or [`ServeError::TenantFailed`].
     pub fn add_sink(&self, id: &TenantId, sink: SharedSink) -> Result<(), ServeError> {
-        self.tenant(id)?.add_sink(sink);
-        Ok(())
+        self.tenant(id)?.add_sink(sink)
     }
 
     /// The ids of all hosted tenants, sorted.
     pub fn tenant_ids(&self) -> Vec<TenantId> {
-        self.tenants
-            .read()
-            .expect("tenant map lock")
-            .keys()
-            .cloned()
-            .collect()
+        let fleet = self.fleet.read().expect("tenant map lock");
+        fleet.tenants.keys().cloned().collect()
     }
 
     /// How many tenants are currently hosted.
     pub fn tenant_count(&self) -> usize {
-        self.tenants.read().expect("tenant map lock").len()
+        self.fleet.read().expect("tenant map lock").tenants.len()
     }
 
     fn tenant(&self, id: &TenantId) -> Result<Arc<Tenant>, ServeError> {
-        self.tenants
-            .read()
-            .expect("tenant map lock")
-            .get(id)
-            .map(Arc::clone)
-            .ok_or_else(|| ServeError::UnknownTenant { tenant: id.clone() })
+        Ok(self.hosted(id)?.tenant)
+    }
+
+    fn hosted(&self, id: &TenantId) -> Result<Hosted, ServeError> {
+        let fleet = self.fleet.read().expect("tenant map lock");
+        let hosted = fleet.tenants.get(id).cloned();
+        hosted.ok_or_else(|| ServeError::UnknownTenant { tenant: id.clone() })
     }
 }
 

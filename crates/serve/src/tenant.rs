@@ -1,23 +1,24 @@
 //! One tenant: a private cube engine, a bounded ingest queue, and a
 //! snapshot cell.
 //!
-//! Writes (pump, close, flush) serialize on the tenant's engine lock;
-//! reads never touch that lock — they go through the tenant's
-//! [`SnapshotCell`]. The ingest queue is bounded: a full queue is a
-//! typed [`ServeError::Overloaded`] back to the producer, never a
-//! silent drop, and every record that *was* accepted is ingested by
-//! the next pump in arrival order.
+//! Writes (pump, close, flush) run on the tenant's pump lane (see
+//! [`Server`](crate::server::Server)) and serialize on the tenant's
+//! engine lock, which also admits the occasional foreign thread
+//! (checkpoint, statistics, sink registration); reads never touch that
+//! lock — they go through the tenant's [`SnapshotCell`]. The ingest
+//! queue is bounded: a full queue is a typed
+//! [`ServeError::Overloaded`] back to the producer, never a silent
+//! drop, and every record that *was* accepted is ingested by the next
+//! pump in arrival order.
 
 use crate::cell::SnapshotCell;
 use crate::error::ServeError;
 use regcube_core::RunStats;
-use regcube_stream::{
-    BoxedEngine, CubeSnapshot, EngineConfig, OnlineEngine, RawRecord, UnitReport,
-};
+use regcube_stream::{BoxedEngine, CubeSnapshot, OnlineEngine, RawRecord, UnitReport};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A tenant identifier — any non-empty UTF-8 name.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -62,6 +63,18 @@ pub struct TenantPump {
     pub errors: Vec<ServeError>,
 }
 
+/// What a pump does after draining the queue.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum PumpOp {
+    /// Nothing more: units close only where a drained record implies it.
+    Drain,
+    /// Close the (possibly empty) open unit and publish.
+    CloseUnit,
+    /// Flush the engine (reorder buffer included) and publish the
+    /// final boundary.
+    Flush,
+}
+
 pub(crate) struct Tenant {
     id: TenantId,
     /// Raw ticks per m-layer unit — used to decide when a queued
@@ -69,6 +82,8 @@ pub(crate) struct Tenant {
     ticks_per_unit: i64,
     capacity: usize,
     queue: Mutex<VecDeque<RawRecord>>,
+    /// Poisoned only by a panic inside a pump; every later lock then
+    /// reports [`ServeError::TenantFailed`].
     engine: Mutex<OnlineEngine<BoxedEngine>>,
     pub(crate) cell: SnapshotCell,
     accepted: AtomicU64,
@@ -76,30 +91,10 @@ pub(crate) struct Tenant {
 }
 
 impl Tenant {
+    /// Wraps a built (or checkpoint-restored) engine and publishes its
+    /// state as the tenant's first snapshot, so readers see a restored
+    /// cube immediately.
     pub(crate) fn new(
-        id: TenantId,
-        config: EngineConfig,
-        capacity: usize,
-    ) -> Result<Self, ServeError> {
-        let ticks_per_unit = config.ticks_per_unit as i64;
-        let engine = config.build()?;
-        let cell = SnapshotCell::new(Arc::new(engine.snapshot()));
-        Ok(Tenant {
-            id,
-            ticks_per_unit,
-            capacity,
-            queue: Mutex::new(VecDeque::new()),
-            engine: Mutex::new(engine),
-            cell,
-            accepted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-        })
-    }
-
-    /// Wraps an already-built engine (the checkpoint-restore admission
-    /// path). Publishes the restored engine's state as the tenant's
-    /// first snapshot, so readers see the recovered cube immediately.
-    pub(crate) fn from_engine(
         id: TenantId,
         ticks_per_unit: i64,
         engine: OnlineEngine<BoxedEngine>,
@@ -122,6 +117,28 @@ impl Tenant {
         &self.id
     }
 
+    /// The engine, or the typed failure if an earlier pump panicked
+    /// while holding it (its state is then unknown, so nothing may
+    /// touch it again; the last published snapshot stays readable).
+    fn engine(&self) -> Result<MutexGuard<'_, OnlineEngine<BoxedEngine>>, ServeError> {
+        self.engine.lock().map_err(|_| self.failure())
+    }
+
+    fn failure(&self) -> ServeError {
+        ServeError::TenantFailed {
+            tenant: self.id.clone(),
+        }
+    }
+
+    /// The pump of a tenant whose engine is lost to a panic.
+    pub(crate) fn failed(&self) -> TenantPump {
+        TenantPump {
+            tenant: self.id.clone(),
+            reports: Vec::new(),
+            errors: vec![self.failure()],
+        }
+    }
+
     /// Writes a durable checkpoint of the tenant's engine, serialized
     /// against writers on the engine lock (the queue is *not* drained
     /// first — pump before checkpointing to capture queued records).
@@ -129,8 +146,9 @@ impl Tenant {
         &self,
         path: impl AsRef<std::path::Path>,
     ) -> Result<(), ServeError> {
-        let engine = self.engine.lock().expect("tenant engine lock");
-        engine.write_checkpoint(path).map_err(ServeError::from)
+        self.engine()?
+            .write_checkpoint(path)
+            .map_err(ServeError::from)
     }
 
     /// Enqueues one record, or rejects it with the typed backpressure
@@ -156,45 +174,21 @@ impl Tenant {
         self.queue.lock().expect("tenant queue lock").len()
     }
 
-    /// Drains the queue into the engine; publishes one snapshot per
-    /// closed unit. Takes the engine lock for the whole drain so
-    /// concurrent pumps of the same tenant serialize and keep arrival
-    /// order.
-    pub(crate) fn pump(&self) -> TenantPump {
-        let mut engine = self.engine.lock().expect("tenant engine lock");
-        let (reports, errors) = self.pump_locked(&mut engine);
-        TenantPump {
-            tenant: self.id.clone(),
-            reports,
-            errors,
-        }
-    }
-
-    /// Pumps, then closes the (possibly empty) open unit and publishes.
-    pub(crate) fn close_unit(&self) -> TenantPump {
-        let mut engine = self.engine.lock().expect("tenant engine lock");
+    /// Drains the queue into the engine, publishing one snapshot per
+    /// closed unit, then does what `op` adds. Takes the engine lock for
+    /// the whole pump so it serializes with foreign lockers and keeps
+    /// arrival order. Called on the tenant's lane only.
+    pub(crate) fn run(&self, op: PumpOp) -> TenantPump {
+        let Ok(mut engine) = self.engine() else {
+            return self.failed();
+        };
         let (mut reports, mut errors) = self.pump_locked(&mut engine);
-        match engine.close_unit() {
-            Ok(report) => {
-                self.publish(&engine);
-                reports.push(report);
-            }
-            Err(e) => errors.push(e.into()),
-        }
-        TenantPump {
-            tenant: self.id.clone(),
-            reports,
-            errors,
-        }
-    }
-
-    /// Pumps, then flushes the engine (drains any reorder buffer and
-    /// closes through the last buffered unit) and publishes the final
-    /// boundary.
-    pub(crate) fn flush(&self) -> TenantPump {
-        let mut engine = self.engine.lock().expect("tenant engine lock");
-        let (mut reports, mut errors) = self.pump_locked(&mut engine);
-        match engine.flush() {
+        let more = match op {
+            PumpOp::Drain => Ok(Vec::new()),
+            PumpOp::CloseUnit => engine.close_unit().map(|report| vec![report]),
+            PumpOp::Flush => engine.flush(),
+        };
+        match more {
             Ok(more) => {
                 if !more.is_empty() {
                     self.publish(&engine);
@@ -213,19 +207,16 @@ impl Tenant {
     /// Per-tenant statistics: the engine's own counters plus the
     /// serving-layer ones (snapshot reads served, records rejected by
     /// backpressure).
-    pub(crate) fn stats(&self) -> RunStats {
-        let engine = self.engine.lock().expect("tenant engine lock");
-        let mut stats = engine.stats();
+    pub(crate) fn stats(&self) -> Result<RunStats, ServeError> {
+        let mut stats = self.engine()?.stats();
         stats.snapshot_reads = self.cell.reads();
         stats.overload_rejections = self.rejected.load(Ordering::Relaxed);
-        stats
+        Ok(stats)
     }
 
-    pub(crate) fn add_sink(&self, sink: regcube_core::alarm::SharedSink) {
-        self.engine
-            .lock()
-            .expect("tenant engine lock")
-            .add_sink(sink);
+    pub(crate) fn add_sink(&self, sink: regcube_core::alarm::SharedSink) -> Result<(), ServeError> {
+        self.engine()?.add_sink(sink);
+        Ok(())
     }
 
     /// The body of a pump with the engine lock already held. The queue

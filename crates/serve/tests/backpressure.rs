@@ -3,7 +3,8 @@
 //! records must never be lost, rejections must be counted, and a
 //! saturated tenant must not stall any other tenant's unit closes.
 
-use regcube_core::ExceptionPolicy;
+use regcube_core::alarm::{self, AlarmContext, AlarmSink};
+use regcube_core::{CoreError, ExceptionPolicy, UnitDelta};
 use regcube_olap::{CubeSchema, CuboidSpec};
 use regcube_serve::{ServeConfig, ServeError, Server, TenantId};
 use regcube_stream::{EngineConfig, RawRecord};
@@ -189,4 +190,71 @@ fn admission_control_caps_tenants() {
     server.drop_tenant(&TenantId::from("a")).unwrap();
     server.create_tenant("c", config()).unwrap();
     assert_eq!(server.tenant_count(), 2);
+}
+
+#[test]
+fn a_panicking_tenant_fails_alone_and_typed() {
+    struct Panicking;
+    impl AlarmSink for Panicking {
+        fn on_unit(&mut self, _: &UnitDelta, _: &AlarmContext<'_>) -> Result<(), CoreError> {
+            panic!("injected: a sink with a bug");
+        }
+    }
+
+    let server = server(64);
+    let ids: Vec<TenantId> = ["a", "b", "c"].map(TenantId::from).into();
+    for id in &ids {
+        server.create_tenant(id.clone(), config()).unwrap();
+    }
+    let bad = &ids[1];
+    server.add_sink(bad, alarm::shared(Panicking)).unwrap();
+
+    // Three pumps, each carrying one unit for every tenant and closing
+    // the one before it: "b" panics in the first close (second pump)
+    // and must be the only tenant that ever notices.
+    for unit in 0..3i64 {
+        for id in &ids {
+            let r = RawRecord::new(vec![0, 0], unit * TPU as i64, 1.0);
+            server.ingest(id, &r).unwrap();
+        }
+        let pumps = server.pump();
+        assert_eq!(pumps.len(), 3, "every busy tenant reports, unit {unit}");
+        for pump in &pumps {
+            if &pump.tenant == bad && unit > 0 {
+                assert_eq!(
+                    pump.errors,
+                    vec![ServeError::TenantFailed {
+                        tenant: bad.clone()
+                    }],
+                    "unit {unit}"
+                );
+                assert!(pump.reports.is_empty());
+            } else {
+                assert!(pump.errors.is_empty(), "{:?}", pump.errors);
+                assert_eq!(pump.reports.len(), usize::from(unit > 0));
+            }
+        }
+    }
+
+    // The failure is permanent and typed on every path that needs the
+    // engine; the last published snapshot stays readable.
+    let failed = ServeError::TenantFailed {
+        tenant: bad.clone(),
+    };
+    assert_eq!(server.close_unit(bad).unwrap().errors, vec![failed.clone()]);
+    assert_eq!(server.flush(bad).unwrap().errors, vec![failed.clone()]);
+    assert_eq!(server.tenant_stats(bad).unwrap_err(), failed);
+    let path = std::env::temp_dir().join("regcube-failed-tenant.rgck");
+    assert_eq!(server.checkpoint_tenant(bad, &path).unwrap_err(), failed);
+    assert_eq!(server.snapshot(bad).unwrap().epoch(), 0);
+
+    // Its lane-mate and the other lane carried on, and it can be
+    // dropped and re-admitted under the same id.
+    for id in [&ids[0], &ids[2]] {
+        assert_eq!(server.snapshot(id).unwrap().epoch(), 2);
+        assert!(server.close_unit(id).unwrap().errors.is_empty());
+    }
+    server.drop_tenant(bad).unwrap();
+    server.create_tenant(bad.clone(), config()).unwrap();
+    assert!(server.close_unit(bad).unwrap().errors.is_empty());
 }

@@ -2,8 +2,8 @@
 //! dashboards reading while the streams flow.
 //!
 //! Three tenants (a power utility, a CDN, an IoT sensor fleet) share
-//! one `Server`. Each gets a private cube engine; all multiplex over
-//! the server's two shared worker pools. A dashboard thread polls
+//! one `Server`. Each gets a private cube engine, pumped by the one
+//! server lane that owns it. A dashboard thread polls
 //! every tenant's published snapshot — `DashboardSummary`, `drill_at`
 //! time travel, alarm inspection — while the ingest loop keeps
 //! feeding records and closing units. Readers never take an engine

@@ -19,7 +19,7 @@
 //! | [`tilt`] | `regcube-tilt` | tilt time frames with lossless slot promotion |
 //! | [`core`] | `regcube-core` | critical layers, exception policies, Algorithms 1 & 2, drilling |
 //! | [`stream`] | `regcube-stream` | raw-record ingestion, the online engine, channel sources |
-//! | [`serve`] | `regcube-serve` | multi-tenant serving: snapshot cells, backpressure, shared pools |
+//! | [`serve`] | `regcube-serve` | multi-tenant serving: snapshot cells, backpressure, pump lanes |
 //! | [`datagen`] | `regcube-datagen` | `D3L3C10T100K`-style synthetic stream datasets |
 //!
 //! # Quickstart
