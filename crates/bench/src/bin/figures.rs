@@ -21,8 +21,7 @@ const USAGE: &str =
   fig10        time & memory vs number of levels   (D2C10T10K, 1% exceptions)
   dims         time & memory vs number of dims     (L3, 1% exceptions)
   tilt         Figure 4 / Example 3 tilt-frame compression
-  incremental  online per-unit vs monolithic recomputation, plus the
-               frontier-dirty drill replay vs full step-3 replay phases
+  incremental  online per-unit vs monolithic recomputation
   scaling      sharded cubing throughput at 1/2/4/8 shards
   alarm        delta-driven alarm sinks vs rescan consumer overhead
   columnar     struct-of-arrays vs hash-map layout on the tier roll-up,

@@ -6,11 +6,9 @@
 
 use crate::memtrack;
 use crate::report::{fmt_mb, fmt_secs, Table};
-use regcube_core::engine::{CubingEngine, MoCubingEngine, PopularPathEngine};
 use regcube_core::result::Algorithm;
 use regcube_core::{mo_cubing, CriticalLayers, ExceptionPolicy, MTuple};
 use regcube_datagen::{Dataset, DatasetSpec};
-use regcube_olap::{CubeSchema, CuboidSpec};
 use regcube_regress::{aggregate, Isb};
 use regcube_stream::RawRecord;
 use regcube_tilt::TiltSpec;
@@ -25,45 +23,9 @@ pub struct IncrementalReport {
     pub per_unit: Duration,
     /// One full computation over the whole accumulated window.
     pub full: Duration,
-    /// Merging the last `1/units` slice into a warm [`MoCubingEngine`]
-    /// holding the rest of the window (the trait's same-window
-    /// incremental path).
-    pub engine_merge: Duration,
     /// Allocator peak of the online engine over the replay (bytes).
     pub online_peak: usize,
     /// Speed ratio `full / per_unit`.
-    pub speedup: f64,
-    /// Speed ratio `full / engine_merge`.
-    pub merge_speedup: f64,
-    /// Frontier-dirty drilling on a quiet stream (stable exception
-    /// frontier, small disjoint updates).
-    pub quiet: DrillPhaseReport,
-    /// Frontier-dirty drilling on a churny stream (the exception
-    /// frontier flips every batch).
-    pub churny: DrillPhaseReport,
-}
-
-/// One phase of the popular-path drill-replay comparison: the same
-/// same-window batch stream through the frontier-dirty incremental
-/// engine and the full step-3 replay baseline
-/// (`PopularPathEngine::with_full_drill_replay`).
-#[derive(Debug, Clone, Copy)]
-pub struct DrillPhaseReport {
-    /// Same-window delta batches ingested (after the unit-opening one).
-    pub batches: usize,
-    /// Wall time of the incremental engine over the phase.
-    pub incremental: Duration,
-    /// Wall time of the full-replay baseline over the phase.
-    pub replay: Duration,
-    /// Off-path cuboids the incremental engine re-aggregated/retracted.
-    pub replayed_cuboids: u64,
-    /// Off-path cuboids the incremental engine reused verbatim.
-    pub skipped_cuboids: u64,
-    /// Incremental throughput, batches ("units") per second.
-    pub units_per_sec: f64,
-    /// Baseline throughput, batches per second.
-    pub replay_units_per_sec: f64,
-    /// Speed ratio `replay / incremental`.
     pub speedup: f64,
 }
 
@@ -142,170 +104,13 @@ pub fn run(quick: bool) -> IncrementalReport {
     let full = started.elapsed();
     let _ = full_result;
 
-    // ---- Engine incremental: merge only the newly generated slice ------
-    // A warm engine holds all but the last `1/units` of the window's
-    // tuples; `ingest_unit` with the same window folds the new slice in
-    // via Theorem 3.2 instead of recomputing any cuboid.
-    let split = full_tuples.len() - full_tuples.len() / units;
-    let (head, tail) = full_tuples.split_at(split.min(full_tuples.len() - 1));
-    let mut engine = MoCubingEngine::new(schema.clone(), layers.clone(), policy.clone())
-        .expect("valid workload");
-    engine.ingest_unit(head).expect("warm-up batch");
-    let started = Instant::now();
-    let delta = engine.ingest_unit(tail).expect("incremental batch");
-    let engine_merge = started.elapsed();
-    assert!(!delta.opened_unit, "same window must merge incrementally");
-
-    let (quiet, churny) = run_drill_phases(quick);
-
     IncrementalReport {
         units,
         per_unit,
         full,
-        engine_merge,
         online_peak,
         speedup: full.as_secs_f64() / per_unit.as_secs_f64().max(1e-9),
-        merge_speedup: full.as_secs_f64() / engine_merge.as_secs_f64().max(1e-9),
-        quiet,
-        churny,
     }
-}
-
-/// Window shared by every batch of the drill phases (one open unit —
-/// the frontier-dirty replay is a same-window optimization).
-const DRILL_WINDOW: (i64, i64) = (0, 15);
-
-/// The structure under the drill phases: 3 dimensions, 3 levels,
-/// fanout 4 — a 64-cuboid lattice whose default popular path covers 10
-/// cuboids, leaving 54 off-path cuboids for step 3.
-fn drill_setup() -> (CubeSchema, CriticalLayers, ExceptionPolicy) {
-    let schema = CubeSchema::synthetic(3, 3, 4).expect("static spec");
-    let layers = CriticalLayers::new(
-        &schema,
-        CuboidSpec::new(vec![0, 0, 0]),
-        CuboidSpec::new(vec![3, 3, 3]),
-    )
-    .expect("static layers");
-    (schema, layers, ExceptionPolicy::slope_threshold(0.5))
-}
-
-fn drill_tuple(ids: [u32; 3], slope: f64) -> MTuple {
-    MTuple::new(
-        ids.to_vec(),
-        Isb::new(DRILL_WINDOW.0, DRILL_WINDOW.1, 1.0, slope).expect("static window"),
-    )
-}
-
-/// Deterministic quiet-stream ids: every coordinate outside the level-1
-/// subtree 0 of its dimension (ids ≥ 16 under fanout 4 / depth 3), so
-/// quiet updates never project onto the hot chain's frontier cells.
-/// A splitmix-style hash spreads the streams over the 48³ cell space
-/// (a plain linear recurrence would fold every dimension with period
-/// 48 and collapse the m-layer to 48 cells).
-fn quiet_ids(i: usize) -> [u32; 3] {
-    let h = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    [
-        16 + (h % 48) as u32,
-        16 + ((h >> 16) % 48) as u32,
-        16 + ((h >> 32) % 48) as u32,
-    ]
-}
-
-/// The persistent hot streams: confined to subtree 0 of every
-/// dimension, so their exception chains stay disjoint from the quiet
-/// updates at every lattice depth except the apex.
-const HOT: [[u32; 3]; 4] = [[0, 1, 2], [5, 4, 3], [10, 8, 6], [15, 12, 9]];
-
-/// Ingests `batches` into both engines, timing each, and returns the
-/// phase report (stats are diffed around the phase, so the
-/// unit-opening drill is excluded from the replay counters).
-fn time_phase(label: &str, open: &[MTuple], batches: &[Vec<MTuple>]) -> DrillPhaseReport {
-    let (schema, layers, policy) = drill_setup();
-    let mut incremental =
-        PopularPathEngine::new(schema.clone(), layers.clone(), policy.clone(), None)
-            .expect("valid engine");
-    let mut replay = PopularPathEngine::new(schema, layers, policy, None)
-        .expect("valid engine")
-        .with_full_drill_replay();
-
-    incremental.ingest_unit(open).expect("open unit");
-    replay.ingest_unit(open).expect("open unit");
-    let replayed0 = incremental.stats().drill_replayed_cuboids;
-    let skipped0 = incremental.stats().drill_skipped_cuboids;
-
-    let started = Instant::now();
-    for batch in batches {
-        incremental.ingest_unit(batch).expect("same-window batch");
-    }
-    let inc_elapsed = started.elapsed();
-    let started = Instant::now();
-    for batch in batches {
-        replay.ingest_unit(batch).expect("same-window batch");
-    }
-    let rep_elapsed = started.elapsed();
-
-    // The two modes must agree exactly — a cheap sanity net under the
-    // benchmark itself (the real pinning lives in the contract tests).
-    assert_eq!(
-        incremental.result().total_exception_cells(),
-        replay.result().total_exception_cells(),
-        "{label}: incremental and replay cubes diverged"
-    );
-
-    let n = batches.len();
-    DrillPhaseReport {
-        batches: n,
-        incremental: inc_elapsed,
-        replay: rep_elapsed,
-        replayed_cuboids: incremental.stats().drill_replayed_cuboids - replayed0,
-        skipped_cuboids: incremental.stats().drill_skipped_cuboids - skipped0,
-        units_per_sec: n as f64 / inc_elapsed.as_secs_f64().max(1e-9),
-        replay_units_per_sec: n as f64 / rep_elapsed.as_secs_f64().max(1e-9),
-        speedup: rep_elapsed.as_secs_f64() / inc_elapsed.as_secs_f64().max(1e-9),
-    }
-}
-
-/// The drill-replay comparison: a **quiet** phase (persistent hot
-/// chains, small updates disjoint from them — the frontier never
-/// changes, so the incremental engine reuses nearly all of step 3) and
-/// a **churny** phase (the hot set flips on and off every batch — the
-/// frontier changes everywhere, so both modes do comparable work).
-pub fn run_drill_phases(quick: bool) -> (DrillPhaseReport, DrillPhaseReport) {
-    let (n, batches) = if quick { (1_500, 16) } else { (10_000, 48) };
-
-    // Unit-opening batch: balanced tiny slopes on the quiet field plus
-    // the persistent hot streams.
-    let mut open: Vec<MTuple> = (0..n)
-        .map(|i| drill_tuple(quiet_ids(i), if i % 2 == 0 { 0.001 } else { -0.001 }))
-        .collect();
-    for ids in HOT {
-        open.push(drill_tuple(ids, 0.8));
-    }
-
-    // Quiet phase: each batch updates a rotating 1/32 slice of the
-    // quiet field with balanced tiny slopes.
-    let quiet_batches: Vec<Vec<MTuple>> = (0..batches)
-        .map(|b| {
-            (0..n)
-                .filter(|i| i % 32 == b % 32)
-                .map(|i| drill_tuple(quiet_ids(i), if i % 64 < 32 { 0.001 } else { -0.001 }))
-                .collect()
-        })
-        .collect();
-    let quiet = time_phase("quiet", &open, &quiet_batches);
-
-    // Churny phase: every batch flips the hot streams' aggregate
-    // between 0 (cleared) and 0.8 (exceptional), so the whole frontier
-    // appears or retracts each time.
-    let churny_batches: Vec<Vec<MTuple>> = (0..batches)
-        .map(|b| {
-            let slope = if b % 2 == 0 { -0.8 } else { 0.8 };
-            HOT.iter().map(|&ids| drill_tuple(ids, slope)).collect()
-        })
-        .collect();
-    let churny = time_phase("churny", &open, &churny_batches);
-
-    (quiet, churny)
 }
 
 /// Prints the comparison and returns it (for JSON export).
@@ -327,69 +132,14 @@ pub fn print(r: &IncrementalReport) -> Vec<Table> {
         fmt_secs(r.full),
         "-".into(),
     ]);
-    t.push_row(vec![
-        "engine merge, newest slice only".into(),
-        fmt_secs(r.engine_merge),
-        "-".into(),
-    ]);
     t.print();
     println!(
         "per-unit recomputation is {:.2}x {} than the monolithic pass",
         r.speedup.max(1.0 / r.speedup),
         if r.speedup >= 1.0 { "faster" } else { "slower" }
     );
-    println!(
-        "same-window engine merge of the newest slice is {:.2}x {} than \
-         the monolithic pass",
-        r.merge_speedup.max(1.0 / r.merge_speedup),
-        if r.merge_speedup >= 1.0 {
-            "faster"
-        } else {
-            "slower"
-        }
-    );
     println!();
-
-    let mut drill = Table::new(
-        format!(
-            "Frontier-dirty drill replay vs full step-3 replay ({} batches/phase)",
-            r.quiet.batches
-        ),
-        &[
-            "phase", "mode", "time (s)", "units/s", "replayed", "skipped",
-        ],
-    );
-    for (phase, p) in [("quiet", &r.quiet), ("churny", &r.churny)] {
-        drill.push_row(vec![
-            phase.into(),
-            "frontier-dirty".into(),
-            fmt_secs(p.incremental),
-            format!("{:.1}", p.units_per_sec),
-            p.replayed_cuboids.to_string(),
-            p.skipped_cuboids.to_string(),
-        ]);
-        drill.push_row(vec![
-            phase.into(),
-            "full replay".into(),
-            fmt_secs(p.replay),
-            format!("{:.1}", p.replay_units_per_sec),
-            "-".into(),
-            "-".into(),
-        ]);
-    }
-    drill.print();
-    println!(
-        "quiet-stream drilling is {:.2}x faster than the full step-3 replay \
-         ({} cuboids reused verbatim, {} replayed)",
-        r.quiet.speedup, r.quiet.skipped_cuboids, r.quiet.replayed_cuboids
-    );
-    println!(
-        "churny-stream drilling is {:.2}x the full replay (frontier churn \
-         forces {} re-aggregations)",
-        r.churny.speedup, r.churny.replayed_cuboids
-    );
-    println!();
-    vec![t, drill]
+    vec![t]
 }
 
 #[cfg(test)]
@@ -403,35 +153,7 @@ mod tests {
         assert!(r.per_unit > Duration::ZERO);
         assert!(r.full > Duration::ZERO);
         // `online_peak` is allocator-derived and depends on concurrent
-        // test activity; the speedup ratios are the claims under test.
+        // test activity; the speedup ratio is the claim under test.
         assert!(r.speedup.is_finite() && r.speedup > 0.0);
-        assert!(r.merge_speedup.is_finite() && r.merge_speedup > 0.0);
-    }
-
-    #[test]
-    fn quiet_stream_drilling_reuses_the_frontier() {
-        let (quiet, churny) = run_drill_phases(true);
-        // The replayed/skipped counts are deterministic. The quiet
-        // phase's exception frontier never changes, so almost everything
-        // is reused (only the apex's immediate off-path children
-        // re-drill, their qualifying region being the whole cube); the
-        // churny phase replays the whole off-path lattice every batch.
-        assert_eq!(
-            (quiet.replayed_cuboids, quiet.skipped_cuboids),
-            (32, 832),
-            "quiet phase"
-        );
-        assert_eq!(
-            (churny.replayed_cuboids, churny.skipped_cuboids),
-            (864, 0),
-            "churny phase"
-        );
-        // Wall-clock ratios flake under a loaded shared test runner, so
-        // this only sanity-checks direction (typically ~7x).
-        assert!(
-            quiet.speedup > 1.5,
-            "quiet-stream speedup {:.2}x lost even the loose margin",
-            quiet.speedup
-        );
     }
 }

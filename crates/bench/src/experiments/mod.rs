@@ -75,8 +75,6 @@ pub fn run_engine<E: CubingEngine>(engine: &mut E, workload: &Workload) -> RunMe
         engine
             .ingest_unit(&workload.tuples)
             .expect("valid workload");
-        // The engine retains working tables for incremental follow-ups;
-        // batch figures measure exactly this one-unit ingestion.
     });
     to_measurement(engine.result(), alloc_peak)
 }

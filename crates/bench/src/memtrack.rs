@@ -118,33 +118,6 @@ mod tests {
     }
 
     #[test]
-    fn analytical_table_bytes_tracks_the_allocator() {
-        use regcube_core::table::{table_bytes, CuboidTable};
-        use regcube_olap::cell::CellKey;
-        use regcube_regress::Isb;
-
-        // The analytical `table_bytes` estimate must stay within a 2x
-        // band of the real allocator's live-byte delta. 50k cells keeps
-        // concurrent-test noise well below the band.
-        let _guard = MEASURE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        const N: u32 = 50_000;
-        let isb = Isb::new(0, 9, 1.0, 0.5).unwrap();
-
-        let before = live_bytes();
-        let mut row = CuboidTable::default();
-        for v in 0..N {
-            row.insert(CellKey::new(vec![v, v % 97, v % 53]), isb);
-        }
-        let measured = live_bytes().saturating_sub(before);
-        let estimate = table_bytes(&row, 3);
-        let ratio = estimate as f64 / measured.max(1) as f64;
-        assert!(
-            (0.5..=2.0).contains(&ratio),
-            "row: analytical {estimate} vs measured {measured} (ratio {ratio:.2})"
-        );
-    }
-
-    #[test]
     fn measure_peak_is_composable() {
         let ((), first) = measure_peak(|| {
             let _v: Vec<u8> = vec![0; SPIKE];

@@ -56,7 +56,7 @@
 //!     MTuple::new(vec![3, 2], Isb::new(0, 9, 1.0, 0.1).unwrap()),
 //! ];
 //! let delta = engine.ingest_unit(&tuples).unwrap();
-//! assert!(delta.opened_unit);
+//! assert_eq!(delta.unit, 0);
 //! assert_eq!(engine.result().m_layer_cells(), 2);
 //! ```
 
@@ -421,22 +421,6 @@ impl TableStorage for ColumnarTable {
             kernel,
         };
         Ok((m, folded))
-    }
-
-    fn from_row_table(
-        schema: &CubeSchema,
-        cuboid: &CuboidSpec,
-        rows: CuboidTable,
-        kernel: KernelMode,
-        mem: &mut MemoryAccountant,
-    ) -> Result<Self> {
-        // Identity projection through the shared aggregation path.
-        let mut table = ColumnarTable::new(schema, cuboid)?.with_kernel_mode(kernel);
-        aggregate_into(schema, cuboid, &rows, cuboid, &mut table, None)?;
-        let dims = schema.num_dims();
-        mem.add(table.approx_bytes(dims));
-        mem.remove(table_bytes(&rows, dims));
-        Ok(table)
     }
 
     /// The block-projected kernel fold when the projector supports it,

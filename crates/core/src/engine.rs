@@ -1,27 +1,25 @@
-//! The incremental cubing seam — one trait, two algorithms.
+//! The per-unit cubing seam — one trait, two algorithms.
 //!
 //! Framework 4.1 treats m/o-cubing (Algorithm 1) and popular-path cubing
 //! (Algorithm 2) as interchangeable strategies over the same
 //! critical-layer contract, so this module gives them one seam: a
-//! [`CubingEngine`] maintains a regression cube **incrementally per
-//! m-layer time unit**. Each [`ingest_unit`](CubingEngine::ingest_unit)
-//! call delivers one batch of m-layer tuples:
-//!
-//! * a batch whose time interval differs from the engine's current window
-//!   **opens a new unit** — the cube is recomputed for the new window
-//!   (the paper's per-quarter trigger);
-//! * a batch with the **same** interval is folded into the open unit
-//!   *incrementally*: because ISB aggregation is linear (Theorem 3.2),
-//!   new tuples merge directly into every affected cuboid cell, and only
-//!   the touched cells have their exception status re-evaluated — no
-//!   cuboid is recomputed from scratch.
+//! [`CubingEngine`] holds the regression cube of **one m-layer time
+//! unit** and recomputes it once per unit (the paper's per-quarter
+//! trigger, Sections 4.3 / 4.5). One
+//! [`ingest_unit`](CubingEngine::ingest_unit) call is one unit: the
+//! batch is that window's *complete* m-layer, the engine computes the
+//! window's cube from it and replaces the cube it held. Whatever
+//! arrives inside a unit is accumulated below this seam (by
+//! `regcube-stream`'s `Ingestor`), so a second batch for the window an
+//! engine already holds has no meaning here and is refused with a typed
+//! error — never merged, never silently substituted.
 //!
 //! Each algorithm is one module with one engine:
 //! [`MoCubingEngine`] ([`crate::mo_cubing`], over either table
 //! [`Backend`]) and [`PopularPathEngine`] ([`crate::popular_path`]);
 //! both are re-exported here. The batch entry points
 //! [`crate::mo_cubing::compute`] and [`crate::popular_path::compute`]
-//! are thin wrappers that build an engine, ingest one batch and return
+//! are thin wrappers that build an engine, ingest one unit and return
 //! the result. The stream engine (`regcube-stream`) and the bench
 //! harness (`regcube-bench`) are generic over the trait, and
 //! [`crate::shard::ShardedEngine`] implements it over any inner engine.
@@ -34,16 +32,17 @@
 //! agree on the critical layers. `crates/core/tests/engine_contract.rs`
 //! runs every engine-level contract over every engine.
 
+use crate::error::CoreError;
 use crate::exception::ExceptionPolicy;
 use crate::layers::CriticalLayers;
-use crate::measure::{merge_sibling, MTuple};
+use crate::measure::MTuple;
 use crate::result::{Algorithm, CubeResult};
 use crate::stats::RunStats;
-use crate::table::{table_bytes, CuboidTable};
+use crate::table::CuboidTable;
 use crate::Result;
-use regcube_olap::cell::{project_key, CellKey};
-use regcube_olap::fxhash::{FxHashMap, FxHashSet};
-use regcube_olap::{CubeSchema, CuboidSpec};
+use regcube_olap::cell::CellKey;
+use regcube_olap::fxhash::FxHashMap;
+use regcube_olap::CuboidSpec;
 use std::sync::Arc;
 
 pub use crate::mo_cubing::MoCubingEngine;
@@ -86,52 +85,65 @@ pub enum Backend {
     Columnar,
 }
 
-/// What one [`CubingEngine::ingest_unit`] call changed.
+/// What one [`CubingEngine::ingest_unit`] call changed: the unit it
+/// cubed and how the exception set moved against the unit before it.
 #[derive(Debug, Clone)]
 pub struct UnitDelta {
-    /// 0-based ordinal of the unit the batch belongs to (increments every
-    /// time a batch opens a new window).
+    /// 0-based ordinal of the unit among those the engine has cubed.
     pub unit: u64,
     /// The unit's tick interval.
     pub window: (i64, i64),
-    /// Whether this batch opened a new unit (full recomputation) rather
-    /// than folding into the open one (incremental merge).
-    pub opened_unit: bool,
-    /// Tuples ingested by the batch.
+    /// Tuples in the unit's batch.
     pub tuples: usize,
-    /// Distinct `(cuboid, cell)` entries the batch created or updated.
+    /// Distinct `(cuboid, cell)` entries computed for the unit.
     pub cells_touched: u64,
-    /// Between-layer cells that became exceptions with this batch
-    /// (relative to the engine's state before it, across rollovers).
-    /// Sorted by `(cuboid, cell)` — the ordering is deterministic
-    /// regardless of hash-map iteration or shard merge order, so
-    /// sharded and single-engine runs are directly comparable.
+    /// Between-layer cells that are exceptions in this unit and were
+    /// not in the previous one. Sorted by `(cuboid, cell)` — the
+    /// ordering is deterministic regardless of hash-map iteration or
+    /// shard merge order, so sharded and single-engine runs are
+    /// directly comparable.
     pub appeared: Vec<(CuboidSpec, CellKey)>,
-    /// Between-layer cells that stopped being exceptions with this
-    /// batch; on a unit rollover this includes the closed window's
-    /// exceptions that do not recur in the new window, so consumers can
-    /// maintain a live alarm set purely from appeared/cleared deltas.
-    /// Sorted by `(cuboid, cell)` like [`appeared`](Self::appeared).
+    /// The previous unit's exceptions that do not recur in this one, so
+    /// consumers can maintain a live alarm set purely from
+    /// appeared/cleared deltas. Sorted by `(cuboid, cell)` like
+    /// [`appeared`](Self::appeared).
     pub cleared: Vec<(CuboidSpec, CellKey)>,
 }
 
 impl UnitDelta {
-    pub(crate) fn for_batch(window: (i64, i64), opened_unit: bool, tuples: usize) -> Self {
+    /// The delta of an engine that held `before` and has just cubed
+    /// `after` for `window` as its `unit`-th unit: the two results'
+    /// exception stores diffed both ways, each side sorted.
+    pub(crate) fn between(
+        unit: u64,
+        window: (i64, i64),
+        tuples: usize,
+        before: &CubeResult,
+        after: &CubeResult,
+    ) -> Self {
+        let only_in = |a: &CubeResult, b: &CubeResult| {
+            let mut cells: Vec<(CuboidSpec, CellKey)> = a
+                .iter_exceptions()
+                .filter(|(c, k, _)| !b.exceptions_in(c).is_some_and(|t| t.contains_key(*k)))
+                .map(|(c, k, _)| (c.clone(), k.clone()))
+                .collect();
+            cells.sort_unstable();
+            cells
+        };
         UnitDelta {
-            unit: 0,
+            unit,
             window,
-            opened_unit,
             tuples,
-            cells_touched: 0,
-            appeared: Vec::new(),
-            cleared: Vec::new(),
+            cells_touched: after.stats().cells_computed,
+            appeared: only_in(after, before),
+            cleared: only_in(before, after),
         }
     }
 
     /// Sorts `appeared`/`cleared` by `(cuboid, cell)` so the delta is
     /// byte-for-byte reproducible regardless of hash-map iteration or
-    /// shard merge order. Every engine calls this before returning a
-    /// delta; consumers can rely on the ordering. Public so external
+    /// shard merge order. The built-in engines build their deltas in
+    /// this order; consumers can rely on it. Public so external
     /// [`CubingEngine`] implementations can uphold the same sorted-delta
     /// contract.
     ///
@@ -157,16 +169,17 @@ impl UnitDelta {
     }
 }
 
-/// An incremental cubing strategy over fixed critical layers.
+/// A per-unit cubing strategy over fixed critical layers.
 ///
-/// Implementations own the cube state; `ingest_unit` advances it one
-/// tuple batch at a time (see the module docs for the unit semantics),
-/// `result` exposes the materialized cube of the open unit and `stats`
-/// the work/memory accounting accumulated over that unit.
+/// Implementations own the cube of the last unit they were given:
+/// `ingest_unit` computes the next unit's cube and replaces it (see the
+/// module docs for the unit semantics), `result` exposes the
+/// materialized cube and `stats` the work/memory accounting of
+/// computing it.
 ///
 /// ```
 /// use regcube_core::engine::{CubingEngine, MoCubingEngine};
-/// use regcube_core::{CriticalLayers, ExceptionPolicy, MTuple};
+/// use regcube_core::{CoreError, CriticalLayers, ExceptionPolicy, MTuple};
 /// use regcube_olap::{CubeSchema, CuboidSpec};
 /// use regcube_regress::Isb;
 ///
@@ -182,52 +195,60 @@ impl UnitDelta {
 ///     ExceptionPolicy::slope_threshold(0.5),
 /// ).unwrap();
 ///
-/// // One unit's batch: a hot stream and a quiet one.
-/// let delta = engine.ingest_unit(&[
+/// // One unit: a hot stream and a quiet one.
+/// let unit = [
 ///     MTuple::new(vec![0, 0], Isb::new(0, 14, 1.0, 0.9).unwrap()),
 ///     MTuple::new(vec![3, 3], Isb::new(0, 14, 1.0, 0.1).unwrap()),
-/// ]).unwrap();
-/// assert!(delta.opened_unit && delta.is_sorted());
+/// ];
+/// let delta = engine.ingest_unit(&unit).unwrap();
+/// assert!(delta.unit == 0 && delta.is_sorted());
+/// assert_eq!(engine.result().m_layer_cells(), 2);
+///
+/// // The window is cubed: a second batch for it is refused.
+/// let again = engine.ingest_unit(&unit[..1]);
+/// assert!(matches!(again, Err(CoreError::BadInput { .. })));
 /// assert_eq!(engine.result().m_layer_cells(), 2);
 /// ```
 pub trait CubingEngine {
     /// Which algorithm the engine realizes.
     fn algorithm(&self) -> Algorithm;
 
-    /// Folds one batch of m-layer tuples into the cube.
+    /// Cubes one unit: `tuples` is the complete m-layer of a window the
+    /// engine does not hold, and the window's cube replaces the held
+    /// one.
     ///
     /// **Sorted-delta contract**: the returned [`UnitDelta`] must have
     /// `appeared`/`cleared` sorted by `(cuboid, cell)` — call
     /// [`UnitDelta::sort_cells`] before returning. All built-in engines
-    /// guarantee this (and debug-assert it); the stream layer verifies
-    /// it in O(n) and only re-sorts deltas of foreign engines that
-    /// violate it.
+    /// guarantee this; the stream layer verifies it in O(n) and only
+    /// re-sorts deltas of foreign engines that violate it.
     ///
     /// # Errors
     /// [`crate::CoreError::BadInput`] for an empty or structurally invalid
-    /// batch; substrate errors for schema/layer inconsistencies. After
-    /// an error the engine stays on its previous unit (a failed
-    /// rollover leaves no half-open window).
+    /// batch, and for a batch whose window is the one the engine
+    /// already holds (a unit is cubed once); substrate errors for
+    /// schema/layer inconsistencies. After any error the engine is
+    /// exactly as it was before the call — cube, statistics and window.
     fn ingest_unit(&mut self, tuples: &[MTuple]) -> Result<UnitDelta>;
 
-    /// The materialized cube of the open unit (empty before the first
-    /// ingested batch).
+    /// The materialized cube of the held unit (empty before the first
+    /// one).
     fn result(&self) -> &CubeResult;
 
-    /// Work and memory statistics accumulated over the open unit.
+    /// Work and memory statistics of computing the held unit's cube.
     fn stats(&self) -> &RunStats;
 
-    /// The open unit's cube as a shared handle — what a serving
+    /// The held unit's cube as a shared handle — what a serving
     /// snapshot keeps. The built-in engines hold their result behind an
-    /// [`Arc`] and hand out a reference count (a later same-window
-    /// batch copies the result only if such a handle is still alive);
-    /// the default clones [`result`](Self::result), so an engine that
-    /// does not override this keeps working, one deep copy per call.
+    /// [`Arc`] and hand out a reference count (a result is never
+    /// written after it is built, so sharing is free); the default
+    /// clones [`result`](Self::result), so an engine that does not
+    /// override this keeps working, one deep copy per call.
     fn shared_result(&self) -> Arc<CubeResult> {
         Arc::new(self.result().clone())
     }
 
-    /// The full tables of every strictly-between cuboid of the open
+    /// The full tables of every strictly-between cuboid of the held
     /// unit, when the engine retains them all (`None` otherwise — the
     /// default). An engine that answers `Some` lets a
     /// [`crate::shard::ShardedEngine`] merge complete per-shard cubes
@@ -285,56 +306,19 @@ pub(crate) fn unshare_result(result: Arc<CubeResult>) -> CubeResult {
     Arc::try_unwrap(result).unwrap_or_else(|shared| (*shared).clone())
 }
 
-/// The window of a validated, non-empty batch.
-pub(crate) fn batch_window(tuples: &[MTuple]) -> (i64, i64) {
-    tuples[0].isb().interval()
-}
-
-/// Folds each tuple's measure into the cell of `cuboid` its m-layer ids
-/// project to — the one incremental merge both engines share (exact by
-/// Theorem 3.2's linearity). Returns the touched keys and how many cells
-/// the fold created.
-pub(crate) fn fold_tuples_into(
-    schema: &CubeSchema,
-    m_layer: &CuboidSpec,
-    cuboid: &CuboidSpec,
-    table: &mut CuboidTable,
-    tuples: &[MTuple],
-) -> Result<(FxHashSet<CellKey>, u64)> {
-    let mut touched: FxHashSet<CellKey> = FxHashSet::default();
-    let mut created: u64 = 0;
-    for t in tuples {
-        let ids = project_key(schema, m_layer, t.ids(), cuboid);
-        let key = CellKey::new(ids);
-        match table.entry(key.clone()) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                merge_sibling(e.get_mut(), t.isb())?;
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(*t.isb());
-                created += 1;
-            }
-        }
-        touched.insert(key);
+/// The window of a validated, non-empty batch, refused when it is the
+/// window the engine already `held`: that unit is cubed, and a second
+/// batch for it can be neither merged nor taken as a replacement.
+pub(crate) fn next_window(held: Option<(i64, i64)>, tuples: &[MTuple]) -> Result<(i64, i64)> {
+    let window = tuples[0].isb().interval();
+    if held == Some(window) {
+        return Err(CoreError::BadInput {
+            detail: format!(
+                "window [{}, {}] is already cubed: one ingest_unit call is one unit, \
+                 and its batch must be the window's complete m-layer",
+                window.0, window.1
+            ),
+        });
     }
-    Ok((touched, created))
-}
-
-/// Total analytical bytes of a result's exception stores.
-pub(crate) fn exception_bytes(result: &CubeResult, dims: usize) -> usize {
-    result
-        .exceptions_map()
-        .values()
-        .map(|t| table_bytes(t, dims))
-        .sum()
-}
-
-/// A result's retained between-layer exception cells as owned
-/// `(cuboid, cell)` pairs — what the engines diff before and after a
-/// batch to report [`UnitDelta::appeared`] / [`UnitDelta::cleared`].
-pub(crate) fn exception_cells(result: &CubeResult) -> FxHashSet<(CuboidSpec, CellKey)> {
-    result
-        .iter_exceptions()
-        .map(|(c, k, _)| (c.clone(), k.clone()))
-        .collect()
+    Ok(window)
 }

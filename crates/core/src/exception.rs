@@ -12,8 +12,7 @@
 use crate::error::CoreError;
 use crate::measure::exception_score;
 use crate::Result;
-use regcube_olap::cell::CellKey;
-use regcube_olap::fxhash::{FxHashMap, FxHashSet};
+use regcube_olap::fxhash::FxHashMap;
 use regcube_olap::CuboidSpec;
 use regcube_regress::Isb;
 
@@ -132,28 +131,6 @@ impl ExceptionPolicy {
     #[inline]
     pub fn is_exception(&self, cuboid: &CuboidSpec, measure: &Isb) -> bool {
         exception_score(measure) >= self.threshold_for(cuboid)
-    }
-
-    /// Re-screens one cell of `cuboid` into an exception-frontier set:
-    /// inserts `key` when `measure` is exceptional, removes it
-    /// otherwise. Returns the membership transition — `Some(true)` when
-    /// the cell **appeared** on the frontier, `Some(false)` when it
-    /// **cleared**, `None` when membership did not change. This is the
-    /// one-cell diffing primitive the incremental popular-path drill
-    /// ([`crate::popular_path::DrillFrontier`]) applies to exactly the
-    /// cells a batch touched, instead of re-screening whole tables.
-    pub fn screen_frontier_cell(
-        &self,
-        cuboid: &CuboidSpec,
-        frontier: &mut FxHashSet<CellKey>,
-        key: &CellKey,
-        measure: &Isb,
-    ) -> Option<bool> {
-        if self.is_exception(cuboid, measure) {
-            frontier.insert(key.clone()).then_some(true)
-        } else {
-            frontier.remove(key).then_some(false)
-        }
     }
 }
 

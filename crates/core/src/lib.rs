@@ -86,13 +86,11 @@ pub mod drill;
 pub mod engine;
 pub mod error;
 pub mod exception;
-pub mod history;
 pub mod kernel;
 pub mod layers;
 pub mod measure;
 pub mod mlr_cube;
 pub mod mo_cubing;
-pub mod plan;
 pub mod pool;
 pub mod popular_path;
 pub mod query;
@@ -113,7 +111,6 @@ pub use kernel::KernelMode;
 pub use layers::CriticalLayers;
 pub use measure::MTuple;
 pub use pool::WorkerPool;
-pub use popular_path::{DrillFrontier, Frontier};
 pub use result::CubeResult;
 pub use shard::ShardedEngine;
 pub use stats::RunStats;

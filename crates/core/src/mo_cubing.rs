@@ -14,28 +14,25 @@
 //! its reference 18 too (footnote 6); the computed and retained cell
 //! sets here are identical to Algorithm 1's).
 //!
-//! [`MoCubingEngine`] is the algorithm, written **once**: rollover,
-//! tier roll-up, same-window merge, delta diff and statistics are
-//! layout-agnostic, and everything a table layout does differently sits
-//! behind [`TableStorage`]. The [`Backend`] an engine is given only
-//! picks which implementation of that trait the tiers are folded into.
-//! [`compute`] is the batch wrapper that ingests one unit and drops the
-//! working state, retaining exactly critical layers + exception cells.
+//! [`MoCubingEngine`] is the algorithm, written **once**: the per-unit
+//! sequence validate → compute → diff → commit, the tier roll-up and
+//! the statistics are layout-agnostic, and everything a table layout
+//! does differently sits behind [`TableStorage`]. The [`Backend`] an
+//! engine is given only picks which implementation of that trait the
+//! tiers are folded into. [`compute`] is the batch wrapper that cubes
+//! one unit and returns its result.
 //!
-//! By default an engine keeps every between-layer cuboid's full table
-//! alive so same-window batches merge incrementally, which costs
-//! memory. [`MoCubingEngine::transient`] trades that away: it keeps only
-//! the critical layers and exceptions (dropping each depth tier's tables
-//! as soon as the next tier is built, like the original batch algorithm)
-//! and services a same-window batch by folding it into the m-layer and
-//! recomputing — the batch wrapper and the online per-unit pipeline use
-//! this mode, so their peak memory matches the paper's memory model.
+//! What an engine keeps of a unit is the paper's memory model —
+//! critical layers + exception cells — unless it is built with
+//! [`MoCubingEngine::new`], which additionally keeps every
+//! between-layer cuboid's full table until the next unit: that is what
+//! a [`crate::shard::ShardedEngine`] merges shards from.
+//! [`MoCubingEngine::transient`] drops each depth tier's tables as soon
+//! as the next tier is built, like the original batch algorithm; the
+//! batch wrapper and the unsharded online pipeline use it.
 
 use crate::columnar::ColumnarTable;
-use crate::engine::{
-    batch_window, empty_result, exception_bytes, exception_cells, fold_tuples_into, unshare_result,
-    Backend, CubingEngine, UnitDelta,
-};
+use crate::engine::{empty_result, next_window, unshare_result, Backend, CubingEngine, UnitDelta};
 use crate::exception::ExceptionPolicy;
 use crate::kernel::KernelMode;
 use crate::layers::CriticalLayers;
@@ -92,27 +89,56 @@ struct TierPlan<T> {
     table: Arc<T>,
 }
 
-/// Algorithm 1 as an incremental engine, over either table layout.
+/// One unit's computation in progress: its counters, its analytical
+/// memory and the between-layer tables it will retain. Local to a call
+/// — the engine commits the finished unit only when all of it succeeded.
+#[derive(Default)]
+struct UnitWork {
+    stats: RunStats,
+    mem: MemoryAccountant,
+    /// Stays empty on a transient engine.
+    tables: FxHashMap<CuboidSpec, CuboidTable>,
+}
+
+impl UnitWork {
+    /// Counts one layout-level fold, attributing it to the kernel or
+    /// scalar dispatch counter when layout `T` has a kernel path
+    /// (keeping `rows_folded` equal to their sum there).
+    fn count_folded<T: TableStorage>(&mut self, folded: Folded) {
+        self.stats.rows_folded += folded.rows;
+        if T::KERNEL_DISPATCH {
+            if folded.kernel {
+                self.stats.rows_folded_simd += folded.rows;
+            } else {
+                self.stats.rows_folded_scalar += folded.rows;
+            }
+        }
+    }
+
+    /// Counts one cuboid's finished full table.
+    fn count_cuboid(&mut self, cells: usize) {
+        self.stats.cells_computed += cells as u64;
+        self.stats.cuboids_computed += 1;
+    }
+}
+
+/// Algorithm 1 as a per-unit engine, over either table layout.
 ///
-/// In the default (incremental) mode every cuboid between the layers is
-/// kept as a **full table** across batches of the open unit, so a
-/// same-window batch merges straight into the affected cells (Theorem
-/// 3.2) and only those cells are re-screened against the exception
-/// policy. Opening a new unit recomputes bottom-up in depth tiers, each
-/// cuboid aggregated from its closest computed descendant — exactly the
-/// work-sharing of the batch algorithm.
-///
-/// [`transient`](Self::transient) mode keeps no between-layer tables
-/// (each tier is dropped once the next is built), matching the batch
-/// algorithm's peak memory; same-window batches then fold into the
-/// m-layer and recompute.
+/// Every unit is computed bottom-up in depth tiers, each cuboid
+/// aggregated from its closest computed descendant — exactly the
+/// work-sharing of the batch algorithm — and replaces the unit before
+/// it. An engine built with [`new`](Self::new) keeps the unit's
+/// between-layer **full tables** beside the result (they are what a
+/// sharded merge reads through
+/// [`full_between_tables`](CubingEngine::full_between_tables)); a
+/// [`transient`](Self::transient) one drops each tier once the next is
+/// built, matching the batch algorithm's peak memory.
 ///
 /// The tiers are rolled up in the layout [`with_backend`](Self::with_backend)
 /// selects (row by default). Whatever the layout, everything the engine
 /// *retains* — the result's critical layers and exception stores, and
-/// the incremental mode's between-layer tables — is in the row form
-/// [`CubeResult`] exposes, so the engine composes identically with
-/// every consumer.
+/// the between-layer tables — is in the row form [`CubeResult`]
+/// exposes, so the engine composes identically with every consumer.
 #[derive(Debug, Clone)]
 pub struct MoCubingEngine {
     schema: Arc<CubeSchema>,
@@ -122,25 +148,25 @@ pub struct MoCubingEngine {
     backend: Backend,
     /// Which implementation a layout with kernels runs its hot loops on.
     kernel: KernelMode,
-    /// Drop between-layer tables after each unit (batch memory model)?
+    /// Drop a unit's between-layer tables tier by tier (batch memory
+    /// model) instead of keeping them for `full_between_tables`?
     transient: bool,
     /// When attached, cuboids of one depth tier (independent of each
     /// other) are aggregated on the pool instead of sequentially.
     pool: Option<Arc<WorkerPool>>,
     window: Option<(i64, i64)>,
     units_opened: u64,
-    /// Full tables of the strictly-between cuboids (empty in transient
-    /// mode; the m- and o-layer live in `result`).
+    /// The held unit's full tables of the strictly-between cuboids
+    /// (empty in transient mode; the m- and o-layer live in `result`).
     tables: FxHashMap<CuboidSpec, CuboidTable>,
-    stats: RunStats,
-    mem: MemoryAccountant,
-    /// Shared with every snapshot taken of the open unit.
+    /// Shared with every snapshot taken of the held unit.
     result: Arc<CubeResult>,
 }
 
 impl MoCubingEngine {
-    /// Creates an engine in incremental mode (between-layer tables are
-    /// retained so same-window batches merge in place).
+    /// Creates an engine that keeps each unit's between-layer full
+    /// tables until the next unit — what a
+    /// [`crate::shard::ShardedEngine`] of several shards merges from.
     ///
     /// # Errors
     /// Currently infallible; `Result` keeps room for config validation
@@ -162,18 +188,14 @@ impl MoCubingEngine {
             window: None,
             units_opened: 0,
             tables: FxHashMap::default(),
-            stats: RunStats::default(),
-            mem: MemoryAccountant::new(),
             result,
         })
     }
 
     /// Creates an engine in transient mode: between-layer tables are
     /// dropped tier by tier as the batch algorithm computes, so retained
-    /// memory is exactly critical layers + exception cells. Same-window
-    /// batches fold into the m-layer and recompute instead of merging in
-    /// place. This is what the batch wrapper and the per-unit online
-    /// pipeline use.
+    /// memory is exactly critical layers + exception cells. This is
+    /// what the batch wrapper and the unsharded online pipeline use.
     ///
     /// # Errors
     /// See [`new`](Self::new).
@@ -245,80 +267,41 @@ impl MoCubingEngine {
         unshare_result(self.result)
     }
 
-    /// Counts one layout-level fold, attributing it to the kernel or
-    /// scalar dispatch counter when layout `T` has a kernel path
-    /// (keeping `rows_folded` equal to their sum there).
-    fn count_folded<T: TableStorage>(stats: &mut RunStats, folded: Folded) {
-        stats.rows_folded += folded.rows;
-        if T::KERNEL_DISPATCH {
-            if folded.kernel {
-                stats.rows_folded_simd += folded.rows;
-            } else {
-                stats.rows_folded_scalar += folded.rows;
-            }
-        }
-    }
-
-    /// Counts a [`fold_tuples_into`] of `tuples` into a retained table
-    /// (a hash map on every layout, so always a scalar fold).
-    fn count_row_fold<T: TableStorage>(stats: &mut RunStats, tuples: &[MTuple], created: u64) {
-        let folded = Folded {
-            rows: tuples.len() as u64,
-            kernel: false,
-        };
-        Self::count_folded::<T>(stats, folded);
-        stats.cells_computed += created;
-    }
-
-    /// One batch, on layout `T` — the whole of
+    /// One unit, on layout `T` — the whole of
     /// [`ingest_unit`](CubingEngine::ingest_unit) behind the backend
-    /// dispatch.
+    /// dispatch: validate, compute the unit beside the held one, diff
+    /// the two, commit.
     fn ingest_on<T: TableStorage>(&mut self, tuples: &[MTuple]) -> Result<UnitDelta> {
         validate_tuples(&self.schema, self.layers.lattice().m_layer(), tuples)?;
-        let started = Instant::now();
-        let window = batch_window(tuples);
-        let opened_unit = self.window != Some(window);
-        let mut delta = UnitDelta::for_batch(window, opened_unit, tuples.len());
-        // A rollover and a transient merge both replace the exception
-        // stores wholesale, so their delta is the diff of the sets
-        // before and after. On a rollover that reports the closed
-        // window's exceptions that do not recur as cleared, so
-        // appeared/cleared consumers can maintain a live alarm set
-        // across units. (The incremental merge re-screens only the
-        // touched cells and builds its delta as it goes.)
-        let before = (opened_unit || self.transient).then(|| exception_cells(&self.result));
-        if opened_unit {
-            // Commit the window only after a successful rollover: a
-            // failed one leaves the engine on its previous unit and the
-            // next batch re-opens from scratch.
-            self.window = None;
-            self.open_unit::<T>(tuples)?;
-            self.window = Some(window);
-            self.units_opened += 1;
-            delta.cells_touched = self.stats.cells_computed;
-        } else if self.transient {
-            self.merge_batch_transient::<T>(tuples, &mut delta)?;
-        } else {
-            self.merge_batch_incremental::<T>(tuples, &mut delta)?;
-        }
-        if let Some(before) = before {
-            let after = exception_cells(&self.result);
-            delta.appeared = after.difference(&before).cloned().collect();
-            delta.cleared = before.difference(&after).cloned().collect();
-        }
-        delta.unit = self.units_opened.saturating_sub(1);
-        delta.sort_cells();
-        debug_assert!(delta.is_sorted());
-        self.stats.elapsed += started.elapsed();
-        self.refresh_stats();
+        let window = next_window(self.window, tuples)?;
+        let (result, tables) = self.open_unit::<T>(tuples)?;
+        // The held unit's exceptions that do not recur come back as
+        // cleared, so appeared/cleared consumers can maintain a live
+        // alarm set across units.
+        let delta = UnitDelta::between(
+            self.units_opened,
+            window,
+            tuples.len(),
+            &self.result,
+            &result,
+        );
+        self.window = Some(window);
+        self.units_opened += 1;
+        self.tables = tables;
+        self.result = Arc::new(result);
         Ok(delta)
     }
 
-    /// Full recomputation for a new unit window (the batch algorithm).
-    fn open_unit<T: TableStorage>(&mut self, tuples: &[MTuple]) -> Result<()> {
-        self.tables.clear();
-        self.stats = RunStats::default();
-        self.mem = MemoryAccountant::new();
+    /// Computes one unit (the batch algorithm) without touching the
+    /// held one: the finished result, statistics included, and the
+    /// between-layer tables to keep beside it.
+    fn open_unit<T: TableStorage>(
+        &self,
+        tuples: &[MTuple],
+    ) -> Result<(CubeResult, FxHashMap<CuboidSpec, CuboidTable>)> {
+        let started = Instant::now();
+        let dims = self.schema.num_dims();
+        let mut work = UnitWork::default();
 
         // Step 1: one scan of the batch into the m-layer.
         let (m_table, folded) = T::from_tuples(
@@ -326,27 +309,38 @@ impl MoCubingEngine {
             &self.layers,
             tuples,
             self.kernel,
-            &mut self.mem,
+            &mut work.mem,
         )?;
-        Self::count_folded::<T>(&mut self.stats, folded);
-        self.stats.cells_computed += m_table.len() as u64;
-        self.stats.cuboids_computed += 1;
+        work.count_folded::<T>(folded);
+        work.count_cuboid(m_table.len());
 
-        // Step 2: the rest of the lattice.
-        self.result = Arc::new(self.roll_up(m_table)?);
-        Ok(())
-    }
-
-    /// Rolls the lattice up from a finished m-layer table and assembles
-    /// the unit's result around it. The m-table is shared with pool
-    /// workers, so it travels behind an `Arc` and is unwrapped — moved,
-    /// on the row layout — into the result after.
-    fn roll_up<T: TableStorage>(&mut self, m_table: T) -> Result<CubeResult> {
+        // Step 2: the rest of the lattice. The m-table is shared with
+        // pool workers, so it travels behind an `Arc` and is unwrapped —
+        // moved, on the row layout — into the result after.
         let m_table = Arc::new(m_table);
-        let (o_table, exceptions) = self.compute_uppers(&m_table)?;
+        let (o_table, exceptions) = self.compute_uppers(&mut work, &m_table)?;
         let m_table = Arc::try_unwrap(m_table).unwrap_or_else(|shared| (*shared).clone());
-        let m_table = m_table.into_row_table(self.schema.num_dims(), &mut self.mem);
-        Ok(CubeResult::new(
+        let m_table = m_table.into_row_table(dims, &mut work.mem);
+
+        // Retention: critical layers + exceptions, plus the
+        // between-layer tables a non-transient engine keeps.
+        let UnitWork {
+            mut stats,
+            mem,
+            tables,
+        } = work;
+        let retained = || {
+            [&m_table, &o_table]
+                .into_iter()
+                .chain(exceptions.values())
+                .chain(tables.values())
+        };
+        stats.exception_cells = exceptions.values().map(|t| t.len() as u64).sum();
+        stats.cells_retained = retained().map(|t| t.len() as u64).sum();
+        stats.retained_bytes = retained().map(|t| table_bytes(t, dims)).sum();
+        stats.peak_bytes = mem.peak();
+        stats.elapsed = started.elapsed();
+        let result = CubeResult::new(
             self.layers.clone(),
             self.policy.clone(),
             Algorithm::MoCubing,
@@ -354,8 +348,9 @@ impl MoCubingEngine {
             o_table,
             exceptions,
             FxHashMap::default(),
-            self.stats,
-        ))
+            stats,
+        );
+        Ok((result, tables))
     }
 
     /// Computes every cuboid above the m-layer bottom-up in depth
@@ -365,10 +360,11 @@ impl MoCubingEngine {
     /// the attached [`WorkerPool`] and merged back in lattice order —
     /// the parallel hot path of the single-engine roll-up. Returns the
     /// o-layer table and the exception stores; between-layer full
-    /// tables go to `self.tables` (incremental mode) or are dropped as
-    /// soon as the next tier no longer needs them (transient mode).
+    /// tables go to `work.tables` or, in transient mode, are dropped as
+    /// soon as the next tier no longer needs them.
     fn compute_uppers<T: TableStorage>(
-        &mut self,
+        &self,
+        work: &mut UnitWork,
         m_table: &Arc<T>,
     ) -> Result<(CuboidTable, FxHashMap<CuboidSpec, CuboidTable>)> {
         let dims = self.schema.num_dims();
@@ -402,28 +398,26 @@ impl MoCubingEngine {
             let mut next_cache: FxHashMap<CuboidSpec, Arc<T>> = FxHashMap::default();
             for item in self.compute_tier(plans) {
                 let (cuboid, full, folded) = item?;
-                Self::count_folded::<T>(&mut self.stats, folded);
-                self.stats.cells_computed += full.len() as u64;
-                self.stats.cuboids_computed += 1;
-                self.mem.add(full.approx_bytes(dims));
+                work.count_folded::<T>(folded);
+                work.count_cuboid(full.len());
+                work.mem.add(full.approx_bytes(dims));
 
                 if cuboid == o_spec {
-                    o_table = full.into_row_table(dims, &mut self.mem);
+                    o_table = full.into_row_table(dims, &mut work.mem);
                     continue;
                 }
                 let exc = full.exceptions(&self.policy, &cuboid);
                 if !exc.is_empty() {
-                    self.mem.add(table_bytes(&exc, dims));
+                    work.mem.add(table_bytes(&exc, dims));
                     exceptions.insert(cuboid.clone(), exc);
                 }
                 next_cache.insert(cuboid, Arc::new(full));
             }
-            // The old tier is no longer reachable as a source: drop it
-            // (transient) or move it to the retained incremental state.
-            self.retire_tier(&mut cache, dims);
+            // The old tier is no longer reachable as a source.
+            self.retire_tier(work, &mut cache, dims);
             cache = next_cache;
         }
-        self.retire_tier(&mut cache, dims);
+        self.retire_tier(work, &mut cache, dims);
         Ok((o_table, exceptions))
     }
 
@@ -466,152 +460,24 @@ impl MoCubingEngine {
     }
 
     /// Releases a finished tier's tables: dropped in transient mode,
-    /// handed to the retained incremental state otherwise. The Arcs are
-    /// sole owners by now (all aggregation tasks completed), so the
+    /// kept (in row form) for `full_between_tables` otherwise. The Arcs
+    /// are sole owners by now (all aggregation tasks completed), so the
     /// unwrap is free.
     fn retire_tier<T: TableStorage>(
-        &mut self,
+        &self,
+        work: &mut UnitWork,
         cache: &mut FxHashMap<CuboidSpec, Arc<T>>,
         dims: usize,
     ) {
         for (cuboid, table) in cache.drain() {
             if self.transient {
-                self.mem.remove(table.approx_bytes(dims));
+                work.mem.remove(table.approx_bytes(dims));
             } else {
                 let table = Arc::try_unwrap(table).unwrap_or_else(|shared| (*shared).clone());
-                self.tables
-                    .insert(cuboid, table.into_row_table(dims, &mut self.mem));
+                work.tables
+                    .insert(cuboid, table.into_row_table(dims, &mut work.mem));
             }
         }
-    }
-
-    /// Same-window batch, incremental mode: fold into the m/o tables and
-    /// every retained between-layer table in place, re-screening only
-    /// the touched cells.
-    fn merge_batch_incremental<T: TableStorage>(
-        &mut self,
-        tuples: &[MTuple],
-        delta: &mut UnitDelta,
-    ) -> Result<()> {
-        let dims = self.schema.num_dims();
-        let m_spec = self.layers.lattice().m_layer().clone();
-        let o_spec = self.layers.lattice().o_layer().clone();
-
-        // Critical layers, maintained directly in the exposed result.
-        for is_o in [false, true] {
-            let spec = if is_o { &o_spec } else { &m_spec };
-            let table = if is_o {
-                Arc::make_mut(&mut self.result).o_table_mut()
-            } else {
-                Arc::make_mut(&mut self.result).m_table_mut()
-            };
-            let before = table_bytes(table, dims);
-            let (touched, created) = fold_tuples_into(&self.schema, &m_spec, spec, table, tuples)?;
-            self.mem
-                .add(table_bytes(table, dims).saturating_sub(before));
-            Self::count_row_fold::<T>(&mut self.stats, tuples, created);
-            delta.cells_touched += touched.len() as u64;
-        }
-
-        // Between-layer cuboids: fold, then re-screen exactly the
-        // touched cells (exception status can flip either way). The
-        // exception stores are bracketed so the accountant tracks their
-        // growth/shrinkage too.
-        let exc_before = exception_bytes(&self.result, dims);
-        let exceptions = Arc::make_mut(&mut self.result).exceptions_mut();
-        for (cuboid, table) in &mut self.tables {
-            let before = table_bytes(table, dims);
-            let (touched, created) =
-                fold_tuples_into(&self.schema, &m_spec, cuboid, table, tuples)?;
-            self.mem
-                .add(table_bytes(table, dims).saturating_sub(before));
-            Self::count_row_fold::<T>(&mut self.stats, tuples, created);
-            delta.cells_touched += touched.len() as u64;
-
-            let exc = exceptions.entry(cuboid.clone()).or_default();
-            for key in touched {
-                let isb = table[&key];
-                let is_exception = self.policy.is_exception(cuboid, &isb);
-                let was_exception = exc.contains_key(&key);
-                if is_exception {
-                    exc.insert(key.clone(), isb);
-                    if !was_exception {
-                        delta.appeared.push((cuboid.clone(), key));
-                    }
-                } else if was_exception {
-                    exc.remove(&key);
-                    delta.cleared.push((cuboid.clone(), key));
-                }
-            }
-        }
-        exceptions.retain(|_, t| !t.is_empty());
-        let exc_after = exception_bytes(&self.result, dims);
-        self.mem.add(exc_after.saturating_sub(exc_before));
-        self.mem.remove(exc_before.saturating_sub(exc_after));
-        Ok(())
-    }
-
-    /// Same-window batch, transient mode: fold into the retained m-layer
-    /// and recompute everything above it (there are no retained tables
-    /// to merge into).
-    fn merge_batch_transient<T: TableStorage>(
-        &mut self,
-        tuples: &[MTuple],
-        delta: &mut UnitDelta,
-    ) -> Result<()> {
-        let dims = self.schema.num_dims();
-        let m_spec = self.layers.lattice().m_layer().clone();
-        // The m-table moves out of the old result, unless a snapshot
-        // still shares that result: then only the m-table is copied.
-        let mut m_table = match Arc::get_mut(&mut self.result) {
-            Some(result) => std::mem::take(result.m_table_mut()),
-            None => self.result.m_table().clone(),
-        };
-
-        let m_bytes = table_bytes(&m_table, dims);
-        let (touched, created) =
-            fold_tuples_into(&self.schema, &m_spec, &m_spec, &mut m_table, tuples)?;
-        self.mem
-            .add(table_bytes(&m_table, dims).saturating_sub(m_bytes));
-        Self::count_row_fold::<T>(&mut self.stats, tuples, created);
-        delta.cells_touched += touched.len() as u64;
-
-        let m_table =
-            T::from_row_table(&self.schema, &m_spec, m_table, self.kernel, &mut self.mem)?;
-        let result = self.roll_up(m_table)?;
-        // The replaced o-table and exception stores die with the old
-        // result; release their analytical bytes so the accountant's
-        // live set (and therefore future peaks) stays truthful.
-        self.mem
-            .remove(table_bytes(self.result.o_table(), dims) + exception_bytes(&self.result, dims));
-        self.result = Arc::new(result);
-        Ok(())
-    }
-
-    /// Refreshes the retention statistics and publishes them into the
-    /// exposed result. Incremental mode genuinely retains the
-    /// between-layer full tables across batches, so they count toward
-    /// `cells_retained`/`retained_bytes` (in transient mode
-    /// `self.tables` is empty and the figures reduce to the batch
-    /// algorithm's critical-layers-plus-exceptions).
-    fn refresh_stats(&mut self) {
-        let dims = self.schema.num_dims();
-        let result = &self.result;
-        self.stats.exception_cells = result.total_exception_cells();
-        self.stats.cells_retained = result.m_layer_cells() as u64
-            + result.o_layer_cells() as u64
-            + self.stats.exception_cells
-            + self.tables.values().map(|t| t.len() as u64).sum::<u64>();
-        self.stats.retained_bytes = table_bytes(result.m_table(), dims)
-            + table_bytes(result.o_table(), dims)
-            + exception_bytes(result, dims)
-            + self
-                .tables
-                .values()
-                .map(|t| table_bytes(t, dims))
-                .sum::<usize>();
-        self.stats.peak_bytes = self.mem.peak();
-        Arc::make_mut(&mut self.result).set_stats(self.stats);
     }
 }
 
@@ -632,16 +498,16 @@ impl CubingEngine for MoCubingEngine {
     }
 
     fn stats(&self) -> &RunStats {
-        &self.stats
+        self.result.stats()
     }
 
     fn shared_result(&self) -> Arc<CubeResult> {
         Arc::clone(&self.result)
     }
 
-    /// Incremental mode keeps every between-layer full table for the
-    /// open unit, which is exactly what a sharded merge needs; transient
-    /// mode drops them and must answer `None`.
+    /// A non-transient engine keeps every between-layer full table of
+    /// the held unit, which is exactly what a sharded merge needs;
+    /// transient mode drops them and must answer `None`.
     fn full_between_tables(&self) -> Option<&FxHashMap<CuboidSpec, CuboidTable>> {
         if self.transient {
             None
@@ -843,53 +709,17 @@ mod tests {
     }
 
     #[test]
-    fn transient_merge_does_not_leak_peak_bytes() {
-        let (mut e, _) = engines(ExceptionPolicy::slope_threshold(0.4));
-        let tuples = dense_tuples();
-        e.ingest_unit(&tuples).unwrap();
-        let first_peak = e.stats().peak_bytes;
-        // Re-merging the same cells grows no retained state; with
-        // balanced accounting the peak stabilizes (old + new coexist
-        // once, then the old side is released every batch).
-        for _ in 0..6 {
-            e.ingest_unit(&tuples).unwrap();
-        }
-        assert!(
-            e.stats().peak_bytes <= first_peak * 3,
-            "peak {} drifted from first-batch peak {}",
-            e.stats().peak_bytes,
-            first_peak
-        );
-    }
-
-    #[test]
-    fn incremental_mode_reports_its_extra_retained_memory() {
-        let (mut transient, mut incremental) = engines(ExceptionPolicy::slope_threshold(0.4));
+    fn retained_between_tables_count_as_retained_memory() {
+        let (mut transient, mut retaining) = engines(ExceptionPolicy::slope_threshold(0.4));
         let tuples = dense_tuples();
         transient.ingest_unit(&tuples).unwrap();
-        incremental.ingest_unit(&tuples).unwrap();
-        // Incremental mode retains the between-layer full tables; its
-        // retention figures must say so.
+        retaining.ingest_unit(&tuples).unwrap();
+        // An engine that keeps the between-layer full tables for a
+        // sharded merge must say so in its retention figures.
         assert!(transient.full_between_tables().is_none());
-        assert!(!incremental.full_between_tables().unwrap().is_empty());
-        assert!(incremental.stats().retained_bytes > transient.stats().retained_bytes);
-        assert!(incremental.stats().cells_retained > transient.stats().cells_retained);
-    }
-
-    #[test]
-    fn incremental_exceptions_can_clear() {
-        // Threshold 0.4: a lone +0.5 slope cell is exceptional; merging a
-        // -0.5 sibling into the same coarse cells cancels it out.
-        let (_, mut e) = engines(ExceptionPolicy::slope_threshold(0.4));
-        let up = vec![MTuple::new(vec![0, 0], isb(0.5, 1.0))];
-        let down = vec![MTuple::new(vec![1, 1], isb(-0.5, 1.0))];
-        let d0 = e.ingest_unit(&up).unwrap();
-        assert!(!d0.appeared.is_empty());
-        let d1 = e.ingest_unit(&down).unwrap();
-        assert!(
-            !d1.cleared.is_empty(),
-            "coarse cells covering both streams lose exception status"
-        );
+        assert!(!retaining.full_between_tables().unwrap().is_empty());
+        assert!(retaining.stats().retained_bytes > transient.stats().retained_bytes);
+        assert!(retaining.stats().cells_retained > transient.stats().cells_retained);
     }
 
     #[test]

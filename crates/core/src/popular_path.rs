@@ -9,21 +9,20 @@
 //! Algorithm 1: only those reachable from the o-layer through a chain of
 //! exceptional ancestors.
 //!
-//! [`PopularPathEngine`] is the algorithm as an incremental
-//! [`CubingEngine`]; [`compute`] is the batch wrapper that ingests one
-//! unit and returns the result.
+//! [`PopularPathEngine`] is the algorithm as a per-unit
+//! [`CubingEngine`]: every unit is one path roll-up and one drill pass,
+//! and what stays of it is the paper's memory model for Algorithm 2 —
+//! the path cuboids and the exception cells. [`compute`] is the batch
+//! wrapper that cubes one unit and returns the result.
 
-use crate::engine::{
-    batch_window, empty_result, exception_bytes, exception_cells, fold_tuples_into, unshare_result,
-    CubingEngine, UnitDelta,
-};
+use crate::engine::{empty_result, next_window, unshare_result, CubingEngine, UnitDelta};
 use crate::error::CoreError;
 use crate::exception::ExceptionPolicy;
 use crate::layers::CriticalLayers;
 use crate::measure::{merge_sibling, validate_tuples, MTuple};
 use crate::result::{Algorithm, CubeResult};
 use crate::stats::{MemoryAccountant, RunStats};
-use crate::table::{drill_aggregate, table_bytes, CuboidTable, Projector};
+use crate::table::{collect_exceptions, drill_aggregate, table_bytes, CuboidTable, Projector};
 use crate::Result;
 use regcube_olap::cell::CellKey;
 use regcube_olap::fxhash::{FxHashMap, FxHashSet};
@@ -34,143 +33,17 @@ use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The **exception frontier** of one cuboid: the set of its cells that
-/// currently pass the exception policy — exactly the cells whose
-/// descendants step 3 of Algorithm 2 drills into. The incremental drill
-/// replay keeps one frontier per cuboid and re-aggregates an off-path
-/// cuboid only when a parent frontier changed (or a batch touched its
-/// qualifying region), so comparing frontiers — not whole tables — is
-/// what bounds per-batch drilling work by the delta instead of the cube.
-///
-/// Probing is allocation-free: [`contains_ids`](Self::contains_ids)
-/// accepts a plain projected id slice via the `CellKey: Borrow<[u32]>`
-/// lookup, so the hot qualification path never boxes a key.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Frontier {
-    cells: FxHashSet<CellKey>,
-}
+/// The **exception frontiers** of one drill pass: per cuboid, the cells
+/// that passed the exception policy — exactly the cells whose
+/// descendants step 3 drills into. A cuboid without exceptional cells
+/// has no entry.
+type Frontiers = FxHashMap<CuboidSpec, FxHashSet<CellKey>>;
 
-impl Frontier {
-    /// Builds a frontier from an owned cell set.
-    pub(crate) fn from_cells(cells: FxHashSet<CellKey>) -> Self {
-        Frontier { cells }
-    }
-
-    /// Whether the cell with these (projected) member ids is on the
-    /// frontier — the alloc-free probe of the drill qualification path.
-    #[inline]
-    pub fn contains_ids(&self, ids: &[u32]) -> bool {
-        self.cells.contains(ids)
-    }
-
-    /// Whether `key`'s cell is on the frontier.
-    #[inline]
-    pub fn contains(&self, key: &CellKey) -> bool {
-        self.cells.contains(key)
-    }
-
-    /// Number of frontier cells.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Whether the frontier is empty (nothing to drill under).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Iterates the frontier cells (hash order).
-    pub fn iter(&self) -> impl Iterator<Item = &CellKey> {
-        self.cells.iter()
-    }
-
-    /// Mutable access for the engine's per-cell re-screening.
-    pub(crate) fn cells_mut(&mut self) -> &mut FxHashSet<CellKey> {
-        &mut self.cells
-    }
-}
-
-/// Retained state of the **frontier-dirty** incremental step-3 replay:
-/// one [`Frontier`] per cuboid, the full drilled tables of every
-/// off-path cuboid that had drill candidates, and the set of cuboids
-/// whose frontier changed in the current batch (the dirt that propagates
-/// down the lattice walk).
-///
-/// A [`PopularPathEngine`] rebuilds this state on every
-/// unit rollover (full drill) and updates it in place for same-window
-/// batches: path frontiers are re-screened only at the cells the batch
-/// touched, and an off-path cuboid is re-aggregated only when a parent
-/// frontier changed or the batch touched a cell of its qualifying
-/// region — otherwise its retained table (and therefore its exception
-/// store) is reused verbatim. The retained tables are byte-identical to
-/// what a from-scratch step-3 replay would compute, because the drill
-/// aggregation ([`crate::table::drill_aggregate`]) folds source cells
-/// in a deterministic sorted order independent of when it runs.
-#[derive(Debug, Clone, Default)]
-pub struct DrillFrontier {
-    /// Per-cuboid exception frontiers (path and off-path cuboids).
-    pub(crate) frontiers: FxHashMap<CuboidSpec, Frontier>,
-    /// Retained full drilled tables of off-path cuboids with candidates
-    /// (an empty table still marks the cuboid as drilled).
-    pub(crate) tables: FxHashMap<CuboidSpec, CuboidTable>,
-    /// Cuboids whose frontier changed in the current batch.
-    pub(crate) changed: FxHashSet<CuboidSpec>,
-}
-
-impl DrillFrontier {
-    /// Forgets everything (unit rollover).
-    pub(crate) fn clear(&mut self) {
-        self.frontiers.clear();
-        self.tables.clear();
-        self.changed.clear();
-    }
-
-    /// The current exception frontier of `cuboid`, if one was recorded.
-    pub fn frontier(&self, cuboid: &CuboidSpec) -> Option<&Frontier> {
-        self.frontiers.get(cuboid)
-    }
-
-    /// Whether `cuboid`'s frontier changed in the current batch.
-    pub fn frontier_changed(&self, cuboid: &CuboidSpec) -> bool {
-        self.changed.contains(cuboid)
-    }
-
-    /// Number of off-path cuboids currently holding a drilled table.
-    pub fn drilled_cuboids(&self) -> usize {
-        self.tables.len()
-    }
-
-    /// Total cells across the retained drilled tables.
-    pub fn drilled_cells(&self) -> u64 {
-        self.tables.values().map(|t| t.len() as u64).sum()
-    }
-
-    /// The retained drilled table of one off-path cuboid.
-    pub fn drilled_table(&self, cuboid: &CuboidSpec) -> Option<&CuboidTable> {
-        self.tables.get(cuboid)
-    }
-}
-
-/// Algorithm 2 as an incremental engine: the full tables along the
-/// popular path (the paper's retained state) live in the exposed
-/// result. A same-window batch merges into every path table directly
-/// (the extracted equivalent of inserting into the path-ordered H-tree
-/// and re-aggregating the insert path); exception-guided drilling over
-/// the off-path cuboids is then brought up to date **incrementally**:
-/// the engine retains a per-cuboid exception [`Frontier`] plus the full
-/// drilled off-path tables ([`DrillFrontier`]), re-screens only the
-/// path cells the batch touched, and re-aggregates an off-path cuboid
-/// only when a parent frontier changed or the batch touched its
-/// qualifying region — every other cuboid's drill output is reused
-/// verbatim, so per-batch step-3 work is proportional to the *delta*
-/// (touched cells + frontier churn), not the cube. Opening a new unit
-/// rebuilds the H-tree, path tables and frontier state from scratch.
-///
-/// [`with_full_drill_replay`](Self::with_full_drill_replay) restores
-/// the pre-frontier behavior (replay all of step 3 per batch) as the
-/// reference baseline; both modes produce byte-identical cubes.
+/// Algorithm 2 as a per-unit engine: the full tables along the popular
+/// path (the paper's retained state) live in the exposed result, next
+/// to the exception cells the drill found. Every unit rebuilds the
+/// H-tree, the path tables and the drilled exceptions from its batch
+/// and replaces the unit before it.
 #[derive(Debug, Clone)]
 pub struct PopularPathEngine {
     schema: CubeSchema,
@@ -179,17 +52,7 @@ pub struct PopularPathEngine {
     path: PopularPath,
     window: Option<(i64, i64)>,
     units_opened: u64,
-    /// Cells computed along the path (steps 1+2), excluding drilling —
-    /// lets the drilling replay restate `cells_computed` exactly.
-    path_cells: u64,
-    /// Retained step-3 state: per-cuboid frontiers + drilled tables.
-    drill: DrillFrontier,
-    /// Replay all of step 3 on every batch (the reference baseline)
-    /// instead of the frontier-dirty incremental walk.
-    full_replay: bool,
-    stats: RunStats,
-    mem: MemoryAccountant,
-    /// Shared with every snapshot taken of the open unit.
+    /// Shared with every snapshot taken of the held unit.
     result: Arc<CubeResult>,
 }
 
@@ -217,11 +80,6 @@ impl PopularPathEngine {
             path,
             window: None,
             units_opened: 0,
-            path_cells: 0,
-            drill: DrillFrontier::default(),
-            full_replay: false,
-            stats: RunStats::default(),
-            mem: MemoryAccountant::new(),
             result,
         })
     }
@@ -231,37 +89,21 @@ impl PopularPathEngine {
         &self.path
     }
 
-    /// Switches the engine to the pre-frontier behavior: replay **all**
-    /// of step 3 (exception-guided drilling over every off-path cuboid)
-    /// on every same-window batch, instead of restricting the replay to
-    /// cuboids whose exception frontier changed. Cubes are
-    /// byte-identical either way — this mode exists as the reference
-    /// baseline for the equivalence tests and the `incremental` bench
-    /// experiment's speedup measurement.
-    #[must_use]
-    pub fn with_full_drill_replay(mut self) -> Self {
-        self.full_replay = true;
-        self
-    }
-
-    /// The retained step-3 state of the open unit: per-cuboid exception
-    /// frontiers and the drilled off-path tables.
-    pub fn drill_state(&self) -> &DrillFrontier {
-        &self.drill
-    }
-
     /// Consumes the engine, returning the final cube result.
     pub fn into_result(self) -> CubeResult {
         unshare_result(self.result)
     }
 
-    /// Full recomputation for a new unit window: path-ordered H-tree
-    /// roll-up (steps 1 & 2 of the batch algorithm), then drilling.
-    fn open_unit(&mut self, tuples: &[MTuple]) -> Result<()> {
+    /// Computes one unit without touching the held one: path-ordered
+    /// H-tree roll-up (steps 1 & 2 of the batch algorithm), then the
+    /// drill pass (step 3), then the finished result with its
+    /// statistics.
+    fn open_unit(&self, tuples: &[MTuple]) -> Result<CubeResult> {
+        let started = Instant::now();
         let dims = self.schema.num_dims();
         let lattice = self.layers.lattice();
-        self.stats = RunStats::default();
-        self.mem = MemoryAccountant::new();
+        let mut stats = RunStats::default();
+        let mut mem = MemoryAccountant::new();
 
         let attrs = attrs_for_path(lattice, &self.path);
         let mut tree: HTree<Isb> = HTree::new(attrs)?;
@@ -273,14 +115,14 @@ impl PopularPathEngine {
                 slot @ None => *slot = Some(*t.isb()),
             }
         }
-        self.stats.rows_folded += tuples.len() as u64;
+        stats.rows_folded += tuples.len() as u64;
         tree.aggregate_bottom_up(
             |m| *m,
             |acc, next| {
                 merge_sibling(acc, next).expect("one validated window");
             },
         );
-        self.mem.add(tree.approx_bytes());
+        mem.add(tree.approx_bytes());
 
         // Path cuboid i corresponds to tree depth `o_attrs + i`.
         let o_attrs = (0..dims)
@@ -304,473 +146,164 @@ impl PopularPathEngine {
             &depth_of,
             &mut path_tables,
         )?;
-        self.path_cells = path_tables.values().map(|t| t.len() as u64).sum();
+        let path_cells: u64 = path_tables.values().map(|t| t.len() as u64).sum();
         for table in path_tables.values() {
-            self.mem.add(table_bytes(table, dims));
+            mem.add(table_bytes(table, dims));
         }
-        self.stats.cells_computed += self.path_cells;
-        self.stats.cuboids_computed += self.path.cuboids().len() as u32;
+        stats.cells_computed += path_cells;
+        stats.cuboids_computed += self.path.cuboids().len() as u32;
         let tree_bytes = tree.approx_bytes();
         drop(tree);
-        self.mem.remove(tree_bytes);
+        mem.remove(tree_bytes);
 
         // The m- and o-layer tables live in the path tables too; expose
         // them as the critical layers (this duplication is the batch
         // algorithm's result shape).
         let m_table = path_tables[lattice.m_layer()].clone();
-        self.mem.add(table_bytes(&m_table, dims));
+        mem.add(table_bytes(&m_table, dims));
         let o_table = path_tables[lattice.o_layer()].clone();
-        self.mem.add(table_bytes(&o_table, dims));
-        self.result = Arc::new(CubeResult::new(
+        mem.add(table_bytes(&o_table, dims));
+
+        let exceptions = self.drill(&path_tables, &mut stats, &mut mem)?;
+
+        stats.exception_cells = exceptions.values().map(|t| t.len() as u64).sum();
+        stats.cells_retained = path_cells + stats.exception_cells;
+        stats.retained_bytes = path_tables
+            .values()
+            .chain(exceptions.values())
+            .map(|t| table_bytes(t, dims))
+            .sum();
+        stats.peak_bytes = mem.peak();
+        stats.elapsed = started.elapsed();
+        Ok(CubeResult::new(
             self.layers.clone(),
             self.policy.clone(),
             Algorithm::PopularPath,
             m_table,
             o_table,
-            FxHashMap::default(),
+            exceptions,
             path_tables,
-            self.stats,
-        ));
-        self.drill_full()
+            stats,
+        ))
     }
 
-    /// Incremental merge of a same-window batch into every path table
-    /// (and the critical-layer mirrors), then the step-3 update —
-    /// frontier-dirty by default, a full replay in baseline mode.
-    fn merge_batch(&mut self, tuples: &[MTuple], delta: &mut UnitDelta) -> Result<()> {
-        let dims = self.schema.num_dims();
-        let m_spec = self.layers.lattice().m_layer().clone();
-        let o_spec = self.layers.lattice().o_layer().clone();
-        let path_specs: Vec<CuboidSpec> = self.path.cuboids().to_vec();
-
-        self.stats.rows_folded += tuples.len() as u64;
-        let mut touched_all: FxHashMap<CuboidSpec, FxHashSet<CellKey>> = FxHashMap::default();
-        let mut m_updates: Vec<(CellKey, Isb)> = Vec::new();
-        let mut o_updates: Vec<(CellKey, Isb)> = Vec::new();
-        for cuboid in &path_specs {
-            let table = Arc::make_mut(&mut self.result)
-                .path_tables_mut()
-                .get_mut(cuboid)
-                .expect("path tables are pre-created per unit");
-            let before = table_bytes(table, dims);
-            let (touched, created) =
-                fold_tuples_into(&self.schema, &m_spec, cuboid, table, tuples)?;
-            self.mem
-                .add(table_bytes(table, dims).saturating_sub(before));
-            self.path_cells += created;
-            delta.cells_touched += touched.len() as u64;
-            // The critical layers are always on the path; remember their
-            // touched cells so the m/o mirror tables can be synced below
-            // without re-folding the batch.
-            if cuboid == &m_spec {
-                m_updates = touched
-                    .iter()
-                    .map(|k| {
-                        let isb = table[k];
-                        (k.clone(), isb)
-                    })
-                    .collect();
-            } else if cuboid == &o_spec {
-                o_updates = touched
-                    .iter()
-                    .map(|k| {
-                        let isb = table[k];
-                        (k.clone(), isb)
-                    })
-                    .collect();
-            }
-            // The incremental drill re-screens exactly these cells.
-            touched_all.insert(cuboid.clone(), touched);
-        }
-        for spec_is_m in [true, false] {
-            let (updates, mirror) = if spec_is_m {
-                (&m_updates, Arc::make_mut(&mut self.result).m_table_mut())
-            } else {
-                (&o_updates, Arc::make_mut(&mut self.result).o_table_mut())
-            };
-            let before = table_bytes(mirror, dims);
-            for (key, isb) in updates {
-                mirror.insert(key.clone(), *isb);
-            }
-            self.mem
-                .add(table_bytes(mirror, dims).saturating_sub(before));
-        }
-        if self.full_replay {
-            self.drill_full()
-        } else {
-            self.drill_incremental(&touched_all)
-        }
-    }
-
-    /// Step 3, from scratch: exception-guided drilling over every
-    /// off-path cuboid, aggregated from the (updated) path tables.
-    /// Coarse-to-fine, so every cuboid's one-step-coarser parents are
-    /// screened first; an off-path cell is computed only when at least
-    /// one parent projection lies on that parent's exception frontier.
-    /// Rebuilds the retained [`DrillFrontier`] state the incremental
-    /// walk ([`drill_incremental`](Self::drill_incremental)) updates on
-    /// later batches.
-    fn drill_full(&mut self) -> Result<()> {
+    /// Step 3: exception-guided drilling over every off-path cuboid,
+    /// aggregated from the path tables. Coarse-to-fine, so every
+    /// cuboid's one-step-coarser parents are screened first; an
+    /// off-path cell is computed only when at least one parent
+    /// projection lies on that parent's exception frontier. A drilled
+    /// full table lives only until it is screened. Returns the
+    /// exception stores of the strictly-between cuboids.
+    fn drill(
+        &self,
+        path_tables: &FxHashMap<CuboidSpec, CuboidTable>,
+        stats: &mut RunStats,
+        mem: &mut MemoryAccountant,
+    ) -> Result<FxHashMap<CuboidSpec, CuboidTable>> {
         let dims = self.schema.num_dims();
         let lattice = self.layers.lattice();
-        let is_m_or_o = |c: &CuboidSpec| c == lattice.m_layer() || c == lattice.o_layer();
         let mut top_down = lattice.bottom_up_order();
         top_down.reverse();
 
-        for table in self.drill.tables.values() {
-            self.mem.remove(table_bytes(table, dims));
-        }
-        self.drill.clear();
-
+        let mut frontiers = Frontiers::default();
         let mut exceptions: FxHashMap<CuboidSpec, CuboidTable> = FxHashMap::default();
-        let mut drilled_rows: u64 = 0;
-
         for cuboid in top_down {
-            if let Some(full) = self.result.path_tables().get(&cuboid) {
-                let keep = !is_m_or_o(&cuboid);
-                let mut keys = FxHashSet::default();
-                let mut exc = CuboidTable::default();
-                for (key, isb) in full {
-                    if self.policy.is_exception(&cuboid, isb) {
-                        keys.insert(key.clone());
-                        if keep {
-                            exc.insert(key.clone(), *isb);
-                        }
-                    }
+            // Nothing is finer than the m-layer: it has no frontier to
+            // drill under and, as a critical layer, no exception store.
+            if &cuboid == lattice.m_layer() {
+                continue;
+            }
+            let exc = match path_tables.get(&cuboid) {
+                Some(full) => collect_exceptions(&self.policy, &cuboid, full),
+                None => {
+                    let parents = lattice.parents(&cuboid);
+                    let Some(probe) =
+                        QualifyProbe::new(&self.schema, &cuboid, &parents, &frontiers)
+                    else {
+                        continue;
+                    };
+                    let (full, rows) = self.drill_cuboid(path_tables, &cuboid, &probe)?;
+                    stats.rows_folded += rows;
+                    stats.cells_computed += full.len() as u64;
+                    stats.cuboids_computed += 1;
+                    let exc = collect_exceptions(&self.policy, &cuboid, &full);
+                    // The full table is dropped once screened; its
+                    // high-water mark is the moment both exist.
+                    let transient = table_bytes(&full, dims) + table_bytes(&exc, dims);
+                    mem.add(transient);
+                    mem.remove(transient);
+                    exc
                 }
-                self.drill
-                    .frontiers
-                    .insert(cuboid.clone(), Frontier::from_cells(keys));
-                if !exc.is_empty() {
-                    exceptions.insert(cuboid, exc);
-                }
-                continue;
-            }
-
-            let parents = lattice.parents(&cuboid);
-            if !self.has_drill_candidates(&parents) {
-                self.drill
-                    .frontiers
-                    .insert(cuboid.clone(), Frontier::default());
-                continue;
-            }
-            let (computed, frontier, exc, rows) = self.drill_cuboid(&cuboid, &parents)?;
-            drilled_rows += rows;
-            self.drill.frontiers.insert(cuboid.clone(), frontier);
-            if !exc.is_empty() {
-                exceptions.insert(cuboid.clone(), exc);
-            }
-            self.mem.add(table_bytes(&computed, dims));
-            self.drill.tables.insert(cuboid, computed);
-        }
-
-        // Swap the replayed exception stores in, keeping the analytical
-        // accounting balanced.
-        for table in exceptions.values() {
-            self.mem.add(table_bytes(table, dims));
-        }
-        let old = std::mem::replace(Arc::make_mut(&mut self.result).exceptions_mut(), exceptions);
-        for table in old.values() {
-            self.mem.remove(table_bytes(table, dims));
-        }
-
-        self.stats.rows_folded += drilled_rows;
-        self.stats.drill_replayed_cuboids += self.drill.tables.len() as u64;
-        self.restate_drill_counters();
-        Ok(())
-    }
-
-    /// Step 3, frontier-dirty: brings the retained drill state up to
-    /// date after a same-window batch touching `touched` path cells.
-    ///
-    /// 1. Path frontiers and exception stores are re-screened **only at
-    ///    the touched cells** (everything else is provably unchanged).
-    /// 2. Off-path cuboids are walked coarse-to-fine; one is
-    ///    re-aggregated only when a parent frontier changed this batch
-    ///    (newly exceptional ancestors drill down, cleared ancestors
-    ///    retract their drilled subtree) or the batch touched a cell of
-    ///    its qualifying region (stale drilled values). Unchanged
-    ///    frontiers keep their prior off-path tables verbatim — and
-    ///    because [`drill_aggregate`] folds in a deterministic sorted
-    ///    order, the retained tables are byte-identical to what a full
-    ///    replay would recompute.
-    fn drill_incremental(
-        &mut self,
-        touched: &FxHashMap<CuboidSpec, FxHashSet<CellKey>>,
-    ) -> Result<()> {
-        let dims = self.schema.num_dims();
-        let m_spec = self.layers.lattice().m_layer().clone();
-        let o_spec = self.layers.lattice().o_layer().clone();
-        self.drill.changed.clear();
-        let exc_before = exception_bytes(&self.result, dims);
-
-        // Phase 1: path frontiers + exception stores, touched cells only.
-        let mut exc_updates: Vec<(CuboidSpec, CellKey, Option<Isb>)> = Vec::new();
-        for cuboid in self.path.cuboids() {
-            let Some(keys) = touched.get(cuboid) else {
-                continue;
             };
-            let table = &self.result.path_tables()[cuboid];
-            let keep = cuboid != &m_spec && cuboid != &o_spec;
-            let frontier = self.drill.frontiers.entry(cuboid.clone()).or_default();
-            let mut changed = false;
-            for key in keys {
-                let isb = table[key];
-                if self
-                    .policy
-                    .screen_frontier_cell(cuboid, frontier.cells_mut(), key, &isb)
-                    .is_some()
-                {
-                    changed = true;
-                }
-                if keep {
-                    let is_exc = frontier.contains(key);
-                    exc_updates.push((cuboid.clone(), key.clone(), is_exc.then_some(isb)));
-                }
-            }
-            if changed {
-                self.drill.changed.insert(cuboid.clone());
-            }
-        }
-
-        // Phase 2: the off-path walk. `touch_memo` caches, per parent
-        // cuboid, whether any touched m-cell projects onto its frontier
-        // — the "did the batch touch this cuboid's qualifying region?"
-        // half of the dirty test, shared by all of the parent's
-        // children.
-        let lattice = self.layers.lattice();
-        let mut top_down = lattice.bottom_up_order();
-        top_down.reverse();
-        let m_touched = touched.get(&m_spec);
-        let mut touch_memo: FxHashMap<CuboidSpec, bool> = FxHashMap::default();
-        let mut replayed: u64 = 0;
-        let mut skipped: u64 = 0;
-        let mut exc_replacements: Vec<(CuboidSpec, Option<CuboidTable>)> = Vec::new();
-
-        for cuboid in top_down {
-            if self.result.path_tables().contains_key(&cuboid) {
+            if exc.is_empty() {
                 continue;
             }
-            let parents = lattice.parents(&cuboid);
-            if !self.has_drill_candidates(&parents) {
-                // Cleared ancestors: retract the drilled subtree.
-                let had_frontier = self
-                    .drill
-                    .frontiers
-                    .get(&cuboid)
-                    .is_some_and(|f| !f.is_empty());
-                if let Some(old) = self.drill.tables.remove(&cuboid) {
-                    self.mem.remove(table_bytes(&old, dims));
-                    exc_replacements.push((cuboid.clone(), None));
-                    replayed += 1;
-                } else {
-                    skipped += 1;
-                }
-                if had_frontier {
-                    self.drill.changed.insert(cuboid.clone());
-                }
-                self.drill.frontiers.insert(cuboid, Frontier::default());
-                continue;
-            }
-
-            let parent_changed = parents.iter().any(|p| self.drill.changed.contains(p));
-            let batch_touches = parents.iter().any(|p| {
-                *touch_memo.entry(p.clone()).or_insert_with(|| {
-                    let Some(keys) = m_touched else {
-                        return false;
-                    };
-                    let Some(frontier) = self.drill.frontiers.get(p) else {
-                        return false;
-                    };
-                    if frontier.is_empty() {
-                        return false;
-                    }
-                    let projector = Projector::new(&self.schema, &m_spec, p);
-                    let mut out = vec![0u32; dims];
-                    keys.iter().any(|k| {
-                        projector.project_into(k.ids(), &mut out);
-                        frontier.contains_ids(&out)
-                    })
-                })
-            });
-            if !parent_changed && !batch_touches {
-                // Unchanged frontier, untouched region: the retained
-                // table (and its exception store) is exact verbatim.
-                skipped += 1;
-                continue;
-            }
-
-            // Re-drill this cuboid — the identical code path the full
-            // replay runs, so reuse-vs-replay can never diverge.
-            let (computed, new_frontier, exc, rows) = self.drill_cuboid(&cuboid, &parents)?;
-            self.stats.rows_folded += rows;
-            replayed += 1;
-
-            if self.drill.frontiers.get(&cuboid) != Some(&new_frontier) {
-                self.drill.changed.insert(cuboid.clone());
-            }
-            self.drill.frontiers.insert(cuboid.clone(), new_frontier);
-            exc_replacements.push((cuboid.clone(), (!exc.is_empty()).then_some(exc)));
-            self.mem.add(table_bytes(&computed, dims));
-            if let Some(old) = self.drill.tables.insert(cuboid, computed) {
-                self.mem.remove(table_bytes(&old, dims));
+            frontiers.insert(cuboid.clone(), exc.keys().cloned().collect());
+            if &cuboid != lattice.o_layer() {
+                mem.add(table_bytes(&exc, dims));
+                exceptions.insert(cuboid, exc);
             }
         }
-
-        // Apply the collected exception-store updates in one pass.
-        let exceptions = Arc::make_mut(&mut self.result).exceptions_mut();
-        for (cuboid, key, value) in exc_updates {
-            match value {
-                Some(isb) => {
-                    exceptions.entry(cuboid).or_default().insert(key, isb);
-                }
-                None => {
-                    if let Some(t) = exceptions.get_mut(&cuboid) {
-                        t.remove(&key);
-                    }
-                }
-            }
-        }
-        for (cuboid, replacement) in exc_replacements {
-            match replacement {
-                Some(table) => {
-                    exceptions.insert(cuboid, table);
-                }
-                None => {
-                    exceptions.remove(&cuboid);
-                }
-            }
-        }
-        exceptions.retain(|_, t| !t.is_empty());
-        let exc_after = exception_bytes(&self.result, dims);
-        self.mem.add(exc_after.saturating_sub(exc_before));
-        self.mem.remove(exc_before.saturating_sub(exc_after));
-
-        self.stats.drill_replayed_cuboids += replayed;
-        self.stats.drill_skipped_cuboids += skipped;
-        self.restate_drill_counters();
-        Ok(())
+        Ok(exceptions)
     }
 
-    /// Whether any of `parents` has a non-empty exception frontier —
-    /// the step-3 precondition for drilling a cuboid at all.
-    fn has_drill_candidates(&self, parents: &[CuboidSpec]) -> bool {
-        parents
-            .iter()
-            .any(|p| self.drill.frontiers.get(p).is_some_and(|f| !f.is_empty()))
-    }
-
-    /// Drills one off-path cuboid from its closest path source,
-    /// qualifying cells against the parents' current frontiers, and
-    /// screens the result. This is the **single** drill-one-cuboid code
-    /// path — the full replay and the frontier-dirty walk both call it,
-    /// so "re-drills exactly as the replay would" holds by
-    /// construction. Returns the computed full table, its frontier, its
-    /// exception store and the source rows folded.
+    /// Drills one off-path cuboid from its closest path source, keeping
+    /// the cells `probe` qualifies — the **single** drill-one-cuboid
+    /// code path. Returns the computed full table and the source rows
+    /// folded.
     fn drill_cuboid(
         &self,
+        path_tables: &FxHashMap<CuboidSpec, CuboidTable>,
         cuboid: &CuboidSpec,
-        parents: &[CuboidSpec],
-    ) -> Result<(CuboidTable, Frontier, CuboidTable, u64)> {
-        let lattice = self.layers.lattice();
-        let probe = QualifyProbe::new(&self.schema, cuboid, parents, &self.drill.frontiers);
-        let source = lattice
+        probe: &QualifyProbe<'_>,
+    ) -> Result<(CuboidTable, u64)> {
+        let source = self
+            .layers
+            .lattice()
             .closest_computed_descendant(cuboid, self.path.cuboids().iter())
             .ok_or_else(|| CoreError::NotMaterialized {
                 detail: format!("no path cuboid below {cuboid}"),
             })?;
-        let source_table = &self.result.path_tables()[source];
-        let (computed, rows) =
-            drill_aggregate(&self.schema, source, source_table, cuboid, |ids| {
-                probe.qualifies(ids)
-            })?;
-        let mut keys = FxHashSet::default();
-        let mut exc = CuboidTable::default();
-        for (key, isb) in &computed {
-            if self.policy.is_exception(cuboid, isb) {
-                keys.insert(key.clone());
-                exc.insert(key.clone(), *isb);
-            }
-        }
-        Ok((computed, Frontier::from_cells(keys), exc, rows))
-    }
-
-    /// Restates the drilled share of the work counters from the
-    /// retained drill state (drilling is a replay: the counters
-    /// describe the *current* cube, they do not accumulate across
-    /// same-window batches).
-    fn restate_drill_counters(&mut self) {
-        self.stats.cuboids_computed =
-            self.path.cuboids().len() as u32 + self.drill.tables.len() as u32;
-        self.stats.cells_computed = self.path_cells + self.drill.drilled_cells();
-    }
-
-    /// Refreshes the retention statistics and publishes them into the
-    /// exposed result. The drilled off-path tables are genuinely
-    /// retained across a unit's batches (that is what makes the
-    /// frontier-dirty replay incremental), so they count toward the
-    /// retention figures alongside the path tables and exceptions.
-    fn refresh_stats(&mut self) {
-        let dims = self.schema.num_dims();
-        let result = &self.result;
-        self.stats.exception_cells = result.total_exception_cells();
-        self.stats.cells_retained = result
-            .path_tables()
-            .values()
-            .map(|t| t.len() as u64)
-            .sum::<u64>()
-            + self.stats.exception_cells
-            + self.drill.drilled_cells();
-        self.stats.retained_bytes = result
-            .path_tables()
-            .values()
-            .map(|t| table_bytes(t, dims))
-            .sum::<usize>()
-            + exception_bytes(result, dims)
-            + self
-                .drill
-                .tables
-                .values()
-                .map(|t| table_bytes(t, dims))
-                .sum::<usize>();
-        self.stats.peak_bytes = self.mem.peak();
-        Arc::make_mut(&mut self.result).set_stats(self.stats);
+        drill_aggregate(&self.schema, source, &path_tables[source], cuboid, |ids| {
+            probe.qualifies(ids)
+        })
     }
 }
 
 /// Alloc-free drill qualification for one off-path cuboid: a target
 /// cell qualifies when its projection into at least one parent cuboid
-/// lands on that parent's exception frontier. Parents with empty
-/// frontiers are dropped up front, projections run through the PR-4
-/// [`Projector`] LUTs into one reusable scratch buffer, and the
-/// frontier probe is the `Borrow<[u32]>` slice lookup — no per-row
-/// key allocation anywhere on the drill path.
+/// lands on that parent's exception frontier. Projections run through
+/// the [`Projector`] LUTs into one reusable scratch buffer, and the
+/// frontier probe is the `CellKey: Borrow<[u32]>` slice lookup — no
+/// per-row key allocation anywhere on the drill path.
 struct QualifyProbe<'a> {
-    /// `(frontier, target → parent projector)` per non-empty parent.
-    parents: Vec<(&'a Frontier, Projector<'a>)>,
+    /// `(frontier, target → parent projector)` per parent with one.
+    parents: Vec<(&'a FxHashSet<CellKey>, Projector<'a>)>,
     scratch: RefCell<Vec<u32>>,
 }
 
 impl<'a> QualifyProbe<'a> {
+    /// The probe of `cuboid` against its parents' frontiers — `None`
+    /// when no parent has one, the step-3 precondition for drilling a
+    /// cuboid at all.
     fn new(
         schema: &'a CubeSchema,
         cuboid: &CuboidSpec,
         parent_specs: &[CuboidSpec],
-        frontiers: &'a FxHashMap<CuboidSpec, Frontier>,
-    ) -> Self {
-        let parents = parent_specs
+        frontiers: &'a Frontiers,
+    ) -> Option<Self> {
+        let parents: Vec<_> = parent_specs
             .iter()
             .filter_map(|p| {
                 frontiers
                     .get(p)
-                    .filter(|f| !f.is_empty())
                     .map(|f| (f, Projector::new(schema, cuboid, p)))
             })
             .collect();
-        QualifyProbe {
+        (!parents.is_empty()).then(|| QualifyProbe {
             parents,
             scratch: RefCell::new(vec![0u32; schema.num_dims()]),
-        }
+        })
     }
 
     /// Tests one target cell's coordinates against the parent frontiers.
@@ -778,7 +311,7 @@ impl<'a> QualifyProbe<'a> {
         let mut scratch = self.scratch.borrow_mut();
         self.parents.iter().any(|(frontier, projector)| {
             projector.project_into(ids, &mut scratch);
-            frontier.contains_ids(&scratch)
+            frontier.contains(&scratch[..])
         })
     }
 }
@@ -790,32 +323,20 @@ impl CubingEngine for PopularPathEngine {
 
     fn ingest_unit(&mut self, tuples: &[MTuple]) -> Result<UnitDelta> {
         validate_tuples(&self.schema, self.layers.lattice().m_layer(), tuples)?;
-        let started = Instant::now();
-        let window = batch_window(tuples);
-        let opened_unit = self.window != Some(window);
-        // Diffed against the post-batch state below; on a rollover this
-        // reports the closed window's lapsed exceptions as cleared.
-        let before = exception_cells(&self.result);
-        let mut delta = UnitDelta::for_batch(window, opened_unit, tuples.len());
-        if opened_unit {
-            // Commit the window only after a successful rollover (see
-            // the trait docs).
-            self.window = None;
-            self.open_unit(tuples)?;
-            self.window = Some(window);
-            self.units_opened += 1;
-            delta.cells_touched = self.stats.cells_computed;
-        } else {
-            self.merge_batch(tuples, &mut delta)?;
-        }
-        delta.unit = self.units_opened.saturating_sub(1);
-        let after = exception_cells(&self.result);
-        delta.appeared = after.difference(&before).cloned().collect();
-        delta.cleared = before.difference(&after).cloned().collect();
-        delta.sort_cells();
-        debug_assert!(delta.is_sorted());
-        self.stats.elapsed += started.elapsed();
-        self.refresh_stats();
+        let window = next_window(self.window, tuples)?;
+        let result = self.open_unit(tuples)?;
+        // The held unit's exceptions that do not recur come back as
+        // cleared (see `UnitDelta::cleared`).
+        let delta = UnitDelta::between(
+            self.units_opened,
+            window,
+            tuples.len(),
+            &self.result,
+            &result,
+        );
+        self.window = Some(window);
+        self.units_opened += 1;
+        self.result = Arc::new(result);
         Ok(delta)
     }
 
@@ -828,7 +349,7 @@ impl CubingEngine for PopularPathEngine {
     }
 
     fn stats(&self) -> &RunStats {
-        &self.stats
+        self.result.stats()
     }
 }
 

@@ -60,32 +60,6 @@ impl CubeResult {
         }
     }
 
-    /// In-place access for the incremental engines (same crate only):
-    /// the m-layer table.
-    pub(crate) fn m_table_mut(&mut self) -> &mut CuboidTable {
-        &mut self.m_table
-    }
-
-    /// In-place access for the incremental engines: the o-layer table.
-    pub(crate) fn o_table_mut(&mut self) -> &mut CuboidTable {
-        &mut self.o_table
-    }
-
-    /// In-place access for the incremental engines: the exception stores.
-    pub(crate) fn exceptions_mut(&mut self) -> &mut FxHashMap<CuboidSpec, CuboidTable> {
-        &mut self.exceptions
-    }
-
-    /// In-place access for the incremental engines: the path tables.
-    pub(crate) fn path_tables_mut(&mut self) -> &mut FxHashMap<CuboidSpec, CuboidTable> {
-        &mut self.path_tables
-    }
-
-    /// Replaces the run statistics (the engines refresh them per batch).
-    pub(crate) fn set_stats(&mut self, stats: RunStats) {
-        self.stats = stats;
-    }
-
     /// The exception stores by cuboid (same crate only — the public
     /// surface is [`exceptions_in`](Self::exceptions_in) /
     /// [`iter_exceptions`](Self::iter_exceptions)).

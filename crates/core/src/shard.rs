@@ -22,7 +22,7 @@
 //! between-layer cell and screens exceptions *after* the merge with the
 //! real policy — which is precisely Algorithm 1's definition (compute
 //! every between-layer cell, retain the exceptional ones). Engines that
-//! keep full between-layer tables anyway (incremental-mode
+//! keep full between-layer tables anyway (a table-retaining
 //! [`MoCubingEngine`], detected via
 //! [`CubingEngine::full_between_tables`]) run with a no-op policy and
 //! zero extra retention; others (e.g. [`PopularPathEngine`]) run under
@@ -39,17 +39,14 @@
 //!   engine runs the real policy unmodified, so `n = 1` is a true
 //!   passthrough for *any* engine.
 //!
-//! Popular-path shards carry their own frontier-dirty drill state
-//! (`regcube_core::popular_path::DrillFrontier`): each shard's
-//! frontiers are invalidated by exactly the batches its partition
-//! receives, and the merged [`UnitDelta`] is re-derived here by
-//! diffing the *merged* exception stores before and after the batch —
-//! never by trusting a shard's local frontier, which only sees its own
-//! partition of the data. The per-shard `drill_replayed_cuboids` /
-//! `drill_skipped_cuboids` counters sum into the merged [`RunStats`],
-//! so the step-3 savings stay observable at every shard count (the
-//! contract tests pin incremental ≡ full-replay shards at n ∈
-//! {1, 2, 3, 7}).
+//! The merged [`UnitDelta`] is derived here, by diffing the *merged*
+//! exception stores of the previous unit and this one — never from a
+//! shard's own delta, which only sees its partition of the data.
+//!
+//! Like every [`CubingEngine`], a sharded engine cubes a unit once: the
+//! batch is the window's complete m-layer, each shard receives its
+//! whole partition of it in one call, and a second batch for the held
+//! window is refused.
 //!
 //! # Topology
 //!
@@ -61,9 +58,7 @@
 //! parallelize its per-tier roll-up — the two strategies compose with
 //! the same primitives but are never nested.
 
-use crate::engine::{
-    batch_window, empty_result, exception_cells, unshare_result, Backend, CubingEngine, UnitDelta,
-};
+use crate::engine::{empty_result, next_window, unshare_result, Backend, CubingEngine, UnitDelta};
 use crate::exception::ExceptionPolicy;
 use crate::layers::CriticalLayers;
 use crate::measure::{merge_sibling, validate_tuples, MTuple};
@@ -79,7 +74,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
-/// A cubing engine that partitions every batch across `N` inner engines
+/// A cubing engine that partitions every unit across `N` inner engines
 /// and merges their cubes under Theorem 3.2 linearity.
 ///
 /// Implements [`CubingEngine`] itself, so it slots in wherever a single
@@ -93,26 +88,30 @@ pub struct ShardedEngine<E: CubingEngine + Send + Sync + 'static> {
     policy: Arc<ExceptionPolicy>,
     /// Writer lock for `ingest_unit`, shared readers for the merge.
     shards: Vec<Arc<RwLock<E>>>,
-    /// Window of the last batch each shard successfully ingested. Only
+    /// Window of the last unit each shard successfully cubed. Only
     /// shards on the current window join the merge: a shard whose key
-    /// range was silent across a rollover still holds the old unit's
-    /// cube and must not leak it into the new window.
+    /// range was silent in a unit still holds an older unit's cube and
+    /// must not leak it into the new window.
     shard_windows: Vec<Option<(i64, i64)>>,
     /// Rebuilds one inner engine (with `inner_policy`) — used to reset
-    /// shards that advanced into a window whose rollover then failed,
-    /// so a retried batch never double-folds (the trait's "failed
-    /// rollover leaves no half-open window" contract).
+    /// shards that advanced into a unit another shard then failed, so
+    /// the failed unit leaves no trace and can be retried (the trait's
+    /// "after any error the engine is as it was" contract).
     #[allow(clippy::type_complexity)]
     factory: Arc<dyn Fn(CubeSchema, CriticalLayers, ExceptionPolicy) -> Result<E> + Send + Sync>,
     /// The policy the inner engines actually run (see
     /// [`with_factory`](Self::with_factory)).
     inner_policy: ExceptionPolicy,
-    pool: Arc<WorkerPool>,
+    /// What the shard fans and per-cuboid merges run on: the pool given
+    /// to [`with_shared_pool`](Self::with_shared_pool), else a private
+    /// one created by the first unit that needs it (a single-shard
+    /// passthrough never does).
+    pool: Option<Arc<WorkerPool>>,
     algorithm: Algorithm,
     window: Option<(i64, i64)>,
     units_opened: u64,
     stats: RunStats,
-    /// Shared with every snapshot taken of the open unit.
+    /// Shared with every snapshot taken of the held unit.
     result: Arc<CubeResult>,
 }
 
@@ -146,8 +145,8 @@ impl ShardedEngine<MoCubingEngine> {
     /// Sharded Algorithm 1 over the given table layout. Produces the
     /// same cube as one unsharded engine for any `shards`: a single
     /// shard is a transient-mode passthrough; more shards run
-    /// incremental-mode engines whose retained between-layer tables
-    /// feed the merge directly.
+    /// table-retaining engines whose between-layer tables feed the
+    /// merge directly.
     ///
     /// # Errors
     /// Construction errors of the inner engines.
@@ -238,7 +237,7 @@ impl<E: CubingEngine + Send + Sync + 'static> ShardedEngine<E> {
             shard_windows: vec![None; shards],
             factory: Arc::new(make),
             inner_policy,
-            pool: Arc::new(WorkerPool::new(shards.min(pool::default_threads()))),
+            pool: None,
             shards: engines,
             algorithm,
             window: None,
@@ -267,8 +266,16 @@ impl<E: CubingEngine + Send + Sync + 'static> ShardedEngine<E> {
     /// from any dispatch pool above it.
     #[must_use]
     pub fn with_shared_pool(mut self, pool: Arc<WorkerPool>) -> Self {
-        self.pool = pool;
+        self.pool = Some(pool);
         self
+    }
+
+    /// The pool the shard fans and merges run on — the shared one, or
+    /// the private one, spawned here the first time it is asked for.
+    fn pool(&mut self) -> Arc<WorkerPool> {
+        let shards = self.shards.len();
+        let private = || Arc::new(WorkerPool::new(shards.min(pool::default_threads())));
+        Arc::clone(self.pool.get_or_insert_with(private))
     }
 
     /// The critical layers the engine cubes for.
@@ -293,22 +300,42 @@ impl<E: CubingEngine + Send + Sync + 'static> ShardedEngine<E> {
         parts
     }
 
+    /// Replaces every shard holding `window` with a fresh inner engine
+    /// that holds no unit.
+    fn reset_shards_on(&mut self, window: (i64, i64)) -> Result<()> {
+        for i in 0..self.shards.len() {
+            if self.shard_windows[i] == Some(window) {
+                let fresh = (self.factory)(
+                    (*self.schema).clone(),
+                    self.layers.clone(),
+                    self.inner_policy.clone(),
+                )?;
+                self.shards[i] = Arc::new(RwLock::new(fresh));
+                self.shard_windows[i] = None;
+            }
+        }
+        Ok(())
+    }
+
     /// Runs every non-empty partition's `ingest_unit` concurrently on
-    /// the pool and applies the per-shard deltas in shard order.
+    /// the pool and records which shards now hold `window`.
     ///
-    /// On a partial failure during a **rollover** batch, the shards
-    /// that already advanced into the failed window are rebuilt empty
-    /// (via the stored factory) before the error propagates, so the
-    /// engine honors the trait contract — a failed rollover leaves no
-    /// half-open window, and a retried batch re-ingests every
-    /// partition from scratch instead of double-folding the ones that
-    /// had succeeded.
+    /// On a partial failure the shards that already advanced into the
+    /// failed unit are rebuilt empty before the error propagates, so
+    /// the engine honors the trait contract: the failed unit leaves no
+    /// trace, and a retry cubes every partition from scratch instead of
+    /// being refused by the shards that had succeeded.
     fn ingest_partitions(
         &mut self,
+        pool: &WorkerPool,
         parts: Vec<Vec<MTuple>>,
         window: (i64, i64),
-        delta: &mut UnitDelta,
     ) -> Result<()> {
+        // The engine does not hold `window`, so a shard that does has
+        // been silent since an earlier unit of that same window: its
+        // cube must neither join this unit's merge nor make the shard
+        // refuse its partition as already cubed.
+        self.reset_shards_on(window)?;
         let tasks: Vec<_> = parts
             .into_iter()
             .enumerate()
@@ -317,41 +344,24 @@ impl<E: CubingEngine + Send + Sync + 'static> ShardedEngine<E> {
                 let shard = Arc::clone(&self.shards[i]);
                 move || {
                     let mut engine = shard.write().unwrap_or_else(|e| e.into_inner());
-                    engine.ingest_unit(&part).map(|d| (i, d))
+                    engine.ingest_unit(&part).map(|_| i)
                 }
             })
             .collect();
         let mut first_err = None;
-        for outcome in self.pool.run(tasks) {
+        for outcome in pool.run(tasks) {
             match outcome {
-                Ok((i, shard_delta)) => {
-                    self.shard_windows[i] = Some(window);
-                    delta.cells_touched += shard_delta.cells_touched;
-                }
+                Ok(i) => self.shard_windows[i] = Some(window),
                 Err(e) => first_err = first_err.or(Some(e)),
             }
         }
-        let Some(err) = first_err else {
-            return Ok(());
-        };
-        if self.window != Some(window) {
-            // Failed rollover: reset every shard that advanced. (A
-            // same-window partial failure matches the single-engine
-            // contract instead: the fold is partial until the next
-            // successful batch, and no window committed.)
-            for i in 0..self.shards.len() {
-                if self.shard_windows[i] == Some(window) {
-                    let fresh = (self.factory)(
-                        (*self.schema).clone(),
-                        self.layers.clone(),
-                        self.inner_policy.clone(),
-                    )?;
-                    self.shards[i] = Arc::new(RwLock::new(fresh));
-                    self.shard_windows[i] = None;
-                }
+        match first_err {
+            None => Ok(()),
+            Some(err) => {
+                self.reset_shards_on(window)?;
+                Err(err)
             }
         }
-        Err(err)
     }
 
     /// Shard indices whose cube belongs to the current `window`.
@@ -366,9 +376,14 @@ impl<E: CubingEngine + Send + Sync + 'static> ShardedEngine<E> {
     /// independent, so each [`MergeKey`] is merged as its own pool job;
     /// within a job shards merge in index order, and the key set is
     /// collected into a [`BTreeSet`] — both deterministic, so the merged
-    /// measures never depend on scheduling. Also refreshes the merged
-    /// statistics.
-    fn merge_shards(&mut self, window: (i64, i64)) -> Result<()> {
+    /// measures never depend on scheduling. Returns the merged unit,
+    /// its statistics (timed from `started`) included.
+    fn merge_shards(
+        &self,
+        pool: &WorkerPool,
+        window: (i64, i64),
+        started: Instant,
+    ) -> Result<CubeResult> {
         let dims = self.schema.num_dims();
         let active = Arc::new(self.active_shards(window));
 
@@ -398,11 +413,6 @@ impl<E: CubingEngine + Send + Sync + 'static> ShardedEngine<E> {
             stats.rows_folded_scalar += s.rows_folded_scalar;
             stats.cells_computed += s.cells_computed;
             stats.cuboids_computed = stats.cuboids_computed.max(s.cuboids_computed);
-            // Each shard drills its own partition's cube, so the
-            // frontier-replay counters sum: the merged figures report
-            // total step-3 work (and total reuse) across the partition.
-            stats.drill_replayed_cuboids += s.drill_replayed_cuboids;
-            stats.drill_skipped_cuboids += s.drill_skipped_cuboids;
             stats.late_dropped += s.late_dropped;
             stats.late_amendments += s.late_amendments;
             stats.watermark_held_units += s.watermark_held_units;
@@ -432,7 +442,7 @@ impl<E: CubingEngine + Send + Sync + 'static> ShardedEngine<E> {
                 move || merge_one_key(key, &shards, &active, &policy)
             })
             .collect();
-        let merged = self.pool.run(tasks);
+        let merged = pool.run(tasks);
 
         let mut m_table = CuboidTable::default();
         let mut o_table = CuboidTable::default();
@@ -469,9 +479,8 @@ impl<E: CubingEngine + Send + Sync + 'static> ShardedEngine<E> {
                 .values()
                 .map(|t| table_bytes(t, dims))
                 .sum::<usize>();
-        stats.elapsed = self.stats.elapsed;
-        self.stats = stats;
-        self.result = Arc::new(CubeResult::new(
+        stats.elapsed = started.elapsed();
+        Ok(CubeResult::new(
             self.layers.clone(),
             (*self.policy).clone(),
             self.algorithm,
@@ -479,9 +488,8 @@ impl<E: CubingEngine + Send + Sync + 'static> ShardedEngine<E> {
             o_table,
             exceptions,
             path_tables,
-            self.stats,
-        ));
-        Ok(())
+            stats,
+        ))
     }
 }
 
@@ -492,49 +500,35 @@ impl<E: CubingEngine + Send + Sync + 'static> CubingEngine for ShardedEngine<E> 
 
     fn ingest_unit(&mut self, tuples: &[MTuple]) -> Result<UnitDelta> {
         validate_tuples(&self.schema, self.layers.lattice().m_layer(), tuples)?;
+        let window = next_window(self.window, tuples)?;
         let started = Instant::now();
-        let window = batch_window(tuples);
-        let opened_unit = self.window != Some(window);
 
         // Single shard: a true passthrough (real policy, caller thread).
-        if self.shards.len() == 1 {
-            let mut delta = {
-                let mut engine = self.shards[0].write().unwrap_or_else(|e| e.into_inner());
-                engine.ingest_unit(tuples)?
-            };
-            self.shard_windows[0] = Some(window);
-            if opened_unit {
-                self.window = Some(window);
-                self.units_opened += 1;
-            }
-            delta.unit = self.units_opened.saturating_sub(1);
-            let engine = read(&self.shards[0]);
+        let delta = if self.shards.len() == 1 {
+            let mut engine = self.shards[0].write().unwrap_or_else(|e| e.into_inner());
+            let mut delta = engine.ingest_unit(tuples)?;
+            delta.unit = self.units_opened;
             self.result = engine.shared_result();
             self.stats = *engine.stats();
-            return Ok(delta);
-        }
-
-        let before = exception_cells(&self.result);
-        let mut delta = UnitDelta::for_batch(window, opened_unit, tuples.len());
-        let parts = self.partition(tuples);
-        self.ingest_partitions(parts, window, &mut delta)?;
-        if opened_unit {
-            self.window = Some(window);
-            self.units_opened += 1;
-            // `elapsed` accumulates across a unit's batches and resets
-            // on a rollover, mirroring the single-engine bookkeeping.
-            self.stats.elapsed = std::time::Duration::ZERO;
-        }
-        delta.unit = self.units_opened.saturating_sub(1);
-
-        let pre_batch = self.stats.elapsed;
-        self.merge_shards(window)?;
-        let after = exception_cells(&self.result);
-        delta.appeared = after.difference(&before).cloned().collect();
-        delta.cleared = before.difference(&after).cloned().collect();
-        delta.sort_cells();
-        self.stats.elapsed = pre_batch + started.elapsed();
-        Arc::make_mut(&mut self.result).set_stats(self.stats);
+            delta
+        } else {
+            let pool = self.pool();
+            let parts = self.partition(tuples);
+            self.ingest_partitions(&pool, parts, window)?;
+            let result = self.merge_shards(&pool, window, started)?;
+            let delta = UnitDelta::between(
+                self.units_opened,
+                window,
+                tuples.len(),
+                &self.result,
+                &result,
+            );
+            self.stats = *result.stats();
+            self.result = Arc::new(result);
+            delta
+        };
+        self.window = Some(window);
+        self.units_opened += 1;
         Ok(delta)
     }
 
@@ -749,10 +743,10 @@ mod tests {
     }
 
     #[test]
-    fn failed_rollover_leaves_no_half_open_window() {
-        // One shard fails mid-rollover; the shards that already
-        // advanced must be reset, so retrying the same batch yields
-        // exactly the unsharded cube (no double-folding).
+    fn a_failed_unit_can_be_retried() {
+        // One shard fails its partition; the shards that had already
+        // cubed theirs must be reset, so retrying the same batch is not
+        // refused by them and yields exactly the unsharded cube.
         let (schema, layers, policy) = setup();
         let tuples = dense_tuples();
         let trip = Arc::new(std::sync::atomic::AtomicBool::new(true));
@@ -779,6 +773,60 @@ mod tests {
         tables_approx_eq("retry/m", a.m_table(), b.m_table());
         tables_approx_eq("retry/o", a.o_table(), b.o_table());
         assert_eq!(a.total_exception_cells(), b.total_exception_cells());
+    }
+
+    /// `tuples` moved into the window of `unit` (10 ticks each).
+    fn in_unit(tuples: &[MTuple], unit: i64) -> Vec<MTuple> {
+        let at = |t: &MTuple| {
+            Isb::new(unit * 10, unit * 10 + 9, t.isb().base(), t.isb().slope()).unwrap()
+        };
+        tuples
+            .iter()
+            .map(|t| MTuple::new(t.ids().to_vec(), at(t)))
+            .collect()
+    }
+
+    #[test]
+    fn the_private_pool_is_created_by_the_first_unit_that_fans_out() {
+        let make = |shards| {
+            let (schema, layers, policy) = setup();
+            ShardedEngine::mo_cubing(schema, layers, policy, shards).unwrap()
+        };
+        let shared = Arc::new(WorkerPool::new(2));
+        let mut passthrough = make(1);
+        let mut pooled = make(3).with_shared_pool(Arc::clone(&shared));
+        let mut private = make(3);
+        let mut first_private = None;
+        for unit in 0..3 {
+            let tuples = in_unit(&dense_tuples(), unit);
+            for engine in [&mut passthrough, &mut pooled, &mut private] {
+                engine.ingest_unit(&tuples).unwrap();
+            }
+            let pool = private.pool.as_ref().expect("created on first use");
+            let first = first_private.get_or_insert_with(|| Arc::clone(pool));
+            assert!(Arc::ptr_eq(first, pool), "unit {unit}: one private pool");
+        }
+        assert!(make(3).pool.is_none(), "nothing is spawned at construction");
+        assert!(passthrough.pool.is_none(), "one shard never fans out");
+        assert!(Arc::ptr_eq(pooled.pool.as_ref().unwrap(), &shared));
+    }
+
+    #[test]
+    fn a_window_that_recurs_finds_no_stale_shard_cube() {
+        // Unit A activates every shard, unit B a single key, then A's
+        // window comes round again with another single key: the shards
+        // still holding the first A must neither refuse the window as
+        // already cubed nor leak their old cells into the merge.
+        let (schema, layers, policy) = setup();
+        let mut e = ShardedEngine::mo_cubing(schema, layers, policy, 7).unwrap();
+        e.ingest_unit(&dense_tuples()).unwrap();
+        e.ingest_unit(&in_unit(&dense_tuples()[..1], 1)).unwrap();
+        for tuple in dense_tuples().into_iter().skip(3).step_by(4) {
+            let delta = e.ingest_unit(&[tuple]).unwrap();
+            assert_eq!(delta.window, (0, 9));
+            assert_eq!(e.result().m_layer_cells(), 1, "only the new unit");
+            e.ingest_unit(&in_unit(&dense_tuples()[..1], 1)).unwrap();
+        }
     }
 
     #[test]

@@ -33,25 +33,6 @@ pub struct RunStats {
     pub exception_cells: u64,
     /// Cuboids whose tables were (at least partially) computed.
     pub cuboids_computed: u32,
-    /// Off-path cuboids whose exception-guided drill output was
-    /// **re-aggregated or retracted** since the unit opened (Algorithm
-    /// 2 only; zero for Algorithm 1). The frontier-dirty replay
-    /// re-aggregates a cuboid only when an ancestor's exception
-    /// frontier changed or the batch touched its qualifying region
-    /// (and retracts it when its candidates disappear), so this
-    /// counter plus
-    /// [`drill_skipped_cuboids`](Self::drill_skipped_cuboids) measures
-    /// how much of step 3 each batch actually replays.
-    pub drill_replayed_cuboids: u64,
-    /// Off-path cuboids a same-window batch's step 3 left untouched
-    /// (Algorithm 2 only): either their retained drill output was
-    /// **reused verbatim** (ancestor frontiers unchanged, drilled
-    /// region untouched by the batch) or they had **no drill
-    /// candidates** at all (every ancestor frontier empty, nothing
-    /// retained). Together with
-    /// [`drill_replayed_cuboids`](Self::drill_replayed_cuboids) this
-    /// partitions the off-path lattice each batch.
-    pub drill_skipped_cuboids: u64,
     /// Stream records that arrived **beyond the allowed lateness** and
     /// were dropped — deterministically counted, never silently lost.
     /// Only the stream layer's watermark path increments this; batch

@@ -155,20 +155,6 @@ pub trait TableStorage: Sized + Clone + Send + Sync + 'static {
         mem: &mut MemoryAccountant,
     ) -> Result<(Self, Folded)>;
 
-    /// Takes over a row-form table of `cuboid` (whose bytes `mem`
-    /// already counts) as a working table of this layout — the inverse
-    /// of [`into_row_table`](Self::into_row_table).
-    ///
-    /// # Errors
-    /// Measure merge failures.
-    fn from_row_table(
-        schema: &CubeSchema,
-        cuboid: &CuboidSpec,
-        rows: CuboidTable,
-        kernel: KernelMode,
-        mem: &mut MemoryAccountant,
-    ) -> Result<Self>;
-
     /// Aggregates a fresh same-layout table for the ancestor cuboid
     /// `target` from this (finished) table of `source` — one step of
     /// the tier roll-up. Runs on pool workers, so it reports no memory;
@@ -275,16 +261,6 @@ impl TableStorage for CuboidTable {
             kernel: false,
         };
         Ok((m_table, folded))
-    }
-
-    fn from_row_table(
-        _schema: &CubeSchema,
-        _cuboid: &CuboidSpec,
-        rows: CuboidTable,
-        _kernel: KernelMode,
-        _mem: &mut MemoryAccountant,
-    ) -> Result<Self> {
-        Ok(rows)
     }
 
     fn roll_up(
@@ -598,11 +574,9 @@ pub fn aggregate_from(
 /// Unlike [`aggregate_from`], whose per-cell fold order follows the
 /// source table's hash iteration order, the result here is a pure
 /// function of the source's *contents* — independent of insertion
-/// history, capacity or when the aggregation runs. That is the property
-/// the frontier-dirty incremental drill replay relies on: an off-path
-/// table retained from an earlier batch is byte-identical to the table
-/// a from-scratch step-3 replay would compute now, as long as its
-/// qualifying source region is unchanged.
+/// history, capacity or when the aggregation runs, so a cube's drilled
+/// exceptions are a function of what its path tables hold, not of how
+/// they came to be built.
 ///
 /// The whole pass is allocation-free per row: the PR-4 [`Projector`]
 /// LUTs project into one scratch buffer, qualifying rows append their

@@ -8,14 +8,15 @@
 //! a future engine or layout is pinned by adding one entry:
 //!
 //! 1. an empty batch is rejected;
-//! 2. a failed rollover leaves no half-open window;
-//! 3. a rollover reports the lapsed window's exceptions as cleared;
-//! 4. **incremental/batch equivalence** — splitting one unit's tuple
-//!    stream into same-window batches and ingesting them sequentially
-//!    yields the same cube (critical layers, exception stores, path
-//!    tables) as the one-shot batch `compute` entry point;
-//! 5. deltas come back sorted — and every Algorithm-1 engine replays the
-//!    exact delta stream of the plain row engine.
+//! 2. a failed unit leaves the engine exactly as it was;
+//! 3. a unit is cubed once: a second batch for the held window is
+//!    refused, result and statistics stay bit for bit what they were,
+//!    and the next window then cubes exactly what a fresh engine cubes;
+//! 4. a new unit reports the lapsed window's exceptions as cleared;
+//! 5. deltas come back sorted, every engine's cube is the cube of the
+//!    batch `compute` entry point of its algorithm — and every
+//!    Algorithm-1 engine replays the exact delta stream of the plain
+//!    row engine.
 //!
 //! On top of those, the cross-engine laws: the row and columnar layouts
 //! agree up to `f64` reassociation, a worker pool never changes a bit,
@@ -31,7 +32,8 @@ use regcube_core::result::Algorithm;
 use regcube_core::shard::ShardedEngine;
 use regcube_core::table::CuboidTable;
 use regcube_core::{
-    mo_cubing, popular_path, CriticalLayers, CubeResult, ExceptionPolicy, MTuple, WorkerPool,
+    mo_cubing, popular_path, CoreError, CriticalLayers, CubeResult, ExceptionPolicy, MTuple,
+    WorkerPool,
 };
 use regcube_olap::{CubeSchema, CuboidSpec};
 use regcube_regress::{Isb, TimeSeries};
@@ -148,8 +150,6 @@ struct Subject {
     /// Behind a [`ShardedEngine`]. A lone engine's work counters must
     /// match its batch reference's, not just its cube.
     sharded: bool,
-    /// Recomputes on a same-window batch instead of merging in place.
-    transient: bool,
     make: Factory,
 }
 
@@ -178,7 +178,6 @@ fn subjects() -> Vec<Subject> {
         out: &mut Vec<Subject>,
         label: &str,
         kind: Kind,
-        transient: bool,
         make: impl Fn(CubeSchema, CriticalLayers, ExceptionPolicy) -> regcube_core::Result<E>
             + Send
             + Sync
@@ -190,7 +189,6 @@ fn subjects() -> Vec<Subject> {
             label: label.to_string(),
             kind,
             sharded: false,
-            transient,
             make: Box::new(move |s, l, p| Box::new(lone(s.clone(), l.clone(), p.clone()).unwrap())),
         });
         for shards in [1usize, 2, 3, 7] {
@@ -204,7 +202,6 @@ fn subjects() -> Vec<Subject> {
                     kind
                 },
                 sharded: true,
-                transient,
                 make: Box::new(move |s, l, p| {
                     let make = make.clone();
                     Box::new(
@@ -219,16 +216,10 @@ fn subjects() -> Vec<Subject> {
     for (backend, layout) in [(Backend::Row, "row"), (Backend::Columnar, "columnar")] {
         for (transient, mode) in [(true, "transient"), (false, "retained")] {
             let label = format!("{layout} {mode}");
-            subject(
-                &mut out,
-                &label,
-                Kind::Mo,
-                transient,
-                mo(backend, transient),
-            );
+            subject(&mut out, &label, Kind::Mo, mo(backend, transient));
         }
     }
-    subject(&mut out, "popular path", Kind::Pp, false, |s, l, p| {
+    subject(&mut out, "popular path", Kind::Pp, |s, l, p| {
         PopularPathEngine::new(s, l, p, None)
     });
     out
@@ -244,25 +235,50 @@ fn empty_batches_are_rejected() {
     }
 }
 
+/// Everything of a result a consumer can read, measures by their bits.
+fn result_bits(result: &CubeResult) -> Vec<String> {
+    let mut cells: Vec<String> = Vec::new();
+    let tables = [("m", result.m_table()), ("o", result.o_table())];
+    for (tag, table) in tables {
+        cells.extend(
+            table
+                .iter()
+                .map(|(k, m)| format!("{tag} {k} {:?}", bits(m))),
+        );
+    }
+    for (cuboid, key, m) in result.iter_exceptions() {
+        cells.push(format!("exc {cuboid}{key} {:?}", bits(m)));
+    }
+    for (cuboid, table) in result.path_tables() {
+        cells.extend(
+            table
+                .iter()
+                .map(|(k, m)| format!("path {cuboid}{k} {:?}", bits(m))),
+        );
+    }
+    cells.sort();
+    cells
+}
+
 #[test]
-fn failed_rollover_leaves_no_half_open_window() {
+fn failed_unit_leaves_the_engine_as_it_was() {
     let (schema, layers, tuples) = random_dataset(2, 60);
     let policy = ExceptionPolicy::slope_threshold(0.3);
     for subject in subjects() {
         let label = &subject.label;
         let mut engine = (subject.make)(&schema, &layers, &policy);
         engine.ingest_unit(&tuples).unwrap();
-        let m_cells = engine.result().m_layer_cells();
+        let (cube, stats) = (result_bits(engine.result()), *engine.stats());
         // A structurally invalid batch (wrong arity) for a new window
         // fails and leaves the engine on its unit...
         let bad = vec![MTuple::new(vec![0], Isb::new(16, 31, 1.0, 0.1).unwrap())];
         assert!(engine.ingest_unit(&bad).is_err(), "{label}");
-        assert_eq!(engine.result().m_layer_cells(), m_cells, "{label}");
-        // ...and a valid batch for that window then opens it from
-        // scratch: exactly the cube a fresh engine computes for it.
+        assert_eq!(result_bits(engine.result()), cube, "{label}");
+        assert_eq!(*engine.stats(), stats, "{label}");
+        // ...and a valid batch for that window is then its unit: exactly
+        // the cube a fresh engine computes for it.
         let next = in_unit(&tuples, 9, 1);
         let delta = engine.ingest_unit(&next).unwrap();
-        assert!(delta.opened_unit, "{label}");
         assert_eq!(delta.unit, 1, "{label}");
         let mut fresh = (subject.make)(&schema, &layers, &policy);
         fresh.ingest_unit(&next).unwrap();
@@ -271,16 +287,54 @@ fn failed_rollover_leaves_no_half_open_window() {
 }
 
 #[test]
+fn a_unit_is_cubed_once() {
+    let (schema, layers, tuples) = random_dataset(3, 60);
+    let policy = ExceptionPolicy::slope_threshold(0.3);
+    for subject in subjects() {
+        let label = &subject.label;
+        let mut engine = (subject.make)(&schema, &layers, &policy);
+        engine.ingest_unit(&tuples[..40]).unwrap();
+        let (cube, stats) = (result_bits(engine.result()), *engine.stats());
+        // More tuples for the held window — the rest of the stream, or
+        // the same batch again — are refused, not merged and not taken
+        // as a replacement.
+        for again in [&tuples[40..], &tuples[..40]] {
+            let err = engine.ingest_unit(again).unwrap_err();
+            assert!(matches!(err, CoreError::BadInput { .. }), "{label}: {err}");
+            assert_eq!(result_bits(engine.result()), cube, "{label}");
+            assert_eq!(*engine.stats(), stats, "{label}");
+        }
+        // The refusals left no trace: the next window is unit 1 and
+        // cubes bit for bit what a fresh engine cubes for it.
+        let next = in_unit(&tuples, 25, 1);
+        let delta = engine.ingest_unit(&next).unwrap();
+        assert_eq!((delta.unit, delta.window), (1, (16, 31)), "{label}");
+        let mut fresh = (subject.make)(&schema, &layers, &policy);
+        fresh.ingest_unit(&next).unwrap();
+        assert_eq!(
+            result_bits(engine.result()),
+            result_bits(fresh.result()),
+            "{label}"
+        );
+        let (s, f) = (engine.stats(), fresh.stats());
+        assert_eq!(
+            (s.cells_computed, s.rows_folded, s.cells_retained),
+            (f.cells_computed, f.rows_folded, f.cells_retained),
+            "{label}"
+        );
+    }
+}
+
+#[test]
 fn rollover_clears_lapsed_exceptions() {
-    // Feeding a later window must open a new unit and leave a cube for
-    // that window only — for every engine behind the same trait calls.
+    // Feeding a later window must leave a cube for that window only —
+    // for every engine behind the same trait calls.
     let (schema, layers, tuples) = random_dataset(20, 60);
     let policy = ExceptionPolicy::slope_threshold(0.3);
     for subject in subjects() {
         let label = &subject.label;
         let mut engine = (subject.make)(&schema, &layers, &policy);
         let d0 = engine.ingest_unit(&tuples).unwrap();
-        assert!(d0.opened_unit, "{label}");
         assert_eq!(d0.unit, 0, "{label}");
         assert!(!d0.appeared.is_empty(), "{label}: nothing to lapse");
 
@@ -288,7 +342,6 @@ fn rollover_clears_lapsed_exceptions() {
             .map(|i| MTuple::new(vec![i, i], Isb::new(16, 31, 1.0, 0.5).unwrap()))
             .collect();
         let d1 = engine.ingest_unit(&next_window).unwrap();
-        assert!(d1.opened_unit, "{label}");
         assert_eq!(d1.unit, 1, "{label}");
         assert_eq!(d1.window, (16, 31), "{label}");
         assert_eq!(engine.result().m_layer_cells(), 5, "{label}");
@@ -311,43 +364,57 @@ fn rollover_clears_lapsed_exceptions() {
 }
 
 #[test]
-fn incremental_ingestion_matches_batch_compute() {
-    for (seed, chunk) in [(1u64, 1usize), (2, 7), (3, 50), (4, 120)] {
-        let (schema, layers, tuples) = random_dataset(seed, 120);
-        let policy = ExceptionPolicy::slope_threshold(0.3);
-        let mo_reference = mo_cubing::compute(&schema, &layers, &policy, &tuples).unwrap();
-        let pp_reference = popular_path::compute(&schema, &layers, &policy, None, &tuples).unwrap();
-        for subject in subjects() {
-            let label = format!("{} seed {seed} chunk {chunk}", subject.label);
-            let mut engine = (subject.make)(&schema, &layers, &policy);
-            let mut units_opened = 0;
-            for batch in tuples.chunks(chunk) {
-                let delta = engine.ingest_unit(batch).unwrap();
-                units_opened += usize::from(delta.opened_unit);
-            }
-            assert_eq!(
-                units_opened, 1,
-                "{label}: same-window batches must stay in one unit"
-            );
+fn deltas_are_sorted_and_algorithm_one_replays_the_row_delta_stream() {
+    // Three units with shrinking batches: unit 2 has 4 tuples, so
+    // several shards stay on an old window and must be excluded from
+    // the merge.
+    let (schema, layers, tuples) = random_dataset(71, 90);
+    let policy = ExceptionPolicy::slope_threshold(0.3);
+    let units = [
+        in_unit(&tuples, 90, 0),
+        in_unit(&tuples, 30, 1),
+        in_unit(&tuples, 4, 2),
+    ];
+    // Each unit's cube by the batch entry point of either algorithm.
+    let batch: Vec<(CubeResult, CubeResult)> = units
+        .iter()
+        .map(|unit| {
+            (
+                mo_cubing::compute(&schema, &layers, &policy, unit).unwrap(),
+                popular_path::compute(&schema, &layers, &policy, None, unit).unwrap(),
+            )
+        })
+        .collect();
+    for subject in subjects() {
+        let mut engine = (subject.make)(&schema, &layers, &policy);
+        let mut reference =
+            MoCubingEngine::transient(schema.clone(), layers.clone(), policy.clone()).unwrap();
+        for (i, unit) in units.iter().enumerate() {
+            let label = format!("{} unit {i}", subject.label);
+            let delta = engine.ingest_unit(unit).unwrap();
+            assert!(delta.is_sorted(), "{label}");
+            assert_eq!(delta.tuples, unit.len(), "{label}");
             let result = engine.result();
-            // One batch is the batch algorithm: same work, not just the
-            // same cube.
-            if !subject.sharded && chunk >= tuples.len() {
+            let (mo_reference, pp_reference) = &batch[i];
+            // A lone engine is the batch algorithm: same work, not just
+            // the same cube.
+            if !subject.sharded {
                 let reference = match subject.kind {
-                    Kind::Mo => &mo_reference,
-                    Kind::Pp | Kind::ShardedPp => &pp_reference,
+                    Kind::Mo => mo_reference,
+                    Kind::Pp | Kind::ShardedPp => pp_reference,
                 };
                 let (s, r) = (engine.stats(), reference.stats());
                 assert_eq!(s.cells_computed, r.cells_computed, "{label}");
                 assert_eq!(s.cuboids_computed, r.cuboids_computed, "{label}");
+                assert_eq!(s.rows_folded, r.rows_folded, "{label}");
             }
             match subject.kind {
                 Kind::Mo => {
-                    results_approx_eq(&label, result, &mo_reference);
+                    results_approx_eq(&label, result, mo_reference);
                     assert_eq!(result.algorithm(), Algorithm::MoCubing);
                 }
                 Kind::Pp => {
-                    results_approx_eq(&label, result, &pp_reference);
+                    results_approx_eq(&label, result, pp_reference);
                     assert_eq!(result.algorithm(), Algorithm::PopularPath);
                 }
                 Kind::ShardedPp => {
@@ -356,57 +423,23 @@ fn incremental_ingestion_matches_batch_compute() {
                     for (cuboid, table) in pp_reference.path_tables() {
                         tables_approx_eq(&label, &result.path_tables()[cuboid], table);
                     }
-                    exceptions_cover(&label, result, &pp_reference);
-                    exceptions_cover(&label, &mo_reference, result);
+                    exceptions_cover(&label, result, pp_reference);
+                    exceptions_cover(&label, mo_reference, result);
                     assert_eq!(result.algorithm(), Algorithm::PopularPath);
                 }
             }
-        }
-    }
-}
-
-#[test]
-fn deltas_are_sorted_and_algorithm_one_replays_the_row_delta_stream() {
-    // Unit 0 arrives in two same-window batches, then the window rolls
-    // twice with shrinking batches: unit 2 has 4 tuples, so several
-    // shards stay on an old window and must be excluded from the merge.
-    let (schema, layers, tuples) = random_dataset(71, 90);
-    let policy = ExceptionPolicy::slope_threshold(0.3);
-    let batches = [
-        in_unit(&tuples, 90, 0)[..50].to_vec(),
-        in_unit(&tuples, 90, 0)[50..].to_vec(),
-        in_unit(&tuples, 30, 1),
-        in_unit(&tuples, 4, 2),
-    ];
-    for subject in subjects() {
-        let mut engine = (subject.make)(&schema, &layers, &policy);
-        let mut reference =
-            MoCubingEngine::transient(schema.clone(), layers.clone(), policy.clone()).unwrap();
-        for (i, batch) in batches.iter().enumerate() {
-            let label = format!("{} batch {i}", subject.label);
-            let delta = engine.ingest_unit(batch).unwrap();
-            assert!(delta.is_sorted(), "{label}");
-            assert_eq!(delta.tuples, batch.len(), "{label}");
             if subject.kind != Kind::Mo {
                 continue;
             }
             // Deltas are sorted by contract, so they compare directly.
-            let expected = reference.ingest_unit(batch).unwrap();
+            let expected = reference.ingest_unit(unit).unwrap();
             assert_eq!(
-                (delta.unit, delta.window, delta.opened_unit),
-                (expected.unit, expected.window, expected.opened_unit),
+                (delta.unit, delta.window),
+                (expected.unit, expected.window),
                 "{label}"
             );
             assert_eq!(delta.appeared, expected.appeared, "{label} appeared");
             assert_eq!(delta.cleared, expected.cleared, "{label} cleared");
-            results_approx_eq(&label, engine.result(), reference.result());
-            // A rollover is the same full computation on every lone
-            // engine; a same-window batch only on the transient ones.
-            if !subject.sharded && (subject.transient || delta.opened_unit) {
-                let (s, r) = (engine.stats(), reference.stats());
-                assert_eq!(s.cells_computed, r.cells_computed, "{label}");
-                assert_eq!(s.rows_folded, r.rows_folded, "{label}");
-            }
         }
     }
 }
@@ -430,7 +463,7 @@ fn a_worker_pool_never_changes_a_bit() {
     // The engine fans a tier out only when its source tables hold
     // thousands of rows, so the parity is checked on both sides of that
     // gate: 81 possible m-cells keep every tier sequential, while the
-    // 4,000-tuple opening batch over 4,096 possible m-cells (some 2,500
+    // 6,000-tuple opening unit over 4,096 possible m-cells (some 3,100
     // distinct) puts twice that many source rows in front of the first
     // tier's two cuboids — a fan-out — and 1,536 in front of the
     // second tier's three.
@@ -438,7 +471,7 @@ fn a_worker_pool_never_changes_a_bit() {
     let pool = Arc::new(WorkerPool::new(2));
     for (fanout, n) in [(3u32, 150usize), (8, 6000)] {
         let (schema, layers, tuples) = random_dataset_of_fanout(72, n, fanout);
-        let (first, rest) = (n * 2 / 3, n / 4);
+        let rest = n / 4;
         for backend in [Backend::Row, Backend::Columnar] {
             for transient in [true, false] {
                 let make = mo(backend, transient);
@@ -446,13 +479,9 @@ fn a_worker_pool_never_changes_a_bit() {
                 let mut pooled = make(schema.clone(), layers.clone(), policy.clone())
                     .unwrap()
                     .with_pool(Arc::clone(&pool));
-                let batches = [
-                    in_unit(&tuples, n, 0)[..first].to_vec(),
-                    in_unit(&tuples, n, 0)[first..].to_vec(),
-                    in_unit(&tuples, rest, 1),
-                ];
-                for (i, batch) in batches.iter().enumerate() {
-                    let label = format!("{n} tuples {backend:?} transient={transient} batch {i}");
+                let units = [in_unit(&tuples, n, 0), in_unit(&tuples, rest, 1)];
+                for (i, batch) in units.iter().enumerate() {
+                    let label = format!("{n} tuples {backend:?} transient={transient} unit {i}");
                     let (dp, dq) = (
                         plain.ingest_unit(batch).unwrap(),
                         pooled.ingest_unit(batch).unwrap(),
@@ -540,8 +569,8 @@ fn layouts_agree_up_to_f64_reassociation() {
             let dc = col.ingest_unit(&batch).unwrap();
             let label = format!("n={shards} unit {unit}");
             assert_eq!(
-                (dr.unit, dr.window, dr.opened_unit, dr.tuples),
-                (dc.unit, dc.window, dc.opened_unit, dc.tuples),
+                (dr.unit, dr.window, dr.tuples),
+                (dc.unit, dc.window, dc.tuples),
                 "{label}"
             );
             assert_eq!(dr.appeared, dc.appeared, "{label} appeared");
@@ -657,11 +686,7 @@ fn algorithm_one_exceptions_are_a_superset_of_algorithm_two() {
             Box::new(PopularPathEngine::new(schema, layers, policy, None).unwrap()),
         ];
         for engine in &mut engines {
-            // Mixed batch sizes: the invariant holds regardless of how
-            // the unit's tuples arrived.
-            let split = tuples.len() / 2;
-            engine.ingest_unit(&tuples[..split]).unwrap();
-            engine.ingest_unit(&tuples[split..]).unwrap();
+            engine.ingest_unit(&tuples).unwrap();
         }
         let (a1, a2) = (engines[0].result(), engines[1].result());
 

@@ -1,7 +1,7 @@
 //! SIMD ≡ scalar kernel parity: the chunked [`regcube_core::kernel`]
 //! fold/projection path must be **bit-for-bit** identical to the forced
 //! scalar fallback — same cells, same exception sets, same `UnitDelta`
-//! streams — across batching, window rollovers, shard counts {1,2,3,7},
+//! streams — across units of every size, shard counts {1,2,3,7},
 //! NaN-noise measures and the u64-overflow guard. The kernels preserve
 //! the scalar fold's add order by construction, so the comparison is
 //! `f64::to_bits` equality, not epsilon closeness.
@@ -96,32 +96,28 @@ fn results_bit_eq(label: &str, a: &CubeResult, b: &CubeResult) {
 fn deltas_eq(label: &str, a: &UnitDelta, b: &UnitDelta) {
     assert_eq!(a.unit, b.unit, "{label}: unit");
     assert_eq!(a.window, b.window, "{label}: window");
-    assert_eq!(a.opened_unit, b.opened_unit, "{label}: opened_unit");
     assert_eq!(a.appeared, b.appeared, "{label}: appeared");
     assert_eq!(a.cleared, b.cleared, "{label}: cleared");
 }
 
-/// Replays `units` (each a list of same-window batches) through an
-/// auto-dispatch and a forced-scalar columnar engine, asserting
-/// bit-exact cubes and deltas after every batch, then returns both
-/// engines for counter inspection.
+/// Replays `units` (one batch each) through an auto-dispatch and a
+/// forced-scalar columnar engine, asserting bit-exact cubes and deltas
+/// after every unit, then returns both engines for counter inspection.
 fn replay_and_compare(
     label: &str,
     schema: &CubeSchema,
     layers: &CriticalLayers,
     policy: &ExceptionPolicy,
-    units: &[Vec<&[MTuple]>],
+    units: &[&[MTuple]],
 ) -> (MoCubingEngine, MoCubingEngine) {
     let make = |mode| columnar(mode, 1)(schema.clone(), layers.clone(), policy.clone()).unwrap();
     let (mut auto, mut scalar) = (make(KernelMode::Auto), make(KernelMode::Scalar));
     for (u, unit) in units.iter().enumerate() {
-        for (i, batch) in unit.iter().enumerate() {
-            let da = auto.ingest_unit(batch).unwrap();
-            let ds = scalar.ingest_unit(batch).unwrap();
-            let tag = format!("{label} unit {u} batch {i}");
-            deltas_eq(&tag, &da, &ds);
-            results_bit_eq(&tag, auto.result(), scalar.result());
-        }
+        let da = auto.ingest_unit(unit).unwrap();
+        let ds = scalar.ingest_unit(unit).unwrap();
+        let tag = format!("{label} unit {u}");
+        deltas_eq(&tag, &da, &ds);
+        results_bit_eq(&tag, auto.result(), scalar.result());
     }
     (auto, scalar)
 }
@@ -145,15 +141,10 @@ fn shift_window(tuples: &[MTuple], unit: i64) -> Vec<MTuple> {
 fn kernel_and_scalar_paths_are_bit_identical_across_rollovers() {
     let (schema, layers, tuples) = dataset(600, 180);
     let policy = ExceptionPolicy::slope_threshold(0.3);
-    // Unit 0 arrives in mixed batches (open + same-window merges), the
-    // next two units roll the window with shrinking tails.
+    // Three units with shrinking tails.
     let u1 = shift_window(&tuples[..60], 1);
     let u2 = shift_window(&tuples[..7], 2);
-    let units: Vec<Vec<&[MTuple]>> = vec![
-        vec![&tuples[..100], &tuples[100..140], &tuples[140..]],
-        vec![&u1[..]],
-        vec![&u2[..]],
-    ];
+    let units = [&tuples[..], &u1[..], &u2[..]];
     let (auto, scalar) = replay_and_compare("rollover", &schema, &layers, &policy, &units);
 
     // Dispatch accounting: each engine splits its folded rows across
@@ -185,8 +176,7 @@ fn nan_noise_flows_through_both_paths_identically() {
         let ids = tuples[i].ids().to_vec();
         tuples[i] = MTuple::new(ids, Isb::new(0, 15, f64::NAN, -f64::NAN).unwrap());
     }
-    let units: Vec<Vec<&[MTuple]>> = vec![vec![&tuples[..80], &tuples[80..]]];
-    let (auto, _) = replay_and_compare("nan", &schema, &layers, &policy, &units);
+    let (auto, _) = replay_and_compare("nan", &schema, &layers, &policy, &[&tuples[..]]);
     assert!(
         auto.result().o_table().values().any(|m| m.slope().is_nan()),
         "NaN noise must reach the o-layer for the pin to mean anything"
@@ -302,7 +292,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The parity law itself, on random cubes: for any schema shape,
-    /// data, threshold, batching and shard count, auto dispatch and
+    /// data, threshold, unit size and shard count, auto dispatch and
     /// forced scalar produce bit-identical cubes and deltas.
     #[test]
     fn kernel_dispatch_never_changes_a_bit(rc in random_cube()) {
@@ -313,11 +303,14 @@ proptest! {
             CuboidSpec::new(vec![rc.depth; rc.dims]),
         )
         .unwrap();
+        // Every `chunk` tuples are one unit, in a window of its own.
         let tuples: Vec<MTuple> = rc
             .tuples
             .iter()
-            .map(|(ids, base, slope)| {
-                MTuple::new(ids.clone(), Isb::new(0, 9, *base, *slope).unwrap())
+            .enumerate()
+            .map(|(i, (ids, base, slope))| {
+                let start = (i / rc.chunk) as i64 * 10;
+                MTuple::new(ids.clone(), Isb::new(start, start + 9, *base, *slope).unwrap())
             })
             .collect();
         let policy = ExceptionPolicy::slope_threshold(rc.threshold);
@@ -329,12 +322,12 @@ proptest! {
             schema, layers, policy, rc.shards,
             columnar(KernelMode::Scalar, rc.shards),
         ).unwrap();
-        for batch in tuples.chunks(rc.chunk) {
-            let da = auto.ingest_unit(batch).unwrap();
-            let ds = scalar.ingest_unit(batch).unwrap();
+        for unit in tuples.chunks(rc.chunk) {
+            let da = auto.ingest_unit(unit).unwrap();
+            let ds = scalar.ingest_unit(unit).unwrap();
             deltas_eq("prop", &da, &ds);
+            results_bit_eq("prop", auto.result(), scalar.result());
         }
-        results_bit_eq("prop", auto.result(), scalar.result());
         prop_assert_eq!(scalar.stats().rows_folded_simd, 0);
         let s = auto.stats();
         prop_assert_eq!(s.rows_folded, s.rows_folded_simd + s.rows_folded_scalar);

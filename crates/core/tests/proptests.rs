@@ -156,8 +156,7 @@ proptest! {
     /// Sharded cubing is exact: for every shard count, hash-partitioned
     /// parallel cubing + Theorem 3.2 merge retains the same critical
     /// layers and the same exception set (with matching measures) as
-    /// the unsharded batch computation — whether the unit arrives as
-    /// one batch or as incremental same-window chunks.
+    /// the unsharded batch computation.
     #[test]
     fn sharded_cubing_equals_unsharded(rc in random_cube()) {
         let (schema, layers, tuples, policy) = build(&rc);
@@ -166,12 +165,7 @@ proptest! {
             let mut engine = ShardedEngine::mo_cubing(
                 schema.clone(), layers.clone(), policy.clone(), shards,
             ).unwrap();
-            // Chunk size varies with the data so chunking is exercised
-            // across cases; every chunk shares the window.
-            let chunk = 1 + rc.tuples.len() % 9;
-            for batch in tuples.chunks(chunk) {
-                engine.ingest_unit(batch).unwrap();
-            }
+            engine.ingest_unit(&tuples).unwrap();
             let cube = engine.result();
             prop_assert_eq!(cube.m_layer_cells(), reference.m_layer_cells());
             for (k, m) in reference.m_table() {

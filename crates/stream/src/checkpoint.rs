@@ -35,11 +35,13 @@
 //! # What is deliberately not captured
 //!
 //! Cubing-internal counters ([`RunStats`](regcube_core::RunStats)
-//! timing/memory figures) and the exception history's *depth* restart
-//! from the checkpoint boundary: the history is reseeded with the
-//! restored window only, so `ExceptionDiff`s keep working forward, but
-//! chronic-exception lookback shortens to the restore point. The
-//! queryable state — cube tables, ladders, alarms; everything
+//! timing/memory figures) restart from the checkpoint boundary, and
+//! the restored window's [`UnitDelta`](regcube_core::UnitDelta) is not
+//! replayed to the alarm sinks: re-cubing it into a fresh engine
+//! reports every exception as appeared, which the sinks of the
+//! original run have already seen. The next close diffs against the
+//! restored cube, so deltas keep working forward. The queryable state
+//! — cube tables, ladders, alarms; everything
 //! [`CubeSnapshot::canonical_text`](crate::CubeSnapshot::canonical_text)
 //! renders — round-trips bit-identically.
 
@@ -844,15 +846,15 @@ fn apply_state(engine: &mut OnlineEngine<BoxedEngine>, saved: SavedState) -> Res
             .ingest_unit(&tuples)
             .map_err(StreamError::from)?;
         engine.computed = true;
-        let result = engine.cubing.result();
-        // Reseed the o-layer reference and a depth-1 exception history
-        // so the next close diffs against the restored window.
-        engine.prev_o_layer = result
+        // Reseed the o-layer reference so the next close scores its
+        // alarms against the restored window.
+        engine.prev_o_layer = engine
+            .cubing
+            .result()
             .o_table()
             .iter()
             .map(|(k, m)| (k.clone(), *m))
             .collect();
-        let _ = engine.history.record(result);
     }
 
     let spec = engine.tilt_spec.clone();

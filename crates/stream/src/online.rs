@@ -12,7 +12,6 @@ use regcube_core::alarm::{
 };
 use regcube_core::drill::{drill_children, drill_descendants, DrillHit};
 use regcube_core::engine::{Backend, CubingEngine, MoCubingEngine, PopularPathEngine, UnitDelta};
-use regcube_core::history::{CubeHistory, ExceptionDiff};
 use regcube_core::pool::WorkerPool;
 use regcube_core::result::Algorithm;
 use regcube_core::shard::ShardedEngine;
@@ -57,9 +56,6 @@ pub struct UnitReport {
     pub exception_cells: u64,
     /// Time spent recomputing the cube.
     pub recompute_time: Duration,
-    /// Exception changes against the previous unit (`None` for the first
-    /// computed unit): fresh alerts, recoveries, persisting conditions.
-    pub diff: Option<ExceptionDiff>,
     /// What the cubing engine reported for the unit's batch (`None` for
     /// an empty unit, which never reaches the engine).
     pub cube_delta: Option<UnitDelta>,
@@ -67,17 +63,6 @@ pub struct UnitReport {
     /// sink never fails the unit — the cube is already updated when
     /// sinks run, so each error is surfaced exactly once, here.
     pub sink_errors: Vec<SinkError>,
-    /// Off-path cuboids the popular-path drill re-aggregated (or
-    /// retracted) for this unit, summed across shards. Zero for
-    /// Algorithm 1 backends and for empty units. See
-    /// [`RunStats::drill_replayed_cuboids`](regcube_core::RunStats).
-    pub drill_replayed_cuboids: u64,
-    /// Off-path cuboids the popular-path engine's step 3 left
-    /// untouched for this unit (retained output reused verbatim, or no
-    /// drill candidates at all), summed across shards — the work the
-    /// frontier-dirty replay saved. See
-    /// [`RunStats::drill_skipped_cuboids`](regcube_core::RunStats).
-    pub drill_skipped_cuboids: u64,
     /// Source rows the unit's cubing folded through the chunked kernel
     /// layer (blocked LUT projection + run folds), summed across
     /// shards. Zero for row backends, empty units, and when the scalar
@@ -166,9 +151,6 @@ pub struct EngineConfig {
     /// none. Sinks are shared (`Arc<Mutex<_>>`), so cloning the config
     /// shares them.
     pub sinks: SinkSet,
-    /// Retained depth of the per-window exception history
-    /// ([`CubeHistory`]); defaults to 16 windows. Must be at least 1.
-    pub history_depth: usize,
     /// Out-of-order handling: `None` (the default) means disabled, as
     /// does a zero capacity; see
     /// [`with_reordering`](Self::with_reordering). Disabled reordering
@@ -199,7 +181,6 @@ impl EngineConfig {
             backend: Backend::Row,
             shards: 1,
             sinks: SinkSet::new(),
-            history_depth: 16,
             reordering: None,
             cubing_pool: None,
         }
@@ -214,15 +195,6 @@ impl EngineConfig {
     #[must_use]
     pub fn with_cubing_pool(mut self, pool: Arc<WorkerPool>) -> Self {
         self.cubing_pool = Some(pool);
-        self
-    }
-
-    /// Sets the retained depth of the per-window exception history
-    /// (diffs and chronic-exception tracking keep the last `depth`
-    /// windows). [`build`](Self::build) rejects `0`.
-    #[must_use]
-    pub fn with_history_depth(mut self, depth: usize) -> Self {
-        self.history_depth = depth;
         self
     }
 
@@ -470,15 +442,9 @@ impl EngineConfig {
             backend: _,
             shards: _,
             sinks,
-            history_depth,
             reordering,
             cubing_pool: _,
         } = self;
-        if history_depth == 0 {
-            return Err(StreamError::BadConfig {
-                detail: "history_depth must be at least 1".into(),
-            });
-        }
         let reorder_cfg = reordering.unwrap_or_default();
         let ingestor = Ingestor::new(schema.clone(), primitive, m_layer.clone(), ticks_per_unit)?;
         let layers = CriticalLayers::new(&schema, o_layer.clone(), m_layer.clone())
@@ -493,7 +459,6 @@ impl EngineConfig {
             frames: FxHashMap::default(),
             o_frames: FxHashMap::default(),
             prev_o_layer: FxHashMap::default(),
-            history: CubeHistory::new(history_depth),
             ticks_per_unit,
             units_closed: 0,
             sinks,
@@ -547,8 +512,8 @@ fn sharded<E: CubingEngine + Send + Sync + 'static>(
 /// 1. rolls the unit's records up to m-layer ISB tuples,
 /// 2. pushes every cell's unit ISB into its tilt frame (absent cells get
 ///    a zero-usage fill so frames stay contiguous),
-/// 3. feeds the unit's tuples to the [`CubingEngine`] (which opens a new
-///    cube unit for the new window), and
+/// 3. hands the unit's tuples — the window's complete m-layer — to the
+///    [`CubingEngine`], which cubes the unit once, and
 /// 4. raises alarms for exceptional o-layer cells, scoring with the
 ///    policy's [`RefMode`](regcube_core::RefMode) against the previous
 ///    unit's o-layer.
@@ -574,7 +539,6 @@ pub struct OnlineEngine<E: CubingEngine = BoxedEngine> {
     /// well" (Example 4): the observation deck at every granularity.
     pub(crate) o_frames: FxHashMap<CellKey, TiltFrame<Isb>>,
     pub(crate) prev_o_layer: FxHashMap<CellKey, Isb>,
-    pub(crate) history: CubeHistory,
     pub(crate) ticks_per_unit: usize,
     pub(crate) units_closed: u64,
     /// Alarm sinks receiving the merged, sorted per-unit delta.
@@ -945,11 +909,8 @@ impl<E: CubingEngine> OnlineEngine<E> {
                 alarms: Vec::new(),
                 exception_cells: 0,
                 recompute_time: Duration::ZERO,
-                diff: None,
                 cube_delta: None,
                 sink_errors,
-                drill_replayed_cuboids: 0,
-                drill_skipped_cuboids: 0,
                 rows_folded_simd: 0,
                 rows_folded_scalar: 0,
                 late_amendments,
@@ -959,8 +920,8 @@ impl<E: CubingEngine> OnlineEngine<E> {
             });
         }
 
-        // The unit's tuples open a new cube unit in the engine (their
-        // window differs from the previous unit's).
+        // One call per unit: the tuples are the window's complete
+        // m-layer, and the window is later than any the engine has seen.
         let tuples = Ingestor::to_mtuples(&cells);
         let started = Instant::now();
         let mut delta = match self.cubing.ingest_unit(&tuples) {
@@ -1008,8 +969,6 @@ impl<E: CubingEngine> OnlineEngine<E> {
                 .then_with(|| a.key.cmp(&b.key))
         });
 
-        let diff = self.history.record(result);
-
         // Fan the unit's late amendments (corrections to earlier units)
         // and then its delta out to the alarm sinks. Sinks see the
         // post-batch cube; their failures are collected, never allowed
@@ -1045,7 +1004,7 @@ impl<E: CubingEngine> OnlineEngine<E> {
             .reorder
             .as_mut()
             .map_or(0, ReorderState::take_dropped_since_report);
-        let drill_stats = self.cubing.stats();
+        let cubing_stats = self.cubing.stats();
         self.last_alarms = alarms.clone();
         self.last_closed_unit = Some(unit);
         Ok(UnitReport {
@@ -1054,13 +1013,10 @@ impl<E: CubingEngine> OnlineEngine<E> {
             alarms,
             exception_cells,
             recompute_time,
-            diff,
             cube_delta: Some(delta),
             sink_errors,
-            drill_replayed_cuboids: drill_stats.drill_replayed_cuboids,
-            drill_skipped_cuboids: drill_stats.drill_skipped_cuboids,
-            rows_folded_simd: drill_stats.rows_folded_simd,
-            rows_folded_scalar: drill_stats.rows_folded_scalar,
+            rows_folded_simd: cubing_stats.rows_folded_simd,
+            rows_folded_scalar: cubing_stats.rows_folded_scalar,
             late_amendments,
             alarm_revisions,
             late_dropped,
@@ -1269,11 +1225,6 @@ impl<E: CubingEngine> OnlineEngine<E> {
     /// [`StreamError::Core`] before the first non-empty unit close.
     pub fn drill_descendants(&self, cuboid: &CuboidSpec, key: &CellKey) -> Result<Vec<DrillHit>> {
         Ok(drill_descendants(&self.schema, self.cube()?, cuboid, key))
-    }
-
-    /// The per-window exception history (diffs, chronic conditions).
-    pub fn history(&self) -> &CubeHistory {
-        &self.history
     }
 
     /// The tilt frame of an o-layer cell: its regression history at every
@@ -1522,28 +1473,6 @@ mod tests {
         assert!(alarm.score >= 1.0);
         assert_eq!(alarm.threshold, 1.0);
         assert_eq!(alarm.key.ids(), &[0, 0], "apex cell");
-        assert!(report.diff.is_none(), "first unit has no previous window");
-    }
-
-    #[test]
-    fn unit_diffs_surface_fresh_and_cleared_exceptions() {
-        let mut e = engine(ExceptionPolicy::slope_threshold(1.0));
-        // Unit 0: hot; unit 1: identical; unit 2: calm.
-        feed_unit(&mut e, 0, 2.0);
-        e.close_unit().unwrap();
-        feed_unit(&mut e, 1, 2.0);
-        let steady = e.close_unit().unwrap();
-        let diff = steady.diff.expect("second unit diffs");
-        assert!(diff.is_quiet(), "unchanged exceptions: {diff:?}");
-        assert!(!diff.persisted.is_empty());
-
-        feed_unit(&mut e, 2, 0.01);
-        let calm = e.close_unit().unwrap();
-        let diff = calm.diff.expect("third unit diffs");
-        assert!(!diff.cleared.is_empty(), "the hot chain recovered");
-        assert!(diff.appeared.is_empty());
-        assert_eq!(e.history().len(), 3);
-        assert!(e.history().chronic_exceptions().is_empty());
     }
 
     #[test]
@@ -2273,36 +2202,6 @@ mod tests {
         let frame = e.o_layer_frame(&apex).expect("o-frame survives");
         assert_eq!(frame.next_unit(), 3);
         assert_eq!(frame.merge_all().unwrap().unwrap().interval(), (0, 11));
-    }
-
-    #[test]
-    fn history_depth_is_validated_and_honored() {
-        let schema = CubeSchema::synthetic(2, 2, 2).unwrap();
-        let bad = EngineConfig::new(
-            schema,
-            CuboidSpec::new(vec![0, 0]),
-            CuboidSpec::new(vec![2, 2]),
-        )
-        .with_history_depth(0)
-        .build();
-        assert!(matches!(bad, Err(StreamError::BadConfig { .. })));
-
-        let schema = CubeSchema::synthetic(2, 2, 2).unwrap();
-        let mut e = EngineConfig::new(
-            schema,
-            CuboidSpec::new(vec![0, 0]),
-            CuboidSpec::new(vec![2, 2]),
-        )
-        .with_tilt(TiltSpec::new(vec![("unit", 4), ("coarse", 3)]).unwrap())
-        .with_ticks_per_unit(4)
-        .with_history_depth(2)
-        .build()
-        .unwrap();
-        for unit in 0..4 {
-            feed_unit(&mut e, unit, 0.5);
-            e.close_unit().unwrap();
-        }
-        assert_eq!(e.history().len(), 2, "depth bounds the retained windows");
     }
 
     #[test]

@@ -3,15 +3,12 @@
 //! **same bytes** as the engine-blocking path at the same unit
 //! boundary, and must stay frozen while the engine moves on.
 
-use regcube_core::engine::{Backend, CubingEngine, MoCubingEngine, PopularPathEngine, UnitDelta};
-use regcube_core::result::Algorithm;
-use regcube_core::{CriticalLayers, CubeResult, ExceptionPolicy, MTuple, RunStats, ShardedEngine};
+use regcube_core::engine::{Backend, CubingEngine, MoCubingEngine, PopularPathEngine};
+use regcube_core::{CriticalLayers, ExceptionPolicy, ShardedEngine};
 use regcube_olap::cell::CellKey;
 use regcube_olap::{CubeSchema, CuboidSpec};
-use regcube_regress::Isb;
 use regcube_stream::{CubeSnapshot, EngineConfig, OnlineEngine, RawRecord};
 use regcube_tilt::TiltSpec;
-use std::sync::{Arc, Mutex};
 
 const TPU: usize = 4;
 
@@ -152,64 +149,16 @@ fn snapshot_is_immutable_under_further_ingest() {
     assert_ne!(e.snapshot().canonical_text(), before);
 }
 
-/// A cubing engine that folds queued batches into its inner engine ahead
-/// of the next unit's — the way a second batch for the *closed* unit's
-/// window (a same-window merge, not a rollover) reaches the engine while
-/// a snapshot still shares that unit's result.
-struct Injecting<E> {
-    inner: E,
-    queued: Arc<Mutex<Vec<Vec<MTuple>>>>,
-    /// Queued batches that merged into the open window.
-    merged: Arc<Mutex<usize>>,
-}
-
-impl<E: CubingEngine> CubingEngine for Injecting<E> {
-    fn algorithm(&self) -> Algorithm {
-        self.inner.algorithm()
-    }
-    fn ingest_unit(&mut self, tuples: &[MTuple]) -> regcube_core::Result<UnitDelta> {
-        for batch in self.queued.lock().unwrap().drain(..) {
-            let delta = self.inner.ingest_unit(&batch)?;
-            assert!(
-                !delta.opened_unit,
-                "a queued batch must merge, not roll over"
-            );
-            *self.merged.lock().unwrap() += 1;
-        }
-        self.inner.ingest_unit(tuples)
-    }
-    fn result(&self) -> &CubeResult {
-        self.inner.result()
-    }
-    fn stats(&self) -> &RunStats {
-        self.inner.stats()
-    }
-    fn shared_result(&self) -> Arc<CubeResult> {
-        self.inner.shared_result()
-    }
-}
-
-/// Takes a snapshot at unit 2 and holds it while the engine takes a
-/// second batch for unit 2's window, four more units and late
-/// amendments to units the snapshot covers. What the snapshot shares
-/// with the engine (the cube, by reference count) must be copied before
-/// it is written, and what it copied (the frames) must be its own.
+/// Takes a snapshot at unit 2 and holds it while the engine cubes four
+/// more units and takes late amendments to units the snapshot covers.
+/// What the snapshot shares with the engine (the cube, by reference
+/// count) is never written again, and what it copied (the frames) must
+/// be its own.
 fn held_snapshot_survives<E: CubingEngine>(
     name: &str,
     make: impl FnOnce(CubeSchema, CriticalLayers, ExceptionPolicy) -> regcube_core::Result<E>,
 ) {
-    let queued = Arc::new(Mutex::new(Vec::new()));
-    let merged = Arc::new(Mutex::new(0));
-    let mut e = config()
-        .with_reordering(8, 2)
-        .build_with(|schema, layers, policy| {
-            Ok(Injecting {
-                inner: make(schema, layers, policy)?,
-                queued: Arc::clone(&queued),
-                merged: Arc::clone(&merged),
-            })
-        })
-        .unwrap();
+    let mut e = config().with_reordering(8, 2).build_with(make).unwrap();
     for unit in 0..3 {
         feed_unit(&mut e, unit);
         e.close_unit().unwrap();
@@ -219,12 +168,6 @@ fn held_snapshot_survives<E: CubingEngine>(
     let key = CellKey::new(vec![2, 1]);
     let drills = drill_bytes(&held.drill_history(&key).unwrap());
 
-    // A cell unit 2 never saw, over unit 2's window.
-    let (start, end) = (2 * TPU as i64, 3 * TPU as i64 - 1);
-    queued.lock().unwrap().push(vec![MTuple::new(
-        vec![8, 8],
-        Isb::new(start, end, 3.0, 2.5).unwrap(),
-    )]);
     for unit in 3..7 {
         feed_unit(&mut e, unit);
         // Stragglers for the two units behind the open one.
@@ -234,20 +177,10 @@ fn held_snapshot_survives<E: CubingEngine>(
         }
         e.close_unit().unwrap();
     }
-    assert_eq!(
-        *merged.lock().unwrap(),
-        1,
-        "{name}: the second batch merged"
-    );
     assert_eq!(e.late_amended(), 8, "{name}: every straggler amended");
 
     assert_eq!(held.canonical_text(), text, "{name}: held snapshot changed");
     assert_eq!(drill_bytes(&held.drill_history(&key).unwrap()), drills);
-    assert!(!held
-        .cube()
-        .unwrap()
-        .m_table()
-        .contains_key(&CellKey::new(vec![8, 8])));
     assert_eq!(held.epoch(), 3);
     assert_ne!(e.snapshot().canonical_text(), text);
 }

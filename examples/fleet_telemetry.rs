@@ -106,7 +106,6 @@ fn main() {
     .with_policy(ExceptionPolicy::slope_threshold(2.0).with_ref_mode(RefMode::OwnSlope))
     .with_tilt(TiltSpec::new(vec![("hour", 24), ("day", 7)]).unwrap())
     .with_ticks_per_unit(TPU)
-    .with_history_depth(48)
     .with_reordering(LATENESS as usize + 3, LATENESS)
     .build()
     .unwrap();

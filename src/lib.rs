@@ -89,9 +89,9 @@ pub mod sim {
 /// The most frequently used types, re-exported flat.
 pub mod prelude {
     pub use regcube_core::{
-        mo_cubing, popular_path, Backend, CriticalLayers, CubeResult, CubingEngine, DrillFrontier,
-        ExceptionPolicy, Frontier, MTuple, MoCubingEngine, PopularPathEngine, RefMode,
-        RegressionCube, ShardedEngine, WorkerPool,
+        mo_cubing, popular_path, Backend, CriticalLayers, CubeResult, CubingEngine,
+        ExceptionPolicy, MTuple, MoCubingEngine, PopularPathEngine, RefMode, RegressionCube,
+        ShardedEngine, WorkerPool,
     };
     pub use regcube_datagen::{Dataset, DatasetSpec};
     pub use regcube_olap::{

@@ -194,7 +194,6 @@ fn nan_streams_never_open_alarm_episodes() {
     let delta = regcube::core::UnitDelta {
         unit: 9,
         window: (0, 3),
-        opened_unit: true,
         tuples: 1,
         cells_touched: 1,
         appeared: vec![(CuboidSpec::new(vec![1, 1]), CellKey::new(vec![3, 3]))],
@@ -424,7 +423,6 @@ fn columnar_rollover_excludes_stale_shards() {
 
     let next = vec![MTuple::new(vec![1, 2], Isb::new(10, 19, 1.0, 0.7).unwrap())];
     let delta = engine.ingest_unit(&next).unwrap();
-    assert!(delta.opened_unit);
     assert_eq!(delta.unit, 1);
     assert_eq!(engine.result().m_layer_cells(), 1, "old unit replaced");
     assert_eq!(engine.result().o_table().len(), 1);
@@ -526,11 +524,12 @@ fn zero_and_single_member_schemas_work_end_to_end() {
 
 #[test]
 fn cleared_frontier_retracts_drilled_descendants_even_after_nan_noise() {
-    // Frontier-dirty drilling under adversarial input: a hot stream
-    // builds a drilled off-path subtree; a NaN batch must neither panic
-    // nor extend any frontier (NaN scores are non-exceptional); and a
-    // canceling merge that clears the frontier cell must retract every
-    // retained drilled descendant, leaving no stale exception behind.
+    // Exception-guided drilling under adversarial input: a hot stream
+    // builds a drilled off-path subtree; a NaN stream in the same unit
+    // must neither panic nor extend any frontier (NaN scores are
+    // non-exceptional); and a following unit in which the chain has
+    // cooled must retract every drilled descendant, leaving no stale
+    // exception behind.
     let schema = CubeSchema::synthetic(2, 2, 2).unwrap();
     let layers = CriticalLayers::new(
         &schema,
@@ -541,30 +540,33 @@ fn cleared_frontier_retracts_drilled_descendants_even_after_nan_noise() {
     let policy = ExceptionPolicy::slope_threshold(0.4);
     let mut engine = PopularPathEngine::new(schema.clone(), layers.clone(), policy, None).unwrap();
 
+    // NaN on an unrelated cell: folds through without panicking and
+    // without qualifying anything (NaN >= t is false).
     let hot = MTuple::new(vec![0, 0], Isb::new(0, 9, 1.0, 0.6).unwrap());
     let quiet = MTuple::new(vec![3, 3], Isb::new(0, 9, 1.0, 0.01).unwrap());
-    engine.ingest_unit(&[hot, quiet]).unwrap();
-    assert!(engine.drill_state().drilled_cuboids() > 0);
-    assert!(engine.result().total_exception_cells() > 0);
-
-    // NaN on an unrelated cell: folds through without panicking and
-    // without qualifying anything new (NaN >= t is false).
     let broken = MTuple::new(vec![2, 1], Isb::new(0, 9, f64::NAN, f64::NAN).unwrap());
-    let nan_delta = engine.ingest_unit(&[broken]).unwrap();
+    let delta = engine.ingest_unit(&[hot, quiet, broken]).unwrap();
+    let off_path = |cells: &[(CuboidSpec, CellKey)]| {
+        let path = engine.result().path_tables();
+        cells.iter().filter(|(c, _)| !path.contains_key(c)).count()
+    };
+    assert!(off_path(&delta.appeared) > 0, "the hot chain was drilled");
     assert!(
-        !nan_delta
+        !delta
             .appeared
             .iter()
             .any(|(_, k)| k.ids() == [1, 0] || k.ids() == [2, 1]),
         "a NaN stream must not raise exceptions of its own"
     );
+    for (_, _, m) in engine.result().iter_exceptions() {
+        assert!(m.slope().is_finite(), "NaN never qualifies as an exception");
+    }
 
-    // The canceling sibling clears the hot chain's frontier cells; the
-    // drilled subtree must be retracted with them.
-    let cancel = MTuple::new(vec![0, 0], Isb::new(0, 9, -1.0, -0.6).unwrap());
-    let delta = engine.ingest_unit(&[cancel]).unwrap();
-    assert!(!delta.cleared.is_empty(), "the chain reports cleared cells");
-    assert_eq!(engine.drill_state().drilled_cuboids(), 0, "subtree gone");
+    // The next unit is calm: the chain's frontier cells clear, and the
+    // drilled subtree is retracted with them.
+    let calm = MTuple::new(vec![0, 0], Isb::new(10, 19, 1.0, 0.01).unwrap());
+    let cleared = engine.ingest_unit(&[calm]).unwrap().cleared;
+    assert_eq!(cleared, delta.appeared, "the whole chain reports cleared");
     assert_eq!(engine.result().total_exception_cells(), 0);
     // Drilling the apex afterwards finds no supporters.
     let hits = regcube::core::drill::drill_descendants(
