@@ -47,18 +47,20 @@
 
 use crate::error::StreamError;
 use crate::ingest::Ingestor;
-use crate::online::{Alarm, BoxedEngine, EngineConfig, OnlineEngine};
+use crate::online::{
+    zero_usage, Alarm, BoxedEngine, EngineConfig, LayerFamily, LayerFrames, OnlineEngine,
+};
 use crate::record::RawRecord;
 use crate::Result;
 use regcube_core::alarm::{AlarmRevision, LateAmendment};
 use regcube_core::engine::CubingEngine;
 use regcube_core::MTuple;
 use regcube_olap::cell::CellKey;
-use regcube_olap::fxhash::FxHashMap;
 use regcube_olap::CuboidSpec;
 use regcube_regress::Isb;
-use regcube_tilt::{TiltFrame, TiltSlot};
+use regcube_tilt::{TiltError, TiltFrame, TiltSlot};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"RGCK";
@@ -97,15 +99,13 @@ pub fn checkpoint_bytes<E: CubingEngine>(engine: &OnlineEngine<E>) -> Result<Vec
     // length patched in once it is known), payload, checksum. The tilt
     // frames are nearly all of the payload, so sizing the buffer for
     // them up front spares the doubling copies of a growing `Vec`.
-    let frame_bytes = |frames: &FxHashMap<CellKey, TiltFrame<Isb>>| -> usize {
+    // Every frame of a layer has the same shape, hence the same length
+    // once its key is written.
+    let frame_bytes = |frames: &LayerFrames| -> usize {
+        let after_key = 24 + 8 * frames.spec().num_levels() + SLOT_BYTES * frames.retained_slots();
         frames
-            .iter()
-            .map(|(key, frame)| {
-                8 + 4 * key.ids().len()
-                    + 24
-                    + 8 * frame.spec().num_levels()
-                    + SLOT_BYTES * frame.retained_slots()
-            })
+            .ladders()
+            .map(|(key, _)| 8 + 4 * key.ids().len() + after_key)
             .sum()
     };
     let mut enc =
@@ -341,7 +341,7 @@ impl<'a> Dec<'a> {
     /// Bounded count: a corrupt length can't trigger a huge allocation.
     fn count(&mut self, what: &str) -> Result<usize> {
         let n = self.u64(what)? as usize;
-        let remaining = self.buf.len() - self.pos;
+        let remaining = self.remaining();
         if n > remaining {
             return Err(StreamError::Checkpoint {
                 detail: format!(
@@ -370,21 +370,9 @@ impl<'a> Dec<'a> {
             detail: format!("invalid ISB decoding {what}: {e}"),
         })
     }
-    /// Total slots of the `levels` level blocks that start at the
-    /// cursor, which stays where it is. The bytes of every counted slot
-    /// are present, so the total is safe to allocate for.
-    fn peek_slot_total(&self, levels: usize) -> Result<usize> {
-        let mut probe = Dec {
-            buf: self.buf,
-            pos: self.pos,
-        };
-        let mut total = 0;
-        for _ in 0..levels {
-            let len = probe.count("frame slot count")?;
-            probe.take(len.saturating_mul(SLOT_BYTES), "frame slots")?;
-            total += len;
-        }
-        Ok(total)
+    /// Payload bytes not yet decoded.
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
     }
     fn done(&self) -> Result<()> {
         if self.pos != self.buf.len() {
@@ -425,33 +413,35 @@ fn engine_fingerprint<E: CubingEngine>(engine: &OnlineEngine<E>) -> String {
         &engine.ingestor,
         (&engine.schema, &engine.o_layer, &engine.m_layer),
         &engine.policy,
-        &engine.tilt_spec,
+        engine.frames.spec(),
         engine.ticks_per_unit,
     )
 }
 
-fn encode_frame(enc: &mut Enc, frame: &TiltFrame<Isb>) {
-    enc.u64(frame.next_unit());
-    enc.u64(frame.stats().expired_units);
-    enc.u64(frame.spec().num_levels() as u64);
-    for slots in frame.levels() {
-        enc.u64(slots.len() as u64);
-        for slot in slots {
-            enc.u64(slot.unit);
-            enc.isb(&slot.measure);
-        }
-    }
-}
-
-fn encode_frames(enc: &mut Enc, frames: &FxHashMap<CellKey, TiltFrame<Isb>>) {
+/// Writes a layer's frames one [`TiltFrame`] at a time — the format's
+/// unit of encoding — each row gathered from the family's columns. The
+/// clock, the expiry and the level count are the family's: the same in
+/// every frame.
+fn encode_frames(enc: &mut Enc, frames: &LayerFrames) {
     // Sorted for determinism: the same engine state always produces the
     // same checkpoint bytes.
-    let mut keys: Vec<&CellKey> = frames.keys().collect();
-    keys.sort();
-    enc.u64(keys.len() as u64);
-    for key in keys {
+    let mut ladders: Vec<_> = frames.ladders().collect();
+    ladders.sort_by(|a, b| a.0.cmp(b.0));
+    enc.u64(ladders.len() as u64);
+    let (next_unit, expired_units) = (frames.next_unit(), frames.expired_units());
+    let num_levels = frames.spec().num_levels() as u64;
+    for (key, ladder) in ladders {
         enc.ids(key.ids());
-        encode_frame(enc, &frames[key]);
+        enc.u64(next_unit);
+        enc.u64(expired_units);
+        enc.u64(num_levels);
+        for slots in ladder.levels() {
+            enc.u64(slots.len() as u64);
+            for (unit, measure) in slots.iter() {
+                enc.u64(unit);
+                enc.isb(measure);
+            }
+        }
     }
 }
 
@@ -529,8 +519,8 @@ struct SavedState {
     last_closed_unit: Option<i64>,
     open_unit: i64,
     m_tuples: Vec<(CellKey, Isb)>,
-    frames: Vec<(CellKey, FrameParts)>,
-    o_frames: Vec<(CellKey, FrameParts)>,
+    frames: SavedFrames,
+    o_frames: SavedFrames,
     last_alarms: Vec<Alarm>,
     reorder: Option<SavedReorder>,
     pending_amendments: Vec<LateAmendment>,
@@ -538,13 +528,22 @@ struct SavedState {
     late_amended_total: u64,
 }
 
-struct FrameParts {
+/// One layer's frames as the file lists them: a header per frame, and
+/// every slot of every frame in one buffer.
+struct SavedFrames {
+    frames: Vec<SavedFrame>,
+    /// Each frame's slots back to back, a frame's own in timeline order
+    /// (coarsest level first) — the order [`TiltFrame::history`] has.
+    slots: Vec<TiltSlot<Isb>>,
+}
+
+struct SavedFrame {
+    key: CellKey,
     next_unit: u64,
     expired_units: u64,
     num_levels: usize,
-    /// Every slot in timeline order (coarsest level first), the order
-    /// [`TiltFrame::from_parts`] takes them in.
-    slots: Vec<TiltSlot<Isb>>,
+    /// Where the frame's slots sit in [`SavedFrames::slots`].
+    slots: Range<usize>,
 }
 
 struct SavedReorder {
@@ -658,18 +657,20 @@ fn decode_state(payload: &[u8]) -> Result<SavedState> {
         m_tuples.push((key, isb));
     }
 
-    // The file lists a frame's levels finest first; the frame keeps them
-    // coarsest first. Slots are decoded straight into one buffer sized
-    // up front, each level's block rotated to the front as it completes.
-    let decode_frames = |dec: &mut Dec<'_>, what: &str| -> Result<Vec<(CellKey, FrameParts)>> {
+    // The file lists a frame's levels finest first; a frame keeps them
+    // coarsest first. Slots are decoded straight into the layer's one
+    // buffer, each level's block rotated to the front of its frame's
+    // stretch as it completes.
+    let decode_frames = |dec: &mut Dec<'_>, what: &str| -> Result<SavedFrames> {
         let n = dec.count(what)?;
-        let mut out = Vec::with_capacity(n);
+        let mut frames = Vec::with_capacity(n);
+        let mut slots: Vec<TiltSlot<Isb>> = Vec::new();
         for _ in 0..n {
             let key = CellKey::new(dec.ids("frame key")?);
             let next_unit = dec.u64("frame next_unit")?;
             let expired_units = dec.u64("frame expired_units")?;
             let num_levels = dec.count("frame level count")?;
-            let mut slots = Vec::with_capacity(dec.peek_slot_total(num_levels)?);
+            let start = slots.len();
             for _ in 0..num_levels {
                 let len = dec.count("frame slot count")?;
                 for _ in 0..len {
@@ -677,19 +678,24 @@ fn decode_state(payload: &[u8]) -> Result<SavedState> {
                     let measure = dec.isb("slot measure")?;
                     slots.push(TiltSlot { unit, measure });
                 }
-                slots.rotate_right(len);
+                slots[start..].rotate_right(len);
             }
-            out.push((
+            if frames.is_empty() {
+                // The frames of a layer have one shape: the first one
+                // sizes the buffer for all, within what the payload can
+                // still hold.
+                let rest = (slots.len() - start).saturating_mul(n - 1);
+                slots.reserve(rest.min(dec.remaining() / SLOT_BYTES));
+            }
+            frames.push(SavedFrame {
                 key,
-                FrameParts {
-                    next_unit,
-                    expired_units,
-                    num_levels,
-                    slots,
-                },
-            ));
+                next_unit,
+                expired_units,
+                num_levels,
+                slots: start..slots.len(),
+            });
         }
-        Ok(out)
+        Ok(SavedFrames { frames, slots })
     };
     let frames = decode_frames(&mut dec, "m-frame count")?;
     let o_frames = decode_frames(&mut dec, "o-frame count")?;
@@ -857,30 +863,70 @@ fn apply_state(engine: &mut OnlineEngine<BoxedEngine>, saved: SavedState) -> Res
             .collect();
     }
 
-    let spec = engine.tilt_spec.clone();
-    let build_family = |entries: Vec<(CellKey, FrameParts)>| -> Result<_> {
-        let mut out = FxHashMap::with_capacity_and_hasher(entries.len(), Default::default());
-        for (key, parts) in entries {
-            let invalid = |detail: String| StreamError::Checkpoint {
-                detail: format!("invalid tilt frame in checkpoint: {detail}"),
-            };
-            if parts.num_levels != spec.num_levels() {
+    // A layer's frames live on one clock, the engine's: a frame that is
+    // valid for a clock of its own would take the next unit under the
+    // wrong number.
+    let invalid = |detail: String| StreamError::Checkpoint {
+        detail: format!("invalid tilt frame in checkpoint: {detail}"),
+    };
+    let clock = saved.units_closed;
+    if i64::try_from(clock).ok() != Some(saved.open_unit) {
+        return Err(StreamError::Checkpoint {
+            detail: format!(
+                "checkpoint closed {clock} units but resumes at unit {}",
+                saved.open_unit
+            ),
+        });
+    }
+    // The format carries frames, not the fills a cell that joins later
+    // will read: those are what a never-active cell holds, replayed
+    // over the retained span.
+    let spec = engine.frames.spec().clone();
+    let ticks = engine.ticks_per_unit as i64;
+    let never_active = TiltFrame::backfilled(spec.clone(), clock, |unit| {
+        let first = i64::try_from(unit)
+            .ok()
+            .and_then(|unit| unit.checked_mul(ticks))
+            .filter(|first| first.checked_add(ticks).is_some())
+            .ok_or_else(|| TiltError::BadSpec {
+                detail: format!("unit {unit} lies beyond the tick range"),
+            })?;
+        Ok(Isb::new(first, first + ticks - 1, 0.0, 0.0)?)
+    })
+    .map_err(|e| invalid(e.to_string()))?;
+    // What a frame's header says is the same for every frame of the
+    // layer — a function of the spec and the clock; what its slots say
+    // is held to the same shape as they are scattered into the columns.
+    let expired_units = never_active.stats().expired_units;
+    let build_family = |saved: SavedFrames| -> Result<LayerFamily> {
+        let SavedFrames { frames, slots } = saved;
+        for frame in &frames {
+            let key = &frame.key;
+            if frame.num_levels != spec.num_levels() {
                 return Err(invalid(format!(
-                    "frame capture has {} levels, spec defines {}",
-                    parts.num_levels,
+                    "frame capture of {key} has {} levels, spec defines {}",
+                    frame.num_levels,
                     spec.num_levels()
                 )));
             }
-            let frame = TiltFrame::from_parts(
-                spec.clone(),
-                parts.slots,
-                parts.next_unit,
-                parts.expired_units,
-            )
-            .map_err(|e| invalid(e.to_string()))?;
-            out.insert(key, frame);
+            if frame.next_unit != clock {
+                return Err(invalid(format!(
+                    "frame capture of {key} has ingested {} units, the engine closed {clock}",
+                    frame.next_unit
+                )));
+            }
+            if frame.expired_units != expired_units {
+                return Err(invalid(format!(
+                    "frame capture of {key} reports {} expired units, \
+                     {clock} ingested units age out {expired_units}",
+                    frame.expired_units
+                )));
+            }
         }
-        Ok(out)
+        let rows = frames
+            .into_iter()
+            .map(|frame| (frame.key, slots[frame.slots].iter().cloned()));
+        LayerFamily::from_rows(&never_active, zero_usage, rows).map_err(|e| invalid(e.to_string()))
     };
     engine.frames = build_family(saved.frames)?;
     engine.o_frames = build_family(saved.o_frames)?;

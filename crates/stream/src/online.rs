@@ -5,7 +5,7 @@ use crate::error::StreamError;
 use crate::ingest::Ingestor;
 use crate::record::RawRecord;
 use crate::reorder::{ReorderConfig, ReorderState, WatermarkPolicy};
-use crate::snapshot::{drill_frames_at, CubeSnapshot};
+use crate::snapshot::{drill_frames_at, drill_frames_history, CubeSnapshot};
 use crate::Result;
 use regcube_core::alarm::{
     AlarmContext, AlarmRevision, LateAmendment, SharedSink, SinkError, SinkSet,
@@ -17,13 +17,30 @@ use regcube_core::result::Algorithm;
 use regcube_core::shard::ShardedEngine;
 use regcube_core::{CoreError, CriticalLayers, CubeResult, ExceptionPolicy, RunStats};
 use regcube_olap::cell::{project_key, CellKey};
-use regcube_olap::fxhash::FxHashMap;
+use regcube_olap::fxhash::{FxHashMap, FxHasher};
 use regcube_olap::{CubeSchema, CuboidSpec};
 use regcube_regress::Isb;
-use regcube_tilt::{AmendOutcome, TiltError, TiltFrame, TiltSpec};
+use regcube_tilt::{AmendOutcome, FrameFamily, TiltError, TiltFrame, TiltSpec};
+use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// The tilt frames of one layer as the engine holds them: one
+/// [frame family](regcube_tilt::family) on the engine's unit clock.
+pub(crate) type LayerFamily = FrameFamily<CellKey, Isb, BuildHasherDefault<FxHasher>>;
+
+/// One generation of a layer's frames: what a [`CubeSnapshot`] holds of
+/// them, and what a [`LayerFamily`] dereferences to for reads.
+pub(crate) type LayerFrames = <LayerFamily as std::ops::Deref>::Target;
+
+/// The families' idle test: zero usage is a zero base and slope (NaN is
+/// not zero). A cell whose every retained slot is zero usage retires in
+/// the first unit it is silent in — which decides the keys a checkpoint
+/// holds.
+pub(crate) fn zero_usage(measure: &Isb) -> bool {
+    measure.base() == 0.0 && measure.slope() == 0.0
+}
 
 /// The type-erased cubing engine [`EngineConfig::build`] assembles at
 /// runtime from [`EngineConfig::algorithm`], [`EngineConfig::backend`]
@@ -455,9 +472,8 @@ impl EngineConfig {
             schema: Arc::new(schema),
             cubing,
             computed: false,
-            tilt_spec,
-            frames: FxHashMap::default(),
-            o_frames: FxHashMap::default(),
+            frames: LayerFamily::new(tilt_spec.clone(), zero_usage),
+            o_frames: LayerFamily::new(tilt_spec, zero_usage),
             prev_o_layer: FxHashMap::default(),
             ticks_per_unit,
             units_closed: 0,
@@ -510,8 +526,9 @@ fn sharded<E: CubingEngine + Send + Sync + 'static>(
 /// (e.g. every quarter of an hour). Each close:
 ///
 /// 1. rolls the unit's records up to m-layer ISB tuples,
-/// 2. pushes every cell's unit ISB into its tilt frame (absent cells get
-///    a zero-usage fill so frames stay contiguous),
+/// 2. pushes the unit into the m-layer's frame family: one new slot
+///    column holding every active cell's unit ISB (absent cells read its
+///    zero-usage fill, so every frame stays on the engine's clock),
 /// 3. hands the unit's tuples — the window's complete m-layer — to the
 ///    [`CubingEngine`], which cubes the unit once, and
 /// 4. raises alarms for exceptional o-layer cells, scoring with the
@@ -531,13 +548,13 @@ pub struct OnlineEngine<E: CubingEngine = BoxedEngine> {
     pub(crate) cubing: E,
     /// Whether at least one non-empty unit reached the cubing engine.
     pub(crate) computed: bool,
-    pub(crate) tilt_spec: TiltSpec,
-    /// Per-m-cell tilt frames (the warehoused stream history).
-    pub(crate) frames: FxHashMap<CellKey, TiltFrame<Isb>>,
-    /// Per-o-cell tilt frames — "the cuboids at the o-layer should be
+    /// The m-cells' tilt frames (the warehoused stream history), all on
+    /// one clock: `units_closed`.
+    pub(crate) frames: LayerFamily,
+    /// The o-cells' tilt frames — "the cuboids at the o-layer should be
     /// computed dynamically according to the tilt time frame model as
     /// well" (Example 4): the observation deck at every granularity.
-    pub(crate) o_frames: FxHashMap<CellKey, TiltFrame<Isb>>,
+    pub(crate) o_frames: LayerFamily,
     pub(crate) prev_o_layer: FxHashMap<CellKey, Isb>,
     pub(crate) ticks_per_unit: usize,
     pub(crate) units_closed: u64,
@@ -640,15 +657,12 @@ impl<E: CubingEngine> OnlineEngine<E> {
         ));
         let (tick, delta) = (record.tick, record.value);
         let amend = |m: &Isb| m.amend_tick(tick, delta).map_err(TiltError::Merge);
-        let m_frame = ensure_backfilled_frame(
-            &mut self.frames,
-            &self.tilt_spec,
-            &m_key,
-            self.units_closed,
-            self.ticks_per_unit,
-        )?;
-        let m_level = match m_frame
-            .amend_slot(unit as u64, amend)
+        // A cell without a frame (never seen, or retired) is given one
+        // back-filled from the epoch, so the amendment has a slot to
+        // land in.
+        let m_level = match self
+            .frames
+            .amend(&m_key, unit as u64, amend)
             .map_err(StreamError::from)?
         {
             AmendOutcome::Amended { level, .. } => level,
@@ -659,16 +673,10 @@ impl<E: CubingEngine> OnlineEngine<E> {
                 return Ok(());
             }
         };
-        let o_frame = ensure_backfilled_frame(
-            &mut self.o_frames,
-            &self.tilt_spec,
-            &o_key,
-            self.units_closed,
-            self.ticks_per_unit,
-        )?;
         let mut old_o_measure: Option<Isb> = None;
-        let (o_level, amended_slot) = match o_frame
-            .amend_slot(unit as u64, |m| {
+        let (o_level, amended_slot) = match self
+            .o_frames
+            .amend(&o_key, unit as u64, |m| {
                 old_o_measure = Some(*m);
                 amend(m)
             })
@@ -717,19 +725,20 @@ impl<E: CubingEngine> OnlineEngine<E> {
         slot_unit: u64,
         old_measure: Isb,
     ) {
-        let Some(frame) = self.o_frames.get(o_key) else {
+        let Some(ladder) = self.o_frames.ladder(o_key) else {
             return;
         };
-        let Ok(slots) = frame.slots(level) else {
+        let Ok(slots) = ladder.slots(level) else {
             return;
         };
-        let Some(idx) = slots.iter().position(|s| s.unit == slot_unit) else {
+        let Some(idx) = slots.position(slot_unit) else {
             return;
         };
+        let measure_at = |i: usize| slots.get(i).map(|(_, measure)| *measure);
         let threshold = self.policy.threshold_for(&self.o_layer);
         let mode = self.policy.ref_mode();
-        let new_measure = slots[idx].measure;
-        let prev = idx.checked_sub(1).map(|i| slots[i].measure);
+        let new_measure = measure_at(idx).expect("position is in range");
+        let prev = idx.checked_sub(1).and_then(measure_at);
         let mut revised: Vec<(AlarmRevision, Isb)> = Vec::new();
         // The amended slot itself: same reference, new measure.
         if let Some(rev) = classify_revision(
@@ -744,17 +753,17 @@ impl<E: CubingEngine> OnlineEngine<E> {
             revised.push((rev, new_measure));
         }
         // The successor slot: same measure, new reference.
-        if let Some(succ) = slots.get(idx + 1) {
+        if let Some((succ_unit, succ)) = slots.get(idx + 1) {
             if let Some(rev) = classify_revision(
                 (*self.o_layer).clone(),
                 o_key.clone(),
-                succ.unit,
+                succ_unit,
                 level,
-                mode.score(&succ.measure, Some(&old_measure)),
-                mode.score(&succ.measure, Some(&new_measure)),
+                mode.score(succ, Some(&old_measure)),
+                mode.score(succ, Some(&new_measure)),
                 threshold,
             ) {
-                revised.push((rev, succ.measure));
+                revised.push((rev, *succ));
             }
         }
         for (rev, measure) in revised {
@@ -821,10 +830,12 @@ impl<E: CubingEngine> OnlineEngine<E> {
         self.units_closed
     }
 
-    /// The per-cell tilt frame of an m-layer cell, if the cell has ever
-    /// been active.
-    pub fn tilt_frame(&self, key: &CellKey) -> Option<&TiltFrame<Isb>> {
-        self.frames.get(key)
+    /// The tilt frame of an m-layer cell, if the cell has ever been
+    /// active (and has not retired as all-zero since): the paper's
+    /// per-cell structure, materialised from the layer's columns — the
+    /// caller owns it.
+    pub fn tilt_frame(&self, key: &CellKey) -> Option<TiltFrame<Isb>> {
+        self.frames.frame(key)
     }
 
     /// The most recent cube result.
@@ -882,19 +893,15 @@ impl<E: CubingEngine> OnlineEngine<E> {
         let (_, cells) = self.ingestor.close_unit()?;
         self.units_closed += 1;
 
-        // Tilt maintenance for the m-layer: active cells push their unit
-        // ISB; known but silent cells push a zero-usage fill.
-        push_unit_into_frames(
-            &mut self.frames,
-            &self.tilt_spec,
-            &cells,
-            unit,
-            window,
-            self.ticks_per_unit,
-        )?;
+        // Tilt maintenance for the m-layer: one new slot column, the
+        // active cells' unit ISBs written over its zero-usage fill.
+        let zero_fill = Isb::new(window.0, window.1, 0.0, 0.0).map_err(StreamError::from)?;
+        self.frames
+            .push_unit(zero_fill, cells.iter().map(|(key, isb)| (key, *isb)))
+            .map_err(StreamError::from)?;
 
         if cells.is_empty() {
-            self.close_without_cube(unit, window)?;
+            self.close_without_cube(unit, zero_fill)?;
             let late_amendments = std::mem::take(&mut self.pending_amendments);
             let alarm_revisions = std::mem::take(&mut self.pending_revisions);
             let late_dropped = self
@@ -929,7 +936,7 @@ impl<E: CubingEngine> OnlineEngine<E> {
             Err(e) => {
                 // The unit is spent either way: the ingestor has rolled
                 // over and the m-frames hold it.
-                self.close_without_cube(unit, window)?;
+                self.close_without_cube(unit, zero_fill)?;
                 return Err(e.into());
             }
         };
@@ -985,20 +992,13 @@ impl<E: CubingEngine> OnlineEngine<E> {
         }
 
         // O-layer tilt frames: the observation deck at every granularity.
-        let o_cells: Vec<(CellKey, Isb)> = result
-            .o_table()
-            .iter()
-            .map(|(k, m)| (k.clone(), *m))
-            .collect();
         let exception_cells = result.total_exception_cells();
-        push_unit_into_frames(
-            &mut self.o_frames,
-            &self.tilt_spec,
-            &o_cells,
-            unit,
-            window,
-            self.ticks_per_unit,
-        )?;
+        self.o_frames
+            .push_unit(
+                zero_fill,
+                result.o_table().iter().map(|(key, isb)| (key, *isb)),
+            )
+            .map_err(StreamError::from)?;
 
         let late_dropped = self
             .reorder
@@ -1029,15 +1029,10 @@ impl<E: CubingEngine> OnlineEngine<E> {
     /// it, so their clock stays contiguous with the m-layer frames';
     /// without it the next non-empty unit's o-frame push fails as out of
     /// order, and so does every close after that.
-    fn close_without_cube(&mut self, unit: i64, window: (i64, i64)) -> Result<()> {
-        push_unit_into_frames(
-            &mut self.o_frames,
-            &self.tilt_spec,
-            &[],
-            unit,
-            window,
-            self.ticks_per_unit,
-        )?;
+    fn close_without_cube(&mut self, unit: i64, zero_fill: Isb) -> Result<()> {
+        self.o_frames
+            .push_unit(zero_fill, [])
+            .map_err(StreamError::from)?;
         self.last_alarms.clear();
         self.last_closed_unit = Some(unit);
         Ok(())
@@ -1145,7 +1140,11 @@ impl<E: CubingEngine> OnlineEngine<E> {
 
     /// Captures an immutable [`CubeSnapshot`] of everything queryable —
     /// cube, both tilt-ladder families, the last unit's alarms and the
-    /// run statistics — as one internally consistent value.
+    /// run statistics — as one internally consistent value. Nothing but
+    /// the alarm list is copied: the cube and each family's slot columns
+    /// are shared by reference count, and the engine's next writes copy
+    /// only what they touch (a late amendment the one column it lands
+    /// in, a new cell the key index).
     ///
     /// This is the serving-side publication hook, and the fix for the
     /// engine's query/ingest blocking hazard: every query method on the
@@ -1173,13 +1172,8 @@ impl<E: CubingEngine> OnlineEngine<E> {
             unit: self.last_closed_unit,
             schema: Arc::clone(&self.schema),
             cube: self.computed.then(|| self.cubing.shared_result()),
-            // Every frame took a push (a unit ISB or a zero fill) since
-            // the last snapshot, so there is no unchanged frame to
-            // share: the maps are copied, one key and one slot block per
-            // frame.
-            frames: self.frames.clone(),
-            o_frames: self.o_frames.clone(),
-            tilt_spec: self.tilt_spec.clone(),
+            frames: self.frames.snapshot(),
+            o_frames: self.o_frames.snapshot(),
             policy: Arc::clone(&self.policy),
             m_layer: Arc::clone(&self.m_layer),
             o_layer: Arc::clone(&self.o_layer),
@@ -1229,9 +1223,10 @@ impl<E: CubingEngine> OnlineEngine<E> {
 
     /// The tilt frame of an o-layer cell: its regression history at every
     /// granularity the spec registers (e.g. "this city's last day at hour
-    /// precision" via [`TiltFrame::merge_level`]).
-    pub fn o_layer_frame(&self, key: &CellKey) -> Option<&TiltFrame<Isb>> {
-        self.o_frames.get(key)
+    /// precision" via [`TiltFrame::merge_level`]), owned like
+    /// [`tilt_frame`](Self::tilt_frame).
+    pub fn o_layer_frame(&self, key: &CellKey) -> Option<TiltFrame<Isb>> {
+        self.o_frames.frame(key)
     }
 
     /// Time-travel drill: the retained history of one cell at one tilt
@@ -1249,7 +1244,6 @@ impl<E: CubingEngine> OnlineEngine<E> {
         drill_frames_at(
             &self.frames,
             &self.o_frames,
-            &self.tilt_spec,
             &self.policy,
             &self.m_layer,
             &self.o_layer,
@@ -1266,11 +1260,14 @@ impl<E: CubingEngine> OnlineEngine<E> {
     /// # Errors
     /// Propagates [`drill_at`](Self::drill_at) failures.
     pub fn drill_history(&self, key: &CellKey) -> Result<Vec<TiltHit>> {
-        let mut out = Vec::new();
-        for level in (0..self.tilt_spec.num_levels()).rev() {
-            out.extend(self.drill_at(level, key)?);
-        }
-        Ok(out)
+        drill_frames_history(
+            &self.frames,
+            &self.o_frames,
+            &self.policy,
+            &self.m_layer,
+            &self.o_layer,
+            key,
+        )
     }
 }
 
@@ -1340,86 +1337,6 @@ fn classify_revision(
         }
         _ => None,
     }
-}
-
-/// Pushes one closed unit into a family of per-cell tilt frames: active
-/// cells receive their unit ISB (new cells are zero-backfilled so their
-/// timeline starts at the epoch), inactive-but-known cells receive a
-/// zero-usage fill. Keeps every frame contiguous with the global clock.
-fn push_unit_into_frames(
-    frames: &mut FxHashMap<CellKey, TiltFrame<Isb>>,
-    spec: &TiltSpec,
-    active_cells: &[(CellKey, Isb)],
-    unit: i64,
-    window: (i64, i64),
-    ticks_per_unit: usize,
-) -> Result<()> {
-    let zero_fill = Isb::new(window.0, window.1, 0.0, 0.0).map_err(StreamError::from)?;
-    let mut active: regcube_olap::fxhash::FxHashSet<&CellKey> =
-        regcube_olap::fxhash::FxHashSet::default();
-    for (key, isb) in active_cells {
-        active.insert(key);
-        let frame = frames
-            .entry(key.clone())
-            .or_insert_with(|| TiltFrame::new(spec.clone()));
-        if frame.next_unit() == 0 && unit > 0 {
-            // Backfill zero slots so the frame timeline matches the
-            // global unit clock.
-            for u in 0..unit {
-                let s = u * ticks_per_unit as i64;
-                let fill = Isb::new(s, s + ticks_per_unit as i64 - 1, 0.0, 0.0)
-                    .map_err(StreamError::from)?;
-                frame.push(fill).map_err(StreamError::from)?;
-            }
-        }
-        frame.push(*isb).map_err(StreamError::from)?;
-    }
-    let mut retired: Vec<CellKey> = Vec::new();
-    for (key, frame) in frames.iter_mut() {
-        if !active.contains(key) {
-            frame.push(zero_fill).map_err(StreamError::from)?;
-            // A ladder that is zero-usage end to end carries nothing the
-            // epoch backfill cannot reproduce: retire the frame so
-            // transient cells don't pin memory forever. If the cell
-            // returns, the recreated frame's replayed zero history
-            // expires and promotes identically — the same ladder.
-            if frame
-                .history()
-                .iter()
-                .all(|slot| slot.measure.base() == 0.0 && slot.measure.slope() == 0.0)
-            {
-                retired.push(key.clone());
-            }
-        }
-    }
-    for key in retired {
-        frames.remove(&key);
-    }
-    Ok(())
-}
-
-/// Looks up (or recreates, zero-backfilled from the epoch) the tilt
-/// frame of `key` so a late amendment always has a slot to land in. A
-/// frame retired by [`push_unit_into_frames`] had an all-zero ladder, so
-/// replaying `units_closed` zero fills reproduces it exactly.
-fn ensure_backfilled_frame<'a>(
-    frames: &'a mut FxHashMap<CellKey, TiltFrame<Isb>>,
-    spec: &TiltSpec,
-    key: &CellKey,
-    units_closed: u64,
-    ticks_per_unit: usize,
-) -> Result<&'a mut TiltFrame<Isb>> {
-    if !frames.contains_key(key) {
-        let mut frame = TiltFrame::new(spec.clone());
-        for u in 0..units_closed as i64 {
-            let s = u * ticks_per_unit as i64;
-            let fill =
-                Isb::new(s, s + ticks_per_unit as i64 - 1, 0.0, 0.0).map_err(StreamError::from)?;
-            frame.push(fill).map_err(StreamError::from)?;
-        }
-        frames.insert(key.clone(), frame);
-    }
-    Ok(frames.get_mut(key).expect("present or just inserted"))
 }
 
 #[cfg(test)]

@@ -27,15 +27,14 @@
 //! dashboard serving lock-free for readers.
 
 use crate::error::StreamError;
-use crate::online::{Alarm, TiltHit};
+use crate::online::{Alarm, LayerFrames, TiltHit};
 use crate::Result;
 use regcube_core::drill::{drill_children, drill_descendants, DrillHit};
 use regcube_core::{CoreError, CubeResult, ExceptionPolicy, RunStats};
 use regcube_olap::cell::CellKey;
-use regcube_olap::fxhash::FxHashMap;
 use regcube_olap::{CubeSchema, CuboidSpec};
 use regcube_regress::Isb;
-use regcube_tilt::{TiltFrame, TiltSpec};
+use regcube_tilt::{Ladder, TiltFrame};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -44,15 +43,21 @@ use std::sync::Arc;
 /// the same [`epoch`](Self::epoch). Cheap to share (`Arc`), never
 /// mutated after construction — readers can hold one for as long as
 /// they like without blocking ingestion.
+///
+/// Cheap to take, too: apart from the alarm list everything is shared
+/// with the engine by reference count. The tilt ladders are one
+/// generation of each layer's [frame family](regcube_tilt::family) —
+/// a `Vec` of column pointers and the key index — so consecutive
+/// snapshots share every slot column no promotion or late amendment
+/// touched in between.
 #[derive(Debug, Clone)]
 pub struct CubeSnapshot {
     pub(crate) epoch: u64,
     pub(crate) unit: Option<i64>,
     pub(crate) schema: Arc<CubeSchema>,
     pub(crate) cube: Option<Arc<CubeResult>>,
-    pub(crate) frames: FxHashMap<CellKey, TiltFrame<Isb>>,
-    pub(crate) o_frames: FxHashMap<CellKey, TiltFrame<Isb>>,
-    pub(crate) tilt_spec: TiltSpec,
+    pub(crate) frames: LayerFrames,
+    pub(crate) o_frames: LayerFrames,
     pub(crate) policy: Arc<ExceptionPolicy>,
     pub(crate) m_layer: Arc<CuboidSpec>,
     pub(crate) o_layer: Arc<CuboidSpec>,
@@ -116,14 +121,15 @@ impl CubeSnapshot {
     }
 
     /// The captured tilt frame of an m-layer cell, if the cell had ever
-    /// been active.
-    pub fn tilt_frame(&self, key: &CellKey) -> Option<&TiltFrame<Isb>> {
-        self.frames.get(key)
+    /// been active — materialised from the layer's columns, so the
+    /// caller owns it.
+    pub fn tilt_frame(&self, key: &CellKey) -> Option<TiltFrame<Isb>> {
+        self.frames.frame(key)
     }
 
     /// The captured tilt frame of an o-layer cell.
-    pub fn o_layer_frame(&self, key: &CellKey) -> Option<&TiltFrame<Isb>> {
-        self.o_frames.get(key)
+    pub fn o_layer_frame(&self, key: &CellKey) -> Option<TiltFrame<Isb>> {
+        self.o_frames.frame(key)
     }
 
     /// Time-travel drill over the captured ladders — byte-identical to
@@ -137,7 +143,6 @@ impl CubeSnapshot {
         drill_frames_at(
             &self.frames,
             &self.o_frames,
-            &self.tilt_spec,
             &self.policy,
             &self.m_layer,
             &self.o_layer,
@@ -153,11 +158,14 @@ impl CubeSnapshot {
     /// # Errors
     /// Propagates [`drill_at`](Self::drill_at) failures.
     pub fn drill_history(&self, key: &CellKey) -> Result<Vec<TiltHit>> {
-        let mut out = Vec::new();
-        for level in (0..self.tilt_spec.num_levels()).rev() {
-            out.extend(self.drill_at(level, key)?);
-        }
-        Ok(out)
+        drill_frames_history(
+            &self.frames,
+            &self.o_frames,
+            &self.policy,
+            &self.m_layer,
+            &self.o_layer,
+            key,
+        )
     }
 
     /// Drills one step down from a retained cell of the captured cube.
@@ -223,17 +231,11 @@ impl CubeSnapshot {
             }
         }
         for (tag, frames) in [("mframe", &self.frames), ("oframe", &self.o_frames)] {
-            let mut keys: Vec<_> = frames.keys().collect();
-            keys.sort();
-            for key in keys {
-                let frame = &frames[key];
-                for (level, slot) in frame.timeline() {
-                    let _ = writeln!(
-                        out,
-                        "{tag} {key} L{level} u{} {}",
-                        slot.unit,
-                        fmt_isb(&slot.measure)
-                    );
+            let mut ladders: Vec<_> = frames.ladders().collect();
+            ladders.sort_by(|a, b| a.0.cmp(b.0));
+            for (key, ladder) in ladders {
+                for (level, unit, measure) in ladder.timeline() {
+                    let _ = writeln!(out, "{tag} {key} L{level} u{unit} {}", fmt_isb(measure));
                 }
             }
         }
@@ -262,52 +264,105 @@ fn fmt_isb(isb: &Isb) -> String {
     )
 }
 
-/// The one shared time-travel drill implementation: scores every
-/// retained slot of `key` at `level` with the policy's reference mode
-/// against its predecessor. Looks the cell up in the m-layer frames
-/// first, then the o-layer frames — the engine-blocking
+/// The frame a time-travel drill reads for `key`, and the layer whose
+/// threshold scores it: the m-layer frames are looked up first, then
+/// the o-layer frames.
+fn drilled_ladder<'a>(
+    frames: &'a LayerFrames,
+    o_frames: &'a LayerFrames,
+    m_layer: &'a CuboidSpec,
+    o_layer: &'a CuboidSpec,
+    key: &CellKey,
+) -> Option<(Ladder<'a, Isb>, &'a CuboidSpec)> {
+    match frames.ladder(key) {
+        Some(ladder) => Some((ladder, m_layer)),
+        None => o_frames.ladder(key).map(|ladder| (ladder, o_layer)),
+    }
+}
+
+/// Scores every slot `ladder` retains at `level` with the policy's
+/// reference mode against its predecessor at that level, oldest first.
+fn drill_level(
+    ladder: Ladder<'_, Isb>,
+    policy: &ExceptionPolicy,
+    threshold: f64,
+    level: usize,
+    out: &mut Vec<TiltHit>,
+) -> Result<()> {
+    let slots = ladder.slots(level).map_err(StreamError::from)?;
+    let level_name = &ladder.spec().levels()[level].name;
+    let mut prev: Option<&Isb> = None;
+    out.reserve(slots.len());
+    for (slot_unit, measure) in slots.iter() {
+        let score = policy.ref_mode().score(measure, prev);
+        out.push(TiltHit {
+            level,
+            level_name: level_name.clone(),
+            slot_unit,
+            measure: *measure,
+            score,
+            exceptional: score >= threshold,
+        });
+        prev = Some(measure);
+    }
+    Ok(())
+}
+
+/// The one shared time-travel drill implementation: the row of `key`
+/// is resolved once and its slots at `level` are read straight from the
+/// layer's columns. The engine-blocking
 /// [`OnlineEngine::drill_at`](crate::online::OnlineEngine::drill_at)
 /// and the lock-free [`CubeSnapshot::drill_at`] both call this, which
 /// is what makes "snapshot ≡ live" hold by construction.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn drill_frames_at(
-    frames: &FxHashMap<CellKey, TiltFrame<Isb>>,
-    o_frames: &FxHashMap<CellKey, TiltFrame<Isb>>,
-    tilt_spec: &TiltSpec,
+    frames: &LayerFrames,
+    o_frames: &LayerFrames,
     policy: &ExceptionPolicy,
     m_layer: &CuboidSpec,
     o_layer: &CuboidSpec,
     level: usize,
     key: &CellKey,
 ) -> Result<Vec<TiltHit>> {
-    let (frame, cuboid) = match (frames.get(key), o_frames.get(key)) {
-        (Some(f), _) => (f, m_layer),
-        (None, Some(f)) => (f, o_layer),
-        (None, None) => {
+    let mut out = Vec::new();
+    match drilled_ladder(frames, o_frames, m_layer, o_layer, key) {
+        Some((ladder, cuboid)) => {
+            drill_level(
+                ladder,
+                policy,
+                policy.threshold_for(cuboid),
+                level,
+                &mut out,
+            )?;
+        }
+        None => {
             // Validate the level anyway so typos don't read as
             // "no history".
-            tilt_spec
+            frames
+                .spec()
                 .finest_units_per(level)
                 .map_err(StreamError::from)?;
-            return Ok(Vec::new());
         }
-    };
-    let threshold = policy.threshold_for(cuboid);
-    let slots = frame.slots(level).map_err(StreamError::from)?;
-    let level_name = frame.spec().levels()[level].name.clone();
-    let mut prev: Option<Isb> = None;
-    let mut out = Vec::with_capacity(slots.len());
-    for slot in slots {
-        let score = policy.ref_mode().score(&slot.measure, prev.as_ref());
-        out.push(TiltHit {
-            level,
-            level_name: level_name.clone(),
-            slot_unit: slot.unit,
-            measure: slot.measure,
-            score,
-            exceptional: score >= threshold,
-        });
-        prev = Some(slot.measure);
+    }
+    Ok(out)
+}
+
+/// [`drill_frames_at`] for every level, coarsest first — the cell's
+/// whole warehoused timeline in one pass over its row.
+pub(crate) fn drill_frames_history(
+    frames: &LayerFrames,
+    o_frames: &LayerFrames,
+    policy: &ExceptionPolicy,
+    m_layer: &CuboidSpec,
+    o_layer: &CuboidSpec,
+    key: &CellKey,
+) -> Result<Vec<TiltHit>> {
+    let mut out = Vec::new();
+    if let Some((ladder, cuboid)) = drilled_ladder(frames, o_frames, m_layer, o_layer, key) {
+        let threshold = policy.threshold_for(cuboid);
+        out.reserve(frames.retained_slots());
+        for level in (0..frames.spec().num_levels()).rev() {
+            drill_level(ladder, policy, threshold, level, &mut out)?;
+        }
     }
     Ok(out)
 }

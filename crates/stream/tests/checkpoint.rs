@@ -391,6 +391,106 @@ fn first_frame_offset(file: &[u8]) -> usize {
     pos + ids_len(pos) // past the first frame's key
 }
 
+/// Byte length of the m-frame record (key and frame) starting at `pos`.
+fn frame_record_len(file: &[u8], pos: usize) -> usize {
+    let u64_at = |pos: usize| u64::from_le_bytes(file[pos..pos + 8].try_into().unwrap()) as usize;
+    let mut end = pos + 8 + 4 * u64_at(pos); // key
+    end += 16; // next_unit, expired_units
+    let levels = u64_at(end);
+    end += 8;
+    for _ in 0..levels {
+        end += 8 + u64_at(end) * 40; // slot count, (unit, ISB) slots
+    }
+    end - pos
+}
+
+/// Rewrites the envelope of a spliced file: the payload length and the
+/// checksum, so that only the decoder can object.
+fn reseal(mut file: Vec<u8>) -> Vec<u8> {
+    let payload_end = file.len() - 8;
+    file[8..16].copy_from_slice(&((payload_end - 16) as u64).to_le_bytes());
+    let sum = fnv1a(&file[16..payload_end]);
+    file[payload_end..].copy_from_slice(&sum.to_le_bytes());
+    file
+}
+
+/// One cell, `units` closed units: a checkpoint whose first (and only)
+/// m-frame record is easy to find and to splice.
+fn one_cell_checkpoint(units: i64) -> (OnlineEngine, Vec<u8>) {
+    let mut e = config().build().unwrap();
+    for tick in 0..units * TPU as i64 {
+        e.ingest(&RawRecord::new(vec![0, 0], tick, 1.0 + tick as f64))
+            .unwrap();
+    }
+    while e.units_closed() < units as u64 {
+        e.close_unit().unwrap();
+    }
+    let bytes = e.checkpoint_bytes().unwrap();
+    (e, bytes)
+}
+
+/// Every frame of a layer sits on the engine's clock. A frame captured
+/// exactly one unit earlier is self-consistent — `from_parts` accepts
+/// it for its own clock — and the parent commit restored it: the frame
+/// then took every later unit under the wrong number, or refused it.
+#[test]
+fn reencoded_checkpoint_with_a_frame_one_unit_behind_is_a_typed_error() {
+    let (_, behind) = one_cell_checkpoint(5);
+    let (_, bytes) = one_cell_checkpoint(6);
+    assert!(restore_bytes(config(), &bytes).is_ok());
+
+    // Splice the five-unit capture of the cell over its six-unit one.
+    let at = first_frame_offset(&bytes) - 16; // back over the key
+    let from = first_frame_offset(&behind) - 16;
+    let mut forged = bytes[..at].to_vec();
+    forged.extend_from_slice(&behind[from..from + frame_record_len(&behind, from)]);
+    forged.extend_from_slice(&bytes[at + frame_record_len(&bytes, at)..]);
+    let err = expect_checkpoint_err(restore_bytes(config(), &reseal(forged)));
+    let text = err.to_string();
+    assert!(text.contains("invalid tilt frame"), "{text}");
+    assert!(
+        text.contains("[0, 0] has ingested 5 units, the engine closed 6"),
+        "{text}"
+    );
+}
+
+/// A key listed twice used to overwrite the earlier frame silently.
+#[test]
+fn reencoded_checkpoint_with_a_key_listed_twice_is_a_typed_error() {
+    let (_, bytes) = one_cell_checkpoint(6);
+    let at = first_frame_offset(&bytes) - 16;
+    let record = bytes[at..at + frame_record_len(&bytes, at)].to_vec();
+    let mut forged = bytes[..at].to_vec();
+    forged.extend_from_slice(&record);
+    forged.extend_from_slice(&bytes[at..]);
+    // The m-frame count sits right ahead of the first record.
+    let count = u64::from_le_bytes(forged[at - 8..at].try_into().unwrap());
+    forged[at - 8..at].copy_from_slice(&(count + 1).to_le_bytes());
+    let err = expect_checkpoint_err(restore_bytes(config(), &reseal(forged)));
+    let text = err.to_string();
+    assert!(text.contains("invalid tilt frame"), "{text}");
+    assert!(text.contains("[0, 0]") && text.contains("twice"), "{text}");
+}
+
+/// The open unit is the number of units closed; a file that resumes
+/// anywhere else would push its next unit under the wrong number.
+#[test]
+fn reencoded_checkpoint_resuming_at_another_unit_is_a_typed_error() {
+    let (_, bytes) = one_cell_checkpoint(6);
+    let fingerprint = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
+    // computed flag, units_closed, last_closed_unit (present), open_unit
+    let open_unit = 24 + fingerprint + 1 + 8 + 9;
+    assert_eq!(bytes[open_unit..open_unit + 8], 6i64.to_le_bytes());
+    let mut forged = bytes.clone();
+    forged[open_unit..open_unit + 8].copy_from_slice(&5i64.to_le_bytes());
+    let err = expect_checkpoint_err(restore_bytes(config(), &reseal(forged)));
+    assert!(
+        err.to_string()
+            .contains("closed 6 units but resumes at unit 5"),
+        "{err}"
+    );
+}
+
 /// A checkpoint whose bytes are intact (valid checksum) but whose first
 /// tilt frame has a shape no sequence of pushes produces must be a
 /// typed error. The parent commit restored such a file into an engine
@@ -418,10 +518,7 @@ fn reencoded_checkpoint_with_an_impossible_frame_is_a_typed_error() {
     for (field, value) in [(0, next_unit + 1), (8, 7u64)] {
         let mut forged = bytes.clone();
         forged[frame + field..frame + field + 8].copy_from_slice(&value.to_le_bytes());
-        let payload_end = forged.len() - 8;
-        let sum = fnv1a(&forged[16..payload_end]);
-        forged[payload_end..].copy_from_slice(&sum.to_le_bytes());
-        let err = expect_checkpoint_err(restore_bytes(config(), &forged));
+        let err = expect_checkpoint_err(restore_bytes(config(), &reseal(forged)));
         assert!(err.to_string().contains("invalid tilt frame"), "{err}");
     }
 }

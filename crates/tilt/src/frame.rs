@@ -124,16 +124,13 @@ impl<M: TimeMergeable> TiltFrame<M> {
                 }
             }
             end = start;
-            if level + 1 == spec.num_levels() {
-                // Every coarsest unit older than the retained ones aged out.
-                let aged_out = first_unit.saturating_mul(shape.per);
-                if expired_units != aged_out {
-                    return bad(format!(
-                        "frame capture reports {expired_units} expired units, \
-                         {next_unit} ingested units age out {aged_out}"
-                    ));
-                }
-            }
+        }
+        let aged_out = spec.expired_units(next_unit);
+        if expired_units != aged_out {
+            return bad(format!(
+                "frame capture reports {expired_units} expired units, \
+                 {next_unit} ingested units age out {aged_out}"
+            ));
         }
         if end != 0 {
             return bad(format!(
@@ -147,6 +144,40 @@ impl<M: TimeMergeable> TiltFrame<M> {
             next_unit,
             expired_units,
         })
+    }
+
+    /// The frame of a cell that took `fill_of(unit)` in every finest
+    /// unit before `next_unit` — what pushing those measures one by one
+    /// from the epoch leaves behind, bit for bit, at the cost of the
+    /// retained span only. Whatever aged out of the coarsest level left
+    /// no trace in a retained slot, and the oldest retained slot starts
+    /// on a boundary of every level, so replaying from there merges the
+    /// same runs in the same order.
+    ///
+    /// # Errors
+    /// Whatever `fill_of` returns, and [`push`](Self::push) errors for
+    /// fills that do not continue each other.
+    pub fn backfilled(
+        spec: TiltSpec,
+        next_unit: u64,
+        mut fill_of: impl FnMut(u64) -> Result<M>,
+    ) -> Result<Self> {
+        let expired_units = spec.expired_units(next_unit);
+        let mut frame = TiltFrame::new(spec);
+        for unit in expired_units..next_unit {
+            frame.push(fill_of(unit)?)?;
+        }
+        // The replay's clock started at zero: move it, and every slot's
+        // unit at its level, to where the replay really began.
+        let ranges: Vec<(Range<usize>, u64)> = frame.level_ranges().collect();
+        for (range, per) in ranges {
+            for slot in &mut frame.slots[range] {
+                slot.unit += expired_units / per;
+            }
+        }
+        frame.next_unit = next_unit;
+        frame.expired_units = expired_units;
+        Ok(frame)
     }
 
     /// The frame's specification.
@@ -703,6 +734,35 @@ mod tests {
         assert_eq!(f.slots(0).unwrap().len(), 0);
         assert_eq!(f.slots(1).unwrap().len(), 2);
         assert_eq!(f.slots(1).unwrap()[1].measure.units, 3);
+    }
+
+    #[test]
+    fn backfilled_is_the_replay_from_the_epoch() {
+        // Across every promotion boundary and well past the first
+        // expiry of the coarsest level (36 units).
+        let mut replayed: TiltFrame<Isb> = TiltFrame::new(small_spec());
+        for next_unit in 0..120u64 {
+            let built =
+                TiltFrame::backfilled(small_spec(), next_unit, |u| Ok(unit_isb(u, 5))).unwrap();
+            assert_eq!(built, replayed, "after {next_unit} units");
+            assert_eq!(built.stats(), replayed.stats());
+            replayed.push(unit_isb(next_unit, 5)).unwrap();
+        }
+        // It replays the retained span, not the stream's age.
+        let mut calls = 0u64;
+        let old = TiltFrame::backfilled(small_spec(), 1 << 40, |u| {
+            calls += 1;
+            Ok(CountSum::unit(u, 1.0))
+        })
+        .unwrap();
+        assert!(calls <= small_spec().span_finest_units(), "{calls} fills");
+        assert_eq!(old.next_unit(), 1 << 40);
+        assert_eq!(old.stats().expired_units + calls, 1 << 40);
+        // A failing fill is the caller's error, passed through.
+        let err = TiltFrame::<CountSum>::backfilled(small_spec(), 3, |_| {
+            Err(TiltError::BadSpec { detail: "x".into() })
+        });
+        assert!(matches!(err, Err(TiltError::BadSpec { .. })));
     }
 
     #[test]

@@ -15,17 +15,23 @@
 //!   fine slots are merged — for regression measures via Theorem 3.3,
 //!   losslessly — and pushed one level up (Section 4.5);
 //! * [`mergeable::TimeMergeable`] is the measure contract (implemented for
-//!   [`regcube_regress::Isb`]), keeping the frame generic.
+//!   [`regcube_regress::Isb`]), keeping the frame generic;
+//! * [`family::FrameFamily`] holds every frame of one layer on one clock,
+//!   slot-major: one shared column per retained slot instead of one
+//!   frame per cell, so a unit close writes what changed and a snapshot
+//!   shares the rest.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod error;
+pub mod family;
 pub mod frame;
 pub mod mergeable;
 pub mod scale;
 
 pub use error::TiltError;
+pub use family::{FamilySnapshot, FrameFamily, Ladder, LevelSlots};
 pub use frame::{AmendOutcome, TiltFrame, TiltSlot, TiltStats};
 pub use mergeable::TimeMergeable;
 pub use scale::{LevelSpec, TiltSpec};

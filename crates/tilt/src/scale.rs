@@ -138,6 +138,17 @@ impl TiltSpec {
         })
     }
 
+    /// Finest units a frame has aged out of its coarsest level after
+    /// `next_unit` pushes: every coarsest unit older than the retained
+    /// ones.
+    pub(crate) fn expired_units(&self, next_unit: u64) -> u64 {
+        let top = self
+            .shape(next_unit)
+            .last()
+            .expect("a spec has at least one level");
+        (top.completed - top.len as u64).saturating_mul(top.per)
+    }
+
     /// Total finest units the full frame spans when every level is at
     /// capacity. Figure 4: `4 + 24·4 + 31·96 + 12·2976 = 38,788` quarters
     /// — more than a flat year because the month level alone retains 12
