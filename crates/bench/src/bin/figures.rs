@@ -22,7 +22,7 @@ const USAGE: &str =
   dims         time & memory vs number of dims     (L3, 1% exceptions)
   tilt         Figure 4 / Example 3 tilt-frame compression
   incremental  online per-unit vs monolithic recomputation
-  scaling      sharded cubing throughput at 1/2/4/8 shards
+  scaling      sequential vs tier-pool cubing throughput
   alarm        delta-driven alarm sinks vs rescan consumer overhead
   columnar     struct-of-arrays vs hash-map layout on the tier roll-up,
                plus the kernel-dispatch vs scalar-fallback fold phases

@@ -96,8 +96,8 @@ fn replay(
     batches: &[Vec<MTuple>],
     mut consume: impl FnMut(&UnitDelta, &CubeResult),
 ) -> Duration {
-    let mut engine = MoCubingEngine::transient(schema.clone(), layers.clone(), policy.clone())
-        .expect("valid engine");
+    let mut engine =
+        MoCubingEngine::new(schema.clone(), layers.clone(), policy.clone()).expect("valid engine");
     let started = Instant::now();
     for batch in batches {
         let delta = engine.ingest_unit(batch).expect("valid replay batch");

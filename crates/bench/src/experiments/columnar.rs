@@ -6,11 +6,11 @@
 //! Theorem 3.2 tier-to-tier compression). This experiment replays the
 //! same multi-unit stream through:
 //!
-//! * a transient `MoCubingEngine` — the row (hash-map) layout baseline;
+//! * a `MoCubingEngine` — the row (hash-map) layout baseline;
 //! * the same engine `with_backend(Backend::Columnar)` — the roll-up
 //!   running over sorted dense-id component vectors;
-//! * a 2-shard `ShardedEngine` of it — the columnar layout composed
-//!   behind the sharding seam.
+//! * the columnar engine with its kernels forced off
+//!   (`KernelMode::Scalar`).
 //!
 //! Reported per configuration: source rows folded per second (the
 //! paper's work measure), the true allocator peak (`memtrack`, the
@@ -21,7 +21,6 @@
 use crate::memtrack;
 use crate::report::{fmt_count, fmt_mb, fmt_secs, Table};
 use regcube_core::engine::{Backend, CubingEngine};
-use regcube_core::shard::ShardedEngine;
 use regcube_core::{CriticalLayers, ExceptionPolicy, KernelMode, MTuple, MoCubingEngine};
 use regcube_datagen::{Dataset, DatasetSpec};
 use regcube_regress::Isb;
@@ -124,7 +123,7 @@ fn workload(
 pub fn run(quick: bool) -> Vec<Point> {
     let (schema, layers, policy, unit_batches) = workload(quick);
     let columnar = || {
-        MoCubingEngine::transient(schema.clone(), layers.clone(), policy.clone())
+        MoCubingEngine::new(schema.clone(), layers.clone(), policy.clone())
             .and_then(|e| e.with_backend(Backend::Columnar))
             .expect("valid engine")
     };
@@ -133,7 +132,7 @@ pub fn run(quick: bool) -> Vec<Point> {
             "tier roll-up, row (hash-map) layout",
             &unit_batches,
             Box::new(
-                MoCubingEngine::transient(schema.clone(), layers.clone(), policy.clone())
+                MoCubingEngine::new(schema.clone(), layers.clone(), policy.clone())
                     .expect("valid engine"),
             ),
         ),
@@ -146,20 +145,6 @@ pub fn run(quick: bool) -> Vec<Point> {
             "columnar layout, scalar kernels",
             &unit_batches,
             Box::new(columnar().with_kernel_mode(KernelMode::Scalar)),
-        ),
-        measure(
-            "columnar, 2 shards",
-            &unit_batches,
-            Box::new(
-                ShardedEngine::mo_cubing_on(
-                    Backend::Columnar,
-                    schema.clone(),
-                    layers.clone(),
-                    policy.clone(),
-                    2,
-                )
-                .expect("valid engine"),
-            ),
         ),
     ]
 }
@@ -225,19 +210,17 @@ mod tests {
     #[test]
     fn quick_sweep_agrees_on_the_cube() {
         let points = run(true);
-        assert_eq!(points.len(), 4);
-        // Identical semantics across layouts, kernel modes and shards:
-        // same retained exceptions (throughput varies with the
-        // hardware, so only the semantics are asserted).
+        assert_eq!(points.len(), 3);
+        // Identical semantics across layouts and kernel modes: same
+        // retained exceptions (throughput varies with the hardware, so
+        // only the semantics are asserted).
         for p in &points {
             assert_eq!(p.exception_cells, points[0].exception_cells, "{}", p.config);
             assert!(p.rows_per_sec > 0.0, "{}", p.config);
             assert!(p.alloc_peak > 0, "{}", p.config);
         }
-        // The unsharded layouts do exactly the same folding work
-        // (sharded roll-ups fold per-shard partials, so their row count
-        // legitimately differs) — the kernel mode only moves rows
-        // between the dispatch counters.
+        // The layouts do exactly the same folding work — the kernel
+        // mode only moves rows between the dispatch counters.
         assert_eq!(points[0].rows, points[1].rows);
         assert_eq!(points[1].rows, points[2].rows);
         let (auto, scalar) = (&points[1], &points[2]);

@@ -81,7 +81,7 @@ pub fn run_engine<E: CubingEngine>(engine: &mut E, workload: &Workload) -> RunMe
 
 /// Runs Algorithm 1 (an [`MoCubingEngine`]) under the allocator meter.
 pub fn run_mo(workload: &Workload, policy: &ExceptionPolicy) -> RunMeasurement {
-    let mut engine = MoCubingEngine::transient(
+    let mut engine = MoCubingEngine::new(
         workload.schema.clone(),
         workload.layers.clone(),
         policy.clone(),

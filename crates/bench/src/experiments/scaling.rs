@@ -1,38 +1,30 @@
-//! **Scaling**: sharded-parallel cubing throughput. Theorem 3.2 makes
-//! cube construction partitionable, so the units/sec of a per-unit
-//! stream replay should climb with the shard count until the machine's
-//! cores are saturated. This experiment replays the same multi-unit
-//! stream through:
+//! **Scaling**: what a second core buys one cube. Cuboids of one
+//! lattice depth are independent, so `MoCubingEngine::with_pool` fans a
+//! large enough depth tier out across a worker pool. This experiment
+//! replays the same multi-unit stream through:
 //!
-//! * one sequential `MoCubingEngine` (the pre-sharding baseline),
-//! * one `MoCubingEngine` with a worker pool on its **tier roll-up**
-//!   (same-depth cuboids computed in parallel),
-//! * a `ShardedEngine` at 1/2/4/8 shards (m-layer hash partitions cubed
-//!   concurrently and merged).
+//! * one sequential `MoCubingEngine`,
+//! * the same engine with a pool of one worker per core on its **tier
+//!   roll-up** (same-depth cuboids computed in parallel).
 //!
-//! Every configuration must report the same exception count — the
-//! speedup is free of semantic drift (the shard contract tests pin the
-//! full cube equality; this experiment cross-checks while measuring).
+//! Both must report the same exception count — the pool changes no bit
+//! of the cube (the contract tests pin full equality; this experiment
+//! cross-checks while measuring).
 
 use crate::report::{fmt_count, fmt_secs, Table};
 use regcube_core::engine::CubingEngine;
-use regcube_core::shard::ShardedEngine;
+use regcube_core::pool::default_threads;
 use regcube_core::{CriticalLayers, ExceptionPolicy, MTuple, MoCubingEngine, WorkerPool};
 use regcube_datagen::{Dataset, DatasetSpec};
 use regcube_regress::Isb;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Shard counts of the sweep.
-pub const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
 /// One measured configuration.
 #[derive(Debug, Clone)]
 pub struct Point {
     /// Configuration label.
     pub config: String,
-    /// Shards used (1 for the single-engine rows).
-    pub shards: usize,
     /// Units replayed.
     pub units: usize,
     /// Throughput in m-layer units per second.
@@ -44,12 +36,7 @@ pub struct Point {
 }
 
 /// Replays `batches` (one per unit window) through `engine`.
-fn measure(
-    config: &str,
-    shards: usize,
-    batches: &[Vec<MTuple>],
-    mut engine: Box<dyn CubingEngine>,
-) -> Point {
+fn measure(config: &str, batches: &[Vec<MTuple>], mut engine: Box<dyn CubingEngine>) -> Point {
     let started = Instant::now();
     for batch in batches {
         engine.ingest_unit(batch).expect("valid replay batch");
@@ -57,7 +44,6 @@ fn measure(
     let total = started.elapsed();
     Point {
         config: config.to_string(),
-        shards,
         units: batches.len(),
         units_per_sec: batches.len() as f64 / total.as_secs_f64().max(1e-9),
         total,
@@ -80,7 +66,7 @@ pub fn run(quick: bool) -> Vec<Point> {
 
     // One batch per unit window: each unit re-fits every stream over its
     // own tick interval, which makes every replayed batch open a unit
-    // (the full-recomputation path the parallel tiers/shards target).
+    // (the full-recomputation path the parallel tiers target).
     let unit_batches: Vec<Vec<MTuple>> = (0..units)
         .map(|u| {
             let start = (u * ticks) as i64;
@@ -96,38 +82,24 @@ pub fn run(quick: bool) -> Vec<Point> {
         })
         .collect();
 
-    let mut points = Vec::new();
-    points.push(measure(
-        "single engine, sequential",
-        1,
-        &unit_batches,
-        Box::new(
-            MoCubingEngine::transient(schema.clone(), layers.clone(), policy.clone())
-                .expect("valid engine"),
+    let engine = || MoCubingEngine::new(schema.clone(), layers.clone(), policy.clone());
+    let workers = default_threads();
+    vec![
+        measure(
+            "sequential tier roll-up",
+            &unit_batches,
+            Box::new(engine().expect("valid engine")),
         ),
-    ));
-    points.push(measure(
-        "single engine, parallel tier roll-up",
-        1,
-        &unit_batches,
-        Box::new(
-            MoCubingEngine::transient(schema.clone(), layers.clone(), policy.clone())
-                .expect("valid engine")
-                .with_pool(Arc::new(WorkerPool::with_default_size())),
-        ),
-    ));
-    for n in SHARD_COUNTS {
-        points.push(measure(
-            &format!("sharded, {n} shard{}", if n == 1 { "" } else { "s" }),
-            n,
+        measure(
+            &format!("tier pool, {workers} worker(s)"),
             &unit_batches,
             Box::new(
-                ShardedEngine::mo_cubing(schema.clone(), layers.clone(), policy.clone(), n)
-                    .expect("valid engine"),
+                engine()
+                    .expect("valid engine")
+                    .with_pool(Arc::new(WorkerPool::new(workers))),
             ),
-        ));
-    }
-    points
+        ),
+    ]
 }
 
 /// Prints the sweep and returns it (for JSON export).
@@ -135,7 +107,7 @@ pub fn print(points: &[Point]) -> Vec<Table> {
     let baseline = points.first().map(|p| p.units_per_sec).unwrap_or(f64::NAN);
     let mut t = Table::new(
         format!(
-            "Scaling: sharded cubing throughput ({} units replayed)",
+            "Scaling: tier-pool cubing throughput ({} units replayed)",
             points.first().map(|p| p.units).unwrap_or(0)
         ),
         &[
@@ -178,8 +150,8 @@ mod tests {
     #[test]
     fn quick_sweep_agrees_on_the_cube() {
         let points = run(true);
-        assert_eq!(points.len(), 2 + SHARD_COUNTS.len());
-        // Every configuration computes the same cube: identical retained
+        assert_eq!(points.len(), 2);
+        // Both configurations compute the same cube: identical retained
         // exception counts (throughput varies with the hardware, so only
         // the semantics are asserted here).
         let expected = points[0].exception_cells;

@@ -13,7 +13,7 @@
 //!   [`experiments::incremental`] (Section 5's closing remark: per-unit
 //!   incremental recomputation vs full recomputation);
 //!   plus post-paper scale-out experiments:
-//!   [`experiments::scaling`] (sharded cubing throughput),
+//!   [`experiments::scaling`] (sequential vs tier-pool cubing throughput),
 //!   [`experiments::alarm`] (delta-driven sinks vs rescans),
 //!   [`experiments::columnar`] (struct-of-arrays vs hash-map table
 //!   layout on the hot tier roll-up) and

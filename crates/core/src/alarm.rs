@@ -5,7 +5,7 @@
 //! when cells become (or stop being) exceptional. The engines already
 //! report exactly those transitions per ingested batch through
 //! [`UnitDelta::appeared`]/[`UnitDelta::cleared`], sorted and
-//! byte-identical at every shard count, so a consumer can maintain live
+//! byte-identical on either table layout, so a consumer can maintain live
 //! alarm state purely from the deltas with **no o-layer or
 //! exception-store rescans** in the per-unit hot path.
 //!
@@ -45,7 +45,7 @@
 //!     CuboidSpec::new(vec![0, 0]),
 //!     CuboidSpec::new(vec![2, 2]),
 //! ).unwrap();
-//! let mut engine = MoCubingEngine::transient(
+//! let mut engine = MoCubingEngine::new(
 //!     schema, layers, ExceptionPolicy::slope_threshold(0.4),
 //! ).unwrap();
 //! let mut log = AlarmLog::new(64);
@@ -126,8 +126,7 @@ impl<'a> AlarmContext<'a> {
 /// dashboards, escalation state) strictly from the per-batch
 /// appeared/cleared transitions — the contract that makes them cheap.
 /// Deltas arrive in unit order and with `appeared`/`cleared` sorted by
-/// `(cuboid, cell)`; under sharding the sink observes the merged delta,
-/// identical at every shard count.
+/// `(cuboid, cell)`.
 ///
 /// # Errors
 /// A sink may fail ([`on_unit`](Self::on_unit) returns the crate error);
@@ -167,7 +166,7 @@ impl<'a> AlarmContext<'a> {
 ///     CuboidSpec::new(vec![0, 0]),
 ///     CuboidSpec::new(vec![2, 2]),
 /// ).unwrap();
-/// let mut engine = MoCubingEngine::transient(
+/// let mut engine = MoCubingEngine::new(
 ///     schema,
 ///     layers,
 ///     ExceptionPolicy::slope_threshold(0.5),
@@ -809,7 +808,7 @@ impl ThresholdEscalator {
     }
 
     /// All escalations so far, in firing order (within one unit, sorted
-    /// by `(cuboid, cell)` — deterministic at every shard count).
+    /// by `(cuboid, cell)`, so deterministic).
     pub fn escalations(&self) -> &[Escalation] {
         &self.escalations
     }
@@ -1248,7 +1247,7 @@ mod tests {
             CuboidSpec::new(vec![2, 2]),
         )
         .unwrap();
-        MoCubingEngine::transient(schema, layers, ExceptionPolicy::slope_threshold(0.4)).unwrap()
+        MoCubingEngine::new(schema, layers, ExceptionPolicy::slope_threshold(0.4)).unwrap()
     }
 
     fn unit_tuples(unit: i64, slope: f64) -> Vec<MTuple> {

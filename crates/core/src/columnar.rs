@@ -27,8 +27,8 @@
 //! m-layer build, the block-projected kernel fold ([`crate::kernel`])
 //! with its generic per-row fallback, the chunked exception screen and
 //! the conversion to the row tables a [`crate::CubeResult`] exposes, so
-//! every consumer — [`crate::shard::ShardedEngine`], the stream engine,
-//! alarms, drilling — composes unchanged. Select it per engine with
+//! every consumer — the stream engine, alarms, drilling — composes
+//! unchanged. Select it per engine with
 //! [`Backend::Columnar`](crate::engine::Backend::Columnar):
 //!
 //! ```
@@ -43,7 +43,7 @@
 //!     CuboidSpec::new(vec![0, 0]),
 //!     CuboidSpec::new(vec![2, 2]),
 //! ).unwrap();
-//! let mut engine = MoCubingEngine::transient(
+//! let mut engine = MoCubingEngine::new(
 //!     schema,
 //!     layers,
 //!     ExceptionPolicy::slope_threshold(0.5),

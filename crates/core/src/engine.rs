@@ -21,8 +21,7 @@
 //! [`crate::mo_cubing::compute`] and [`crate::popular_path::compute`]
 //! are thin wrappers that build an engine, ingest one unit and return
 //! the result. The stream engine (`regcube-stream`) and the bench
-//! harness (`regcube-bench`) are generic over the trait, and
-//! [`crate::shard::ShardedEngine`] implements it over any inner engine.
+//! harness (`regcube-bench`) are generic over the trait.
 //! What is left in this module is what the engines share: the trait,
 //! [`UnitDelta`], the layout selector and a few helpers.
 //!
@@ -53,7 +52,7 @@ pub use crate::popular_path::PopularPathEngine;
 ///
 /// Both layouts produce the same cell sets, counts, [`UnitDelta`]s and
 /// alarm episodes, with bit-identical m-layer measures (the contract
-/// and golden suites pin it at shard counts 1, 2, 3 and 7). Aggregated
+/// and golden suites pin it). Aggregated
 /// measures are equal only up to reassociation of `f64` sums — Row
 /// folds siblings in hash order, Columnar in sorted cell-id order — so
 /// on non-dyadic data they may differ in the last ulp
@@ -99,9 +98,8 @@ pub struct UnitDelta {
     pub cells_touched: u64,
     /// Between-layer cells that are exceptions in this unit and were
     /// not in the previous one. Sorted by `(cuboid, cell)` — the
-    /// ordering is deterministic regardless of hash-map iteration or
-    /// shard merge order, so sharded and single-engine runs are
-    /// directly comparable.
+    /// ordering is deterministic regardless of hash-map iteration
+    /// order, so the deltas of two engines compare directly.
     pub appeared: Vec<(CuboidSpec, CellKey)>,
     /// The previous unit's exceptions that do not recur in this one, so
     /// consumers can maintain a live alarm set purely from
@@ -141,8 +139,8 @@ impl UnitDelta {
     }
 
     /// Sorts `appeared`/`cleared` by `(cuboid, cell)` so the delta is
-    /// byte-for-byte reproducible regardless of hash-map iteration or
-    /// shard merge order. The built-in engines build their deltas in
+    /// byte-for-byte reproducible regardless of hash-map iteration
+    /// order. The built-in engines build their deltas in
     /// this order; consumers can rely on it. Public so external
     /// [`CubingEngine`] implementations can uphold the same sorted-delta
     /// contract.
@@ -189,7 +187,7 @@ impl UnitDelta {
 ///     CuboidSpec::new(vec![0, 0]),   // o-layer: the apex
 ///     CuboidSpec::new(vec![2, 2]),   // m-layer: the finest levels
 /// ).unwrap();
-/// let mut engine = MoCubingEngine::transient(
+/// let mut engine = MoCubingEngine::new(
 ///     schema,
 ///     layers,
 ///     ExceptionPolicy::slope_threshold(0.5),
@@ -247,18 +245,6 @@ pub trait CubingEngine {
     fn shared_result(&self) -> Arc<CubeResult> {
         Arc::new(self.result().clone())
     }
-
-    /// The full tables of every strictly-between cuboid of the held
-    /// unit, when the engine retains them all (`None` otherwise — the
-    /// default). An engine that answers `Some` lets a
-    /// [`crate::shard::ShardedEngine`] merge complete per-shard cubes
-    /// directly and run its inner engines with a no-op exception
-    /// policy, instead of forcing retain-everything screening through
-    /// the exception stores. `Some` of an empty map is a valid answer
-    /// for a fresh engine and still signals the capability.
-    fn full_between_tables(&self) -> Option<&FxHashMap<CuboidSpec, CuboidTable>> {
-        None
-    }
 }
 
 impl<E: CubingEngine + ?Sized> CubingEngine for Box<E> {
@@ -276,9 +262,6 @@ impl<E: CubingEngine + ?Sized> CubingEngine for Box<E> {
     }
     fn shared_result(&self) -> Arc<CubeResult> {
         (**self).shared_result()
-    }
-    fn full_between_tables(&self) -> Option<&FxHashMap<CuboidSpec, CuboidTable>> {
-        (**self).full_between_tables()
     }
 }
 

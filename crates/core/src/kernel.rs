@@ -40,7 +40,7 @@
 //! guard on dense id spaces (enforced at
 //! [`crate::table::DenseCellCodec`] construction, before any kernel
 //! runs). The contract is pinned by `tests/kernel_parity.rs` (scripted
-//! + property tests, shard counts {1, 2, 3, 7}) and the golden suite.
+//! and property tests) and the golden suite.
 //!
 //! # Selecting the scalar fallback
 //!

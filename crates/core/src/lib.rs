@@ -37,11 +37,10 @@
 //! Algorithm 1 retains a superset of Algorithm 2's exceptions (the paper's
 //! footnote 7), which the cross-algorithm tests in `tests/` verify.
 //!
-//! Beyond the paper, the crate scales the same contract out: both
-//! algorithms run behind the [`engine::CubingEngine`] trait, so they
-//! compose with hash-partitioned parallel cubing ([`shard`]), a
-//! worker-pool tier roll-up ([`pool`]), streaming exception consumers
-//! ([`alarm`]) and — for Algorithm 1 — a choice of physical table
+//! Beyond the paper, both algorithms run behind the
+//! [`engine::CubingEngine`] trait, so they compose with streaming
+//! exception consumers ([`alarm`]) and — for Algorithm 1 — a
+//! worker-pool tier roll-up ([`pool`]) and a choice of physical table
 //! layout behind [`table::TableStorage`]: the row (hash-map) default or
 //! the struct-of-arrays [`columnar`] one, selected via
 //! [`engine::Backend`], whose hot fold/projection loops run on the
@@ -95,7 +94,6 @@ pub mod pool;
 pub mod popular_path;
 pub mod query;
 pub mod result;
-pub mod shard;
 pub mod stats;
 pub mod table;
 
@@ -112,7 +110,6 @@ pub use layers::CriticalLayers;
 pub use measure::MTuple;
 pub use pool::WorkerPool;
 pub use result::CubeResult;
-pub use shard::ShardedEngine;
 pub use stats::RunStats;
 
 /// Crate-wide result alias.
@@ -131,6 +128,5 @@ pub mod prelude {
     pub use crate::measure::MTuple;
     pub use crate::pool::WorkerPool;
     pub use crate::result::CubeResult;
-    pub use crate::shard::ShardedEngine;
     pub use crate::{mo_cubing, popular_path};
 }

@@ -23,13 +23,9 @@
 //! one unit and returns its result.
 //!
 //! What an engine keeps of a unit is the paper's memory model —
-//! critical layers + exception cells — unless it is built with
-//! [`MoCubingEngine::new`], which additionally keeps every
-//! between-layer cuboid's full table until the next unit: that is what
-//! a [`crate::shard::ShardedEngine`] merges shards from.
-//! [`MoCubingEngine::transient`] drops each depth tier's tables as soon
-//! as the next tier is built, like the original batch algorithm; the
-//! batch wrapper and the unsharded online pipeline use it.
+//! critical layers + exception cells: each depth tier's full tables
+//! are dropped as soon as the next tier is built, like the original
+//! batch algorithm.
 
 use crate::columnar::ColumnarTable;
 use crate::engine::{empty_result, next_window, unshare_result, Backend, CubingEngine, UnitDelta};
@@ -89,15 +85,13 @@ struct TierPlan<T> {
     table: Arc<T>,
 }
 
-/// One unit's computation in progress: its counters, its analytical
-/// memory and the between-layer tables it will retain. Local to a call
-/// — the engine commits the finished unit only when all of it succeeded.
+/// One unit's computation in progress: its counters and its analytical
+/// memory. Local to a call — the engine commits the finished unit only
+/// when all of it succeeded.
 #[derive(Default)]
 struct UnitWork {
     stats: RunStats,
     mem: MemoryAccountant,
-    /// Stays empty on a transient engine.
-    tables: FxHashMap<CuboidSpec, CuboidTable>,
 }
 
 impl UnitWork {
@@ -127,18 +121,15 @@ impl UnitWork {
 /// Every unit is computed bottom-up in depth tiers, each cuboid
 /// aggregated from its closest computed descendant — exactly the
 /// work-sharing of the batch algorithm — and replaces the unit before
-/// it. An engine built with [`new`](Self::new) keeps the unit's
-/// between-layer **full tables** beside the result (they are what a
-/// sharded merge reads through
-/// [`full_between_tables`](CubingEngine::full_between_tables)); a
-/// [`transient`](Self::transient) one drops each tier once the next is
-/// built, matching the batch algorithm's peak memory.
+/// it. Each tier's full tables are dropped once the next tier is built,
+/// so the engine's peak memory is the batch algorithm's and what it
+/// retains is the paper's: critical layers + exception cells.
 ///
 /// The tiers are rolled up in the layout [`with_backend`](Self::with_backend)
 /// selects (row by default). Whatever the layout, everything the engine
-/// *retains* — the result's critical layers and exception stores, and
-/// the between-layer tables — is in the row form [`CubeResult`]
-/// exposes, so the engine composes identically with every consumer.
+/// *retains* — the result's critical layers and exception stores — is
+/// in the row form [`CubeResult`] exposes, so the engine composes
+/// identically with every consumer.
 #[derive(Debug, Clone)]
 pub struct MoCubingEngine {
     schema: Arc<CubeSchema>,
@@ -148,25 +139,17 @@ pub struct MoCubingEngine {
     backend: Backend,
     /// Which implementation a layout with kernels runs its hot loops on.
     kernel: KernelMode,
-    /// Drop a unit's between-layer tables tier by tier (batch memory
-    /// model) instead of keeping them for `full_between_tables`?
-    transient: bool,
     /// When attached, cuboids of one depth tier (independent of each
     /// other) are aggregated on the pool instead of sequentially.
     pool: Option<Arc<WorkerPool>>,
     window: Option<(i64, i64)>,
     units_opened: u64,
-    /// The held unit's full tables of the strictly-between cuboids
-    /// (empty in transient mode; the m- and o-layer live in `result`).
-    tables: FxHashMap<CuboidSpec, CuboidTable>,
     /// Shared with every snapshot taken of the held unit.
     result: Arc<CubeResult>,
 }
 
 impl MoCubingEngine {
-    /// Creates an engine that keeps each unit's between-layer full
-    /// tables until the next unit — what a
-    /// [`crate::shard::ShardedEngine`] of several shards merges from.
+    /// Creates an engine on the row layout, with no pool.
     ///
     /// # Errors
     /// Currently infallible; `Result` keeps room for config validation
@@ -183,19 +166,15 @@ impl MoCubingEngine {
             policy,
             backend: Backend::Row,
             kernel: KernelMode::Auto,
-            transient: false,
             pool: None,
             window: None,
             units_opened: 0,
-            tables: FxHashMap::default(),
             result,
         })
     }
 
-    /// Creates an engine in transient mode: between-layer tables are
-    /// dropped tier by tier as the batch algorithm computes, so retained
-    /// memory is exactly critical layers + exception cells. This is
-    /// what the batch wrapper and the unsharded online pipeline use.
+    /// The same as [`new`](Self::new). It remains because the
+    /// `benchmark` package's replay harness calls it by this name.
     ///
     /// # Errors
     /// See [`new`](Self::new).
@@ -204,9 +183,7 @@ impl MoCubingEngine {
         layers: CriticalLayers,
         policy: ExceptionPolicy,
     ) -> Result<Self> {
-        let mut engine = Self::new(schema, layers, policy)?;
-        engine.transient = true;
-        Ok(engine)
+        Self::new(schema, layers, policy)
     }
 
     /// Selects the table layout the tiers are folded into. Both layouts
@@ -249,8 +226,8 @@ impl MoCubingEngine {
     /// caller's thread. Results are merged in deterministic lattice
     /// order, so the cube is identical to a sequential run either way.
     ///
-    /// Do **not** attach the pool a [`crate::shard::ShardedEngine`] runs
-    /// on to its inner engines — see the nesting rule in [`crate::pool`].
+    /// Never call `ingest_unit` from a job of the pool attached here —
+    /// see the nesting rule in [`crate::pool`].
     #[must_use]
     pub fn with_pool(mut self, pool: Arc<WorkerPool>) -> Self {
         self.pool = Some(pool);
@@ -274,7 +251,7 @@ impl MoCubingEngine {
     fn ingest_on<T: TableStorage>(&mut self, tuples: &[MTuple]) -> Result<UnitDelta> {
         validate_tuples(&self.schema, self.layers.lattice().m_layer(), tuples)?;
         let window = next_window(self.window, tuples)?;
-        let (result, tables) = self.open_unit::<T>(tuples)?;
+        let result = self.open_unit::<T>(tuples)?;
         // The held unit's exceptions that do not recur come back as
         // cleared, so appeared/cleared consumers can maintain a live
         // alarm set across units.
@@ -287,18 +264,13 @@ impl MoCubingEngine {
         );
         self.window = Some(window);
         self.units_opened += 1;
-        self.tables = tables;
         self.result = Arc::new(result);
         Ok(delta)
     }
 
     /// Computes one unit (the batch algorithm) without touching the
-    /// held one: the finished result, statistics included, and the
-    /// between-layer tables to keep beside it.
-    fn open_unit<T: TableStorage>(
-        &self,
-        tuples: &[MTuple],
-    ) -> Result<(CubeResult, FxHashMap<CuboidSpec, CuboidTable>)> {
+    /// held one: the finished result, statistics included.
+    fn open_unit<T: TableStorage>(&self, tuples: &[MTuple]) -> Result<CubeResult> {
         let started = Instant::now();
         let dims = self.schema.num_dims();
         let mut work = UnitWork::default();
@@ -322,19 +294,9 @@ impl MoCubingEngine {
         let m_table = Arc::try_unwrap(m_table).unwrap_or_else(|shared| (*shared).clone());
         let m_table = m_table.into_row_table(dims, &mut work.mem);
 
-        // Retention: critical layers + exceptions, plus the
-        // between-layer tables a non-transient engine keeps.
-        let UnitWork {
-            mut stats,
-            mem,
-            tables,
-        } = work;
-        let retained = || {
-            [&m_table, &o_table]
-                .into_iter()
-                .chain(exceptions.values())
-                .chain(tables.values())
-        };
+        // Retention: critical layers + exceptions.
+        let UnitWork { mut stats, mem } = work;
+        let retained = || [&m_table, &o_table].into_iter().chain(exceptions.values());
         stats.exception_cells = exceptions.values().map(|t| t.len() as u64).sum();
         stats.cells_retained = retained().map(|t| t.len() as u64).sum();
         stats.retained_bytes = retained().map(|t| table_bytes(t, dims)).sum();
@@ -350,7 +312,7 @@ impl MoCubingEngine {
             FxHashMap::default(),
             stats,
         );
-        Ok((result, tables))
+        Ok(result)
     }
 
     /// Computes every cuboid above the m-layer bottom-up in depth
@@ -358,10 +320,9 @@ impl MoCubingEngine {
     /// one-step-finer table from the previous tier). Cuboids within one
     /// tier are independent, so a large enough tier is fanned out on
     /// the attached [`WorkerPool`] and merged back in lattice order —
-    /// the parallel hot path of the single-engine roll-up. Returns the
-    /// o-layer table and the exception stores; between-layer full
-    /// tables go to `work.tables` or, in transient mode, are dropped as
-    /// soon as the next tier no longer needs them.
+    /// the parallel hot path of the roll-up. Returns the o-layer table
+    /// and the exception stores; between-layer full tables are dropped
+    /// as soon as the next tier no longer needs them.
     fn compute_uppers<T: TableStorage>(
         &self,
         work: &mut UnitWork,
@@ -379,16 +340,16 @@ impl MoCubingEngine {
             // Pick each cuboid's aggregation source first (the choice
             // needs the whole previous tier), then aggregate the tier.
             let plans: Vec<TierPlan<T>> = tier
-                .into_iter()
+                .iter()
                 .map(|cuboid| {
                     let (source, table) = self
                         .layers
                         .lattice()
-                        .closest_computed_descendant(&cuboid, cache.keys())
+                        .closest_computed_descendant(cuboid, cache.keys())
                         .map(|c| (c.clone(), Arc::clone(&cache[c])))
                         .unwrap_or_else(|| (m_spec.clone(), Arc::clone(m_table)));
                     TierPlan {
-                        cuboid,
+                        cuboid: cuboid.clone(),
                         source,
                         table,
                     }
@@ -396,8 +357,9 @@ impl MoCubingEngine {
                 .collect();
 
             let mut next_cache: FxHashMap<CuboidSpec, Arc<T>> = FxHashMap::default();
-            for item in self.compute_tier(plans) {
-                let (cuboid, full, folded) = item?;
+            // The i-th result is the i-th cuboid's table.
+            for (cuboid, item) in tier.into_iter().zip(self.compute_tier(plans)) {
+                let (full, folded) = item?;
                 work.count_folded::<T>(folded);
                 work.count_cuboid(full.len());
                 work.mem.add(full.approx_bytes(dims));
@@ -414,25 +376,21 @@ impl MoCubingEngine {
                 next_cache.insert(cuboid, Arc::new(full));
             }
             // The old tier is no longer reachable as a source.
-            self.retire_tier(work, &mut cache, dims);
+            retire_tier(&mut work.mem, &cache, dims);
             cache = next_cache;
         }
-        self.retire_tier(work, &mut cache, dims);
+        retire_tier(&mut work.mem, &cache, dims);
         Ok((o_table, exceptions))
     }
 
     /// Aggregates one depth tier — on the attached pool when the tier is
     /// worth the hand-off ([`FAN_OUT_MIN_ROWS`]), on the caller's thread
-    /// otherwise. The results come back **in plan order** either way, so
-    /// stats, exception screening and the cube are the same bits.
-    fn compute_tier<T: TableStorage>(
-        &self,
-        plans: Vec<TierPlan<T>>,
-    ) -> Vec<Result<(CuboidSpec, T, Folded)>> {
+    /// otherwise. The results come back **in plan order** either way —
+    /// on the pool, because [`WorkerPool::run`] keeps task order — and
+    /// the caller matches them to their cuboids by position.
+    fn compute_tier<T: TableStorage>(&self, plans: Vec<TierPlan<T>>) -> Vec<Result<(T, Folded)>> {
         let aggregate = |schema: &CubeSchema, plan: TierPlan<T>| {
-            plan.table
-                .roll_up(schema, &plan.source, &plan.cuboid)
-                .map(|(full, folded)| (plan.cuboid, full, folded))
+            plan.table.roll_up(schema, &plan.source, &plan.cuboid)
         };
         let fan_out = self.pool.as_ref().filter(|pool| {
             // One worker would run the tier serially while the caller
@@ -458,26 +416,17 @@ impl MoCubingEngine {
                 .collect(),
         }
     }
+}
 
-    /// Releases a finished tier's tables: dropped in transient mode,
-    /// kept (in row form) for `full_between_tables` otherwise. The Arcs
-    /// are sole owners by now (all aggregation tasks completed), so the
-    /// unwrap is free.
-    fn retire_tier<T: TableStorage>(
-        &self,
-        work: &mut UnitWork,
-        cache: &mut FxHashMap<CuboidSpec, Arc<T>>,
-        dims: usize,
-    ) {
-        for (cuboid, table) in cache.drain() {
-            if self.transient {
-                work.mem.remove(table.approx_bytes(dims));
-            } else {
-                let table = Arc::try_unwrap(table).unwrap_or_else(|shared| (*shared).clone());
-                work.tables
-                    .insert(cuboid, table.into_row_table(dims, &mut work.mem));
-            }
-        }
+/// Books a finished tier's tables out of the analytical memory; the
+/// caller drops them.
+fn retire_tier<T: TableStorage>(
+    mem: &mut MemoryAccountant,
+    tier: &FxHashMap<CuboidSpec, Arc<T>>,
+    dims: usize,
+) {
+    for table in tier.values() {
+        mem.remove(table.approx_bytes(dims));
     }
 }
 
@@ -504,17 +453,6 @@ impl CubingEngine for MoCubingEngine {
     fn shared_result(&self) -> Arc<CubeResult> {
         Arc::clone(&self.result)
     }
-
-    /// A non-transient engine keeps every between-layer full table of
-    /// the held unit, which is exactly what a sharded merge needs;
-    /// transient mode drops them and must answer `None`.
-    fn full_between_tables(&self) -> Option<&FxHashMap<CuboidSpec, CuboidTable>> {
-        if self.transient {
-            None
-        } else {
-            Some(&self.tables)
-        }
-    }
 }
 
 /// Runs Algorithm 1 and returns the materialized cube.
@@ -532,7 +470,7 @@ pub fn compute(
     policy: &ExceptionPolicy,
     tuples: &[MTuple],
 ) -> Result<CubeResult> {
-    let mut engine = MoCubingEngine::transient(schema.clone(), layers.clone(), policy.clone())?;
+    let mut engine = MoCubingEngine::new(schema.clone(), layers.clone(), policy.clone())?;
     engine.ingest_unit(tuples)?;
     Ok(engine.into_result())
 }
@@ -690,43 +628,25 @@ mod tests {
         assert!(compute(&schema, &layers, &ExceptionPolicy::never(), &[]).is_err());
     }
 
-    fn engines(policy: ExceptionPolicy) -> (MoCubingEngine, MoCubingEngine) {
+    fn engine(policy: ExceptionPolicy) -> MoCubingEngine {
         let (schema, layers) = small_setup();
-        let transient =
-            MoCubingEngine::transient(schema.clone(), layers.clone(), policy.clone()).unwrap();
-        (
-            transient,
-            MoCubingEngine::new(schema, layers, policy).unwrap(),
-        )
+        MoCubingEngine::new(schema, layers, policy).unwrap()
     }
 
     #[test]
     fn fresh_engine_exposes_an_empty_result() {
-        let (_, e) = engines(ExceptionPolicy::slope_threshold(0.4));
+        let e = engine(ExceptionPolicy::slope_threshold(0.4));
         assert_eq!(e.result().m_layer_cells(), 0);
         assert_eq!(e.result().total_exception_cells(), 0);
         assert_eq!(e.stats().cells_computed, 0);
     }
 
     #[test]
-    fn retained_between_tables_count_as_retained_memory() {
-        let (mut transient, mut retaining) = engines(ExceptionPolicy::slope_threshold(0.4));
-        let tuples = dense_tuples();
-        transient.ingest_unit(&tuples).unwrap();
-        retaining.ingest_unit(&tuples).unwrap();
-        // An engine that keeps the between-layer full tables for a
-        // sharded merge must say so in its retention figures.
-        assert!(transient.full_between_tables().is_none());
-        assert!(!retaining.full_between_tables().unwrap().is_empty());
-        assert!(retaining.stats().retained_bytes > transient.stats().retained_bytes);
-        assert!(retaining.stats().cells_retained > transient.stats().cells_retained);
-    }
-
-    #[test]
     fn columnar_working_set_undercuts_the_row_layout() {
-        let (mut row, _) = engines(ExceptionPolicy::slope_threshold(0.4));
-        let (col, _) = engines(ExceptionPolicy::slope_threshold(0.4));
-        let mut col = col.with_backend(Backend::Columnar).unwrap();
+        let mut row = engine(ExceptionPolicy::slope_threshold(0.4));
+        let mut col = engine(ExceptionPolicy::slope_threshold(0.4))
+            .with_backend(Backend::Columnar)
+            .unwrap();
         row.ingest_unit(&dense_tuples()).unwrap();
         col.ingest_unit(&dense_tuples()).unwrap();
         assert!(

@@ -1,12 +1,11 @@
 //! A small reusable worker pool on std threads.
 //!
-//! The workspace builds with no external dependencies, so the parallel
-//! cubing paths ([`crate::shard`] and the tier roll-up inside
-//! [`crate::engine::MoCubingEngine`]) share this minimal channel-based
-//! pool instead of rayon/crossbeam: `N` long-lived workers pull boxed
-//! jobs from one queue, and [`WorkerPool::run`] fans a task vector out
-//! and collects the results **in task order**, so parallel execution
-//! never perturbs downstream determinism.
+//! The workspace builds with no external dependencies, so the tier
+//! roll-up of [`crate::engine::MoCubingEngine`] runs on this minimal
+//! channel-based pool instead of rayon/crossbeam: `N` long-lived
+//! workers pull boxed jobs from one queue, and [`WorkerPool::run`] fans
+//! a task vector out and collects the results **in task order**, so
+//! parallel execution never perturbs downstream determinism.
 //!
 //! Jobs must be `'static` (they are moved to worker threads), which the
 //! callers arrange by sharing read-only inputs behind [`std::sync::Arc`].
@@ -15,11 +14,11 @@
 //!
 //! [`run`](WorkerPool::run) must not be called from inside a pool job of
 //! the *same* pool: a job that blocks on the queue it occupies can
-//! deadlock once every worker does the same. The cubing layers respect
-//! this by construction — a [`crate::shard::ShardedEngine`] runs its
-//! shards on the pool and gives the inner engines no pool of their own,
-//! while an unsharded engine may use the pool for its tier roll-up.
+//! deadlock once every worker does the same. The tier roll-up respects
+//! this by construction: its jobs fold tables and never call back into
+//! an engine.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -56,18 +55,13 @@ impl WorkerPool {
         }
     }
 
-    /// A pool sized to the machine (`available_parallelism`, fallback 1).
-    pub fn with_default_size() -> Self {
-        Self::new(default_threads())
-    }
-
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
         self.workers.len()
     }
 
     /// Submits one fire-and-forget job.
-    pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
+    fn execute(&self, job: impl FnOnce() + Send + 'static) {
         self.sender
             .as_ref()
             .expect("pool alive until drop")
@@ -77,39 +71,38 @@ impl WorkerPool {
 
     /// Runs every task on the pool and returns the results **in task
     /// order** (task `i`'s result at index `i`, regardless of which
-    /// worker finished first) — the property the deterministic shard and
-    /// tier merges rely on.
+    /// worker finished first) — the property the deterministic tier
+    /// roll-up relies on.
     ///
     /// # Panics
-    /// Re-raises (as a panic on the calling thread) if any task panicked
-    /// on its worker.
+    /// If any task panicked on its worker, waits for every other task,
+    /// then resumes the panic of the lowest-indexed failing task on the
+    /// calling thread, with that task's own payload. The pool stays
+    /// usable.
     pub fn run<T, F>(&self, tasks: Vec<F>) -> Vec<T>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
         let n = tasks.len();
-        let (tx, rx) = channel::<(usize, T)>();
+        let (tx, rx) = channel::<(usize, std::thread::Result<T>)>();
         for (i, task) in tasks.into_iter().enumerate() {
             let tx = tx.clone();
             self.execute(move || {
-                // Ignore a disconnected receiver: `run` only drops it
-                // after collecting n results, so an error here can only
-                // follow a sibling task's panic.
-                let _ = tx.send((i, task()));
+                let outcome = panic::catch_unwind(AssertUnwindSafe(task));
+                // `run` holds the receiver until all n outcomes are in.
+                let _ = tx.send((i, outcome));
             });
         }
         drop(tx);
-        let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        for _ in 0..n {
-            let (i, value) = rx
-                .recv()
-                .expect("a pool task panicked before sending its result");
-            slots[i] = Some(value);
+        let mut slots: Vec<Option<std::thread::Result<T>>> = (0..n).map(|_| None).collect();
+        for (i, outcome) in rx.iter().take(n) {
+            slots[i] = Some(outcome);
         }
         slots
             .into_iter()
-            .map(|s| s.expect("each task index reports exactly once"))
+            .map(|slot| slot.expect("each task index reports exactly once"))
+            .map(|outcome| outcome.unwrap_or_else(|payload| panic::resume_unwind(payload)))
             .collect()
     }
 }
@@ -124,10 +117,9 @@ impl Drop for WorkerPool {
     }
 }
 
-/// The per-worker loop: pull jobs until the queue closes. A panicking
-/// job is contained to its `catch_unwind` so the worker survives and the
-/// pool stays usable; the submitting `run` call notices the missing
-/// result and re-raises.
+/// The per-worker loop: pull jobs until the queue closes. Jobs never
+/// unwind into it — [`WorkerPool::run`] catches each task's panic and
+/// hands it back to its caller — so a worker lives as long as the pool.
 fn worker_loop(receiver: &Arc<Mutex<Receiver<Job>>>) {
     loop {
         let job = {
@@ -135,9 +127,7 @@ fn worker_loop(receiver: &Arc<Mutex<Receiver<Job>>>) {
             guard.recv()
         };
         match job {
-            Ok(job) => {
-                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-            }
+            Ok(job) => job(),
             Err(_) => break, // queue closed: pool dropped
         }
     }
@@ -205,9 +195,13 @@ mod tests {
     }
 
     #[test]
-    fn a_panicking_job_does_not_kill_the_pool() {
+    fn a_panicking_task_re_raises_its_own_payload() {
         let pool = WorkerPool::new(2);
-        pool.execute(|| panic!("contained"));
+        let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> =
+            vec![Box::new(|| 1), Box::new(|| panic!("boom")), Box::new(|| 3)];
+        let payload = panic::catch_unwind(AssertUnwindSafe(|| pool.run(tasks)))
+            .expect_err("the task's panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
         // The pool still serves ordered runs afterwards.
         let results = pool.run((0..4usize).map(|i| move || i).collect());
         assert_eq!(results, vec![0, 1, 2, 3]);

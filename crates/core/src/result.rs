@@ -60,13 +60,6 @@ impl CubeResult {
         }
     }
 
-    /// The exception stores by cuboid (same crate only — the public
-    /// surface is [`exceptions_in`](Self::exceptions_in) /
-    /// [`iter_exceptions`](Self::iter_exceptions)).
-    pub(crate) fn exceptions_map(&self) -> &FxHashMap<CuboidSpec, CuboidTable> {
-        &self.exceptions
-    }
-
     /// The critical layers the cube was computed for.
     #[inline]
     pub fn layers(&self) -> &CriticalLayers {

@@ -1,11 +1,12 @@
 //! Trait-level contract tests for [`CubingEngine`] implementations.
 //!
-//! There are two algorithms and one sharding wrapper, and every way of
+//! There are two algorithms, two table layouts for Algorithm 1 and an
+//! optional worker pool for its tier roll-up, and every way of
 //! assembling them must behave the same behind the trait. [`subjects`]
-//! lists them — Algorithm 1 transient and retained on both table
-//! layouts, Algorithm 2, and a [`ShardedEngine`] of each at 1, 2, 3 and
-//! 7 shards — and each engine-level contract runs over the whole list, so
-//! a future engine or layout is pinned by adding one entry:
+//! lists them — Algorithm 1 on both layouts, each without a pool and
+//! with a 2-worker one, and Algorithm 2 — and each engine-level contract
+//! runs over the whole list, so a future engine or layout is pinned by
+//! adding one entry:
 //!
 //! 1. an empty batch is rejected;
 //! 2. a failed unit leaves the engine exactly as it was;
@@ -14,22 +15,24 @@
 //!    and the next window then cubes exactly what a fresh engine cubes;
 //! 4. a new unit reports the lapsed window's exceptions as cleared;
 //! 5. deltas come back sorted, every engine's cube is the cube of the
-//!    batch `compute` entry point of its algorithm — and every
-//!    Algorithm-1 engine replays the exact delta stream of the plain
-//!    row engine.
+//!    batch `compute` entry point of its algorithm, every Algorithm-1
+//!    engine replays the exact delta stream of the plain row engine —
+//!    and its cube is, bit for bit, its layout's sequential cube.
+//!
+//! Every contract cubes at least one [`wide_dataset`] unit, large
+//! enough for a pooled engine to fan its first depth tier out, so the
+//! pooled subjects are held to the contracts on the parallel path and
+//! not only on the sequential one.
 //!
 //! On top of those, the cross-engine laws: the row and columnar layouts
-//! agree up to `f64` reassociation, a worker pool never changes a bit,
-//! and the **footnote 7 superset** — after identical ingestion,
-//! Algorithm 1 retains a superset of Algorithm 2's exception cells, with
-//! identical measures where both retain a cell, and both agree exactly
-//! on the critical layers.
+//! agree up to `f64` reassociation, and the **footnote 7 superset** —
+//! after identical ingestion, Algorithm 1 retains a superset of
+//! Algorithm 2's exception cells, with identical measures where both
+//! retain a cell, and both agree exactly on the critical layers.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use regcube_core::engine::{Backend, CubingEngine, MoCubingEngine, PopularPathEngine};
-use regcube_core::result::Algorithm;
-use regcube_core::shard::ShardedEngine;
 use regcube_core::table::CuboidTable;
 use regcube_core::{
     mo_cubing, popular_path, CoreError, CriticalLayers, CubeResult, ExceptionPolicy, MTuple,
@@ -41,6 +44,15 @@ use std::sync::Arc;
 
 fn random_dataset(seed: u64, n: usize) -> (CubeSchema, CriticalLayers, Vec<MTuple>) {
     random_dataset_of_fanout(seed, n, 3)
+}
+
+/// 6,000 random tuples over 4,096 possible m-cells (some 3,100
+/// distinct): the first depth tier's two cuboids each fold the whole
+/// m-layer, about 1.5 times the rows a pooled engine needs in front of a
+/// tier to fan it out. Its first 1,500 tuples are a unit that stays
+/// below that gate.
+fn wide_dataset(seed: u64) -> (CubeSchema, CriticalLayers, Vec<MTuple>) {
+    random_dataset_of_fanout(seed, 6000, 8)
 }
 
 /// `n` random tuples over a 2-dimensional, 2-level schema: `fanout⁴`
@@ -128,16 +140,13 @@ fn results_approx_eq(label: &str, a: &CubeResult, b: &CubeResult) {
 }
 
 /// Which batch reference an engine answers to.
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy)]
 enum Kind {
-    /// Algorithm 1, in any assembly: the cube of `mo_cubing::compute`.
-    Mo,
-    /// Unsharded Algorithm 2: the cube of `popular_path::compute`.
+    /// Algorithm 1 on a layout: the cube of `mo_cubing::compute`, and
+    /// bit for bit the cube of a sequential engine on that layout.
+    Mo(Backend),
+    /// Algorithm 2: the cube of `popular_path::compute`.
     Pp,
-    /// Algorithm 2 behind several shards: `popular_path::compute`'s
-    /// critical layers and path tables, exceptions by Algorithm 1's
-    /// rule (see `regcube_core::shard`) — a superset of the drilled set.
-    ShardedPp,
 }
 
 type Factory =
@@ -147,91 +156,68 @@ type Factory =
 struct Subject {
     label: String,
     kind: Kind,
-    /// Behind a [`ShardedEngine`]. A lone engine's work counters must
-    /// match its batch reference's, not just its cube.
-    sharded: bool,
     make: Factory,
 }
 
-/// Algorithm 1 on `backend`, transient or retaining its tables.
+/// Algorithm 1 on `backend`, rolling its tiers up on `pool` if given.
 fn mo(
     backend: Backend,
-    transient: bool,
-) -> impl Fn(CubeSchema, CriticalLayers, ExceptionPolicy) -> regcube_core::Result<MoCubingEngine>
-       + Send
-       + Sync
-       + Clone
-       + 'static {
-    move |s, l, p| {
-        let engine = if transient {
-            MoCubingEngine::transient(s, l, p)
-        } else {
-            MoCubingEngine::new(s, l, p)
-        };
-        engine?.with_backend(backend)
+    pool: Option<Arc<WorkerPool>>,
+    schema: &CubeSchema,
+    layers: &CriticalLayers,
+    policy: &ExceptionPolicy,
+) -> MoCubingEngine {
+    let engine = MoCubingEngine::new(schema.clone(), layers.clone(), policy.clone())
+        .and_then(|e| e.with_backend(backend))
+        .unwrap();
+    match pool {
+        Some(pool) => engine.with_pool(pool),
+        None => engine,
     }
 }
 
 /// Every engine under contract.
 fn subjects() -> Vec<Subject> {
-    fn subject<E: CubingEngine + Send + Sync + 'static>(
-        out: &mut Vec<Subject>,
-        label: &str,
-        kind: Kind,
-        make: impl Fn(CubeSchema, CriticalLayers, ExceptionPolicy) -> regcube_core::Result<E>
-            + Send
-            + Sync
-            + Clone
-            + 'static,
-    ) {
-        let lone = make.clone();
-        out.push(Subject {
-            label: label.to_string(),
-            kind,
-            sharded: false,
-            make: Box::new(move |s, l, p| Box::new(lone(s.clone(), l.clone(), p.clone()).unwrap())),
-        });
-        for shards in [1usize, 2, 3, 7] {
-            let make = make.clone();
+    let pool = Arc::new(WorkerPool::new(2));
+    let mut out = Vec::new();
+    for (backend, layout) in [(Backend::Row, "row"), (Backend::Columnar, "columnar")] {
+        for pool in [None, Some(Arc::clone(&pool))] {
+            let label = match pool {
+                None => layout.to_string(),
+                Some(_) => format!("{layout}, 2-worker pool"),
+            };
             out.push(Subject {
-                label: format!("{label} x{shards}"),
-                // One shard is a passthrough under the real policy.
-                kind: if kind == Kind::Pp && shards > 1 {
-                    Kind::ShardedPp
-                } else {
-                    kind
-                },
-                sharded: true,
-                make: Box::new(move |s, l, p| {
-                    let make = make.clone();
-                    Box::new(
-                        ShardedEngine::with_factory(s.clone(), l.clone(), p.clone(), shards, make)
-                            .unwrap(),
-                    )
-                }),
+                label,
+                kind: Kind::Mo(backend),
+                make: Box::new(move |s, l, p| Box::new(mo(backend, pool.clone(), s, l, p))),
             });
         }
     }
-    let mut out = Vec::new();
-    for (backend, layout) in [(Backend::Row, "row"), (Backend::Columnar, "columnar")] {
-        for (transient, mode) in [(true, "transient"), (false, "retained")] {
-            let label = format!("{layout} {mode}");
-            subject(&mut out, &label, Kind::Mo, mo(backend, transient));
-        }
-    }
-    subject(&mut out, "popular path", Kind::Pp, |s, l, p| {
-        PopularPathEngine::new(s, l, p, None)
+    out.push(Subject {
+        label: "popular path".to_string(),
+        kind: Kind::Pp,
+        make: Box::new(|s, l, p| {
+            Box::new(PopularPathEngine::new(s.clone(), l.clone(), p.clone(), None).unwrap())
+        }),
     });
     out
 }
 
 #[test]
 fn empty_batches_are_rejected() {
-    let (schema, layers, _) = random_dataset(1, 1);
+    let (schema, layers, tuples) = wide_dataset(1);
     let policy = ExceptionPolicy::slope_threshold(0.3);
     for subject in subjects() {
+        let label = &subject.label;
         let mut engine = (subject.make)(&schema, &layers, &policy);
-        assert!(engine.ingest_unit(&[]).is_err(), "{}", subject.label);
+        assert!(engine.ingest_unit(&[]).is_err(), "{label}");
+        // Refused just the same with a unit held, which it leaves as it
+        // was.
+        engine.ingest_unit(&tuples).unwrap();
+        let (cube, stats) = (result_bits(engine.result()), *engine.stats());
+        assert!(engine.ingest_unit(&[]).is_err(), "{label}");
+        assert_eq!(result_bits(engine.result()), cube, "{label}");
+        assert_eq!(*engine.stats(), stats, "{label}");
     }
 }
 
@@ -262,7 +248,7 @@ fn result_bits(result: &CubeResult) -> Vec<String> {
 
 #[test]
 fn failed_unit_leaves_the_engine_as_it_was() {
-    let (schema, layers, tuples) = random_dataset(2, 60);
+    let (schema, layers, tuples) = wide_dataset(2);
     let policy = ExceptionPolicy::slope_threshold(0.3);
     for subject in subjects() {
         let label = &subject.label;
@@ -277,7 +263,7 @@ fn failed_unit_leaves_the_engine_as_it_was() {
         assert_eq!(*engine.stats(), stats, "{label}");
         // ...and a valid batch for that window is then its unit: exactly
         // the cube a fresh engine computes for it.
-        let next = in_unit(&tuples, 9, 1);
+        let next = in_unit(&tuples, tuples.len(), 1);
         let delta = engine.ingest_unit(&next).unwrap();
         assert_eq!(delta.unit, 1, "{label}");
         let mut fresh = (subject.make)(&schema, &layers, &policy);
@@ -288,17 +274,18 @@ fn failed_unit_leaves_the_engine_as_it_was() {
 
 #[test]
 fn a_unit_is_cubed_once() {
-    let (schema, layers, tuples) = random_dataset(3, 60);
+    let (schema, layers, tuples) = wide_dataset(3);
     let policy = ExceptionPolicy::slope_threshold(0.3);
+    let (held, rest) = tuples.split_at(4500);
     for subject in subjects() {
         let label = &subject.label;
         let mut engine = (subject.make)(&schema, &layers, &policy);
-        engine.ingest_unit(&tuples[..40]).unwrap();
+        engine.ingest_unit(held).unwrap();
         let (cube, stats) = (result_bits(engine.result()), *engine.stats());
         // More tuples for the held window — the rest of the stream, or
         // the same batch again — are refused, not merged and not taken
         // as a replacement.
-        for again in [&tuples[40..], &tuples[..40]] {
+        for again in [rest, held] {
             let err = engine.ingest_unit(again).unwrap_err();
             assert!(matches!(err, CoreError::BadInput { .. }), "{label}: {err}");
             assert_eq!(result_bits(engine.result()), cube, "{label}");
@@ -306,7 +293,7 @@ fn a_unit_is_cubed_once() {
         }
         // The refusals left no trace: the next window is unit 1 and
         // cubes bit for bit what a fresh engine cubes for it.
-        let next = in_unit(&tuples, 25, 1);
+        let next = in_unit(&tuples, tuples.len(), 1);
         let delta = engine.ingest_unit(&next).unwrap();
         assert_eq!((delta.unit, delta.window), (1, (16, 31)), "{label}");
         let mut fresh = (subject.make)(&schema, &layers, &policy);
@@ -329,7 +316,7 @@ fn a_unit_is_cubed_once() {
 fn rollover_clears_lapsed_exceptions() {
     // Feeding a later window must leave a cube for that window only —
     // for every engine behind the same trait calls.
-    let (schema, layers, tuples) = random_dataset(20, 60);
+    let (schema, layers, tuples) = wide_dataset(20);
     let policy = ExceptionPolicy::slope_threshold(0.3);
     for subject in subjects() {
         let label = &subject.label;
@@ -365,14 +352,14 @@ fn rollover_clears_lapsed_exceptions() {
 
 #[test]
 fn deltas_are_sorted_and_algorithm_one_replays_the_row_delta_stream() {
-    // Three units with shrinking batches: unit 2 has 4 tuples, so
-    // several shards stay on an old window and must be excluded from
-    // the merge.
-    let (schema, layers, tuples) = random_dataset(71, 90);
+    // Three units with shrinking batches: the first fans out on a
+    // pooled engine, the second (1,500 tuples) and the third (4) stay
+    // below the fan-out gate.
+    let (schema, layers, tuples) = wide_dataset(71);
     let policy = ExceptionPolicy::slope_threshold(0.3);
     let units = [
-        in_unit(&tuples, 90, 0),
-        in_unit(&tuples, 30, 1),
+        in_unit(&tuples, tuples.len(), 0),
+        in_unit(&tuples, 1500, 1),
         in_unit(&tuples, 4, 2),
     ];
     // Each unit's cube by the batch entry point of either algorithm.
@@ -387,55 +374,46 @@ fn deltas_are_sorted_and_algorithm_one_replays_the_row_delta_stream() {
         .collect();
     for subject in subjects() {
         let mut engine = (subject.make)(&schema, &layers, &policy);
-        let mut reference =
-            MoCubingEngine::transient(schema.clone(), layers.clone(), policy.clone()).unwrap();
+        let mut row = mo(Backend::Row, None, &schema, &layers, &policy);
+        let mut sequential = match subject.kind {
+            Kind::Mo(backend) => Some(mo(backend, None, &schema, &layers, &policy)),
+            Kind::Pp => None,
+        };
         for (i, unit) in units.iter().enumerate() {
             let label = format!("{} unit {i}", subject.label);
             let delta = engine.ingest_unit(unit).unwrap();
             assert!(delta.is_sorted(), "{label}");
             assert_eq!(delta.tuples, unit.len(), "{label}");
             let result = engine.result();
-            let (mo_reference, pp_reference) = &batch[i];
-            // A lone engine is the batch algorithm: same work, not just
+            let reference = match subject.kind {
+                Kind::Mo(_) => &batch[i].0,
+                Kind::Pp => &batch[i].1,
+            };
+            // Every engine is the batch algorithm: same work, not just
             // the same cube.
-            if !subject.sharded {
-                let reference = match subject.kind {
-                    Kind::Mo => mo_reference,
-                    Kind::Pp | Kind::ShardedPp => pp_reference,
-                };
-                let (s, r) = (engine.stats(), reference.stats());
-                assert_eq!(s.cells_computed, r.cells_computed, "{label}");
-                assert_eq!(s.cuboids_computed, r.cuboids_computed, "{label}");
-                assert_eq!(s.rows_folded, r.rows_folded, "{label}");
-            }
-            match subject.kind {
-                Kind::Mo => {
-                    results_approx_eq(&label, result, mo_reference);
-                    assert_eq!(result.algorithm(), Algorithm::MoCubing);
-                }
-                Kind::Pp => {
-                    results_approx_eq(&label, result, pp_reference);
-                    assert_eq!(result.algorithm(), Algorithm::PopularPath);
-                }
-                Kind::ShardedPp => {
-                    tables_approx_eq(&label, result.m_table(), pp_reference.m_table());
-                    tables_approx_eq(&label, result.o_table(), pp_reference.o_table());
-                    for (cuboid, table) in pp_reference.path_tables() {
-                        tables_approx_eq(&label, &result.path_tables()[cuboid], table);
-                    }
-                    exceptions_cover(&label, result, pp_reference);
-                    exceptions_cover(&label, mo_reference, result);
-                    assert_eq!(result.algorithm(), Algorithm::PopularPath);
-                }
-            }
-            if subject.kind != Kind::Mo {
+            let (s, r) = (engine.stats(), reference.stats());
+            assert_eq!(s.cells_computed, r.cells_computed, "{label}");
+            assert_eq!(s.cuboids_computed, r.cuboids_computed, "{label}");
+            assert_eq!(s.rows_folded, r.rows_folded, "{label}");
+            results_approx_eq(&label, result, reference);
+            assert_eq!(result.algorithm(), reference.algorithm(), "{label}");
+            let Some(sequential) = sequential.as_mut() else {
                 continue;
-            }
-            // Deltas are sorted by contract, so they compare directly.
-            let expected = reference.ingest_unit(unit).unwrap();
+            };
+            // A pool never changes a bit: the cube is its layout's
+            // sequential cube, measures by their bits.
+            sequential.ingest_unit(unit).unwrap();
             assert_eq!(
-                (delta.unit, delta.window),
-                (expected.unit, expected.window),
+                result_bits(result),
+                result_bits(sequential.result()),
+                "{label}"
+            );
+            // Deltas are sorted by contract, so they compare directly —
+            // on either layout, against the plain row engine's.
+            let expected = row.ingest_unit(unit).unwrap();
+            assert_eq!(
+                (delta.unit, delta.window, delta.cells_touched),
+                (expected.unit, expected.window, expected.cells_touched),
                 "{label}"
             );
             assert_eq!(delta.appeared, expected.appeared, "{label} appeared");
@@ -447,60 +425,6 @@ fn deltas_are_sorted_and_algorithm_one_replays_the_row_delta_stream() {
 fn bits(m: &Isb) -> (i64, i64, u64, u64) {
     let (start, end) = m.interval();
     (start, end, m.base().to_bits(), m.slope().to_bits())
-}
-
-#[test]
-fn a_worker_pool_never_changes_a_bit() {
-    // The tier fan-out returns results in plan order, so an engine with
-    // a pool attached computes the identical cube and deltas to one
-    // without — on both layouts.
-    fn tables_bit_eq(label: &str, a: &CuboidTable, b: &CuboidTable) {
-        assert_eq!(a.len(), b.len(), "{label}: cell counts differ");
-        for (key, m) in a {
-            assert_eq!(Some(bits(m)), b.get(key).map(bits), "{label} {key}");
-        }
-    }
-    // The engine fans a tier out only when its source tables hold
-    // thousands of rows, so the parity is checked on both sides of that
-    // gate: 81 possible m-cells keep every tier sequential, while the
-    // 6,000-tuple opening unit over 4,096 possible m-cells (some 3,100
-    // distinct) puts twice that many source rows in front of the first
-    // tier's two cuboids — a fan-out — and 1,536 in front of the
-    // second tier's three.
-    let policy = ExceptionPolicy::slope_threshold(0.3);
-    let pool = Arc::new(WorkerPool::new(2));
-    for (fanout, n) in [(3u32, 150usize), (8, 6000)] {
-        let (schema, layers, tuples) = random_dataset_of_fanout(72, n, fanout);
-        let rest = n / 4;
-        for backend in [Backend::Row, Backend::Columnar] {
-            for transient in [true, false] {
-                let make = mo(backend, transient);
-                let mut plain = make(schema.clone(), layers.clone(), policy.clone()).unwrap();
-                let mut pooled = make(schema.clone(), layers.clone(), policy.clone())
-                    .unwrap()
-                    .with_pool(Arc::clone(&pool));
-                let units = [in_unit(&tuples, n, 0), in_unit(&tuples, rest, 1)];
-                for (i, batch) in units.iter().enumerate() {
-                    let label = format!("{n} tuples {backend:?} transient={transient} unit {i}");
-                    let (dp, dq) = (
-                        plain.ingest_unit(batch).unwrap(),
-                        pooled.ingest_unit(batch).unwrap(),
-                    );
-                    assert_eq!(dp.appeared, dq.appeared, "{label}");
-                    assert_eq!(dp.cleared, dq.cleared, "{label}");
-                    assert_eq!(dp.cells_touched, dq.cells_touched, "{label}");
-                    let (p, q) = (plain.result(), pooled.result());
-                    tables_bit_eq(&format!("{label}/m"), p.m_table(), q.m_table());
-                    tables_bit_eq(&format!("{label}/o"), p.o_table(), q.o_table());
-                    assert_eq!(p.total_exception_cells(), q.total_exception_cells());
-                    for (cuboid, key, m) in p.iter_exceptions() {
-                        let other = q.exceptions_in(cuboid).and_then(|t| t.get(key));
-                        assert_eq!(Some(bits(m)), other.map(bits), "{label} {cuboid}{key}");
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[test]
@@ -544,54 +468,45 @@ fn layouts_agree_up_to_f64_reassociation() {
     let policy = ExceptionPolicy::slope_threshold(0.3);
     let mut rng = StdRng::seed_from_u64(2002);
     let mut differing = 0;
-    for shards in [1usize, 2, 3, 7] {
-        let sharded = |backend| {
-            ShardedEngine::mo_cubing_on(
-                backend,
-                schema.clone(),
-                layers.clone(),
-                policy.clone(),
-                shards,
-            )
-            .unwrap()
-        };
-        let (mut row, mut col) = (sharded(Backend::Row), sharded(Backend::Columnar));
-        for unit in 0..4i64 {
-            let start = unit * 16;
-            let batch: Vec<MTuple> = (0..1500)
-                .map(|_| {
-                    let ids = vec![rng.random_range(0..216), rng.random_range(0..216)];
-                    let (base, slope) = (rng.random_range(0.0..4.0), rng.random_range(-1.2..1.2));
-                    MTuple::new(ids, Isb::new(start, start + 15, base, slope).unwrap())
-                })
-                .collect();
-            let dr = row.ingest_unit(&batch).unwrap();
-            let dc = col.ingest_unit(&batch).unwrap();
-            let label = format!("n={shards} unit {unit}");
-            assert_eq!(
-                (dr.unit, dr.window, dr.tuples),
-                (dc.unit, dc.window, dc.tuples),
-                "{label}"
-            );
-            assert_eq!(dr.appeared, dc.appeared, "{label} appeared");
-            assert_eq!(dr.cleared, dc.cleared, "{label} cleared");
+    let (mut row, mut col) = (
+        mo(Backend::Row, None, &schema, &layers, &policy),
+        mo(Backend::Columnar, None, &schema, &layers, &policy),
+    );
+    for unit in 0..4i64 {
+        let start = unit * 16;
+        let batch: Vec<MTuple> = (0..1500)
+            .map(|_| {
+                let ids = vec![rng.random_range(0..216), rng.random_range(0..216)];
+                let (base, slope) = (rng.random_range(0.0..4.0), rng.random_range(-1.2..1.2));
+                MTuple::new(ids, Isb::new(start, start + 15, base, slope).unwrap())
+            })
+            .collect();
+        let dr = row.ingest_unit(&batch).unwrap();
+        let dc = col.ingest_unit(&batch).unwrap();
+        let label = format!("unit {unit}");
+        assert_eq!(
+            (dr.unit, dr.window, dr.tuples),
+            (dc.unit, dc.window, dc.tuples),
+            "{label}"
+        );
+        assert_eq!(dr.appeared, dc.appeared, "{label} appeared");
+        assert_eq!(dr.cleared, dc.cleared, "{label} cleared");
 
-            let (r, c) = (row.result(), col.result());
-            assert!(r.m_layer_cells() >= 1000, "{label}: m-layer too small");
-            assert_eq!(r.m_layer_cells(), c.m_layer_cells(), "{label}");
-            for (key, m) in r.m_table() {
-                let other = c.m_table().get(key).map(bits);
-                assert_eq!(Some(bits(m)), other, "{label} m-cell {key}");
-            }
-            differing += aggregated_diffs(&format!("{label}/o"), r.o_table(), c.o_table());
-            for cuboid in layers.lattice().bottom_up_order() {
-                match (r.exceptions_in(&cuboid), c.exceptions_in(&cuboid)) {
-                    (Some(rt), Some(ct)) => {
-                        differing += aggregated_diffs(&format!("{label}/{cuboid}"), rt, ct);
-                    }
-                    (None, None) => {}
-                    _ => panic!("{label}: exception store of {cuboid} on one layout only"),
+        let (r, c) = (row.result(), col.result());
+        assert!(r.m_layer_cells() >= 1000, "{label}: m-layer too small");
+        assert_eq!(r.m_layer_cells(), c.m_layer_cells(), "{label}");
+        for (key, m) in r.m_table() {
+            let other = c.m_table().get(key).map(bits);
+            assert_eq!(Some(bits(m)), other, "{label} m-cell {key}");
+        }
+        differing += aggregated_diffs(&format!("{label}/o"), r.o_table(), c.o_table());
+        for cuboid in layers.lattice().bottom_up_order() {
+            match (r.exceptions_in(&cuboid), c.exceptions_in(&cuboid)) {
+                (Some(rt), Some(ct)) => {
+                    differing += aggregated_diffs(&format!("{label}/{cuboid}"), rt, ct);
                 }
+                (None, None) => {}
+                _ => panic!("{label}: exception store of {cuboid} on one layout only"),
             }
         }
     }
@@ -602,75 +517,13 @@ fn layouts_agree_up_to_f64_reassociation() {
 }
 
 #[test]
-fn sharded_engines_uphold_footnote_7() {
-    // The superset law holds with sharded engines in the mix: sharded
-    // A1 == unsharded A1 ⊇ sharded A2 ⊇ unsharded A2's exceptions.
-    let (schema, layers, tuples) = random_dataset(60, 200);
-    let policy = ExceptionPolicy::slope_threshold(0.25);
-    let mut engines: Vec<(&str, Box<dyn CubingEngine>)> = vec![
-        (
-            "a1",
-            Box::new(MoCubingEngine::new(schema.clone(), layers.clone(), policy.clone()).unwrap()),
-        ),
-        (
-            "sharded-a1",
-            Box::new(
-                ShardedEngine::mo_cubing(schema.clone(), layers.clone(), policy.clone(), 4)
-                    .unwrap(),
-            ),
-        ),
-        (
-            "sharded-a2",
-            Box::new(
-                ShardedEngine::popular_path(schema.clone(), layers.clone(), policy.clone(), 4)
-                    .unwrap(),
-            ),
-        ),
-        (
-            "a2",
-            Box::new(PopularPathEngine::new(schema, layers, policy, None).unwrap()),
-        ),
-    ];
-    for (_, engine) in &mut engines {
-        engine.ingest_unit(&tuples).unwrap();
-    }
-    // Ordered from the largest retained exception set to the smallest:
-    // each must contain the next (with identical critical layers).
-    for pair in engines.windows(2) {
-        let ((la, a), (lb, b)) = (&pair[0], &pair[1]);
-        let (ra, rb) = (a.result(), b.result());
-        tables_approx_eq(&format!("{la}/{lb} m"), ra.m_table(), rb.m_table());
-        tables_approx_eq(&format!("{la}/{lb} o"), ra.o_table(), rb.o_table());
-        assert!(
-            rb.total_exception_cells() <= ra.total_exception_cells(),
-            "{lb} retains more than {la}"
-        );
-        for (cuboid, key, _) in rb.iter_exceptions() {
-            assert!(
-                ra.exceptions_in(cuboid)
-                    .is_some_and(|t| t.contains_key(key)),
-                "{lb} exception {cuboid}{key} missing from {la}"
-            );
-        }
-    }
-    // And the two A1 variants agree exactly.
-    assert_eq!(
-        engines[0].1.result().total_exception_cells(),
-        engines[1].1.result().total_exception_cells()
-    );
-}
-
-#[test]
 fn engines_are_send() {
-    // Compile-time Send audit: a sharded engine moves its inner engines
-    // to worker threads, so every backend must be Send (and the sharded
-    // wrapper itself must be Send to stack behind further seams).
+    // Compile-time Send audit: a serving layer moves whole engines onto
+    // the thread that owns their tenant, so every engine must be Send.
     fn assert_send<T: Send>() {}
     assert_send::<MoCubingEngine>();
     assert_send::<PopularPathEngine>();
     assert_send::<Box<dyn CubingEngine + Send>>();
-    assert_send::<ShardedEngine<MoCubingEngine>>();
-    assert_send::<ShardedEngine<PopularPathEngine>>();
 }
 
 /// The footnote-7 law, enforced through the trait with type-erased

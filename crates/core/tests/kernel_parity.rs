@@ -1,8 +1,8 @@
 //! SIMD ≡ scalar kernel parity: the chunked [`regcube_core::kernel`]
 //! fold/projection path must be **bit-for-bit** identical to the forced
 //! scalar fallback — same cells, same exception sets, same `UnitDelta`
-//! streams — across units of every size, shard counts {1,2,3,7},
-//! NaN-noise measures and the u64-overflow guard. The kernels preserve
+//! streams — across units of every size, NaN-noise measures and the
+//! u64-overflow guard. The kernels preserve
 //! the scalar fold's add order by construction, so the comparison is
 //! `f64::to_bits` equality, not epsilon closeness.
 
@@ -10,7 +10,6 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use regcube_core::engine::{Backend, CubingEngine, MoCubingEngine, UnitDelta};
-use regcube_core::shard::ShardedEngine;
 use regcube_core::table::{CuboidTable, DenseCellCodec};
 use regcube_core::{CriticalLayers, CubeResult, ExceptionPolicy, KernelMode, MTuple};
 use regcube_olap::{CubeSchema, CuboidSpec};
@@ -39,23 +38,18 @@ fn dataset(seed: u64, n: usize) -> (CubeSchema, CriticalLayers, Vec<MTuple>) {
     (schema, layers, tuples)
 }
 
-/// The factory of a columnar Algorithm-1 engine running `mode`, as a
-/// `ShardedEngine` of `shards` partitions wants it: transient alone,
-/// retaining its between-layer tables as one of several shards.
+/// A columnar Algorithm-1 engine running `mode`.
 fn columnar(
     mode: KernelMode,
-    shards: usize,
-) -> impl Fn(CubeSchema, CriticalLayers, ExceptionPolicy) -> regcube_core::Result<MoCubingEngine> {
-    move |s, l, p| {
-        let engine = if shards == 1 {
-            MoCubingEngine::transient(s, l, p)
-        } else {
-            MoCubingEngine::new(s, l, p)
-        };
-        Ok(engine?
+    schema: &CubeSchema,
+    layers: &CriticalLayers,
+    policy: &ExceptionPolicy,
+) -> regcube_core::Result<MoCubingEngine> {
+    Ok(
+        MoCubingEngine::new(schema.clone(), layers.clone(), policy.clone())?
             .with_backend(Backend::Columnar)?
-            .with_kernel_mode(mode))
-    }
+            .with_kernel_mode(mode),
+    )
 }
 
 /// Bit-exact ISB equality: identical interval and identical `f64` bit
@@ -110,7 +104,7 @@ fn replay_and_compare(
     policy: &ExceptionPolicy,
     units: &[&[MTuple]],
 ) -> (MoCubingEngine, MoCubingEngine) {
-    let make = |mode| columnar(mode, 1)(schema.clone(), layers.clone(), policy.clone()).unwrap();
+    let make = |mode| columnar(mode, schema, layers, policy).unwrap();
     let (mut auto, mut scalar) = (make(KernelMode::Auto), make(KernelMode::Scalar));
     for (u, unit) in units.iter().enumerate() {
         let da = auto.ingest_unit(unit).unwrap();
@@ -187,47 +181,6 @@ fn nan_noise_flows_through_both_paths_identically() {
 }
 
 #[test]
-fn sharded_kernel_and_scalar_paths_agree_at_every_shard_count() {
-    let (schema, layers, tuples) = dataset(602, 150);
-    let policy = ExceptionPolicy::slope_threshold(0.3);
-    for shards in [1usize, 2, 3, 7] {
-        let mut auto = ShardedEngine::with_factory(
-            schema.clone(),
-            layers.clone(),
-            policy.clone(),
-            shards,
-            columnar(KernelMode::Auto, shards),
-        )
-        .unwrap();
-        let mut scalar = ShardedEngine::with_factory(
-            schema.clone(),
-            layers.clone(),
-            policy.clone(),
-            shards,
-            columnar(KernelMode::Scalar, shards),
-        )
-        .unwrap();
-        let da = auto.ingest_unit(&tuples).unwrap();
-        let ds = scalar.ingest_unit(&tuples).unwrap();
-        let tag = format!("shards {shards}");
-        deltas_eq(&tag, &da, &ds);
-        results_bit_eq(&tag, auto.result(), scalar.result());
-        // merge_shards sums the dispatch counters; the partition
-        // invariant survives the merge on both engines.
-        for (label, engine) in [("auto", &auto as &dyn CubingEngine), ("scalar", &scalar)] {
-            let s = engine.stats();
-            assert_eq!(
-                s.rows_folded,
-                s.rows_folded_simd + s.rows_folded_scalar,
-                "{tag} {label}"
-            );
-        }
-        assert_eq!(scalar.stats().rows_folded_simd, 0, "{tag}: forced scalar");
-        assert!(auto.stats().rows_folded_simd > 0, "{tag}: kernels reached");
-    }
-}
-
-#[test]
 fn overflow_guard_fires_identically_on_both_paths() {
     // 6 dimensions with ~4M leaves each overflow the dense u64 id
     // space; the codec guard (shared by both paths — it fires before
@@ -238,7 +191,8 @@ fn overflow_guard_fires_identically_on_both_paths() {
     assert!(DenseCellCodec::new(&schema, &m).is_err());
     // The codec guard fires at engine construction, before any kernel
     // dispatch decision exists — no mode can route around it.
-    let err = columnar(KernelMode::Auto, 1)(schema, layers, ExceptionPolicy::slope_threshold(0.5))
+    let policy = ExceptionPolicy::slope_threshold(0.5);
+    let err = columnar(KernelMode::Auto, &schema, &layers, &policy)
         .map(|_| ())
         .unwrap_err()
         .to_string();
@@ -253,7 +207,6 @@ struct RandomCube {
     tuples: Vec<(Vec<u32>, f64, f64)>, // ids, base, slope
     threshold: f64,
     chunk: usize,
-    shards: usize,
 }
 
 fn random_cube() -> impl Strategy<Value = RandomCube> {
@@ -272,18 +225,16 @@ fn random_cube() -> impl Strategy<Value = RandomCube> {
                 prop::collection::vec(tuple, 1..40),
                 0.0..2.0f64,
                 1usize..9,
-                0usize..4,
             )
         })
         .prop_map(
-            |(dims, depth, fanout, tuples, threshold, chunk, shard_ix)| RandomCube {
+            |(dims, depth, fanout, tuples, threshold, chunk)| RandomCube {
                 dims,
                 depth,
                 fanout,
                 tuples,
                 threshold,
                 chunk,
-                shards: [1, 2, 3, 7][shard_ix],
             },
         )
 }
@@ -292,7 +243,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The parity law itself, on random cubes: for any schema shape,
-    /// data, threshold, unit size and shard count, auto dispatch and
+    /// data, threshold and unit size, auto dispatch and
     /// forced scalar produce bit-identical cubes and deltas.
     #[test]
     fn kernel_dispatch_never_changes_a_bit(rc in random_cube()) {
@@ -314,14 +265,8 @@ proptest! {
             })
             .collect();
         let policy = ExceptionPolicy::slope_threshold(rc.threshold);
-        let mut auto = ShardedEngine::with_factory(
-            schema.clone(), layers.clone(), policy.clone(), rc.shards,
-            columnar(KernelMode::Auto, rc.shards),
-        ).unwrap();
-        let mut scalar = ShardedEngine::with_factory(
-            schema, layers, policy, rc.shards,
-            columnar(KernelMode::Scalar, rc.shards),
-        ).unwrap();
+        let mut auto = columnar(KernelMode::Auto, &schema, &layers, &policy).unwrap();
+        let mut scalar = columnar(KernelMode::Scalar, &schema, &layers, &policy).unwrap();
         for unit in tuples.chunks(rc.chunk) {
             let da = auto.ingest_unit(unit).unwrap();
             let ds = scalar.ingest_unit(unit).unwrap();

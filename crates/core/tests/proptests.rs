@@ -153,42 +153,6 @@ proptest! {
         }
     }
 
-    /// Sharded cubing is exact: for every shard count, hash-partitioned
-    /// parallel cubing + Theorem 3.2 merge retains the same critical
-    /// layers and the same exception set (with matching measures) as
-    /// the unsharded batch computation.
-    #[test]
-    fn sharded_cubing_equals_unsharded(rc in random_cube()) {
-        let (schema, layers, tuples, policy) = build(&rc);
-        let reference = mo_cubing::compute(&schema, &layers, &policy, &tuples).unwrap();
-        for shards in [1usize, 2, 3, 7] {
-            let mut engine = ShardedEngine::mo_cubing(
-                schema.clone(), layers.clone(), policy.clone(), shards,
-            ).unwrap();
-            engine.ingest_unit(&tuples).unwrap();
-            let cube = engine.result();
-            prop_assert_eq!(cube.m_layer_cells(), reference.m_layer_cells());
-            for (k, m) in reference.m_table() {
-                let got = cube.m_table().get(k).expect("same m-layer");
-                prop_assert!(got.approx_eq(m, 1e-7), "shards {}: m {}", shards, k);
-            }
-            for (k, m) in reference.o_table() {
-                let got = cube.o_table().get(k).expect("same o-layer");
-                prop_assert!(got.approx_eq(m, 1e-6), "shards {}: o {}", shards, k);
-            }
-            prop_assert_eq!(
-                cube.total_exception_cells(),
-                reference.total_exception_cells(),
-                "shards {}", shards
-            );
-            for (cuboid, key, m) in reference.iter_exceptions() {
-                let got = cube.exceptions_in(cuboid).and_then(|t| t.get(key));
-                prop_assert!(got.is_some(), "shards {}: missing {}{}", shards, cuboid, key);
-                prop_assert!(got.unwrap().approx_eq(m, 1e-6));
-            }
-        }
-    }
-
     /// Dense cell-id codec round-trips right up against the u64
     /// overflow guard: the largest radix combinations whose cell space
     /// still fits a u64 encode/decode exactly, and the first ones past

@@ -29,8 +29,10 @@ pub struct ServeConfig {
     /// is bound to one lane at admission (the lane owning the fewest
     /// tenants), so more lanes than tenants leaves lanes idle.
     pub pump_threads: usize,
-    /// Threads of the cubing pool shared by every tenant's sharded
-    /// cubing engine.
+    /// Threads of the cubing pool every tenant's Algorithm-1 engine
+    /// fans a large enough depth tier out on (see
+    /// [`EngineConfig::with_cubing_pool`]): the way one tenant's cubing
+    /// uses more than one core, where the lanes spread tenants.
     pub cubing_threads: usize,
 }
 
@@ -94,8 +96,8 @@ impl ServeConfig {
 /// hot tenant delays its lane-mates where a shared queue would have
 /// spread them, and tenants are never moved between lanes.
 ///
-/// The tenants' cubing engines share one [`WorkerPool`] for tier and
-/// shard fan-out. It is distinct from the lanes on purpose: a lane
+/// The tenants' cubing engines share one [`WorkerPool`] for the tier
+/// fan-out. It is distinct from the lanes on purpose: a lane
 /// drives `close_unit`, which dispatches cubing work and waits for it.
 /// For the same reason an alarm sink — it runs on a lane — must not
 /// call a write method of the `Server` that hosts it.

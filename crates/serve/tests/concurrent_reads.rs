@@ -3,8 +3,7 @@
 //! the server. Every snapshot any reader observes must be
 //! **bit-identical** to the single-threaded engine's state at the same
 //! unit boundary (no torn reads), and every reader's observed epochs
-//! must be monotone — under shards {1, 2, 3, 7} and on both the row
-//! and columnar backends.
+//! must be monotone — on both the row and columnar backends.
 
 use regcube_core::{Backend, ExceptionPolicy};
 use regcube_olap::{CubeSchema, CuboidSpec};
@@ -20,7 +19,7 @@ const TPU: usize = 4;
 const UNITS: i64 = 8;
 const READERS: usize = 4;
 
-fn config(shards: usize, backend: Backend) -> EngineConfig {
+fn config(backend: Backend) -> EngineConfig {
     let schema = CubeSchema::synthetic(2, 2, 3).unwrap();
     EngineConfig::new(
         schema,
@@ -30,7 +29,6 @@ fn config(shards: usize, backend: Backend) -> EngineConfig {
     .with_policy(ExceptionPolicy::slope_threshold(0.8))
     .with_tilt(TiltSpec::new(vec![("unit", 4), ("coarse", 3)]).unwrap())
     .with_ticks_per_unit(TPU)
-    .with_shards(shards)
     .with_backend(backend)
 }
 
@@ -54,8 +52,8 @@ fn unit_records(unit: i64) -> Vec<RawRecord> {
 }
 
 /// The single-threaded ground truth: canonical text at every epoch.
-fn reference_texts(shards: usize, backend: Backend) -> HashMap<u64, String> {
-    let mut engine = config(shards, backend).build().unwrap();
+fn reference_texts(backend: Backend) -> HashMap<u64, String> {
+    let mut engine = config(backend).build().unwrap();
     let mut texts = HashMap::new();
     texts.insert(0, engine.snapshot().canonical_text());
     for unit in 0..UNITS {
@@ -72,8 +70,8 @@ fn reference_texts(shards: usize, backend: Backend) -> HashMap<u64, String> {
 /// Runs the stress: one writer thread drives the server, `READERS`
 /// threads loop on lock-free snapshot loads, and afterwards every
 /// observation is checked against the single-threaded reference.
-fn stress(shards: usize, backend: Backend) {
-    let reference = reference_texts(shards, backend);
+fn stress(backend: Backend) {
+    let reference = reference_texts(backend);
 
     let server = Arc::new(Server::new(
         ServeConfig::new()
@@ -81,9 +79,7 @@ fn stress(shards: usize, backend: Backend) {
             .with_pump_threads(2),
     ));
     let id = TenantId::from("stress");
-    server
-        .create_tenant(id.clone(), config(shards, backend))
-        .unwrap();
+    server.create_tenant(id.clone(), config(backend)).unwrap();
     let reader = server.reader(&id).unwrap();
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -131,7 +127,7 @@ fn stress(shards: usize, backend: Backend) {
             assert_eq!(
                 expected, &text,
                 "torn read: epoch {epoch} differs from single-threaded reference \
-                 (shards={shards}, backend={backend:?})"
+                 (backend={backend:?})"
             );
             total += 1;
         }
@@ -145,14 +141,10 @@ fn stress(shards: usize, backend: Backend) {
 
 #[test]
 fn concurrent_reads_are_bit_identical_row_backend() {
-    for shards in [1, 2, 3, 7] {
-        stress(shards, Backend::Row);
-    }
+    stress(Backend::Row);
 }
 
 #[test]
 fn concurrent_reads_are_bit_identical_columnar_backend() {
-    for shards in [1, 2, 3, 7] {
-        stress(shards, Backend::Columnar);
-    }
+    stress(Backend::Columnar);
 }

@@ -7,9 +7,8 @@
 //! its last unit boundary into one self-validating binary file:
 //!
 //! * the last closed window's m-layer tuples (the cube is **rebuilt**
-//!   from them on restore, through the same cubing path every backend
-//!   and shard count shares — which is what makes the restored cube
-//!   bit-identical on every backend),
+//!   from them on restore, through the configured cubing path — which
+//!   is what makes the restored cube bit-identical to the saved one),
 //! * both tilt-ladder families (m- and o-frames, every slot of every
 //!   level), the last unit's alarms, and the lateness machinery: the
 //!   reorder buffer's records, per-source watermarks, drop counters,
@@ -145,10 +144,10 @@ pub fn write_checkpoint<E: CubingEngine>(
 /// Restores an engine from checkpoint bytes. `config` must describe
 /// the same analysis as the checkpointed engine (schema, layers,
 /// policy, tilt spec, ticks per unit, and the same
-/// reordering-enabled/disabled choice); backend, shard count, sinks
-/// and pools are free to differ — the cube is rebuilt through the
-/// configured cubing path, which produces the identical cube on every
-/// backend.
+/// reordering-enabled/disabled choice); sinks and the cubing pool are
+/// free to differ, and so is the backend — the cube is rebuilt through
+/// the configured cubing path, which reproduces the saved cube's cells
+/// on either layout and its bits on the layout it was saved from.
 ///
 /// # Errors
 /// [`StreamError::Checkpoint`] for torn/corrupt/incompatible bytes
@@ -840,7 +839,7 @@ fn apply_state(engine: &mut OnlineEngine<BoxedEngine>, saved: SavedState) -> Res
     }
 
     // Rebuild the cube by re-cubing the saved window's m-tuples through
-    // the configured path: deterministic and backend/shard agnostic.
+    // the configured path: deterministic, with or without a pool.
     if saved.computed {
         let tuples: Vec<MTuple> = saved
             .m_tuples

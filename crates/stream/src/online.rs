@@ -14,7 +14,6 @@ use regcube_core::drill::{drill_children, drill_descendants, DrillHit};
 use regcube_core::engine::{Backend, CubingEngine, MoCubingEngine, PopularPathEngine, UnitDelta};
 use regcube_core::pool::WorkerPool;
 use regcube_core::result::Algorithm;
-use regcube_core::shard::ShardedEngine;
 use regcube_core::{CoreError, CriticalLayers, CubeResult, ExceptionPolicy, RunStats};
 use regcube_olap::cell::{project_key, CellKey};
 use regcube_olap::fxhash::{FxHashMap, FxHasher};
@@ -43,8 +42,7 @@ pub(crate) fn zero_usage(measure: &Isb) -> bool {
 }
 
 /// The type-erased cubing engine [`EngineConfig::build`] assembles at
-/// runtime from [`EngineConfig::algorithm`], [`EngineConfig::backend`]
-/// and [`EngineConfig::shards`].
+/// runtime from [`EngineConfig::algorithm`] and [`EngineConfig::backend`].
 pub type BoxedEngine = Box<dyn CubingEngine + Send>;
 
 /// One o-layer alarm raised at a unit close.
@@ -81,13 +79,13 @@ pub struct UnitReport {
     /// sinks run, so each error is surfaced exactly once, here.
     pub sink_errors: Vec<SinkError>,
     /// Source rows the unit's cubing folded through the chunked kernel
-    /// layer (blocked LUT projection + run folds), summed across
-    /// shards. Zero for row backends, empty units, and when the scalar
+    /// layer (blocked LUT projection + run folds). Zero for row
+    /// backends, empty units, and when the scalar
     /// fallback is forced. See
     /// [`RunStats::rows_folded_simd`](regcube_core::RunStats).
     pub rows_folded_simd: u64,
     /// Source rows the unit's cubing folded through the scalar per-row
-    /// path, summed across shards. For the columnar backend
+    /// path. For the columnar backend
     /// `rows_folded_simd + rows_folded_scalar` equals the unit's total
     /// folded rows. See
     /// [`RunStats::rows_folded_scalar`](regcube_core::RunStats).
@@ -160,13 +158,9 @@ pub struct EngineConfig {
     /// struct-of-arrays roll-up of [`regcube_core::columnar`]
     /// (Algorithm 1 only).
     pub backend: Backend,
-    /// Number of cubing shards (m-layer hash partitions cubed in
-    /// parallel and merged via Theorem 3.2); defaults to 1 (unsharded).
-    pub shards: usize,
-    /// Alarm sinks receiving every unit's [`UnitDelta`] (merged and
-    /// sorted — the identical stream at every shard count); defaults to
-    /// none. Sinks are shared (`Arc<Mutex<_>>`), so cloning the config
-    /// shares them.
+    /// Alarm sinks receiving every unit's [`UnitDelta`] (sorted, so the
+    /// identical stream on either backend); defaults to none. Sinks are
+    /// shared (`Arc<Mutex<_>>`), so cloning the config shares them.
     pub sinks: SinkSet,
     /// Out-of-order handling: `None` (the default) means disabled, as
     /// does a zero capacity; see
@@ -174,13 +168,16 @@ pub struct EngineConfig {
     /// leaves the ingest path byte-identical to the strictly-ordered
     /// engine.
     pub reordering: Option<ReorderConfig>,
-    /// A shared [`WorkerPool`] for the cubing layer
+    /// A shared [`WorkerPool`] for Algorithm 1's tier roll-up
     /// ([`with_cubing_pool`](Self::with_cubing_pool)); defaults to
-    /// `None` (sharded engines spawn a private pool, unsharded Algorithm
-    /// 1 rolls tiers up sequentially). Serving layers hosting many
-    /// tenant engines set this so thousands of tenants multiplex over
-    /// one bounded worker set instead of spawning per-tenant threads.
+    /// `None` (tiers are rolled up on the calling thread). Serving
+    /// layers hosting many tenant engines set this so thousands of
+    /// tenants multiplex over one bounded worker set instead of
+    /// spawning per-tenant threads.
     pub cubing_pool: Option<Arc<WorkerPool>>,
+    /// The count the deprecated [`with_shards`](Self::with_shards) was
+    /// given; [`build_with`](Self::build_with) refuses any but 1.
+    shards: usize,
 }
 
 impl EngineConfig {
@@ -196,16 +193,18 @@ impl EngineConfig {
             ticks_per_unit: 15,
             algorithm: Algorithm::MoCubing,
             backend: Backend::Row,
-            shards: 1,
             sinks: SinkSet::new(),
             reordering: None,
             cubing_pool: None,
+            shards: 1,
         }
     }
 
-    /// Runs the cubing layer's parallel work (shard fans, per-cuboid
-    /// merges, the unsharded tier roll-up) on a shared [`WorkerPool`]
-    /// instead of per-engine threads. **Never** pass a pool that also
+    /// Runs Algorithm 1's tier roll-up on a shared [`WorkerPool`]: a
+    /// depth tier large enough to pay for the hand-off is fanned out
+    /// across the pool's workers, and the cube is bit-identical to a
+    /// sequential roll-up either way. Algorithm 2 has no parallel work
+    /// and ignores the pool. **Never** pass a pool that also
     /// *dispatches* jobs which drive this engine — a pool job blocking
     /// on its own queue can deadlock (see [`regcube_core::pool`]); give
     /// the cubing layer its own pool, as `regcube_serve` does.
@@ -291,7 +290,7 @@ impl EngineConfig {
     /// columnar backend implements Algorithm 1 (m/o-cubing) only;
     /// [`build`](Self::build) rejects `Columnar` together with
     /// [`Algorithm::PopularPath`]. Both layouts produce the same cells,
-    /// deltas and alarms at every shard count, with aggregated measures
+    /// deltas and alarms, with aggregated measures
     /// equal up to `f64` reassociation — see [`Backend`] and the
     /// README's "Choosing a backend".
     ///
@@ -315,16 +314,17 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the number of cubing shards (clamped to at least 1). With
-    /// `n > 1` [`build`](Self::build) routes cubing through a
-    /// [`ShardedEngine`]: each unit's m-layer batch is hash-partitioned
-    /// across `n` inner engines, cubed in parallel on a worker pool and
-    /// merged via Theorem 3.2 linearity. One shard is the unsharded
-    /// fast path. See `regcube_core::shard` for the exactness contract
-    /// and the README for choosing a shard count.
+    /// Cubing is unsharded: one engine cubes each unit, and
+    /// [`with_cubing_pool`](Self::with_cubing_pool) is how it uses more
+    /// than one core. This method accepts only 1, which changes
+    /// nothing; any other count makes [`build`](Self::build) (and so
+    /// [`restore`](Self::restore)) fail with [`StreamError::BadConfig`].
+    /// It exists because the `benchmark` package still calls
+    /// `with_shards(1)`, and goes once that call does.
+    #[deprecated(note = "cubing is unsharded; only `with_shards(1)` is accepted")]
     #[must_use]
     pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
+        self.shards = shards;
         self
     }
 
@@ -370,20 +370,19 @@ impl EngineConfig {
 
     /// Builds the engine, selecting the cubing strategy at runtime from
     /// [`algorithm`](Self::algorithm) and [`backend`](Self::backend)
-    /// (type-erased behind [`BoxedEngine`]). Whatever the strategy, one
-    /// [`shard`](Self::shards) is that engine alone and more wrap it in
-    /// a [`ShardedEngine`], and the [`cubing_pool`](Self::cubing_pool),
-    /// when set, carries the cubing layer's parallel work either way.
+    /// (type-erased behind [`BoxedEngine`]); an Algorithm-1 engine rolls
+    /// its tiers up on the [`cubing_pool`](Self::cubing_pool) when one
+    /// is set.
     ///
     /// # Errors
     /// [`StreamError::BadConfig`] for [`Backend::Columnar`] combined
     /// with [`Algorithm::PopularPath`] (the columnar layout
-    /// implements Algorithm 1 only); otherwise
-    /// configuration validation from the ingestor and cube substrates.
+    /// implements Algorithm 1 only) and for a shard count other than 1;
+    /// otherwise configuration validation from the ingestor and cube
+    /// substrates.
     pub fn build(self) -> Result<OnlineEngine<BoxedEngine>> {
-        let (algorithm, backend, shards) = (self.algorithm, self.backend, self.shards.max(1));
-        let pool = self.cubing_pool.clone();
-        match (algorithm, backend) {
+        let backend = self.backend;
+        match (self.algorithm, backend) {
             (Algorithm::PopularPath, Backend::Columnar) => Err(StreamError::BadConfig {
                 detail: format!(
                     "the {backend:?} backend implements Algorithm 1 (MoCubing) only; \
@@ -391,42 +390,26 @@ impl EngineConfig {
                 ),
             }),
             (Algorithm::MoCubing, _) => {
-                // Alone, the engine is transient (the paper's memory
-                // model) and may fan large tiers out on the pool; as one of
-                // several shards it retains its tables for the merge and
-                // leaves the pool to the `ShardedEngine` it runs on
-                // (the nesting rule of `regcube_core::pool`).
-                let tier_pool = pool.clone().filter(|_| shards == 1);
-                self.build_with(move |schema, layers, policy| {
-                    sharded(shards, pool, schema, layers, policy, move |s, l, p| {
-                        let engine = if shards == 1 {
-                            MoCubingEngine::transient(s, l, p)
-                        } else {
-                            MoCubingEngine::new(s, l, p)
-                        }?
-                        .with_backend(backend)?;
-                        Ok(match &tier_pool {
-                            Some(pool) => engine.with_pool(Arc::clone(pool)),
-                            None => engine,
-                        })
-                    })
+                let pool = self.cubing_pool.clone();
+                self.build_with(move |s, l, p| {
+                    let engine = MoCubingEngine::new(s, l, p)?.with_backend(backend)?;
+                    Ok(Box::new(match pool {
+                        Some(pool) => engine.with_pool(pool),
+                        None => engine,
+                    }) as BoxedEngine)
                 })
             }
-            (Algorithm::PopularPath, Backend::Row) => {
-                self.build_with(move |schema, layers, policy| {
-                    sharded(shards, pool, schema, layers, policy, |s, l, p| {
-                        PopularPathEngine::new(s, l, p, None)
-                    })
-                })
-            }
+            (Algorithm::PopularPath, Backend::Row) => self.build_with(|s, l, p| {
+                Ok(Box::new(PopularPathEngine::new(s, l, p, None)?) as BoxedEngine)
+            }),
         }
     }
 
     /// Builds the engine and restores it from a checkpoint file written
     /// by [`OnlineEngine::write_checkpoint`] (see
     /// [`crate::checkpoint::restore`]). The configuration must describe
-    /// the same analysis as the checkpointed engine; backend, shard
-    /// count and sinks are free to differ.
+    /// the same analysis as the checkpointed engine; backend, pool and
+    /// sinks are free to differ.
     ///
     /// # Errors
     /// [`StreamError::Checkpoint`] for a missing, torn, corrupt or
@@ -438,11 +421,13 @@ impl EngineConfig {
     }
 
     /// Builds an engine around any [`CubingEngine`] the caller
-    /// constructs — the seam for custom (sharded, instrumented, …)
-    /// cubing backends.
+    /// constructs — the seam for custom (instrumented, …) cubing
+    /// backends.
     ///
     /// # Errors
-    /// Configuration validation from the ingestor and cube substrates.
+    /// [`StreamError::BadConfig`] for a shard count other than 1;
+    /// otherwise configuration validation from the ingestor and cube
+    /// substrates.
     pub fn build_with<E: CubingEngine>(
         self,
         make: impl FnOnce(CubeSchema, CriticalLayers, ExceptionPolicy) -> regcube_core::Result<E>,
@@ -457,11 +442,16 @@ impl EngineConfig {
             ticks_per_unit,
             algorithm: _,
             backend: _,
-            shards: _,
             sinks,
             reordering,
             cubing_pool: _,
+            shards,
         } = self;
+        if shards != 1 {
+            return Err(StreamError::BadConfig {
+                detail: format!("with_shards({shards}): cubing is unsharded, only 1 is accepted"),
+            });
+        }
         let reorder_cfg = reordering.unwrap_or_default();
         let ingestor = Ingestor::new(schema.clone(), primitive, m_layer.clone(), ticks_per_unit)?;
         let layers = CriticalLayers::new(&schema, o_layer.clone(), m_layer.clone())
@@ -492,31 +482,6 @@ impl EngineConfig {
             snapshots_published: AtomicU64::new(0),
         })
     }
-}
-
-/// The cubing topology of [`EngineConfig::build`], applied once to every
-/// strategy: one shard is `make`'s engine itself, more are a
-/// [`ShardedEngine`] over `make`'s engines — run on the shared cubing
-/// pool when one is configured, on a private pool otherwise.
-fn sharded<E: CubingEngine + Send + Sync + 'static>(
-    shards: usize,
-    pool: Option<Arc<WorkerPool>>,
-    schema: CubeSchema,
-    layers: CriticalLayers,
-    policy: ExceptionPolicy,
-    make: impl Fn(CubeSchema, CriticalLayers, ExceptionPolicy) -> regcube_core::Result<E>
-        + Send
-        + Sync
-        + 'static,
-) -> regcube_core::Result<BoxedEngine> {
-    if shards == 1 {
-        return Ok(Box::new(make(schema, layers, policy)?));
-    }
-    let engine = ShardedEngine::with_factory(schema, layers, policy, shards, make)?;
-    Ok(Box::new(match pool {
-        Some(pool) => engine.with_shared_pool(pool),
-        None => engine,
-    }))
 }
 
 /// The online analysis engine, generic over the cubing strategy `E`.
@@ -1492,53 +1457,13 @@ mod tests {
         fn assert_send<T: Send>() {}
         assert_send::<BoxedEngine>();
         assert_send::<OnlineEngine<BoxedEngine>>();
-        assert_send::<OnlineEngine<ShardedEngine<MoCubingEngine>>>();
-    }
-
-    #[test]
-    fn sharded_build_matches_unsharded_reports() {
-        // The same stream through 1 and 4 shards: every report must
-        // agree on alarms (score/keys) and exception cells.
-        let make = |shards: usize| {
-            let schema = CubeSchema::synthetic(2, 2, 2).unwrap();
-            EngineConfig::new(
-                schema,
-                CuboidSpec::new(vec![0, 0]),
-                CuboidSpec::new(vec![2, 2]),
-            )
-            .with_policy(ExceptionPolicy::slope_threshold(1.0))
-            .with_tilt(TiltSpec::new(vec![("unit", 4), ("coarse", 3)]).unwrap())
-            .with_ticks_per_unit(4)
-            .with_shards(shards)
-            .build()
-            .unwrap()
-        };
-        let (mut single, mut sharded) = (make(1), make(4));
-        for unit in 0..3 {
-            let slope = if unit == 1 { 2.0 } else { 0.1 };
-            feed_unit(&mut single, unit, slope);
-            feed_unit(&mut sharded, unit, slope);
-            let (a, b) = (single.close_unit().unwrap(), sharded.close_unit().unwrap());
-            assert_eq!(a.m_cells, b.m_cells, "unit {unit}");
-            assert_eq!(a.exception_cells, b.exception_cells, "unit {unit}");
-            assert_eq!(a.alarms.len(), b.alarms.len(), "unit {unit}");
-            for (x, y) in a.alarms.iter().zip(&b.alarms) {
-                assert_eq!(x.key, y.key);
-                assert!((x.score - y.score).abs() < 1e-9);
-            }
-            // Deltas are sorted, so they compare directly.
-            let (da, db) = (a.cube_delta.unwrap(), b.cube_delta.unwrap());
-            assert_eq!(da.appeared, db.appeared, "unit {unit}");
-            assert_eq!(da.cleared, db.cleared, "unit {unit}");
-        }
     }
 
     #[test]
     fn columnar_backend_matches_row_reports() {
-        // The same stream through the row and columnar backends (and a
-        // sharded columnar run): identical alarms, exception counts and
-        // deltas unit after unit.
-        let make = |backend: Backend, shards: usize| {
+        // The same stream through the row and columnar backends:
+        // identical alarms, exception counts and deltas unit after unit.
+        let make = |backend: Backend| {
             let schema = CubeSchema::synthetic(2, 2, 2).unwrap();
             EngineConfig::new(
                 schema,
@@ -1549,41 +1474,25 @@ mod tests {
             .with_tilt(TiltSpec::new(vec![("unit", 4), ("coarse", 3)]).unwrap())
             .with_ticks_per_unit(4)
             .with_backend(backend)
-            .with_shards(shards)
             .build()
             .unwrap()
         };
-        let mut row = make(Backend::Row, 1);
-        let mut col = make(Backend::Columnar, 1);
-        let mut col_sharded = make(Backend::Columnar, 3);
+        let (mut row, mut col) = (make(Backend::Row), make(Backend::Columnar));
         for unit in 0..3 {
             let slope = if unit == 1 { 2.0 } else { 0.1 };
-            for e in [&mut row, &mut col, &mut col_sharded] {
-                feed_unit(e, unit, slope);
+            feed_unit(&mut row, unit, slope);
+            feed_unit(&mut col, unit, slope);
+            let (a, b) = (row.close_unit().unwrap(), col.close_unit().unwrap());
+            assert_eq!(a.m_cells, b.m_cells, "unit {unit}");
+            assert_eq!(a.exception_cells, b.exception_cells, "unit {unit}");
+            assert_eq!(a.alarms.len(), b.alarms.len(), "unit {unit}");
+            for (x, y) in a.alarms.iter().zip(&b.alarms) {
+                assert_eq!(x.key, y.key);
+                assert!((x.score - y.score).abs() < 1e-9);
             }
-            let (a, b, c) = (
-                row.close_unit().unwrap(),
-                col.close_unit().unwrap(),
-                col_sharded.close_unit().unwrap(),
-            );
-            for (label, other) in [("columnar", &b), ("columnar x3", &c)] {
-                assert_eq!(a.m_cells, other.m_cells, "unit {unit} {label}");
-                assert_eq!(
-                    a.exception_cells, other.exception_cells,
-                    "unit {unit} {label}"
-                );
-                assert_eq!(a.alarms.len(), other.alarms.len(), "unit {unit} {label}");
-                for (x, y) in a.alarms.iter().zip(&other.alarms) {
-                    assert_eq!(x.key, y.key);
-                    assert!((x.score - y.score).abs() < 1e-9);
-                }
-                let (da, db) = (
-                    a.cube_delta.as_ref().unwrap(),
-                    other.cube_delta.as_ref().unwrap(),
-                );
-                assert_eq!(da.appeared, db.appeared, "unit {unit} {label}");
-                assert_eq!(da.cleared, db.cleared, "unit {unit} {label}");
-            }
+            let (da, db) = (a.cube_delta.unwrap(), b.cube_delta.unwrap());
+            assert_eq!(da.appeared, db.appeared, "unit {unit}");
+            assert_eq!(da.cleared, db.cleared, "unit {unit}");
         }
     }
 
@@ -1606,17 +1515,48 @@ mod tests {
     }
 
     #[test]
+    #[allow(deprecated)]
+    fn with_shards_accepts_only_one() {
+        let config = || {
+            let schema = CubeSchema::synthetic(2, 2, 2).unwrap();
+            EngineConfig::new(
+                schema,
+                CuboidSpec::new(vec![0, 0]),
+                CuboidSpec::new(vec![2, 2]),
+            )
+            .with_ticks_per_unit(4)
+        };
+        let mut saved = config().with_shards(1).build().unwrap();
+        feed_unit(&mut saved, 0, 2.0);
+        saved.close_unit().unwrap();
+        let bytes = saved.checkpoint_bytes().unwrap();
+        for count in [0, 2, 3, 7] {
+            let refused = |built: Result<OnlineEngine>| match built {
+                Err(StreamError::BadConfig { detail }) => detail,
+                Err(e) => panic!("with_shards({count}): expected BadConfig, got {e}"),
+                Ok(_) => panic!("with_shards({count}): built an engine"),
+            };
+            let detail = refused(config().with_shards(count).build());
+            assert!(detail.contains("unsharded"), "{detail}");
+            refused(crate::restore_bytes(config().with_shards(count), &bytes));
+            refused(
+                config().with_shards(count).build_with(|s, l, p| {
+                    Ok(Box::new(MoCubingEngine::new(s, l, p)?) as BoxedEngine)
+                }),
+            );
+        }
+        assert!(crate::restore_bytes(config().with_shards(1), &bytes).is_ok());
+    }
+
+    #[test]
     fn every_configuration_with_parallel_work_holds_the_cubing_pool() {
-        // No (algorithm, backend, shards) combination may drop the pool
-        // it was given: the built engine keeps a handle on it — except a
-        // lone popular-path engine, which has no parallel work to run.
-        for (algorithm, backend, shards) in [
-            (Algorithm::MoCubing, Backend::Row, 1),
-            (Algorithm::MoCubing, Backend::Row, 3),
-            (Algorithm::MoCubing, Backend::Columnar, 1),
-            (Algorithm::MoCubing, Backend::Columnar, 3),
-            (Algorithm::PopularPath, Backend::Row, 1),
-            (Algorithm::PopularPath, Backend::Row, 3),
+        // No (algorithm, backend) combination may drop the pool it was
+        // given: the built engine keeps a handle on it — except a
+        // popular-path engine, which has no parallel work to run.
+        for (algorithm, backend) in [
+            (Algorithm::MoCubing, Backend::Row),
+            (Algorithm::MoCubing, Backend::Columnar),
+            (Algorithm::PopularPath, Backend::Row),
         ] {
             let pool = Arc::new(WorkerPool::new(2));
             let schema = CubeSchema::synthetic(2, 2, 2).unwrap();
@@ -1629,15 +1569,18 @@ mod tests {
             .with_ticks_per_unit(4)
             .with_algorithm(algorithm)
             .with_backend(backend)
-            .with_shards(shards)
             .with_cubing_pool(Arc::clone(&pool))
             .build()
             .unwrap();
-            let lone_pp = algorithm == Algorithm::PopularPath && shards == 1;
+            let holders = if algorithm == Algorithm::PopularPath {
+                1
+            } else {
+                2
+            };
             assert_eq!(
                 Arc::strong_count(&pool),
-                if lone_pp { 1 } else { 2 },
-                "{algorithm:?} {backend:?} x{shards}"
+                holders,
+                "{algorithm:?} {backend:?}"
             );
             feed_unit(&mut e, 0, 2.0);
             assert_eq!(e.close_unit().unwrap().m_cells, 2);

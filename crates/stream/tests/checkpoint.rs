@@ -1,6 +1,6 @@
 //! Checkpoint/recovery integration tests: save → restore → continue
-//! must be bit-identical to an uninterrupted run on every backend and
-//! shard count, and every way a checkpoint file can go bad must
+//! must be bit-identical to an uninterrupted run on every backend, and
+//! every way a checkpoint file can go bad must
 //! surface as a typed [`StreamError::Checkpoint`] — never a panic,
 //! never a silently half-restored engine.
 
@@ -89,8 +89,8 @@ fn assert_reports_eq(xs: &[UnitReport], ys: &[UnitReport], what: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Save at an arbitrary cut point, restore on every backend/shard
-    /// combination, continue with the rest of the stream: the surviving
+    /// Save at an arbitrary cut point, restore on every backend,
+    /// continue with the rest of the stream: the surviving
     /// engines finish byte-identical to the uninterrupted one —
     /// snapshots (`canonical_text`), unit reports, alarms, amendments,
     /// revisions and lateness counters all agree.
@@ -106,13 +106,8 @@ proptest! {
         let cut = ((records.len() as f64) * cut_frac) as usize;
         let (first, second) = records.split_at(cut);
 
-        for (backend, shards) in [
-            (Backend::Row, 1usize),
-            (Backend::Row, 3),
-            (Backend::Columnar, 1),
-            (Backend::Columnar, 3),
-        ] {
-            let cfg = || config().with_backend(backend).with_shards(shards);
+        for backend in [Backend::Row, Backend::Columnar] {
+            let cfg = || config().with_backend(backend);
 
             // The uninterrupted reference.
             let mut reference = cfg().build().unwrap();
@@ -128,12 +123,11 @@ proptest! {
             reports.extend(drive(&mut revived, second));
             reports.extend(revived.flush().unwrap());
 
-            assert_reports_eq(&ref_reports, &reports,
-                &format!("{backend:?}/{shards} shards"));
+            assert_reports_eq(&ref_reports, &reports, &format!("{backend:?}"));
             prop_assert_eq!(
                 reference.snapshot().canonical_text(),
                 revived.snapshot().canonical_text(),
-                "snapshot divergence on {:?}/{} shards", backend, shards
+                "snapshot divergence on {:?}", backend
             );
             let (ref_stats, stats) = (reference.stats(), revived.stats());
             prop_assert_eq!(stats.late_dropped, ref_stats.late_dropped);

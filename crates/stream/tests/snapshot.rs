@@ -4,7 +4,7 @@
 //! boundary, and must stay frozen while the engine moves on.
 
 use regcube_core::engine::{Backend, CubingEngine, MoCubingEngine, PopularPathEngine};
-use regcube_core::{CriticalLayers, ExceptionPolicy, ShardedEngine};
+use regcube_core::{CriticalLayers, ExceptionPolicy};
 use regcube_olap::cell::CellKey;
 use regcube_olap::{CubeSchema, CuboidSpec};
 use regcube_stream::{CubeSnapshot, EngineConfig, OnlineEngine, RawRecord};
@@ -24,8 +24,8 @@ fn config() -> EngineConfig {
     .with_ticks_per_unit(TPU)
 }
 
-fn engine(shards: usize) -> OnlineEngine {
-    config().with_shards(shards).build().unwrap()
+fn engine() -> OnlineEngine {
+    config().build().unwrap()
 }
 
 /// A deterministic mixed-traffic unit: drifting cells, one steep cell.
@@ -82,38 +82,36 @@ fn drill_bytes(hits: &[regcube_stream::TiltHit]) -> String {
 /// the two paths share one implementation, and this pins it.
 #[test]
 fn snapshot_drills_match_live_engine_bytes() {
-    for shards in [1, 3] {
-        let mut e = engine(shards);
-        for unit in 0..6 {
-            feed_unit(&mut e, unit);
-            let report = e.close_unit().unwrap();
-            let snap = e.snapshot();
-            assert_eq!(snap.epoch(), report.snapshot_epoch);
-            assert_eq!(snap.unit(), Some(unit));
-            for key in all_keys() {
-                for level in 0..2 {
-                    let live = e.drill_at(level, &key).unwrap();
-                    let frozen = snap.drill_at(level, &key).unwrap();
-                    assert_eq!(live, frozen, "shards={shards} unit={unit} {key} L{level}");
-                    assert_eq!(drill_bytes(&live), drill_bytes(&frozen));
-                }
-                assert_eq!(
-                    drill_bytes(&e.drill_history(&key).unwrap()),
-                    drill_bytes(&snap.drill_history(&key).unwrap()),
-                    "shards={shards} unit={unit} {key} history"
-                );
+    let mut e = engine();
+    for unit in 0..6 {
+        feed_unit(&mut e, unit);
+        let report = e.close_unit().unwrap();
+        let snap = e.snapshot();
+        assert_eq!(snap.epoch(), report.snapshot_epoch);
+        assert_eq!(snap.unit(), Some(unit));
+        for key in all_keys() {
+            for level in 0..2 {
+                let live = e.drill_at(level, &key).unwrap();
+                let frozen = snap.drill_at(level, &key).unwrap();
+                assert_eq!(live, frozen, "unit={unit} {key} L{level}");
+                assert_eq!(drill_bytes(&live), drill_bytes(&frozen));
             }
-            // Cube parity: same m-/o-tables, bit for bit.
-            let (live, frozen) = (e.cube().unwrap(), snap.cube().unwrap());
-            assert_eq!(live.m_table().len(), frozen.m_table().len());
-            for (key, isb) in live.m_table() {
-                let got = frozen.m_table().get(key).unwrap();
-                assert_eq!(isb.base().to_bits(), got.base().to_bits());
-                assert_eq!(isb.slope().to_bits(), got.slope().to_bits());
-            }
-            // Alarm parity with the close that published this epoch.
-            assert_eq!(snap.alarms(), report.alarms.as_slice());
+            assert_eq!(
+                drill_bytes(&e.drill_history(&key).unwrap()),
+                drill_bytes(&snap.drill_history(&key).unwrap()),
+                "unit={unit} {key} history"
+            );
         }
+        // Cube parity: same m-/o-tables, bit for bit.
+        let (live, frozen) = (e.cube().unwrap(), snap.cube().unwrap());
+        assert_eq!(live.m_table().len(), frozen.m_table().len());
+        for (key, isb) in live.m_table() {
+            let got = frozen.m_table().get(key).unwrap();
+            assert_eq!(isb.base().to_bits(), got.base().to_bits());
+            assert_eq!(isb.slope().to_bits(), got.slope().to_bits());
+        }
+        // Alarm parity with the close that published this epoch.
+        assert_eq!(snap.alarms(), report.alarms.as_slice());
     }
 }
 
@@ -121,7 +119,7 @@ fn snapshot_drills_match_live_engine_bytes() {
 /// units never changes what an old snapshot answers.
 #[test]
 fn snapshot_is_immutable_under_further_ingest() {
-    let mut e = engine(2);
+    let mut e = engine();
     for unit in 0..3 {
         feed_unit(&mut e, unit);
         e.close_unit().unwrap();
@@ -188,14 +186,12 @@ fn held_snapshot_survives<E: CubingEngine>(
 #[test]
 fn held_snapshot_never_changes_on_any_engine() {
     held_snapshot_survives("row", MoCubingEngine::new);
-    held_snapshot_survives("row, transient", MoCubingEngine::transient);
     held_snapshot_survives("columnar", |s, l, p| {
-        MoCubingEngine::transient(s, l, p)?.with_backend(Backend::Columnar)
+        MoCubingEngine::new(s, l, p)?.with_backend(Backend::Columnar)
     });
     held_snapshot_survives("popular path", |s, l, p| {
         PopularPathEngine::new(s, l, p, None)
     });
-    held_snapshot_survives("3 shards", |s, l, p| ShardedEngine::mo_cubing(s, l, p, 3));
 }
 
 /// Before the first close the snapshot mirrors the engine's
@@ -203,7 +199,7 @@ fn held_snapshot_never_changes_on_any_engine() {
 /// live engine (epoch advances, no cube).
 #[test]
 fn snapshot_error_parity_and_empty_units() {
-    let mut e = engine(1);
+    let mut e = engine();
     let snap = e.snapshot();
     assert_eq!(snap.epoch(), 0);
     assert_eq!(snap.unit(), None);
@@ -229,7 +225,7 @@ fn snapshot_error_parity_and_empty_units() {
 #[test]
 fn canonical_text_discriminates() {
     let mk = |units: i64| -> CubeSnapshot {
-        let mut e = engine(1);
+        let mut e = engine();
         for unit in 0..units {
             feed_unit(&mut e, unit);
             e.close_unit().unwrap();
@@ -244,7 +240,7 @@ fn canonical_text_discriminates() {
 /// serving layer's join key between closes and publications.
 #[test]
 fn report_epoch_matches_snapshot_epoch() {
-    let mut e = engine(1);
+    let mut e = engine();
     for unit in 0..4 {
         feed_unit(&mut e, unit);
         let report = e.close_unit().unwrap();

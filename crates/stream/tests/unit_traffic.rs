@@ -12,7 +12,7 @@
 use regcube_core::engine::{Backend, CubingEngine, MoCubingEngine, PopularPathEngine, UnitDelta};
 use regcube_core::result::Algorithm;
 use regcube_core::{
-    CoreError, CriticalLayers, CubeResult, ExceptionPolicy, MTuple, RunStats, ShardedEngine,
+    CoreError, CriticalLayers, CubeResult, ExceptionPolicy, MTuple, RunStats, WorkerPool,
 };
 use regcube_olap::{CubeSchema, CuboidSpec};
 use regcube_stream::online::BoxedEngine;
@@ -96,13 +96,13 @@ fn subjects() -> Vec<Subject> {
     vec![
         Subject {
             name: "row",
-            make: |s, l, p| Ok(Box::new(MoCubingEngine::transient(s, l, p)?)),
+            make: |s, l, p| Ok(Box::new(MoCubingEngine::new(s, l, p)?)),
             configure: |c| c,
         },
         Subject {
             name: "columnar",
             make: |s, l, p| {
-                let engine = MoCubingEngine::transient(s, l, p)?;
+                let engine = MoCubingEngine::new(s, l, p)?;
                 Ok(Box::new(engine.with_backend(Backend::Columnar)?))
             },
             configure: |c| c.with_backend(Backend::Columnar),
@@ -113,9 +113,12 @@ fn subjects() -> Vec<Subject> {
             configure: |c| c.with_algorithm(Algorithm::PopularPath),
         },
         Subject {
-            name: "3 shards",
-            make: |s, l, p| Ok(Box::new(ShardedEngine::mo_cubing(s, l, p, 3)?)),
-            configure: |c| c.with_shards(3),
+            name: "row, 2-worker pool",
+            make: |s, l, p| {
+                let engine = MoCubingEngine::new(s, l, p)?;
+                Ok(Box::new(engine.with_pool(Arc::new(WorkerPool::new(2)))))
+            },
+            configure: |c| c.with_cubing_pool(Arc::new(WorkerPool::new(2))),
         },
     ]
 }

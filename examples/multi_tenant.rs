@@ -29,7 +29,7 @@ const TPU: usize = 4;
 /// Units to stream.
 const UNITS: i64 = 12;
 
-fn tenant_config(shards: usize) -> EngineConfig {
+fn tenant_config() -> EngineConfig {
     let schema = CubeSchema::synthetic(2, 2, 3).unwrap();
     EngineConfig::new(
         schema,
@@ -37,7 +37,6 @@ fn tenant_config(shards: usize) -> EngineConfig {
         CuboidSpec::new(vec![2, 2]),
     )
     .with_ticks_per_unit(TPU)
-    .with_shards(shards)
 }
 
 /// One tenant's traffic for one tick: a few cells with
@@ -64,10 +63,8 @@ fn main() {
             .with_queue_capacity(256),
     ));
     let names = ["power-utility", "cdn-edge", "sensor-fleet"];
-    for (i, name) in names.iter().enumerate() {
-        server
-            .create_tenant(*name, tenant_config(i % 3 + 1))
-            .unwrap();
+    for name in names {
+        server.create_tenant(name, tenant_config()).unwrap();
     }
     let ids: Vec<TenantId> = names.iter().map(|n| TenantId::from(*n)).collect();
 

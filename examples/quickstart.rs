@@ -103,11 +103,10 @@ fn main() {
         CuboidSpec::new(vec![2, 2]),
     )
     .unwrap();
-    let mut columnar =
-        MoCubingEngine::transient(schema, layers, ExceptionPolicy::slope_threshold(0.8))
-            .unwrap()
-            .with_backend(Backend::Columnar)
-            .unwrap();
+    let mut columnar = MoCubingEngine::new(schema, layers, ExceptionPolicy::slope_threshold(0.8))
+        .unwrap()
+        .with_backend(Backend::Columnar)
+        .unwrap();
     columnar.ingest_unit(&tuples).unwrap();
     assert_eq!(
         columnar.result().total_exception_cells(),

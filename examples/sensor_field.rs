@@ -9,9 +9,9 @@
 //!    exponential fits).
 //! 3. **Folding** a fine series to a coarser calendar unit with SQL-style
 //!    aggregates (sum/avg/min/max/first/last).
-//! 4. **Sharded parallel cubing** of the whole field: the m-layer
-//!    hash-partitioned across 4 engines, cubed concurrently, and merged
-//!    losslessly via Theorem 3.2 — same cube, multi-core roll-up.
+//! 4. **Cubing the whole field on two cores**: a 64x64 sensor grid
+//!    cubed by one engine whose same-depth cuboids are rolled up in
+//!    parallel on a worker pool — bit for bit the sequential cube.
 //!
 //! ```text
 //! cargo run --example sensor_field
@@ -22,6 +22,7 @@ use regcube::regress::diagnostics::fit_with_diagnostics;
 use regcube::regress::fold::{fold_series, FoldOp};
 use regcube::regress::mlr::MlrMeasure;
 use regcube::regress::transform::{fit_exponential, fit_log, fit_polynomial};
+use std::sync::Arc;
 
 fn main() {
     // ---- 1. Spatio-temporal MLR ------------------------------------------
@@ -118,14 +119,14 @@ fn main() {
         }
     );
 
-    // ---- 4. Sharded parallel cubing across the field ----------------------
-    // A 9x9 grid of sensors (dimensions: row zone > row, column zone >
-    // column), each warehousing one ISB per unit. The sharded engine
-    // hash-partitions the sensors across 4 cubing engines, rolls every
-    // cuboid up in parallel, and merges the partial cubes exactly
-    // (Theorem 3.2 linearity) — cell for cell the same cube as one
-    // engine, which we verify on the spot.
-    let schema = CubeSchema::synthetic(2, 2, 3).unwrap();
+    // ---- 4. Cubing the field on two cores ---------------------------------
+    // A 64x64 grid of sensors (dimensions: row zone > row, column zone >
+    // column), each warehousing one ISB per unit. Cuboids of one lattice
+    // depth are independent, so an engine with a worker pool rolls a
+    // large enough depth tier up in parallel — here the first tier, two
+    // cuboids each folding all 4,096 sensors — and gets the sequential
+    // engine's cube bit for bit, which we verify on the spot.
+    let schema = CubeSchema::synthetic(2, 2, 8).unwrap();
     let layers = CriticalLayers::new(
         &schema,
         CuboidSpec::new(vec![0, 0]), // o-layer: whole field
@@ -134,32 +135,33 @@ fn main() {
     .unwrap();
     let policy = ExceptionPolicy::slope_threshold(0.25);
     let mut tuples = Vec::new();
-    for x in 0..9u32 {
-        for y in 0..9u32 {
+    for x in 0..64u32 {
+        for y in 0..64u32 {
             // A hot corner of the field warms fast; the rest drifts.
-            let slope = if x >= 6 && y >= 6 { 0.4 } else { 0.02 };
+            let slope = if x >= 56 && y >= 56 { 0.4 } else { 0.02 };
             let series =
-                TimeSeries::from_fn(0, 23, |t| 15.0 + slope * t as f64 + (x + y) as f64 * 0.1)
+                TimeSeries::from_fn(0, 23, |t| 15.0 + slope * t as f64 + (x + y) as f64 * 0.01)
                     .unwrap();
             tuples.push(MTuple::new(vec![x, y], Isb::fit(&series).unwrap()));
         }
     }
 
-    let mut sharded =
-        ShardedEngine::mo_cubing(schema.clone(), layers.clone(), policy.clone(), 4).unwrap();
-    let delta = sharded.ingest_unit(&tuples).unwrap();
+    let mut pooled = MoCubingEngine::new(schema.clone(), layers.clone(), policy.clone())
+        .unwrap()
+        .with_pool(Arc::new(WorkerPool::new(2)));
+    let delta = pooled.ingest_unit(&tuples).unwrap();
     // The columnar backend rolls the same field up over struct-of-arrays
     // tables (the cache-friendly layout of the hot aggregation path) —
     // same trait, same cube, different bytes.
-    let mut columnar = MoCubingEngine::transient(schema.clone(), layers.clone(), policy.clone())
+    let mut columnar = MoCubingEngine::new(schema.clone(), layers.clone(), policy.clone())
         .unwrap()
         .with_backend(Backend::Columnar)
         .unwrap();
     columnar.ingest_unit(&tuples).unwrap();
-    let mut single = MoCubingEngine::transient(schema, layers, policy).unwrap();
+    let mut single = MoCubingEngine::new(schema, layers, policy).unwrap();
     single.ingest_unit(&tuples).unwrap();
 
-    let (cube, reference) = (sharded.result(), single.result());
+    let (cube, reference) = (pooled.result(), single.result());
     assert_eq!(
         columnar.result().total_exception_cells(),
         reference.total_exception_cells()
@@ -170,18 +172,23 @@ fn main() {
         single.stats().peak_bytes as f64 / columnar.stats().peak_bytes.max(1) as f64,
     );
     println!(
-        "\nSharded cubing: {} sensors across {} shards -> {} cells, {} exception cells",
+        "\nTier-pool cubing: {} sensors on 2 workers -> {} cells, {} exception cells",
         cube.m_layer_cells(),
-        sharded.shards(),
         cube.stats().cells_computed,
         cube.total_exception_cells(),
     );
-    assert_eq!(cube.m_layer_cells(), reference.m_layer_cells());
-    assert_eq!(
-        cube.total_exception_cells(),
-        reference.total_exception_cells()
-    );
-    println!("merged shard cube matches the single-engine cube exactly");
+    let bits = |c: &CubeResult| {
+        let mut cells: Vec<_> = [c.m_table(), c.o_table()]
+            .into_iter()
+            .flatten()
+            .chain(c.iter_exceptions().map(|(_, k, m)| (k, m)))
+            .map(|(k, m)| (k.clone(), m.base().to_bits(), m.slope().to_bits()))
+            .collect();
+        cells.sort();
+        cells
+    };
+    assert_eq!(bits(cube), bits(reference));
+    println!("the pooled cube matches the sequential cube bit for bit");
     let hottest = delta
         .appeared
         .iter()

@@ -91,7 +91,7 @@ pub mod prelude {
     pub use regcube_core::{
         mo_cubing, popular_path, Backend, CriticalLayers, CubeResult, CubingEngine,
         ExceptionPolicy, MTuple, MoCubingEngine, PopularPathEngine, RefMode, RegressionCube,
-        ShardedEngine, WorkerPool,
+        WorkerPool,
     };
     pub use regcube_datagen::{Dataset, DatasetSpec};
     pub use regcube_olap::{

@@ -1,7 +1,7 @@
 //! Property tests for the alarm lifecycle: for random unit streams, the
 //! sink-maintained state (episodes, dashboard) must agree with the
 //! cube's retained exception stores after every unit, and the whole
-//! episode history must be identical at every shard count.
+//! episode history must be identical on both table layouts.
 
 use proptest::prelude::*;
 use regcube::core::alarm::{self, AlarmLog, DashboardSummary, SharedSink};
@@ -17,7 +17,7 @@ const CELLS: [(u32, u32); 5] = [(0, 0), (1, 2), (2, 1), (3, 3), (0, 3)];
 
 type Sinks = (Arc<Mutex<AlarmLog>>, Arc<Mutex<DashboardSummary>>);
 
-fn build(shards: usize, backend: Backend) -> (OnlineEngine<BoxedEngine>, Sinks) {
+fn build(backend: Backend) -> (OnlineEngine<BoxedEngine>, Sinks) {
     let log = alarm::shared(AlarmLog::new(256));
     let dash = alarm::shared(DashboardSummary::new());
     let schema = CubeSchema::synthetic(2, 2, 2).unwrap();
@@ -30,7 +30,6 @@ fn build(shards: usize, backend: Backend) -> (OnlineEngine<BoxedEngine>, Sinks) 
     .with_tilt(TiltSpec::new(vec![("unit", 4), ("coarse", 3)]).unwrap())
     .with_ticks_per_unit(TICKS)
     .with_backend(backend)
-    .with_shards(shards)
     .with_sinks([log.clone() as SharedSink, dash.clone() as SharedSink])
     .build()
     .unwrap();
@@ -65,8 +64,8 @@ fn rescan(engine: &OnlineEngine<BoxedEngine>) -> Vec<(CuboidSpec, CellKey)> {
 }
 
 /// One run: returns the full episode history, serialized comparably.
-fn episode_history(shards: usize, backend: Backend, units: &[Vec<f64>]) -> Vec<String> {
-    let (mut engine, (log, _)) = build(shards, backend);
+fn episode_history(backend: Backend, units: &[Vec<f64>]) -> Vec<String> {
+    let (mut engine, (log, _)) = build(backend);
     for (u, slopes) in units.iter().enumerate() {
         feed_unit(&mut engine, u, slopes);
         engine.close_unit().unwrap();
@@ -91,7 +90,7 @@ proptest! {
             1..6,
         ),
     ) {
-        let (mut engine, (log, dash)) = build(1, Backend::Row);
+        let (mut engine, (log, dash)) = build(Backend::Row);
         for (u, slopes) in units.iter().enumerate() {
             feed_unit(&mut engine, u, slopes);
             let report = engine.close_unit().unwrap();
@@ -138,23 +137,16 @@ proptest! {
     }
 
     /// The complete episode history (raise/clear units, peaks) is
-    /// identical at shard counts 1, 2, 3 and 7 — and on the columnar
-    /// backend at every one of those shard counts.
+    /// identical on the row and columnar backends.
     #[test]
-    fn episode_history_is_shard_and_backend_invariant(
+    fn episode_history_is_backend_invariant(
         units in prop::collection::vec(
             prop::collection::vec(-1.5..1.5f64, CELLS.len()),
             1..5,
         ),
     ) {
-        let baseline = episode_history(1, Backend::Row, &units);
-        for shards in [2usize, 3, 7] {
-            let history = episode_history(shards, Backend::Row, &units);
-            prop_assert_eq!(&history, &baseline, "shards={}", shards);
-        }
-        for shards in [1usize, 2, 3, 7] {
-            let history = episode_history(shards, Backend::Columnar, &units);
-            prop_assert_eq!(&history, &baseline, "columnar shards={}", shards);
-        }
+        let row = episode_history(Backend::Row, &units);
+        let columnar = episode_history(Backend::Columnar, &units);
+        prop_assert_eq!(&columnar, &row);
     }
 }

@@ -2,7 +2,7 @@
 //! `power_grid` scenarios must produce **identical alarm output** from
 //! the sink-driven path (AlarmLog/DashboardSummary fed per-unit
 //! `UnitDelta`s) and the old rescan path (diffing full exception-store
-//! scans after every unit) — at shard counts 1 and 3.
+//! scans after every unit).
 
 use regcube::core::alarm::{self, AlarmLog, DashboardSummary, SharedSink};
 use regcube::core::result::Algorithm;
@@ -42,18 +42,17 @@ impl RescanView {
     }
 }
 
-/// Runs a scenario and returns the comparable alarm output of both
-/// paths plus the per-unit o-layer alarm lines.
+/// Runs a scenario, asserts that both paths agree after every unit and
+/// at the end, and returns the per-unit o-layer alarm lines followed by
+/// the episodes.
 fn run_scenario(
     make: impl Fn() -> EngineConfig,
     records_for_unit: impl Fn(i64) -> Vec<RawRecord>,
     units: i64,
-    shards: usize,
-) -> (String, String) {
+) -> String {
     let log = alarm::shared(AlarmLog::new(1024));
     let dash = alarm::shared(DashboardSummary::new());
     let mut engine: OnlineEngine<BoxedEngine> = make()
-        .with_shards(shards)
         .with_sinks([log.clone() as SharedSink, dash.clone() as SharedSink])
         .build()
         .unwrap();
@@ -82,11 +81,11 @@ fn run_scenario(
             .iter()
             .map(|e| (e.cuboid.clone(), e.cell.clone()))
             .collect();
-        assert_eq!(sink_live, rescan.live, "unit {unit} (shards={shards})");
+        assert_eq!(sink_live, rescan.live, "unit {unit}");
         assert_eq!(
             dash.lock().unwrap().active_cells(),
             rescan.live.len() as u64,
-            "unit {unit} (shards={shards})"
+            "unit {unit}"
         );
     }
 
@@ -122,20 +121,8 @@ fn run_scenario(
     );
     rescan_out.sort();
 
-    assert_eq!(
-        sink_out, rescan_out,
-        "sink-driven vs rescan episodes (shards={shards})"
-    );
-    (alarm_lines + &sink_out.join("\n"), alarm_lines_only(&log))
-}
-
-fn alarm_lines_only(log: &AlarmLog) -> String {
-    format!(
-        "opened={} closed={} suppressed={}",
-        log.opened_total(),
-        log.closed_total(),
-        log.suppressed()
-    )
+    assert_eq!(sink_out, rescan_out, "sink-driven vs rescan episodes");
+    alarm_lines + &sink_out.join("\n")
 }
 
 /// The network_monitor example's schema/stream (popular-path cubing,
@@ -240,25 +227,19 @@ fn power_grid_records(quarter: i64) -> Vec<RawRecord> {
 }
 
 #[test]
-fn network_monitor_sink_output_matches_rescan_at_1_and_3_shards() {
-    let (single, counts1) = run_scenario(network_monitor_config, network_monitor_records, 3, 1);
-    let (sharded, counts3) = run_scenario(network_monitor_config, network_monitor_records, 3, 3);
-    assert_eq!(single, sharded, "alarm output must be shard-invariant");
-    assert_eq!(counts1, counts3);
+fn network_monitor_sink_output_matches_rescan() {
+    let output = run_scenario(network_monitor_config, network_monitor_records, 3);
     assert!(
-        single.contains("alarm"),
+        output.contains("alarm"),
         "the flood must raise o-layer alarms"
     );
 }
 
 #[test]
-fn power_grid_sink_output_matches_rescan_at_1_and_3_shards() {
-    let (single, counts1) = run_scenario(power_grid_config, power_grid_records, 3, 1);
-    let (sharded, counts3) = run_scenario(power_grid_config, power_grid_records, 3, 3);
-    assert_eq!(single, sharded, "alarm output must be shard-invariant");
-    assert_eq!(counts1, counts3);
+fn power_grid_sink_output_matches_rescan() {
+    let output = run_scenario(power_grid_config, power_grid_records, 3);
     assert!(
-        single.contains("alarm"),
+        output.contains("alarm"),
         "the runaway load must raise o-layer alarms"
     );
 }

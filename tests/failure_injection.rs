@@ -395,11 +395,20 @@ fn columnar_rollover_mid_episode_keeps_raised_at_stable() {
     }
 }
 
-#[test]
-fn columnar_rollover_excludes_stale_shards() {
-    // Sharded columnar: a rollover unit that activates only one shard's
-    // key range must not leak the other shards' old-window cells into
-    // the merged cube (mirror of the row-backend stale-shard case).
+/// The 16 cells of a 2x2x2 schema's m-layer, slopes (a + b) / 10 over
+/// ticks 0..=9.
+fn sixteen_cells() -> Vec<MTuple> {
+    let mut cells = Vec::new();
+    for a in 0..4u32 {
+        for b in 0..4u32 {
+            let z = TimeSeries::from_fn(0, 9, |t| 1.0 + (a + b) as f64 / 10.0 * t as f64).unwrap();
+            cells.push(MTuple::new(vec![a, b], Isb::fit(&z).unwrap()));
+        }
+    }
+    cells
+}
+
+fn columnar_engine(kernel: regcube::core::KernelMode) -> MoCubingEngine {
     let schema = CubeSchema::synthetic(2, 2, 2).unwrap();
     let layers = CriticalLayers::new(
         &schema,
@@ -407,19 +416,25 @@ fn columnar_rollover_excludes_stale_shards() {
         CuboidSpec::new(vec![2, 2]),
     )
     .unwrap();
-    let policy = ExceptionPolicy::slope_threshold(0.4);
-    let mut engine =
-        ShardedEngine::mo_cubing_on(Backend::Columnar, schema, layers, policy, 7).unwrap();
+    MoCubingEngine::new(schema, layers, ExceptionPolicy::slope_threshold(0.4))
+        .and_then(|e| e.with_backend(Backend::Columnar))
+        .unwrap()
+        .with_kernel_mode(kernel)
+}
 
-    let mut first = Vec::new();
-    for a in 0..4u32 {
-        for b in 0..4u32 {
-            let z = TimeSeries::from_fn(0, 9, |t| 1.0 + (a + b) as f64 / 10.0 * t as f64).unwrap();
-            first.push(MTuple::new(vec![a, b], Isb::fit(&z).unwrap()));
-        }
-    }
-    engine.ingest_unit(&first).unwrap();
+#[test]
+fn columnar_rollover_replaces_the_held_unit() {
+    // A rollover unit with one active cell must not leak the previous
+    // window's cells into the columnar engine's cube.
+    let mut engine = columnar_engine(regcube::core::KernelMode::Auto);
+    engine.ingest_unit(&sixteen_cells()).unwrap();
     assert_eq!(engine.result().m_layer_cells(), 16);
+    let before: Vec<(CuboidSpec, CellKey)> = engine
+        .result()
+        .iter_exceptions()
+        .map(|(c, k, _)| (c.clone(), k.clone()))
+        .collect();
+    assert!(!before.is_empty());
 
     let next = vec![MTuple::new(vec![1, 2], Isb::new(10, 19, 1.0, 0.7).unwrap())];
     let delta = engine.ingest_unit(&next).unwrap();
@@ -428,53 +443,27 @@ fn columnar_rollover_excludes_stale_shards() {
     assert_eq!(engine.result().o_table().len(), 1);
     // Every exception the closed window held either recurs or was
     // reported cleared with the rollover.
-    for (cuboid, key, _) in engine.result().iter_exceptions() {
-        assert!(engine
+    for (cuboid, key) in &before {
+        let recurs = engine
             .result()
             .exceptions_in(cuboid)
-            .is_some_and(|t| t.contains_key(key)));
+            .is_some_and(|t| t.contains_key(key));
+        let cleared = delta.cleared.contains(&(cuboid.clone(), key.clone()));
+        assert!(recurs != cleared, "{cuboid}{key}");
     }
 }
 
 #[test]
-fn forced_scalar_fallback_survives_the_stale_shard_rollover() {
+fn forced_scalar_fallback_survives_a_rollover() {
     use regcube::core::KernelMode;
     // Kernel dispatch is a pure perf decision: with the chunked kernels
-    // forced off (`KernelMode::Scalar`), the sharded columnar engine
-    // weathers the same stale-shard rollover with a bit-identical cube
-    // — and honestly reports zero kernel rows.
-    let schema = CubeSchema::synthetic(2, 2, 2).unwrap();
-    let layers = CriticalLayers::new(
-        &schema,
-        CuboidSpec::new(vec![0, 0]),
-        CuboidSpec::new(vec![2, 2]),
-    )
-    .unwrap();
-    let policy = ExceptionPolicy::slope_threshold(0.4);
-    let mut auto = ShardedEngine::mo_cubing_on(
-        Backend::Columnar,
-        schema.clone(),
-        layers.clone(),
-        policy.clone(),
-        7,
-    )
-    .unwrap();
-    let mut scalar = ShardedEngine::with_factory(schema, layers, policy, 7, |s, l, p| {
-        MoCubingEngine::new(s, l, p)?
-            .with_backend(Backend::Columnar)
-            .map(|e| e.with_kernel_mode(KernelMode::Scalar))
-    })
-    .unwrap();
-
-    let mut first = Vec::new();
-    for a in 0..4u32 {
-        for b in 0..4u32 {
-            let z = TimeSeries::from_fn(0, 9, |t| 1.0 + (a + b) as f64 / 10.0 * t as f64).unwrap();
-            first.push(MTuple::new(vec![a, b], Isb::fit(&z).unwrap()));
-        }
-    }
+    // forced off (`KernelMode::Scalar`), the columnar engine weathers
+    // the same rollover with a bit-identical cube — and honestly
+    // reports zero kernel rows.
+    let mut auto = columnar_engine(KernelMode::Auto);
+    let mut scalar = columnar_engine(KernelMode::Scalar);
     let next = vec![MTuple::new(vec![1, 2], Isb::new(10, 19, 1.0, 0.7).unwrap())];
-    for batch in [&first, &next] {
+    for batch in [&sixteen_cells(), &next] {
         let da = auto.ingest_unit(batch).unwrap();
         let ds = scalar.ingest_unit(batch).unwrap();
         assert_eq!(da.appeared, ds.appeared);

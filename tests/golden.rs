@@ -5,11 +5,10 @@
 //! The serialization covers every per-unit report (alarms, deltas), the
 //! final retained exception set, the alarm log's episode list, the
 //! escalations and the dashboard, so a refactor that silently shifts
-//! any of them fails here with a line diff. The run is repeated at
-//! shard counts 1 and 3 **and on both table-layout backends** (row and
-//! columnar) and must serialize **byte-identically** every time — the
-//! sorted-delta/merge contract and the backend-equivalence contract,
-//! pinned end to end.
+//! any of them fails here with a line diff. The run is repeated **on
+//! both table-layout backends** (row and columnar) and must serialize
+//! **byte-identically** both times — the sorted-delta contract and the
+//! backend-equivalence contract, pinned end to end.
 //!
 //! Regenerate the snapshot after an intended behavior change with:
 //!
@@ -53,10 +52,10 @@ fn slope_for(cell: (u32, u32), unit: i64) -> f64 {
     }
 }
 
-/// Runs the pipeline at the given shard count and cubing backend, and
-/// serializes everything observable: reports, deltas, final cube,
-/// episodes, escalations, dashboard.
-fn run_pipeline(shards: usize, backend: Backend) -> String {
+/// Runs the pipeline on the given cubing backend, and serializes
+/// everything observable: reports, deltas, final cube, episodes,
+/// escalations, dashboard.
+fn run_pipeline(backend: Backend) -> String {
     let cells: [(u32, u32); 7] = [(0, 0), (1, 2), (2, 5), (3, 6), (4, 7), (7, 1), (8, 8)];
     let log = alarm::shared(AlarmLog::new(64));
     let escalator = alarm::shared(ThresholdEscalator::new(2, 3, 4));
@@ -72,7 +71,6 @@ fn run_pipeline(shards: usize, backend: Backend) -> String {
     .with_tilt(TiltSpec::new(vec![("unit", 4), ("coarse", 3)]).unwrap())
     .with_ticks_per_unit(TICKS_PER_UNIT)
     .with_backend(backend)
-    .with_shards(shards)
     .with_sinks([
         log.clone() as SharedSink,
         escalator.clone() as SharedSink,
@@ -193,10 +191,10 @@ fn run_pipeline(shards: usize, backend: Backend) -> String {
 /// retraction, one raise), and one beyond-lateness drop. Serializes the
 /// reports with their amendments and typed alarm revisions, plus the
 /// lateness counters — pinning the whole robustness path byte-for-byte.
-fn run_lateness_pipeline(shards: usize, backend: Backend) -> String {
+fn run_lateness_pipeline(backend: Backend) -> String {
     const LATENESS: i64 = 2;
     // Two m-cells only: every o-layer/ancestor aggregate sums at most
-    // two measures, so shard merge order cannot perturb a bit.
+    // two measures, so the layouts' fold orders cannot perturb a bit.
     let cell_a: [u32; 2] = [0, 0];
     let cell_b: [u32; 2] = [1, 2];
     // Apex slope per unit = slope_a + slope_b against threshold 0.8:
@@ -221,7 +219,6 @@ fn run_lateness_pipeline(shards: usize, backend: Backend) -> String {
     .with_tilt(TiltSpec::new(vec![("unit", 4), ("coarse", 3)]).unwrap())
     .with_ticks_per_unit(TICKS_PER_UNIT)
     .with_backend(backend)
-    .with_shards(shards)
     .with_reordering(8, LATENESS)
     .with_watermark_policy(WatermarkPolicy::PerSource { idle_units: 2 })
     .build()
@@ -391,25 +388,19 @@ fn line_diff(expected: &str, actual: &str) -> String {
 
 #[test]
 fn pipeline_matches_golden_snapshot() {
-    let actual = run_pipeline(1, Backend::Row) + &run_lateness_pipeline(1, Backend::Row);
+    let actual = run_pipeline(Backend::Row) + &run_lateness_pipeline(Backend::Row);
 
-    // The identical pipeline through 3 shards, and through the columnar
-    // backend at both shard counts, must serialize byte-for-byte the
-    // same — merged deltas, episodes and all. (That holds for this
-    // stream; in general the layouts agree on aggregated measures only
-    // up to `f64` reassociation — see `engine_contract.rs`.)
-    for (label, shards, backend) in [
-        ("shards=3", 3, Backend::Row),
-        ("columnar", 1, Backend::Columnar),
-        ("columnar shards=3", 3, Backend::Columnar),
-    ] {
-        let other = run_pipeline(shards, backend) + &run_lateness_pipeline(shards, backend);
-        assert!(
-            actual == other,
-            "row shards=1 and {label} diverged:\n{}",
-            line_diff(&actual, &other)
-        );
-    }
+    // The identical pipeline through the columnar backend must
+    // serialize byte-for-byte the same — deltas, episodes and all.
+    // (That holds for this stream; in general the layouts agree on
+    // aggregated measures only up to `f64` reassociation — see
+    // `engine_contract.rs`.)
+    let columnar = run_pipeline(Backend::Columnar) + &run_lateness_pipeline(Backend::Columnar);
+    assert!(
+        actual == columnar,
+        "row and columnar diverged:\n{}",
+        line_diff(&actual, &columnar)
+    );
 
     let path = golden_path();
     if std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v == "1") {
