@@ -57,8 +57,21 @@ impl Isb {
     /// # Errors
     /// Construction invariants only (a `TimeSeries` is never empty).
     pub fn fit(series: &TimeSeries) -> Result<Self> {
-        let f = LinearFit::fit(series);
-        Isb::new(series.start(), series.end(), f.base, f.slope)
+        Isb::fit_values(series.start(), series.values())
+    }
+
+    /// Fits the series `values` observed at the ticks `start, start + 1,
+    /// …` — [`fit`](Self::fit), bit for bit, without building a
+    /// [`TimeSeries`] (the values are read in place).
+    ///
+    /// # Errors
+    /// [`RegressError::EmptySeries`] when `values` is empty.
+    pub fn fit_values(start: i64, values: &[f64]) -> Result<Self> {
+        if values.is_empty() {
+            return Err(RegressError::EmptySeries);
+        }
+        let f = LinearFit::fit_values(start, values);
+        Isb::new(start, start + values.len() as i64 - 1, f.base, f.slope)
     }
 
     /// First tick `t_b`.
@@ -326,6 +339,27 @@ mod tests {
     fn invalid_intervals_are_rejected() {
         assert!(Isb::new(5, 4, 0.0, 0.0).is_err());
         assert!(IntVal::new(5, 4, 0.0, 0.0).is_err());
+        assert!(matches!(
+            Isb::fit_values(3, &[]),
+            Err(RegressError::EmptySeries)
+        ));
+    }
+
+    #[test]
+    fn fitting_values_in_place_is_fitting_the_series() {
+        let values = [0.1, -0.0, 1e16, 3.5, -1e16];
+        let isb = Isb::fit_values(-2, &values).unwrap();
+        assert_eq!(isb.interval(), (-2, 2));
+        // Lemma 3.1 written over the series' own statistics.
+        let z = TimeSeries::new(-2, values.to_vec()).unwrap();
+        let (t_bar, z_bar) = (z.mean_t(), z.mean());
+        let mut num = 0.0;
+        for (t, v) in z.iter() {
+            num += (t as f64 - t_bar) * v;
+        }
+        let slope = num / svs(5);
+        assert_eq!(isb.slope().to_bits(), slope.to_bits());
+        assert_eq!(isb.base().to_bits(), (z_bar - slope * t_bar).to_bits());
     }
 
     #[test]

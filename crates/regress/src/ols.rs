@@ -43,20 +43,29 @@ impl LinearFit {
     /// history shows "no trend yet") we define it as slope `0` with base
     /// equal to the lone observation.
     pub fn fit(series: &TimeSeries) -> LinearFit {
-        let n = series.len() as u64;
+        LinearFit::fit_values(series.start(), series.values())
+    }
+
+    /// [`fit`](Self::fit) of the series `values` observed at the ticks
+    /// `start, start + 1, …`, read in place. `values` is not empty.
+    pub(crate) fn fit_values(start: i64, values: &[f64]) -> LinearFit {
+        let n = values.len() as u64;
         if n == 1 {
             return LinearFit {
-                base: series.values()[0],
+                base: values[0],
                 slope: 0.0,
             };
         }
-        let t_bar = series.mean_t();
-        let z_bar = series.mean();
+        // The same arithmetic as `TimeSeries::{mean_t, mean, iter}`.
+        let end = start + values.len() as i64 - 1;
+        let t_bar = (start as f64 + end as f64) / 2.0;
+        let z_bar = values.iter().sum::<f64>() / values.len() as f64;
         let svs_n = svs(n);
         // β̂ = Σ (t - t̄) z(t) / SVS; subtracting z̄ is unnecessary because
         // Σ (t - t̄) = 0 (the paper's Equation 1 notes the same).
         let mut num = 0.0;
-        for (t, z) in series.iter() {
+        for (i, &z) in values.iter().enumerate() {
+            let t = start + i as i64;
             num += (t as f64 - t_bar) * z;
         }
         let slope = num / svs_n;

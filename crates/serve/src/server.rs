@@ -263,14 +263,26 @@ impl Server {
         Ok(())
     }
 
-    /// Enqueues one record for a tenant. Non-blocking: a full queue is
-    /// the typed [`ServeError::Overloaded`] — the record is *not*
-    /// accepted and nothing previously accepted is disturbed.
+    /// Enqueues one record for a tenant. The record is validated against
+    /// the tenant's primitive layer and packed here, on the caller's
+    /// thread; the queue holds it as a
+    /// [`PackedRecord`](regcube_stream::PackedRecord). Non-blocking: a
+    /// rejected record — malformed, or refused by a full queue — is
+    /// *not* accepted, and nothing previously accepted is disturbed.
     ///
     /// # Errors
-    /// [`ServeError::UnknownTenant`] or [`ServeError::Overloaded`].
+    /// * [`ServeError::UnknownTenant`].
+    /// * [`ServeError::Stream`] with [`StreamError::BadRecord`] when the
+    ///   record's ids do not fit the tenant's primitive layer (wrong
+    ///   arity, member out of range).
+    /// * [`ServeError::Overloaded`] when the tenant's queue is full.
     pub fn ingest(&self, id: &TenantId, record: &RawRecord) -> Result<(), ServeError> {
-        self.tenant(id)?.try_enqueue(record)
+        let fleet = self.fleet.read().expect("tenant map lock");
+        let hosted = fleet
+            .tenants
+            .get(id)
+            .ok_or_else(|| ServeError::UnknownTenant { tenant: id.clone() })?;
+        hosted.tenant.try_enqueue(record)
     }
 
     /// Pumps every tenant with queued records: one job per lane that

@@ -9,12 +9,17 @@
 //! queue is bounded: a full queue is a typed
 //! [`ServeError::Overloaded`] back to the producer, never a silent
 //! drop, and every record that *was* accepted is ingested by the next
-//! pump in arrival order.
+//! pump in arrival order. Records are validated and packed on the
+//! producer's thread, so the queue holds `Copy`
+//! [`PackedRecord`]s and a malformed record is refused before it is
+//! queued.
 
 use crate::cell::SnapshotCell;
 use crate::error::ServeError;
 use regcube_core::RunStats;
-use regcube_stream::{BoxedEngine, CubeSnapshot, OnlineEngine, RawRecord, UnitReport};
+use regcube_stream::{
+    BoxedEngine, CubeSnapshot, OnlineEngine, PackedRecord, RawRecord, RecordPacker, UnitReport,
+};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,16 +55,18 @@ impl fmt::Display for TenantId {
 }
 
 /// The outcome of pumping one tenant: the unit reports of every unit
-/// the pump closed, plus any per-record stream errors (contained here
-/// so one tenant's bad records never abort another tenant's pump).
+/// the pump closed, plus any stream errors (contained here so one
+/// tenant's failures never abort another tenant's pump).
 #[derive(Debug)]
 pub struct TenantPump {
     /// Whose pump this is.
     pub tenant: TenantId,
     /// One report per unit closed by this pump, in close order.
     pub reports: Vec<UnitReport>,
-    /// Stream errors hit while draining (bad records, reorder
-    /// overflow); the offending records are accounted for, not lost.
+    /// Stream errors hit while draining (a reorder overflow, a record
+    /// outside the open unit, a failed close); the offending records
+    /// are accounted for, not lost. Malformed records never get here:
+    /// [`Server::ingest`](crate::server::Server::ingest) rejects them.
     pub errors: Vec<ServeError>,
 }
 
@@ -81,13 +88,23 @@ pub(crate) struct Tenant {
     /// record implies closing the open unit (reorder-disabled mode).
     ticks_per_unit: i64,
     capacity: usize,
-    queue: Mutex<VecDeque<RawRecord>>,
+    /// Packs records on the producer's thread, before the queue lock.
+    packer: RecordPacker,
+    queue: Mutex<VecDeque<PackedRecord>>,
     /// Poisoned only by a panic inside a pump; every later lock then
     /// reports [`ServeError::TenantFailed`].
-    engine: Mutex<OnlineEngine<BoxedEngine>>,
+    engine: Mutex<LaneState>,
     pub(crate) cell: SnapshotCell,
-    accepted: AtomicU64,
     rejected: AtomicU64,
+}
+
+/// What the tenant's lane owns behind the engine lock: the engine, and
+/// the queue buffer a pump swaps in for the one it drains. The two
+/// buffers trade places on every pump and keep their capacity, so a
+/// steady stream allocates no queue memory.
+struct LaneState {
+    engine: OnlineEngine<BoxedEngine>,
+    spare: VecDeque<PackedRecord>,
 }
 
 impl Tenant {
@@ -105,10 +122,13 @@ impl Tenant {
             id,
             ticks_per_unit,
             capacity,
+            packer: engine.packer().clone(),
             queue: Mutex::new(VecDeque::new()),
-            engine: Mutex::new(engine),
+            engine: Mutex::new(LaneState {
+                engine,
+                spare: VecDeque::new(),
+            }),
             cell,
-            accepted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
         }
     }
@@ -120,7 +140,7 @@ impl Tenant {
     /// The engine, or the typed failure if an earlier pump panicked
     /// while holding it (its state is then unknown, so nothing may
     /// touch it again; the last published snapshot stays readable).
-    fn engine(&self) -> Result<MutexGuard<'_, OnlineEngine<BoxedEngine>>, ServeError> {
+    fn engine(&self) -> Result<MutexGuard<'_, LaneState>, ServeError> {
         self.engine.lock().map_err(|_| self.failure())
     }
 
@@ -147,14 +167,17 @@ impl Tenant {
         path: impl AsRef<std::path::Path>,
     ) -> Result<(), ServeError> {
         self.engine()?
+            .engine
             .write_checkpoint(path)
             .map_err(ServeError::from)
     }
 
-    /// Enqueues one record, or rejects it with the typed backpressure
-    /// error if the bounded queue is full. Never blocks on the engine
-    /// lock — producers stay decoupled from pumping.
+    /// Packs one record and enqueues it, or rejects it: a malformed
+    /// record with the typed stream error, a full queue with the typed
+    /// backpressure error. Never blocks on the engine lock — producers
+    /// stay decoupled from pumping.
     pub(crate) fn try_enqueue(&self, record: &RawRecord) -> Result<(), ServeError> {
+        let packed = self.packer.pack(record)?;
         let mut queue = self.queue.lock().expect("tenant queue lock");
         if queue.len() >= self.capacity {
             drop(queue);
@@ -164,9 +187,7 @@ impl Tenant {
                 capacity: self.capacity,
             });
         }
-        queue.push_back(record.clone());
-        drop(queue);
-        self.accepted.fetch_add(1, Ordering::Relaxed);
+        queue.push_back(packed);
         Ok(())
     }
 
@@ -179,10 +200,11 @@ impl Tenant {
     /// the whole pump so it serializes with foreign lockers and keeps
     /// arrival order. Called on the tenant's lane only.
     pub(crate) fn run(&self, op: PumpOp) -> TenantPump {
-        let Ok(mut engine) = self.engine() else {
+        let Ok(mut lane) = self.engine() else {
             return self.failed();
         };
-        let (mut reports, mut errors) = self.pump_locked(&mut engine);
+        let (mut reports, mut errors) = self.pump_locked(&mut lane);
+        let engine = &mut lane.engine;
         let more = match op {
             PumpOp::Drain => Ok(Vec::new()),
             PumpOp::CloseUnit => engine.close_unit().map(|report| vec![report]),
@@ -191,7 +213,7 @@ impl Tenant {
         match more {
             Ok(more) => {
                 if !more.is_empty() {
-                    self.publish(&engine);
+                    self.publish(engine);
                 }
                 reports.extend(more);
             }
@@ -208,33 +230,31 @@ impl Tenant {
     /// serving-layer ones (snapshot reads served, records rejected by
     /// backpressure).
     pub(crate) fn stats(&self) -> Result<RunStats, ServeError> {
-        let mut stats = self.engine()?.stats();
+        let mut stats = self.engine()?.engine.stats();
         stats.snapshot_reads = self.cell.reads();
         stats.overload_rejections = self.rejected.load(Ordering::Relaxed);
         Ok(stats)
     }
 
     pub(crate) fn add_sink(&self, sink: regcube_core::alarm::SharedSink) -> Result<(), ServeError> {
-        self.engine()?.add_sink(sink);
+        self.engine()?.engine.add_sink(sink);
         Ok(())
     }
 
     /// The body of a pump with the engine lock already held. The queue
-    /// is swapped out under its own (briefly held) lock, so producers
-    /// keep enqueuing while the drain runs.
-    fn pump_locked(
-        &self,
-        engine: &mut OnlineEngine<BoxedEngine>,
-    ) -> (Vec<UnitReport>, Vec<ServeError>) {
-        let drained = std::mem::take(&mut *self.queue.lock().expect("tenant queue lock"));
+    /// is swapped with the lane's empty spare under its own (briefly
+    /// held) lock, so producers keep enqueuing while the drain runs.
+    fn pump_locked(&self, lane: &mut LaneState) -> (Vec<UnitReport>, Vec<ServeError>) {
+        let LaneState { engine, spare } = lane;
+        std::mem::swap(&mut *self.queue.lock().expect("tenant queue lock"), spare);
         let mut reports = Vec::new();
         let mut errors = Vec::new();
         let reordering = engine.reordering().is_some();
-        for record in drained {
+        for record in spare.drain(..) {
             if reordering {
                 // Watermark mode: the engine buffers and decides when
                 // units are closable; publish at every ready boundary.
-                if let Err(e) = engine.ingest(&record) {
+                if let Err(e) = engine.ingest_packed(&record) {
                     errors.push(e.into());
                     continue;
                 }
@@ -266,7 +286,7 @@ impl Tenant {
                     }
                 }
                 if closed_ok {
-                    if let Err(e) = engine.ingest(&record) {
+                    if let Err(e) = engine.ingest_packed(&record) {
                         errors.push(e.into());
                     }
                 }

@@ -591,8 +591,9 @@ fn encode_state<E: CubingEngine>(engine: &OnlineEngine<E>, enc: &mut Enc) {
         Some(st) => {
             enc.u8(1);
             enc.opt_i64(st.max_seen_unit);
-            enc.u64(st.sources.len() as u64);
-            for (&source, &mark) in &st.sources {
+            let sources = st.sources();
+            enc.u64(sources.len() as u64);
+            for (source, mark) in sources {
                 enc.u32(source);
                 enc.i64(mark);
             }
@@ -601,11 +602,16 @@ fn encode_state<E: CubingEngine>(engine: &OnlineEngine<E>, enc: &mut Enc) {
             enc.u64(st.sources_evicted);
             enc.u64(st.watermark_held_units);
             enc.u64(st.units.len() as u64);
+            // Buffered records are written with their ids, as they
+            // arrived: the file does not depend on the packing.
+            let codec = engine.ingestor.packer().codec();
+            let mut ids = vec![0; codec.num_dims()];
             for (&unit, records) in &st.units {
                 enc.i64(unit);
                 enc.u64(records.len() as u64);
                 for r in records {
-                    enc.ids(&r.ids);
+                    codec.decode_into(r.key, &mut ids);
+                    enc.ids(&ids);
                     enc.i64(r.tick);
                     enc.f64(r.value);
                     enc.u32(r.source);
@@ -939,16 +945,24 @@ fn apply_state(engine: &mut OnlineEngine<BoxedEngine>, saved: SavedState) -> Res
     engine.late_amended_total = saved.late_amended_total;
 
     if let (Some(st), Some(saved_st)) = (engine.reorder.as_mut(), saved.reorder) {
-        st.max_seen_unit = saved_st.max_seen_unit;
-        st.sources = saved_st.sources.into_iter().collect();
+        let packer = engine.ingestor.packer();
+        let mut units = BTreeMap::new();
+        for (unit, records) in saved_st.buffered {
+            let packed = records
+                .iter()
+                .map(|r| packer.pack(r))
+                .collect::<Result<Vec<_>>>()
+                .map_err(|e| StreamError::Checkpoint {
+                    detail: format!("buffered record of unit {unit}: {e}"),
+                })?;
+            units.insert(unit, packed);
+        }
+        st.units = units;
+        st.restore_clock(saved_st.max_seen_unit, saved_st.sources);
         st.dropped_total = saved_st.dropped_total;
         st.dropped_since_report = saved_st.dropped_since_report;
         st.sources_evicted = saved_st.sources_evicted;
         st.watermark_held_units = saved_st.watermark_held_units;
-        st.units = saved_st
-            .buffered
-            .into_iter()
-            .collect::<BTreeMap<i64, Vec<RawRecord>>>();
     }
     Ok(())
 }

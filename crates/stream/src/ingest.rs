@@ -7,15 +7,37 @@
 //! [`MTuple`] — the m-layer aggregation Step 1 of both algorithms expects
 //! ("the m-layer should be the layer aggregated directly from the stream
 //! data").
+//!
+//! The accumulation works on packed ids ([`PackedRecord`]): a record's
+//! primitive key is projected to its m-cell's key on integers (free when
+//! the two layers coincide), one hash probe finds the cell's row of the
+//! open unit's slab — `rows × ticks_per_unit` sums in one buffer — and
+//! the value is added to the row's tick. No key is built and nothing is
+//! allocated for a cell the unit has already seen; the dictionary and
+//! the slab keep their capacity from one unit to the next.
 
 use crate::error::StreamError;
-use crate::record::RawRecord;
+use crate::record::{PackedRecord, RawRecord, RecordPacker};
 use crate::Result;
+use regcube_core::kernel::BlockProjector;
+use regcube_core::table::{DenseCellCodec, Projector};
 use regcube_core::MTuple;
 use regcube_olap::cell::{project_key, CellKey};
 use regcube_olap::fxhash::FxHashMap;
 use regcube_olap::{CubeSchema, CuboidSpec};
-use regcube_regress::{Isb, TimeSeries};
+use regcube_regress::Isb;
+
+/// How a packed primitive key becomes its m-cell's packed key.
+#[derive(Debug, Clone)]
+enum ToM {
+    /// The primitive layer is the m-layer: the key is the m-cell's.
+    Identity,
+    /// Fused per-dimension ancestor tables on the mixed-radix digits.
+    Block(BlockProjector),
+    /// A dimension beyond the lookup-table bound: decode, walk the
+    /// hierarchies, encode.
+    Walk,
+}
 
 /// Accumulates raw records for one m-layer time unit at a time.
 #[derive(Debug, Clone)]
@@ -25,8 +47,15 @@ pub struct Ingestor {
     m_layer: CuboidSpec,
     ticks_per_unit: usize,
     open_unit: i64,
-    /// Per-m-cell accumulation: value sum per tick offset of the open unit.
-    buffers: FxHashMap<CellKey, Vec<f64>>,
+    packer: RecordPacker,
+    m_codec: DenseCellCodec,
+    to_m: ToM,
+    /// The open unit's active m-cells: packed m-id → slab row.
+    rows: FxHashMap<u64, u32>,
+    /// The packed m-id of each slab row.
+    keys: Vec<u64>,
+    /// Per-tick value sums of the open unit, `ticks_per_unit` per row.
+    slab: Vec<f64>,
     records_seen: u64,
 }
 
@@ -35,7 +64,8 @@ impl Ingestor {
     ///
     /// # Errors
     /// [`StreamError::BadConfig`] when the primitive layer is not a
-    /// descendant-or-equal of the m-layer, or `ticks_per_unit == 0`.
+    /// descendant-or-equal of the m-layer, when either layer's cell
+    /// space does not fit a 64-bit key, or when `ticks_per_unit == 0`.
     pub fn new(
         schema: CubeSchema,
         primitive: CuboidSpec,
@@ -54,13 +84,32 @@ impl Ingestor {
                 detail: format!("primitive layer {primitive} is not below the m-layer {m_layer}"),
             });
         }
+        // Both layers are checked: a ragged hierarchy can have more
+        // members on a coarser level than on a finer one.
+        let packer = RecordPacker::new(&schema, &primitive)?;
+        let m_codec =
+            DenseCellCodec::new(&schema, &m_layer).map_err(|e| StreamError::BadConfig {
+                detail: format!("m-layer {m_layer}: {e}"),
+            })?;
+        let to_m = if primitive == m_layer {
+            ToM::Identity
+        } else {
+            Projector::new(&schema, &primitive, &m_layer)
+                .block_projector(packer.codec(), &m_codec)
+                .map_or(ToM::Walk, ToM::Block)
+        };
         Ok(Ingestor {
             schema,
             primitive,
             m_layer,
             ticks_per_unit,
             open_unit: 0,
-            buffers: FxHashMap::default(),
+            packer,
+            m_codec,
+            to_m,
+            rows: FxHashMap::default(),
+            keys: Vec::new(),
+            slab: Vec::new(),
             records_seen: 0,
         })
     }
@@ -75,7 +124,7 @@ impl Ingestor {
     /// valid with empty buffers (a restored engine resumes at a unit
     /// boundary); callers in this crate uphold that.
     pub(crate) fn set_open_unit(&mut self, unit: i64) {
-        debug_assert!(self.buffers.is_empty(), "repositioning a non-empty unit");
+        debug_assert!(self.rows.is_empty(), "repositioning a non-empty unit");
         self.open_unit = unit;
     }
 
@@ -94,38 +143,23 @@ impl Ingestor {
     /// Number of distinct m-cells touched in the open unit.
     #[inline]
     pub fn open_cells(&self) -> usize {
-        self.buffers.len()
+        self.rows.len()
+    }
+
+    /// The packer of this ingestor's primitive layer.
+    #[inline]
+    pub fn packer(&self) -> &RecordPacker {
+        &self.packer
     }
 
     /// Validates a record's coordinates against the primitive layer
     /// (arity and member range) without touching the open window — the
-    /// check the reordering buffer runs *before* admitting a record, so
-    /// a malformed record is rejected at arrival time rather than units
-    /// later when its buffer drains.
+    /// check [`RecordPacker::pack`] runs when a record is packed.
     ///
     /// # Errors
     /// [`StreamError::BadRecord`] for arity/member violations.
     pub fn validate(&self, record: &RawRecord) -> Result<()> {
-        if record.ids.len() != self.schema.num_dims() {
-            return Err(StreamError::BadRecord {
-                detail: format!(
-                    "{} ids for {} dimensions",
-                    record.ids.len(),
-                    self.schema.num_dims()
-                ),
-            });
-        }
-        for (d, &id) in record.ids.iter().enumerate() {
-            let card = self.schema.dims()[d]
-                .hierarchy()
-                .cardinality(self.primitive.level(d));
-            if id >= card {
-                return Err(StreamError::BadRecord {
-                    detail: format!("dimension {d} member {id} out of range ({card})"),
-                });
-            }
-        }
-        Ok(())
+        self.packer.pack(record).map(drop)
     }
 
     /// The primitive layer records arrive at (checkpoint fingerprint).
@@ -143,13 +177,29 @@ impl Ingestor {
         ))
     }
 
-    /// Ingests one raw record into the open unit.
+    /// Ingests one raw record into the open unit: [`RecordPacker::pack`]
+    /// and [`ingest_packed`](Self::ingest_packed).
     ///
     /// # Errors
+    /// * [`StreamError::BadRecord`] for arity/member violations.
     /// * [`StreamError::OutOfWindow`] when the record's tick is outside
     ///   the open unit (close the unit first).
-    /// * [`StreamError::BadRecord`] for arity/member violations.
     pub fn ingest(&mut self, record: &RawRecord) -> Result<()> {
+        let packed = self.packer.pack(record)?;
+        self.ingest_packed(&packed)
+    }
+
+    /// Ingests one record packed by this ingestor's
+    /// [`packer`](Self::packer) into the open unit: one hash probe for
+    /// the m-cell's row, one add into its tick.
+    ///
+    /// # Errors
+    /// * [`StreamError::BadRecord`] for a key beyond the primitive layer
+    ///   ([`RecordPacker::check`]).
+    /// * [`StreamError::OutOfWindow`] when the record's tick is outside
+    ///   the open unit (close the unit first).
+    pub fn ingest_packed(&mut self, record: &PackedRecord) -> Result<()> {
+        self.packer.check(record)?;
         let window = self.open_window();
         if record.tick < window.0 || record.tick > window.1 {
             return Err(StreamError::OutOfWindow {
@@ -157,15 +207,21 @@ impl Ingestor {
                 window,
             });
         }
-        self.validate(record)?;
-        let m_ids = project_key(&self.schema, &self.primitive, &record.ids, &self.m_layer);
-        let offset = (record.tick - window.0) as usize;
+        let m_key = match &self.to_m {
+            ToM::Identity => record.key,
+            ToM::Block(block) => block.project_one(record.key),
+            ToM::Walk => self
+                .m_codec
+                .encode(self.project_to_m(&self.packer.ids(record.key)).ids()),
+        };
         let ticks = self.ticks_per_unit;
-        let buf = self
-            .buffers
-            .entry(CellKey::new(m_ids))
-            .or_insert_with(|| vec![0.0; ticks]);
-        buf[offset] += record.value;
+        let fresh = self.rows.len() as u32;
+        let row = *self.rows.entry(m_key).or_insert(fresh);
+        if row == fresh {
+            self.keys.push(m_key);
+            self.slab.resize(self.slab.len() + ticks, 0.0);
+        }
+        self.slab[row as usize * ticks + (record.tick - window.0) as usize] += record.value;
         self.records_seen += 1;
         Ok(())
     }
@@ -186,14 +242,25 @@ impl Ingestor {
     pub fn close_unit(&mut self) -> Result<(i64, Vec<(CellKey, Isb)>)> {
         let (first, _) = self.open_window();
         let unit = self.open_unit;
-        let mut out: Vec<(CellKey, Isb)> = Vec::with_capacity(self.buffers.len());
-        for (key, values) in self.buffers.iter() {
-            let series = TimeSeries::new(first, values.clone()).map_err(StreamError::from)?;
-            let isb = Isb::fit(&series).map_err(StreamError::from)?;
-            out.push((key.clone(), isb));
+        let ticks = self.ticks_per_unit;
+        // Packed m-ids order as the keys' ids do. Rows are numbered in
+        // arrival order, which a sorted stream makes key order already.
+        let keys = &self.keys;
+        let mut order: Vec<u32> = (0..keys.len() as u32).collect();
+        if !keys.windows(2).all(|w| w[0] < w[1]) {
+            order.sort_unstable_by_key(|&row| keys[row as usize]);
         }
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        self.buffers.clear();
+        let mut ids = vec![0; self.m_codec.num_dims()];
+        let mut out: Vec<(CellKey, Isb)> = Vec::with_capacity(order.len());
+        for row in order {
+            let sums = &self.slab[row as usize * ticks..][..ticks];
+            let isb = Isb::fit_values(first, sums).map_err(StreamError::from)?;
+            self.m_codec.decode_into(keys[row as usize], &mut ids);
+            out.push((CellKey::new(ids.as_slice()), isb));
+        }
+        self.rows.clear();
+        self.keys.clear();
+        self.slab.clear();
         self.open_unit += 1;
         Ok((unit, out))
     }
@@ -285,6 +352,21 @@ mod tests {
     }
 
     #[test]
+    fn cells_close_in_key_order_whatever_the_arrival() {
+        for keys in [[[0, 1], [2, 0], [3, 3]], [[3, 3], [0, 1], [2, 0]]] {
+            let mut ing = ingestor();
+            for (t, ids) in keys.iter().enumerate() {
+                ing.ingest(&RawRecord::new(ids.to_vec(), t as i64, 1.0))
+                    .unwrap();
+            }
+            let (_, cells) = ing.close_unit().unwrap();
+            let closed: Vec<&[u32]> = cells.iter().map(|(k, _)| k.ids()).collect();
+            assert_eq!(closed, [[0, 1], [2, 0], [3, 3]]);
+            assert_eq!(cells[2].1.interval(), (0, 3));
+        }
+    }
+
+    #[test]
     fn units_advance_and_windows_shift() {
         let mut ing = ingestor();
         ing.ingest(&RawRecord::new(vec![0, 0], 2, 1.0)).unwrap();
@@ -315,6 +397,32 @@ mod tests {
         assert_eq!(cells.len(), 1);
         assert_eq!(cells[0].0.ids(), &[0, 1]);
         assert!((cells[0].1.sum_z() - 12.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn members_beyond_the_lookup_table_bound_roll_up_by_walking() {
+        // 1025² primitive members: past the projector's table bound, so
+        // the ingestor walks the hierarchy instead of a lookup table.
+        let schema = CubeSchema::synthetic(1, 2, 1025).unwrap();
+        let mut ing = Ingestor::new(
+            schema,
+            CuboidSpec::new(vec![2]),
+            CuboidSpec::new(vec![1]),
+            2,
+        )
+        .unwrap();
+        assert!(matches!(ing.to_m, ToM::Walk));
+        ing.ingest(&RawRecord::new(vec![1025 * 1025 - 1], 0, 1.0))
+            .unwrap();
+        ing.ingest(&RawRecord::new(vec![1025 * 1024], 1, 2.0))
+            .unwrap();
+        ing.ingest(&RawRecord::new(vec![3], 1, 4.0)).unwrap();
+        let (_, cells) = ing.close_unit().unwrap();
+        let closed: Vec<(&[u32], f64)> = cells
+            .iter()
+            .map(|(k, isb)| (k.ids(), isb.sum_z()))
+            .collect();
+        assert_eq!(closed, [(&[0][..], 4.0), (&[1024][..], 3.0)]);
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //! computation once every 15 minutes"; tilt-frame slots promote to coarser
 //! granularities as they fill.
 //!
-//! * [`record`] — raw stream records below the m-layer;
+//! * [`record`] — raw stream records below the m-layer, and their packed
+//!   form: each record's primitive ids become one mixed-radix `u64` as
+//!   it enters an engine, so queues and the reorder buffer hold 32-byte
+//!   `Copy` values and the canonical sort compares integers;
 //! * [`ingest`] — per-unit accumulation and roll-up of raw records into
 //!   m-layer ISB tuples (standard dimensions via hierarchy projection,
 //!   time via per-unit OLS fits);
@@ -65,8 +68,8 @@ pub use checkpoint::{checkpoint_bytes, restore, restore_bytes, write_checkpoint}
 pub use error::StreamError;
 pub use ingest::Ingestor;
 pub use online::{Alarm, BoxedEngine, EngineConfig, OnlineEngine, TiltHit, UnitReport};
-pub use record::RawRecord;
-pub use reorder::{ReorderConfig, ReorderState, WatermarkPolicy};
+pub use record::{PackedRecord, RawRecord, RecordPacker};
+pub use reorder::{CanonicalOrder, ReorderConfig, ReorderState, WatermarkPolicy};
 pub use snapshot::CubeSnapshot;
 pub use source::{run_engine, ReplaySource, StreamEvent};
 

@@ -3,7 +3,7 @@
 
 use crate::error::StreamError;
 use crate::ingest::Ingestor;
-use crate::record::RawRecord;
+use crate::record::{PackedRecord, RawRecord, RecordPacker};
 use crate::reorder::{ReorderConfig, ReorderState, WatermarkPolicy};
 use crate::snapshot::{drill_frames_at, drill_frames_history, CubeSnapshot};
 use crate::Result;
@@ -377,9 +377,11 @@ impl EngineConfig {
     /// # Errors
     /// [`StreamError::BadConfig`] for [`Backend::Columnar`] combined
     /// with [`Algorithm::PopularPath`] (the columnar layout
-    /// implements Algorithm 1 only) and for a shard count other than 1;
-    /// otherwise configuration validation from the ingestor and cube
-    /// substrates.
+    /// implements Algorithm 1 only), for a shard count other than 1,
+    /// and when the primitive or the m-layer's cell space does not fit
+    /// a 64-bit id (records are packed into one `u64` key on arrival —
+    /// see [`RecordPacker`]); otherwise configuration validation from
+    /// the ingestor and cube substrates.
     pub fn build(self) -> Result<OnlineEngine<BoxedEngine>> {
         let backend = self.backend;
         match (self.algorithm, backend) {
@@ -425,9 +427,10 @@ impl EngineConfig {
     /// backends.
     ///
     /// # Errors
-    /// [`StreamError::BadConfig`] for a shard count other than 1;
-    /// otherwise configuration validation from the ingestor and cube
-    /// substrates.
+    /// [`StreamError::BadConfig`] for a shard count other than 1 and for
+    /// a primitive or m-layer beyond a 64-bit id (see
+    /// [`build`](Self::build)); otherwise configuration validation from
+    /// the ingestor and cube substrates.
     pub fn build_with<E: CubingEngine>(
         self,
         make: impl FnOnce(CubeSchema, CriticalLayers, ExceptionPolicy) -> regcube_core::Result<E>,
@@ -534,7 +537,7 @@ pub struct OnlineEngine<E: CubingEngine = BoxedEngine> {
     /// Bounded reordering + watermark state; `None` when disabled (the
     /// strictly-ordered ingest path, byte-identical to the pre-watermark
     /// engine).
-    pub(crate) reorder: Option<ReorderState>,
+    pub(crate) reorder: Option<ReorderState<PackedRecord>>,
     /// Late-record tilt amendments applied since the last unit report.
     pub(crate) pending_amendments: Vec<LateAmendment>,
     /// Alarm revisions produced by late amendments since the last unit
@@ -566,7 +569,28 @@ impl OnlineEngine {
 }
 
 impl<E: CubingEngine> OnlineEngine<E> {
-    /// Ingests one raw record.
+    /// Ingests one raw record: packs it with
+    /// [`packer`](Self::packer) and hands it to
+    /// [`ingest_packed`](Self::ingest_packed) — the one fold path.
+    ///
+    /// # Errors
+    /// [`StreamError::BadRecord`] for arity/member violations, and
+    /// whatever [`ingest_packed`](Self::ingest_packed) returns.
+    pub fn ingest(&mut self, record: &RawRecord) -> Result<()> {
+        let packed = self.ingestor.packer().pack(record)?;
+        self.ingest_packed(&packed)
+    }
+
+    /// The packer of this engine's primitive layer: what turns a
+    /// [`RawRecord`] into the [`PackedRecord`]
+    /// [`ingest_packed`](Self::ingest_packed) takes. Cheap to clone, so
+    /// a producer can pack on its own thread.
+    pub fn packer(&self) -> &RecordPacker {
+        self.ingestor.packer()
+    }
+
+    /// Ingests one record packed by this engine's
+    /// [`packer`](Self::packer).
     ///
     /// With reordering disabled (the default) the record must belong to
     /// the open unit. With [`EngineConfig::with_reordering`] the record
@@ -582,18 +606,18 @@ impl<E: CubingEngine> OnlineEngine<E> {
     /// * [`StreamError::ReorderOverflow`] — the bounded buffer cannot
     ///   admit another future unit (close ready units first, e.g. via
     ///   [`drain_ready`](Self::drain_ready)).
-    /// * [`StreamError::BadRecord`] for arity/member violations.
-    pub fn ingest(&mut self, record: &RawRecord) -> Result<()> {
-        if self.reorder.is_none() {
-            return self.ingestor.ingest(record);
-        }
-        self.ingestor.validate(record)?;
+    /// * [`StreamError::BadRecord`] — a key beyond the primitive layer
+    ///   (a record another packer made), refused before it is buffered.
+    pub fn ingest_packed(&mut self, record: &PackedRecord) -> Result<()> {
+        let Some(st) = self.reorder.as_mut() else {
+            return self.ingestor.ingest_packed(record);
+        };
+        self.ingestor.packer().check(record)?;
         let unit = record.tick.div_euclid(self.ticks_per_unit as i64);
         let open = self.ingestor.open_unit();
-        let st = self.reorder.as_mut().expect("reorder enabled");
         st.observe_from(unit, record.source);
         if unit >= open {
-            return st.buffer(unit, record.clone());
+            return st.buffer(unit, *record);
         }
         if unit < 0 || unit < open - st.config().lateness {
             st.count_drop();
@@ -612,8 +636,9 @@ impl<E: CubingEngine> OnlineEngine<E> {
     /// the promoted slot directly). The amendment is reported through
     /// the next [`UnitReport::late_amendments`] and fanned out to the
     /// alarm sinks.
-    fn amend_late(&mut self, unit: i64, record: &RawRecord) -> Result<()> {
-        let m_key = self.ingestor.project_to_m(&record.ids);
+    fn amend_late(&mut self, unit: i64, record: &PackedRecord) -> Result<()> {
+        let ids = self.ingestor.packer().ids(record.key);
+        let m_key = self.ingestor.project_to_m(&ids);
         let o_key = CellKey::new(project_key(
             &self.schema,
             &self.m_layer,
@@ -851,7 +876,7 @@ impl<E: CubingEngine> OnlineEngine<E> {
         if let Some(st) = self.reorder.as_mut() {
             let open = self.ingestor.open_unit();
             for record in st.take_unit(open) {
-                self.ingestor.ingest(&record)?;
+                self.ingestor.ingest_packed(&record)?;
             }
         }
         let (unit, window) = (self.ingestor.open_unit(), self.ingestor.open_window());
@@ -1549,6 +1574,40 @@ mod tests {
     }
 
     #[test]
+    fn layers_beyond_a_64_bit_key_are_a_bad_config() {
+        let detail = |built: Result<OnlineEngine>| match built {
+            Err(StreamError::BadConfig { detail }) => detail,
+            Err(e) => panic!("expected BadConfig, got {e}"),
+            Ok(_) => panic!("built an engine"),
+        };
+        // 6 dimensions of 2048² primitive members: 2^132 cells.
+        let schema = CubeSchema::synthetic(6, 2, 2048).unwrap();
+        let built = EngineConfig::new(
+            schema,
+            CuboidSpec::new(vec![0; 6]),
+            CuboidSpec::new(vec![2; 6]),
+        )
+        .build();
+        assert!(detail(built).contains("primitive layer"));
+        // Ragged: 70,000 members on level 1 and one on level 2, so the
+        // primitive layer (level 2) has one cell and the m-layer
+        // (level 1) 70,000^5 > 2^64.
+        let ragged = regcube_olap::Hierarchy::from_parents(vec![vec![0; 70_000], vec![0]]).unwrap();
+        let dims = (0..5)
+            .map(|d| regcube_olap::Dimension::new(format!("d{d}"), ragged.clone()))
+            .collect();
+        let schema = CubeSchema::new(dims).unwrap();
+        let built = EngineConfig::new(
+            schema,
+            CuboidSpec::new(vec![0; 5]),
+            CuboidSpec::new(vec![1; 5]),
+        )
+        .with_primitive(CuboidSpec::new(vec![2; 5]))
+        .build();
+        assert!(detail(built).contains("m-layer"));
+    }
+
+    #[test]
     fn every_configuration_with_parallel_work_holds_the_cubing_pool() {
         // No (algorithm, backend) combination may drop the pool it was
         // given: the built engine keeps a handle on it — except a
@@ -1975,6 +2034,25 @@ mod tests {
         );
         for ((_, sa), (_, sb)) in oa.timeline().iter().zip(&ob.timeline()) {
             assert!(sa.measure.approx_eq(&sb.measure, 1e-9));
+        }
+    }
+
+    #[test]
+    fn foreign_packed_keys_are_refused_before_they_are_buffered() {
+        for mut e in [engine(ExceptionPolicy::never()), reorder_engine(4, 1)] {
+            let good = e
+                .packer()
+                .pack(&RawRecord::new(vec![3, 3], 1, 1.0))
+                .unwrap();
+            let foreign = PackedRecord { key: 16, ..good };
+            assert!(matches!(
+                e.ingest_packed(&foreign),
+                Err(StreamError::BadRecord { .. })
+            ));
+            assert_eq!(e.buffered_records(), 0);
+            e.ingest_packed(&good).unwrap();
+            let report = e.flush().unwrap().pop().or_else(|| e.close_unit().ok());
+            assert_eq!(report.map(|r| r.m_cells), Some(1));
         }
     }
 

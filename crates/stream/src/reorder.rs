@@ -27,12 +27,23 @@
 //! makes out-of-order ingestion *bit-identical* to sorted replay:
 //! floating-point accumulation is order-sensitive, so the buffer imposes
 //! one order regardless of arrival order. Source ids influence only
-//! *when* units close, never their contents.
+//! *when* units close, never their contents. The buffer is generic over
+//! its record ([`CanonicalOrder`]): the engine buffers
+//! [`PackedRecord`]s, whose packed keys order as their ids do, so the
+//! sort compares integers.
+//!
+//! The watermark is O(1) per record: live sources are kept ordered by
+//! their maxima and the effective watermark is updated as they move, so
+//! [`ReorderState::close_ready`] is one read and sources are screened
+//! for eviction only when one can have become idle.
 
 use crate::error::StreamError;
-use crate::record::RawRecord;
+use crate::record::{PackedRecord, RawRecord};
 use crate::Result;
-use std::collections::BTreeMap;
+use regcube_olap::fxhash::FxHashMap;
+use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// How the low watermark is derived from observed records.
 ///
@@ -120,18 +131,61 @@ impl Default for ReorderConfig {
     }
 }
 
+/// A record the reorder buffer can hold: it knows its place in the
+/// canonical per-unit order `(tick, primitive ids, value bits)`. The
+/// declaring source takes no part, so two records that compare equal
+/// have identical content and every sort of a unit yields one sequence.
+pub trait CanonicalOrder {
+    /// Compares two records in the canonical order.
+    fn canonical_cmp(&self, other: &Self) -> Ordering;
+}
+
+impl CanonicalOrder for RawRecord {
+    fn canonical_cmp(&self, other: &Self) -> Ordering {
+        (self.tick, &self.ids, self.value.to_bits()).cmp(&(
+            other.tick,
+            &other.ids,
+            other.value.to_bits(),
+        ))
+    }
+}
+
+/// Packed keys order as their ids do, so this is the same order as
+/// [`RawRecord`]'s, on integers.
+impl CanonicalOrder for PackedRecord {
+    #[inline]
+    fn canonical_cmp(&self, other: &Self) -> Ordering {
+        (self.tick, self.key, self.value.to_bits()).cmp(&(
+            other.tick,
+            other.key,
+            other.value.to_bits(),
+        ))
+    }
+}
+
 /// The runtime state of the reordering stage: per-unit record buffers,
 /// the observed-tick watermark (global, or per-source), and drop
 /// accounting.
+///
+/// Generic over the buffered record: the
+/// [`OnlineEngine`](crate::online::OnlineEngine) buffers
+/// [`PackedRecord`]s; the default [`RawRecord`] serves callers that
+/// drive the stage by hand.
 #[derive(Debug, Clone)]
-pub struct ReorderState {
+pub struct ReorderState<R = RawRecord> {
     config: ReorderConfig,
     /// Buffered records per unit (the open unit and future units).
-    pub(crate) units: BTreeMap<i64, Vec<RawRecord>>,
+    pub(crate) units: BTreeMap<i64, Vec<R>>,
     /// Largest unit any observed tick belonged to (the global frontier).
     pub(crate) max_seen_unit: Option<i64>,
     /// Per-source maxima (live sources only; `PerSource` policy only).
-    pub(crate) sources: BTreeMap<u32, i64>,
+    sources: FxHashMap<u32, i64>,
+    /// The live sources ordered by their maxima: the first one is the
+    /// per-source watermark, and the eviction candidates lead.
+    by_mark: BTreeSet<(i64, u32)>,
+    /// The `PerSource` effective watermark, kept current by every
+    /// observation so [`close_ready`](Self::close_ready) is one read.
+    watermark: Option<i64>,
     /// Beyond-lateness records dropped since construction.
     pub(crate) dropped_total: u64,
     /// Beyond-lateness records dropped since the last unit report.
@@ -143,14 +197,16 @@ pub struct ReorderState {
     pub(crate) watermark_held_units: u64,
 }
 
-impl ReorderState {
+impl<R: CanonicalOrder> ReorderState<R> {
     /// Creates an empty state for `config`.
     pub fn new(config: ReorderConfig) -> Self {
         ReorderState {
             config,
             units: BTreeMap::new(),
             max_seen_unit: None,
-            sources: BTreeMap::new(),
+            sources: FxHashMap::default(),
+            by_mark: BTreeSet::new(),
+            watermark: None,
             dropped_total: 0,
             dropped_since_report: 0,
             sources_evicted: 0,
@@ -177,30 +233,60 @@ impl ReorderState {
     /// under [`WatermarkPolicy::PerSource`] this updates the source's
     /// own maximum, evicts sources idle beyond the policy's allowance,
     /// and accounts the units the effective watermark lags the frontier.
+    ///
+    /// O(1) for a record that moves nothing (the common case): a live
+    /// source's maximum only rises, which can make no source idle, so
+    /// sources are screened for eviction only when the frontier advances
+    /// or a source (re)registers with a stale maximum.
     pub fn observe_from(&mut self, unit: i64, source: u32) {
-        let old_frontier = self.max_seen_unit;
-        let frontier = old_frontier.map_or(unit, |m| m.max(unit));
-        self.max_seen_unit = Some(frontier);
+        let advanced = self.max_seen_unit.map_or(true, |m| unit > m);
+        if advanced {
+            self.max_seen_unit = Some(unit);
+        }
         let WatermarkPolicy::PerSource { idle_units } = self.config.policy else {
             return;
         };
-        self.sources
-            .entry(source)
-            .and_modify(|m| *m = (*m).max(unit))
-            .or_insert(unit);
+        let frontier = self.max_seen_unit.unwrap_or(unit);
+        let (inserted, raised) = match self.sources.entry(source) {
+            Entry::Occupied(mut e) => {
+                let mark = e.get_mut();
+                let raised = unit > *mark;
+                if raised {
+                    self.by_mark.remove(&(*mark, source));
+                    self.by_mark.insert((unit, source));
+                    *mark = unit;
+                }
+                (false, raised)
+            }
+            Entry::Vacant(e) => {
+                e.insert(unit);
+                self.by_mark.insert((unit, source));
+                (true, false)
+            }
+        };
+        if !(advanced || inserted || raised) {
+            return;
+        }
         // Stream-time idleness: evict every live source lagging the
         // frontier beyond the allowance (including a just-reinserted
         // straggler — its stale mark must not re-freeze the watermark).
-        let before = self.sources.len();
-        self.sources.retain(|_, &mut m| frontier - m <= idle_units);
-        self.sources_evicted += (before - self.sources.len()) as u64;
+        if advanced || inserted {
+            while let Some(&(mark, idle)) = self.by_mark.first() {
+                if frontier - mark <= idle_units {
+                    break;
+                }
+                self.by_mark.pop_first();
+                self.sources.remove(&idle);
+                self.sources_evicted += 1;
+            }
+        }
+        let effective = self.by_mark.first().map_or(frontier, |&(mark, _)| mark);
+        self.watermark = Some(effective);
         // Sample the hold only when the frontier actually advances, so
         // the counter reads "units of close-latency attributable to
         // slow sources", not "observations while lagging".
-        if old_frontier.map_or(true, |m| unit > m) {
-            if let Some(effective) = self.effective_watermark() {
-                self.watermark_held_units += (frontier - effective).max(0) as u64;
-            }
+        if advanced {
+            self.watermark_held_units += (frontier - effective).max(0) as u64;
         }
     }
 
@@ -215,12 +301,11 @@ impl ReorderState {
     /// [`WatermarkPolicy::Global`]; the minimum over live sources'
     /// maxima under [`WatermarkPolicy::PerSource`] (falling back to the
     /// frontier when every source has been evicted).
+    #[inline]
     pub fn effective_watermark(&self) -> Option<i64> {
         match self.config.policy {
             WatermarkPolicy::Global => self.max_seen_unit,
-            WatermarkPolicy::PerSource { .. } => {
-                self.sources.values().copied().min().or(self.max_seen_unit)
-            }
+            WatermarkPolicy::PerSource { .. } => self.watermark,
         }
     }
 
@@ -229,6 +314,30 @@ impl ReorderState {
     #[inline]
     pub fn live_sources(&self) -> usize {
         self.sources.len()
+    }
+
+    /// The live sources and their maxima, by ascending source id.
+    pub(crate) fn sources(&self) -> Vec<(u32, i64)> {
+        let mut sources: Vec<(u32, i64)> = self.sources.iter().map(|(&s, &m)| (s, m)).collect();
+        sources.sort_unstable();
+        sources
+    }
+
+    /// Sets the frontier and the live sources' maxima — a checkpoint's
+    /// watermark clock — and derives the effective watermark from them.
+    pub(crate) fn restore_clock(
+        &mut self,
+        max_seen_unit: Option<i64>,
+        sources: impl IntoIterator<Item = (u32, i64)>,
+    ) {
+        self.max_seen_unit = max_seen_unit;
+        self.sources = sources.into_iter().collect();
+        self.by_mark = self.sources.iter().map(|(&s, &m)| (m, s)).collect();
+        self.watermark = self
+            .by_mark
+            .first()
+            .map(|&(mark, _)| mark)
+            .or(max_seen_unit);
     }
 
     /// Sources evicted so far for idling beyond the policy allowance.
@@ -247,6 +356,7 @@ impl ReorderState {
     /// Whether the watermark guarantees `open_unit` is complete: every
     /// record within the allowed lateness of the effective watermark
     /// has either arrived or would arrive as an amendment.
+    #[inline]
     pub fn close_ready(&self, open_unit: i64) -> bool {
         self.effective_watermark()
             .is_some_and(|m| m - self.config.lateness > open_unit)
@@ -257,7 +367,7 @@ impl ReorderState {
     /// # Errors
     /// [`StreamError::ReorderOverflow`] when admitting the record would
     /// exceed the capacity in distinct buffered units.
-    pub fn buffer(&mut self, unit: i64, record: RawRecord) -> Result<()> {
+    pub fn buffer(&mut self, unit: i64, record: R) -> Result<()> {
         if let Some(bucket) = self.units.get_mut(&unit) {
             bucket.push(record);
             return Ok(());
@@ -277,11 +387,9 @@ impl ReorderState {
     /// the same multiset, which is what makes reordered ingestion
     /// bit-identical to sorted replay. Source ids deliberately do not
     /// participate in the order.
-    pub fn take_unit(&mut self, unit: i64) -> Vec<RawRecord> {
+    pub fn take_unit(&mut self, unit: i64) -> Vec<R> {
         let mut records = self.units.remove(&unit).unwrap_or_default();
-        records.sort_by(|a, b| {
-            (a.tick, &a.ids, a.value.to_bits()).cmp(&(b.tick, &b.ids, b.value.to_bits()))
-        });
+        records.sort_unstable_by(R::canonical_cmp);
         records
     }
 
@@ -348,7 +456,7 @@ mod tests {
 
     #[test]
     fn watermark_advances_monotonically() {
-        let mut st = ReorderState::new(ReorderConfig::new(4, 2));
+        let mut st = ReorderState::<RawRecord>::new(ReorderConfig::new(4, 2));
         assert_eq!(st.max_seen_unit(), None);
         assert!(!st.close_ready(0));
         st.observe(3);
@@ -364,7 +472,7 @@ mod tests {
 
     #[test]
     fn per_source_watermark_is_min_over_live_sources() {
-        let mut st = ReorderState::new(per_source(8, 0, 100));
+        let mut st = ReorderState::<RawRecord>::new(per_source(8, 0, 100));
         st.observe_from(5, 1);
         assert_eq!(st.effective_watermark(), Some(5));
         assert!(st.close_ready(4), "single source: behaves like global");
@@ -384,7 +492,7 @@ mod tests {
 
     #[test]
     fn idle_sources_are_evicted_and_reregister() {
-        let mut st = ReorderState::new(per_source(8, 0, 2));
+        let mut st = ReorderState::<RawRecord>::new(per_source(8, 0, 2));
         st.observe_from(0, 7); // the sensor that will go silent
         st.observe_from(0, 1);
         assert_eq!(st.live_sources(), 2);
@@ -413,7 +521,7 @@ mod tests {
 
     #[test]
     fn zero_idle_allowance_tracks_the_frontier_source() {
-        let mut st = ReorderState::new(per_source(8, 0, 0));
+        let mut st = ReorderState::<RawRecord>::new(per_source(8, 0, 0));
         st.observe_from(4, 3);
         assert_eq!(st.live_sources(), 1);
         // A different source at the frontier evicts source 3 (allowance
@@ -433,7 +541,7 @@ mod tests {
 
     #[test]
     fn buffer_caps_distinct_units_not_records() {
-        let mut st = ReorderState::new(ReorderConfig::new(2, 1));
+        let mut st = ReorderState::<RawRecord>::new(ReorderConfig::new(2, 1));
         st.buffer(0, rec(0, 1.0)).unwrap();
         st.buffer(0, rec(1, 2.0)).unwrap();
         st.buffer(1, rec(4, 3.0)).unwrap();
@@ -449,8 +557,8 @@ mod tests {
 
     #[test]
     fn take_unit_is_canonically_ordered() {
-        let mut a = ReorderState::new(ReorderConfig::new(2, 1));
-        let mut b = ReorderState::new(ReorderConfig::new(2, 1));
+        let mut a = ReorderState::<RawRecord>::new(ReorderConfig::new(2, 1));
+        let mut b = ReorderState::<RawRecord>::new(ReorderConfig::new(2, 1));
         let records = vec![rec(2, 1.0), rec(0, 5.0), rec(1, -2.0), rec(0, 3.0)];
         for r in &records {
             a.buffer(0, r.clone()).unwrap();
@@ -466,7 +574,7 @@ mod tests {
 
     #[test]
     fn drop_accounting() {
-        let mut st = ReorderState::new(ReorderConfig::new(2, 1));
+        let mut st = ReorderState::<RawRecord>::new(ReorderConfig::new(2, 1));
         st.count_drop();
         st.count_drop();
         assert_eq!(st.dropped_total(), 2);

@@ -516,3 +516,36 @@ fn reencoded_checkpoint_with_an_impossible_frame_is_a_typed_error() {
         assert!(err.to_string().contains("invalid tilt frame"), "{err}");
     }
 }
+
+/// The buffer holds packed records, so a restore packs the buffered
+/// records the file lists: one whose ids are out of the schema's range
+/// is a typed error at restore. The parent commit restored it, and the
+/// unit's close failed on it later.
+#[test]
+fn reencoded_checkpoint_with_an_unpackable_buffered_record_is_a_typed_error() {
+    let mut e = config().build().unwrap();
+    e.ingest(&RawRecord::new(vec![3, 2], 13, 0.25)).unwrap();
+    assert_eq!(e.buffered_records(), 1);
+    let bytes = e.checkpoint_bytes().unwrap();
+    assert_eq!(
+        restore_bytes(config(), &bytes).unwrap().buffered_records(),
+        1
+    );
+
+    // The record as the file lists it: ids (count, members), tick.
+    let mut listed = 2u64.to_le_bytes().to_vec();
+    for id in [3u32, 2] {
+        listed.extend_from_slice(&id.to_le_bytes());
+    }
+    listed.extend_from_slice(&13i64.to_le_bytes());
+    let at = bytes
+        .windows(listed.len())
+        .position(|w| w == listed)
+        .expect("the buffered record is in the file");
+    let mut forged = bytes.clone();
+    forged[at + 8..at + 12].copy_from_slice(&9u32.to_le_bytes());
+    let err = expect_checkpoint_err(restore_bytes(config(), &reseal(forged)));
+    let text = err.to_string();
+    assert!(text.contains("buffered record of unit 3"), "{text}");
+    assert!(text.contains("member 9 out of range"), "{text}");
+}
