@@ -193,33 +193,6 @@ impl BlockProjector {
         BlockProjector { dims }
     }
 
-    /// Projects one source id: [`project_into`](Self::project_into) for
-    /// a caller that meets its ids one at a time (a stream ingestor).
-    #[inline]
-    pub fn project_one(&self, id: u64) -> u64 {
-        let mut rem = id;
-        let mut out = 0;
-        for dim in &self.dims {
-            match dim {
-                BlockDim::Scale {
-                    src_stride,
-                    tgt_stride,
-                } => {
-                    let q = rem / src_stride;
-                    rem -= q * src_stride;
-                    out += q * tgt_stride;
-                }
-                BlockDim::Lut { src_stride, flut } => {
-                    let q = rem / src_stride;
-                    rem -= q * src_stride;
-                    out += flut[q as usize];
-                }
-                BlockDim::Collapse { src_stride } => rem %= src_stride,
-            }
-        }
-        out
-    }
-
     /// Projects a block of source ids into `out` (same length),
     /// dimension-outer so each pass is a contiguous chunked loop.
     pub fn project_into(&self, ids: &[u64], out: &mut [u64]) {
@@ -591,8 +564,6 @@ mod tests {
         // halved member survives.
         let expected: Vec<u64> = (0..12u64).map(|id| (id % 4) / 2).collect();
         assert_eq!(out, expected);
-        let one_at_a_time: Vec<u64> = ids.iter().map(|&id| p.project_one(id)).collect();
-        assert_eq!(one_at_a_time, expected);
     }
 
     #[test]

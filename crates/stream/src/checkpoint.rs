@@ -591,9 +591,8 @@ fn encode_state<E: CubingEngine>(engine: &OnlineEngine<E>, enc: &mut Enc) {
         Some(st) => {
             enc.u8(1);
             enc.opt_i64(st.max_seen_unit);
-            let sources = st.sources();
-            enc.u64(sources.len() as u64);
-            for (source, mark) in sources {
+            enc.u64(st.sources.len() as u64);
+            for (&source, &mark) in &st.sources {
                 enc.u32(source);
                 enc.i64(mark);
             }
@@ -958,7 +957,8 @@ fn apply_state(engine: &mut OnlineEngine<BoxedEngine>, saved: SavedState) -> Res
             units.insert(unit, packed);
         }
         st.units = units;
-        st.restore_clock(saved_st.max_seen_unit, saved_st.sources);
+        st.max_seen_unit = saved_st.max_seen_unit;
+        st.sources = saved_st.sources.into_iter().collect();
         st.dropped_total = saved_st.dropped_total;
         st.dropped_since_report = saved_st.dropped_since_report;
         st.sources_evicted = saved_st.sources_evicted;

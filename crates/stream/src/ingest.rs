@@ -9,8 +9,9 @@
 //! data").
 //!
 //! The accumulation works on packed ids ([`PackedRecord`]): a record's
-//! primitive key is projected to its m-cell's key on integers (free when
-//! the two layers coincide), one hash probe finds the cell's row of the
+//! primitive key is its m-cell's key when the two layers coincide (and
+//! is decoded, rolled up and re-encoded when they do not), one hash
+//! probe finds the cell's row of the
 //! open unit's slab — `rows × ticks_per_unit` sums in one buffer — and
 //! the value is added to the row's tick. No key is built and nothing is
 //! allocated for a cell the unit has already seen; the dictionary and
@@ -19,8 +20,7 @@
 use crate::error::StreamError;
 use crate::record::{PackedRecord, RawRecord, RecordPacker};
 use crate::Result;
-use regcube_core::kernel::BlockProjector;
-use regcube_core::table::{DenseCellCodec, Projector};
+use regcube_core::table::DenseCellCodec;
 use regcube_core::MTuple;
 use regcube_olap::cell::{project_key, CellKey};
 use regcube_olap::fxhash::FxHashMap;
@@ -32,9 +32,7 @@ use regcube_regress::Isb;
 enum ToM {
     /// The primitive layer is the m-layer: the key is the m-cell's.
     Identity,
-    /// Fused per-dimension ancestor tables on the mixed-radix digits.
-    Block(BlockProjector),
-    /// A dimension beyond the lookup-table bound: decode, walk the
+    /// The primitive layer is below the m-layer: decode, walk the
     /// hierarchies, encode.
     Walk,
 }
@@ -94,9 +92,7 @@ impl Ingestor {
         let to_m = if primitive == m_layer {
             ToM::Identity
         } else {
-            Projector::new(&schema, &primitive, &m_layer)
-                .block_projector(packer.codec(), &m_codec)
-                .map_or(ToM::Walk, ToM::Block)
+            ToM::Walk
         };
         Ok(Ingestor {
             schema,
@@ -209,7 +205,6 @@ impl Ingestor {
         }
         let m_key = match &self.to_m {
             ToM::Identity => record.key,
-            ToM::Block(block) => block.project_one(record.key),
             ToM::Walk => self
                 .m_codec
                 .encode(self.project_to_m(&self.packer.ids(record.key)).ids()),
@@ -243,13 +238,10 @@ impl Ingestor {
         let (first, _) = self.open_window();
         let unit = self.open_unit;
         let ticks = self.ticks_per_unit;
-        // Packed m-ids order as the keys' ids do. Rows are numbered in
-        // arrival order, which a sorted stream makes key order already.
+        // Packed m-ids order as the keys' ids do.
         let keys = &self.keys;
         let mut order: Vec<u32> = (0..keys.len() as u32).collect();
-        if !keys.windows(2).all(|w| w[0] < w[1]) {
-            order.sort_unstable_by_key(|&row| keys[row as usize]);
-        }
+        order.sort_unstable_by_key(|&row| keys[row as usize]);
         let mut ids = vec![0; self.m_codec.num_dims()];
         let mut out: Vec<(CellKey, Isb)> = Vec::with_capacity(order.len());
         for row in order {
@@ -397,32 +389,6 @@ mod tests {
         assert_eq!(cells.len(), 1);
         assert_eq!(cells[0].0.ids(), &[0, 1]);
         assert!((cells[0].1.sum_z() - 12.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn members_beyond_the_lookup_table_bound_roll_up_by_walking() {
-        // 1025² primitive members: past the projector's table bound, so
-        // the ingestor walks the hierarchy instead of a lookup table.
-        let schema = CubeSchema::synthetic(1, 2, 1025).unwrap();
-        let mut ing = Ingestor::new(
-            schema,
-            CuboidSpec::new(vec![2]),
-            CuboidSpec::new(vec![1]),
-            2,
-        )
-        .unwrap();
-        assert!(matches!(ing.to_m, ToM::Walk));
-        ing.ingest(&RawRecord::new(vec![1025 * 1025 - 1], 0, 1.0))
-            .unwrap();
-        ing.ingest(&RawRecord::new(vec![1025 * 1024], 1, 2.0))
-            .unwrap();
-        ing.ingest(&RawRecord::new(vec![3], 1, 4.0)).unwrap();
-        let (_, cells) = ing.close_unit().unwrap();
-        let closed: Vec<(&[u32], f64)> = cells
-            .iter()
-            .map(|(k, isb)| (k.ids(), isb.sum_z()))
-            .collect();
-        assert_eq!(closed, [(&[0][..], 4.0), (&[1024][..], 3.0)]);
     }
 
     #[test]

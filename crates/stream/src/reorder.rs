@@ -31,19 +31,12 @@
 //! its record ([`CanonicalOrder`]): the engine buffers
 //! [`PackedRecord`]s, whose packed keys order as their ids do, so the
 //! sort compares integers.
-//!
-//! The watermark is O(1) per record: live sources are kept ordered by
-//! their maxima and the effective watermark is updated as they move, so
-//! [`ReorderState::close_ready`] is one read and sources are screened
-//! for eviction only when one can have become idle.
 
 use crate::error::StreamError;
 use crate::record::{PackedRecord, RawRecord};
 use crate::Result;
-use regcube_olap::fxhash::FxHashMap;
 use std::cmp::Ordering;
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// How the low watermark is derived from observed records.
 ///
@@ -179,13 +172,7 @@ pub struct ReorderState<R = RawRecord> {
     /// Largest unit any observed tick belonged to (the global frontier).
     pub(crate) max_seen_unit: Option<i64>,
     /// Per-source maxima (live sources only; `PerSource` policy only).
-    sources: FxHashMap<u32, i64>,
-    /// The live sources ordered by their maxima: the first one is the
-    /// per-source watermark, and the eviction candidates lead.
-    by_mark: BTreeSet<(i64, u32)>,
-    /// The `PerSource` effective watermark, kept current by every
-    /// observation so [`close_ready`](Self::close_ready) is one read.
-    watermark: Option<i64>,
+    pub(crate) sources: BTreeMap<u32, i64>,
     /// Beyond-lateness records dropped since construction.
     pub(crate) dropped_total: u64,
     /// Beyond-lateness records dropped since the last unit report.
@@ -204,9 +191,7 @@ impl<R: CanonicalOrder> ReorderState<R> {
             config,
             units: BTreeMap::new(),
             max_seen_unit: None,
-            sources: FxHashMap::default(),
-            by_mark: BTreeSet::new(),
-            watermark: None,
+            sources: BTreeMap::new(),
             dropped_total: 0,
             dropped_since_report: 0,
             sources_evicted: 0,
@@ -233,60 +218,30 @@ impl<R: CanonicalOrder> ReorderState<R> {
     /// under [`WatermarkPolicy::PerSource`] this updates the source's
     /// own maximum, evicts sources idle beyond the policy's allowance,
     /// and accounts the units the effective watermark lags the frontier.
-    ///
-    /// O(1) for a record that moves nothing (the common case): a live
-    /// source's maximum only rises, which can make no source idle, so
-    /// sources are screened for eviction only when the frontier advances
-    /// or a source (re)registers with a stale maximum.
     pub fn observe_from(&mut self, unit: i64, source: u32) {
-        let advanced = self.max_seen_unit.map_or(true, |m| unit > m);
-        if advanced {
-            self.max_seen_unit = Some(unit);
-        }
+        let old_frontier = self.max_seen_unit;
+        let frontier = old_frontier.map_or(unit, |m| m.max(unit));
+        self.max_seen_unit = Some(frontier);
         let WatermarkPolicy::PerSource { idle_units } = self.config.policy else {
             return;
         };
-        let frontier = self.max_seen_unit.unwrap_or(unit);
-        let (inserted, raised) = match self.sources.entry(source) {
-            Entry::Occupied(mut e) => {
-                let mark = e.get_mut();
-                let raised = unit > *mark;
-                if raised {
-                    self.by_mark.remove(&(*mark, source));
-                    self.by_mark.insert((unit, source));
-                    *mark = unit;
-                }
-                (false, raised)
-            }
-            Entry::Vacant(e) => {
-                e.insert(unit);
-                self.by_mark.insert((unit, source));
-                (true, false)
-            }
-        };
-        if !(advanced || inserted || raised) {
-            return;
-        }
+        self.sources
+            .entry(source)
+            .and_modify(|m| *m = (*m).max(unit))
+            .or_insert(unit);
         // Stream-time idleness: evict every live source lagging the
         // frontier beyond the allowance (including a just-reinserted
         // straggler — its stale mark must not re-freeze the watermark).
-        if advanced || inserted {
-            while let Some(&(mark, idle)) = self.by_mark.first() {
-                if frontier - mark <= idle_units {
-                    break;
-                }
-                self.by_mark.pop_first();
-                self.sources.remove(&idle);
-                self.sources_evicted += 1;
-            }
-        }
-        let effective = self.by_mark.first().map_or(frontier, |&(mark, _)| mark);
-        self.watermark = Some(effective);
+        let before = self.sources.len();
+        self.sources.retain(|_, &mut m| frontier - m <= idle_units);
+        self.sources_evicted += (before - self.sources.len()) as u64;
         // Sample the hold only when the frontier actually advances, so
         // the counter reads "units of close-latency attributable to
         // slow sources", not "observations while lagging".
-        if advanced {
-            self.watermark_held_units += (frontier - effective).max(0) as u64;
+        if old_frontier.map_or(true, |m| unit > m) {
+            if let Some(effective) = self.effective_watermark() {
+                self.watermark_held_units += (frontier - effective).max(0) as u64;
+            }
         }
     }
 
@@ -301,11 +256,12 @@ impl<R: CanonicalOrder> ReorderState<R> {
     /// [`WatermarkPolicy::Global`]; the minimum over live sources'
     /// maxima under [`WatermarkPolicy::PerSource`] (falling back to the
     /// frontier when every source has been evicted).
-    #[inline]
     pub fn effective_watermark(&self) -> Option<i64> {
         match self.config.policy {
             WatermarkPolicy::Global => self.max_seen_unit,
-            WatermarkPolicy::PerSource { .. } => self.watermark,
+            WatermarkPolicy::PerSource { .. } => {
+                self.sources.values().copied().min().or(self.max_seen_unit)
+            }
         }
     }
 
@@ -314,30 +270,6 @@ impl<R: CanonicalOrder> ReorderState<R> {
     #[inline]
     pub fn live_sources(&self) -> usize {
         self.sources.len()
-    }
-
-    /// The live sources and their maxima, by ascending source id.
-    pub(crate) fn sources(&self) -> Vec<(u32, i64)> {
-        let mut sources: Vec<(u32, i64)> = self.sources.iter().map(|(&s, &m)| (s, m)).collect();
-        sources.sort_unstable();
-        sources
-    }
-
-    /// Sets the frontier and the live sources' maxima — a checkpoint's
-    /// watermark clock — and derives the effective watermark from them.
-    pub(crate) fn restore_clock(
-        &mut self,
-        max_seen_unit: Option<i64>,
-        sources: impl IntoIterator<Item = (u32, i64)>,
-    ) {
-        self.max_seen_unit = max_seen_unit;
-        self.sources = sources.into_iter().collect();
-        self.by_mark = self.sources.iter().map(|(&s, &m)| (m, s)).collect();
-        self.watermark = self
-            .by_mark
-            .first()
-            .map(|&(mark, _)| mark)
-            .or(max_seen_unit);
     }
 
     /// Sources evicted so far for idling beyond the policy allowance.
@@ -356,7 +288,6 @@ impl<R: CanonicalOrder> ReorderState<R> {
     /// Whether the watermark guarantees `open_unit` is complete: every
     /// record within the allowed lateness of the effective watermark
     /// has either arrived or would arrive as an amendment.
-    #[inline]
     pub fn close_ready(&self, open_unit: i64) -> bool {
         self.effective_watermark()
             .is_some_and(|m| m - self.config.lateness > open_unit)
