@@ -51,8 +51,7 @@ pub fn run(quick: bool) -> Vec<Point> {
     sweep(&workload)
 }
 
-/// Runs the sweep over a prepared workload (used by the Criterion bench
-/// with smaller data).
+/// Runs the sweep over a prepared workload.
 pub fn sweep(workload: &Workload) -> Vec<Point> {
     RATES
         .iter()

@@ -1,14 +1,10 @@
 //! One module per figure of the paper's evaluation, plus shared plumbing.
 
-pub mod alarm;
-pub mod columnar;
 pub mod dims;
 pub mod fig10;
 pub mod fig8;
 pub mod fig9;
 pub mod incremental;
-pub mod lateness;
-pub mod scaling;
 pub mod tilt;
 
 use crate::memtrack;

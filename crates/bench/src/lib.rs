@@ -1,6 +1,5 @@
-//! Benchmark harness for `regcube`: regenerates every table and figure of
-//! the paper's evaluation (Section 5) and provides the measurement
-//! utilities the experiments share.
+//! Figure harness for `regcube`: regenerates every table and figure of
+//! the paper's evaluation (Section 5), and nothing else.
 //!
 //! * [`memtrack`] — a counting global allocator (true allocation peaks,
 //!   the analogue of the paper's "Memory Usage (in M-bytes)" axis);
@@ -9,20 +8,15 @@
 //!   [`experiments::fig8`] (time/space vs exception %),
 //!   [`experiments::fig9`] (time/space vs m-layer size),
 //!   [`experiments::fig10`] (time/space vs number of levels),
-//!   [`experiments::tilt`] (Example 3's 71-vs-35,136 compression),
+//!   [`experiments::dims`] (time/space vs number of dimensions),
+//!   [`experiments::tilt`] (Example 3's 71-vs-35,136 compression) and
 //!   [`experiments::incremental`] (Section 5's closing remark: per-unit
-//!   incremental recomputation vs full recomputation);
-//!   plus post-paper scale-out experiments:
-//!   [`experiments::scaling`] (sequential vs tier-pool cubing throughput),
-//!   [`experiments::alarm`] (delta-driven sinks vs rescans),
-//!   [`experiments::columnar`] (struct-of-arrays vs hash-map table
-//!   layout on the hot tier roll-up) and
-//!   [`experiments::lateness`] (watermark reordering under shuffled
-//!   and straggling arrivals).
+//!   incremental recomputation vs full recomputation).
 //!
-//! These are per-layer micro-experiments. The end-to-end pipeline
-//! benchmark (serving, snapshots, checkpoints, the numbers a change is
-//! accepted or rejected on) is the separate package under `benchmark/`.
+//! Everything past the paper — serving, reordering, alarms, layouts,
+//! parallel cubing, snapshots, checkpoints, the numbers a change is
+//! accepted or rejected on — is measured by the separate pipeline
+//! benchmark package under `benchmark/`.
 //!
 //! Run everything with:
 //!

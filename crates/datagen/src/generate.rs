@@ -1,16 +1,16 @@
 //! Dataset generation: schema + m-layer tuples.
 
 use crate::error::DatagenError;
-use crate::series::TrendMixture;
+use crate::series::LinearTrend;
 use crate::spec::DatasetSpec;
 use crate::Result;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use regcube_olap::{CubeSchema, CuboidSpec};
-use regcube_regress::{Isb, TimeSeries};
+use regcube_regress::Isb;
 
 /// One generated m-layer stream: member ids at the m-layer plus its
-/// fitted ISB (and optionally the raw series for ingestion tests).
+/// fitted ISB.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GenTuple {
     /// Member ids, one per dimension, at the m-layer levels.
@@ -35,20 +35,14 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    /// Generates the dataset for `spec` with the default trend mixture.
+    /// Generates the dataset for `spec`: uniform m-layer coordinates per
+    /// stream and a series drawn from the trend mixture (see the
+    /// `series` module).
     ///
     /// # Errors
     /// [`DatagenError`] for invalid shapes (propagated from the schema
     /// substrate).
     pub fn generate(spec: DatasetSpec) -> Result<Self> {
-        Dataset::generate_with(spec, TrendMixture::default())
-    }
-
-    /// Generates the dataset with an explicit trend mixture.
-    ///
-    /// # Errors
-    /// [`DatagenError`] for invalid shapes.
-    pub fn generate_with(spec: DatasetSpec, mixture: TrendMixture) -> Result<Self> {
         let schema = CubeSchema::synthetic(spec.dims, spec.levels, spec.fanout).map_err(|e| {
             DatagenError::Substrate {
                 detail: e.to_string(),
@@ -68,7 +62,7 @@ impl Dataset {
         let mut seen = regcube_olap::fxhash::FxHashMap::default();
         for _ in 0..spec.tuples {
             let ids: Vec<u32> = (0..spec.dims).map(|_| rng.random_range(0..card)).collect();
-            let model = mixture.draw(&mut rng);
+            let model = LinearTrend::draw(&mut rng);
             let series = model.sample(&mut rng, 0, spec.series_len);
             let isb = Isb::fit(&series).map_err(|e| DatagenError::Substrate {
                 detail: e.to_string(),
@@ -118,53 +112,6 @@ impl Dataset {
     pub fn window(&self) -> (i64, i64) {
         (0, self.spec.series_len as i64 - 1)
     }
-}
-
-/// Generates raw sub-m-layer records for ingestion tests: each m-layer
-/// tuple is split into `children` primitive streams (one hierarchy level
-/// below on dimension 0) whose sum reproduces the tuple's series shape.
-///
-/// Returns `(primitive_layer, records)` where each record is
-/// `(primitive_ids, tick, value)`.
-pub fn primitive_records(
-    dataset: &Dataset,
-    rng_seed: u64,
-) -> (CuboidSpec, Vec<(Vec<u32>, i64, f64)>) {
-    let spec = dataset.spec;
-    let fanout = spec.fanout;
-    let mut primitive_levels = vec![spec.m_level(); spec.dims];
-    // One level finer on dimension 0 when the hierarchy allows it.
-    let deepen = dataset.schema.dims()[0].depth() > spec.m_level();
-    if deepen {
-        primitive_levels[0] += 1;
-    }
-    let primitive = CuboidSpec::new(primitive_levels);
-    let mut rng = StdRng::seed_from_u64(rng_seed);
-    let mut records = Vec::new();
-    let (wb, we) = dataset.window();
-    for tuple in &dataset.tuples {
-        let children = if deepen { fanout.min(3) } else { 1 };
-        for c in 0..children {
-            let mut ids = tuple.ids.clone();
-            if deepen {
-                ids[0] = tuple.ids[0] * fanout + c;
-            }
-            let share = 1.0 / children as f64;
-            for t in wb..=we {
-                let v = tuple.isb.predict(t) * share + rng.random_range(-0.01..0.01);
-                records.push((ids.clone(), t, v));
-            }
-        }
-    }
-    (primitive, records)
-}
-
-/// Reconstructs per-tuple time series from the ISBs for callers that need
-/// series (the fitted line re-sampled; exact for the regression measures,
-/// which is all the cube consumes).
-pub fn resampled_series(tuple: &GenTuple) -> TimeSeries {
-    let (b, e) = tuple.isb.interval();
-    TimeSeries::from_fn(b, e, |t| tuple.isb.predict(t)).expect("non-empty window")
 }
 
 #[cfg(test)]
@@ -222,32 +169,5 @@ mod tests {
         assert_eq!(s.tuples[..], d.tuples[..50]);
         let all = d.subset(10_000);
         assert_eq!(all.tuples.len(), d.tuples.len());
-    }
-
-    #[test]
-    fn primitive_records_roll_up_to_the_tuples() {
-        // depth == m_level here, so records stay at the m-layer (share=1).
-        let d = Dataset::generate(DatasetSpec::new(2, 2, 3, 20).unwrap()).unwrap();
-        let (layer, records) = primitive_records(&d, 1);
-        assert_eq!(layer.levels(), &[2, 2]);
-        let ticks = d.spec.series_len;
-        assert_eq!(records.len(), d.tuples.len() * ticks);
-        // Sum of record values per tuple ≈ sum of the fitted line.
-        let t0 = &d.tuples[0];
-        let total: f64 = records
-            .iter()
-            .filter(|(ids, _, _)| ids == &t0.ids)
-            .map(|(_, _, v)| v)
-            .sum();
-        assert!((total - t0.isb.sum_z()).abs() < 0.01 * ticks as f64 + 0.5);
-    }
-
-    #[test]
-    fn resampled_series_match_the_fit() {
-        let d = Dataset::generate(small_spec()).unwrap();
-        let t = &d.tuples[0];
-        let z = resampled_series(t);
-        let refit = Isb::fit(&z).unwrap();
-        assert!(refit.approx_eq(&t.isb, 1e-9));
     }
 }

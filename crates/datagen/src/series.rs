@@ -1,168 +1,62 @@
-//! Synthetic time-series models.
+//! The synthetic trend model.
 //!
 //! The paper's streams are low-level measurements with trends to discover
-//! (power usage per user/street/minute). These models generate them:
-//! mostly quiet series plus a controllable share of strong trends, which
-//! is what gives the exception-threshold sweeps of Figure 8 their range.
+//! (power usage per user/street/minute). Every generated stream is a noisy
+//! line: mostly quiet ones plus a small share of strong trends, which is
+//! what gives the exception-threshold sweeps of Figure 8 their range. The
+//! mixture makes a 1% exception rate reachable at moderate thresholds
+//! while 100% needs a threshold near 0.
 
 use rand::rngs::StdRng;
 use rand::Rng;
 use regcube_regress::TimeSeries;
 
-/// A generative model for one stream's time series.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SeriesModel {
-    /// `base + slope·t + U(-noise, noise)` — the workhorse.
-    LinearTrend {
-        /// Intercept at `t = 0`.
-        base: f64,
-        /// Trend slope per tick.
-        slope: f64,
-        /// Uniform noise amplitude.
-        noise: f64,
-    },
-    /// A random walk with step standard-deviation-ish amplitude `sigma`
-    /// (uniform steps; heavy machinery is unnecessary here).
-    RandomWalk {
-        /// Starting value.
-        start: f64,
-        /// Maximum per-tick step magnitude.
-        sigma: f64,
-    },
-    /// `base + amp·sin(2πt/period) + U(-noise, noise)` — daily/weekly
-    /// periodicity.
-    Seasonal {
-        /// Mean level.
-        base: f64,
-        /// Oscillation amplitude.
-        amp: f64,
-        /// Period in ticks.
-        period: f64,
-        /// Uniform noise amplitude.
-        noise: f64,
-    },
-    /// A quiet series with one sudden level shift at a fraction of the
-    /// window — the "dramatic change" Example 1 wants alerts for.
-    LevelShift {
-        /// Level before the shift.
-        before: f64,
-        /// Level after the shift.
-        after: f64,
-        /// Shift position as a fraction of the window (0..1).
-        at_frac: f64,
-        /// Uniform noise amplitude.
-        noise: f64,
-    },
+/// Share of streams with strong trends.
+const HOT_FRACTION: f64 = 0.05;
+/// Maximum |slope| of a hot stream.
+const HOT_SLOPE: f64 = 2.0;
+/// Maximum |slope| of a quiet stream.
+const QUIET_SLOPE: f64 = 0.05;
+/// Uniform noise amplitude of every stream.
+const NOISE: f64 = 0.05;
+/// Bases are uniform in `0..BASE_RANGE`.
+const BASE_RANGE: f64 = 10.0;
+
+/// One stream's model: `base + slope·t + U(-NOISE, NOISE)`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct LinearTrend {
+    base: f64,
+    slope: f64,
 }
 
-impl SeriesModel {
-    /// Samples a series over `[start, start + len - 1]`.
+impl LinearTrend {
+    /// Draws one stream's model from the mixture: whether it is hot,
+    /// then its slope, then its base.
+    pub(crate) fn draw(rng: &mut StdRng) -> Self {
+        let max = if rng.random_bool(HOT_FRACTION) {
+            HOT_SLOPE
+        } else {
+            QUIET_SLOPE
+        };
+        let slope = rng.random_range(-max..max);
+        let base = rng.random_range(0.0..BASE_RANGE);
+        LinearTrend { base, slope }
+    }
+
+    /// Samples a series over `[start, start + len - 1]`, one noise draw
+    /// per tick.
     ///
     /// # Panics
     /// Panics when `len == 0` (callers validate window widths).
-    pub fn sample(&self, rng: &mut StdRng, start: i64, len: usize) -> TimeSeries {
+    pub(crate) fn sample(&self, rng: &mut StdRng, start: i64, len: usize) -> TimeSeries {
         assert!(len > 0, "series length must be positive");
-        let values: Vec<f64> = match self {
-            SeriesModel::LinearTrend { base, slope, noise } => (0..len)
-                .map(|i| {
-                    let t = start + i as i64;
-                    base + slope * t as f64 + sym_noise(rng, *noise)
-                })
-                .collect(),
-            SeriesModel::RandomWalk { start: s0, sigma } => {
-                let mut v = *s0;
-                (0..len)
-                    .map(|_| {
-                        v += sym_noise(rng, *sigma);
-                        v
-                    })
-                    .collect()
-            }
-            SeriesModel::Seasonal {
-                base,
-                amp,
-                period,
-                noise,
-            } => (0..len)
-                .map(|i| {
-                    let t = (start + i as i64) as f64;
-                    base + amp * (std::f64::consts::TAU * t / period).sin() + sym_noise(rng, *noise)
-                })
-                .collect(),
-            SeriesModel::LevelShift {
-                before,
-                after,
-                at_frac,
-                noise,
-            } => {
-                let cut = ((len as f64) * at_frac.clamp(0.0, 1.0)) as usize;
-                (0..len)
-                    .map(|i| {
-                        let level = if i < cut { *before } else { *after };
-                        level + sym_noise(rng, *noise)
-                    })
-                    .collect()
-            }
-        };
+        let values: Vec<f64> = (0..len)
+            .map(|i| {
+                let t = start + i as i64;
+                self.base + self.slope * t as f64 + rng.random_range(-NOISE..NOISE)
+            })
+            .collect();
         TimeSeries::new(start, values).expect("len > 0")
-    }
-}
-
-fn sym_noise(rng: &mut StdRng, amp: f64) -> f64 {
-    if amp <= 0.0 {
-        0.0
-    } else {
-        rng.random_range(-amp..amp)
-    }
-}
-
-/// The tuple-population mixture: which share of streams trend how hard.
-///
-/// `hot_fraction` of streams get slopes drawn from `hot_slope` magnitude,
-/// the rest from `quiet_slope`; both mix in noise. The defaults make a
-/// 1% exception rate reachable at moderate thresholds while 100% needs
-/// threshold ~0 — the range Figure 8 sweeps.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TrendMixture {
-    /// Fraction of streams with strong trends (0..1).
-    pub hot_fraction: f64,
-    /// Maximum |slope| of hot streams.
-    pub hot_slope: f64,
-    /// Maximum |slope| of quiet streams.
-    pub quiet_slope: f64,
-    /// Noise amplitude for every stream.
-    pub noise: f64,
-    /// Base value range (uniform in `0..base_range`).
-    pub base_range: f64,
-}
-
-impl Default for TrendMixture {
-    fn default() -> Self {
-        TrendMixture {
-            hot_fraction: 0.05,
-            hot_slope: 2.0,
-            quiet_slope: 0.05,
-            noise: 0.05,
-            base_range: 10.0,
-        }
-    }
-}
-
-impl TrendMixture {
-    /// Draws one stream's model.
-    pub fn draw(&self, rng: &mut StdRng) -> SeriesModel {
-        let hot = rng.random_bool(self.hot_fraction.clamp(0.0, 1.0));
-        let max = if hot {
-            self.hot_slope
-        } else {
-            self.quiet_slope
-        };
-        let slope = rng.random_range(-max..max);
-        SeriesModel::LinearTrend {
-            base: rng.random_range(0.0..self.base_range.max(f64::MIN_POSITIVE)),
-            slope,
-            noise: self.noise,
-        }
     }
 }
 
@@ -177,87 +71,38 @@ mod tests {
     }
 
     #[test]
-    fn linear_trend_recovers_slope() {
-        let m = SeriesModel::LinearTrend {
+    fn samples_are_the_line_plus_bounded_noise() {
+        let m = LinearTrend {
             base: 1.0,
             slope: 0.5,
-            noise: 0.0,
         };
         let z = m.sample(&mut rng(), 10, 20);
         assert_eq!(z.interval(), (10, 29));
+        for (i, v) in z.values().iter().enumerate() {
+            let line = 1.0 + 0.5 * (10 + i) as f64;
+            assert!((v - line).abs() < NOISE, "tick {i}: {v} vs {line}");
+        }
         let fit = LinearFit::fit(&z);
-        assert!((fit.slope - 0.5).abs() < 1e-12);
-        assert!((fit.base - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn noise_is_bounded() {
-        let m = SeriesModel::LinearTrend {
-            base: 0.0,
-            slope: 0.0,
-            noise: 0.25,
-        };
-        let z = m.sample(&mut rng(), 0, 100);
-        assert!(z.values().iter().all(|v| v.abs() < 0.25));
-    }
-
-    #[test]
-    fn sampling_is_deterministic_per_seed() {
-        let m = SeriesModel::RandomWalk {
-            start: 5.0,
-            sigma: 1.0,
-        };
-        let a = m.sample(&mut rng(), 0, 50);
-        let b = m.sample(&mut rng(), 0, 50);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn seasonal_oscillates_around_base() {
-        let m = SeriesModel::Seasonal {
-            base: 10.0,
-            amp: 2.0,
-            period: 8.0,
-            noise: 0.0,
-        };
-        let z = m.sample(&mut rng(), 0, 64);
-        assert!((z.mean() - 10.0).abs() < 0.2);
-        assert!(z.max() <= 12.0 + 1e-9);
-        assert!(z.min() >= 8.0 - 1e-9);
-    }
-
-    #[test]
-    fn level_shift_changes_the_mean() {
-        let m = SeriesModel::LevelShift {
-            before: 0.0,
-            after: 10.0,
-            at_frac: 0.5,
-            noise: 0.0,
-        };
-        let z = m.sample(&mut rng(), 0, 20);
-        assert_eq!(z.value_at(0), Some(0.0));
-        assert_eq!(z.value_at(19), Some(10.0));
-        let fit = LinearFit::fit(&z);
-        assert!(fit.slope > 0.2, "a shift reads as a strong positive trend");
+        assert!((fit.slope - 0.5).abs() < 0.01, "slope {}", fit.slope);
     }
 
     #[test]
     fn mixture_produces_hot_and_quiet_streams() {
-        let mix = TrendMixture {
-            hot_fraction: 0.3,
-            ..TrendMixture::default()
-        };
         let mut r = rng();
+        let n = 4000;
         let mut hot = 0;
-        let n = 2000;
         for _ in 0..n {
-            if let SeriesModel::LinearTrend { slope, .. } = mix.draw(&mut r) {
-                if slope.abs() > mix.quiet_slope {
-                    hot += 1;
-                }
+            let m = LinearTrend::draw(&mut r);
+            assert!(m.slope.abs() < HOT_SLOPE);
+            assert!((0.0..BASE_RANGE).contains(&m.base));
+            if m.slope.abs() > QUIET_SLOPE {
+                hot += 1;
             }
         }
+        // A hot slope lands inside the quiet band with probability
+        // QUIET_SLOPE / HOT_SLOPE.
+        let expected = HOT_FRACTION * (1.0 - QUIET_SLOPE / HOT_SLOPE);
         let frac = hot as f64 / n as f64;
-        assert!((frac - 0.3).abs() < 0.05, "hot fraction {frac}");
+        assert!((frac - expected).abs() < 0.015, "hot fraction {frac}");
     }
 }
