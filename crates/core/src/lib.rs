@@ -80,7 +80,6 @@
 
 pub mod alarm;
 pub mod columnar;
-pub mod cube;
 pub mod drill;
 pub mod engine;
 pub mod error;
@@ -88,7 +87,6 @@ pub mod exception;
 pub mod kernel;
 pub mod layers;
 pub mod measure;
-pub mod mlr_cube;
 pub mod mo_cubing;
 pub mod pool;
 pub mod popular_path;
@@ -101,7 +99,6 @@ pub use alarm::{
     AlarmContext, AlarmLog, AlarmSink, DashboardSummary, LateAmendment, SinkSet, ThresholdEscalator,
 };
 pub use columnar::ColumnarTable;
-pub use cube::RegressionCube;
 pub use engine::{Backend, CubingEngine, MoCubingEngine, PopularPathEngine, UnitDelta};
 pub use error::CoreError;
 pub use exception::{ExceptionPolicy, RefMode};
@@ -121,7 +118,6 @@ pub mod prelude {
         AlarmContext, AlarmLog, AlarmSink, DashboardSummary, Episode, Escalation, SinkSet,
         ThresholdEscalator,
     };
-    pub use crate::cube::RegressionCube;
     pub use crate::engine::{Backend, CubingEngine, MoCubingEngine, PopularPathEngine, UnitDelta};
     pub use crate::exception::{ExceptionPolicy, RefMode};
     pub use crate::layers::CriticalLayers;

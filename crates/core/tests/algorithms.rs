@@ -5,6 +5,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use regcube_core::drill::drill_descendants;
 use regcube_core::prelude::*;
 use regcube_olap::cell::CellKey;
 use regcube_olap::{CubeSchema, CuboidSpec};
@@ -206,28 +207,15 @@ fn exception_counts_scale_monotonically_with_threshold() {
 }
 
 #[test]
-fn facade_round_trip_on_random_data() {
+fn alarms_drill_to_exceptional_hits_on_random_data() {
     let (schema, layers, tuples) = random_dataset(23, 2, 2, 4, 400);
-    let mut cube = RegressionCube::new(
-        schema,
-        layers.o_layer().clone(),
-        layers.m_layer().clone(),
-        ExceptionPolicy::slope_threshold(0.35),
-    )
-    .unwrap();
-    cube.recompute(&tuples).unwrap();
+    let policy = ExceptionPolicy::slope_threshold(0.35);
+    let cube = mo_cubing::compute(&schema, &layers, &policy, &tuples).unwrap();
 
     // Every alarm must be drillable; every drill hit must be exceptional.
-    let alarms: Vec<(CellKey, Isb)> = cube
-        .alarms()
-        .unwrap()
-        .into_iter()
-        .map(|(k, m)| (k.clone(), *m))
-        .collect();
-    for (key, _) in &alarms {
-        let hits = cube.drill_descendants(layers.o_layer(), key).unwrap();
-        for hit in hits {
-            assert!(cube.policy().is_exception(&hit.cuboid, &hit.measure));
+    for (key, _) in cube.exceptional_o_cells() {
+        for hit in drill_descendants(&schema, &cube, layers.o_layer(), key) {
+            assert!(policy.is_exception(&hit.cuboid, &hit.measure));
         }
     }
 }

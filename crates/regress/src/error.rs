@@ -1,6 +1,5 @@
 //! Error type for the regression layer.
 
-use regcube_linalg::LinalgError;
 use std::fmt;
 
 /// Errors produced by series construction, fitting and aggregation.
@@ -45,8 +44,13 @@ pub enum RegressError {
         /// Description of the violation.
         detail: String,
     },
-    /// An underlying linear-algebra routine failed.
-    Linalg(LinalgError),
+    /// A multiple-regression design is collinear: the Cholesky pivot of
+    /// `XᵀX` at column `pivot` is not finite or not above `1e-12 ×` its
+    /// largest diagonal entry, so the coefficients are not identifiable.
+    Collinear {
+        /// Index of the column whose pivot failed.
+        pivot: usize,
+    },
 }
 
 impl fmt::Display for RegressError {
@@ -74,25 +78,14 @@ impl fmt::Display for RegressError {
             RegressError::InvalidParameter { name, detail } => {
                 write!(f, "invalid parameter {name}: {detail}")
             }
-            RegressError::Linalg(e) => write!(f, "linear algebra failure: {e}"),
+            RegressError::Collinear { pivot } => {
+                write!(f, "collinear design: XᵀX is singular at pivot {pivot}")
+            }
         }
     }
 }
 
-impl std::error::Error for RegressError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            RegressError::Linalg(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<LinalgError> for RegressError {
-    fn from(e: LinalgError) -> Self {
-        RegressError::Linalg(e)
-    }
-}
+impl std::error::Error for RegressError {}
 
 #[cfg(test)]
 mod tests {
@@ -119,18 +112,10 @@ mod tests {
                 name: "degree",
                 detail: "zero".into(),
             },
-            RegressError::Linalg(LinalgError::NotPositiveDefinite { index: 0 }),
+            RegressError::Collinear { pivot: 0 },
         ];
         for c in cases {
             assert!(!c.to_string().is_empty());
         }
-    }
-
-    #[test]
-    fn linalg_errors_convert_and_chain() {
-        let e: RegressError = LinalgError::NotPositiveDefinite { index: 3 }.into();
-        assert!(matches!(e, RegressError::Linalg(_)));
-        use std::error::Error;
-        assert!(e.source().is_some());
     }
 }

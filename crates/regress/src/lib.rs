@@ -18,10 +18,12 @@
 //!   [`aggregate::merge_time_theorem33`]).
 //!
 //! This crate implements those results plus the extensions sketched in the
-//! paper's Section 6: **folding** time aggregation ([`fold`]), **multiple
-//! linear regression** with lossless sufficient-statistics measures
-//! ([`mlr`]), and **non-linear fits** through basis transforms
-//! ([`transform`]).
+//! paper's Section 6.2, one module per claim: **folding** time aggregation
+//! ([`fold`]), **multiple linear regression** with lossless
+//! sufficient-statistics measures and their own `k × k` Cholesky solve
+//! ([`mlr`]), **non-linear fits** through basis transforms
+//! ([`transform`]), and **irregular time ticks** through a constant-space
+//! streaming fit with centred co-moments ([`running`]).
 //!
 //! # Quick example
 //!
@@ -46,7 +48,6 @@
 #![forbid(unsafe_code)]
 
 pub mod aggregate;
-pub mod diagnostics;
 pub mod error;
 pub mod fold;
 pub mod isb;
@@ -56,7 +57,6 @@ pub mod running;
 pub mod series;
 pub mod transform;
 
-pub use diagnostics::FitDiagnostics;
 pub use error::RegressError;
 pub use isb::{IntVal, Isb};
 pub use ols::LinearFit;

@@ -4,7 +4,7 @@
 //!
 //! For a model `z = β₀ + β₁ x₁ + … + β_{k-1} x_{k-1}` the compressed,
 //! losslessly-aggregatable measure is the pair of sufficient statistics
-//! `(XᵀX, Xᵀz)` (plus `n` and `zᵀz` for diagnostics):
+//! `(XᵀX, Xᵀz)` (plus `n`, and `zᵀz` for the residual sum of squares):
 //!
 //! * **time-style merges** (disjoint unions of observation rows — e.g.
 //!   merging adjacent time windows, or pooling sensors that are modeled
@@ -14,15 +14,14 @@
 //!   Theorem 3.2) share `XᵀX` and add `Xᵀz`.
 //!
 //! [`MlrMeasure`] stores these statistics; [`MlrMeasure::solve`] recovers
-//! the coefficient vector through the Cholesky normal equations of
-//! [`regcube_linalg`]. The simple ISB of Section 3 is the special case
-//! `k = 2`, `x₁ = t` — property-tested in `tests/proptests.rs`.
+//! the coefficient vector from the normal equations `XᵀX β = Xᵀz` by a
+//! Cholesky factorisation of the `k × k` matrix `XᵀX`. The simple ISB of
+//! Section 3 is the special case `k = 2`, `x₁ = t` — property-tested in
+//! `tests/proptests.rs`.
 
 use crate::error::RegressError;
 use crate::series::TimeSeries;
 use crate::Result;
-use regcube_linalg::cholesky::Cholesky;
-use regcube_linalg::Matrix;
 
 /// Sufficient statistics of a multiple linear regression, the warehoused
 /// cell measure for multi-variable models.
@@ -32,11 +31,11 @@ pub struct MlrMeasure {
     k: usize,
     /// Number of observation rows folded in.
     n: u64,
-    /// `XᵀX`, a `k x k` symmetric matrix.
-    xtx: Matrix,
+    /// `XᵀX`, a `k x k` symmetric matrix stored row-major.
+    xtx: Vec<f64>,
     /// `Xᵀz`, length `k`.
     xtz: Vec<f64>,
-    /// `zᵀz`, for residual diagnostics.
+    /// `zᵀz`, for the residual sum of squares.
     ztz: f64,
 }
 
@@ -55,28 +54,10 @@ impl MlrMeasure {
         Ok(MlrMeasure {
             k,
             n: 0,
-            xtx: Matrix::zeros(k, k).expect("k > 0"),
+            xtx: vec![0.0; k * k],
             xtz: vec![0.0; k],
             ztz: 0.0,
         })
-    }
-
-    /// Builds the measure from a design matrix (`n x k`) and responses.
-    ///
-    /// # Errors
-    /// [`RegressError::InvalidParameter`] on a row-count mismatch.
-    pub fn from_observations(design: &Matrix, z: &[f64]) -> Result<Self> {
-        if design.rows() != z.len() {
-            return Err(RegressError::InvalidParameter {
-                name: "z",
-                detail: format!("{} responses for {} design rows", z.len(), design.rows()),
-            });
-        }
-        let mut m = MlrMeasure::empty(design.cols())?;
-        for (r, &zr) in z.iter().enumerate() {
-            m.push_row(design.row(r), zr)?;
-        }
-        Ok(m)
     }
 
     /// Builds the time-regression measure (`k = 2`, columns `[1, t]`) of a
@@ -84,7 +65,7 @@ impl MlrMeasure {
     ///
     /// # Errors
     /// Never fails for a valid series; signature kept fallible for parity
-    /// with the general constructor.
+    /// with [`Self::empty`].
     pub fn from_time_series(series: &TimeSeries) -> Result<Self> {
         let mut m = MlrMeasure::empty(2)?;
         for (t, z) in series.iter() {
@@ -107,7 +88,7 @@ impl MlrMeasure {
         }
         for (i, &xi) in row.iter().enumerate() {
             for (j, &xj) in row.iter().enumerate() {
-                self.xtx[(i, j)] += xi * xj;
+                self.xtx[i * self.k + j] += xi * xj;
             }
             self.xtz[i] += xi * z;
         }
@@ -140,10 +121,10 @@ impl MlrMeasure {
                 detail: format!("k mismatch: {} vs {}", self.k, other.k),
             });
         }
-        self.xtx
-            .add_assign(&other.xtx)
-            .map_err(RegressError::from)?;
-        for (a, b) in self.xtz.iter_mut().zip(other.xtz.iter()) {
+        for (a, b) in self.xtx.iter_mut().zip(&other.xtx) {
+            *a += b;
+        }
+        for (a, b) in self.xtz.iter_mut().zip(&other.xtz) {
             *a += b;
         }
         self.ztz += other.ztz;
@@ -157,6 +138,10 @@ impl MlrMeasure {
     /// point-wise sum is *not* derivable (cross terms are lost), so it is
     /// invalidated to `NaN`; [`Self::solve`] remains exact.
     ///
+    /// The two `XᵀX` are compared relative to their largest entry: sums of
+    /// `t²` at realistic tick magnitudes differ in the last bits with the
+    /// order the rows were folded in, and that is still one design.
+    ///
     /// # Errors
     /// [`RegressError::InvalidParameter`] when `k`, `n` or `XᵀX` differ.
     pub fn merge_same_design(&mut self, other: &MlrMeasure) -> Result<()> {
@@ -169,7 +154,17 @@ impl MlrMeasure {
                 ),
             });
         }
-        if !self.xtx.approx_eq(&other.xtx, 1e-9) {
+        let scale = self
+            .xtx
+            .iter()
+            .chain(&other.xtx)
+            .fold(0.0f64, |m, v| m.max(v.abs()));
+        let same = self
+            .xtx
+            .iter()
+            .zip(&other.xtx)
+            .all(|(a, b)| (a - b).abs() <= 1e-9 * scale);
+        if !same {
             return Err(RegressError::InvalidParameter {
                 name: "other",
                 detail: "designs differ (XᵀX mismatch)".into(),
@@ -186,7 +181,7 @@ impl MlrMeasure {
     ///
     /// # Errors
     /// * [`RegressError::NotEnoughData`] when `n < k`.
-    /// * [`RegressError::Linalg`] when `XᵀX` is not positive definite
+    /// * [`RegressError::Collinear`] when `XᵀX` is not positive definite
     ///   (collinear design).
     pub fn solve(&self) -> Result<Vec<f64>> {
         if (self.n as usize) < self.k {
@@ -195,8 +190,7 @@ impl MlrMeasure {
                 need: self.k,
             });
         }
-        let ch = Cholesky::factor(&self.xtx)?;
-        Ok(ch.solve(&self.xtz)?)
+        cholesky_solve(&self.xtx, &self.xtz, self.k)
     }
 
     /// Residual sum of squares `zᵀz - β̂ᵀXᵀz`, available when `zᵀz` is
@@ -215,35 +209,57 @@ impl MlrMeasure {
     }
 }
 
-/// Builds a polynomial-in-time design matrix with columns
-/// `[1, t, t², …, t^degree]` over the ticks of `series`.
+/// Solves `A x = b` for the symmetric positive-definite `k × k` matrix
+/// `a` (row-major; only its lower triangle is read) through `A = L Lᵀ`.
 ///
-/// # Errors
-/// [`RegressError::InvalidParameter`] for `degree + 1 > n`.
-pub fn time_polynomial_design(series: &TimeSeries, degree: usize) -> Result<Matrix> {
-    let k = degree + 1;
-    if k > series.len() {
-        return Err(RegressError::InvalidParameter {
-            name: "degree",
-            detail: format!("degree {degree} needs > {degree} observations"),
-        });
-    }
-    let mut data = Vec::with_capacity(series.len() * k);
-    for (t, _) in series.iter() {
-        let tf = t as f64;
-        let mut p = 1.0;
-        for _ in 0..k {
-            data.push(p);
-            p *= tf;
+/// A pivot must be finite and above `1e-12 ×` the largest diagonal entry
+/// of `a`; otherwise the matrix is singular, indefinite or numerically
+/// collinear (duplicate design columns cancel to a pivot of a few ulps).
+fn cholesky_solve(a: &[f64], b: &[f64], k: usize) -> Result<Vec<f64>> {
+    let tol = (0..k).fold(0.0f64, |m, j| m.max(a[j * k + j].abs())) * 1e-12;
+    let mut l = vec![0.0; k * k];
+    for j in 0..k {
+        let mut diag = a[j * k + j];
+        for p in 0..j {
+            diag -= l[j * k + p] * l[j * k + p];
+        }
+        if !(diag.is_finite() && diag > tol) {
+            return Err(RegressError::Collinear { pivot: j });
+        }
+        let d = diag.sqrt();
+        l[j * k + j] = d;
+        for i in (j + 1)..k {
+            let mut v = a[i * k + j];
+            for p in 0..j {
+                v -= l[i * k + p] * l[j * k + p];
+            }
+            l[i * k + j] = v / d;
         }
     }
-    Ok(Matrix::from_vec(series.len(), k, data)?)
+    // Forward substitution L y = b, then back substitution Lᵀ x = y.
+    let mut x = b.to_vec();
+    for i in 0..k {
+        for p in 0..i {
+            x[i] -= l[i * k + p] * x[p];
+        }
+        x[i] /= l[i * k + i];
+    }
+    for i in (0..k).rev() {
+        for p in (i + 1)..k {
+            x[i] -= l[p * k + i] * x[p];
+        }
+        x[i] /= l[i * k + i];
+    }
+    Ok(x)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use regcube_linalg::vecops::approx_eq;
+
+    fn approx_eq(a: &[f64], b: &[f64], tol: f64) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| (x - y).abs() <= tol)
+    }
 
     #[test]
     fn time_series_measure_matches_isb_fit() {
@@ -293,6 +309,57 @@ mod tests {
         assert!(m.rss().unwrap().is_none());
     }
 
+    /// Two siblings over the same `n` ticks `t0 + step·i`, design `[1, t]`:
+    /// the first pushed in one pass, the second built from two halves
+    /// joined by `merge_disjoint`, and `a` merged with `b` by the
+    /// same-design rule. Returns that merge and the measure of the summed
+    /// responses pushed directly.
+    fn merged_siblings(t0: f64, step: f64, n: usize) -> (MlrMeasure, MlrMeasure) {
+        let mut a = MlrMeasure::empty(2).unwrap();
+        let (mut b, mut b_tail, mut summed) = (a.clone(), a.clone(), a.clone());
+        for i in 0..n {
+            let t = t0 + step * i as f64;
+            let (za, zb) = (
+                1.0 + 0.25 * i as f64,
+                3.0 - 0.125 * i as f64 + (i % 5) as f64,
+            );
+            a.push_row(&[1.0, t], za).unwrap();
+            let half = if i < n / 2 { &mut b } else { &mut b_tail };
+            half.push_row(&[1.0, t], zb).unwrap();
+            summed.push_row(&[1.0, t], za + zb).unwrap();
+        }
+        b.merge_disjoint(&b_tail).unwrap();
+        assert_ne!(a.xtx, b.xtx, "the two fold orders round differently");
+        a.merge_same_design(&b).unwrap();
+        let scale = summed.xtz.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        assert!(approx_eq(&a.xtz, &summed.xtz, 1e-12 * scale));
+        (a, summed)
+    }
+
+    #[test]
+    fn same_design_merge_accepts_a_design_folded_in_another_order() {
+        // 10,000 integer ticks from 1e6: the two Σt² differ by 536 of
+        // about 1e16, and the merge must still see one design. The pivot
+        // rule (1e-12 × the largest diagonal entry) rejects the intercept
+        // of any [1, t] design this far from zero, so here the merged and
+        // the direct solve agree on that error.
+        let (merged, summed) = merged_siblings(1e6, 1.0, 10_000);
+        assert_eq!(merged.solve(), Err(RegressError::Collinear { pivot: 0 }));
+        assert_eq!(merged.solve(), summed.solve());
+
+        // Half ticks make Σt² round at 2.5e15 already, and within 1e6 of
+        // zero the solve succeeds: the merged coefficients are the summed
+        // series'.
+        let (merged, summed) = merged_siblings(5e5, 0.5, 10_000);
+        let (merged, direct) = (merged.solve().unwrap(), summed.solve().unwrap());
+        for (m, d) in merged.iter().zip(&direct) {
+            assert!(
+                (m - d).abs() <= 1e-9 * d.abs().max(1.0),
+                "{merged:?} vs {direct:?}"
+            );
+        }
+    }
+
     #[test]
     fn merge_validation() {
         let a = MlrMeasure::empty(2).unwrap();
@@ -319,7 +386,7 @@ mod tests {
         let mut c = MlrMeasure::empty(2).unwrap();
         c.push_row(&[1.0, 1.0], 1.0).unwrap();
         c.push_row(&[1.0, 1.0], 2.0).unwrap();
-        assert!(matches!(c.solve(), Err(RegressError::Linalg(_))));
+        assert_eq!(c.solve(), Err(RegressError::Collinear { pivot: 1 }));
     }
 
     #[test]
@@ -327,21 +394,6 @@ mod tests {
         let mut m = MlrMeasure::empty(2).unwrap();
         assert!(m.push_row(&[1.0], 0.0).is_err());
         assert!(MlrMeasure::empty(0).is_err());
-    }
-
-    #[test]
-    fn from_observations_and_polynomial_design() {
-        // Quadratic data is fitted exactly by a degree-2 design.
-        let z = TimeSeries::from_fn(0, 9, |t| 1.0 - 2.0 * t as f64 + 0.5 * (t * t) as f64).unwrap();
-        let x = time_polynomial_design(&z, 2).unwrap();
-        let m = MlrMeasure::from_observations(&x, z.values()).unwrap();
-        let beta = m.solve().unwrap();
-        assert!(approx_eq(&beta, &[1.0, -2.0, 0.5], 1e-7));
-        assert!(m.rss().unwrap().unwrap() < 1e-10);
-
-        assert!(time_polynomial_design(&z, 10).is_err());
-        let bad = MlrMeasure::from_observations(&x, &[1.0]);
-        assert!(bad.is_err());
     }
 
     #[test]
@@ -357,5 +409,6 @@ mod tests {
         }
         let beta = m.solve().unwrap();
         assert!(approx_eq(&beta, &[3.0, 0.5, -1.5], 1e-9));
+        assert!(m.rss().unwrap().unwrap() < 1e-10);
     }
 }

@@ -8,7 +8,7 @@
 //! carry over: the transformed sufficient statistics aggregate losslessly.
 
 use crate::error::RegressError;
-use crate::mlr::{time_polynomial_design, MlrMeasure};
+use crate::mlr::MlrMeasure;
 use crate::series::TimeSeries;
 use crate::Result;
 
@@ -37,10 +37,25 @@ impl PolyFit {
 /// # Errors
 /// * [`RegressError::InvalidParameter`] when the series has fewer than
 ///   `degree + 1` observations.
-/// * [`RegressError::Linalg`] for numerically degenerate designs.
+/// * [`RegressError::Collinear`] for numerically degenerate designs.
 pub fn fit_polynomial(series: &TimeSeries, degree: usize) -> Result<PolyFit> {
-    let x = time_polynomial_design(series, degree)?;
-    let m = MlrMeasure::from_observations(&x, series.values())?;
+    let k = degree + 1;
+    if k > series.len() {
+        return Err(RegressError::InvalidParameter {
+            name: "degree",
+            detail: format!("degree {degree} needs > {degree} observations"),
+        });
+    }
+    let mut m = MlrMeasure::empty(k)?;
+    let mut row = vec![0.0; k];
+    for (t, z) in series.iter() {
+        let mut p = 1.0;
+        for x in &mut row {
+            *x = p;
+            p *= t as f64;
+        }
+        m.push_row(&row, z)?;
+    }
     Ok(PolyFit { coeffs: m.solve()? })
 }
 
@@ -75,7 +90,7 @@ impl LogFit {
 /// # Errors
 /// * [`RegressError::DomainViolation`] when any tick is `<= 0`.
 /// * [`RegressError::NotEnoughData`] for fewer than 2 observations.
-/// * [`RegressError::Linalg`] for degenerate designs.
+/// * [`RegressError::Collinear`] for degenerate designs.
 pub fn fit_log(series: &TimeSeries) -> Result<LogFit> {
     if series.len() < 2 {
         return Err(RegressError::NotEnoughData {
@@ -122,7 +137,6 @@ impl ExpFit {
 /// # Errors
 /// * [`RegressError::DomainViolation`] when any observation is `<= 0`.
 /// * [`RegressError::NotEnoughData`] for fewer than 2 observations.
-/// * [`RegressError::Linalg`] for degenerate designs.
 pub fn fit_exponential(series: &TimeSeries) -> Result<ExpFit> {
     if series.len() < 2 {
         return Err(RegressError::NotEnoughData {
@@ -162,6 +176,11 @@ mod tests {
         for t in [0, 5, 11] {
             assert!((fit.predict(t) - z.value_at(t).unwrap()).abs() < 1e-7);
         }
+        // Twelve points do not determine a degree-12 polynomial.
+        assert!(matches!(
+            fit_polynomial(&z, 12),
+            Err(RegressError::InvalidParameter { .. })
+        ));
     }
 
     #[test]

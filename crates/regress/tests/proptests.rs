@@ -7,7 +7,7 @@ use regcube_regress::aggregate::{
 };
 use regcube_regress::fold::{fold_series, FoldOp};
 use regcube_regress::mlr::MlrMeasure;
-use regcube_regress::{Isb, TimeSeries};
+use regcube_regress::{Isb, RegressError, TimeSeries};
 
 /// Strategy: a time series with bounded values, arbitrary start tick.
 fn time_series(min_len: usize, max_len: usize) -> impl Strategy<Value = TimeSeries> {
@@ -31,8 +31,59 @@ fn sibling_series(k: usize) -> impl Strategy<Value = Vec<TimeSeries>> {
     })
 }
 
+/// Strategy: a full-rank design of width `k` in `1..=4`: the `k` unit rows
+/// (so `XᵀX = I + RᵀR` has every eigenvalue ≥ 1) followed by up to 20
+/// random rows `R`.
+fn full_rank_design() -> impl Strategy<Value = Vec<Vec<f64>>> {
+    (1usize..=4, 0usize..=20).prop_flat_map(|(k, extra)| {
+        prop::collection::vec(prop::collection::vec(-10.0..10.0f64, k), extra).prop_map(
+            move |random| {
+                let unit = (0..k).map(|i| (0..k).map(|j| if i == j { 1.0 } else { 0.0 }).collect());
+                unit.chain(random).collect()
+            },
+        )
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The solve recovers a planted coefficient vector from noise-free
+    /// responses `z = x·β` on any full-rank design.
+    #[test]
+    fn mlr_solve_recovers_planted_beta(
+        design in full_rank_design(),
+        beta in prop::collection::vec(-100.0..100.0f64, 4),
+    ) {
+        let k = design[0].len();
+        let beta = &beta[..k];
+        let mut m = MlrMeasure::empty(k).unwrap();
+        for row in &design {
+            m.push_row(row, row.iter().zip(beta).map(|(x, b)| x * b).sum()).unwrap();
+        }
+        let got = m.solve().unwrap();
+        for (g, b) in got.iter().zip(beta) {
+            prop_assert!((g - b).abs() < 1e-8 * (1.0 + b.abs()), "{got:?} vs {beta:?}");
+        }
+    }
+
+    /// A design whose last column duplicates the one before it is
+    /// collinear, and the solve names the pivot where it breaks.
+    #[test]
+    fn mlr_duplicated_column_is_collinear(
+        design in full_rank_design(),
+        z in prop::collection::vec(-100.0..100.0f64, 24),
+    ) {
+        let k = design[0].len();
+        prop_assume!(design.len() > k);
+        let mut m = MlrMeasure::empty(k + 1).unwrap();
+        for (row, &z) in design.iter().zip(&z) {
+            let mut wide = row.clone();
+            wide.push(row[k - 1]);
+            m.push_row(&wide, z).unwrap();
+        }
+        prop_assert_eq!(m.solve(), Err(RegressError::Collinear { pivot: k }));
+    }
 
     /// Theorem 3.2: merging sibling ISBs == fitting the point-wise sum.
     #[test]

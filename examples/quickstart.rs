@@ -8,6 +8,7 @@
 //! cargo run --example quickstart
 //! ```
 
+use regcube::core::drill::drill_descendants;
 use regcube::prelude::*;
 
 fn main() {
@@ -47,13 +48,13 @@ fn main() {
     // Two dimensions with 2-level fanout-3 hierarchies; the m-layer is the
     // finest (L2, L2), the o-layer the apex (*, *).
     let schema = CubeSchema::synthetic(2, 2, 3).unwrap();
-    let mut cube = RegressionCube::new(
-        schema,
+    let layers = CriticalLayers::new(
+        &schema,
         CuboidSpec::new(vec![0, 0]),
         CuboidSpec::new(vec![2, 2]),
-        ExceptionPolicy::slope_threshold(0.8),
     )
     .unwrap();
+    let policy = ExceptionPolicy::slope_threshold(0.8);
 
     // Nine streams: one trending hard, the rest quiet.
     let mut tuples = Vec::new();
@@ -64,25 +65,21 @@ fn main() {
             tuples.push(MTuple::new(vec![a, b], Isb::fit(&series).unwrap()));
         }
     }
-    cube.recompute(&tuples).unwrap();
+    let result = mo_cubing::compute(&schema, &layers, &policy, &tuples).unwrap();
 
     println!("\nRegression cube over {} m-layer streams:", tuples.len());
-    let result = cube.result().unwrap();
     println!(
         "  cells computed {}, retained {} (exceptions between layers: {})",
         result.stats().cells_computed,
         result.stats().cells_retained,
         result.total_exception_cells(),
     );
-    for (key, measure) in cube.alarms().unwrap() {
+    for (key, measure) in result.exceptional_o_cells() {
         println!(
             "  ALARM at o-layer cell {key}: slope {:.3}",
             measure.slope()
         );
-        for hit in cube
-            .drill_descendants(result.layers().o_layer(), key)
-            .unwrap()
-        {
+        for hit in drill_descendants(&schema, &result, layers.o_layer(), key) {
             println!(
                 "    supporter {} {}: slope {:.3}",
                 hit.cuboid,
@@ -96,14 +93,7 @@ fn main() {
     // Backends select the physical table layout, not the semantics: the
     // struct-of-arrays roll-up retains the identical exception set (see
     // ARCHITECTURE.md, "Choosing a backend").
-    let schema = CubeSchema::synthetic(2, 2, 3).unwrap();
-    let layers = CriticalLayers::new(
-        &schema,
-        CuboidSpec::new(vec![0, 0]),
-        CuboidSpec::new(vec![2, 2]),
-    )
-    .unwrap();
-    let mut columnar = MoCubingEngine::new(schema, layers, ExceptionPolicy::slope_threshold(0.8))
+    let mut columnar = MoCubingEngine::new(schema, layers, policy)
         .unwrap()
         .with_backend(Backend::Columnar)
         .unwrap();

@@ -18,7 +18,6 @@
 //! ```
 
 use regcube::prelude::*;
-use regcube::regress::diagnostics::fit_with_diagnostics;
 use regcube::regress::fold::{fold_series, FoldOp};
 use regcube::regress::mlr::MlrMeasure;
 use regcube::regress::transform::{fit_exponential, fit_log, fit_polynomial};
@@ -104,20 +103,6 @@ fn main() {
         );
     }
     println!("(the daily Avg trend recovers the injected 0.25/day warming)");
-
-    // ---- Significance: is a slope real or noise? --------------------------
-    let daily_avg = fold_series(&hourly, 24, FoldOp::Avg).unwrap();
-    let (_, diag) = fit_with_diagnostics(&daily_avg).unwrap();
-    println!(
-        "\nDaily warming significance: t = {:.1}, R² = {:.3} -> {}",
-        diag.slope_t,
-        diag.r_squared,
-        if diag.slope_is_significant(2.0) {
-            "significant trend, alert-worthy"
-        } else {
-            "not distinguishable from noise"
-        }
-    );
 
     // ---- 4. Cubing the field on two cores ---------------------------------
     // A 64x64 grid of sensors (dimensions: row zone > row, column zone >

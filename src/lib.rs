@@ -13,8 +13,7 @@
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
-//! | [`regress`] | `regcube-regress` | time series, OLS, ISB, Theorems 3.2/3.3, folding, MLR, transforms |
-//! | [`linalg`] | `regcube-linalg` | dense matrices and the Cholesky solve behind the MLR normal equations |
+//! | [`regress`] | `regcube-regress` | time series, OLS, ISB, Theorems 3.2/3.3, folding, MLR, transforms, irregular ticks |
 //! | [`olap`] | `regcube-olap` | dimensions, hierarchies, cells, cuboid lattices, popular paths, H-tree |
 //! | [`tilt`] | `regcube-tilt` | tilt time frames with lossless slot promotion |
 //! | [`core`] | `regcube-core` | critical layers, exception policies, Algorithms 1 & 2, drilling |
@@ -46,7 +45,6 @@
 
 pub use regcube_core as core;
 pub use regcube_datagen as datagen;
-pub use regcube_linalg as linalg;
 pub use regcube_olap as olap;
 pub use regcube_regress as regress;
 pub use regcube_serve as serve;
@@ -90,8 +88,7 @@ pub mod sim {
 pub mod prelude {
     pub use regcube_core::{
         mo_cubing, popular_path, Backend, CriticalLayers, CubeResult, CubingEngine,
-        ExceptionPolicy, MTuple, MoCubingEngine, PopularPathEngine, RefMode, RegressionCube,
-        WorkerPool,
+        ExceptionPolicy, MTuple, MoCubingEngine, PopularPathEngine, RefMode, WorkerPool,
     };
     pub use regcube_datagen::{Dataset, DatasetSpec};
     pub use regcube_olap::{
@@ -113,16 +110,15 @@ mod tests {
     fn umbrella_reexports_compose() {
         let schema = CubeSchema::synthetic(2, 2, 2).unwrap();
         let policy = ExceptionPolicy::slope_threshold(0.5);
-        let mut cube = RegressionCube::new(
-            schema,
+        let layers = CriticalLayers::new(
+            &schema,
             CuboidSpec::new(vec![0, 0]),
             CuboidSpec::new(vec![2, 2]),
-            policy,
         )
         .unwrap();
         let z = TimeSeries::from_fn(0, 9, |t| t as f64).unwrap();
         let tuples = vec![MTuple::new(vec![0, 0], Isb::fit(&z).unwrap())];
-        cube.recompute(&tuples).unwrap();
-        assert_eq!(cube.alarms().unwrap().len(), 1);
+        let cube = mo_cubing::compute(&schema, &layers, &policy, &tuples).unwrap();
+        assert_eq!(cube.exceptional_o_cells().len(), 1);
     }
 }

@@ -47,32 +47,21 @@ fn generated_datasets_flow_through_both_algorithms() {
 #[test]
 fn drilling_from_alarms_reaches_the_m_layer() {
     let (schema, layers, tuples) = workload(2);
-    let mut cube = RegressionCube::new(
-        schema,
-        layers.o_layer().clone(),
-        layers.m_layer().clone(),
-        ExceptionPolicy::slope_threshold(0.4),
-    )
-    .unwrap();
-    cube.recompute(&tuples).unwrap();
+    let policy = ExceptionPolicy::slope_threshold(0.4);
+    let cube = mo_cubing::compute(&schema, &layers, &policy, &tuples).unwrap();
 
-    let alarms = cube.alarms().unwrap();
+    let alarms = cube.exceptional_o_cells();
     assert!(!alarms.is_empty(), "the default mixture produces hot cells");
     let (key, _) = alarms[0];
-    let key = key.clone();
-    let hits = cube.drill_descendants(layers.o_layer(), &key).unwrap();
+    let hits = regcube::core::drill::drill_descendants(&schema, &cube, layers.o_layer(), key);
     assert!(
         hits.iter().any(|h| h.cuboid == *layers.m_layer()),
         "drilling must surface m-layer supporters"
     );
     // All hits really are descendants of the drilled cell.
     for hit in &hits {
-        let projected = regcube::olap::cell::project_key(
-            cube.schema(),
-            &hit.cuboid,
-            hit.key.ids(),
-            layers.o_layer(),
-        );
+        let projected =
+            regcube::olap::cell::project_key(&schema, &hit.cuboid, hit.key.ids(), layers.o_layer());
         assert_eq!(projected.as_slice(), key.ids());
     }
 }
@@ -201,13 +190,16 @@ fn cubing_works_on_ragged_hierarchies() {
 #[test]
 fn mlr_cube_composes_with_generated_schemas() {
     // The Section 6.2 multi-variable cube on a generated schema: regress
-    // on time and one spatial coordinate, roll up to the o-layer.
-    use regcube::core::mlr_cube::{MlrCube, MlrTable};
+    // on time and one spatial coordinate, roll up to the o-layer. A
+    // roll-up projects each m-cell's key and merges the siblings under
+    // the same-design rule (responses add, XᵀX agrees).
+    use regcube::olap::cell::project_key;
     use regcube::regress::mlr::MlrMeasure;
+    use std::collections::HashMap;
 
     let schema = CubeSchema::synthetic(2, 2, 2).unwrap();
-    let m_layer = CuboidSpec::new(vec![2, 2]);
-    let mut table = MlrTable::default();
+    let (m_layer, apex) = (CuboidSpec::new(vec![2, 2]), CuboidSpec::new(vec![0, 0]));
+    let mut rolled: HashMap<Vec<u32>, MlrMeasure> = HashMap::new();
     for a in 0..4u32 {
         for b in 0..4u32 {
             let mut m = MlrMeasure::empty(3).unwrap();
@@ -217,14 +209,16 @@ fn mlr_cube_composes_with_generated_schemas() {
                     m.push_row(&[1.0, t as f64, x as f64], z).unwrap();
                 }
             }
-            table.insert(CellKey::new(vec![a, b]), m);
+            let key = project_key(&schema, &m_layer, &[a, b], &apex);
+            match rolled.get_mut(&key) {
+                Some(sum) => sum.merge_same_design(&m).unwrap(),
+                None => {
+                    rolled.insert(key, m);
+                }
+            }
         }
     }
-    let cube = MlrCube::new(schema, m_layer, table).unwrap();
-    let apex = cube
-        .coefficients(&CuboidSpec::new(vec![0, 0]), &CellKey::new(vec![0, 0]))
-        .unwrap()
-        .unwrap();
+    let apex = rolled[&vec![0, 0]].solve().unwrap();
     // Σ(a+b) over the 4x4 grid = 48; Σ0.05 = 0.8; Σ-0.1 = -1.6.
     assert!((apex[0] - 48.0).abs() < 1e-7, "{apex:?}");
     assert!((apex[1] - 0.8).abs() < 1e-8);

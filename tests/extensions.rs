@@ -2,9 +2,9 @@
 //! crate: irregular-tick streaming fits, tilt window queries, on-the-fly
 //! cube queries and the MLR embedding of ISBs.
 
-use regcube::core::mlr_cube::mlr_from_isb;
 use regcube::core::query;
 use regcube::prelude::*;
+use regcube::regress::mlr::MlrMeasure;
 use regcube::regress::RunningFit;
 
 #[test]
@@ -86,8 +86,19 @@ fn isb_mlr_embedding_round_trips_through_aggregation() {
     let z2 = TimeSeries::from_fn(0, 11, |t| 2.0 - 0.1 * t as f64).unwrap();
     let (isb1, isb2) = (Isb::fit(&z1).unwrap(), Isb::fit(&z2).unwrap());
 
-    let mut m = mlr_from_isb(&isb1).unwrap();
-    m.merge_same_design(&mlr_from_isb(&isb2).unwrap()).unwrap();
+    // The k = 2 embedding: resampling the fitted line over the interval
+    // keeps Σz and Σt·z (Equations 1-2), and Σt, Σt² depend only on the
+    // interval, so the 4-number ISB carries the full XᵀX / Xᵀz.
+    let embed = |isb: &Isb| {
+        let mut m = MlrMeasure::empty(2).unwrap();
+        let (b, e) = isb.interval();
+        for t in b..=e {
+            m.push_row(&[1.0, t as f64], isb.predict(t)).unwrap();
+        }
+        m
+    };
+    let mut m = embed(&isb1);
+    m.merge_same_design(&embed(&isb2)).unwrap();
     let beta = m.solve().unwrap();
 
     let merged = aggregate::merge_standard(&[isb1, isb2]).unwrap();
