@@ -1,9 +1,23 @@
 //! Exception-guided drilling over a computed cube (Section 4.3's analyst
 //! workflow: watch the o-layer, then "drill on the exception cells down to
 //! lower layers to find their corresponding exception supporters").
+//!
+//! The two drills read the cube differently:
+//! - [`drill_children`] **probes**. A one-step finer cuboid differs from
+//!   the drilled one in a single dimension `d`, by one level, so the
+//!   descendants of a cell there are the cell's key with `key[d]`
+//!   replaced by each hierarchy child of `key[d]`. Each of those keys is
+//!   looked up in the child's table; nothing else is read, and the
+//!   hierarchy itself serves as the parent → children index.
+//! - [`drill_descendants`] **scans** every strictly finer cuboid's table
+//!   and keeps the rows that project onto the drilled cell.
+//!
+//! Both read the same store per cuboid with the same exception filter,
+//! and sort hits the same way, so a descendant found by either drill is
+//! reported identically.
 
 use crate::result::CubeResult;
-use crate::table::Projector;
+use crate::table::{CuboidTable, Projector};
 use regcube_olap::cell::CellKey;
 use regcube_olap::{CubeSchema, CuboidSpec};
 use regcube_regress::Isb;
@@ -22,16 +36,49 @@ pub struct DrillHit {
 /// Finds the retained exceptional cells in the **one-step finer** cuboids
 /// that are descendants of `(cuboid, key)` — the "exception supporters"
 /// an analyst inspects first.
+///
+/// Reads only the cells it could return: per lattice child refining
+/// dimension `d`, one table probe per hierarchy child of `key[d]`. A key
+/// whose arity differs from the cuboid's, or whose refined id is out of
+/// range, has no children and yields no hits.
 pub fn drill_children(
     schema: &CubeSchema,
     cube: &CubeResult,
     cuboid: &CuboidSpec,
     key: &CellKey,
 ) -> Vec<DrillHit> {
-    let lattice = cube.layers().lattice();
     let mut hits = Vec::new();
-    for child in lattice.children(cuboid) {
-        collect_hits(schema, cube, cuboid, key, &child, &mut hits);
+    if key.num_dims() != cuboid.num_dims() {
+        return hits;
+    }
+    let lattice = cube.layers().lattice();
+    let policy = cube.policy();
+    let mut probe = key.ids().to_vec();
+    for d in 0..cuboid.num_dims() {
+        let Some(child) = cuboid.refine(d).filter(|c| lattice.contains(c)) else {
+            continue;
+        };
+        let Some((table, filter_exceptions)) = candidate_store(cube, &child) else {
+            continue;
+        };
+        let hierarchy = schema.dims()[d].hierarchy();
+        let (level, member) = (cuboid.level(d), key.ids()[d]);
+        if member >= hierarchy.cardinality(level) {
+            continue;
+        }
+        for id in hierarchy.child_ids(level, member) {
+            probe[d] = id;
+            if let Some((k, m)) = table.get_key_value(probe.as_slice()) {
+                if !filter_exceptions || policy.is_exception(&child, m) {
+                    hits.push(DrillHit {
+                        cuboid: child.clone(),
+                        key: k.clone(),
+                        measure: *m,
+                    });
+                }
+            }
+        }
+        probe[d] = member;
     }
     sort_hits(&mut hits);
     hits
@@ -58,14 +105,35 @@ pub fn drill_descendants(
     hits
 }
 
-/// Collects exceptional cells of `target` (a descendant cuboid of
-/// `ancestor`) whose projection to `ancestor` equals `key`.
+/// The table that holds `target`'s retained cells, and whether its rows
+/// still need the exception filter: the critical layers and path tables
+/// hold every cell, exception tables only screened ones. `None` when the
+/// cube retains nothing in `target`.
+fn candidate_store<'a>(
+    cube: &'a CubeResult,
+    target: &CuboidSpec,
+) -> Option<(&'a CuboidTable, bool)> {
+    let lattice = cube.layers().lattice();
+    if target == lattice.m_layer() {
+        Some((cube.m_table(), true))
+    } else if target == lattice.o_layer() {
+        Some((cube.o_table(), true))
+    } else if let Some(t) = cube.exceptions_in(target) {
+        Some((t, false))
+    } else {
+        cube.path_tables().get(target).map(|t| (t, true))
+    }
+}
+
+/// Scans `target` (a descendant cuboid of `ancestor`) for the exceptional
+/// cells whose projection to `ancestor` equals `key` — the descendant
+/// drill's read, which has to visit every row because a multi-step
+/// descendant's cells are not enumerable from the hierarchy cheaply.
 ///
-/// The scan is allocation-free per row: projections go through the
-/// PR-4 [`Projector`] lookup tables into one reusable scratch buffer
-/// and are compared as plain id slices (the same `Borrow<[u32]>`
-/// convention the cuboid-table probes use), so drilling never boxes a
-/// [`CellKey`] for a cell it does not return.
+/// Allocation-free per row: projections go through the [`Projector`]
+/// lookup tables into one reusable scratch buffer and are compared as
+/// plain id slices, so the scan never boxes a [`CellKey`] for a cell it
+/// does not return.
 fn collect_hits(
     schema: &CubeSchema,
     cube: &CubeResult,
@@ -74,35 +142,24 @@ fn collect_hits(
     target: &CuboidSpec,
     hits: &mut Vec<DrillHit>,
 ) {
+    let Some((table, filter_exceptions)) = candidate_store(cube, target) else {
+        return;
+    };
     let policy = cube.policy();
-    let lattice = cube.layers().lattice();
     let projector = Projector::new(schema, target, ancestor);
     let mut projected = vec![0u32; schema.num_dims()];
-    // Candidate stores for the target cuboid: exception tables, path
-    // tables, and the critical layers.
-    let mut scan = |table: &crate::table::CuboidTable, filter_exceptions: bool| {
-        for (k, m) in table {
-            if filter_exceptions && !policy.is_exception(target, m) {
-                continue;
-            }
-            projector.project_into(k.ids(), &mut projected);
-            if projected.as_slice() == key.ids() {
-                hits.push(DrillHit {
-                    cuboid: target.clone(),
-                    key: k.clone(),
-                    measure: *m,
-                });
-            }
+    for (k, m) in table {
+        if filter_exceptions && !policy.is_exception(target, m) {
+            continue;
         }
-    };
-    if target == lattice.m_layer() {
-        scan(cube.m_table(), true);
-    } else if target == lattice.o_layer() {
-        scan(cube.o_table(), true);
-    } else if let Some(t) = cube.exceptions_in(target) {
-        scan(t, false); // exception tables are pre-filtered
-    } else if let Some(t) = cube.path_tables().get(target) {
-        scan(t, true);
+        projector.project_into(k.ids(), &mut projected);
+        if projected.as_slice() == key.ids() {
+            hits.push(DrillHit {
+                cuboid: target.clone(),
+                key: k.clone(),
+                measure: *m,
+            });
+        }
     }
 }
 

@@ -4,7 +4,8 @@
 //! (paper Example 5). Level `0` is the virtual all-level `*` with a single
 //! member; level `depth` is the finest. Members at every level are dense
 //! integer ids `0..cardinality(level)`; each member of level `l > 1` knows
-//! its parent at level `l - 1` through a parent array.
+//! its parent at level `l - 1` through a parent array, and each member
+//! its children through [`Hierarchy::child_ids`].
 
 use crate::error::OlapError;
 use crate::Result;
@@ -21,10 +22,16 @@ pub const ALL_LEVEL: u8 = 0;
 /// ~50 MB per dimension if materialized.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Repr {
-    /// `parents[l - 1][m]` = parent id (at level `l - 1`) of member `m` at
-    /// level `l`, for `l` in `1..=depth`. Level 1 members all map to the
-    /// single `*` member, so `parents[0]` is all zeros.
-    Explicit(Vec<Vec<u32>>),
+    /// Ragged hierarchy: explicit parent arrays and their inverse.
+    Explicit {
+        /// `parents[l - 1][m]` = parent id (at level `l - 1`) of member
+        /// `m` at level `l`, for `l` in `1..=depth`. Level 1 members all
+        /// map to the single `*` member, so `parents[0]` is all zeros.
+        parents: Vec<Vec<u32>>,
+        /// The inverse of `parents`: `children[l]` lists the level-`l+1`
+        /// members under each level-`l` member, for `l` in `0..depth`.
+        children: Vec<ChildIndex>,
+    },
     /// Balanced fanout tree: `cardinality(l) = fanout^l`,
     /// `parent(m) = m / fanout`.
     Balanced {
@@ -33,6 +40,69 @@ enum Repr {
         /// Children per node.
         fanout: u32,
     },
+}
+
+/// One level's parent → children lists in compressed-sparse-row form:
+/// member `m`'s children are `ids[offsets[m]..offsets[m + 1]]`, in
+/// ascending id order. Derived from the parent array once, in
+/// [`Hierarchy::from_parents`], so the two never disagree.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct ChildIndex {
+    offsets: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl ChildIndex {
+    /// Inverts one parent array (`parent_of[c]` for every child `c`)
+    /// over `parent_card` parents by a counting sort.
+    fn invert(parent_of: &[u32], parent_card: usize) -> Self {
+        let mut offsets = vec![0u32; parent_card + 1];
+        for &p in parent_of {
+            offsets[p as usize + 1] += 1;
+        }
+        for m in 0..parent_card {
+            offsets[m + 1] += offsets[m];
+        }
+        let mut next = offsets.clone();
+        let mut ids = vec![0u32; parent_of.len()];
+        for (c, &p) in parent_of.iter().enumerate() {
+            ids[next[p as usize] as usize] = c as u32;
+            next[p as usize] += 1;
+        }
+        ChildIndex { offsets, ids }
+    }
+}
+
+/// The children of one member, from [`Hierarchy::child_ids`]: a computed
+/// range for balanced hierarchies, a slice of the child index for
+/// explicit ones. Ascending, and allocation-free.
+#[derive(Debug, Clone)]
+pub struct ChildIds<'a>(ChildIdsRepr<'a>);
+
+#[derive(Debug, Clone)]
+enum ChildIdsRepr<'a> {
+    Range(std::ops::Range<u32>),
+    Listed(std::slice::Iter<'a, u32>),
+}
+
+impl Iterator for ChildIds<'_> {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        match &mut self.0 {
+            ChildIdsRepr::Range(r) => r.next(),
+            ChildIdsRepr::Listed(it) => it.next().copied(),
+        }
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match &self.0 {
+            ChildIdsRepr::Range(r) => r.size_hint(),
+            ChildIdsRepr::Listed(it) => it.size_hint(),
+        }
+    }
 }
 
 /// A multi-level concept hierarchy over dense member ids.
@@ -78,8 +148,14 @@ impl Hierarchy {
                 });
             }
         }
+        let children = (0..parents.len())
+            .map(|i| {
+                let parent_card = if i == 0 { 1 } else { parents[i - 1].len() };
+                ChildIndex::invert(&parents[i], parent_card)
+            })
+            .collect();
         Ok(Hierarchy {
-            repr: Repr::Explicit(parents),
+            repr: Repr::Explicit { parents, children },
         })
     }
 
@@ -120,7 +196,7 @@ impl Hierarchy {
     #[inline]
     pub fn depth(&self) -> u8 {
         match &self.repr {
-            Repr::Explicit(parents) => parents.len() as u8,
+            Repr::Explicit { parents, .. } => parents.len() as u8,
             Repr::Balanced { depth, .. } => *depth,
         }
     }
@@ -136,7 +212,7 @@ impl Hierarchy {
             return 1;
         }
         match &self.repr {
-            Repr::Explicit(parents) => parents[(level - 1) as usize].len() as u32,
+            Repr::Explicit { parents, .. } => parents[(level - 1) as usize].len() as u32,
             Repr::Balanced { depth, fanout } => {
                 debug_assert!(level <= *depth);
                 fanout.pow(u32::from(level))
@@ -169,7 +245,7 @@ impl Hierarchy {
     pub fn parent(&self, level: u8, member: u32) -> u32 {
         debug_assert!(level >= 1 && level <= self.depth());
         match &self.repr {
-            Repr::Explicit(parents) => parents[(level - 1) as usize][member as usize],
+            Repr::Explicit { parents, .. } => parents[(level - 1) as usize][member as usize],
             Repr::Balanced { fanout, .. } => member / *fanout,
         }
     }
@@ -215,7 +291,7 @@ impl Hierarchy {
                 // One division instead of a parent-chain walk.
                 member / fanout.pow(u32::from(from_level - to_level))
             }
-            Repr::Explicit(_) => {
+            Repr::Explicit { .. } => {
                 let mut m = member;
                 let mut l = from_level;
                 while l > to_level {
@@ -227,15 +303,14 @@ impl Hierarchy {
         }
     }
 
-    /// Children (at `level + 1`) of `member` at `level`. A linear scan —
-    /// intended for drilling UIs and tests, not hot loops.
+    /// Children (at `level + 1`) of `member` at `level`, collected — the
+    /// validated form of [`Self::child_ids`].
     ///
     /// # Errors
     /// [`OlapError::UnknownLevel`] when `level >= depth`;
     /// [`OlapError::MemberOutOfRange`] for a bad member id.
     pub fn children(&self, dim: usize, level: u8, member: u32) -> Result<Vec<u32>> {
-        let child_level = level + 1;
-        self.check_level(dim, child_level)?;
+        self.check_level(dim, level + 1)?;
         if member >= self.cardinality(level) {
             return Err(OlapError::MemberOutOfRange {
                 dim,
@@ -244,21 +319,33 @@ impl Hierarchy {
                 cardinality: self.cardinality(level),
             });
         }
-        match &self.repr {
-            Repr::Explicit(parents) => {
-                let arr = &parents[(child_level - 1) as usize];
-                Ok(arr
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &p)| p == member)
-                    .map(|(c, _)| c as u32)
-                    .collect())
+        Ok(self.child_ids(level, member).collect())
+    }
+
+    /// Children (at `level + 1`) of `member` at `level`, ascending, in
+    /// O(children) and without allocating: `member·fanout ..` for a
+    /// balanced hierarchy, one slice of the child index built by
+    /// [`Self::from_parents`] otherwise. The hot path drilling uses.
+    ///
+    /// # Panics
+    /// May panic on out-of-range inputs (`level >= depth` or `member`
+    /// not below `cardinality(level)`), and yields unspecified ids when
+    /// it does not; use [`Self::children`] for validated access.
+    #[inline]
+    pub fn child_ids(&self, level: u8, member: u32) -> ChildIds<'_> {
+        debug_assert!(level < self.depth() && member < self.cardinality(level));
+        ChildIds(match &self.repr {
+            Repr::Explicit { children, .. } => {
+                let index = &children[level as usize];
+                let m = member as usize;
+                let span = index.offsets[m] as usize..index.offsets[m + 1] as usize;
+                ChildIdsRepr::Listed(index.ids[span].iter())
             }
             Repr::Balanced { fanout, .. } => {
                 let first = member * *fanout;
-                Ok((first..first + *fanout).collect())
+                ChildIdsRepr::Range(first..first + *fanout)
             }
-        }
+        })
     }
 
     /// Total member count across all named levels (a size diagnostic).

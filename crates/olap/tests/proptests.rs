@@ -20,8 +20,51 @@ fn ragged_hierarchy() -> impl Strategy<Value = Hierarchy> {
     })
 }
 
+/// Strategy: a ragged hierarchy with every parent drawn at random, so
+/// siblings are scattered across the level and some members have no
+/// children at all.
+fn scattered_hierarchy() -> impl Strategy<Value = Hierarchy> {
+    prop::collection::vec(prop::collection::vec(0u32..u32::MAX, 1..16), 1..5).prop_map(|draws| {
+        let mut parents: Vec<Vec<u32>> = Vec::with_capacity(draws.len());
+        let mut prev = 1u32;
+        for level in draws {
+            let size = level.len() as u32;
+            parents.push(level.into_iter().map(|d| d % prev).collect());
+            prev = size;
+        }
+        Hierarchy::from_parents(parents).unwrap()
+    })
+}
+
+/// The child lookup `Hierarchy::children` used to do: a scan of the
+/// whole child level for members whose parent is `member`.
+fn children_by_scan(h: &Hierarchy, level: u8, member: u32) -> Vec<u32> {
+    (0..h.cardinality(level + 1))
+        .filter(|&c| h.parent(level + 1, c) == member)
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `child_ids` — the child index of an explicit hierarchy — lists
+    /// exactly what a scan of the child level finds, in the same order,
+    /// for every member of every level; `children` collects the same.
+    #[test]
+    fn child_ids_equal_the_level_scan(
+        (ragged, scattered) in (ragged_hierarchy(), scattered_hierarchy()),
+    ) {
+        for h in [ragged, scattered] {
+            for level in 0..h.depth() {
+                for member in 0..h.cardinality(level) {
+                    let expected = children_by_scan(&h, level, member);
+                    let ids: Vec<u32> = h.child_ids(level, member).collect();
+                    prop_assert_eq!(ids, expected.clone());
+                    prop_assert_eq!(h.children(0, level, member).unwrap(), expected);
+                }
+            }
+        }
+    }
 
     /// Ancestor chains are transitive: going up two levels equals two
     /// single-level steps, for every member.
@@ -78,6 +121,11 @@ proptest! {
         for level in 1..=depth {
             for m in 0..balanced.cardinality(level) {
                 prop_assert_eq!(balanced.parent(level, m), explicit.parent(level, m));
+            }
+        }
+        for level in 0..depth {
+            for m in 0..balanced.cardinality(level) {
+                prop_assert!(balanced.child_ids(level, m).eq(explicit.child_ids(level, m)));
             }
         }
         prop_assert_eq!(balanced.total_members(), explicit.total_members());

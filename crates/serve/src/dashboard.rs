@@ -52,7 +52,7 @@ impl DashboardSummary {
             Some(cube) => (
                 cube.m_table().len(),
                 cube.o_table().len(),
-                cube.iter_exceptions().count(),
+                cube.total_exception_cells() as usize,
             ),
         };
         let top_alarm = snapshot
@@ -72,5 +72,47 @@ impl DashboardSummary {
             late_dropped: snapshot.stats().late_dropped,
             late_amendments: snapshot.stats().late_amendments,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use regcube_core::ExceptionPolicy;
+    use regcube_olap::{CubeSchema, CuboidSpec};
+    use regcube_stream::{EngineConfig, RawRecord};
+    use std::collections::HashSet;
+
+    /// The per-cuboid count the summary reads equals a walk over every
+    /// exception cell, on a cube whose exceptions span several cuboids.
+    #[test]
+    fn exception_count_equals_a_walk_of_every_cell() {
+        let schema = CubeSchema::synthetic(2, 2, 2).unwrap();
+        let mut engine = EngineConfig::new(
+            schema,
+            CuboidSpec::new(vec![0, 0]),
+            CuboidSpec::new(vec![2, 2]),
+        )
+        .with_policy(ExceptionPolicy::slope_threshold(0.5))
+        .with_ticks_per_unit(4)
+        .build()
+        .unwrap();
+        // Cells with a = 0 trend, the rest are flat.
+        for t in 0..4i64 {
+            for a in 0..4u32 {
+                for b in 0..4u32 {
+                    let slope = if a == 0 { 2.0 } else { 0.0 };
+                    let record = RawRecord::new(vec![a, b], t, slope * t as f64);
+                    engine.ingest(&record).unwrap();
+                }
+            }
+        }
+        engine.close_unit().unwrap();
+        let snapshot = engine.snapshot();
+        let cube = snapshot.cube().unwrap();
+        let cuboids: HashSet<&CuboidSpec> = cube.iter_exceptions().map(|(c, _, _)| c).collect();
+        assert!(cuboids.len() >= 2, "exceptions in {cuboids:?}");
+        let summary = DashboardSummary::of(TenantId::from("t"), &snapshot);
+        assert_eq!(summary.exceptions, cube.iter_exceptions().count());
     }
 }

@@ -1230,7 +1230,7 @@ impl<E: CubingEngine> OnlineEngine<E> {
     ///
     /// # Errors
     /// [`StreamError::Tilt`] for a level the tilt spec does not define.
-    pub fn drill_at(&self, level: usize, key: &CellKey) -> Result<Vec<TiltHit>> {
+    pub fn drill_at(&self, level: usize, key: &CellKey) -> Result<Vec<TiltHit<'_>>> {
         drill_frames_at(
             &self.frames,
             &self.o_frames,
@@ -1249,7 +1249,7 @@ impl<E: CubingEngine> OnlineEngine<E> {
     ///
     /// # Errors
     /// Propagates [`drill_at`](Self::drill_at) failures.
-    pub fn drill_history(&self, key: &CellKey) -> Result<Vec<TiltHit>> {
+    pub fn drill_history(&self, key: &CellKey) -> Result<Vec<TiltHit<'_>>> {
         drill_frames_history(
             &self.frames,
             &self.o_frames,
@@ -1263,13 +1263,15 @@ impl<E: CubingEngine> OnlineEngine<E> {
 
 /// One slot of a time-travel drill ([`OnlineEngine::drill_at`]): a
 /// warehoused regression with its exception verdict re-derived from the
-/// engine's policy.
+/// engine's policy. Borrows from the engine or snapshot it was drilled
+/// on, so a drill allocates its result `Vec` and nothing per slot.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TiltHit {
+pub struct TiltHit<'a> {
     /// Tilt level the slot lives at (0 = finest).
     pub level: usize,
-    /// The level's name from the [`TiltSpec`] (e.g. `"hour"`).
-    pub level_name: String,
+    /// The level's name (e.g. `"hour"`), borrowed from the [`TiltSpec`]
+    /// of the engine or snapshot the drill read.
+    pub level_name: &'a str,
     /// The slot's index in level granularity (promoted slots cover
     /// `finest_units_per(level)` fine units each).
     pub slot_unit: u64,

@@ -139,7 +139,7 @@ impl CubeSnapshot {
     ///
     /// # Errors
     /// [`StreamError::Tilt`] for a level the tilt spec does not define.
-    pub fn drill_at(&self, level: usize, key: &CellKey) -> Result<Vec<TiltHit>> {
+    pub fn drill_at(&self, level: usize, key: &CellKey) -> Result<Vec<TiltHit<'_>>> {
         drill_frames_at(
             &self.frames,
             &self.o_frames,
@@ -157,7 +157,7 @@ impl CubeSnapshot {
     ///
     /// # Errors
     /// Propagates [`drill_at`](Self::drill_at) failures.
-    pub fn drill_history(&self, key: &CellKey) -> Result<Vec<TiltHit>> {
+    pub fn drill_history(&self, key: &CellKey) -> Result<Vec<TiltHit<'_>>> {
         drill_frames_history(
             &self.frames,
             &self.o_frames,
@@ -267,13 +267,13 @@ fn fmt_isb(isb: &Isb) -> String {
 /// The frame a time-travel drill reads for `key`, and the layer whose
 /// threshold scores it: the m-layer frames are looked up first, then
 /// the o-layer frames.
-fn drilled_ladder<'a>(
+fn drilled_ladder<'a, 'c>(
     frames: &'a LayerFrames,
     o_frames: &'a LayerFrames,
-    m_layer: &'a CuboidSpec,
-    o_layer: &'a CuboidSpec,
+    m_layer: &'c CuboidSpec,
+    o_layer: &'c CuboidSpec,
     key: &CellKey,
-) -> Option<(Ladder<'a, Isb>, &'a CuboidSpec)> {
+) -> Option<(Ladder<'a, Isb>, &'c CuboidSpec)> {
     match frames.ladder(key) {
         Some(ladder) => Some((ladder, m_layer)),
         None => o_frames.ladder(key).map(|ladder| (ladder, o_layer)),
@@ -282,22 +282,22 @@ fn drilled_ladder<'a>(
 
 /// Scores every slot `ladder` retains at `level` with the policy's
 /// reference mode against its predecessor at that level, oldest first.
-fn drill_level(
-    ladder: Ladder<'_, Isb>,
+fn drill_level<'a>(
+    ladder: Ladder<'a, Isb>,
     policy: &ExceptionPolicy,
     threshold: f64,
     level: usize,
-    out: &mut Vec<TiltHit>,
+    out: &mut Vec<TiltHit<'a>>,
 ) -> Result<()> {
     let slots = ladder.slots(level).map_err(StreamError::from)?;
-    let level_name = &ladder.spec().levels()[level].name;
+    let level_name = ladder.spec().levels()[level].name.as_str();
     let mut prev: Option<&Isb> = None;
     out.reserve(slots.len());
     for (slot_unit, measure) in slots.iter() {
         let score = policy.ref_mode().score(measure, prev);
         out.push(TiltHit {
             level,
-            level_name: level_name.clone(),
+            level_name,
             slot_unit,
             measure: *measure,
             score,
@@ -314,15 +314,15 @@ fn drill_level(
 /// [`OnlineEngine::drill_at`](crate::online::OnlineEngine::drill_at)
 /// and the lock-free [`CubeSnapshot::drill_at`] both call this, which
 /// is what makes "snapshot ≡ live" hold by construction.
-pub(crate) fn drill_frames_at(
-    frames: &LayerFrames,
-    o_frames: &LayerFrames,
+pub(crate) fn drill_frames_at<'a>(
+    frames: &'a LayerFrames,
+    o_frames: &'a LayerFrames,
     policy: &ExceptionPolicy,
     m_layer: &CuboidSpec,
     o_layer: &CuboidSpec,
     level: usize,
     key: &CellKey,
-) -> Result<Vec<TiltHit>> {
+) -> Result<Vec<TiltHit<'a>>> {
     let mut out = Vec::new();
     match drilled_ladder(frames, o_frames, m_layer, o_layer, key) {
         Some((ladder, cuboid)) => {
@@ -348,14 +348,14 @@ pub(crate) fn drill_frames_at(
 
 /// [`drill_frames_at`] for every level, coarsest first — the cell's
 /// whole warehoused timeline in one pass over its row.
-pub(crate) fn drill_frames_history(
-    frames: &LayerFrames,
-    o_frames: &LayerFrames,
+pub(crate) fn drill_frames_history<'a>(
+    frames: &'a LayerFrames,
+    o_frames: &'a LayerFrames,
     policy: &ExceptionPolicy,
     m_layer: &CuboidSpec,
     o_layer: &CuboidSpec,
     key: &CellKey,
-) -> Result<Vec<TiltHit>> {
+) -> Result<Vec<TiltHit<'a>>> {
     let mut out = Vec::new();
     if let Some((ladder, cuboid)) = drilled_ladder(frames, o_frames, m_layer, o_layer, key) {
         let threshold = policy.threshold_for(cuboid);

@@ -56,7 +56,7 @@ fn all_keys() -> Vec<CellKey> {
 }
 
 /// Byte-exact equality witness for drill results.
-fn drill_bytes(hits: &[regcube_stream::TiltHit]) -> String {
+fn drill_bytes(hits: &[regcube_stream::TiltHit<'_>]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     for h in hits {
