@@ -33,13 +33,23 @@ fn analytical_table_bytes_tracks_the_allocator() {
     let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let isb = Isb::new(0, 9, 1.0, 0.5).unwrap();
 
-    let before = live_bytes();
-    let mut row = CuboidTable::default();
-    for v in 0..N {
-        row.insert(CellKey::new(vec![v, v % 97, v % 53]), isb);
+    // Three ids live in the key's slot; six spill to one boxed slice per
+    // key, which the estimate has to count.
+    for dims in [3, 6] {
+        let before = live_bytes();
+        let mut row = CuboidTable::default();
+        for v in 0..N {
+            let ids = [v, v % 97, v % 53, v % 31, v % 17, v % 7];
+            row.insert(CellKey::new(&ids[..dims]), isb);
+        }
+        let measured = live_bytes().saturating_sub(before);
+        assert_eq!(row.len(), N as usize, "row, {dims} dims");
+        assert_within_2x(
+            &format!("row, {dims} dims"),
+            table_bytes(&row, dims),
+            measured,
+        );
     }
-    let measured = live_bytes().saturating_sub(before);
-    assert_within_2x("row", table_bytes(&row, 3), measured);
 }
 
 #[test]

@@ -183,7 +183,7 @@ impl ColumnarTable {
         let mut ids = vec![0u32; self.codec.num_dims()];
         for i in 0..self.compacted {
             self.decode_into(self.index[i], &mut ids);
-            out.insert(CellKey::new(ids.clone()), self.isb_at(i));
+            out.insert(CellKey::new(&ids), self.isb_at(i));
         }
         out
     }
@@ -463,7 +463,7 @@ impl TableStorage for ColumnarTable {
         for &i in &hits {
             let i = i as usize;
             self.decode_into(self.index[i], &mut ids);
-            exc.insert(CellKey::new(ids.clone()), self.isb_at(i));
+            exc.insert(CellKey::new(&ids), self.isb_at(i));
         }
         exc
     }

@@ -2,6 +2,7 @@
 
 use crate::error::CoreError;
 use crate::Result;
+use regcube_olap::cell::CellKey;
 use regcube_regress::{aggregate, Isb};
 
 /// One merged m-layer data stream: the member ids of its m-layer cell (one
@@ -13,23 +14,25 @@ use regcube_regress::{aggregate, Isb};
 /// these tuples by `regcube-stream`'s ingestion before cubing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MTuple {
-    ids: Box<[u32]>,
+    key: CellKey,
     isb: Isb,
 }
 
 impl MTuple {
     /// Creates a tuple from m-layer member ids and a fitted ISB.
     pub fn new(ids: Vec<u32>, isb: Isb) -> Self {
-        MTuple {
-            ids: ids.into_boxed_slice(),
-            isb,
-        }
+        MTuple::from_key(CellKey::new(ids), isb)
+    }
+
+    /// Creates a tuple from an m-layer cell key and a fitted ISB.
+    pub fn from_key(key: CellKey, isb: Isb) -> Self {
+        MTuple { key, isb }
     }
 
     /// Member ids at the m-layer levels.
     #[inline]
     pub fn ids(&self) -> &[u32] {
-        &self.ids
+        self.key.ids()
     }
 
     /// The tuple's regression measure.

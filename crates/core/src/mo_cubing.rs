@@ -2,10 +2,13 @@
 //! every cuboid from the m-layer up to the o-layer; retain only exception
 //! cells in between (all cells at the two critical layers).
 //!
-//! Step 1 follows the paper exactly: one scan of the input aggregates the
-//! stream into the m-layer, merged under Theorems 3.2/3.3 (through an
-//! H-tree in ascending-cardinality attribute order on the row layout —
-//! [`TableStorage::from_tuples`]).
+//! Step 1 follows the paper: one scan of the input aggregates the stream
+//! into the m-layer, merged under Theorems 3.2/3.3
+//! ([`TableStorage::from_tuples`]). The row layout folds each tuple
+//! straight into its m-cell in arrival order. The paper stages this scan
+//! through an H-tree, but its node-links and header tables are never
+//! read here, and the tree's leaves are created in the same
+//! first-arrival order, so a tree would only be built and thrown away.
 //!
 //! Step 2 computes the lattice bottom-up in depth order. Every cuboid's
 //! full table is aggregated from its **closest computed descendant** — a

@@ -50,9 +50,8 @@ use crate::layers::CriticalLayers;
 use crate::measure::{merge_sibling, MTuple};
 use crate::stats::MemoryAccountant;
 use crate::Result;
-use regcube_olap::cell::CellKey;
+use regcube_olap::cell::{CellKey, INLINE_IDS};
 use regcube_olap::fxhash::FxHashMap;
-use regcube_olap::htree::{attrs_by_cardinality, expand_tuple, path_values_to_key, HTree, NodeId};
 use regcube_olap::{CubeSchema, CuboidSpec};
 use regcube_regress::Isb;
 
@@ -188,12 +187,12 @@ impl TableStorage for CuboidTable {
     }
 
     fn merge_row(&mut self, ids: &[u32], isb: &Isb) -> Result<()> {
-        // Probing by slice first keeps the hot hit path allocation-free;
-        // only a genuinely new cell pays for boxing the key.
+        // Probing by slice first keeps the hot hit path from building a
+        // key; only a genuinely new cell builds one.
         match self.get_mut(ids) {
             Some(acc) => merge_sibling(acc, isb),
             None => {
-                self.insert(CellKey::new(ids.to_vec()), *isb);
+                self.insert(CellKey::new(ids), *isb);
                 Ok(())
             }
         }
@@ -214,48 +213,26 @@ impl TableStorage for CuboidTable {
         table_bytes(self, num_dims)
     }
 
-    /// One scan of the batch through an H-tree in cardinality attribute
-    /// order, as the paper has it; the leaves become the m-layer cells.
-    /// The insertion sequence into the returned map (leaf order) is what
-    /// fixes the row layout's fold order further up the lattice.
+    /// Algorithm 1's step 1, one scan of the batch: every tuple is
+    /// folded into its m-cell with [`merge_row`](TableStorage::merge_row)
+    /// in arrival order. A cell enters the map when its first tuple
+    /// arrives, and its duplicates merge into it in arrival order; that
+    /// insertion sequence (first-arrival order) is what fixes the row
+    /// layout's fold order further up the lattice. It is also the order
+    /// the paper's H-tree creates its leaves in, so staging the batch
+    /// through a tree first would build this same table.
     fn from_tuples(
         schema: &CubeSchema,
-        layers: &CriticalLayers,
+        _layers: &CriticalLayers,
         tuples: &[MTuple],
         _kernel: KernelMode,
         mem: &mut MemoryAccountant,
     ) -> Result<(Self, Folded)> {
-        let lattice = layers.lattice();
-        let attrs = attrs_by_cardinality(schema, lattice);
-        let mut tree: HTree<Isb> = HTree::new(attrs)?;
-        for t in tuples {
-            let values = expand_tuple(schema, lattice.m_layer(), t.ids(), tree.order());
-            let leaf = tree.insert_path(&values)?;
-            match tree.payload_mut(leaf) {
-                Some(acc) => merge_sibling(acc, t.isb())?,
-                slot @ None => *slot = Some(*t.isb()),
-            }
-        }
-        let tree_bytes = tree.approx_bytes();
-
         let mut m_table = CuboidTable::default();
-        let order: Vec<_> = tree.order().to_vec();
-        let m_layer = lattice.m_layer().clone();
-        let mut leaves: Vec<NodeId> = Vec::with_capacity(tree.num_leaves());
-        tree.for_each_leaf(|leaf| leaves.push(leaf));
-        for leaf in leaves {
-            let values = tree.path_values(leaf);
-            let key = path_values_to_key(&order, &values, &m_layer).ok_or_else(|| {
-                CoreError::BadInput {
-                    detail: "H-tree order misses an m-layer attribute".into(),
-                }
-            })?;
-            let isb = *tree.payload(leaf).expect("leaf payload set at insert");
-            m_table.insert(CellKey::new(key), isb);
+        for t in tuples {
+            m_table.merge_row(t.ids(), t.isb())?;
         }
-        mem.add(tree_bytes);
         mem.add(table_bytes(&m_table, schema.num_dims()));
-        mem.remove(tree_bytes);
         let folded = Folded {
             rows: tuples.len() as u64,
             kernel: false,
@@ -292,16 +269,23 @@ impl TableStorage for CuboidTable {
 /// array is sized from the table's reported *capacity* (a power of two
 /// holding the capacity at ≤ 7/8 load, one `(CellKey, Isb)` slot plus
 /// one control byte per bucket — the SwissTable layout `std::HashMap`
-/// uses), and each occupied entry additionally owns its boxed key ids
+/// uses). A key of up to [`INLINE_IDS`] dimensions lives in its slot;
+/// beyond that each occupied entry additionally owns its boxed key ids
 /// on the heap. The bench suite checks this analytical figure against
-/// real allocator measurements within a tolerance band.
+/// real allocator measurements within a tolerance band, on both sides
+/// of the inline bound.
 pub fn table_bytes(table: &CuboidTable, num_dims: usize) -> usize {
     if table.capacity() == 0 {
         return 0;
     }
     let buckets = ((table.capacity() * 8).div_ceil(7)).next_power_of_two();
     let slot = std::mem::size_of::<(CellKey, Isb)>() + 1;
-    buckets * slot + table.len() * num_dims * std::mem::size_of::<u32>()
+    let key_heap = if num_dims > INLINE_IDS {
+        num_dims * std::mem::size_of::<u32>()
+    } else {
+        0
+    };
+    buckets * slot + table.len() * key_heap
 }
 
 /// Dense mixed-radix cell-id codec of one cuboid: per-dimension
@@ -581,9 +565,9 @@ pub fn aggregate_from(
 /// The whole pass is allocation-free per row: the PR-4 [`Projector`]
 /// LUTs project into one scratch buffer, qualifying rows append their
 /// projected ids to one flat scratch vector, and the fold order is
-/// established by sorting *indices* over that scratch — the only
-/// per-cell allocation left is the one `CellKey` each distinct target
-/// cell inserts into the output table.
+/// established by sorting *indices* over that scratch. Each distinct
+/// target cell builds one `CellKey`, which allocates only beyond
+/// [`INLINE_IDS`] dimensions.
 ///
 /// Returns the new table and the number of qualifying source rows
 /// folded.
@@ -635,7 +619,7 @@ pub fn drill_aggregate(
             merge_sibling(&mut acc, rows[order[i] as usize].1)?;
             i += 1;
         }
-        out.insert(CellKey::new(target.to_vec()), acc);
+        out.insert(CellKey::new(target), acc);
     }
     Ok((out, folded))
 }
@@ -653,7 +637,7 @@ pub fn collect_exceptions<S: TableStorage>(
     table
         .try_for_each_cell(|ids, isb| {
             if policy.is_exception(cuboid, isb) {
-                exc.insert(CellKey::new(ids.to_vec()), *isb);
+                exc.insert(CellKey::new(ids), *isb);
             }
             Ok(())
         })
@@ -725,30 +709,36 @@ mod tests {
 
     #[test]
     fn byte_accounting_tracks_layout() {
-        let mut t = CuboidTable::default();
-        assert_eq!(table_bytes(&t, 3), 0, "no capacity, no bytes");
-        t.insert(CellKey::new(vec![0, 0, 0]), isb(0.0));
-        let one = table_bytes(&t, 3);
-        assert!(one > 0);
-        // Growth is monotone in entries (capacity never shrinks on
-        // insert) and the estimate stays within the physical layout's
-        // ballpark: between the tight packed size and a generous upper
-        // bound that covers a freshly-doubled, half-empty bucket array.
-        let mut prev = one;
-        for v in 1..=512u32 {
-            t.insert(CellKey::new(vec![v, v, v]), isb(0.0));
-            let now = table_bytes(&t, 3);
-            assert!(now >= prev, "estimate shrank at {v} entries");
-            prev = now;
+        // Three dimensions keep their ids in the key's slot; six spill
+        // them to the heap, one boxed slice per entry.
+        for (dims, key_heap) in [(3, 0), (6, 6 * std::mem::size_of::<u32>())] {
+            let mut t = CuboidTable::default();
+            assert_eq!(table_bytes(&t, dims), 0, "no capacity, no bytes");
+            t.insert(CellKey::new(vec![0; dims]), isb(0.0));
+            let one = table_bytes(&t, dims);
+            assert!(one > 0);
+            // Growth is monotone in entries (capacity never shrinks on
+            // insert) and the estimate stays within the physical layout's
+            // ballpark: between the tight packed size and a generous upper
+            // bound that covers a freshly-doubled, half-empty bucket array.
+            let mut prev = one;
+            for v in 1..=512u32 {
+                t.insert(CellKey::new(vec![v; dims]), isb(0.0));
+                let now = table_bytes(&t, dims);
+                assert!(now >= prev, "{dims} dims: estimate shrank at {v} entries");
+                prev = now;
+            }
+            let n = t.len();
+            let packed = n * (std::mem::size_of::<(CellKey, Isb)>() + 1 + key_heap);
+            assert!(
+                prev >= packed,
+                "{dims} dims: estimate below the packed minimum"
+            );
+            assert!(
+                prev <= packed * 3,
+                "{dims} dims: estimate above 3x the packed size: {prev} vs {packed}"
+            );
         }
-        let n = t.len();
-        let packed =
-            n * (std::mem::size_of::<(CellKey, Isb)>() + 1 + 3 * std::mem::size_of::<u32>());
-        assert!(prev >= packed, "estimate below the packed minimum");
-        assert!(
-            prev <= packed * 3,
-            "estimate above 3x the packed size: {prev} vs {packed}"
-        );
     }
 
     #[test]

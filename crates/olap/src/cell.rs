@@ -9,47 +9,125 @@ use crate::cuboid::CuboidSpec;
 use crate::error::OlapError;
 use crate::schema::CubeSchema;
 use crate::Result;
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+
+/// Ids a [`CellKey`] holds in place; longer keys spill to the heap.
+pub const INLINE_IDS: usize = 5;
 
 /// The member-id coordinate of a cell *within a known cuboid*: one id per
 /// dimension, `0` for `*` dimensions. Used as the hash key of cuboid
-/// tables, so it is compact (a boxed slice) and cheap to hash (FxHasher).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct CellKey(Box<[u32]>);
+/// tables, so it is compact and cheap to hash (FxHasher).
+///
+/// A key of up to [`INLINE_IDS`] ids lives inside the key itself (24
+/// bytes, the size of a boxed slice plus its tag), so building, cloning
+/// and dropping one never touches the allocator; only wider keys box
+/// their ids.
+///
+/// `Hash`, `Eq` and `Ord` are the id slice's, whichever way the ids are
+/// stored. The hash in particular must stay exactly the slice's — its
+/// length prefix, then its bytes — because it is what a
+/// `FxHashMap<CellKey, _>` places cells by: the row layout's iteration
+/// order, and with it the order its roll-ups fold cells in (and so
+/// every fitted bit above the m-layer), follows from it. It is also
+/// what lets a table be probed with a plain `&[u32]` through
+/// [`Borrow`].
+#[derive(Clone)]
+pub struct CellKey(Ids);
+
+/// Where a [`CellKey`]'s ids live. A key of at most [`INLINE_IDS`] ids
+/// is always `Inline`, so each id slice has exactly one representation.
+#[derive(Clone)]
+enum Ids {
+    Inline { len: u8, ids: [u32; INLINE_IDS] },
+    Heap(Box<[u32]>),
+}
 
 impl CellKey {
     /// Creates a key from per-dimension member ids.
-    pub fn new(ids: impl Into<Box<[u32]>>) -> Self {
-        CellKey(ids.into())
+    pub fn new(ids: impl AsRef<[u32]>) -> Self {
+        let ids = ids.as_ref();
+        if ids.len() <= INLINE_IDS {
+            let mut inline = [0; INLINE_IDS];
+            inline[..ids.len()].copy_from_slice(ids);
+            CellKey(Ids::Inline {
+                len: ids.len() as u8,
+                ids: inline,
+            })
+        } else {
+            CellKey(Ids::Heap(ids.into()))
+        }
     }
 
     /// The member ids, in dimension order.
     #[inline]
     pub fn ids(&self) -> &[u32] {
-        &self.0
+        match &self.0 {
+            Ids::Inline { len, ids } => &ids[..usize::from(*len)],
+            Ids::Heap(ids) => ids,
+        }
     }
 
     /// Number of dimensions.
     #[inline]
     pub fn num_dims(&self) -> usize {
-        self.0.len()
+        self.ids().len()
+    }
+}
+
+impl PartialEq for CellKey {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        self.ids() == other.ids()
+    }
+}
+
+impl Eq for CellKey {}
+
+impl Hash for CellKey {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.ids().hash(state);
+    }
+}
+
+impl PartialOrd for CellKey {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for CellKey {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.ids().cmp(other.ids())
     }
 }
 
 /// Keys borrow as their id slice, so hash tables keyed by [`CellKey`]
 /// can be probed with a plain `&[u32]` (e.g. a projection buffer)
-/// without allocating a key first. The derived `Hash`/`Eq` hash and
-/// compare exactly the id slice, so the `Borrow` contract holds.
-impl std::borrow::Borrow<[u32]> for CellKey {
+/// without building a key first. `Hash`/`Eq` hash and compare exactly
+/// the id slice, so the `Borrow` contract holds.
+impl Borrow<[u32]> for CellKey {
+    #[inline]
     fn borrow(&self) -> &[u32] {
-        &self.0
+        self.ids()
+    }
+}
+
+impl fmt::Debug for CellKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("CellKey").field(&self.ids()).finish()
     }
 }
 
 impl fmt::Display for CellKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for (i, id) in self.0.iter().enumerate() {
+        for (i, id) in self.ids().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -290,5 +368,8 @@ mod tests {
         assert_eq!(k.ids(), &[1, 2, 3]);
         assert_eq!(k.num_dims(), 3);
         assert_eq!(format!("{k}"), "[1, 2, 3]");
+        let wide = CellKey::new([1, 2, 3, 4, 5, 6]);
+        assert_eq!(wide.ids(), &[1, 2, 3, 4, 5, 6]);
+        assert_eq!(format!("{wide:?}"), "CellKey([1, 2, 3, 4, 5, 6])");
     }
 }

@@ -8,13 +8,16 @@
 //! Shared prefixes share nodes, which keeps the structure compact when the
 //! order puts low-cardinality attributes near the root. Every distinct
 //! `(attribute, value)` maintains a **header list** threading through all
-//! tree nodes that carry it — the "node-links" Algorithm 1 traverses.
+//! tree nodes that carry it — the "node-links" the paper's Algorithm 1
+//! traverses.
 //!
 //! The tree is generic over the payload `M` (regression measures in
 //! `regcube-core`); payloads live in leaves after insertion and can be
 //! rolled up into non-leaf nodes ([`HTree::aggregate_bottom_up`]), which is
 //! exactly how Algorithm 2 stores the popular path's aggregates "in the
-//! nonleaf nodes in the H-tree".
+//! nonleaf nodes in the H-tree". Algorithm 2 is the tree's one user in
+//! the engine: Algorithm 1 reads neither node-links nor header tables,
+//! so it folds its m-layer directly into a table instead.
 
 use crate::cuboid::CuboidSpec;
 use crate::error::OlapError;
@@ -229,15 +232,6 @@ impl<M> HTree<M> {
         }
     }
 
-    /// Visits every leaf node.
-    pub fn for_each_leaf(&self, mut f: impl FnMut(NodeId)) {
-        for (i, n) in self.nodes.iter().enumerate() {
-            if i != 0 && n.children.is_empty() {
-                f(i as NodeId);
-            }
-        }
-    }
-
     /// Rolls leaf payloads up the tree: after this call every non-leaf node
     /// (including the root) holds the merge of all its descendant leaves'
     /// payloads. This is Algorithm 2's Step 2 storage scheme ("aggregated
@@ -295,10 +289,12 @@ impl<M> Iterator for HeaderChain<'_, M> {
     }
 }
 
-/// The attribute set Algorithm 1 uses: every `(dim, level)` with
-/// `1 <= level <= m_d`, sorted by ascending level cardinality — "this
-/// ordering makes the tree compact since there are likely more sharings at
-/// higher level nodes" (Example 5).
+/// The attribute set the paper gives Algorithm 1's H-tree: every
+/// `(dim, level)` with `1 <= level <= m_d`, sorted by ascending level
+/// cardinality — "this ordering makes the tree compact since there are
+/// likely more sharings at higher level nodes" (Example 5). The engine's
+/// Algorithm 1 folds its m-layer straight into a table and builds no
+/// tree; this order is kept as the paper's Example 5 / Figure 7.
 pub fn attrs_by_cardinality(schema: &CubeSchema, lattice: &Lattice) -> Vec<AttrSpec> {
     let mut attrs = Vec::new();
     for d in 0..schema.num_dims() {
@@ -371,26 +367,6 @@ pub fn prefix_cuboid(order: &[AttrSpec], k: usize, num_dims: usize) -> CuboidSpe
         levels[a.dim] = levels[a.dim].max(a.level);
     }
     CuboidSpec::new(levels)
-}
-
-/// Projects H-tree path values (at the attribute order) down to a cell key
-/// of `cuboid`, assuming every needed `(dim, level)` appears in the order.
-/// Returns `None` when the cuboid needs an attribute the order lacks.
-pub fn path_values_to_key(
-    order: &[AttrSpec],
-    values: &[u32],
-    cuboid: &CuboidSpec,
-) -> Option<Vec<u32>> {
-    let mut key = vec![0u32; cuboid.num_dims()];
-    for (d, slot) in key.iter_mut().enumerate() {
-        let level = cuboid.level(d);
-        if level == 0 {
-            continue;
-        }
-        let idx = order.iter().position(|a| a.dim == d && a.level == level)?;
-        *slot = values[idx];
-    }
-    Some(key)
 }
 
 /// Re-exported for callers that need the raw projection primitive next to
@@ -481,9 +457,6 @@ mod tests {
         let chain: Vec<NodeId> = t.header_chain(0, 0).collect();
         assert_eq!(chain.len(), 1);
         assert_eq!(t.payload(chain[0]), Some(&3));
-        let mut leaves = 0;
-        t.for_each_leaf(|_| leaves += 1);
-        assert_eq!(leaves, 3);
         assert!(t.approx_bytes() > 0);
     }
 
@@ -538,16 +511,5 @@ mod tests {
         assert_eq!(prefix_cuboid(&attrs, 2, 3).levels(), &[1, 0, 1]); // o-layer
         assert_eq!(prefix_cuboid(&attrs, 3, 3).levels(), &[1, 1, 1]);
         assert_eq!(prefix_cuboid(&attrs, 6, 3).levels(), &[2, 2, 2]); // m-layer
-    }
-
-    #[test]
-    fn path_values_project_to_cell_keys() {
-        let (schema, lattice) = example5();
-        let attrs = attrs_by_cardinality(&schema, &lattice);
-        let values = expand_tuple(&schema, lattice.m_layer(), &[7, 4, 8], &attrs);
-        let key = path_values_to_key(&attrs, &values, &CuboidSpec::new(vec![1, 0, 2])).unwrap();
-        assert_eq!(key, vec![2, 0, 8]);
-        // A cuboid needing an absent attribute (level 3) yields None.
-        assert!(path_values_to_key(&attrs, &values, &CuboidSpec::new(vec![3, 0, 0])).is_none());
     }
 }

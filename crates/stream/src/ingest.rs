@@ -262,7 +262,7 @@ impl Ingestor {
     pub fn to_mtuples(cells: &[(CellKey, Isb)]) -> Vec<MTuple> {
         cells
             .iter()
-            .map(|(k, isb)| MTuple::new(k.ids().to_vec(), *isb))
+            .map(|(k, isb)| MTuple::from_key(k.clone(), *isb))
             .collect()
     }
 }

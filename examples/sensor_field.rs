@@ -152,9 +152,10 @@ fn main() {
         reference.total_exception_cells()
     );
     println!(
-        "\nColumnar backend: same {} exception cells at {:.1}x lower table peak than the row layout",
+        "\nColumnar backend: same {} exception cells, table peak {} bytes against the row layout's {}",
         columnar.result().total_exception_cells(),
-        single.stats().peak_bytes as f64 / columnar.stats().peak_bytes.max(1) as f64,
+        columnar.stats().peak_bytes,
+        single.stats().peak_bytes,
     );
     println!(
         "\nTier-pool cubing: {} sensors on 2 workers -> {} cells, {} exception cells",

@@ -77,7 +77,7 @@ fn render(reports: &[UnitReport]) -> String {
 fn drills(engine: &regcube::stream::OnlineEngine) -> String {
     let mut out = String::new();
     for ids in [[0u32, 0], [1, 2], [3, 3]] {
-        let key = CellKey::new(ids.to_vec());
+        let key = CellKey::new(ids);
         for hit in engine.drill_history(&key).unwrap_or_default() {
             writeln!(
                 out,
