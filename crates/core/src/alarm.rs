@@ -259,144 +259,60 @@ impl fmt::Display for LateAmendment {
     }
 }
 
+/// How a late amendment changed a warehoused slot's verdict.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RevisionKind {
+    /// The slot was exceptional before the amendment and is not any
+    /// more: the alarm it raised must be withdrawn.
+    Retracted,
+    /// The slot was not exceptional before the amendment and now is:
+    /// an alarm that should have fired.
+    Raised,
+    /// The slot was and stays exceptional, but its score moved: the
+    /// alarm stands with a corrected magnitude.
+    Rescored,
+}
+
 /// A change to a warehoused unit's exception verdict caused by a late
 /// amendment.
 ///
 /// When a late record amends a closed unit's tilt-frame slot, the
-/// amended cell (and the slot that scores against it as its reference)
-/// is re-screened with the engine's policy. A verdict that flips or
-/// moves is published as one of these typed events through
+/// amended slot is re-screened with the engine's policy. A verdict that
+/// flips or moves is published as one of these through
 /// [`AlarmSink::on_revision`], so downstream exception history can be
-/// patched instead of silently contradicting the amended frames. Every
-/// variant carries the same coordinates: the revised cell, the finest
-/// stream unit whose verdict changed, the tilt level of the re-screened
-/// slot (0 = finest; coarser slots aggregate several units), and the
-/// before/after residual scores.
+/// patched instead of silently contradicting the amended frames.
 #[derive(Debug, Clone, PartialEq)]
-pub enum AlarmRevision {
-    /// The unit was exceptional before the amendment and is not any
-    /// more: the alarm it raised must be withdrawn.
-    Retracted {
-        /// The cuboid of the revised cell (the o-layer for engine-raised
-        /// alarms).
-        cuboid: CuboidSpec,
-        /// The revised cell.
-        cell: CellKey,
-        /// The finest stream unit whose verdict changed.
-        unit: u64,
-        /// Tilt level of the re-screened slot (0 = finest).
-        level: usize,
-        /// The residual score before the amendment.
-        old_score: f64,
-        /// The residual score after the amendment.
-        new_score: f64,
-    },
-    /// The unit was not exceptional before the amendment and now is:
-    /// an alarm that should have fired at that unit.
-    Raised {
-        /// The cuboid of the revised cell.
-        cuboid: CuboidSpec,
-        /// The revised cell.
-        cell: CellKey,
-        /// The finest stream unit whose verdict changed.
-        unit: u64,
-        /// Tilt level of the re-screened slot (0 = finest).
-        level: usize,
-        /// The residual score before the amendment.
-        old_score: f64,
-        /// The residual score after the amendment.
-        new_score: f64,
-    },
-    /// The unit was and stays exceptional, but its score moved: the
-    /// alarm stands with a corrected magnitude.
-    Rescored {
-        /// The cuboid of the revised cell.
-        cuboid: CuboidSpec,
-        /// The revised cell.
-        cell: CellKey,
-        /// The finest stream unit whose verdict changed.
-        unit: u64,
-        /// Tilt level of the re-screened slot (0 = finest).
-        level: usize,
-        /// The residual score before the amendment.
-        old_score: f64,
-        /// The residual score after the amendment.
-        new_score: f64,
-    },
-}
-
-impl AlarmRevision {
-    /// The cuboid of the revised cell.
-    pub fn cuboid(&self) -> &CuboidSpec {
-        match self {
-            AlarmRevision::Retracted { cuboid, .. }
-            | AlarmRevision::Raised { cuboid, .. }
-            | AlarmRevision::Rescored { cuboid, .. } => cuboid,
-        }
-    }
-
+pub struct AlarmRevision {
+    /// Whether the verdict was retracted, raised or rescored.
+    pub kind: RevisionKind,
+    /// The cuboid of the revised cell (the o-layer for engine-raised
+    /// alarms).
+    pub cuboid: CuboidSpec,
     /// The revised cell.
-    pub fn cell(&self) -> &CellKey {
-        match self {
-            AlarmRevision::Retracted { cell, .. }
-            | AlarmRevision::Raised { cell, .. }
-            | AlarmRevision::Rescored { cell, .. } => cell,
-        }
-    }
-
-    /// The finest stream unit whose verdict changed.
-    pub fn unit(&self) -> u64 {
-        match self {
-            AlarmRevision::Retracted { unit, .. }
-            | AlarmRevision::Raised { unit, .. }
-            | AlarmRevision::Rescored { unit, .. } => *unit,
-        }
-    }
-
-    /// Tilt level of the re-screened slot (0 = finest).
-    pub fn level(&self) -> usize {
-        match self {
-            AlarmRevision::Retracted { level, .. }
-            | AlarmRevision::Raised { level, .. }
-            | AlarmRevision::Rescored { level, .. } => *level,
-        }
-    }
-
+    pub cell: CellKey,
+    /// The slot's unit at its tilt level (at level 0, the finest stream
+    /// unit whose verdict changed).
+    pub unit: u64,
+    /// Tilt level of the re-screened slot (0 = finest; coarser slots
+    /// aggregate several units).
+    pub level: usize,
     /// The residual score before the amendment.
-    pub fn old_score(&self) -> f64 {
-        match self {
-            AlarmRevision::Retracted { old_score, .. }
-            | AlarmRevision::Raised { old_score, .. }
-            | AlarmRevision::Rescored { old_score, .. } => *old_score,
-        }
-    }
-
+    pub old_score: f64,
     /// The residual score after the amendment.
-    pub fn new_score(&self) -> f64 {
-        match self {
-            AlarmRevision::Retracted { new_score, .. }
-            | AlarmRevision::Raised { new_score, .. }
-            | AlarmRevision::Rescored { new_score, .. } => *new_score,
-        }
-    }
+    pub new_score: f64,
 }
 
 impl fmt::Display for AlarmRevision {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let kind = match self {
-            AlarmRevision::Retracted { .. } => "retracted",
-            AlarmRevision::Raised { .. } => "raised",
-            AlarmRevision::Rescored { .. } => "rescored",
+        let kind = match self.kind {
+            RevisionKind::Retracted => "retracted",
+            RevisionKind::Raised => "raised",
+            RevisionKind::Rescored => "rescored",
         };
         write!(
             f,
             "revision {kind} {}{} unit {} L{} score {:.6} -> {:.6}",
-            self.cuboid(),
-            self.cell(),
-            self.unit(),
-            self.level(),
-            self.old_score(),
-            self.new_score()
+            self.cuboid, self.cell, self.unit, self.level, self.old_score, self.new_score
         )
     }
 }
@@ -620,13 +536,13 @@ impl AlarmSink for AlarmLog {
     fn on_revision(&mut self, revision: &AlarmRevision) -> Result<()> {
         // Episode history is unit-grained; coarser slots aggregate many
         // units, so only finest-level revisions map onto episodes.
-        if revision.level() != 0 {
+        if revision.level != 0 {
             return Ok(());
         }
-        let addr = (revision.cuboid().clone(), revision.cell().clone());
-        let unit = revision.unit();
-        match revision {
-            AlarmRevision::Retracted { .. } => {
+        let addr = (revision.cuboid.clone(), revision.cell.clone());
+        let (unit, new_score) = (revision.unit, revision.new_score);
+        match revision.kind {
+            RevisionKind::Retracted => {
                 let mut patched = false;
                 if let Some(episode) = self.open.get_mut(&addr) {
                     if episode.raised_at == unit {
@@ -658,7 +574,7 @@ impl AlarmSink for AlarmLog {
                     self.revised_total += 1;
                 }
             }
-            AlarmRevision::Raised { new_score, .. } => {
+            RevisionKind::Raised => {
                 if !new_score.is_finite() {
                     self.suppressed += 1;
                     return Ok(());
@@ -668,8 +584,8 @@ impl AlarmSink for AlarmLog {
                     if unit < episode.raised_at {
                         episode.raised_at = unit;
                     }
-                    if *new_score > episode.peak_score {
-                        episode.peak_score = *new_score;
+                    if new_score > episode.peak_score {
+                        episode.peak_score = new_score;
                     }
                     self.revised_total += 1;
                 } else if self.last_unit.map_or(true, |last| unit >= last) {
@@ -684,7 +600,7 @@ impl AlarmSink for AlarmLog {
                             cell: addr.1,
                             raised_at: unit,
                             cleared_at: None,
-                            peak_score: *new_score,
+                            peak_score: new_score,
                         },
                     );
                 } else {
@@ -703,14 +619,14 @@ impl AlarmSink for AlarmLog {
                         cell: addr.1,
                         raised_at: unit,
                         cleared_at: Some(unit + 1),
-                        peak_score: *new_score,
+                        peak_score: new_score,
                     });
                 }
             }
-            AlarmRevision::Rescored { new_score, .. } => {
+            RevisionKind::Rescored => {
                 if let Some(episode) = self.open.get_mut(&addr) {
-                    if new_score.is_finite() && *new_score > episode.peak_score {
-                        episode.peak_score = *new_score;
+                    if new_score.is_finite() && new_score > episode.peak_score {
+                        episode.peak_score = new_score;
                         self.revised_total += 1;
                     }
                 }
@@ -1057,12 +973,13 @@ impl AlarmSink for DashboardSummary {
         // Only frontier-unit, base-resolution revisions can change what
         // "active right now" means; historical ones were already
         // superseded by later deltas and are only counted.
-        if revision.level() != 0 || Some(revision.unit()) != self.last_unit {
+        if revision.level != 0 || Some(revision.unit) != self.last_unit {
             return Ok(());
         }
-        let addr = (revision.cuboid().clone(), revision.cell().clone());
-        match revision {
-            AlarmRevision::Retracted { .. } => {
+        let addr = (revision.cuboid.clone(), revision.cell.clone());
+        let new_score = revision.new_score;
+        match revision.kind {
+            RevisionKind::Retracted => {
                 if self.active.remove(&addr).is_some() {
                     self.cleared_total += 1;
                     if let Some(n) = self.by_depth.get_mut(&addr.0.total_depth()) {
@@ -1070,16 +987,16 @@ impl AlarmSink for DashboardSummary {
                     }
                 }
             }
-            AlarmRevision::Raised { new_score, .. } => {
+            RevisionKind::Raised => {
                 self.appeared_total += 1;
-                if new_score.is_finite() && self.active.insert(addr.clone(), *new_score).is_none() {
+                if new_score.is_finite() && self.active.insert(addr.clone(), new_score).is_none() {
                     *self.by_depth.entry(addr.0.total_depth()).or_insert(0) += 1;
                 }
             }
-            AlarmRevision::Rescored { new_score, .. } => {
+            RevisionKind::Rescored => {
                 if new_score.is_finite() {
                     if let Some(score) = self.active.get_mut(&addr) {
-                        *score = *new_score;
+                        *score = new_score;
                     }
                 }
             }

@@ -5,9 +5,10 @@
 //! expert **for each cuboid c, for each dimension level d, or for the
 //! whole cube**, depending on applications." (Section 4.3.)
 //!
-//! The policy also captures the *reference* choice — whether the tested
-//! regression is the cell's own line or the change between consecutive
-//! tilt-frame slots ("the current quarter vs. the previous one").
+//! That is the one test the engine runs everywhere — at a unit close, in
+//! a time-travel drill and when a late record revises a warehoused slot:
+//! `exception_score(measure) >= policy.threshold_for(cuboid)`, where the
+//! score is the magnitude of the measure's own slope.
 
 use crate::error::CoreError;
 use crate::measure::exception_score;
@@ -15,31 +16,6 @@ use crate::Result;
 use regcube_olap::fxhash::FxHashMap;
 use regcube_olap::CuboidSpec;
 use regcube_regress::Isb;
-
-/// Which regression line an exception test refers to (Section 4.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RefMode {
-    /// The cell's own regression slope over its current window.
-    #[default]
-    OwnSlope,
-    /// The difference between the newest and the previous time slot's
-    /// slopes — "the current quarter vs. the last quarter".
-    SlotDelta,
-}
-
-impl RefMode {
-    /// Computes the score this mode tests against the threshold, given the
-    /// newest measure and (optionally) the previous slot's measure.
-    pub fn score(self, current: &Isb, previous: Option<&Isb>) -> f64 {
-        match self {
-            RefMode::OwnSlope => exception_score(current),
-            RefMode::SlotDelta => match previous {
-                Some(prev) => (current.slope() - prev.slope()).abs(),
-                None => exception_score(current),
-            },
-        }
-    }
-}
 
 /// A threshold policy with the paper's three scopes: per-cuboid overrides,
 /// per-total-depth overrides, and a cube-wide default (resolution order:
@@ -49,7 +25,6 @@ pub struct ExceptionPolicy {
     default_threshold: f64,
     per_depth: FxHashMap<u32, f64>,
     per_cuboid: FxHashMap<CuboidSpec, f64>,
-    ref_mode: RefMode,
 }
 
 impl ExceptionPolicy {
@@ -59,7 +34,6 @@ impl ExceptionPolicy {
             default_threshold: threshold,
             per_depth: FxHashMap::default(),
             per_cuboid: FxHashMap::default(),
-            ref_mode: RefMode::OwnSlope,
         }
     }
 
@@ -94,12 +68,6 @@ impl ExceptionPolicy {
         Ok(self)
     }
 
-    /// Selects the reference mode (own slope vs. slot delta).
-    pub fn with_ref_mode(mut self, mode: RefMode) -> Self {
-        self.ref_mode = mode;
-        self
-    }
-
     fn check(threshold: f64) -> Result<()> {
         if threshold.is_nan() || threshold < 0.0 {
             return Err(CoreError::BadPolicy {
@@ -107,12 +75,6 @@ impl ExceptionPolicy {
             });
         }
         Ok(())
-    }
-
-    /// The reference mode.
-    #[inline]
-    pub fn ref_mode(&self) -> RefMode {
-        self.ref_mode
     }
 
     /// The threshold effective for `cuboid`.
@@ -126,8 +88,7 @@ impl ExceptionPolicy {
         self.default_threshold
     }
 
-    /// Tests a cell measure in `cuboid` against the effective threshold
-    /// (own-slope reference; slot-aware callers use [`RefMode::score`]).
+    /// Tests a cell measure in `cuboid` against the effective threshold.
     #[inline]
     pub fn is_exception(&self, cuboid: &CuboidSpec, measure: &Isb) -> bool {
         exception_score(measure) >= self.threshold_for(cuboid)
@@ -181,22 +142,5 @@ mod tests {
         assert!(ExceptionPolicy::slope_threshold(0.5)
             .with_cuboid_threshold(CuboidSpec::new(vec![1]), f64::NAN)
             .is_err());
-    }
-
-    #[test]
-    fn ref_modes_score_differently() {
-        let cur = isb(0.8);
-        let prev = isb(0.7);
-        assert!((RefMode::OwnSlope.score(&cur, Some(&prev)) - 0.8).abs() < 1e-12);
-        assert!((RefMode::SlotDelta.score(&cur, Some(&prev)) - 0.1).abs() < 1e-9);
-        // Without history, slot-delta falls back to the own slope.
-        assert!((RefMode::SlotDelta.score(&cur, None) - 0.8).abs() < 1e-12);
-        assert_eq!(RefMode::default(), RefMode::OwnSlope);
-    }
-
-    #[test]
-    fn policy_builder_keeps_mode() {
-        let p = ExceptionPolicy::slope_threshold(1.0).with_ref_mode(RefMode::SlotDelta);
-        assert_eq!(p.ref_mode(), RefMode::SlotDelta);
     }
 }

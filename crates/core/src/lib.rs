@@ -101,7 +101,7 @@ pub use alarm::{
 pub use columnar::ColumnarTable;
 pub use engine::{Backend, CubingEngine, MoCubingEngine, PopularPathEngine, UnitDelta};
 pub use error::CoreError;
-pub use exception::{ExceptionPolicy, RefMode};
+pub use exception::ExceptionPolicy;
 pub use kernel::KernelMode;
 pub use layers::CriticalLayers;
 pub use measure::MTuple;
@@ -119,7 +119,7 @@ pub mod prelude {
         ThresholdEscalator,
     };
     pub use crate::engine::{Backend, CubingEngine, MoCubingEngine, PopularPathEngine, UnitDelta};
-    pub use crate::exception::{ExceptionPolicy, RefMode};
+    pub use crate::exception::ExceptionPolicy;
     pub use crate::layers::CriticalLayers;
     pub use crate::measure::MTuple;
     pub use crate::pool::WorkerPool;

@@ -51,7 +51,7 @@ use crate::online::{
 };
 use crate::record::RawRecord;
 use crate::Result;
-use regcube_core::alarm::{AlarmRevision, LateAmendment};
+use regcube_core::alarm::{AlarmRevision, LateAmendment, RevisionKind};
 use regcube_core::engine::CubingEngine;
 use regcube_core::MTuple;
 use regcube_olap::cell::CellKey;
@@ -401,8 +401,13 @@ fn fingerprint(
     ticks_per_unit: usize,
 ) -> String {
     let (schema, o_layer, m_layer) = engine_parts;
+    // v1 checkpoints were written while the policy carried a reference
+    // mode that was always `OwnSlope`: keep its text so they restore.
+    let policy = format!("{policy:?}");
+    let policy = policy.strip_suffix(" }").unwrap_or(&policy);
     format!(
-        "{schema:?}|{:?}|{o_layer:?}|{m_layer:?}|{policy:?}|{tilt_spec:?}|{ticks_per_unit}",
+        "{schema:?}|{:?}|{o_layer:?}|{m_layer:?}|{policy}, ref_mode: OwnSlope }}|{tilt_spec:?}\
+         |{ticks_per_unit}",
         ingestor.primitive()
     )
 }
@@ -445,68 +450,45 @@ fn encode_frames(enc: &mut Enc, frames: &LayerFrames) {
 }
 
 fn encode_revision(enc: &mut Enc, rev: &AlarmRevision) {
-    let kind = match rev {
-        AlarmRevision::Retracted { .. } => 0u8,
-        AlarmRevision::Raised { .. } => 1,
-        AlarmRevision::Rescored { .. } => 2,
-    };
-    enc.u8(kind);
-    let levels: Vec<u32> = rev
-        .cuboid()
-        .levels()
-        .iter()
-        .map(|&l| u32::from(l))
-        .collect();
+    enc.u8(match rev.kind {
+        RevisionKind::Retracted => 0,
+        RevisionKind::Raised => 1,
+        RevisionKind::Rescored => 2,
+    });
+    let levels: Vec<u32> = rev.cuboid.levels().iter().map(|&l| u32::from(l)).collect();
     enc.ids(&levels);
-    enc.ids(rev.cell().ids());
-    enc.u64(rev.unit());
-    enc.u64(rev.level() as u64);
-    enc.f64(rev.old_score());
-    enc.f64(rev.new_score());
+    enc.ids(rev.cell.ids());
+    enc.u64(rev.unit);
+    enc.u64(rev.level as u64);
+    enc.f64(rev.old_score);
+    enc.f64(rev.new_score);
 }
 
 fn decode_revision(dec: &mut Dec<'_>) -> Result<AlarmRevision> {
-    let kind = dec.u8("revision kind")?;
-    let cuboid = CuboidSpec::new(
-        dec.ids("revision cuboid")?
-            .into_iter()
-            .map(|l| l as u8)
-            .collect(),
-    );
-    let cell = CellKey::new(dec.ids("revision cell")?);
-    let unit = dec.u64("revision unit")?;
-    let level = dec.u64("revision level")? as usize;
-    let old_score = dec.f64("revision old score")?;
-    let new_score = dec.f64("revision new score")?;
-    match kind {
-        0 => Ok(AlarmRevision::Retracted {
-            cuboid,
-            cell,
-            unit,
-            level,
-            old_score,
-            new_score,
-        }),
-        1 => Ok(AlarmRevision::Raised {
-            cuboid,
-            cell,
-            unit,
-            level,
-            old_score,
-            new_score,
-        }),
-        2 => Ok(AlarmRevision::Rescored {
-            cuboid,
-            cell,
-            unit,
-            level,
-            old_score,
-            new_score,
-        }),
-        tag => Err(StreamError::Checkpoint {
-            detail: format!("unknown revision kind {tag}"),
-        }),
-    }
+    let kind = match dec.u8("revision kind")? {
+        0 => RevisionKind::Retracted,
+        1 => RevisionKind::Raised,
+        2 => RevisionKind::Rescored,
+        tag => {
+            return Err(StreamError::Checkpoint {
+                detail: format!("unknown revision kind {tag}"),
+            })
+        }
+    };
+    Ok(AlarmRevision {
+        kind,
+        cuboid: CuboidSpec::new(
+            dec.ids("revision cuboid")?
+                .into_iter()
+                .map(|l| l as u8)
+                .collect(),
+        ),
+        cell: CellKey::new(dec.ids("revision cell")?),
+        unit: dec.u64("revision unit")?,
+        level: dec.u64("revision level")? as usize,
+        old_score: dec.f64("revision old score")?,
+        new_score: dec.f64("revision new score")?,
+    })
 }
 
 /// Everything [`apply_state`] needs, fully decoded before any engine is
@@ -856,15 +838,6 @@ fn apply_state(engine: &mut OnlineEngine<BoxedEngine>, saved: SavedState) -> Res
             .ingest_unit(&tuples)
             .map_err(StreamError::from)?;
         engine.computed = true;
-        // Reseed the o-layer reference so the next close scores its
-        // alarms against the restored window.
-        engine.prev_o_layer = engine
-            .cubing
-            .result()
-            .o_table()
-            .iter()
-            .map(|(k, m)| (k.clone(), *m))
-            .collect();
     }
 
     // A layer's frames live on one clock, the engine's: a frame that is
@@ -1013,6 +986,35 @@ mod tests {
         enc.u64(7);
         enc.isb(&Isb::new(0, 3, 1.0, 0.5).unwrap());
         assert_eq!(enc.buf.len(), SLOT_BYTES);
+    }
+
+    #[test]
+    fn fingerprint_keeps_the_v1_policy_text() {
+        let schema = regcube_olap::CubeSchema::synthetic(2, 1, 2).unwrap();
+        let (o_layer, m_layer) = (CuboidSpec::new(vec![0, 0]), CuboidSpec::new(vec![1, 1]));
+        let ingestor = Ingestor::new(schema.clone(), m_layer.clone(), m_layer.clone(), 4).unwrap();
+        let policy = regcube_core::ExceptionPolicy::slope_threshold(0.5)
+            .with_depth_threshold(1, 0.25)
+            .unwrap()
+            .with_cuboid_threshold(CuboidSpec::new(vec![1, 0]), 0.75)
+            .unwrap();
+        let tilt = regcube_tilt::TiltSpec::new(vec![("unit", 2), ("pair", 3)]).unwrap();
+        let text = fingerprint(&ingestor, (&schema, &o_layer, &m_layer), &policy, &tilt, 4);
+        // Captured from the v1 writer: every checkpoint on disk carries
+        // this text, so it must not move.
+        assert_eq!(
+            text,
+            "CubeSchema { dims: [Dimension { name: \"A\", level_names: [\"A.L1\"], \
+             hierarchy: Hierarchy { repr: Balanced { depth: 1, fanout: 2 } } }, \
+             Dimension { name: \"B\", level_names: [\"B.L1\"], \
+             hierarchy: Hierarchy { repr: Balanced { depth: 1, fanout: 2 } } }] }\
+             |CuboidSpec { levels: [1, 1] }|CuboidSpec { levels: [0, 0] }\
+             |CuboidSpec { levels: [1, 1] }\
+             |ExceptionPolicy { default_threshold: 0.5, per_depth: {1: 0.25}, \
+             per_cuboid: {CuboidSpec { levels: [1, 0] }: 0.75}, ref_mode: OwnSlope }\
+             |TiltSpec { levels: [LevelSpec { name: \"unit\", group: 2 }, \
+             LevelSpec { name: \"pair\", group: 3 }] }|4"
+        );
     }
 
     #[test]

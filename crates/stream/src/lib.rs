@@ -21,8 +21,8 @@
 //!   parameter `E`; Algorithm 1 or 2, on the row or columnar table
 //!   backend — [`online::EngineConfig::with_backend`] — out of the
 //!   box), maintains per-cell
-//!   tilt frames, raises o-layer alarms (own-slope or slot-delta
-//!   reference, Section 4.3), and fans every unit's sorted
+//!   tilt frames, raises o-layer alarms (a slope at or above the
+//!   threshold, Section 4.3), and fans every unit's sorted
 //!   [`UnitDelta`](regcube_core::engine::UnitDelta) out to registered
 //!   [`AlarmSink`](regcube_core::alarm::AlarmSink)s
 //!   ([`online::EngineConfig::with_sinks`]) so consumers react to

@@ -8,15 +8,16 @@ use crate::reorder::{ReorderConfig, ReorderState, WatermarkPolicy};
 use crate::snapshot::{drill_frames_at, drill_frames_history, CubeSnapshot};
 use crate::Result;
 use regcube_core::alarm::{
-    AlarmContext, AlarmRevision, LateAmendment, SharedSink, SinkError, SinkSet,
+    AlarmContext, AlarmRevision, LateAmendment, RevisionKind, SharedSink, SinkError, SinkSet,
 };
 use regcube_core::drill::{drill_children, drill_descendants, DrillHit};
 use regcube_core::engine::{Backend, CubingEngine, MoCubingEngine, PopularPathEngine, UnitDelta};
+use regcube_core::measure::exception_score;
 use regcube_core::pool::WorkerPool;
 use regcube_core::result::Algorithm;
 use regcube_core::{CoreError, CriticalLayers, CubeResult, ExceptionPolicy, RunStats};
 use regcube_olap::cell::{project_key, CellKey};
-use regcube_olap::fxhash::{FxHashMap, FxHasher};
+use regcube_olap::fxhash::FxHasher;
 use regcube_olap::{CubeSchema, CuboidSpec};
 use regcube_regress::Isb;
 use regcube_tilt::{AmendOutcome, FrameFamily, TiltError, TiltFrame, TiltSpec};
@@ -52,7 +53,7 @@ pub struct Alarm {
     pub key: CellKey,
     /// Its regression over the closed unit.
     pub measure: Isb,
-    /// The score that fired (own slope or slot delta, per policy).
+    /// The score that fired: the magnitude of the measure's slope.
     pub score: f64,
     /// The threshold it passed.
     pub threshold: f64,
@@ -144,8 +145,8 @@ pub struct EngineConfig {
     pub o_layer: CuboidSpec,
     /// Minimal interesting layer.
     pub m_layer: CuboidSpec,
-    /// Exception policy (threshold + reference mode); defaults to a
-    /// cube-wide threshold of 1.
+    /// Exception policy (per-cuboid, per-depth and cube-wide
+    /// thresholds); defaults to a cube-wide threshold of 1.
     pub policy: ExceptionPolicy,
     /// Tilt frame shape; defaults to the paper's Figure 4 frame.
     pub tilt_spec: TiltSpec,
@@ -467,7 +468,6 @@ impl EngineConfig {
             computed: false,
             frames: LayerFamily::new(tilt_spec.clone(), zero_usage),
             o_frames: LayerFamily::new(tilt_spec, zero_usage),
-            prev_o_layer: FxHashMap::default(),
             ticks_per_unit,
             units_closed: 0,
             sinks,
@@ -499,9 +499,9 @@ impl EngineConfig {
 ///    zero-usage fill, so every frame stays on the engine's clock),
 /// 3. hands the unit's tuples — the window's complete m-layer — to the
 ///    [`CubingEngine`], which cubes the unit once, and
-/// 4. raises alarms for exceptional o-layer cells, scoring with the
-///    policy's [`RefMode`](regcube_core::RefMode) against the previous
-///    unit's o-layer.
+/// 4. raises an alarm for every o-layer cell whose unit regression is
+///    exceptional: its slope's magnitude is at least the o-layer's
+///    threshold.
 ///
 /// `E` defaults to the runtime-selected [`BoxedEngine`] that
 /// [`EngineConfig::build`] produces; [`EngineConfig::build_with`] plugs
@@ -523,7 +523,6 @@ pub struct OnlineEngine<E: CubingEngine = BoxedEngine> {
     /// computed dynamically according to the tilt time frame model as
     /// well" (Example 4): the observation deck at every granularity.
     pub(crate) o_frames: LayerFamily,
-    pub(crate) prev_o_layer: FxHashMap<CellKey, Isb>,
     pub(crate) ticks_per_unit: usize,
     pub(crate) units_closed: u64,
     /// Alarm sinks receiving the merged, sorted per-unit delta.
@@ -635,7 +634,8 @@ impl<E: CubingEngine> OnlineEngine<E> {
     /// because the amendment lands *before* promotion or is applied to
     /// the promoted slot directly). The amendment is reported through
     /// the next [`UnitReport::late_amendments`] and fanned out to the
-    /// alarm sinks.
+    /// alarm sinks; a verdict it changes, through
+    /// [`UnitReport::alarm_revisions`].
     fn amend_late(&mut self, unit: i64, record: &PackedRecord) -> Result<()> {
         let ids = self.ingestor.packer().ids(record.key);
         let m_key = self.ingestor.project_to_m(&ids);
@@ -663,16 +663,17 @@ impl<E: CubingEngine> OnlineEngine<E> {
                 return Ok(());
             }
         };
-        let mut old_o_measure: Option<Isb> = None;
-        let (o_level, amended_slot) = match self
+        let mut measures: Option<(Isb, Isb)> = None;
+        let outcome = self
             .o_frames
             .amend(&o_key, unit as u64, |m| {
-                old_o_measure = Some(*m);
-                amend(m)
+                let amended = amend(m)?;
+                measures = Some((*m, amended));
+                Ok(amended)
             })
-            .map_err(StreamError::from)?
-        {
-            AmendOutcome::Amended { level, slot_unit } => (level, Some((level, slot_unit))),
+            .map_err(StreamError::from)?;
+        let (o_level, slot_unit) = match outcome {
+            AmendOutcome::Amended { level, slot_unit } => (level, Some(slot_unit)),
             // Same spec, same clock: if the m-frame still holds the
             // unit, so does the o-frame.
             AmendOutcome::Expired => (m_level, None),
@@ -687,79 +688,26 @@ impl<E: CubingEngine> OnlineEngine<E> {
             o_level,
         });
         self.late_amended_total += 1;
-        if let (Some(old), Some((level, slot_unit))) = (old_o_measure, amended_slot) {
-            self.revise_after_amend(&o_key, level, slot_unit, old);
-        }
-        Ok(())
-    }
-
-    /// Re-screens the o-layer cells a late amendment touched and emits
-    /// typed [`AlarmRevision`]s for every verdict that changed.
-    ///
-    /// Scoring mirrors the time-travel drill exactly (one reference
-    /// model everywhere): the amended slot is scored against its
-    /// predecessor at the same tilt level — whose measure the amendment
-    /// did not change — and its **successor** slot is re-screened too,
-    /// because the amendment changed *its* reference. When a revised
-    /// slot is the frontier (the last closed unit at the finest level),
-    /// the engine's own alarm state — [`UnitReport::alarms`] as
-    /// captured in [`last_alarms`] and every later snapshot — is
-    /// patched in place so published views never contradict the
-    /// amended frames.
-    ///
-    /// [`last_alarms`]: CubeSnapshot::alarms
-    fn revise_after_amend(
-        &mut self,
-        o_key: &CellKey,
-        level: usize,
-        slot_unit: u64,
-        old_measure: Isb,
-    ) {
-        let Some(ladder) = self.o_frames.ladder(o_key) else {
-            return;
-        };
-        let Ok(slots) = ladder.slots(level) else {
-            return;
-        };
-        let Some(idx) = slots.position(slot_unit) else {
-            return;
-        };
-        let measure_at = |i: usize| slots.get(i).map(|(_, measure)| *measure);
-        let threshold = self.policy.threshold_for(&self.o_layer);
-        let mode = self.policy.ref_mode();
-        let new_measure = measure_at(idx).expect("position is in range");
-        let prev = idx.checked_sub(1).and_then(measure_at);
-        let mut revised: Vec<(AlarmRevision, Isb)> = Vec::new();
-        // The amended slot itself: same reference, new measure.
-        if let Some(rev) = classify_revision(
-            (*self.o_layer).clone(),
-            o_key.clone(),
-            slot_unit,
-            level,
-            mode.score(&old_measure, prev.as_ref()),
-            mode.score(&new_measure, prev.as_ref()),
-            threshold,
-        ) {
-            revised.push((rev, new_measure));
-        }
-        // The successor slot: same measure, new reference.
-        if let Some((succ_unit, succ)) = slots.get(idx + 1) {
-            if let Some(rev) = classify_revision(
-                (*self.o_layer).clone(),
-                o_key.clone(),
-                succ_unit,
-                level,
-                mode.score(succ, Some(&old_measure)),
-                mode.score(succ, Some(&new_measure)),
-                threshold,
-            ) {
-                revised.push((rev, *succ));
+        // Re-screen the amended o-slot with the one test. No other slot's
+        // score moved, so no other verdict can have changed.
+        if let (Some(slot_unit), Some((old, new))) = (slot_unit, measures) {
+            let threshold = self.policy.threshold_for(&self.o_layer);
+            let (old_score, new_score) = (exception_score(&old), exception_score(&new));
+            if let Some(kind) = classify_revision(old_score, new_score, threshold) {
+                let revision = AlarmRevision {
+                    kind,
+                    cuboid: (*self.o_layer).clone(),
+                    cell: o_key,
+                    unit: slot_unit,
+                    level: o_level,
+                    old_score,
+                    new_score,
+                };
+                self.patch_frontier_alarms(&revision, new, threshold);
+                self.pending_revisions.push(revision);
             }
         }
-        for (rev, measure) in revised {
-            self.patch_frontier_alarms(&rev, measure, threshold);
-            self.pending_revisions.push(rev);
-        }
+        Ok(())
     }
 
     /// Applies one revision to [`Self::last_alarms`] when it targets the
@@ -769,43 +717,34 @@ impl<E: CubingEngine> OnlineEngine<E> {
     fn patch_frontier_alarms(&mut self, rev: &AlarmRevision, measure: Isb, threshold: f64) {
         let frontier = self
             .last_closed_unit
-            .is_some_and(|u| u >= 0 && rev.level() == 0 && rev.unit() == u as u64);
+            .is_some_and(|u| u >= 0 && rev.level == 0 && rev.unit == u as u64);
         if !frontier {
             return;
         }
-        match rev {
-            AlarmRevision::Retracted { cell, .. } => {
+        let cell = &rev.cell;
+        match rev.kind {
+            RevisionKind::Retracted => {
                 self.last_alarms.retain(|a| &a.key != cell);
             }
-            AlarmRevision::Raised {
-                cell, new_score, ..
-            } => {
-                if new_score.is_finite() {
+            RevisionKind::Raised => {
+                if rev.new_score.is_finite() {
                     self.last_alarms.retain(|a| &a.key != cell);
                     self.last_alarms.push(Alarm {
                         key: cell.clone(),
                         measure,
-                        score: *new_score,
+                        score: rev.new_score,
                         threshold,
                     });
                 }
             }
-            AlarmRevision::Rescored {
-                cell, new_score, ..
-            } => {
+            RevisionKind::Rescored => {
                 if let Some(alarm) = self.last_alarms.iter_mut().find(|a| &a.key == cell) {
                     alarm.measure = measure;
-                    alarm.score = *new_score;
+                    alarm.score = rev.new_score;
                 }
             }
         }
-        // Keep the canonical order: hottest first, ties by key.
-        self.last_alarms.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.key.cmp(&b.key))
-        });
+        self.last_alarms.sort_by(alarm_order);
     }
 
     /// The currently open unit index.
@@ -939,15 +878,12 @@ impl<E: CubingEngine> OnlineEngine<E> {
         self.computed = true;
         let recompute_time = started.elapsed();
 
-        // O-layer alarms with the policy's reference mode.
+        // O-layer alarms: the one test on every o-cell's unit regression.
         let result = self.cubing.result();
-        let policy = result.policy();
-        let threshold = policy.threshold_for(result.layers().o_layer());
+        let threshold = result.policy().threshold_for(result.layers().o_layer());
         let mut alarms = Vec::new();
-        let mut new_prev = FxHashMap::default();
         for (key, measure) in result.o_table() {
-            let prev = self.prev_o_layer.get(key);
-            let score = policy.ref_mode().score(measure, prev);
+            let score = exception_score(measure);
             if score >= threshold {
                 alarms.push(Alarm {
                     key: key.clone(),
@@ -956,15 +892,8 @@ impl<E: CubingEngine> OnlineEngine<E> {
                     threshold,
                 });
             }
-            new_prev.insert(key.clone(), *measure);
         }
-        self.prev_o_layer = new_prev;
-        alarms.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.key.cmp(&b.key))
-        });
+        alarms.sort_by(alarm_order);
 
         // Fan the unit's late amendments (corrections to earlier units)
         // and then its delta out to the alarm sinks. Sinks see the
@@ -1220,10 +1149,12 @@ impl<E: CubingEngine> OnlineEngine<E> {
     }
 
     /// Time-travel drill: the retained history of one cell at one tilt
-    /// granularity, scored with the engine's exception policy against
-    /// each slot's predecessor — "was this cell exceptional three hours
-    /// ago?" long after the cube moved on. The cell is looked up in the
-    /// m-layer frames first, then the o-layer frames; a cell with no
+    /// granularity, each slot screened with the engine's exception
+    /// policy — "was this cell exceptional three hours ago?" long after
+    /// the cube moved on. The cell is looked up in the m-layer frames
+    /// first, then the o-layer frames, so an o-cell whose ids equal a
+    /// warehoused m-cell's is drilled as that m-cell (read o-cells
+    /// through [`o_layer_frame`](Self::o_layer_frame)); a cell with no
     /// warehoused history yields an empty list. Slots are returned
     /// oldest first; amendments from late records
     /// ([`EngineConfig::with_reordering`]) are visible here immediately.
@@ -1244,8 +1175,9 @@ impl<E: CubingEngine> OnlineEngine<E> {
 
     /// Time-travel drill across the whole ladder: every retained slot of
     /// the cell from the coarsest granularity down to the finest, each
-    /// level scored as in [`drill_at`](Self::drill_at). The
-    /// concatenation reads as the cell's full warehoused timeline.
+    /// level scored as in [`drill_at`](Self::drill_at) — and looked up
+    /// the same way, m-layer frames first. The concatenation reads as
+    /// the cell's full warehoused timeline.
     ///
     /// # Errors
     /// Propagates [`drill_at`](Self::drill_at) failures.
@@ -1277,56 +1209,30 @@ pub struct TiltHit<'a> {
     pub slot_unit: u64,
     /// The warehoused regression of the slot's span.
     pub measure: Isb,
-    /// The policy score against the previous slot at the same level.
+    /// The slot's exception score: the magnitude of its slope.
     pub score: f64,
     /// Whether the score passes the layer's threshold.
     pub exceptional: bool,
 }
 
-/// Classifies one re-screened slot into a typed [`AlarmRevision`], or
-/// `None` when the amendment left the verdict (and, for a still-standing
-/// exception, the exact score bits) unchanged. Scores compare by IEEE
-/// bits so "unchanged" means bit-identical — the same witness the
-/// snapshot suites pin.
-#[allow(clippy::too_many_arguments)]
-fn classify_revision(
-    cuboid: CuboidSpec,
-    cell: CellKey,
-    unit: u64,
-    level: usize,
-    old_score: f64,
-    new_score: f64,
-    threshold: f64,
-) -> Option<AlarmRevision> {
-    let was = old_score >= threshold;
-    let is = new_score >= threshold;
-    match (was, is) {
-        (true, false) => Some(AlarmRevision::Retracted {
-            cuboid,
-            cell,
-            unit,
-            level,
-            old_score,
-            new_score,
-        }),
-        (false, true) => Some(AlarmRevision::Raised {
-            cuboid,
-            cell,
-            unit,
-            level,
-            old_score,
-            new_score,
-        }),
-        (true, true) if old_score.to_bits() != new_score.to_bits() => {
-            Some(AlarmRevision::Rescored {
-                cuboid,
-                cell,
-                unit,
-                level,
-                old_score,
-                new_score,
-            })
-        }
+/// The canonical alarm order: hottest first, ties by key.
+fn alarm_order(a: &Alarm, b: &Alarm) -> std::cmp::Ordering {
+    b.score
+        .partial_cmp(&a.score)
+        .unwrap_or(std::cmp::Ordering::Equal)
+        .then_with(|| a.key.cmp(&b.key))
+}
+
+/// How a re-screened slot's verdict changed, or `None` when the
+/// amendment left the verdict (and, for a still-standing exception, the
+/// exact score bits) unchanged. Scores compare by IEEE bits so
+/// "unchanged" means bit-identical — the same witness the snapshot
+/// suites pin.
+fn classify_revision(old_score: f64, new_score: f64, threshold: f64) -> Option<RevisionKind> {
+    match (old_score >= threshold, new_score >= threshold) {
+        (true, false) => Some(RevisionKind::Retracted),
+        (false, true) => Some(RevisionKind::Raised),
+        (true, true) if old_score.to_bits() != new_score.to_bits() => Some(RevisionKind::Rescored),
         _ => None,
     }
 }
@@ -1334,7 +1240,6 @@ fn classify_revision(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use regcube_core::RefMode;
 
     /// 2 dims (depth 2, fanout 2); primitive = m-layer; o-layer = apex;
     /// 4 ticks per unit; small tilt frame.
@@ -1404,25 +1309,6 @@ mod tests {
         assert!(merged.slope().abs() < newest.slope());
         // Unknown o-cells have no frame.
         assert!(e.o_layer_frame(&CellKey::new(vec![9, 9])).is_none());
-    }
-
-    #[test]
-    fn slot_delta_mode_fires_on_change_not_level() {
-        let policy = ExceptionPolicy::slope_threshold(1.0).with_ref_mode(RefMode::SlotDelta);
-        let mut e = engine(policy);
-        // Unit 0: steady strong trend. First unit: delta falls back to own
-        // slope -> alarm.
-        feed_unit(&mut e, 0, 2.0);
-        let r0 = e.close_unit().unwrap();
-        assert_eq!(r0.alarms.len(), 1);
-        // Unit 1: the *same* strong trend -> delta ≈ 0 -> no alarm.
-        feed_unit(&mut e, 1, 2.0);
-        let r1 = e.close_unit().unwrap();
-        assert!(r1.alarms.is_empty(), "steady trend must not re-alarm");
-        // Unit 2: trend collapses -> large delta -> alarm.
-        feed_unit(&mut e, 2, -0.5);
-        let r2 = e.close_unit().unwrap();
-        assert_eq!(r2.alarms.len(), 1);
     }
 
     #[test]

@@ -30,6 +30,7 @@ use crate::error::StreamError;
 use crate::online::{Alarm, LayerFrames, TiltHit};
 use crate::Result;
 use regcube_core::drill::{drill_children, drill_descendants, DrillHit};
+use regcube_core::measure::exception_score;
 use regcube_core::{CoreError, CubeResult, ExceptionPolicy, RunStats};
 use regcube_olap::cell::CellKey;
 use regcube_olap::{CubeSchema, CuboidSpec};
@@ -135,7 +136,9 @@ impl CubeSnapshot {
     /// Time-travel drill over the captured ladders — byte-identical to
     /// [`OnlineEngine::drill_at`](crate::online::OnlineEngine::drill_at)
     /// on the engine the snapshot was taken from (one shared
-    /// implementation).
+    /// implementation), m-layer frames first: read an o-cell whose ids
+    /// equal a warehoused m-cell's through
+    /// [`o_layer_frame`](Self::o_layer_frame).
     ///
     /// # Errors
     /// [`StreamError::Tilt`] for a level the tilt spec does not define.
@@ -153,7 +156,8 @@ impl CubeSnapshot {
 
     /// Time-travel drill across the whole captured ladder, coarsest
     /// level first — byte-identical to
-    /// [`OnlineEngine::drill_history`](crate::online::OnlineEngine::drill_history).
+    /// [`OnlineEngine::drill_history`](crate::online::OnlineEngine::drill_history),
+    /// with the same m-layer-first lookup as [`drill_at`](Self::drill_at).
     ///
     /// # Errors
     /// Propagates [`drill_at`](Self::drill_at) failures.
@@ -280,21 +284,19 @@ fn drilled_ladder<'a, 'c>(
     }
 }
 
-/// Scores every slot `ladder` retains at `level` with the policy's
-/// reference mode against its predecessor at that level, oldest first.
+/// Screens every slot `ladder` retains at `level` with the one test,
+/// oldest first.
 fn drill_level<'a>(
     ladder: Ladder<'a, Isb>,
-    policy: &ExceptionPolicy,
     threshold: f64,
     level: usize,
     out: &mut Vec<TiltHit<'a>>,
 ) -> Result<()> {
     let slots = ladder.slots(level).map_err(StreamError::from)?;
     let level_name = ladder.spec().levels()[level].name.as_str();
-    let mut prev: Option<&Isb> = None;
     out.reserve(slots.len());
     for (slot_unit, measure) in slots.iter() {
-        let score = policy.ref_mode().score(measure, prev);
+        let score = exception_score(measure);
         out.push(TiltHit {
             level,
             level_name,
@@ -303,7 +305,6 @@ fn drill_level<'a>(
             score,
             exceptional: score >= threshold,
         });
-        prev = Some(measure);
     }
     Ok(())
 }
@@ -326,13 +327,7 @@ pub(crate) fn drill_frames_at<'a>(
     let mut out = Vec::new();
     match drilled_ladder(frames, o_frames, m_layer, o_layer, key) {
         Some((ladder, cuboid)) => {
-            drill_level(
-                ladder,
-                policy,
-                policy.threshold_for(cuboid),
-                level,
-                &mut out,
-            )?;
+            drill_level(ladder, policy.threshold_for(cuboid), level, &mut out)?;
         }
         None => {
             // Validate the level anyway so typos don't read as
@@ -361,7 +356,7 @@ pub(crate) fn drill_frames_history<'a>(
         let threshold = policy.threshold_for(cuboid);
         out.reserve(frames.retained_slots());
         for level in (0..frames.spec().num_levels()).rev() {
-            drill_level(ladder, policy, threshold, level, &mut out)?;
+            drill_level(ladder, threshold, level, &mut out)?;
         }
     }
     Ok(out)

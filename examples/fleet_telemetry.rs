@@ -103,7 +103,7 @@ fn main() {
         CuboidSpec::new(vec![1, 2]), // m-layer: (group, depot)
     )
     .with_primitive(CuboidSpec::new(vec![2, 2]))
-    .with_policy(ExceptionPolicy::slope_threshold(2.0).with_ref_mode(RefMode::OwnSlope))
+    .with_policy(ExceptionPolicy::slope_threshold(2.0))
     .with_tilt(TiltSpec::new(vec![("hour", 24), ("day", 7)]).unwrap())
     .with_ticks_per_unit(TPU)
     .with_reordering(LATENESS as usize + 3, LATENESS)

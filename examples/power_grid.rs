@@ -55,7 +55,7 @@ fn main() {
     let minutes_per_quarter = 15usize;
     let mut engine = regcube::stream::online::EngineConfig::new(schema, o_layer, m_layer)
         .with_primitive(primitive)
-        .with_policy(ExceptionPolicy::slope_threshold(6.0).with_ref_mode(RefMode::OwnSlope))
+        .with_policy(ExceptionPolicy::slope_threshold(6.0))
         .with_tilt(TiltSpec::paper_figure4())
         .with_ticks_per_unit(minutes_per_quarter)
         .with_algorithm(Algorithm::MoCubing)

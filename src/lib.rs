@@ -88,7 +88,7 @@ pub mod sim {
 pub mod prelude {
     pub use regcube_core::{
         mo_cubing, popular_path, Backend, CriticalLayers, CubeResult, CubingEngine,
-        ExceptionPolicy, MTuple, MoCubingEngine, PopularPathEngine, RefMode, WorkerPool,
+        ExceptionPolicy, MTuple, MoCubingEngine, PopularPathEngine, WorkerPool,
     };
     pub use regcube_datagen::{Dataset, DatasetSpec};
     pub use regcube_olap::{

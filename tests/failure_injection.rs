@@ -637,7 +637,9 @@ fn verdict_flipping_amendments_emit_matching_revisions_everywhere() {
     // the matching typed `AlarmRevision` — and every consumer of alarm
     // state (the engine's live alarm set, the `AlarmLog` episodes, the
     // `DashboardSummary`) must agree with the amended frames.
-    use regcube::core::alarm::{self, AlarmLog, AlarmRevision, DashboardSummary, SharedSink};
+    use regcube::core::alarm::{
+        self, AlarmLog, AlarmRevision, DashboardSummary, RevisionKind, SharedSink,
+    };
 
     const TPU: usize = 5;
     const LATENESS: i64 = 2;
@@ -701,32 +703,16 @@ fn verdict_flipping_amendments_emit_matching_revisions_everywhere() {
     // Exactly the two flips, typed, with the right units and scores.
     let revisions: Vec<&AlarmRevision> = reports.iter().flat_map(|r| &r.alarm_revisions).collect();
     assert_eq!(revisions.len(), 2, "{revisions:?}");
-    match revisions[0] {
-        AlarmRevision::Retracted {
-            unit,
-            old_score,
-            new_score,
-            ..
-        } => {
-            assert_eq!(*unit, 1);
-            assert!((old_score - 0.9).abs() < 1e-9);
-            assert!((new_score - 0.7).abs() < 1e-9);
-        }
-        other => panic!("expected a retraction, got {other}"),
-    }
-    match revisions[1] {
-        AlarmRevision::Raised {
-            unit,
-            old_score,
-            new_score,
-            ..
-        } => {
-            assert_eq!(*unit, 2);
-            assert!((old_score - 0.7).abs() < 1e-9);
-            assert!((new_score - 0.9).abs() < 1e-9);
-        }
-        other => panic!("expected a raise, got {other}"),
-    }
+    let retraction = revisions[0];
+    assert_eq!(retraction.kind, RevisionKind::Retracted, "{retraction}");
+    assert_eq!(retraction.unit, 1);
+    assert!((retraction.old_score - 0.9).abs() < 1e-9);
+    assert!((retraction.new_score - 0.7).abs() < 1e-9);
+    let raise = revisions[1];
+    assert_eq!(raise.kind, RevisionKind::Raised, "{raise}");
+    assert_eq!(raise.unit, 2);
+    assert!((raise.old_score - 0.7).abs() < 1e-9);
+    assert!((raise.new_score - 0.9).abs() < 1e-9);
 
     // The dashboard consumed both revisions.
     assert_eq!(dash.lock().unwrap().revisions_seen(), 2);
