@@ -1084,51 +1084,45 @@ impl SinkSet {
     /// so the caller surfaces errors exactly once and the engine's own
     /// state is untouched.
     pub fn dispatch(&self, delta: &UnitDelta, ctx: &AlarmContext<'_>) -> Vec<SinkError> {
-        let mut errors = Vec::new();
-        for sink in &self.sinks {
-            let mut guard = sink.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Err(e) = guard.on_unit(delta, ctx) {
-                errors.push(SinkError {
-                    sink: guard.name(),
-                    message: e.to_string(),
-                });
-            }
-        }
-        errors
+        self.fan_out(std::slice::from_ref(delta), |sink, delta| {
+            sink.on_unit(delta, ctx)
+        })
     }
 
     /// Delivers a batch of late-record corrections to every sink, with
     /// the same error isolation as [`dispatch`](Self::dispatch). An
     /// empty batch is a no-op (sinks are not called).
     pub fn dispatch_amendments(&self, amendments: &[LateAmendment]) -> Vec<SinkError> {
-        let mut errors = Vec::new();
         if amendments.is_empty() {
-            return errors;
+            return Vec::new();
         }
-        for sink in &self.sinks {
-            let mut guard = sink.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Err(e) = guard.on_late_amendments(amendments) {
-                errors.push(SinkError {
-                    sink: guard.name(),
-                    message: e.to_string(),
-                });
-            }
-        }
-        errors
+        self.fan_out(&[amendments], |sink, batch| sink.on_late_amendments(batch))
     }
 
     /// Delivers a batch of alarm revisions (one call per revision per
     /// sink, in batch order) with the same error isolation as
     /// [`dispatch`](Self::dispatch). An empty batch is a no-op.
     pub fn dispatch_revisions(&self, revisions: &[AlarmRevision]) -> Vec<SinkError> {
-        let mut errors = Vec::new();
         if revisions.is_empty() {
-            return errors;
+            return Vec::new();
         }
+        self.fan_out(revisions, |sink, revision| sink.on_revision(revision))
+    }
+
+    /// The one fan-out loop: every sink in registration order, locked in
+    /// turn (a poisoned lock is recovered, not skipped), gets
+    /// `deliver` once per item, in item order; every failure becomes a
+    /// [`SinkError`] and the fan-out goes on.
+    fn fan_out<T>(
+        &self,
+        items: &[T],
+        mut deliver: impl FnMut(&mut (dyn AlarmSink + Send), &T) -> Result<()>,
+    ) -> Vec<SinkError> {
+        let mut errors = Vec::new();
         for sink in &self.sinks {
             let mut guard = sink.lock().unwrap_or_else(PoisonError::into_inner);
-            for revision in revisions {
-                if let Err(e) = guard.on_revision(revision) {
+            for item in items {
+                if let Err(e) = deliver(&mut *guard, item) {
                     errors.push(SinkError {
                         sink: guard.name(),
                         message: e.to_string(),

@@ -24,9 +24,11 @@
 //!
 //! [`crate::MoCubingEngine`] is Algorithm 1 for every layout; this
 //! module is [`ColumnarTable`]'s [`TableStorage`] implementation — the
-//! m-layer build, the block-projected kernel fold ([`crate::kernel`])
-//! with its generic per-row fallback, the chunked exception screen and
-//! the conversion to the row tables a [`crate::CubeResult`] exposes, so
+//! m-layer build, the block-projected kernel fold ([`crate::kernel`];
+//! the generic per-row [`aggregate_into`] stands in, folding in the
+//! same order, only where a hierarchy is resolved by per-row walks),
+//! the chunked exception screen and the conversion to the row tables a
+//! [`crate::CubeResult`] exposes, so
 //! every consumer — the stream engine, alarms, drilling — composes
 //! unchanged. Select it per engine with
 //! [`Backend::Columnar`](crate::engine::Backend::Columnar):
@@ -61,13 +63,11 @@
 //! ```
 
 use crate::exception::ExceptionPolicy;
-use crate::kernel::{self, FoldColumns, FoldOutput, KernelMode};
+use crate::kernel::{self, FoldColumns, FoldOutput};
 use crate::layers::CriticalLayers;
 use crate::measure::{merge_sibling, MTuple};
 use crate::stats::MemoryAccountant;
-use crate::table::{
-    aggregate_into, collect_exceptions, table_bytes, CuboidTable, Folded, Projector, TableStorage,
-};
+use crate::table::{aggregate_into, table_bytes, CuboidTable, Projector, TableStorage};
 
 pub use crate::table::DenseCellCodec;
 use crate::Result;
@@ -100,14 +100,10 @@ pub struct ColumnarTable {
     slopes: Vec<f64>,
     /// Length of the sorted, duplicate-free prefix.
     compacted: usize,
-    /// Which implementation [`TableStorage::finish`] runs (see
-    /// [`crate::kernel`]).
-    kernel: KernelMode,
 }
 
 impl ColumnarTable {
-    /// Creates an empty table for one cuboid of `schema`, running the
-    /// chunked kernels ([`KernelMode::Auto`]).
+    /// Creates an empty table for one cuboid of `schema`.
     ///
     /// # Errors
     /// [`CoreError::BadInput`](crate::CoreError::BadInput) when the cuboid's cell space does not fit
@@ -121,15 +117,7 @@ impl ColumnarTable {
             bases: Vec::new(),
             slopes: Vec::new(),
             compacted: 0,
-            kernel: KernelMode::Auto,
         })
-    }
-
-    /// Selects which implementation the table's compaction runs
-    /// (builder form; see [`crate::kernel::KernelMode`]).
-    pub fn with_kernel_mode(mut self, mode: KernelMode) -> Self {
-        self.kernel = mode;
-        self
     }
 
     /// The table's dense cell-id codec.
@@ -188,76 +176,18 @@ impl ColumnarTable {
         out
     }
 
-    /// Compacts the staged tail: stable-sort by id (duplicates keep
-    /// arrival order), fold duplicates left-to-right, merge with the
-    /// compacted run. Returns `true` when the kernel path ran (the
-    /// dispatch attribution [`Folded::kernel`] carries).
-    fn compact(&mut self) -> Result<bool> {
+    /// Compacts the staged tail on the kernel layer: the stage folds
+    /// column-to-column (no per-row [`Isb`] round trips, no 40-byte sort
+    /// entries — the sort permutes `(id, index)` pairs, and an
+    /// already-sorted stage skips it entirely), duplicates left-to-right
+    /// in arrival order, then span-merges with the compacted run, whose
+    /// older cell folds first on a collision.
+    fn compact(&mut self) -> Result<()> {
         if self.compacted == self.index.len() {
             // Nothing staged: every merged row hit the compacted region
-            // in place (scalar per-row merges), so no kernel ran.
-            return Ok(false);
+            // in place.
+            return Ok(());
         }
-        if self.kernel.use_kernel() && self.index.len() - self.compacted <= u32::MAX as usize {
-            self.compact_kernel()?;
-            return Ok(true);
-        }
-        self.compact_scalar()?;
-        Ok(false)
-    }
-
-    /// The scalar compaction (the kernel layer's fallback): row-at-a-
-    /// time via [`Isb`] round trips, the pre-kernel code path.
-    fn compact_scalar(&mut self) -> Result<()> {
-        let mut staged: Vec<(u64, Isb)> = (self.compacted..self.index.len())
-            .map(|i| (self.index[i], self.isb_at(i)))
-            .collect();
-        self.truncate_to_compacted();
-        staged.sort_by_key(|&(id, _)| id); // stable: arrival order on ties
-        let mut merged: Vec<(u64, Isb)> = Vec::with_capacity(staged.len());
-        for (id, isb) in staged {
-            match merged.last_mut() {
-                Some((last, acc)) if *last == id => merge_sibling(acc, &isb)?,
-                _ => merged.push((id, isb)),
-            }
-        }
-
-        if self.compacted == 0 {
-            for (id, isb) in merged {
-                self.push_row(id, &isb);
-            }
-        } else {
-            let old = std::mem::replace(self, ColumnarTable::empty_like(self));
-            self.reserve(old.compacted + merged.len());
-            let mut staged = merged.into_iter().peekable();
-            for i in 0..old.compacted {
-                let id = old.index[i];
-                let mut acc = old.isb_at(i);
-                while staged.peek().is_some_and(|&(sid, _)| sid < id) {
-                    let (sid, isb) = staged.next().expect("peeked");
-                    self.push_row(sid, &isb);
-                }
-                if staged.peek().is_some_and(|&(sid, _)| sid == id) {
-                    let (_, isb) = staged.next().expect("peeked");
-                    merge_sibling(&mut acc, &isb)?;
-                }
-                self.push_row(id, &acc);
-            }
-            for (sid, isb) in staged {
-                self.push_row(sid, &isb);
-            }
-        }
-        self.compacted = self.index.len();
-        Ok(())
-    }
-
-    /// Kernel compaction: the staged tail folds column-to-column (no
-    /// per-row [`Isb`] round trips, no 40-byte sort entries — the sort
-    /// permutes `(id, index)` pairs, and an already-sorted stage skips
-    /// it entirely), then span-merges with the compacted run. Bit-exact
-    /// with [`compact_scalar`](Self::compact_scalar): same stable
-    /// order, same left-to-right sums, same mismatch errors.
-    fn compact_kernel(&mut self) -> Result<()> {
         let split = self.compacted;
         let staged_ids = &self.index[split..];
         let staged = FoldColumns {
@@ -271,10 +201,10 @@ impl ColumnarTable {
         if kernel::is_nondecreasing_u64(staged_ids) {
             kernel::fold_sorted_runs(staged_ids, &staged, &mut folded)?;
         } else {
-            let mut pairs: Vec<(u64, u32)> = staged_ids
+            let mut pairs: Vec<(u64, usize)> = staged_ids
                 .iter()
                 .enumerate()
-                .map(|(i, &id)| (id, i as u32))
+                .map(|(i, &id)| (id, i))
                 .collect();
             pairs.sort_by_key(|&(id, _)| id); // stable: arrival order on ties
             kernel::fold_permuted_runs(&pairs, &staged, &mut folded)?;
@@ -311,41 +241,9 @@ impl ColumnarTable {
         self.compacted = self.index.len();
         Ok(())
     }
-
-    /// An empty table with the same shape (codec) and kernel mode.
-    fn empty_like(other: &ColumnarTable) -> Self {
-        ColumnarTable {
-            codec: other.codec.clone(),
-            index: Vec::new(),
-            starts: Vec::new(),
-            ends: Vec::new(),
-            bases: Vec::new(),
-            slopes: Vec::new(),
-            compacted: 0,
-            kernel: other.kernel,
-        }
-    }
-
-    fn reserve(&mut self, additional: usize) {
-        self.index.reserve(additional);
-        self.starts.reserve(additional);
-        self.ends.reserve(additional);
-        self.bases.reserve(additional);
-        self.slopes.reserve(additional);
-    }
-
-    fn truncate_to_compacted(&mut self) {
-        self.index.truncate(self.compacted);
-        self.starts.truncate(self.compacted);
-        self.ends.truncate(self.compacted);
-        self.bases.truncate(self.compacted);
-        self.slopes.truncate(self.compacted);
-    }
 }
 
 impl TableStorage for ColumnarTable {
-    const KERNEL_DISPATCH: bool = true;
-
     fn len(&self) -> usize {
         debug_assert_eq!(self.compacted, self.index.len(), "finish() before reads");
         self.compacted
@@ -370,7 +268,7 @@ impl TableStorage for ColumnarTable {
     }
 
     fn finish(&mut self) -> Result<()> {
-        self.compact().map(|_| ())
+        self.compact()
     }
 
     fn try_for_each_cell<F: FnMut(&[u32], &Isb) -> Result<()>>(&self, mut f: F) -> Result<()> {
@@ -406,62 +304,48 @@ impl TableStorage for ColumnarTable {
         schema: &CubeSchema,
         layers: &CriticalLayers,
         tuples: &[MTuple],
-        kernel: KernelMode,
         mem: &mut MemoryAccountant,
-    ) -> Result<(Self, Folded)> {
-        let mut m =
-            ColumnarTable::new(schema, layers.lattice().m_layer())?.with_kernel_mode(kernel);
+    ) -> Result<(Self, u64)> {
+        let mut m = ColumnarTable::new(schema, layers.lattice().m_layer())?;
         for t in tuples {
             m.merge_row(t.ids(), t.isb())?;
         }
-        let kernel = m.compact()?;
+        m.compact()?;
         mem.add(m.approx_bytes(schema.num_dims()));
-        let folded = Folded {
-            rows: tuples.len() as u64,
-            kernel,
-        };
-        Ok((m, folded))
+        Ok((m, tuples.len() as u64))
     }
 
     /// The block-projected kernel fold when the projector supports it,
-    /// the generic per-row fold otherwise. Both are bit-exact; only the
-    /// dispatch attribution differs. The new table inherits this one's
-    /// kernel mode.
+    /// the generic per-row [`aggregate_into`] fold for hierarchies
+    /// resolved by per-row walks. Both fold in the same order, so both
+    /// give the same bits.
     fn roll_up(
         &self,
         schema: &CubeSchema,
         source: &CuboidSpec,
         target: &CuboidSpec,
-    ) -> Result<(Self, Folded)> {
-        let mut table = ColumnarTable::new(schema, target)?.with_kernel_mode(self.kernel);
-        let folded = match aggregate_columnar_kernel(schema, source, self, target, &mut table)? {
-            Some(rows) => Folded { rows, kernel: true },
-            None => Folded {
-                rows: aggregate_into(schema, source, self, target, &mut table, None)?,
-                kernel: false,
-            },
+    ) -> Result<(Self, u64)> {
+        let mut table = ColumnarTable::new(schema, target)?;
+        let rows = match aggregate_columnar_kernel(schema, source, self, target, &mut table)? {
+            Some(rows) => rows,
+            None => aggregate_into(schema, source, self, target, &mut table, None)?,
         };
-        Ok((table, folded))
+        Ok((table, rows))
     }
 
     /// A chunked `|slope| >= threshold` scan over the slope column
     /// ([`crate::kernel::screen_ge_abs`]), then key decoding for the
-    /// (sparse) hits only; the generic [`collect_exceptions`] on
-    /// scalar-forced tables. Bit-exact with the scalar screen: the same
-    /// predicate per cell ([`ExceptionPolicy::is_exception`] resolves
-    /// to one threshold per cuboid), with NaN scores never qualifying.
+    /// (sparse) hits only. The same predicate per cell as
+    /// [`ExceptionPolicy::is_exception`] (which resolves to one
+    /// threshold per cuboid), with NaN scores never qualifying.
     fn exceptions(&self, policy: &ExceptionPolicy, cuboid: &CuboidSpec) -> CuboidTable {
         debug_assert_eq!(self.compacted, self.index.len(), "finish() before reads");
-        if !self.kernel.use_kernel() || self.compacted > u32::MAX as usize {
-            return collect_exceptions(policy, cuboid, self);
-        }
         let threshold = policy.threshold_for(cuboid);
-        let mut hits: Vec<u32> = Vec::new();
+        let mut hits = Vec::new();
         kernel::screen_ge_abs(&self.slopes[..self.compacted], threshold, &mut hits);
         let mut exc = CuboidTable::with_capacity_and_hasher(hits.len(), Default::default());
         let mut ids = vec![0u32; self.codec.num_dims()];
         for &i in &hits {
-            let i = i as usize;
             self.decode_into(self.index[i], &mut ids);
             exc.insert(CellKey::new(&ids), self.isb_at(i));
         }
@@ -492,10 +376,10 @@ impl TableStorage for ColumnarTable {
 /// monotonically, so the sortedness check usually skips the sort too.
 ///
 /// Returns `Some(rows_folded)` when the kernel path ran, `None` when
-/// it cannot apply (scalar-forced target, per-row hierarchy walks,
-/// row counts beyond `u32`) — the caller falls back to the generic
-/// [`aggregate_into`]. Bit-exact with that fallback by construction:
-/// same stable fold order, same f64 add order, same mismatch errors.
+/// a dimension resolves ancestors by per-row hierarchy walks (no
+/// [`Projector::block_projector`]) — the caller then folds with the
+/// generic [`aggregate_into`]. Both fold each target cell's source rows
+/// in ascending source-id order, so they agree bit for bit.
 ///
 /// # Errors
 /// Measure merge failures (interval mismatches — impossible for tables
@@ -512,9 +396,6 @@ fn aggregate_columnar_kernel(
         target.index.is_empty(),
         "kernel aggregation fills a fresh table"
     );
-    if !target.kernel.use_kernel() || source.compacted > u32::MAX as usize {
-        return Ok(None);
-    }
     let projector = Projector::new(schema, source_cuboid, target_cuboid);
     let Some(block) = projector.block_projector(source.codec(), target.codec()) else {
         return Ok(None);
@@ -534,10 +415,10 @@ fn aggregate_columnar_kernel(
     if kernel::is_nondecreasing_u64(&projected) {
         kernel::fold_sorted_runs(&projected, &src, &mut out)?;
     } else {
-        let mut pairs: Vec<(u64, u32)> = projected
+        let mut pairs: Vec<(u64, usize)> = projected
             .iter()
             .enumerate()
-            .map(|(i, &id)| (id, i as u32))
+            .map(|(i, &id)| (id, i))
             .collect();
         pairs.sort_by_key(|&(id, _)| id); // stable: source order on ties
         kernel::fold_permuted_runs(&pairs, &src, &mut out)?;

@@ -31,29 +31,20 @@
 //!
 //! # Bit-exactness contract
 //!
-//! Every kernel is **bit-exact** with the scalar path it replaces: the
-//! same f64 additions in the same left-to-right order (floating-point
-//! addition is not reassociated — runs are summed sequentially, only
-//! the surrounding bookkeeping is vectorized), the same
-//! interval-mismatch errors via [`crate::measure::merge_sibling`], NaN
+//! The kernels are the columnar layout's only fold, and a fold is
+//! defined by its add order alone: the same f64 additions in the same
+//! left-to-right order as repeated [`crate::measure::merge_sibling`]
+//! calls over the source cells (floating-point addition is not
+//! reassociated — runs are summed sequentially, only the surrounding
+//! bookkeeping is vectorized), the same interval-mismatch errors, NaN
 //! payloads propagated through unchanged, and the same u64-overflow
 //! guard on dense id spaces (enforced at
 //! [`crate::table::DenseCellCodec`] construction, before any kernel
-//! runs). The contract is pinned by `tests/kernel_parity.rs` (scripted
-//! and property tests) and the golden suite.
-//!
-//! # Selecting the scalar fallback
-//!
-//! Dispatch is per-table/per-engine via [`KernelMode`]: `Auto` (the
-//! default) runs the kernels and falls back per call site where a
-//! kernel cannot apply (per-row hierarchy walks, oversized row counts);
-//! `Scalar` forces the generic scalar path everywhere, selected
-//! explicitly with
-//! [`MoCubingEngine::with_kernel_mode`](crate::MoCubingEngine::with_kernel_mode)
-//! (the parity suite uses it as the reference the kernels are compared
-//! against). Which path folded each row is reported in
-//! [`RunStats::rows_folded_simd`](crate::stats::RunStats::rows_folded_simd) /
-//! [`rows_folded_scalar`](crate::stats::RunStats::rows_folded_scalar).
+//! runs). `tests/kernel_parity.rs` pins the contract bit for bit
+//! against an independent oracle — `BTreeMap` tables folded with
+//! `merge_sibling`, m-layer in arrival order and every other cuboid
+//! from its closest computed descendant in ascending key order — with
+//! scripted and property tests.
 
 use crate::measure::merge_sibling;
 use crate::Result;
@@ -63,41 +54,6 @@ use regcube_regress::Isb;
 /// lanes span one AVX-512 register or two AVX2/NEON registers; the
 /// compiler picks the actual vector width when it lowers the chunks.
 pub const LANES: usize = 8;
-
-/// Which implementation the columnar backend's hot loops run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelMode {
-    /// Run the chunked kernels, falling back to the scalar path per
-    /// call site where a kernel cannot apply.
-    #[default]
-    Auto,
-    /// Force the scalar fallback everywhere (the pre-kernel code path).
-    Scalar,
-}
-
-impl KernelMode {
-    /// Whether this mode runs the chunked kernels.
-    #[inline]
-    pub fn use_kernel(self) -> bool {
-        self == KernelMode::Auto
-    }
-}
-
-/// `true` when every element equals `expected` (chunked scan; an empty
-/// slice is trivially uniform).
-pub fn all_equal_i64(values: &[i64], expected: i64) -> bool {
-    let mut chunks = values.chunks_exact(LANES);
-    for chunk in &mut chunks {
-        let mut diff = 0i64;
-        for &v in chunk {
-            diff |= v ^ expected;
-        }
-        if diff != 0 {
-            return false;
-        }
-    }
-    chunks.remainder().iter().all(|&v| v == expected)
-}
 
 /// `true` when the slice is nondecreasing (chunked adjacent compare).
 ///
@@ -128,19 +84,15 @@ pub fn is_nondecreasing_u64(values: &[u64]) -> bool {
 /// `|slopes[i]| >= threshold` onto `hits` (ascending). `NaN` never
 /// qualifies (`NaN >= t` is false), matching
 /// [`crate::measure::exception_score`] exactly.
-///
-/// The caller guarantees `slopes.len() <= u32::MAX` (columnar tables
-/// fall back to the scalar screen beyond that).
-pub fn screen_ge_abs(slopes: &[f64], threshold: f64, hits: &mut Vec<u32>) {
-    debug_assert!(u32::try_from(slopes.len()).is_ok());
+pub fn screen_ge_abs(slopes: &[f64], threshold: f64, hits: &mut Vec<usize>) {
     for (ci, chunk) in slopes.chunks(LANES).enumerate() {
         let mut mask = 0u32;
         for (j, &s) in chunk.iter().enumerate() {
             mask |= u32::from(s.abs() >= threshold) << j;
         }
         while mask != 0 {
-            let j = mask.trailing_zeros();
-            hits.push((ci * LANES) as u32 + j);
+            let j = mask.trailing_zeros() as usize;
+            hits.push(ci * LANES + j);
             mask &= mask - 1;
         }
     }
@@ -329,7 +281,7 @@ impl FoldOutput {
 
 /// Reconstructs a stored row as an [`Isb`] (stored rows are valid by
 /// construction) — only reached on the interval-mismatch error path, so
-/// the exact scalar error surfaces.
+/// the exact [`merge_sibling`] error surfaces.
 fn isb_of(start: i64, end: i64, base: f64, slope: f64) -> Isb {
     Isb::new(start, end, base, slope).expect("stored rows are valid ISBs")
 }
@@ -337,7 +289,7 @@ fn isb_of(start: i64, end: i64, base: f64, slope: f64) -> Isb {
 /// Folds the duplicate run `lo..hi` (all the same target id):
 /// sequential left-to-right component sums — the same f64 additions in
 /// the same order as repeated [`merge_sibling`] calls, without the Isb
-/// round trips. Interval mismatches raise the scalar path's exact
+/// round trips. Interval mismatches raise [`merge_sibling`]'s exact
 /// error.
 #[inline]
 fn fold_run(
@@ -373,8 +325,8 @@ fn fold_run(
 /// the projected target ids, parallel to `src`'s component columns.
 ///
 /// # Errors
-/// Interval mismatches within a duplicate run (the scalar
-/// [`merge_sibling`] error).
+/// Interval mismatches within a duplicate run (the [`merge_sibling`]
+/// error).
 pub fn fold_sorted_runs(ids: &[u64], src: &FoldColumns<'_>, out: &mut FoldOutput) -> Result<()> {
     let n = ids.len();
     let mut i = 0;
@@ -403,12 +355,12 @@ pub fn fold_sorted_runs(ids: &[u64], src: &FoldColumns<'_>, out: &mut FoldOutput
 
 /// Folds rows through a sort permutation: `pairs` is `(target id, row
 /// index into src)`, stably sorted by id (ties keep ascending row
-/// index, i.e. arrival order — the scalar staged-compact order).
+/// index, i.e. arrival order).
 ///
 /// # Errors
 /// Interval mismatches within a duplicate run.
 pub fn fold_permuted_runs(
-    pairs: &[(u64, u32)],
+    pairs: &[(u64, usize)],
     src: &FoldColumns<'_>,
     out: &mut FoldOutput,
 ) -> Result<()> {
@@ -421,10 +373,10 @@ pub fn fold_permuted_runs(
             m += 1;
         }
         if m == i + 1 {
-            let r = pairs[i].1 as usize;
+            let r = pairs[i].1;
             out.push(id, src.starts[r], src.ends[r], src.bases[r], src.slopes[r]);
         } else {
-            fold_run(src, pairs[i..m].iter().map(|&(_, r)| r as usize), out, id)?;
+            fold_run(src, pairs[i..m].iter().map(|&(_, r)| r), out, id)?;
         }
         i = m;
     }
@@ -435,11 +387,10 @@ pub fn fold_permuted_runs(
 /// `b` = the freshly folded staged rows): collision-free spans of
 /// either side are bulk-copied (span ends found by `partition_point`,
 /// not per-row compares); id collisions fold `a`'s row then `b`'s — the
-/// scalar compact's exact accumulate order.
+/// older cell first, then the newer rows.
 ///
 /// # Errors
-/// Interval mismatches at a collision (the scalar [`merge_sibling`]
-/// error).
+/// Interval mismatches at a collision (the [`merge_sibling`] error).
 pub fn merge_two_runs(
     a: &FoldColumns<'_>,
     b: &FoldColumns<'_>,
@@ -502,20 +453,7 @@ mod tests {
     }
 
     #[test]
-    fn mode_dispatch() {
-        assert!(KernelMode::Auto.use_kernel());
-        assert!(!KernelMode::Scalar.use_kernel());
-        assert_eq!(KernelMode::default(), KernelMode::Auto);
-    }
-
-    #[test]
     fn uniformity_and_order_scans() {
-        assert!(all_equal_i64(&[], 7));
-        assert!(all_equal_i64(&[7; 37], 7));
-        let mut v = vec![7i64; 37];
-        v[33] = 8;
-        assert!(!all_equal_i64(&v, 7));
-
         assert!(is_nondecreasing_u64(&[]));
         assert!(is_nondecreasing_u64(&[5]));
         assert!(is_nondecreasing_u64(&[1, 1, 2, 9, 9, 100]));
@@ -530,11 +468,11 @@ mod tests {
         let slopes = [0.5, -0.9, f64::NAN, 0.0, -0.4, 0.4, f64::INFINITY, 0.39];
         let mut hits = Vec::new();
         screen_ge_abs(&slopes, 0.4, &mut hits);
-        let expected: Vec<u32> = slopes
+        let expected: Vec<usize> = slopes
             .iter()
             .enumerate()
             .filter(|(_, s)| s.abs() >= 0.4)
-            .map(|(i, _)| i as u32)
+            .map(|(i, _)| i)
             .collect();
         assert_eq!(hits, expected);
         hits.clear();
@@ -591,7 +529,7 @@ mod tests {
         let src = cols(&ids, &starts, &ends, &bases, &slopes);
         // Target ids: rows 2 and 0 collide on id 4; row order (2, 0)
         // would be wrong — stable sort keeps (0, 2).
-        let pairs = [(4u64, 0u32), (4, 2), (7, 1), (8, 3)];
+        let pairs = [(4u64, 0usize), (4, 2), (7, 1), (8, 3)];
         let mut out = FoldOutput::default();
         fold_permuted_runs(&pairs, &src, &mut out).unwrap();
         assert_eq!(out.ids, vec![4, 7, 8]);

@@ -44,8 +44,8 @@
 //! layout behind [`table::TableStorage`]: the row (hash-map) default or
 //! the struct-of-arrays [`columnar`] one, selected via
 //! [`engine::Backend`], whose hot fold/projection loops run on the
-//! chunked [`kernel`] layer (bit-exact SIMD-friendly kernels with a
-//! scalar fallback). The repository-level
+//! chunked [`kernel`] layer (SIMD-friendly folds, the columnar layout's
+//! only fold). The repository-level
 //! `ARCHITECTURE.md` maps every paper section to its module and
 //! documents how to add further backends.
 //!
@@ -102,7 +102,6 @@ pub use columnar::ColumnarTable;
 pub use engine::{Backend, CubingEngine, MoCubingEngine, PopularPathEngine, UnitDelta};
 pub use error::CoreError;
 pub use exception::ExceptionPolicy;
-pub use kernel::KernelMode;
 pub use layers::CriticalLayers;
 pub use measure::MTuple;
 pub use pool::WorkerPool;

@@ -33,13 +33,12 @@
 use crate::columnar::ColumnarTable;
 use crate::engine::{empty_result, next_window, unshare_result, Backend, CubingEngine, UnitDelta};
 use crate::exception::ExceptionPolicy;
-use crate::kernel::KernelMode;
 use crate::layers::CriticalLayers;
 use crate::measure::{validate_tuples, MTuple};
 use crate::pool::WorkerPool;
 use crate::result::{Algorithm, CubeResult};
 use crate::stats::{MemoryAccountant, RunStats};
-use crate::table::{table_bytes, CuboidTable, Folded, TableStorage};
+use crate::table::{table_bytes, CuboidTable, TableStorage};
 use crate::Result;
 use regcube_olap::fxhash::FxHashMap;
 use regcube_olap::{CubeSchema, CuboidSpec};
@@ -98,22 +97,10 @@ struct UnitWork {
 }
 
 impl UnitWork {
-    /// Counts one layout-level fold, attributing it to the kernel or
-    /// scalar dispatch counter when layout `T` has a kernel path
-    /// (keeping `rows_folded` equal to their sum there).
-    fn count_folded<T: TableStorage>(&mut self, folded: Folded) {
-        self.stats.rows_folded += folded.rows;
-        if T::KERNEL_DISPATCH {
-            if folded.kernel {
-                self.stats.rows_folded_simd += folded.rows;
-            } else {
-                self.stats.rows_folded_scalar += folded.rows;
-            }
-        }
-    }
-
-    /// Counts one cuboid's finished full table.
-    fn count_cuboid(&mut self, cells: usize) {
+    /// Counts one cuboid's finished full table and the source rows
+    /// folded into it.
+    fn count_cuboid(&mut self, rows: u64, cells: usize) {
+        self.stats.rows_folded += rows;
         self.stats.cells_computed += cells as u64;
         self.stats.cuboids_computed += 1;
     }
@@ -140,8 +127,6 @@ pub struct MoCubingEngine {
     policy: ExceptionPolicy,
     /// The layout the tiers are folded into.
     backend: Backend,
-    /// Which implementation a layout with kernels runs its hot loops on.
-    kernel: KernelMode,
     /// When attached, cuboids of one depth tier (independent of each
     /// other) are aggregated on the pool instead of sequentially.
     pool: Option<Arc<WorkerPool>>,
@@ -168,7 +153,6 @@ impl MoCubingEngine {
             layers,
             policy,
             backend: Backend::Row,
-            kernel: KernelMode::Auto,
             pool: None,
             window: None,
             units_opened: 0,
@@ -205,19 +189,6 @@ impl MoCubingEngine {
         }
         self.backend = backend;
         Ok(self)
-    }
-
-    /// Selects which implementation the hot loops of a layout with
-    /// kernels (the columnar one) run — the chunked [`crate::kernel`]
-    /// layer (`Auto`, the default) or the scalar fallback (`Scalar`).
-    /// Both produce byte-identical cubes, exceptions and deltas (the
-    /// kernel-parity suite pins it); the split is reported in
-    /// [`RunStats::rows_folded_simd`] / `rows_folded_scalar`. The row
-    /// layout has no kernels and ignores the mode.
-    #[must_use]
-    pub fn with_kernel_mode(mut self, mode: KernelMode) -> Self {
-        self.kernel = mode;
-        self
     }
 
     /// Attaches a worker pool for the tier roll-up: cuboids at the same
@@ -279,15 +250,8 @@ impl MoCubingEngine {
         let mut work = UnitWork::default();
 
         // Step 1: one scan of the batch into the m-layer.
-        let (m_table, folded) = T::from_tuples(
-            &self.schema,
-            &self.layers,
-            tuples,
-            self.kernel,
-            &mut work.mem,
-        )?;
-        work.count_folded::<T>(folded);
-        work.count_cuboid(m_table.len());
+        let (m_table, rows) = T::from_tuples(&self.schema, &self.layers, tuples, &mut work.mem)?;
+        work.count_cuboid(rows, m_table.len());
 
         // Step 2: the rest of the lattice. The m-table is shared with
         // pool workers, so it travels behind an `Arc` and is unwrapped —
@@ -362,9 +326,8 @@ impl MoCubingEngine {
             let mut next_cache: FxHashMap<CuboidSpec, Arc<T>> = FxHashMap::default();
             // The i-th result is the i-th cuboid's table.
             for (cuboid, item) in tier.into_iter().zip(self.compute_tier(plans)) {
-                let (full, folded) = item?;
-                work.count_folded::<T>(folded);
-                work.count_cuboid(full.len());
+                let (full, rows) = item?;
+                work.count_cuboid(rows, full.len());
                 work.mem.add(full.approx_bytes(dims));
 
                 if cuboid == o_spec {
@@ -391,7 +354,7 @@ impl MoCubingEngine {
     /// otherwise. The results come back **in plan order** either way —
     /// on the pool, because [`WorkerPool::run`] keeps task order — and
     /// the caller matches them to their cuboids by position.
-    fn compute_tier<T: TableStorage>(&self, plans: Vec<TierPlan<T>>) -> Vec<Result<(T, Folded)>> {
+    fn compute_tier<T: TableStorage>(&self, plans: Vec<TierPlan<T>>) -> Vec<Result<(T, u64)>> {
         let aggregate = |schema: &CubeSchema, plan: TierPlan<T>| {
             plan.table.roll_up(schema, &plan.source, &plan.cuboid)
         };

@@ -13,18 +13,6 @@ use std::time::Duration;
 pub struct RunStats {
     /// Source rows folded into aggregations (the work measure).
     pub rows_folded: u64,
-    /// Rows folded through the chunked [`crate::kernel`] layer (blocked
-    /// LUT projection + run folds over the ISB component columns). For
-    /// the columnar layout `rows_folded == rows_folded_simd +
-    /// rows_folded_scalar`; backends without kernel dispatch leave both
-    /// counters zero.
-    pub rows_folded_simd: u64,
-    /// Rows folded through the scalar per-row fallback — either forced
-    /// ([`crate::kernel::KernelMode::Scalar`]) or because a fold is
-    /// inherently per-row (hash-map layouts, `Walk`-projected
-    /// dimensions, id spaces past the block-index range). See
-    /// [`rows_folded_simd`](Self::rows_folded_simd) for the invariant.
-    pub rows_folded_scalar: u64,
     /// Cells materialized across all cuboids (computed, before filtering).
     pub cells_computed: u64,
     /// Cells retained in the result (critical layers + exceptions).

@@ -45,7 +45,7 @@
 
 use crate::error::CoreError;
 use crate::exception::ExceptionPolicy;
-use crate::kernel::{BlockDim, BlockProjector, KernelMode};
+use crate::kernel::{BlockDim, BlockProjector};
 use crate::layers::CriticalLayers;
 use crate::measure::{merge_sibling, MTuple};
 use crate::stats::MemoryAccountant;
@@ -63,18 +63,6 @@ pub type CuboidTable = FxHashMap<CellKey, Isb>;
 /// cells an aggregation materializes (Algorithm 2's drilling filter).
 pub type CellFilter<'a> = &'a dyn Fn(&[u32]) -> bool;
 
-/// The work one layout-level fold did: how many source rows it folded
-/// and whether the layout's kernel path (rather than its scalar path)
-/// folded them — what [`crate::RunStats`] reports as `rows_folded` and
-/// its `rows_folded_simd` / `rows_folded_scalar` split.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Folded {
-    /// Source rows folded.
-    pub rows: u64,
-    /// Whether the kernel path folded them.
-    pub kernel: bool,
-}
-
 /// One cuboid's cell store, abstracted over the physical layout.
 ///
 /// The contract mirrors how the cubing algorithms consume tables:
@@ -86,12 +74,6 @@ pub struct Folded {
 /// are only made on a finished table. The remaining methods are the
 /// roll-up half Algorithm 1 is written against (see the module docs).
 pub trait TableStorage: Sized + Clone + Send + Sync + 'static {
-    /// Whether the layout has a kernel path, i.e. whether the engine
-    /// splits `rows_folded` into the `rows_folded_simd` /
-    /// `rows_folded_scalar` dispatch counters for it. Layouts without
-    /// one leave both counters zero.
-    const KERNEL_DISPATCH: bool = false;
-
     /// Number of materialized cells. Only meaningful on a finished
     /// table (after [`finish`](Self::finish)).
     fn len(&self) -> usize;
@@ -143,6 +125,7 @@ pub trait TableStorage: Sized + Clone + Send + Sync + 'static {
     /// Algorithm 1, step 1. Duplicate m-cells merge in arrival order.
     /// The bytes the build holds live (the finished table, and any
     /// scratch structure while it exists) are reported to `mem`.
+    /// Returns the table and the number of tuples folded.
     ///
     /// # Errors
     /// Measure merge failures and substrate errors.
@@ -150,14 +133,14 @@ pub trait TableStorage: Sized + Clone + Send + Sync + 'static {
         schema: &CubeSchema,
         layers: &CriticalLayers,
         tuples: &[MTuple],
-        kernel: KernelMode,
         mem: &mut MemoryAccountant,
-    ) -> Result<(Self, Folded)>;
+    ) -> Result<(Self, u64)>;
 
     /// Aggregates a fresh same-layout table for the ancestor cuboid
     /// `target` from this (finished) table of `source` — one step of
     /// the tier roll-up. Runs on pool workers, so it reports no memory;
-    /// the caller accounts the returned table.
+    /// the caller accounts the returned table. Returns the table and
+    /// the number of source rows folded.
     ///
     /// # Errors
     /// Measure merge failures.
@@ -166,7 +149,7 @@ pub trait TableStorage: Sized + Clone + Send + Sync + 'static {
         schema: &CubeSchema,
         source: &CuboidSpec,
         target: &CuboidSpec,
-    ) -> Result<(Self, Folded)>;
+    ) -> Result<(Self, u64)>;
 
     /// The exceptional cells of this (finished) table of `cuboid`, in
     /// the row form exception stores are retained in.
@@ -225,19 +208,14 @@ impl TableStorage for CuboidTable {
         schema: &CubeSchema,
         _layers: &CriticalLayers,
         tuples: &[MTuple],
-        _kernel: KernelMode,
         mem: &mut MemoryAccountant,
-    ) -> Result<(Self, Folded)> {
+    ) -> Result<(Self, u64)> {
         let mut m_table = CuboidTable::default();
         for t in tuples {
             m_table.merge_row(t.ids(), t.isb())?;
         }
         mem.add(table_bytes(&m_table, schema.num_dims()));
-        let folded = Folded {
-            rows: tuples.len() as u64,
-            kernel: false,
-        };
-        Ok((m_table, folded))
+        Ok((m_table, tuples.len() as u64))
     }
 
     fn roll_up(
@@ -245,15 +223,8 @@ impl TableStorage for CuboidTable {
         schema: &CubeSchema,
         source: &CuboidSpec,
         target: &CuboidSpec,
-    ) -> Result<(Self, Folded)> {
-        let (table, rows) = aggregate_from(schema, source, self, target, None)?;
-        Ok((
-            table,
-            Folded {
-                rows,
-                kernel: false,
-            },
-        ))
+    ) -> Result<(Self, u64)> {
+        aggregate_from(schema, source, self, target, None)
     }
 
     fn into_row_table(self, _num_dims: usize, _mem: &mut MemoryAccountant) -> CuboidTable {
@@ -451,7 +422,7 @@ impl<'a> Projector<'a> {
     ///
     /// Returns `None` when any dimension resolves ancestors by per-row
     /// hierarchy walks (cardinality beyond the LUT bound) — callers
-    /// fall back to the scalar [`project_into`](Self::project_into)
+    /// fall back to the per-row [`project_into`](Self::project_into)
     /// path.
     pub fn block_projector(
         &self,

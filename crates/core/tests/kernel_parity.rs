@@ -1,19 +1,29 @@
-//! SIMD ≡ scalar kernel parity: the chunked [`regcube_core::kernel`]
-//! fold/projection path must be **bit-for-bit** identical to the forced
-//! scalar fallback — same cells, same exception sets, same `UnitDelta`
-//! streams — across units of every size, NaN-noise measures and the
-//! u64-overflow guard. The kernels preserve
-//! the scalar fold's add order by construction, so the comparison is
-//! `f64::to_bits` equality, not epsilon closeness.
+//! The columnar fold against an obviously-right oracle: the chunked
+//! [`regcube_core::kernel`] fold/projection path must build, **bit for
+//! bit**, the cube a naive Algorithm 1 over `BTreeMap`s builds with
+//! [`merge_sibling`] — same cells, same exception sets, same
+//! `UnitDelta` streams — across units of every size, repeated m-cells
+//! in shuffled arrival order, NaN-noise measures, all three threshold
+//! scopes and the u64-overflow guard.
+//!
+//! A fold is defined by its add order alone (Theorem 3.2 reduces every
+//! roll-up to component-wise ISB sums), and the oracle spells that
+//! order out: the m-layer folds tuples in arrival order, and every
+//! other cuboid folds its closest computed descendant in the previous
+//! depth tier (or the m-layer) cell by cell in ascending key order. So
+//! the comparison is `f64::to_bits` equality, not epsilon closeness.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use regcube_core::engine::{Backend, CubingEngine, MoCubingEngine, UnitDelta};
+use regcube_core::measure::merge_sibling;
 use regcube_core::table::{CuboidTable, DenseCellCodec};
-use regcube_core::{CriticalLayers, CubeResult, ExceptionPolicy, KernelMode, MTuple};
+use regcube_core::{CriticalLayers, CubeResult, ExceptionPolicy, MTuple};
+use regcube_olap::cell::{project_key, CellKey};
 use regcube_olap::{CubeSchema, CuboidSpec};
 use regcube_regress::{Isb, TimeSeries};
+use std::collections::{BTreeMap, BTreeSet};
 
 fn dataset(seed: u64, n: usize) -> (CubeSchema, CriticalLayers, Vec<MTuple>) {
     let (dims, depth, fanout) = (3usize, 2u8, 3u32);
@@ -38,18 +48,103 @@ fn dataset(seed: u64, n: usize) -> (CubeSchema, CriticalLayers, Vec<MTuple>) {
     (schema, layers, tuples)
 }
 
-/// A columnar Algorithm-1 engine running `mode`.
+/// A columnar Algorithm-1 engine.
 fn columnar(
-    mode: KernelMode,
     schema: &CubeSchema,
     layers: &CriticalLayers,
     policy: &ExceptionPolicy,
 ) -> regcube_core::Result<MoCubingEngine> {
-    Ok(
-        MoCubingEngine::new(schema.clone(), layers.clone(), policy.clone())?
-            .with_backend(Backend::Columnar)?
-            .with_kernel_mode(mode),
-    )
+    MoCubingEngine::new(schema.clone(), layers.clone(), policy.clone())?
+        .with_backend(Backend::Columnar)
+}
+
+/// One cuboid's cells, in ascending key order.
+type Table = BTreeMap<Vec<u32>, Isb>;
+
+/// The oracle's cube of one unit.
+struct OracleCube {
+    m: Table,
+    o: Table,
+    /// Every between-layer cell the policy flags, by cuboid.
+    exceptions: BTreeMap<CuboidSpec, Table>,
+}
+
+impl OracleCube {
+    fn exception_set(&self) -> BTreeSet<(CuboidSpec, CellKey)> {
+        self.exceptions
+            .iter()
+            .flat_map(|(c, t)| t.keys().map(move |k| (c.clone(), CellKey::new(k))))
+            .collect()
+    }
+}
+
+/// Folds `isb` into the cell at `key`: the first row opens the cell,
+/// every later one merges into it.
+fn fold_into(table: &mut Table, key: Vec<u32>, isb: &Isb) {
+    match table.get_mut(&key) {
+        Some(acc) => merge_sibling(acc, isb).unwrap(),
+        None => {
+            table.insert(key, *isb);
+        }
+    }
+}
+
+/// Algorithm 1, naively: the m-layer in arrival order, then every
+/// cuboid by depth tier, deepest first, from its closest computed
+/// descendant in the tier before (the m-layer for the first tier),
+/// source cells in ascending key order.
+fn oracle(
+    schema: &CubeSchema,
+    layers: &CriticalLayers,
+    policy: &ExceptionPolicy,
+    tuples: &[MTuple],
+) -> OracleCube {
+    let lattice = layers.lattice();
+    let (m_spec, o_spec) = (lattice.m_layer(), lattice.o_layer());
+    let mut m = Table::new();
+    for t in tuples {
+        fold_into(&mut m, t.ids().to_vec(), t.isb());
+    }
+    let mut tiers: BTreeMap<u32, Vec<CuboidSpec>> = BTreeMap::new();
+    for cuboid in lattice.enumerate() {
+        if &cuboid != m_spec {
+            tiers.entry(cuboid.total_depth()).or_default().push(cuboid);
+        }
+    }
+    let mut o = Table::new();
+    let mut exceptions = BTreeMap::new();
+    let mut previous: BTreeMap<CuboidSpec, Table> = BTreeMap::new();
+    for tier in tiers.into_values().rev() {
+        let mut current = BTreeMap::new();
+        for cuboid in tier {
+            let (source_spec, source) = lattice
+                .closest_computed_descendant(&cuboid, previous.keys())
+                .map_or((m_spec, &m), |c| (c, &previous[c]));
+            let mut table = Table::new();
+            for (ids, isb) in source {
+                fold_into(
+                    &mut table,
+                    project_key(schema, source_spec, ids, &cuboid),
+                    isb,
+                );
+            }
+            if &cuboid == o_spec {
+                o = table;
+                continue;
+            }
+            let flagged: Table = table
+                .iter()
+                .filter(|(_, isb)| policy.is_exception(&cuboid, isb))
+                .map(|(k, isb)| (k.clone(), *isb))
+                .collect();
+            if !flagged.is_empty() {
+                exceptions.insert(cuboid.clone(), flagged);
+            }
+            current.insert(cuboid, table);
+        }
+        previous = current;
+    }
+    OracleCube { m, o, exceptions }
 }
 
 /// Bit-exact ISB equality: identical interval and identical `f64` bit
@@ -60,60 +155,72 @@ fn isb_bits_eq(a: &Isb, b: &Isb) -> bool {
         && a.slope().to_bits() == b.slope().to_bits()
 }
 
-fn tables_bit_eq(label: &str, a: &CuboidTable, b: &CuboidTable) {
-    assert_eq!(a.len(), b.len(), "{label}: cell counts differ");
-    for (key, m) in a {
-        let other = b
-            .get(key)
-            .unwrap_or_else(|| panic!("{label}: cell {key} missing"));
-        assert!(isb_bits_eq(m, other), "{label} {key}: {m} vs {other}");
+fn table_bit_eq(label: &str, expected: &Table, got: &CuboidTable) {
+    assert_eq!(expected.len(), got.len(), "{label}: cell counts differ");
+    for (key, m) in expected {
+        let other = got
+            .get(key.as_slice())
+            .unwrap_or_else(|| panic!("{label}: cell {key:?} missing"));
+        assert!(isb_bits_eq(m, other), "{label} {key:?}: {m} vs {other}");
     }
 }
 
-fn results_bit_eq(label: &str, a: &CubeResult, b: &CubeResult) {
-    tables_bit_eq(&format!("{label}/m"), a.m_table(), b.m_table());
-    tables_bit_eq(&format!("{label}/o"), a.o_table(), b.o_table());
+fn cube_bit_eq(label: &str, expected: &OracleCube, got: &CubeResult) {
+    table_bit_eq(&format!("{label}/m"), &expected.m, got.m_table());
+    table_bit_eq(&format!("{label}/o"), &expected.o, got.o_table());
+    let total: usize = expected.exceptions.values().map(Table::len).sum();
     assert_eq!(
-        a.total_exception_cells(),
-        b.total_exception_cells(),
+        total as u64,
+        got.total_exception_cells(),
         "{label}: exception counts differ"
     );
-    for (cuboid, key, m) in a.iter_exceptions() {
-        let other = b
+    for (cuboid, table) in &expected.exceptions {
+        let store = got
             .exceptions_in(cuboid)
-            .and_then(|t| t.get(key))
-            .unwrap_or_else(|| panic!("{label}: exception {cuboid}{key} missing"));
-        assert!(isb_bits_eq(m, other), "{label} {cuboid}{key}");
+            .unwrap_or_else(|| panic!("{label}: exceptions of {cuboid} missing"));
+        table_bit_eq(&format!("{label}/{cuboid}"), table, store);
     }
 }
 
-fn deltas_eq(label: &str, a: &UnitDelta, b: &UnitDelta) {
-    assert_eq!(a.unit, b.unit, "{label}: unit");
-    assert_eq!(a.window, b.window, "{label}: window");
-    assert_eq!(a.appeared, b.appeared, "{label}: appeared");
-    assert_eq!(a.cleared, b.cleared, "{label}: cleared");
-}
-
-/// Replays `units` (one batch each) through an auto-dispatch and a
-/// forced-scalar columnar engine, asserting bit-exact cubes and deltas
-/// after every unit, then returns both engines for counter inspection.
+/// Replays `units` (one batch each) through a columnar engine, asserting
+/// after every unit that its cube is the oracle's bit for bit and that
+/// its delta is the difference of consecutive oracle exception sets.
+/// Returns the engine.
 fn replay_and_compare(
     label: &str,
     schema: &CubeSchema,
     layers: &CriticalLayers,
     policy: &ExceptionPolicy,
     units: &[&[MTuple]],
-) -> (MoCubingEngine, MoCubingEngine) {
-    let make = |mode| columnar(mode, schema, layers, policy).unwrap();
-    let (mut auto, mut scalar) = (make(KernelMode::Auto), make(KernelMode::Scalar));
+) -> MoCubingEngine {
+    let mut engine = columnar(schema, layers, policy).unwrap();
+    let mut held = BTreeSet::new();
     for (u, unit) in units.iter().enumerate() {
-        let da = auto.ingest_unit(unit).unwrap();
-        let ds = scalar.ingest_unit(unit).unwrap();
         let tag = format!("{label} unit {u}");
-        deltas_eq(&tag, &da, &ds);
-        results_bit_eq(&tag, auto.result(), scalar.result());
+        let delta = engine.ingest_unit(unit).unwrap();
+        let expected = oracle(schema, layers, policy, unit);
+        cube_bit_eq(&tag, &expected, engine.result());
+        let now = expected.exception_set();
+        delta_eq(&tag, &delta, u, unit, &held, &now);
+        held = now;
     }
-    (auto, scalar)
+    engine
+}
+
+fn delta_eq(
+    label: &str,
+    delta: &UnitDelta,
+    unit: usize,
+    tuples: &[MTuple],
+    before: &BTreeSet<(CuboidSpec, CellKey)>,
+    after: &BTreeSet<(CuboidSpec, CellKey)>,
+) {
+    assert_eq!(delta.unit, unit as u64, "{label}: unit");
+    assert_eq!(delta.window, tuples[0].isb().interval(), "{label}: window");
+    let appeared: Vec<_> = after.difference(before).cloned().collect();
+    let cleared: Vec<_> = before.difference(after).cloned().collect();
+    assert_eq!(delta.appeared, appeared, "{label}: appeared");
+    assert_eq!(delta.cleared, cleared, "{label}: cleared");
 }
 
 /// Shifts every tuple's interval into unit `unit` (16 ticks per unit).
@@ -131,51 +238,56 @@ fn shift_window(tuples: &[MTuple], unit: i64) -> Vec<MTuple> {
         .collect()
 }
 
+/// `tuples` with every m-cell repeated `copies` times under fresh
+/// measures, round-robin: the batch arrives unsorted with each cell's
+/// rows spread across it, so the order a cell's rows fold in shows in
+/// its bits.
+fn with_repeats(seed: u64, tuples: &[MTuple], copies: usize) -> Vec<MTuple> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (start, end) = tuples[0].isb().interval();
+    (0..copies)
+        .flat_map(|_| tuples.iter())
+        .map(|t| {
+            let base = rng.random_range(0.0..4.0);
+            let slope = rng.random_range(-1.2..1.2);
+            MTuple::new(t.ids().to_vec(), Isb::new(start, end, base, slope).unwrap())
+        })
+        .collect()
+}
+
 #[test]
 fn kernel_and_scalar_paths_are_bit_identical_across_rollovers() {
     let (schema, layers, tuples) = dataset(600, 180);
     let policy = ExceptionPolicy::slope_threshold(0.3);
-    // Three units with shrinking tails.
-    let u1 = shift_window(&tuples[..60], 1);
+    // Three units with shrinking tails; the middle one repeats each of
+    // its 60 m-cells three times.
+    let u1 = with_repeats(602, &shift_window(&tuples[..60], 1), 3);
     let u2 = shift_window(&tuples[..7], 2);
     let units = [&tuples[..], &u1[..], &u2[..]];
-    let (auto, scalar) = replay_and_compare("rollover", &schema, &layers, &policy, &units);
-
-    // Dispatch accounting: each engine splits its folded rows across
-    // exactly the two counters; the forced engine never reports kernel
-    // rows, the auto engine folded its tier roll-up through them.
-    for (label, engine) in [("auto", &auto), ("scalar", &scalar)] {
-        let s = engine.stats();
-        assert_eq!(
-            s.rows_folded,
-            s.rows_folded_simd + s.rows_folded_scalar,
-            "{label}: counters must partition rows_folded"
-        );
-    }
-    assert_eq!(scalar.stats().rows_folded_simd, 0, "forced scalar");
-    assert!(
-        auto.stats().rows_folded_simd > 0,
-        "auto dispatch must reach the kernels on a synthetic lattice"
-    );
+    replay_and_compare("rollover", &schema, &layers, &policy, &units);
 }
 
 #[test]
 fn nan_noise_flows_through_both_paths_identically() {
     // NaN measures (a sensor stream gone bad) must neither qualify as
-    // exceptions nor perturb neighbours — identically on both paths,
-    // down to the propagated NaN bit patterns in the critical layers.
+    // exceptions nor perturb neighbours, down to the propagated NaN bit
+    // patterns in the critical layers.
     let (schema, layers, mut tuples) = dataset(601, 120);
     let policy = ExceptionPolicy::slope_threshold(0.3);
     for i in (0..tuples.len()).step_by(7) {
         let ids = tuples[i].ids().to_vec();
         tuples[i] = MTuple::new(ids, Isb::new(0, 15, f64::NAN, -f64::NAN).unwrap());
     }
-    let (auto, _) = replay_and_compare("nan", &schema, &layers, &policy, &[&tuples[..]]);
+    let engine = replay_and_compare("nan", &schema, &layers, &policy, &[&tuples[..]]);
     assert!(
-        auto.result().o_table().values().any(|m| m.slope().is_nan()),
+        engine
+            .result()
+            .o_table()
+            .values()
+            .any(|m| m.slope().is_nan()),
         "NaN noise must reach the o-layer for the pin to mean anything"
     );
-    for (_, _, m) in auto.result().iter_exceptions() {
+    for (_, _, m) in engine.result().iter_exceptions() {
         assert!(!m.slope().is_nan(), "NaN never qualifies as an exception");
     }
 }
@@ -183,16 +295,15 @@ fn nan_noise_flows_through_both_paths_identically() {
 #[test]
 fn overflow_guard_fires_identically_on_both_paths() {
     // 6 dimensions with ~4M leaves each overflow the dense u64 id
-    // space; the codec guard (shared by both paths — it fires before
-    // any kernel dispatch) must reject the m-layer identically.
+    // space; the codec guard must reject the m-layer.
     let schema = CubeSchema::synthetic(6, 2, 2048).unwrap();
     let m = CuboidSpec::new(vec![2; 6]);
     let layers = CriticalLayers::new(&schema, CuboidSpec::new(vec![0; 6]), m.clone()).unwrap();
     assert!(DenseCellCodec::new(&schema, &m).is_err());
-    // The codec guard fires at engine construction, before any kernel
-    // dispatch decision exists — no mode can route around it.
+    // The codec guard fires at engine construction, before any unit is
+    // folded.
     let policy = ExceptionPolicy::slope_threshold(0.5);
-    let err = columnar(KernelMode::Auto, &schema, &layers, &policy)
+    let err = columnar(&schema, &layers, &policy)
         .map(|_| ())
         .unwrap_err()
         .to_string();
@@ -206,6 +317,12 @@ struct RandomCube {
     fanout: u32,
     tuples: Vec<(Vec<u32>, f64, f64)>, // ids, base, slope
     threshold: f64,
+    /// A total depth (taken modulo the lattice's depth range) and its
+    /// threshold override.
+    depth_override: (u32, f64),
+    /// A cuboid (an index into the lattice, taken modulo its size) and
+    /// its threshold override.
+    cuboid_override: (usize, f64),
     chunk: usize,
 }
 
@@ -223,18 +340,26 @@ fn random_cube() -> impl Strategy<Value = RandomCube> {
                 Just(depth),
                 Just(fanout),
                 prop::collection::vec(tuple, 1..40),
-                0.0..2.0f64,
+                (
+                    0.0..2.0f64,
+                    (0u32..64, 0.0..2.0f64),
+                    (0usize..64, 0.0..2.0f64),
+                ),
                 1usize..9,
             )
         })
         .prop_map(
-            |(dims, depth, fanout, tuples, threshold, chunk)| RandomCube {
-                dims,
-                depth,
-                fanout,
-                tuples,
-                threshold,
-                chunk,
+            |(dims, depth, fanout, tuples, (threshold, depth_override, cuboid_override), chunk)| {
+                RandomCube {
+                    dims,
+                    depth,
+                    fanout,
+                    tuples,
+                    threshold,
+                    depth_override,
+                    cuboid_override,
+                    chunk,
+                }
             },
         )
 }
@@ -242,9 +367,10 @@ fn random_cube() -> impl Strategy<Value = RandomCube> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The parity law itself, on random cubes: for any schema shape,
-    /// data, threshold and unit size, auto dispatch and
-    /// forced scalar produce bit-identical cubes and deltas.
+    /// The oracle law itself, on random cubes: for any schema shape,
+    /// data, unit size and policy — a cube-wide threshold with a
+    /// per-depth and a per-cuboid override on top — the columnar engine
+    /// builds the oracle's cubes and deltas bit for bit.
     #[test]
     fn kernel_dispatch_never_changes_a_bit(rc in random_cube()) {
         let schema = CubeSchema::synthetic(rc.dims, rc.depth, rc.fanout).unwrap();
@@ -264,17 +390,16 @@ proptest! {
                 MTuple::new(ids.clone(), Isb::new(start, start + 9, *base, *slope).unwrap())
             })
             .collect();
-        let policy = ExceptionPolicy::slope_threshold(rc.threshold);
-        let mut auto = columnar(KernelMode::Auto, &schema, &layers, &policy).unwrap();
-        let mut scalar = columnar(KernelMode::Scalar, &schema, &layers, &policy).unwrap();
-        for unit in tuples.chunks(rc.chunk) {
-            let da = auto.ingest_unit(unit).unwrap();
-            let ds = scalar.ingest_unit(unit).unwrap();
-            deltas_eq("prop", &da, &ds);
-            results_bit_eq("prop", auto.result(), scalar.result());
-        }
-        prop_assert_eq!(scalar.stats().rows_folded_simd, 0);
-        let s = auto.stats();
-        prop_assert_eq!(s.rows_folded, s.rows_folded_simd + s.rows_folded_scalar);
+        let cuboids = layers.lattice().bottom_up_order();
+        let (depth, depth_threshold) = rc.depth_override;
+        let (pick, cuboid_threshold) = rc.cuboid_override;
+        let max_depth = rc.dims as u32 * u32::from(rc.depth);
+        let policy = ExceptionPolicy::slope_threshold(rc.threshold)
+            .with_depth_threshold(depth % (max_depth + 1), depth_threshold)
+            .unwrap()
+            .with_cuboid_threshold(cuboids[pick % cuboids.len()].clone(), cuboid_threshold)
+            .unwrap();
+        let units: Vec<&[MTuple]> = tuples.chunks(rc.chunk).collect();
+        replay_and_compare("prop", &schema, &layers, &policy, &units);
     }
 }

@@ -11,17 +11,16 @@
 //! On random balanced and ragged schemas, random m-layers and tuples
 //! that repeat m-cells in shuffled arrival order, the direct fold must
 //! build the same m-table — the same keys in the same iteration order
-//! with the same ISB bits, and the same `Folded` count — and
+//! with the same ISB bits, and the same folded-row count — and
 //! `MoCubingEngine` must compute the same cube, bit for bit, as
 //! Algorithm 1's roll-up does on top of the H-tree's m-table.
 
 use proptest::prelude::*;
-use regcube_core::kernel::KernelMode;
 use regcube_core::measure::merge_sibling;
 use regcube_core::prelude::*;
 use regcube_core::stats::MemoryAccountant;
 use regcube_core::table::{
-    aggregate_from, collect_exceptions, table_bytes, CuboidTable, Folded, TableStorage,
+    aggregate_from, collect_exceptions, table_bytes, CuboidTable, TableStorage,
 };
 use regcube_core::{CoreError, Result};
 use regcube_olap::cell::CellKey;
@@ -35,9 +34,8 @@ fn htree_from_tuples(
     schema: &CubeSchema,
     layers: &CriticalLayers,
     tuples: &[MTuple],
-    _kernel: KernelMode,
     mem: &mut MemoryAccountant,
-) -> Result<(CuboidTable, Folded)> {
+) -> Result<(CuboidTable, u64)> {
     let lattice = layers.lattice();
     let attrs = attrs_by_cardinality(schema, lattice);
     let mut tree: HTree<Isb> = HTree::new(attrs)?;
@@ -68,11 +66,7 @@ fn htree_from_tuples(
     mem.add(tree_bytes);
     mem.add(table_bytes(&m_table, schema.num_dims()));
     mem.remove(tree_bytes);
-    let folded = Folded {
-        rows: tuples.len() as u64,
-        kernel: false,
-    };
-    Ok((m_table, folded))
+    Ok((m_table, tuples.len() as u64))
 }
 
 /// `HTree::for_each_leaf`: every childless non-root node, in arena
@@ -276,15 +270,12 @@ proptest! {
     #[test]
     fn the_direct_fold_is_the_htree_build(rf in random_fold()) {
         let (schema, layers, tuples, policy) = build(&rf);
-        let kernel = KernelMode::Auto;
         let (oracle, oracle_folded) =
-            htree_from_tuples(&schema, &layers, &tuples, kernel, &mut MemoryAccountant::new())
-                .unwrap();
+            htree_from_tuples(&schema, &layers, &tuples, &mut MemoryAccountant::new()).unwrap();
         let (direct, direct_folded) = <CuboidTable as TableStorage>::from_tuples(
             &schema,
             &layers,
             &tuples,
-            kernel,
             &mut MemoryAccountant::new(),
         )
         .unwrap();

@@ -12,7 +12,7 @@ use regcube_stream::{EngineConfig, RawRecord};
 use regcube_tilt::TiltSpec;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 const TPU: usize = 4;
@@ -83,14 +83,20 @@ fn stress(backend: Backend) {
     let reader = server.reader(&id).unwrap();
 
     let stop = Arc::new(AtomicBool::new(false));
+    // Every reader is running before the writer starts, and each loads
+    // at least once before it checks `stop`: the writer may otherwise
+    // close every unit before a reader is first scheduled.
+    let start = Arc::new(Barrier::new(READERS + 1));
     let handles: Vec<_> = (0..READERS)
         .map(|_| {
             let reader = reader.clone();
             let stop = Arc::clone(&stop);
+            let start = Arc::clone(&start);
             thread::spawn(move || {
                 let mut observed: Vec<(u64, String)> = Vec::new();
                 let mut last_epoch = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                start.wait();
+                loop {
                     let snap = reader.snapshot();
                     assert!(
                         snap.epoch() >= last_epoch,
@@ -100,6 +106,9 @@ fn stress(backend: Backend) {
                     );
                     last_epoch = snap.epoch();
                     observed.push((snap.epoch(), snap.canonical_text()));
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
                     thread::yield_now();
                 }
                 observed
@@ -108,6 +117,7 @@ fn stress(backend: Backend) {
         .collect();
 
     // The writer: live ingest through the server while readers hammer.
+    start.wait();
     for unit in 0..UNITS {
         for record in unit_records(unit) {
             server.ingest(&id, &record).unwrap();

@@ -79,18 +79,6 @@ pub struct UnitReport {
     /// sink never fails the unit — the cube is already updated when
     /// sinks run, so each error is surfaced exactly once, here.
     pub sink_errors: Vec<SinkError>,
-    /// Source rows the unit's cubing folded through the chunked kernel
-    /// layer (blocked LUT projection + run folds). Zero for row
-    /// backends, empty units, and when the scalar
-    /// fallback is forced. See
-    /// [`RunStats::rows_folded_simd`](regcube_core::RunStats).
-    pub rows_folded_simd: u64,
-    /// Source rows the unit's cubing folded through the scalar per-row
-    /// path. For the columnar backend
-    /// `rows_folded_simd + rows_folded_scalar` equals the unit's total
-    /// folded rows. See
-    /// [`RunStats::rows_folded_scalar`](regcube_core::RunStats).
-    pub rows_folded_scalar: u64,
     /// Late-record corrections applied to the warehoused tilt frames
     /// since the previous report (watermark mode only — see
     /// [`EngineConfig::with_reordering`]). Also fanned out to the alarm
@@ -847,8 +835,6 @@ impl<E: CubingEngine> OnlineEngine<E> {
                 recompute_time: Duration::ZERO,
                 cube_delta: None,
                 sink_errors,
-                rows_folded_simd: 0,
-                rows_folded_scalar: 0,
                 late_amendments,
                 alarm_revisions,
                 late_dropped,
@@ -923,7 +909,6 @@ impl<E: CubingEngine> OnlineEngine<E> {
             .reorder
             .as_mut()
             .map_or(0, ReorderState::take_dropped_since_report);
-        let cubing_stats = self.cubing.stats();
         self.last_alarms = alarms.clone();
         self.last_closed_unit = Some(unit);
         Ok(UnitReport {
@@ -934,8 +919,6 @@ impl<E: CubingEngine> OnlineEngine<E> {
             recompute_time,
             cube_delta: Some(delta),
             sink_errors,
-            rows_folded_simd: cubing_stats.rows_folded_simd,
-            rows_folded_scalar: cubing_stats.rows_folded_scalar,
             late_amendments,
             alarm_revisions,
             late_dropped,

@@ -81,14 +81,8 @@ fn arrivals() -> Vec<RawRecord> {
 fn report_bits(r: &UnitReport) -> String {
     assert!(r.sink_errors.is_empty());
     let mut out = format!(
-        "unit {} m {} exc {} dropped {} epoch {} kernel {} scalar {}\n",
-        r.unit,
-        r.m_cells,
-        r.exception_cells,
-        r.late_dropped,
-        r.snapshot_epoch,
-        r.rows_folded_simd,
-        r.rows_folded_scalar
+        "unit {} m {} exc {} dropped {} epoch {}\n",
+        r.unit, r.m_cells, r.exception_cells, r.late_dropped, r.snapshot_epoch
     );
     for alarm in &r.alarms {
         let m = &alarm.measure;

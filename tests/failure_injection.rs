@@ -408,7 +408,7 @@ fn sixteen_cells() -> Vec<MTuple> {
     cells
 }
 
-fn columnar_engine(kernel: regcube::core::KernelMode) -> MoCubingEngine {
+fn columnar_engine() -> MoCubingEngine {
     let schema = CubeSchema::synthetic(2, 2, 2).unwrap();
     let layers = CriticalLayers::new(
         &schema,
@@ -419,14 +419,13 @@ fn columnar_engine(kernel: regcube::core::KernelMode) -> MoCubingEngine {
     MoCubingEngine::new(schema, layers, ExceptionPolicy::slope_threshold(0.4))
         .and_then(|e| e.with_backend(Backend::Columnar))
         .unwrap()
-        .with_kernel_mode(kernel)
 }
 
 #[test]
 fn columnar_rollover_replaces_the_held_unit() {
     // A rollover unit with one active cell must not leak the previous
     // window's cells into the columnar engine's cube.
-    let mut engine = columnar_engine(regcube::core::KernelMode::Auto);
+    let mut engine = columnar_engine();
     engine.ingest_unit(&sixteen_cells()).unwrap();
     assert_eq!(engine.result().m_layer_cells(), 16);
     let before: Vec<(CuboidSpec, CellKey)> = engine
@@ -455,24 +454,19 @@ fn columnar_rollover_replaces_the_held_unit() {
 
 #[test]
 fn forced_scalar_fallback_survives_a_rollover() {
-    use regcube::core::KernelMode;
-    // Kernel dispatch is a pure perf decision: with the chunked kernels
-    // forced off (`KernelMode::Scalar`), the columnar engine weathers
-    // the same rollover with a bit-identical cube — and honestly
-    // reports zero kernel rows.
-    let mut auto = columnar_engine(KernelMode::Auto);
-    let mut scalar = columnar_engine(KernelMode::Scalar);
+    // A rollover leaves nothing of the closed window in the fold: the
+    // engine that cubed the sixteen cells first holds, bit for bit, the
+    // cube of a fresh engine fed only the rollover batch.
+    let mut rolled = columnar_engine();
+    let mut fresh = columnar_engine();
     let next = vec![MTuple::new(vec![1, 2], Isb::new(10, 19, 1.0, 0.7).unwrap())];
-    for batch in [&sixteen_cells(), &next] {
-        let da = auto.ingest_unit(batch).unwrap();
-        let ds = scalar.ingest_unit(batch).unwrap();
-        assert_eq!(da.appeared, ds.appeared);
-        assert_eq!(da.cleared, ds.cleared);
-    }
-    assert_eq!(scalar.result().m_layer_cells(), 1, "old unit replaced");
+    rolled.ingest_unit(&sixteen_cells()).unwrap();
+    rolled.ingest_unit(&next).unwrap();
+    fresh.ingest_unit(&next).unwrap();
+    assert_eq!(rolled.result().m_layer_cells(), 1, "old unit replaced");
     for (table, other) in [
-        (auto.result().m_table(), scalar.result().m_table()),
-        (auto.result().o_table(), scalar.result().o_table()),
+        (rolled.result().m_table(), fresh.result().m_table()),
+        (rolled.result().o_table(), fresh.result().o_table()),
     ] {
         assert_eq!(table.len(), other.len());
         for (key, m) in table {
@@ -481,14 +475,16 @@ fn forced_scalar_fallback_survives_a_rollover() {
             assert_eq!(m.base().to_bits(), s.base().to_bits(), "{key}");
         }
     }
-    // Dispatch counters: the forced engine never touched the kernels,
-    // and both engines partition rows_folded across the two counters.
-    assert_eq!(scalar.stats().rows_folded_simd, 0);
-    assert!(scalar.stats().rows_folded_scalar > 0);
-    for engine in [&auto, &scalar] {
-        let s = engine.stats();
-        assert_eq!(s.rows_folded, s.rows_folded_simd + s.rows_folded_scalar);
-    }
+    let exceptions = |engine: &MoCubingEngine| {
+        let mut cells: Vec<(CuboidSpec, CellKey)> = engine
+            .result()
+            .iter_exceptions()
+            .map(|(c, k, _)| (c.clone(), k.clone()))
+            .collect();
+        cells.sort_unstable();
+        cells
+    };
+    assert_eq!(exceptions(&rolled), exceptions(&fresh));
 }
 
 #[test]
