@@ -91,7 +91,16 @@ impl ExceptionPolicy {
     /// Tests a cell measure in `cuboid` against the effective threshold.
     #[inline]
     pub fn is_exception(&self, cuboid: &CuboidSpec, measure: &Isb) -> bool {
-        exception_score(measure) >= self.threshold_for(cuboid)
+        Self::is_exception_at(self.threshold_for(cuboid), measure)
+    }
+
+    /// Tests a cell measure against a threshold already resolved with
+    /// [`threshold_for`](Self::threshold_for) — the same test as
+    /// [`is_exception`](Self::is_exception), for loops that screen a
+    /// whole cuboid.
+    #[inline]
+    pub fn is_exception_at(threshold: f64, measure: &Isb) -> bool {
+        exception_score(measure) >= threshold
     }
 }
 

@@ -29,19 +29,44 @@
 //! critical layers + exception cells: each depth tier's full tables
 //! are dropped as soon as the next tier is built, like the original
 //! batch algorithm.
+//!
+//! **Recurring units.** In the paper's setting a fixed population of
+//! streams reports every unit, and the stream layer hands each unit's
+//! tuples over sorted by key, so unit after unit arrives with the same
+//! key sequence and only the measures change. On the row layout the
+//! roll-up is then the same every unit: a table's iteration order
+//! follows from its keys and their insertion sequence, so which rows
+//! fold into which target, in which order, and where each target sits
+//! is fixed by the key sequence. The engine compares each unit's key
+//! sequence with the held unit's. When a sequence repeats, it reads a
+//! *roll-up plan* off the cold unit's finished tables: for every step,
+//! the source it is folded from and, per source row in iteration order,
+//! the index of its target row in the target's iteration order. From
+//! the third consecutive unit of the sequence on, it replays that plan
+//! instead of hashing: each target folds the same rows in the same order
+//! (the first copied, the rest through [`merge_sibling`]), the critical
+//! layers are clones of the held unit's tables — same buckets — with
+//! their values overwritten in iteration order, and exception stores are
+//! filled in target iteration order. The cold fold stays the only
+//! definition of order, and a replayed unit is the cold unit bit for bit,
+//! statistics included (but `elapsed`). A unit with any other key
+//! sequence drops the plan and runs cold; the columnar layout always
+//! runs cold.
 
 use crate::columnar::ColumnarTable;
 use crate::engine::{empty_result, next_window, unshare_result, Backend, CubingEngine, UnitDelta};
 use crate::exception::ExceptionPolicy;
 use crate::layers::CriticalLayers;
-use crate::measure::{validate_tuples, MTuple};
+use crate::measure::{merge_sibling, validate_tuples, MTuple};
 use crate::pool::WorkerPool;
 use crate::result::{Algorithm, CubeResult};
 use crate::stats::{MemoryAccountant, RunStats};
-use crate::table::{table_bytes, CuboidTable, TableStorage};
+use crate::table::{table_bytes, CuboidTable, Projector, TableStorage};
 use crate::Result;
+use regcube_olap::cell::CellKey;
 use regcube_olap::fxhash::FxHashMap;
 use regcube_olap::{CubeSchema, CuboidSpec};
+use regcube_regress::Isb;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -59,6 +84,9 @@ use std::time::Instant;
 /// the cheaper layout; the next power of two leaves a margin for the
 /// uneven split of real tiers. Below it — a quiet tenant's 16-row unit —
 /// the hand-off is several times the work it hands off.
+///
+/// These costs are the cold roll-up's; a replayed unit (see the module
+/// docs) folds on the caller's thread and never reaches the pool.
 const FAN_OUT_MIN_ROWS: usize = 4096;
 
 /// Groups every cuboid strictly above the m-layer into depth *tiers*
@@ -132,6 +160,11 @@ pub struct MoCubingEngine {
     pool: Option<Arc<WorkerPool>>,
     window: Option<(i64, i64)>,
     units_opened: u64,
+    /// Units computed by replaying a roll-up plan rather than cold.
+    units_replayed: u64,
+    /// The held unit's key sequence, and its roll-up plan once it
+    /// recurred (row layout only).
+    recurrence: Recurrence,
     /// Shared with every snapshot taken of the held unit.
     result: Arc<CubeResult>,
 }
@@ -156,6 +189,8 @@ impl MoCubingEngine {
             pool: None,
             window: None,
             units_opened: 0,
+            units_replayed: 0,
+            recurrence: Recurrence::default(),
             result,
         })
     }
@@ -188,6 +223,7 @@ impl MoCubingEngine {
             Backend::Columnar => ColumnarTable::check_lattice(&self.schema, &self.layers)?,
         }
         self.backend = backend;
+        self.recurrence = Recurrence::default();
         Ok(self)
     }
 
@@ -218,6 +254,13 @@ impl MoCubingEngine {
         unshare_result(self.result)
     }
 
+    /// How many units this engine computed by replaying a roll-up plan
+    /// instead of cold. A probe for tests; not part of the stable API.
+    #[doc(hidden)]
+    pub fn units_replayed(&self) -> u64 {
+        self.units_replayed
+    }
+
     /// One unit, on layout `T` — the whole of
     /// [`ingest_unit`](CubingEngine::ingest_unit) behind the backend
     /// dispatch: validate, compute the unit beside the held one, diff
@@ -225,7 +268,13 @@ impl MoCubingEngine {
     fn ingest_on<T: TableStorage>(&mut self, tuples: &[MTuple]) -> Result<UnitDelta> {
         validate_tuples(&self.schema, self.layers.lattice().m_layer(), tuples)?;
         let window = next_window(self.window, tuples)?;
-        let result = self.open_unit::<T>(tuples)?;
+        let recurs = self.backend == Backend::Row && self.recurrence.recurs(tuples);
+        let plan = self.recurrence.plan.as_ref().filter(|_| recurs);
+        let replayed = plan.is_some();
+        let (result, captured) = match plan {
+            Some(plan) => (self.replay_unit(plan, tuples)?, None),
+            None => self.open_unit::<T>(tuples, recurs)?,
+        };
         // The held unit's exceptions that do not recur come back as
         // cleared, so appeared/cleared consumers can maintain a live
         // alarm set across units.
@@ -239,12 +288,26 @@ impl MoCubingEngine {
         self.window = Some(window);
         self.units_opened += 1;
         self.result = Arc::new(result);
+        // The plan state follows the committed unit only.
+        if replayed {
+            self.units_replayed += 1;
+        } else if recurs {
+            self.recurrence.plan = captured;
+        } else if self.backend == Backend::Row {
+            self.recurrence.restart(tuples);
+        }
         Ok(delta)
     }
 
     /// Computes one unit (the batch algorithm) without touching the
-    /// held one: the finished result, statistics included.
-    fn open_unit<T: TableStorage>(&self, tuples: &[MTuple]) -> Result<CubeResult> {
+    /// held one: the finished result, statistics included, and — when
+    /// asked to `capture` on the row layout — the roll-up plan read off
+    /// the unit's finished tables.
+    fn open_unit<T: TableStorage>(
+        &self,
+        tuples: &[MTuple],
+        capture: bool,
+    ) -> Result<(CubeResult, Option<RollUpPlan>)> {
         let started = Instant::now();
         let dims = self.schema.num_dims();
         let mut work = UnitWork::default();
@@ -252,24 +315,104 @@ impl MoCubingEngine {
         // Step 1: one scan of the batch into the m-layer.
         let (m_table, rows) = T::from_tuples(&self.schema, &self.layers, tuples, &mut work.mem)?;
         work.count_cuboid(rows, m_table.len());
+        let mut capture = (capture && tuples.len() < FIRST as usize)
+            .then(|| PlanCapture::new(tuples, &m_table, dims));
 
         // Step 2: the rest of the lattice. The m-table is shared with
         // pool workers, so it travels behind an `Arc` and is unwrapped —
         // moved, on the row layout — into the result after.
         let m_table = Arc::new(m_table);
-        let (o_table, exceptions) = self.compute_uppers(&mut work, &m_table)?;
+        let (o_table, exceptions) = self.compute_uppers(&mut work, &m_table, capture.as_mut())?;
         let m_table = Arc::try_unwrap(m_table).unwrap_or_else(|shared| (*shared).clone());
         let m_table = m_table.into_row_table(dims, &mut work.mem);
 
-        // Retention: critical layers + exceptions.
-        let UnitWork { mut stats, mem } = work;
+        let UnitWork { stats, mem } = work;
+        let o_spec = self.layers.lattice().o_layer();
+        let plan = capture.map(|capture| capture.finish(o_spec));
+        let result = self.retain(started, stats, &mem, m_table, o_table, exceptions);
+        Ok((result, plan))
+    }
+
+    /// Recomputes a unit whose key sequence is `plan`'s — the held
+    /// unit's — by replaying the plan's index maps over the unit's
+    /// measures: no key is hashed or projected except an exceptional
+    /// cell's. Every target row folds the same rows in the same order as
+    /// the cold roll-up (the first copied, the rest through
+    /// [`merge_sibling`]), the critical layers are the held unit's tables
+    /// with their values overwritten in iteration order, and exception
+    /// stores are filled in target iteration order, so the result —
+    /// statistics too, but `elapsed` — is the cold computation's.
+    fn replay_unit(&self, plan: &RollUpPlan, tuples: &[MTuple]) -> Result<CubeResult> {
+        let started = Instant::now();
+        let dims = self.schema.num_dims();
+        let m_spec = self.layers.lattice().m_layer();
+        let o_spec = self.layers.lattice().o_layer();
+        let mut mem = MemoryAccountant::default();
+
+        // values[0] is the m-layer's; values[k + 1] is step k's target.
+        let mut values = Vec::with_capacity(plan.steps.len() + 1);
+        values.push(fold_indexed(
+            tuples.iter().map(MTuple::isb),
+            &plan.m_of,
+            plan.m_rows,
+        )?);
+        mem.add(plan.m_bytes);
+        let m_table = overwrite(self.result.m_table(), &values[0]);
+
+        let mut o_values = Vec::new();
+        let mut exceptions: FxHashMap<CuboidSpec, CuboidTable> = FxHashMap::default();
+        for step in &plan.steps {
+            let folded = fold_indexed(values[step.source].iter(), &step.target_of, step.rows)?;
+            mem.add(step.bytes);
+            if step.frees_source {
+                values[step.source] = Vec::new();
+            }
+            if step.cuboid == *o_spec {
+                o_values = folded;
+                values.push(Vec::new());
+            } else {
+                let exc = step.exceptions(&self.schema, m_spec, &self.policy, tuples, &folded);
+                if !exc.is_empty() {
+                    mem.add(table_bytes(&exc, dims));
+                    exceptions.insert(step.cuboid.clone(), exc);
+                }
+                values.push(if step.read_later { folded } else { Vec::new() });
+            }
+            mem.remove(step.retire);
+        }
+        let o_table = overwrite(self.result.o_table(), &o_values);
+        // The held unit has the plan's key sequence, so it folded the
+        // same rows into the same cells.
+        let held = self.result.stats();
+        let counters = RunStats {
+            rows_folded: held.rows_folded,
+            cells_computed: held.cells_computed,
+            cuboids_computed: held.cuboids_computed,
+            ..RunStats::default()
+        };
+        Ok(self.retain(started, counters, &mem, m_table, o_table, exceptions))
+    }
+
+    /// Assembles a finished unit's result — critical layers +
+    /// exceptions — and completes `stats` (the cube counters) with what
+    /// is retained and when it finished.
+    fn retain(
+        &self,
+        started: Instant,
+        mut stats: RunStats,
+        mem: &MemoryAccountant,
+        m_table: CuboidTable,
+        o_table: CuboidTable,
+        exceptions: FxHashMap<CuboidSpec, CuboidTable>,
+    ) -> CubeResult {
+        let dims = self.schema.num_dims();
         let retained = || [&m_table, &o_table].into_iter().chain(exceptions.values());
         stats.exception_cells = exceptions.values().map(|t| t.len() as u64).sum();
         stats.cells_retained = retained().map(|t| t.len() as u64).sum();
         stats.retained_bytes = retained().map(|t| table_bytes(t, dims)).sum();
         stats.peak_bytes = mem.peak();
         stats.elapsed = started.elapsed();
-        let result = CubeResult::new(
+        CubeResult::new(
             self.layers.clone(),
             self.policy.clone(),
             Algorithm::MoCubing,
@@ -278,8 +421,7 @@ impl MoCubingEngine {
             exceptions,
             FxHashMap::default(),
             stats,
-        );
-        Ok(result)
+        )
     }
 
     /// Computes every cuboid above the m-layer bottom-up in depth
@@ -289,11 +431,13 @@ impl MoCubingEngine {
     /// the attached [`WorkerPool`] and merged back in lattice order —
     /// the parallel hot path of the roll-up. Returns the o-layer table
     /// and the exception stores; between-layer full tables are dropped
-    /// as soon as the next tier no longer needs them.
+    /// as soon as the next tier no longer needs them. A `capture` reads
+    /// each finished table into the roll-up plan before it goes.
     fn compute_uppers<T: TableStorage>(
         &self,
         work: &mut UnitWork,
         m_table: &Arc<T>,
+        mut capture: Option<&mut PlanCapture>,
     ) -> Result<(CuboidTable, FxHashMap<CuboidSpec, CuboidTable>)> {
         let dims = self.schema.num_dims();
         let m_spec = self.layers.lattice().m_layer().clone();
@@ -322,13 +466,26 @@ impl MoCubingEngine {
                     }
                 })
                 .collect();
+            // A capture reads each cuboid's source after the tier folds.
+            let sources: Vec<(CuboidSpec, Arc<T>)> = match capture {
+                Some(_) => plans
+                    .iter()
+                    .map(|plan| (plan.source.clone(), Arc::clone(&plan.table)))
+                    .collect(),
+                None => Vec::new(),
+            };
 
             let mut next_cache: FxHashMap<CuboidSpec, Arc<T>> = FxHashMap::default();
             // The i-th result is the i-th cuboid's table.
-            for (cuboid, item) in tier.into_iter().zip(self.compute_tier(plans)) {
+            for (i, (cuboid, item)) in tier.into_iter().zip(self.compute_tier(plans)).enumerate() {
                 let (full, rows) = item?;
                 work.count_cuboid(rows, full.len());
-                work.mem.add(full.approx_bytes(dims));
+                let bytes = full.approx_bytes(dims);
+                work.mem.add(bytes);
+                if let Some(capture) = capture.as_deref_mut() {
+                    let (source, table) = &sources[i];
+                    capture.step(&self.schema, source, &**table, &cuboid, &full, bytes);
+                }
 
                 if cuboid == o_spec {
                     o_table = full.into_row_table(dims, &mut work.mem);
@@ -342,7 +499,10 @@ impl MoCubingEngine {
                 next_cache.insert(cuboid, Arc::new(full));
             }
             // The old tier is no longer reachable as a source.
-            retire_tier(&mut work.mem, &cache, dims);
+            let retired = retire_tier(&mut work.mem, &cache, dims);
+            if let Some(capture) = capture.as_deref_mut() {
+                capture.retire(retired);
+            }
             cache = next_cache;
         }
         retire_tier(&mut work.mem, &cache, dims);
@@ -384,15 +544,298 @@ impl MoCubingEngine {
     }
 }
 
-/// Books a finished tier's tables out of the analytical memory; the
-/// caller drops them.
+/// Books a finished tier's tables out of the analytical memory and
+/// returns their bytes; the caller drops them.
 fn retire_tier<T: TableStorage>(
     mem: &mut MemoryAccountant,
     tier: &FxHashMap<CuboidSpec, Arc<T>>,
     dims: usize,
-) {
-    for table in tier.values() {
-        mem.remove(table.approx_bytes(dims));
+) -> usize {
+    let bytes = tier.values().map(|table| table.approx_bytes(dims)).sum();
+    mem.remove(bytes);
+    bytes
+}
+
+/// Flags a `target_of` entry whose source row is the first to reach its
+/// target row: a replay copies that row, as the cold fold inserts it,
+/// and merges every later one.
+const FIRST: u32 = 1 << 31;
+
+/// The last committed unit's m-tuple key sequence, and the roll-up plan
+/// once a unit repeated it.
+///
+/// `Ingestor::close_unit` emits a unit's tuples sorted by key, so a
+/// fixed population of streams hands the engine the same key sequence
+/// every unit. The row layout's roll-up is then the same every unit —
+/// which rows fold into which, in which order, into which table layout
+/// — and only the measures differ.
+#[derive(Debug, Clone, Default)]
+struct Recurrence {
+    /// The last unit's tuples' ids, concatenated in arrival order. Every
+    /// tuple carries one id per dimension, so equal concatenations mean
+    /// equal tuple counts.
+    keys: Vec<u32>,
+    /// Present only while every unit since it was captured had `keys`.
+    plan: Option<RollUpPlan>,
+}
+
+impl Recurrence {
+    /// Whether `tuples` carry exactly the last unit's key sequence.
+    fn recurs(&self, tuples: &[MTuple]) -> bool {
+        tuples.iter().flat_map(MTuple::ids).eq(&self.keys)
+    }
+
+    /// Records a unit that broke the sequence: its keys become the ones
+    /// to repeat, and the plan (another sequence's) goes.
+    fn restart(&mut self, tuples: &[MTuple]) {
+        self.keys.clear();
+        self.keys.extend(tuples.iter().flat_map(MTuple::ids));
+        self.plan = None;
+    }
+}
+
+/// A row-layout unit's roll-up as index maps, read off a cold unit's
+/// finished tables by [`PlanCapture`]. Replaying it on a unit with the
+/// same key sequence folds the same rows into the same targets in the
+/// same order, without hashing.
+#[derive(Debug, Clone)]
+struct RollUpPlan {
+    /// The m-row, in m-table iteration order, each tuple folds into
+    /// ([`FIRST`]-flagged).
+    m_of: Vec<u32>,
+    m_rows: usize,
+    /// The m-table's analytical bytes.
+    m_bytes: usize,
+    /// One step per cuboid above the m-layer, in tier order.
+    steps: Vec<PlanStep>,
+}
+
+/// One cuboid of a [`RollUpPlan`].
+#[derive(Debug, Clone)]
+struct PlanStep {
+    cuboid: CuboidSpec,
+    /// The values this step folds: 0 for the m-layer, `k + 1` for step
+    /// `k`'s target.
+    source: usize,
+    /// For each source row, in the source table's iteration order, its
+    /// target row's index in the target table's iteration order
+    /// ([`FIRST`]-flagged).
+    target_of: Vec<u32>,
+    rows: usize,
+    /// For each target row, a tuple whose m-key projects onto the row's
+    /// key. Empty for the o-layer, whose keys are in its table.
+    rep: Vec<u32>,
+    /// The full table's analytical bytes.
+    bytes: usize,
+    /// Bytes the cold roll-up retires after this step: the previous
+    /// tier's, on the last step of a tier.
+    retire: usize,
+    /// No later step reads this step's source.
+    frees_source: bool,
+    /// A later step reads this step's target.
+    read_later: bool,
+}
+
+impl PlanStep {
+    /// The exceptional rows among a replay's `values`, keyed by their
+    /// representative tuple's m-key projected onto the cuboid and
+    /// inserted in target iteration order, as [`collect_exceptions`]
+    /// does on the cold path.
+    ///
+    /// [`collect_exceptions`]: crate::table::collect_exceptions
+    fn exceptions(
+        &self,
+        schema: &CubeSchema,
+        m_spec: &CuboidSpec,
+        policy: &ExceptionPolicy,
+        tuples: &[MTuple],
+        values: &[Isb],
+    ) -> CuboidTable {
+        let threshold = policy.threshold_for(&self.cuboid);
+        let mut exc = CuboidTable::default();
+        let mut projector = None;
+        let mut key = vec![0u32; schema.num_dims()];
+        for (isb, &rep) in values.iter().zip(&self.rep) {
+            if ExceptionPolicy::is_exception_at(threshold, isb) {
+                projector
+                    .get_or_insert_with(|| Projector::new(schema, m_spec, &self.cuboid))
+                    .project_into(tuples[rep as usize].ids(), &mut key);
+                exc.insert(CellKey::new(&key), *isb);
+            }
+        }
+        exc
+    }
+}
+
+/// Folds `source` rows into `rows` target rows by a plan's `target_of`
+/// map: a [`FIRST`]-flagged row is copied, every other merged with
+/// [`merge_sibling`], in source order.
+fn fold_indexed<'a>(
+    source: impl Iterator<Item = &'a Isb>,
+    target_of: &[u32],
+    rows: usize,
+) -> Result<Vec<Isb>> {
+    let mut source = source.peekable();
+    let Some(&&fill) = source.peek() else {
+        return Ok(Vec::new());
+    };
+    // Every slot is written by its first row before any merge reads it.
+    let mut out = vec![fill; rows];
+    for (isb, &to) in source.zip(target_of) {
+        let slot = &mut out[(to & !FIRST) as usize];
+        if to & FIRST != 0 {
+            *slot = *isb;
+        } else {
+            merge_sibling(slot, isb)?;
+        }
+    }
+    Ok(out)
+}
+
+/// A copy of `table` — same buckets, so the same iteration order —
+/// holding `values` in iteration order.
+fn overwrite(table: &CuboidTable, values: &[Isb]) -> CuboidTable {
+    debug_assert_eq!(table.len(), values.len());
+    let mut out = table.clone();
+    for (slot, value) in out.values_mut().zip(values) {
+        *slot = *value;
+    }
+    out
+}
+
+/// Each row's index in a finished table's iteration order.
+fn row_index<T: TableStorage>(table: &T) -> FxHashMap<CellKey, u32> {
+    let mut index = FxHashMap::default();
+    index.reserve(table.len());
+    table
+        .try_for_each_cell(|ids, _| {
+            index.insert(CellKey::new(ids), index.len() as u32);
+            Ok(())
+        })
+        .expect("indexing never fails");
+    index
+}
+
+/// Links source rows to target rows in source order, flagging each
+/// target's first row and keeping its representative tuple.
+struct Linker {
+    target_of: Vec<u32>,
+    rep: Vec<u32>,
+}
+
+impl Linker {
+    fn new(sources: usize, rows: usize) -> Self {
+        Linker {
+            target_of: Vec::with_capacity(sources),
+            rep: vec![u32::MAX; rows],
+        }
+    }
+
+    fn link(&mut self, row: u32, rep: u32) {
+        let first = &mut self.rep[row as usize];
+        if *first == u32::MAX {
+            *first = rep;
+            self.target_of.push(row | FIRST);
+        } else {
+            self.target_of.push(row);
+        }
+    }
+}
+
+/// Builds a [`RollUpPlan`] during a cold unit, from each table the
+/// moment it is finished.
+struct PlanCapture {
+    plan: RollUpPlan,
+    /// The m-layer's representative tuple per m-row.
+    m_rep: Vec<u32>,
+    /// The values slot of each cuboid captured so far.
+    slots: FxHashMap<CuboidSpec, usize>,
+}
+
+impl PlanCapture {
+    fn new<T: TableStorage>(tuples: &[MTuple], m_table: &T, dims: usize) -> Self {
+        let index = row_index(m_table);
+        let mut linker = Linker::new(tuples.len(), m_table.len());
+        for (i, t) in tuples.iter().enumerate() {
+            linker.link(index[t.ids()], i as u32);
+        }
+        PlanCapture {
+            plan: RollUpPlan {
+                m_of: linker.target_of,
+                m_rows: m_table.len(),
+                m_bytes: m_table.approx_bytes(dims),
+                steps: Vec::new(),
+            },
+            m_rep: linker.rep,
+            slots: FxHashMap::default(),
+        }
+    }
+
+    /// Captures one cuboid: `full` was folded from `table`, the finished
+    /// table of `source`.
+    fn step<T: TableStorage>(
+        &mut self,
+        schema: &CubeSchema,
+        source: &CuboidSpec,
+        table: &T,
+        cuboid: &CuboidSpec,
+        full: &T,
+        bytes: usize,
+    ) {
+        let slot = self.slots.get(source).copied().unwrap_or(0);
+        let source_rep = match slot {
+            0 => &self.m_rep,
+            k => &self.plan.steps[k - 1].rep,
+        };
+        let index = row_index(full);
+        let projector = Projector::new(schema, source, cuboid);
+        let mut key = vec![0u32; schema.num_dims()];
+        let mut linker = Linker::new(table.len(), full.len());
+        let mut row = 0;
+        table
+            .try_for_each_cell(|ids, _| {
+                projector.project_into(ids, &mut key);
+                linker.link(index[key.as_slice()], source_rep[row]);
+                row += 1;
+                Ok(())
+            })
+            .expect("linking never fails");
+        self.plan.steps.push(PlanStep {
+            cuboid: cuboid.clone(),
+            source: slot,
+            target_of: linker.target_of,
+            rows: full.len(),
+            rep: linker.rep,
+            bytes,
+            retire: 0,
+            frees_source: false,
+            read_later: false,
+        });
+        self.slots.insert(cuboid.clone(), self.plan.steps.len());
+    }
+
+    /// Books the bytes the cold roll-up retires after the last step.
+    fn retire(&mut self, bytes: usize) {
+        if let Some(step) = self.plan.steps.last_mut() {
+            step.retire = bytes;
+        }
+    }
+
+    /// The finished plan.
+    fn finish(self, o_spec: &CuboidSpec) -> RollUpPlan {
+        let mut plan = self.plan;
+        let mut last_reader = vec![None; plan.steps.len() + 1];
+        for (k, step) in plan.steps.iter().enumerate() {
+            last_reader[step.source] = Some(k);
+        }
+        for (k, step) in plan.steps.iter_mut().enumerate() {
+            step.frees_source = last_reader[step.source] == Some(k);
+            step.read_later = last_reader[k + 1].is_some();
+            if step.cuboid == *o_spec {
+                step.rep = Vec::new();
+            }
+        }
+        plan
     }
 }
 

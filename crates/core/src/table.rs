@@ -604,10 +604,11 @@ pub fn collect_exceptions<S: TableStorage>(
     cuboid: &CuboidSpec,
     table: &S,
 ) -> CuboidTable {
+    let threshold = policy.threshold_for(cuboid);
     let mut exc = CuboidTable::default();
     table
         .try_for_each_cell(|ids, isb| {
-            if policy.is_exception(cuboid, isb) {
+            if ExceptionPolicy::is_exception_at(threshold, isb) {
                 exc.insert(CellKey::new(ids), *isb);
             }
             Ok(())

@@ -212,18 +212,22 @@ impl MlrMeasure {
 /// Solves `A x = b` for the symmetric positive-definite `k × k` matrix
 /// `a` (row-major; only its lower triangle is read) through `A = L Lᵀ`.
 ///
-/// A pivot must be finite and above `1e-12 ×` the largest diagonal entry
-/// of `a`; otherwise the matrix is singular, indefinite or numerically
-/// collinear (duplicate design columns cancel to a pivot of a few ulps).
+/// A pivot must be finite and above `1e-12 ×` its own diagonal entry of
+/// `a`; otherwise the matrix is singular, indefinite or numerically
+/// collinear (duplicate design columns cancel to a pivot of a few ulps
+/// of their entry). Each pivot answers only for its own column: the
+/// intercept's entry of a `[1, t]` design is `n` whatever the ticks'
+/// magnitude, so a rule scaled by the largest entry (`Σt²`) would
+/// reject it for every design with ticks beyond about 1e6.
 fn cholesky_solve(a: &[f64], b: &[f64], k: usize) -> Result<Vec<f64>> {
-    let tol = (0..k).fold(0.0f64, |m, j| m.max(a[j * k + j].abs())) * 1e-12;
     let mut l = vec![0.0; k * k];
     for j in 0..k {
-        let mut diag = a[j * k + j];
+        let entry = a[j * k + j];
+        let mut diag = entry;
         for p in 0..j {
             diag -= l[j * k + p] * l[j * k + p];
         }
-        if !(diag.is_finite() && diag > tol) {
+        if !(diag.is_finite() && diag > 1e-12 * entry.abs()) {
             return Err(RegressError::Collinear { pivot: j });
         }
         let d = diag.sqrt();
@@ -339,24 +343,36 @@ mod tests {
     #[test]
     fn same_design_merge_accepts_a_design_folded_in_another_order() {
         // 10,000 integer ticks from 1e6: the two Σt² differ by 536 of
-        // about 1e16, and the merge must still see one design. The pivot
-        // rule (1e-12 × the largest diagonal entry) rejects the intercept
-        // of any [1, t] design this far from zero, so here the merged and
-        // the direct solve agree on that error.
-        let (merged, summed) = merged_siblings(1e6, 1.0, 10_000);
-        assert_eq!(merged.solve(), Err(RegressError::Collinear { pivot: 0 }));
-        assert_eq!(merged.solve(), summed.solve());
+        // about 1e16, and the merge must still see one design. Half
+        // ticks from 5e5 make Σt² round at 2.5e15 already. Either way
+        // the merged coefficients are the summed series'.
+        for (t0, step) in [(1e6, 1.0), (5e5, 0.5)] {
+            let (merged, summed) = merged_siblings(t0, step, 10_000);
+            let (merged, direct) = (merged.solve().unwrap(), summed.solve().unwrap());
+            for (m, d) in merged.iter().zip(&direct) {
+                assert!(
+                    (m - d).abs() <= 1e-9 * d.abs().max(1.0),
+                    "from {t0}: {merged:?} vs {direct:?}"
+                );
+            }
+        }
+    }
 
-        // Half ticks make Σt² round at 2.5e15 already, and within 1e6 of
-        // zero the solve succeeds: the merged coefficients are the summed
-        // series'.
-        let (merged, summed) = merged_siblings(5e5, 0.5, 10_000);
-        let (merged, direct) = (merged.solve().unwrap(), summed.solve().unwrap());
-        for (m, d) in merged.iter().zip(&direct) {
-            assert!(
-                (m - d).abs() <= 1e-9 * d.abs().max(1.0),
-                "{merged:?} vs {direct:?}"
-            );
+    #[test]
+    fn line_fits_recover_the_intercept_far_from_tick_zero() {
+        // z = 3 + 0.5 t over 1,000 ticks spanning [t0, 2 t0): the
+        // intercept's pivot is n = 1000 against Σt² of about 2e15 and
+        // 2e21, which a pivot rule scaled by the largest diagonal entry
+        // rejected.
+        for (t0, tol) in [(1e6, 1e-7), (1e9, 1e-4)] {
+            let mut m = MlrMeasure::empty(2).unwrap();
+            for i in 0..1000 {
+                let t = t0 + t0 * i as f64 / 1000.0;
+                m.push_row(&[1.0, t], 3.0 + 0.5 * t).unwrap();
+            }
+            let beta = m.solve().unwrap();
+            assert!((beta[0] - 3.0).abs() <= tol, "from {t0}: {beta:?}");
+            assert!((beta[1] - 0.5).abs() <= 1e-12, "from {t0}: {beta:?}");
         }
     }
 

@@ -5,7 +5,7 @@
 //! never a silently half-restored engine.
 
 use proptest::prelude::*;
-use regcube_core::engine::Backend;
+use regcube_core::engine::{Backend, MoCubingEngine};
 use regcube_core::ExceptionPolicy;
 use regcube_olap::{CubeSchema, CuboidSpec};
 use regcube_stream::{
@@ -276,6 +276,84 @@ fn strict_order_checkpoint_requires_a_unit_boundary() {
     }
     let report = revived.close_unit().unwrap();
     assert_eq!(report.unit, 1);
+}
+
+/// A fixed population reports every tick, so the cubing engine gets one
+/// key sequence every unit and, on the row layout, replays its roll-up
+/// plan from the third unit on. A restored engine re-cubes the
+/// checkpointed unit cold from its m-table sorted by key, which is the
+/// sequence the ingestor closes units in, so it replays from its second
+/// unit after the restore. Unit by unit, it must serve what the engine
+/// that never stopped serves.
+#[test]
+fn a_restored_engine_serves_recurring_units_like_one_that_never_stopped() {
+    const UNITS: i64 = 8;
+    const CUT: i64 = 3;
+    let cfg = || {
+        EngineConfig::new(
+            CubeSchema::synthetic(2, 2, 3).unwrap(),
+            CuboidSpec::new(vec![1, 0]),
+            CuboidSpec::new(vec![2, 2]),
+        )
+        .with_policy(ExceptionPolicy::slope_threshold(0.8))
+        .with_tilt(TiltSpec::new(vec![("unit", 4), ("coarse", 3)]).unwrap())
+        .with_ticks_per_unit(TPU)
+    };
+    let unit = |u: i64| -> Vec<RawRecord> {
+        let mut records = Vec::new();
+        for t in u * TPU as i64..(u + 1) * TPU as i64 {
+            for a in 0..9u32 {
+                for b in 0..9u32 {
+                    let wave = ((a * 7 + b * 3) as i64 + t * 5) % 11;
+                    let value = wave as f64 * 0.4 - 2.0 + f64::from(a + b) * 0.05 * t as f64;
+                    records.push(RawRecord::new(vec![a, b], t, value));
+                }
+            }
+        }
+        records
+    };
+
+    let mut reference = cfg().build_with(MoCubingEngine::new).unwrap();
+    let (mut want, mut want_text) = (Vec::new(), Vec::new());
+    for u in 0..UNITS {
+        for r in unit(u) {
+            reference.ingest(&r).unwrap();
+        }
+        want.push(reference.close_unit().unwrap());
+        want_text.push(reference.snapshot().canonical_text());
+    }
+    assert_eq!(reference.cubing().units_replayed(), UNITS as u64 - 2);
+
+    let (mut got, mut got_text) = (Vec::new(), Vec::new());
+    let mut victim = cfg().build().unwrap();
+    for u in 0..CUT {
+        for r in unit(u) {
+            victim.ingest(&r).unwrap();
+        }
+        got.push(victim.close_unit().unwrap());
+        got_text.push(victim.snapshot().canonical_text());
+    }
+    let bytes = victim.checkpoint_bytes().unwrap();
+    let mut revived = restore_bytes(cfg(), &bytes).unwrap();
+    assert_eq!(
+        revived.snapshot().canonical_text(),
+        got_text[CUT as usize - 1]
+    );
+    for u in CUT..UNITS {
+        for r in unit(u) {
+            revived.ingest(&r).unwrap();
+        }
+        got.push(revived.close_unit().unwrap());
+        got_text.push(revived.snapshot().canonical_text());
+    }
+    assert_reports_eq(&want, &got, "restored recurring units");
+    assert!(
+        want.iter().any(|r| !r.alarms.is_empty()),
+        "some unit alarms"
+    );
+    for (u, (w, g)) in want_text.iter().zip(&got_text).enumerate() {
+        assert_eq!(w, g, "unit {u}");
+    }
 }
 
 /// The checkpoint captures in-flight lateness state: records buffered
