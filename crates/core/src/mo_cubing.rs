@@ -32,26 +32,30 @@
 //!
 //! **Recurring units.** In the paper's setting a fixed population of
 //! streams reports every unit, and the stream layer hands each unit's
-//! tuples over sorted by key, so unit after unit arrives with the same
-//! key sequence and only the measures change. On the row layout the
-//! roll-up is then the same every unit: a table's iteration order
-//! follows from its keys and their insertion sequence, so which rows
-//! fold into which target, in which order, and where each target sits
-//! is fixed by the key sequence. The engine compares each unit's key
-//! sequence with the held unit's. When a sequence repeats, it reads a
-//! *roll-up plan* off the cold unit's finished tables: for every step,
-//! the source it is folded from and, per source row in iteration order,
-//! the index of its target row in the target's iteration order. From
-//! the third consecutive unit of the sequence on, it replays that plan
-//! instead of hashing: each target folds the same rows in the same order
-//! (the first copied, the rest through [`merge_sibling`]), the critical
-//! layers are clones of the held unit's tables — same buckets — with
-//! their values overwritten in iteration order, and exception stores are
-//! filled in target iteration order. The cold fold stays the only
-//! definition of order, and a replayed unit is the cold unit bit for bit,
-//! statistics included (but `elapsed`). A unit with any other key
-//! sequence drops the plan and runs cold; the columnar layout always
-//! runs cold.
+//! tuples over sorted by key, so key sequences recur — the same one
+//! every unit, or a few in turn when the active streams rotate — and
+//! only the measures change. On the row layout the roll-up of one key
+//! sequence is always the same: a table's iteration order follows from
+//! its keys and their insertion sequence, so which rows fold into which
+//! target, in which order, and where each target sits is fixed by the
+//! key sequence. The engine keeps up to [`SHAPES`] such *roll-up
+//! shapes*, keyed by a 64-bit hash of the sequence and evicted least
+//! recently used first. A sequence seen once is remembered by its hash
+//! alone. The next unit with that hash runs cold and reads the shape's
+//! *roll-up plan* off its finished tables: per step, per source row in
+//! iteration order, the index of its target row in the target's
+//! iteration order. Every later unit whose key sequence equals a
+//! resident plan's — compared in full, so a hash collision is only a
+//! miss — replays that plan instead of hashing: each target folds the
+//! same rows in the same order (the first copied, the rest through
+//! [`merge_sibling`]), and exception stores are filled in target
+//! iteration order. The critical layers come out with the cold fold's
+//! buckets: when the held unit has the shape, as clones of its tables
+//! with the values overwritten in iteration order; otherwise as fresh
+//! tables into which the cold fold's keys are re-inserted in its
+//! first-arrival order. The cold fold stays the only definition of
+//! order, and a replayed unit is the cold unit bit for bit, statistics
+//! included (but `elapsed`). The columnar layout always runs cold.
 
 use crate::columnar::ColumnarTable;
 use crate::engine::{empty_result, next_window, unshare_result, Backend, CubingEngine, UnitDelta};
@@ -64,9 +68,11 @@ use crate::stats::{MemoryAccountant, RunStats};
 use crate::table::{table_bytes, CuboidTable, Projector, TableStorage};
 use crate::Result;
 use regcube_olap::cell::CellKey;
-use regcube_olap::fxhash::FxHashMap;
+use regcube_olap::fxhash::{FxHashMap, FxHasher};
 use regcube_olap::{CubeSchema, CuboidSpec};
 use regcube_regress::Isb;
+use std::hash::Hasher;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -89,6 +95,17 @@ use std::time::Instant;
 /// docs) folds on the caller's thread and never reaches the pool.
 const FAN_OUT_MIN_ROWS: usize = 4096;
 
+/// The most roll-up shapes one engine keeps (see the module docs).
+///
+/// A rotating population needs one shape per key sequence in its
+/// rotation: the benchmark's `quiet_fleet` tenants cycle through 16. A
+/// shape costs only the sequences that occur — a plan is its key
+/// sequence plus one `u32` per tuple, per source row and per target row
+/// of every step, about 1.3 KB on `quiet_fleet`'s 16-tuple units and
+/// eight-step lattice — so room for twice that rotation costs a fixed
+/// population nothing.
+pub const SHAPES: usize = 32;
+
 /// Groups every cuboid strictly above the m-layer into depth *tiers*
 /// (bottom-up, same total depth per tier) — the roll-up order.
 fn depth_tiers(layers: &CriticalLayers) -> Vec<Vec<CuboidSpec>> {
@@ -105,6 +122,90 @@ fn depth_tiers(layers: &CriticalLayers) -> Vec<Vec<CuboidSpec>> {
         }
     }
     tiers.into_iter().map(|(_, group)| group).collect()
+}
+
+/// The roll-up order of one lattice: every cuboid above the m-layer in
+/// depth tiers, each with the table it is aggregated from. It depends on
+/// the lattice alone, so an engine derives it once; every cold unit
+/// folds along it, and every roll-up plan is laid out along it.
+///
+/// Tables are named by *slot*: 0 is the m-layer, `k + 1` is step `k`'s.
+#[derive(Debug)]
+struct Schedule {
+    m_layer: CuboidSpec,
+    steps: Vec<Step>,
+    /// Each depth tier's range of `steps`, bottom-up.
+    tiers: Vec<Range<usize>>,
+}
+
+/// One cuboid of a [`Schedule`].
+#[derive(Debug)]
+struct Step {
+    cuboid: CuboidSpec,
+    /// The slot it is folded from: its closest computed descendant, a
+    /// one-step-finer cuboid of the tier before (the m-layer for the
+    /// first tier).
+    source: usize,
+    /// The o-layer: kept whole, never screened, never a source.
+    o_layer: bool,
+    /// No later step reads this step's source.
+    frees_source: bool,
+    /// A later step reads this step's table.
+    read_later: bool,
+}
+
+impl Schedule {
+    fn new(layers: &CriticalLayers) -> Self {
+        let lattice = layers.lattice();
+        let mut steps: Vec<Step> = Vec::new();
+        let mut tiers: Vec<Range<usize>> = Vec::new();
+        for tier in depth_tiers(layers) {
+            let start = steps.len();
+            let previous = tiers.last().cloned().unwrap_or(0..0);
+            for cuboid in tier {
+                let computed = &steps[previous.clone()];
+                let sources = computed.iter().filter(|s| !s.o_layer).map(|s| &s.cuboid);
+                let source = lattice
+                    .closest_computed_descendant(&cuboid, sources)
+                    .and_then(|c| computed.iter().position(|s| &s.cuboid == c))
+                    .map_or(0, |k| previous.start + k + 1);
+                steps.push(Step {
+                    o_layer: &cuboid == lattice.o_layer(),
+                    cuboid,
+                    source,
+                    frees_source: false,
+                    read_later: false,
+                });
+            }
+            tiers.push(start..steps.len());
+        }
+        let mut last_reader = vec![None; steps.len() + 1];
+        for (k, step) in steps.iter().enumerate() {
+            last_reader[step.source] = Some(k);
+        }
+        for (k, step) in steps.iter_mut().enumerate() {
+            step.frees_source = last_reader[step.source] == Some(k);
+            step.read_later = last_reader[k + 1].is_some();
+        }
+        Schedule {
+            m_layer: lattice.m_layer().clone(),
+            steps,
+            tiers,
+        }
+    }
+
+    /// The cuboid of table `slot`.
+    fn cuboid(&self, slot: usize) -> &CuboidSpec {
+        match slot {
+            0 => &self.m_layer,
+            k => &self.steps[k - 1].cuboid,
+        }
+    }
+}
+
+/// The slots of a tier's tables.
+fn slots(tier: &Range<usize>) -> Range<usize> {
+    tier.start + 1..tier.end + 1
 }
 
 /// One cuboid of a depth tier with its chosen aggregation source —
@@ -153,6 +254,8 @@ pub struct MoCubingEngine {
     schema: Arc<CubeSchema>,
     layers: CriticalLayers,
     policy: ExceptionPolicy,
+    /// The lattice's roll-up order, shared by every unit.
+    schedule: Arc<Schedule>,
     /// The layout the tiers are folded into.
     backend: Backend,
     /// When attached, cuboids of one depth tier (independent of each
@@ -162,9 +265,9 @@ pub struct MoCubingEngine {
     units_opened: u64,
     /// Units computed by replaying a roll-up plan rather than cold.
     units_replayed: u64,
-    /// The held unit's key sequence, and its roll-up plan once it
-    /// recurred (row layout only).
-    recurrence: Recurrence,
+    /// The key sequences of recent units and their roll-up plans (row
+    /// layout only).
+    shapes: ShapeCache,
     /// Shared with every snapshot taken of the held unit.
     result: Arc<CubeResult>,
 }
@@ -183,6 +286,7 @@ impl MoCubingEngine {
         let result = empty_result(&layers, &policy, Algorithm::MoCubing);
         Ok(MoCubingEngine {
             schema: Arc::new(schema),
+            schedule: Arc::new(Schedule::new(&layers)),
             layers,
             policy,
             backend: Backend::Row,
@@ -190,7 +294,7 @@ impl MoCubingEngine {
             window: None,
             units_opened: 0,
             units_replayed: 0,
-            recurrence: Recurrence::default(),
+            shapes: ShapeCache::default(),
             result,
         })
     }
@@ -223,7 +327,7 @@ impl MoCubingEngine {
             Backend::Columnar => ColumnarTable::check_lattice(&self.schema, &self.layers)?,
         }
         self.backend = backend;
-        self.recurrence = Recurrence::default();
+        self.shapes = ShapeCache::default();
         Ok(self)
     }
 
@@ -268,12 +372,16 @@ impl MoCubingEngine {
     fn ingest_on<T: TableStorage>(&mut self, tuples: &[MTuple]) -> Result<UnitDelta> {
         validate_tuples(&self.schema, self.layers.lattice().m_layer(), tuples)?;
         let window = next_window(self.window, tuples)?;
-        let recurs = self.backend == Backend::Row && self.recurrence.recurs(tuples);
-        let plan = self.recurrence.plan.as_ref().filter(|_| recurs);
-        let replayed = plan.is_some();
-        let (result, captured) = match plan {
-            Some(plan) => (self.replay_unit(plan, tuples)?, None),
-            None => self.open_unit::<T>(tuples, recurs)?,
+        let hash = (self.backend == Backend::Row).then(|| sequence_hash(tuples));
+        let lookup = match hash {
+            Some(hash) => self.shapes.lookup(hash, tuples),
+            None => Lookup::Cold,
+        };
+        let replayed = matches!(lookup, Lookup::Replay { .. });
+        let (result, captured) = match lookup {
+            Lookup::Replay { plan, held } => (self.replay_unit(plan, held, tuples)?, None),
+            Lookup::Capture => self.open_unit::<T>(tuples, true)?,
+            Lookup::Cold => self.open_unit::<T>(tuples, false)?,
         };
         // The held unit's exceptions that do not recur come back as
         // cleared, so appeared/cleared consumers can maintain a live
@@ -288,14 +396,11 @@ impl MoCubingEngine {
         self.window = Some(window);
         self.units_opened += 1;
         self.result = Arc::new(result);
-        // The plan state follows the committed unit only.
-        if replayed {
-            self.units_replayed += 1;
-        } else if recurs {
-            self.recurrence.plan = captured;
-        } else if self.backend == Backend::Row {
-            self.recurrence.restart(tuples);
+        // The shapes follow the committed unit only.
+        if let Some(hash) = hash {
+            self.shapes.commit(hash, replayed, captured);
         }
+        self.units_replayed += u64::from(replayed);
         Ok(delta)
     }
 
@@ -327,70 +432,123 @@ impl MoCubingEngine {
         let m_table = m_table.into_row_table(dims, &mut work.mem);
 
         let UnitWork { stats, mem } = work;
-        let o_spec = self.layers.lattice().o_layer();
-        let plan = capture.map(|capture| capture.finish(o_spec));
+        let plan = capture.map(PlanCapture::finish);
         let result = self.retain(started, stats, &mem, m_table, o_table, exceptions);
         Ok((result, plan))
     }
 
-    /// Recomputes a unit whose key sequence is `plan`'s — the held
-    /// unit's — by replaying the plan's index maps over the unit's
-    /// measures: no key is hashed or projected except an exceptional
-    /// cell's. Every target row folds the same rows in the same order as
-    /// the cold roll-up (the first copied, the rest through
-    /// [`merge_sibling`]), the critical layers are the held unit's tables
-    /// with their values overwritten in iteration order, and exception
-    /// stores are filled in target iteration order, so the result —
-    /// statistics too, but `elapsed` — is the cold computation's.
-    fn replay_unit(&self, plan: &RollUpPlan, tuples: &[MTuple]) -> Result<CubeResult> {
+    /// Recomputes a unit whose key sequence is `plan`'s by replaying the
+    /// plan's index maps over the unit's measures: no key is hashed or
+    /// projected except an exceptional cell's and, unless the `held`
+    /// unit has the plan's shape, a critical-layer cell's. Every target
+    /// row folds the same rows in the same order as the cold roll-up
+    /// (the first copied, the rest through [`merge_sibling`]), the
+    /// critical layers have the cold tables' buckets ([`overwrite`] or
+    /// [`rebuild`]), and exception stores are filled in target
+    /// iteration order, so the result — statistics too, but `elapsed` —
+    /// is the cold computation's.
+    fn replay_unit(&self, plan: &RollUpPlan, held: bool, tuples: &[MTuple]) -> Result<CubeResult> {
         let started = Instant::now();
+        let schedule = &*self.schedule;
         let dims = self.schema.num_dims();
-        let m_spec = self.layers.lattice().m_layer();
-        let o_spec = self.layers.lattice().o_layer();
         let mut mem = MemoryAccountant::default();
+        let (m_of, mut maps) = plan.maps();
 
-        // values[0] is the m-layer's; values[k + 1] is step k's target.
-        let mut values = Vec::with_capacity(plan.steps.len() + 1);
+        // values[slot] holds the slot's folded measures in iteration
+        // order, while a later step reads them.
+        let mut values = Vec::with_capacity(schedule.steps.len() + 1);
         values.push(fold_indexed(
             tuples.iter().map(MTuple::isb),
-            &plan.m_of,
-            plan.m_rows,
+            m_of,
+            plan.rows(0),
         )?);
-        mem.add(plan.m_bytes);
-        let m_table = overwrite(self.result.m_table(), &values[0]);
+        mem.add(plan.bytes(0));
+        let m_table = if held {
+            overwrite(self.result.m_table(), &values[0])
+        } else {
+            rebuild(m_of, &values[0], |i, _| CellKey::new(tuples[i].ids()))
+        };
 
-        let mut o_values = Vec::new();
+        let mut o_table = CuboidTable::default();
         let mut exceptions: FxHashMap<CuboidSpec, CuboidTable> = FxHashMap::default();
-        for step in &plan.steps {
-            let folded = fold_indexed(values[step.source].iter(), &step.target_of, step.rows)?;
-            mem.add(step.bytes);
-            if step.frees_source {
-                values[step.source] = Vec::new();
-            }
-            if step.cuboid == *o_spec {
-                o_values = folded;
-                values.push(Vec::new());
-            } else {
-                let exc = step.exceptions(&self.schema, m_spec, &self.policy, tuples, &folded);
+        let mut previous = 0..0;
+        for tier in &schedule.tiers {
+            for k in tier.clone() {
+                let step = &schedule.steps[k];
+                let (target_of, rest) = maps.split_at(plan.rows(step.source));
+                let (rep, rest) = rest.split_at(plan.rows(k + 1));
+                maps = rest;
+                let folded = fold_indexed(values[step.source].iter(), target_of, rep.len())?;
+                mem.add(plan.bytes(k + 1));
+                if step.frees_source {
+                    values[step.source] = Vec::new();
+                }
+                if step.o_layer {
+                    o_table = if held {
+                        overwrite(self.result.o_table(), &folded)
+                    } else {
+                        let projector =
+                            Projector::walking(&self.schema, &schedule.m_layer, &step.cuboid);
+                        let mut key = vec![0u32; dims];
+                        rebuild(target_of, &folded, |_, row| {
+                            projector.project_into(tuples[rep[row] as usize].ids(), &mut key);
+                            CellKey::new(&key)
+                        })
+                    };
+                    values.push(Vec::new());
+                    continue;
+                }
+                let exc = self.replay_exceptions(&step.cuboid, tuples, rep, &folded);
                 if !exc.is_empty() {
                     mem.add(table_bytes(&exc, dims));
                     exceptions.insert(step.cuboid.clone(), exc);
                 }
                 values.push(if step.read_later { folded } else { Vec::new() });
             }
-            mem.remove(step.retire);
+            // The cold roll-up retires the tier before once this one is
+            // built.
+            mem.remove(previous.map(|slot| plan.bytes(slot)).sum());
+            previous = slots(tier);
         }
-        let o_table = overwrite(self.result.o_table(), &o_values);
-        // The held unit has the plan's key sequence, so it folded the
-        // same rows into the same cells.
-        let held = self.result.stats();
-        let counters = RunStats {
-            rows_folded: held.rows_folded,
-            cells_computed: held.cells_computed,
-            cuboids_computed: held.cuboids_computed,
-            ..RunStats::default()
-        };
-        Ok(self.retain(started, counters, &mem, m_table, o_table, exceptions))
+        Ok(self.retain(
+            started,
+            plan.counters(schedule),
+            &mem,
+            m_table,
+            o_table,
+            exceptions,
+        ))
+    }
+
+    /// The exceptional rows among a replay's `values` of `cuboid`, keyed
+    /// by their representative tuple's m-key projected onto the cuboid
+    /// and inserted in target iteration order, as
+    /// [`collect_exceptions`] does on the cold path.
+    ///
+    /// [`collect_exceptions`]: crate::table::collect_exceptions
+    fn replay_exceptions(
+        &self,
+        cuboid: &CuboidSpec,
+        tuples: &[MTuple],
+        rep: &[u32],
+        values: &[Isb],
+    ) -> CuboidTable {
+        let threshold = self.policy.threshold_for(cuboid);
+        let mut exc = CuboidTable::default();
+        // Built at the first exceptional row: most steps have none.
+        let mut projection = None;
+        for (isb, &rep) in values.iter().zip(rep) {
+            if ExceptionPolicy::is_exception_at(threshold, isb) {
+                let (projector, key) = projection.get_or_insert_with(|| {
+                    let projector =
+                        Projector::walking(&self.schema, &self.schedule.m_layer, cuboid);
+                    (projector, vec![0u32; self.schema.num_dims()])
+                });
+                projector.project_into(tuples[rep as usize].ids(), key);
+                exc.insert(CellKey::new(key), *isb);
+            }
+        }
+        exc
     }
 
     /// Assembles a finished unit's result — critical layers +
@@ -424,15 +582,15 @@ impl MoCubingEngine {
         )
     }
 
-    /// Computes every cuboid above the m-layer bottom-up in depth
-    /// *tiers*, each aggregated from its closest computed descendant (a
-    /// one-step-finer table from the previous tier). Cuboids within one
-    /// tier are independent, so a large enough tier is fanned out on
-    /// the attached [`WorkerPool`] and merged back in lattice order —
-    /// the parallel hot path of the roll-up. Returns the o-layer table
-    /// and the exception stores; between-layer full tables are dropped
-    /// as soon as the next tier no longer needs them. A `capture` reads
-    /// each finished table into the roll-up plan before it goes.
+    /// Computes every cuboid above the m-layer bottom-up in the
+    /// [`Schedule`]'s depth *tiers*, each aggregated from its closest
+    /// computed descendant (a one-step-finer table from the previous
+    /// tier). Cuboids within one tier are independent, so a large enough
+    /// tier is fanned out on the attached [`WorkerPool`] and merged back
+    /// in lattice order — the parallel hot path of the roll-up. Returns
+    /// the o-layer table and the exception stores; between-layer full
+    /// tables are dropped as soon as the next tier no longer needs them.
+    /// A `capture` reads each finished table into the roll-up plan.
     fn compute_uppers<T: TableStorage>(
         &self,
         work: &mut UnitWork,
@@ -440,72 +598,54 @@ impl MoCubingEngine {
         mut capture: Option<&mut PlanCapture>,
     ) -> Result<(CuboidTable, FxHashMap<CuboidSpec, CuboidTable>)> {
         let dims = self.schema.num_dims();
-        let m_spec = self.layers.lattice().m_layer().clone();
-        let o_spec = self.layers.lattice().o_layer().clone();
+        let schedule = &*self.schedule;
 
         let mut o_table = CuboidTable::default();
         let mut exceptions: FxHashMap<CuboidSpec, CuboidTable> = FxHashMap::default();
-        // Full tables of the previous tier (the aggregation sources).
-        let mut cache: FxHashMap<CuboidSpec, Arc<T>> = FxHashMap::default();
-        for tier in depth_tiers(&self.layers) {
-            // Pick each cuboid's aggregation source first (the choice
-            // needs the whole previous tier), then aggregate the tier.
-            let plans: Vec<TierPlan<T>> = tier
+        // The full tables a later tier may still fold, by slot.
+        let mut tables: Vec<Option<Arc<T>>> = vec![None; schedule.steps.len() + 1];
+        tables[0] = Some(Arc::clone(m_table));
+        let source = |tables: &[Option<Arc<T>>], slot: usize| {
+            Arc::clone(tables[slot].as_ref().expect("a source outlives its tier"))
+        };
+        let mut previous = 0..0;
+        for tier in &schedule.tiers {
+            let plans: Vec<TierPlan<T>> = schedule.steps[tier.clone()]
                 .iter()
-                .map(|cuboid| {
-                    let (source, table) = self
-                        .layers
-                        .lattice()
-                        .closest_computed_descendant(cuboid, cache.keys())
-                        .map(|c| (c.clone(), Arc::clone(&cache[c])))
-                        .unwrap_or_else(|| (m_spec.clone(), Arc::clone(m_table)));
-                    TierPlan {
-                        cuboid: cuboid.clone(),
-                        source,
-                        table,
-                    }
+                .map(|step| TierPlan {
+                    cuboid: step.cuboid.clone(),
+                    source: schedule.cuboid(step.source).clone(),
+                    table: source(&tables, step.source),
                 })
                 .collect();
-            // A capture reads each cuboid's source after the tier folds.
-            let sources: Vec<(CuboidSpec, Arc<T>)> = match capture {
-                Some(_) => plans
-                    .iter()
-                    .map(|plan| (plan.source.clone(), Arc::clone(&plan.table)))
-                    .collect(),
-                None => Vec::new(),
-            };
-
-            let mut next_cache: FxHashMap<CuboidSpec, Arc<T>> = FxHashMap::default();
-            // The i-th result is the i-th cuboid's table.
-            for (i, (cuboid, item)) in tier.into_iter().zip(self.compute_tier(plans)).enumerate() {
+            // The k-th result is step k's table.
+            for (k, item) in tier.clone().zip(self.compute_tier(plans)) {
+                let step = &schedule.steps[k];
                 let (full, rows) = item?;
                 work.count_cuboid(rows, full.len());
                 let bytes = full.approx_bytes(dims);
                 work.mem.add(bytes);
                 if let Some(capture) = capture.as_deref_mut() {
-                    let (source, table) = &sources[i];
-                    capture.step(&self.schema, source, &**table, &cuboid, &full, bytes);
+                    let from = source(&tables, step.source);
+                    capture.step(&self.schema, schedule, k, &*from, &full, bytes);
                 }
 
-                if cuboid == o_spec {
+                if step.o_layer {
                     o_table = full.into_row_table(dims, &mut work.mem);
                     continue;
                 }
-                let exc = full.exceptions(&self.policy, &cuboid);
+                let exc = full.exceptions(&self.policy, &step.cuboid);
                 if !exc.is_empty() {
                     work.mem.add(table_bytes(&exc, dims));
-                    exceptions.insert(cuboid.clone(), exc);
+                    exceptions.insert(step.cuboid.clone(), exc);
                 }
-                next_cache.insert(cuboid, Arc::new(full));
+                tables[k + 1] = Some(Arc::new(full));
             }
             // The old tier is no longer reachable as a source.
-            let retired = retire_tier(&mut work.mem, &cache, dims);
-            if let Some(capture) = capture.as_deref_mut() {
-                capture.retire(retired);
-            }
-            cache = next_cache;
+            retire_tier(&mut work.mem, &mut tables[previous], dims);
+            previous = slots(tier);
         }
-        retire_tier(&mut work.mem, &cache, dims);
+        retire_tier(&mut work.mem, &mut tables[previous], dims);
         Ok((o_table, exceptions))
     }
 
@@ -544,16 +684,19 @@ impl MoCubingEngine {
     }
 }
 
-/// Books a finished tier's tables out of the analytical memory and
-/// returns their bytes; the caller drops them.
+/// Drops a finished tier's tables and books them out of the analytical
+/// memory.
 fn retire_tier<T: TableStorage>(
     mem: &mut MemoryAccountant,
-    tier: &FxHashMap<CuboidSpec, Arc<T>>,
+    tier: &mut [Option<Arc<T>>],
     dims: usize,
-) -> usize {
-    let bytes = tier.values().map(|table| table.approx_bytes(dims)).sum();
+) {
+    let bytes = tier
+        .iter_mut()
+        .filter_map(Option::take)
+        .map(|table| table.approx_bytes(dims))
+        .sum();
     mem.remove(bytes);
-    bytes
 }
 
 /// Flags a `target_of` entry whose source row is the first to reach its
@@ -561,109 +704,144 @@ fn retire_tier<T: TableStorage>(
 /// and merges every later one.
 const FIRST: u32 = 1 << 31;
 
-/// The last committed unit's m-tuple key sequence, and the roll-up plan
-/// once a unit repeated it.
+/// The 64-bit Fx hash a unit's m-key sequence is looked up by.
+fn sequence_hash(tuples: &[MTuple]) -> u64 {
+    let mut hasher = FxHasher::default();
+    hasher.write_usize(tuples.len());
+    for id in tuples.iter().flat_map(MTuple::ids) {
+        hasher.write_u32(*id);
+    }
+    hasher.finish()
+}
+
+/// The roll-up shapes of recent units: up to [`SHAPES`] m-key sequences,
+/// least recently used first.
 ///
 /// `Ingestor::close_unit` emits a unit's tuples sorted by key, so a
-/// fixed population of streams hands the engine the same key sequence
-/// every unit. The row layout's roll-up is then the same every unit —
-/// which rows fold into which, in which order, into which table layout
-/// — and only the measures differ.
+/// population of streams that report in a fixed pattern hands the
+/// engine a few key sequences over and over. The row layout's roll-up of
+/// one sequence is the same every time it recurs — which rows fold into
+/// which, in which order, into which table layout — and only the
+/// measures differ.
 #[derive(Debug, Clone, Default)]
-struct Recurrence {
-    /// The last unit's tuples' ids, concatenated in arrival order. Every
-    /// tuple carries one id per dimension, so equal concatenations mean
-    /// equal tuple counts.
-    keys: Vec<u32>,
-    /// Present only while every unit since it was captured had `keys`.
+struct ShapeCache {
+    shapes: Vec<Shape>,
+    /// The hash of the held unit's key sequence.
+    held: Option<u64>,
+}
+
+/// One key sequence the cache remembers.
+#[derive(Debug, Clone)]
+struct Shape {
+    hash: u64,
+    /// Captured by the second unit with this hash; absent while the
+    /// sequence was seen only once.
     plan: Option<RollUpPlan>,
 }
 
-impl Recurrence {
-    /// Whether `tuples` carry exactly the last unit's key sequence.
-    fn recurs(&self, tuples: &[MTuple]) -> bool {
-        tuples.iter().flat_map(MTuple::ids).eq(&self.keys)
+/// What the cache holds for a unit's key sequence.
+enum Lookup<'a> {
+    /// A resident plan of exactly this sequence; `held` when the held
+    /// unit has it too.
+    Replay { plan: &'a RollUpPlan, held: bool },
+    /// The hash was seen once: run cold and capture the plan.
+    Capture,
+    /// A new hash, or a plan of another sequence under this one: run
+    /// cold.
+    Cold,
+}
+
+impl ShapeCache {
+    fn lookup(&self, hash: u64, tuples: &[MTuple]) -> Lookup<'_> {
+        match self.shapes.iter().find(|shape| shape.hash == hash) {
+            None => Lookup::Cold,
+            Some(Shape { plan: None, .. }) => Lookup::Capture,
+            Some(Shape {
+                plan: Some(plan), ..
+            }) if plan.matches(tuples) => Lookup::Replay {
+                plan,
+                held: self.held == Some(hash),
+            },
+            Some(_) => Lookup::Cold,
+        }
     }
 
-    /// Records a unit that broke the sequence: its keys become the ones
-    /// to repeat, and the plan (another sequence's) goes.
-    fn restart(&mut self, tuples: &[MTuple]) {
-        self.keys.clear();
-        self.keys.extend(tuples.iter().flat_map(MTuple::ids));
-        self.plan = None;
+    /// Records a committed unit with key-sequence hash `hash`: its shape
+    /// becomes the most recently used and the held unit's. A cold unit
+    /// leaves the shape with the plan it `captured`, if any — a unit
+    /// whose sequence missed a resident plan under the same hash
+    /// replaces it by the hash alone.
+    fn commit(&mut self, hash: u64, replayed: bool, captured: Option<RollUpPlan>) {
+        let mut shape = match self.shapes.iter().position(|shape| shape.hash == hash) {
+            Some(at) => self.shapes.remove(at),
+            None => Shape { hash, plan: None },
+        };
+        if !replayed {
+            shape.plan = captured;
+        }
+        self.shapes.push(shape);
+        if self.shapes.len() > SHAPES {
+            self.shapes.remove(0);
+        }
+        self.held = Some(hash);
     }
 }
 
 /// A row-layout unit's roll-up as index maps, read off a cold unit's
-/// finished tables by [`PlanCapture`]. Replaying it on a unit with the
-/// same key sequence folds the same rows into the same targets in the
-/// same order, without hashing.
+/// finished tables by [`PlanCapture`] and laid out along the engine's
+/// [`Schedule`]. Replaying it on a unit with the same key sequence folds
+/// the same rows into the same targets in the same order, without
+/// hashing.
 #[derive(Debug, Clone)]
 struct RollUpPlan {
-    /// The m-row, in m-table iteration order, each tuple folds into
-    /// ([`FIRST`]-flagged).
-    m_of: Vec<u32>,
-    m_rows: usize,
-    /// The m-table's analytical bytes.
-    m_bytes: usize,
-    /// One step per cuboid above the m-layer, in tier order.
-    steps: Vec<PlanStep>,
+    tuples: usize,
+    /// The key sequence's length.
+    keys: usize,
+    /// Everything in one allocation: the key sequence (every tuple's
+    /// ids, concatenated); `m_of`, the m-row each tuple folds into; then
+    /// per step its `target_of` — for each source row, in the source's
+    /// iteration order, its target row's index in the target's iteration
+    /// order — and its `rep`, per target row a tuple whose m-key
+    /// projects onto the row's key. Rows are [`FIRST`]-flagged in
+    /// `m_of` and every `target_of`.
+    arena: Box<[u32]>,
+    /// Per slot: the table's rows and its analytical bytes.
+    tables: Box<[(usize, usize)]>,
 }
 
-/// One cuboid of a [`RollUpPlan`].
-#[derive(Debug, Clone)]
-struct PlanStep {
-    cuboid: CuboidSpec,
-    /// The values this step folds: 0 for the m-layer, `k + 1` for step
-    /// `k`'s target.
-    source: usize,
-    /// For each source row, in the source table's iteration order, its
-    /// target row's index in the target table's iteration order
-    /// ([`FIRST`]-flagged).
-    target_of: Vec<u32>,
-    rows: usize,
-    /// For each target row, a tuple whose m-key projects onto the row's
-    /// key. Empty for the o-layer, whose keys are in its table.
-    rep: Vec<u32>,
-    /// The full table's analytical bytes.
-    bytes: usize,
-    /// Bytes the cold roll-up retires after this step: the previous
-    /// tier's, on the last step of a tier.
-    retire: usize,
-    /// No later step reads this step's source.
-    frees_source: bool,
-    /// A later step reads this step's target.
-    read_later: bool,
-}
+impl RollUpPlan {
+    /// Whether `tuples` carry exactly this plan's key sequence.
+    fn matches(&self, tuples: &[MTuple]) -> bool {
+        tuples.len() == self.tuples
+            && tuples
+                .iter()
+                .flat_map(MTuple::ids)
+                .eq(&self.arena[..self.keys])
+    }
 
-impl PlanStep {
-    /// The exceptional rows among a replay's `values`, keyed by their
-    /// representative tuple's m-key projected onto the cuboid and
-    /// inserted in target iteration order, as [`collect_exceptions`]
-    /// does on the cold path.
-    ///
-    /// [`collect_exceptions`]: crate::table::collect_exceptions
-    fn exceptions(
-        &self,
-        schema: &CubeSchema,
-        m_spec: &CuboidSpec,
-        policy: &ExceptionPolicy,
-        tuples: &[MTuple],
-        values: &[Isb],
-    ) -> CuboidTable {
-        let threshold = policy.threshold_for(&self.cuboid);
-        let mut exc = CuboidTable::default();
-        let mut projector = None;
-        let mut key = vec![0u32; schema.num_dims()];
-        for (isb, &rep) in values.iter().zip(&self.rep) {
-            if ExceptionPolicy::is_exception_at(threshold, isb) {
-                projector
-                    .get_or_insert_with(|| Projector::new(schema, m_spec, &self.cuboid))
-                    .project_into(tuples[rep as usize].ids(), &mut key);
-                exc.insert(CellKey::new(&key), *isb);
-            }
+    /// `m_of`, and the steps' maps after it.
+    fn maps(&self) -> (&[u32], &[u32]) {
+        self.arena[self.keys..].split_at(self.tuples)
+    }
+
+    fn rows(&self, slot: usize) -> usize {
+        self.tables[slot].0
+    }
+
+    fn bytes(&self, slot: usize) -> usize {
+        self.tables[slot].1
+    }
+
+    /// The cube counters of a unit of this shape: every tuple folded into
+    /// the m-layer, every source row into its step's target.
+    fn counters(&self, schedule: &Schedule) -> RunStats {
+        let sources: usize = schedule.steps.iter().map(|s| self.rows(s.source)).sum();
+        RunStats {
+            rows_folded: (self.tuples + sources) as u64,
+            cells_computed: self.tables.iter().map(|&(rows, _)| rows as u64).sum(),
+            cuboids_computed: self.tables.len() as u32,
+            ..RunStats::default()
         }
-        exc
     }
 }
 
@@ -693,7 +871,8 @@ fn fold_indexed<'a>(
 }
 
 /// A copy of `table` — same buckets, so the same iteration order —
-/// holding `values` in iteration order.
+/// holding `values` in iteration order. A replay whose held unit has
+/// the shape gets its critical layers this way.
 fn overwrite(table: &CuboidTable, values: &[Isb]) -> CuboidTable {
     debug_assert_eq!(table.len(), values.len());
     let mut out = table.clone();
@@ -703,9 +882,32 @@ fn overwrite(table: &CuboidTable, values: &[Isb]) -> CuboidTable {
     out
 }
 
-/// Each row's index in a finished table's iteration order.
-fn row_index<T: TableStorage>(table: &T) -> FxHashMap<CellKey, u32> {
-    let mut index = FxHashMap::default();
+/// A critical-layer table built as the cold fold built it, holding
+/// `values` (in the cold table's iteration order). Walking `target_of`
+/// in source order, each [`FIRST`]-flagged entry inserts its row's key,
+/// `key_of(source position, row)`: the cold fold's inserts, in its
+/// first-arrival order. Neither `from_tuples` nor `roll_up` pre-sizes a
+/// table, so the same inserts into an empty table grow the same buckets
+/// and give the same iteration order.
+fn rebuild(
+    target_of: &[u32],
+    values: &[Isb],
+    mut key_of: impl FnMut(usize, usize) -> CellKey,
+) -> CuboidTable {
+    let mut out = CuboidTable::default();
+    for (i, &to) in target_of.iter().enumerate() {
+        if to & FIRST != 0 {
+            let row = (to & !FIRST) as usize;
+            out.insert(key_of(i, row), values[row]);
+        }
+    }
+    out
+}
+
+/// Fills `index` with each row's index in a finished table's iteration
+/// order.
+fn fill_index<T: TableStorage>(index: &mut FxHashMap<CellKey, u32>, table: &T) {
+    index.clear();
     index.reserve(table.len());
     table
         .try_for_each_cell(|ids, _| {
@@ -713,129 +915,104 @@ fn row_index<T: TableStorage>(table: &T) -> FxHashMap<CellKey, u32> {
             Ok(())
         })
         .expect("indexing never fails");
-    index
 }
 
-/// Links source rows to target rows in source order, flagging each
-/// target's first row and keeping its representative tuple.
-struct Linker {
-    target_of: Vec<u32>,
-    rep: Vec<u32>,
-}
-
-impl Linker {
-    fn new(sources: usize, rows: usize) -> Self {
-        Linker {
-            target_of: Vec::with_capacity(sources),
-            rep: vec![u32::MAX; rows],
-        }
-    }
-
-    fn link(&mut self, row: u32, rep: u32) {
-        let first = &mut self.rep[row as usize];
-        if *first == u32::MAX {
-            *first = rep;
-            self.target_of.push(row | FIRST);
-        } else {
-            self.target_of.push(row);
-        }
+/// Links a source row to target row `to`: the `target_of` entry,
+/// [`FIRST`]-flagged when the row is the target's first, which also
+/// makes `source_rep` the target's representative in `rep`.
+fn link(rep: &mut [u32], to: u32, source_rep: u32) -> u32 {
+    let first = &mut rep[to as usize];
+    if *first == u32::MAX {
+        *first = source_rep;
+        to | FIRST
+    } else {
+        to
     }
 }
 
 /// Builds a [`RollUpPlan`] during a cold unit, from each table the
 /// moment it is finished.
 struct PlanCapture {
-    plan: RollUpPlan,
+    tuples: usize,
+    keys: usize,
+    arena: Vec<u32>,
+    tables: Vec<(usize, usize)>,
     /// The m-layer's representative tuple per m-row.
     m_rep: Vec<u32>,
-    /// The values slot of each cuboid captured so far.
-    slots: FxHashMap<CuboidSpec, usize>,
+    /// Where each step's `rep` starts in `arena`.
+    rep_at: Vec<usize>,
+    /// Scratch: the row index of the table being captured.
+    index: FxHashMap<CellKey, u32>,
 }
 
 impl PlanCapture {
     fn new<T: TableStorage>(tuples: &[MTuple], m_table: &T, dims: usize) -> Self {
-        let index = row_index(m_table);
-        let mut linker = Linker::new(tuples.len(), m_table.len());
+        let mut index = FxHashMap::default();
+        fill_index(&mut index, m_table);
+        let mut arena = Vec::with_capacity(tuples.len() * (dims + 1));
+        arena.extend(tuples.iter().flat_map(MTuple::ids));
+        let keys = arena.len();
+        let mut m_rep = vec![u32::MAX; m_table.len()];
         for (i, t) in tuples.iter().enumerate() {
-            linker.link(index[t.ids()], i as u32);
+            arena.push(link(&mut m_rep, index[t.ids()], i as u32));
         }
         PlanCapture {
-            plan: RollUpPlan {
-                m_of: linker.target_of,
-                m_rows: m_table.len(),
-                m_bytes: m_table.approx_bytes(dims),
-                steps: Vec::new(),
-            },
-            m_rep: linker.rep,
-            slots: FxHashMap::default(),
+            tuples: tuples.len(),
+            keys,
+            arena,
+            tables: vec![(m_table.len(), m_table.approx_bytes(dims))],
+            m_rep,
+            rep_at: Vec::new(),
+            index,
         }
     }
 
-    /// Captures one cuboid: `full` was folded from `table`, the finished
-    /// table of `source`.
+    /// Captures step `k`: `full` was folded from `source`, the finished
+    /// table of the step's source slot.
     fn step<T: TableStorage>(
         &mut self,
         schema: &CubeSchema,
-        source: &CuboidSpec,
-        table: &T,
-        cuboid: &CuboidSpec,
+        schedule: &Schedule,
+        k: usize,
+        source: &T,
         full: &T,
         bytes: usize,
     ) {
-        let slot = self.slots.get(source).copied().unwrap_or(0);
-        let source_rep = match slot {
-            0 => &self.m_rep,
-            k => &self.plan.steps[k - 1].rep,
+        let step = &schedule.steps[k];
+        fill_index(&mut self.index, full);
+        let projector = Projector::walking(schema, schedule.cuboid(step.source), &step.cuboid);
+        let at = self.arena.len();
+        let (sources, rows) = (source.len(), full.len());
+        self.arena.resize(at + sources + rows, u32::MAX);
+        let (done, new) = self.arena.split_at_mut(at);
+        let (target_of, rep) = new.split_at_mut(sources);
+        let source_rep = match step.source {
+            0 => &self.m_rep[..],
+            slot => &done[self.rep_at[slot - 1]..][..sources],
         };
-        let index = row_index(full);
-        let projector = Projector::new(schema, source, cuboid);
+        let index = &self.index;
         let mut key = vec![0u32; schema.num_dims()];
-        let mut linker = Linker::new(table.len(), full.len());
         let mut row = 0;
-        table
+        source
             .try_for_each_cell(|ids, _| {
                 projector.project_into(ids, &mut key);
-                linker.link(index[key.as_slice()], source_rep[row]);
+                target_of[row] = link(rep, index[key.as_slice()], source_rep[row]);
                 row += 1;
                 Ok(())
             })
             .expect("linking never fails");
-        self.plan.steps.push(PlanStep {
-            cuboid: cuboid.clone(),
-            source: slot,
-            target_of: linker.target_of,
-            rows: full.len(),
-            rep: linker.rep,
-            bytes,
-            retire: 0,
-            frees_source: false,
-            read_later: false,
-        });
-        self.slots.insert(cuboid.clone(), self.plan.steps.len());
-    }
-
-    /// Books the bytes the cold roll-up retires after the last step.
-    fn retire(&mut self, bytes: usize) {
-        if let Some(step) = self.plan.steps.last_mut() {
-            step.retire = bytes;
-        }
+        self.rep_at.push(at + sources);
+        self.tables.push((rows, bytes));
     }
 
     /// The finished plan.
-    fn finish(self, o_spec: &CuboidSpec) -> RollUpPlan {
-        let mut plan = self.plan;
-        let mut last_reader = vec![None; plan.steps.len() + 1];
-        for (k, step) in plan.steps.iter().enumerate() {
-            last_reader[step.source] = Some(k);
+    fn finish(self) -> RollUpPlan {
+        RollUpPlan {
+            tuples: self.tuples,
+            keys: self.keys,
+            arena: self.arena.into_boxed_slice(),
+            tables: self.tables.into_boxed_slice(),
         }
-        for (k, step) in plan.steps.iter_mut().enumerate() {
-            step.frees_source = last_reader[step.source] == Some(k);
-            step.read_later = last_reader[k + 1].is_some();
-            if step.cuboid == *o_spec {
-                step.rep = Vec::new();
-            }
-        }
-        plan
     }
 }
 
@@ -1048,6 +1225,55 @@ mod tests {
         assert_eq!(e.result().m_layer_cells(), 0);
         assert_eq!(e.result().total_exception_cells(), 0);
         assert_eq!(e.stats().cells_computed, 0);
+    }
+
+    /// `tuples` moved to window `w`.
+    fn in_unit(tuples: &[MTuple], w: i64) -> Vec<MTuple> {
+        tuples
+            .iter()
+            .map(|t| {
+                let m = t.isb();
+                let isb = Isb::new(10 * w, 10 * w + 9, m.base(), m.slope()).unwrap();
+                MTuple::new(t.ids().to_vec(), isb)
+            })
+            .collect()
+    }
+
+    /// The full key comparison is the only guard against a hash
+    /// collision: a plan of another sequence planted under a unit's hash
+    /// must miss, and the unit must come out as it does cold.
+    #[test]
+    fn a_plan_under_a_colliding_hash_misses() {
+        let policy = ExceptionPolicy::slope_threshold(0.4);
+        let planted = dense_tuples();
+        let unit = in_unit(&planted[1..], 2);
+        let mut e = engine(policy.clone());
+        e.ingest_unit(&in_unit(&planted, 0)).unwrap();
+        e.ingest_unit(&in_unit(&planted, 1)).unwrap();
+        let shape = e.shapes.shapes.last_mut().unwrap();
+        assert!(shape.plan.is_some(), "the second unit captures");
+        assert_ne!(shape.hash, sequence_hash(&unit));
+        shape.hash = sequence_hash(&unit);
+
+        let hash = sequence_hash(&unit);
+        assert!(matches!(e.shapes.lookup(hash, &unit), Lookup::Cold));
+        e.ingest_unit(&unit).unwrap();
+        assert_eq!(e.units_replayed(), 0);
+        let shape = e.shapes.shapes.last().unwrap();
+        assert_eq!(shape.hash, hash);
+        assert!(shape.plan.is_none(), "the miss leaves the hash alone");
+
+        let (schema, layers) = small_setup();
+        let cold = compute(&schema, &layers, &policy, &unit).unwrap();
+        let cells = |t: &CuboidTable| -> Vec<(CellKey, Isb)> {
+            t.iter().map(|(k, m)| (k.clone(), *m)).collect()
+        };
+        assert_eq!(cells(e.result().m_table()), cells(cold.m_table()));
+        assert_eq!(cells(e.result().o_table()), cells(cold.o_table()));
+        assert_eq!(
+            e.result().total_exception_cells(),
+            cold.total_exception_cells()
+        );
     }
 
     #[test]

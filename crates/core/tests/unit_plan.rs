@@ -1,15 +1,15 @@
 //! A recurring unit's replayed roll-up against the cold computation.
 //!
-//! When a unit carries exactly the key sequence of the unit before it,
-//! `MoCubingEngine` (row layout) replays a roll-up plan read off an
-//! earlier unit's tables instead of re-hashing every cuboid. The oracle
-//! here is a fresh engine that has seen only the unit before and the unit
-//! itself, so it computes the unit cold. Over seeded schemas (balanced
-//! and ragged), layers and exception policies (per-depth and per-cuboid
-//! overrides included), and over key sequences that repeat, change,
-//! reorder, shrink, grow and carry duplicate m-keys, with NaN and
-//! infinite measures mixed in, the plan-holding engine must match the
-//! oracle unit by unit:
+//! `MoCubingEngine` (row layout) keeps the roll-up plans of up to
+//! `SHAPES` recent m-key sequences and replays a plan, instead of
+//! re-hashing every cuboid, for any unit whose key sequence has one
+//! resident. The oracle here is a fresh engine that has seen only the
+//! unit before and the unit itself, so it computes the unit cold. Over
+//! seeded schemas (balanced and ragged), layers and exception policies
+//! (per-depth and per-cuboid overrides included), and over key sequences
+//! that repeat, change, reorder, shrink, grow, carry duplicate m-keys and
+//! return to earlier sequences, with NaN and infinite measures mixed in,
+//! the plan-holding engine must match the oracle unit by unit:
 //!
 //! * the m-table, the o-table and every exception store: same keys in
 //!   the same iteration order with the same bits, the stores in the same
@@ -17,13 +17,18 @@
 //! * the `UnitDelta` (but its ordinal);
 //! * the `RunStats` (but `elapsed`).
 //!
-//! Each check also pins *when* the engine replayed: exactly on the third
-//! and later consecutive units of one key sequence, so a run that never
-//! replays, or replays a plan after its sequence changed, fails here.
+//! Each check also pins *when* the engine replayed, against an LRU model
+//! of the cache: a sequence's first unit is remembered by hash, its
+//! second captures the plan, and every later one replays while the
+//! sequence stays among the `SHAPES` most recently used. Scripted cases
+//! add alternation, rotations that fit the cache and one that evicts
+//! every shape, a sequence that returns after its eviction, the pooled
+//! engine and the restored engine.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use regcube_core::engine::{CubingEngine, MoCubingEngine, UnitDelta};
+use regcube_core::mo_cubing::SHAPES;
 use regcube_core::{CriticalLayers, CubeResult, ExceptionPolicy, MTuple, RunStats, WorkerPool};
 use regcube_olap::{CubeSchema, CuboidSpec, Dimension, Hierarchy};
 use regcube_regress::Isb;
@@ -190,25 +195,33 @@ fn unit(rng: &mut StdRng, keys: &[Vec<u32>], w: i64) -> Vec<MTuple> {
         .collect()
 }
 
-/// Counts the units a plan-holding engine replays: the third and later
-/// consecutive units of one key sequence.
+/// Counts the units a plan-holding engine replays: an LRU of `SHAPES`
+/// key sequences, each with whether its plan was captured.
 #[derive(Default)]
 struct ReplayModel {
-    last: Option<Vec<Vec<u32>>>,
-    run: usize,
+    /// Least recently used first.
+    shapes: Vec<(Vec<Vec<u32>>, bool)>,
     replays: u64,
 }
 
 impl ReplayModel {
     fn unit(&mut self, keys: &[Vec<u32>]) {
-        self.run = match &self.last {
-            Some(last) if last.as_slice() == keys => self.run + 1,
-            _ => 1,
+        let captured = match self
+            .shapes
+            .iter()
+            .position(|(seq, _)| seq.as_slice() == keys)
+        {
+            Some(at) => {
+                let (_, captured) = self.shapes.remove(at);
+                self.replays += u64::from(captured);
+                true
+            }
+            None => false,
         };
-        if self.run >= 3 {
-            self.replays += 1;
+        self.shapes.push((keys.to_vec(), captured));
+        if self.shapes.len() > SHAPES {
+            self.shapes.remove(0);
         }
-        self.last = Some(keys.to_vec());
     }
 }
 
@@ -254,15 +267,70 @@ fn script(rng: &mut StdRng, an: &Analysis, units: usize) -> Vec<(Vec<Vec<u32>>, 
     let mut keys: Vec<Vec<u32>> = (0..rng.random_range(1..24usize))
         .map(|_| an.universe[rng.random_range(0..an.universe.len())].clone())
         .collect();
-    let mut out = Vec::new();
+    let mut out: Vec<(Vec<Vec<u32>>, Vec<MTuple>)> = Vec::new();
     for w in 0..units as i64 {
         if w > 0 {
-            keys = next_keys(rng, &an.universe, &keys);
+            keys = if rng.random_range(0..5u32) == 0 {
+                // Back to an earlier unit's sequence.
+                out[rng.random_range(0..out.len())].0.clone()
+            } else {
+                next_keys(rng, &an.universe, &keys)
+            };
         }
         let tuples = unit(rng, &keys, w);
         out.push((keys.clone(), tuples));
     }
     out
+}
+
+/// Units of `sequences` in turn, one window each.
+fn units_of(rng: &mut StdRng, sequences: &[&[Vec<u32>]]) -> Vec<(Vec<Vec<u32>>, Vec<MTuple>)> {
+    sequences
+        .iter()
+        .enumerate()
+        .map(|(w, keys)| (keys.to_vec(), unit(rng, keys, w as i64)))
+        .collect()
+}
+
+/// `n` distinct key sequences drawn from `an`'s universe: the same
+/// cells in `n` different orders, lengths or multiplicities.
+fn distinct_sequences(rng: &mut StdRng, an: &Analysis, n: usize) -> Vec<Vec<Vec<u32>>> {
+    let mut out: Vec<Vec<Vec<u32>>> = Vec::new();
+    while out.len() < n {
+        let keys: Vec<Vec<u32>> = (0..rng.random_range(1..12usize))
+            .map(|_| an.universe[rng.random_range(0..an.universe.len())].clone())
+            .collect();
+        if !out.contains(&keys) {
+            out.push(keys);
+        }
+    }
+    out
+}
+
+/// A seeded analysis whose universe has at least two m-cells, so it has
+/// many distinct key sequences.
+fn rich_analysis(seed: u64) -> (StdRng, Analysis) {
+    (seed..)
+        .map(|seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let an = analysis(&mut rng);
+            (rng, an)
+        })
+        .find(|(_, an)| an.universe.len() > 1)
+        .expect("some seed draws two m-cells")
+}
+
+/// Holds a fresh engine to the cold oracle over units of `order`
+/// (indices into `sequences`) and returns its replay count.
+fn run_order(seed: u64, sequences: usize, order: &[usize]) -> u64 {
+    let (mut rng, an) = rich_analysis(seed);
+    let seqs = distinct_sequences(&mut rng, &an, sequences);
+    let picked: Vec<&[Vec<u32>]> = order.iter().map(|&i| seqs[i].as_slice()).collect();
+    let units = units_of(&mut rng, &picked);
+    let mut engine =
+        MoCubingEngine::new(an.schema.clone(), an.layers.clone(), an.policy.clone()).unwrap();
+    hold_to_cold(&an, &mut engine, &units);
+    engine.units_replayed()
 }
 
 #[test]
@@ -280,9 +348,51 @@ fn a_replayed_unit_is_the_cold_unit() {
     assert!(replays > 300, "only {replays} units replayed");
 }
 
+/// Two sequences in turn: each is remembered, then captured, then
+/// replayed on every return — by rebuilding the critical layers, as the
+/// held unit always has the other sequence.
+#[test]
+fn alternating_sequences_replay_from_their_third_unit() {
+    let order: Vec<usize> = (0..12).map(|u| u % 2).collect();
+    assert_eq!(run_order(3, 2, &order), 8);
+}
+
+/// The benchmark fleet's rotation: 16 sequences fit the cache, so every
+/// unit from the third round on replays.
+#[test]
+fn a_sixteen_sequence_rotation_replays_from_its_third_round() {
+    let order: Vec<usize> = (0..16 * 4).map(|u| u % 16).collect();
+    assert_eq!(run_order(5, 16, &order), 16 * 2);
+}
+
+/// One sequence more than the cache holds: each is evicted just before
+/// it returns, so nothing is ever captured.
+#[test]
+fn a_rotation_one_longer_than_the_cache_never_replays() {
+    let n = SHAPES + 1;
+    let order: Vec<usize> = (0..n * 3).map(|u| u % n).collect();
+    assert_eq!(run_order(11, n, &order), 0);
+}
+
+/// A captured sequence survives `SHAPES - 1` others and replays on its
+/// return; after `SHAPES` others it is evicted and starts over.
+#[test]
+fn a_sequence_back_after_eviction_starts_over() {
+    let back = |others: usize| {
+        let mut order = vec![0, 0];
+        order.extend(1..=others);
+        order.extend([0, 0, 0]);
+        run_order(13, SHAPES + 1, &order)
+    };
+    assert_eq!(back(SHAPES - 1), 3);
+    assert_eq!(back(SHAPES), 1);
+}
+
 /// The 2-worker pool fans a tier out only in front of 4,096 source
-/// rows; these units are about 5,000 distinct m-cells, so the plan is
-/// captured from tables the pool folded.
+/// rows; these units are about 5,000 distinct m-cells, so the plans are
+/// captured from tables the pool folded. Two sequences alternate — the
+/// replays rebuild 5,000-cell m-tables — and then one repeats, replaying
+/// over the held unit's tables.
 #[test]
 fn a_pooled_engine_replays_the_cold_unit() {
     let mut rng = StdRng::seed_from_u64(7);
@@ -307,44 +417,41 @@ fn a_pooled_engine_replays_the_cold_unit() {
         policy,
         universe,
     };
-    let changed: Vec<Vec<u32>> = an.universe[..an.universe.len() - 1].to_vec();
-    let sequences = [
-        &an.universe,
-        &an.universe,
-        &an.universe,
-        &an.universe,
-        &changed,
-        &changed,
-        &changed,
-    ];
-    let units: Vec<_> = sequences
-        .iter()
-        .enumerate()
-        .map(|(w, keys)| (keys.to_vec(), unit(&mut rng, keys, w as i64)))
-        .collect();
+    let all = an.universe.as_slice();
+    let changed = &all[..all.len() - 1];
+    let units = units_of(
+        &mut rng,
+        &[all, changed, all, changed, all, changed, all, all],
+    );
     let pool = Arc::new(WorkerPool::new(2));
     let mut engine = MoCubingEngine::new(an.schema.clone(), an.layers.clone(), an.policy.clone())
         .unwrap()
         .with_pool(pool);
     hold_to_cold(&an, &mut engine, &units);
-    assert_eq!(engine.units_replayed(), 3);
+    assert_eq!(engine.units_replayed(), 4);
 }
 
 /// A restored engine re-cubes the checkpointed unit from its m-table,
-/// sorted by key; the units after it (sorted, one tuple per cell, as the
-/// ingestor closes them) repeat that sequence, so it replays like the
-/// engine that never stopped.
+/// sorted by key, and starts with an empty cache. The units (sorted, one
+/// tuple per cell, as the ingestor closes them) rotate through three
+/// sequences; cut mid-rotation, the restored engine must serve every
+/// later unit as the engine that never stopped does, and replay once its
+/// cache has seen the rotation twice.
 #[test]
 fn an_engine_rebuilt_from_its_held_m_table_replays_like_the_original() {
+    const CUT: usize = 4;
     for seed in 0..24u64 {
-        let mut rng = StdRng::seed_from_u64(1000 + seed);
-        let an = analysis(&mut rng);
-        let mut keys = an.universe.clone();
-        keys.sort();
-        keys.dedup();
-        let units: Vec<_> = (0..8)
-            .map(|w| (keys.clone(), unit(&mut rng, &keys, w)))
+        let (mut rng, an) = rich_analysis(1000 + seed * 16);
+        let rotation: Vec<Vec<Vec<u32>>> = distinct_sequences(&mut rng, &an, 3)
+            .into_iter()
+            .map(|mut keys| {
+                keys.sort();
+                keys.dedup();
+                keys
+            })
             .collect();
+        let picked: Vec<&[Vec<u32>]> = (0..12).map(|u| rotation[u % 3].as_slice()).collect();
+        let units = units_of(&mut rng, &picked);
         let make = || {
             MoCubingEngine::new(an.schema.clone(), an.layers.clone(), an.policy.clone()).unwrap()
         };
@@ -352,21 +459,20 @@ fn an_engine_rebuilt_from_its_held_m_table_replays_like_the_original() {
         hold_to_cold(&an, &mut original, &units);
 
         let mut held = make();
-        held.ingest_unit(&units[0].1).unwrap();
-        held.ingest_unit(&units[1].1).unwrap();
+        for (_, tuples) in &units[..=CUT] {
+            held.ingest_unit(tuples).unwrap();
+        }
         let mut saved: Vec<_> = held.result().m_table().iter().collect();
         saved.sort_by(|a, b| a.0.cmp(b.0));
         let restored_unit: Vec<MTuple> = saved
             .iter()
             .map(|(k, isb)| MTuple::new(k.ids().to_vec(), **isb))
             .collect();
+        let mut after = vec![(units[CUT].0.clone(), restored_unit)];
+        after.extend_from_slice(&units[CUT + 1..]);
         let mut restored = make();
-        restored.ingest_unit(&restored_unit).unwrap();
-        for (keys, tuples) in &units[2..] {
-            restored.ingest_unit(tuples).unwrap();
-            assert_eq!(keys, &units[0].0);
-        }
-        assert_eq!(restored.units_replayed(), 5);
+        hold_to_cold(&an, &mut restored, &after);
+        assert!(restored.units_replayed() > 0, "seed {seed}");
         let (got, want) = (restored.result(), original.result());
         assert_eq!(cells(got.m_table()), cells(want.m_table()), "seed {seed}");
         assert_eq!(cells(got.o_table()), cells(want.o_table()), "seed {seed}");

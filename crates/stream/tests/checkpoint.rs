@@ -356,6 +356,94 @@ fn a_restored_engine_serves_recurring_units_like_one_that_never_stopped() {
     }
 }
 
+/// A population whose active quarter rotates unit by unit hands the
+/// cubing engine four key sequences in turn. The engine remembers each,
+/// captures its roll-up plan on its second round and replays it from
+/// the third on. Checkpointed mid-rotation, the restored engine starts
+/// with no plans, re-cubes the checkpointed unit cold and works its way
+/// back into replaying; unit by unit, it must serve what the engine
+/// that never stopped serves.
+#[test]
+fn a_restore_mid_rotation_serves_like_one_that_never_stopped() {
+    const QUARTERS: i64 = 4;
+    const UNITS: i64 = 4 * QUARTERS;
+    const CUT: i64 = QUARTERS + 2;
+    let cfg = || {
+        EngineConfig::new(
+            CubeSchema::synthetic(2, 2, 3).unwrap(),
+            CuboidSpec::new(vec![1, 0]),
+            CuboidSpec::new(vec![2, 2]),
+        )
+        .with_policy(ExceptionPolicy::slope_threshold(0.8))
+        .with_tilt(TiltSpec::new(vec![("unit", 4), ("coarse", 3)]).unwrap())
+        .with_ticks_per_unit(TPU)
+    };
+    let cells: Vec<[u32; 2]> = (0..8u32)
+        .flat_map(|a| (0..8u32).map(move |b| [a, b]))
+        .collect();
+    let unit = |u: i64| -> Vec<RawRecord> {
+        let quarter = cells.len() / QUARTERS as usize;
+        let active = &cells[u.rem_euclid(QUARTERS) as usize * quarter..][..quarter];
+        let mut records = Vec::new();
+        for t in u * TPU as i64..(u + 1) * TPU as i64 {
+            for &[a, b] in active {
+                let wave = ((a * 7 + b * 3) as i64 + t * 5) % 11;
+                let value = wave as f64 * 0.4 - 2.0 + f64::from(a + b) * 0.05 * t as f64;
+                records.push(RawRecord::new(vec![a, b], t, value));
+            }
+        }
+        records
+    };
+
+    let mut reference = cfg().build_with(MoCubingEngine::new).unwrap();
+    let (mut want, mut want_text) = (Vec::new(), Vec::new());
+    for u in 0..UNITS {
+        for r in unit(u) {
+            reference.ingest(&r).unwrap();
+        }
+        want.push(reference.close_unit().unwrap());
+        want_text.push(reference.snapshot().canonical_text());
+        if u < 2 * QUARTERS {
+            assert_eq!(reference.cubing().units_replayed(), 0, "unit {u}");
+        }
+    }
+    assert_eq!(
+        reference.cubing().units_replayed(),
+        (UNITS - 2 * QUARTERS) as u64
+    );
+
+    let (mut got, mut got_text) = (Vec::new(), Vec::new());
+    let mut victim = cfg().build().unwrap();
+    for u in 0..CUT {
+        for r in unit(u) {
+            victim.ingest(&r).unwrap();
+        }
+        got.push(victim.close_unit().unwrap());
+        got_text.push(victim.snapshot().canonical_text());
+    }
+    let bytes = victim.checkpoint_bytes().unwrap();
+    let mut revived = restore_bytes(cfg(), &bytes).unwrap();
+    assert_eq!(
+        revived.snapshot().canonical_text(),
+        got_text[CUT as usize - 1]
+    );
+    for u in CUT..UNITS {
+        for r in unit(u) {
+            revived.ingest(&r).unwrap();
+        }
+        got.push(revived.close_unit().unwrap());
+        got_text.push(revived.snapshot().canonical_text());
+    }
+    assert_reports_eq(&want, &got, "restored mid-rotation");
+    assert!(
+        want.iter().any(|r| !r.alarms.is_empty()),
+        "some unit alarms"
+    );
+    for (u, (w, g)) in want_text.iter().zip(&got_text).enumerate() {
+        assert_eq!(w, g, "unit {u}");
+    }
+}
+
 /// The checkpoint captures in-flight lateness state: records buffered
 /// in the reorder window and a pending amendment survive the restart
 /// and surface in the post-restore closes exactly as they would have.
