@@ -917,9 +917,30 @@ fn apply_state(engine: &mut OnlineEngine<BoxedEngine>, saved: SavedState) -> Res
     engine.late_amended_total = saved.late_amended_total;
 
     if let (Some(st), Some(saved_st)) = (engine.reorder.as_mut(), saved.reorder) {
+        // A bucket holds records of one unit the engine has yet to
+        // close: the close folds it without looking again.
         let packer = engine.ingestor.packer();
+        let ticks = engine.ticks_per_unit as i64;
+        let bad_bucket = |detail: String| StreamError::Checkpoint {
+            detail: format!("invalid reorder buffer in checkpoint: {detail}"),
+        };
         let mut units = BTreeMap::new();
         for (unit, records) in saved_st.buffered {
+            if unit < saved.open_unit {
+                return Err(bad_bucket(format!(
+                    "unit {unit} is buffered but the engine resumes at unit {}",
+                    saved.open_unit
+                )));
+            }
+            if units.contains_key(&unit) {
+                return Err(bad_bucket(format!("unit {unit} is buffered twice")));
+            }
+            if let Some(r) = records.iter().find(|r| r.tick.div_euclid(ticks) != unit) {
+                return Err(bad_bucket(format!(
+                    "a record of unit {unit} has tick {}, outside it",
+                    r.tick
+                )));
+            }
             let packed = records
                 .iter()
                 .map(|r| packer.pack(r))

@@ -16,6 +16,15 @@
 //! the value is added to the row's tick. No key is built and nothing is
 //! allocated for a cell the unit has already seen; the dictionary and
 //! the slab keep their capacity from one unit to the next.
+//!
+//! Records arrive in one of two ways. A strictly ordered engine adds
+//! each one as it comes ([`Ingestor::ingest_packed`]), so the sums
+//! follow the arrival order. A reordering engine hands over a whole
+//! unit's buffered records at close (`ingest_bucket`), whose sums must
+//! be those of the records sorted by `(tick, key, value bits)`. Only the
+//! records that share a `(row, tick)` slot can tell the two orders
+//! apart, so the bucket is folded in arrival order and just those slots
+//! are summed again, each in the canonical order — no sort of the unit.
 
 use crate::error::StreamError;
 use crate::record::{PackedRecord, RawRecord, RecordPacker};
@@ -37,6 +46,12 @@ enum ToM {
     Walk,
 }
 
+/// A slab slot no record of the bucket has landed in yet
+/// ([`Ingestor::ingest_bucket`]).
+const EMPTY: u32 = u32::MAX;
+/// A slab slot two or more records of the bucket share.
+const SHARED: u32 = u32::MAX - 1;
+
 /// Accumulates raw records for one m-layer time unit at a time.
 #[derive(Debug, Clone)]
 pub struct Ingestor {
@@ -54,6 +69,9 @@ pub struct Ingestor {
     keys: Vec<u64>,
     /// Per-tick value sums of the open unit, `ticks_per_unit` per row.
     slab: Vec<f64>,
+    /// Per slab slot, the index of the bucket record that landed there
+    /// first, [`EMPTY`] or [`SHARED`] ([`ingest_bucket`](Self::ingest_bucket)).
+    heads: Vec<u32>,
     records_seen: u64,
 }
 
@@ -106,6 +124,7 @@ impl Ingestor {
             rows: FxHashMap::default(),
             keys: Vec::new(),
             slab: Vec::new(),
+            heads: Vec::new(),
             records_seen: 0,
         })
     }
@@ -195,6 +214,82 @@ impl Ingestor {
     /// * [`StreamError::OutOfWindow`] when the record's tick is outside
     ///   the open unit (close the unit first).
     pub fn ingest_packed(&mut self, record: &PackedRecord) -> Result<()> {
+        self.check(record)?;
+        let slot = self.slot(record);
+        self.slab[slot] += record.value;
+        self.records_seen += 1;
+        Ok(())
+    }
+
+    /// Folds one unit's buffered records, in arrival order, into the
+    /// open unit — with the sums a fold of the records sorted by
+    /// `(tick, key, value bits)` writes, bit for bit (but for the payload
+    /// of a sum of two NaNs, which Rust leaves unspecified).
+    ///
+    /// Two records' order matters only when they land in the same
+    /// `(row, tick)` slot. A slot with one record takes `0.0 + value`,
+    /// as the sorted fold's does. A slot with more is summed again from
+    /// `0.0` over its records sorted by `(primitive key, value bits)`:
+    /// the canonical order restricted to the slot. Rows are numbered by
+    /// first arrival; [`close_unit`](Self::close_unit) emits them in key
+    /// order either way.
+    ///
+    /// Every record is checked before any is folded, so an error leaves
+    /// the ingestor as it was.
+    ///
+    /// # Errors
+    /// What [`ingest_packed`](Self::ingest_packed) returns for the first
+    /// record it would refuse.
+    ///
+    /// # Panics
+    /// When the open unit already holds records (the re-sum starts from
+    /// `0.0`), or the bucket has `u32::MAX - 1` records or more.
+    pub(crate) fn ingest_bucket(&mut self, records: &[PackedRecord]) -> Result<()> {
+        assert!(self.rows.is_empty(), "a bucket into a non-empty unit");
+        assert!(records.len() < SHARED as usize, "bucket too long");
+        for record in records {
+            self.check(record)?;
+        }
+        self.heads.clear();
+        // (slot, key, value bits) of every record in a shared slot.
+        let mut shared: Vec<(usize, u64, u64)> = Vec::new();
+        let entry = |slot: usize, r: &PackedRecord| (slot, r.key, r.value.to_bits());
+        for (i, record) in records.iter().enumerate() {
+            let slot = self.slot(record);
+            if slot >= self.heads.len() {
+                self.heads.resize(self.slab.len(), EMPTY);
+            }
+            match self.heads[slot] {
+                EMPTY => {
+                    self.heads[slot] = i as u32;
+                    self.slab[slot] += record.value;
+                }
+                SHARED => shared.push(entry(slot, record)),
+                head => {
+                    self.heads[slot] = SHARED;
+                    shared.push(entry(slot, &records[head as usize]));
+                    shared.push(entry(slot, record));
+                }
+            }
+        }
+        shared.sort_unstable();
+        let mut rest = shared.as_slice();
+        while let Some(&(slot, ..)) = rest.first() {
+            let n = rest.iter().take_while(|e| e.0 == slot).count();
+            self.slab[slot] = rest[..n]
+                .iter()
+                .fold(0.0, |sum, &(_, _, bits)| sum + f64::from_bits(bits));
+            rest = &rest[n..];
+        }
+        self.records_seen += records.len() as u64;
+        Ok(())
+    }
+
+    /// Refuses a record [`ingest_packed`](Self::ingest_packed) cannot
+    /// fold: a key beyond the primitive layer, or a tick outside the
+    /// open unit.
+    #[inline]
+    fn check(&self, record: &PackedRecord) -> Result<()> {
         self.packer.check(record)?;
         let window = self.open_window();
         if record.tick < window.0 || record.tick > window.1 {
@@ -203,6 +298,14 @@ impl Ingestor {
                 window,
             });
         }
+        Ok(())
+    }
+
+    /// The slab index of a checked record's `(row, tick)` slot: one hash
+    /// probe for its m-cell's row, which a new m-cell is given at the
+    /// end of the slab.
+    #[inline]
+    fn slot(&mut self, record: &PackedRecord) -> usize {
         let m_key = match &self.to_m {
             ToM::Identity => record.key,
             ToM::Walk => self
@@ -216,9 +319,8 @@ impl Ingestor {
             self.keys.push(m_key);
             self.slab.resize(self.slab.len() + ticks, 0.0);
         }
-        self.slab[row as usize * ticks + (record.tick - window.0) as usize] += record.value;
-        self.records_seen += 1;
-        Ok(())
+        let first = self.open_unit * ticks as i64;
+        row as usize * ticks + (record.tick - first) as usize
     }
 
     /// Closes the open unit: fits one ISB per touched m-cell over the
@@ -270,6 +372,7 @@ impl Ingestor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     /// 2 dims, depth 2, fanout 2; primitive = m-layer = (2, 2); 4 ticks
     /// per unit.
@@ -402,6 +505,178 @@ mod tests {
             ing.ingest(&RawRecord::new(vec![0, 9], 0, 1.0)),
             Err(StreamError::BadRecord { .. })
         ));
+    }
+
+    /// SplitMix64: a seeded stream of test inputs.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// Values whose sums depend on the order of the additions, or on the
+    /// first addition starting from `0.0`.
+    const HOSTILE: [f64; 12] = [
+        1e16,
+        1.0,
+        -1e16,
+        -0.0,
+        0.0,
+        0.1,
+        -2.5,
+        f64::MIN_POSITIVE / 4.0,
+        -5e-324,
+        f64::NAN,
+        -f64::NAN,
+        f64::INFINITY,
+    ];
+
+    /// A value from [`HOSTILE`], or a NaN with a payload of its own
+    /// (quiet or signalling, either sign).
+    fn hostile(rng: &mut Rng) -> f64 {
+        match rng.below(16) {
+            i @ 0..=11 => HOSTILE[i as usize],
+            i => {
+                let sign = (i & 1) << 63;
+                let quiet = (i & 2) << 50;
+                f64::from_bits(sign | 0x7ff0_0000_0000_0000 | quiet | (1 + rng.below(1 << 20)))
+            }
+        }
+    }
+
+    /// The open unit's slab as `(m-key, tick) -> sum bits`, and the
+    /// closed unit's cells with their ISBs as bits.
+    type Folded = (BTreeMap<(u64, usize), u64>, Vec<(CellKey, [u64; 2])>);
+
+    /// A float's bits, with every NaN as one. Rust leaves the payload of
+    /// a NaN that arithmetic returns unspecified: when both addends are
+    /// NaNs, which one survives follows the operand order the compiler
+    /// picked for that add, not the fold.
+    fn bits(x: f64) -> u64 {
+        if x.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            x.to_bits()
+        }
+    }
+
+    fn close_bits(ing: &mut Ingestor) -> Folded {
+        let ticks = ing.ticks_per_unit;
+        let mut slab = BTreeMap::new();
+        for (row, &key) in ing.keys.iter().enumerate() {
+            for tick in 0..ticks {
+                slab.insert((key, tick), bits(ing.slab[row * ticks + tick]));
+            }
+        }
+        let (_, cells) = ing.close_unit().unwrap();
+        let cells = cells
+            .into_iter()
+            .map(|(key, isb)| (key, [bits(isb.base()), bits(isb.slope())]))
+            .collect();
+        (slab, cells)
+    }
+
+    /// Folds `bucket` both ways into unit 1 of a copy of `ing`: in
+    /// arrival order, and with `ingest_packed` over the bucket sorted by
+    /// `(tick, key, value bits)`.
+    fn fold_both_ways(ing: &Ingestor, bucket: &[PackedRecord]) -> (Folded, Folded) {
+        let mut arrival = ing.clone();
+        arrival.set_open_unit(1);
+        let mut sorted = arrival.clone();
+        arrival.ingest_bucket(bucket).unwrap();
+        let mut canonical = bucket.to_vec();
+        canonical.sort_by_key(|r| (r.tick, r.key, r.value.to_bits()));
+        for record in &canonical {
+            sorted.ingest_packed(record).unwrap();
+        }
+        assert_eq!(arrival.records_seen(), sorted.records_seen());
+        assert_eq!(arrival.open_cells(), sorted.open_cells());
+        (close_bits(&mut arrival), close_bits(&mut sorted))
+    }
+
+    /// The arrival-order fold writes the sorted fold's sums, bit for bit:
+    /// slots hit once to four times, by one primitive cell or by several
+    /// that share an m-cell, with signed zeros, NaN payloads, subnormals
+    /// and `1e16, 1, -1e16`.
+    #[test]
+    fn a_bucket_folds_as_its_canonical_sort_does() {
+        for (name, ing) in [("identity", ingestor()), ("walk", rollup_ingestor())] {
+            let (first, _) = {
+                let mut at_one = ing.clone();
+                at_one.set_open_unit(1);
+                at_one.open_window()
+            };
+            let pack = |ids: [u32; 2], tick: i64, value: f64| {
+                ing.packer()
+                    .pack(&RawRecord::new(ids.to_vec(), first + tick, value))
+                    .unwrap()
+            };
+            // Fixed cases: a lone -0.0; a triple on one primitive cell;
+            // the triple on three cells of one m-cell in the order where
+            // the keys and the value bits disagree (1e16 ahead of 1 by
+            // key, behind it by bits).
+            let fixed: [Vec<PackedRecord>; 3] = [
+                vec![pack([1, 2], 3, -0.0)],
+                vec![
+                    pack([0, 0], 0, -1e16),
+                    pack([0, 0], 0, 1.0),
+                    pack([0, 0], 0, 1e16),
+                ],
+                vec![
+                    pack([1, 1], 2, 1.0),
+                    pack([0, 1], 2, -1e16),
+                    pack([0, 0], 2, 1e16),
+                ],
+            ];
+            for (case, bucket) in fixed.iter().enumerate() {
+                let (arrival, sorted) = fold_both_ways(&ing, bucket);
+                assert_eq!(arrival, sorted, "{name}: fixed case {case}");
+            }
+            for seed in 0..200u64 {
+                let mut rng = Rng(seed);
+                let mut bucket = Vec::new();
+                for _ in 0..1 + rng.below(12) {
+                    let (a, b, tick) = (rng.below(4), rng.below(4), rng.below(4) as i64);
+                    for _ in 0..1 + rng.below(4) {
+                        // A sibling under the same m-cell when the
+                        // layers differ; the same cell otherwise.
+                        let ids = [(a ^ rng.below(2)) as u32, (b ^ rng.below(2)) as u32];
+                        bucket.push(pack(ids, tick, hostile(&mut rng)));
+                    }
+                }
+                for i in (1..bucket.len()).rev() {
+                    bucket.swap(i, rng.below(i as u64 + 1) as usize);
+                }
+                let (arrival, sorted) = fold_both_ways(&ing, &bucket);
+                assert_eq!(arrival, sorted, "{name}: seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_refused_bucket_leaves_the_unit_untouched() {
+        let mut ing = ingestor();
+        let pack = |ids: Vec<u32>, tick: i64| ing.packer().pack(&RawRecord::new(ids, tick, 1.0));
+        let good = pack(vec![0, 0], 1).unwrap();
+        let late = pack(vec![1, 1], 4).unwrap();
+        let beyond = PackedRecord { key: 16, ..good };
+        assert!(matches!(
+            ing.ingest_bucket(&[good, late]),
+            Err(StreamError::OutOfWindow { tick: 4, .. })
+        ));
+        assert!(matches!(
+            ing.ingest_bucket(&[good, beyond]),
+            Err(StreamError::BadRecord { .. })
+        ));
+        assert_eq!((ing.open_cells(), ing.records_seen()), (0, 0));
+        ing.ingest_bucket(&[good, good]).unwrap();
+        assert_eq!((ing.open_cells(), ing.records_seen()), (1, 2));
     }
 
     #[test]

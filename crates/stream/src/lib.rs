@@ -11,7 +11,7 @@
 //! * [`record`] — raw stream records below the m-layer, and their packed
 //!   form: each record's primitive ids become one mixed-radix `u64` as
 //!   it enters an engine, so queues and the reorder buffer hold 32-byte
-//!   `Copy` values and the canonical sort compares integers;
+//!   `Copy` values and the canonical order compares integers;
 //! * [`ingest`] — per-unit accumulation and roll-up of raw records into
 //!   m-layer ISB tuples (standard dimensions via hierarchy projection,
 //!   time via per-unit OLS fits);

@@ -207,11 +207,11 @@ impl EngineConfig {
     /// arrive in any order as long as they land within `lateness` units
     /// of the maximum observed tick. The engine buffers up to
     /// `capacity` distinct units (the open one plus future ones),
-    /// re-sorts each unit into a canonical order at close — so any
-    /// in-lateness arrival order is **bit-identical** to sorted replay —
-    /// and turns records for already-closed units into exact tilt-frame
-    /// amendments via the OLS linearity of Theorem 3.3 mergeability
-    /// (see [`TiltFrame::amend_slot`] and
+    /// folds each unit at close as if sorted into a canonical order — so
+    /// any in-lateness arrival order is **bit-identical** to sorted
+    /// replay — and turns records for already-closed units into exact
+    /// tilt-frame amendments via the OLS linearity of Theorem 3.3
+    /// mergeability (see [`TiltFrame::amend_slot`] and
     /// [`Isb::amend_tick`](regcube_regress::Isb::amend_tick)). Records
     /// older than the allowed lateness are counted in
     /// [`RunStats::late_dropped`](regcube_core::RunStats) — never
@@ -582,8 +582,8 @@ impl<E: CubingEngine> OnlineEngine<E> {
     /// With reordering disabled (the default) the record must belong to
     /// the open unit. With [`EngineConfig::with_reordering`] the record
     /// may arrive out of order: open-or-future units are buffered
-    /// (canonically re-sorted at close), units within the allowed
-    /// lateness of the open one amend the warehoused tilt frames
+    /// (folded at close as if sorted canonically), units within the
+    /// allowed lateness of the open one amend the warehoused tilt frames
     /// exactly, and older records are counted in
     /// [`late_dropped`](Self::late_dropped) and dropped.
     ///
@@ -796,14 +796,18 @@ impl<E: CubingEngine> OnlineEngine<E> {
     /// frames zero-filled, the cube stays on the previous unit) and the
     /// next close proceeds normally.
     pub fn close_unit(&mut self) -> Result<UnitReport> {
-        // Watermark mode: drain the open unit's buffered records into
-        // the ingestor in canonical order — the same order every arrival
-        // permutation produces, so the fitted ISBs are bit-identical to
-        // sorted replay.
+        // Watermark mode: fold the open unit's buffered records in
+        // arrival order. The ingestor re-sums every slot two records
+        // share in the canonical order, so the fitted ISBs are
+        // bit-identical to a fold of the sorted unit, whatever the
+        // arrival permutation. A bucket it refuses goes back unchanged.
         if let Some(st) = self.reorder.as_mut() {
             let open = self.ingestor.open_unit();
-            for record in st.take_unit(open) {
-                self.ingestor.ingest_packed(&record)?;
+            if let Some(bucket) = st.units.remove(&open) {
+                if let Err(e) = self.ingestor.ingest_bucket(&bucket) {
+                    st.units.insert(open, bucket);
+                    return Err(e);
+                }
             }
         }
         let (unit, window) = (self.ingestor.open_unit(), self.ingestor.open_window());
@@ -1794,6 +1798,51 @@ mod tests {
             }
         }
         records
+    }
+
+    /// A close that refuses its bucket spends nothing: the records wait
+    /// in the buffer, and the unit stays open and empty.
+    #[test]
+    fn a_refused_bucket_stays_buffered() {
+        let mut e = reorder_engine(4, 2);
+        for r in sorted_stream().iter().take(8) {
+            e.ingest(r).unwrap();
+        }
+        let stray = PackedRecord {
+            tick: 9,
+            ..e.packer()
+                .pack(&RawRecord::new(vec![1, 1], 0, 1.0))
+                .unwrap()
+        };
+        let bucket = e.reorder.as_mut().unwrap().units.get_mut(&0).unwrap();
+        bucket.insert(3, stray);
+        let state = |e: &OnlineEngine| {
+            let ing = &e.ingestor;
+            (
+                e.buffered_records(),
+                e.open_unit(),
+                ing.open_cells(),
+                ing.records_seen(),
+                e.units_closed(),
+            )
+        };
+        let before = state(&e);
+        assert_eq!(before, (9, 0, 0, 0, 0));
+        for _ in 0..2 {
+            assert!(matches!(
+                e.close_unit(),
+                Err(StreamError::OutOfWindow {
+                    tick: 9,
+                    window: (0, 3)
+                })
+            ));
+            assert_eq!(state(&e), before);
+        }
+        let bucket = e.reorder.as_mut().unwrap().units.get_mut(&0).unwrap();
+        assert_eq!(bucket.remove(3), stray, "the bucket keeps its order");
+        let report = e.close_unit().unwrap();
+        assert_eq!((report.unit, report.m_cells), (0, 2));
+        assert_eq!(state(&e), (0, 1, 0, 8, 1));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! order is lexicographic id order), and the whole record is a 32-byte
 //! `Copy` value from there to the fitted m-layer tuple — queues and the
 //! reorder buffer hold it without a heap allocation, and the canonical
-//! sort compares integers.
+//! order compares integers.
 
 use crate::error::StreamError;
 use crate::Result;

@@ -10,8 +10,8 @@
 //!
 //! * a **bounded buffer** holding the records of the open unit and up to
 //!   [`ReorderConfig::capacity`] future units — records inside one unit
-//!   may arrive in any order, because the buffer re-sorts them into a
-//!   canonical order before the unit closes;
+//!   may arrive in any order, because the unit closes as if its records
+//!   were sorted into a canonical order;
 //! * a **low watermark** advanced by observed ticks: a unit is
 //!   [ready to close](ReorderState::close_ready) once the watermark
 //!   guarantees no in-lateness record for it can still arrive. Under
@@ -25,12 +25,17 @@
 //!
 //! The canonical per-unit order — `(tick, ids, value bits)` — is what
 //! makes out-of-order ingestion *bit-identical* to sorted replay:
-//! floating-point accumulation is order-sensitive, so the buffer imposes
-//! one order regardless of arrival order. Source ids influence only
-//! *when* units close, never their contents. The buffer is generic over
-//! its record ([`CanonicalOrder`]): the engine buffers
-//! [`PackedRecord`]s, whose packed keys order as their ids do, so the
-//! sort compares integers.
+//! floating-point accumulation is order-sensitive, so every unit is
+//! summed in one order regardless of arrival order. Source ids influence
+//! only *when* units close, never their contents. The engine does not
+//! sort a unit: its ingestor folds the bucket in arrival order and sums
+//! again, in the canonical order, only the `(m-cell, tick)` slots two
+//! records share — the only places where the order can show.
+//! [`ReorderState::take_unit`] still returns a unit sorted, for callers
+//! that replay it record by record. The buffer is generic over its
+//! record ([`CanonicalOrder`]): the engine buffers [`PackedRecord`]s,
+//! whose packed keys order as their ids do, so that sort compares
+//! integers.
 
 use crate::error::StreamError;
 use crate::record::{PackedRecord, RawRecord};
@@ -126,8 +131,9 @@ impl Default for ReorderConfig {
 
 /// A record the reorder buffer can hold: it knows its place in the
 /// canonical per-unit order `(tick, primitive ids, value bits)`. The
-/// declaring source takes no part, so two records that compare equal
-/// have identical content and every sort of a unit yields one sequence.
+/// declaring source takes no part: two records that compare equal can
+/// differ only in their source, which no fold reads, so every sort of a
+/// unit yields one sequence of what the fold sees.
 pub trait CanonicalOrder {
     /// Compares two records in the canonical order.
     fn canonical_cmp(&self, other: &Self) -> Ordering;
@@ -314,10 +320,10 @@ impl<R: CanonicalOrder> ReorderState<R> {
     }
 
     /// Removes and returns `unit`'s records in the canonical order
-    /// `(tick, ids, value bits)` — identical for every arrival order of
-    /// the same multiset, which is what makes reordered ingestion
-    /// bit-identical to sorted replay. Source ids deliberately do not
-    /// participate in the order.
+    /// `(tick, ids, value bits)` — identical, but for sources, for every
+    /// arrival order of the same multiset. Source ids deliberately do
+    /// not participate in the order. Folding the result record by record
+    /// gives the sums the engine's close computes without sorting.
     pub fn take_unit(&mut self, unit: i64) -> Vec<R> {
         let mut records = self.units.remove(&unit).unwrap_or_default();
         records.sort_unstable_by(R::canonical_cmp);

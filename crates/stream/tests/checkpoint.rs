@@ -715,3 +715,69 @@ fn reencoded_checkpoint_with_an_unpackable_buffered_record_is_a_typed_error() {
     assert!(text.contains("buffered record of unit 3"), "{text}");
     assert!(text.contains("member 9 out of range"), "{text}");
 }
+
+/// A buffered record sits in the bucket of its own unit, a unit the
+/// engine has yet to close, and a unit has one bucket. The close folds
+/// a bucket without looking again, so a restore checks all three. The
+/// parent commit restored a record moved out of its unit, and the
+/// unit's close then failed on it and lost it.
+#[test]
+fn reencoded_checkpoint_with_a_misplaced_buffered_record_is_a_typed_error() {
+    let mut e = config().build().unwrap();
+    e.close_unit().unwrap();
+    e.close_unit().unwrap();
+    e.ingest(&RawRecord::new(vec![3, 2], 13, 0.25)).unwrap();
+    assert_eq!((e.open_unit(), e.buffered_records()), (2, 1));
+    let bytes = e.checkpoint_bytes().unwrap();
+    let mut restored = restore_bytes(config(), &bytes).unwrap();
+    assert_eq!(restored.buffered_records(), 1);
+    assert_eq!(restored.flush().unwrap().len(), 2);
+
+    // The bucket as the file lists it: unit, record count, then the
+    // record (ids, tick, value, source).
+    let mut listed = 3i64.to_le_bytes().to_vec();
+    listed.extend_from_slice(&1u64.to_le_bytes());
+    listed.extend_from_slice(&2u64.to_le_bytes());
+    for id in [3u32, 2] {
+        listed.extend_from_slice(&id.to_le_bytes());
+    }
+    listed.extend_from_slice(&13i64.to_le_bytes());
+    let at = bytes
+        .windows(listed.len())
+        .position(|w| w == listed)
+        .expect("the bucket is in the file");
+    let tick = at + listed.len() - 8;
+    let bucket = &bytes[at..tick + 8 + 8 + 4];
+    let forged_err = |forged: Vec<u8>| {
+        let err = expect_checkpoint_err(restore_bytes(config(), &reseal(forged)));
+        let text = err.to_string();
+        assert!(text.contains("invalid reorder buffer"), "{text}");
+        text
+    };
+
+    // Tick 9 is the open unit's, not its bucket's.
+    let mut forged = bytes.clone();
+    forged[tick..tick + 8].copy_from_slice(&9i64.to_le_bytes());
+    let text = forged_err(forged);
+    assert!(text.contains("a record of unit 3 has tick 9"), "{text}");
+
+    // Unit 1 closed before the checkpoint was taken.
+    let mut forged = bytes.clone();
+    forged[at..at + 8].copy_from_slice(&1i64.to_le_bytes());
+    forged[tick..tick + 8].copy_from_slice(&5i64.to_le_bytes());
+    let text = forged_err(forged);
+    assert!(
+        text.contains("unit 1 is buffered but the engine resumes at unit 2"),
+        "{text}"
+    );
+
+    // The bucket listed twice; the bucket count sits right ahead of it.
+    let mut forged = bytes[..at + bucket.len()].to_vec();
+    forged.extend_from_slice(bucket);
+    forged.extend_from_slice(&bytes[at + bucket.len()..]);
+    let count = u64::from_le_bytes(forged[at - 8..at].try_into().unwrap());
+    assert_eq!(count, 1);
+    forged[at - 8..at].copy_from_slice(&2u64.to_le_bytes());
+    let text = forged_err(forged);
+    assert!(text.contains("unit 3 is buffered twice"), "{text}");
+}

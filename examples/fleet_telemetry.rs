@@ -3,7 +3,7 @@
 //! lose messages. The engine runs with watermark-based reordering
 //! (`EngineConfig::with_reordering`), so:
 //!
-//! * uplinks displaced by up to the allowed lateness are re-sorted into
+//! * uplinks displaced by up to the allowed lateness are buffered into
 //!   their hour and produce **bit-identical** analysis to an ordered
 //!   feed;
 //! * uplinks for an hour that already closed **amend** the warehoused
