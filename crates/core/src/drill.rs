@@ -3,12 +3,16 @@
 //! lower layers to find their corresponding exception supporters").
 //!
 //! The two drills read the cube differently:
-//! - [`drill_children`] **probes**. A one-step finer cuboid differs from
-//!   the drilled one in a single dimension `d`, by one level, so the
-//!   descendants of a cell there are the cell's key with `key[d]`
-//!   replaced by each hierarchy child of `key[d]`. Each of those keys is
-//!   looked up in the child's table; nothing else is read, and the
-//!   hierarchy itself serves as the parent → children index.
+//! - [`drill_children`] reads only one-step finer cuboids. Such a child
+//!   differs from the drilled cuboid in a single dimension `d`, by one
+//!   level, so the descendants of a cell there are the rows that agree
+//!   with the cell's key everywhere but `d`, where their id is a
+//!   hierarchy child of `key[d]`. Per child it reads whichever is fewer
+//!   rows: it **probes** the table once per hierarchy child of `key[d]`
+//!   (the hierarchy serves as the parent → children index), or, when the
+//!   table holds no more rows than that, it **scans** the table and
+//!   tests each row's parent. Exception tables between the critical
+//!   layers are usually that small.
 //! - [`drill_descendants`] **scans** every strictly finer cuboid's table
 //!   and keeps the rows that project onto the drilled cell.
 //!
@@ -18,6 +22,7 @@
 
 use crate::result::CubeResult;
 use crate::table::{CuboidTable, Projector};
+use crate::ExceptionPolicy;
 use regcube_olap::cell::CellKey;
 use regcube_olap::{CubeSchema, CuboidSpec};
 use regcube_regress::Isb;
@@ -33,12 +38,17 @@ pub struct DrillHit {
     pub measure: Isb,
 }
 
+/// Dimensions whose probe key and child levels a drill keeps on the
+/// stack; wider cuboids use the heap.
+const STACK_DIMS: usize = 8;
+
 /// Finds the retained exceptional cells in the **one-step finer** cuboids
 /// that are descendants of `(cuboid, key)` — the "exception supporters"
 /// an analyst inspects first.
 ///
-/// Reads only the cells it could return: per lattice child refining
-/// dimension `d`, one table probe per hierarchy child of `key[d]`. A key
+/// Reads only what it could return: per lattice child refining
+/// dimension `d`, one table probe per hierarchy child of `key[d]`, or
+/// one pass over the child's table when that holds no more rows. A key
 /// whose arity differs from the cuboid's, or whose refined id is out of
 /// range, has no children and yields no hits.
 pub fn drill_children(
@@ -47,41 +57,91 @@ pub fn drill_children(
     cuboid: &CuboidSpec,
     key: &CellKey,
 ) -> Vec<DrillHit> {
+    drill_children_reads(schema, cube, cuboid, key).0
+}
+
+/// [`drill_children`], and how many lattice children it read by
+/// scanning their table and by probing it: `(scanned, probed)`. A test
+/// probe for the choice between the two reads, which the hits cannot
+/// show.
+#[doc(hidden)]
+pub fn drill_children_reads(
+    schema: &CubeSchema,
+    cube: &CubeResult,
+    cuboid: &CuboidSpec,
+    key: &CellKey,
+) -> (Vec<DrillHit>, (usize, usize)) {
     let mut hits = Vec::new();
-    if key.num_dims() != cuboid.num_dims() {
-        return hits;
-    }
+    let mut reads = (0, 0);
+    let n = cuboid.num_dims();
     let lattice = cube.layers().lattice();
-    let policy = cube.policy();
-    let mut probe = key.ids().to_vec();
-    for d in 0..cuboid.num_dims() {
-        let Some(child) = cuboid.refine(d).filter(|c| lattice.contains(c)) else {
-            continue;
-        };
-        let Some((table, filter_exceptions)) = candidate_store(cube, &child) else {
+    let (o, m) = (lattice.o_layer().levels(), lattice.m_layer().levels());
+    if key.num_dims() != n || o.len() != n {
+        return (hits, reads);
+    }
+    let (mut stack_ids, mut stack_levels) = ([0u32; STACK_DIMS], [0u8; STACK_DIMS]);
+    let mut heap: (Vec<u32>, Vec<u8>);
+    let (probe, levels) = if n <= STACK_DIMS {
+        (&mut stack_ids[..n], &mut stack_levels[..n])
+    } else {
+        heap = (vec![0; n], vec![0; n]);
+        (&mut heap.0[..], &mut heap.1[..])
+    };
+    probe.copy_from_slice(key.ids());
+    levels.copy_from_slice(cuboid.levels());
+    for d in 0..n {
+        let (level, member) = (levels[d], probe[d]);
+        let Some(finer) = level.checked_add(1) else {
             continue;
         };
         let hierarchy = schema.dims()[d].hierarchy();
-        let (level, member) = (cuboid.level(d), key.ids()[d]);
-        if member >= hierarchy.cardinality(level) {
-            continue;
-        }
-        for id in hierarchy.child_ids(level, member) {
-            probe[d] = id;
-            if let Some((k, m)) = table.get_key_value(probe.as_slice()) {
-                if !filter_exceptions || policy.is_exception(&child, m) {
+        levels[d] = finer;
+        let child: &[u8] = levels;
+        let in_lattice = (0..n).all(|i| o[i] <= child[i] && child[i] <= m[i]);
+        if in_lattice && member < hierarchy.cardinality(level) {
+            if let Some((table, filter_exceptions)) = candidate_store(cube, child) {
+                let threshold = filter_exceptions.then(|| cube.policy().threshold_at(child));
+                let keep = |measure: &Isb| {
+                    threshold.map_or(true, |t| ExceptionPolicy::is_exception_at(t, measure))
+                };
+                let mut hit = |k: &CellKey, measure: &Isb| {
                     hits.push(DrillHit {
-                        cuboid: child.clone(),
+                        cuboid: CuboidSpec::new(child.to_vec()),
                         key: k.clone(),
-                        measure: *m,
+                        measure: *measure,
                     });
+                };
+                let children = hierarchy.child_ids(level, member);
+                if table.len() <= children.len() {
+                    reads.0 += 1;
+                    for (k, measure) in table {
+                        let ids = k.ids();
+                        if ids[..d] == probe[..d]
+                            && ids[d + 1..] == probe[d + 1..]
+                            && hierarchy.parent(finer, ids[d]) == member
+                            && keep(measure)
+                        {
+                            hit(k, measure);
+                        }
+                    }
+                } else {
+                    reads.1 += 1;
+                    for id in children {
+                        probe[d] = id;
+                        if let Some((k, measure)) = table.get_key_value(&*probe) {
+                            if keep(measure) {
+                                hit(k, measure);
+                            }
+                        }
+                    }
+                    probe[d] = member;
                 }
             }
         }
-        probe[d] = member;
+        levels[d] = level;
     }
     sort_hits(&mut hits);
-    hits
+    (hits, reads)
 }
 
 /// Finds **all** retained exceptional descendants of `(cuboid, key)` in
@@ -109,16 +169,13 @@ pub fn drill_descendants(
 /// still need the exception filter: the critical layers and path tables
 /// hold every cell, exception tables only screened ones. `None` when the
 /// cube retains nothing in `target`.
-fn candidate_store<'a>(
-    cube: &'a CubeResult,
-    target: &CuboidSpec,
-) -> Option<(&'a CuboidTable, bool)> {
+fn candidate_store<'a>(cube: &'a CubeResult, target: &[u8]) -> Option<(&'a CuboidTable, bool)> {
     let lattice = cube.layers().lattice();
-    if target == lattice.m_layer() {
+    if target == lattice.m_layer().levels() {
         Some((cube.m_table(), true))
-    } else if target == lattice.o_layer() {
+    } else if target == lattice.o_layer().levels() {
         Some((cube.o_table(), true))
-    } else if let Some(t) = cube.exceptions_in(target) {
+    } else if let Some(t) = cube.exceptions_at(target) {
         Some((t, false))
     } else {
         cube.path_tables().get(target).map(|t| (t, true))
@@ -142,7 +199,7 @@ fn collect_hits(
     target: &CuboidSpec,
     hits: &mut Vec<DrillHit>,
 ) {
-    let Some((table, filter_exceptions)) = candidate_store(cube, target) else {
+    let Some((table, filter_exceptions)) = candidate_store(cube, target.levels()) else {
         return;
     };
     let policy = cube.policy();

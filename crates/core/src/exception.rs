@@ -79,10 +79,17 @@ impl ExceptionPolicy {
 
     /// The threshold effective for `cuboid`.
     pub fn threshold_for(&self, cuboid: &CuboidSpec) -> f64 {
-        if let Some(&t) = self.per_cuboid.get(cuboid) {
+        self.threshold_at(cuboid.levels())
+    }
+
+    /// [`threshold_for`](Self::threshold_for) the cuboid with these
+    /// levels, for callers that hold them in a buffer.
+    pub(crate) fn threshold_at(&self, levels: &[u8]) -> f64 {
+        if let Some(&t) = self.per_cuboid.get(levels) {
             return t;
         }
-        if let Some(&t) = self.per_depth.get(&cuboid.total_depth()) {
+        let depth = levels.iter().map(|&l| u32::from(l)).sum();
+        if let Some(&t) = self.per_depth.get(&depth) {
             return t;
         }
         self.default_threshold

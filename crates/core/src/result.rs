@@ -102,7 +102,13 @@ impl CubeResult {
 
     /// Retained exception cells of one strictly-between cuboid, if any.
     pub fn exceptions_in(&self, cuboid: &CuboidSpec) -> Option<&CuboidTable> {
-        self.exceptions.get(cuboid)
+        self.exceptions_at(cuboid.levels())
+    }
+
+    /// [`exceptions_in`](Self::exceptions_in) the cuboid with these
+    /// levels, for callers that hold them in a buffer.
+    pub(crate) fn exceptions_at(&self, levels: &[u8]) -> Option<&CuboidTable> {
+        self.exceptions.get(levels)
     }
 
     /// Iterates `(cuboid, key, measure)` over all retained exception cells

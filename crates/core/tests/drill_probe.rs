@@ -1,17 +1,22 @@
-//! `drill_children`'s hierarchy probe against the scan it replaced.
+//! `drill_children`'s two reads against the full scan they replaced.
 //!
 //! [`scan_drill_children`] is the one-step drill as it used to run: per
 //! lattice child, build a [`Projector`], walk **every row** of the
 //! child's table and keep the rows that project onto the drilled cell.
 //! It is kept verbatim (with `sort_hits`) as the obviously-right
-//! reference. On random balanced and ragged schemas, random critical
-//! layers (an o-layer one step above the m-layer among them), cubes
-//! from both algorithms and every key of every cuboid — plus keys out of
-//! range and of the wrong arity — the probe must return the same hits in
-//! the same order.
+//! reference. `drill_children` reads each child either by probing its
+//! table once per hierarchy child of the drilled id, or — when the table
+//! holds no more rows than that — by scanning it with a parent test. On
+//! random balanced and ragged schemas, random critical layers (an
+//! o-layer one step above the m-layer among them), cubes from both
+//! algorithms and every key of every cuboid — plus keys out of range and
+//! of the wrong arity — it must return the scan's hits in the scan's
+//! order, whichever read it chose. [`each_store_is_scanned_and_probed`]
+//! pins which read that is, on fixed cubes whose m-, o-, exception and
+//! path tables each come both smaller and larger than the probe set.
 
 use proptest::prelude::*;
-use regcube_core::drill::{drill_children, DrillHit};
+use regcube_core::drill::{drill_children, drill_children_reads, DrillHit};
 use regcube_core::prelude::*;
 use regcube_core::table::{CuboidTable, Projector};
 use regcube_olap::cell::CellKey;
@@ -228,9 +233,11 @@ fn probe_keys(schema: &CubeSchema, cuboid: &CuboidSpec) -> Vec<CellKey> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The probe returns exactly the scan's hits, in the scan's order,
+    /// Both reads return exactly the scan's hits, in the scan's order,
     /// for every key of every lattice cuboid (and of the cuboids one
-    /// step above the o-layer) on cubes of both algorithms.
+    /// step above the o-layer) on cubes of both algorithms. Up to 40
+    /// tuples under fanouts of 2–3 leave child tables on both sides of
+    /// the probe set, so both reads run.
     #[test]
     fn drill_children_probe_equals_the_scan(rd in random_drill()) {
         let (schema, layers, tuples, policy) = build(&rd);
@@ -289,4 +296,154 @@ fn wrong_arity_keys_find_nothing() {
             "{key}"
         );
     }
+}
+
+/// Which store a lattice child's drill reads, as `drill_children`
+/// chooses it: the critical layers first, then exception tables, then
+/// path tables.
+fn store_of<'c>(
+    cube: &'c CubeResult,
+    child: &CuboidSpec,
+) -> Option<(&'static str, &'c CuboidTable)> {
+    let lattice = cube.layers().lattice();
+    if child == lattice.m_layer() {
+        Some(("m", cube.m_table()))
+    } else if child == lattice.o_layer() {
+        Some(("o", cube.o_table()))
+    } else if let Some(t) = cube.exceptions_in(child) {
+        Some(("exception", t))
+    } else {
+        cube.path_tables().get(child).map(|t| ("path", t))
+    }
+}
+
+/// Fixed cubes of both algorithms over one schema, drilled at every key
+/// of every cuboid. In the sparse ones every table holds at most two
+/// rows, no more than the fanout, so every child is scanned; one of the
+/// two m-cells is calm, so the filtered m- and o-tables hold a row the
+/// scan must drop. In the dense ones most tables hold more rows than
+/// the fanout and are probed. A popular-path cuboid keeps an exception
+/// table once it has an exception, so its path table is read only under
+/// the second, unreachable threshold, where the filter drops every row.
+/// Every call's reads are the ones the rule predicts, and every store
+/// kind is read both ways.
+#[test]
+fn each_store_is_scanned_and_probed() {
+    let schema = CubeSchema::synthetic(2, 3, 2).unwrap();
+    let layers = CriticalLayers::new(
+        &schema,
+        CuboidSpec::new(vec![1, 1]),
+        CuboidSpec::new(vec![3, 3]),
+    )
+    .unwrap();
+    let isb = |slope: f64| Isb::new(0, 9, 1.0, slope).unwrap();
+    let sparse = vec![
+        MTuple::new(vec![0, 0], isb(2.0)),
+        MTuple::new(vec![7, 7], isb(0.1)),
+    ];
+    let mut dense = Vec::new();
+    for a in 0..8u32 {
+        for b in 0..8u32 {
+            let slope = if (a + b) % 3 == 0 { 0.2 } else { 2.0 };
+            dense.push(MTuple::new(vec![a, b], isb(slope)));
+        }
+    }
+    let lattice = layers.lattice();
+    let mut cuboids = lattice.enumerate();
+    cuboids.extend((0..2).filter_map(|d| lattice.o_layer().coarsen(d)));
+    let mut seen = std::collections::BTreeSet::new();
+    for (tuples, threshold) in [(&sparse, 1.0), (&dense, 1.0), (&sparse, 1e3), (&dense, 1e3)] {
+        let policy = ExceptionPolicy::slope_threshold(threshold);
+        let cubes = [
+            mo_cubing::compute(&schema, &layers, &policy, tuples).unwrap(),
+            popular_path::compute(&schema, &layers, &policy, None, tuples).unwrap(),
+        ];
+        for cube in &cubes {
+            for cuboid in &cuboids {
+                for key in probe_keys(&schema, cuboid) {
+                    let (hits, reads) = drill_children_reads(&schema, cube, cuboid, &key);
+                    assert_eq!(hits, scan_drill_children(&schema, cube, cuboid, &key));
+                    let mut want = (0, 0);
+                    let arity = if key.num_dims() == cuboid.num_dims() {
+                        key.num_dims()
+                    } else {
+                        0
+                    };
+                    for d in 0..arity {
+                        let hierarchy = schema.dims()[d].hierarchy();
+                        let (level, member) = (cuboid.level(d), key.ids()[d]);
+                        let Some(child) = cuboid.refine(d).filter(|c| lattice.contains(c)) else {
+                            continue;
+                        };
+                        let Some((kind, table)) = store_of(cube, &child) else {
+                            continue;
+                        };
+                        if member >= hierarchy.cardinality(level) {
+                            continue;
+                        }
+                        let scanned = table.len() <= hierarchy.child_ids(level, member).len();
+                        if scanned {
+                            want.0 += 1;
+                        } else {
+                            want.1 += 1;
+                        }
+                        seen.insert((kind, scanned));
+                    }
+                    assert_eq!(reads, want, "{:?} {}{}", cube.algorithm(), cuboid, key);
+                }
+            }
+        }
+    }
+    for kind in ["m", "o", "exception", "path"] {
+        for scanned in [true, false] {
+            assert!(
+                seen.contains(&(kind, scanned)),
+                "{kind} scanned={scanned}: {seen:?}"
+            );
+        }
+    }
+}
+
+/// A cuboid wider than the drill's stack buffers keeps its probe key and
+/// levels on the heap and must drill exactly as a narrow one: nine
+/// dimensions, every cuboid of depth at most two, every key.
+#[test]
+fn wide_cuboids_drill_like_narrow_ones() {
+    let dims = 9;
+    let schema = CubeSchema::synthetic(dims, 1, 2).unwrap();
+    let layers = CriticalLayers::new(
+        &schema,
+        CuboidSpec::new(vec![0; dims]),
+        CuboidSpec::new(vec![1; dims]),
+    )
+    .unwrap();
+    let tuples: Vec<MTuple> = (0..12u32)
+        .map(|i| {
+            let ids: Vec<u32> = (0..dims as u32).map(|d| (i >> (d % 4)) & 1).collect();
+            let slope = if i % 3 == 0 { 0.2 } else { 2.0 };
+            MTuple::new(ids, Isb::new(0, 9, 1.0, slope).unwrap())
+        })
+        .collect();
+    let policy = ExceptionPolicy::slope_threshold(1.0);
+    let cube = mo_cubing::compute(&schema, &layers, &policy, &tuples).unwrap();
+    let (mut hits, mut reads) = (0, (0, 0));
+    for cuboid in layers.lattice().enumerate() {
+        if cuboid.total_depth() > 2 {
+            continue;
+        }
+        for key in probe_keys(&schema, &cuboid) {
+            let (got, read) = drill_children_reads(&schema, &cube, &cuboid, &key);
+            assert_eq!(
+                got,
+                scan_drill_children(&schema, &cube, &cuboid, &key),
+                "{cuboid}{key}"
+            );
+            hits += got.len();
+            reads = (reads.0 + read.0, reads.1 + read.1);
+        }
+    }
+    assert!(
+        hits > 0 && reads.0 > 0 && reads.1 > 0,
+        "{hits} hits, {reads:?} reads"
+    );
 }

@@ -1,5 +1,6 @@
 //! Cuboid specifications: one abstraction level per dimension.
 
+use std::borrow::Borrow;
 use std::fmt;
 
 /// A cuboid, identified by the hierarchy level chosen for each dimension.
@@ -99,6 +100,19 @@ impl CuboidSpec {
             }
         }
         step
+    }
+}
+
+/// Cuboids borrow as their level slice, so maps keyed by [`CuboidSpec`]
+/// can be probed with a plain `&[u8]` (e.g. levels refined in a stack
+/// buffer) without building a cuboid first. The derived `Hash`, `Eq`
+/// and `Ord` are those of the single `Vec<u8>` field, which hashes
+/// (length prefix, then bytes), compares and orders exactly as its
+/// slice does, so the `Borrow` contract holds.
+impl Borrow<[u8]> for CuboidSpec {
+    #[inline]
+    fn borrow(&self) -> &[u8] {
+        &self.levels
     }
 }
 

@@ -105,6 +105,8 @@ impl Iterator for ChildIds<'_> {
     }
 }
 
+impl ExactSizeIterator for ChildIds<'_> {}
+
 /// A multi-level concept hierarchy over dense member ids.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hierarchy {

@@ -4,6 +4,7 @@
 //! engine lock.
 
 use crate::tenant::TenantId;
+use regcube_olap::cell::CellKey;
 use regcube_stream::CubeSnapshot;
 
 /// A digest of one tenant at one published unit boundary. Computed
@@ -27,8 +28,10 @@ pub struct DashboardSummary {
     /// Alarms raised by the last closed unit.
     pub alarms: usize,
     /// The hottest alarm of the last closed unit, as
-    /// `(cell key, score)` — the headline number on a tenant tile.
-    pub top_alarm: Option<(String, f64)>,
+    /// `(o-layer cell key, score)` — the headline number on a tenant
+    /// tile. The key is kept as a key, not formatted: a display renders
+    /// it (`{key}`) when it draws the tile.
+    pub top_alarm: Option<(CellKey, f64)>,
     /// Cells retained across the whole cube at capture time
     /// ([`RunStats::cells_retained`](regcube_core::RunStats)).
     pub cells_retained: u64,
@@ -55,10 +58,7 @@ impl DashboardSummary {
                 cube.total_exception_cells() as usize,
             ),
         };
-        let top_alarm = snapshot
-            .alarms()
-            .first()
-            .map(|a| (a.key.to_string(), a.score));
+        let top_alarm = snapshot.alarms().first().map(|a| (a.key.clone(), a.score));
         DashboardSummary {
             tenant,
             epoch: snapshot.epoch(),
@@ -82,6 +82,60 @@ mod tests {
     use regcube_olap::{CubeSchema, CuboidSpec};
     use regcube_stream::{EngineConfig, RawRecord};
     use std::collections::HashSet;
+
+    /// `top_alarm` is the first alarm's key and score, as the key (not
+    /// its text), and `None` for a unit that raised no alarm.
+    #[test]
+    fn top_alarm_is_the_first_alarm() {
+        let schema = CubeSchema::synthetic(2, 2, 2).unwrap();
+        let mut engine = EngineConfig::new(
+            schema,
+            CuboidSpec::new(vec![1, 1]),
+            CuboidSpec::new(vec![2, 2]),
+        )
+        .with_policy(ExceptionPolicy::slope_threshold(0.5))
+        .with_ticks_per_unit(4)
+        .build()
+        .unwrap();
+        let summary = |engine: &regcube_stream::OnlineEngine| {
+            let snapshot = engine.snapshot();
+            let summary = DashboardSummary::of(TenantId::from("t"), &snapshot);
+            (summary, snapshot.alarms().to_vec())
+        };
+        let (before, _) = summary(&engine);
+        assert_eq!(before.top_alarm, None);
+        // Unit 0 is flat; in unit 1 the cells with a < 2 climb steeply
+        // and those with a >= 2, b < 2 gently.
+        for t in 0..8i64 {
+            for a in 0..4u32 {
+                for b in 0..4u32 {
+                    let slope = match (t >= 4, a < 2, b < 2) {
+                        (false, _, _) => 0.0,
+                        (true, true, _) => 2.0,
+                        (true, false, true) => 1.0,
+                        (true, false, false) => 0.0,
+                    };
+                    let record = RawRecord::new(vec![a, b], t, slope * (t % 4) as f64);
+                    engine.ingest(&record).unwrap();
+                }
+            }
+            if t == 3 {
+                engine.close_unit().unwrap();
+                let (flat, alarms) = summary(&engine);
+                assert!(alarms.is_empty(), "{alarms:?}");
+                assert_eq!((flat.alarms, flat.top_alarm), (0, None));
+            }
+        }
+        engine.close_unit().unwrap();
+        let (hot, alarms) = summary(&engine);
+        assert!(alarms.len() >= 3, "{alarms:?}");
+        assert!(alarms[0].score > alarms[alarms.len() - 1].score);
+        assert_eq!(hot.alarms, alarms.len());
+        assert_eq!(
+            hot.top_alarm,
+            Some((alarms[0].key.clone(), alarms[0].score))
+        );
+    }
 
     /// The per-cuboid count the summary reads equals a walk over every
     /// exception cell, on a cube whose exceptions span several cuboids.

@@ -1167,7 +1167,8 @@ impl<E: CubingEngine> OnlineEngine<E> {
     /// the cell's full warehoused timeline.
     ///
     /// # Errors
-    /// Propagates [`drill_at`](Self::drill_at) failures.
+    /// None: it walks only the levels the spec defines. The `Result` is
+    /// [`drill_at`](Self::drill_at)'s, kept so the two read alike.
     pub fn drill_history(&self, key: &CellKey) -> Result<Vec<TiltHit<'_>>> {
         drill_frames_history(
             &self.frames,

@@ -35,7 +35,7 @@ use regcube_core::{CoreError, CubeResult, ExceptionPolicy, RunStats};
 use regcube_olap::cell::CellKey;
 use regcube_olap::{CubeSchema, CuboidSpec};
 use regcube_regress::Isb;
-use regcube_tilt::{Ladder, TiltFrame};
+use regcube_tilt::{Ladder, LevelSlots, TiltFrame};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -160,7 +160,8 @@ impl CubeSnapshot {
     /// with the same m-layer-first lookup as [`drill_at`](Self::drill_at).
     ///
     /// # Errors
-    /// Propagates [`drill_at`](Self::drill_at) failures.
+    /// None: it walks only the levels the spec defines. The `Result` is
+    /// [`drill_at`](Self::drill_at)'s, kept so the two read alike.
     pub fn drill_history(&self, key: &CellKey) -> Result<Vec<TiltHit<'_>>> {
         drill_frames_history(
             &self.frames,
@@ -268,45 +269,45 @@ fn fmt_isb(isb: &Isb) -> String {
     )
 }
 
-/// The frame a time-travel drill reads for `key`, and the layer whose
-/// threshold scores it: the m-layer frames are looked up first, then
-/// the o-layer frames.
+/// The frame a time-travel drill reads for `key`, the family it is a
+/// row of, and the layer whose threshold scores it: the m-layer frames
+/// are looked up first, then the o-layer frames.
 fn drilled_ladder<'a, 'c>(
     frames: &'a LayerFrames,
     o_frames: &'a LayerFrames,
     m_layer: &'c CuboidSpec,
     o_layer: &'c CuboidSpec,
     key: &CellKey,
-) -> Option<(Ladder<'a, Isb>, &'c CuboidSpec)> {
+) -> Option<(&'a LayerFrames, Ladder<'a, Isb>, &'c CuboidSpec)> {
     match frames.ladder(key) {
-        Some(ladder) => Some((ladder, m_layer)),
-        None => o_frames.ladder(key).map(|ladder| (ladder, o_layer)),
+        Some(ladder) => Some((frames, ladder, m_layer)),
+        None => o_frames
+            .ladder(key)
+            .map(|ladder| (o_frames, ladder, o_layer)),
     }
 }
 
-/// Screens every slot `ladder` retains at `level` with the one test,
+/// Screens the slots `ladder` retains at `level` with the one test,
 /// oldest first.
 fn drill_level<'a>(
     ladder: Ladder<'a, Isb>,
-    threshold: f64,
     level: usize,
+    slots: LevelSlots<'a, Isb>,
+    threshold: f64,
     out: &mut Vec<TiltHit<'a>>,
-) -> Result<()> {
-    let slots = ladder.slots(level).map_err(StreamError::from)?;
+) {
     let level_name = ladder.spec().levels()[level].name.as_str();
-    out.reserve(slots.len());
-    for (slot_unit, measure) in slots.iter() {
+    out.extend(slots.iter().map(|(slot_unit, measure)| {
         let score = exception_score(measure);
-        out.push(TiltHit {
+        TiltHit {
             level,
             level_name,
             slot_unit,
             measure: *measure,
             score,
             exceptional: score >= threshold,
-        });
-    }
-    Ok(())
+        }
+    }));
 }
 
 /// The one shared time-travel drill implementation: the row of `key`
@@ -326,8 +327,9 @@ pub(crate) fn drill_frames_at<'a>(
 ) -> Result<Vec<TiltHit<'a>>> {
     let mut out = Vec::new();
     match drilled_ladder(frames, o_frames, m_layer, o_layer, key) {
-        Some((ladder, cuboid)) => {
-            drill_level(ladder, policy.threshold_for(cuboid), level, &mut out)?;
+        Some((_, ladder, cuboid)) => {
+            let slots = ladder.slots(level).map_err(StreamError::from)?;
+            drill_level(ladder, level, slots, policy.threshold_for(cuboid), &mut out);
         }
         None => {
             // Validate the level anyway so typos don't read as
@@ -342,7 +344,7 @@ pub(crate) fn drill_frames_at<'a>(
 }
 
 /// [`drill_frames_at`] for every level, coarsest first — the cell's
-/// whole warehoused timeline in one pass over its row.
+/// whole warehoused timeline in one walk over its row.
 pub(crate) fn drill_frames_history<'a>(
     frames: &'a LayerFrames,
     o_frames: &'a LayerFrames,
@@ -352,11 +354,12 @@ pub(crate) fn drill_frames_history<'a>(
     key: &CellKey,
 ) -> Result<Vec<TiltHit<'a>>> {
     let mut out = Vec::new();
-    if let Some((ladder, cuboid)) = drilled_ladder(frames, o_frames, m_layer, o_layer, key) {
+    if let Some((family, ladder, cuboid)) = drilled_ladder(frames, o_frames, m_layer, o_layer, key)
+    {
         let threshold = policy.threshold_for(cuboid);
-        out.reserve(frames.retained_slots());
-        for level in (0..frames.spec().num_levels()).rev() {
-            drill_level(ladder, threshold, level, &mut out)?;
+        out.reserve(family.retained_slots());
+        for (level, slots) in ladder.levels().enumerate().rev() {
+            drill_level(ladder, level, slots, threshold, &mut out);
         }
     }
     Ok(out)

@@ -87,6 +87,11 @@ pub struct FamilySnapshot<K, M, S = RandomState> {
     /// oldest first within a level) — the order of
     /// [`TiltFrame::history`].
     columns: Vec<Arc<Column<M>>>,
+    /// Where each level's slots lie in `columns`: level `l` holds
+    /// `edges[l + 1]..edges[l]`, so `edges[0]` is the column count and
+    /// the last edge is `0`. Recorded whenever the clock advances, so a
+    /// read finds a level without deriving the ladder's shape.
+    edges: Arc<[usize]>,
 }
 
 impl<K, M, S> Clone for FamilySnapshot<K, M, S> {
@@ -96,6 +101,7 @@ impl<K, M, S> Clone for FamilySnapshot<K, M, S> {
             next_unit: self.next_unit,
             index: Arc::clone(&self.index),
             columns: self.columns.clone(),
+            edges: Arc::clone(&self.edges),
         }
     }
 }
@@ -160,6 +166,7 @@ impl<K, M, S> FamilySnapshot<K, M, S> {
             spec: &self.spec,
             next_unit: self.next_unit,
             columns: &self.columns,
+            edges: &self.edges,
             row,
         }
     }
@@ -203,6 +210,7 @@ pub struct Ladder<'a, M> {
     spec: &'a TiltSpec,
     next_unit: u64,
     columns: &'a [Arc<Column<M>>],
+    edges: &'a [usize],
     row: usize,
 }
 
@@ -232,22 +240,25 @@ impl<'a, M> Ladder<'a, M> {
     /// # Errors
     /// [`TiltError::UnknownLevel`] for an out-of-range level.
     pub fn slots(&self, level: usize) -> Result<LevelSlots<'a, M>> {
-        self.levels().nth(level).ok_or(TiltError::UnknownLevel {
-            level,
-            count: self.spec.num_levels(),
-        })
+        if level >= self.spec.num_levels() {
+            return Err(TiltError::UnknownLevel {
+                level,
+                count: self.spec.num_levels(),
+            });
+        }
+        Ok(self.level_slots(self.edges[level + 1]..self.edges[level]))
     }
 
     /// Every level's slots, finest level first — [`TiltFrame::levels`].
-    /// The levels run from the columns' tail to their head.
-    pub fn levels(&self) -> impl Iterator<Item = LevelSlots<'a, M>> + '_ {
-        let mut end = self.columns.len();
-        self.spec.shape(self.next_unit).map(move |shape| {
-            let start = end - shape.len;
-            let slots = self.level_slots(start..end);
-            end = start;
-            slots
-        })
+    /// The levels run from the columns' tail to their head; reversed,
+    /// they walk the ladder coarsest level first.
+    pub fn levels(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = LevelSlots<'a, M>> + ExactSizeIterator + 'a {
+        let ladder = *self;
+        self.edges
+            .windows(2)
+            .map(move |edge| ladder.level_slots(edge[1]..edge[0]))
     }
 
     /// Every retained slot as `(level, unit at that level, measure)`,
@@ -421,12 +432,16 @@ where
                 })
             })
             .collect();
+        let spec = never_active.spec();
+        let mut edges = vec![0; spec.num_levels() + 1];
+        level_edges(spec, never_active.next_unit(), &mut edges);
         FrameFamily {
             current: FamilySnapshot {
-                spec: never_active.spec().clone(),
+                spec: spec.clone(),
                 next_unit: never_active.next_unit(),
                 index: Arc::new(HashMap::with_capacity_and_hasher(rows, S::default())),
                 columns,
+                edges: edges.into(),
             },
             idle,
             rows: Vec::with_capacity(rows),
@@ -683,6 +698,12 @@ where
         if built.reached_top && current.columns.len() > top_group {
             forget_column(rows, &current.columns.remove(0), idle);
         }
+        level_edges(
+            &current.spec,
+            current.next_unit,
+            Arc::make_mut(&mut current.edges),
+        );
+        debug_assert_eq!(current.edges[0], current.columns.len());
 
         // A row silent in this unit and idle end to end holds nothing
         // the fills cannot reproduce: retire it, so transient cells do
@@ -775,6 +796,17 @@ where
         }
         column.rows[row] = new;
         Ok(AmendOutcome::Amended { level, slot_unit })
+    }
+}
+
+/// Writes [`FamilySnapshot::edges`] for a family of `spec` after
+/// `next_unit` pushes: the levels' lengths, finest first, laid from the
+/// columns' tail to their head.
+fn level_edges(spec: &TiltSpec, next_unit: u64, edges: &mut [usize]) {
+    let total: usize = spec.shape(next_unit).map(|shape| shape.len).sum();
+    edges[0] = total;
+    for (level, shape) in spec.shape(next_unit).enumerate() {
+        edges[level + 1] = edges[level] - shape.len;
     }
 }
 

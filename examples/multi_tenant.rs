@@ -220,7 +220,7 @@ fn print_summary(s: &DashboardSummary) {
         s.alarms,
         s.top_alarm
             .as_ref()
-            .map(|(k, score)| format!("  top {k} @ {score:.2}"))
+            .map(|(key, score)| format!("  top {key} @ {score:.2}"))
             .unwrap_or_default()
     );
 }
