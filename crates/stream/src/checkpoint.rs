@@ -14,15 +14,21 @@
 //!   reorder buffer's records, per-source watermarks, drop counters,
 //!   pending amendments and pending alarm revisions.
 //!
-//! # File format (version 1)
+//! # File format (version 2)
 //!
 //! ```text
 //! magic   b"RGCK"            4 bytes
-//! version u32 LE             (currently 1)
+//! version u32 LE             (currently 2)
 //! length  u64 LE             payload byte count
 //! payload length bytes       (see encode_state)
-//! check   u64 LE             FNV-1a 64 over the payload
+//! check   u64 LE             XXH64, seed 0, over the payload
 //! ```
+//!
+//! Version 1 differs only in its check: FNV-1a 64 over the same
+//! payload. Its layout and payload are those of version 2, so a
+//! version-1 file restores to the same engine and re-encodes to the
+//! same payload under a version-2 header. The writer always writes
+//! version 2; the reader accepts both and refuses every other version.
 //!
 //! Every failure mode — missing file, torn write, bit rot, version
 //! skew, a checkpoint from a differently-configured engine — surfaces
@@ -59,11 +65,14 @@ use regcube_olap::CuboidSpec;
 use regcube_regress::Isb;
 use regcube_tilt::{TiltError, TiltFrame, TiltSlot};
 use std::collections::BTreeMap;
+use std::fs::File;
+use std::io::Write;
 use std::ops::Range;
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"RGCK";
-const VERSION: u32 = 1;
+/// The version the writer stamps: the payload is checked by XXH64.
+const VERSION: u32 = 2;
 /// Magic, version and payload length ahead of the payload.
 const HEADER_BYTES: usize = 16;
 /// Encoded size of one tilt slot: its unit (`u64`) and its ISB.
@@ -115,17 +124,20 @@ pub fn checkpoint_bytes<E: CubingEngine>(engine: &OnlineEngine<E>) -> Result<Vec
     encode_state(engine, &mut enc);
     let payload_len = (enc.buf.len() - HEADER_BYTES) as u64;
     enc.buf[8..HEADER_BYTES].copy_from_slice(&payload_len.to_le_bytes());
-    enc.u64(fnv1a(&enc.buf[HEADER_BYTES..]));
+    enc.u64(xxh64(&enc.buf[HEADER_BYTES..]));
     Ok(enc.buf)
 }
 
 /// Writes a checkpoint file for `engine` (see [`checkpoint_bytes`]).
-/// The file is written to a sibling temporary path and atomically
-/// renamed into place, so a crash mid-write can tear the temporary but
-/// never the checkpoint itself.
+/// The file is written to a sibling temporary path, its data synced to
+/// the device, and atomically renamed into place; on Unix the directory
+/// is synced after the rename too. A crash mid-write, of the process or
+/// of the OS, can tear the temporary but never the checkpoint itself:
+/// the path holds the previous checkpoint or this one, whole.
 ///
 /// # Errors
-/// [`StreamError::Checkpoint`] for I/O failures or a mid-unit engine.
+/// [`StreamError::Checkpoint`] for I/O failures, a sync failure
+/// included, or a mid-unit engine.
 pub fn write_checkpoint<E: CubingEngine>(
     engine: &OnlineEngine<E>,
     path: impl AsRef<Path>,
@@ -133,12 +145,28 @@ pub fn write_checkpoint<E: CubingEngine>(
     let path = path.as_ref();
     let bytes = checkpoint_bytes(engine)?;
     let tmp = path.with_extension("rgck-tmp");
-    std::fs::write(&tmp, &bytes).map_err(|e| StreamError::Checkpoint {
-        detail: format!("writing {}: {e}", tmp.display()),
-    })?;
-    std::fs::rename(&tmp, path).map_err(|e| StreamError::Checkpoint {
-        detail: format!("renaming into {}: {e}", path.display()),
-    })
+    let failed = |what: &str, at: &Path, e: std::io::Error| StreamError::Checkpoint {
+        detail: format!("{what} {}: {e}", at.display()),
+    };
+    let mut file = File::create(&tmp).map_err(|e| failed("writing", &tmp, e))?;
+    file.write_all(&bytes)
+        .map_err(|e| failed("writing", &tmp, e))?;
+    file.sync_all().map_err(|e| failed("syncing", &tmp, e))?;
+    drop(file);
+    std::fs::rename(&tmp, path).map_err(|e| failed("renaming into", path, e))?;
+    // The rename lives in the directory: until the directory is synced,
+    // an OS crash may forget it.
+    #[cfg(unix)]
+    {
+        let dir = match path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        File::open(dir)
+            .and_then(|dir| dir.sync_all())
+            .map_err(|e| failed("syncing the directory of", path, e))?;
+    }
+    Ok(())
 }
 
 /// Restores an engine from checkpoint bytes. `config` must describe
@@ -177,8 +205,7 @@ pub fn restore(config: EngineConfig, path: impl AsRef<Path>) -> Result<OnlineEng
 // Envelope
 // ---------------------------------------------------------------------------
 
-/// FNV-1a 64 — dependency-free integrity hash; plenty against torn
-/// writes and bit rot (this is not a cryptographic seal).
+/// FNV-1a 64, the version-1 check: one dependent multiply per byte.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -186,6 +213,74 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// XXH64 with seed 0, the version-2 check. Four independent lanes fold
+/// each 32-byte stripe, so the multiplies of a stripe overlap instead
+/// of waiting on one another. Like FNV-1a, it guards against torn
+/// writes and bit rot; it is not a cryptographic seal.
+fn xxh64(bytes: &[u8]) -> u64 {
+    const P1: u64 = 0x9e37_79b1_85eb_ca87;
+    const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+    const P3: u64 = 0x1656_67b1_9e37_79f9;
+    const P4: u64 = 0x85eb_ca77_c2b2_ae63;
+    const P5: u64 = 0x27d4_eb2f_1656_67c5;
+    fn round(acc: u64, word: u64) -> u64 {
+        acc.wrapping_add(word.wrapping_mul(P2))
+            .rotate_left(31)
+            .wrapping_mul(P1)
+    }
+    fn word(bytes: &[u8]) -> u64 {
+        u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
+    }
+    let mut stripes = bytes.chunks_exact(32);
+    let mut hash = if bytes.len() >= 32 {
+        let mut lanes = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        for stripe in &mut stripes {
+            for (i, lane) in lanes.iter_mut().enumerate() {
+                *lane = round(*lane, word(&stripe[8 * i..]));
+            }
+        }
+        let [a, b, c, d] = lanes;
+        let mut hash = a
+            .rotate_left(1)
+            .wrapping_add(b.rotate_left(7))
+            .wrapping_add(c.rotate_left(12))
+            .wrapping_add(d.rotate_left(18));
+        for lane in lanes {
+            hash = (hash ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4);
+        }
+        hash
+    } else {
+        P5
+    };
+    hash = hash.wrapping_add(bytes.len() as u64);
+    let mut words = stripes.remainder().chunks_exact(8);
+    for w in &mut words {
+        hash = (hash ^ round(0, word(w)))
+            .rotate_left(27)
+            .wrapping_mul(P1)
+            .wrapping_add(P4);
+    }
+    let mut tail = words.remainder();
+    if tail.len() >= 4 {
+        let half = u32::from_le_bytes(tail[..4].try_into().expect("4 bytes"));
+        hash = (hash ^ u64::from(half).wrapping_mul(P1))
+            .rotate_left(23)
+            .wrapping_mul(P2)
+            .wrapping_add(P3);
+        tail = &tail[4..];
+    }
+    for &b in tail {
+        hash = (hash ^ u64::from(b).wrapping_mul(P5))
+            .rotate_left(11)
+            .wrapping_mul(P1);
+    }
+    hash ^= hash >> 33;
+    hash = hash.wrapping_mul(P2);
+    hash ^= hash >> 29;
+    hash = hash.wrapping_mul(P3);
+    hash ^ (hash >> 32)
 }
 
 /// Validates magic, version, length and checksum; returns the payload.
@@ -201,11 +296,15 @@ fn verify_envelope(bytes: &[u8]) -> Result<&[u8]> {
         return Err(fail("bad magic: not a regcube checkpoint".into()));
     }
     let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    if version != VERSION {
-        return Err(fail(format!(
-            "unsupported checkpoint version {version} (this build reads {VERSION})"
-        )));
-    }
+    let check: fn(&[u8]) -> u64 = match version {
+        1 => fnv1a,
+        VERSION => xxh64,
+        _ => {
+            return Err(fail(format!(
+                "unsupported checkpoint version {version} (this build reads 1 and {VERSION})"
+            )))
+        }
+    };
     let len = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")) as usize;
     let expected_total = 16usize
         .checked_add(len)
@@ -219,7 +318,7 @@ fn verify_envelope(bytes: &[u8]) -> Result<&[u8]> {
     }
     let payload = &bytes[16..16 + len];
     let stored = u64::from_le_bytes(bytes[16 + len..].try_into().expect("8 bytes"));
-    let actual = fnv1a(payload);
+    let actual = check(payload);
     if stored != actual {
         return Err(fail(format!(
             "checksum mismatch: stored {stored:016x}, computed {actual:016x}"
@@ -974,31 +1073,109 @@ mod tests {
     }
 
     #[test]
-    fn envelope_rejects_torn_and_corrupt_bytes() {
-        let payload = b"hello payload".to_vec();
+    fn xxh64_matches_reference_vectors() {
+        // Published XXH64 test vectors, seed 0.
+        assert_eq!(xxh64(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(xxh64(b"a"), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(xxh64(b"abc"), 0x44bc_2cf5_ad77_0999);
+        // 39 bytes: one stripe, then the 4-byte and the 1-byte tail steps.
+        assert_eq!(
+            xxh64(b"Nobody inspects the spammish repetition"),
+            0xfbce_a83c_8a37_8bf1
+        );
+        // Bytes 0..63, as the reference library (xxHash 0.8.1) hashes
+        // them: one stripe, then every tail step, three 8-byte words
+        // first.
+        let bytes: Vec<u8> = (0..63).collect();
+        assert_eq!(xxh64(&bytes), 0xe26a_a9e2_a95f_8e4f);
+    }
+
+    /// An envelope around `payload`: `version` in the header, `check`'s
+    /// sum of the payload after it.
+    fn seal(version: u32, payload: &[u8], check: fn(&[u8]) -> u64) -> Vec<u8> {
         let mut file = Vec::new();
         file.extend_from_slice(MAGIC);
-        file.extend_from_slice(&VERSION.to_le_bytes());
+        file.extend_from_slice(&version.to_le_bytes());
         file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        file.extend_from_slice(&payload);
-        file.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        assert_eq!(verify_envelope(&file).unwrap(), payload.as_slice());
+        file.extend_from_slice(payload);
+        file.extend_from_slice(&check(payload).to_le_bytes());
+        file
+    }
 
-        // Too short / truncated at every prefix length.
+    /// Every truncation and every single-byte flip of `file` is refused
+    /// by `read` with a typed error.
+    fn assert_torn_and_flipped_bytes_fail<T>(file: &[u8], read: impl Fn(&[u8]) -> Result<T>) {
+        let typed = |bytes: &[u8]| matches!(read(bytes), Err(StreamError::Checkpoint { .. }));
         for cut in 0..file.len() {
-            assert!(verify_envelope(&file[..cut]).is_err(), "cut at {cut}");
+            assert!(typed(&file[..cut]), "cut at {cut}");
         }
-        // Flip any byte: either the envelope or the checksum notices.
+        let mut bad = file.to_vec();
         for i in 0..file.len() {
-            let mut bad = file.clone();
             bad[i] ^= 0x40;
-            assert!(verify_envelope(&bad).is_err(), "flip at {i}");
+            assert!(typed(&bad), "flip at {i}");
+            bad[i] ^= 0x40;
         }
-        // Future version.
-        let mut future = file.clone();
-        future[4..8].copy_from_slice(&2u32.to_le_bytes());
-        let err = verify_envelope(&future).unwrap_err();
-        assert!(err.to_string().contains("version"), "{err}");
+    }
+
+    #[test]
+    fn envelope_reads_both_versions_each_by_its_own_check() {
+        let payload = b"hello payload".as_slice();
+        assert_eq!(verify_envelope(&seal(1, payload, fnv1a)).unwrap(), payload);
+        assert_eq!(verify_envelope(&seal(2, payload, xxh64)).unwrap(), payload);
+        // Each version is read by its own check only.
+        for file in [seal(1, payload, xxh64), seal(2, payload, fnv1a)] {
+            let err = verify_envelope(&file).unwrap_err();
+            assert!(err.to_string().contains("checksum mismatch"), "{err}");
+        }
+        // A version neither writer stamped.
+        for version in [0, 3] {
+            let err = verify_envelope(&seal(version, payload, xxh64)).unwrap_err();
+            assert!(
+                err.to_string().contains("unsupported checkpoint version"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn envelope_rejects_torn_and_corrupt_bytes() {
+        let payload = b"hello payload";
+        assert_torn_and_flipped_bytes_fail(&seal(1, payload, fnv1a), |b| {
+            verify_envelope(b).map(drop)
+        });
+        assert_torn_and_flipped_bytes_fail(&seal(2, payload, xxh64), |b| {
+            verify_envelope(b).map(drop)
+        });
+    }
+
+    #[test]
+    fn a_real_checkpoint_fails_typed_on_every_tear_and_flip() {
+        let schema = regcube_olap::CubeSchema::synthetic(2, 2, 2).unwrap();
+        let config = EngineConfig::new(
+            schema,
+            CuboidSpec::new(vec![1, 1]),
+            CuboidSpec::new(vec![2, 2]),
+        )
+        .with_tilt(regcube_tilt::TiltSpec::new(vec![("unit", 2), ("pair", 2)]).unwrap())
+        .with_ticks_per_unit(2);
+        let mut engine = config.clone().build().unwrap();
+        for unit in 0..6 {
+            for tick in [2 * unit, 2 * unit + 1] {
+                for (a, b) in [(0, 0), (1, 3), (3, 2)] {
+                    let value = f64::from(a + b) + tick as f64 * 0.5;
+                    engine
+                        .ingest(&RawRecord::new(vec![a, b], tick, value))
+                        .unwrap();
+                }
+            }
+            engine.close_unit().unwrap();
+        }
+        let file = engine.checkpoint_bytes().unwrap();
+        assert_eq!(&file[4..8], &VERSION.to_le_bytes());
+        let restored = restore_bytes(config.clone(), &file).unwrap();
+        assert_eq!(restored.frames.ladders().count(), 3);
+        assert_eq!(restored.o_frames.ladders().count(), 3);
+        assert_torn_and_flipped_bytes_fail(&file, |bytes| restore_bytes(config.clone(), bytes));
     }
 
     #[test]

@@ -167,8 +167,9 @@ proptest! {
         let mut corrupt = bytes.clone();
         corrupt[flip % bytes.len()] ^= 0x20;
         // Either the envelope/checksum rejects it, or (for the rare
-        // checksum-of-corrupt-payload collision — impossible with one
-        // flipped bit under FNV) the decode does. Never a panic.
+        // checksum-of-corrupt-payload collision — vanishingly unlikely
+        // for one flipped bit under XXH64) the decode does. Never a
+        // panic.
         if let Err(err) = restore_bytes(config(), &corrupt) {
             prop_assert!(matches!(err, StreamError::Checkpoint { .. }),
                 "wrong error type: {err}");
@@ -235,6 +236,49 @@ fn checkpoint_file_round_trips_and_missing_file_is_typed() {
 
     let missing = dir.join("nope.rgck");
     expect_checkpoint_err(config().restore(&missing));
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A second checkpoint to the same path replaces the first, whole, and
+/// leaves no staging file behind.
+#[test]
+fn a_second_checkpoint_replaces_the_first() {
+    let records = make_records(&[
+        (vec![0, 0], 0, 1.0),
+        (vec![1, 1], 4, 3.0),
+        (vec![0, 1], 9, -2.0),
+        (vec![1, 0], 13, 4.0),
+        (vec![0, 0], 17, 0.5),
+    ]);
+    let (early, late) = records.split_at(2);
+    let mut e = config().build().unwrap();
+
+    let dir = std::env::temp_dir().join(format!("regcube-ckpt-replace-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("engine.rgck");
+
+    drive(&mut e, early);
+    e.write_checkpoint(&path).unwrap();
+    let first = std::fs::read(&path).unwrap();
+    drive(&mut e, late);
+    e.write_checkpoint(&path).unwrap();
+
+    let second = std::fs::read(&path).unwrap();
+    assert_ne!(first, second, "the engine moved on between the two");
+    assert_eq!(second, e.checkpoint_bytes().unwrap());
+    assert!(!path.with_extension("rgck-tmp").exists());
+    let names: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name())
+        .collect();
+    assert_eq!(names, ["engine.rgck"]);
+    let revived = config().restore(&path).unwrap();
+    assert_eq!(
+        revived.snapshot().canonical_text(),
+        e.snapshot().canonical_text()
+    );
+    assert_eq!(revived.units_closed(), e.units_closed());
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -523,16 +567,69 @@ fn restored_frames_answer_drills_identically() {
     }
 }
 
-/// FNV-1a 64, the checkpoint envelope's checksum.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
-        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+/// XXH64 with seed 0, the checksum of the version-2 envelope the
+/// writer stamps.
+fn xxh64(bytes: &[u8]) -> u64 {
+    const P1: u64 = 0x9e37_79b1_85eb_ca87;
+    const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+    const P3: u64 = 0x1656_67b1_9e37_79f9;
+    const P4: u64 = 0x85eb_ca77_c2b2_ae63;
+    const P5: u64 = 0x27d4_eb2f_1656_67c5;
+    let round = |acc: u64, word: u64| {
+        acc.wrapping_add(word.wrapping_mul(P2))
+            .rotate_left(31)
+            .wrapping_mul(P1)
+    };
+    let word = |b: &[u8]| u64::from_le_bytes(b[..8].try_into().unwrap());
+    let mut stripes = bytes.chunks_exact(32);
+    let mut h = if bytes.len() >= 32 {
+        let mut v = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        for stripe in &mut stripes {
+            for (i, lane) in v.iter_mut().enumerate() {
+                *lane = round(*lane, word(&stripe[8 * i..]));
+            }
+        }
+        let mut h = v
+            .iter()
+            .zip([1, 7, 12, 18])
+            .fold(0u64, |h, (lane, r)| h.wrapping_add(lane.rotate_left(r)));
+        for lane in v {
+            h = (h ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4);
+        }
+        h
+    } else {
+        P5
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    let mut words = stripes.remainder().chunks_exact(8);
+    for w in &mut words {
+        h = (h ^ round(0, word(w)))
+            .rotate_left(27)
+            .wrapping_mul(P1)
+            .wrapping_add(P4);
+    }
+    let mut tail = words.remainder();
+    if tail.len() >= 4 {
+        let half = u64::from(u32::from_le_bytes(tail[..4].try_into().unwrap()));
+        h = (h ^ half.wrapping_mul(P1))
+            .rotate_left(23)
+            .wrapping_mul(P2)
+            .wrapping_add(P3);
+        tail = &tail[4..];
+    }
+    for &b in tail {
+        h = (h ^ u64::from(b).wrapping_mul(P5))
+            .rotate_left(11)
+            .wrapping_mul(P1);
+    }
+    h = (h ^ (h >> 33)).wrapping_mul(P2);
+    h = (h ^ (h >> 29)).wrapping_mul(P3);
+    h ^ (h >> 32)
 }
 
 /// Byte offset, in a checkpoint file, of the first m-frame's
 /// `next_unit` field (its `expired_units` follows) — found by walking
-/// the version-1 payload layout.
+/// the payload layout, unchanged since version 1.
 fn first_frame_offset(file: &[u8]) -> usize {
     let u64_at = |pos: usize| u64::from_le_bytes(file[pos..pos + 8].try_into().unwrap()) as usize;
     let ids_len = |pos: usize| 8 + 4 * u64_at(pos);
@@ -565,11 +662,11 @@ fn frame_record_len(file: &[u8], pos: usize) -> usize {
 }
 
 /// Rewrites the envelope of a spliced file: the payload length and the
-/// checksum, so that only the decoder can object.
+/// version-2 checksum, so that only the decoder can object.
 fn reseal(mut file: Vec<u8>) -> Vec<u8> {
     let payload_end = file.len() - 8;
     file[8..16].copy_from_slice(&((payload_end - 16) as u64).to_le_bytes());
-    let sum = fnv1a(&file[16..payload_end]);
+    let sum = xxh64(&file[16..payload_end]);
     file[payload_end..].copy_from_slice(&sum.to_le_bytes());
     file
 }

@@ -1,16 +1,20 @@
-//! The committed version-1 `RGCK` fixture: bytes written by the tree at
-//! commit `3679487` (the last one that kept one `TiltFrame` per cell in
-//! a hash map) must keep restoring, re-encode to the **identical
-//! bytes**, and resume exactly like an engine that never stopped.
+//! The committed `RGCK` fixtures. Version-1 bytes written by the tree
+//! at commit `3679487` (the last one that kept one `TiltFrame` per cell
+//! in a hash map) must keep restoring, and resume exactly like an
+//! engine that never stopped. The version-2 writer re-encodes them to
+//! `fixtures/v2.rgck`: the same payload at the same length, under a
+//! version-2 header and an XXH64 check instead of FNV-1a. That file
+//! restores and resumes the same way.
 //!
 //! `fixtures/v1.rgck` is `checkpoint_bytes()` of the engine [`script`]
 //! drives, taken after [`CUT_UNITS`] closes and the late traffic that
 //! follows them; `fixtures/v1.canonical.txt` is the `canonical_text()`
 //! of its snapshot at that moment. Both were produced by running this
-//! file's `replay` at that commit — the
-//! fixture is the format's witness, so it is never regenerated from
-//! the code under test: any later change to the format bumps the
-//! `RGCK` version and keeps this file restoring.
+//! file's `replay` at that commit. `fixtures/v2.rgck` is the
+//! re-encode of the engine restored from `v1.rgck`, by the first
+//! version-2 writer. The fixtures are the format's witnesses, so they
+//! are never regenerated from the code under test: any later change to
+//! the format bumps the `RGCK` version and keeps both files restoring.
 //!
 //! What the state holds, on purpose: watermark reordering with a record
 //! still buffered; a three-level ladder `(2, 2, 2)` that has promoted
@@ -30,6 +34,7 @@ use regcube_tilt::TiltSpec;
 const TPU: i64 = 4;
 
 const V1_BYTES: &[u8] = include_bytes!("fixtures/v1.rgck");
+const V2_BYTES: &[u8] = include_bytes!("fixtures/v2.rgck");
 const V1_TEXT: &str = include_str!("fixtures/v1.canonical.txt");
 
 fn config() -> EngineConfig {
@@ -143,41 +148,18 @@ fn replay(engine: &mut OnlineEngine, steps: &[Step]) -> Vec<(UnitReport, String)
     closes
 }
 
-#[test]
-fn v1_fixture_restores_reencodes_and_resumes() {
-    let (steps, cut) = script();
-    let mut scratch = config().build().unwrap();
-    replay(&mut scratch, &steps[..cut]);
+/// The payload of an `RGCK` file: between the 16-byte header (magic,
+/// version, payload length) and the 8-byte check.
+fn payload(file: &[u8]) -> &[u8] {
+    &file[16..file.len() - 8]
+}
 
-    // The fixture holds what its header says it holds.
-    assert_eq!(scratch.units_closed(), CUT_UNITS as u64);
-    assert_eq!(scratch.late_amended(), 4);
-    assert_eq!(scratch.late_dropped(), 1);
-    assert_eq!(scratch.buffered_records(), 1);
-    assert!(V1_TEXT.contains("mframe [3, 3] "), "the never-seen cell");
-    assert!(V1_TEXT.contains("mframe [2, 0] "), "re-registered all-zero");
-    assert!(!V1_TEXT.contains("mframe [2, 1] "), "retired for good");
-    assert!(V1_TEXT.contains(" L2 u2 ") && V1_TEXT.contains(" L1 u8 "));
-
-    // Restore: the same queryable state, and the same bytes back.
-    let mut revived = restore_bytes(config(), V1_BYTES).unwrap();
-    assert_eq!(revived.snapshot().canonical_text(), V1_TEXT);
-    assert!(
-        revived.checkpoint_bytes().unwrap() == V1_BYTES,
-        "re-encoding the restored fixture changed its bytes"
-    );
-    // An engine that ran from scratch writes the same file.
-    assert_eq!(scratch.snapshot().canonical_text(), V1_TEXT);
-    assert!(
-        scratch.checkpoint_bytes().unwrap() == V1_BYTES,
-        "a from-scratch run no longer writes the v1 bytes"
-    );
-
-    // Three more units: pending amendments and the revision are
-    // reported by the first close, the all-zero cell retires, the
-    // buffered record lands in unit 20.
-    let resumed = replay(&mut revived, &steps[cut..]);
-    let uninterrupted = replay(&mut scratch, &steps[cut..]);
+/// Three more units on `revived` and on `scratch`, which never stopped:
+/// pending amendments and the revision are reported by the first close,
+/// the all-zero cell retires, the buffered record lands in unit 20.
+fn assert_resumes_like(revived: &mut OnlineEngine, scratch: &mut OnlineEngine, steps: &[Step]) {
+    let resumed = replay(revived, steps);
+    let uninterrupted = replay(scratch, steps);
     assert_eq!(resumed.len(), 3);
     for ((a, text_a), (b, text_b)) in resumed.iter().zip(&uninterrupted) {
         assert_eq!(text_a, text_b, "unit {}", a.unit);
@@ -195,4 +177,66 @@ fn v1_fixture_restores_reencodes_and_resumes() {
         revived.checkpoint_bytes().unwrap(),
         scratch.checkpoint_bytes().unwrap()
     );
+}
+
+/// An engine driven from scratch to the checkpoint's moment.
+fn scratch_run(steps: &[Step], cut: usize) -> OnlineEngine {
+    let mut scratch = config().build().unwrap();
+    replay(&mut scratch, &steps[..cut]);
+    scratch
+}
+
+#[test]
+fn v1_fixture_restores_reencodes_and_resumes() {
+    let (steps, cut) = script();
+    let mut scratch = scratch_run(&steps, cut);
+
+    // The fixture holds what its header says it holds.
+    assert_eq!(scratch.units_closed(), CUT_UNITS as u64);
+    assert_eq!(scratch.late_amended(), 4);
+    assert_eq!(scratch.late_dropped(), 1);
+    assert_eq!(scratch.buffered_records(), 1);
+    assert!(V1_TEXT.contains("mframe [3, 3] "), "the never-seen cell");
+    assert!(V1_TEXT.contains("mframe [2, 0] "), "re-registered all-zero");
+    assert!(!V1_TEXT.contains("mframe [2, 1] "), "retired for good");
+    assert!(V1_TEXT.contains(" L2 u2 ") && V1_TEXT.contains(" L1 u8 "));
+
+    // Restore: the same queryable state, re-encoded as the v2 fixture.
+    let mut revived = restore_bytes(config(), V1_BYTES).unwrap();
+    assert_eq!(revived.snapshot().canonical_text(), V1_TEXT);
+    assert!(
+        revived.checkpoint_bytes().unwrap() == V2_BYTES,
+        "re-encoding the restored v1 fixture no longer writes the v2 bytes"
+    );
+    // An engine that ran from scratch writes the same file.
+    assert_eq!(scratch.snapshot().canonical_text(), V1_TEXT);
+    assert!(
+        scratch.checkpoint_bytes().unwrap() == V2_BYTES,
+        "a from-scratch run no longer writes the v2 bytes"
+    );
+
+    assert_resumes_like(&mut revived, &mut scratch, &steps[cut..]);
+}
+
+#[test]
+fn v2_fixture_carries_the_v1_payload_restores_and_resumes() {
+    // Only the version and the check differ: the header's payload
+    // length and every payload byte are v1's.
+    assert_eq!(V2_BYTES[..4], V1_BYTES[..4], "magic");
+    assert_eq!(V1_BYTES[4..8], 1u32.to_le_bytes());
+    assert_eq!(V2_BYTES[4..8], 2u32.to_le_bytes());
+    assert_eq!(V2_BYTES[8..16], V1_BYTES[8..16], "payload length");
+    assert_eq!(V2_BYTES.len(), V1_BYTES.len());
+    assert!(payload(V2_BYTES) == payload(V1_BYTES), "payload bytes");
+    assert_ne!(
+        V2_BYTES[V2_BYTES.len() - 8..],
+        V1_BYTES[V1_BYTES.len() - 8..]
+    );
+
+    let (steps, cut) = script();
+    let mut scratch = scratch_run(&steps, cut);
+    let mut revived = restore_bytes(config(), V2_BYTES).unwrap();
+    assert_eq!(revived.snapshot().canonical_text(), V1_TEXT);
+    assert!(revived.checkpoint_bytes().unwrap() == V2_BYTES);
+    assert_resumes_like(&mut revived, &mut scratch, &steps[cut..]);
 }
