@@ -4,10 +4,10 @@
 //! but computing the cube is only half of that — something must react
 //! when cells become (or stop being) exceptional. The engines already
 //! report exactly those transitions per ingested batch through
-//! [`UnitDelta::appeared`]/[`UnitDelta::cleared`], sorted and
-//! byte-identical on either table layout, so a consumer can maintain live
-//! alarm state purely from the deltas with **no o-layer or
-//! exception-store rescans** in the per-unit hot path.
+//! [`UnitDelta::appeared`]/[`UnitDelta::cleared`], sorted by
+//! `(cuboid, cell)`, so a consumer can maintain live alarm state purely
+//! from the deltas with **no o-layer or exception-store rescans** in the
+//! per-unit hot path.
 //!
 //! This module is that reaction layer:
 //!

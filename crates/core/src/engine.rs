@@ -15,15 +15,15 @@
 //! error — never merged, never silently substituted.
 //!
 //! Each algorithm is one module with one engine:
-//! [`MoCubingEngine`] ([`crate::mo_cubing`], over either table
-//! [`Backend`]) and [`PopularPathEngine`] ([`crate::popular_path`]);
+//! [`MoCubingEngine`] ([`crate::mo_cubing`]) and
+//! [`PopularPathEngine`] ([`crate::popular_path`]);
 //! both are re-exported here. The batch entry points
 //! [`crate::mo_cubing::compute`] and [`crate::popular_path::compute`]
 //! are thin wrappers that build an engine, ingest one unit and return
 //! the result. The stream engine (`regcube-stream`) and the bench
 //! harness (`regcube-bench`) are generic over the trait.
 //! What is left in this module is what the engines share: the trait,
-//! [`UnitDelta`], the layout selector and a few helpers.
+//! [`UnitDelta`] and a few helpers.
 //!
 //! The cross-algorithm contract (the paper's footnote 7) holds for the
 //! engines exactly as for the batch paths: after identical ingestion,
@@ -46,43 +46,6 @@ use std::sync::Arc;
 
 pub use crate::mo_cubing::MoCubingEngine;
 pub use crate::popular_path::PopularPathEngine;
-
-/// The physical layout a cube's cell tables are computed over —
-/// selected per engine, orthogonal to the [`Algorithm`].
-///
-/// Both layouts produce the same cell sets, counts, [`UnitDelta`]s and
-/// alarm episodes, with bit-identical m-layer measures (the contract
-/// and golden suites pin it). Aggregated
-/// measures are equal only up to reassociation of `f64` sums — Row
-/// folds siblings in hash order, Columnar in sorted cell-id order — so
-/// on non-dyadic data they may differ in the last ulp
-/// (`layouts_agree_up_to_f64_reassociation` in
-/// `tests/engine_contract.rs`). Byte identity is guaranteed only for
-/// one layout against itself, which is what checkpoints and the
-/// benchmark's `canonical_text()` digests rely on. See
-/// `ARCHITECTURE.md` ("Choosing a backend") for the trade-offs and
-/// `BENCHMARK.json`'s workloads for measured numbers.
-///
-/// ```
-/// use regcube_core::engine::Backend;
-///
-/// // Row is the default; Columnar opts into the struct-of-arrays path.
-/// assert_eq!(Backend::default(), Backend::Row);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Backend {
-    /// Hash-map row layout ([`CuboidTable`]): one `CellKey → Isb` entry
-    /// per cell. Cheap point updates; the default and the layout every
-    /// retained [`CubeResult`] exposes.
-    #[default]
-    Row,
-    /// Struct-of-arrays layout
-    /// ([`ColumnarTable`](crate::columnar::ColumnarTable)): a sorted
-    /// dense cell-id index plus one vector per ISB component. The
-    /// cache-friendly choice for the full-table tier roll-up, selected
-    /// with [`MoCubingEngine::with_backend`].
-    Columnar,
-}
 
 /// What one [`CubingEngine::ingest_unit`] call changed: the unit it
 /// cubed and how the exception set moved against the unit before it.

@@ -40,14 +40,10 @@
 //! Beyond the paper, both algorithms run behind the
 //! [`engine::CubingEngine`] trait, so they compose with streaming
 //! exception consumers ([`alarm`]) and — for Algorithm 1 — a
-//! worker-pool tier roll-up ([`pool`]) and a choice of physical table
-//! layout behind [`table::TableStorage`]: the row (hash-map) default or
-//! the struct-of-arrays [`columnar`] one, selected via
-//! [`engine::Backend`], whose hot fold/projection loops run on the
-//! chunked [`kernel`] layer (SIMD-friendly folds, the columnar layout's
-//! only fold). The repository-level
-//! `ARCHITECTURE.md` maps every paper section to its module and
-//! documents how to add further backends.
+//! worker-pool tier roll-up ([`pool`]). Every cuboid is one row table
+//! ([`table::CuboidTable`], a hash map from cell key to measure). The
+//! repository-level `ARCHITECTURE.md` maps every paper section to its
+//! module and documents where a new engine plugs in.
 //!
 //! ```
 //! use regcube_core::prelude::*;
@@ -79,12 +75,10 @@
 #![forbid(unsafe_code)]
 
 pub mod alarm;
-pub mod columnar;
 pub mod drill;
 pub mod engine;
 pub mod error;
 pub mod exception;
-pub mod kernel;
 pub mod layers;
 pub mod measure;
 pub mod mo_cubing;
@@ -98,8 +92,7 @@ pub mod table;
 pub use alarm::{
     AlarmContext, AlarmLog, AlarmSink, DashboardSummary, LateAmendment, SinkSet, ThresholdEscalator,
 };
-pub use columnar::ColumnarTable;
-pub use engine::{Backend, CubingEngine, MoCubingEngine, PopularPathEngine, UnitDelta};
+pub use engine::{CubingEngine, MoCubingEngine, PopularPathEngine, UnitDelta};
 pub use error::CoreError;
 pub use exception::ExceptionPolicy;
 pub use layers::CriticalLayers;
@@ -117,7 +110,7 @@ pub mod prelude {
         AlarmContext, AlarmLog, AlarmSink, DashboardSummary, Episode, Escalation, SinkSet,
         ThresholdEscalator,
     };
-    pub use crate::engine::{Backend, CubingEngine, MoCubingEngine, PopularPathEngine, UnitDelta};
+    pub use crate::engine::{CubingEngine, MoCubingEngine, PopularPathEngine, UnitDelta};
     pub use crate::exception::ExceptionPolicy;
     pub use crate::layers::CriticalLayers;
     pub use crate::measure::MTuple;

@@ -3,9 +3,8 @@
 //! cells in between (all cells at the two critical layers).
 //!
 //! Step 1 follows the paper: one scan of the input aggregates the stream
-//! into the m-layer, merged under Theorems 3.2/3.3
-//! ([`TableStorage::from_tuples`]). The row layout folds each tuple
-//! straight into its m-cell in arrival order. The paper stages this scan
+//! into the m-layer, merged under Theorems 3.2/3.3: each tuple is
+//! folded straight into its m-cell in arrival order. The paper stages this scan
 //! through an H-tree, but its node-links and header tables are never
 //! read here, and the tree's leaves are created in the same
 //! first-arrival order, so a tree would only be built and thrown away.
@@ -17,13 +16,10 @@
 //! its reference 18 too (footnote 6); the computed and retained cell
 //! sets here are identical to Algorithm 1's).
 //!
-//! [`MoCubingEngine`] is the algorithm, written **once**: the per-unit
-//! sequence validate → compute → diff → commit, the tier roll-up and
-//! the statistics are layout-agnostic, and everything a table layout
-//! does differently sits behind [`TableStorage`]. The [`Backend`] an
-//! engine is given only picks which implementation of that trait the
-//! tiers are folded into. [`compute`] is the batch wrapper that cubes
-//! one unit and returns its result.
+//! [`MoCubingEngine`] is the algorithm: the per-unit sequence validate
+//! → compute → diff → commit, the tier roll-up over [`CuboidTable`]s
+//! and the statistics. [`compute`] is the batch wrapper that cubes one
+//! unit and returns its result.
 //!
 //! What an engine keeps of a unit is the paper's memory model —
 //! critical layers + exception cells: each depth tier's full tables
@@ -34,8 +30,8 @@
 //! streams reports every unit, and the stream layer hands each unit's
 //! tuples over sorted by key, so key sequences recur — the same one
 //! every unit, or a few in turn when the active streams rotate — and
-//! only the measures change. On the row layout the roll-up of one key
-//! sequence is always the same: a table's iteration order follows from
+//! only the measures change. The roll-up of one key sequence is always
+//! the same: a table's iteration order follows from
 //! its keys and their insertion sequence, so which rows fold into which
 //! target, in which order, and where each target sits is fixed by the
 //! key sequence. The engine keeps up to [`SHAPES`] such *roll-up
@@ -55,17 +51,18 @@
 //! tables into which the cold fold's keys are re-inserted in its
 //! first-arrival order. The cold fold stays the only definition of
 //! order, and a replayed unit is the cold unit bit for bit, statistics
-//! included (but `elapsed`). The columnar layout always runs cold.
+//! included (but `elapsed`).
 
-use crate::columnar::ColumnarTable;
-use crate::engine::{empty_result, next_window, unshare_result, Backend, CubingEngine, UnitDelta};
+use crate::engine::{empty_result, next_window, unshare_result, CubingEngine, UnitDelta};
 use crate::exception::ExceptionPolicy;
 use crate::layers::CriticalLayers;
 use crate::measure::{merge_sibling, validate_tuples, MTuple};
 use crate::pool::WorkerPool;
 use crate::result::{Algorithm, CubeResult};
 use crate::stats::{MemoryAccountant, RunStats};
-use crate::table::{table_bytes, CuboidTable, Projector, TableStorage};
+use crate::table::{
+    aggregate_from, collect_exceptions, merge_row, table_bytes, CuboidTable, Projector,
+};
 use crate::Result;
 use regcube_olap::cell::CellKey;
 use regcube_olap::fxhash::{FxHashMap, FxHasher};
@@ -83,13 +80,13 @@ use std::time::Instant;
 /// and one parked-worker wake-up per job, the results coming back over a
 /// second channel — was measured at 47–50 µs (median of 20,000 runs of
 /// 2–4 empty tasks on a 2-worker pool, 2-vCPU VM). A tier folds a source
-/// row in 33–37 ns on the columnar layout and 170–200 ns on the row
-/// layout (`ingest_unit` over 256–16,384 tuples, time per
-/// `rows_folded`). Two workers at best halve a tier, so the hand-off
-/// pays for itself once `rows × 35 ns / 2 > 48 µs`, about 2,700 rows on
-/// the cheaper layout; the next power of two leaves a margin for the
-/// uneven split of real tiers. Below it — a quiet tenant's 16-row unit —
-/// the hand-off is several times the work it hands off.
+/// row in 170–200 ns (`ingest_unit` over 256–16,384 tuples, time per
+/// `rows_folded`, same VM). Two workers at best halve a tier, so the
+/// hand-off pays for itself once `rows × 185 ns / 2 > 48 µs`, about 520
+/// rows. The gate sits about eight times above that break-even, so only
+/// a tier that clearly wins is handed off, however unevenly its cuboids
+/// split between the workers. Far below it — a quiet tenant's 16-row
+/// unit — the hand-off is several times the work it hands off.
 ///
 /// These costs are the cold roll-up's; a replayed unit (see the module
 /// docs) folds on the caller's thread and never reaches the pool.
@@ -210,10 +207,10 @@ fn slots(tier: &Range<usize>) -> Range<usize> {
 
 /// One cuboid of a depth tier with its chosen aggregation source —
 /// resolved before the tier fans out so pool tasks are self-contained.
-struct TierPlan<T> {
+struct TierPlan {
     cuboid: CuboidSpec,
     source: CuboidSpec,
-    table: Arc<T>,
+    table: Arc<CuboidTable>,
 }
 
 /// One unit's computation in progress: its counters and its analytical
@@ -235,7 +232,7 @@ impl UnitWork {
     }
 }
 
-/// Algorithm 1 as a per-unit engine, over either table layout.
+/// Algorithm 1 as a per-unit engine.
 ///
 /// Every unit is computed bottom-up in depth tiers, each cuboid
 /// aggregated from its closest computed descendant — exactly the
@@ -243,12 +240,6 @@ impl UnitWork {
 /// it. Each tier's full tables are dropped once the next tier is built,
 /// so the engine's peak memory is the batch algorithm's and what it
 /// retains is the paper's: critical layers + exception cells.
-///
-/// The tiers are rolled up in the layout [`with_backend`](Self::with_backend)
-/// selects (row by default). Whatever the layout, everything the engine
-/// *retains* — the result's critical layers and exception stores — is
-/// in the row form [`CubeResult`] exposes, so the engine composes
-/// identically with every consumer.
 #[derive(Debug, Clone)]
 pub struct MoCubingEngine {
     schema: Arc<CubeSchema>,
@@ -256,8 +247,6 @@ pub struct MoCubingEngine {
     policy: ExceptionPolicy,
     /// The lattice's roll-up order, shared by every unit.
     schedule: Arc<Schedule>,
-    /// The layout the tiers are folded into.
-    backend: Backend,
     /// When attached, cuboids of one depth tier (independent of each
     /// other) are aggregated on the pool instead of sequentially.
     pool: Option<Arc<WorkerPool>>,
@@ -265,15 +254,14 @@ pub struct MoCubingEngine {
     units_opened: u64,
     /// Units computed by replaying a roll-up plan rather than cold.
     units_replayed: u64,
-    /// The key sequences of recent units and their roll-up plans (row
-    /// layout only).
+    /// The key sequences of recent units and their roll-up plans.
     shapes: ShapeCache,
     /// Shared with every snapshot taken of the held unit.
     result: Arc<CubeResult>,
 }
 
 impl MoCubingEngine {
-    /// Creates an engine on the row layout, with no pool.
+    /// Creates an engine with no pool.
     ///
     /// # Errors
     /// Currently infallible; `Result` keeps room for config validation
@@ -289,7 +277,6 @@ impl MoCubingEngine {
             schedule: Arc::new(Schedule::new(&layers)),
             layers,
             policy,
-            backend: Backend::Row,
             pool: None,
             window: None,
             units_opened: 0,
@@ -310,25 +297,6 @@ impl MoCubingEngine {
         policy: ExceptionPolicy,
     ) -> Result<Self> {
         Self::new(schema, layers, policy)
-    }
-
-    /// Selects the table layout the tiers are folded into. Both layouts
-    /// produce the same cells, counts and [`UnitDelta`]s; see
-    /// [`Backend`] for what "same" means for the measures.
-    ///
-    /// # Errors
-    /// [`crate::CoreError::BadInput`] when the layout cannot represent a
-    /// cuboid of the lattice (the columnar layout needs every cell
-    /// space to fit a dense 64-bit id) — checked here so `ingest_unit`
-    /// cannot fail mid-roll-up.
-    pub fn with_backend(mut self, backend: Backend) -> Result<Self> {
-        match backend {
-            Backend::Row => CuboidTable::check_lattice(&self.schema, &self.layers)?,
-            Backend::Columnar => ColumnarTable::check_lattice(&self.schema, &self.layers)?,
-        }
-        self.backend = backend;
-        self.shapes = ShapeCache::default();
-        Ok(self)
     }
 
     /// Attaches a worker pool for the tier roll-up: cuboids at the same
@@ -365,50 +333,11 @@ impl MoCubingEngine {
         self.units_replayed
     }
 
-    /// One unit, on layout `T` — the whole of
-    /// [`ingest_unit`](CubingEngine::ingest_unit) behind the backend
-    /// dispatch: validate, compute the unit beside the held one, diff
-    /// the two, commit.
-    fn ingest_on<T: TableStorage>(&mut self, tuples: &[MTuple]) -> Result<UnitDelta> {
-        validate_tuples(&self.schema, self.layers.lattice().m_layer(), tuples)?;
-        let window = next_window(self.window, tuples)?;
-        let hash = (self.backend == Backend::Row).then(|| sequence_hash(tuples));
-        let lookup = match hash {
-            Some(hash) => self.shapes.lookup(hash, tuples),
-            None => Lookup::Cold,
-        };
-        let replayed = matches!(lookup, Lookup::Replay { .. });
-        let (result, captured) = match lookup {
-            Lookup::Replay { plan, held } => (self.replay_unit(plan, held, tuples)?, None),
-            Lookup::Capture => self.open_unit::<T>(tuples, true)?,
-            Lookup::Cold => self.open_unit::<T>(tuples, false)?,
-        };
-        // The held unit's exceptions that do not recur come back as
-        // cleared, so appeared/cleared consumers can maintain a live
-        // alarm set across units.
-        let delta = UnitDelta::between(
-            self.units_opened,
-            window,
-            tuples.len(),
-            &self.result,
-            &result,
-        );
-        self.window = Some(window);
-        self.units_opened += 1;
-        self.result = Arc::new(result);
-        // The shapes follow the committed unit only.
-        if let Some(hash) = hash {
-            self.shapes.commit(hash, replayed, captured);
-        }
-        self.units_replayed += u64::from(replayed);
-        Ok(delta)
-    }
-
     /// Computes one unit (the batch algorithm) without touching the
     /// held one: the finished result, statistics included, and — when
-    /// asked to `capture` on the row layout — the roll-up plan read off
-    /// the unit's finished tables.
-    fn open_unit<T: TableStorage>(
+    /// asked to `capture` — the roll-up plan read off the unit's
+    /// finished tables.
+    fn open_unit(
         &self,
         tuples: &[MTuple],
         capture: bool,
@@ -417,19 +346,27 @@ impl MoCubingEngine {
         let dims = self.schema.num_dims();
         let mut work = UnitWork::default();
 
-        // Step 1: one scan of the batch into the m-layer.
-        let (m_table, rows) = T::from_tuples(&self.schema, &self.layers, tuples, &mut work.mem)?;
-        work.count_cuboid(rows, m_table.len());
+        // Step 1: one scan of the batch into the m-layer. A cell enters
+        // the table when its first tuple arrives and its duplicates merge
+        // into it in arrival order; that first-arrival order fixes the
+        // fold order further up the lattice. It is also the order the
+        // paper's H-tree creates its leaves in, so staging the batch
+        // through a tree first would build this same table.
+        let mut m_table = CuboidTable::default();
+        for t in tuples {
+            merge_row(&mut m_table, t.ids(), t.isb())?;
+        }
+        work.mem.add(table_bytes(&m_table, dims));
+        work.count_cuboid(tuples.len() as u64, m_table.len());
         let mut capture = (capture && tuples.len() < FIRST as usize)
             .then(|| PlanCapture::new(tuples, &m_table, dims));
 
         // Step 2: the rest of the lattice. The m-table is shared with
-        // pool workers, so it travels behind an `Arc` and is unwrapped —
-        // moved, on the row layout — into the result after.
+        // pool workers, so it travels behind an `Arc` and is moved into
+        // the result after.
         let m_table = Arc::new(m_table);
         let (o_table, exceptions) = self.compute_uppers(&mut work, &m_table, capture.as_mut())?;
         let m_table = Arc::try_unwrap(m_table).unwrap_or_else(|shared| (*shared).clone());
-        let m_table = m_table.into_row_table(dims, &mut work.mem);
 
         let UnitWork { stats, mem } = work;
         let plan = capture.map(PlanCapture::finish);
@@ -591,10 +528,10 @@ impl MoCubingEngine {
     /// the o-layer table and the exception stores; between-layer full
     /// tables are dropped as soon as the next tier no longer needs them.
     /// A `capture` reads each finished table into the roll-up plan.
-    fn compute_uppers<T: TableStorage>(
+    fn compute_uppers(
         &self,
         work: &mut UnitWork,
-        m_table: &Arc<T>,
+        m_table: &Arc<CuboidTable>,
         mut capture: Option<&mut PlanCapture>,
     ) -> Result<(CuboidTable, FxHashMap<CuboidSpec, CuboidTable>)> {
         let dims = self.schema.num_dims();
@@ -603,14 +540,14 @@ impl MoCubingEngine {
         let mut o_table = CuboidTable::default();
         let mut exceptions: FxHashMap<CuboidSpec, CuboidTable> = FxHashMap::default();
         // The full tables a later tier may still fold, by slot.
-        let mut tables: Vec<Option<Arc<T>>> = vec![None; schedule.steps.len() + 1];
+        let mut tables: Vec<Option<Arc<CuboidTable>>> = vec![None; schedule.steps.len() + 1];
         tables[0] = Some(Arc::clone(m_table));
-        let source = |tables: &[Option<Arc<T>>], slot: usize| {
+        let source = |tables: &[Option<Arc<CuboidTable>>], slot: usize| {
             Arc::clone(tables[slot].as_ref().expect("a source outlives its tier"))
         };
         let mut previous = 0..0;
         for tier in &schedule.tiers {
-            let plans: Vec<TierPlan<T>> = schedule.steps[tier.clone()]
+            let plans: Vec<TierPlan> = schedule.steps[tier.clone()]
                 .iter()
                 .map(|step| TierPlan {
                     cuboid: step.cuboid.clone(),
@@ -623,18 +560,18 @@ impl MoCubingEngine {
                 let step = &schedule.steps[k];
                 let (full, rows) = item?;
                 work.count_cuboid(rows, full.len());
-                let bytes = full.approx_bytes(dims);
+                let bytes = table_bytes(&full, dims);
                 work.mem.add(bytes);
                 if let Some(capture) = capture.as_deref_mut() {
                     let from = source(&tables, step.source);
-                    capture.step(&self.schema, schedule, k, &*from, &full, bytes);
+                    capture.step(&self.schema, schedule, k, &from, &full, bytes);
                 }
 
                 if step.o_layer {
-                    o_table = full.into_row_table(dims, &mut work.mem);
+                    o_table = full;
                     continue;
                 }
-                let exc = full.exceptions(&self.policy, &step.cuboid);
+                let exc = collect_exceptions(&self.policy, &step.cuboid, &full);
                 if !exc.is_empty() {
                     work.mem.add(table_bytes(&exc, dims));
                     exceptions.insert(step.cuboid.clone(), exc);
@@ -654,9 +591,9 @@ impl MoCubingEngine {
     /// otherwise. The results come back **in plan order** either way —
     /// on the pool, because [`WorkerPool::run`] keeps task order — and
     /// the caller matches them to their cuboids by position.
-    fn compute_tier<T: TableStorage>(&self, plans: Vec<TierPlan<T>>) -> Vec<Result<(T, u64)>> {
-        let aggregate = |schema: &CubeSchema, plan: TierPlan<T>| {
-            plan.table.roll_up(schema, &plan.source, &plan.cuboid)
+    fn compute_tier(&self, plans: Vec<TierPlan>) -> Vec<Result<(CuboidTable, u64)>> {
+        let aggregate = |schema: &CubeSchema, plan: TierPlan| {
+            aggregate_from(schema, &plan.source, &plan.table, &plan.cuboid, None)
         };
         let fan_out = self.pool.as_ref().filter(|pool| {
             // One worker would run the tier serially while the caller
@@ -686,15 +623,11 @@ impl MoCubingEngine {
 
 /// Drops a finished tier's tables and books them out of the analytical
 /// memory.
-fn retire_tier<T: TableStorage>(
-    mem: &mut MemoryAccountant,
-    tier: &mut [Option<Arc<T>>],
-    dims: usize,
-) {
+fn retire_tier(mem: &mut MemoryAccountant, tier: &mut [Option<Arc<CuboidTable>>], dims: usize) {
     let bytes = tier
         .iter_mut()
         .filter_map(Option::take)
-        .map(|table| table.approx_bytes(dims))
+        .map(|table| table_bytes(&table, dims))
         .sum();
     mem.remove(bytes);
 }
@@ -719,10 +652,10 @@ fn sequence_hash(tuples: &[MTuple]) -> u64 {
 ///
 /// `Ingestor::close_unit` emits a unit's tuples sorted by key, so a
 /// population of streams that report in a fixed pattern hands the
-/// engine a few key sequences over and over. The row layout's roll-up of
-/// one sequence is the same every time it recurs — which rows fold into
-/// which, in which order, into which table layout — and only the
-/// measures differ.
+/// engine a few key sequences over and over. The roll-up of one
+/// sequence is the same every time it recurs — which rows fold into
+/// which, in which order, and where each target row sits — and only
+/// the measures differ.
 #[derive(Debug, Clone, Default)]
 struct ShapeCache {
     shapes: Vec<Shape>,
@@ -787,7 +720,7 @@ impl ShapeCache {
     }
 }
 
-/// A row-layout unit's roll-up as index maps, read off a cold unit's
+/// A unit's roll-up as index maps, read off a cold unit's
 /// finished tables by [`PlanCapture`] and laid out along the engine's
 /// [`Schedule`]. Replaying it on a unit with the same key sequence folds
 /// the same rows into the same targets in the same order, without
@@ -886,9 +819,9 @@ fn overwrite(table: &CuboidTable, values: &[Isb]) -> CuboidTable {
 /// `values` (in the cold table's iteration order). Walking `target_of`
 /// in source order, each [`FIRST`]-flagged entry inserts its row's key,
 /// `key_of(source position, row)`: the cold fold's inserts, in its
-/// first-arrival order. Neither `from_tuples` nor `roll_up` pre-sizes a
-/// table, so the same inserts into an empty table grow the same buckets
-/// and give the same iteration order.
+/// first-arrival order. Neither the m-layer fold nor [`aggregate_from`]
+/// pre-sizes a table, so the same inserts into an empty table grow the
+/// same buckets and give the same iteration order.
 fn rebuild(
     target_of: &[u32],
     values: &[Isb],
@@ -906,15 +839,12 @@ fn rebuild(
 
 /// Fills `index` with each row's index in a finished table's iteration
 /// order.
-fn fill_index<T: TableStorage>(index: &mut FxHashMap<CellKey, u32>, table: &T) {
+fn fill_index(index: &mut FxHashMap<CellKey, u32>, table: &CuboidTable) {
     index.clear();
     index.reserve(table.len());
-    table
-        .try_for_each_cell(|ids, _| {
-            index.insert(CellKey::new(ids), index.len() as u32);
-            Ok(())
-        })
-        .expect("indexing never fails");
+    for key in table.keys() {
+        index.insert(key.clone(), index.len() as u32);
+    }
 }
 
 /// Links a source row to target row `to`: the `target_of` entry,
@@ -946,7 +876,7 @@ struct PlanCapture {
 }
 
 impl PlanCapture {
-    fn new<T: TableStorage>(tuples: &[MTuple], m_table: &T, dims: usize) -> Self {
+    fn new(tuples: &[MTuple], m_table: &CuboidTable, dims: usize) -> Self {
         let mut index = FxHashMap::default();
         fill_index(&mut index, m_table);
         let mut arena = Vec::with_capacity(tuples.len() * (dims + 1));
@@ -960,7 +890,7 @@ impl PlanCapture {
             tuples: tuples.len(),
             keys,
             arena,
-            tables: vec![(m_table.len(), m_table.approx_bytes(dims))],
+            tables: vec![(m_table.len(), table_bytes(m_table, dims))],
             m_rep,
             rep_at: Vec::new(),
             index,
@@ -969,13 +899,13 @@ impl PlanCapture {
 
     /// Captures step `k`: `full` was folded from `source`, the finished
     /// table of the step's source slot.
-    fn step<T: TableStorage>(
+    fn step(
         &mut self,
         schema: &CubeSchema,
         schedule: &Schedule,
         k: usize,
-        source: &T,
-        full: &T,
+        source: &CuboidTable,
+        full: &CuboidTable,
         bytes: usize,
     ) {
         let step = &schedule.steps[k];
@@ -992,15 +922,10 @@ impl PlanCapture {
         };
         let index = &self.index;
         let mut key = vec![0u32; schema.num_dims()];
-        let mut row = 0;
-        source
-            .try_for_each_cell(|ids, _| {
-                projector.project_into(ids, &mut key);
-                target_of[row] = link(rep, index[key.as_slice()], source_rep[row]);
-                row += 1;
-                Ok(())
-            })
-            .expect("linking never fails");
+        for (row, ids) in source.keys().enumerate() {
+            projector.project_into(ids.ids(), &mut key);
+            target_of[row] = link(rep, index[key.as_slice()], source_rep[row]);
+        }
         self.rep_at.push(at + sources);
         self.tables.push((rows, bytes));
     }
@@ -1021,11 +946,37 @@ impl CubingEngine for MoCubingEngine {
         Algorithm::MoCubing
     }
 
+    /// One unit: validate, compute the unit beside the held one —
+    /// replayed when its key sequence has a resident plan, cold
+    /// otherwise — diff the two, commit.
     fn ingest_unit(&mut self, tuples: &[MTuple]) -> Result<UnitDelta> {
-        match self.backend {
-            Backend::Row => self.ingest_on::<CuboidTable>(tuples),
-            Backend::Columnar => self.ingest_on::<ColumnarTable>(tuples),
-        }
+        validate_tuples(&self.schema, self.layers.lattice().m_layer(), tuples)?;
+        let window = next_window(self.window, tuples)?;
+        let hash = sequence_hash(tuples);
+        let lookup = self.shapes.lookup(hash, tuples);
+        let replayed = matches!(lookup, Lookup::Replay { .. });
+        let (result, captured) = match lookup {
+            Lookup::Replay { plan, held } => (self.replay_unit(plan, held, tuples)?, None),
+            Lookup::Capture => self.open_unit(tuples, true)?,
+            Lookup::Cold => self.open_unit(tuples, false)?,
+        };
+        // The held unit's exceptions that do not recur come back as
+        // cleared, so appeared/cleared consumers can maintain a live
+        // alarm set across units.
+        let delta = UnitDelta::between(
+            self.units_opened,
+            window,
+            tuples.len(),
+            &self.result,
+            &result,
+        );
+        self.window = Some(window);
+        self.units_opened += 1;
+        self.result = Arc::new(result);
+        // The shapes follow the committed unit only.
+        self.shapes.commit(hash, replayed, captured);
+        self.units_replayed += u64::from(replayed);
+        Ok(delta)
     }
 
     fn result(&self) -> &CubeResult {
@@ -1273,22 +1224,6 @@ mod tests {
         assert_eq!(
             e.result().total_exception_cells(),
             cold.total_exception_cells()
-        );
-    }
-
-    #[test]
-    fn columnar_working_set_undercuts_the_row_layout() {
-        let mut row = engine(ExceptionPolicy::slope_threshold(0.4));
-        let mut col = engine(ExceptionPolicy::slope_threshold(0.4))
-            .with_backend(Backend::Columnar)
-            .unwrap();
-        row.ingest_unit(&dense_tuples()).unwrap();
-        col.ingest_unit(&dense_tuples()).unwrap();
-        assert!(
-            col.stats().peak_bytes < row.stats().peak_bytes,
-            "columnar peak {} must undercut row peak {}",
-            col.stats().peak_bytes,
-            row.stats().peak_bytes
         );
     }
 }

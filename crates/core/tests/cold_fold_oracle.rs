@@ -1,28 +1,32 @@
-//! The columnar fold against an obviously-right oracle: the chunked
-//! [`regcube_core::kernel`] fold/projection path must build, **bit for
-//! bit**, the cube a naive Algorithm 1 over `BTreeMap`s builds with
-//! [`merge_sibling`] — same cells, same exception sets, same
-//! `UnitDelta` streams — across units of every size, repeated m-cells
-//! in shuffled arrival order, NaN-noise measures, all three threshold
-//! scopes and the u64-overflow guard.
+//! Algorithm 1's row fold against an obviously-right oracle:
+//! `MoCubingEngine` must build, **bit for bit**, the cube a naive
+//! Algorithm 1 over `BTreeMap`s builds with [`merge_sibling`] — same
+//! cells, same exception sets, same `UnitDelta` streams — across units
+//! of every size, repeated m-cells in shuffled arrival order, NaN-noise
+//! measures and all three threshold scopes, on cold units and on units
+//! that replay a roll-up plan.
 //!
 //! A fold is defined by its add order alone (Theorem 3.2 reduces every
-//! roll-up to component-wise ISB sums), and the oracle spells that
-//! order out: the m-layer folds tuples in arrival order, and every
-//! other cuboid folds its closest computed descendant in the previous
-//! depth tier (or the m-layer) cell by cell in ascending key order. So
-//! the comparison is `f64::to_bits` equality, not epsilon closeness.
+//! roll-up to component-wise ISB sums). The oracle folds the m-layer in
+//! arrival order and every other cuboid from its closest computed
+//! descendant in the previous depth tier (or the m-layer), cell by cell
+//! in ascending key order; the engine folds siblings in its tables'
+//! hash order. Every base and slope here is a small multiple of 1/64,
+//! so every sum either fold forms is exact in `f64` and the two orders
+//! must agree to the bit: the comparison is `f64::to_bits` equality,
+//! not epsilon closeness, and a row folded twice, dropped or sent to
+//! the wrong cell shows.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use regcube_core::engine::{Backend, CubingEngine, MoCubingEngine, UnitDelta};
+use regcube_core::engine::{CubingEngine, MoCubingEngine, UnitDelta};
 use regcube_core::measure::merge_sibling;
-use regcube_core::table::{CuboidTable, DenseCellCodec};
+use regcube_core::table::CuboidTable;
 use regcube_core::{CriticalLayers, CubeResult, ExceptionPolicy, MTuple};
 use regcube_olap::cell::{project_key, CellKey};
 use regcube_olap::{CubeSchema, CuboidSpec};
-use regcube_regress::{Isb, TimeSeries};
+use regcube_regress::Isb;
 use std::collections::{BTreeMap, BTreeSet};
 
 fn dataset(seed: u64, n: usize) -> (CubeSchema, CriticalLayers, Vec<MTuple>) {
@@ -39,23 +43,18 @@ fn dataset(seed: u64, n: usize) -> (CubeSchema, CriticalLayers, Vec<MTuple>) {
     let tuples = (0..n)
         .map(|_| {
             let ids: Vec<u32> = (0..dims).map(|_| rng.random_range(0..card)).collect();
-            let slope = rng.random_range(-1.2..1.2);
-            let base = rng.random_range(0.0..4.0);
-            let z = TimeSeries::from_fn(0, 15, |t| base + slope * t as f64).unwrap();
-            MTuple::new(ids, Isb::fit(&z).unwrap())
+            let (base, slope) = dyadic(&mut rng);
+            MTuple::new(ids, Isb::new(0, 15, base, slope).unwrap())
         })
         .collect();
     (schema, layers, tuples)
 }
 
-/// A columnar Algorithm-1 engine.
-fn columnar(
-    schema: &CubeSchema,
-    layers: &CriticalLayers,
-    policy: &ExceptionPolicy,
-) -> regcube_core::Result<MoCubingEngine> {
-    MoCubingEngine::new(schema.clone(), layers.clone(), policy.clone())?
-        .with_backend(Backend::Columnar)
+/// A base in [0, 4) and a slope in (-1.2, 1.2), both multiples of 1/64.
+fn dyadic(rng: &mut StdRng) -> (f64, f64) {
+    let base = f64::from(rng.random_range(0..256i32)) / 64.0;
+    let slope = f64::from(rng.random_range(-76..77i32)) / 64.0;
+    (base, slope)
 }
 
 /// One cuboid's cells, in ascending key order.
@@ -182,7 +181,7 @@ fn cube_bit_eq(label: &str, expected: &OracleCube, got: &CubeResult) {
     }
 }
 
-/// Replays `units` (one batch each) through a columnar engine, asserting
+/// Replays `units` (one batch each) through an engine, asserting
 /// after every unit that its cube is the oracle's bit for bit and that
 /// its delta is the difference of consecutive oracle exception sets.
 /// Returns the engine.
@@ -193,7 +192,7 @@ fn replay_and_compare(
     policy: &ExceptionPolicy,
     units: &[&[MTuple]],
 ) -> MoCubingEngine {
-    let mut engine = columnar(schema, layers, policy).unwrap();
+    let mut engine = MoCubingEngine::new(schema.clone(), layers.clone(), policy.clone()).unwrap();
     let mut held = BTreeSet::new();
     for (u, unit) in units.iter().enumerate() {
         let tag = format!("{label} unit {u}");
@@ -240,35 +239,46 @@ fn shift_window(tuples: &[MTuple], unit: i64) -> Vec<MTuple> {
 
 /// `tuples` with every m-cell repeated `copies` times under fresh
 /// measures, round-robin: the batch arrives unsorted with each cell's
-/// rows spread across it, so the order a cell's rows fold in shows in
-/// its bits.
+/// rows spread across it.
 fn with_repeats(seed: u64, tuples: &[MTuple], copies: usize) -> Vec<MTuple> {
     let mut rng = StdRng::seed_from_u64(seed);
     let (start, end) = tuples[0].isb().interval();
     (0..copies)
         .flat_map(|_| tuples.iter())
         .map(|t| {
-            let base = rng.random_range(0.0..4.0);
-            let slope = rng.random_range(-1.2..1.2);
+            let (base, slope) = dyadic(&mut rng);
             MTuple::new(t.ids().to_vec(), Isb::new(start, end, base, slope).unwrap())
         })
         .collect()
 }
 
 #[test]
-fn kernel_and_scalar_paths_are_bit_identical_across_rollovers() {
+fn cold_and_replayed_units_are_the_oracle_across_rollovers() {
     let (schema, layers, tuples) = dataset(600, 180);
     let policy = ExceptionPolicy::slope_threshold(0.3);
     // Three units with shrinking tails; the middle one repeats each of
-    // its 60 m-cells three times.
+    // its 60 m-cells three times. The last three carry the middle
+    // one's key sequence under fresh measures: the first of them
+    // captures its roll-up plan and the other two replay it.
     let u1 = with_repeats(602, &shift_window(&tuples[..60], 1), 3);
     let u2 = shift_window(&tuples[..7], 2);
-    let units = [&tuples[..], &u1[..], &u2[..]];
-    replay_and_compare("rollover", &schema, &layers, &policy, &units);
+    let recur: Vec<Vec<MTuple>> = (3..6)
+        .map(|u| with_repeats(600 + u as u64, &shift_window(&tuples[..60], u), 3))
+        .collect();
+    let units = [
+        &tuples[..],
+        &u1[..],
+        &u2[..],
+        &recur[0],
+        &recur[1],
+        &recur[2],
+    ];
+    let engine = replay_and_compare("rollover", &schema, &layers, &policy, &units);
+    assert_eq!(engine.units_replayed(), 2, "the last two units replay");
 }
 
 #[test]
-fn nan_noise_flows_through_both_paths_identically() {
+fn nan_noise_flows_through_the_fold_as_the_oracle_folds_it() {
     // NaN measures (a sensor stream gone bad) must neither qualify as
     // exceptions nor perturb neighbours, down to the propagated NaN bit
     // patterns in the critical layers.
@@ -292,30 +302,13 @@ fn nan_noise_flows_through_both_paths_identically() {
     }
 }
 
-#[test]
-fn overflow_guard_fires_identically_on_both_paths() {
-    // 6 dimensions with ~4M leaves each overflow the dense u64 id
-    // space; the codec guard must reject the m-layer.
-    let schema = CubeSchema::synthetic(6, 2, 2048).unwrap();
-    let m = CuboidSpec::new(vec![2; 6]);
-    let layers = CriticalLayers::new(&schema, CuboidSpec::new(vec![0; 6]), m.clone()).unwrap();
-    assert!(DenseCellCodec::new(&schema, &m).is_err());
-    // The codec guard fires at engine construction, before any unit is
-    // folded.
-    let policy = ExceptionPolicy::slope_threshold(0.5);
-    let err = columnar(&schema, &layers, &policy)
-        .map(|_| ())
-        .unwrap_err()
-        .to_string();
-    assert!(err.contains("overflows a dense 64-bit id"), "{err}");
-}
-
 #[derive(Debug, Clone)]
 struct RandomCube {
     dims: usize,
     depth: u8,
     fanout: u32,
-    tuples: Vec<(Vec<u32>, f64, f64)>, // ids, base, slope
+    /// Ids, base and slope; base and slope in 64ths.
+    tuples: Vec<(Vec<u32>, i32, i32)>,
     threshold: f64,
     /// A total depth (taken modulo the lattice's depth range) and its
     /// threshold override.
@@ -332,8 +325,8 @@ fn random_cube() -> impl Strategy<Value = RandomCube> {
             let card = fanout.pow(u32::from(depth));
             let tuple = (
                 prop::collection::vec(0..card, dims),
-                -5.0..5.0f64,
-                -1.5..1.5f64,
+                -320..320i32,
+                -96..96i32,
             );
             (
                 Just(dims),
@@ -369,10 +362,10 @@ proptest! {
 
     /// The oracle law itself, on random cubes: for any schema shape,
     /// data, unit size and policy — a cube-wide threshold with a
-    /// per-depth and a per-cuboid override on top — the columnar engine
-    /// builds the oracle's cubes and deltas bit for bit.
+    /// per-depth and a per-cuboid override on top — the engine builds
+    /// the oracle's cubes and deltas bit for bit.
     #[test]
-    fn kernel_dispatch_never_changes_a_bit(rc in random_cube()) {
+    fn the_row_fold_is_the_oracle_on_random_cubes(rc in random_cube()) {
         let schema = CubeSchema::synthetic(rc.dims, rc.depth, rc.fanout).unwrap();
         let layers = CriticalLayers::new(
             &schema,
@@ -387,7 +380,8 @@ proptest! {
             .enumerate()
             .map(|(i, (ids, base, slope))| {
                 let start = (i / rc.chunk) as i64 * 10;
-                MTuple::new(ids.clone(), Isb::new(start, start + 9, *base, *slope).unwrap())
+                let (base, slope) = (f64::from(*base) / 64.0, f64::from(*slope) / 64.0);
+                MTuple::new(ids.clone(), Isb::new(start, start + 9, base, slope).unwrap())
             })
             .collect();
         let cuboids = layers.lattice().bottom_up_order();

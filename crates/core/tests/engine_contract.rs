@@ -1,12 +1,11 @@
 //! Trait-level contract tests for [`CubingEngine`] implementations.
 //!
-//! There are two algorithms, two table layouts for Algorithm 1 and an
-//! optional worker pool for its tier roll-up, and every way of
-//! assembling them must behave the same behind the trait. [`subjects`]
-//! lists them — Algorithm 1 on both layouts, each without a pool and
-//! with a 2-worker one, and Algorithm 2 — and each engine-level contract
-//! runs over the whole list, so a future engine or layout is pinned by
-//! adding one entry:
+//! There are two algorithms and an optional worker pool for Algorithm
+//! 1's tier roll-up, and every way of assembling them must behave the
+//! same behind the trait. [`subjects`] lists them — Algorithm 1 without
+//! a pool and with a 2-worker one, and Algorithm 2 — and each
+//! engine-level contract runs over the whole list, so a future engine
+//! is pinned by adding one entry:
 //!
 //! 1. an empty batch is rejected;
 //! 2. a failed unit leaves the engine exactly as it was;
@@ -16,23 +15,22 @@
 //! 4. a new unit reports the lapsed window's exceptions as cleared;
 //! 5. deltas come back sorted, every engine's cube is the cube of the
 //!    batch `compute` entry point of its algorithm, every Algorithm-1
-//!    engine replays the exact delta stream of the plain row engine —
-//!    and its cube is, bit for bit, its layout's sequential cube.
+//!    engine replays the exact delta stream of the plain engine — and
+//!    its cube is, bit for bit, the sequential cube.
 //!
 //! Every contract cubes at least one [`wide_dataset`] unit, large
 //! enough for a pooled engine to fan its first depth tier out, so the
 //! pooled subjects are held to the contracts on the parallel path and
 //! not only on the sequential one.
 //!
-//! On top of those, the cross-engine laws: the row and columnar layouts
-//! agree up to `f64` reassociation, and the **footnote 7 superset** —
+//! On top of those, the cross-engine law, the **footnote 7 superset** —
 //! after identical ingestion, Algorithm 1 retains a superset of
 //! Algorithm 2's exception cells, with identical measures where both
 //! retain a cell, and both agree exactly on the critical layers.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use regcube_core::engine::{Backend, CubingEngine, MoCubingEngine, PopularPathEngine};
+use regcube_core::engine::{CubingEngine, MoCubingEngine, PopularPathEngine};
 use regcube_core::table::CuboidTable;
 use regcube_core::{
     mo_cubing, popular_path, CoreError, CriticalLayers, CubeResult, ExceptionPolicy, MTuple,
@@ -142,9 +140,9 @@ fn results_approx_eq(label: &str, a: &CubeResult, b: &CubeResult) {
 /// Which batch reference an engine answers to.
 #[derive(Clone, Copy)]
 enum Kind {
-    /// Algorithm 1 on a layout: the cube of `mo_cubing::compute`, and
-    /// bit for bit the cube of a sequential engine on that layout.
-    Mo(Backend),
+    /// Algorithm 1: the cube of `mo_cubing::compute`, and bit for bit
+    /// the cube of a sequential engine.
+    Mo,
     /// Algorithm 2: the cube of `popular_path::compute`.
     Pp,
 }
@@ -159,17 +157,14 @@ struct Subject {
     make: Factory,
 }
 
-/// Algorithm 1 on `backend`, rolling its tiers up on `pool` if given.
+/// Algorithm 1, rolling its tiers up on `pool` if given.
 fn mo(
-    backend: Backend,
     pool: Option<Arc<WorkerPool>>,
     schema: &CubeSchema,
     layers: &CriticalLayers,
     policy: &ExceptionPolicy,
 ) -> MoCubingEngine {
-    let engine = MoCubingEngine::new(schema.clone(), layers.clone(), policy.clone())
-        .and_then(|e| e.with_backend(backend))
-        .unwrap();
+    let engine = MoCubingEngine::new(schema.clone(), layers.clone(), policy.clone()).unwrap();
     match pool {
         Some(pool) => engine.with_pool(pool),
         None => engine,
@@ -180,18 +175,16 @@ fn mo(
 fn subjects() -> Vec<Subject> {
     let pool = Arc::new(WorkerPool::new(2));
     let mut out = Vec::new();
-    for (backend, layout) in [(Backend::Row, "row"), (Backend::Columnar, "columnar")] {
-        for pool in [None, Some(Arc::clone(&pool))] {
-            let label = match pool {
-                None => layout.to_string(),
-                Some(_) => format!("{layout}, 2-worker pool"),
-            };
-            out.push(Subject {
-                label,
-                kind: Kind::Mo(backend),
-                make: Box::new(move |s, l, p| Box::new(mo(backend, pool.clone(), s, l, p))),
-            });
-        }
+    for pool in [None, Some(Arc::clone(&pool))] {
+        let label = match pool {
+            None => "m/o-cubing",
+            Some(_) => "m/o-cubing, 2-worker pool",
+        };
+        out.push(Subject {
+            label: label.to_string(),
+            kind: Kind::Mo,
+            make: Box::new(move |s, l, p| Box::new(mo(pool.clone(), s, l, p))),
+        });
     }
     out.push(Subject {
         label: "popular path".to_string(),
@@ -219,6 +212,12 @@ fn empty_batches_are_rejected() {
         assert_eq!(result_bits(engine.result()), cube, "{label}");
         assert_eq!(*engine.stats(), stats, "{label}");
     }
+}
+
+/// A measure's interval and bit patterns.
+fn bits(m: &Isb) -> (i64, i64, u64, u64) {
+    let (start, end) = m.interval();
+    (start, end, m.base().to_bits(), m.slope().to_bits())
 }
 
 /// Everything of a result a consumer can read, measures by their bits.
@@ -374,9 +373,9 @@ fn deltas_are_sorted_and_algorithm_one_replays_the_row_delta_stream() {
         .collect();
     for subject in subjects() {
         let mut engine = (subject.make)(&schema, &layers, &policy);
-        let mut row = mo(Backend::Row, None, &schema, &layers, &policy);
+        let mut plain = mo(None, &schema, &layers, &policy);
         let mut sequential = match subject.kind {
-            Kind::Mo(backend) => Some(mo(backend, None, &schema, &layers, &policy)),
+            Kind::Mo => Some(mo(None, &schema, &layers, &policy)),
             Kind::Pp => None,
         };
         for (i, unit) in units.iter().enumerate() {
@@ -386,7 +385,7 @@ fn deltas_are_sorted_and_algorithm_one_replays_the_row_delta_stream() {
             assert_eq!(delta.tuples, unit.len(), "{label}");
             let result = engine.result();
             let reference = match subject.kind {
-                Kind::Mo(_) => &batch[i].0,
+                Kind::Mo => &batch[i].0,
                 Kind::Pp => &batch[i].1,
             };
             // Every engine is the batch algorithm: same work, not just
@@ -400,17 +399,17 @@ fn deltas_are_sorted_and_algorithm_one_replays_the_row_delta_stream() {
             let Some(sequential) = sequential.as_mut() else {
                 continue;
             };
-            // A pool never changes a bit: the cube is its layout's
-            // sequential cube, measures by their bits.
+            // A pool never changes a bit: the cube is the sequential
+            // cube, measures by their bits.
             sequential.ingest_unit(unit).unwrap();
             assert_eq!(
                 result_bits(result),
                 result_bits(sequential.result()),
                 "{label}"
             );
-            // Deltas are sorted by contract, so they compare directly —
-            // on either layout, against the plain row engine's.
-            let expected = row.ingest_unit(unit).unwrap();
+            // Deltas are sorted by contract, so they compare directly
+            // against the plain engine's.
+            let expected = plain.ingest_unit(unit).unwrap();
             assert_eq!(
                 (delta.unit, delta.window, delta.cells_touched),
                 (expected.unit, expected.window, expected.cells_touched),
@@ -420,100 +419,6 @@ fn deltas_are_sorted_and_algorithm_one_replays_the_row_delta_stream() {
             assert_eq!(delta.cleared, expected.cleared, "{label} cleared");
         }
     }
-}
-
-fn bits(m: &Isb) -> (i64, i64, u64, u64) {
-    let (start, end) = m.interval();
-    (start, end, m.base().to_bits(), m.slope().to_bits())
-}
-
-#[test]
-fn layouts_agree_up_to_f64_reassociation() {
-    // The cross-layout contract on non-dyadic data: Row and Columnar
-    // agree exactly on cell sets and deltas and bit-for-bit on the
-    // m-layer, but fold siblings in different orders (hash order vs
-    // sorted cell-id order), so aggregated measures are equal only up
-    // to reassociation of the `f64` sums. The test would fail if the
-    // layouts were byte-identical on this input: it requires at least
-    // one aggregated measure whose bits differ.
-    fn close(a: f64, b: f64) -> bool {
-        (a - b).abs() <= 1e-12 * a.abs().max(b.abs())
-    }
-    /// Same keys, measures within 1e-12 relative; returns how many
-    /// measures differ in their bit patterns.
-    fn aggregated_diffs(label: &str, row: &CuboidTable, col: &CuboidTable) -> usize {
-        assert_eq!(row.len(), col.len(), "{label}: cell counts differ");
-        let mut differing = 0;
-        for (key, r) in row {
-            let c = col
-                .get(key)
-                .unwrap_or_else(|| panic!("{label}: cell {key} missing"));
-            assert_eq!(r.interval(), c.interval(), "{label} {key}");
-            assert!(
-                close(r.base(), c.base()) && close(r.slope(), c.slope()),
-                "{label} {key}: {r} vs {c}"
-            );
-            differing += usize::from(bits(r) != bits(c));
-        }
-        differing
-    }
-
-    let schema = CubeSchema::synthetic(2, 3, 6).unwrap();
-    let layers = CriticalLayers::new(
-        &schema,
-        CuboidSpec::new(vec![1, 1]),
-        CuboidSpec::new(vec![3, 3]),
-    )
-    .unwrap();
-    let policy = ExceptionPolicy::slope_threshold(0.3);
-    let mut rng = StdRng::seed_from_u64(2002);
-    let mut differing = 0;
-    let (mut row, mut col) = (
-        mo(Backend::Row, None, &schema, &layers, &policy),
-        mo(Backend::Columnar, None, &schema, &layers, &policy),
-    );
-    for unit in 0..4i64 {
-        let start = unit * 16;
-        let batch: Vec<MTuple> = (0..1500)
-            .map(|_| {
-                let ids = vec![rng.random_range(0..216), rng.random_range(0..216)];
-                let (base, slope) = (rng.random_range(0.0..4.0), rng.random_range(-1.2..1.2));
-                MTuple::new(ids, Isb::new(start, start + 15, base, slope).unwrap())
-            })
-            .collect();
-        let dr = row.ingest_unit(&batch).unwrap();
-        let dc = col.ingest_unit(&batch).unwrap();
-        let label = format!("unit {unit}");
-        assert_eq!(
-            (dr.unit, dr.window, dr.tuples),
-            (dc.unit, dc.window, dc.tuples),
-            "{label}"
-        );
-        assert_eq!(dr.appeared, dc.appeared, "{label} appeared");
-        assert_eq!(dr.cleared, dc.cleared, "{label} cleared");
-
-        let (r, c) = (row.result(), col.result());
-        assert!(r.m_layer_cells() >= 1000, "{label}: m-layer too small");
-        assert_eq!(r.m_layer_cells(), c.m_layer_cells(), "{label}");
-        for (key, m) in r.m_table() {
-            let other = c.m_table().get(key).map(bits);
-            assert_eq!(Some(bits(m)), other, "{label} m-cell {key}");
-        }
-        differing += aggregated_diffs(&format!("{label}/o"), r.o_table(), c.o_table());
-        for cuboid in layers.lattice().bottom_up_order() {
-            match (r.exceptions_in(&cuboid), c.exceptions_in(&cuboid)) {
-                (Some(rt), Some(ct)) => {
-                    differing += aggregated_diffs(&format!("{label}/{cuboid}"), rt, ct);
-                }
-                (None, None) => {}
-                _ => panic!("{label}: exception store of {cuboid} on one layout only"),
-            }
-        }
-    }
-    assert!(
-        differing > 0,
-        "no aggregated measure was reassociated: the input no longer exercises the contract"
-    );
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! The row layout's m-layer fold against the H-tree build it replaced.
 //!
-//! [`htree_from_tuples`] is `<CuboidTable as TableStorage>::from_tuples`
-//! as it used to run: insert every tuple's expanded path into an H-tree
+//! [`htree_from_tuples`] is Algorithm 1's m-layer build as it used to
+//! run: insert every tuple's expanded path into an H-tree
 //! in cardinality attribute order, merge duplicates in the leaves, then
 //! re-key the leaves into the m-table in arena order. It is kept verbatim
 //! as the reference; only the two tree helpers it called and nothing
@@ -9,19 +9,17 @@
 //! inlined below it.
 //!
 //! On random balanced and ragged schemas, random m-layers and tuples
-//! that repeat m-cells in shuffled arrival order, the direct fold must
-//! build the same m-table — the same keys in the same iteration order
-//! with the same ISB bits, and the same folded-row count — and
-//! `MoCubingEngine` must compute the same cube, bit for bit, as
+//! that repeat m-cells in shuffled arrival order, `MoCubingEngine`'s
+//! direct fold must build the same m-table — the same keys in the same
+//! iteration order with the same ISB bits — and the engine must compute
+//! the same cube, bit for bit and with the same folded-row count, as
 //! Algorithm 1's roll-up does on top of the H-tree's m-table.
 
 use proptest::prelude::*;
 use regcube_core::measure::merge_sibling;
 use regcube_core::prelude::*;
 use regcube_core::stats::MemoryAccountant;
-use regcube_core::table::{
-    aggregate_from, collect_exceptions, table_bytes, CuboidTable, TableStorage,
-};
+use regcube_core::table::{aggregate_from, collect_exceptions, table_bytes, CuboidTable};
 use regcube_core::{CoreError, Result};
 use regcube_olap::cell::CellKey;
 use regcube_olap::fxhash::FxHashMap;
@@ -29,7 +27,7 @@ use regcube_olap::htree::{attrs_by_cardinality, expand_tuple, AttrSpec, HTree, N
 use regcube_olap::{CubeSchema, CuboidSpec, Dimension, Hierarchy};
 use regcube_regress::Isb;
 
-/// The H-tree m-layer build, as `from_tuples` ran it.
+/// The H-tree m-layer build, as Algorithm 1 used to run it.
 fn htree_from_tuples(
     schema: &CubeSchema,
     layers: &CriticalLayers,
@@ -97,14 +95,14 @@ fn path_values_to_key(order: &[AttrSpec], values: &[u32], cuboid: &CuboidSpec) -
 /// `MoCubingEngine` plans it: depth tiers bottom-up, each cuboid
 /// aggregated from its closest computed descendant in the tier below
 /// (or the m-layer), the o-layer kept whole and every other cuboid
-/// screened. Returns the o-table and the non-empty exception stores in
-/// lattice order.
+/// screened. Returns the o-table, the non-empty exception stores in
+/// lattice order and the number of source rows folded.
 fn roll_up(
     schema: &CubeSchema,
     layers: &CriticalLayers,
     policy: &ExceptionPolicy,
     m_table: &CuboidTable,
-) -> (CuboidTable, Vec<(CuboidSpec, CuboidTable)>) {
+) -> (CuboidTable, Vec<(CuboidSpec, CuboidTable)>, u64) {
     let lattice = layers.lattice();
     let (m_spec, o_spec) = (lattice.m_layer(), lattice.o_layer());
     let mut o_table = CuboidTable::default();
@@ -112,6 +110,7 @@ fn roll_up(
     let mut below: FxHashMap<CuboidSpec, CuboidTable> = FxHashMap::default();
     let mut tier: FxHashMap<CuboidSpec, CuboidTable> = FxHashMap::default();
     let mut depth = m_spec.total_depth();
+    let mut folded = 0;
     for cuboid in lattice.bottom_up_order() {
         if &cuboid == m_spec {
             continue;
@@ -124,7 +123,8 @@ fn roll_up(
             .closest_computed_descendant(&cuboid, below.keys())
             .map(|c| (c, &below[c]))
             .unwrap_or((m_spec, m_table));
-        let (full, _) = aggregate_from(schema, source, table, &cuboid, None).unwrap();
+        let (full, rows) = aggregate_from(schema, source, table, &cuboid, None).unwrap();
+        folded += rows;
         if &cuboid == o_spec {
             o_table = full;
             continue;
@@ -135,7 +135,7 @@ fn roll_up(
         }
         tier.insert(cuboid, full);
     }
-    (o_table, exceptions)
+    (o_table, exceptions, folded)
 }
 
 /// A table as its iteration sequence, measures as bits.
@@ -272,19 +272,10 @@ proptest! {
         let (schema, layers, tuples, policy) = build(&rf);
         let (oracle, oracle_folded) =
             htree_from_tuples(&schema, &layers, &tuples, &mut MemoryAccountant::new()).unwrap();
-        let (direct, direct_folded) = <CuboidTable as TableStorage>::from_tuples(
-            &schema,
-            &layers,
-            &tuples,
-            &mut MemoryAccountant::new(),
-        )
-        .unwrap();
-        prop_assert_eq!(cells(&direct), cells(&oracle));
-        prop_assert_eq!(direct_folded, oracle_folded);
-
         let cube = mo_cubing::compute(&schema, &layers, &policy, &tuples).unwrap();
-        let (o_table, exceptions) = roll_up(&schema, &layers, &policy, &oracle);
+        let (o_table, exceptions, rolled) = roll_up(&schema, &layers, &policy, &oracle);
         prop_assert_eq!(cells(cube.m_table()), cells(&oracle));
+        prop_assert_eq!(cube.stats().rows_folded, oracle_folded + rolled);
         prop_assert_eq!(cells(cube.o_table()), cells(&o_table));
         let stores = exceptions.iter().map(|(_, t)| t.len() as u64).sum::<u64>();
         prop_assert_eq!(cube.total_exception_cells(), stores);

@@ -3,9 +3,9 @@
 //! the server. Every snapshot any reader observes must be
 //! **bit-identical** to the single-threaded engine's state at the same
 //! unit boundary (no torn reads), and every reader's observed epochs
-//! must be monotone — on both the row and columnar backends.
+//! must be monotone.
 
-use regcube_core::{Backend, ExceptionPolicy};
+use regcube_core::ExceptionPolicy;
 use regcube_olap::{CubeSchema, CuboidSpec};
 use regcube_serve::{ServeConfig, Server, TenantId};
 use regcube_stream::{EngineConfig, RawRecord};
@@ -19,7 +19,7 @@ const TPU: usize = 4;
 const UNITS: i64 = 8;
 const READERS: usize = 4;
 
-fn config(backend: Backend) -> EngineConfig {
+fn config() -> EngineConfig {
     let schema = CubeSchema::synthetic(2, 2, 3).unwrap();
     EngineConfig::new(
         schema,
@@ -29,7 +29,6 @@ fn config(backend: Backend) -> EngineConfig {
     .with_policy(ExceptionPolicy::slope_threshold(0.8))
     .with_tilt(TiltSpec::new(vec![("unit", 4), ("coarse", 3)]).unwrap())
     .with_ticks_per_unit(TPU)
-    .with_backend(backend)
 }
 
 /// The deterministic stream: drifting cells plus one steep cell, the
@@ -52,8 +51,8 @@ fn unit_records(unit: i64) -> Vec<RawRecord> {
 }
 
 /// The single-threaded ground truth: canonical text at every epoch.
-fn reference_texts(backend: Backend) -> HashMap<u64, String> {
-    let mut engine = config(backend).build().unwrap();
+fn reference_texts() -> HashMap<u64, String> {
+    let mut engine = config().build().unwrap();
     let mut texts = HashMap::new();
     texts.insert(0, engine.snapshot().canonical_text());
     for unit in 0..UNITS {
@@ -70,8 +69,9 @@ fn reference_texts(backend: Backend) -> HashMap<u64, String> {
 /// Runs the stress: one writer thread drives the server, `READERS`
 /// threads loop on lock-free snapshot loads, and afterwards every
 /// observation is checked against the single-threaded reference.
-fn stress(backend: Backend) {
-    let reference = reference_texts(backend);
+#[test]
+fn concurrent_reads_are_bit_identical() {
+    let reference = reference_texts();
 
     let server = Arc::new(Server::new(
         ServeConfig::new()
@@ -79,7 +79,7 @@ fn stress(backend: Backend) {
             .with_pump_threads(2),
     ));
     let id = TenantId::from("stress");
-    server.create_tenant(id.clone(), config(backend)).unwrap();
+    server.create_tenant(id.clone(), config()).unwrap();
     let reader = server.reader(&id).unwrap();
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -136,8 +136,7 @@ fn stress(backend: Backend) {
                 .unwrap_or_else(|| panic!("observed unknown epoch {epoch}"));
             assert_eq!(
                 expected, &text,
-                "torn read: epoch {epoch} differs from single-threaded reference \
-                 (backend={backend:?})"
+                "torn read: epoch {epoch} differs from single-threaded reference"
             );
             total += 1;
         }
@@ -147,14 +146,4 @@ fn stress(backend: Backend) {
     let final_snap = server.snapshot(&id).unwrap();
     assert_eq!(final_snap.epoch(), UNITS as u64);
     assert_eq!(&final_snap.canonical_text(), &reference[&(UNITS as u64)]);
-}
-
-#[test]
-fn concurrent_reads_are_bit_identical_row_backend() {
-    stress(Backend::Row);
-}
-
-#[test]
-fn concurrent_reads_are_bit_identical_columnar_backend() {
-    stress(Backend::Columnar);
 }

@@ -173,9 +173,9 @@ pub fn write_checkpoint<E: CubingEngine>(
 /// the same analysis as the checkpointed engine (schema, layers,
 /// policy, tilt spec, ticks per unit, and the same
 /// reordering-enabled/disabled choice); sinks and the cubing pool are
-/// free to differ, and so is the backend — the cube is rebuilt through
-/// the configured cubing path, which reproduces the saved cube's cells
-/// on either layout and its bits on the layout it was saved from.
+/// free to differ — the cube is rebuilt through the configured cubing
+/// path, which reproduces the saved cube's bits when it runs the
+/// algorithm the cube was saved from.
 ///
 /// # Errors
 /// [`StreamError::Checkpoint`] for torn/corrupt/incompatible bytes

@@ -18,9 +18,8 @@
 //! * [`online`] — the [`online::OnlineEngine`]: one `close_unit()` per
 //!   m-layer time unit feeds the unit's tuples to a pluggable
 //!   [`CubingEngine`](regcube_core::engine::CubingEngine) (generic
-//!   parameter `E`; Algorithm 1 or 2, on the row or columnar table
-//!   backend — [`online::EngineConfig::with_backend`] — out of the
-//!   box), maintains per-cell
+//!   parameter `E`; Algorithm 1 or 2 out of the box —
+//!   [`online::EngineConfig::with_algorithm`]), maintains per-cell
 //!   tilt frames, raises o-layer alarms (a slope at or above the
 //!   threshold, Section 4.3), and fans every unit's sorted
 //!   [`UnitDelta`](regcube_core::engine::UnitDelta) out to registered

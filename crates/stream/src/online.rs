@@ -11,7 +11,7 @@ use regcube_core::alarm::{
     AlarmContext, AlarmRevision, LateAmendment, RevisionKind, SharedSink, SinkError, SinkSet,
 };
 use regcube_core::drill::{drill_children, drill_descendants, DrillHit};
-use regcube_core::engine::{Backend, CubingEngine, MoCubingEngine, PopularPathEngine, UnitDelta};
+use regcube_core::engine::{CubingEngine, MoCubingEngine, PopularPathEngine, UnitDelta};
 use regcube_core::measure::exception_score;
 use regcube_core::pool::WorkerPool;
 use regcube_core::result::Algorithm;
@@ -43,7 +43,7 @@ pub(crate) fn zero_usage(measure: &Isb) -> bool {
 }
 
 /// The type-erased cubing engine [`EngineConfig::build`] assembles at
-/// runtime from [`EngineConfig::algorithm`] and [`EngineConfig::backend`].
+/// runtime from [`EngineConfig::algorithm`].
 pub type BoxedEngine = Box<dyn CubingEngine + Send>;
 
 /// One o-layer alarm raised at a unit close.
@@ -142,13 +142,8 @@ pub struct EngineConfig {
     pub ticks_per_unit: usize,
     /// Cubing algorithm; defaults to m/o-cubing.
     pub algorithm: Algorithm,
-    /// Physical table layout of the cubing backend; defaults to the row
-    /// (hash-map) layout. [`Backend::Columnar`] selects the
-    /// struct-of-arrays roll-up of [`regcube_core::columnar`]
-    /// (Algorithm 1 only).
-    pub backend: Backend,
-    /// Alarm sinks receiving every unit's [`UnitDelta`] (sorted, so the
-    /// identical stream on either backend); defaults to none. Sinks are
+    /// Alarm sinks receiving every unit's [`UnitDelta`] (sorted by
+    /// `(cuboid, cell)`); defaults to none. Sinks are
     /// shared (`Arc<Mutex<_>>`), so cloning the config shares them.
     pub sinks: SinkSet,
     /// Out-of-order handling: `None` (the default) means disabled, as
@@ -181,7 +176,6 @@ impl EngineConfig {
             tilt_spec: TiltSpec::paper_figure4(),
             ticks_per_unit: 15,
             algorithm: Algorithm::MoCubing,
-            backend: Backend::Row,
             sinks: SinkSet::new(),
             reordering: None,
             cubing_pool: None,
@@ -275,34 +269,6 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the physical table layout of the cubing backend. The
-    /// columnar backend implements Algorithm 1 (m/o-cubing) only;
-    /// [`build`](Self::build) rejects `Columnar` together with
-    /// [`Algorithm::PopularPath`]. Both layouts produce the same cells,
-    /// deltas and alarms, with aggregated measures
-    /// equal up to `f64` reassociation — see [`Backend`] and the
-    /// README's "Choosing a backend".
-    ///
-    /// ```
-    /// use regcube_stream::online::EngineConfig;
-    /// use regcube_core::Backend;
-    /// use regcube_olap::{CubeSchema, CuboidSpec};
-    ///
-    /// let schema = CubeSchema::synthetic(2, 2, 3).unwrap();
-    /// let config = EngineConfig::new(
-    ///     schema,
-    ///     CuboidSpec::new(vec![0, 0]),
-    ///     CuboidSpec::new(vec![2, 2]),
-    /// )
-    /// .with_backend(Backend::Columnar);
-    /// assert!(config.build().is_ok());
-    /// ```
-    #[must_use]
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// Cubing is unsharded: one engine cubes each unit, and
     /// [`with_cubing_pool`](Self::with_cubing_pool) is how it uses more
     /// than one core. This method accepts only 1, which changes
@@ -358,39 +324,29 @@ impl EngineConfig {
     }
 
     /// Builds the engine, selecting the cubing strategy at runtime from
-    /// [`algorithm`](Self::algorithm) and [`backend`](Self::backend)
-    /// (type-erased behind [`BoxedEngine`]); an Algorithm-1 engine rolls
-    /// its tiers up on the [`cubing_pool`](Self::cubing_pool) when one
-    /// is set.
+    /// [`algorithm`](Self::algorithm) (type-erased behind
+    /// [`BoxedEngine`]); an Algorithm-1 engine rolls its tiers up on the
+    /// [`cubing_pool`](Self::cubing_pool) when one is set.
     ///
     /// # Errors
-    /// [`StreamError::BadConfig`] for [`Backend::Columnar`] combined
-    /// with [`Algorithm::PopularPath`] (the columnar layout
-    /// implements Algorithm 1 only), for a shard count other than 1,
-    /// and when the primitive or the m-layer's cell space does not fit
+    /// [`StreamError::BadConfig`] for a shard count other than 1, and
+    /// when the primitive or the m-layer's cell space does not fit
     /// a 64-bit id (records are packed into one `u64` key on arrival —
     /// see [`RecordPacker`]); otherwise configuration validation from
     /// the ingestor and cube substrates.
     pub fn build(self) -> Result<OnlineEngine<BoxedEngine>> {
-        let backend = self.backend;
-        match (self.algorithm, backend) {
-            (Algorithm::PopularPath, Backend::Columnar) => Err(StreamError::BadConfig {
-                detail: format!(
-                    "the {backend:?} backend implements Algorithm 1 (MoCubing) only; \
-                     use Backend::Row with Algorithm::PopularPath"
-                ),
-            }),
-            (Algorithm::MoCubing, _) => {
+        match self.algorithm {
+            Algorithm::MoCubing => {
                 let pool = self.cubing_pool.clone();
                 self.build_with(move |s, l, p| {
-                    let engine = MoCubingEngine::new(s, l, p)?.with_backend(backend)?;
+                    let engine = MoCubingEngine::new(s, l, p)?;
                     Ok(Box::new(match pool {
                         Some(pool) => engine.with_pool(pool),
                         None => engine,
                     }) as BoxedEngine)
                 })
             }
-            (Algorithm::PopularPath, Backend::Row) => self.build_with(|s, l, p| {
+            Algorithm::PopularPath => self.build_with(|s, l, p| {
                 Ok(Box::new(PopularPathEngine::new(s, l, p, None)?) as BoxedEngine)
             }),
         }
@@ -399,8 +355,8 @@ impl EngineConfig {
     /// Builds the engine and restores it from a checkpoint file written
     /// by [`OnlineEngine::write_checkpoint`] (see
     /// [`crate::checkpoint::restore`]). The configuration must describe
-    /// the same analysis as the checkpointed engine; backend, pool and
-    /// sinks are free to differ.
+    /// the same analysis as the checkpointed engine; pool and sinks are
+    /// free to differ.
     ///
     /// # Errors
     /// [`StreamError::Checkpoint`] for a missing, torn, corrupt or
@@ -413,7 +369,7 @@ impl EngineConfig {
 
     /// Builds an engine around any [`CubingEngine`] the caller
     /// constructs — the seam for custom (instrumented, …) cubing
-    /// backends.
+    /// engines.
     ///
     /// # Errors
     /// [`StreamError::BadConfig`] for a shard count other than 1 and for
@@ -433,7 +389,6 @@ impl EngineConfig {
             tilt_spec,
             ticks_per_unit,
             algorithm: _,
-            backend: _,
             sinks,
             reordering,
             cubing_pool: _,
@@ -861,7 +816,7 @@ impl<E: CubingEngine> OnlineEngine<E> {
         };
         // The built-in engines guarantee sorted deltas (the trait's
         // sorted-delta contract) and `sort_cells` skips after one O(n)
-        // verification; only foreign `CubingEngine` backends that
+        // verification; only foreign `CubingEngine` implementations that
         // violate the contract pay the sort before sinks observe the
         // delta.
         delta.sort_cells();
@@ -1361,61 +1316,6 @@ mod tests {
     }
 
     #[test]
-    fn columnar_backend_matches_row_reports() {
-        // The same stream through the row and columnar backends:
-        // identical alarms, exception counts and deltas unit after unit.
-        let make = |backend: Backend| {
-            let schema = CubeSchema::synthetic(2, 2, 2).unwrap();
-            EngineConfig::new(
-                schema,
-                CuboidSpec::new(vec![0, 0]),
-                CuboidSpec::new(vec![2, 2]),
-            )
-            .with_policy(ExceptionPolicy::slope_threshold(1.0))
-            .with_tilt(TiltSpec::new(vec![("unit", 4), ("coarse", 3)]).unwrap())
-            .with_ticks_per_unit(4)
-            .with_backend(backend)
-            .build()
-            .unwrap()
-        };
-        let (mut row, mut col) = (make(Backend::Row), make(Backend::Columnar));
-        for unit in 0..3 {
-            let slope = if unit == 1 { 2.0 } else { 0.1 };
-            feed_unit(&mut row, unit, slope);
-            feed_unit(&mut col, unit, slope);
-            let (a, b) = (row.close_unit().unwrap(), col.close_unit().unwrap());
-            assert_eq!(a.m_cells, b.m_cells, "unit {unit}");
-            assert_eq!(a.exception_cells, b.exception_cells, "unit {unit}");
-            assert_eq!(a.alarms.len(), b.alarms.len(), "unit {unit}");
-            for (x, y) in a.alarms.iter().zip(&b.alarms) {
-                assert_eq!(x.key, y.key);
-                assert!((x.score - y.score).abs() < 1e-9);
-            }
-            let (da, db) = (a.cube_delta.unwrap(), b.cube_delta.unwrap());
-            assert_eq!(da.appeared, db.appeared, "unit {unit}");
-            assert_eq!(da.cleared, db.cleared, "unit {unit}");
-        }
-    }
-
-    #[test]
-    fn columnar_backend_rejects_popular_path() {
-        let schema = CubeSchema::synthetic(2, 2, 2).unwrap();
-        let err = match EngineConfig::new(
-            schema,
-            CuboidSpec::new(vec![0, 0]),
-            CuboidSpec::new(vec![2, 2]),
-        )
-        .with_algorithm(Algorithm::PopularPath)
-        .with_backend(Backend::Columnar)
-        .build()
-        {
-            Ok(_) => panic!("columnar + popular path must be rejected"),
-            Err(e) => e,
-        };
-        assert!(matches!(err, StreamError::BadConfig { .. }), "{err}");
-    }
-
-    #[test]
     #[allow(deprecated)]
     fn with_shards_accepts_only_one() {
         let config = || {
@@ -1485,14 +1385,10 @@ mod tests {
 
     #[test]
     fn every_configuration_with_parallel_work_holds_the_cubing_pool() {
-        // No (algorithm, backend) combination may drop the pool it was
-        // given: the built engine keeps a handle on it — except a
-        // popular-path engine, which has no parallel work to run.
-        for (algorithm, backend) in [
-            (Algorithm::MoCubing, Backend::Row),
-            (Algorithm::MoCubing, Backend::Columnar),
-            (Algorithm::PopularPath, Backend::Row),
-        ] {
+        // No algorithm may drop the pool it was given: the built engine
+        // keeps a handle on it — except a popular-path engine, which has
+        // no parallel work to run.
+        for algorithm in [Algorithm::MoCubing, Algorithm::PopularPath] {
             let pool = Arc::new(WorkerPool::new(2));
             let schema = CubeSchema::synthetic(2, 2, 2).unwrap();
             let mut e = EngineConfig::new(
@@ -1503,7 +1399,6 @@ mod tests {
             .with_tilt(TiltSpec::new(vec![("unit", 4), ("coarse", 3)]).unwrap())
             .with_ticks_per_unit(4)
             .with_algorithm(algorithm)
-            .with_backend(backend)
             .with_cubing_pool(Arc::clone(&pool))
             .build()
             .unwrap();
@@ -1512,11 +1407,7 @@ mod tests {
             } else {
                 2
             };
-            assert_eq!(
-                Arc::strong_count(&pool),
-                holders,
-                "{algorithm:?} {backend:?}"
-            );
+            assert_eq!(Arc::strong_count(&pool), holders, "{algorithm:?}");
             feed_unit(&mut e, 0, 2.0);
             assert_eq!(e.close_unit().unwrap().m_cells, 2);
         }

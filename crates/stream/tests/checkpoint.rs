@@ -1,11 +1,11 @@
 //! Checkpoint/recovery integration tests: save → restore → continue
-//! must be bit-identical to an uninterrupted run on every backend, and
-//! every way a checkpoint file can go bad must
+//! must be bit-identical to an uninterrupted run, and every way a
+//! checkpoint file can go bad must
 //! surface as a typed [`StreamError::Checkpoint`] — never a panic,
 //! never a silently half-restored engine.
 
 use proptest::prelude::*;
-use regcube_core::engine::{Backend, MoCubingEngine};
+use regcube_core::engine::MoCubingEngine;
 use regcube_core::ExceptionPolicy;
 use regcube_olap::{CubeSchema, CuboidSpec};
 use regcube_stream::{
@@ -89,11 +89,11 @@ fn assert_reports_eq(xs: &[UnitReport], ys: &[UnitReport], what: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Save at an arbitrary cut point, restore on every backend,
-    /// continue with the rest of the stream: the surviving
-    /// engines finish byte-identical to the uninterrupted one —
-    /// snapshots (`canonical_text`), unit reports, alarms, amendments,
-    /// revisions and lateness counters all agree.
+    /// Save at an arbitrary cut point, restore, continue with the rest
+    /// of the stream: the surviving engine finishes byte-identical to
+    /// the uninterrupted one — snapshots (`canonical_text`), unit
+    /// reports, alarms, amendments, revisions and lateness counters all
+    /// agree.
     #[test]
     fn save_restore_continue_is_bit_identical(
         raw in prop::collection::vec(
@@ -106,38 +106,34 @@ proptest! {
         let cut = ((records.len() as f64) * cut_frac) as usize;
         let (first, second) = records.split_at(cut);
 
-        for backend in [Backend::Row, Backend::Columnar] {
-            let cfg = || config().with_backend(backend);
+        // The uninterrupted reference.
+        let mut reference = config().build().unwrap();
+        let mut ref_reports = drive(&mut reference, &records.to_vec());
+        ref_reports.extend(reference.flush().unwrap());
 
-            // The uninterrupted reference.
-            let mut reference = cfg().build().unwrap();
-            let mut ref_reports = drive(&mut reference, &records.to_vec());
-            ref_reports.extend(reference.flush().unwrap());
+        // The interrupted run: first half, checkpoint, restore,
+        // second half.
+        let mut victim = config().build().unwrap();
+        let mut reports = drive(&mut victim, first);
+        let bytes = victim.checkpoint_bytes().unwrap();
+        let mut revived = restore_bytes(config(), &bytes).unwrap();
+        reports.extend(drive(&mut revived, second));
+        reports.extend(revived.flush().unwrap());
 
-            // The interrupted run: first half, checkpoint, restore,
-            // second half.
-            let mut victim = cfg().build().unwrap();
-            let mut reports = drive(&mut victim, first);
-            let bytes = victim.checkpoint_bytes().unwrap();
-            let mut revived = restore_bytes(cfg(), &bytes).unwrap();
-            reports.extend(drive(&mut revived, second));
-            reports.extend(revived.flush().unwrap());
-
-            assert_reports_eq(&ref_reports, &reports, &format!("{backend:?}"));
-            prop_assert_eq!(
-                reference.snapshot().canonical_text(),
-                revived.snapshot().canonical_text(),
-                "snapshot divergence on {:?}", backend
-            );
-            let (ref_stats, stats) = (reference.stats(), revived.stats());
-            prop_assert_eq!(stats.late_dropped, ref_stats.late_dropped);
-            prop_assert_eq!(stats.late_amendments, ref_stats.late_amendments);
-            prop_assert_eq!(stats.sources_evicted, ref_stats.sources_evicted);
-            prop_assert_eq!(
-                stats.watermark_held_units,
-                ref_stats.watermark_held_units
-            );
-        }
+        assert_reports_eq(&ref_reports, &reports, "restored");
+        prop_assert_eq!(
+            reference.snapshot().canonical_text(),
+            revived.snapshot().canonical_text(),
+            "snapshot divergence"
+        );
+        let (ref_stats, stats) = (reference.stats(), revived.stats());
+        prop_assert_eq!(stats.late_dropped, ref_stats.late_dropped);
+        prop_assert_eq!(stats.late_amendments, ref_stats.late_amendments);
+        prop_assert_eq!(stats.sources_evicted, ref_stats.sources_evicted);
+        prop_assert_eq!(
+            stats.watermark_held_units,
+            ref_stats.watermark_held_units
+        );
     }
 
     /// Any truncation of a valid checkpoint and any single corrupted
@@ -323,8 +319,8 @@ fn strict_order_checkpoint_requires_a_unit_boundary() {
 }
 
 /// A fixed population reports every tick, so the cubing engine gets one
-/// key sequence every unit and, on the row layout, replays its roll-up
-/// plan from the third unit on. A restored engine re-cubes the
+/// key sequence every unit and replays its roll-up plan from the third
+/// unit on. A restored engine re-cubes the
 /// checkpointed unit cold from its m-table sorted by key, which is the
 /// sequence the ingestor closes units in, so it replays from its second
 /// unit after the restore. Unit by unit, it must serve what the engine

@@ -11,7 +11,7 @@
 //! close both engines must report the same unit, bit for bit, and
 //! publish snapshots with the same `canonical_text()`.
 
-use regcube_core::{Backend, ExceptionPolicy, WorkerPool};
+use regcube_core::{ExceptionPolicy, WorkerPool};
 use regcube_olap::{CubeSchema, CuboidSpec};
 use regcube_stream::{restore_bytes, EngineConfig, OnlineEngine, RawRecord, UnitReport};
 use regcube_tilt::TiltSpec;
@@ -24,7 +24,7 @@ const LATENESS: i64 = 2;
 /// Leaves per dimension: a 64 × 64 m-layer.
 const SIDE: u32 = 64;
 
-fn config(backend: Backend) -> EngineConfig {
+fn config() -> EngineConfig {
     let schema = CubeSchema::synthetic(2, 2, 8).unwrap();
     EngineConfig::new(
         schema,
@@ -34,7 +34,6 @@ fn config(backend: Backend) -> EngineConfig {
     .with_policy(ExceptionPolicy::slope_threshold(6.0))
     .with_tilt(TiltSpec::new(vec![("unit", 4), ("coarse", 3)]).unwrap())
     .with_ticks_per_unit(TPU as usize)
-    .with_backend(backend)
     .with_reordering(8, LATENESS)
 }
 
@@ -145,63 +144,57 @@ fn feed(
 
 #[test]
 fn a_cubing_pool_never_changes_a_served_byte() {
-    for backend in [Backend::Row, Backend::Columnar] {
-        let pool = Arc::new(WorkerPool::new(2));
-        let pooled_config = || config(backend).with_cubing_pool(Arc::clone(&pool));
-        let mut plain = config(backend).build().unwrap();
-        let mut pooled = pooled_config().build().unwrap();
+    let pool = Arc::new(WorkerPool::new(2));
+    let pooled_config = || config().with_cubing_pool(Arc::clone(&pool));
+    let mut plain = config().build().unwrap();
+    let mut pooled = pooled_config().build().unwrap();
 
-        let (mut reports, mut amended, mut restored) = (Vec::new(), 0, false);
-        let mut last_unit = 0;
-        for record in arrivals() {
-            let unit = record.tick.div_euclid(TPU);
-            if unit > last_unit {
-                last_unit = unit;
-                // A straggler for the newest closed unit amends its slot.
-                let open = plain.open_unit();
-                if open >= 1 {
-                    let straggler = RawRecord::new(vec![5, 9], (open - 1) * TPU + 1, 40.0);
-                    reports.extend(feed(&mut plain, &mut pooled, &straggler));
-                    amended += 1;
-                }
-                if unit == UNITS / 2 && !restored {
-                    let bytes = pooled.checkpoint_bytes().unwrap();
-                    pooled = restore_bytes(pooled_config(), &bytes).unwrap();
-                    restored = true;
-                }
+    let (mut reports, mut amended, mut restored) = (Vec::new(), 0, false);
+    let mut last_unit = 0;
+    for record in arrivals() {
+        let unit = record.tick.div_euclid(TPU);
+        if unit > last_unit {
+            last_unit = unit;
+            // A straggler for the newest closed unit amends its slot.
+            let open = plain.open_unit();
+            if open >= 1 {
+                let straggler = RawRecord::new(vec![5, 9], (open - 1) * TPU + 1, 40.0);
+                reports.extend(feed(&mut plain, &mut pooled, &straggler));
+                amended += 1;
             }
-            reports.extend(feed(&mut plain, &mut pooled, &record));
+            if unit == UNITS / 2 && !restored {
+                let bytes = pooled.checkpoint_bytes().unwrap();
+                pooled = restore_bytes(pooled_config(), &bytes).unwrap();
+                restored = true;
+            }
         }
-        // A record for unit 0, long beyond the lateness: counted and
-        // dropped by both.
-        let dropped = RawRecord::new(vec![0, 0], 1, 9.0);
-        reports.extend(feed(&mut plain, &mut pooled, &dropped));
-        let (a, b) = (plain.flush().unwrap(), pooled.flush().unwrap());
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(report_bits(x), report_bits(y));
-        }
-        reports.extend(a);
-        assert_eq!(
-            plain.snapshot().canonical_text(),
-            pooled.snapshot().canonical_text()
-        );
-
-        // The stream exercised what it is meant to.
-        assert!(restored);
-        assert_eq!(reports.len(), UNITS as usize, "{backend:?}");
-        assert!(reports.iter().any(|r| !r.alarms.is_empty()), "{backend:?}");
-        assert!(
-            reports.iter().any(|r| !r.alarm_revisions.is_empty()),
-            "{backend:?}"
-        );
-        assert_eq!(pooled.late_amended(), amended, "{backend:?}");
-        assert_eq!(pooled.late_dropped(), 1, "{backend:?}");
-        let (s, t) = (plain.stats(), pooled.stats());
-        assert_eq!(
-            (s.late_dropped, s.late_amendments, s.watermark_held_units),
-            (t.late_dropped, t.late_amendments, t.watermark_held_units),
-            "{backend:?}"
-        );
+        reports.extend(feed(&mut plain, &mut pooled, &record));
     }
+    // A record for unit 0, long beyond the lateness: counted and
+    // dropped by both.
+    let dropped = RawRecord::new(vec![0, 0], 1, 9.0);
+    reports.extend(feed(&mut plain, &mut pooled, &dropped));
+    let (a, b) = (plain.flush().unwrap(), pooled.flush().unwrap());
+    assert_eq!(a.len(), b.len());
+    for (x, y) in a.iter().zip(&b) {
+        assert_eq!(report_bits(x), report_bits(y));
+    }
+    reports.extend(a);
+    assert_eq!(
+        plain.snapshot().canonical_text(),
+        pooled.snapshot().canonical_text()
+    );
+
+    // The stream exercised what it is meant to.
+    assert!(restored);
+    assert_eq!(reports.len(), UNITS as usize);
+    assert!(reports.iter().any(|r| !r.alarms.is_empty()));
+    assert!(reports.iter().any(|r| !r.alarm_revisions.is_empty()));
+    assert_eq!(pooled.late_amended(), amended);
+    assert_eq!(pooled.late_dropped(), 1);
+    let (s, t) = (plain.stats(), pooled.stats());
+    assert_eq!(
+        (s.late_dropped, s.late_amendments, s.watermark_held_units),
+        (t.late_dropped, t.late_amendments, t.watermark_held_units)
+    );
 }

@@ -3,7 +3,7 @@
 //! **same bytes** as the engine-blocking path at the same unit
 //! boundary, and must stay frozen while the engine moves on.
 
-use regcube_core::engine::{Backend, CubingEngine, MoCubingEngine, PopularPathEngine};
+use regcube_core::engine::{CubingEngine, MoCubingEngine, PopularPathEngine};
 use regcube_core::{CriticalLayers, ExceptionPolicy};
 use regcube_olap::cell::CellKey;
 use regcube_olap::{CubeSchema, CuboidSpec};
@@ -185,10 +185,7 @@ fn held_snapshot_survives<E: CubingEngine>(
 
 #[test]
 fn held_snapshot_never_changes_on_any_engine() {
-    held_snapshot_survives("row", MoCubingEngine::new);
-    held_snapshot_survives("columnar", |s, l, p| {
-        MoCubingEngine::new(s, l, p)?.with_backend(Backend::Columnar)
-    });
+    held_snapshot_survives("m/o-cubing", MoCubingEngine::new);
     held_snapshot_survives("popular path", |s, l, p| {
         PopularPathEngine::new(s, l, p, None)
     });

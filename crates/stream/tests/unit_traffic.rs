@@ -9,7 +9,7 @@
 //! makes it send one. A recording wrapper sits where the engine sits
 //! and checks every call as it arrives.
 
-use regcube_core::engine::{Backend, CubingEngine, MoCubingEngine, PopularPathEngine, UnitDelta};
+use regcube_core::engine::{CubingEngine, MoCubingEngine, PopularPathEngine, UnitDelta};
 use regcube_core::result::Algorithm;
 use regcube_core::{
     CoreError, CriticalLayers, CubeResult, ExceptionPolicy, MTuple, RunStats, WorkerPool,
@@ -95,17 +95,9 @@ struct Subject {
 fn subjects() -> Vec<Subject> {
     vec![
         Subject {
-            name: "row",
+            name: "m/o-cubing",
             make: |s, l, p| Ok(Box::new(MoCubingEngine::new(s, l, p)?)),
             configure: |c| c,
-        },
-        Subject {
-            name: "columnar",
-            make: |s, l, p| {
-                let engine = MoCubingEngine::new(s, l, p)?;
-                Ok(Box::new(engine.with_backend(Backend::Columnar)?))
-            },
-            configure: |c| c.with_backend(Backend::Columnar),
         },
         Subject {
             name: "popular path",
@@ -113,7 +105,7 @@ fn subjects() -> Vec<Subject> {
             configure: |c| c.with_algorithm(Algorithm::PopularPath),
         },
         Subject {
-            name: "row, 2-worker pool",
+            name: "m/o-cubing, 2-worker pool",
             make: |s, l, p| {
                 let engine = MoCubingEngine::new(s, l, p)?;
                 Ok(Box::new(engine.with_pool(Arc::new(WorkerPool::new(2)))))

@@ -88,24 +88,4 @@ fn main() {
             );
         }
     }
-
-    // ---- The same cube on the columnar backend --------------------------
-    // Backends select the physical table layout, not the semantics: the
-    // struct-of-arrays roll-up retains the identical exception set (see
-    // ARCHITECTURE.md, "Choosing a backend").
-    let mut columnar = MoCubingEngine::new(schema, layers, policy)
-        .unwrap()
-        .with_backend(Backend::Columnar)
-        .unwrap();
-    columnar.ingest_unit(&tuples).unwrap();
-    assert_eq!(
-        columnar.result().total_exception_cells(),
-        result.total_exception_cells()
-    );
-    println!(
-        "\nColumnar backend recomputes the same cube: {} exception cells, {}/{} peak table bytes",
-        columnar.result().total_exception_cells(),
-        columnar.stats().peak_bytes,
-        result.stats().peak_bytes,
-    );
 }

@@ -135,28 +135,10 @@ fn main() {
         .unwrap()
         .with_pool(Arc::new(WorkerPool::new(2)));
     let delta = pooled.ingest_unit(&tuples).unwrap();
-    // The columnar backend rolls the same field up over struct-of-arrays
-    // tables (the cache-friendly layout of the hot aggregation path) —
-    // same trait, same cube, different bytes.
-    let mut columnar = MoCubingEngine::new(schema.clone(), layers.clone(), policy.clone())
-        .unwrap()
-        .with_backend(Backend::Columnar)
-        .unwrap();
-    columnar.ingest_unit(&tuples).unwrap();
     let mut single = MoCubingEngine::new(schema, layers, policy).unwrap();
     single.ingest_unit(&tuples).unwrap();
 
     let (cube, reference) = (pooled.result(), single.result());
-    assert_eq!(
-        columnar.result().total_exception_cells(),
-        reference.total_exception_cells()
-    );
-    println!(
-        "\nColumnar backend: same {} exception cells, table peak {} bytes against the row layout's {}",
-        columnar.result().total_exception_cells(),
-        columnar.stats().peak_bytes,
-        single.stats().peak_bytes,
-    );
     println!(
         "\nTier-pool cubing: {} sensors on 2 workers -> {} cells, {} exception cells",
         cube.m_layer_cells(),

@@ -87,8 +87,8 @@ pub mod sim {
 /// The most frequently used types, re-exported flat.
 pub mod prelude {
     pub use regcube_core::{
-        mo_cubing, popular_path, Backend, CriticalLayers, CubeResult, CubingEngine,
-        ExceptionPolicy, MTuple, MoCubingEngine, PopularPathEngine, WorkerPool,
+        mo_cubing, popular_path, CriticalLayers, CubeResult, CubingEngine, ExceptionPolicy, MTuple,
+        MoCubingEngine, PopularPathEngine, WorkerPool,
     };
     pub use regcube_datagen::{Dataset, DatasetSpec};
     pub use regcube_olap::{

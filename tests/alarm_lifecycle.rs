@@ -1,7 +1,6 @@
 //! Property tests for the alarm lifecycle: for random unit streams, the
 //! sink-maintained state (episodes, dashboard) must agree with the
-//! cube's retained exception stores after every unit, and the whole
-//! episode history must be identical on both table layouts.
+//! cube's retained exception stores after every unit.
 
 use proptest::prelude::*;
 use regcube::core::alarm::{self, AlarmLog, DashboardSummary, SharedSink};
@@ -17,7 +16,7 @@ const CELLS: [(u32, u32); 5] = [(0, 0), (1, 2), (2, 1), (3, 3), (0, 3)];
 
 type Sinks = (Arc<Mutex<AlarmLog>>, Arc<Mutex<DashboardSummary>>);
 
-fn build(backend: Backend) -> (OnlineEngine<BoxedEngine>, Sinks) {
+fn build() -> (OnlineEngine<BoxedEngine>, Sinks) {
     let log = alarm::shared(AlarmLog::new(256));
     let dash = alarm::shared(DashboardSummary::new());
     let schema = CubeSchema::synthetic(2, 2, 2).unwrap();
@@ -29,7 +28,6 @@ fn build(backend: Backend) -> (OnlineEngine<BoxedEngine>, Sinks) {
     .with_policy(ExceptionPolicy::slope_threshold(0.5))
     .with_tilt(TiltSpec::new(vec![("unit", 4), ("coarse", 3)]).unwrap())
     .with_ticks_per_unit(TICKS)
-    .with_backend(backend)
     .with_sinks([log.clone() as SharedSink, dash.clone() as SharedSink])
     .build()
     .unwrap();
@@ -63,20 +61,6 @@ fn rescan(engine: &OnlineEngine<BoxedEngine>) -> Vec<(CuboidSpec, CellKey)> {
     live
 }
 
-/// One run: returns the full episode history, serialized comparably.
-fn episode_history(backend: Backend, units: &[Vec<f64>]) -> Vec<String> {
-    let (mut engine, (log, _)) = build(backend);
-    for (u, slopes) in units.iter().enumerate() {
-        feed_unit(&mut engine, u, slopes);
-        engine.close_unit().unwrap();
-    }
-    let log = log.lock().unwrap();
-    let mut out: Vec<String> = log.open_episodes().iter().map(|e| format!("{e}")).collect();
-    out.extend(log.closed_episodes().map(|e| format!("{e}")));
-    out.sort();
-    out
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -90,7 +74,7 @@ proptest! {
             1..6,
         ),
     ) {
-        let (mut engine, (log, dash)) = build(Backend::Row);
+        let (mut engine, (log, dash)) = build();
         for (u, slopes) in units.iter().enumerate() {
             feed_unit(&mut engine, u, slopes);
             let report = engine.close_unit().unwrap();
@@ -134,19 +118,5 @@ proptest! {
             log.opened_total(),
             log.closed_total() + log.open_count() as u64
         );
-    }
-
-    /// The complete episode history (raise/clear units, peaks) is
-    /// identical on the row and columnar backends.
-    #[test]
-    fn episode_history_is_backend_invariant(
-        units in prop::collection::vec(
-            prop::collection::vec(-1.5..1.5f64, CELLS.len()),
-            1..5,
-        ),
-    ) {
-        let row = episode_history(Backend::Row, &units);
-        let columnar = episode_history(Backend::Columnar, &units);
-        prop_assert_eq!(&columnar, &row);
     }
 }

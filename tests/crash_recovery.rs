@@ -1,5 +1,5 @@
-//! The crash-recovery drill CI runs on every push, on both table
-//! layouts: run a jittered multi-source workload to the midpoint,
+//! The crash-recovery drill CI runs on every push: run a jittered
+//! multi-source workload to the midpoint,
 //! checkpoint, throw the engine away as a crash would, restore from the
 //! file, finish — and require the revived run byte-identical to the
 //! uninterrupted one: every report, alarm, amendment, revision, drill
@@ -11,8 +11,8 @@ use std::fmt::Write as _;
 
 const TPU: usize = 4;
 
-/// A watermark engine with per-source eviction on the given layout.
-fn config(backend: Backend) -> EngineConfig {
+/// A watermark engine with per-source eviction.
+fn config() -> EngineConfig {
     let schema = CubeSchema::synthetic(2, 2, 2).unwrap();
     EngineConfig::new(
         schema,
@@ -24,7 +24,6 @@ fn config(backend: Backend) -> EngineConfig {
     .with_ticks_per_unit(TPU)
     .with_reordering(32, 2)
     .with_watermark_policy(WatermarkPolicy::PerSource { idle_units: 4 })
-    .with_backend(backend)
 }
 
 /// A deterministic jittered feed: shuffled-within-lateness ticks,
@@ -95,13 +94,6 @@ fn drills(engine: &regcube::stream::OnlineEngine) -> String {
 
 #[test]
 fn interrupted_run_finishes_byte_identical_to_uninterrupted() {
-    for backend in [Backend::Row, Backend::Columnar] {
-        drill(backend);
-    }
-}
-
-fn drill(backend: Backend) {
-    let config = || config(backend);
     let feed = records();
     let half = feed.len() / 2;
 
@@ -139,12 +131,12 @@ fn drill(backend: Backend) {
     assert_eq!(
         render(&ref_reports),
         render(&revived_reports),
-        "{backend:?}: reports diverged after recovery"
+        "reports diverged after recovery"
     );
     assert_eq!(
         reference.snapshot().canonical_text(),
         revived.snapshot().canonical_text(),
-        "{backend:?}: final snapshots diverged after recovery"
+        "final snapshots diverged after recovery"
     );
     assert_eq!(drills(&reference), drills(&revived), "drills diverged");
 

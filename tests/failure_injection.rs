@@ -308,93 +308,6 @@ fn rollover_mid_episode_keeps_raised_at_stable() {
     }
 }
 
-#[test]
-fn columnar_nan_streams_never_open_alarm_episodes() {
-    use regcube::core::alarm::{self, AlarmLog, SharedSink};
-    // The NaN guard holds on the columnar backend too: broken-sensor
-    // fits go NaN, the policy scores NaN as non-exceptional, and no
-    // episode ever names a NaN cell — even under always-exceptional.
-    let log = alarm::shared(AlarmLog::new(16));
-    let schema = CubeSchema::synthetic(2, 2, 2).unwrap();
-    let mut engine = EngineConfig::new(
-        schema,
-        CuboidSpec::new(vec![0, 0]),
-        CuboidSpec::new(vec![2, 2]),
-    )
-    .with_ticks_per_unit(4)
-    .with_policy(ExceptionPolicy::always())
-    .with_backend(Backend::Columnar)
-    .with_sinks([log.clone() as SharedSink])
-    .build()
-    .unwrap();
-    for unit in 0..2i64 {
-        for t in (unit * 4)..(unit * 4 + 4) {
-            engine
-                .ingest(&RawRecord::new(vec![0, 0], t, f64::NAN))
-                .unwrap();
-            engine.ingest(&RawRecord::new(vec![3, 3], t, 1.0)).unwrap();
-        }
-        let report = engine.close_unit().unwrap();
-        assert!(report.sink_errors.is_empty());
-    }
-    let log = log.lock().unwrap();
-    assert!(log.open_count() > 0, "the healthy stream opened coverage");
-    for episode in log.open_episodes() {
-        let cube = engine.cube().unwrap();
-        let measure = cube.get(&episode.cuboid, &episode.cell).unwrap();
-        assert!(
-            measure.slope().is_finite(),
-            "NaN cell holds an episode: {episode}"
-        );
-        assert!(episode.peak_score.is_finite());
-    }
-}
-
-#[test]
-fn columnar_rollover_mid_episode_keeps_raised_at_stable() {
-    use regcube::core::alarm::{self, AlarmLog, SharedSink};
-    // Mirror of the row-backend rollover case: an episode spanning unit
-    // rollovers keeps its original raised_at on the columnar backend.
-    let log = alarm::shared(AlarmLog::new(16));
-    let schema = CubeSchema::synthetic(2, 2, 2).unwrap();
-    let mut engine = EngineConfig::new(
-        schema,
-        CuboidSpec::new(vec![0, 0]),
-        CuboidSpec::new(vec![2, 2]),
-    )
-    .with_ticks_per_unit(4)
-    .with_policy(ExceptionPolicy::slope_threshold(0.5))
-    .with_backend(Backend::Columnar)
-    .with_sinks([log.clone() as SharedSink])
-    .build()
-    .unwrap();
-
-    for unit in 0..4i64 {
-        let slope = if unit < 3 { 2.0 } else { 0.0 };
-        for t in (unit * 4)..(unit * 4 + 4) {
-            let v = 1.0 + slope * (t - unit * 4) as f64;
-            engine.ingest(&RawRecord::new(vec![0, 0], t, v)).unwrap();
-        }
-        engine.close_unit().unwrap();
-        let log = log.lock().unwrap();
-        if unit < 3 {
-            assert!(log.open_count() > 0, "unit {unit}");
-            for episode in log.open_episodes() {
-                assert_eq!(
-                    episode.raised_at, 0,
-                    "rollover must not restart the episode: {episode}"
-                );
-            }
-        }
-    }
-    let log = log.lock().unwrap();
-    assert_eq!(log.open_count(), 0, "the calm unit closed everything");
-    for episode in log.closed_episodes() {
-        assert_eq!(episode.raised_at, 0);
-        assert_eq!(episode.cleared_at, Some(3));
-    }
-}
-
 /// The 16 cells of a 2x2x2 schema's m-layer, slopes (a + b) / 10 over
 /// ticks 0..=9.
 fn sixteen_cells() -> Vec<MTuple> {
@@ -408,7 +321,7 @@ fn sixteen_cells() -> Vec<MTuple> {
     cells
 }
 
-fn columnar_engine() -> MoCubingEngine {
+fn engine() -> MoCubingEngine {
     let schema = CubeSchema::synthetic(2, 2, 2).unwrap();
     let layers = CriticalLayers::new(
         &schema,
@@ -416,40 +329,7 @@ fn columnar_engine() -> MoCubingEngine {
         CuboidSpec::new(vec![2, 2]),
     )
     .unwrap();
-    MoCubingEngine::new(schema, layers, ExceptionPolicy::slope_threshold(0.4))
-        .and_then(|e| e.with_backend(Backend::Columnar))
-        .unwrap()
-}
-
-#[test]
-fn columnar_rollover_replaces_the_held_unit() {
-    // A rollover unit with one active cell must not leak the previous
-    // window's cells into the columnar engine's cube.
-    let mut engine = columnar_engine();
-    engine.ingest_unit(&sixteen_cells()).unwrap();
-    assert_eq!(engine.result().m_layer_cells(), 16);
-    let before: Vec<(CuboidSpec, CellKey)> = engine
-        .result()
-        .iter_exceptions()
-        .map(|(c, k, _)| (c.clone(), k.clone()))
-        .collect();
-    assert!(!before.is_empty());
-
-    let next = vec![MTuple::new(vec![1, 2], Isb::new(10, 19, 1.0, 0.7).unwrap())];
-    let delta = engine.ingest_unit(&next).unwrap();
-    assert_eq!(delta.unit, 1);
-    assert_eq!(engine.result().m_layer_cells(), 1, "old unit replaced");
-    assert_eq!(engine.result().o_table().len(), 1);
-    // Every exception the closed window held either recurs or was
-    // reported cleared with the rollover.
-    for (cuboid, key) in &before {
-        let recurs = engine
-            .result()
-            .exceptions_in(cuboid)
-            .is_some_and(|t| t.contains_key(key));
-        let cleared = delta.cleared.contains(&(cuboid.clone(), key.clone()));
-        assert!(recurs != cleared, "{cuboid}{key}");
-    }
+    MoCubingEngine::new(schema, layers, ExceptionPolicy::slope_threshold(0.4)).unwrap()
 }
 
 #[test]
@@ -457,8 +337,8 @@ fn forced_scalar_fallback_survives_a_rollover() {
     // A rollover leaves nothing of the closed window in the fold: the
     // engine that cubed the sixteen cells first holds, bit for bit, the
     // cube of a fresh engine fed only the rollover batch.
-    let mut rolled = columnar_engine();
-    let mut fresh = columnar_engine();
+    let mut rolled = engine();
+    let mut fresh = engine();
     let next = vec![MTuple::new(vec![1, 2], Isb::new(10, 19, 1.0, 0.7).unwrap())];
     rolled.ingest_unit(&sixteen_cells()).unwrap();
     rolled.ingest_unit(&next).unwrap();

@@ -5,10 +5,7 @@
 //! The serialization covers every per-unit report (alarms, deltas), the
 //! final retained exception set, the alarm log's episode list, the
 //! escalations and the dashboard, so a refactor that silently shifts
-//! any of them fails here with a line diff. The run is repeated **on
-//! both table-layout backends** (row and columnar) and must serialize
-//! **byte-identically** both times — the sorted-delta contract and the
-//! backend-equivalence contract, pinned end to end.
+//! any of them fails here with a line diff.
 //!
 //! Regenerate the snapshot after an intended behavior change with:
 //!
@@ -52,10 +49,10 @@ fn slope_for(cell: (u32, u32), unit: i64) -> f64 {
     }
 }
 
-/// Runs the pipeline on the given cubing backend, and serializes
+/// Runs the pipeline and serializes
 /// everything observable: reports, deltas, final cube, episodes,
 /// escalations, dashboard.
-fn run_pipeline(backend: Backend) -> String {
+fn run_pipeline() -> String {
     let cells: [(u32, u32); 7] = [(0, 0), (1, 2), (2, 5), (3, 6), (4, 7), (7, 1), (8, 8)];
     let log = alarm::shared(AlarmLog::new(64));
     let escalator = alarm::shared(ThresholdEscalator::new(2, 3, 4));
@@ -70,7 +67,6 @@ fn run_pipeline(backend: Backend) -> String {
     .with_policy(ExceptionPolicy::slope_threshold(0.8))
     .with_tilt(TiltSpec::new(vec![("unit", 4), ("coarse", 3)]).unwrap())
     .with_ticks_per_unit(TICKS_PER_UNIT)
-    .with_backend(backend)
     .with_sinks([
         log.clone() as SharedSink,
         escalator.clone() as SharedSink,
@@ -191,10 +187,8 @@ fn run_pipeline(backend: Backend) -> String {
 /// retraction, one raise), and one beyond-lateness drop. Serializes the
 /// reports with their amendments and typed alarm revisions, plus the
 /// lateness counters — pinning the whole robustness path byte-for-byte.
-fn run_lateness_pipeline(backend: Backend) -> String {
+fn run_lateness_pipeline() -> String {
     const LATENESS: i64 = 2;
-    // Two m-cells only: every o-layer/ancestor aggregate sums at most
-    // two measures, so the layouts' fold orders cannot perturb a bit.
     let cell_a: [u32; 2] = [0, 0];
     let cell_b: [u32; 2] = [1, 2];
     // Apex slope per unit = slope_a + slope_b against threshold 0.8:
@@ -218,7 +212,6 @@ fn run_lateness_pipeline(backend: Backend) -> String {
     .with_policy(ExceptionPolicy::slope_threshold(0.8))
     .with_tilt(TiltSpec::new(vec![("unit", 4), ("coarse", 3)]).unwrap())
     .with_ticks_per_unit(TICKS_PER_UNIT)
-    .with_backend(backend)
     .with_reordering(8, LATENESS)
     .with_watermark_policy(WatermarkPolicy::PerSource { idle_units: 2 })
     .build()
@@ -388,19 +381,7 @@ fn line_diff(expected: &str, actual: &str) -> String {
 
 #[test]
 fn pipeline_matches_golden_snapshot() {
-    let actual = run_pipeline(Backend::Row) + &run_lateness_pipeline(Backend::Row);
-
-    // The identical pipeline through the columnar backend must
-    // serialize byte-for-byte the same — deltas, episodes and all.
-    // (That holds for this stream; in general the layouts agree on
-    // aggregated measures only up to `f64` reassociation — see
-    // `engine_contract.rs`.)
-    let columnar = run_pipeline(Backend::Columnar) + &run_lateness_pipeline(Backend::Columnar);
-    assert!(
-        actual == columnar,
-        "row and columnar diverged:\n{}",
-        line_diff(&actual, &columnar)
-    );
+    let actual = run_pipeline() + &run_lateness_pipeline();
 
     let path = golden_path();
     if std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v == "1") {
