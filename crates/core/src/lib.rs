@@ -39,8 +39,7 @@
 //!
 //! Beyond the paper, both algorithms run behind the
 //! [`engine::CubingEngine`] trait, so they compose with streaming
-//! exception consumers ([`alarm`]) and — for Algorithm 1 — a
-//! worker-pool tier roll-up ([`pool`]). Every cuboid is one row table
+//! exception consumers ([`alarm`]). Every cuboid is one row table
 //! ([`table::CuboidTable`], a hash map from cell key to measure). The
 //! repository-level `ARCHITECTURE.md` maps every paper section to its
 //! module and documents where a new engine plugs in.
@@ -82,7 +81,6 @@ pub mod exception;
 pub mod layers;
 pub mod measure;
 pub mod mo_cubing;
-pub mod pool;
 pub mod popular_path;
 pub mod query;
 pub mod result;
@@ -97,7 +95,6 @@ pub use error::CoreError;
 pub use exception::ExceptionPolicy;
 pub use layers::CriticalLayers;
 pub use measure::MTuple;
-pub use pool::WorkerPool;
 pub use result::CubeResult;
 pub use stats::RunStats;
 
@@ -114,7 +111,6 @@ pub mod prelude {
     pub use crate::exception::ExceptionPolicy;
     pub use crate::layers::CriticalLayers;
     pub use crate::measure::MTuple;
-    pub use crate::pool::WorkerPool;
     pub use crate::result::CubeResult;
     pub use crate::{mo_cubing, popular_path};
 }

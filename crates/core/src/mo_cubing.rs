@@ -57,7 +57,6 @@ use crate::engine::{empty_result, next_window, unshare_result, CubingEngine, Uni
 use crate::exception::ExceptionPolicy;
 use crate::layers::CriticalLayers;
 use crate::measure::{merge_sibling, validate_tuples, MTuple};
-use crate::pool::WorkerPool;
 use crate::result::{Algorithm, CubeResult};
 use crate::stats::{MemoryAccountant, RunStats};
 use crate::table::{
@@ -72,25 +71,6 @@ use std::hash::Hasher;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Source rows a depth tier must fold before it is fanned out on the
-/// pool rather than aggregated on the caller's thread.
-///
-/// A [`WorkerPool::run`] round trip — boxing the jobs, one channel send
-/// and one parked-worker wake-up per job, the results coming back over a
-/// second channel — was measured at 47–50 µs (median of 20,000 runs of
-/// 2–4 empty tasks on a 2-worker pool, 2-vCPU VM). A tier folds a source
-/// row in 170–200 ns (`ingest_unit` over 256–16,384 tuples, time per
-/// `rows_folded`, same VM). Two workers at best halve a tier, so the
-/// hand-off pays for itself once `rows × 185 ns / 2 > 48 µs`, about 520
-/// rows. The gate sits about eight times above that break-even, so only
-/// a tier that clearly wins is handed off, however unevenly its cuboids
-/// split between the workers. Far below it — a quiet tenant's 16-row
-/// unit — the hand-off is several times the work it hands off.
-///
-/// These costs are the cold roll-up's; a replayed unit (see the module
-/// docs) folds on the caller's thread and never reaches the pool.
-const FAN_OUT_MIN_ROWS: usize = 4096;
 
 /// The most roll-up shapes one engine keeps (see the module docs).
 ///
@@ -205,14 +185,6 @@ fn slots(tier: &Range<usize>) -> Range<usize> {
     tier.start + 1..tier.end + 1
 }
 
-/// One cuboid of a depth tier with its chosen aggregation source —
-/// resolved before the tier fans out so pool tasks are self-contained.
-struct TierPlan {
-    cuboid: CuboidSpec,
-    source: CuboidSpec,
-    table: Arc<CuboidTable>,
-}
-
 /// One unit's computation in progress: its counters and its analytical
 /// memory. Local to a call — the engine commits the finished unit only
 /// when all of it succeeded.
@@ -247,9 +219,6 @@ pub struct MoCubingEngine {
     policy: ExceptionPolicy,
     /// The lattice's roll-up order, shared by every unit.
     schedule: Arc<Schedule>,
-    /// When attached, cuboids of one depth tier (independent of each
-    /// other) are aggregated on the pool instead of sequentially.
-    pool: Option<Arc<WorkerPool>>,
     window: Option<(i64, i64)>,
     units_opened: u64,
     /// Units computed by replaying a roll-up plan rather than cold.
@@ -261,7 +230,7 @@ pub struct MoCubingEngine {
 }
 
 impl MoCubingEngine {
-    /// Creates an engine with no pool.
+    /// Creates an engine.
     ///
     /// # Errors
     /// Currently infallible; `Result` keeps room for config validation
@@ -277,7 +246,6 @@ impl MoCubingEngine {
             schedule: Arc::new(Schedule::new(&layers)),
             layers,
             policy,
-            pool: None,
             window: None,
             units_opened: 0,
             units_replayed: 0,
@@ -297,23 +265,6 @@ impl MoCubingEngine {
         policy: ExceptionPolicy,
     ) -> Result<Self> {
         Self::new(schema, layers, policy)
-    }
-
-    /// Attaches a worker pool for the tier roll-up: cuboids at the same
-    /// lattice depth are independent (each aggregates from an already
-    /// computed finer tier), so [`ingest_unit`](CubingEngine::ingest_unit)
-    /// computes a tier's tables in parallel on the pool — when the pool
-    /// has more than one worker and the tier folds enough source rows
-    /// to pay for the hand-off; a small tier is aggregated on the
-    /// caller's thread. Results are merged in deterministic lattice
-    /// order, so the cube is identical to a sequential run either way.
-    ///
-    /// Never call `ingest_unit` from a job of the pool attached here —
-    /// see the nesting rule in [`crate::pool`].
-    #[must_use]
-    pub fn with_pool(mut self, pool: Arc<WorkerPool>) -> Self {
-        self.pool = Some(pool);
-        self
     }
 
     /// The critical layers the engine cubes for.
@@ -361,12 +312,9 @@ impl MoCubingEngine {
         let mut capture = (capture && tuples.len() < FIRST as usize)
             .then(|| PlanCapture::new(tuples, &m_table, dims));
 
-        // Step 2: the rest of the lattice. The m-table is shared with
-        // pool workers, so it travels behind an `Arc` and is moved into
-        // the result after.
-        let m_table = Arc::new(m_table);
-        let (o_table, exceptions) = self.compute_uppers(&mut work, &m_table, capture.as_mut())?;
-        let m_table = Arc::try_unwrap(m_table).unwrap_or_else(|shared| (*shared).clone());
+        // Step 2: the rest of the lattice.
+        let (m_table, o_table, exceptions) =
+            self.compute_uppers(&mut work, m_table, capture.as_mut())?;
 
         let UnitWork { stats, mem } = work;
         let plan = capture.map(PlanCapture::finish);
@@ -522,49 +470,43 @@ impl MoCubingEngine {
     /// Computes every cuboid above the m-layer bottom-up in the
     /// [`Schedule`]'s depth *tiers*, each aggregated from its closest
     /// computed descendant (a one-step-finer table from the previous
-    /// tier). Cuboids within one tier are independent, so a large enough
-    /// tier is fanned out on the attached [`WorkerPool`] and merged back
-    /// in lattice order — the parallel hot path of the roll-up. Returns
-    /// the o-layer table and the exception stores; between-layer full
-    /// tables are dropped as soon as the next tier no longer needs them.
-    /// A `capture` reads each finished table into the roll-up plan.
+    /// tier). Returns the m-layer table it was given, the o-layer table
+    /// and the exception stores; between-layer full tables are dropped as
+    /// soon as the next tier no longer needs them. A `capture` reads each
+    /// finished table into the roll-up plan.
     fn compute_uppers(
         &self,
         work: &mut UnitWork,
-        m_table: &Arc<CuboidTable>,
+        m_table: CuboidTable,
         mut capture: Option<&mut PlanCapture>,
-    ) -> Result<(CuboidTable, FxHashMap<CuboidSpec, CuboidTable>)> {
+    ) -> Result<(CuboidTable, CuboidTable, FxHashMap<CuboidSpec, CuboidTable>)> {
         let dims = self.schema.num_dims();
         let schedule = &*self.schedule;
 
         let mut o_table = CuboidTable::default();
         let mut exceptions: FxHashMap<CuboidSpec, CuboidTable> = FxHashMap::default();
         // The full tables a later tier may still fold, by slot.
-        let mut tables: Vec<Option<Arc<CuboidTable>>> = vec![None; schedule.steps.len() + 1];
-        tables[0] = Some(Arc::clone(m_table));
-        let source = |tables: &[Option<Arc<CuboidTable>>], slot: usize| {
-            Arc::clone(tables[slot].as_ref().expect("a source outlives its tier"))
-        };
+        let mut tables: Vec<Option<CuboidTable>> = vec![None; schedule.steps.len() + 1];
+        tables[0] = Some(m_table);
         let mut previous = 0..0;
         for tier in &schedule.tiers {
-            let plans: Vec<TierPlan> = schedule.steps[tier.clone()]
-                .iter()
-                .map(|step| TierPlan {
-                    cuboid: step.cuboid.clone(),
-                    source: schedule.cuboid(step.source).clone(),
-                    table: source(&tables, step.source),
-                })
-                .collect();
-            // The k-th result is step k's table.
-            for (k, item) in tier.clone().zip(self.compute_tier(plans)) {
+            for k in tier.clone() {
                 let step = &schedule.steps[k];
-                let (full, rows) = item?;
+                let from = tables[step.source]
+                    .as_ref()
+                    .expect("a source outlives its tier");
+                let (full, rows) = aggregate_from(
+                    &self.schema,
+                    schedule.cuboid(step.source),
+                    from,
+                    &step.cuboid,
+                    None,
+                )?;
                 work.count_cuboid(rows, full.len());
                 let bytes = table_bytes(&full, dims);
                 work.mem.add(bytes);
                 if let Some(capture) = capture.as_deref_mut() {
-                    let from = source(&tables, step.source);
-                    capture.step(&self.schema, schedule, k, &from, &full, bytes);
+                    capture.step(&self.schema, schedule, k, from, &full, bytes);
                 }
 
                 if step.o_layer {
@@ -576,54 +518,21 @@ impl MoCubingEngine {
                     work.mem.add(table_bytes(&exc, dims));
                     exceptions.insert(step.cuboid.clone(), exc);
                 }
-                tables[k + 1] = Some(Arc::new(full));
+                tables[k + 1] = Some(full);
             }
             // The old tier is no longer reachable as a source.
             retire_tier(&mut work.mem, &mut tables[previous], dims);
             previous = slots(tier);
         }
         retire_tier(&mut work.mem, &mut tables[previous], dims);
-        Ok((o_table, exceptions))
-    }
-
-    /// Aggregates one depth tier — on the attached pool when the tier is
-    /// worth the hand-off ([`FAN_OUT_MIN_ROWS`]), on the caller's thread
-    /// otherwise. The results come back **in plan order** either way —
-    /// on the pool, because [`WorkerPool::run`] keeps task order — and
-    /// the caller matches them to their cuboids by position.
-    fn compute_tier(&self, plans: Vec<TierPlan>) -> Vec<Result<(CuboidTable, u64)>> {
-        let aggregate = |schema: &CubeSchema, plan: TierPlan| {
-            aggregate_from(schema, &plan.source, &plan.table, &plan.cuboid, None)
-        };
-        let fan_out = self.pool.as_ref().filter(|pool| {
-            // One worker would run the tier serially while the caller
-            // blocks on it: a hand-off with nothing to win.
-            pool.threads() > 1
-                && plans.len() > 1
-                && plans.iter().map(|plan| plan.table.len()).sum::<usize>() >= FAN_OUT_MIN_ROWS
-        });
-        match fan_out {
-            Some(pool) => {
-                let tasks: Vec<_> = plans
-                    .into_iter()
-                    .map(|plan| {
-                        let schema = Arc::clone(&self.schema);
-                        move || aggregate(&schema, plan)
-                    })
-                    .collect();
-                pool.run(tasks)
-            }
-            None => plans
-                .into_iter()
-                .map(|plan| aggregate(&self.schema, plan))
-                .collect(),
-        }
+        let m_table = tables[0].take().expect("the m-layer is never retired");
+        Ok((m_table, o_table, exceptions))
     }
 }
 
 /// Drops a finished tier's tables and books them out of the analytical
 /// memory.
-fn retire_tier(mem: &mut MemoryAccountant, tier: &mut [Option<Arc<CuboidTable>>], dims: usize) {
+fn retire_tier(mem: &mut MemoryAccountant, tier: &mut [Option<CuboidTable>], dims: usize) {
     let bytes = tier
         .iter_mut()
         .filter_map(Option::take)

@@ -1,11 +1,9 @@
 //! Trait-level contract tests for [`CubingEngine`] implementations.
 //!
-//! There are two algorithms and an optional worker pool for Algorithm
-//! 1's tier roll-up, and every way of assembling them must behave the
-//! same behind the trait. [`subjects`] lists them — Algorithm 1 without
-//! a pool and with a 2-worker one, and Algorithm 2 — and each
-//! engine-level contract runs over the whole list, so a future engine
-//! is pinned by adding one entry:
+//! There are two algorithms, and both must behave the same behind the
+//! trait. [`subjects`] lists them, and each engine-level contract runs
+//! over the whole list, so a future engine is pinned by adding one
+//! entry:
 //!
 //! 1. an empty batch is rejected;
 //! 2. a failed unit leaves the engine exactly as it was;
@@ -13,15 +11,12 @@
 //!    refused, result and statistics stay bit for bit what they were,
 //!    and the next window then cubes exactly what a fresh engine cubes;
 //! 4. a new unit reports the lapsed window's exceptions as cleared;
-//! 5. deltas come back sorted, every engine's cube is the cube of the
-//!    batch `compute` entry point of its algorithm, every Algorithm-1
-//!    engine replays the exact delta stream of the plain engine — and
-//!    its cube is, bit for bit, the sequential cube.
+//! 5. deltas come back sorted, and every engine's cube is the cube of
+//!    the batch `compute` entry point of its algorithm — for Algorithm
+//!    1 bit for bit — on a 2-D and a 3-D lattice.
 //!
-//! Every contract cubes at least one [`wide_dataset`] unit, large
-//! enough for a pooled engine to fan its first depth tier out, so the
-//! pooled subjects are held to the contracts on the parallel path and
-//! not only on the sequential one.
+//! Every contract cubes at least one [`wide_dataset`] unit of some
+//! 3,100 m-cells.
 //!
 //! On top of those, the cross-engine law, the **footnote 7 superset** —
 //! after identical ingestion, Algorithm 1 retains a superset of
@@ -34,33 +29,35 @@ use regcube_core::engine::{CubingEngine, MoCubingEngine, PopularPathEngine};
 use regcube_core::table::CuboidTable;
 use regcube_core::{
     mo_cubing, popular_path, CoreError, CriticalLayers, CubeResult, ExceptionPolicy, MTuple,
-    WorkerPool,
 };
 use regcube_olap::{CubeSchema, CuboidSpec};
 use regcube_regress::{Isb, TimeSeries};
-use std::sync::Arc;
 
 fn random_dataset(seed: u64, n: usize) -> (CubeSchema, CriticalLayers, Vec<MTuple>) {
-    random_dataset_of_fanout(seed, n, 3)
+    random_dataset_of(seed, n, 2, 3)
 }
 
 /// 6,000 random tuples over 4,096 possible m-cells (some 3,100
-/// distinct): the first depth tier's two cuboids each fold the whole
-/// m-layer, about 1.5 times the rows a pooled engine needs in front of a
-/// tier to fan it out. Its first 1,500 tuples are a unit that stays
-/// below that gate.
+/// distinct).
 fn wide_dataset(seed: u64) -> (CubeSchema, CriticalLayers, Vec<MTuple>) {
-    random_dataset_of_fanout(seed, 6000, 8)
+    random_dataset_of(seed, 6000, 2, 8)
 }
 
-/// `n` random tuples over a 2-dimensional, 2-level schema: `fanout⁴`
+/// [`wide_dataset`] in 3 dimensions: 6,000 random tuples over 4,096
 /// possible m-cells.
-fn random_dataset_of_fanout(
+fn wide_dataset_3d(seed: u64) -> (CubeSchema, CriticalLayers, Vec<MTuple>) {
+    random_dataset_of(seed, 6000, 3, 4)
+}
+
+/// `n` random tuples over a `dims`-dimensional, 2-level schema:
+/// `fanout^(2 dims)` possible m-cells.
+fn random_dataset_of(
     seed: u64,
     n: usize,
+    dims: usize,
     fanout: u32,
 ) -> (CubeSchema, CriticalLayers, Vec<MTuple>) {
-    let (dims, depth) = (2usize, 2u8);
+    let depth = 2u8;
     let schema = CubeSchema::synthetic(dims, depth, fanout).unwrap();
     let layers = CriticalLayers::new(
         &schema,
@@ -140,8 +137,7 @@ fn results_approx_eq(label: &str, a: &CubeResult, b: &CubeResult) {
 /// Which batch reference an engine answers to.
 #[derive(Clone, Copy)]
 enum Kind {
-    /// Algorithm 1: the cube of `mo_cubing::compute`, and bit for bit
-    /// the cube of a sequential engine.
+    /// Algorithm 1: the cube of `mo_cubing::compute`, bit for bit.
     Mo,
     /// Algorithm 2: the cube of `popular_path::compute`.
     Pp,
@@ -152,48 +148,29 @@ type Factory =
 
 /// One way of assembling an engine behind the trait.
 struct Subject {
-    label: String,
+    label: &'static str,
     kind: Kind,
     make: Factory,
 }
 
-/// Algorithm 1, rolling its tiers up on `pool` if given.
-fn mo(
-    pool: Option<Arc<WorkerPool>>,
-    schema: &CubeSchema,
-    layers: &CriticalLayers,
-    policy: &ExceptionPolicy,
-) -> MoCubingEngine {
-    let engine = MoCubingEngine::new(schema.clone(), layers.clone(), policy.clone()).unwrap();
-    match pool {
-        Some(pool) => engine.with_pool(pool),
-        None => engine,
-    }
-}
-
 /// Every engine under contract.
 fn subjects() -> Vec<Subject> {
-    let pool = Arc::new(WorkerPool::new(2));
-    let mut out = Vec::new();
-    for pool in [None, Some(Arc::clone(&pool))] {
-        let label = match pool {
-            None => "m/o-cubing",
-            Some(_) => "m/o-cubing, 2-worker pool",
-        };
-        out.push(Subject {
-            label: label.to_string(),
+    vec![
+        Subject {
+            label: "m/o-cubing",
             kind: Kind::Mo,
-            make: Box::new(move |s, l, p| Box::new(mo(pool.clone(), s, l, p))),
-        });
-    }
-    out.push(Subject {
-        label: "popular path".to_string(),
-        kind: Kind::Pp,
-        make: Box::new(|s, l, p| {
-            Box::new(PopularPathEngine::new(s.clone(), l.clone(), p.clone(), None).unwrap())
-        }),
-    });
-    out
+            make: Box::new(|s, l, p| {
+                Box::new(MoCubingEngine::new(s.clone(), l.clone(), p.clone()).unwrap())
+            }),
+        },
+        Subject {
+            label: "popular path",
+            kind: Kind::Pp,
+            make: Box::new(|s, l, p| {
+                Box::new(PopularPathEngine::new(s.clone(), l.clone(), p.clone(), None).unwrap())
+            }),
+        },
+    ]
 }
 
 #[test]
@@ -350,11 +327,16 @@ fn rollover_clears_lapsed_exceptions() {
 }
 
 #[test]
-fn deltas_are_sorted_and_algorithm_one_replays_the_row_delta_stream() {
-    // Three units with shrinking batches: the first fans out on a
-    // pooled engine, the second (1,500 tuples) and the third (4) stay
-    // below the fan-out gate.
-    let (schema, layers, tuples) = wide_dataset(71);
+fn deltas_are_sorted_and_each_unit_is_the_batch_cube() {
+    each_unit_is_the_batch_cube(wide_dataset(71));
+    each_unit_is_the_batch_cube(wide_dataset_3d(72));
+}
+
+fn each_unit_is_the_batch_cube(
+    (schema, layers, tuples): (CubeSchema, CriticalLayers, Vec<MTuple>),
+) {
+    // Three units with shrinking batches: 6,000, 1,500 and 4 tuples.
+    let dims = schema.num_dims();
     let policy = ExceptionPolicy::slope_threshold(0.3);
     let units = [
         in_unit(&tuples, tuples.len(), 0),
@@ -373,13 +355,8 @@ fn deltas_are_sorted_and_algorithm_one_replays_the_row_delta_stream() {
         .collect();
     for subject in subjects() {
         let mut engine = (subject.make)(&schema, &layers, &policy);
-        let mut plain = mo(None, &schema, &layers, &policy);
-        let mut sequential = match subject.kind {
-            Kind::Mo => Some(mo(None, &schema, &layers, &policy)),
-            Kind::Pp => None,
-        };
         for (i, unit) in units.iter().enumerate() {
-            let label = format!("{} unit {i}", subject.label);
+            let label = format!("{} {dims}-D unit {i}", subject.label);
             let delta = engine.ingest_unit(unit).unwrap();
             assert!(delta.is_sorted(), "{label}");
             assert_eq!(delta.tuples, unit.len(), "{label}");
@@ -396,27 +373,9 @@ fn deltas_are_sorted_and_algorithm_one_replays_the_row_delta_stream() {
             assert_eq!(s.rows_folded, r.rows_folded, "{label}");
             results_approx_eq(&label, result, reference);
             assert_eq!(result.algorithm(), reference.algorithm(), "{label}");
-            let Some(sequential) = sequential.as_mut() else {
-                continue;
-            };
-            // A pool never changes a bit: the cube is the sequential
-            // cube, measures by their bits.
-            sequential.ingest_unit(unit).unwrap();
-            assert_eq!(
-                result_bits(result),
-                result_bits(sequential.result()),
-                "{label}"
-            );
-            // Deltas are sorted by contract, so they compare directly
-            // against the plain engine's.
-            let expected = plain.ingest_unit(unit).unwrap();
-            assert_eq!(
-                (delta.unit, delta.window, delta.cells_touched),
-                (expected.unit, expected.window, expected.cells_touched),
-                "{label}"
-            );
-            assert_eq!(delta.appeared, expected.appeared, "{label} appeared");
-            assert_eq!(delta.cleared, expected.cleared, "{label} cleared");
+            if let Kind::Mo = subject.kind {
+                assert_eq!(result_bits(result), result_bits(reference), "{label}");
+            }
         }
     }
 }

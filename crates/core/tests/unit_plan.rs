@@ -22,17 +22,16 @@
 //! second captures the plan, and every later one replays while the
 //! sequence stays among the `SHAPES` most recently used. Scripted cases
 //! add alternation, rotations that fit the cache and one that evicts
-//! every shape, a sequence that returns after its eviction, the pooled
-//! engine and the restored engine.
+//! every shape, a sequence that returns after its eviction, units of
+//! some 5,000 m-cells and the restored engine.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use regcube_core::engine::{CubingEngine, MoCubingEngine, UnitDelta};
 use regcube_core::mo_cubing::SHAPES;
-use regcube_core::{CriticalLayers, CubeResult, ExceptionPolicy, MTuple, RunStats, WorkerPool};
+use regcube_core::{CriticalLayers, CubeResult, ExceptionPolicy, MTuple, RunStats};
 use regcube_olap::{CubeSchema, CuboidSpec, Dimension, Hierarchy};
 use regcube_regress::Isb;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// A table, or a result's exception stores, as its iteration sequence,
@@ -388,13 +387,11 @@ fn a_sequence_back_after_eviction_starts_over() {
     assert_eq!(back(SHAPES), 1);
 }
 
-/// The 2-worker pool fans a tier out only in front of 4,096 source
-/// rows; these units are about 5,000 distinct m-cells, so the plans are
-/// captured from tables the pool folded. Two sequences alternate — the
-/// replays rebuild 5,000-cell m-tables — and then one repeats, replaying
-/// over the held unit's tables.
+/// Units of about 5,000 distinct m-cells on a 3-dimensional lattice. Two
+/// sequences alternate — the replays rebuild 5,000-cell m-tables — and
+/// then one repeats, replaying over the held unit's tables.
 #[test]
-fn a_pooled_engine_replays_the_cold_unit() {
+fn a_wide_unit_replays_the_cold_unit() {
     let mut rng = StdRng::seed_from_u64(7);
     let schema = CubeSchema::synthetic(3, 3, 4).unwrap();
     let layers = CriticalLayers::new(
@@ -423,10 +420,8 @@ fn a_pooled_engine_replays_the_cold_unit() {
         &mut rng,
         &[all, changed, all, changed, all, changed, all, all],
     );
-    let pool = Arc::new(WorkerPool::new(2));
-    let mut engine = MoCubingEngine::new(an.schema.clone(), an.layers.clone(), an.policy.clone())
-        .unwrap()
-        .with_pool(pool);
+    let mut engine =
+        MoCubingEngine::new(an.schema.clone(), an.layers.clone(), an.policy.clone()).unwrap();
     hold_to_cold(&an, &mut engine, &units);
     assert_eq!(engine.units_replayed(), 4);
 }

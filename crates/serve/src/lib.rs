@@ -11,9 +11,7 @@
 //!   [`EngineConfig`](regcube_stream::EngineConfig). A tenant lives
 //!   on one **pump lane** — a long-lived thread that runs every drain,
 //!   close and flush of the tenants bound to it, so a tenant's
-//!   snapshots are built and freed by the same thread — and all
-//!   tenants share one [`WorkerPool`](regcube_core::pool::WorkerPool)
-//!   for their cubing fan-out;
+//!   snapshots are built and freed by the same thread;
 //! * at every unit boundary the tenant publishes an immutable
 //!   [`CubeSnapshot`](regcube_stream::CubeSnapshot) through a
 //!   double-buffered, epoch-swapped [`cell::SnapshotCell`] — readers

@@ -1,5 +1,5 @@
-//! The multi-tenant [`Server`]: admission control, the pump lanes that
-//! own the tenants, and the cubing pool the tenants share.
+//! The multi-tenant [`Server`]: admission control and the pump lanes
+//! that own the tenants.
 
 use crate::cell::SnapshotCell;
 use crate::dashboard::DashboardSummary;
@@ -7,7 +7,6 @@ use crate::error::ServeError;
 use crate::lane::Lanes;
 use crate::tenant::{PumpOp, Tenant, TenantId, TenantPump};
 use regcube_core::alarm::SharedSink;
-use regcube_core::pool::{default_threads, WorkerPool};
 use regcube_core::RunStats;
 use regcube_stream::{
     BoxedEngine, CubeSnapshot, EngineConfig, OnlineEngine, RawRecord, StreamError,
@@ -29,11 +28,10 @@ pub struct ServeConfig {
     /// is bound to one lane at admission (the lane owning the fewest
     /// tenants), so more lanes than tenants leaves lanes idle.
     pub pump_threads: usize,
-    /// Threads of the cubing pool every tenant's Algorithm-1 engine
-    /// fans a large enough depth tier out on (see
-    /// [`EngineConfig::with_cubing_pool`]): the way one tenant's cubing
-    /// uses more than one core, where the lanes spread tenants.
-    pub cubing_threads: usize,
+    /// The count the deprecated
+    /// [`with_cubing_threads`](Self::with_cubing_threads) was given;
+    /// admission refuses any but 1.
+    cubing_threads: usize,
 }
 
 impl Default for ServeConfig {
@@ -42,9 +40,14 @@ impl Default for ServeConfig {
             max_tenants: 4096,
             queue_capacity: 1024,
             pump_threads: default_threads(),
-            cubing_threads: default_threads(),
+            cubing_threads: 1,
         }
     }
+}
+
+/// The machine's available parallelism (fallback 1).
+fn default_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 impl ServeConfig {
@@ -74,10 +77,17 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the shared cubing-pool thread count (clamped to at least 1).
+    /// A tenant's cube is folded on the pump lane that closes its unit;
+    /// the lanes are how a `Server` uses more than one core. This
+    /// method accepts only 1, which changes nothing; with any other
+    /// count every admission fails with
+    /// [`StreamError::BadConfig`] as [`ServeError::Stream`]. It exists
+    /// because the `benchmark` package still calls
+    /// `with_cubing_threads(1)`, and goes once that call does.
+    #[deprecated(note = "cubing runs on the pump lanes; only `with_cubing_threads(1)` is accepted")]
     #[must_use]
     pub fn with_cubing_threads(mut self, threads: usize) -> Self {
-        self.cubing_threads = threads.max(1);
+        self.cubing_threads = threads;
         self
     }
 }
@@ -96,11 +106,9 @@ impl ServeConfig {
 /// hot tenant delays its lane-mates where a shared queue would have
 /// spread them, and tenants are never moved between lanes.
 ///
-/// The tenants' cubing engines share one [`WorkerPool`] for the tier
-/// fan-out. It is distinct from the lanes on purpose: a lane
-/// drives `close_unit`, which dispatches cubing work and waits for it.
-/// For the same reason an alarm sink — it runs on a lane — must not
-/// call a write method of the `Server` that hosts it.
+/// A tenant's unit close, cubing included, runs on its lane. An alarm
+/// sink runs there too, so it must not call a write method of the
+/// `Server` that hosts it.
 ///
 /// Reads ([`snapshot`](Self::snapshot), or a held
 /// [`TenantReader`]) never take an engine lock: they clone an `Arc`
@@ -109,7 +117,6 @@ impl ServeConfig {
 pub struct Server {
     config: ServeConfig,
     lanes: Lanes,
-    cubing_pool: Arc<WorkerPool>,
     fleet: RwLock<Fleet>,
 }
 
@@ -131,7 +138,6 @@ impl Server {
     /// Creates a server with the given configuration.
     pub fn new(config: ServeConfig) -> Self {
         let lanes = Lanes::new(config.pump_threads);
-        let cubing_pool = Arc::new(WorkerPool::new(config.cubing_threads));
         let fleet = Fleet {
             tenants: BTreeMap::new(),
             lane_load: vec![0; lanes.len()],
@@ -139,14 +145,11 @@ impl Server {
         Server {
             config,
             lanes,
-            cubing_pool,
             fleet: RwLock::new(fleet),
         }
     }
 
-    /// Admits a new tenant whose cube is described by `config`. The
-    /// tenant's cubing engine is rebound to the server's shared cubing
-    /// pool (any pool set on `config` is replaced).
+    /// Admits a new tenant whose cube is described by `config`.
     ///
     /// # Errors
     /// [`ServeError::AdmissionDenied`] at the tenant cap,
@@ -214,9 +217,18 @@ impl Server {
         config: EngineConfig,
         build: impl FnOnce(EngineConfig) -> Result<OnlineEngine<BoxedEngine>, StreamError>,
     ) -> Result<(), ServeError> {
+        let threads = self.config.cubing_threads;
+        if threads != 1 {
+            return Err(ServeError::Stream(StreamError::BadConfig {
+                detail: format!(
+                    "with_cubing_threads({threads}): cubing runs on the pump lanes, \
+                     only 1 is accepted"
+                ),
+            }));
+        }
         self.admissible(&self.fleet.read().expect("tenant map lock"), &id)?;
         let ticks_per_unit = config.ticks_per_unit as i64;
-        let engine = build(config.with_cubing_pool(Arc::clone(&self.cubing_pool)))?;
+        let engine = build(config)?;
         let tenant = Arc::new(Tenant::new(
             id.clone(),
             ticks_per_unit,

@@ -28,8 +28,7 @@ fn server(queue_capacity: usize) -> Server {
     Server::new(
         ServeConfig::new()
             .with_queue_capacity(queue_capacity)
-            .with_pump_threads(2)
-            .with_cubing_threads(2),
+            .with_pump_threads(2),
     )
 }
 

@@ -7,7 +7,7 @@ use regcube_core::alarm::{self, AlarmContext, AlarmSink, SharedSink};
 use regcube_core::{CoreError, ExceptionPolicy, UnitDelta};
 use regcube_olap::{CubeSchema, CuboidSpec};
 use regcube_serve::{ServeConfig, ServeError, Server, TenantId, TenantReader};
-use regcube_stream::{EngineConfig, RawRecord};
+use regcube_stream::{EngineConfig, RawRecord, StreamError};
 use regcube_tilt::TiltSpec;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -305,6 +305,29 @@ impl AlarmSink for PlantWitness {
         LANE_WITNESS.with(|w| *w.borrow_mut() = Some(SetOnDrop(Arc::clone(&self.0))));
         Ok(())
     }
+}
+
+#[test]
+#[allow(deprecated)]
+fn with_cubing_threads_accepts_only_one() {
+    // Cubing runs on the lanes, so a server asked for cubing threads of
+    // its own refuses every admission — before any engine is built or
+    // any checkpoint read.
+    for count in [0, 2, 8] {
+        let server = Server::new(ServeConfig::new().with_cubing_threads(count));
+        let refused = |admitted: Result<(), ServeError>| match admitted {
+            Err(ServeError::Stream(StreamError::BadConfig { detail })) => detail,
+            other => panic!("with_cubing_threads({count}): expected BadConfig, got {other:?}"),
+        };
+        let detail = refused(server.create_tenant("t", config()));
+        assert!(detail.contains("pump lanes"), "{detail}");
+        refused(server.restore_tenant("t", config(), "no-such-checkpoint.rgck"));
+        assert_eq!(server.tenant_count(), 0);
+    }
+    let server = Server::new(ServeConfig::new().with_cubing_threads(1));
+    let id = TenantId::from("t");
+    server.create_tenant(id.clone(), config()).unwrap();
+    close_one_unit(&server, &id);
 }
 
 #[test]

@@ -32,8 +32,7 @@ fn server() -> Server {
     Server::new(
         ServeConfig::new()
             .with_queue_capacity(4096)
-            .with_pump_threads(2)
-            .with_cubing_threads(2),
+            .with_pump_threads(2),
     )
 }
 

@@ -46,8 +46,7 @@ proptest! {
         let server = Server::new(
             ServeConfig::new()
                 .with_queue_capacity(4096)
-                .with_pump_threads(2)
-                .with_cubing_threads(2),
+                .with_pump_threads(2),
         );
         let mut models: Vec<OnlineEngine> = Vec::new();
         for t in 0..TENANTS {

@@ -172,10 +172,10 @@ pub fn write_checkpoint<E: CubingEngine>(
 /// Restores an engine from checkpoint bytes. `config` must describe
 /// the same analysis as the checkpointed engine (schema, layers,
 /// policy, tilt spec, ticks per unit, and the same
-/// reordering-enabled/disabled choice); sinks and the cubing pool are
-/// free to differ — the cube is rebuilt through the configured cubing
-/// path, which reproduces the saved cube's bits when it runs the
-/// algorithm the cube was saved from.
+/// reordering-enabled/disabled choice); sinks are free to differ — the
+/// cube is rebuilt through the configured cubing path, which reproduces
+/// the saved cube's bits when it runs the algorithm the cube was saved
+/// from.
 ///
 /// # Errors
 /// [`StreamError::Checkpoint`] for torn/corrupt/incompatible bytes
@@ -925,7 +925,7 @@ fn apply_state(engine: &mut OnlineEngine<BoxedEngine>, saved: SavedState) -> Res
     }
 
     // Rebuild the cube by re-cubing the saved window's m-tuples through
-    // the configured path: deterministic, with or without a pool.
+    // the configured path: deterministic.
     if saved.computed {
         let tuples: Vec<MTuple> = saved
             .m_tuples

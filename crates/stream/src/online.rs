@@ -13,7 +13,6 @@ use regcube_core::alarm::{
 use regcube_core::drill::{drill_children, drill_descendants, DrillHit};
 use regcube_core::engine::{CubingEngine, MoCubingEngine, PopularPathEngine, UnitDelta};
 use regcube_core::measure::exception_score;
-use regcube_core::pool::WorkerPool;
 use regcube_core::result::Algorithm;
 use regcube_core::{CoreError, CriticalLayers, CubeResult, ExceptionPolicy, RunStats};
 use regcube_olap::cell::{project_key, CellKey};
@@ -152,13 +151,6 @@ pub struct EngineConfig {
     /// leaves the ingest path byte-identical to the strictly-ordered
     /// engine.
     pub reordering: Option<ReorderConfig>,
-    /// A shared [`WorkerPool`] for Algorithm 1's tier roll-up
-    /// ([`with_cubing_pool`](Self::with_cubing_pool)); defaults to
-    /// `None` (tiers are rolled up on the calling thread). Serving
-    /// layers hosting many tenant engines set this so thousands of
-    /// tenants multiplex over one bounded worker set instead of
-    /// spawning per-tenant threads.
-    pub cubing_pool: Option<Arc<WorkerPool>>,
     /// The count the deprecated [`with_shards`](Self::with_shards) was
     /// given; [`build_with`](Self::build_with) refuses any but 1.
     shards: usize,
@@ -178,23 +170,8 @@ impl EngineConfig {
             algorithm: Algorithm::MoCubing,
             sinks: SinkSet::new(),
             reordering: None,
-            cubing_pool: None,
             shards: 1,
         }
-    }
-
-    /// Runs Algorithm 1's tier roll-up on a shared [`WorkerPool`]: a
-    /// depth tier large enough to pay for the hand-off is fanned out
-    /// across the pool's workers, and the cube is bit-identical to a
-    /// sequential roll-up either way. Algorithm 2 has no parallel work
-    /// and ignores the pool. **Never** pass a pool that also
-    /// *dispatches* jobs which drive this engine — a pool job blocking
-    /// on its own queue can deadlock (see [`regcube_core::pool`]); give
-    /// the cubing layer its own pool, as `regcube_serve` does.
-    #[must_use]
-    pub fn with_cubing_pool(mut self, pool: Arc<WorkerPool>) -> Self {
-        self.cubing_pool = Some(pool);
-        self
     }
 
     /// Enables watermark-based out-of-order ingestion: records may
@@ -269,9 +246,8 @@ impl EngineConfig {
         self
     }
 
-    /// Cubing is unsharded: one engine cubes each unit, and
-    /// [`with_cubing_pool`](Self::with_cubing_pool) is how it uses more
-    /// than one core. This method accepts only 1, which changes
+    /// Cubing is unsharded: one engine cubes each unit, on the thread
+    /// that closes it. This method accepts only 1, which changes
     /// nothing; any other count makes [`build`](Self::build) (and so
     /// [`restore`](Self::restore)) fail with [`StreamError::BadConfig`].
     /// It exists because the `benchmark` package still calls
@@ -325,8 +301,7 @@ impl EngineConfig {
 
     /// Builds the engine, selecting the cubing strategy at runtime from
     /// [`algorithm`](Self::algorithm) (type-erased behind
-    /// [`BoxedEngine`]); an Algorithm-1 engine rolls its tiers up on the
-    /// [`cubing_pool`](Self::cubing_pool) when one is set.
+    /// [`BoxedEngine`]).
     ///
     /// # Errors
     /// [`StreamError::BadConfig`] for a shard count other than 1, and
@@ -336,16 +311,8 @@ impl EngineConfig {
     /// the ingestor and cube substrates.
     pub fn build(self) -> Result<OnlineEngine<BoxedEngine>> {
         match self.algorithm {
-            Algorithm::MoCubing => {
-                let pool = self.cubing_pool.clone();
-                self.build_with(move |s, l, p| {
-                    let engine = MoCubingEngine::new(s, l, p)?;
-                    Ok(Box::new(match pool {
-                        Some(pool) => engine.with_pool(pool),
-                        None => engine,
-                    }) as BoxedEngine)
-                })
-            }
+            Algorithm::MoCubing => self
+                .build_with(|s, l, p| Ok(Box::new(MoCubingEngine::new(s, l, p)?) as BoxedEngine)),
             Algorithm::PopularPath => self.build_with(|s, l, p| {
                 Ok(Box::new(PopularPathEngine::new(s, l, p, None)?) as BoxedEngine)
             }),
@@ -355,8 +322,8 @@ impl EngineConfig {
     /// Builds the engine and restores it from a checkpoint file written
     /// by [`OnlineEngine::write_checkpoint`] (see
     /// [`crate::checkpoint::restore`]). The configuration must describe
-    /// the same analysis as the checkpointed engine; pool and sinks are
-    /// free to differ.
+    /// the same analysis as the checkpointed engine; sinks are free to
+    /// differ.
     ///
     /// # Errors
     /// [`StreamError::Checkpoint`] for a missing, torn, corrupt or
@@ -391,7 +358,6 @@ impl EngineConfig {
             algorithm: _,
             sinks,
             reordering,
-            cubing_pool: _,
             shards,
         } = self;
         if shards != 1 {
@@ -1381,36 +1347,6 @@ mod tests {
         .with_primitive(CuboidSpec::new(vec![2; 5]))
         .build();
         assert!(detail(built).contains("m-layer"));
-    }
-
-    #[test]
-    fn every_configuration_with_parallel_work_holds_the_cubing_pool() {
-        // No algorithm may drop the pool it was given: the built engine
-        // keeps a handle on it — except a popular-path engine, which has
-        // no parallel work to run.
-        for algorithm in [Algorithm::MoCubing, Algorithm::PopularPath] {
-            let pool = Arc::new(WorkerPool::new(2));
-            let schema = CubeSchema::synthetic(2, 2, 2).unwrap();
-            let mut e = EngineConfig::new(
-                schema,
-                CuboidSpec::new(vec![0, 0]),
-                CuboidSpec::new(vec![2, 2]),
-            )
-            .with_tilt(TiltSpec::new(vec![("unit", 4), ("coarse", 3)]).unwrap())
-            .with_ticks_per_unit(4)
-            .with_algorithm(algorithm)
-            .with_cubing_pool(Arc::clone(&pool))
-            .build()
-            .unwrap();
-            let holders = if algorithm == Algorithm::PopularPath {
-                1
-            } else {
-                2
-            };
-            assert_eq!(Arc::strong_count(&pool), holders, "{algorithm:?}");
-            feed_unit(&mut e, 0, 2.0);
-            assert_eq!(e.close_unit().unwrap().m_cells, 2);
-        }
     }
 
     #[test]

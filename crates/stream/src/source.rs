@@ -6,7 +6,7 @@ use crate::online::{OnlineEngine, UnitReport};
 use crate::record::RawRecord;
 use crate::Result;
 use regcube_core::engine::CubingEngine;
-use std::sync::mpsc::{Receiver, Sender, SyncSender};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Locks a shared engine, recovering from a poisoned mutex (a panicking
@@ -85,20 +85,6 @@ impl ReplaySource {
     /// # Errors
     /// [`StreamError::BadConfig`] when the receiving side disconnected.
     pub fn send_all(&self, tx: &Sender<StreamEvent>) -> Result<()> {
-        for event in self.events() {
-            tx.send(event).map_err(|_| StreamError::BadConfig {
-                detail: "event channel disconnected".into(),
-            })?;
-        }
-        Ok(())
-    }
-
-    /// Sends all events into a bounded channel (blocking on
-    /// backpressure), e.g. from a producer thread.
-    ///
-    /// # Errors
-    /// [`StreamError::BadConfig`] when the receiving side disconnected.
-    pub fn send_all_sync(&self, tx: &SyncSender<StreamEvent>) -> Result<()> {
         for event in self.events() {
             tx.send(event).map_err(|_| StreamError::BadConfig {
                 detail: "event channel disconnected".into(),

@@ -11,9 +11,7 @@
 
 use regcube_core::engine::{CubingEngine, MoCubingEngine, PopularPathEngine, UnitDelta};
 use regcube_core::result::Algorithm;
-use regcube_core::{
-    CoreError, CriticalLayers, CubeResult, ExceptionPolicy, MTuple, RunStats, WorkerPool,
-};
+use regcube_core::{CoreError, CriticalLayers, CubeResult, ExceptionPolicy, MTuple, RunStats};
 use regcube_olap::{CubeSchema, CuboidSpec};
 use regcube_stream::online::BoxedEngine;
 use regcube_stream::{restore_bytes, EngineConfig, OnlineEngine, RawRecord};
@@ -103,14 +101,6 @@ fn subjects() -> Vec<Subject> {
             name: "popular path",
             make: |s, l, p| Ok(Box::new(PopularPathEngine::new(s, l, p, None)?)),
             configure: |c| c.with_algorithm(Algorithm::PopularPath),
-        },
-        Subject {
-            name: "m/o-cubing, 2-worker pool",
-            make: |s, l, p| {
-                let engine = MoCubingEngine::new(s, l, p)?;
-                Ok(Box::new(engine.with_pool(Arc::new(WorkerPool::new(2)))))
-            },
-            configure: |c| c.with_cubing_pool(Arc::new(WorkerPool::new(2))),
         },
     ]
 }

@@ -82,8 +82,8 @@ fn main() {
     }
 
     let source = ReplaySource::new(records, ticks_per_unit).unwrap();
-    let (tx, rx) = mpsc::sync_channel::<StreamEvent>(1024);
-    let producer = std::thread::spawn(move || source.send_all_sync(&tx));
+    let (tx, rx) = mpsc::channel::<StreamEvent>();
+    let producer = std::thread::spawn(move || source.send_all(&tx));
 
     let reports = run_engine(&engine, &rx).unwrap();
     producer.join().unwrap().unwrap();

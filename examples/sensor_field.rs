@@ -9,9 +9,8 @@
 //!    exponential fits).
 //! 3. **Folding** a fine series to a coarser calendar unit with SQL-style
 //!    aggregates (sum/avg/min/max/first/last).
-//! 4. **Cubing the whole field on two cores**: a 64x64 sensor grid
-//!    cubed by one engine whose same-depth cuboids are rolled up in
-//!    parallel on a worker pool — bit for bit the sequential cube.
+//! 4. **Cubing the whole field**: a 64x64 sensor grid cubed by one
+//!    engine, whose new exceptions point at the hot corner.
 //!
 //! ```text
 //! cargo run --example sensor_field
@@ -21,7 +20,6 @@ use regcube::prelude::*;
 use regcube::regress::fold::{fold_series, FoldOp};
 use regcube::regress::mlr::MlrMeasure;
 use regcube::regress::transform::{fit_exponential, fit_log, fit_polynomial};
-use std::sync::Arc;
 
 fn main() {
     // ---- 1. Spatio-temporal MLR ------------------------------------------
@@ -104,13 +102,10 @@ fn main() {
     }
     println!("(the daily Avg trend recovers the injected 0.25/day warming)");
 
-    // ---- 4. Cubing the field on two cores ---------------------------------
+    // ---- 4. Cubing the whole field ----------------------------------------
     // A 64x64 grid of sensors (dimensions: row zone > row, column zone >
-    // column), each warehousing one ISB per unit. Cuboids of one lattice
-    // depth are independent, so an engine with a worker pool rolls a
-    // large enough depth tier up in parallel — here the first tier, two
-    // cuboids each folding all 4,096 sensors — and gets the sequential
-    // engine's cube bit for bit, which we verify on the spot.
+    // column), each warehousing one ISB per unit, cubed by one engine:
+    // every cuboid from the sensors up to the whole field.
     let schema = CubeSchema::synthetic(2, 2, 8).unwrap();
     let layers = CriticalLayers::new(
         &schema,
@@ -131,32 +126,15 @@ fn main() {
         }
     }
 
-    let mut pooled = MoCubingEngine::new(schema.clone(), layers.clone(), policy.clone())
-        .unwrap()
-        .with_pool(Arc::new(WorkerPool::new(2)));
-    let delta = pooled.ingest_unit(&tuples).unwrap();
-    let mut single = MoCubingEngine::new(schema, layers, policy).unwrap();
-    single.ingest_unit(&tuples).unwrap();
-
-    let (cube, reference) = (pooled.result(), single.result());
+    let mut engine = MoCubingEngine::new(schema, layers, policy).unwrap();
+    let delta = engine.ingest_unit(&tuples).unwrap();
+    let cube = engine.result();
     println!(
-        "\nTier-pool cubing: {} sensors on 2 workers -> {} cells, {} exception cells",
+        "\nField cubing: {} sensors -> {} cells, {} exception cells",
         cube.m_layer_cells(),
         cube.stats().cells_computed,
         cube.total_exception_cells(),
     );
-    let bits = |c: &CubeResult| {
-        let mut cells: Vec<_> = [c.m_table(), c.o_table()]
-            .into_iter()
-            .flatten()
-            .chain(c.iter_exceptions().map(|(_, k, m)| (k, m)))
-            .map(|(k, m)| (k.clone(), m.base().to_bits(), m.slope().to_bits()))
-            .collect();
-        cells.sort();
-        cells
-    };
-    assert_eq!(bits(cube), bits(reference));
-    println!("the pooled cube matches the sequential cube bit for bit");
     let hottest = delta
         .appeared
         .iter()

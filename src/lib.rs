@@ -88,7 +88,7 @@ pub mod sim {
 pub mod prelude {
     pub use regcube_core::{
         mo_cubing, popular_path, CriticalLayers, CubeResult, CubingEngine, ExceptionPolicy, MTuple,
-        MoCubingEngine, PopularPathEngine, WorkerPool,
+        MoCubingEngine, PopularPathEngine,
     };
     pub use regcube_datagen::{Dataset, DatasetSpec};
     pub use regcube_olap::{
