@@ -83,11 +83,17 @@ impl UnitDelta {
         after: &CubeResult,
     ) -> Self {
         let only_in = |a: &CubeResult, b: &CubeResult| {
-            let mut cells: Vec<(CuboidSpec, CellKey)> = a
-                .iter_exceptions()
-                .filter(|(c, k, _)| !b.exceptions_in(c).is_some_and(|t| t.contains_key(*k)))
-                .map(|(c, k, _)| (c.clone(), k.clone()))
-                .collect();
+            let mut cells: Vec<(CuboidSpec, CellKey)> = Vec::new();
+            for (cuboid, table) in a.exception_tables() {
+                // One lookup per cuboid, not per cell.
+                let other = b.exceptions_in(cuboid);
+                cells.extend(
+                    table
+                        .keys()
+                        .filter(|k| !other.is_some_and(|t| t.contains_key(*k)))
+                        .map(|k| (cuboid.clone(), k.clone())),
+                );
+            }
             cells.sort_unstable();
             cells
         };

@@ -109,6 +109,14 @@ impl ExceptionPolicy {
     pub fn is_exception_at(threshold: f64, measure: &Isb) -> bool {
         exception_score(measure) >= threshold
     }
+
+    /// [`is_exception_at`](Self::is_exception_at) for a measure with
+    /// this slope (its score is the slope's magnitude), for a fold that
+    /// holds `(base, slope)` pairs instead of [`Isb`]s.
+    #[inline]
+    pub(crate) fn slope_is_exception_at(threshold: f64, slope: f64) -> bool {
+        slope.abs() >= threshold
+    }
 }
 
 #[cfg(test)]

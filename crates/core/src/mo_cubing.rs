@@ -42,21 +42,31 @@
 //! iteration order, the index of its target row in the target's
 //! iteration order. Every later unit whose key sequence equals a
 //! resident plan's — compared in full, so a hash collision is only a
-//! miss — replays that plan instead of hashing: each target folds the
-//! same rows in the same order (the first copied, the rest through
-//! [`merge_sibling`]), and exception stores are filled in target
-//! iteration order. The critical layers come out with the cold fold's
-//! buckets: when the held unit has the shape, as clones of its tables
-//! with the values overwritten in iteration order; otherwise as fresh
-//! tables into which the cold fold's keys are re-inserted in its
+//! miss — replays that plan instead of hashing. A replay folds the
+//! unit's measures as `(base, slope)` pairs, every table of the plan in
+//! one buffer the engine reuses from unit to unit: each target copies
+//! its first row and adds every later one, in the cold fold's order,
+//! with the two adds [`merge_sibling`] performs. The interval is not
+//! re-checked per row: [`validate_tuples`] has held every tuple to the
+//! unit's window at the door. An [`Isb`] is built only for a retained
+//! cell. Exception stores are filled in target iteration order, screened
+//! on each pair's slope. The critical layers come out with the cold
+//! fold's buckets: when the held unit has the shape, as clones of its
+//! tables with the values rewritten in iteration order; otherwise as
+//! fresh tables into which the cold fold's keys are re-inserted in its
 //! first-arrival order. The cold fold stays the only definition of
 //! order, and a replayed unit is the cold unit bit for bit, statistics
-//! included (but `elapsed`).
+//! included (but `elapsed`). The one exception is a cell in which NaNs
+//! of two different bit patterns meet: Rust leaves which one a sum
+//! carries to code generation, and the two folds may keep different
+//! ones.
+//!
+//! [`merge_sibling`]: crate::measure::merge_sibling
 
 use crate::engine::{empty_result, next_window, unshare_result, CubingEngine, UnitDelta};
 use crate::exception::ExceptionPolicy;
 use crate::layers::CriticalLayers;
-use crate::measure::{merge_sibling, validate_tuples, MTuple};
+use crate::measure::{validate_tuples, MTuple};
 use crate::result::{Algorithm, CubeResult};
 use crate::stats::{MemoryAccountant, RunStats};
 use crate::table::{
@@ -125,10 +135,6 @@ struct Step {
     source: usize,
     /// The o-layer: kept whole, never screened, never a source.
     o_layer: bool,
-    /// No later step reads this step's source.
-    frees_source: bool,
-    /// A later step reads this step's table.
-    read_later: bool,
 }
 
 impl Schedule {
@@ -150,19 +156,9 @@ impl Schedule {
                     o_layer: &cuboid == lattice.o_layer(),
                     cuboid,
                     source,
-                    frees_source: false,
-                    read_later: false,
                 });
             }
             tiers.push(start..steps.len());
-        }
-        let mut last_reader = vec![None; steps.len() + 1];
-        for (k, step) in steps.iter().enumerate() {
-            last_reader[step.source] = Some(k);
-        }
-        for (k, step) in steps.iter_mut().enumerate() {
-            step.frees_source = last_reader[step.source] == Some(k);
-            step.read_later = last_reader[k + 1].is_some();
         }
         Schedule {
             m_layer: lattice.m_layer().clone(),
@@ -225,6 +221,9 @@ pub struct MoCubingEngine {
     units_replayed: u64,
     /// The key sequences of recent units and their roll-up plans.
     shapes: ShapeCache,
+    /// A replay's fold buffer, reused from unit to unit: every table of
+    /// the plan, slot after slot, as `(base, slope)` pairs.
+    pairs: Vec<Pair>,
     /// Shared with every snapshot taken of the held unit.
     result: Arc<CubeResult>,
 }
@@ -250,6 +249,7 @@ impl MoCubingEngine {
             units_opened: 0,
             units_replayed: 0,
             shapes: ShapeCache::default(),
+            pairs: Vec::new(),
             result,
         })
     }
@@ -323,35 +323,45 @@ impl MoCubingEngine {
     }
 
     /// Recomputes a unit whose key sequence is `plan`'s by replaying the
-    /// plan's index maps over the unit's measures: no key is hashed or
-    /// projected except an exceptional cell's and, unless the `held`
-    /// unit has the plan's shape, a critical-layer cell's. Every target
-    /// row folds the same rows in the same order as the cold roll-up
-    /// (the first copied, the rest through [`merge_sibling`]), the
-    /// critical layers have the cold tables' buckets ([`overwrite`] or
-    /// [`rebuild`]), and exception stores are filled in target
-    /// iteration order, so the result — statistics too, but `elapsed` —
-    /// is the cold computation's.
-    fn replay_unit(&self, plan: &RollUpPlan, held: bool, tuples: &[MTuple]) -> Result<CubeResult> {
+    /// plan's index maps over the unit's measures, folded as `(base,
+    /// slope)` pairs in `pairs`: no key is hashed or projected except an
+    /// exceptional cell's and, unless the `held` unit has the plan's
+    /// shape, a critical-layer cell's. Every target row folds the same
+    /// rows in the same order as the cold roll-up ([`fold_pairs`]), the
+    /// critical layers have the cold tables' buckets ([`refill`] or
+    /// [`rebuild`]), and exception stores are filled in target iteration
+    /// order, so the result — statistics too, but `elapsed` — is the
+    /// cold computation's. `tuples` are validated: they share one window.
+    fn replay_unit(
+        &self,
+        plan: &RollUpPlan,
+        held: bool,
+        tuples: &[MTuple],
+        pairs: &mut Vec<Pair>,
+    ) -> CubeResult {
         let started = Instant::now();
         let schedule = &*self.schedule;
         let dims = self.schema.num_dims();
+        let window = tuples[0].isb().interval();
         let mut mem = MemoryAccountant::default();
         let (m_of, mut maps) = plan.maps();
+        // Every row is written by its target's first source row before
+        // anything reads it, so the buffer is only ever grown.
+        if pairs.len() < plan.pairs() {
+            pairs.resize(plan.pairs(), [0.0; 2]);
+        }
 
-        // values[slot] holds the slot's folded measures in iteration
-        // order, while a later step reads them.
-        let mut values = Vec::with_capacity(schedule.steps.len() + 1);
-        values.push(fold_indexed(
-            tuples.iter().map(MTuple::isb),
+        let m_rows = &mut pairs[plan.range(0)];
+        fold_pairs(
+            tuples.iter().map(|t| [t.isb().base(), t.isb().slope()]),
             m_of,
-            plan.rows(0),
-        )?);
+            m_rows,
+        );
         mem.add(plan.bytes(0));
         let m_table = if held {
-            overwrite(self.result.m_table(), &values[0])
+            refill(self.result.m_table(), window, m_rows)
         } else {
-            rebuild(m_of, &values[0], |i, _| CellKey::new(tuples[i].ids()))
+            rebuild(m_of, window, m_rows, |i, _| CellKey::new(tuples[i].ids()))
         };
 
         let mut o_table = CuboidTable::default();
@@ -363,49 +373,49 @@ impl MoCubingEngine {
                 let (target_of, rest) = maps.split_at(plan.rows(step.source));
                 let (rep, rest) = rest.split_at(plan.rows(k + 1));
                 maps = rest;
-                let folded = fold_indexed(values[step.source].iter(), target_of, rep.len())?;
+                // A source slot always precedes its target's.
+                let target = plan.range(k + 1);
+                let (done, rest) = pairs.split_at_mut(target.start);
+                let rows = &mut rest[..target.len()];
+                let source = done[plan.range(step.source)].iter().copied();
+                fold_pairs(source, target_of, rows);
                 mem.add(plan.bytes(k + 1));
-                if step.frees_source {
-                    values[step.source] = Vec::new();
-                }
                 if step.o_layer {
                     o_table = if held {
-                        overwrite(self.result.o_table(), &folded)
+                        refill(self.result.o_table(), window, rows)
                     } else {
                         let projector =
                             Projector::walking(&self.schema, &schedule.m_layer, &step.cuboid);
                         let mut key = vec![0u32; dims];
-                        rebuild(target_of, &folded, |_, row| {
+                        rebuild(target_of, window, rows, |_, row| {
                             projector.project_into(tuples[rep[row] as usize].ids(), &mut key);
                             CellKey::new(&key)
                         })
                     };
-                    values.push(Vec::new());
                     continue;
                 }
-                let exc = self.replay_exceptions(&step.cuboid, tuples, rep, &folded);
+                let exc = self.replay_exceptions(&step.cuboid, window, tuples, rep, rows);
                 if !exc.is_empty() {
                     mem.add(table_bytes(&exc, dims));
                     exceptions.insert(step.cuboid.clone(), exc);
                 }
-                values.push(if step.read_later { folded } else { Vec::new() });
             }
             // The cold roll-up retires the tier before once this one is
             // built.
             mem.remove(previous.map(|slot| plan.bytes(slot)).sum());
             previous = slots(tier);
         }
-        Ok(self.retain(
+        self.retain(
             started,
             plan.counters(schedule),
             &mem,
             m_table,
             o_table,
             exceptions,
-        ))
+        )
     }
 
-    /// The exceptional rows among a replay's `values` of `cuboid`, keyed
+    /// The exceptional rows among a replay's `rows` of `cuboid`, keyed
     /// by their representative tuple's m-key projected onto the cuboid
     /// and inserted in target iteration order, as
     /// [`collect_exceptions`] does on the cold path.
@@ -414,23 +424,24 @@ impl MoCubingEngine {
     fn replay_exceptions(
         &self,
         cuboid: &CuboidSpec,
+        window: (i64, i64),
         tuples: &[MTuple],
         rep: &[u32],
-        values: &[Isb],
+        rows: &[Pair],
     ) -> CuboidTable {
         let threshold = self.policy.threshold_for(cuboid);
         let mut exc = CuboidTable::default();
         // Built at the first exceptional row: most steps have none.
         let mut projection = None;
-        for (isb, &rep) in values.iter().zip(rep) {
-            if ExceptionPolicy::is_exception_at(threshold, isb) {
+        for (&pair, &rep) in rows.iter().zip(rep) {
+            if ExceptionPolicy::slope_is_exception_at(threshold, pair[1]) {
                 let (projector, key) = projection.get_or_insert_with(|| {
                     let projector =
                         Projector::walking(&self.schema, &self.schedule.m_layer, cuboid);
                     (projector, vec![0u32; self.schema.num_dims()])
                 });
                 projector.project_into(tuples[rep as usize].ids(), key);
-                exc.insert(CellKey::new(key), *isb);
+                exc.insert(CellKey::new(key), isb_of(window, pair));
             }
         }
         exc
@@ -647,8 +658,11 @@ struct RollUpPlan {
     /// projects onto the row's key. Rows are [`FIRST`]-flagged in
     /// `m_of` and every `target_of`.
     arena: Box<[u32]>,
-    /// Per slot: the table's rows and its analytical bytes.
-    tables: Box<[(usize, usize)]>,
+    /// Where each slot's rows lie in a replay's pair buffer: slot `s`
+    /// holds `at[s]..at[s + 1]`, so the last entry is the plan's rows.
+    at: Box<[usize]>,
+    /// Per slot: the table's analytical bytes.
+    bytes: Box<[usize]>,
 }
 
 impl RollUpPlan {
@@ -666,12 +680,21 @@ impl RollUpPlan {
         self.arena[self.keys..].split_at(self.tuples)
     }
 
+    fn range(&self, slot: usize) -> Range<usize> {
+        self.at[slot]..self.at[slot + 1]
+    }
+
     fn rows(&self, slot: usize) -> usize {
-        self.tables[slot].0
+        self.range(slot).len()
+    }
+
+    /// Every table's rows: the length of a replay's pair buffer.
+    fn pairs(&self) -> usize {
+        self.at[self.at.len() - 1]
     }
 
     fn bytes(&self, slot: usize) -> usize {
-        self.tables[slot].1
+        self.bytes[slot]
     }
 
     /// The cube counters of a unit of this shape: every tuple folded into
@@ -680,52 +703,54 @@ impl RollUpPlan {
         let sources: usize = schedule.steps.iter().map(|s| self.rows(s.source)).sum();
         RunStats {
             rows_folded: (self.tuples + sources) as u64,
-            cells_computed: self.tables.iter().map(|&(rows, _)| rows as u64).sum(),
-            cuboids_computed: self.tables.len() as u32,
+            cells_computed: self.pairs() as u64,
+            cuboids_computed: self.bytes.len() as u32,
             ..RunStats::default()
         }
     }
 }
 
-/// Folds `source` rows into `rows` target rows by a plan's `target_of`
-/// map: a [`FIRST`]-flagged row is copied, every other merged with
-/// [`merge_sibling`], in source order.
-fn fold_indexed<'a>(
-    source: impl Iterator<Item = &'a Isb>,
-    target_of: &[u32],
-    rows: usize,
-) -> Result<Vec<Isb>> {
-    let mut source = source.peekable();
-    let Some(&&fill) = source.peek() else {
-        return Ok(Vec::new());
-    };
-    // Every slot is written by its first row before any merge reads it.
-    let mut out = vec![fill; rows];
-    for (isb, &to) in source.zip(target_of) {
-        let slot = &mut out[(to & !FIRST) as usize];
+/// A measure as a replay folds it: `[base, slope]`. Every measure of
+/// a unit spans the unit's window, so the interval is left out.
+type Pair = [f64; 2];
+
+/// The measure of a replayed row of a unit over `window`.
+fn isb_of(window: (i64, i64), [base, slope]: Pair) -> Isb {
+    Isb::new(window.0, window.1, base, slope).expect("a unit's window is an interval")
+}
+
+/// Folds `source` rows into the target `rows` by a plan's `target_of`
+/// map, in source order: a [`FIRST`]-flagged row is copied, as the cold
+/// fold inserts it, and every other is added to its target with the
+/// two adds of [`merge_sibling`], in its operand order.
+///
+/// [`merge_sibling`]: crate::measure::merge_sibling
+fn fold_pairs(source: impl Iterator<Item = Pair>, target_of: &[u32], rows: &mut [Pair]) {
+    for (pair, &to) in source.zip(target_of) {
+        let row = &mut rows[(to & !FIRST) as usize];
         if to & FIRST != 0 {
-            *slot = *isb;
+            *row = pair;
         } else {
-            merge_sibling(slot, isb)?;
+            row[0] += pair[0];
+            row[1] += pair[1];
         }
     }
-    Ok(out)
 }
 
 /// A copy of `table` — same buckets, so the same iteration order —
-/// holding `values` in iteration order. A replay whose held unit has
-/// the shape gets its critical layers this way.
-fn overwrite(table: &CuboidTable, values: &[Isb]) -> CuboidTable {
-    debug_assert_eq!(table.len(), values.len());
+/// holding `rows` in iteration order. A replay whose held unit has the
+/// shape gets its critical layers this way.
+fn refill(table: &CuboidTable, window: (i64, i64), rows: &[Pair]) -> CuboidTable {
+    debug_assert_eq!(table.len(), rows.len());
     let mut out = table.clone();
-    for (slot, value) in out.values_mut().zip(values) {
-        *slot = *value;
+    for (slot, &pair) in out.values_mut().zip(rows) {
+        *slot = isb_of(window, pair);
     }
     out
 }
 
 /// A critical-layer table built as the cold fold built it, holding
-/// `values` (in the cold table's iteration order). Walking `target_of`
+/// `rows` (in the cold table's iteration order). Walking `target_of`
 /// in source order, each [`FIRST`]-flagged entry inserts its row's key,
 /// `key_of(source position, row)`: the cold fold's inserts, in its
 /// first-arrival order. Neither the m-layer fold nor [`aggregate_from`]
@@ -733,14 +758,15 @@ fn overwrite(table: &CuboidTable, values: &[Isb]) -> CuboidTable {
 /// same buckets and give the same iteration order.
 fn rebuild(
     target_of: &[u32],
-    values: &[Isb],
+    window: (i64, i64),
+    rows: &[Pair],
     mut key_of: impl FnMut(usize, usize) -> CellKey,
 ) -> CuboidTable {
     let mut out = CuboidTable::default();
     for (i, &to) in target_of.iter().enumerate() {
         if to & FIRST != 0 {
             let row = (to & !FIRST) as usize;
-            out.insert(key_of(i, row), values[row]);
+            out.insert(key_of(i, row), isb_of(window, rows[row]));
         }
     }
     out
@@ -775,7 +801,8 @@ struct PlanCapture {
     tuples: usize,
     keys: usize,
     arena: Vec<u32>,
-    tables: Vec<(usize, usize)>,
+    at: Vec<usize>,
+    bytes: Vec<usize>,
     /// The m-layer's representative tuple per m-row.
     m_rep: Vec<u32>,
     /// Where each step's `rep` starts in `arena`.
@@ -799,7 +826,8 @@ impl PlanCapture {
             tuples: tuples.len(),
             keys,
             arena,
-            tables: vec![(m_table.len(), table_bytes(m_table, dims))],
+            at: vec![0, m_table.len()],
+            bytes: vec![table_bytes(m_table, dims)],
             m_rep,
             rep_at: Vec::new(),
             index,
@@ -836,7 +864,8 @@ impl PlanCapture {
             target_of[row] = link(rep, index[key.as_slice()], source_rep[row]);
         }
         self.rep_at.push(at + sources);
-        self.tables.push((rows, bytes));
+        self.at.push(self.at[self.at.len() - 1] + rows);
+        self.bytes.push(bytes);
     }
 
     /// The finished plan.
@@ -845,7 +874,8 @@ impl PlanCapture {
             tuples: self.tuples,
             keys: self.keys,
             arena: self.arena.into_boxed_slice(),
-            tables: self.tables.into_boxed_slice(),
+            at: self.at.into_boxed_slice(),
+            bytes: self.bytes.into_boxed_slice(),
         }
     }
 }
@@ -865,7 +895,12 @@ impl CubingEngine for MoCubingEngine {
         let lookup = self.shapes.lookup(hash, tuples);
         let replayed = matches!(lookup, Lookup::Replay { .. });
         let (result, captured) = match lookup {
-            Lookup::Replay { plan, held } => (self.replay_unit(plan, held, tuples)?, None),
+            Lookup::Replay { plan, held } => {
+                let mut pairs = std::mem::take(&mut self.pairs);
+                let result = self.replay_unit(plan, held, tuples, &mut pairs);
+                self.pairs = pairs;
+                (result, None)
+            }
             Lookup::Capture => self.open_unit(tuples, true)?,
             Lookup::Cold => self.open_unit(tuples, false)?,
         };

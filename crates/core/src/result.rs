@@ -111,11 +111,16 @@ impl CubeResult {
         self.exceptions.get(levels)
     }
 
+    /// Iterates `(cuboid, table)` over the exception stores between the
+    /// layers.
+    pub(crate) fn exception_tables(&self) -> impl Iterator<Item = (&CuboidSpec, &CuboidTable)> {
+        self.exceptions.iter()
+    }
+
     /// Iterates `(cuboid, key, measure)` over all retained exception cells
     /// between the layers.
     pub fn iter_exceptions(&self) -> impl Iterator<Item = (&CuboidSpec, &CellKey, &Isb)> {
-        self.exceptions
-            .iter()
+        self.exception_tables()
             .flat_map(|(c, table)| table.iter().map(move |(k, m)| (c, k, m)))
     }
 

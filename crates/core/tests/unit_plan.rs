@@ -495,3 +495,76 @@ fn a_failed_unit_leaves_the_plan_alone() {
     engine.ingest_unit(&unit(&mut rng, &keys, 3)).unwrap();
     assert_eq!(engine.units_replayed(), 2);
 }
+
+/// Signed zeros and NaNs through the replay's pair fold. A cell whose
+/// only source is `-0.0` keeps `-0.0` (a fold that started every target
+/// at `0.0` and added would write `+0.0`); `-0.0` meeting `+0.0` gives
+/// `+0.0`; NaN meets numbers, `-0.0` and NaN. The threshold is `0.0`, so
+/// every between-layer cell but a NaN-sloped one is an exception and its
+/// bits are compared too. Two sequences alternate, so replays run both
+/// over the held unit's tables and into rebuilt ones.
+///
+/// The NaNs share one bit pattern: Rust leaves which NaN a sum of two
+/// different NaNs carries to code generation, so only this case is a
+/// property of the fold rather than of the compiled code.
+#[test]
+fn signed_zeros_and_nans_replay_as_they_fold_cold() {
+    let schema = CubeSchema::synthetic(2, 2, 3).unwrap();
+    let layers = CriticalLayers::new(
+        &schema,
+        CuboidSpec::new(vec![1, 0]),
+        CuboidSpec::new(vec![2, 2]),
+    )
+    .unwrap();
+    let an = Analysis {
+        schema,
+        layers,
+        policy: ExceptionPolicy::slope_threshold(0.0),
+        universe: Vec::new(),
+    };
+    let nan = f64::NAN;
+    // (m-key, base, slope). Key [8, 8] is the lone cell of its o-cell
+    // and of every cuboid between; [0, 0] and [1, 0] share every
+    // ancestor.
+    let s: Vec<(Vec<u32>, f64, f64)> = vec![
+        (vec![0, 0], -0.0, -0.0),
+        (vec![1, 0], -0.0, 0.0),
+        (vec![0, 1], nan, -0.0),
+        (vec![1, 1], 1.5, nan),
+        (vec![2, 2], nan, nan),
+        (vec![8, 8], -0.0, -0.0),
+        (vec![4, 5], -0.0, -2.0),
+        (vec![4, 4], 3.0, -0.0),
+    ];
+    let mut t = s.clone();
+    t.swap(1, 6);
+    t.pop();
+    let unit = |keys: &[(Vec<u32>, f64, f64)], w: i64| -> (Vec<Vec<u32>>, Vec<MTuple>) {
+        let ids = keys.iter().map(|(k, _, _)| k.clone()).collect();
+        let tuples = keys
+            .iter()
+            .map(|(k, base, slope)| {
+                MTuple::new(
+                    k.clone(),
+                    Isb::new(10 * w, 10 * w + 9, *base, *slope).unwrap(),
+                )
+            })
+            .collect();
+        (ids, tuples)
+    };
+    let order = [&s, &s, &s, &t, &t, &s, &t];
+    let units: Vec<_> = order
+        .iter()
+        .enumerate()
+        .map(|(w, keys)| unit(keys, w as i64))
+        .collect();
+    let mut engine =
+        MoCubingEngine::new(an.schema.clone(), an.layers.clone(), an.policy.clone()).unwrap();
+    hold_to_cold(&an, &mut engine, &units);
+    assert_eq!(engine.units_replayed(), 3);
+
+    // The replayed lone cell, up to the o-layer.
+    let lone = engine.result().o_table()[&regcube_olap::cell::CellKey::new(vec![2, 0])];
+    assert_eq!(lone.base().to_bits(), (-0.0f64).to_bits());
+    assert_eq!(lone.slope().to_bits(), (-0.0f64).to_bits());
+}

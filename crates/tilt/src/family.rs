@@ -381,6 +381,9 @@ pub struct FrameFamily<K, M, S = RandomState> {
     rows: Vec<RowState>,
     /// Retired rows, handed out again before the family grows.
     free: Vec<usize>,
+    /// The active keys of the last push, in its order, with their rows
+    /// (see [`push_unit`](Self::push_unit)).
+    sequence: Vec<(K, usize)>,
     /// The active cells of the unit being pushed (reused buffer).
     cells: Vec<(usize, M)>,
     /// The operands of one `merge_run` call (reused buffer).
@@ -446,6 +449,7 @@ where
             idle,
             rows: Vec::with_capacity(rows),
             free: Vec::new(),
+            sequence: Vec::new(),
             cells: Vec::new(),
             run: Vec::new(),
         }
@@ -542,6 +546,16 @@ where
     /// [module docs](self)) at the cost of one index entry; cells left
     /// idle end to end retire.
     ///
+    /// A population that reports every unit pushes the same key sequence
+    /// again and again, so the family remembers the last push's active
+    /// keys and their rows: a key equal to the one the last push listed
+    /// at its position takes that row without probing the index. Only a
+    /// key leaving the index can make a remembered row stale. A
+    /// retirement never does: each push cuts the sequence to its own
+    /// length, so a remembered key was active in the last push, and only
+    /// rows silent in it retire. A rolled-back push, which takes its new
+    /// keys out of the index, forgets the sequence.
+    ///
     /// The push is all-or-nothing: every new column is built before
     /// anything is committed, so a failed push leaves the family as it
     /// was and the next valid unit pushes normally.
@@ -569,6 +583,7 @@ where
                 for (row, _) in self.cells.drain(..) {
                     self.rows[row].active_at = 0;
                 }
+                self.sequence.clear();
                 if !added.is_empty() {
                     let index = Arc::make_mut(&mut self.current.index);
                     for key in added.into_iter().rev() {
@@ -624,14 +639,25 @@ where
 
         self.cells.clear();
         let mut len = 0;
-        for (key, measure) in active {
+        for (at, (key, measure)) in active.into_iter().enumerate() {
             if !continues(&measure) {
                 return Err(out_of_order("a measure does not continue the family"));
             }
-            let (row, new) = self.assign_row(key);
-            if new {
-                added.push(key);
-            }
+            let row = match self.sequence.get(at) {
+                Some((last, row)) if last == key => *row,
+                _ => {
+                    let (row, new) = self.assign_row(key);
+                    if new {
+                        added.push(key);
+                    }
+                    let entry = (key.clone(), row);
+                    match self.sequence.get_mut(at) {
+                        Some(slot) => *slot = entry,
+                        None => self.sequence.push(entry),
+                    }
+                    row
+                }
+            };
             if self.rows[row].active_at == pushed {
                 return Err(out_of_order("a key is active twice in one unit"));
             }
@@ -639,6 +665,9 @@ where
             len = len.max(row + 1);
             self.cells.push((row, measure));
         }
+        // Keys of the last push beyond this one's may go silent and
+        // retire: they leave the sequence now.
+        self.sequence.truncate(self.cells.len());
         let mut rows = vec![fill.clone(); len];
         for (row, measure) in &self.cells {
             rows[*row] = measure.clone();

@@ -662,3 +662,112 @@ fn a_late_cell_costs_no_merge() {
     }
     assert!(promoted >= 49, "the stretch crossed {promoted} promotions");
 }
+
+/// A family and the per-cell frame map it must equal, on one clock.
+struct Twin {
+    family: FrameFamily<u32, Isb>,
+    oracle: Oracle<Isb>,
+    units: u64,
+}
+
+impl Twin {
+    fn new(spec: TiltSpec) -> Self {
+        Twin {
+            family: FrameFamily::new(spec.clone(), isb_is_zero),
+            oracle: Oracle::new(spec, isb_zero_fill, isb_is_zero),
+            units: 0,
+        }
+    }
+
+    /// Pushes one unit in which `keys` are active, in this order.
+    fn push(&mut self, keys: &[u32]) {
+        let unit = self.units;
+        let active: Vec<(u32, Isb)> = keys
+            .iter()
+            .map(|&k| (k, isb(unit, f64::from(k) + 0.5, unit as f64 - f64::from(k))))
+            .collect();
+        self.family
+            .push_unit(isb_zero_fill(unit), active.iter().map(|(k, m)| (k, *m)))
+            .unwrap();
+        self.oracle.push_unit_into_frames(&active, unit).unwrap();
+        self.units += 1;
+        assert_same(&self.family, &self.oracle, self.units).unwrap();
+    }
+
+    /// Pushes `keys` until `silent` has retired.
+    fn retire(&mut self, keys: &[u32], silent: u32) {
+        for _ in 0..16 {
+            self.push(keys);
+            if self.family.frame(&silent).is_none() {
+                assert!(!self.oracle.frames.contains_key(&silent));
+                return;
+            }
+        }
+        panic!("{silent} never retired");
+    }
+
+    /// Amends `key`'s newest finest unit.
+    fn amend(&mut self, key: u32) {
+        let fine_unit = self.units - 1;
+        let tick = fine_unit as i64 * TICKS + 1;
+        let got = self
+            .family
+            .amend(&key, fine_unit, |m| Ok(m.amend_tick(tick, 0.75)?));
+        let want = self
+            .oracle
+            .ensure_backfilled_frame(key, self.units)
+            .unwrap()
+            .amend_slot(fine_unit, |m| Ok(m.amend_tick(tick, 0.75)?));
+        assert_eq!(got, want);
+        assert_same(&self.family, &self.oracle, self.units).unwrap();
+    }
+}
+
+/// Recurring key sequences take their rows by position (the family
+/// remembers the last push's keys and rows), interleaved with what can
+/// change a key's row: a cell that goes silent until it retires and
+/// then returns at its old position, a new key that takes a retired
+/// row, a refused push that listed a new key twice, and late
+/// amendments (one of them to a retired key, which takes a freed row).
+/// Every step is held to the per-cell frame map, bit for bit.
+#[test]
+fn recurring_sequences_push_by_position() {
+    let mut twin = Twin::new(TiltSpec::new(vec![("unit", 2), ("top", 2)]).unwrap());
+    for _ in 0..3 {
+        twin.push(&[1, 2, 3]);
+    }
+    // Key 3 falls off the end of the sequence, retires, and returns at
+    // the position it had.
+    twin.retire(&[1, 2], 3);
+    for _ in 0..3 {
+        twin.push(&[1, 2, 3]);
+    }
+    // Key 3 retires again and new key 9 takes its row, at its position.
+    twin.retire(&[1, 2], 3);
+    for _ in 0..3 {
+        twin.push(&[1, 2, 9]);
+    }
+    // A refused push registers new key 7 twice; the same sequence with
+    // 7 listed once must register it afresh.
+    let before = render_snapshot(&twin.family);
+    let unit = twin.units;
+    let refused = [1u32, 2, 9, 7, 7].map(|k| (k, isb(unit, 1.0, 1.0)));
+    assert!(twin
+        .family
+        .push_unit(isb_zero_fill(unit), refused.iter().map(|(k, m)| (k, *m)))
+        .is_err());
+    assert_eq!(render_snapshot(&twin.family), before);
+    assert!(twin.family.frame(&7).is_none());
+    for _ in 0..3 {
+        twin.push(&[1, 2, 9, 7]);
+    }
+    // Late amendments: to a key of the sequence, and to retired key 3.
+    twin.amend(2);
+    twin.amend(3);
+    for _ in 0..2 {
+        twin.push(&[1, 2, 9, 7]);
+    }
+    for _ in 0..2 {
+        twin.push(&[1, 2, 9, 7, 3]);
+    }
+}
