@@ -65,6 +65,7 @@ use crate::Result;
 use regcube_olap::cell::CellKey;
 use regcube_olap::fxhash::FxHashMap;
 use regcube_olap::CuboidSpec;
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -365,6 +366,78 @@ impl fmt::Display for Episode {
     }
 }
 
+/// Open episodes by cuboid, then by cell, so that a unit's peak refresh
+/// finds each cuboid's retained cells once rather than once per episode.
+#[derive(Debug, Clone, Default)]
+struct OpenEpisodes {
+    by_cuboid: FxHashMap<CuboidSpec, FxHashMap<CellKey, Episode>>,
+    len: usize,
+}
+
+impl OpenEpisodes {
+    fn get(&self, cuboid: &CuboidSpec, cell: &CellKey) -> Option<&Episode> {
+        self.by_cuboid.get(cuboid)?.get(cell)
+    }
+
+    fn get_mut(&mut self, cuboid: &CuboidSpec, cell: &CellKey) -> Option<&mut Episode> {
+        self.by_cuboid.get_mut(cuboid)?.get_mut(cell)
+    }
+
+    /// Opens `episode` for `(cuboid, cell)` unless the cell has one
+    /// open; whether it did.
+    fn open(
+        &mut self,
+        cuboid: &CuboidSpec,
+        cell: &CellKey,
+        episode: impl FnOnce() -> Episode,
+    ) -> bool {
+        if !self.by_cuboid.contains_key(cuboid) {
+            self.by_cuboid.insert(cuboid.clone(), FxHashMap::default());
+        }
+        let cells = self.by_cuboid.get_mut(cuboid).expect("inserted above");
+        match cells.entry(cell.clone()) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
+                slot.insert(episode());
+                self.len += 1;
+                true
+            }
+        }
+    }
+
+    fn remove(&mut self, cuboid: &CuboidSpec, cell: &CellKey) -> Option<Episode> {
+        let episode = self.by_cuboid.get_mut(cuboid)?.remove(cell)?;
+        self.len -= 1;
+        Some(episode)
+    }
+
+    fn values(&self) -> impl Iterator<Item = &Episode> {
+        self.by_cuboid.values().flat_map(FxHashMap::values)
+    }
+
+    /// Raises every open episode's peak to its cell's score in `result`:
+    /// one lookup of what the cube retained per cuboid, one probe per
+    /// episode.
+    fn refresh_peaks(&mut self, result: &CubeResult) {
+        if self.len == 0 {
+            return;
+        }
+        for (cuboid, cells) in &mut self.by_cuboid {
+            if cells.is_empty() {
+                continue;
+            }
+            let retained = result.tables_of(cuboid);
+            for (cell, episode) in cells {
+                if let Some(score) = retained.get(cell).map(exception_score) {
+                    if score > episode.peak_score {
+                        episode.peak_score = score;
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// A ring-buffered, queryable history of exception episodes.
 ///
 /// Open episodes are tracked per `(cuboid, cell)`; each `cleared`
@@ -379,7 +452,7 @@ impl fmt::Display for Episode {
 #[derive(Debug, Clone)]
 pub struct AlarmLog {
     capacity: usize,
-    open: FxHashMap<CellAddr, Episode>,
+    open: OpenEpisodes,
     closed: VecDeque<Episode>,
     opened_total: u64,
     closed_total: u64,
@@ -401,7 +474,7 @@ impl AlarmLog {
     pub fn new(capacity: usize) -> Self {
         AlarmLog {
             capacity: capacity.max(1),
-            open: FxHashMap::default(),
+            open: OpenEpisodes::default(),
             closed: VecDeque::new(),
             opened_total: 0,
             closed_total: 0,
@@ -426,7 +499,7 @@ impl AlarmLog {
 
     /// The episode currently open for a cell, if any.
     pub fn open_episode(&self, cuboid: &CuboidSpec, cell: &CellKey) -> Option<&Episode> {
-        self.open.get(&(cuboid.clone(), cell.clone()))
+        self.open.get(cuboid, cell)
     }
 
     /// Episodes (open first, then ring history oldest-first) of one cell.
@@ -468,7 +541,7 @@ impl AlarmLog {
     /// Number of currently open episodes.
     #[inline]
     pub fn open_count(&self) -> usize {
-        self.open.len()
+        self.open.len
     }
 
     /// Episode patches applied because of alarm revisions (see
@@ -494,33 +567,23 @@ impl AlarmSink for AlarmLog {
                 continue;
             }
             // Re-raising an open episode keeps its original raise point.
-            self.open
-                .entry((cuboid.clone(), cell.clone()))
-                .or_insert_with(|| {
-                    self.opened_total += 1;
-                    Episode {
-                        cuboid: cuboid.clone(),
-                        cell: cell.clone(),
-                        raised_at: unit,
-                        cleared_at: None,
-                        peak_score: score,
-                    }
-                });
+            let opened = self.open.open(cuboid, cell, || Episode {
+                cuboid: cuboid.clone(),
+                cell: cell.clone(),
+                raised_at: unit,
+                cleared_at: None,
+                peak_score: score,
+            });
+            self.opened_total += u64::from(opened);
         }
         // Refresh peaks of everything open from the post-batch cube: a
         // persisting episode's score keeps moving between its raise and
         // clear transitions.
-        for ((cuboid, cell), episode) in &mut self.open {
-            if let Some(score) = ctx.score(cuboid, cell) {
-                if score > episode.peak_score {
-                    episode.peak_score = score;
-                }
-            }
-        }
+        self.open.refresh_peaks(ctx.result());
         for (cuboid, cell) in &delta.cleared {
             // Cleared transitions without an open episode are the
             // suppressed (non-finite) raises; ignore them.
-            if let Some(mut episode) = self.open.remove(&(cuboid.clone(), cell.clone())) {
+            if let Some(mut episode) = self.open.remove(cuboid, cell) {
                 episode.cleared_at = Some(unit);
                 self.closed_total += 1;
                 if self.closed.len() == self.capacity {
@@ -539,12 +602,12 @@ impl AlarmSink for AlarmLog {
         if revision.level != 0 {
             return Ok(());
         }
-        let addr = (revision.cuboid.clone(), revision.cell.clone());
+        let (cuboid, cell) = (&revision.cuboid, &revision.cell);
         let (unit, new_score) = (revision.unit, revision.new_score);
         match revision.kind {
             RevisionKind::Retracted => {
                 let mut patched = false;
-                if let Some(episode) = self.open.get_mut(&addr) {
+                if let Some(episode) = self.open.get_mut(cuboid, cell) {
                     if episode.raised_at == unit {
                         // The raise itself was invalidated. An episode
                         // still open past the revised unit stayed
@@ -555,7 +618,7 @@ impl AlarmSink for AlarmLog {
                         if self.last_unit.is_some_and(|last| last > unit) {
                             episode.raised_at = unit + 1;
                         } else {
-                            self.open.remove(&addr);
+                            self.open.remove(cuboid, cell);
                         }
                         patched = true;
                     }
@@ -564,8 +627,8 @@ impl AlarmSink for AlarmLog {
                 // A one-unit closed episode covering exactly the
                 // revised unit was raised by the now-retracted verdict.
                 self.closed.retain(|e| {
-                    !(e.cuboid == addr.0
-                        && e.cell == addr.1
+                    !(&e.cuboid == cuboid
+                        && &e.cell == cell
                         && e.raised_at == unit
                         && e.cleared_at == Some(unit + 1))
                 });
@@ -579,7 +642,7 @@ impl AlarmSink for AlarmLog {
                     self.suppressed += 1;
                     return Ok(());
                 }
-                if let Some(episode) = self.open.get_mut(&addr) {
+                if let Some(episode) = self.open.get_mut(cuboid, cell) {
                     // The episode now started earlier than first seen.
                     if unit < episode.raised_at {
                         episode.raised_at = unit;
@@ -593,16 +656,13 @@ impl AlarmSink for AlarmLog {
                     // should be burning right now.
                     self.opened_total += 1;
                     self.revised_total += 1;
-                    self.open.insert(
-                        addr.clone(),
-                        Episode {
-                            cuboid: addr.0,
-                            cell: addr.1,
-                            raised_at: unit,
-                            cleared_at: None,
-                            peak_score: new_score,
-                        },
-                    );
+                    self.open.open(cuboid, cell, || Episode {
+                        cuboid: cuboid.clone(),
+                        cell: cell.clone(),
+                        raised_at: unit,
+                        cleared_at: None,
+                        peak_score: new_score,
+                    });
                 } else {
                     // Historical: the verdict held for that one unit
                     // only (later units reported no transition), so the
@@ -615,8 +675,8 @@ impl AlarmSink for AlarmLog {
                         self.evicted += 1;
                     }
                     self.closed.push_back(Episode {
-                        cuboid: addr.0,
-                        cell: addr.1,
+                        cuboid: cuboid.clone(),
+                        cell: cell.clone(),
                         raised_at: unit,
                         cleared_at: Some(unit + 1),
                         peak_score: new_score,
@@ -624,7 +684,7 @@ impl AlarmSink for AlarmLog {
                 }
             }
             RevisionKind::Rescored => {
-                if let Some(episode) = self.open.get_mut(&addr) {
+                if let Some(episode) = self.open.get_mut(cuboid, cell) {
                     if new_score.is_finite() && new_score > episode.peak_score {
                         episode.peak_score = new_score;
                         self.revised_total += 1;

@@ -207,12 +207,21 @@ pub trait CubingEngine {
 
     /// The held unit's cube as a shared handle — what a serving
     /// snapshot keeps. The built-in engines hold their result behind an
-    /// [`Arc`] and hand out a reference count (a result is never
-    /// written after it is built, so sharing is free); the default
-    /// clones [`result`](Self::result), so an engine that does not
-    /// override this keeps working, one deep copy per call.
+    /// [`Arc`] and hand out a reference count (a result is written again
+    /// only once no handle to it is left but the engine's, so sharing is
+    /// free); the default clones [`result`](Self::result), so an engine
+    /// that does not override this keeps working, one deep copy per
+    /// call.
     fn shared_result(&self) -> Arc<CubeResult> {
         Arc::new(self.result().clone())
+    }
+
+    /// How many units the engine wrote into a retired result of its own
+    /// instead of into new tables. A probe for tests; not part of the
+    /// stable API.
+    #[doc(hidden)]
+    fn units_recycled(&self) -> u64 {
+        0
     }
 }
 
@@ -231,6 +240,9 @@ impl<E: CubingEngine + ?Sized> CubingEngine for Box<E> {
     }
     fn shared_result(&self) -> Arc<CubeResult> {
         (**self).shared_result()
+    }
+    fn units_recycled(&self) -> u64 {
+        (**self).units_recycled()
     }
 }
 

@@ -35,10 +35,23 @@ impl MTuple {
         self.key.ids()
     }
 
+    /// The tuple's m-layer cell key.
+    #[inline]
+    pub fn key(&self) -> &CellKey {
+        &self.key
+    }
+
     /// The tuple's regression measure.
     #[inline]
     pub fn isb(&self) -> &Isb {
         &self.isb
+    }
+
+    /// Replaces the tuple's measure and keeps its key: a cell that
+    /// reports again in the next unit.
+    #[inline]
+    pub fn set_isb(&mut self, isb: Isb) {
+        self.isb = isb;
     }
 }
 
@@ -64,7 +77,8 @@ pub fn exception_score(isb: &Isb) -> f64 {
 }
 
 /// Validates a tuple set: consistent arity, ids within the m-layer's
-/// cardinalities, and a common time interval.
+/// cardinalities, and a common time interval. Each dimension's
+/// cardinality is resolved once per call, not once per id.
 ///
 /// # Errors
 /// [`CoreError::BadInput`] describing the first violation found.
@@ -79,6 +93,12 @@ pub fn validate_tuples(
         });
     };
     let interval = first.isb().interval();
+    let cards: Vec<u32> = schema
+        .dims()
+        .iter()
+        .zip(m_layer.levels())
+        .map(|(dim, &level)| dim.hierarchy().cardinality(level))
+        .collect();
     for (i, t) in tuples.iter().enumerate() {
         if t.ids().len() != schema.num_dims() {
             return Err(CoreError::BadInput {
@@ -98,8 +118,7 @@ pub fn validate_tuples(
                 ),
             });
         }
-        for (d, &id) in t.ids().iter().enumerate() {
-            let card = schema.dims()[d].hierarchy().cardinality(m_layer.level(d));
+        for (d, (&id, &card)) in t.ids().iter().zip(&cards).enumerate() {
             if id >= card {
                 return Err(CoreError::BadInput {
                     detail: format!(
@@ -155,8 +174,17 @@ mod tests {
         assert!(validate_tuples(&schema, &m, &[]).is_err());
         let bad_arity = vec![MTuple::new(vec![0], isb(0.1))];
         assert!(validate_tuples(&schema, &m, &bad_arity).is_err());
-        let bad_id = vec![MTuple::new(vec![0, 9], isb(0.1))];
-        assert!(validate_tuples(&schema, &m, &bad_id).is_err());
+        let bad_id = vec![
+            MTuple::new(vec![0, 8], isb(0.1)),
+            MTuple::new(vec![0, 9], isb(0.1)),
+        ];
+        match validate_tuples(&schema, &m, &bad_id) {
+            Err(CoreError::BadInput { detail }) => assert_eq!(
+                detail,
+                "tuple 1 id 9 out of range for dimension 1 (cardinality 9)"
+            ),
+            other => panic!("{other:?}"),
+        }
         let bad_window = vec![
             MTuple::new(vec![0, 0], isb(0.1)),
             MTuple::new(vec![1, 1], Isb::new(5, 9, 0.0, 0.0).unwrap()),

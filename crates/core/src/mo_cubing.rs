@@ -51,15 +51,35 @@
 //! unit's window at the door. An [`Isb`] is built only for a retained
 //! cell. Exception stores are filled in target iteration order, screened
 //! on each pair's slope. The critical layers come out with the cold
-//! fold's buckets: when the held unit has the shape, as clones of its
-//! tables with the values rewritten in iteration order; otherwise as
-//! fresh tables into which the cold fold's keys are re-inserted in its
-//! first-arrival order. The cold fold stays the only definition of
-//! order, and a replayed unit is the cold unit bit for bit, statistics
-//! included (but `elapsed`). The one exception is a cell in which NaNs
-//! of two different bit patterns meet: Rust leaves which one a sum
-//! carries to code generation, and the two folds may keep different
-//! ones.
+//! fold's buckets, whichever of three ways they are written: into a
+//! retired result of the same plan, in place; as clones of the held
+//! unit's tables when it has the shape; otherwise as fresh tables into
+//! which the cold fold's keys are re-inserted in its first-arrival
+//! order. Either way the values are rewritten in iteration order. The
+//! cold fold stays the only definition of order, and a replayed unit is
+//! the cold unit bit for bit, statistics included (but `elapsed`). The
+//! one exception is a cell in which NaNs of two different bit patterns
+//! meet: Rust leaves which one a sum carries to code generation, and the
+//! two folds may keep different ones.
+//!
+//! **Retired results.** Every plan has an identity of its own, and the
+//! engine knows which plan laid out the held unit's critical tables (the
+//! one it replayed or captured). When a unit of the same plan replaces
+//! the held one, the old result is kept, with that identity, among the
+//! last two retired results; a unit of another shape drops them all,
+//! so a rotating population keeps none. A replay of the held shape
+//! takes the oldest retired result of its plan — matched by identity,
+//! not by hash — that `Arc::get_mut` grants, one no snapshot holds any
+//! more, and writes the unit into it: its m- and o-tables are
+//! overwritten in place, and its exception stores and statistics
+//! replaced. A result any reader holds is never written; a replay that
+//! finds none falls back to the clone. Two, because a serving layer
+//! that publishes through a double-buffered cell still holds the unit
+//! before the held one while the next unit is cubed, so the result free
+//! to be written is the one two units back. The retired results are not
+//! counted in the unit's statistics: `peak_bytes` and `retained_bytes`
+//! stay the analytical bytes of one unit's tables, as a cold unit counts
+//! them.
 //!
 //! [`merge_sibling`]: crate::measure::merge_sibling
 
@@ -92,6 +112,13 @@ use std::time::Instant;
 /// eight-step lattice — so room for twice that rotation costs a fixed
 /// population nothing.
 pub const SHAPES: usize = 32;
+
+/// The most retired results one engine keeps for a replay to overwrite
+/// (see the module docs). Two, because a serving layer that publishes
+/// through a double-buffered cell still holds the unit before the held
+/// one while the next unit is cubed: the result free to be written is
+/// the one two units back.
+const RETIRED: usize = 2;
 
 /// Groups every cuboid strictly above the m-layer into depth *tiers*
 /// (bottom-up, same total depth per tier) — the roll-up order.
@@ -221,11 +248,17 @@ pub struct MoCubingEngine {
     units_replayed: u64,
     /// The key sequences of recent units and their roll-up plans.
     shapes: ShapeCache,
+    /// Units whose result was written into a retired one.
+    units_recycled: u64,
     /// A replay's fold buffer, reused from unit to unit: every table of
     /// the plan, slot after slot, as `(base, slope)` pairs.
     pairs: Vec<Pair>,
     /// Shared with every snapshot taken of the held unit.
     result: Arc<CubeResult>,
+    /// Up to [`RETIRED`] results the held one replaced, newest first,
+    /// each with the plan its critical tables are laid out by — always
+    /// the held unit's plan.
+    retired: Vec<(u64, Arc<CubeResult>)>,
 }
 
 impl MoCubingEngine {
@@ -248,9 +281,11 @@ impl MoCubingEngine {
             window: None,
             units_opened: 0,
             units_replayed: 0,
+            units_recycled: 0,
             shapes: ShapeCache::default(),
             pairs: Vec::new(),
             result,
+            retired: Vec::new(),
         })
     }
 
@@ -318,27 +353,34 @@ impl MoCubingEngine {
 
         let UnitWork { stats, mem } = work;
         let plan = capture.map(PlanCapture::finish);
-        let result = self.retain(started, stats, &mem, m_table, o_table, exceptions);
+        let stats = self.unit_stats(started, stats, &mem, [&m_table, &o_table], &exceptions);
+        let result = self.new_result(m_table, o_table, exceptions, stats);
         Ok((result, plan))
     }
 
     /// Recomputes a unit whose key sequence is `plan`'s by replaying the
     /// plan's index maps over the unit's measures, folded as `(base,
     /// slope)` pairs in `pairs`: no key is hashed or projected except an
-    /// exceptional cell's and, unless the `held` unit has the plan's
-    /// shape, a critical-layer cell's. Every target row folds the same
-    /// rows in the same order as the cold roll-up ([`fold_pairs`]), the
-    /// critical layers have the cold tables' buckets ([`refill`] or
-    /// [`rebuild`]), and exception stores are filled in target iteration
-    /// order, so the result — statistics too, but `elapsed` — is the
-    /// cold computation's. `tuples` are validated: they share one window.
+    /// exceptional cell's and, unless the `held` unit or the `recycled`
+    /// result has the plan's shape, a critical-layer cell's. Every
+    /// target row folds the same rows in the same order as the cold
+    /// roll-up ([`fold_pairs`]), the critical layers have the cold
+    /// tables' buckets ([`refill`] or [`rebuild`]), and exception stores
+    /// are filled in target iteration order, so the result — statistics
+    /// too, but `elapsed` — is the cold computation's. `tuples` are
+    /// validated: they share one window.
+    ///
+    /// A `recycled` result is a retired one laid out by `plan` that
+    /// nothing else holds: the unit is written into it, its critical
+    /// tables overwritten in place, and it is returned.
     fn replay_unit(
         &self,
         plan: &RollUpPlan,
         held: bool,
+        mut recycled: Option<Arc<CubeResult>>,
         tuples: &[MTuple],
         pairs: &mut Vec<Pair>,
-    ) -> CubeResult {
+    ) -> Arc<CubeResult> {
         let started = Instant::now();
         let schedule = &*self.schedule;
         let dims = self.schema.num_dims();
@@ -350,6 +392,10 @@ impl MoCubingEngine {
         if pairs.len() < plan.pairs() {
             pairs.resize(plan.pairs(), [0.0; 2]);
         }
+        let (mut spare_m, mut spare_o) = recycled
+            .as_mut()
+            .map(|result| unshared(result).take_critical())
+            .unzip();
 
         let m_rows = &mut pairs[plan.range(0)];
         fold_pairs(
@@ -358,10 +404,10 @@ impl MoCubingEngine {
             m_rows,
         );
         mem.add(plan.bytes(0));
-        let m_table = if held {
-            refill(self.result.m_table(), window, m_rows)
-        } else {
-            rebuild(m_of, window, m_rows, |i, _| CellKey::new(tuples[i].ids()))
+        let m_table = match spare_m.take() {
+            Some(table) => overwrite(table, window, m_rows),
+            None if held => refill(self.result.m_table(), window, m_rows),
+            None => rebuild(m_of, window, m_rows, |i, _| CellKey::new(tuples[i].ids())),
         };
 
         let mut o_table = CuboidTable::default();
@@ -381,16 +427,18 @@ impl MoCubingEngine {
                 fold_pairs(source, target_of, rows);
                 mem.add(plan.bytes(k + 1));
                 if step.o_layer {
-                    o_table = if held {
-                        refill(self.result.o_table(), window, rows)
-                    } else {
-                        let projector =
-                            Projector::walking(&self.schema, &schedule.m_layer, &step.cuboid);
-                        let mut key = vec![0u32; dims];
-                        rebuild(target_of, window, rows, |_, row| {
-                            projector.project_into(tuples[rep[row] as usize].ids(), &mut key);
-                            CellKey::new(&key)
-                        })
+                    o_table = match spare_o.take() {
+                        Some(table) => overwrite(table, window, rows),
+                        None if held => refill(self.result.o_table(), window, rows),
+                        None => {
+                            let projector =
+                                Projector::walking(&self.schema, &schedule.m_layer, &step.cuboid);
+                            let mut key = vec![0u32; dims];
+                            rebuild(target_of, window, rows, |_, row| {
+                                projector.project_into(tuples[rep[row] as usize].ids(), &mut key);
+                                CellKey::new(&key)
+                            })
+                        }
                     };
                     continue;
                 }
@@ -405,14 +453,20 @@ impl MoCubingEngine {
             mem.remove(previous.map(|slot| plan.bytes(slot)).sum());
             previous = slots(tier);
         }
-        self.retain(
+        let stats = self.unit_stats(
             started,
             plan.counters(schedule),
             &mem,
-            m_table,
-            o_table,
-            exceptions,
-        )
+            [&m_table, &o_table],
+            &exceptions,
+        );
+        match recycled {
+            Some(mut result) => {
+                unshared(&mut result).replace_unit(m_table, o_table, exceptions, stats);
+                result
+            }
+            None => Arc::new(self.new_result(m_table, o_table, exceptions, stats)),
+        }
     }
 
     /// The exceptional rows among a replay's `rows` of `cuboid`, keyed
@@ -447,25 +501,34 @@ impl MoCubingEngine {
         exc
     }
 
-    /// Assembles a finished unit's result — critical layers +
-    /// exceptions — and completes `stats` (the cube counters) with what
-    /// is retained and when it finished.
-    fn retain(
+    /// Completes a finished unit's `stats` (the cube counters) with what
+    /// it retains — critical layers + exceptions — and when it finished.
+    fn unit_stats(
         &self,
         started: Instant,
         mut stats: RunStats,
         mem: &MemoryAccountant,
-        m_table: CuboidTable,
-        o_table: CuboidTable,
-        exceptions: FxHashMap<CuboidSpec, CuboidTable>,
-    ) -> CubeResult {
+        critical: [&CuboidTable; 2],
+        exceptions: &FxHashMap<CuboidSpec, CuboidTable>,
+    ) -> RunStats {
         let dims = self.schema.num_dims();
-        let retained = || [&m_table, &o_table].into_iter().chain(exceptions.values());
+        let retained = || critical.into_iter().chain(exceptions.values());
         stats.exception_cells = exceptions.values().map(|t| t.len() as u64).sum();
         stats.cells_retained = retained().map(|t| t.len() as u64).sum();
         stats.retained_bytes = retained().map(|t| table_bytes(t, dims)).sum();
         stats.peak_bytes = mem.peak();
         stats.elapsed = started.elapsed();
+        stats
+    }
+
+    /// A finished unit's result: critical layers + exceptions.
+    fn new_result(
+        &self,
+        m_table: CuboidTable,
+        o_table: CuboidTable,
+        exceptions: FxHashMap<CuboidSpec, CuboidTable>,
+        stats: RunStats,
+    ) -> CubeResult {
         CubeResult::new(
             self.layers.clone(),
             self.policy.clone(),
@@ -579,8 +642,11 @@ fn sequence_hash(tuples: &[MTuple]) -> u64 {
 #[derive(Debug, Clone, Default)]
 struct ShapeCache {
     shapes: Vec<Shape>,
-    /// The hash of the held unit's key sequence.
+    /// The plan the held unit's critical tables are laid out by: the one
+    /// it replayed or captured.
     held: Option<u64>,
+    /// The identity the next captured plan gets.
+    next_plan: u64,
 }
 
 /// One key sequence the cache remembers.
@@ -595,7 +661,7 @@ struct Shape {
 /// What the cache holds for a unit's key sequence.
 enum Lookup<'a> {
     /// A resident plan of exactly this sequence; `held` when the held
-    /// unit has it too.
+    /// unit is laid out by it.
     Replay { plan: &'a RollUpPlan, held: bool },
     /// The hash was seen once: run cold and capture the plan.
     Capture,
@@ -613,7 +679,7 @@ impl ShapeCache {
                 plan: Some(plan), ..
             }) if plan.matches(tuples) => Lookup::Replay {
                 plan,
-                held: self.held == Some(hash),
+                held: self.held == Some(plan.id),
             },
             Some(_) => Lookup::Cold,
         }
@@ -621,22 +687,28 @@ impl ShapeCache {
 
     /// Records a committed unit with key-sequence hash `hash`: its shape
     /// becomes the most recently used and the held unit's. A cold unit
-    /// leaves the shape with the plan it `captured`, if any — a unit
-    /// whose sequence missed a resident plan under the same hash
-    /// replaces it by the hash alone.
+    /// leaves the shape with the plan it `captured`, if any, under a new
+    /// identity — a unit whose sequence missed a resident plan under the
+    /// same hash replaces it by the hash alone.
     fn commit(&mut self, hash: u64, replayed: bool, captured: Option<RollUpPlan>) {
         let mut shape = match self.shapes.iter().position(|shape| shape.hash == hash) {
             Some(at) => self.shapes.remove(at),
             None => Shape { hash, plan: None },
         };
         if !replayed {
-            shape.plan = captured;
+            shape.plan = captured.map(|plan| {
+                self.next_plan += 1;
+                RollUpPlan {
+                    id: self.next_plan,
+                    ..plan
+                }
+            });
         }
+        self.held = shape.plan.as_ref().map(|plan| plan.id);
         self.shapes.push(shape);
         if self.shapes.len() > SHAPES {
             self.shapes.remove(0);
         }
-        self.held = Some(hash);
     }
 }
 
@@ -647,6 +719,9 @@ impl ShapeCache {
 /// hashing.
 #[derive(Debug, Clone)]
 struct RollUpPlan {
+    /// Unique within an engine: a result laid out by this plan is
+    /// matched to it by identity, never by hash.
+    id: u64,
     tuples: usize,
     /// The key sequence's length.
     keys: usize,
@@ -737,16 +812,28 @@ fn fold_pairs(source: impl Iterator<Item = Pair>, target_of: &[u32], rows: &mut 
     }
 }
 
-/// A copy of `table` — same buckets, so the same iteration order —
-/// holding `rows` in iteration order. A replay whose held unit has the
-/// shape gets its critical layers this way.
-fn refill(table: &CuboidTable, window: (i64, i64), rows: &[Pair]) -> CuboidTable {
+/// `table` — a critical layer laid out by the replayed plan — holding
+/// `rows` in iteration order instead of its own values: same buckets,
+/// so the same iteration order.
+fn overwrite(mut table: CuboidTable, window: (i64, i64), rows: &[Pair]) -> CuboidTable {
     debug_assert_eq!(table.len(), rows.len());
-    let mut out = table.clone();
-    for (slot, &pair) in out.values_mut().zip(rows) {
+    for (slot, &pair) in table.values_mut().zip(rows) {
         *slot = isb_of(window, pair);
     }
-    out
+    table
+}
+
+/// A copy of `table` [`overwrite`]n with `rows`. A replay whose held
+/// unit has the shape, and no retired result it may write into, gets
+/// its critical layers this way.
+fn refill(table: &CuboidTable, window: (i64, i64), rows: &[Pair]) -> CuboidTable {
+    overwrite(table.clone(), window, rows)
+}
+
+/// The result a replay writes into: retired, and held by nothing but
+/// the replay.
+fn unshared(result: &mut Arc<CubeResult>) -> &mut CubeResult {
+    Arc::get_mut(result).expect("a recycled result is held by the engine alone")
 }
 
 /// A critical-layer table built as the cold fold built it, holding
@@ -868,9 +955,10 @@ impl PlanCapture {
         self.bytes.push(bytes);
     }
 
-    /// The finished plan.
+    /// The finished plan; [`ShapeCache::commit`] gives it its identity.
     fn finish(self) -> RollUpPlan {
         RollUpPlan {
+            id: 0,
             tuples: self.tuples,
             keys: self.keys,
             arena: self.arena.into_boxed_slice(),
@@ -894,15 +982,21 @@ impl CubingEngine for MoCubingEngine {
         let hash = sequence_hash(tuples);
         let lookup = self.shapes.lookup(hash, tuples);
         let replayed = matches!(lookup, Lookup::Replay { .. });
+        let mut recycled = false;
         let (result, captured) = match lookup {
             Lookup::Replay { plan, held } => {
+                let spare = take_retired(&mut self.retired, plan.id);
+                recycled = spare.is_some();
                 let mut pairs = std::mem::take(&mut self.pairs);
-                let result = self.replay_unit(plan, held, tuples, &mut pairs);
+                let result = self.replay_unit(plan, held, spare, tuples, &mut pairs);
                 self.pairs = pairs;
                 (result, None)
             }
-            Lookup::Capture => self.open_unit(tuples, true)?,
-            Lookup::Cold => self.open_unit(tuples, false)?,
+            Lookup::Capture => {
+                let (result, plan) = self.open_unit(tuples, true)?;
+                (Arc::new(result), plan)
+            }
+            Lookup::Cold => (Arc::new(self.open_unit(tuples, false)?.0), None),
         };
         // The held unit's exceptions that do not recur come back as
         // cleared, so appeared/cleared consumers can maintain a live
@@ -916,10 +1010,20 @@ impl CubingEngine for MoCubingEngine {
         );
         self.window = Some(window);
         self.units_opened += 1;
-        self.result = Arc::new(result);
+        let retiring = std::mem::replace(&mut self.result, result);
+        let laid_out_by = self.shapes.held;
         // The shapes follow the committed unit only.
         self.shapes.commit(hash, replayed, captured);
+        // Only a replay of the held shape writes into a retired result,
+        // so only the held plan's are kept: a rotation keeps none.
+        let held = self.shapes.held;
+        self.retired.retain(|(plan, _)| Some(*plan) == held);
+        if let Some(plan) = laid_out_by.filter(|_| laid_out_by == held) {
+            self.retired.insert(0, (plan, retiring));
+            self.retired.truncate(RETIRED);
+        }
         self.units_replayed += u64::from(replayed);
+        self.units_recycled += u64::from(recycled);
         Ok(delta)
     }
 
@@ -934,6 +1038,20 @@ impl CubingEngine for MoCubingEngine {
     fn shared_result(&self) -> Arc<CubeResult> {
         Arc::clone(&self.result)
     }
+
+    fn units_recycled(&self) -> u64 {
+        self.units_recycled
+    }
+}
+
+/// Takes out of `retired` the oldest result laid out by `plan` that
+/// nothing but the engine holds — a snapshot still being read keeps its
+/// result out of reach.
+fn take_retired(retired: &mut Vec<(u64, Arc<CubeResult>)>, plan: u64) -> Option<Arc<CubeResult>> {
+    let at = retired.iter_mut().rposition(|(laid_out_by, result)| {
+        *laid_out_by == plan && Arc::get_mut(result).is_some()
+    })?;
+    Some(retired.remove(at).1)
 }
 
 /// Runs Algorithm 1 and returns the materialized cube.

@@ -60,6 +60,32 @@ impl CubeResult {
         }
     }
 
+    /// Takes the critical-layer tables out, leaving empty ones behind: a
+    /// replay that recycles this result overwrites them in place and
+    /// hands them back through [`replace_unit`](Self::replace_unit).
+    pub(crate) fn take_critical(&mut self) -> (CuboidTable, CuboidTable) {
+        (
+            std::mem::take(&mut self.m_table),
+            std::mem::take(&mut self.o_table),
+        )
+    }
+
+    /// Makes this the result of another unit of the same engine: its
+    /// critical tables, exception stores and statistics. The layers,
+    /// policy and algorithm are the engine's and stay.
+    pub(crate) fn replace_unit(
+        &mut self,
+        m_table: CuboidTable,
+        o_table: CuboidTable,
+        exceptions: FxHashMap<CuboidSpec, CuboidTable>,
+        stats: RunStats,
+    ) {
+        self.m_table = m_table;
+        self.o_table = o_table;
+        self.exceptions = exceptions;
+        self.stats = stats;
+    }
+
     /// The critical layers the cube was computed for.
     #[inline]
     pub fn layers(&self) -> &CriticalLayers {
@@ -137,18 +163,19 @@ impl CubeResult {
     /// Looks a cell up in everything the cube retained: critical layers,
     /// path tables, then exception stores.
     pub fn get(&self, cuboid: &CuboidSpec, key: &CellKey) -> Option<&Isb> {
+        self.tables_of(cuboid).get(key)
+    }
+
+    /// What the cube retained of one cuboid, found once for any number
+    /// of [`get`](Self::get)-equivalent lookups in it.
+    pub(crate) fn tables_of(&self, cuboid: &CuboidSpec) -> CuboidCells<'_> {
         if cuboid == self.layers.m_layer() {
-            return self.m_table.get(key);
+            return CuboidCells([Some(&self.m_table), None]);
         }
         if cuboid == self.layers.o_layer() {
-            return self.o_table.get(key);
+            return CuboidCells([Some(&self.o_table), None]);
         }
-        if let Some(t) = self.path_tables.get(cuboid) {
-            if let Some(m) = t.get(key) {
-                return Some(m);
-            }
-        }
-        self.exceptions.get(cuboid).and_then(|t| t.get(key))
+        CuboidCells([self.path_tables.get(cuboid), self.exceptions.get(cuboid)])
     }
 
     /// Run statistics.
@@ -173,5 +200,16 @@ impl CubeResult {
                 .then_with(|| a.0.cmp(b.0))
         });
         cells
+    }
+}
+
+/// The tables a [`CubeResult`] retains of one cuboid, in the order
+/// [`CubeResult::get`] reads them.
+pub(crate) struct CuboidCells<'a>([Option<&'a CuboidTable>; 2]);
+
+impl<'a> CuboidCells<'a> {
+    /// The cell's measure: what [`CubeResult::get`] returns for it.
+    pub(crate) fn get(&self, key: &CellKey) -> Option<&'a Isb> {
+        self.0.iter().flatten().find_map(|table| table.get(key))
     }
 }

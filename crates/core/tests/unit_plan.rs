@@ -32,6 +32,7 @@ use regcube_core::mo_cubing::SHAPES;
 use regcube_core::{CriticalLayers, CubeResult, ExceptionPolicy, MTuple, RunStats};
 use regcube_olap::{CubeSchema, CuboidSpec, Dimension, Hierarchy};
 use regcube_regress::Isb;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A table, or a result's exception stores, as its iteration sequence,
@@ -194,30 +195,58 @@ fn unit(rng: &mut StdRng, keys: &[Vec<u32>], w: i64) -> Vec<MTuple> {
         .collect()
 }
 
-/// Counts the units a plan-holding engine replays: an LRU of `SHAPES`
-/// key sequences, each with whether its plan was captured.
+/// Counts the units a plan-holding engine replays and recycles: an LRU
+/// of `SHAPES` key sequences, each with the plan captured for it (an
+/// identity, new at every capture), and the last two results a unit of
+/// the held plan replaced.
 #[derive(Default)]
 struct ReplayModel {
     /// Least recently used first.
-    shapes: Vec<(Vec<Vec<u32>>, bool)>,
+    shapes: Vec<(Vec<Vec<u32>>, Option<u64>)>,
+    plans: u64,
+    /// The plan of the held unit.
+    held: Option<u64>,
+    /// Newest first: (plan, unit).
+    retired: Vec<(u64, usize)>,
     replays: u64,
+    recycles: u64,
 }
 
 impl ReplayModel {
-    fn unit(&mut self, keys: &[Vec<u32>]) {
-        let captured = match self
+    /// Unit `k` of `keys`, while readers hold the results of units
+    /// `k - readers..k`.
+    fn unit(&mut self, k: usize, keys: &[Vec<u32>], readers: usize) {
+        let plan = match self
             .shapes
             .iter()
             .position(|(seq, _)| seq.as_slice() == keys)
         {
-            Some(at) => {
-                let (_, captured) = self.shapes.remove(at);
-                self.replays += u64::from(captured);
-                true
-            }
-            None => false,
+            Some(at) => match self.shapes.remove(at).1 {
+                Some(plan) => {
+                    self.replays += 1;
+                    let free = |&(p, unit): &(u64, usize)| p == plan && unit + readers < k;
+                    if let Some(oldest) = self.retired.iter().rposition(free) {
+                        self.retired.remove(oldest);
+                        self.recycles += 1;
+                    }
+                    Some(plan)
+                }
+                None => {
+                    self.plans += 1;
+                    Some(self.plans)
+                }
+            },
+            None => None,
         };
-        self.shapes.push((keys.to_vec(), captured));
+        self.retired.retain(|&(p, _)| Some(p) == plan);
+        if let (Some(held), Some(last)) = (self.held, k.checked_sub(1)) {
+            if Some(held) == plan {
+                self.retired.insert(0, (held, last));
+                self.retired.truncate(2);
+            }
+        }
+        self.held = plan;
+        self.shapes.push((keys.to_vec(), plan));
         if self.shapes.len() > SHAPES {
             self.shapes.remove(0);
         }
@@ -225,15 +254,48 @@ impl ReplayModel {
 }
 
 /// Feeds `units` to `engine` one by one and holds every unit to a cold
-/// oracle and every replay count to the model.
+/// oracle and every replay and recycle count to the model.
 fn hold_to_cold(
     an: &Analysis,
     engine: &mut MoCubingEngine,
     units: &[(Vec<Vec<u32>>, Vec<MTuple>)],
 ) {
+    hold_to_cold_read(an, engine, units, 0);
+}
+
+/// [`hold_to_cold`] while a reader holds each unit's shared result
+/// until `readers` more units are cubed, and must read it unchanged
+/// the whole time.
+fn hold_to_cold_read(
+    an: &Analysis,
+    engine: &mut MoCubingEngine,
+    units: &[(Vec<Vec<u32>>, Vec<MTuple>)],
+    readers: usize,
+) {
     let mut model = ReplayModel::default();
+    let mut held: Vec<(Arc<CubeResult>, Cells, Cells)> = Vec::new();
     for (k, (keys, tuples)) in units.iter().enumerate() {
         let delta = engine.ingest_unit(tuples).unwrap();
+        for (result, m, o) in &held {
+            assert_eq!(
+                &cells(result.m_table()),
+                m,
+                "unit {k}: a read m-table moved"
+            );
+            assert_eq!(
+                &cells(result.o_table()),
+                o,
+                "unit {k}: a read o-table moved"
+            );
+        }
+        if readers > 0 {
+            if held.len() == readers {
+                held.remove(0);
+            }
+            let result = engine.shared_result();
+            let (m, o) = (cells(result.m_table()), cells(result.o_table()));
+            held.push((result, m, o));
+        }
 
         let mut cold =
             MoCubingEngine::new(an.schema.clone(), an.layers.clone(), an.policy.clone()).unwrap();
@@ -257,8 +319,9 @@ fn hold_to_cold(
             sans_elapsed(want.stats()),
             "unit {k}"
         );
-        model.unit(keys);
+        model.unit(k, keys, readers);
         assert_eq!(engine.units_replayed(), model.replays, "unit {k}");
+        assert_eq!(engine.units_recycled(), model.recycles, "unit {k}");
     }
 }
 
@@ -334,7 +397,7 @@ fn run_order(seed: u64, sequences: usize, order: &[usize]) -> u64 {
 
 #[test]
 fn a_replayed_unit_is_the_cold_unit() {
-    let mut replays = 0;
+    let (mut replays, mut recycles) = (0, 0);
     for seed in 0..160u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let an = analysis(&mut rng);
@@ -343,8 +406,36 @@ fn a_replayed_unit_is_the_cold_unit() {
             MoCubingEngine::new(an.schema.clone(), an.layers.clone(), an.policy.clone()).unwrap();
         hold_to_cold(&an, &mut engine, &units);
         replays += engine.units_replayed();
+        recycles += engine.units_recycled();
     }
     assert!(replays > 300, "only {replays} units replayed");
+    assert!(recycles > 100, "only {recycles} units recycled");
+}
+
+/// The shape schedule A A B A A B B, then A for six units, read the way
+/// a serving layer reads it: a reader holds each unit's result until
+/// `readers` more units are cubed. Only a replay of the held shape
+/// writes into a retired result — the oldest of its plan that nobody
+/// reads — and a unit of another shape drops them, so the short runs
+/// never recycle and the last run does from its third unit on. Every
+/// unit is still the cold unit, and every read result stays as it was.
+/// Two readers, as a double-buffered snapshot cell holds them, leave the
+/// result three units back free; three reach past both retired results,
+/// so nothing is recycled.
+#[test]
+fn a_replay_writes_into_a_retired_result_no_reader_holds() {
+    let (mut rng, an) = rich_analysis(17);
+    let seqs = distinct_sequences(&mut rng, &an, 2);
+    let order = [0, 0, 1, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0];
+    let picked: Vec<&[Vec<u32>]> = order.iter().map(|&i| seqs[i].as_slice()).collect();
+    let units = units_of(&mut rng, &picked);
+    for (readers, recycled) in [(0, 4), (1, 4), (2, 3), (3, 0)] {
+        let mut engine =
+            MoCubingEngine::new(an.schema.clone(), an.layers.clone(), an.policy.clone()).unwrap();
+        hold_to_cold_read(&an, &mut engine, &units, readers);
+        assert_eq!(engine.units_replayed(), 9);
+        assert_eq!(engine.units_recycled(), recycled, "{readers} readers");
+    }
 }
 
 /// Two sequences in turn: each is remembered, then captured, then

@@ -409,6 +409,16 @@ impl Server {
         self.tenant(id)?.stats()
     }
 
+    /// How many units one tenant's cubing engine wrote into a retired
+    /// result of its own. A probe for tests; not part of the stable API.
+    ///
+    /// # Errors
+    /// [`ServeError::UnknownTenant`], or [`ServeError::TenantFailed`].
+    #[doc(hidden)]
+    pub fn units_recycled(&self, id: &TenantId) -> Result<u64, ServeError> {
+        self.tenant(id)?.units_recycled()
+    }
+
     /// Registers an alarm sink on one tenant's engine — the per-tenant
     /// fan-out point for exception notifications.
     ///

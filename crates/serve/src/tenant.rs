@@ -236,6 +236,12 @@ impl Tenant {
         Ok(stats)
     }
 
+    /// Units the tenant's cubing engine wrote into a retired result of
+    /// its own.
+    pub(crate) fn units_recycled(&self) -> Result<u64, ServeError> {
+        Ok(self.engine()?.engine.cubing().units_recycled())
+    }
+
     pub(crate) fn add_sink(&self, sink: regcube_core::alarm::SharedSink) -> Result<(), ServeError> {
         self.engine()?.engine.add_sink(sink);
         Ok(())

@@ -14,8 +14,22 @@
 //! probe finds the cell's row of the
 //! open unit's slab — `rows × ticks_per_unit` sums in one buffer — and
 //! the value is added to the row's tick. No key is built and nothing is
-//! allocated for a cell the unit has already seen; the dictionary and
-//! the slab keep their capacity from one unit to the next.
+//! allocated for a cell a row is kept for.
+//!
+//! **Rows are kept from unit to unit.** In the paper's setting a fixed
+//! population of streams reports every unit, so the same m-cells close
+//! every unit in the same key order. A cell's row — its packed m-id,
+//! its decoded [`CellKey`] and its place in key order — lives while the
+//! cell reports every unit: a close drops the rows no record touched,
+//! and sorts and renumbers the rows only when some were added or
+//! dropped. A close in which every kept cell reported and no new one
+//! did fits each row's sums into the tuple the last close left at the
+//! row's place, and nothing is decoded, sorted or allocated. A close in
+//! which no kept cell reported (a rotating population) lets the rows
+//! go, and the next close keeps them again only if its cells are this
+//! one's. The rows are a
+//! cache: what a close emits does not depend on them, a restored engine
+//! starts without them, and no checkpoint holds them.
 //!
 //! Records arrive in one of two ways. A strictly ordered engine adds
 //! each one as it comes ([`Ingestor::ingest_packed`]), so the sums
@@ -32,9 +46,10 @@ use crate::Result;
 use regcube_core::table::DenseCellCodec;
 use regcube_core::MTuple;
 use regcube_olap::cell::{project_key, CellKey};
-use regcube_olap::fxhash::FxHashMap;
+use regcube_olap::fxhash::{FxHashMap, FxHasher};
 use regcube_olap::{CubeSchema, CuboidSpec};
 use regcube_regress::Isb;
+use std::hash::Hasher;
 
 /// How a packed primitive key becomes its m-cell's packed key.
 #[derive(Debug, Clone)]
@@ -63,11 +78,27 @@ pub struct Ingestor {
     packer: RecordPacker,
     m_codec: DenseCellCodec,
     to_m: ToM,
-    /// The open unit's active m-cells: packed m-id → slab row.
+    /// Packed m-id → slab row: the `kept` rows of the last close,
+    /// numbered in key order, then the open unit's new m-cells in
+    /// arrival order.
     rows: FxHashMap<u64, u32>,
     /// The packed m-id of each slab row.
     keys: Vec<u64>,
-    /// Per-tick value sums of the open unit, `ticks_per_unit` per row.
+    /// The unit each slab row was last touched in.
+    touched_in: Vec<i64>,
+    /// Rows touched in the open unit.
+    touched: usize,
+    /// How many rows the last close kept: row `i < kept` is the cell of
+    /// tuple `i`. Zero when it let them go.
+    kept: usize,
+    /// The last close's tuples, in key order; emptied by
+    /// [`release_tuples`](Self::release_tuples) when its rows were let
+    /// go.
+    tuples: Vec<MTuple>,
+    /// A hash of the last close's m-ids, in key order.
+    population: u64,
+    /// Per-tick value sums of the open unit, `ticks_per_unit` per row,
+    /// all `0.0` when the unit opens.
     slab: Vec<f64>,
     /// Per slab slot, the index of the bucket record that landed there
     /// first, [`EMPTY`] or [`SHARED`] ([`ingest_bucket`](Self::ingest_bucket)).
@@ -123,6 +154,11 @@ impl Ingestor {
             to_m,
             rows: FxHashMap::default(),
             keys: Vec::new(),
+            touched_in: Vec::new(),
+            touched: 0,
+            kept: 0,
+            tuples: Vec::new(),
+            population: 0,
             slab: Vec::new(),
             heads: Vec::new(),
             records_seen: 0,
@@ -137,9 +173,17 @@ impl Ingestor {
 
     /// Repositions the open unit — the checkpoint-restore seam. Only
     /// valid with empty buffers (a restored engine resumes at a unit
-    /// boundary); callers in this crate uphold that.
+    /// boundary); callers in this crate uphold that. The kept rows go:
+    /// they belong to the units before.
     pub(crate) fn set_open_unit(&mut self, unit: i64) {
-        debug_assert!(self.rows.is_empty(), "repositioning a non-empty unit");
+        debug_assert_eq!(self.touched, 0, "repositioning a non-empty unit");
+        self.rows.clear();
+        self.keys.clear();
+        self.touched_in.clear();
+        self.kept = 0;
+        self.tuples.clear();
+        self.population = 0;
+        self.slab.clear();
         self.open_unit = unit;
     }
 
@@ -158,7 +202,7 @@ impl Ingestor {
     /// Number of distinct m-cells touched in the open unit.
     #[inline]
     pub fn open_cells(&self) -> usize {
-        self.rows.len()
+        self.touched
     }
 
     /// The packer of this ingestor's primitive layer.
@@ -231,8 +275,9 @@ impl Ingestor {
     /// as the sorted fold's does. A slot with more is summed again from
     /// `0.0` over its records sorted by `(primitive key, value bits)`:
     /// the canonical order restricted to the slot. Rows are numbered by
-    /// first arrival; [`close_unit`](Self::close_unit) emits them in key
-    /// order either way.
+    /// first arrival (after the kept ones);
+    /// [`close_unit`](Self::close_unit) emits them in key order either
+    /// way.
     ///
     /// Every record is checked before any is folded, so an error leaves
     /// the ingestor as it was.
@@ -245,7 +290,7 @@ impl Ingestor {
     /// When the open unit already holds records (the re-sum starts from
     /// `0.0`), or the bucket has `u32::MAX - 1` records or more.
     pub(crate) fn ingest_bucket(&mut self, records: &[PackedRecord]) -> Result<()> {
-        assert!(self.rows.is_empty(), "a bucket into a non-empty unit");
+        assert_eq!(self.touched, 0, "a bucket into a non-empty unit");
         assert!(records.len() < SHARED as usize, "bucket too long");
         for record in records {
             self.check(record)?;
@@ -317,46 +362,136 @@ impl Ingestor {
         let row = *self.rows.entry(m_key).or_insert(fresh);
         if row == fresh {
             self.keys.push(m_key);
+            self.touched_in.push(self.open_unit - 1);
             self.slab.resize(self.slab.len() + ticks, 0.0);
+        }
+        let touched_in = &mut self.touched_in[row as usize];
+        if *touched_in != self.open_unit {
+            *touched_in = self.open_unit;
+            self.touched += 1;
         }
         let first = self.open_unit * ticks as i64;
         row as usize * ticks + (record.tick - first) as usize
     }
 
     /// Closes the open unit: fits one ISB per touched m-cell over the
-    /// unit's ticks, advances to the next unit, and returns the tuples
-    /// (sorted by key for determinism).
+    /// unit's ticks, advances to the next unit, and returns the cells
+    /// (sorted by key for determinism). The cells are a copy of the
+    /// tuples the online engine's close reads in place.
     ///
-    /// The close is **error-atomic**: the output is built completely
-    /// before any state is mutated, so a failed close leaves the
-    /// buffers and the open unit exactly as they were (an earlier
-    /// version drained the buffers while fitting — a mid-drain error
-    /// discarded the remaining cells and left `open_unit` un-advanced,
-    /// corrupting the stream state).
+    /// The close is **error-atomic**: a failed close leaves the sums,
+    /// the rows and the open unit exactly as they were.
     ///
     /// # Errors
     /// Propagates fit errors (cannot occur for a positive unit width).
     pub fn close_unit(&mut self) -> Result<(i64, Vec<(CellKey, Isb)>)> {
+        let (unit, tuples) = self.close_tuples()?;
+        let cells = tuples.iter().map(|t| (t.key().clone(), *t.isb())).collect();
+        self.release_tuples();
+        Ok((unit, cells))
+    }
+
+    /// Closes the open unit: fits one ISB per touched m-cell over the
+    /// unit's ticks, advances to the next unit, and returns the unit and
+    /// its tuples, sorted by key — the one tuple vector the frame family
+    /// and the cubing engine both read. It lives in the ingestor until
+    /// the next close.
+    ///
+    /// When every kept row was touched and no new one was added, each
+    /// fit goes into the tuple of its row's last close. Otherwise the
+    /// touched rows are sorted by key into new tuples (a kept row lends
+    /// its decoded key), then renumbered in key order and kept — if the
+    /// cells are the last close's (by a hash of their m-ids: a collision
+    /// only keeps rows a while), or some kept row reported again — or
+    /// let go, as a rotating population's are: keeping them would cost
+    /// a rebuilt index every unit and save nothing. The caller hands
+    /// let-go tuples back with [`release_tuples`](Self::release_tuples)
+    /// once it has read them.
+    ///
+    /// The close is **error-atomic** for the stream state: nothing but
+    /// the measures of the returned tuples is written before every fit
+    /// has succeeded, so a failed close leaves the sums, the rows and
+    /// the open unit exactly as they were (an earlier version drained
+    /// the buffers while fitting — a mid-drain error discarded the
+    /// remaining cells and left `open_unit` un-advanced, corrupting the
+    /// stream state).
+    ///
+    /// # Errors
+    /// Propagates fit errors (cannot occur for a positive unit width).
+    pub(crate) fn close_tuples(&mut self) -> Result<(i64, &[MTuple])> {
         let (first, _) = self.open_window();
         let unit = self.open_unit;
         let ticks = self.ticks_per_unit;
-        // Packed m-ids order as the keys' ids do.
-        let keys = &self.keys;
-        let mut order: Vec<u32> = (0..keys.len() as u32).collect();
-        order.sort_unstable_by_key(|&row| keys[row as usize]);
-        let mut ids = vec![0; self.m_codec.num_dims()];
-        let mut out: Vec<(CellKey, Isb)> = Vec::with_capacity(order.len());
-        for row in order {
-            let sums = &self.slab[row as usize * ticks..][..ticks];
-            let isb = Isb::fit_values(first, sums).map_err(StreamError::from)?;
-            self.m_codec.decode_into(keys[row as usize], &mut ids);
-            out.push((CellKey::new(ids.as_slice()), isb));
+        let kept = self.kept;
+        let fit = |sums: &[f64]| Isb::fit_values(first, sums).map_err(StreamError::from);
+        if kept > 0 && self.touched == kept && self.keys.len() == kept {
+            for (tuple, sums) in self.tuples.iter_mut().zip(self.slab.chunks_exact(ticks)) {
+                tuple.set_isb(fit(sums)?);
+            }
+        } else {
+            // Packed m-ids order as the keys' ids do.
+            let (keys, touched_in) = (&self.keys, &self.touched_in);
+            let mut order: Vec<u32> = Vec::with_capacity(self.touched);
+            order.extend((0..keys.len() as u32).filter(|&row| touched_in[row as usize] == unit));
+            order.sort_unstable_by_key(|&row| keys[row as usize]);
+            let mut ids = vec![0; self.m_codec.num_dims()];
+            let mut tuples = Vec::with_capacity(order.len());
+            for &row in &order {
+                let row = row as usize;
+                let key = if row < kept {
+                    self.tuples[row].key().clone()
+                } else {
+                    self.m_codec.decode_into(keys[row], &mut ids);
+                    CellKey::new(ids.as_slice())
+                };
+                tuples.push(MTuple::from_key(
+                    key,
+                    fit(&self.slab[row * ticks..][..ticks])?,
+                ));
+            }
+            // Whether to keep the rows is a guess about the next unit, so
+            // a hash of the cells is enough to tell them from the last
+            // close's: the rows are renumbered from `order` either way.
+            let mut hasher = FxHasher::default();
+            hasher.write_usize(order.len());
+            for &row in &order {
+                hasher.write_u64(keys[row as usize]);
+            }
+            let population = hasher.finish();
+            let repeated = population == self.population;
+            let survived = order.iter().any(|&row| (row as usize) < kept);
+            self.population = population;
+            self.tuples = tuples;
+            self.rows.clear();
+            if repeated || survived {
+                let ids: Vec<u64> = order.iter().map(|&row| keys[row as usize]).collect();
+                self.rows
+                    .extend(ids.iter().enumerate().map(|(row, &id)| (id, row as u32)));
+                self.touched_in.clear();
+                self.touched_in.resize(ids.len(), unit);
+                self.slab.truncate(ids.len() * ticks);
+                self.kept = ids.len();
+                self.keys = ids;
+            } else {
+                self.keys.clear();
+                self.touched_in.clear();
+                self.slab.clear();
+                self.kept = 0;
+            }
         }
-        self.rows.clear();
-        self.keys.clear();
-        self.slab.clear();
+        self.slab.fill(0.0);
+        self.touched = 0;
         self.open_unit += 1;
-        Ok((unit, out))
+        Ok((unit, &self.tuples))
+    }
+
+    /// Drops the last close's tuples if that close let its rows go: a
+    /// rotating population's tuples are not read again, and dropped
+    /// right after the close that read them they are still in cache.
+    pub(crate) fn release_tuples(&mut self) {
+        if self.kept == 0 {
+            self.tuples = Vec::new();
+        }
     }
 
     /// Converts closed-unit cells into the [`MTuple`] form the cubing
@@ -657,6 +792,93 @@ mod tests {
                 assert_eq!(arrival, sorted, "{name}: seed {seed}");
             }
         }
+    }
+
+    /// Kept rows change nothing a close emits. A seeded population of
+    /// cells joins, goes silent, returns and holds still for runs of
+    /// units; each unit reaches one long-lived ingestor both record by
+    /// record and as a bucket, and each close must emit — keys, order
+    /// and bits — what a fresh ingestor opened at that unit emits for
+    /// the same records, with `open_cells` counting only the cells the
+    /// open unit touched. The schedule keeps rows, lets them go and
+    /// keeps them again.
+    #[test]
+    fn kept_rows_close_as_a_fresh_ingestor_does() {
+        let (mut kept, mut let_go) = (0, 0);
+        for (name, ing) in [("identity", ingestor()), ("walk", rollup_ingestor())] {
+            for seed in 0..40u64 {
+                let mut rng = Rng(seed);
+                let (mut packed, mut bucketed) = (ing.clone(), ing.clone());
+                let mut population: Vec<[u32; 2]> = Vec::new();
+                for unit in 0..24i64 {
+                    // Most units keep the population; others add, drop
+                    // or swap cells, or replace it.
+                    match rng.below(7) {
+                        0 if population.len() < 12 => {
+                            population.push([rng.below(4) as u32, rng.below(4) as u32]);
+                        }
+                        1 if !population.is_empty() => {
+                            population.remove(rng.below(population.len() as u64) as usize);
+                        }
+                        2 if !population.is_empty() => {
+                            let at = rng.below(population.len() as u64) as usize;
+                            population[at] = [rng.below(4) as u32, rng.below(4) as u32];
+                        }
+                        3 => {
+                            for ids in &mut population {
+                                *ids = [rng.below(4) as u32, rng.below(4) as u32];
+                            }
+                        }
+                        _ => {}
+                    }
+                    let (first, _) = packed.open_window();
+                    let mut records = Vec::new();
+                    for ids in &population {
+                        for _ in 0..1 + rng.below(3) {
+                            let tick = first + rng.below(4) as i64;
+                            let value = if rng.below(8) == 0 {
+                                hostile(&mut rng)
+                            } else {
+                                rng.below(100) as f64 / 8.0
+                            };
+                            let record = RawRecord::new(ids.to_vec(), tick, value);
+                            records.push(ing.packer().pack(&record).unwrap());
+                        }
+                    }
+                    for i in (1..records.len()).rev() {
+                        records.swap(i, rng.below(i as u64 + 1) as usize);
+                    }
+
+                    let mut fresh = ing.clone();
+                    fresh.set_open_unit(unit);
+                    for record in &records {
+                        packed.ingest_packed(record).unwrap();
+                        fresh.ingest_packed(record).unwrap();
+                    }
+                    bucketed.ingest_bucket(&records).unwrap();
+                    let mut fresh_bucket = ing.clone();
+                    fresh_bucket.set_open_unit(unit);
+                    fresh_bucket.ingest_bucket(&records).unwrap();
+                    let at = format!("{name}: seed {seed} unit {unit}");
+                    assert_eq!(packed.open_cells(), fresh.open_cells(), "{at}");
+                    assert_eq!(bucketed.open_cells(), fresh.open_cells(), "{at}");
+                    assert_eq!(close_bits(&mut packed).1, close_bits(&mut fresh).1, "{at}");
+                    assert_eq!(
+                        close_bits(&mut bucketed).1,
+                        close_bits(&mut fresh_bucket).1,
+                        "{at}"
+                    );
+                    assert_eq!(packed.open_cells(), 0, "{at}");
+                    assert_eq!(packed.kept, bucketed.kept, "{at}");
+                    if packed.kept > 0 {
+                        kept += 1;
+                    } else if !population.is_empty() {
+                        let_go += 1;
+                    }
+                }
+            }
+        }
+        assert!(kept > 500 && let_go > 200, "kept {kept}, let go {let_go}");
     }
 
     #[test]

@@ -731,18 +731,21 @@ impl<E: CubingEngine> OnlineEngine<E> {
                 }
             }
         }
-        let (unit, window) = (self.ingestor.open_unit(), self.ingestor.open_window());
-        let (_, cells) = self.ingestor.close_unit()?;
+        let window = self.ingestor.open_window();
+        // The unit's tuples, in key order: the one vector the m-frames
+        // and the cubing engine both read.
+        let (unit, tuples) = self.ingestor.close_tuples()?;
         self.units_closed += 1;
 
         // Tilt maintenance for the m-layer: one new slot column, the
         // active cells' unit ISBs written over its zero-usage fill.
         let zero_fill = Isb::new(window.0, window.1, 0.0, 0.0).map_err(StreamError::from)?;
         self.frames
-            .push_unit(zero_fill, cells.iter().map(|(key, isb)| (key, *isb)))
+            .push_unit(zero_fill, tuples.iter().map(|t| (t.key(), *t.isb())))
             .map_err(StreamError::from)?;
 
-        if cells.is_empty() {
+        let m_cells = tuples.len();
+        if tuples.is_empty() {
             self.close_without_cube(unit, zero_fill)?;
             let late_amendments = std::mem::take(&mut self.pending_amendments);
             let alarm_revisions = std::mem::take(&mut self.pending_revisions);
@@ -769,9 +772,8 @@ impl<E: CubingEngine> OnlineEngine<E> {
 
         // One call per unit: the tuples are the window's complete
         // m-layer, and the window is later than any the engine has seen.
-        let tuples = Ingestor::to_mtuples(&cells);
         let started = Instant::now();
-        let mut delta = match self.cubing.ingest_unit(&tuples) {
+        let mut delta = match self.cubing.ingest_unit(tuples) {
             Ok(delta) => delta,
             Err(e) => {
                 // The unit is spent either way: the ingestor has rolled
@@ -836,9 +838,10 @@ impl<E: CubingEngine> OnlineEngine<E> {
             .map_or(0, ReorderState::take_dropped_since_report);
         self.last_alarms = alarms.clone();
         self.last_closed_unit = Some(unit);
+        self.ingestor.release_tuples();
         Ok(UnitReport {
             unit,
-            m_cells: cells.len(),
+            m_cells,
             alarms,
             exception_cells,
             recompute_time,
