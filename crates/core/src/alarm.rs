@@ -368,6 +368,7 @@ impl fmt::Display for Episode {
 
 /// Open episodes by cuboid, then by cell, so that a unit's peak refresh
 /// finds each cuboid's retained cells once rather than once per episode.
+/// A cuboid has a map only while one of its episodes is open.
 #[derive(Debug, Clone, Default)]
 struct OpenEpisodes {
     by_cuboid: FxHashMap<CuboidSpec, FxHashMap<CellKey, Episode>>,
@@ -405,8 +406,14 @@ impl OpenEpisodes {
         }
     }
 
+    /// Closes `(cuboid, cell)`'s open episode, and drops the cuboid's
+    /// map with its last one.
     fn remove(&mut self, cuboid: &CuboidSpec, cell: &CellKey) -> Option<Episode> {
-        let episode = self.by_cuboid.get_mut(cuboid)?.remove(cell)?;
+        let cells = self.by_cuboid.get_mut(cuboid)?;
+        let episode = cells.remove(cell)?;
+        if cells.is_empty() {
+            self.by_cuboid.remove(cuboid);
+        }
         self.len -= 1;
         Some(episode)
     }
@@ -423,9 +430,6 @@ impl OpenEpisodes {
             return;
         }
         for (cuboid, cells) in &mut self.by_cuboid {
-            if cells.is_empty() {
-                continue;
-            }
             let retained = result.tables_of(cuboid);
             for (cell, episode) in cells {
                 if let Some(score) = retained.get(cell).map(exception_score) {

@@ -56,10 +56,10 @@ impl MTuple {
 }
 
 /// Folds `next` into `acc` under standard-dimension (sibling) semantics —
-/// Theorem 3.2. Every cold fold of both cubing algorithms merges with
-/// it. A replayed roll-up ([`crate::mo_cubing`]) repeats its two adds
-/// on `(base, slope)` pairs of an already validated unit, so swapping in
-/// a different measure means changing this function and that fold.
+/// Theorem 3.2. Algorithm 2's folds and the queries merge with it.
+/// Algorithm 1 ([`crate::mo_cubing`]) repeats its two adds on `(base,
+/// slope)` pairs of an already validated unit, so swapping in a
+/// different measure means changing this function and that fold.
 ///
 /// # Errors
 /// [`CoreError::Regress`] when the intervals differ (m-layer tuples must

@@ -17,50 +17,55 @@
 //! sets here are identical to Algorithm 1's).
 //!
 //! [`MoCubingEngine`] is the algorithm: the per-unit sequence validate
-//! → compute → diff → commit, the tier roll-up over [`CuboidTable`]s
-//! and the statistics. [`compute`] is the batch wrapper that cubes one
-//! unit and returns its result.
+//! → compute → diff → commit, the tier roll-up and the statistics.
+//! [`compute`] is the batch wrapper that cubes one unit and returns its
+//! result.
 //!
 //! What an engine keeps of a unit is the paper's memory model —
-//! critical layers + exception cells: each depth tier's full tables
-//! are dropped as soon as the next tier is built, like the original
-//! batch algorithm.
+//! critical layers + exception cells — and its analytical memory counts
+//! each depth tier's full tables until the next tier is built, like the
+//! original batch algorithm.
+//!
+//! **One fold.** A unit is cubed in two passes. The first builds the
+//! *roll-up plan* of its key sequence: the keys are hashed once per
+//! table — the m-layer's in arrival order, every other table's from its
+//! source table in the source's iteration order — so each table's keys
+//! go in in first-arrival order, and each finished table's rows are
+//! numbered in its iteration order. The plan records, per tuple, its
+//! m-row and, per step, per source row in iteration order, its target
+//! row, along with a representative tuple per target row. The second
+//! pass folds the unit's measures by the plan as `(base, slope)` pairs,
+//! every table of the plan in one buffer the engine reuses from unit to
+//! unit: each target copies its first row and adds every later one with
+//! the two adds [`merge_sibling`] performs. The interval is not
+//! re-checked per row: [`validate_tuples`] has held every tuple to the
+//! unit's window at the door. An [`Isb`] is built only for a retained
+//! cell. Exception stores are filled in target iteration order,
+//! screened on each pair's slope. The plan's build is the only
+//! definition of order: which rows fold into which target, in which
+//! order, and where each target sits.
 //!
 //! **Recurring units.** In the paper's setting a fixed population of
 //! streams reports every unit, and the stream layer hands each unit's
 //! tuples over sorted by key, so key sequences recur — the same one
 //! every unit, or a few in turn when the active streams rotate — and
-//! only the measures change. The roll-up of one key sequence is always
-//! the same: a table's iteration order follows from
-//! its keys and their insertion sequence, so which rows fold into which
-//! target, in which order, and where each target sits is fixed by the
-//! key sequence. The engine keeps up to [`SHAPES`] such *roll-up
+//! only the measures change. A table's iteration order follows from its
+//! keys and their insertion sequence, so the plan of one key sequence
+//! is always the same. The engine keeps up to [`SHAPES`] such *roll-up
 //! shapes*, keyed by a 64-bit hash of the sequence and evicted least
 //! recently used first. A sequence seen once is remembered by its hash
-//! alone. The next unit with that hash runs cold and reads the shape's
-//! *roll-up plan* off its finished tables: per step, per source row in
-//! iteration order, the index of its target row in the target's
-//! iteration order. Every later unit whose key sequence equals a
-//! resident plan's — compared in full, so a hash collision is only a
-//! miss — replays that plan instead of hashing. A replay folds the
-//! unit's measures as `(base, slope)` pairs, every table of the plan in
-//! one buffer the engine reuses from unit to unit: each target copies
-//! its first row and adds every later one, in the cold fold's order,
-//! with the two adds [`merge_sibling`] performs. The interval is not
-//! re-checked per row: [`validate_tuples`] has held every tuple to the
-//! unit's window at the door. An [`Isb`] is built only for a retained
-//! cell. Exception stores are filled in target iteration order, screened
-//! on each pair's slope. The critical layers come out with the cold
-//! fold's buckets, whichever of three ways they are written: into a
-//! retired result of the same plan, in place; as clones of the held
-//! unit's tables when it has the shape; otherwise as fresh tables into
-//! which the cold fold's keys are re-inserted in its first-arrival
-//! order. Either way the values are rewritten in iteration order. The
-//! cold fold stays the only definition of order, and a replayed unit is
-//! the cold unit bit for bit, statistics included (but `elapsed`). The
-//! one exception is a cell in which NaNs of two different bit patterns
-//! meet: Rust leaves which one a sum carries to code generation, and the
-//! two folds may keep different ones.
+//! alone. The next unit with that hash keeps the plan it builds. Every
+//! later unit whose key sequence equals a resident plan's — compared in
+//! full, so a hash collision is only a miss — folds by that plan
+//! without hashing. The critical layers come out with the buckets of
+//! tables built by inserting the plan's keys in first-arrival order,
+//! whichever of three ways they are written: into a retired result of
+//! the same plan, in place; as clones of the held unit's tables when it
+//! has the shape; otherwise as fresh tables into which those keys are
+//! inserted in that order. Either way the values are rewritten in
+//! iteration order. A unit that folds by a kept plan is therefore the
+//! unit that builds its own, bit for bit — NaN payloads included, as
+//! both run the one fold — and its statistics are too (but `elapsed`).
 //!
 //! **Retired results.** Every plan has an identity of its own, and the
 //! engine knows which plan laid out the held unit's critical tables (the
@@ -78,8 +83,8 @@
 //! before the held one while the next unit is cubed, so the result free
 //! to be written is the one two units back. The retired results are not
 //! counted in the unit's statistics: `peak_bytes` and `retained_bytes`
-//! stay the analytical bytes of one unit's tables, as a cold unit counts
-//! them.
+//! stay the analytical bytes of one unit's tables, as a unit that
+//! builds its plan counts them.
 //!
 //! [`merge_sibling`]: crate::measure::merge_sibling
 
@@ -89,10 +94,8 @@ use crate::layers::CriticalLayers;
 use crate::measure::{validate_tuples, MTuple};
 use crate::result::{Algorithm, CubeResult};
 use crate::stats::{MemoryAccountant, RunStats};
-use crate::table::{
-    aggregate_from, collect_exceptions, merge_row, table_bytes, CuboidTable, Projector,
-};
-use crate::Result;
+use crate::table::{table_bytes, table_bytes_at, CuboidTable, Projector};
+use crate::{CoreError, Result};
 use regcube_olap::cell::CellKey;
 use regcube_olap::fxhash::{FxHashMap, FxHasher};
 use regcube_olap::{CubeSchema, CuboidSpec};
@@ -140,8 +143,8 @@ fn depth_tiers(layers: &CriticalLayers) -> Vec<Vec<CuboidSpec>> {
 
 /// The roll-up order of one lattice: every cuboid above the m-layer in
 /// depth tiers, each with the table it is aggregated from. It depends on
-/// the lattice alone, so an engine derives it once; every cold unit
-/// folds along it, and every roll-up plan is laid out along it.
+/// the lattice alone, so an engine derives it once; every roll-up plan
+/// is built and laid out along it.
 ///
 /// Tables are named by *slot*: 0 is the m-layer, `k + 1` is step `k`'s.
 #[derive(Debug)]
@@ -208,33 +211,15 @@ fn slots(tier: &Range<usize>) -> Range<usize> {
     tier.start + 1..tier.end + 1
 }
 
-/// One unit's computation in progress: its counters and its analytical
-/// memory. Local to a call — the engine commits the finished unit only
-/// when all of it succeeded.
-#[derive(Default)]
-struct UnitWork {
-    stats: RunStats,
-    mem: MemoryAccountant,
-}
-
-impl UnitWork {
-    /// Counts one cuboid's finished full table and the source rows
-    /// folded into it.
-    fn count_cuboid(&mut self, rows: u64, cells: usize) {
-        self.stats.rows_folded += rows;
-        self.stats.cells_computed += cells as u64;
-        self.stats.cuboids_computed += 1;
-    }
-}
-
 /// Algorithm 1 as a per-unit engine.
 ///
 /// Every unit is computed bottom-up in depth tiers, each cuboid
 /// aggregated from its closest computed descendant — exactly the
 /// work-sharing of the batch algorithm — and replaces the unit before
-/// it. Each tier's full tables are dropped once the next tier is built,
-/// so the engine's peak memory is the batch algorithm's and what it
-/// retains is the paper's: critical layers + exception cells.
+/// it. Each tier's tables are counted out of the analytical memory once
+/// the next tier is built, so the engine's peak is the batch
+/// algorithm's and what it retains is the paper's: critical layers +
+/// exception cells.
 #[derive(Debug, Clone)]
 pub struct MoCubingEngine {
     schema: Arc<CubeSchema>,
@@ -244,14 +229,14 @@ pub struct MoCubingEngine {
     schedule: Arc<Schedule>,
     window: Option<(i64, i64)>,
     units_opened: u64,
-    /// Units computed by replaying a roll-up plan rather than cold.
+    /// Units folded by a kept roll-up plan rather than one they built.
     units_replayed: u64,
     /// The key sequences of recent units and their roll-up plans.
     shapes: ShapeCache,
     /// Units whose result was written into a retired one.
     units_recycled: u64,
-    /// A replay's fold buffer, reused from unit to unit: every table of
-    /// the plan, slot after slot, as `(base, slope)` pairs.
+    /// The fold buffer, reused from unit to unit: every table of a
+    /// plan, slot after slot, as `(base, slope)` pairs.
     pairs: Vec<Pair>,
     /// Shared with every snapshot taken of the held unit.
     result: Arc<CubeResult>,
@@ -312,76 +297,38 @@ impl MoCubingEngine {
         unshare_result(self.result)
     }
 
-    /// How many units this engine computed by replaying a roll-up plan
-    /// instead of cold. A probe for tests; not part of the stable API.
+    /// How many units this engine folded by a roll-up plan it kept from
+    /// an earlier unit instead of building one. A probe for tests; not
+    /// part of the stable API.
     #[doc(hidden)]
     pub fn units_replayed(&self) -> u64 {
         self.units_replayed
     }
 
-    /// Computes one unit (the batch algorithm) without touching the
-    /// held one: the finished result, statistics included, and — when
-    /// asked to `capture` — the roll-up plan read off the unit's
-    /// finished tables.
-    fn open_unit(
-        &self,
-        tuples: &[MTuple],
-        capture: bool,
-    ) -> Result<(CubeResult, Option<RollUpPlan>)> {
-        let started = Instant::now();
-        let dims = self.schema.num_dims();
-        let mut work = UnitWork::default();
-
-        // Step 1: one scan of the batch into the m-layer. A cell enters
-        // the table when its first tuple arrives and its duplicates merge
-        // into it in arrival order; that first-arrival order fixes the
-        // fold order further up the lattice. It is also the order the
-        // paper's H-tree creates its leaves in, so staging the batch
-        // through a tree first would build this same table.
-        let mut m_table = CuboidTable::default();
-        for t in tuples {
-            merge_row(&mut m_table, t.ids(), t.isb())?;
-        }
-        work.mem.add(table_bytes(&m_table, dims));
-        work.count_cuboid(tuples.len() as u64, m_table.len());
-        let mut capture = (capture && tuples.len() < FIRST as usize)
-            .then(|| PlanCapture::new(tuples, &m_table, dims));
-
-        // Step 2: the rest of the lattice.
-        let (m_table, o_table, exceptions) =
-            self.compute_uppers(&mut work, m_table, capture.as_mut())?;
-
-        let UnitWork { stats, mem } = work;
-        let plan = capture.map(PlanCapture::finish);
-        let stats = self.unit_stats(started, stats, &mem, [&m_table, &o_table], &exceptions);
-        let result = self.new_result(m_table, o_table, exceptions, stats);
-        Ok((result, plan))
-    }
-
-    /// Recomputes a unit whose key sequence is `plan`'s by replaying the
-    /// plan's index maps over the unit's measures, folded as `(base,
-    /// slope)` pairs in `pairs`: no key is hashed or projected except an
+    /// Cubes a unit whose key sequence is `plan`'s by folding its
+    /// measures along the plan's index maps as `(base, slope)` pairs in
+    /// `pairs` ([`fold_pairs`]): no key is hashed or projected except an
     /// exceptional cell's and, unless the `held` unit or the `recycled`
-    /// result has the plan's shape, a critical-layer cell's. Every
-    /// target row folds the same rows in the same order as the cold
-    /// roll-up ([`fold_pairs`]), the critical layers have the cold
-    /// tables' buckets ([`refill`] or [`rebuild`]), and exception stores
+    /// result has the plan's shape, a critical-layer cell's. The
+    /// critical layers get the buckets of the plan's build
+    /// ([`overwrite`], [`refill`] or [`rebuild`]) and exception stores
     /// are filled in target iteration order, so the result — statistics
-    /// too, but `elapsed` — is the cold computation's. `tuples` are
-    /// validated: they share one window.
+    /// too, but `elapsed`, counted from `started` — is the same whether
+    /// the plan was built for this unit or kept from an earlier one.
+    /// `tuples` are validated: they share one window.
     ///
     /// A `recycled` result is a retired one laid out by `plan` that
     /// nothing else holds: the unit is written into it, its critical
     /// tables overwritten in place, and it is returned.
     fn replay_unit(
         &self,
+        started: Instant,
         plan: &RollUpPlan,
         held: bool,
         mut recycled: Option<Arc<CubeResult>>,
         tuples: &[MTuple],
         pairs: &mut Vec<Pair>,
     ) -> Arc<CubeResult> {
-        let started = Instant::now();
         let schedule = &*self.schedule;
         let dims = self.schema.num_dims();
         let window = tuples[0].isb().interval();
@@ -448,7 +395,7 @@ impl MoCubingEngine {
                     exceptions.insert(step.cuboid.clone(), exc);
                 }
             }
-            // The cold roll-up retires the tier before once this one is
+            // The batch roll-up retires the tier before once this one is
             // built.
             mem.remove(previous.map(|slot| plan.bytes(slot)).sum());
             previous = slots(tier);
@@ -469,12 +416,9 @@ impl MoCubingEngine {
         }
     }
 
-    /// The exceptional rows among a replay's `rows` of `cuboid`, keyed
-    /// by their representative tuple's m-key projected onto the cuboid
-    /// and inserted in target iteration order, as
-    /// [`collect_exceptions`] does on the cold path.
-    ///
-    /// [`collect_exceptions`]: crate::table::collect_exceptions
+    /// The exceptional rows among a unit's `rows` of `cuboid`, keyed by
+    /// their representative tuple's m-key projected onto the cuboid and
+    /// inserted in target iteration order.
     fn replay_exceptions(
         &self,
         cuboid: &CuboidSpec,
@@ -540,84 +484,11 @@ impl MoCubingEngine {
             stats,
         )
     }
-
-    /// Computes every cuboid above the m-layer bottom-up in the
-    /// [`Schedule`]'s depth *tiers*, each aggregated from its closest
-    /// computed descendant (a one-step-finer table from the previous
-    /// tier). Returns the m-layer table it was given, the o-layer table
-    /// and the exception stores; between-layer full tables are dropped as
-    /// soon as the next tier no longer needs them. A `capture` reads each
-    /// finished table into the roll-up plan.
-    fn compute_uppers(
-        &self,
-        work: &mut UnitWork,
-        m_table: CuboidTable,
-        mut capture: Option<&mut PlanCapture>,
-    ) -> Result<(CuboidTable, CuboidTable, FxHashMap<CuboidSpec, CuboidTable>)> {
-        let dims = self.schema.num_dims();
-        let schedule = &*self.schedule;
-
-        let mut o_table = CuboidTable::default();
-        let mut exceptions: FxHashMap<CuboidSpec, CuboidTable> = FxHashMap::default();
-        // The full tables a later tier may still fold, by slot.
-        let mut tables: Vec<Option<CuboidTable>> = vec![None; schedule.steps.len() + 1];
-        tables[0] = Some(m_table);
-        let mut previous = 0..0;
-        for tier in &schedule.tiers {
-            for k in tier.clone() {
-                let step = &schedule.steps[k];
-                let from = tables[step.source]
-                    .as_ref()
-                    .expect("a source outlives its tier");
-                let (full, rows) = aggregate_from(
-                    &self.schema,
-                    schedule.cuboid(step.source),
-                    from,
-                    &step.cuboid,
-                    None,
-                )?;
-                work.count_cuboid(rows, full.len());
-                let bytes = table_bytes(&full, dims);
-                work.mem.add(bytes);
-                if let Some(capture) = capture.as_deref_mut() {
-                    capture.step(&self.schema, schedule, k, from, &full, bytes);
-                }
-
-                if step.o_layer {
-                    o_table = full;
-                    continue;
-                }
-                let exc = collect_exceptions(&self.policy, &step.cuboid, &full);
-                if !exc.is_empty() {
-                    work.mem.add(table_bytes(&exc, dims));
-                    exceptions.insert(step.cuboid.clone(), exc);
-                }
-                tables[k + 1] = Some(full);
-            }
-            // The old tier is no longer reachable as a source.
-            retire_tier(&mut work.mem, &mut tables[previous], dims);
-            previous = slots(tier);
-        }
-        retire_tier(&mut work.mem, &mut tables[previous], dims);
-        let m_table = tables[0].take().expect("the m-layer is never retired");
-        Ok((m_table, o_table, exceptions))
-    }
-}
-
-/// Drops a finished tier's tables and books them out of the analytical
-/// memory.
-fn retire_tier(mem: &mut MemoryAccountant, tier: &mut [Option<CuboidTable>], dims: usize) {
-    let bytes = tier
-        .iter_mut()
-        .filter_map(Option::take)
-        .map(|table| table_bytes(&table, dims))
-        .sum();
-    mem.remove(bytes);
 }
 
 /// Flags a `target_of` entry whose source row is the first to reach its
-/// target row: a replay copies that row, as the cold fold inserts it,
-/// and merges every later one.
+/// target row: the fold copies that row, as the row's first arrival
+/// opens it, and merges every later one.
 const FIRST: u32 = 1 << 31;
 
 /// The 64-bit Fx hash a unit's m-key sequence is looked up by.
@@ -643,9 +514,9 @@ fn sequence_hash(tuples: &[MTuple]) -> u64 {
 struct ShapeCache {
     shapes: Vec<Shape>,
     /// The plan the held unit's critical tables are laid out by: the one
-    /// it replayed or captured.
+    /// it replayed or kept.
     held: Option<u64>,
-    /// The identity the next captured plan gets.
+    /// The identity the next kept plan gets.
     next_plan: u64,
 }
 
@@ -653,7 +524,7 @@ struct ShapeCache {
 #[derive(Debug, Clone)]
 struct Shape {
     hash: u64,
-    /// Captured by the second unit with this hash; absent while the
+    /// Kept by the second unit with this hash; absent while the
     /// sequence was seen only once.
     plan: Option<RollUpPlan>,
 }
@@ -663,10 +534,10 @@ enum Lookup<'a> {
     /// A resident plan of exactly this sequence; `held` when the held
     /// unit is laid out by it.
     Replay { plan: &'a RollUpPlan, held: bool },
-    /// The hash was seen once: run cold and capture the plan.
+    /// The hash was seen once: build the plan and keep it.
     Capture,
-    /// A new hash, or a plan of another sequence under this one: run
-    /// cold.
+    /// A new hash, or a plan of another sequence under this one: build
+    /// the plan and drop it.
     Cold,
 }
 
@@ -686,17 +557,17 @@ impl ShapeCache {
     }
 
     /// Records a committed unit with key-sequence hash `hash`: its shape
-    /// becomes the most recently used and the held unit's. A cold unit
-    /// leaves the shape with the plan it `captured`, if any, under a new
-    /// identity — a unit whose sequence missed a resident plan under the
-    /// same hash replaces it by the hash alone.
-    fn commit(&mut self, hash: u64, replayed: bool, captured: Option<RollUpPlan>) {
+    /// becomes the most recently used and the held unit's. A unit that
+    /// built its plan leaves the shape with the plan, if `kept`, under a
+    /// new identity — a unit whose sequence missed a resident plan under
+    /// the same hash replaces it by the hash alone.
+    fn commit(&mut self, hash: u64, replayed: bool, kept: Option<RollUpPlan>) {
         let mut shape = match self.shapes.iter().position(|shape| shape.hash == hash) {
             Some(at) => self.shapes.remove(at),
             None => Shape { hash, plan: None },
         };
         if !replayed {
-            shape.plan = captured.map(|plan| {
+            shape.plan = kept.map(|plan| {
                 self.next_plan += 1;
                 RollUpPlan {
                     id: self.next_plan,
@@ -712,11 +583,11 @@ impl ShapeCache {
     }
 }
 
-/// A unit's roll-up as index maps, read off a cold unit's
-/// finished tables by [`PlanCapture`] and laid out along the engine's
-/// [`Schedule`]. Replaying it on a unit with the same key sequence folds
-/// the same rows into the same targets in the same order, without
-/// hashing.
+/// A unit's roll-up as index maps, laid out along the engine's
+/// [`Schedule`] and [built](RollUpPlan::build) by hashing the unit's
+/// keys once per table. Every unit folds its measures by one: a unit of
+/// a new key sequence by the plan it just built, a recurring one by the
+/// plan its sequence left, without hashing.
 #[derive(Debug, Clone)]
 struct RollUpPlan {
     /// Unique within an engine: a result laid out by this plan is
@@ -733,7 +604,7 @@ struct RollUpPlan {
     /// projects onto the row's key. Rows are [`FIRST`]-flagged in
     /// `m_of` and every `target_of`.
     arena: Box<[u32]>,
-    /// Where each slot's rows lie in a replay's pair buffer: slot `s`
+    /// Where each slot's rows lie in the pair buffer: slot `s`
     /// holds `at[s]..at[s + 1]`, so the last entry is the plan's rows.
     at: Box<[usize]>,
     /// Per slot: the table's analytical bytes.
@@ -741,6 +612,73 @@ struct RollUpPlan {
 }
 
 impl RollUpPlan {
+    /// The plan of `tuples`' key sequence, built in one hashing walk per
+    /// table, in the order the lattice is rolled up. The m-layer takes
+    /// the tuples' keys in arrival order and every step its source
+    /// table's keys, in the source's iteration order, projected with
+    /// the LUT [`Projector`]: a key not yet in the table opens its row,
+    /// so a table's keys go in in first-arrival order. Each finished
+    /// table's rows are then [`number`]ed in its iteration order. A
+    /// table is dropped with its tier, once the next tier is built, as
+    /// it can be a source only for that one. `tuples` are fewer than
+    /// [`FIRST`].
+    fn build(schema: &CubeSchema, schedule: &Schedule, tuples: &[MTuple]) -> RollUpPlan {
+        let dims = schema.num_dims();
+        let mut arena: Vec<u32> = Vec::with_capacity(tuples.len() * (dims + 1));
+        arena.extend(tuples.iter().flat_map(MTuple::ids));
+        let keys = arena.len();
+        // Per slot while its tier may still be a source: its rows by key
+        // and its representative tuple per row, in iteration order.
+        let mut tables: Vec<Option<(Index, Vec<u32>)>> = vec![None; schedule.steps.len() + 1];
+        let mut m = Index::default();
+        let mut m_rep = Vec::new();
+        for (i, t) in tuples.iter().enumerate() {
+            arena.push(open_row(&mut m, t.ids(), &mut m_rep, i as u32));
+        }
+        let m_rep = number(&m, &mut arena[keys..], &m_rep);
+        let mut at = vec![0, m.len()];
+        let mut bytes = vec![table_bytes_at(m.capacity(), m.len(), dims)];
+        tables[0] = Some((m, m_rep));
+
+        let mut key = vec![0u32; dims];
+        // A step's representatives, per row in insertion order.
+        let mut opened = Vec::new();
+        let mut previous = 0..0;
+        for tier in &schedule.tiers {
+            for k in tier.clone() {
+                let step = &schedule.steps[k];
+                let (source, source_rep) = tables[step.source]
+                    .as_ref()
+                    .expect("a source outlives its tier");
+                let projector = Projector::new(schema, schedule.cuboid(step.source), &step.cuboid);
+                let mut target = Index::default();
+                opened.clear();
+                let start = arena.len();
+                for (ids, &first) in source.keys().zip(source_rep) {
+                    projector.project_into(ids.ids(), &mut key);
+                    arena.push(open_row(&mut target, &key, &mut opened, first));
+                }
+                let rep = number(&target, &mut arena[start..], &opened);
+                arena.extend_from_slice(&rep);
+                at.push(at[at.len() - 1] + target.len());
+                bytes.push(table_bytes_at(target.capacity(), target.len(), dims));
+                if !step.o_layer {
+                    tables[k + 1] = Some((target, rep));
+                }
+            }
+            tables[previous].fill(None);
+            previous = slots(tier);
+        }
+        RollUpPlan {
+            id: 0,
+            tuples: tuples.len(),
+            keys,
+            arena: arena.into_boxed_slice(),
+            at: at.into_boxed_slice(),
+            bytes: bytes.into_boxed_slice(),
+        }
+    }
+
     /// Whether `tuples` carry exactly this plan's key sequence.
     fn matches(&self, tuples: &[MTuple]) -> bool {
         tuples.len() == self.tuples
@@ -763,7 +701,7 @@ impl RollUpPlan {
         self.range(slot).len()
     }
 
-    /// Every table's rows: the length of a replay's pair buffer.
+    /// Every table's rows: the length of the pair buffer it needs.
     fn pairs(&self) -> usize {
         self.at[self.at.len() - 1]
     }
@@ -785,7 +723,47 @@ impl RollUpPlan {
     }
 }
 
-/// A measure as a replay folds it: `[base, slope]`. Every measure of
+/// A table while a plan is built: each key's row, numbered in
+/// insertion order.
+type Index = FxHashMap<CellKey, u32>;
+
+/// The `target_of` entry of a source row with key `ids` and
+/// representative tuple `first`: the key's row in `index`, opened — and
+/// [`FIRST`]-flagged, with `first` as its representative in `rep` — if
+/// the key is new. A hit probes by slice and builds no key.
+fn open_row(index: &mut Index, ids: &[u32], rep: &mut Vec<u32>, first: u32) -> u32 {
+    match index.get(ids) {
+        Some(&row) => row,
+        None => {
+            let row = index.len() as u32;
+            index.insert(CellKey::new(ids), row);
+            rep.push(first);
+            row | FIRST
+        }
+    }
+}
+
+/// Numbers a finished table's rows in its iteration order: rewrites
+/// `target_of`'s rows, numbered in insertion order, as positions in
+/// `index`'s iteration order, keeping their [`FIRST`] flags, and returns
+/// `rep`, per row in insertion order, in iteration order. The
+/// permutation is read off one walk of the table; nothing is hashed.
+fn number(index: &Index, target_of: &mut [u32], rep: &[u32]) -> Vec<u32> {
+    let mut position = vec![0u32; index.len()];
+    for (at, &row) in index.values().enumerate() {
+        position[row as usize] = at as u32;
+    }
+    for to in target_of {
+        *to = position[(*to & !FIRST) as usize] | (*to & FIRST);
+    }
+    let mut ordered = vec![0u32; rep.len()];
+    for (&at, &first) in position.iter().zip(rep) {
+        ordered[at as usize] = first;
+    }
+    ordered
+}
+
+/// A measure as the fold carries it: `[base, slope]`. Every measure of
 /// a unit spans the unit's window, so the interval is left out.
 type Pair = [f64; 2];
 
@@ -795,9 +773,10 @@ fn isb_of(window: (i64, i64), [base, slope]: Pair) -> Isb {
 }
 
 /// Folds `source` rows into the target `rows` by a plan's `target_of`
-/// map, in source order: a [`FIRST`]-flagged row is copied, as the cold
-/// fold inserts it, and every other is added to its target with the
-/// two adds of [`merge_sibling`], in its operand order.
+/// map, in source order: a [`FIRST`]-flagged row is copied, as its
+/// first arrival opens the target, and every other is added to its
+/// target with the two adds of [`merge_sibling`], in its operand order.
+/// It is Algorithm 1's only measure fold.
 ///
 /// [`merge_sibling`]: crate::measure::merge_sibling
 fn fold_pairs(source: impl Iterator<Item = Pair>, target_of: &[u32], rows: &mut [Pair]) {
@@ -836,13 +815,14 @@ fn unshared(result: &mut Arc<CubeResult>) -> &mut CubeResult {
     Arc::get_mut(result).expect("a recycled result is held by the engine alone")
 }
 
-/// A critical-layer table built as the cold fold built it, holding
-/// `rows` (in the cold table's iteration order). Walking `target_of`
-/// in source order, each [`FIRST`]-flagged entry inserts its row's key,
-/// `key_of(source position, row)`: the cold fold's inserts, in its
-/// first-arrival order. Neither the m-layer fold nor [`aggregate_from`]
-/// pre-sizes a table, so the same inserts into an empty table grow the
-/// same buckets and give the same iteration order.
+/// A critical-layer table keyed as the plan's build keyed it, holding
+/// `rows` (in that table's iteration order). Walking `target_of` in
+/// source order, each [`FIRST`]-flagged entry inserts its row's key,
+/// `key_of(source position, row)`: the build's inserts, in its
+/// first-arrival order. The build pre-sizes no table, so the same
+/// inserts into an empty table grow the same buckets and give the same
+/// iteration order — a hash map's iteration order follows from its keys
+/// and their insert sequence, not from its value type.
 fn rebuild(
     target_of: &[u32],
     window: (i64, i64),
@@ -859,145 +839,47 @@ fn rebuild(
     out
 }
 
-/// Fills `index` with each row's index in a finished table's iteration
-/// order.
-fn fill_index(index: &mut FxHashMap<CellKey, u32>, table: &CuboidTable) {
-    index.clear();
-    index.reserve(table.len());
-    for key in table.keys() {
-        index.insert(key.clone(), index.len() as u32);
-    }
-}
-
-/// Links a source row to target row `to`: the `target_of` entry,
-/// [`FIRST`]-flagged when the row is the target's first, which also
-/// makes `source_rep` the target's representative in `rep`.
-fn link(rep: &mut [u32], to: u32, source_rep: u32) -> u32 {
-    let first = &mut rep[to as usize];
-    if *first == u32::MAX {
-        *first = source_rep;
-        to | FIRST
-    } else {
-        to
-    }
-}
-
-/// Builds a [`RollUpPlan`] during a cold unit, from each table the
-/// moment it is finished.
-struct PlanCapture {
-    tuples: usize,
-    keys: usize,
-    arena: Vec<u32>,
-    at: Vec<usize>,
-    bytes: Vec<usize>,
-    /// The m-layer's representative tuple per m-row.
-    m_rep: Vec<u32>,
-    /// Where each step's `rep` starts in `arena`.
-    rep_at: Vec<usize>,
-    /// Scratch: the row index of the table being captured.
-    index: FxHashMap<CellKey, u32>,
-}
-
-impl PlanCapture {
-    fn new(tuples: &[MTuple], m_table: &CuboidTable, dims: usize) -> Self {
-        let mut index = FxHashMap::default();
-        fill_index(&mut index, m_table);
-        let mut arena = Vec::with_capacity(tuples.len() * (dims + 1));
-        arena.extend(tuples.iter().flat_map(MTuple::ids));
-        let keys = arena.len();
-        let mut m_rep = vec![u32::MAX; m_table.len()];
-        for (i, t) in tuples.iter().enumerate() {
-            arena.push(link(&mut m_rep, index[t.ids()], i as u32));
-        }
-        PlanCapture {
-            tuples: tuples.len(),
-            keys,
-            arena,
-            at: vec![0, m_table.len()],
-            bytes: vec![table_bytes(m_table, dims)],
-            m_rep,
-            rep_at: Vec::new(),
-            index,
-        }
-    }
-
-    /// Captures step `k`: `full` was folded from `source`, the finished
-    /// table of the step's source slot.
-    fn step(
-        &mut self,
-        schema: &CubeSchema,
-        schedule: &Schedule,
-        k: usize,
-        source: &CuboidTable,
-        full: &CuboidTable,
-        bytes: usize,
-    ) {
-        let step = &schedule.steps[k];
-        fill_index(&mut self.index, full);
-        let projector = Projector::walking(schema, schedule.cuboid(step.source), &step.cuboid);
-        let at = self.arena.len();
-        let (sources, rows) = (source.len(), full.len());
-        self.arena.resize(at + sources + rows, u32::MAX);
-        let (done, new) = self.arena.split_at_mut(at);
-        let (target_of, rep) = new.split_at_mut(sources);
-        let source_rep = match step.source {
-            0 => &self.m_rep[..],
-            slot => &done[self.rep_at[slot - 1]..][..sources],
-        };
-        let index = &self.index;
-        let mut key = vec![0u32; schema.num_dims()];
-        for (row, ids) in source.keys().enumerate() {
-            projector.project_into(ids.ids(), &mut key);
-            target_of[row] = link(rep, index[key.as_slice()], source_rep[row]);
-        }
-        self.rep_at.push(at + sources);
-        self.at.push(self.at[self.at.len() - 1] + rows);
-        self.bytes.push(bytes);
-    }
-
-    /// The finished plan; [`ShapeCache::commit`] gives it its identity.
-    fn finish(self) -> RollUpPlan {
-        RollUpPlan {
-            id: 0,
-            tuples: self.tuples,
-            keys: self.keys,
-            arena: self.arena.into_boxed_slice(),
-            at: self.at.into_boxed_slice(),
-            bytes: self.bytes.into_boxed_slice(),
-        }
-    }
-}
-
 impl CubingEngine for MoCubingEngine {
     fn algorithm(&self) -> Algorithm {
         Algorithm::MoCubing
     }
 
-    /// One unit: validate, compute the unit beside the held one —
-    /// replayed when its key sequence has a resident plan, cold
-    /// otherwise — diff the two, commit.
+    /// One unit: validate, compute the unit beside the held one — folded
+    /// by its key sequence's resident plan, or by one it builds — diff
+    /// the two, commit.
     fn ingest_unit(&mut self, tuples: &[MTuple]) -> Result<UnitDelta> {
         validate_tuples(&self.schema, self.layers.lattice().m_layer(), tuples)?;
+        if tuples.len() >= FIRST as usize {
+            return Err(CoreError::BadInput {
+                detail: format!(
+                    "a unit of {} tuples: a roll-up plan indexes fewer than {FIRST}",
+                    tuples.len()
+                ),
+            });
+        }
         let window = next_window(self.window, tuples)?;
+        let started = Instant::now();
         let hash = sequence_hash(tuples);
         let lookup = self.shapes.lookup(hash, tuples);
         let replayed = matches!(lookup, Lookup::Replay { .. });
         let mut recycled = false;
-        let (result, captured) = match lookup {
+        let mut pairs = std::mem::take(&mut self.pairs);
+        let (result, kept) = match lookup {
             Lookup::Replay { plan, held } => {
                 let spare = take_retired(&mut self.retired, plan.id);
                 recycled = spare.is_some();
-                let mut pairs = std::mem::take(&mut self.pairs);
-                let result = self.replay_unit(plan, held, spare, tuples, &mut pairs);
-                self.pairs = pairs;
+                let result = self.replay_unit(started, plan, held, spare, tuples, &mut pairs);
                 (result, None)
             }
-            Lookup::Capture => {
-                let (result, plan) = self.open_unit(tuples, true)?;
-                (Arc::new(result), plan)
+            // Any other unit builds its plan and folds by it; the cache
+            // keeps the plan only on its sequence's second sight.
+            lookup => {
+                let plan = RollUpPlan::build(&self.schema, &self.schedule, tuples);
+                let result = self.replay_unit(started, &plan, false, None, tuples, &mut pairs);
+                (result, matches!(lookup, Lookup::Capture).then_some(plan))
             }
-            Lookup::Cold => (Arc::new(self.open_unit(tuples, false)?.0), None),
         };
+        self.pairs = pairs;
         // The held unit's exceptions that do not recur come back as
         // cleared, so appeared/cleared consumers can maintain a live
         // alarm set across units.
@@ -1013,7 +895,7 @@ impl CubingEngine for MoCubingEngine {
         let retiring = std::mem::replace(&mut self.result, result);
         let laid_out_by = self.shapes.held;
         // The shapes follow the committed unit only.
-        self.shapes.commit(hash, replayed, captured);
+        self.shapes.commit(hash, replayed, kept);
         // Only a replay of the held shape writes into a retired result,
         // so only the held plan's are kept: a rotation keeps none.
         let held = self.shapes.held;
@@ -1136,21 +1018,39 @@ mod tests {
         assert!((apex.base() - 16.0).abs() < 1e-9);
     }
 
+    /// The counters, bytes included, as literals: `peak_bytes` and
+    /// `retained_bytes` are the analytical bytes of the tables a unit
+    /// folds and keeps (`table_bytes`), each tier counted until the next
+    /// is built.
     #[test]
     fn all_cuboids_are_computed_and_counted() {
         let (schema, layers) = small_setup();
-        let cube = compute(&schema, &layers, &ExceptionPolicy::never(), &dense_tuples()).unwrap();
-        // Lattice: 3 x 3 = 9 cuboids.
-        assert_eq!(cube.stats().cuboids_computed, 9);
-        // Cells: m (16) + (L2,L1) 8 + (L1,L2) 8 + (L2,*) 4 + (*,L2) 4 +
-        // (L1,L1) 4 + (L1,*) 2 + (*,L1) 2 + apex 1 = 49.
-        assert_eq!(cube.stats().cells_computed, 49);
-        assert_eq!(cube.total_exception_cells(), 0);
-        assert_eq!(
-            cube.stats().cells_retained,
-            16 + 1,
-            "never-policy retains only the critical layers"
-        );
+        // (policy, exception cells, cells retained, peak, retained bytes).
+        let cases = [
+            (ExceptionPolicy::never(), 0, 16 + 1, 5016, 2052),
+            (ExceptionPolicy::always(), 32, 49, 8208, 5700),
+        ];
+        for (policy, exceptions, retained, peak_bytes, retained_bytes) in cases {
+            let cube = compute(&schema, &layers, &policy, &dense_tuples()).unwrap();
+            let stats = cube.stats();
+            // Lattice: 3 x 3 = 9 cuboids.
+            assert_eq!(stats.cuboids_computed, 9);
+            // Cells: m (16) + (L2,L1) 8 + (L1,L2) 8 + (L2,*) 4 + (*,L2) 4 +
+            // (L1,L1) 4 + (L1,*) 2 + (*,L1) 2 + apex 1 = 49.
+            assert_eq!(stats.cells_computed, 49);
+            // Rows: 16 tuples into the m-layer, then each step's source
+            // rows, tier by tier: two steps from m, three from 8-cell
+            // tables, two from 4-cell tables and the apex from a 2-cell
+            // one.
+            assert_eq!(
+                stats.rows_folded,
+                16 + (16 + 16) + (8 + 8 + 8) + (4 + 4) + 2
+            );
+            assert_eq!(cube.total_exception_cells(), exceptions);
+            assert_eq!(stats.cells_retained, retained);
+            assert_eq!(stats.peak_bytes, peak_bytes);
+            assert_eq!(stats.retained_bytes, retained_bytes);
+        }
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! [`CellKey`] to [`Isb`]. A table is built by folding rows into it
 //! under Theorem 3.2 (a new key opens its cell, a known one merges), so
 //! its iteration order follows from its keys and the order they first
-//! arrived in. Algorithm 1 ([`crate::mo_cubing`]) folds a unit's tuples
-//! into the m-layer and rolls every other cuboid up from a finer one
-//! with [`aggregate_from`]; Algorithm 2 ([`crate::popular_path`]) drills
-//! with [`drill_aggregate`]; both screen finished tables with
-//! [`collect_exceptions`].
+//! arrived in. Algorithm 1 ([`crate::mo_cubing`]) folds a unit by a
+//! roll-up plan whose index maps are built that way; Algorithm 2
+//! ([`crate::popular_path`]) drills with [`drill_aggregate`] and screens
+//! finished tables with [`collect_exceptions`]; [`aggregate_from`]
+//! rolls any cuboid up from a finer table for queries.
 //!
 //! ```
 //! use regcube_core::table::{aggregate_from, CuboidTable};
@@ -78,17 +78,23 @@ pub(crate) fn merge_row(table: &mut CuboidTable, ids: &[u32], isb: &Isb) -> Resu
 /// real allocator measurements within a tolerance band, on both sides
 /// of the inline bound.
 pub fn table_bytes(table: &CuboidTable, num_dims: usize) -> usize {
-    if table.capacity() == 0 {
+    table_bytes_at(table.capacity(), table.len(), num_dims)
+}
+
+/// [`table_bytes`] of a table of `capacity` holding `len` cells: a
+/// table's figure follows from those two alone.
+pub(crate) fn table_bytes_at(capacity: usize, len: usize, num_dims: usize) -> usize {
+    if capacity == 0 {
         return 0;
     }
-    let buckets = ((table.capacity() * 8).div_ceil(7)).next_power_of_two();
+    let buckets = ((capacity * 8).div_ceil(7)).next_power_of_two();
     let slot = std::mem::size_of::<(CellKey, Isb)>() + 1;
     let key_heap = if num_dims > INLINE_IDS {
         num_dims * std::mem::size_of::<u32>()
     } else {
         0
     };
-    buckets * slot + table.len() * key_heap
+    buckets * slot + len * key_heap
 }
 
 /// Dense mixed-radix cell-id codec of one cuboid: per-dimension
@@ -252,10 +258,11 @@ impl<'a> Projector<'a> {
 /// Aggregates a new table for `target_cuboid` from a (descendant)
 /// `source` table by projecting every source cell to the target cuboid
 /// and merging collisions under Theorem 3.2, in the source's iteration
-/// order — the group-by-projection primitive of both algorithms.
-/// `filter` decides which *target* cells to materialize: `None`
-/// computes every cell (Algorithm 1), `Some(pred)` only qualifying
-/// cells (Algorithm 2's drilling).
+/// order — the group-by-projection primitive. It folds in the order
+/// Algorithm 1's roll-up plan is built in, so it computes the cells
+/// Algorithm 1 computes. `filter` decides which *target* cells to
+/// materialize: `None` computes every cell, `Some(pred)` only
+/// qualifying ones.
 ///
 /// Returns the new table and the number of *source rows* folded (the
 /// work measure reported in run statistics).
@@ -362,7 +369,7 @@ pub fn drill_aggregate(
 
 /// Screens a finished full table against the exception policy and
 /// returns the exceptional cells, inserted in the table's iteration
-/// order — the one screening pass both algorithms share.
+/// order — Algorithm 2's screening pass.
 pub fn collect_exceptions(
     policy: &ExceptionPolicy,
     cuboid: &CuboidSpec,

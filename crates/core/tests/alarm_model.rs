@@ -322,3 +322,55 @@ fn grouped_peak_refresh_matches_the_per_episode_refresh() {
     }
     assert!(units > 400, "only {units} units");
 }
+
+/// Every episode closes — each cuboid's last one included — and then
+/// one cell per cuboid raises again: the log must reopen it, refresh its
+/// peak over the next units and close it again as the flat log does.
+#[test]
+fn a_cuboid_whose_episodes_all_closed_reopens() {
+    let schema = CubeSchema::synthetic(2, 2, 3).unwrap();
+    let layers = CriticalLayers::new(
+        &schema,
+        CuboidSpec::new(vec![0, 0]),
+        CuboidSpec::new(vec![2, 2]),
+    )
+    .unwrap();
+    let keys: Vec<Vec<u32>> = (0..9u32).map(|m| vec![m, 8 - m]).collect();
+    // Per unit, the slope of keys[0] and of every other key.
+    let script = [(3.0, 3.0), (0.0, 0.0), (3.0, 0.0), (5.0, 0.0), (0.0, 0.0)];
+    for algorithm in 0..2 {
+        let policy = ExceptionPolicy::slope_threshold(1.0);
+        let mut engine: Box<dyn CubingEngine> = if algorithm == 0 {
+            Box::new(MoCubingEngine::new(schema.clone(), layers.clone(), policy).unwrap())
+        } else {
+            Box::new(PopularPathEngine::new(schema.clone(), layers.clone(), policy, None).unwrap())
+        };
+        let (mut log, mut model) = (AlarmLog::new(64), FlatLog::new(64));
+        for (w, &(first, rest)) in script.iter().enumerate() {
+            let w = w as i64;
+            let tuples: Vec<MTuple> = keys
+                .iter()
+                .enumerate()
+                .map(|(i, ids)| {
+                    let slope = if i == 0 { first } else { rest };
+                    MTuple::new(ids.clone(), Isb::new(4 * w, 4 * w + 3, 1.0, slope).unwrap())
+                })
+                .collect();
+            let delta = engine.ingest_unit(&tuples).unwrap();
+            let ctx = AlarmContext::new(engine.result(), &delta);
+            log.on_unit(&delta, &ctx).unwrap();
+            model.on_unit(&delta, &ctx);
+            agree(&log, &model, &format!("algorithm {algorithm} unit {w}"));
+            let open = log.open_count();
+            match w {
+                0 => assert!(open > keys.len(), "unit 0 raises many cells"),
+                1 | 4 => assert_eq!(open, 0, "unit {w} clears everything"),
+                _ => assert!(
+                    open > 0 && open < keys.len(),
+                    "unit {w} reopens one cell per cuboid"
+                ),
+            }
+        }
+        assert!(log.closed_total() > log.open_count() as u64);
+    }
+}

@@ -4,12 +4,15 @@
 //! `SHAPES` recent m-key sequences and replays a plan, instead of
 //! re-hashing every cuboid, for any unit whose key sequence has one
 //! resident. The oracle here is a fresh engine that has seen only the
-//! unit before and the unit itself, so it computes the unit cold. Over
-//! seeded schemas (balanced and ragged), layers and exception policies
-//! (per-depth and per-cuboid overrides included), and over key sequences
-//! that repeat, change, reorder, shrink, grow, carry duplicate m-keys and
-//! return to earlier sequences, with NaN and infinite measures mixed in,
-//! the plan-holding engine must match the oracle unit by unit:
+//! unit before and the unit itself, so it computes the unit cold: it
+//! builds the unit's plan instead of replaying a kept one.
+//! `cold_fold_oracle.rs` and `m_layer_fold.rs` hold that build's order
+//! to independent folds. Over seeded schemas (balanced and ragged),
+//! layers and exception policies (per-depth and per-cuboid overrides
+//! included), and over key sequences that repeat, change, reorder,
+//! shrink, grow, carry duplicate m-keys and return to earlier sequences,
+//! with NaN and infinite measures mixed in, the plan-holding engine must
+//! match the oracle unit by unit:
 //!
 //! * the m-table, the o-table and every exception store: same keys in
 //!   the same iteration order with the same bits, the stores in the same
@@ -19,7 +22,7 @@
 //!
 //! Each check also pins *when* the engine replayed, against an LRU model
 //! of the cache: a sequence's first unit is remembered by hash, its
-//! second captures the plan, and every later one replays while the
+//! second keeps the plan it builds, and every later one replays while the
 //! sequence stays among the `SHAPES` most recently used. Scripted cases
 //! add alternation, rotations that fit the cache and one that evicts
 //! every shape, a sequence that returns after its eviction, units of
@@ -590,14 +593,16 @@ fn a_failed_unit_leaves_the_plan_alone() {
 /// Signed zeros and NaNs through the replay's pair fold. A cell whose
 /// only source is `-0.0` keeps `-0.0` (a fold that started every target
 /// at `0.0` and added would write `+0.0`); `-0.0` meeting `+0.0` gives
-/// `+0.0`; NaN meets numbers, `-0.0` and NaN. The threshold is `0.0`, so
-/// every between-layer cell but a NaN-sloped one is an exception and its
-/// bits are compared too. Two sequences alternate, so replays run both
-/// over the held unit's tables and into rebuilt ones.
+/// `+0.0`; NaN meets numbers, `-0.0` and NaN, and NaNs of three
+/// different bit patterns (payloads and a sign) meet in one m-cell and
+/// further up. The threshold is `0.0`, so every between-layer cell but a
+/// NaN-sloped one is an exception and its bits are compared too. Two
+/// sequences alternate, so replays run both over the held unit's tables
+/// and into rebuilt ones.
 ///
-/// The NaNs share one bit pattern: Rust leaves which NaN a sum of two
-/// different NaNs carries to code generation, so only this case is a
-/// property of the fold rather than of the compiled code.
+/// Rust leaves which NaN a sum of two different NaNs carries to code
+/// generation; a unit that builds its plan and one that replays a kept
+/// plan fold through the same adds, so they carry the same one.
 #[test]
 fn signed_zeros_and_nans_replay_as_they_fold_cold() {
     let schema = CubeSchema::synthetic(2, 2, 3).unwrap();
@@ -614,15 +619,24 @@ fn signed_zeros_and_nans_replay_as_they_fold_cold() {
         universe: Vec::new(),
     };
     let nan = f64::NAN;
+    let [tagged, other, negative] = [
+        0x7ff8_0000_0000_0001,
+        0x7ff8_0000_0000_0002,
+        0xfff8_0000_0000_0003,
+    ]
+    .map(f64::from_bits);
     // (m-key, base, slope). Key [8, 8] is the lone cell of its o-cell
     // and of every cuboid between; [0, 0] and [1, 0] share every
-    // ancestor.
+    // ancestor; [5, 7] arrives twice and meets [3, 6] from (L1, L1) up.
     let s: Vec<(Vec<u32>, f64, f64)> = vec![
         (vec![0, 0], -0.0, -0.0),
         (vec![1, 0], -0.0, 0.0),
         (vec![0, 1], nan, -0.0),
         (vec![1, 1], 1.5, nan),
         (vec![2, 2], nan, nan),
+        (vec![5, 7], tagged, -1.0),
+        (vec![3, 6], negative, other),
+        (vec![5, 7], other, 2.0),
         (vec![8, 8], -0.0, -0.0),
         (vec![4, 5], -0.0, -2.0),
         (vec![4, 4], 3.0, -0.0),
