@@ -33,17 +33,18 @@
 //! go in in first-arrival order, and each finished table's rows are
 //! numbered in its iteration order. The plan records, per tuple, its
 //! m-row and, per step, per source row in iteration order, its target
-//! row, along with a representative tuple per target row. The second
-//! pass folds the unit's measures by the plan as `(base, slope)` pairs,
-//! every table of the plan in one buffer the engine reuses from unit to
-//! unit: each target copies its first row and adds every later one with
-//! the two adds [`merge_sibling`] performs. The interval is not
-//! re-checked per row: [`validate_tuples`] has held every tuple to the
-//! unit's window at the door. An [`Isb`] is built only for a retained
-//! cell. Exception stores are filled in target iteration order,
-//! screened on each pair's slope. The plan's build is the only
-//! definition of order: which rows fold into which target, in which
-//! order, and where each target sits.
+//! row, along with every table's keys in its iteration order, read off
+//! the walk that numbers it. The second pass folds the unit's measures
+//! by the plan as `(base, slope)` pairs, every table of the plan in one
+//! buffer the engine reuses from unit to unit: each target copies its
+//! first row and adds every later one with the two adds
+//! [`merge_sibling`] performs. The interval is not re-checked per row:
+//! [`validate_tuples`] has held every tuple to the unit's window at the
+//! door. An [`Isb`] is built only for a retained cell. Exception stores
+//! are filled in target iteration order, screened on each pair's slope
+//! and keyed by the plan's keys. The plan's build is the only definition
+//! of order: which rows fold into which target, in which order, and
+//! where each target sits.
 //!
 //! **Recurring units.** In the paper's setting a fixed population of
 //! streams reports every unit, and the stream layer hands each unit's
@@ -59,32 +60,29 @@
 //! full, so a hash collision is only a miss — folds by that plan
 //! without hashing. The critical layers come out with the buckets of
 //! tables built by inserting the plan's keys in first-arrival order,
-//! whichever of three ways they are written: into a retired result of
-//! the same plan, in place; as clones of the held unit's tables when it
-//! has the shape; otherwise as fresh tables into which those keys are
-//! inserted in that order. Either way the values are rewritten in
+//! whichever of two ways they are written: into the spare result of the
+//! same plan, in place; otherwise as fresh tables into which those keys
+//! are inserted in that order. Either way the values are rewritten in
 //! iteration order. A unit that folds by a kept plan is therefore the
 //! unit that builds its own, bit for bit — NaN payloads included, as
 //! both run the one fold — and its statistics are too (but `elapsed`).
 //!
-//! **Retired results.** Every plan has an identity of its own, and the
+//! **The spare result.** Every plan has an identity of its own, and the
 //! engine knows which plan laid out the held unit's critical tables (the
 //! one it replayed or captured). When a unit of the same plan replaces
-//! the held one, the old result is kept, with that identity, among the
-//! last two retired results; a unit of another shape drops them all,
-//! so a rotating population keeps none. A replay of the held shape
-//! takes the oldest retired result of its plan — matched by identity,
-//! not by hash — that `Arc::get_mut` grants, one no snapshot holds any
-//! more, and writes the unit into it: its m- and o-tables are
-//! overwritten in place, and its exception stores and statistics
-//! replaced. A result any reader holds is never written; a replay that
-//! finds none falls back to the clone. Two, because a serving layer
-//! that publishes through a double-buffered cell still holds the unit
-//! before the held one while the next unit is cubed, so the result free
-//! to be written is the one two units back. The retired results are not
-//! counted in the unit's statistics: `peak_bytes` and `retained_bytes`
-//! stay the analytical bytes of one unit's tables, as a unit that
-//! builds its plan counts them.
+//! the held one, the old result is kept, with that identity, as the
+//! spare; a unit of another shape drops it, so a rotating population
+//! keeps none. A replay of the held shape takes the spare if it is of
+//! its plan — matched by identity, not by hash — and `Arc::get_mut`
+//! grants it, so no snapshot holds it any more, and writes the unit into
+//! it: its m- and o-tables are overwritten in place, and its exception
+//! stores and statistics replaced. A result any reader holds is never
+//! written; a replay that finds the spare held rebuilds. A serving layer
+//! that publishes each unit's snapshot in place of the last one holds
+//! only the held unit, so the spare — one unit back — is free. The spare
+//! is not counted in the unit's statistics: `peak_bytes` and
+//! `retained_bytes` stay the analytical bytes of one unit's tables, as a
+//! unit that builds its plan counts them.
 //!
 //! [`merge_sibling`]: crate::measure::merge_sibling
 
@@ -110,18 +108,10 @@ use std::time::Instant;
 /// A rotating population needs one shape per key sequence in its
 /// rotation: the benchmark's `quiet_fleet` tenants cycle through 16. A
 /// shape costs only the sequences that occur — a plan is its key
-/// sequence plus one `u32` per tuple, per source row and per target row
-/// of every step, about 1.3 KB on `quiet_fleet`'s 16-tuple units and
-/// eight-step lattice — so room for twice that rotation costs a fixed
-/// population nothing.
+/// sequence plus one `u32` per tuple and per source row of every step,
+/// and every table's keys — so room for twice that rotation costs a
+/// fixed population nothing.
 pub const SHAPES: usize = 32;
-
-/// The most retired results one engine keeps for a replay to overwrite
-/// (see the module docs). Two, because a serving layer that publishes
-/// through a double-buffered cell still holds the unit before the held
-/// one while the next unit is cubed: the result free to be written is
-/// the one two units back.
-const RETIRED: usize = 2;
 
 /// Groups every cuboid strictly above the m-layer into depth *tiers*
 /// (bottom-up, same total depth per tier) — the roll-up order.
@@ -240,10 +230,9 @@ pub struct MoCubingEngine {
     pairs: Vec<Pair>,
     /// Shared with every snapshot taken of the held unit.
     result: Arc<CubeResult>,
-    /// Up to [`RETIRED`] results the held one replaced, newest first,
-    /// each with the plan its critical tables are laid out by — always
-    /// the held unit's plan.
-    retired: Vec<(u64, Arc<CubeResult>)>,
+    /// The result the held one replaced, with the plan its critical
+    /// tables are laid out by — always the held unit's plan.
+    spare: Option<(u64, Arc<CubeResult>)>,
 }
 
 impl MoCubingEngine {
@@ -270,7 +259,7 @@ impl MoCubingEngine {
             shapes: ShapeCache::default(),
             pairs: Vec::new(),
             result,
-            retired: Vec::new(),
+            spare: None,
         })
     }
 
@@ -307,24 +296,23 @@ impl MoCubingEngine {
 
     /// Cubes a unit whose key sequence is `plan`'s by folding its
     /// measures along the plan's index maps as `(base, slope)` pairs in
-    /// `pairs` ([`fold_pairs`]): no key is hashed or projected except an
-    /// exceptional cell's and, unless the `held` unit or the `recycled`
-    /// result has the plan's shape, a critical-layer cell's. The
-    /// critical layers get the buckets of the plan's build
-    /// ([`overwrite`], [`refill`] or [`rebuild`]) and exception stores
-    /// are filled in target iteration order, so the result — statistics
-    /// too, but `elapsed`, counted from `started` — is the same whether
-    /// the plan was built for this unit or kept from an earlier one.
-    /// `tuples` are validated: they share one window.
+    /// `pairs` ([`fold_pairs`]): no key is projected, and none is hashed
+    /// but an exceptional cell's and, unless the `recycled` result is
+    /// written, a critical-layer cell's — each read from the plan's
+    /// keys. The critical layers get the buckets of the plan's build
+    /// ([`overwrite`] or [`rebuild`]) and exception stores are filled in
+    /// target iteration order, so the result — statistics too, but
+    /// `elapsed`, counted from `started` — is the same whether the plan
+    /// was built for this unit or kept from an earlier one. `tuples` are
+    /// validated: they share one window.
     ///
-    /// A `recycled` result is a retired one laid out by `plan` that
+    /// A `recycled` result is the spare, laid out by `plan`, that
     /// nothing else holds: the unit is written into it, its critical
     /// tables overwritten in place, and it is returned.
     fn replay_unit(
         &self,
         started: Instant,
         plan: &RollUpPlan,
-        held: bool,
         mut recycled: Option<Arc<CubeResult>>,
         tuples: &[MTuple],
         pairs: &mut Vec<Pair>,
@@ -333,7 +321,8 @@ impl MoCubingEngine {
         let dims = self.schema.num_dims();
         let window = tuples[0].isb().interval();
         let mut mem = MemoryAccountant::default();
-        let (m_of, mut maps) = plan.maps();
+        let (m_of, maps) = plan.maps();
+        let (m_keys, mut maps) = maps.split_at(plan.rows(0) * dims);
         // Every row is written by its target's first source row before
         // anything reads it, so the buffer is only ever grown.
         if pairs.len() < plan.pairs() {
@@ -353,8 +342,7 @@ impl MoCubingEngine {
         mem.add(plan.bytes(0));
         let m_table = match spare_m.take() {
             Some(table) => overwrite(table, window, m_rows),
-            None if held => refill(self.result.m_table(), window, m_rows),
-            None => rebuild(m_of, window, m_rows, |i, _| CellKey::new(tuples[i].ids())),
+            None => rebuild(m_of, m_keys, dims, window, m_rows),
         };
 
         let mut o_table = CuboidTable::default();
@@ -364,7 +352,7 @@ impl MoCubingEngine {
             for k in tier.clone() {
                 let step = &schedule.steps[k];
                 let (target_of, rest) = maps.split_at(plan.rows(step.source));
-                let (rep, rest) = rest.split_at(plan.rows(k + 1));
+                let (keys, rest) = rest.split_at(plan.rows(k + 1) * dims);
                 maps = rest;
                 // A source slot always precedes its target's.
                 let target = plan.range(k + 1);
@@ -376,20 +364,11 @@ impl MoCubingEngine {
                 if step.o_layer {
                     o_table = match spare_o.take() {
                         Some(table) => overwrite(table, window, rows),
-                        None if held => refill(self.result.o_table(), window, rows),
-                        None => {
-                            let projector =
-                                Projector::walking(&self.schema, &schedule.m_layer, &step.cuboid);
-                            let mut key = vec![0u32; dims];
-                            rebuild(target_of, window, rows, |_, row| {
-                                projector.project_into(tuples[rep[row] as usize].ids(), &mut key);
-                                CellKey::new(&key)
-                            })
-                        }
+                        None => rebuild(target_of, keys, dims, window, rows),
                     };
                     continue;
                 }
-                let exc = self.replay_exceptions(&step.cuboid, window, tuples, rep, rows);
+                let exc = self.replay_exceptions(&step.cuboid, window, keys, rows);
                 if !exc.is_empty() {
                     mem.add(table_bytes(&exc, dims));
                     exceptions.insert(step.cuboid.clone(), exc);
@@ -417,28 +396,19 @@ impl MoCubingEngine {
     }
 
     /// The exceptional rows among a unit's `rows` of `cuboid`, keyed by
-    /// their representative tuple's m-key projected onto the cuboid and
+    /// the plan's `keys` of the cuboid (a row's ids at `row × dims`) and
     /// inserted in target iteration order.
     fn replay_exceptions(
         &self,
         cuboid: &CuboidSpec,
         window: (i64, i64),
-        tuples: &[MTuple],
-        rep: &[u32],
+        keys: &[u32],
         rows: &[Pair],
     ) -> CuboidTable {
         let threshold = self.policy.threshold_for(cuboid);
         let mut exc = CuboidTable::default();
-        // Built at the first exceptional row: most steps have none.
-        let mut projection = None;
-        for (&pair, &rep) in rows.iter().zip(rep) {
+        for (&pair, key) in rows.iter().zip(keys.chunks_exact(self.schema.num_dims())) {
             if ExceptionPolicy::slope_is_exception_at(threshold, pair[1]) {
-                let (projector, key) = projection.get_or_insert_with(|| {
-                    let projector =
-                        Projector::walking(&self.schema, &self.schedule.m_layer, cuboid);
-                    (projector, vec![0u32; self.schema.num_dims()])
-                });
-                projector.project_into(tuples[rep as usize].ids(), key);
                 exc.insert(CellKey::new(key), isb_of(window, pair));
             }
         }
@@ -531,9 +501,8 @@ struct Shape {
 
 /// What the cache holds for a unit's key sequence.
 enum Lookup<'a> {
-    /// A resident plan of exactly this sequence; `held` when the held
-    /// unit is laid out by it.
-    Replay { plan: &'a RollUpPlan, held: bool },
+    /// A resident plan of exactly this sequence.
+    Replay(&'a RollUpPlan),
     /// The hash was seen once: build the plan and keep it.
     Capture,
     /// A new hash, or a plan of another sequence under this one: build
@@ -548,10 +517,7 @@ impl ShapeCache {
             Some(Shape { plan: None, .. }) => Lookup::Capture,
             Some(Shape {
                 plan: Some(plan), ..
-            }) if plan.matches(tuples) => Lookup::Replay {
-                plan,
-                held: self.held == Some(plan.id),
-            },
+            }) if plan.matches(tuples) => Lookup::Replay(plan),
             Some(_) => Lookup::Cold,
         }
     }
@@ -595,14 +561,14 @@ struct RollUpPlan {
     id: u64,
     tuples: usize,
     /// The key sequence's length.
-    keys: usize,
+    sequence: usize,
     /// Everything in one allocation: the key sequence (every tuple's
-    /// ids, concatenated); `m_of`, the m-row each tuple folds into; then
-    /// per step its `target_of` — for each source row, in the source's
-    /// iteration order, its target row's index in the target's iteration
-    /// order — and its `rep`, per target row a tuple whose m-key
-    /// projects onto the row's key. Rows are [`FIRST`]-flagged in
-    /// `m_of` and every `target_of`.
+    /// ids, concatenated); `m_of`, the m-row each tuple folds into, and
+    /// the m-layer's keys; then per step its `target_of` — for each
+    /// source row, in the source's iteration order, its target row's
+    /// index in the target's iteration order — and its keys. A table's
+    /// keys are every row's ids in its iteration order, `dims` a row.
+    /// Rows are [`FIRST`]-flagged in `m_of` and every `target_of`.
     arena: Box<[u32]>,
     /// Where each slot's rows lie in the pair buffer: slot `s`
     /// holds `at[s]..at[s + 1]`, so the last entry is the plan's rows.
@@ -615,64 +581,45 @@ impl RollUpPlan {
     /// The plan of `tuples`' key sequence, built in one hashing walk per
     /// table, in the order the lattice is rolled up. The m-layer takes
     /// the tuples' keys in arrival order and every step its source
-    /// table's keys, in the source's iteration order, projected with
-    /// the LUT [`Projector`]: a key not yet in the table opens its row,
-    /// so a table's keys go in in first-arrival order. Each finished
-    /// table's rows are then [`number`]ed in its iteration order. A
-    /// table is dropped with its tier, once the next tier is built, as
-    /// it can be a source only for that one. `tuples` are fewer than
-    /// [`FIRST`].
+    /// table's keys, read off the plan in the source's iteration order
+    /// and projected with the LUT [`Projector`]: a key not yet in the
+    /// table opens its row, so a table's keys go in in first-arrival
+    /// order. Each finished table's rows are then [`number`]ed in its
+    /// iteration order, its keys written to the plan in that order and
+    /// its index dropped. `tuples` are fewer than [`FIRST`].
     fn build(schema: &CubeSchema, schedule: &Schedule, tuples: &[MTuple]) -> RollUpPlan {
         let dims = schema.num_dims();
-        let mut arena: Vec<u32> = Vec::with_capacity(tuples.len() * (dims + 1));
+        let mut arena: Vec<u32> = Vec::with_capacity(tuples.len() * (2 * dims + 1));
         arena.extend(tuples.iter().flat_map(MTuple::ids));
-        let keys = arena.len();
-        // Per slot while its tier may still be a source: its rows by key
-        // and its representative tuple per row, in iteration order.
-        let mut tables: Vec<Option<(Index, Vec<u32>)>> = vec![None; schedule.steps.len() + 1];
+        let sequence = arena.len();
         let mut m = Index::default();
-        let mut m_rep = Vec::new();
-        for (i, t) in tuples.iter().enumerate() {
-            arena.push(open_row(&mut m, t.ids(), &mut m_rep, i as u32));
+        for t in tuples {
+            arena.push(open_row(&mut m, t.ids()));
         }
-        let m_rep = number(&m, &mut arena[keys..], &m_rep);
         let mut at = vec![0, m.len()];
         let mut bytes = vec![table_bytes_at(m.capacity(), m.len(), dims)];
-        tables[0] = Some((m, m_rep));
+        // Per slot: where its keys start in the arena.
+        let mut keys_at = vec![number(m, &mut arena, sequence, dims)];
 
         let mut key = vec![0u32; dims];
-        // A step's representatives, per row in insertion order.
-        let mut opened = Vec::new();
-        let mut previous = 0..0;
-        for tier in &schedule.tiers {
-            for k in tier.clone() {
-                let step = &schedule.steps[k];
-                let (source, source_rep) = tables[step.source]
-                    .as_ref()
-                    .expect("a source outlives its tier");
-                let projector = Projector::new(schema, schedule.cuboid(step.source), &step.cuboid);
-                let mut target = Index::default();
-                opened.clear();
-                let start = arena.len();
-                for (ids, &first) in source.keys().zip(source_rep) {
-                    projector.project_into(ids.ids(), &mut key);
-                    arena.push(open_row(&mut target, &key, &mut opened, first));
-                }
-                let rep = number(&target, &mut arena[start..], &opened);
-                arena.extend_from_slice(&rep);
-                at.push(at[at.len() - 1] + target.len());
-                bytes.push(table_bytes_at(target.capacity(), target.len(), dims));
-                if !step.o_layer {
-                    tables[k + 1] = Some((target, rep));
-                }
+        for step in &schedule.steps {
+            let projector = Projector::new(schema, schedule.cuboid(step.source), &step.cuboid);
+            let source = keys_at[step.source];
+            let mut target = Index::default();
+            let start = arena.len();
+            for row in 0..at[step.source + 1] - at[step.source] {
+                let ids = source + row * dims;
+                projector.project_into(&arena[ids..ids + dims], &mut key);
+                arena.push(open_row(&mut target, &key));
             }
-            tables[previous].fill(None);
-            previous = slots(tier);
+            at.push(at[at.len() - 1] + target.len());
+            bytes.push(table_bytes_at(target.capacity(), target.len(), dims));
+            keys_at.push(number(target, &mut arena, start, dims));
         }
         RollUpPlan {
             id: 0,
             tuples: tuples.len(),
-            keys,
+            sequence,
             arena: arena.into_boxed_slice(),
             at: at.into_boxed_slice(),
             bytes: bytes.into_boxed_slice(),
@@ -685,12 +632,13 @@ impl RollUpPlan {
             && tuples
                 .iter()
                 .flat_map(MTuple::ids)
-                .eq(&self.arena[..self.keys])
+                .eq(&self.arena[..self.sequence])
     }
 
-    /// `m_of`, and the steps' maps after it.
+    /// `m_of`, and the m-layer's keys and the steps' maps and keys
+    /// after it.
     fn maps(&self) -> (&[u32], &[u32]) {
-        self.arena[self.keys..].split_at(self.tuples)
+        self.arena[self.sequence..].split_at(self.tuples)
     }
 
     fn range(&self, slot: usize) -> Range<usize> {
@@ -727,40 +675,39 @@ impl RollUpPlan {
 /// insertion order.
 type Index = FxHashMap<CellKey, u32>;
 
-/// The `target_of` entry of a source row with key `ids` and
-/// representative tuple `first`: the key's row in `index`, opened — and
-/// [`FIRST`]-flagged, with `first` as its representative in `rep` — if
-/// the key is new. A hit probes by slice and builds no key.
-fn open_row(index: &mut Index, ids: &[u32], rep: &mut Vec<u32>, first: u32) -> u32 {
+/// The `target_of` entry of a source row with key `ids`: the key's row
+/// in `index`, opened — and [`FIRST`]-flagged — if the key is new. A hit
+/// probes by slice and builds no key.
+fn open_row(index: &mut Index, ids: &[u32]) -> u32 {
     match index.get(ids) {
         Some(&row) => row,
         None => {
             let row = index.len() as u32;
             index.insert(CellKey::new(ids), row);
-            rep.push(first);
             row | FIRST
         }
     }
 }
 
 /// Numbers a finished table's rows in its iteration order: rewrites
-/// `target_of`'s rows, numbered in insertion order, as positions in
-/// `index`'s iteration order, keeping their [`FIRST`] flags, and returns
-/// `rep`, per row in insertion order, in iteration order. The
-/// permutation is read off one walk of the table; nothing is hashed.
-fn number(index: &Index, target_of: &mut [u32], rep: &[u32]) -> Vec<u32> {
+/// the `target_of` entries from `start` to the end of the `arena` — rows
+/// numbered in insertion order — as positions in `index`'s iteration
+/// order, keeping their [`FIRST`] flags, and appends the table's keys in
+/// that order, `dims` ids a row. Both are read off one walk of the
+/// table; nothing is hashed. Returns where the keys start.
+fn number(index: Index, arena: &mut Vec<u32>, start: usize, dims: usize) -> usize {
+    let keys = arena.len();
+    arena.resize(keys + index.len() * dims, 0);
+    let (target_of, out) = arena[start..].split_at_mut(keys - start);
     let mut position = vec![0u32; index.len()];
-    for (at, &row) in index.values().enumerate() {
+    for ((at, (key, &row)), slot) in index.iter().enumerate().zip(out.chunks_exact_mut(dims)) {
         position[row as usize] = at as u32;
+        slot.copy_from_slice(key.ids());
     }
     for to in target_of {
         *to = position[(*to & !FIRST) as usize] | (*to & FIRST);
     }
-    let mut ordered = vec![0u32; rep.len()];
-    for (&at, &first) in position.iter().zip(rep) {
-        ordered[at as usize] = first;
-    }
-    ordered
+    keys
 }
 
 /// A measure as the fold carries it: `[base, slope]`. Every measure of
@@ -802,38 +749,33 @@ fn overwrite(mut table: CuboidTable, window: (i64, i64), rows: &[Pair]) -> Cuboi
     table
 }
 
-/// A copy of `table` [`overwrite`]n with `rows`. A replay whose held
-/// unit has the shape, and no retired result it may write into, gets
-/// its critical layers this way.
-fn refill(table: &CuboidTable, window: (i64, i64), rows: &[Pair]) -> CuboidTable {
-    overwrite(table.clone(), window, rows)
-}
-
-/// The result a replay writes into: retired, and held by nothing but
-/// the replay.
+/// The result a replay writes into: the spare, held by nothing but the
+/// replay.
 fn unshared(result: &mut Arc<CubeResult>) -> &mut CubeResult {
     Arc::get_mut(result).expect("a recycled result is held by the engine alone")
 }
 
 /// A critical-layer table keyed as the plan's build keyed it, holding
 /// `rows` (in that table's iteration order). Walking `target_of` in
-/// source order, each [`FIRST`]-flagged entry inserts its row's key,
-/// `key_of(source position, row)`: the build's inserts, in its
-/// first-arrival order. The build pre-sizes no table, so the same
+/// source order, each [`FIRST`]-flagged entry inserts its row's key
+/// from `keys` (the table's, `dims` ids a row): the build's inserts, in
+/// its first-arrival order. The build pre-sizes no table, so the same
 /// inserts into an empty table grow the same buckets and give the same
 /// iteration order — a hash map's iteration order follows from its keys
 /// and their insert sequence, not from its value type.
 fn rebuild(
     target_of: &[u32],
+    keys: &[u32],
+    dims: usize,
     window: (i64, i64),
     rows: &[Pair],
-    mut key_of: impl FnMut(usize, usize) -> CellKey,
 ) -> CuboidTable {
     let mut out = CuboidTable::default();
-    for (i, &to) in target_of.iter().enumerate() {
+    for &to in target_of {
         if to & FIRST != 0 {
             let row = (to & !FIRST) as usize;
-            out.insert(key_of(i, row), isb_of(window, rows[row]));
+            let key = CellKey::new(&keys[row * dims..(row + 1) * dims]);
+            out.insert(key, isb_of(window, rows[row]));
         }
     }
     out
@@ -861,21 +803,26 @@ impl CubingEngine for MoCubingEngine {
         let started = Instant::now();
         let hash = sequence_hash(tuples);
         let lookup = self.shapes.lookup(hash, tuples);
-        let replayed = matches!(lookup, Lookup::Replay { .. });
+        let replayed = matches!(lookup, Lookup::Replay(_));
         let mut recycled = false;
         let mut pairs = std::mem::take(&mut self.pairs);
         let (result, kept) = match lookup {
-            Lookup::Replay { plan, held } => {
-                let spare = take_retired(&mut self.retired, plan.id);
+            Lookup::Replay(plan) => {
+                // A snapshot still being read keeps the spare out of
+                // reach.
+                let spare = self.spare.take().and_then(|(laid_out_by, mut result)| {
+                    (laid_out_by == plan.id && Arc::get_mut(&mut result).is_some())
+                        .then_some(result)
+                });
                 recycled = spare.is_some();
-                let result = self.replay_unit(started, plan, held, spare, tuples, &mut pairs);
+                let result = self.replay_unit(started, plan, spare, tuples, &mut pairs);
                 (result, None)
             }
             // Any other unit builds its plan and folds by it; the cache
             // keeps the plan only on its sequence's second sight.
             lookup => {
                 let plan = RollUpPlan::build(&self.schema, &self.schedule, tuples);
-                let result = self.replay_unit(started, &plan, false, None, tuples, &mut pairs);
+                let result = self.replay_unit(started, &plan, None, tuples, &mut pairs);
                 (result, matches!(lookup, Lookup::Capture).then_some(plan))
             }
         };
@@ -896,14 +843,12 @@ impl CubingEngine for MoCubingEngine {
         let laid_out_by = self.shapes.held;
         // The shapes follow the committed unit only.
         self.shapes.commit(hash, replayed, kept);
-        // Only a replay of the held shape writes into a retired result,
-        // so only the held plan's are kept: a rotation keeps none.
+        // Only a replay of the held shape writes into the spare, so only
+        // a result of the held plan is kept: a rotation keeps none.
         let held = self.shapes.held;
-        self.retired.retain(|(plan, _)| Some(*plan) == held);
-        if let Some(plan) = laid_out_by.filter(|_| laid_out_by == held) {
-            self.retired.insert(0, (plan, retiring));
-            self.retired.truncate(RETIRED);
-        }
+        self.spare = laid_out_by
+            .filter(|_| laid_out_by == held)
+            .map(|plan| (plan, retiring));
         self.units_replayed += u64::from(replayed);
         self.units_recycled += u64::from(recycled);
         Ok(delta)
@@ -924,16 +869,6 @@ impl CubingEngine for MoCubingEngine {
     fn units_recycled(&self) -> u64 {
         self.units_recycled
     }
-}
-
-/// Takes out of `retired` the oldest result laid out by `plan` that
-/// nothing but the engine holds — a snapshot still being read keeps its
-/// result out of reach.
-fn take_retired(retired: &mut Vec<(u64, Arc<CubeResult>)>, plan: u64) -> Option<Arc<CubeResult>> {
-    let at = retired.iter_mut().rposition(|(laid_out_by, result)| {
-        *laid_out_by == plan && Arc::get_mut(result).is_some()
-    })?;
-    Some(retired.remove(at).1)
 }
 
 /// Runs Algorithm 1 and returns the materialized cube.

@@ -187,11 +187,11 @@ impl CubeResult {
     /// O-layer cells that pass the exception policy — the analyst's alarm
     /// list, the starting points of exception-guided drilling.
     pub fn exceptional_o_cells(&self) -> Vec<(&CellKey, &Isb)> {
-        let o = self.layers.o_layer();
+        let threshold = self.policy.threshold_for(self.layers.o_layer());
         let mut cells: Vec<(&CellKey, &Isb)> = self
             .o_table
             .iter()
-            .filter(|(_, m)| self.policy.is_exception(o, m))
+            .filter(|(_, m)| ExceptionPolicy::is_exception_at(threshold, m))
             .collect();
         cells.sort_by(|a, b| {
             crate::measure::exception_score(b.1)

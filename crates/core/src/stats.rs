@@ -48,7 +48,7 @@ pub struct RunStats {
     /// publication); batch engines leave it zero.
     pub snapshots_published: u64,
     /// Published snapshots handed to readers (`regcube_serve`'s
-    /// double-buffered snapshot cell counts every load). Serving layer
+    /// snapshot cell counts every load). Serving layer
     /// only; batch engines leave it zero.
     pub snapshot_reads: u64,
     /// Ingest requests rejected with a **typed backpressure error**

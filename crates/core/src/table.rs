@@ -179,8 +179,7 @@ enum DimProj<'a> {
     Identity,
     /// `lut[member]` is the ancestor at the target level.
     Lut(Vec<u32>),
-    /// Per-row hierarchy walk (huge cardinalities, or a
-    /// [`Projector::walking`] projector).
+    /// Per-row hierarchy walk (huge cardinalities).
     Walk {
         hierarchy: &'a regcube_olap::Hierarchy,
         from: u8,
@@ -201,18 +200,6 @@ impl<'a> Projector<'a> {
     /// Builds the lookup tables for projecting `source`-cuboid cells to
     /// the (ancestor-or-equal) `target` cuboid.
     pub fn new(schema: &'a CubeSchema, source: &CuboidSpec, target: &CuboidSpec) -> Self {
-        Self::build(schema, source, target, true)
-    }
-
-    /// A projector that walks the hierarchy for every row instead of
-    /// building lookup tables — cheaper when only a handful of rows are
-    /// projected, as when a replayed unit keys its exceptional and
-    /// critical-layer cells (see [`crate::mo_cubing`]).
-    pub fn walking(schema: &'a CubeSchema, source: &CuboidSpec, target: &CuboidSpec) -> Self {
-        Self::build(schema, source, target, false)
-    }
-
-    fn build(schema: &'a CubeSchema, source: &CuboidSpec, target: &CuboidSpec, luts: bool) -> Self {
         let dims = (0..schema.num_dims())
             .map(|d| {
                 let hierarchy = schema.dims()[d].hierarchy();
@@ -220,7 +207,7 @@ impl<'a> Projector<'a> {
                 let card = hierarchy.cardinality(from);
                 if from == to {
                     DimProj::Identity
-                } else if luts && card <= PROJECTOR_LUT_MAX {
+                } else if card <= PROJECTOR_LUT_MAX {
                     DimProj::Lut(
                         (0..card)
                             .map(|m| hierarchy.ancestor_unchecked(from, m, to))

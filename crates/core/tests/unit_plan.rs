@@ -33,6 +33,7 @@ use rand::{Rng, SeedableRng};
 use regcube_core::engine::{CubingEngine, MoCubingEngine, UnitDelta};
 use regcube_core::mo_cubing::SHAPES;
 use regcube_core::{CriticalLayers, CubeResult, ExceptionPolicy, MTuple, RunStats};
+use regcube_olap::cell::INLINE_IDS;
 use regcube_olap::{CubeSchema, CuboidSpec, Dimension, Hierarchy};
 use regcube_regress::Isb;
 use std::sync::Arc;
@@ -94,6 +95,12 @@ fn analysis(rng: &mut StdRng) -> Analysis {
     let dims = rng.random_range(1..=3usize);
     let depth = rng.random_range(1..=3u8);
     let ragged = rng.random_bool(0.5);
+    analysis_of(rng, dims, depth, ragged)
+}
+
+/// [`analysis`] of `dims` dimensions, each a hierarchy `depth` levels
+/// deep, `ragged` or balanced.
+fn analysis_of(rng: &mut StdRng, dims: usize, depth: u8, ragged: bool) -> Analysis {
     let dimensions: Vec<Dimension> = (0..dims)
         .map(|d| {
             let hierarchy = if ragged {
@@ -200,7 +207,7 @@ fn unit(rng: &mut StdRng, keys: &[Vec<u32>], w: i64) -> Vec<MTuple> {
 
 /// Counts the units a plan-holding engine replays and recycles: an LRU
 /// of `SHAPES` key sequences, each with the plan captured for it (an
-/// identity, new at every capture), and the last two results a unit of
+/// identity, new at every capture), and the spare: the result a unit of
 /// the held plan replaced.
 #[derive(Default)]
 struct ReplayModel {
@@ -209,8 +216,8 @@ struct ReplayModel {
     plans: u64,
     /// The plan of the held unit.
     held: Option<u64>,
-    /// Newest first: (plan, unit).
-    retired: Vec<(u64, usize)>,
+    /// (plan, unit).
+    spare: Option<(u64, usize)>,
     replays: u64,
     recycles: u64,
 }
@@ -227,9 +234,8 @@ impl ReplayModel {
             Some(at) => match self.shapes.remove(at).1 {
                 Some(plan) => {
                     self.replays += 1;
-                    let free = |&(p, unit): &(u64, usize)| p == plan && unit + readers < k;
-                    if let Some(oldest) = self.retired.iter().rposition(free) {
-                        self.retired.remove(oldest);
+                    let free = |(p, unit): (u64, usize)| p == plan && unit + readers < k;
+                    if self.spare.is_some_and(free) {
                         self.recycles += 1;
                     }
                     Some(plan)
@@ -241,13 +247,10 @@ impl ReplayModel {
             },
             None => None,
         };
-        self.retired.retain(|&(p, _)| Some(p) == plan);
-        if let (Some(held), Some(last)) = (self.held, k.checked_sub(1)) {
-            if Some(held) == plan {
-                self.retired.insert(0, (held, last));
-                self.retired.truncate(2);
-            }
-        }
+        self.spare = match (self.held, k.checked_sub(1)) {
+            (Some(held), Some(last)) if Some(held) == plan => Some((held, last)),
+            _ => None,
+        };
         self.held = plan;
         self.shapes.push((keys.to_vec(), plan));
         if self.shapes.len() > SHAPES {
@@ -264,6 +267,16 @@ fn hold_to_cold(
     units: &[(Vec<Vec<u32>>, Vec<MTuple>)],
 ) {
     hold_to_cold_read(an, engine, units, 0);
+}
+
+/// The model's recycle count for `units` while a reader holds each
+/// unit's result until `readers` more units are cubed.
+fn modelled_recycles(units: &[(Vec<Vec<u32>>, Vec<MTuple>)], readers: usize) -> u64 {
+    let mut model = ReplayModel::default();
+    for (k, (keys, _)) in units.iter().enumerate() {
+        model.unit(k, keys, readers);
+    }
+    model.recycles
 }
 
 /// [`hold_to_cold`] while a reader holds each unit's shared result
@@ -418,13 +431,12 @@ fn a_replayed_unit_is_the_cold_unit() {
 /// The shape schedule A A B A A B B, then A for six units, read the way
 /// a serving layer reads it: a reader holds each unit's result until
 /// `readers` more units are cubed. Only a replay of the held shape
-/// writes into a retired result — the oldest of its plan that nobody
-/// reads — and a unit of another shape drops them, so the short runs
-/// never recycle and the last run does from its third unit on. Every
-/// unit is still the cold unit, and every read result stays as it was.
-/// Two readers, as a double-buffered snapshot cell holds them, leave the
-/// result three units back free; three reach past both retired results,
-/// so nothing is recycled.
+/// writes into the spare — the result one unit back, if nobody reads
+/// it — and a unit of another shape drops it, so the short runs never
+/// recycle and the last run does from its third unit on. Every unit is
+/// still the cold unit, and every read result stays as it was. One
+/// reader, as a snapshot cell holds the held unit, leaves the spare
+/// free; two or more reach it, so nothing is recycled.
 #[test]
 fn a_replay_writes_into_a_retired_result_no_reader_holds() {
     let (mut rng, an) = rich_analysis(17);
@@ -432,12 +444,49 @@ fn a_replay_writes_into_a_retired_result_no_reader_holds() {
     let order = [0, 0, 1, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0];
     let picked: Vec<&[Vec<u32>]> = order.iter().map(|&i| seqs[i].as_slice()).collect();
     let units = units_of(&mut rng, &picked);
-    for (readers, recycled) in [(0, 4), (1, 4), (2, 3), (3, 0)] {
+    for readers in 0..=3 {
+        let recycled = modelled_recycles(&units, readers);
+        assert_eq!(recycled == 0, readers >= 2, "{readers} readers");
         let mut engine =
             MoCubingEngine::new(an.schema.clone(), an.layers.clone(), an.policy.clone()).unwrap();
         hold_to_cold_read(&an, &mut engine, &units, readers);
         assert_eq!(engine.units_replayed(), 9);
         assert_eq!(engine.units_recycled(), recycled, "{readers} readers");
+    }
+}
+
+/// Six dimensions, one more than a `CellKey` keeps inline, so every key
+/// a plan stores and a replay reads back — exception and o-layer cells
+/// — is a heap key. Balanced and ragged hierarchies, a few seeds each;
+/// a reader holds each unit's result for one unit, as a snapshot cell
+/// does, so replays both rebuild their critical layers and write into
+/// the spare.
+#[test]
+fn a_six_dimension_unit_replays_the_cold_unit() {
+    for ragged in [false, true] {
+        let (mut replays, mut recycles, mut exceptions) = (0, 0, 0);
+        for seed in 0..8u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let an = analysis_of(&mut rng, 6, 2, ragged);
+            assert!(an.schema.num_dims() > INLINE_IDS);
+            let units = script(&mut rng, &an, 10);
+            let mut engine =
+                MoCubingEngine::new(an.schema.clone(), an.layers.clone(), an.policy.clone())
+                    .unwrap();
+            hold_to_cold_read(&an, &mut engine, &units, 1);
+            replays += engine.units_replayed();
+            recycles += engine.units_recycled();
+            exceptions += engine.result().total_exception_cells();
+        }
+        assert!(
+            replays > 10,
+            "ragged {ragged}: only {replays} units replayed"
+        );
+        assert!(
+            recycles > 5,
+            "ragged {ragged}: only {recycles} units recycled"
+        );
+        assert!(exceptions > 0, "ragged {ragged}: no exception cells");
     }
 }
 
@@ -483,7 +532,7 @@ fn a_sequence_back_after_eviction_starts_over() {
 
 /// Units of about 5,000 distinct m-cells on a 3-dimensional lattice. Two
 /// sequences alternate — the replays rebuild 5,000-cell m-tables — and
-/// then one repeats, replaying over the held unit's tables.
+/// then one repeats; its third replay in a row writes into the spare.
 #[test]
 fn a_wide_unit_replays_the_cold_unit() {
     let mut rng = StdRng::seed_from_u64(7);
@@ -512,12 +561,13 @@ fn a_wide_unit_replays_the_cold_unit() {
     let changed = &all[..all.len() - 1];
     let units = units_of(
         &mut rng,
-        &[all, changed, all, changed, all, changed, all, all],
+        &[all, changed, all, changed, all, changed, all, all, all],
     );
     let mut engine =
         MoCubingEngine::new(an.schema.clone(), an.layers.clone(), an.policy.clone()).unwrap();
     hold_to_cold(&an, &mut engine, &units);
-    assert_eq!(engine.units_replayed(), 4);
+    assert_eq!(engine.units_replayed(), 5);
+    assert_eq!(engine.units_recycled(), 1);
 }
 
 /// A restored engine re-cubes the checkpointed unit from its m-table,
@@ -596,9 +646,9 @@ fn a_failed_unit_leaves_the_plan_alone() {
 /// `+0.0`; NaN meets numbers, `-0.0` and NaN, and NaNs of three
 /// different bit patterns (payloads and a sign) meet in one m-cell and
 /// further up. The threshold is `0.0`, so every between-layer cell but a
-/// NaN-sloped one is an exception and its bits are compared too. Two
-/// sequences alternate, so replays run both over the held unit's tables
-/// and into rebuilt ones.
+/// NaN-sloped one is an exception and its bits are compared too. One
+/// sequence runs four units, so its second replay writes into the
+/// spare; then two alternate, so later replays rebuild.
 ///
 /// Rust leaves which NaN a sum of two different NaNs carries to code
 /// generation; a unit that builds its plan and one that replays a kept
@@ -657,7 +707,7 @@ fn signed_zeros_and_nans_replay_as_they_fold_cold() {
             .collect();
         (ids, tuples)
     };
-    let order = [&s, &s, &s, &t, &t, &s, &t];
+    let order = [&s, &s, &s, &s, &t, &t, &s, &t];
     let units: Vec<_> = order
         .iter()
         .enumerate()
@@ -666,7 +716,8 @@ fn signed_zeros_and_nans_replay_as_they_fold_cold() {
     let mut engine =
         MoCubingEngine::new(an.schema.clone(), an.layers.clone(), an.policy.clone()).unwrap();
     hold_to_cold(&an, &mut engine, &units);
-    assert_eq!(engine.units_replayed(), 3);
+    assert_eq!(engine.units_replayed(), 4);
+    assert_eq!(engine.units_recycled(), 1);
 
     // The replayed lone cell, up to the o-layer.
     let lone = engine.result().o_table()[&regcube_olap::cell::CellKey::new(vec![2, 0])];

@@ -1,32 +1,30 @@
-//! The double-buffered snapshot cell — the reader/writer seam of the
-//! serving layer.
+//! The snapshot cell — the reader/writer seam of the serving layer.
 //!
 //! The workspace forbids `unsafe`, so "lock-free reads" are built from
-//! safe parts: two slots, each a tiny critical section around an
-//! [`Arc`] clone, and an atomic index saying which slot is live. The
+//! safe parts: one slot, a tiny critical section around an [`Arc`]. The
 //! writer (the tenant's pump, already serialized by the engine lock)
-//! always writes the **inactive** slot and then flips the index with
-//! `Release` ordering; readers load the index with `Acquire` and clone
-//! the [`Arc`] out of the active slot. In steady state readers and the
-//! writer touch *different* slots, so neither waits on the other; the
-//! only possible contention is a reader that loaded the index just
-//! before two consecutive flips, and even then the wait is bounded by
-//! one pointer clone — no reader ever holds a lock across a query, and
-//! queries themselves run on the reader's own [`CubeSnapshot`] with no
-//! locks at all.
+//! swaps the fresh snapshot in under the lock and drops the one it
+//! replaced after unlocking; a reader clones the [`Arc`] under the
+//! lock. Either side holds the lock for one pointer swap or clone — no
+//! reader ever holds it across a query, and queries themselves run on
+//! the reader's own [`CubeSnapshot`] with no locks at all.
+//!
+//! The cell holds the latest snapshot only. Once a publish has replaced
+//! a snapshot, nothing but the readers that cloned it keeps it alive, so
+//! the cube result under it is free for the engine to write the unit
+//! after next into (see `regcube_core::mo_cubing`).
 
 use regcube_stream::CubeSnapshot;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A published-snapshot mailbox: one writer swaps fresh
 /// [`CubeSnapshot`]s in at unit boundaries, any number of readers take
-/// cheap `Arc` handles out without blocking the writer (or each other,
-/// beyond an `Arc` clone).
+/// cheap `Arc` handles out; either waits at most for the other's
+/// pointer swap or clone.
 #[derive(Debug)]
 pub struct SnapshotCell {
-    slots: [Mutex<Arc<CubeSnapshot>>; 2],
-    active: AtomicUsize,
+    slot: Mutex<Arc<CubeSnapshot>>,
     reads: AtomicU64,
 }
 
@@ -36,29 +34,25 @@ impl SnapshotCell {
     /// consistent, even before the first publication.
     pub fn new(initial: Arc<CubeSnapshot>) -> Self {
         SnapshotCell {
-            slots: [Mutex::new(Arc::clone(&initial)), Mutex::new(initial)],
-            active: AtomicUsize::new(0),
+            slot: Mutex::new(initial),
             reads: AtomicU64::new(0),
         }
     }
 
-    /// Publishes a new snapshot: writes the inactive slot, then flips
-    /// the active index. Single-writer by contract — the serving layer
-    /// only calls this while holding the tenant's engine lock, which is
-    /// what makes the write-inactive-then-flip protocol safe without
-    /// compare-and-swap loops.
+    /// Publishes a new snapshot: swaps it in under the lock, then drops
+    /// the replaced one — its last reference, unless a reader still
+    /// holds a clone — after unlocking, so no reader waits on the free.
     pub fn publish(&self, snapshot: Arc<CubeSnapshot>) {
-        let inactive = 1 - self.active.load(Ordering::Acquire);
-        *self.slots[inactive].lock().expect("snapshot slot lock") = snapshot;
-        self.active.store(inactive, Ordering::Release);
+        // The guard is a temporary of this statement: the lock is free
+        // again before `replaced` is dropped.
+        let replaced = std::mem::replace(&mut *self.slot.lock().expect("snapshot lock"), snapshot);
+        drop(replaced);
     }
 
-    /// Takes a handle on the most recently published snapshot. Never
-    /// blocks the publisher in steady state; the critical section is
-    /// one `Arc` clone.
+    /// Takes a handle on the most recently published snapshot. The
+    /// critical section is one `Arc` clone.
     pub fn load(&self) -> Arc<CubeSnapshot> {
-        let active = self.active.load(Ordering::Acquire);
-        let snapshot = Arc::clone(&self.slots[active].lock().expect("snapshot slot lock"));
+        let snapshot = Arc::clone(&self.slot.lock().expect("snapshot lock"));
         self.reads.fetch_add(1, Ordering::Relaxed);
         snapshot
     }
@@ -112,5 +106,31 @@ mod tests {
         cell.publish(snapshot_at(2));
         assert_eq!(old.epoch(), 0);
         assert_eq!(cell.load().epoch(), 2);
+    }
+
+    /// A publish lets go of the snapshot it replaces: only a reader's
+    /// clone keeps it alive. The engine's one spare result relies on
+    /// this.
+    #[test]
+    fn a_replaced_snapshot_lives_only_in_its_readers() {
+        let cell = SnapshotCell::new(snapshot_at(0));
+        let a = snapshot_at(1);
+        let weak = Arc::downgrade(&a);
+        cell.publish(a);
+        cell.publish(snapshot_at(2));
+        assert!(weak.upgrade().is_none(), "the cell let go of it");
+
+        let a = snapshot_at(3);
+        let weak = Arc::downgrade(&a);
+        cell.publish(a);
+        let reader = cell.load();
+        cell.publish(snapshot_at(4));
+        assert_eq!(
+            weak.upgrade().map(|s| s.epoch()),
+            Some(3),
+            "the reader keeps it"
+        );
+        drop(reader);
+        assert!(weak.upgrade().is_none(), "the last reader let go of it");
     }
 }

@@ -14,10 +14,12 @@
 //!   snapshots are built and freed by the same thread;
 //! * at every unit boundary the tenant publishes an immutable
 //!   [`CubeSnapshot`](regcube_stream::CubeSnapshot) through a
-//!   double-buffered, epoch-swapped [`cell::SnapshotCell`] — readers
-//!   clone an `Arc` and then drill, scan and inspect alarms entirely
-//!   without locks, byte-identically to the live engine at that
-//!   boundary;
+//!   one-slot [`cell::SnapshotCell`] that swaps it in place of the
+//!   last — readers clone an `Arc` and then drill, scan and inspect
+//!   alarms entirely without locks, byte-identically to the live
+//!   engine at that boundary. The cell keeps only the latest snapshot,
+//!   so the cube result one unit back is free for the tenant's cubing
+//!   engine to write its next replayed unit into;
 //! * ingest admission is a **bounded queue** per tenant: a full queue
 //!   is the typed [`ServeError::Overloaded`](error::ServeError) back
 //!   to the producer — accepted records are never lost, rejections are

@@ -112,7 +112,7 @@ impl ServeConfig {
 ///
 /// Reads ([`snapshot`](Self::snapshot), or a held
 /// [`TenantReader`]) never take an engine lock: they clone an `Arc`
-/// out of the tenant's double-buffered cell, so dashboards keep
+/// out of the tenant's snapshot cell, so dashboards keep
 /// answering at full speed while ingestion and unit closes run.
 pub struct Server {
     config: ServeConfig,

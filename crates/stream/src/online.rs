@@ -791,22 +791,20 @@ impl<E: CubingEngine> OnlineEngine<E> {
         self.computed = true;
         let recompute_time = started.elapsed();
 
-        // O-layer alarms: the one test on every o-cell's unit regression.
+        // O-layer alarms: the one test on every o-cell's unit regression,
+        // hottest first.
         let result = self.cubing.result();
         let threshold = result.policy().threshold_for(result.layers().o_layer());
-        let mut alarms = Vec::new();
-        for (key, measure) in result.o_table() {
-            let score = exception_score(measure);
-            if score >= threshold {
-                alarms.push(Alarm {
-                    key: key.clone(),
-                    measure: *measure,
-                    score,
-                    threshold,
-                });
-            }
-        }
-        alarms.sort_by(alarm_order);
+        let alarms: Vec<Alarm> = result
+            .exceptional_o_cells()
+            .into_iter()
+            .map(|(key, measure)| Alarm {
+                key: key.clone(),
+                measure: *measure,
+                score: exception_score(measure),
+                threshold,
+            })
+            .collect();
 
         // Fan the unit's late amendments (corrections to earlier units)
         // and then its delta out to the alarm sinks. Sinks see the
@@ -983,8 +981,8 @@ impl<E: CubingEngine> OnlineEngine<E> {
     /// must serialize with [`ingest`](Self::ingest) /
     /// [`close_unit`](Self::close_unit) — under a lock, readers block
     /// writers. Take a snapshot at each unit boundary instead (as
-    /// `regcube_serve` does, behind a double-buffered
-    /// epoch-swapped cell) and point readers at it: snapshot queries
+    /// `regcube_serve` does, behind a one-slot cell each publish
+    /// swaps) and point readers at it: snapshot queries
     /// return **the same bytes** as the engine-blocking path for every
     /// closed unit — `drill_at`/`drill_history` share one
     /// implementation with the engine, pinned by
@@ -1127,7 +1125,8 @@ pub struct TiltHit<'a> {
     pub exceptional: bool,
 }
 
-/// The canonical alarm order: hottest first, ties by key.
+/// The canonical alarm order: hottest first, ties by key — the order
+/// `CubeResult::exceptional_o_cells` lists a unit's alarms in.
 fn alarm_order(a: &Alarm, b: &Alarm) -> std::cmp::Ordering {
     b.score
         .partial_cmp(&a.score)

@@ -23,8 +23,8 @@
 //! core drill over the captured cube.
 //!
 //! `regcube_serve` publishes one snapshot per closed unit through a
-//! double-buffered epoch-swapped cell, which is what makes multi-tenant
-//! dashboard serving lock-free for readers.
+//! one-slot cell that swaps it in place of the last, which is what lets
+//! multi-tenant dashboards read without the engine lock.
 
 use crate::error::StreamError;
 use crate::online::{Alarm, LayerFrames, TiltHit};

@@ -7,8 +7,7 @@
 //! every tenant's published snapshot — `DashboardSummary`, `drill_at`
 //! time travel, alarm inspection — while the ingest loop keeps
 //! feeding records and closing units. Readers never take an engine
-//! lock: each read clones an `Arc` out of a double-buffered snapshot
-//! cell.
+//! lock: each read clones an `Arc` out of the tenant's snapshot cell.
 //!
 //! The example also drives one tenant into backpressure on purpose:
 //! its bounded queue fills, producers get the typed
