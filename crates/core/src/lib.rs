@@ -6,7 +6,7 @@
 //!
 //! * the ISB regression measures and lossless aggregation theorems of
 //!   [`regcube_regress`],
-//! * the dimensions / cuboid lattice / H-tree machinery of
+//! * the dimensions / cuboid lattice / popular-path machinery of
 //!   [`regcube_olap`],
 //! * the tilt time frame of [`regcube_tilt`].
 //!
@@ -29,9 +29,11 @@
 //!   cuboid between the layers by shared bottom-up aggregation, retaining
 //!   only the exceptions;
 //! * [`popular_path`] (**Algorithm 2**): rolls up only the cuboids along a
-//!   *popular path* (stored in the non-leaf nodes of a path-ordered
-//!   H-tree), then drills from the o-layer downward, computing only the
-//!   children of exception cells in off-path cuboids.
+//!   *popular path*, then drills from the o-layer downward, computing only
+//!   the children of exception cells in off-path cuboids.
+//!
+//! Both roll up by the same *roll-up plan*: index maps built by hashing a
+//! unit's keys once per table, by which its measures are folded.
 //!
 //! Both return a [`result::CubeResult`] with identical critical layers;
 //! Algorithm 1 retains a superset of Algorithm 2's exceptions (the paper's
@@ -81,6 +83,7 @@ pub mod exception;
 pub mod layers;
 pub mod measure;
 pub mod mo_cubing;
+mod plan;
 pub mod popular_path;
 pub mod query;
 pub mod result;

@@ -26,25 +26,14 @@
 //! each depth tier's full tables until the next tier is built, like the
 //! original batch algorithm.
 //!
-//! **One fold.** A unit is cubed in two passes. The first builds the
-//! *roll-up plan* of its key sequence: the keys are hashed once per
-//! table — the m-layer's in arrival order, every other table's from its
-//! source table in the source's iteration order — so each table's keys
-//! go in in first-arrival order, and each finished table's rows are
-//! numbered in its iteration order. The plan records, per tuple, its
-//! m-row and, per step, per source row in iteration order, its target
-//! row, along with every table's keys in its iteration order, read off
-//! the walk that numbers it. The second pass folds the unit's measures
-//! by the plan as `(base, slope)` pairs, every table of the plan in one
-//! buffer the engine reuses from unit to unit: each target copies its
-//! first row and adds every later one with the two adds
-//! [`merge_sibling`] performs. The interval is not re-checked per row:
-//! [`validate_tuples`] has held every tuple to the unit's window at the
-//! door. An [`Isb`] is built only for a retained cell. Exception stores
-//! are filled in target iteration order, screened on each pair's slope
-//! and keyed by the plan's keys. The plan's build is the only definition
-//! of order: which rows fold into which target, in which order, and
-//! where each target sits.
+//! **One fold.** A unit is cubed in two passes: the first builds the
+//! roll-up plan of its key sequence along the lattice's depth tiers
+//! (`plan.rs`, shared with Algorithm 2), the second folds the unit's
+//! measures by it as `(base, slope)` pairs, every table of the plan in
+//! one buffer the engine reuses from unit to unit. An [`Isb`] is built
+//! only for a retained cell. Exception stores are filled in target
+//! iteration order, screened on each pair's slope and keyed by the
+//! plan's keys.
 //!
 //! **Recurring units.** In the paper's setting a fixed population of
 //! streams reports every unit, and the stream layer hands each unit's
@@ -84,22 +73,21 @@
 //! `retained_bytes` stay the analytical bytes of one unit's tables, as a
 //! unit that builds its plan counts them.
 //!
-//! [`merge_sibling`]: crate::measure::merge_sibling
+//! [`Isb`]: regcube_regress::Isb
 
 use crate::engine::{empty_result, next_window, unshare_result, CubingEngine, UnitDelta};
 use crate::exception::ExceptionPolicy;
 use crate::layers::CriticalLayers;
 use crate::measure::{validate_tuples, MTuple};
+use crate::plan::{isb_of, rebuild, slots, Pair, RollUpPlan, Schedule};
 use crate::result::{Algorithm, CubeResult};
 use crate::stats::{MemoryAccountant, RunStats};
-use crate::table::{table_bytes, table_bytes_at, CuboidTable, Projector};
-use crate::{CoreError, Result};
+use crate::table::{table_bytes, CuboidTable};
+use crate::Result;
 use regcube_olap::cell::CellKey;
 use regcube_olap::fxhash::{FxHashMap, FxHasher};
 use regcube_olap::{CubeSchema, CuboidSpec};
-use regcube_regress::Isb;
 use std::hash::Hasher;
-use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -112,94 +100,6 @@ use std::time::Instant;
 /// and every table's keys — so room for twice that rotation costs a
 /// fixed population nothing.
 pub const SHAPES: usize = 32;
-
-/// Groups every cuboid strictly above the m-layer into depth *tiers*
-/// (bottom-up, same total depth per tier) — the roll-up order.
-fn depth_tiers(layers: &CriticalLayers) -> Vec<Vec<CuboidSpec>> {
-    let m_spec = layers.lattice().m_layer();
-    let mut tiers: Vec<(u32, Vec<CuboidSpec>)> = Vec::new();
-    for cuboid in layers.lattice().bottom_up_order() {
-        if &cuboid == m_spec {
-            continue;
-        }
-        let depth = cuboid.total_depth();
-        match tiers.last_mut() {
-            Some((d, group)) if *d == depth => group.push(cuboid),
-            _ => tiers.push((depth, vec![cuboid])),
-        }
-    }
-    tiers.into_iter().map(|(_, group)| group).collect()
-}
-
-/// The roll-up order of one lattice: every cuboid above the m-layer in
-/// depth tiers, each with the table it is aggregated from. It depends on
-/// the lattice alone, so an engine derives it once; every roll-up plan
-/// is built and laid out along it.
-///
-/// Tables are named by *slot*: 0 is the m-layer, `k + 1` is step `k`'s.
-#[derive(Debug)]
-struct Schedule {
-    m_layer: CuboidSpec,
-    steps: Vec<Step>,
-    /// Each depth tier's range of `steps`, bottom-up.
-    tiers: Vec<Range<usize>>,
-}
-
-/// One cuboid of a [`Schedule`].
-#[derive(Debug)]
-struct Step {
-    cuboid: CuboidSpec,
-    /// The slot it is folded from: its closest computed descendant, a
-    /// one-step-finer cuboid of the tier before (the m-layer for the
-    /// first tier).
-    source: usize,
-    /// The o-layer: kept whole, never screened, never a source.
-    o_layer: bool,
-}
-
-impl Schedule {
-    fn new(layers: &CriticalLayers) -> Self {
-        let lattice = layers.lattice();
-        let mut steps: Vec<Step> = Vec::new();
-        let mut tiers: Vec<Range<usize>> = Vec::new();
-        for tier in depth_tiers(layers) {
-            let start = steps.len();
-            let previous = tiers.last().cloned().unwrap_or(0..0);
-            for cuboid in tier {
-                let computed = &steps[previous.clone()];
-                let sources = computed.iter().filter(|s| !s.o_layer).map(|s| &s.cuboid);
-                let source = lattice
-                    .closest_computed_descendant(&cuboid, sources)
-                    .and_then(|c| computed.iter().position(|s| &s.cuboid == c))
-                    .map_or(0, |k| previous.start + k + 1);
-                steps.push(Step {
-                    o_layer: &cuboid == lattice.o_layer(),
-                    cuboid,
-                    source,
-                });
-            }
-            tiers.push(start..steps.len());
-        }
-        Schedule {
-            m_layer: lattice.m_layer().clone(),
-            steps,
-            tiers,
-        }
-    }
-
-    /// The cuboid of table `slot`.
-    fn cuboid(&self, slot: usize) -> &CuboidSpec {
-        match slot {
-            0 => &self.m_layer,
-            k => &self.steps[k - 1].cuboid,
-        }
-    }
-}
-
-/// The slots of a tier's tables.
-fn slots(tier: &Range<usize>) -> Range<usize> {
-    tier.start + 1..tier.end + 1
-}
 
 /// Algorithm 1 as a per-unit engine.
 ///
@@ -296,7 +196,7 @@ impl MoCubingEngine {
 
     /// Cubes a unit whose key sequence is `plan`'s by folding its
     /// measures along the plan's index maps as `(base, slope)` pairs in
-    /// `pairs` ([`fold_pairs`]): no key is projected, and none is hashed
+    /// `pairs` (`fold_pairs`): no key is projected, and none is hashed
     /// but an exceptional cell's and, unless the `recycled` result is
     /// written, a critical-layer cell's — each read from the plan's
     /// keys. The critical layers get the buckets of the plan's build
@@ -321,8 +221,6 @@ impl MoCubingEngine {
         let dims = self.schema.num_dims();
         let window = tuples[0].isb().interval();
         let mut mem = MemoryAccountant::default();
-        let (m_of, maps) = plan.maps();
-        let (m_keys, mut maps) = maps.split_at(plan.rows(0) * dims);
         // Every row is written by its target's first source row before
         // anything reads it, so the buffer is only ever grown.
         if pairs.len() < plan.pairs() {
@@ -332,40 +230,31 @@ impl MoCubingEngine {
             .as_mut()
             .map(|result| unshared(result).take_critical())
             .unzip();
+        let critical =
+            |spare: Option<CuboidTable>, map: &[u32], keys: &[u32], rows: &[Pair]| match spare {
+                Some(table) => overwrite(table, window, rows),
+                None => rebuild(map, keys, dims, window, rows),
+            };
 
-        let m_rows = &mut pairs[plan.range(0)];
-        fold_pairs(
-            tuples.iter().map(|t| [t.isb().base(), t.isb().slope()]),
-            m_of,
-            m_rows,
-        );
+        let mut tables = plan.tables(schedule, dims);
+        let (m_of, m_keys) = tables.next().expect("a plan has the m-layer's slot");
+        let m_rows = plan.fold(schedule, 0, m_of, tuples, pairs);
         mem.add(plan.bytes(0));
-        let m_table = match spare_m.take() {
-            Some(table) => overwrite(table, window, m_rows),
-            None => rebuild(m_of, m_keys, dims, window, m_rows),
+        let m_table = critical(spare_m.take(), m_of, m_keys, m_rows);
+        // A lattice of one cuboid: the m-layer is the o-layer.
+        let mut o_table = match schedule.o_slot() {
+            0 => critical(spare_o.take(), m_of, m_keys, m_rows),
+            _ => CuboidTable::default(),
         };
-
-        let mut o_table = CuboidTable::default();
         let mut exceptions: FxHashMap<CuboidSpec, CuboidTable> = FxHashMap::default();
         let mut previous = 0..0;
         for tier in &schedule.tiers {
-            for k in tier.clone() {
-                let step = &schedule.steps[k];
-                let (target_of, rest) = maps.split_at(plan.rows(step.source));
-                let (keys, rest) = rest.split_at(plan.rows(k + 1) * dims);
-                maps = rest;
-                // A source slot always precedes its target's.
-                let target = plan.range(k + 1);
-                let (done, rest) = pairs.split_at_mut(target.start);
-                let rows = &mut rest[..target.len()];
-                let source = done[plan.range(step.source)].iter().copied();
-                fold_pairs(source, target_of, rows);
-                mem.add(plan.bytes(k + 1));
+            for (slot, (target_of, keys)) in slots(tier).zip(&mut tables) {
+                let step = &schedule.steps[slot - 1];
+                let rows = plan.fold(schedule, slot, target_of, tuples, pairs);
+                mem.add(plan.bytes(slot));
                 if step.o_layer {
-                    o_table = match spare_o.take() {
-                        Some(table) => overwrite(table, window, rows),
-                        None => rebuild(target_of, keys, dims, window, rows),
-                    };
+                    o_table = critical(spare_o.take(), target_of, keys, rows);
                     continue;
                 }
                 let exc = self.replay_exceptions(&step.cuboid, window, keys, rows);
@@ -456,11 +345,6 @@ impl MoCubingEngine {
     }
 }
 
-/// Flags a `target_of` entry whose source row is the first to reach its
-/// target row: the fold copies that row, as the row's first arrival
-/// opens it, and merges every later one.
-const FIRST: u32 = 1 << 31;
-
 /// The 64-bit Fx hash a unit's m-key sequence is looked up by.
 fn sequence_hash(tuples: &[MTuple]) -> u64 {
     let mut hasher = FxHasher::default();
@@ -533,207 +417,16 @@ impl ShapeCache {
             None => Shape { hash, plan: None },
         };
         if !replayed {
-            shape.plan = kept.map(|plan| {
+            shape.plan = kept.map(|mut plan| {
                 self.next_plan += 1;
-                RollUpPlan {
-                    id: self.next_plan,
-                    ..plan
-                }
+                plan.id = self.next_plan;
+                plan
             });
         }
         self.held = shape.plan.as_ref().map(|plan| plan.id);
         self.shapes.push(shape);
         if self.shapes.len() > SHAPES {
             self.shapes.remove(0);
-        }
-    }
-}
-
-/// A unit's roll-up as index maps, laid out along the engine's
-/// [`Schedule`] and [built](RollUpPlan::build) by hashing the unit's
-/// keys once per table. Every unit folds its measures by one: a unit of
-/// a new key sequence by the plan it just built, a recurring one by the
-/// plan its sequence left, without hashing.
-#[derive(Debug, Clone)]
-struct RollUpPlan {
-    /// Unique within an engine: a result laid out by this plan is
-    /// matched to it by identity, never by hash.
-    id: u64,
-    tuples: usize,
-    /// The key sequence's length.
-    sequence: usize,
-    /// Everything in one allocation: the key sequence (every tuple's
-    /// ids, concatenated); `m_of`, the m-row each tuple folds into, and
-    /// the m-layer's keys; then per step its `target_of` — for each
-    /// source row, in the source's iteration order, its target row's
-    /// index in the target's iteration order — and its keys. A table's
-    /// keys are every row's ids in its iteration order, `dims` a row.
-    /// Rows are [`FIRST`]-flagged in `m_of` and every `target_of`.
-    arena: Box<[u32]>,
-    /// Where each slot's rows lie in the pair buffer: slot `s`
-    /// holds `at[s]..at[s + 1]`, so the last entry is the plan's rows.
-    at: Box<[usize]>,
-    /// Per slot: the table's analytical bytes.
-    bytes: Box<[usize]>,
-}
-
-impl RollUpPlan {
-    /// The plan of `tuples`' key sequence, built in one hashing walk per
-    /// table, in the order the lattice is rolled up. The m-layer takes
-    /// the tuples' keys in arrival order and every step its source
-    /// table's keys, read off the plan in the source's iteration order
-    /// and projected with the LUT [`Projector`]: a key not yet in the
-    /// table opens its row, so a table's keys go in in first-arrival
-    /// order. Each finished table's rows are then [`number`]ed in its
-    /// iteration order, its keys written to the plan in that order and
-    /// its index dropped. `tuples` are fewer than [`FIRST`].
-    fn build(schema: &CubeSchema, schedule: &Schedule, tuples: &[MTuple]) -> RollUpPlan {
-        let dims = schema.num_dims();
-        let mut arena: Vec<u32> = Vec::with_capacity(tuples.len() * (2 * dims + 1));
-        arena.extend(tuples.iter().flat_map(MTuple::ids));
-        let sequence = arena.len();
-        let mut m = Index::default();
-        for t in tuples {
-            arena.push(open_row(&mut m, t.ids()));
-        }
-        let mut at = vec![0, m.len()];
-        let mut bytes = vec![table_bytes_at(m.capacity(), m.len(), dims)];
-        // Per slot: where its keys start in the arena.
-        let mut keys_at = vec![number(m, &mut arena, sequence, dims)];
-
-        let mut key = vec![0u32; dims];
-        for step in &schedule.steps {
-            let projector = Projector::new(schema, schedule.cuboid(step.source), &step.cuboid);
-            let source = keys_at[step.source];
-            let mut target = Index::default();
-            let start = arena.len();
-            for row in 0..at[step.source + 1] - at[step.source] {
-                let ids = source + row * dims;
-                projector.project_into(&arena[ids..ids + dims], &mut key);
-                arena.push(open_row(&mut target, &key));
-            }
-            at.push(at[at.len() - 1] + target.len());
-            bytes.push(table_bytes_at(target.capacity(), target.len(), dims));
-            keys_at.push(number(target, &mut arena, start, dims));
-        }
-        RollUpPlan {
-            id: 0,
-            tuples: tuples.len(),
-            sequence,
-            arena: arena.into_boxed_slice(),
-            at: at.into_boxed_slice(),
-            bytes: bytes.into_boxed_slice(),
-        }
-    }
-
-    /// Whether `tuples` carry exactly this plan's key sequence.
-    fn matches(&self, tuples: &[MTuple]) -> bool {
-        tuples.len() == self.tuples
-            && tuples
-                .iter()
-                .flat_map(MTuple::ids)
-                .eq(&self.arena[..self.sequence])
-    }
-
-    /// `m_of`, and the m-layer's keys and the steps' maps and keys
-    /// after it.
-    fn maps(&self) -> (&[u32], &[u32]) {
-        self.arena[self.sequence..].split_at(self.tuples)
-    }
-
-    fn range(&self, slot: usize) -> Range<usize> {
-        self.at[slot]..self.at[slot + 1]
-    }
-
-    fn rows(&self, slot: usize) -> usize {
-        self.range(slot).len()
-    }
-
-    /// Every table's rows: the length of the pair buffer it needs.
-    fn pairs(&self) -> usize {
-        self.at[self.at.len() - 1]
-    }
-
-    fn bytes(&self, slot: usize) -> usize {
-        self.bytes[slot]
-    }
-
-    /// The cube counters of a unit of this shape: every tuple folded into
-    /// the m-layer, every source row into its step's target.
-    fn counters(&self, schedule: &Schedule) -> RunStats {
-        let sources: usize = schedule.steps.iter().map(|s| self.rows(s.source)).sum();
-        RunStats {
-            rows_folded: (self.tuples + sources) as u64,
-            cells_computed: self.pairs() as u64,
-            cuboids_computed: self.bytes.len() as u32,
-            ..RunStats::default()
-        }
-    }
-}
-
-/// A table while a plan is built: each key's row, numbered in
-/// insertion order.
-type Index = FxHashMap<CellKey, u32>;
-
-/// The `target_of` entry of a source row with key `ids`: the key's row
-/// in `index`, opened — and [`FIRST`]-flagged — if the key is new. A hit
-/// probes by slice and builds no key.
-fn open_row(index: &mut Index, ids: &[u32]) -> u32 {
-    match index.get(ids) {
-        Some(&row) => row,
-        None => {
-            let row = index.len() as u32;
-            index.insert(CellKey::new(ids), row);
-            row | FIRST
-        }
-    }
-}
-
-/// Numbers a finished table's rows in its iteration order: rewrites
-/// the `target_of` entries from `start` to the end of the `arena` — rows
-/// numbered in insertion order — as positions in `index`'s iteration
-/// order, keeping their [`FIRST`] flags, and appends the table's keys in
-/// that order, `dims` ids a row. Both are read off one walk of the
-/// table; nothing is hashed. Returns where the keys start.
-fn number(index: Index, arena: &mut Vec<u32>, start: usize, dims: usize) -> usize {
-    let keys = arena.len();
-    arena.resize(keys + index.len() * dims, 0);
-    let (target_of, out) = arena[start..].split_at_mut(keys - start);
-    let mut position = vec![0u32; index.len()];
-    for ((at, (key, &row)), slot) in index.iter().enumerate().zip(out.chunks_exact_mut(dims)) {
-        position[row as usize] = at as u32;
-        slot.copy_from_slice(key.ids());
-    }
-    for to in target_of {
-        *to = position[(*to & !FIRST) as usize] | (*to & FIRST);
-    }
-    keys
-}
-
-/// A measure as the fold carries it: `[base, slope]`. Every measure of
-/// a unit spans the unit's window, so the interval is left out.
-type Pair = [f64; 2];
-
-/// The measure of a replayed row of a unit over `window`.
-fn isb_of(window: (i64, i64), [base, slope]: Pair) -> Isb {
-    Isb::new(window.0, window.1, base, slope).expect("a unit's window is an interval")
-}
-
-/// Folds `source` rows into the target `rows` by a plan's `target_of`
-/// map, in source order: a [`FIRST`]-flagged row is copied, as its
-/// first arrival opens the target, and every other is added to its
-/// target with the two adds of [`merge_sibling`], in its operand order.
-/// It is Algorithm 1's only measure fold.
-///
-/// [`merge_sibling`]: crate::measure::merge_sibling
-fn fold_pairs(source: impl Iterator<Item = Pair>, target_of: &[u32], rows: &mut [Pair]) {
-    for (pair, &to) in source.zip(target_of) {
-        let row = &mut rows[(to & !FIRST) as usize];
-        if to & FIRST != 0 {
-            *row = pair;
-        } else {
-            row[0] += pair[0];
-            row[1] += pair[1];
         }
     }
 }
@@ -755,32 +448,6 @@ fn unshared(result: &mut Arc<CubeResult>) -> &mut CubeResult {
     Arc::get_mut(result).expect("a recycled result is held by the engine alone")
 }
 
-/// A critical-layer table keyed as the plan's build keyed it, holding
-/// `rows` (in that table's iteration order). Walking `target_of` in
-/// source order, each [`FIRST`]-flagged entry inserts its row's key
-/// from `keys` (the table's, `dims` ids a row): the build's inserts, in
-/// its first-arrival order. The build pre-sizes no table, so the same
-/// inserts into an empty table grow the same buckets and give the same
-/// iteration order — a hash map's iteration order follows from its keys
-/// and their insert sequence, not from its value type.
-fn rebuild(
-    target_of: &[u32],
-    keys: &[u32],
-    dims: usize,
-    window: (i64, i64),
-    rows: &[Pair],
-) -> CuboidTable {
-    let mut out = CuboidTable::default();
-    for &to in target_of {
-        if to & FIRST != 0 {
-            let row = (to & !FIRST) as usize;
-            let key = CellKey::new(&keys[row * dims..(row + 1) * dims]);
-            out.insert(key, isb_of(window, rows[row]));
-        }
-    }
-    out
-}
-
 impl CubingEngine for MoCubingEngine {
     fn algorithm(&self) -> Algorithm {
         Algorithm::MoCubing
@@ -791,14 +458,7 @@ impl CubingEngine for MoCubingEngine {
     /// the two, commit.
     fn ingest_unit(&mut self, tuples: &[MTuple]) -> Result<UnitDelta> {
         validate_tuples(&self.schema, self.layers.lattice().m_layer(), tuples)?;
-        if tuples.len() >= FIRST as usize {
-            return Err(CoreError::BadInput {
-                detail: format!(
-                    "a unit of {} tuples: a roll-up plan indexes fewer than {FIRST}",
-                    tuples.len()
-                ),
-            });
-        }
+        RollUpPlan::admit(tuples)?;
         let window = next_window(self.window, tuples)?;
         let started = Instant::now();
         let hash = sequence_hash(tuples);

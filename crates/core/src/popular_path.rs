@@ -1,9 +1,15 @@
 //! **Algorithm 2 — popular-path cubing**: roll the m-layer up to the
-//! o-layer along one *popular drilling path*, storing the aggregated
-//! regressions in the non-leaf nodes of a path-ordered H-tree; then drill
-//! from the o-layer downward, computing in off-path cuboids **only the
-//! children of exception cells**, each aggregated from the closest
-//! computed lower cuboid (a path cuboid).
+//! o-layer along one *popular drilling path*, keeping the full table of
+//! every path cuboid; then drill from the o-layer downward, computing in
+//! off-path cuboids **only the children of exception cells**, each
+//! aggregated from the closest computed lower cuboid (a path cuboid).
+//!
+//! The paper stores the path's aggregates in the non-leaf nodes of an
+//! H-tree built in the path's order. Here the path is a roll-up order of
+//! its own, one cuboid above the other, and a unit folds along it by the
+//! roll-up plan Algorithm 1 folds by: the path tables are the plan's
+//! tables. A path table's iteration order, and so every drilled fold,
+//! follows from the unit's key sequence alone.
 //!
 //! Per the paper's footnote 7, this computes *fewer* exception cells than
 //! Algorithm 1: only those reachable from the o-layer through a chain of
@@ -19,16 +25,15 @@ use crate::engine::{empty_result, next_window, unshare_result, CubingEngine, Uni
 use crate::error::CoreError;
 use crate::exception::ExceptionPolicy;
 use crate::layers::CriticalLayers;
-use crate::measure::{merge_sibling, validate_tuples, MTuple};
+use crate::measure::{validate_tuples, MTuple};
+use crate::plan::{rebuild, RollUpPlan, Schedule};
 use crate::result::{Algorithm, CubeResult};
 use crate::stats::{MemoryAccountant, RunStats};
-use crate::table::{collect_exceptions, drill_aggregate, table_bytes, CuboidTable, Projector};
+use crate::table::{aggregate_from, collect_exceptions, table_bytes, CuboidTable, Projector};
 use crate::Result;
 use regcube_olap::cell::CellKey;
 use regcube_olap::fxhash::{FxHashMap, FxHashSet};
-use regcube_olap::htree::{attrs_for_path, expand_tuple, HTree, NodeId};
 use regcube_olap::{CubeSchema, CuboidSpec, PopularPath};
-use regcube_regress::Isb;
 use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Instant;
@@ -41,15 +46,17 @@ type Frontiers = FxHashMap<CuboidSpec, FxHashSet<CellKey>>;
 
 /// Algorithm 2 as a per-unit engine: the full tables along the popular
 /// path (the paper's retained state) live in the exposed result, next
-/// to the exception cells the drill found. Every unit rebuilds the
-/// H-tree, the path tables and the drilled exceptions from its batch
-/// and replaces the unit before it.
+/// to the exception cells the drill found. Every unit builds its path
+/// plan, folds the path tables by it, drills its exceptions and replaces
+/// the unit before it.
 #[derive(Debug, Clone)]
 pub struct PopularPathEngine {
     schema: CubeSchema,
     layers: CriticalLayers,
     policy: ExceptionPolicy,
     path: PopularPath,
+    /// The path's roll-up order, shared by every unit.
+    schedule: Arc<Schedule>,
     window: Option<(i64, i64)>,
     units_opened: u64,
     /// Shared with every snapshot taken of the held unit.
@@ -69,11 +76,12 @@ impl PopularPathEngine {
         path: Option<PopularPath>,
     ) -> Result<Self> {
         let path = match path {
-            Some(p) => p,
+            Some(p) => PopularPath::new(layers.lattice(), p.cuboids().to_vec())?,
             None => PopularPath::default_for(layers.lattice())?,
         };
         let result = empty_result(&layers, &policy, Algorithm::PopularPath);
         Ok(PopularPathEngine {
+            schedule: Arc::new(Schedule::path(&layers, &path)),
             schema,
             layers,
             policy,
@@ -94,67 +102,30 @@ impl PopularPathEngine {
         unshare_result(self.result)
     }
 
-    /// Computes one unit without touching the held one: path-ordered
-    /// H-tree roll-up (steps 1 & 2 of the batch algorithm), then the
-    /// drill pass (step 3), then the finished result with its
-    /// statistics.
+    /// Computes one unit without touching the held one: the path
+    /// rolled up by the unit's plan (steps 1 & 2 of the batch
+    /// algorithm), then the drill pass (step 3), then the finished
+    /// result with its statistics. `tuples` are validated: they share
+    /// one window.
     fn open_unit(&self, tuples: &[MTuple]) -> Result<CubeResult> {
         let started = Instant::now();
         let dims = self.schema.num_dims();
         let lattice = self.layers.lattice();
-        let mut stats = RunStats::default();
+        let window = tuples[0].isb().interval();
         let mut mem = MemoryAccountant::new();
 
-        let attrs = attrs_for_path(lattice, &self.path);
-        let mut tree: HTree<Isb> = HTree::new(attrs)?;
-        for t in tuples {
-            let values = expand_tuple(&self.schema, lattice.m_layer(), t.ids(), tree.order());
-            let leaf = tree.insert_path(&values)?;
-            match tree.payload_mut(leaf) {
-                Some(acc) => merge_sibling(acc, t.isb())?,
-                slot @ None => *slot = Some(*t.isb()),
-            }
-        }
-        stats.rows_folded += tuples.len() as u64;
-        tree.aggregate_bottom_up(
-            |m| *m,
-            |acc, next| {
-                merge_sibling(acc, next).expect("one validated window");
-            },
-        );
-        mem.add(tree.approx_bytes());
-
-        // Path cuboid i corresponds to tree depth `o_attrs + i`.
-        let o_attrs = (0..dims)
-            .filter(|&d| lattice.o_layer().level(d) > 0)
-            .count();
-        let depth_of: FxHashMap<usize, &CuboidSpec> = self
-            .path
-            .cuboids()
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (o_attrs + i, c))
-            .collect();
+        let schedule = &*self.schedule;
+        let plan = RollUpPlan::build(&self.schema, schedule, tuples);
+        let mut stats = plan.counters(schedule);
+        let mut pairs = vec![[0.0; 2]; plan.pairs()];
         let mut path_tables: FxHashMap<CuboidSpec, CuboidTable> = FxHashMap::default();
-        for cuboid in self.path.cuboids() {
-            path_tables.insert(cuboid.clone(), CuboidTable::default());
+        for (slot, (map, keys)) in plan.tables(schedule, dims).enumerate() {
+            let rows = plan.fold(schedule, slot, map, tuples, &mut pairs);
+            mem.add(plan.bytes(slot));
+            let table = rebuild(map, keys, dims, window, rows);
+            path_tables.insert(schedule.cuboid(slot).clone(), table);
         }
-        extract_path_tables(
-            &self.schema,
-            &tree,
-            lattice.m_layer(),
-            &depth_of,
-            &mut path_tables,
-        )?;
-        let path_cells: u64 = path_tables.values().map(|t| t.len() as u64).sum();
-        for table in path_tables.values() {
-            mem.add(table_bytes(table, dims));
-        }
-        stats.cells_computed += path_cells;
-        stats.cuboids_computed += self.path.cuboids().len() as u32;
-        let tree_bytes = tree.approx_bytes();
-        drop(tree);
-        mem.remove(tree_bytes);
+        let path_cells = stats.cells_computed;
 
         // The m- and o-layer tables live in the path tables too; expose
         // them as the critical layers (this duplication is the batch
@@ -264,9 +235,14 @@ impl PopularPathEngine {
             .ok_or_else(|| CoreError::NotMaterialized {
                 detail: format!("no path cuboid below {cuboid}"),
             })?;
-        drill_aggregate(&self.schema, source, &path_tables[source], cuboid, |ids| {
-            probe.qualifies(ids)
-        })
+        let qualifies = |ids: &[u32]| probe.qualifies(ids);
+        aggregate_from(
+            &self.schema,
+            source,
+            &path_tables[source],
+            cuboid,
+            Some(&qualifies),
+        )
     }
 }
 
@@ -323,6 +299,7 @@ impl CubingEngine for PopularPathEngine {
 
     fn ingest_unit(&mut self, tuples: &[MTuple]) -> Result<UnitDelta> {
         validate_tuples(&self.schema, self.layers.lattice().m_layer(), tuples)?;
+        RollUpPlan::admit(tuples)?;
         let window = next_window(self.window, tuples)?;
         let result = self.open_unit(tuples)?;
         // The held unit's exceptions that do not recur come back as
@@ -382,78 +359,13 @@ pub fn compute(
     Ok(engine.into_result())
 }
 
-/// Extracts the cells materialized at the path depths of the rolled-up
-/// H-tree into per-cuboid tables. A DFS tracks the value stack; at every
-/// depth that corresponds to a path cuboid the node's aggregated payload
-/// becomes one cell.
-pub(crate) fn extract_path_tables(
-    schema: &CubeSchema,
-    tree: &HTree<Isb>,
-    m_layer: &CuboidSpec,
-    depth_of: &FxHashMap<usize, &CuboidSpec>,
-    out: &mut FxHashMap<CuboidSpec, CuboidTable>,
-) -> Result<()> {
-    // Map each path cuboid to its key-building recipe: for each dimension
-    // with level > 0, which attribute position in the order supplies it.
-    let order = tree.order();
-    let dims = m_layer.num_dims();
-    let mut recipes: FxHashMap<usize, Vec<(usize, usize)>> = FxHashMap::default();
-    for (&depth, cuboid) in depth_of {
-        let mut recipe = Vec::new();
-        for d in 0..dims {
-            let level = cuboid.level(d);
-            if level == 0 {
-                continue;
-            }
-            let pos = order[..depth]
-                .iter()
-                .position(|a| a.dim == d && a.level == level)
-                .ok_or_else(|| CoreError::BadInput {
-                    detail: format!(
-                        "path attribute order misses dim {d} level {level} by depth {depth}"
-                    ),
-                })?;
-            recipe.push((d, pos));
-        }
-        recipes.insert(depth, recipe);
-    }
-    let _ = schema; // the recipes already encode the projection
-
-    // Iterative DFS.
-    let mut stack: Vec<(NodeId, usize)> = vec![(0, 0)];
-    let mut values: Vec<u32> = Vec::with_capacity(tree.depth());
-    // `values` mirrors the current root path; we manage it via depths.
-    while let Some((node, depth)) = stack.pop() {
-        values.truncate(depth.saturating_sub(1));
-        if node != 0 {
-            values.push(tree.node_value(node));
-        }
-        if let Some(cuboid) = depth_of.get(&depth) {
-            if let Some(payload) = tree.payload(node) {
-                let recipe = &recipes[&depth];
-                let mut key = vec![0u32; dims];
-                for &(d, pos) in recipe {
-                    key[d] = values[pos];
-                }
-                out.get_mut(*cuboid)
-                    .expect("table pre-created")
-                    .insert(CellKey::new(key), *payload);
-            }
-        }
-        for (_, child) in tree.children(node) {
-            stack.push((child, depth + 1));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::result::Algorithm;
     use crate::table::aggregate_from;
     use regcube_olap::cell::project_key;
-    use regcube_regress::TimeSeries;
+    use regcube_regress::{Isb, TimeSeries};
 
     fn isb(slope: f64, base: f64) -> Isb {
         let z = TimeSeries::from_fn(0, 9, |t| base + slope * t as f64).unwrap();
@@ -586,6 +498,21 @@ mod tests {
         assert!(!cube
             .path_tables()
             .contains_key(&CuboidSpec::new(vec![2, 0])));
+    }
+
+    #[test]
+    fn a_path_of_another_lattice_is_refused() {
+        let (schema, layers) = small_setup();
+        let other = CriticalLayers::new(
+            &schema,
+            CuboidSpec::new(vec![1, 1]),
+            CuboidSpec::new(vec![2, 2]),
+        )
+        .unwrap();
+        let path = PopularPath::default_for(other.lattice()).unwrap();
+        let policy = ExceptionPolicy::never();
+        let engine = PopularPathEngine::new(schema, layers, policy, Some(path));
+        assert!(matches!(engine, Err(CoreError::Olap(_))));
     }
 
     #[test]

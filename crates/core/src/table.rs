@@ -4,11 +4,13 @@
 //! [`CellKey`] to [`Isb`]. A table is built by folding rows into it
 //! under Theorem 3.2 (a new key opens its cell, a known one merges), so
 //! its iteration order follows from its keys and the order they first
-//! arrived in. Algorithm 1 ([`crate::mo_cubing`]) folds a unit by a
-//! roll-up plan whose index maps are built that way; Algorithm 2
-//! ([`crate::popular_path`]) drills with [`drill_aggregate`] and screens
-//! finished tables with [`collect_exceptions`]; [`aggregate_from`]
-//! rolls any cuboid up from a finer table for queries.
+//! arrived in. Both algorithms fold a unit by a roll-up plan whose index
+//! maps are built that way — Algorithm 1 ([`crate::mo_cubing`]) over the
+//! whole lattice, Algorithm 2 ([`crate::popular_path`]) along its popular
+//! path, whose tables are the plan's. [`aggregate_from`] rolls any cuboid
+//! up from a finer table: Algorithm 2 drills with it, filtered to the
+//! children of exception cells, and screens finished tables with
+//! [`collect_exceptions`]; queries roll up with it.
 //!
 //! ```
 //! use regcube_core::table::{aggregate_from, CuboidTable};
@@ -279,79 +281,6 @@ pub fn aggregate_from(
         merge_row(&mut out, &projected, isb)?;
     }
     Ok((out, rows))
-}
-
-/// Drill aggregation: rolls the qualifying region of `source` up into a
-/// new row table for `target_cuboid`, folding source cells in ascending
-/// `(target key, source key)` order.
-///
-/// Unlike [`aggregate_from`], whose per-cell fold order follows the
-/// source table's hash iteration order, the result here is a pure
-/// function of the source's *contents* — independent of insertion
-/// history, capacity or when the aggregation runs, so a cube's drilled
-/// exceptions are a function of what its path tables hold, not of how
-/// they came to be built.
-///
-/// The whole pass is allocation-free per row: the [`Projector`]
-/// LUTs project into one scratch buffer, qualifying rows append their
-/// projected ids to one flat scratch vector, and the fold order is
-/// established by sorting *indices* over that scratch. Each distinct
-/// target cell builds one `CellKey`, which allocates only beyond
-/// [`INLINE_IDS`] dimensions.
-///
-/// Returns the new table and the number of qualifying source rows
-/// folded.
-///
-/// # Errors
-/// Propagates measure merge failures (interval mismatches — impossible
-/// for tables built from one validated tuple window).
-pub fn drill_aggregate(
-    schema: &CubeSchema,
-    source_cuboid: &CuboidSpec,
-    source: &CuboidTable,
-    target_cuboid: &CuboidSpec,
-    qualify: impl Fn(&[u32]) -> bool,
-) -> Result<(CuboidTable, u64)> {
-    let projector = Projector::new(schema, source_cuboid, target_cuboid);
-    let dims = schema.num_dims();
-    let mut projected = vec![0u32; dims];
-    // Projected target ids of every qualifying source row, flattened
-    // into one scratch buffer (row i owns scratch[i*dims..][..dims]),
-    // alongside the source row itself.
-    let mut scratch: Vec<u32> = Vec::new();
-    let mut rows: Vec<(&CellKey, &Isb)> = Vec::new();
-    for (key, isb) in source {
-        projector.project_into(key.ids(), &mut projected);
-        if qualify(&projected) {
-            scratch.extend_from_slice(&projected);
-            rows.push((key, isb));
-        }
-    }
-    let folded = rows.len() as u64;
-    let target_ids = |i: usize| &scratch[i * dims..(i + 1) * dims];
-    // Sort row *indices* into ascending (target key, source key) order
-    // instead of boxing a key per row.
-    let mut order: Vec<u32> = (0..rows.len() as u32).collect();
-    order.sort_unstable_by(|&a, &b| {
-        target_ids(a as usize)
-            .cmp(target_ids(b as usize))
-            .then_with(|| rows[a as usize].0.cmp(rows[b as usize].0))
-    });
-    let mut out = CuboidTable::default();
-    let mut i = 0;
-    while i < order.len() {
-        // One run of equal target keys = one output cell, folded
-        // left-to-right in the sorted order.
-        let target = target_ids(order[i] as usize);
-        let mut acc = *rows[order[i] as usize].1;
-        i += 1;
-        while i < order.len() && target_ids(order[i] as usize) == target {
-            merge_sibling(&mut acc, rows[order[i] as usize].1)?;
-            i += 1;
-        }
-        out.insert(CellKey::new(target), acc);
-    }
-    Ok((out, folded))
 }
 
 /// Screens a finished full table against the exception policy and

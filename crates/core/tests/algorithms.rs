@@ -91,6 +91,59 @@ fn critical_layers_agree_between_algorithms() {
     }
 }
 
+/// A table as its iteration sequence, measures as bits.
+fn cell_bits(table: &regcube_core::table::CuboidTable) -> Vec<(CellKey, (i64, i64, u64, u64))> {
+    table
+        .iter()
+        .map(|(k, m)| {
+            let (start, end) = m.interval();
+            (
+                k.clone(),
+                (start, end, m.base().to_bits(), m.slope().to_bits()),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn both_algorithms_fold_the_m_layer_alike() {
+    // The m-layer is the same plan step over the same key sequence in
+    // either algorithm: same cells, bits and iteration order.
+    for seed in [7u64, 42, 1234] {
+        let (schema, layers, tuples) = random_dataset(seed, 3, 2, 4, 600);
+        let policy = ExceptionPolicy::slope_threshold(0.4);
+        let a1 = mo_cubing::compute(&schema, &layers, &policy, &tuples).unwrap();
+        let a2 = popular_path::compute(&schema, &layers, &policy, None, &tuples).unwrap();
+        assert_eq!(
+            cell_bits(a1.m_table()),
+            cell_bits(a2.m_table()),
+            "seed {seed}"
+        );
+    }
+}
+
+#[test]
+fn a_one_cuboid_lattice_keeps_its_o_layer() {
+    // o-layer = m-layer: the lattice is one cuboid, whose table is both
+    // critical layers.
+    let schema = CubeSchema::synthetic(2, 2, 2).unwrap();
+    let layer = CuboidSpec::new(vec![1, 1]);
+    let layers = CriticalLayers::new(&schema, layer.clone(), layer).unwrap();
+    let tuples = [(vec![0, 0], 0.9), (vec![1, 1], 0.1)]
+        .map(|(ids, slope)| MTuple::new(ids, Isb::new(0, 9, 1.0, slope).unwrap()));
+    let policy = ExceptionPolicy::slope_threshold(0.5);
+    let a1 = mo_cubing::compute(&schema, &layers, &policy, &tuples).unwrap();
+    let a2 = popular_path::compute(&schema, &layers, &policy, None, &tuples).unwrap();
+    assert_eq!(a1.o_layer_cells(), 2);
+    assert_eq!(cell_bits(a1.o_table()), cell_bits(a1.m_table()));
+    assert_eq!(cell_bits(a1.o_table()), cell_bits(a2.o_table()));
+    let hot = a1.exceptional_o_cells();
+    assert_eq!(hot, a2.exceptional_o_cells());
+    assert_eq!(hot.len(), 1);
+    assert_eq!(hot[0].0, &CellKey::new(vec![0, 0]));
+    assert_eq!(a1.total_exception_cells() + a2.total_exception_cells(), 0);
+}
+
 #[test]
 fn popular_path_exceptions_are_a_subset_of_mo_exceptions() {
     for seed in [3u64, 99] {

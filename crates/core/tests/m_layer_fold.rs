@@ -105,7 +105,11 @@ fn roll_up(
 ) -> (CuboidTable, Vec<(CuboidSpec, CuboidTable)>, u64) {
     let lattice = layers.lattice();
     let (m_spec, o_spec) = (lattice.m_layer(), lattice.o_layer());
-    let mut o_table = CuboidTable::default();
+    // A lattice of one cuboid: the o-layer is the m-layer itself.
+    let mut o_table = match o_spec == m_spec {
+        true => m_table.clone(),
+        false => CuboidTable::default(),
+    };
     let mut exceptions = Vec::new();
     let mut below: FxHashMap<CuboidSpec, CuboidTable> = FxHashMap::default();
     let mut tier: FxHashMap<CuboidSpec, CuboidTable> = FxHashMap::default();

@@ -11,19 +11,20 @@
 //! tree nodes that carry it — the "node-links" the paper's Algorithm 1
 //! traverses.
 //!
-//! The tree is generic over the payload `M` (regression measures in
-//! `regcube-core`); payloads live in leaves after insertion and can be
-//! rolled up into non-leaf nodes ([`HTree::aggregate_bottom_up`]), which is
-//! exactly how Algorithm 2 stores the popular path's aggregates "in the
-//! nonleaf nodes in the H-tree". Algorithm 2 is the tree's one user in
-//! the engine: Algorithm 1 reads neither node-links nor header tables,
-//! so it folds its m-layer directly into a table instead.
+//! The tree is generic over the payload `M`; payloads live in leaves
+//! after insertion and can be rolled up into non-leaf nodes
+//! ([`HTree::aggregate_bottom_up`]), which is how the paper's Algorithm 2
+//! stores the popular path's aggregates "in the nonleaf nodes in the
+//! H-tree". No engine builds one: neither algorithm reads node-links or
+//! header tables, so both fold a unit by a roll-up plan in `regcube-core`
+//! instead, Algorithm 2's path tables included. The tree stays as the
+//! paper's structure (Example 5, Figure 7) and as the order oracle of
+//! the m-layer fold.
 
 use crate::cuboid::CuboidSpec;
 use crate::error::OlapError;
 use crate::fxhash::FxHashMap;
 use crate::lattice::Lattice;
-use crate::path::PopularPath;
 use crate::schema::CubeSchema;
 use crate::Result;
 
@@ -312,30 +313,6 @@ pub fn attrs_by_cardinality(schema: &CubeSchema, lattice: &Lattice) -> Vec<AttrS
     attrs
 }
 
-/// The attribute order Algorithm 2 uses: the o-layer's non-`*` levels
-/// first (dimension order), then one attribute per popular-path drill step
-/// — "the H-tree should be constructed in the same order as the popular
-/// path".
-pub fn attrs_for_path(lattice: &Lattice, path: &PopularPath) -> Vec<AttrSpec> {
-    let o = lattice.o_layer();
-    let mut attrs: Vec<AttrSpec> = (0..o.num_dims())
-        .filter(|&d| o.level(d) > 0)
-        .map(|d| AttrSpec {
-            dim: d,
-            level: o.level(d),
-        })
-        .collect();
-    let mut levels: Vec<u8> = o.levels().to_vec();
-    for d in path.drill_order() {
-        levels[d] += 1;
-        attrs.push(AttrSpec {
-            dim: d,
-            level: levels[d],
-        });
-    }
-    attrs
-}
-
 /// Expands an m-layer tuple (member ids at m-layer levels) into the
 /// per-attribute values of an H-tree path: each attribute receives the
 /// tuple's ancestor value at that attribute's `(dim, level)`.
@@ -356,22 +333,6 @@ pub fn expand_tuple(
         })
         .collect()
 }
-
-/// Convenience: the prefix cuboids of an attribute order. Prefix `k`
-/// describes the cuboid whose level per dimension is the deepest level of
-/// that dimension among the first `k` attributes (0 when absent) — the
-/// cells materialized at tree depth `k`.
-pub fn prefix_cuboid(order: &[AttrSpec], k: usize, num_dims: usize) -> CuboidSpec {
-    let mut levels = vec![0u8; num_dims];
-    for a in &order[..k] {
-        levels[a.dim] = levels[a.dim].max(a.level);
-    }
-    CuboidSpec::new(levels)
-}
-
-/// Re-exported for callers that need the raw projection primitive next to
-/// the tree helpers.
-pub use crate::cell::project_key as project_cell_key;
 
 #[cfg(test)]
 mod tests {
@@ -478,38 +439,11 @@ mod tests {
     }
 
     #[test]
-    fn path_attr_order_matches_example5() {
-        let (_, lattice) = example5();
-        let path = PopularPath::from_drill_order(&lattice, &[1, 1, 0, 2]).unwrap();
-        let attrs = attrs_for_path(&lattice, &path);
-        // ⟨(A1, C1), B1, B2, A2, C2⟩ from the paper.
-        let expect = vec![
-            AttrSpec { dim: 0, level: 1 },
-            AttrSpec { dim: 2, level: 1 },
-            AttrSpec { dim: 1, level: 1 },
-            AttrSpec { dim: 1, level: 2 },
-            AttrSpec { dim: 0, level: 2 },
-            AttrSpec { dim: 2, level: 2 },
-        ];
-        assert_eq!(attrs, expect);
-    }
-
-    #[test]
     fn expand_tuple_fills_ancestors() {
         let (schema, lattice) = example5();
         let attrs = attrs_by_cardinality(&schema, &lattice);
         // m-layer ids (L2, fanout 3): member 7 -> L1 ancestor 2, etc.
         let values = expand_tuple(&schema, lattice.m_layer(), &[7, 4, 8], &attrs);
         assert_eq!(values, vec![2, 1, 2, 7, 4, 8]);
-    }
-
-    #[test]
-    fn prefix_cuboids_track_the_deepest_level() {
-        let (_, lattice) = example5();
-        let path = PopularPath::from_drill_order(&lattice, &[1, 1, 0, 2]).unwrap();
-        let attrs = attrs_for_path(&lattice, &path);
-        assert_eq!(prefix_cuboid(&attrs, 2, 3).levels(), &[1, 0, 1]); // o-layer
-        assert_eq!(prefix_cuboid(&attrs, 3, 3).levels(), &[1, 1, 1]);
-        assert_eq!(prefix_cuboid(&attrs, 6, 3).levels(), &[2, 2, 2]); // m-layer
     }
 }

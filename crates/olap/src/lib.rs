@@ -13,8 +13,9 @@
 //! * [`path`] — monotone *popular paths* through that lattice, the drilling
 //!   backbone of Algorithm 2;
 //! * [`htree`] — the **H-tree**, the hyper-linked tree structure (after
-//!   Han et al., SIGMOD'01, the paper's reference 18) with header tables used by
-//!   both cubing algorithms;
+//!   Han et al., SIGMOD'01, the paper's reference 18) with header tables
+//!   the paper stages both cubing algorithms through (no engine builds one
+//!   any more; see its module docs);
 //! * [`fxhash`] — an in-repo Fx-style fast hasher (the dependency policy
 //!   excludes `rustc-hash`), used for all member-id keyed maps.
 //!

@@ -120,10 +120,7 @@ impl PopularPath {
         self.cuboids.contains(cuboid)
     }
 
-    /// The dimension-refinement order of the path (one entry per step) —
-    /// this doubles as the root-to-leaf attribute order of Algorithm 2's
-    /// H-tree ("the H-tree should be constructed in the same order as the
-    /// popular path").
+    /// The dimension-refinement order of the path (one entry per step).
     pub fn drill_order(&self) -> Vec<usize> {
         self.cuboids
             .windows(2)

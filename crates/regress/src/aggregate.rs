@@ -55,7 +55,8 @@ pub fn merge_standard(isbs: &[Isb]) -> Result<Isb> {
 /// Incremental form of Theorem 3.2: accumulates `next` into `acc`.
 ///
 /// Useful inside cubing loops where descendants stream one at a time; the
-/// H-tree aggregation paths use this to avoid materializing slices.
+/// row-table folds (`merge_sibling` in `regcube-core`) use this to avoid
+/// materializing slices.
 ///
 /// # Errors
 /// [`RegressError::IntervalMismatch`] when the intervals differ.

@@ -20,6 +20,7 @@
 
 use regcube_core::alarm::AlarmRevision;
 use regcube_core::measure::exception_score;
+use regcube_core::result::Algorithm;
 use regcube_core::ExceptionPolicy;
 use regcube_olap::cell::CellKey;
 use regcube_olap::{CubeSchema, CuboidSpec};
@@ -351,4 +352,39 @@ fn alarms_and_revisions_are_the_o_family_verdicts() {
         BTreeSet::from(["raised", "rescored", "retracted"]),
         "threshold {threshold}"
     );
+}
+
+/// A lattice of one cuboid: the o-layer is the m-layer, and its hot
+/// cell raises the unit's alarm under either algorithm.
+#[test]
+fn a_one_cuboid_lattice_raises_its_alarm() {
+    let layer = CuboidSpec::new(vec![1, 1]);
+    for algorithm in [Algorithm::MoCubing, Algorithm::PopularPath] {
+        let mut engine = EngineConfig::new(
+            CubeSchema::synthetic(2, 2, 2).unwrap(),
+            layer.clone(),
+            layer.clone(),
+        )
+        .with_policy(ExceptionPolicy::slope_threshold(0.5))
+        .with_ticks_per_unit(TPU as usize)
+        .with_algorithm(algorithm)
+        .build()
+        .unwrap();
+        for tick in 0..TPU {
+            // Slope 1 at (0, 0), flat at (1, 1).
+            engine
+                .ingest(&RawRecord::new(vec![0, 0], tick, tick as f64))
+                .unwrap();
+            engine
+                .ingest(&RawRecord::new(vec![1, 1], tick, 1.0))
+                .unwrap();
+        }
+        let reports = engine.flush().unwrap();
+        let alarms: Vec<&CellKey> = reports
+            .iter()
+            .flat_map(|r| &r.alarms)
+            .map(|a| &a.key)
+            .collect();
+        assert_eq!(alarms, [&CellKey::new(vec![0, 0])], "{algorithm:?}");
+    }
 }

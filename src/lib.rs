@@ -14,7 +14,7 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`regress`] | `regcube-regress` | time series, OLS, ISB, Theorems 3.2/3.3, folding, MLR, transforms, irregular ticks |
-//! | [`olap`] | `regcube-olap` | dimensions, hierarchies, cells, cuboid lattices, popular paths, H-tree |
+//! | [`olap`] | `regcube-olap` | dimensions, hierarchies, cells, cuboid lattices, popular paths, the paper's H-tree |
 //! | [`tilt`] | `regcube-tilt` | tilt time frames with lossless slot promotion |
 //! | [`core`] | `regcube-core` | critical layers, exception policies, Algorithms 1 & 2, drilling |
 //! | [`stream`] | `regcube-stream` | raw-record ingestion, the online engine, channel sources |
