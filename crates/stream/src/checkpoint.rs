@@ -1178,6 +1178,70 @@ mod tests {
         assert_torn_and_flipped_bytes_fail(&file, |bytes| restore_bytes(config.clone(), bytes));
     }
 
+    /// A restored layer holds windows too: an engine whose cells report
+    /// in rotating blocks, in key order, comes back with every read the
+    /// same and no column holding more rows than it did.
+    #[test]
+    fn a_restored_rotation_holds_no_wider_windows() {
+        let schema = regcube_olap::CubeSchema::synthetic(2, 2, 4).unwrap();
+        let config = EngineConfig::new(
+            schema,
+            CuboidSpec::new(vec![1, 1]),
+            CuboidSpec::new(vec![2, 2]),
+        )
+        .with_tilt(regcube_tilt::TiltSpec::new(vec![("unit", 4), ("mid", 4), ("top", 4)]).unwrap())
+        .with_ticks_per_unit(2);
+        let mut engine = config.clone().build().unwrap();
+        // 256 m-cells in 16 blocks of 16 (one first id each), one block a
+        // unit: a block's rows, and its o-cells' rows, are consecutive.
+        let push = |engine: &mut OnlineEngine<_>, unit: u32| {
+            let a = unit % 16;
+            for tick in [2 * i64::from(unit), 2 * i64::from(unit) + 1] {
+                for b in 0..16u32 {
+                    let value = f64::from(a + b) + tick as f64 * 0.25;
+                    engine
+                        .ingest(&RawRecord::new(vec![a, b], tick, value))
+                        .unwrap();
+                }
+            }
+            engine.close_unit().unwrap();
+        };
+        for unit in 0..45 {
+            push(&mut engine, unit);
+        }
+        let restored = restore_bytes(config, &engine.checkpoint_bytes().unwrap()).unwrap();
+        type Reads = BTreeMap<CellKey, Vec<(usize, u64, [u64; 2], (i64, i64))>>;
+        let reads = |family: &LayerFamily| -> Reads {
+            family
+                .ladders()
+                .map(|(key, ladder)| {
+                    let timeline = ladder.timeline().into_iter().map(|(level, unit, m)| {
+                        let bits = [m.base().to_bits(), m.slope().to_bits()];
+                        (level, unit, bits, (m.start(), m.end()))
+                    });
+                    (key.clone(), timeline.collect())
+                })
+                .collect()
+        };
+        for (was, is) in [
+            (&engine.frames, &restored.frames),
+            (&engine.o_frames, &restored.o_frames),
+        ] {
+            assert_eq!(reads(is), reads(was));
+            let before: Vec<_> = was.held_windows().collect();
+            let after: Vec<_> = is.held_windows().collect();
+            assert_eq!(after.len(), before.len());
+            for (column, (was, is)) in before.iter().zip(&after).enumerate() {
+                assert!(
+                    is.len() <= was.len(),
+                    "column {column}: {is:?} wider than {was:?}"
+                );
+            }
+            assert!(is.held_rows() < is.retained_slots() * is.len());
+        }
+        assert_eq!(restored.frames.len(), 256);
+    }
+
     #[test]
     fn slot_bytes_is_what_a_slot_encodes_to() {
         let mut enc = Enc::with_capacity(0);

@@ -6,7 +6,9 @@
 //! of a layer advance on one clock and have one shape. A
 //! [`FrameFamily`] stores them that way — not one [`TiltFrame`] per
 //! cell, but one **column** per retained slot of the shared ladder,
-//! holding that slot's measure for every cell:
+//! holding that slot's measure for every cell. A column holds a
+//! **window** of rows, `lo..lo + len`; every row outside it reads the
+//! column's fill:
 //!
 //! ```text
 //!              timeline order: coarsest level first, oldest first
@@ -14,17 +16,27 @@
 //!  columns   │ day  0 │ hour 24│ hour 25│ qtr 104│ qtr 105│ qtr 106│   one Arc each
 //!            ├────────┼────────┼────────┼────────┼────────┼────────┤
 //!  fill      │   ∅    │   ∅    │   ∅    │   ∅    │   ∅    │   ∅    │   a never-active cell
-//!  row 0     │   m    │   m    │   m    │   m    │   m    │   m    │
-//!  row 1     │   m    │   m    │   m    │   m    │        │   m    │   absent = fill
-//!  row 2     │        │        │        │   m    │        │        │   joined at qtr 104
+//!  row 0     │   m    │   m    │   m    │        │        │   m    │
+//!  row 1     │   m    │   m    │   m    │   m    │        │   m    │   absent = fill,
+//!  row 2     │        │        │        │   m    │   m    │        │   before `lo` or past
+//!  row 3     │        │        │        │        │   m    │        │   the window's end
 //!            └────────┴────────┴────────┴────────┴────────┴────────┘
 //!  index     key → row, behind one Arc
 //! ```
 //!
-//! * **Pushing a unit** appends one column and carries promotions
+//! * **Pushing a unit** appends one column, spanning the unit's active
+//!   rows from the lowest to the highest, and carries promotions
 //!   exactly as [`TiltFrame::push`] does, row by row through the same
 //!   [`TimeMergeable::merge_run`] on the same operands in the same
-//!   order. A unit either lands in every row or in none.
+//!   order. A promotion merges only the rows some constituent holds; a
+//!   row outside every constituent's window would merge their fills,
+//!   which is the merged column's fill. A unit either lands in every
+//!   row or in none.
+//! * **A column costs the rows its slot saw.** Rows are numbered by
+//!   first arrival, so cells that start reporting together sit next to
+//!   each other and a unit in which a rotating block reports holds that
+//!   block. Activity scattered over the layer spans it: the window is
+//!   then every row, never more.
 //! * **Every frame is back-filled from the epoch**, which is why
 //!   lockstep holds: a cell first seen at unit `u` reads, in every
 //!   column written before it had a row, that column's `fill` — what a
@@ -63,14 +75,58 @@ struct Column<M> {
     unit: u64,
     /// What a row that was never active in the slot holds.
     fill: M,
-    /// Measures by row; a row beyond the end reads as `fill`.
+    /// The first row of the window `rows` holds (`0` when it is empty).
+    lo: usize,
+    /// Measures of rows `lo..lo + rows.len()`; every other row reads as
+    /// `fill`.
     rows: Vec<M>,
 }
 
 impl<M> Column<M> {
+    /// A column of `fill` over `window`: an empty window holds no row.
+    fn filled(unit: u64, fill: M, window: Range<usize>) -> Self
+    where
+        M: Clone,
+    {
+        Column {
+            unit,
+            rows: vec![fill.clone(); window.len()],
+            lo: if window.is_empty() { 0 } else { window.start },
+            fill,
+        }
+    }
+
     #[inline]
     fn get(&self, row: usize) -> &M {
-        self.rows.get(row).unwrap_or(&self.fill)
+        // A row before `lo` wraps past every window's end.
+        self.rows
+            .get(row.wrapping_sub(self.lo))
+            .unwrap_or(&self.fill)
+    }
+
+    /// The rows the column holds.
+    #[inline]
+    fn window(&self) -> Range<usize> {
+        self.lo..self.lo + self.rows.len()
+    }
+
+    /// The held measure of `row`, the window first widened to it with
+    /// fills.
+    fn widen_to(&mut self, row: usize) -> &mut M
+    where
+        M: Clone,
+    {
+        if self.rows.is_empty() {
+            self.lo = row;
+        } else if row < self.lo {
+            let lead = std::iter::repeat(self.fill.clone()).take(self.lo - row);
+            self.rows.splice(0..0, lead);
+            self.lo = row;
+        }
+        if row >= self.lo + self.rows.len() {
+            self.rows.resize(row + 1 - self.lo, self.fill.clone());
+        }
+        &mut self.rows[row - self.lo]
     }
 }
 
@@ -136,6 +192,20 @@ impl<K, M, S> FamilySnapshot<K, M, S> {
     #[inline]
     pub fn retained_slots(&self) -> usize {
         self.columns.len()
+    }
+
+    /// The rows each retained column holds, in timeline order; every row
+    /// outside a column's window reads its fill. A probe of the layout.
+    #[doc(hidden)]
+    pub fn held_windows(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        self.columns.iter().map(|column| column.window())
+    }
+
+    /// The rows all retained columns hold together: the sum of
+    /// [`held_windows`](Self::held_windows)' lengths.
+    #[doc(hidden)]
+    pub fn held_rows(&self) -> usize {
+        self.held_windows().map(|window| window.len()).sum()
     }
 
     /// Finest units that have aged out of the coarsest level — a
@@ -428,11 +498,7 @@ where
             .iter()
             .map(|slot| {
                 debug_assert!(idle(&slot.measure), "a never-active frame holds idle fills");
-                Arc::new(Column {
-                    unit: slot.unit,
-                    fill: slot.measure.clone(),
-                    rows: Vec::with_capacity(rows),
-                })
+                Arc::new(Column::filled(slot.unit, slot.measure.clone(), 0..0))
             })
             .collect();
         let spec = never_active.spec();
@@ -468,6 +534,11 @@ where
     /// [`TiltFrame::from_parts`] would hold it: a frame from another
     /// clock cannot join, however valid for its own.
     ///
+    /// Rows are numbered in the order the frames come. Each column holds
+    /// the window from its first to its last row whose slot is not
+    /// bit-identical to the column's fill; the rows outside it read the
+    /// fill, as they would have held it.
+    ///
     /// # Errors
     /// [`TiltError::BadSpec`], naming the key, for a frame with a slot
     /// too few or too many, a slot whose unit is not the one its
@@ -483,7 +554,8 @@ where
         R: IntoIterator<Item = TiltSlot<M>>,
     {
         let frames = frames.into_iter();
-        let mut family = Self::empty_at(never_active, idle, frames.size_hint().0);
+        let listed = frames.size_hint().0;
+        let mut family = Self::empty_at(never_active, idle, listed);
         let bad = |detail: String| Err(TiltError::BadSpec { detail });
         let current = &mut family.current;
         let next_unit = current.next_unit;
@@ -500,7 +572,19 @@ where
                 match slots.next() {
                     Some(slot) if slot.unit == column.unit => {
                         busy += u32::from(!idle(&slot.measure));
-                        column.rows.push(slot.measure);
+                        if !slot.measure.same_bits(&column.fill) {
+                            // Rows come in order: the window grows at its
+                            // end. Its first row reserves room for every
+                            // row listed after it; the end gives back what
+                            // the window did not take.
+                            let row = family.rows.len();
+                            if column.rows.is_empty() {
+                                column.lo = row;
+                                column.rows.reserve_exact(listed.saturating_sub(row));
+                            }
+                            column.rows.resize(row - column.lo, column.fill.clone());
+                            column.rows.push(slot.measure);
+                        }
                     }
                     Some(slot) => {
                         return bad(format!(
@@ -530,6 +614,9 @@ where
                 Entry::Vacant(free) => free.insert(family.rows.len()),
             };
             family.rows.push(RowState { busy, active_at: 0 });
+        }
+        for column in columns {
+            column.rows.shrink_to_fit();
         }
         Ok(family)
     }
@@ -638,7 +725,7 @@ where
         }
 
         self.cells.clear();
-        let mut len = 0;
+        let (mut lo, mut hi) = (usize::MAX, 0);
         for (at, (key, measure)) in active.into_iter().enumerate() {
             if !continues(&measure) {
                 return Err(out_of_order("a measure does not continue the family"));
@@ -662,15 +749,17 @@ where
                 return Err(out_of_order("a key is active twice in one unit"));
             }
             self.rows[row].active_at = pushed;
-            len = len.max(row + 1);
+            lo = lo.min(row);
+            hi = hi.max(row + 1);
             self.cells.push((row, measure));
         }
         // Keys of the last push beyond this one's may go silent and
         // retire: they leave the sequence now.
         self.sequence.truncate(self.cells.len());
-        let mut rows = vec![fill.clone(); len];
+        // The new column spans the unit's active rows, lowest to highest.
+        let mut carry = Column::filled(self.current.next_unit, fill, lo..hi);
         for (row, measure) in &self.cells {
-            rows[*row] = measure.clone();
+            carry.rows[row - carry.lo] = measure.clone();
         }
 
         // Carry the new column up the ladder, as `TiltFrame::push`
@@ -680,11 +769,6 @@ where
         let columns = &self.current.columns;
         let levels = self.current.spec.levels();
         let top = levels.len() - 1;
-        let mut carry = Column {
-            unit: self.current.next_unit,
-            fill,
-            rows,
-        };
         let mut keep = columns.len();
         let mut level = 0;
         let mut per = 1u64;
@@ -715,7 +799,7 @@ where
         for column in current.columns.drain(built.keep..) {
             forget_column(rows, &column, idle);
         }
-        for (state, measure) in rows.iter_mut().zip(&built.carry.rows) {
+        for (state, measure) in rows[built.carry.window()].iter_mut().zip(&built.carry.rows) {
             state.busy += u32::from(!idle(measure));
         }
         current.columns.push(Arc::new(built.carry));
@@ -767,9 +851,9 @@ where
         let row = match self.free.pop() {
             Some(row) => {
                 for column in &mut self.current.columns {
-                    if row < column.rows.len() {
+                    if column.window().contains(&row) {
                         let column = Arc::make_mut(column);
-                        column.rows[row] = column.fill.clone();
+                        column.rows[row - column.lo] = column.fill.clone();
                     }
                 }
                 self.rows[row] = fresh;
@@ -818,12 +902,7 @@ where
         let state = &mut self.rows[row];
         state.busy -= u32::from(!(self.idle)(old));
         state.busy += u32::from(!(self.idle)(&new));
-        let column = Arc::make_mut(column);
-        if column.rows.len() <= row {
-            let fill = column.fill.clone();
-            column.rows.resize(row + 1, fill);
-        }
-        column.rows[row] = new;
+        *Arc::make_mut(column).widen_to(row) = new;
         Ok(AmendOutcome::Amended { level, slot_unit })
     }
 }
@@ -841,15 +920,16 @@ fn level_edges(spec: &TiltSpec, next_unit: u64, edges: &mut [usize]) {
 
 /// Takes a column that leaves the family out of the busy counts.
 fn forget_column<M>(rows: &mut [RowState], column: &Column<M>, idle: fn(&M) -> bool) {
-    for (state, measure) in rows.iter_mut().zip(&column.rows) {
+    for (state, measure) in rows[column.window()].iter_mut().zip(&column.rows) {
         state.busy -= u32::from(!idle(measure));
     }
 }
 
 /// Merges the `group - 1` retained columns of a completed level and the
 /// carried column — the run's newest member — into one column of the
-/// next level, row by row. Rows past every constituent's end are not
-/// merged: they read the merged fill.
+/// next level, row by row over the union of their windows. A row outside
+/// every window is not merged: it reads the merged fill, the same
+/// `merge_run` over the same fills.
 fn merge_columns<M: TimeMergeable>(
     run: &mut Vec<M>,
     older: &[Arc<Column<M>>],
@@ -858,12 +938,14 @@ fn merge_columns<M: TimeMergeable>(
 ) -> Result<Column<M>> {
     let constituents = || older.iter().map(|column| &**column).chain([newest]);
     let fill = merge_cells(run, constituents().map(|column| &column.fill))?;
-    let len = constituents()
-        .map(|column| column.rows.len())
-        .max()
-        .unwrap_or(0);
-    let mut rows = Vec::with_capacity(len);
-    for row in 0..len {
+    let (lo, hi) = constituents()
+        .filter(|column| !column.rows.is_empty())
+        .map(|column| column.window())
+        .fold((usize::MAX, 0), |(lo, hi), w| {
+            (lo.min(w.start), hi.max(w.end))
+        });
+    let mut rows = Vec::with_capacity(hi.saturating_sub(lo));
+    for row in lo..hi {
         rows.push(merge_cells(
             run,
             constituents().map(|column| column.get(row)),
@@ -872,6 +954,7 @@ fn merge_columns<M: TimeMergeable>(
     Ok(Column {
         unit: older[0].unit / group as u64,
         fill,
+        lo: if rows.is_empty() { 0 } else { lo },
         rows,
     })
 }

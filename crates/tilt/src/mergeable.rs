@@ -21,6 +21,16 @@ pub trait TimeMergeable: Sized + Clone {
     /// `true` when `next` directly continues `self` in time. The frame
     /// checks this on every push to guarantee merge preconditions.
     fn continues(&self, next: &Self) -> bool;
+
+    /// `true` when `self` and `other` are the same value bit for bit
+    /// (`-0.0` is not `0.0`). A restored [`FrameFamily`] leaves a row
+    /// out of a column only when its slot is the column's fill in this
+    /// sense; the default, `false`, keeps every row.
+    ///
+    /// [`FrameFamily`]: crate::FrameFamily
+    fn same_bits(&self, _other: &Self) -> bool {
+        false
+    }
 }
 
 impl TimeMergeable for Isb {
@@ -30,6 +40,12 @@ impl TimeMergeable for Isb {
 
     fn continues(&self, next: &Self) -> bool {
         next.start() == self.end() + 1
+    }
+
+    fn same_bits(&self, other: &Self) -> bool {
+        (self.start(), self.end()) == (other.start(), other.end())
+            && self.base().to_bits() == other.base().to_bits()
+            && self.slope().to_bits() == other.slope().to_bits()
     }
 }
 

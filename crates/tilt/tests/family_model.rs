@@ -18,6 +18,7 @@ use regcube_tilt::{
 };
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::ops::Range;
 
 type Result<T> = std::result::Result<T, TiltError>;
 
@@ -681,10 +682,23 @@ impl Twin {
 
     /// Pushes one unit in which `keys` are active, in this order.
     fn push(&mut self, keys: &[u32]) {
+        self.push_with(keys, &[]);
+    }
+
+    /// Pushes one unit in which `keys` are active, in this order, those
+    /// also in `zeroed` with zero usage that is not the fill's bits.
+    fn push_with(&mut self, keys: &[u32], zeroed: &[u32]) {
         let unit = self.units;
         let active: Vec<(u32, Isb)> = keys
             .iter()
-            .map(|&k| (k, isb(unit, f64::from(k) + 0.5, unit as f64 - f64::from(k))))
+            .map(|&k| {
+                let measure = if zeroed.contains(&k) {
+                    isb(unit, -0.0, 0.0)
+                } else {
+                    isb(unit, f64::from(k) + 0.5, unit as f64 - f64::from(k))
+                };
+                (k, measure)
+            })
             .collect();
         self.family
             .push_unit(isb_zero_fill(unit), active.iter().map(|(k, m)| (k, *m)))
@@ -770,4 +784,226 @@ fn recurring_sequences_push_by_position() {
     for _ in 0..2 {
         twin.push(&[1, 2, 9, 7, 3]);
     }
+}
+
+// ---------------------------------------------------------------------------
+// The windowed layout: a column holds only the rows its slot saw
+// ---------------------------------------------------------------------------
+
+/// Every retained column as `(level, unit at that level, window)`, in
+/// timeline order.
+fn columns(family: &FrameFamily<u32, Isb>) -> Vec<(usize, u64, Range<usize>)> {
+    let (_, ladder) = family.ladders().next().expect("a key to read the clock by");
+    let windows: Vec<Range<usize>> = family.held_windows().collect();
+    assert_eq!(
+        family.held_rows(),
+        windows.iter().map(Range::len).sum::<usize>()
+    );
+    ladder
+        .timeline()
+        .into_iter()
+        .zip(windows)
+        .map(|((level, unit, _), window)| (level, unit, window))
+        .collect()
+}
+
+/// The window of the newest column.
+fn newest(family: &FrameFamily<u32, Isb>) -> Range<usize> {
+    family.held_windows().last().expect("a retained column")
+}
+
+/// 256 cells report in 16 blocks of 16, one block a unit, in rotation;
+/// the first rotation numbers the rows block by block. A unit column
+/// holds exactly its block's rows, a column of four units the four
+/// blocks', and only a column of a whole rotation the whole layer.
+#[test]
+fn rotating_blocks_hold_only_their_rows() {
+    const BLOCKS: u64 = 16;
+    const BLOCK: usize = 16;
+    let spec = TiltSpec::new(vec![("unit", 4), ("mid", 4), ("top", 4)]).unwrap();
+    let mut twin = Twin::new(spec);
+    // Each level's slot spans `4^level` units, so `4^level` blocks.
+    let span = |level: usize| 4usize.pow(level as u32);
+    for unit in 0..100u64 {
+        let block = (unit % BLOCKS) as usize;
+        let keys: Vec<u32> = (block * BLOCK..(block + 1) * BLOCK)
+            .map(|row| row as u32)
+            .collect();
+        twin.push(&keys);
+        let mut held = [0usize; 3];
+        for (level, slot_unit, window) in columns(&twin.family) {
+            let blocks = span(level);
+            let first = (slot_unit as usize * blocks) % BLOCKS as usize;
+            let want = if blocks >= BLOCKS as usize {
+                0..BLOCKS as usize * BLOCK
+            } else {
+                first * BLOCK..(first + blocks) * BLOCK
+            };
+            assert_eq!(window, want, "unit {unit}: level {level} slot {slot_unit}");
+            held[level] += 1;
+        }
+        if unit % 4 != 3 {
+            // No promotion: the newest column is the unit's own, exactly
+            // its lowest to its highest active row.
+            assert_eq!(newest(&twin.family), block * BLOCK..(block + 1) * BLOCK);
+        }
+        // The stated bound: a unit column holds 16 rows, a mid column 64,
+        // a top column 256 — at most 1,344 rows over 4 + 4 + 4 slots,
+        // where columns spanning every row from 0 up would hold up to
+        // 3,072.
+        let bound = held[0] * 16 + held[1] * 64 + held[2] * 256;
+        assert_eq!(twin.family.held_rows(), bound, "unit {unit}");
+        assert!(bound <= 1_344);
+    }
+    assert!(twin.family.held_rows() < twin.family.retained_slots() * 256);
+}
+
+/// Activity at both ends of the layer spans it: every window is the
+/// whole layer, the layout of columns that hold every row from 0 up.
+#[test]
+fn scattered_activity_degrades_to_whole_columns() {
+    let spec = TiltSpec::new(vec![("unit", 3), ("top", 2)]).unwrap();
+    let mut twin = Twin::new(spec);
+    let all: Vec<u32> = (0..256).collect();
+    twin.push(&all);
+    for unit in 1..20u64 {
+        let keys = if unit % 2 == 0 { [0, 255] } else { [255, 0] };
+        twin.push(&keys);
+        assert!(
+            twin.family.held_windows().all(|window| window == (0..256)),
+            "unit {unit}"
+        );
+        assert_eq!(twin.family.held_rows(), twin.family.retained_slots() * 256);
+    }
+}
+
+/// A unit nobody is active in holds no row, and promotions over it
+/// hold what the other constituents hold — nothing, if none holds any.
+#[test]
+fn an_empty_unit_holds_no_row() {
+    let spec = TiltSpec::new(vec![("unit", 2), ("mid", 2), ("top", 2)]).unwrap();
+    let mut twin = Twin::new(spec);
+    twin.push(&[3, 4, 5]);
+    twin.push(&[]);
+    // The pair merged into one mid column: the first unit's rows.
+    assert_eq!(newest(&twin.family), 0..3);
+    twin.push(&[]);
+    assert!(newest(&twin.family).is_empty());
+    twin.push(&[]);
+    // Two empty units merge into an empty column, and the mid pair into
+    // a top column holding the first unit's rows.
+    assert_eq!(newest(&twin.family), 0..3);
+    for _ in 0..4 {
+        twin.push(&[]);
+        assert!(newest(&twin.family).is_empty());
+    }
+    twin.push(&[4]);
+    assert_eq!(newest(&twin.family), 1..2);
+}
+
+/// A late amendment outside a column's window widens it to the amended
+/// row — before the window, after it, and on a key with no row yet.
+#[test]
+fn amendments_widen_the_window_they_land_outside() {
+    let spec = TiltSpec::new(vec![("unit", 4), ("top", 2)]).unwrap();
+    let mut twin = Twin::new(spec);
+    let all: Vec<u32> = (0..10).collect();
+    twin.push(&all);
+    twin.push(&[4, 5, 6]);
+    assert_eq!(newest(&twin.family), 4..7);
+    twin.amend(5);
+    assert_eq!(newest(&twin.family), 4..7, "inside: no widening");
+    twin.amend(1);
+    assert_eq!(newest(&twin.family), 1..7, "before");
+    twin.amend(9);
+    assert_eq!(newest(&twin.family), 1..10, "after");
+    twin.amend(20);
+    assert_eq!(newest(&twin.family), 1..11, "a new key's row");
+    for keys in [&[4u32, 5][..], &[6], &[], &[5, 20]] {
+        twin.push(keys);
+    }
+}
+
+/// A retired row handed to a new key is reset to the fill in every
+/// column whose window holds it — zero usage with a sign bit included —
+/// and read as the fill, untouched, wherever it lies outside.
+#[test]
+fn a_recycled_row_reads_the_fill_inside_and_outside_windows() {
+    let spec = TiltSpec::new(vec![("unit", 4), ("top", 2)]).unwrap();
+    let mut twin = Twin::new(spec);
+    // Key 1 (row 1) and key 3 (row 3) only ever report zero usage with a
+    // sign bit, so each retires in the first unit it is silent in.
+    twin.push_with(&[0, 1, 2], &[1]);
+    twin.push_with(&[0, 2, 3], &[3]);
+    assert!(twin.family.frame(&1).is_none(), "key 1 retired");
+    twin.push(&[0, 2]);
+    assert!(twin.family.frame(&3).is_none(), "key 3 retired");
+    let windows: Vec<Range<usize>> = twin.family.held_windows().collect();
+    assert_eq!(windows, vec![0..3, 0..4, 0..3]);
+    // Row 3 lies inside the second window only, row 1 inside all three;
+    // the new keys take them (in that order) and must read the fill.
+    twin.push(&[0, 2, 7, 8]);
+    for _ in 0..6 {
+        twin.push(&[0, 2, 7, 8]);
+    }
+}
+
+/// A promotion over disjoint windows holds their hull; the rows between
+/// them read the merged fill.
+#[test]
+fn a_promotion_over_disjoint_windows_holds_their_hull() {
+    let spec = TiltSpec::new(vec![("unit", 2), ("top", 3)]).unwrap();
+    let mut twin = Twin::new(spec);
+    let all: Vec<u32> = (0..8).collect();
+    twin.push(&all);
+    twin.push(&[0, 1]);
+    twin.push(&[0, 1]);
+    assert_eq!(newest(&twin.family), 0..2);
+    twin.push(&[5, 6]);
+    let windows: Vec<Range<usize>> = twin.family.held_windows().collect();
+    assert_eq!(windows, vec![0..8, 0..7]);
+    for keys in [&[5u32][..], &[2], &[7, 0]] {
+        twin.push(keys);
+    }
+}
+
+/// A family rebuilt from its frames, numbered in key order (as a
+/// checkpoint lists them), leaves each column's leading and trailing
+/// fills out: the rotation's windows come back no wider than they were,
+/// and every read is the same.
+#[test]
+fn a_rebuilt_family_holds_windows_too() {
+    let spec = TiltSpec::new(vec![("unit", 4), ("mid", 4), ("top", 4)]).unwrap();
+    let mut twin = Twin::new(spec.clone());
+    let mut never_active = TiltFrame::new(spec);
+    for unit in 0..45u64 {
+        let block = (unit % 16) as u32;
+        // The last unit's block reports zero usage with a sign bit: idle,
+        // not the fill, and still a unit column of its own.
+        let keys: Vec<u32> = (block * 16..block * 16 + 16).collect();
+        twin.push_with(&keys, if unit == 44 { &keys } else { &[] });
+        never_active.push(isb_zero_fill(unit)).unwrap();
+    }
+    let before: Vec<Range<usize>> = twin.family.held_windows().collect();
+    let mut keys: Vec<u32> = twin.family.ladders().map(|(k, _)| *k).collect();
+    keys.sort_unstable();
+    let rows = keys.iter().map(|&k| {
+        let frame = twin.family.frame(&k).unwrap();
+        (k, frame.history().to_vec())
+    });
+    let rebuilt: FrameFamily<u32, Isb> =
+        FrameFamily::from_rows(&never_active, isb_is_zero, rows).unwrap();
+    assert_eq!(render_snapshot(&rebuilt), render_snapshot(&twin.family));
+    let after: Vec<Range<usize>> = rebuilt.held_windows().collect();
+    assert_eq!(after.len(), before.len());
+    for (column, (was, is)) in before.iter().zip(&after).enumerate() {
+        assert!(
+            is.len() <= was.len(),
+            "column {column}: {is:?} wider than {was:?}"
+        );
+    }
+    assert!(rebuilt.held_rows() < rebuilt.retained_slots() * 256 / 2);
+    // The sign-bit zeros are not the fill: the last unit's column is
+    // held, not dropped.
+    assert_eq!(after.last(), Some(&(192..208)));
 }
