@@ -33,11 +33,10 @@ use crate::measure::MTuple;
 use crate::stats::RunStats;
 use crate::table::{table_bytes_at, CuboidTable, Projector};
 use crate::{CoreError, Result};
-use regcube_olap::cell::{CellKey, INLINE_IDS};
+use regcube_olap::cell::CellKey;
 use regcube_olap::fxhash::FxHashMap;
 use regcube_olap::{CubeSchema, CuboidSpec, PopularPath};
 use regcube_regress::Isb;
-use std::collections::hash_map::Entry;
 use std::ops::Range;
 
 /// Groups every cuboid strictly above the m-layer into depth *tiers*
@@ -353,23 +352,17 @@ impl RollUpPlan {
 type Index = FxHashMap<CellKey, u32>;
 
 /// The `target_of` entry of a source row with key `ids`: the key's row
-/// in `index`, opened — and [`FIRST`]-flagged — if the key is new. A key
-/// held in place is probed once, through the entry API; a wider one,
-/// which would box its ids on every probe, is probed by slice and built
-/// only on a miss. Both insert the same keys at the same growth points.
+/// in `index`, opened — and [`FIRST`]-flagged — if the key is new. A hit
+/// probes by slice and builds no key.
 fn open_row(index: &mut Index, ids: &[u32]) -> u32 {
-    let next = index.len() as u32;
-    if ids.len() <= INLINE_IDS {
-        return match index.entry(CellKey::new(ids)) {
-            Entry::Occupied(held) => *held.get(),
-            Entry::Vacant(slot) => *slot.insert(next) | FIRST,
-        };
+    match index.get(ids) {
+        Some(&row) => row,
+        None => {
+            let row = index.len() as u32;
+            index.insert(CellKey::new(ids), row);
+            row | FIRST
+        }
     }
-    if let Some(&row) = index.get(ids) {
-        return row;
-    }
-    index.insert(CellKey::new(ids), next);
-    next | FIRST
 }
 
 /// Numbers a finished table's rows in its iteration order: rewrites

@@ -16,12 +16,7 @@ use crate::generate::GenTuple;
 /// * `rate <= 0.0` returns `f64::INFINITY` (nothing exceptional).
 /// * An empty slice returns `f64::INFINITY`.
 ///
-/// Scores need not be sorted; a copy is sorted internally. The threshold
-/// lies halfway between the lowest score it admits (every score tied
-/// with the quantile is admitted) and the highest it leaves out, so a
-/// score computed with its last bit flipped (another fold order, say)
-/// lands on the same side of it. Only when the two are adjacent floats,
-/// with nothing between them, is it the admitted score.
+/// Scores need not be sorted; a copy is sorted internally.
 pub fn threshold_for_rate(scores: &[f64], rate: f64) -> f64 {
     if scores.is_empty() || rate <= 0.0 {
         return f64::INFINITY;
@@ -36,19 +31,7 @@ pub fn threshold_for_rate(scores: &[f64], rate: f64) -> f64 {
     let n = sorted.len();
     let idx = ((n as f64) * (1.0 - rate)).ceil() as usize;
     let idx = idx.min(n - 1);
-    let admitted = sorted[idx];
-    let first = sorted[..idx].partition_point(|s| *s < admitted);
-    match first.checked_sub(1).map(|below| sorted[below]) {
-        Some(left_out) => {
-            let mid = left_out / 2.0 + admitted / 2.0;
-            if mid > left_out {
-                mid
-            } else {
-                admitted
-            }
-        }
-        None => admitted,
-    }
+    sorted[idx]
 }
 
 /// The fraction of `scores` at or above `threshold`.
@@ -108,39 +91,6 @@ mod tests {
                 (achieved - rate).abs() < 0.02,
                 "rate {rate} achieved {achieved}"
             );
-        }
-    }
-
-    /// The count at or above the threshold does not follow the last bit
-    /// of the boundary score — on either side of the boundary, and when
-    /// the boundary falls inside a run of tied scores.
-    #[test]
-    fn a_boundary_score_off_by_its_last_bit_keeps_the_count() {
-        let distinct: Vec<f64> = (0..1000).map(|i| 0.1 + i as f64 / 997.0).collect();
-        // Tied pairs (1, 2), (3, 4), …: every boundary here splits one.
-        let tied: Vec<f64> = (0..1000)
-            .map(|i| 0.1 + ((i + 1) / 2) as f64 / 499.0)
-            .collect();
-        for (scores, splits_a_tie) in [(distinct, false), (tied, true)] {
-            for rate in [0.01, 0.1, 0.5] {
-                let t = threshold_for_rate(&scores, rate);
-                let count = |scores: &[f64]| scores.iter().filter(|s| **s >= t).count();
-                let want = count(&scores);
-                let idx = ((scores.len() as f64) * (1.0 - rate)).ceil() as usize;
-                // What a threshold equal to the quantile's score admits.
-                let admitted = scores.iter().filter(|s| **s >= scores[idx]).count();
-                assert_eq!(want, admitted, "rate {rate}");
-                let first = scores.iter().filter(|s| **s < scores[idx]).count();
-                assert_eq!(first < idx, splits_a_tie, "rate {rate}");
-                for at in [first - 1, first, idx] {
-                    for bit in [1u64, 1u64.wrapping_neg()] {
-                        let mut flipped = scores.clone();
-                        flipped[at] = f64::from_bits(flipped[at].to_bits().wrapping_add(bit));
-                        assert_ne!(flipped[at], scores[at]);
-                        assert_eq!(count(&flipped), want, "rate {rate}, score {at}");
-                    }
-                }
-            }
         }
     }
 

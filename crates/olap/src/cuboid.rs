@@ -1,58 +1,28 @@
 //! Cuboid specifications: one abstraction level per dimension.
 
 use std::borrow::Borrow;
-use std::cmp::Ordering;
 use std::fmt;
-use std::hash::{Hash, Hasher};
-
-/// Levels a [`CuboidSpec`] holds in place; a cuboid of more dimensions
-/// spills its levels to the heap.
-pub const INLINE_LEVELS: usize = 22;
 
 /// A cuboid, identified by the hierarchy level chosen for each dimension.
 ///
 /// Level `0` is the all-level `*`; larger levels are finer. The m-layer of
 /// Example 5 is `(A2, B2, C2)` = `CuboidSpec::new(vec![2, 2, 2])` and the
 /// o-layer `(A1, *, C1)` = `CuboidSpec::new(vec![1, 0, 1])`.
-///
-/// A cuboid of up to [`INLINE_LEVELS`] dimensions keeps its levels inside
-/// itself (24 bytes, the size of the `Vec<u8>` it once wrapped), so
-/// cloning one — a delta entry, an alarm episode's key, a drill hit —
-/// never touches the allocator.
-#[derive(Clone)]
-pub struct CuboidSpec(Levels);
-
-/// Where a [`CuboidSpec`]'s levels live. A cuboid of at most
-/// [`INLINE_LEVELS`] dimensions is always `Inline`, so each level slice
-/// has exactly one representation.
-#[derive(Clone)]
-enum Levels {
-    Inline {
-        len: u8,
-        levels: [u8; INLINE_LEVELS],
-    },
-    Heap(Box<[u8]>),
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct CuboidSpec {
+    levels: Vec<u8>,
 }
 
 impl CuboidSpec {
     /// Creates a cuboid from per-dimension levels.
     pub fn new(levels: Vec<u8>) -> Self {
-        if levels.len() <= INLINE_LEVELS {
-            let mut inline = [0; INLINE_LEVELS];
-            inline[..levels.len()].copy_from_slice(&levels);
-            CuboidSpec(Levels::Inline {
-                len: levels.len() as u8,
-                levels: inline,
-            })
-        } else {
-            CuboidSpec(Levels::Heap(levels.into_boxed_slice()))
-        }
+        CuboidSpec { levels }
     }
 
     /// Number of dimensions.
     #[inline]
     pub fn num_dims(&self) -> usize {
-        self.levels().len()
+        self.levels.len()
     }
 
     /// The level chosen for dimension `d`.
@@ -61,71 +31,65 @@ impl CuboidSpec {
     /// Panics when `d` is out of range.
     #[inline]
     pub fn level(&self, d: usize) -> u8 {
-        self.levels()[d]
+        self.levels[d]
     }
 
     /// All levels, in dimension order.
     #[inline]
     pub fn levels(&self) -> &[u8] {
-        match &self.0 {
-            Levels::Inline { len, levels } => &levels[..usize::from(*len)],
-            Levels::Heap(levels) => levels,
-        }
-    }
-
-    fn levels_mut(&mut self) -> &mut [u8] {
-        match &mut self.0 {
-            Levels::Inline { len, levels } => &mut levels[..usize::from(*len)],
-            Levels::Heap(levels) => levels,
-        }
+        &self.levels
     }
 
     /// Sum of levels — the cuboid's total depth. The m-layer maximizes it,
     /// the o-layer minimizes it within a lattice.
     #[inline]
     pub fn total_depth(&self) -> u32 {
-        self.levels().iter().map(|&l| u32::from(l)).sum()
+        self.levels.iter().map(|&l| u32::from(l)).sum()
     }
 
     /// `true` when `self` is at least as coarse as `other` on every
     /// dimension (so `self`'s cells are ancestors of `other`'s).
     /// Reflexive: a cuboid is an ancestor-or-equal of itself.
     pub fn is_ancestor_or_equal(&self, other: &CuboidSpec) -> bool {
-        self.num_dims() == other.num_dims()
+        self.levels.len() == other.levels.len()
             && self
-                .levels()
+                .levels
                 .iter()
-                .zip(other.levels())
+                .zip(other.levels.iter())
                 .all(|(a, b)| a <= b)
     }
 
     /// Returns the cuboid with dimension `d` refined one level (toward
     /// finer data), or `None` when `d` is out of range.
     pub fn refine(&self, d: usize) -> Option<CuboidSpec> {
-        let level = self.levels().get(d)?.checked_add(1)?;
-        let mut finer = self.clone();
-        finer.levels_mut()[d] = level;
-        Some(finer)
+        if d >= self.levels.len() {
+            return None;
+        }
+        let mut levels = self.levels.clone();
+        levels[d] = levels[d].checked_add(1)?;
+        Some(CuboidSpec { levels })
     }
 
     /// Returns the cuboid with dimension `d` coarsened one level (toward
     /// `*`), or `None` when `d` is out of range or already at `*`.
     pub fn coarsen(&self, d: usize) -> Option<CuboidSpec> {
-        let level = self.levels().get(d)?.checked_sub(1)?;
-        let mut coarser = self.clone();
-        coarser.levels_mut()[d] = level;
-        Some(coarser)
+        if d >= self.levels.len() || self.levels[d] == 0 {
+            return None;
+        }
+        let mut levels = self.levels.clone();
+        levels[d] -= 1;
+        Some(CuboidSpec { levels })
     }
 
     /// The single dimension on which `self` and `other` differ by exactly
     /// one level (with all others equal), if any — the "one roll-up step"
     /// relation that popular paths are made of.
     pub fn single_step_dim(&self, finer: &CuboidSpec) -> Option<usize> {
-        if self.num_dims() != finer.num_dims() {
+        if self.levels.len() != finer.levels.len() {
             return None;
         }
         let mut step = None;
-        for (d, (a, b)) in self.levels().iter().zip(finer.levels()).enumerate() {
+        for (d, (a, b)) in self.levels.iter().zip(finer.levels.iter()).enumerate() {
             if a == b {
                 continue;
             }
@@ -139,65 +103,23 @@ impl CuboidSpec {
     }
 }
 
-impl PartialEq for CuboidSpec {
-    #[inline]
-    fn eq(&self, other: &Self) -> bool {
-        self.levels() == other.levels()
-    }
-}
-
-impl Eq for CuboidSpec {}
-
-/// The level slice's hash — its length prefix, then its bytes — which is
-/// also the hash of the `Vec<u8>` a cuboid once wrapped, so every
-/// `FxHashMap<CuboidSpec, _>` keeps its iteration order.
-impl Hash for CuboidSpec {
-    #[inline]
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.levels().hash(state);
-    }
-}
-
-impl PartialOrd for CuboidSpec {
-    #[inline]
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for CuboidSpec {
-    #[inline]
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.levels().cmp(other.levels())
-    }
-}
-
 /// Cuboids borrow as their level slice, so maps keyed by [`CuboidSpec`]
 /// can be probed with a plain `&[u8]` (e.g. levels refined in a stack
-/// buffer) without building a cuboid first. `Hash`, `Eq` and `Ord` are
-/// the slice's, whichever way the levels are stored, so the `Borrow`
-/// contract holds.
+/// buffer) without building a cuboid first. The derived `Hash`, `Eq`
+/// and `Ord` are those of the single `Vec<u8>` field, which hashes
+/// (length prefix, then bytes), compares and orders exactly as its
+/// slice does, so the `Borrow` contract holds.
 impl Borrow<[u8]> for CuboidSpec {
     #[inline]
     fn borrow(&self) -> &[u8] {
-        self.levels()
-    }
-}
-
-/// `CuboidSpec { levels: [..] }`, as the struct over a `Vec<u8>` printed
-/// itself: checkpoint fingerprints format policies that name cuboids.
-impl fmt::Debug for CuboidSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CuboidSpec")
-            .field("levels", &self.levels())
-            .finish()
+        &self.levels
     }
 }
 
 impl fmt::Display for CuboidSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "(")?;
-        for (i, l) in self.levels().iter().enumerate() {
+        for (i, l) in self.levels.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
