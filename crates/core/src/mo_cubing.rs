@@ -41,37 +41,33 @@
 //! every unit, or a few in turn when the active streams rotate — and
 //! only the measures change. A table's iteration order follows from its
 //! keys and their insertion sequence, so the plan of one key sequence
-//! is always the same. The engine keeps up to [`SHAPES`] such *roll-up
-//! shapes*, keyed by a 64-bit hash of the sequence and evicted least
-//! recently used first. A sequence seen once is remembered by its hash
-//! alone. The next unit with that hash keeps the plan it builds. Every
-//! later unit whose key sequence equals a resident plan's — compared in
-//! full, so a hash collision is only a miss — folds by that plan
-//! without hashing. The critical layers come out with the buckets of
-//! tables built by inserting the plan's keys in first-arrival order,
-//! whichever of two ways they are written: into the spare result of the
-//! same plan, in place; otherwise as fresh tables into which those keys
-//! are inserted in that order. Either way the values are rewritten in
-//! iteration order. A unit that folds by a kept plan is therefore the
-//! unit that builds its own, bit for bit — NaN payloads included, as
-//! both run the one fold — and its statistics are too (but `elapsed`).
+//! is always the same. The engine keeps the plans of up to [`SHAPES`]
+//! recent key sequences, least recently used first. A unit folds by the
+//! resident plan whose key sequence equals its own, compared id by id;
+//! otherwise it builds its plan, and the engine keeps that plan at once.
+//! The critical layers come out with the buckets of tables built by
+//! inserting the plan's keys in first-arrival order, whichever of two
+//! ways they are written: into the spare result of the same plan, in
+//! place; otherwise as fresh tables into which those keys are inserted
+//! in that order. Either way the values are rewritten in iteration
+//! order. A unit that folds by a kept plan is therefore the unit that
+//! builds its own, bit for bit — NaN payloads included, as both run the
+//! one fold — and its statistics are too (but `elapsed`).
 //!
-//! **The spare result.** Every plan has an identity of its own, and the
-//! engine knows which plan laid out the held unit's critical tables (the
-//! one it replayed or captured). When a unit of the same plan replaces
-//! the held one, the old result is kept, with that identity, as the
-//! spare; a unit of another shape drops it, so a rotating population
-//! keeps none. A replay of the held shape takes the spare if it is of
-//! its plan — matched by identity, not by hash — and `Arc::get_mut`
-//! grants it, so no snapshot holds it any more, and writes the unit into
-//! it: its m- and o-tables are overwritten in place, and its exception
-//! stores and statistics replaced. A result any reader holds is never
-//! written; a replay that finds the spare held rebuilds. A serving layer
-//! that publishes each unit's snapshot in place of the last one holds
-//! only the held unit, so the spare — one unit back — is free. The spare
-//! is not counted in the unit's statistics: `peak_bytes` and
-//! `retained_bytes` stay the analytical bytes of one unit's tables, as a
-//! unit that builds its plan counts them.
+//! **The spare result.** The held unit's plan is the most recently used
+//! one. When a unit of that same plan replaces the held unit, the old
+//! result, laid out by the plan, is kept as the spare; a unit of another
+//! plan drops it, so a rotating population keeps none. A unit of the
+//! held plan takes the spare if `Arc::get_mut` grants it — no snapshot
+//! holds it any more — and writes itself into it: its m- and o-tables
+//! are overwritten in place, and its exception stores and statistics
+//! replaced. A result any reader holds is never written; a unit that
+//! finds the spare held rebuilds. A serving layer that publishes each
+//! unit's snapshot in place of the last one holds only the held unit, so
+//! the spare — one unit back — is free. The spare is not counted in the
+//! unit's statistics: `peak_bytes` and `retained_bytes` stay the
+//! analytical bytes of one unit's tables, as a unit that builds its plan
+//! counts them.
 //!
 //! [`Isb`]: regcube_regress::Isb
 
@@ -85,20 +81,24 @@ use crate::stats::{MemoryAccountant, RunStats};
 use crate::table::{table_bytes, CuboidTable};
 use crate::Result;
 use regcube_olap::cell::CellKey;
-use regcube_olap::fxhash::{FxHashMap, FxHasher};
+use regcube_olap::fxhash::FxHashMap;
 use regcube_olap::{CubeSchema, CuboidSpec};
-use std::hash::Hasher;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The most roll-up shapes one engine keeps (see the module docs).
+/// The most roll-up plans one engine keeps (see the module docs).
 ///
-/// A rotating population needs one shape per key sequence in its
+/// A rotating population needs one plan per key sequence in its
 /// rotation: the benchmark's `quiet_fleet` tenants cycle through 16. A
-/// shape costs only the sequences that occur — a plan is its key
-/// sequence plus one `u32` per tuple and per source row of every step,
-/// and every table's keys — so room for twice that rotation costs a
-/// fixed population nothing.
+/// plan costs only the sequences that occur — its key sequence plus one
+/// `u32` per tuple and per source row of every step, and every table's
+/// keys — so room for twice that rotation costs a fixed population
+/// nothing. The worst case is a population whose key sequence changes
+/// every unit: the engine then holds `SHAPES` plans that are never
+/// replayed, some 32 × 2 MB on the benchmark's `dense_cube` lattice. No
+/// benchmark workload does this. A unit whose sequence has no resident
+/// plan is compared against at most `SHAPES` plans, each comparison
+/// stopping at the first differing id.
 pub const SHAPES: usize = 32;
 
 /// Algorithm 1 as a per-unit engine.
@@ -121,7 +121,7 @@ pub struct MoCubingEngine {
     units_opened: u64,
     /// Units folded by a kept roll-up plan rather than one they built.
     units_replayed: u64,
-    /// The key sequences of recent units and their roll-up plans.
+    /// The roll-up plans of recent units.
     shapes: ShapeCache,
     /// Units whose result was written into a retired one.
     units_recycled: u64,
@@ -130,9 +130,9 @@ pub struct MoCubingEngine {
     pairs: Vec<Pair>,
     /// Shared with every snapshot taken of the held unit.
     result: Arc<CubeResult>,
-    /// The result the held one replaced, with the plan its critical
-    /// tables are laid out by — always the held unit's plan.
-    spare: Option<(u64, Arc<CubeResult>)>,
+    /// The result the held one replaced, while its critical tables are
+    /// laid out by the held unit's plan.
+    spare: Option<Arc<CubeResult>>,
 }
 
 impl MoCubingEngine {
@@ -345,18 +345,8 @@ impl MoCubingEngine {
     }
 }
 
-/// The 64-bit Fx hash a unit's m-key sequence is looked up by.
-fn sequence_hash(tuples: &[MTuple]) -> u64 {
-    let mut hasher = FxHasher::default();
-    hasher.write_usize(tuples.len());
-    for id in tuples.iter().flat_map(MTuple::ids) {
-        hasher.write_u32(*id);
-    }
-    hasher.finish()
-}
-
-/// The roll-up shapes of recent units: up to [`SHAPES`] m-key sequences,
-/// least recently used first.
+/// The roll-up plans of recent units: up to [`SHAPES`], least recently
+/// used first, so the held unit's plan is the last.
 ///
 /// `Ingestor::close_unit` emits a unit's tuples sorted by key, so a
 /// population of streams that report in a fixed pattern hands the
@@ -366,68 +356,28 @@ fn sequence_hash(tuples: &[MTuple]) -> u64 {
 /// the measures differ.
 #[derive(Debug, Clone, Default)]
 struct ShapeCache {
-    shapes: Vec<Shape>,
-    /// The plan the held unit's critical tables are laid out by: the one
-    /// it replayed or kept.
-    held: Option<u64>,
-    /// The identity the next kept plan gets.
-    next_plan: u64,
-}
-
-/// One key sequence the cache remembers.
-#[derive(Debug, Clone)]
-struct Shape {
-    hash: u64,
-    /// Kept by the second unit with this hash; absent while the
-    /// sequence was seen only once.
-    plan: Option<RollUpPlan>,
-}
-
-/// What the cache holds for a unit's key sequence.
-enum Lookup<'a> {
-    /// A resident plan of exactly this sequence.
-    Replay(&'a RollUpPlan),
-    /// The hash was seen once: build the plan and keep it.
-    Capture,
-    /// A new hash, or a plan of another sequence under this one: build
-    /// the plan and drop it.
-    Cold,
+    plans: Vec<Arc<RollUpPlan>>,
 }
 
 impl ShapeCache {
-    fn lookup(&self, hash: u64, tuples: &[MTuple]) -> Lookup<'_> {
-        match self.shapes.iter().find(|shape| shape.hash == hash) {
-            None => Lookup::Cold,
-            Some(Shape { plan: None, .. }) => Lookup::Capture,
-            Some(Shape {
-                plan: Some(plan), ..
-            }) if plan.matches(tuples) => Lookup::Replay(plan),
-            Some(_) => Lookup::Cold,
-        }
-    }
-
-    /// Records a committed unit with key-sequence hash `hash`: its shape
-    /// becomes the most recently used and the held unit's. A unit that
-    /// built its plan leaves the shape with the plan, if `kept`, under a
-    /// new identity — a unit whose sequence missed a resident plan under
-    /// the same hash replaces it by the hash alone.
-    fn commit(&mut self, hash: u64, replayed: bool, kept: Option<RollUpPlan>) {
-        let mut shape = match self.shapes.iter().position(|shape| shape.hash == hash) {
-            Some(at) => self.shapes.remove(at),
-            None => Shape { hash, plan: None },
+    /// The plan `tuples` fold by, made the most recently used: the
+    /// resident plan of their key sequence, searched newest first, or
+    /// the one `build` returns, kept at once. Whether it was resident
+    /// comes with it.
+    fn plan_of(
+        &mut self,
+        tuples: &[MTuple],
+        build: impl FnOnce() -> RollUpPlan,
+    ) -> (Arc<RollUpPlan>, bool) {
+        let (plan, resident) = match self.plans.iter().rposition(|plan| plan.matches(tuples)) {
+            Some(at) => (self.plans.remove(at), true),
+            None => (Arc::new(build()), false),
         };
-        if !replayed {
-            shape.plan = kept.map(|mut plan| {
-                self.next_plan += 1;
-                plan.id = self.next_plan;
-                plan
-            });
+        self.plans.push(Arc::clone(&plan));
+        if self.plans.len() > SHAPES {
+            self.plans.remove(0);
         }
-        self.held = shape.plan.as_ref().map(|plan| plan.id);
-        self.shapes.push(shape);
-        if self.shapes.len() > SHAPES {
-            self.shapes.remove(0);
-        }
+        (plan, resident)
     }
 }
 
@@ -454,38 +404,29 @@ impl CubingEngine for MoCubingEngine {
     }
 
     /// One unit: validate, compute the unit beside the held one — folded
-    /// by its key sequence's resident plan, or by one it builds — diff
-    /// the two, commit.
+    /// by its key sequence's resident plan, or by one it builds and keeps
+    /// — diff the two, commit. Nothing after the plan's lookup fails, so
+    /// the plans follow committed units only.
     fn ingest_unit(&mut self, tuples: &[MTuple]) -> Result<UnitDelta> {
         validate_tuples(&self.schema, self.layers.lattice().m_layer(), tuples)?;
         RollUpPlan::admit(tuples)?;
         let window = next_window(self.window, tuples)?;
         let started = Instant::now();
-        let hash = sequence_hash(tuples);
-        let lookup = self.shapes.lookup(hash, tuples);
-        let replayed = matches!(lookup, Lookup::Replay(_));
-        let mut recycled = false;
+        let held = self.shapes.plans.last().cloned();
+        let (plan, replayed) = self.shapes.plan_of(tuples, || {
+            RollUpPlan::build(&self.schema, &self.schedule, tuples)
+        });
+        // Only a unit of the held plan keeps the spare, and writes into it
+        // unless a snapshot still being read holds it.
+        let repeats = held.is_some_and(|held| Arc::ptr_eq(&held, &plan));
+        let spare = self
+            .spare
+            .take()
+            .filter(|_| repeats)
+            .and_then(|mut result| Arc::get_mut(&mut result).is_some().then_some(result));
+        let recycled = spare.is_some();
         let mut pairs = std::mem::take(&mut self.pairs);
-        let (result, kept) = match lookup {
-            Lookup::Replay(plan) => {
-                // A snapshot still being read keeps the spare out of
-                // reach.
-                let spare = self.spare.take().and_then(|(laid_out_by, mut result)| {
-                    (laid_out_by == plan.id && Arc::get_mut(&mut result).is_some())
-                        .then_some(result)
-                });
-                recycled = spare.is_some();
-                let result = self.replay_unit(started, plan, spare, tuples, &mut pairs);
-                (result, None)
-            }
-            // Any other unit builds its plan and folds by it; the cache
-            // keeps the plan only on its sequence's second sight.
-            lookup => {
-                let plan = RollUpPlan::build(&self.schema, &self.schedule, tuples);
-                let result = self.replay_unit(started, &plan, None, tuples, &mut pairs);
-                (result, matches!(lookup, Lookup::Capture).then_some(plan))
-            }
-        };
+        let result = self.replay_unit(started, &plan, spare, tuples, &mut pairs);
         self.pairs = pairs;
         // The held unit's exceptions that do not recur come back as
         // cleared, so appeared/cleared consumers can maintain a live
@@ -500,15 +441,10 @@ impl CubingEngine for MoCubingEngine {
         self.window = Some(window);
         self.units_opened += 1;
         let retiring = std::mem::replace(&mut self.result, result);
-        let laid_out_by = self.shapes.held;
-        // The shapes follow the committed unit only.
-        self.shapes.commit(hash, replayed, kept);
-        // Only a replay of the held shape writes into the spare, so only
-        // a result of the held plan is kept: a rotation keeps none.
-        let held = self.shapes.held;
-        self.spare = laid_out_by
-            .filter(|_| laid_out_by == held)
-            .map(|plan| (plan, retiring));
+        // The retired result is laid out by the held plan: it stays as
+        // the spare only while units repeat that plan, so a rotation
+        // keeps none.
+        self.spare = repeats.then_some(retiring);
         self.units_replayed += u64::from(replayed);
         self.units_recycled += u64::from(recycled);
         Ok(delta)
@@ -733,54 +669,5 @@ mod tests {
         assert_eq!(e.result().m_layer_cells(), 0);
         assert_eq!(e.result().total_exception_cells(), 0);
         assert_eq!(e.stats().cells_computed, 0);
-    }
-
-    /// `tuples` moved to window `w`.
-    fn in_unit(tuples: &[MTuple], w: i64) -> Vec<MTuple> {
-        tuples
-            .iter()
-            .map(|t| {
-                let m = t.isb();
-                let isb = Isb::new(10 * w, 10 * w + 9, m.base(), m.slope()).unwrap();
-                MTuple::new(t.ids().to_vec(), isb)
-            })
-            .collect()
-    }
-
-    /// The full key comparison is the only guard against a hash
-    /// collision: a plan of another sequence planted under a unit's hash
-    /// must miss, and the unit must come out as it does cold.
-    #[test]
-    fn a_plan_under_a_colliding_hash_misses() {
-        let policy = ExceptionPolicy::slope_threshold(0.4);
-        let planted = dense_tuples();
-        let unit = in_unit(&planted[1..], 2);
-        let mut e = engine(policy.clone());
-        e.ingest_unit(&in_unit(&planted, 0)).unwrap();
-        e.ingest_unit(&in_unit(&planted, 1)).unwrap();
-        let shape = e.shapes.shapes.last_mut().unwrap();
-        assert!(shape.plan.is_some(), "the second unit captures");
-        assert_ne!(shape.hash, sequence_hash(&unit));
-        shape.hash = sequence_hash(&unit);
-
-        let hash = sequence_hash(&unit);
-        assert!(matches!(e.shapes.lookup(hash, &unit), Lookup::Cold));
-        e.ingest_unit(&unit).unwrap();
-        assert_eq!(e.units_replayed(), 0);
-        let shape = e.shapes.shapes.last().unwrap();
-        assert_eq!(shape.hash, hash);
-        assert!(shape.plan.is_none(), "the miss leaves the hash alone");
-
-        let (schema, layers) = small_setup();
-        let cold = compute(&schema, &layers, &policy, &unit).unwrap();
-        let cells = |t: &CuboidTable| -> Vec<(CellKey, Isb)> {
-            t.iter().map(|(k, m)| (k.clone(), *m)).collect()
-        };
-        assert_eq!(cells(e.result().m_table()), cells(cold.m_table()));
-        assert_eq!(cells(e.result().o_table()), cells(cold.o_table()));
-        assert_eq!(
-            e.result().total_exception_cells(),
-            cold.total_exception_cells()
-        );
     }
 }

@@ -170,11 +170,8 @@ const FIRST: u32 = 1 << 31;
 /// Every unit folds its measures by one: a unit of a new key sequence by
 /// the plan it just built, a recurring one of Algorithm 1 by the plan
 /// its sequence left, without hashing.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct RollUpPlan {
-    /// Unique within an engine: a result laid out by this plan is
-    /// matched to it by identity, never by hash.
-    pub(crate) id: u64,
     tuples: usize,
     /// The key sequence's length.
     sequence: usize,
@@ -250,7 +247,6 @@ impl RollUpPlan {
             keys_at.push(number(target, &mut arena, start, dims));
         }
         RollUpPlan {
-            id: 0,
             tuples: tuples.len(),
             sequence,
             arena: arena.into_boxed_slice(),

@@ -256,10 +256,10 @@ fn with_repeats(seed: u64, tuples: &[MTuple], copies: usize) -> Vec<MTuple> {
 fn cold_and_replayed_units_are_the_oracle_across_rollovers() {
     let (schema, layers, tuples) = dataset(600, 180);
     let policy = ExceptionPolicy::slope_threshold(0.3);
-    // Three units with shrinking tails; the middle one repeats each of
-    // its 60 m-cells three times. The last three carry the middle
-    // one's key sequence under fresh measures: the first of them
-    // captures its roll-up plan and the other two replay it.
+    // Three units with shrinking tails; the second repeats each of its
+    // 60 m-cells three times. The last three carry the second one's key
+    // sequence under fresh measures, so all three replay the roll-up
+    // plan it built.
     let u1 = with_repeats(602, &shift_window(&tuples[..60], 1), 3);
     let u2 = shift_window(&tuples[..7], 2);
     let recur: Vec<Vec<MTuple>> = (3..6)
@@ -274,7 +274,7 @@ fn cold_and_replayed_units_are_the_oracle_across_rollovers() {
         &recur[2],
     ];
     let engine = replay_and_compare("rollover", &schema, &layers, &policy, &units);
-    assert_eq!(engine.units_replayed(), 2, "the last two units replay");
+    assert_eq!(engine.units_replayed(), 3, "the last three units replay");
 }
 
 #[test]

@@ -3,9 +3,10 @@
 //! `MoCubingEngine` (row layout) keeps the roll-up plans of up to
 //! `SHAPES` recent m-key sequences and replays a plan, instead of
 //! re-hashing every cuboid, for any unit whose key sequence has one
-//! resident. The oracle here is a fresh engine that has seen only the
-//! unit before and the unit itself, so it computes the unit cold: it
-//! builds the unit's plan instead of replaying a kept one.
+//! resident. The oracle here is a fresh engine that sees only the unit
+//! itself, so it computes the unit cold: it builds the unit's plan
+//! instead of replaying a kept one. The delta is held to an engine that
+//! has seen only the unit before and the unit itself.
 //! `cold_fold_oracle.rs` and `m_layer_fold.rs` hold that build's order
 //! to independent folds. Over seeded schemas (balanced and ragged),
 //! layers and exception policies (per-depth and per-cuboid overrides
@@ -21,12 +22,13 @@
 //! * the `RunStats` (but `elapsed`).
 //!
 //! Each check also pins *when* the engine replayed, against an LRU model
-//! of the cache: a sequence's first unit is remembered by hash, its
-//! second keeps the plan it builds, and every later one replays while the
-//! sequence stays among the `SHAPES` most recently used. Scripted cases
+//! of the cache: a sequence's first unit keeps the plan it builds, and
+//! every later one replays while the sequence stays among the `SHAPES`
+//! most recently used. Scripted cases
 //! add alternation, rotations that fit the cache and one that evicts
-//! every shape, a sequence that returns after its eviction, units of
-//! some 5,000 m-cells and the restored engine.
+//! every plan, a sequence that returns after its eviction, two sequences
+//! that differ only in their last key, units of some 5,000 m-cells and
+//! the restored engine.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -206,16 +208,14 @@ fn unit(rng: &mut StdRng, keys: &[Vec<u32>], w: i64) -> Vec<MTuple> {
 }
 
 /// Counts the units a plan-holding engine replays and recycles: an LRU
-/// of `SHAPES` key sequences, each with the plan captured for it (an
-/// identity, new at every capture), and the spare: the result a unit of
-/// the held plan replaced.
+/// of `SHAPES` key sequences, each with the plan its first unit built
+/// (an identity, new at every build), and the spare: the result a unit
+/// of the held plan replaced.
 #[derive(Default)]
 struct ReplayModel {
-    /// Least recently used first.
-    shapes: Vec<(Vec<Vec<u32>>, Option<u64>)>,
-    plans: u64,
-    /// The plan of the held unit.
-    held: Option<u64>,
+    /// Least recently used first, so the held unit's plan is the last.
+    plans: Vec<(Vec<Vec<u32>>, u64)>,
+    built: u64,
     /// (plan, unit).
     spare: Option<(u64, usize)>,
     replays: u64,
@@ -226,35 +226,32 @@ impl ReplayModel {
     /// Unit `k` of `keys`, while readers hold the results of units
     /// `k - readers..k`.
     fn unit(&mut self, k: usize, keys: &[Vec<u32>], readers: usize) {
+        let held = self.plans.last().map(|&(_, plan)| plan);
         let plan = match self
-            .shapes
+            .plans
             .iter()
             .position(|(seq, _)| seq.as_slice() == keys)
         {
-            Some(at) => match self.shapes.remove(at).1 {
-                Some(plan) => {
-                    self.replays += 1;
-                    let free = |(p, unit): (u64, usize)| p == plan && unit + readers < k;
-                    if self.spare.is_some_and(free) {
-                        self.recycles += 1;
-                    }
-                    Some(plan)
-                }
-                None => {
-                    self.plans += 1;
-                    Some(self.plans)
-                }
-            },
-            None => None,
+            Some(at) => {
+                self.replays += 1;
+                self.plans.remove(at).1
+            }
+            None => {
+                self.built += 1;
+                self.built
+            }
         };
-        self.spare = match (self.held, k.checked_sub(1)) {
-            (Some(held), Some(last)) if Some(held) == plan => Some((held, last)),
+        let free = |(p, unit): (u64, usize)| p == plan && unit + readers < k;
+        if self.spare.is_some_and(free) {
+            self.recycles += 1;
+        }
+        self.spare = match (held, k.checked_sub(1)) {
+            (Some(held), Some(last)) if held == plan => Some((held, last)),
             _ => None,
         };
-        self.held = plan;
-        self.shapes.push((keys.to_vec(), plan));
-        if self.shapes.len() > SHAPES {
-            self.shapes.remove(0);
+        self.plans.push((keys.to_vec(), plan));
+        if self.plans.len() > SHAPES {
+            self.plans.remove(0);
         }
     }
 }
@@ -313,13 +310,17 @@ fn hold_to_cold_read(
             held.push((result, m, o));
         }
 
-        let mut cold =
-            MoCubingEngine::new(an.schema.clone(), an.layers.clone(), an.policy.clone()).unwrap();
-        if k > 0 {
-            cold.ingest_unit(&units[k - 1].1).unwrap();
-        }
-        let cold_delta = cold.ingest_unit(tuples).unwrap();
+        let fresh = || {
+            MoCubingEngine::new(an.schema.clone(), an.layers.clone(), an.policy.clone()).unwrap()
+        };
+        let mut cold = fresh();
+        cold.ingest_unit(tuples).unwrap();
         assert_eq!(cold.units_replayed(), 0, "the oracle never replays");
+        let mut pair = fresh();
+        if k > 0 {
+            pair.ingest_unit(&units[k - 1].1).unwrap();
+        }
+        let pair_delta = pair.ingest_unit(tuples).unwrap();
 
         let (got, want) = (engine.result(), cold.result());
         assert_eq!(cells(got.m_table()), cells(want.m_table()), "unit {k}: m");
@@ -327,7 +328,7 @@ fn hold_to_cold_read(
         assert_eq!(exception_cells(got), exception_cells(want), "unit {k}");
         assert_eq!(
             delta_sans_unit(&delta),
-            delta_sans_unit(&cold_delta),
+            delta_sans_unit(&pair_delta),
             "unit {k}"
         );
         assert_eq!(
@@ -428,11 +429,12 @@ fn a_replayed_unit_is_the_cold_unit() {
     assert!(recycles > 100, "only {recycles} units recycled");
 }
 
-/// The shape schedule A A B A A B B, then A for six units, read the way
-/// a serving layer reads it: a reader holds each unit's result until
-/// `readers` more units are cubed. Only a replay of the held shape
-/// writes into the spare — the result one unit back, if nobody reads
-/// it — and a unit of another shape drops it, so the short runs never
+/// The sequence schedule A A B A A B B, then A for six units, read the
+/// way a serving layer reads it: a reader holds each unit's result until
+/// `readers` more units are cubed. Every unit but the first of each
+/// sequence replays. Only a unit of the held plan writes into the spare
+/// — the result one unit back, if nobody reads it — and a unit of
+/// another plan drops it, so the short runs never
 /// recycle and the last run does from its third unit on. Every unit is
 /// still the cold unit, and every read result stays as it was. One
 /// reader, as a snapshot cell holds the held unit, leaves the spare
@@ -450,9 +452,62 @@ fn a_replay_writes_into_a_retired_result_no_reader_holds() {
         let mut engine =
             MoCubingEngine::new(an.schema.clone(), an.layers.clone(), an.policy.clone()).unwrap();
         hold_to_cold_read(&an, &mut engine, &units, readers);
-        assert_eq!(engine.units_replayed(), 9);
+        assert_eq!(engine.units_replayed(), 11);
         assert_eq!(engine.units_recycled(), recycled, "{readers} readers");
     }
+}
+
+/// A sequence's first unit builds its plan and keeps it; every later unit
+/// of the sequence replays it, from the second on. The third unit finds
+/// the first unit's result as the spare: it writes into that result when
+/// no reader holds it (a snapshot cell holds only the held unit, the
+/// second), and into a new one when a reader does. Every unit is still
+/// the cold unit.
+#[test]
+fn a_sequences_second_unit_replays() {
+    let (mut rng, an) = rich_analysis(23);
+    let keys = distinct_sequences(&mut rng, &an, 1).remove(0);
+    let units = units_of(&mut rng, &[keys.as_slice(); 4]);
+    for readers in 0..=2 {
+        let mut engine =
+            MoCubingEngine::new(an.schema.clone(), an.layers.clone(), an.policy.clone()).unwrap();
+        let mut held: Vec<Arc<CubeResult>> = Vec::new();
+        let mut results = Vec::new();
+        for (k, (_, tuples)) in units.iter().enumerate() {
+            engine.ingest_unit(tuples).unwrap();
+            assert_eq!(engine.units_replayed(), k as u64, "{readers} readers");
+            let result = engine.shared_result();
+            results.push(Arc::as_ptr(&result));
+            held.push(result);
+            held.drain(..held.len().saturating_sub(readers));
+        }
+        assert_eq!(results[2] == results[0], readers < 2, "{readers} readers");
+        let recycled = if readers < 2 { 2 } else { 0 };
+        assert_eq!(engine.units_recycled(), recycled, "{readers} readers");
+
+        let mut engine =
+            MoCubingEngine::new(an.schema.clone(), an.layers.clone(), an.policy.clone()).unwrap();
+        hold_to_cold_read(&an, &mut engine, &units, readers);
+    }
+}
+
+/// Two resident sequences of one length that differ only in their last
+/// tuple's ids. The lookup compares every id, so each unit folds by its
+/// own sequence's plan, and its cube, delta and statistics are the cold
+/// unit's, bit for bit.
+#[test]
+fn a_sequence_that_differs_only_in_its_last_key_misses() {
+    let (mut rng, an) = rich_analysis(29);
+    let a = distinct_sequences(&mut rng, &an, 1).remove(0);
+    let last = a.last().expect("a sequence has a key");
+    let other = an.universe.iter().find(|&key| key != last);
+    let mut b = a.clone();
+    *b.last_mut().unwrap() = other.expect("the universe has two m-cells").clone();
+    let units = units_of(&mut rng, &[&a, &b, &a, &b, &a, &b]);
+    let mut engine =
+        MoCubingEngine::new(an.schema.clone(), an.layers.clone(), an.policy.clone()).unwrap();
+    hold_to_cold(&an, &mut engine, &units);
+    assert_eq!(engine.units_replayed(), 4);
 }
 
 /// Six dimensions, one more than a `CellKey` keeps inline, so every key
@@ -490,25 +545,25 @@ fn a_six_dimension_unit_replays_the_cold_unit() {
     }
 }
 
-/// Two sequences in turn: each is remembered, then captured, then
-/// replayed on every return — by rebuilding the critical layers, as the
-/// held unit always has the other sequence.
+/// Two sequences in turn: each keeps its plan at first sight and
+/// replays it on every return — by rebuilding the critical layers, as
+/// the held unit always has the other sequence.
 #[test]
-fn alternating_sequences_replay_from_their_third_unit() {
+fn alternating_sequences_replay_from_their_second_unit() {
     let order: Vec<usize> = (0..12).map(|u| u % 2).collect();
-    assert_eq!(run_order(3, 2, &order), 8);
+    assert_eq!(run_order(3, 2, &order), 10);
 }
 
 /// The benchmark fleet's rotation: 16 sequences fit the cache, so every
-/// unit from the third round on replays.
+/// unit from the second round on replays.
 #[test]
-fn a_sixteen_sequence_rotation_replays_from_its_third_round() {
+fn a_sixteen_sequence_rotation_replays_from_its_second_round() {
     let order: Vec<usize> = (0..16 * 4).map(|u| u % 16).collect();
-    assert_eq!(run_order(5, 16, &order), 16 * 2);
+    assert_eq!(run_order(5, 16, &order), 16 * 3);
 }
 
 /// One sequence more than the cache holds: each is evicted just before
-/// it returns, so nothing is ever captured.
+/// it returns, so every unit builds its plan.
 #[test]
 fn a_rotation_one_longer_than_the_cache_never_replays() {
     let n = SHAPES + 1;
@@ -516,8 +571,9 @@ fn a_rotation_one_longer_than_the_cache_never_replays() {
     assert_eq!(run_order(11, n, &order), 0);
 }
 
-/// A captured sequence survives `SHAPES - 1` others and replays on its
-/// return; after `SHAPES` others it is evicted and starts over.
+/// A kept plan survives `SHAPES - 1` others and replays on its
+/// sequence's return; after `SHAPES` others it is evicted, and its
+/// sequence builds it again.
 #[test]
 fn a_sequence_back_after_eviction_starts_over() {
     let back = |others: usize| {
@@ -526,13 +582,13 @@ fn a_sequence_back_after_eviction_starts_over() {
         order.extend([0, 0, 0]);
         run_order(13, SHAPES + 1, &order)
     };
-    assert_eq!(back(SHAPES - 1), 3);
-    assert_eq!(back(SHAPES), 1);
+    assert_eq!(back(SHAPES - 1), 4);
+    assert_eq!(back(SHAPES), 3);
 }
 
 /// Units of about 5,000 distinct m-cells on a 3-dimensional lattice. Two
 /// sequences alternate — the replays rebuild 5,000-cell m-tables — and
-/// then one repeats; its third replay in a row writes into the spare.
+/// then one repeats; its third unit in a row writes into the spare.
 #[test]
 fn a_wide_unit_replays_the_cold_unit() {
     let mut rng = StdRng::seed_from_u64(7);
@@ -566,7 +622,7 @@ fn a_wide_unit_replays_the_cold_unit() {
     let mut engine =
         MoCubingEngine::new(an.schema.clone(), an.layers.clone(), an.policy.clone()).unwrap();
     hold_to_cold(&an, &mut engine, &units);
-    assert_eq!(engine.units_replayed(), 5);
+    assert_eq!(engine.units_replayed(), 7);
     assert_eq!(engine.units_recycled(), 1);
 }
 
@@ -574,8 +630,8 @@ fn a_wide_unit_replays_the_cold_unit() {
 /// sorted by key, and starts with an empty cache. The units (sorted, one
 /// tuple per cell, as the ingestor closes them) rotate through three
 /// sequences; cut mid-rotation, the restored engine must serve every
-/// later unit as the engine that never stopped does, and replay once its
-/// cache has seen the rotation twice.
+/// later unit as the engine that never stopped does, and replay once a
+/// sequence it has seen returns.
 #[test]
 fn an_engine_rebuilt_from_its_held_m_table_replays_like_the_original() {
     const CUT: usize = 4;
@@ -633,11 +689,11 @@ fn a_failed_unit_leaves_the_plan_alone() {
     for w in 0..3 {
         engine.ingest_unit(&unit(&mut rng, &keys, w)).unwrap();
     }
-    assert_eq!(engine.units_replayed(), 1);
+    assert_eq!(engine.units_replayed(), 2);
     // The held window again: refused before anything is cubed.
     assert!(engine.ingest_unit(&unit(&mut rng, &keys, 2)).is_err());
     engine.ingest_unit(&unit(&mut rng, &keys, 3)).unwrap();
-    assert_eq!(engine.units_replayed(), 2);
+    assert_eq!(engine.units_replayed(), 3);
 }
 
 /// Signed zeros and NaNs through the replay's pair fold. A cell whose
@@ -647,7 +703,7 @@ fn a_failed_unit_leaves_the_plan_alone() {
 /// different bit patterns (payloads and a sign) meet in one m-cell and
 /// further up. The threshold is `0.0`, so every between-layer cell but a
 /// NaN-sloped one is an exception and its bits are compared too. One
-/// sequence runs four units, so its second replay writes into the
+/// sequence runs four units, so its third and fourth write into the
 /// spare; then two alternate, so later replays rebuild.
 ///
 /// Rust leaves which NaN a sum of two different NaNs carries to code
@@ -716,8 +772,8 @@ fn signed_zeros_and_nans_replay_as_they_fold_cold() {
     let mut engine =
         MoCubingEngine::new(an.schema.clone(), an.layers.clone(), an.policy.clone()).unwrap();
     hold_to_cold(&an, &mut engine, &units);
-    assert_eq!(engine.units_replayed(), 4);
-    assert_eq!(engine.units_recycled(), 1);
+    assert_eq!(engine.units_replayed(), 6);
+    assert_eq!(engine.units_recycled(), 2);
 
     // The replayed lone cell, up to the o-layer.
     let lone = engine.result().o_table()[&regcube_olap::cell::CellKey::new(vec![2, 0])];

@@ -319,7 +319,7 @@ fn strict_order_checkpoint_requires_a_unit_boundary() {
 }
 
 /// A fixed population reports every tick, so the cubing engine gets one
-/// key sequence every unit and replays its roll-up plan from the third
+/// key sequence every unit and replays its roll-up plan from the second
 /// unit on. A restored engine re-cubes the
 /// checkpointed unit cold from its m-table sorted by key, which is the
 /// sequence the ingestor closes units in, so it replays from its second
@@ -362,7 +362,7 @@ fn a_restored_engine_serves_recurring_units_like_one_that_never_stopped() {
         want.push(reference.close_unit().unwrap());
         want_text.push(reference.snapshot().canonical_text());
     }
-    assert_eq!(reference.cubing().units_replayed(), UNITS as u64 - 2);
+    assert_eq!(reference.cubing().units_replayed(), UNITS as u64 - 1);
 
     let (mut got, mut got_text) = (Vec::new(), Vec::new());
     let mut victim = cfg().build().unwrap();
@@ -397,9 +397,9 @@ fn a_restored_engine_serves_recurring_units_like_one_that_never_stopped() {
 }
 
 /// A population whose active quarter rotates unit by unit hands the
-/// cubing engine four key sequences in turn. The engine remembers each,
-/// captures its roll-up plan on its second round and replays it from
-/// the third on. Checkpointed mid-rotation, the restored engine starts
+/// cubing engine four key sequences in turn. The engine keeps each
+/// sequence's roll-up plan on its first round and replays it from the
+/// second on. Checkpointed mid-rotation, the restored engine starts
 /// with no plans, re-cubes the checkpointed unit cold and works its way
 /// back into replaying; unit by unit, it must serve what the engine
 /// that never stopped serves.
@@ -443,13 +443,13 @@ fn a_restore_mid_rotation_serves_like_one_that_never_stopped() {
         }
         want.push(reference.close_unit().unwrap());
         want_text.push(reference.snapshot().canonical_text());
-        if u < 2 * QUARTERS {
+        if u < QUARTERS {
             assert_eq!(reference.cubing().units_replayed(), 0, "unit {u}");
         }
     }
     assert_eq!(
         reference.cubing().units_replayed(),
-        (UNITS - 2 * QUARTERS) as u64
+        (UNITS - QUARTERS) as u64
     );
 
     let (mut got, mut got_text) = (Vec::new(), Vec::new());
