@@ -33,9 +33,12 @@
 //! Every failure mode — missing file, torn write, bit rot, version
 //! skew, a checkpoint from a differently-configured engine — surfaces
 //! as a typed [`StreamError::Checkpoint`]. Restoration is
-//! **all-or-nothing**: the engine is built and populated privately and
-//! only handed back once every field decoded; no caller ever observes
-//! a half-restored engine.
+//! **all-or-nothing**: once the envelope checks out, the engine is built
+//! privately and the payload is decoded into it in one pass, each field
+//! checked as it is read and written straight to its place. The first
+//! failure drops the engine, so no caller ever observes a half-restored
+//! engine. A checkpoint of another configuration is refused on its
+//! fingerprint, before the rest of the payload is read.
 //!
 //! # What is deliberately not captured
 //!
@@ -64,7 +67,6 @@ use regcube_olap::cell::CellKey;
 use regcube_olap::CuboidSpec;
 use regcube_regress::Isb;
 use regcube_tilt::{TiltError, TiltFrame, TiltSlot};
-use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::Write;
 use std::ops::Range;
@@ -182,9 +184,8 @@ pub fn write_checkpoint<E: CubingEngine>(
 /// (all-or-nothing: no partially restored engine escapes).
 pub fn restore_bytes(config: EngineConfig, bytes: &[u8]) -> Result<OnlineEngine<BoxedEngine>> {
     let payload = verify_envelope(bytes)?;
-    let saved = decode_state(payload)?;
     let mut engine = config.build()?;
-    apply_state(&mut engine, saved)?;
+    decode_into(&mut engine, payload)?;
     Ok(engine)
 }
 
@@ -574,66 +575,24 @@ fn decode_revision(dec: &mut Dec<'_>) -> Result<AlarmRevision> {
             })
         }
     };
+    let levels = dec
+        .ids("revision cuboid")?
+        .into_iter()
+        .map(|l| {
+            u8::try_from(l).map_err(|_| StreamError::Checkpoint {
+                detail: format!("revision cuboid level {l} exceeds {}", u8::MAX),
+            })
+        })
+        .collect::<Result<_>>()?;
     Ok(AlarmRevision {
         kind,
-        cuboid: CuboidSpec::new(
-            dec.ids("revision cuboid")?
-                .into_iter()
-                .map(|l| l as u8)
-                .collect(),
-        ),
+        cuboid: CuboidSpec::new(levels),
         cell: CellKey::new(dec.ids("revision cell")?),
         unit: dec.u64("revision unit")?,
         level: dec.u64("revision level")? as usize,
         old_score: dec.f64("revision old score")?,
         new_score: dec.f64("revision new score")?,
     })
-}
-
-/// Everything [`apply_state`] needs, fully decoded before any engine is
-/// touched (the all-or-nothing guarantee).
-struct SavedState {
-    fingerprint: String,
-    computed: bool,
-    units_closed: u64,
-    last_closed_unit: Option<i64>,
-    open_unit: i64,
-    m_tuples: Vec<(CellKey, Isb)>,
-    frames: SavedFrames,
-    o_frames: SavedFrames,
-    last_alarms: Vec<Alarm>,
-    reorder: Option<SavedReorder>,
-    pending_amendments: Vec<LateAmendment>,
-    pending_revisions: Vec<AlarmRevision>,
-    late_amended_total: u64,
-}
-
-/// One layer's frames as the file lists them: a header per frame, and
-/// every slot of every frame in one buffer.
-struct SavedFrames {
-    frames: Vec<SavedFrame>,
-    /// Each frame's slots back to back, a frame's own in timeline order
-    /// (coarsest level first) — the order [`TiltFrame::history`] has.
-    slots: Vec<TiltSlot<Isb>>,
-}
-
-struct SavedFrame {
-    key: CellKey,
-    next_unit: u64,
-    expired_units: u64,
-    num_levels: usize,
-    /// Where the frame's slots sit in [`SavedFrames::slots`].
-    slots: Range<usize>,
-}
-
-struct SavedReorder {
-    max_seen_unit: Option<i64>,
-    sources: Vec<(u32, i64)>,
-    dropped_total: u64,
-    dropped_since_report: u64,
-    sources_evicted: u64,
-    watermark_held_units: u64,
-    buffered: Vec<(i64, Vec<RawRecord>)>,
 }
 
 fn encode_state<E: CubingEngine>(engine: &OnlineEngine<E>, enc: &mut Enc) {
@@ -718,248 +677,58 @@ fn encode_state<E: CubingEngine>(engine: &OnlineEngine<E>, enc: &mut Enc) {
     enc.u64(engine.late_amended_total);
 }
 
-fn decode_state(payload: &[u8]) -> Result<SavedState> {
+/// Decodes a payload into a freshly built engine in one pass: each field
+/// is checked as it is read and written straight to its place. Called
+/// with a private engine: on error the engine is dropped with the `?`,
+/// so no partial state escapes.
+fn decode_into(engine: &mut OnlineEngine<BoxedEngine>, payload: &[u8]) -> Result<()> {
+    let fail = |detail: String| StreamError::Checkpoint { detail };
     let mut dec = Dec::new(payload);
     let fingerprint = dec.str("fingerprint")?;
+    let own = engine_fingerprint(engine);
+    if own != fingerprint {
+        return Err(fail(format!(
+            "configuration mismatch: checkpoint was taken from a differently-configured \
+             engine (checkpoint `{fingerprint}`, this config `{own}`)"
+        )));
+    }
     let computed = match dec.u8("computed flag")? {
         0 => false,
         1 => true,
-        tag => {
-            return Err(StreamError::Checkpoint {
-                detail: format!("bad computed flag {tag}"),
-            })
-        }
+        tag => return Err(fail(format!("bad computed flag {tag}"))),
     };
-    let units_closed = dec.u64("units_closed")?;
-    let last_closed_unit = dec.opt_i64("last_closed_unit")?;
+    let clock = dec.u64("units_closed")?;
+    engine.last_closed_unit = dec.opt_i64("last_closed_unit")?;
     let open_unit = dec.i64("open_unit")?;
-
-    let n = dec.count("m-tuple count")?;
-    let mut m_tuples = Vec::with_capacity(n);
-    for _ in 0..n {
-        let key = CellKey::new(dec.ids("m-tuple key")?);
-        let isb = dec.isb("m-tuple measure")?;
-        m_tuples.push((key, isb));
+    if i64::try_from(clock).ok() != Some(open_unit) {
+        return Err(fail(format!(
+            "checkpoint closed {clock} units but resumes at unit {open_unit}"
+        )));
     }
-
-    // The file lists a frame's levels finest first; a frame keeps them
-    // coarsest first. Slots are decoded straight into the layer's one
-    // buffer, each level's block rotated to the front of its frame's
-    // stretch as it completes.
-    let decode_frames = |dec: &mut Dec<'_>, what: &str| -> Result<SavedFrames> {
-        let n = dec.count(what)?;
-        let mut frames = Vec::with_capacity(n);
-        let mut slots: Vec<TiltSlot<Isb>> = Vec::new();
-        for _ in 0..n {
-            let key = CellKey::new(dec.ids("frame key")?);
-            let next_unit = dec.u64("frame next_unit")?;
-            let expired_units = dec.u64("frame expired_units")?;
-            let num_levels = dec.count("frame level count")?;
-            let start = slots.len();
-            for _ in 0..num_levels {
-                let len = dec.count("frame slot count")?;
-                for _ in 0..len {
-                    let unit = dec.u64("slot unit")?;
-                    let measure = dec.isb("slot measure")?;
-                    slots.push(TiltSlot { unit, measure });
-                }
-                slots[start..].rotate_right(len);
-            }
-            if frames.is_empty() {
-                // The frames of a layer have one shape: the first one
-                // sizes the buffer for all, within what the payload can
-                // still hold.
-                let rest = (slots.len() - start).saturating_mul(n - 1);
-                slots.reserve(rest.min(dec.remaining() / SLOT_BYTES));
-            }
-            frames.push(SavedFrame {
-                key,
-                next_unit,
-                expired_units,
-                num_levels,
-                slots: start..slots.len(),
-            });
-        }
-        Ok(SavedFrames { frames, slots })
-    };
-    let frames = decode_frames(&mut dec, "m-frame count")?;
-    let o_frames = decode_frames(&mut dec, "o-frame count")?;
-
-    let n = dec.count("alarm count")?;
-    let mut last_alarms = Vec::with_capacity(n);
-    for _ in 0..n {
-        let key = CellKey::new(dec.ids("alarm key")?);
-        let measure = dec.isb("alarm measure")?;
-        let score = dec.f64("alarm score")?;
-        let threshold = dec.f64("alarm threshold")?;
-        last_alarms.push(Alarm {
-            key,
-            measure,
-            score,
-            threshold,
-        });
-    }
-
-    let reorder = match dec.u8("reorder flag")? {
-        0 => None,
-        1 => {
-            let max_seen_unit = dec.opt_i64("reorder max_seen")?;
-            let n = dec.count("source count")?;
-            let mut sources = Vec::with_capacity(n);
-            for _ in 0..n {
-                let source = dec.u32("source id")?;
-                let mark = dec.i64("source mark")?;
-                sources.push((source, mark));
-            }
-            let dropped_total = dec.u64("dropped_total")?;
-            let dropped_since_report = dec.u64("dropped_since_report")?;
-            let sources_evicted = dec.u64("sources_evicted")?;
-            let watermark_held_units = dec.u64("watermark_held_units")?;
-            let n = dec.count("buffered unit count")?;
-            let mut buffered = Vec::with_capacity(n);
-            for _ in 0..n {
-                let unit = dec.i64("buffered unit")?;
-                let m = dec.count("buffered record count")?;
-                let mut records = Vec::with_capacity(m);
-                for _ in 0..m {
-                    let ids = dec.ids("record ids")?;
-                    let tick = dec.i64("record tick")?;
-                    let value = dec.f64("record value")?;
-                    let source = dec.u32("record source")?;
-                    records.push(RawRecord::new(ids, tick, value).with_source(source));
-                }
-                buffered.push((unit, records));
-            }
-            Some(SavedReorder {
-                max_seen_unit,
-                sources,
-                dropped_total,
-                dropped_since_report,
-                sources_evicted,
-                watermark_held_units,
-                buffered,
-            })
-        }
-        tag => {
-            return Err(StreamError::Checkpoint {
-                detail: format!("bad reorder flag {tag}"),
-            })
-        }
-    };
-
-    let n = dec.count("amendment count")?;
-    let mut pending_amendments = Vec::with_capacity(n);
-    for _ in 0..n {
-        let m_cell = CellKey::new(dec.ids("amendment m-cell")?);
-        let o_cell = CellKey::new(dec.ids("amendment o-cell")?);
-        let unit = dec.u64("amendment unit")?;
-        let tick = dec.i64("amendment tick")?;
-        let delta = dec.f64("amendment delta")?;
-        let m_level = dec.u64("amendment m-level")? as usize;
-        let o_level = dec.u64("amendment o-level")? as usize;
-        pending_amendments.push(LateAmendment {
-            m_cell,
-            o_cell,
-            unit,
-            tick,
-            delta,
-            m_level,
-            o_level,
-        });
-    }
-
-    let n = dec.count("revision count")?;
-    let mut pending_revisions = Vec::with_capacity(n);
-    for _ in 0..n {
-        pending_revisions.push(decode_revision(&mut dec)?);
-    }
-    let late_amended_total = dec.u64("late_amended_total")?;
-    dec.done()?;
-    Ok(SavedState {
-        fingerprint,
-        computed,
-        units_closed,
-        last_closed_unit,
-        open_unit,
-        m_tuples,
-        frames,
-        o_frames,
-        last_alarms,
-        reorder,
-        pending_amendments,
-        pending_revisions,
-        late_amended_total,
-    })
-}
-
-/// Populates a freshly built engine from decoded state. Called with a
-/// private engine: on error the engine is dropped with the `?`, so no
-/// partial state escapes.
-fn apply_state(engine: &mut OnlineEngine<BoxedEngine>, saved: SavedState) -> Result<()> {
-    let own = engine_fingerprint(engine);
-    if own != saved.fingerprint {
-        return Err(StreamError::Checkpoint {
-            detail: format!(
-                "configuration mismatch: checkpoint was taken from a differently-configured \
-                 engine (checkpoint `{}`, this config `{own}`)",
-                saved.fingerprint
-            ),
-        });
-    }
-    if engine.reorder.is_some() != saved.reorder.is_some() {
-        return Err(StreamError::Checkpoint {
-            detail: format!(
-                "reordering mismatch: checkpoint {} the watermark stage, this config {} it",
-                if saved.reorder.is_some() {
-                    "enables"
-                } else {
-                    "disables"
-                },
-                if engine.reorder.is_some() {
-                    "enables"
-                } else {
-                    "disables"
-                },
-            ),
-        });
-    }
+    engine.units_closed = clock;
+    engine.ingestor.set_open_unit(open_unit);
 
     // Rebuild the cube by re-cubing the saved window's m-tuples through
     // the configured path: deterministic.
-    if saved.computed {
-        let tuples: Vec<MTuple> = saved
-            .m_tuples
-            .iter()
-            .map(|(k, isb)| MTuple::new(k.ids().to_vec(), *isb))
-            .collect();
+    let n = dec.count("m-tuple count")?;
+    let mut tuples = Vec::with_capacity(n);
+    for _ in 0..n {
+        let ids = dec.ids("m-tuple key")?;
+        tuples.push(MTuple::new(ids, dec.isb("m-tuple measure")?));
+    }
+    if computed {
         engine
             .cubing
             .ingest_unit(&tuples)
-            .map_err(StreamError::from)?;
+            .map_err(|e| fail(format!("saved m-tuples do not re-cube: {e}")))?;
         engine.computed = true;
     }
 
-    // A layer's frames live on one clock, the engine's: a frame that is
-    // valid for a clock of its own would take the next unit under the
-    // wrong number.
-    let invalid = |detail: String| StreamError::Checkpoint {
-        detail: format!("invalid tilt frame in checkpoint: {detail}"),
-    };
-    let clock = saved.units_closed;
-    if i64::try_from(clock).ok() != Some(saved.open_unit) {
-        return Err(StreamError::Checkpoint {
-            detail: format!(
-                "checkpoint closed {clock} units but resumes at unit {}",
-                saved.open_unit
-            ),
-        });
-    }
     // The format carries frames, not the fills a cell that joins later
     // will read: those are what a never-active cell holds, replayed
     // over the retained span.
-    let spec = engine.frames.spec().clone();
     let ticks = engine.ticks_per_unit as i64;
-    let never_active = TiltFrame::backfilled(spec.clone(), clock, |unit| {
+    let never_active = TiltFrame::backfilled(engine.frames.spec().clone(), clock, |unit| {
         let first = i64::try_from(unit)
             .ok()
             .and_then(|unit| unit.checked_mul(ticks))
@@ -969,100 +738,181 @@ fn apply_state(engine: &mut OnlineEngine<BoxedEngine>, saved: SavedState) -> Res
             })?;
         Ok(Isb::new(first, first + ticks - 1, 0.0, 0.0)?)
     })
-    .map_err(|e| invalid(e.to_string()))?;
-    // What a frame's header says is the same for every frame of the
-    // layer — a function of the spec and the clock; what its slots say
-    // is held to the same shape as they are scattered into the columns.
-    let expired_units = never_active.stats().expired_units;
-    let build_family = |saved: SavedFrames| -> Result<LayerFamily> {
-        let SavedFrames { frames, slots } = saved;
-        for frame in &frames {
-            let key = &frame.key;
-            if frame.num_levels != spec.num_levels() {
-                return Err(invalid(format!(
-                    "frame capture of {key} has {} levels, spec defines {}",
-                    frame.num_levels,
-                    spec.num_levels()
-                )));
-            }
-            if frame.next_unit != clock {
-                return Err(invalid(format!(
-                    "frame capture of {key} has ingested {} units, the engine closed {clock}",
-                    frame.next_unit
-                )));
-            }
-            if frame.expired_units != expired_units {
-                return Err(invalid(format!(
-                    "frame capture of {key} reports {} expired units, \
-                     {clock} ingested units age out {expired_units}",
-                    frame.expired_units
-                )));
-            }
-        }
-        let rows = frames
-            .into_iter()
-            .map(|frame| (frame.key, slots[frame.slots].iter().cloned()));
-        LayerFamily::from_rows(&never_active, zero_usage, rows).map_err(|e| invalid(e.to_string()))
+    .map_err(|e| fail(format!("invalid tilt frame in checkpoint: {e}")))?;
+    engine.frames = decode_family(&mut dec, &never_active, "m-frame count")?;
+    engine.o_frames = decode_family(&mut dec, &never_active, "o-frame count")?;
+
+    let n = dec.count("alarm count")?;
+    engine.last_alarms = (0..n)
+        .map(|_| {
+            Ok(Alarm {
+                key: CellKey::new(dec.ids("alarm key")?),
+                measure: dec.isb("alarm measure")?,
+                score: dec.f64("alarm score")?,
+                threshold: dec.f64("alarm threshold")?,
+            })
+        })
+        .collect::<Result<_>>()?;
+
+    let saved_reorder = match dec.u8("reorder flag")? {
+        0 => false,
+        1 => true,
+        tag => return Err(fail(format!("bad reorder flag {tag}"))),
     };
-    engine.frames = build_family(saved.frames)?;
-    engine.o_frames = build_family(saved.o_frames)?;
-
-    engine.ingestor.set_open_unit(saved.open_unit);
-    engine.units_closed = saved.units_closed;
-    engine.last_closed_unit = saved.last_closed_unit;
-    engine.last_alarms = saved.last_alarms;
-    engine.pending_amendments = saved.pending_amendments;
-    engine.pending_revisions = saved.pending_revisions;
-    engine.late_amended_total = saved.late_amended_total;
-
-    if let (Some(st), Some(saved_st)) = (engine.reorder.as_mut(), saved.reorder) {
+    if saved_reorder != engine.reorder.is_some() {
+        let state = |on: bool| if on { "enables" } else { "disables" };
+        return Err(fail(format!(
+            "reordering mismatch: checkpoint {} the watermark stage, this config {} it",
+            state(saved_reorder),
+            state(engine.reorder.is_some()),
+        )));
+    }
+    if let Some(st) = engine.reorder.as_mut() {
+        st.max_seen_unit = dec.opt_i64("reorder max_seen")?;
+        for _ in 0..dec.count("source count")? {
+            let source = dec.u32("source id")?;
+            st.sources.insert(source, dec.i64("source mark")?);
+        }
+        st.dropped_total = dec.u64("dropped_total")?;
+        st.dropped_since_report = dec.u64("dropped_since_report")?;
+        st.sources_evicted = dec.u64("sources_evicted")?;
+        st.watermark_held_units = dec.u64("watermark_held_units")?;
         // A bucket holds records of one unit the engine has yet to
         // close: the close folds it without looking again.
         let packer = engine.ingestor.packer();
-        let ticks = engine.ticks_per_unit as i64;
-        let bad_bucket = |detail: String| StreamError::Checkpoint {
-            detail: format!("invalid reorder buffer in checkpoint: {detail}"),
-        };
-        let mut units = BTreeMap::new();
-        for (unit, records) in saved_st.buffered {
-            if unit < saved.open_unit {
+        let bad_bucket =
+            |detail: String| fail(format!("invalid reorder buffer in checkpoint: {detail}"));
+        for _ in 0..dec.count("buffered unit count")? {
+            let unit = dec.i64("buffered unit")?;
+            if unit < open_unit {
                 return Err(bad_bucket(format!(
-                    "unit {unit} is buffered but the engine resumes at unit {}",
-                    saved.open_unit
+                    "unit {unit} is buffered but the engine resumes at unit {open_unit}"
                 )));
             }
-            if units.contains_key(&unit) {
+            if st.units.contains_key(&unit) {
                 return Err(bad_bucket(format!("unit {unit} is buffered twice")));
             }
-            if let Some(r) = records.iter().find(|r| r.tick.div_euclid(ticks) != unit) {
-                return Err(bad_bucket(format!(
-                    "a record of unit {unit} has tick {}, outside it",
-                    r.tick
-                )));
+            let m = dec.count("buffered record count")?;
+            let mut bucket = Vec::with_capacity(m);
+            for _ in 0..m {
+                let ids = dec.ids("record ids")?;
+                let tick = dec.i64("record tick")?;
+                if tick.div_euclid(ticks) != unit {
+                    return Err(bad_bucket(format!(
+                        "a record of unit {unit} has tick {tick}, outside it"
+                    )));
+                }
+                let value = dec.f64("record value")?;
+                let source = dec.u32("record source")?;
+                let record = RawRecord::new(ids, tick, value).with_source(source);
+                bucket.push(
+                    packer
+                        .pack(&record)
+                        .map_err(|e| fail(format!("buffered record of unit {unit}: {e}")))?,
+                );
             }
-            let packed = records
-                .iter()
-                .map(|r| packer.pack(r))
-                .collect::<Result<Vec<_>>>()
-                .map_err(|e| StreamError::Checkpoint {
-                    detail: format!("buffered record of unit {unit}: {e}"),
-                })?;
-            units.insert(unit, packed);
+            st.units.insert(unit, bucket);
         }
-        st.units = units;
-        st.max_seen_unit = saved_st.max_seen_unit;
-        st.sources = saved_st.sources.into_iter().collect();
-        st.dropped_total = saved_st.dropped_total;
-        st.dropped_since_report = saved_st.dropped_since_report;
-        st.sources_evicted = saved_st.sources_evicted;
-        st.watermark_held_units = saved_st.watermark_held_units;
     }
-    Ok(())
+
+    let n = dec.count("amendment count")?;
+    engine.pending_amendments = (0..n)
+        .map(|_| {
+            Ok(LateAmendment {
+                m_cell: CellKey::new(dec.ids("amendment m-cell")?),
+                o_cell: CellKey::new(dec.ids("amendment o-cell")?),
+                unit: dec.u64("amendment unit")?,
+                tick: dec.i64("amendment tick")?,
+                delta: dec.f64("amendment delta")?,
+                m_level: dec.u64("amendment m-level")? as usize,
+                o_level: dec.u64("amendment o-level")? as usize,
+            })
+        })
+        .collect::<Result<_>>()?;
+
+    let n = dec.count("revision count")?;
+    engine.pending_revisions = (0..n)
+        .map(|_| decode_revision(&mut dec))
+        .collect::<Result<_>>()?;
+    engine.late_amended_total = dec.u64("late_amended_total")?;
+    dec.done()
+}
+
+/// Decodes one layer's frames into a family on `never_active`'s clock.
+/// A layer's frames live on one clock, the engine's: a frame that is
+/// valid for a clock of its own would take the next unit under the
+/// wrong number. So what a frame's header says — a function of the spec
+/// and the clock — is checked as it is read, and what its slots say is
+/// held to the same shape as [`LayerFamily::from_rows`] scatters them
+/// into the columns.
+fn decode_family(
+    dec: &mut Dec<'_>,
+    never_active: &TiltFrame<Isb>,
+    what: &str,
+) -> Result<LayerFamily> {
+    let invalid = |detail: String| StreamError::Checkpoint {
+        detail: format!("invalid tilt frame in checkpoint: {detail}"),
+    };
+    let num_levels = never_active.spec().num_levels();
+    let clock = never_active.next_unit();
+    let expired_units = never_active.stats().expired_units;
+    let n = dec.count(what)?;
+    // Each frame's key and where its slots sit in the layer's one slot
+    // buffer. The file lists a frame's levels finest first; a frame
+    // keeps them coarsest first (the order `TiltFrame::history` has), so
+    // each level's block is rotated to the front of its frame's stretch
+    // as it completes.
+    let mut rows: Vec<(CellKey, Range<usize>)> = Vec::with_capacity(n);
+    let mut slots: Vec<TiltSlot<Isb>> = Vec::new();
+    for _ in 0..n {
+        let key = CellKey::new(dec.ids("frame key")?);
+        let next_unit = dec.u64("frame next_unit")?;
+        if next_unit != clock {
+            return Err(invalid(format!(
+                "frame capture of {key} has ingested {next_unit} units, the engine closed {clock}"
+            )));
+        }
+        let expired = dec.u64("frame expired_units")?;
+        if expired != expired_units {
+            return Err(invalid(format!(
+                "frame capture of {key} reports {expired} expired units, \
+                 {clock} ingested units age out {expired_units}"
+            )));
+        }
+        let levels = dec.count("frame level count")?;
+        if levels != num_levels {
+            return Err(invalid(format!(
+                "frame capture of {key} has {levels} levels, spec defines {num_levels}"
+            )));
+        }
+        let start = slots.len();
+        for _ in 0..levels {
+            let len = dec.count("frame slot count")?;
+            for _ in 0..len {
+                let unit = dec.u64("slot unit")?;
+                let measure = dec.isb("slot measure")?;
+                slots.push(TiltSlot { unit, measure });
+            }
+            slots[start..].rotate_right(len);
+        }
+        if rows.is_empty() {
+            // The frames of a layer have one shape: the first one sizes
+            // the buffer for all, within what the payload can still hold.
+            let rest = (slots.len() - start).saturating_mul(n - 1);
+            slots.reserve(rest.min(dec.remaining() / SLOT_BYTES));
+        }
+        rows.push((key, start..slots.len()));
+    }
+    let rows = rows
+        .into_iter()
+        .map(|(key, range)| (key, slots[range].iter().cloned()));
+    LayerFamily::from_rows(never_active, zero_usage, rows).map_err(|e| invalid(e.to_string()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn fnv1a_matches_reference_vectors() {
@@ -1276,6 +1126,31 @@ mod tests {
              per_cuboid: {CuboidSpec { levels: [1, 0] }: 0.75}, ref_mode: OwnSlope }\
              |TiltSpec { levels: [LevelSpec { name: \"unit\", group: 2 }, \
              LevelSpec { name: \"pair\", group: 3 }] }|4"
+        );
+    }
+
+    /// A cuboid level is a `u8`; the file writes it as a `u32`, so a
+    /// level past 255 is refused rather than wrapped.
+    #[test]
+    fn a_revision_level_beyond_u8_is_refused() {
+        let encoded = |level: u32| {
+            let mut enc = Enc::with_capacity(0);
+            enc.u8(1); // raised
+            enc.ids(&[level, 0]);
+            enc.ids(&[0, 0]);
+            enc.u64(3); // unit
+            enc.u64(0); // tilt level
+            enc.f64(0.5);
+            enc.f64(1.5);
+            enc.buf
+        };
+        let rev = decode_revision(&mut Dec::new(&encoded(255))).unwrap();
+        assert_eq!(rev.cuboid.levels(), &[255, 0]);
+        let err = decode_revision(&mut Dec::new(&encoded(256))).unwrap_err();
+        assert!(matches!(err, StreamError::Checkpoint { .. }), "{err}");
+        assert!(
+            err.to_string().contains("revision cuboid level 256"),
+            "{err}"
         );
     }
 

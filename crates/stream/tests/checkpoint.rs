@@ -744,6 +744,46 @@ fn reencoded_checkpoint_resuming_at_another_unit_is_a_typed_error() {
     );
 }
 
+/// The saved m-tuples are re-cubed through the configured engine. A
+/// tuple the engine refuses is a checkpoint error like every other bad
+/// field, not the cubing layer's own error.
+#[test]
+fn reencoded_checkpoint_with_an_out_of_range_m_tuple_is_a_typed_error() {
+    let (_, bytes) = one_cell_checkpoint(6);
+    let fingerprint = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
+    // computed flag, units_closed, last_closed_unit (present), open_unit,
+    // then the m-tuple count and the first tuple's id count.
+    let tuples = 24 + fingerprint + 1 + 8 + 9 + 8;
+    assert_eq!(bytes[tuples..tuples + 8], 1u64.to_le_bytes());
+    assert_eq!(bytes[tuples + 8..tuples + 16], 2u64.to_le_bytes());
+    let first_id = tuples + 16;
+    assert_eq!(bytes[first_id..first_id + 4], 0u32.to_le_bytes());
+    let mut forged = bytes.clone();
+    forged[first_id..first_id + 4].copy_from_slice(&9u32.to_le_bytes());
+    let err = expect_checkpoint_err(restore_bytes(config(), &reseal(forged)));
+    let text = err.to_string();
+    assert!(text.contains("saved m-tuples"), "{text}");
+    assert!(text.contains("id 9 out of range"), "{text}");
+}
+
+/// The fingerprint is the payload's first field and is checked as soon
+/// as it is read: a checkpoint of another analysis is refused as such,
+/// whatever follows it.
+#[test]
+fn a_foreign_fingerprint_is_refused_before_the_rest_is_read() {
+    let foreign = "a differently-configured engine";
+    let mut file = b"RGCK".to_vec();
+    file.extend_from_slice(&2u32.to_le_bytes());
+    file.extend_from_slice(&0u64.to_le_bytes()); // payload length
+    file.extend_from_slice(&(foreign.len() as u64).to_le_bytes());
+    file.extend_from_slice(foreign.as_bytes());
+    // A computed flag, then three bytes where units_closed needs eight.
+    file.extend_from_slice(&[1, 0xde, 0xad, 0xbe]);
+    file.extend_from_slice(&0u64.to_le_bytes()); // checksum
+    let err = expect_checkpoint_err(restore_bytes(config(), &reseal(file)));
+    assert!(err.to_string().contains("configuration mismatch"), "{err}");
+}
+
 /// A checkpoint whose bytes are intact (valid checksum) but whose first
 /// tilt frame has a shape no sequence of pushes produces must be a
 /// typed error. The parent commit restored such a file into an engine
