@@ -14,10 +14,14 @@
 //! engine already holds has no meaning here and is refused with a typed
 //! error — never merged, never silently substituted.
 //!
-//! Each algorithm is one module with one engine:
-//! [`MoCubingEngine`] ([`crate::mo_cubing`]) and
-//! [`PopularPathEngine`] ([`crate::popular_path`]);
-//! both are re-exported here. The batch entry points
+//! Both algorithms run on one engine,
+//! [`PlanEngine`](crate::mo_cubing::PlanEngine) ([`crate::mo_cubing`]):
+//! one list of kept roll-up plans, one replay, one spare result. It is
+//! generic over what a unit keeps between its critical layers:
+//! [`MoCubingEngine`] screens every roll-up step into exception stores,
+//! and [`PopularPathEngine`] keeps its popular path's tables whole and
+//! drills from them ([`crate::popular_path`]). Both are re-exported
+//! here. The batch entry points
 //! [`crate::mo_cubing::compute`] and [`crate::popular_path::compute`]
 //! are thin wrappers that build an engine, ingest one unit and return
 //! the result. The stream engine (`regcube-stream`) and the bench
@@ -32,15 +36,11 @@
 //! runs every engine-level contract over every engine.
 
 use crate::error::CoreError;
-use crate::exception::ExceptionPolicy;
-use crate::layers::CriticalLayers;
 use crate::measure::MTuple;
 use crate::result::{Algorithm, CubeResult};
 use crate::stats::RunStats;
-use crate::table::CuboidTable;
 use crate::Result;
 use regcube_olap::cell::CellKey;
-use regcube_olap::fxhash::FxHashMap;
 use regcube_olap::CuboidSpec;
 use std::sync::Arc;
 
@@ -244,30 +244,6 @@ impl<E: CubingEngine + ?Sized> CubingEngine for Box<E> {
     fn units_recycled(&self) -> u64 {
         (**self).units_recycled()
     }
-}
-
-/// An empty result for a fresh engine (no unit ingested yet).
-pub(crate) fn empty_result(
-    layers: &CriticalLayers,
-    policy: &ExceptionPolicy,
-    algorithm: Algorithm,
-) -> Arc<CubeResult> {
-    Arc::new(CubeResult::new(
-        layers.clone(),
-        policy.clone(),
-        algorithm,
-        CuboidTable::default(),
-        CuboidTable::default(),
-        FxHashMap::default(),
-        FxHashMap::default(),
-        RunStats::default(),
-    ))
-}
-
-/// Takes a result back out of its shared handle: moved when the engine
-/// held the only reference, copied when a snapshot still holds one.
-pub(crate) fn unshare_result(result: Arc<CubeResult>) -> CubeResult {
-    Arc::try_unwrap(result).unwrap_or_else(|shared| (*shared).clone())
 }
 
 /// The window of a validated, non-empty batch, refused when it is the

@@ -33,7 +33,10 @@
 //!   the children of exception cells in off-path cuboids.
 //!
 //! Both roll up by the same *roll-up plan*: index maps built by hashing a
-//! unit's keys once per table, by which its measures are folded.
+//! unit's keys once per table, by which its measures are folded. Both run
+//! on one per-unit engine ([`mo_cubing::PlanEngine`]), which keeps the
+//! plans of recent key sequences and replays a recurring one instead of
+//! building it again.
 //!
 //! Both return a [`result::CubeResult`] with identical critical layers;
 //! Algorithm 1 retains a superset of Algorithm 2's exceptions (the paper's

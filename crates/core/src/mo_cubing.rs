@@ -16,24 +16,29 @@
 //! its reference 18 too (footnote 6); the computed and retained cell
 //! sets here are identical to Algorithm 1's).
 //!
-//! [`MoCubingEngine`] is the algorithm: the per-unit sequence validate
-//! → compute → diff → commit, the tier roll-up and the statistics.
-//! [`compute`] is the batch wrapper that cubes one unit and returns its
-//! result.
+//! [`PlanEngine`] is the per-unit engine of both algorithms: the
+//! sequence validate → compute → diff → commit, the roll-up by kept
+//! plans, the spare result and the statistics. [`MoCubingEngine`] runs
+//! it along Algorithm 1's depth tiers and screens each step's rows into
+//! exception stores; [`PopularPathEngine`] runs it along Algorithm 2's
+//! popular path, keeps every path table whole and drills from them
+//! ([`crate::popular_path`]). [`compute`] is the batch wrapper that
+//! cubes one unit and returns its result.
 //!
 //! What an engine keeps of a unit is the paper's memory model —
-//! critical layers + exception cells — and its analytical memory counts
-//! each depth tier's full tables until the next tier is built, like the
-//! original batch algorithm.
+//! critical layers + exception cells, and Algorithm 2's path tables —
+//! and Algorithm 1's analytical memory counts each depth tier's full
+//! tables until the next tier is built, like the original batch
+//! algorithm.
 //!
 //! **One fold.** A unit is cubed in two passes: the first builds the
-//! roll-up plan of its key sequence along the lattice's depth tiers
-//! (`plan.rs`, shared with Algorithm 2), the second folds the unit's
-//! measures by it as `(base, slope)` pairs, every table of the plan in
-//! one buffer the engine reuses from unit to unit. An [`Isb`] is built
-//! only for a retained cell. Exception stores are filled in target
+//! roll-up plan of its key sequence along the engine's schedule
+//! (`plan.rs`), the second folds the unit's measures by it as
+//! `(base, slope)` pairs, every table of the plan in one buffer the
+//! engine reuses from unit to unit. An [`Isb`] is built only for a
+//! retained cell. Algorithm 1's exception stores are filled in target
 //! iteration order, screened on each pair's slope and keyed by the
-//! plan's keys.
+//! plan's keys; Algorithm 2's path tables are rebuilt from them.
 //!
 //! **Recurring units.** In the paper's setting a fixed population of
 //! streams reports every unit, and the stream layer hands each unit's
@@ -41,18 +46,18 @@
 //! every unit, or a few in turn when the active streams rotate — and
 //! only the measures change. A table's iteration order follows from its
 //! keys and their insertion sequence, so the plan of one key sequence
-//! is always the same. The engine keeps the plans of up to [`SHAPES`]
-//! recent key sequences, least recently used first. A unit folds by the
-//! resident plan whose key sequence equals its own, compared id by id;
-//! otherwise it builds its plan, and the engine keeps that plan at once.
-//! The critical layers come out with the buckets of tables built by
-//! inserting the plan's keys in first-arrival order, whichever of two
-//! ways they are written: into the spare result of the same plan, in
-//! place; otherwise as fresh tables into which those keys are inserted
-//! in that order. Either way the values are rewritten in iteration
-//! order. A unit that folds by a kept plan is therefore the unit that
-//! builds its own, bit for bit — NaN payloads included, as both run the
-//! one fold — and its statistics are too (but `elapsed`).
+//! is always the same. Either engine keeps the plans of up to
+//! [`SHAPES`] recent key sequences, least recently used first. A unit
+//! folds by the resident plan whose key sequence equals its own,
+//! compared id by id; otherwise it builds its plan, and the engine keeps
+//! that plan at once. The critical layers come out with the buckets of
+//! tables built by inserting the plan's keys in first-arrival order,
+//! whichever of two ways they are written: into the spare result of the
+//! same plan, in place; otherwise as fresh tables into which those keys
+//! are inserted in that order. Either way the values are rewritten in
+//! iteration order. A unit that folds by a kept plan is therefore the
+//! unit that builds its own, bit for bit — NaN payloads included, as
+//! both run the one fold — and its statistics are too (but `elapsed`).
 //!
 //! **The spare result.** The held unit's plan is the most recently used
 //! one. When a unit of that same plan replaces the held unit, the old
@@ -60,22 +65,24 @@
 //! plan drops it, so a rotating population keeps none. A unit of the
 //! held plan takes the spare if `Arc::get_mut` grants it — no snapshot
 //! holds it any more — and writes itself into it: its m- and o-tables
-//! are overwritten in place, and its exception stores and statistics
-//! replaced. A result any reader holds is never written; a unit that
-//! finds the spare held rebuilds. A serving layer that publishes each
-//! unit's snapshot in place of the last one holds only the held unit, so
-//! the spare — one unit back — is free. The spare is not counted in the
-//! unit's statistics: `peak_bytes` and `retained_bytes` stay the
-//! analytical bytes of one unit's tables, as a unit that builds its plan
-//! counts them.
+//! are overwritten in place, and its exception stores, path tables and
+//! statistics replaced. A result any reader holds is never written; a
+//! unit that finds the spare held rebuilds. A serving layer that
+//! publishes each unit's snapshot in place of the last one holds only
+//! the held unit, so the spare — one unit back — is free. The spare is
+//! not counted in the unit's statistics: `peak_bytes` and
+//! `retained_bytes` stay the analytical bytes of one unit's tables, as a
+//! unit that builds its plan counts them.
 //!
 //! [`Isb`]: regcube_regress::Isb
+//! [`PopularPathEngine`]: crate::PopularPathEngine
 
-use crate::engine::{empty_result, next_window, unshare_result, CubingEngine, UnitDelta};
+use crate::engine::{next_window, CubingEngine, UnitDelta};
 use crate::exception::ExceptionPolicy;
 use crate::layers::CriticalLayers;
 use crate::measure::{validate_tuples, MTuple};
 use crate::plan::{isb_of, rebuild, slots, Pair, RollUpPlan, Schedule};
+use crate::popular_path::drill;
 use crate::result::{Algorithm, CubeResult};
 use crate::stats::{MemoryAccountant, RunStats};
 use crate::table::{table_bytes, CuboidTable};
@@ -110,12 +117,21 @@ pub const SHAPES: usize = 32;
 /// the next tier is built, so the engine's peak is the batch
 /// algorithm's and what it retains is the paper's: critical layers +
 /// exception cells.
+pub type MoCubingEngine = PlanEngine<false>;
+
+/// The per-unit engine of both algorithms (see the module docs): it
+/// folds every unit by a roll-up plan along its schedule — kept from an
+/// earlier unit of the same key sequence, or built — and replaces the
+/// unit before it. `DRILL` picks what a unit keeps between its critical
+/// layers: the exception cells of every step ([`MoCubingEngine`]), or
+/// every path table whole, drilled from afterwards
+/// ([`PopularPathEngine`](crate::PopularPathEngine)).
 #[derive(Debug, Clone)]
-pub struct MoCubingEngine {
+pub struct PlanEngine<const DRILL: bool> {
     schema: Arc<CubeSchema>,
     layers: CriticalLayers,
     policy: ExceptionPolicy,
-    /// The lattice's roll-up order, shared by every unit.
+    /// The lattice's (or path's) roll-up order, shared by every unit.
     schedule: Arc<Schedule>,
     window: Option<(i64, i64)>,
     units_opened: u64,
@@ -146,21 +162,8 @@ impl MoCubingEngine {
         layers: CriticalLayers,
         policy: ExceptionPolicy,
     ) -> Result<Self> {
-        let result = empty_result(&layers, &policy, Algorithm::MoCubing);
-        Ok(MoCubingEngine {
-            schema: Arc::new(schema),
-            schedule: Arc::new(Schedule::new(&layers)),
-            layers,
-            policy,
-            window: None,
-            units_opened: 0,
-            units_replayed: 0,
-            units_recycled: 0,
-            shapes: ShapeCache::default(),
-            pairs: Vec::new(),
-            result,
-            spare: None,
-        })
+        let schedule = Schedule::new(&layers);
+        Ok(Self::with_schedule(schema, layers, policy, schedule))
     }
 
     /// The same as [`new`](Self::new). It remains because the
@@ -175,15 +178,59 @@ impl MoCubingEngine {
     ) -> Result<Self> {
         Self::new(schema, layers, policy)
     }
+}
+
+impl<const DRILL: bool> PlanEngine<DRILL> {
+    const ALGORITHM: Algorithm = if DRILL {
+        Algorithm::PopularPath
+    } else {
+        Algorithm::MoCubing
+    };
+
+    /// An engine that rolls every unit up along `schedule`, holding an
+    /// empty result until its first unit.
+    pub(crate) fn with_schedule(
+        schema: CubeSchema,
+        layers: CriticalLayers,
+        policy: ExceptionPolicy,
+        schedule: Schedule,
+    ) -> Self {
+        let result = CubeResult::new(
+            layers.clone(),
+            policy.clone(),
+            Self::ALGORITHM,
+            CuboidTable::default(),
+            CuboidTable::default(),
+            FxHashMap::default(),
+            FxHashMap::default(),
+            RunStats::default(),
+        );
+        PlanEngine {
+            schema: Arc::new(schema),
+            schedule: Arc::new(schedule),
+            layers,
+            policy,
+            window: None,
+            units_opened: 0,
+            units_replayed: 0,
+            units_recycled: 0,
+            shapes: ShapeCache::default(),
+            pairs: Vec::new(),
+            result: Arc::new(result),
+            spare: None,
+        }
+    }
 
     /// The critical layers the engine cubes for.
     pub fn layers(&self) -> &CriticalLayers {
         &self.layers
     }
 
-    /// Consumes the engine, returning the final cube result.
+    /// Consumes the engine, returning the final cube result: moved when
+    /// the engine holds the only reference, copied when a snapshot
+    /// still holds one.
     pub fn into_result(self) -> CubeResult {
-        unshare_result(self.result)
+        Arc::try_unwrap(self.result).unwrap_or_else(|shared| (*shared).clone())
     }
 
     /// How many units this engine folded by a roll-up plan it kept from
@@ -197,14 +244,16 @@ impl MoCubingEngine {
     /// Cubes a unit whose key sequence is `plan`'s by folding its
     /// measures along the plan's index maps as `(base, slope)` pairs in
     /// `pairs` (`fold_pairs`): no key is projected, and none is hashed
-    /// but an exceptional cell's and, unless the `recycled` result is
-    /// written, a critical-layer cell's — each read from the plan's
-    /// keys. The critical layers get the buckets of the plan's build
-    /// ([`overwrite`] or [`rebuild`]) and exception stores are filled in
-    /// target iteration order, so the result — statistics too, but
-    /// `elapsed`, counted from `started` — is the same whether the plan
-    /// was built for this unit or kept from an earlier one. `tuples` are
-    /// validated: they share one window.
+    /// but a kept cell's — an exception cell's, a path table's and,
+    /// unless the `recycled` result is written, a critical-layer cell's
+    /// — each read from the plan's keys. The critical layers get the
+    /// buckets of the plan's build ([`overwrite`] or [`rebuild`]), and
+    /// so do Algorithm 2's path tables, which it then [`drill`]s from;
+    /// Algorithm 1's exception stores are filled in target iteration
+    /// order. The result — statistics too, but `elapsed`, counted from
+    /// `started` — is therefore the same whether the plan was built for
+    /// this unit or kept from an earlier one. `tuples` are validated:
+    /// they share one window.
     ///
     /// A `recycled` result is the spare, laid out by `plan`, that
     /// nothing else holds: the unit is written into it, its critical
@@ -220,6 +269,7 @@ impl MoCubingEngine {
         let schedule = &*self.schedule;
         let dims = self.schema.num_dims();
         let window = tuples[0].isb().interval();
+        let mut stats = plan.counters(schedule);
         let mut mem = MemoryAccountant::default();
         // Every row is written by its target's first source row before
         // anything reads it, so the buffer is only ever grown.
@@ -247,6 +297,7 @@ impl MoCubingEngine {
             _ => CuboidTable::default(),
         };
         let mut exceptions: FxHashMap<CuboidSpec, CuboidTable> = FxHashMap::default();
+        let mut path_tables: FxHashMap<CuboidSpec, CuboidTable> = FxHashMap::default();
         let mut previous = 0..0;
         for tier in &schedule.tiers {
             for (slot, (target_of, keys)) in slots(tier).zip(&mut tables) {
@@ -255,32 +306,74 @@ impl MoCubingEngine {
                 mem.add(plan.bytes(slot));
                 if step.o_layer {
                     o_table = critical(spare_o.take(), target_of, keys, rows);
-                    continue;
-                }
-                let exc = self.replay_exceptions(&step.cuboid, window, keys, rows);
-                if !exc.is_empty() {
-                    mem.add(table_bytes(&exc, dims));
-                    exceptions.insert(step.cuboid.clone(), exc);
+                } else if DRILL {
+                    let table = rebuild(target_of, keys, dims, window, rows);
+                    path_tables.insert(step.cuboid.clone(), table);
+                } else {
+                    let exc = self.replay_exceptions(&step.cuboid, window, keys, rows);
+                    if !exc.is_empty() {
+                        mem.add(table_bytes(&exc, dims));
+                        exceptions.insert(step.cuboid.clone(), exc);
+                    }
                 }
             }
             // The batch roll-up retires the tier before once this one is
-            // built.
-            mem.remove(previous.map(|slot| plan.bytes(slot)).sum());
-            previous = slots(tier);
+            // built; Algorithm 2 keeps every path table.
+            if !DRILL {
+                mem.remove(previous.map(|slot| plan.bytes(slot)).sum());
+                previous = slots(tier);
+            }
         }
-        let stats = self.unit_stats(
-            started,
-            plan.counters(schedule),
-            &mem,
-            [&m_table, &o_table],
-            &exceptions,
-        );
+        if DRILL {
+            // The m- and o-layer tables live in the path tables too: the
+            // batch algorithm's result shape.
+            for (slot, table) in [(0, &m_table), (schedule.o_slot(), &o_table)] {
+                mem.add(table_bytes(table, dims));
+                path_tables.insert(schedule.cuboid(slot).clone(), table.clone());
+            }
+            exceptions = drill(
+                &self.schema,
+                &self.layers,
+                &self.policy,
+                &path_tables,
+                &mut stats,
+                &mut mem,
+            );
+        }
+
+        // What the unit retains: its critical layers (Algorithm 2's are
+        // among its path tables) and exceptions.
+        let retained = || {
+            let critical = [&m_table, &o_table].into_iter().filter(|_| !DRILL);
+            let kept = critical.chain(path_tables.values());
+            kept.chain(exceptions.values())
+        };
+        stats.exception_cells = exceptions.values().map(|t| t.len() as u64).sum();
+        stats.cells_retained = retained().map(|t| t.len() as u64).sum();
+        stats.retained_bytes = retained().map(|t| table_bytes(t, dims)).sum();
+        stats.peak_bytes = mem.peak();
+        stats.elapsed = started.elapsed();
         match recycled {
             Some(mut result) => {
-                unshared(&mut result).replace_unit(m_table, o_table, exceptions, stats);
+                unshared(&mut result).replace_unit(
+                    m_table,
+                    o_table,
+                    exceptions,
+                    path_tables,
+                    stats,
+                );
                 result
             }
-            None => Arc::new(self.new_result(m_table, o_table, exceptions, stats)),
+            None => Arc::new(CubeResult::new(
+                self.layers.clone(),
+                self.policy.clone(),
+                Self::ALGORITHM,
+                m_table,
+                o_table,
+                exceptions,
+                path_tables,
+                stats,
+            )),
         }
     }
 
@@ -302,46 +395,6 @@ impl MoCubingEngine {
             }
         }
         exc
-    }
-
-    /// Completes a finished unit's `stats` (the cube counters) with what
-    /// it retains — critical layers + exceptions — and when it finished.
-    fn unit_stats(
-        &self,
-        started: Instant,
-        mut stats: RunStats,
-        mem: &MemoryAccountant,
-        critical: [&CuboidTable; 2],
-        exceptions: &FxHashMap<CuboidSpec, CuboidTable>,
-    ) -> RunStats {
-        let dims = self.schema.num_dims();
-        let retained = || critical.into_iter().chain(exceptions.values());
-        stats.exception_cells = exceptions.values().map(|t| t.len() as u64).sum();
-        stats.cells_retained = retained().map(|t| t.len() as u64).sum();
-        stats.retained_bytes = retained().map(|t| table_bytes(t, dims)).sum();
-        stats.peak_bytes = mem.peak();
-        stats.elapsed = started.elapsed();
-        stats
-    }
-
-    /// A finished unit's result: critical layers + exceptions.
-    fn new_result(
-        &self,
-        m_table: CuboidTable,
-        o_table: CuboidTable,
-        exceptions: FxHashMap<CuboidSpec, CuboidTable>,
-        stats: RunStats,
-    ) -> CubeResult {
-        CubeResult::new(
-            self.layers.clone(),
-            self.policy.clone(),
-            Algorithm::MoCubing,
-            m_table,
-            o_table,
-            exceptions,
-            FxHashMap::default(),
-            stats,
-        )
     }
 }
 
@@ -398,9 +451,9 @@ fn unshared(result: &mut Arc<CubeResult>) -> &mut CubeResult {
     Arc::get_mut(result).expect("a recycled result is held by the engine alone")
 }
 
-impl CubingEngine for MoCubingEngine {
+impl<const DRILL: bool> CubingEngine for PlanEngine<DRILL> {
     fn algorithm(&self) -> Algorithm {
-        Algorithm::MoCubing
+        Self::ALGORITHM
     }
 
     /// One unit: validate, compute the unit beside the held one — folded

@@ -168,8 +168,8 @@ const FIRST: u32 = 1 << 31;
 /// A unit's roll-up as index maps, laid out along a [`Schedule`] and
 /// [built](RollUpPlan::build) by hashing the unit's keys once per table.
 /// Every unit folds its measures by one: a unit of a new key sequence by
-/// the plan it just built, a recurring one of Algorithm 1 by the plan
-/// its sequence left, without hashing.
+/// the plan it just built, a recurring one (of either algorithm) by the
+/// plan its sequence left, without hashing.
 #[derive(Debug)]
 pub(crate) struct RollUpPlan {
     tuples: usize,

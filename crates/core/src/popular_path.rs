@@ -6,37 +6,36 @@
 //!
 //! The paper stores the path's aggregates in the non-leaf nodes of an
 //! H-tree built in the path's order. Here the path is a roll-up order of
-//! its own, one cuboid above the other, and a unit folds along it by the
-//! roll-up plan Algorithm 1 folds by: the path tables are the plan's
-//! tables. A path table's iteration order, and so every drilled fold,
-//! follows from the unit's key sequence alone.
+//! its own, one cuboid above the other (`Schedule::path`), and
+//! [`PopularPathEngine`] is Algorithm 1's per-unit engine
+//! ([`PlanEngine`]) run along it: a unit folds by the roll-up plan of
+//! its key sequence, kept from an earlier unit or built, and the path
+//! tables are the plan's tables. A path table's iteration order, and so
+//! every drilled fold, follows from the unit's key sequence alone. What
+//! this module adds is the drill pass (`drill`) and its qualification
+//! probe.
 //!
 //! Per the paper's footnote 7, this computes *fewer* exception cells than
 //! Algorithm 1: only those reachable from the o-layer through a chain of
 //! exceptional ancestors.
 //!
-//! [`PopularPathEngine`] is the algorithm as a per-unit
-//! [`CubingEngine`]: every unit is one path roll-up and one drill pass,
-//! and what stays of it is the paper's memory model for Algorithm 2 —
+//! What stays of a unit is the paper's memory model for Algorithm 2 —
 //! the path cuboids and the exception cells. [`compute`] is the batch
 //! wrapper that cubes one unit and returns the result.
 
-use crate::engine::{empty_result, next_window, unshare_result, CubingEngine, UnitDelta};
-use crate::error::CoreError;
 use crate::exception::ExceptionPolicy;
 use crate::layers::CriticalLayers;
-use crate::measure::{validate_tuples, MTuple};
-use crate::plan::{rebuild, RollUpPlan, Schedule};
-use crate::result::{Algorithm, CubeResult};
+use crate::measure::MTuple;
+use crate::mo_cubing::PlanEngine;
+use crate::plan::Schedule;
+use crate::result::CubeResult;
 use crate::stats::{MemoryAccountant, RunStats};
 use crate::table::{aggregate_from, collect_exceptions, table_bytes, CuboidTable, Projector};
-use crate::Result;
+use crate::{CubingEngine, Result};
 use regcube_olap::cell::CellKey;
 use regcube_olap::fxhash::{FxHashMap, FxHashSet};
 use regcube_olap::{CubeSchema, CuboidSpec, PopularPath};
 use std::cell::RefCell;
-use std::sync::Arc;
-use std::time::Instant;
 
 /// The **exception frontiers** of one drill pass: per cuboid, the cells
 /// that passed the exception policy — exactly the cells whose
@@ -46,29 +45,18 @@ type Frontiers = FxHashMap<CuboidSpec, FxHashSet<CellKey>>;
 
 /// Algorithm 2 as a per-unit engine: the full tables along the popular
 /// path (the paper's retained state) live in the exposed result, next
-/// to the exception cells the drill found. Every unit builds its path
-/// plan, folds the path tables by it, drills its exceptions and replaces
-/// the unit before it.
-#[derive(Debug, Clone)]
-pub struct PopularPathEngine {
-    schema: CubeSchema,
-    layers: CriticalLayers,
-    policy: ExceptionPolicy,
-    path: PopularPath,
-    /// The path's roll-up order, shared by every unit.
-    schedule: Arc<Schedule>,
-    window: Option<(i64, i64)>,
-    units_opened: u64,
-    /// Shared with every snapshot taken of the held unit.
-    result: Arc<CubeResult>,
-}
+/// to the exception cells the drill found. Every unit folds the path
+/// tables by its key sequence's plan, kept or built, drills its
+/// exceptions and replaces the unit before it.
+pub type PopularPathEngine = PlanEngine<true>;
 
 impl PopularPathEngine {
     /// Creates an engine drilling along `path` (or the default
     /// dimension-order path when `None`).
     ///
     /// # Errors
-    /// [`CoreError::Olap`] for a path that does not span the lattice.
+    /// [`CoreError::Olap`](crate::CoreError::Olap) for a path that does
+    /// not span the lattice.
     pub fn new(
         schema: CubeSchema,
         layers: CriticalLayers,
@@ -79,171 +67,83 @@ impl PopularPathEngine {
             Some(p) => PopularPath::new(layers.lattice(), p.cuboids().to_vec())?,
             None => PopularPath::default_for(layers.lattice())?,
         };
-        let result = empty_result(&layers, &policy, Algorithm::PopularPath);
-        Ok(PopularPathEngine {
-            schedule: Arc::new(Schedule::path(&layers, &path)),
-            schema,
-            layers,
-            policy,
-            path,
-            window: None,
-            units_opened: 0,
-            result,
-        })
+        let schedule = Schedule::path(&layers, &path);
+        Ok(Self::with_schedule(schema, layers, policy, schedule))
     }
+}
 
-    /// The popular path the engine drills along.
-    pub fn path(&self) -> &PopularPath {
-        &self.path
-    }
+/// Step 3: exception-guided drilling over every off-path cuboid,
+/// aggregated from a unit's `path_tables` (the m- and o-layer's
+/// included). Coarse-to-fine, so every cuboid's one-step-coarser
+/// parents are screened first; an off-path cell is computed only when
+/// at least one parent projection lies on that parent's exception
+/// frontier. A drilled full table lives only until it is screened; its
+/// work is added to `stats` and its bytes to `mem`. Returns the
+/// exception stores of the strictly-between cuboids.
+pub(crate) fn drill(
+    schema: &CubeSchema,
+    layers: &CriticalLayers,
+    policy: &ExceptionPolicy,
+    path_tables: &FxHashMap<CuboidSpec, CuboidTable>,
+    stats: &mut RunStats,
+    mem: &mut MemoryAccountant,
+) -> FxHashMap<CuboidSpec, CuboidTable> {
+    let dims = schema.num_dims();
+    let lattice = layers.lattice();
+    let mut top_down = lattice.bottom_up_order();
+    top_down.reverse();
 
-    /// Consumes the engine, returning the final cube result.
-    pub fn into_result(self) -> CubeResult {
-        unshare_result(self.result)
-    }
-
-    /// Computes one unit without touching the held one: the path
-    /// rolled up by the unit's plan (steps 1 & 2 of the batch
-    /// algorithm), then the drill pass (step 3), then the finished
-    /// result with its statistics. `tuples` are validated: they share
-    /// one window.
-    fn open_unit(&self, tuples: &[MTuple]) -> Result<CubeResult> {
-        let started = Instant::now();
-        let dims = self.schema.num_dims();
-        let lattice = self.layers.lattice();
-        let window = tuples[0].isb().interval();
-        let mut mem = MemoryAccountant::new();
-
-        let schedule = &*self.schedule;
-        let plan = RollUpPlan::build(&self.schema, schedule, tuples);
-        let mut stats = plan.counters(schedule);
-        let mut pairs = vec![[0.0; 2]; plan.pairs()];
-        let mut path_tables: FxHashMap<CuboidSpec, CuboidTable> = FxHashMap::default();
-        for (slot, (map, keys)) in plan.tables(schedule, dims).enumerate() {
-            let rows = plan.fold(schedule, slot, map, tuples, &mut pairs);
-            mem.add(plan.bytes(slot));
-            let table = rebuild(map, keys, dims, window, rows);
-            path_tables.insert(schedule.cuboid(slot).clone(), table);
+    let mut frontiers = Frontiers::default();
+    let mut exceptions: FxHashMap<CuboidSpec, CuboidTable> = FxHashMap::default();
+    for cuboid in top_down {
+        // Nothing is finer than the m-layer: it has no frontier to drill
+        // under and, as a critical layer, no exception store.
+        if &cuboid == lattice.m_layer() {
+            continue;
         }
-        let path_cells = stats.cells_computed;
-
-        // The m- and o-layer tables live in the path tables too; expose
-        // them as the critical layers (this duplication is the batch
-        // algorithm's result shape).
-        let m_table = path_tables[lattice.m_layer()].clone();
-        mem.add(table_bytes(&m_table, dims));
-        let o_table = path_tables[lattice.o_layer()].clone();
-        mem.add(table_bytes(&o_table, dims));
-
-        let exceptions = self.drill(&path_tables, &mut stats, &mut mem)?;
-
-        stats.exception_cells = exceptions.values().map(|t| t.len() as u64).sum();
-        stats.cells_retained = path_cells + stats.exception_cells;
-        stats.retained_bytes = path_tables
-            .values()
-            .chain(exceptions.values())
-            .map(|t| table_bytes(t, dims))
-            .sum();
-        stats.peak_bytes = mem.peak();
-        stats.elapsed = started.elapsed();
-        Ok(CubeResult::new(
-            self.layers.clone(),
-            self.policy.clone(),
-            Algorithm::PopularPath,
-            m_table,
-            o_table,
-            exceptions,
-            path_tables,
-            stats,
-        ))
-    }
-
-    /// Step 3: exception-guided drilling over every off-path cuboid,
-    /// aggregated from the path tables. Coarse-to-fine, so every
-    /// cuboid's one-step-coarser parents are screened first; an
-    /// off-path cell is computed only when at least one parent
-    /// projection lies on that parent's exception frontier. A drilled
-    /// full table lives only until it is screened. Returns the
-    /// exception stores of the strictly-between cuboids.
-    fn drill(
-        &self,
-        path_tables: &FxHashMap<CuboidSpec, CuboidTable>,
-        stats: &mut RunStats,
-        mem: &mut MemoryAccountant,
-    ) -> Result<FxHashMap<CuboidSpec, CuboidTable>> {
-        let dims = self.schema.num_dims();
-        let lattice = self.layers.lattice();
-        let mut top_down = lattice.bottom_up_order();
-        top_down.reverse();
-
-        let mut frontiers = Frontiers::default();
-        let mut exceptions: FxHashMap<CuboidSpec, CuboidTable> = FxHashMap::default();
-        for cuboid in top_down {
-            // Nothing is finer than the m-layer: it has no frontier to
-            // drill under and, as a critical layer, no exception store.
-            if &cuboid == lattice.m_layer() {
-                continue;
+        let exc = match path_tables.get(&cuboid) {
+            Some(full) => collect_exceptions(policy, &cuboid, full),
+            None => {
+                let parents = lattice.parents(&cuboid);
+                let Some(probe) = QualifyProbe::new(schema, &cuboid, &parents, &frontiers) else {
+                    continue;
+                };
+                // The closest path table below the cuboid: ties break by
+                // level vector, so the map's order does not matter.
+                let source = lattice
+                    .closest_computed_descendant(&cuboid, path_tables.keys())
+                    .expect("the m-layer is on every path and below every cuboid");
+                let qualifies = |ids: &[u32]| probe.qualifies(ids);
+                let (full, rows) = aggregate_from(
+                    schema,
+                    source,
+                    &path_tables[source],
+                    &cuboid,
+                    Some(&qualifies),
+                )
+                .expect("a unit's path tables hold measures of its one window");
+                stats.rows_folded += rows;
+                stats.cells_computed += full.len() as u64;
+                stats.cuboids_computed += 1;
+                let exc = collect_exceptions(policy, &cuboid, &full);
+                // The full table is dropped once screened; its
+                // high-water mark is the moment both exist.
+                let transient = table_bytes(&full, dims) + table_bytes(&exc, dims);
+                mem.add(transient);
+                mem.remove(transient);
+                exc
             }
-            let exc = match path_tables.get(&cuboid) {
-                Some(full) => collect_exceptions(&self.policy, &cuboid, full),
-                None => {
-                    let parents = lattice.parents(&cuboid);
-                    let Some(probe) =
-                        QualifyProbe::new(&self.schema, &cuboid, &parents, &frontiers)
-                    else {
-                        continue;
-                    };
-                    let (full, rows) = self.drill_cuboid(path_tables, &cuboid, &probe)?;
-                    stats.rows_folded += rows;
-                    stats.cells_computed += full.len() as u64;
-                    stats.cuboids_computed += 1;
-                    let exc = collect_exceptions(&self.policy, &cuboid, &full);
-                    // The full table is dropped once screened; its
-                    // high-water mark is the moment both exist.
-                    let transient = table_bytes(&full, dims) + table_bytes(&exc, dims);
-                    mem.add(transient);
-                    mem.remove(transient);
-                    exc
-                }
-            };
-            if exc.is_empty() {
-                continue;
-            }
-            frontiers.insert(cuboid.clone(), exc.keys().cloned().collect());
-            if &cuboid != lattice.o_layer() {
-                mem.add(table_bytes(&exc, dims));
-                exceptions.insert(cuboid, exc);
-            }
+        };
+        if exc.is_empty() {
+            continue;
         }
-        Ok(exceptions)
+        frontiers.insert(cuboid.clone(), exc.keys().cloned().collect());
+        if &cuboid != lattice.o_layer() {
+            mem.add(table_bytes(&exc, dims));
+            exceptions.insert(cuboid, exc);
+        }
     }
-
-    /// Drills one off-path cuboid from its closest path source, keeping
-    /// the cells `probe` qualifies — the **single** drill-one-cuboid
-    /// code path. Returns the computed full table and the source rows
-    /// folded.
-    fn drill_cuboid(
-        &self,
-        path_tables: &FxHashMap<CuboidSpec, CuboidTable>,
-        cuboid: &CuboidSpec,
-        probe: &QualifyProbe<'_>,
-    ) -> Result<(CuboidTable, u64)> {
-        let source = self
-            .layers
-            .lattice()
-            .closest_computed_descendant(cuboid, self.path.cuboids().iter())
-            .ok_or_else(|| CoreError::NotMaterialized {
-                detail: format!("no path cuboid below {cuboid}"),
-            })?;
-        let qualifies = |ids: &[u32]| probe.qualifies(ids);
-        aggregate_from(
-            &self.schema,
-            source,
-            &path_tables[source],
-            cuboid,
-            Some(&qualifies),
-        )
-    }
+    exceptions
 }
 
 /// Alloc-free drill qualification for one off-path cuboid: a target
@@ -292,44 +192,6 @@ impl<'a> QualifyProbe<'a> {
     }
 }
 
-impl CubingEngine for PopularPathEngine {
-    fn algorithm(&self) -> Algorithm {
-        Algorithm::PopularPath
-    }
-
-    fn ingest_unit(&mut self, tuples: &[MTuple]) -> Result<UnitDelta> {
-        validate_tuples(&self.schema, self.layers.lattice().m_layer(), tuples)?;
-        RollUpPlan::admit(tuples)?;
-        let window = next_window(self.window, tuples)?;
-        let result = self.open_unit(tuples)?;
-        // The held unit's exceptions that do not recur come back as
-        // cleared (see `UnitDelta::cleared`).
-        let delta = UnitDelta::between(
-            self.units_opened,
-            window,
-            tuples.len(),
-            &self.result,
-            &result,
-        );
-        self.window = Some(window);
-        self.units_opened += 1;
-        self.result = Arc::new(result);
-        Ok(delta)
-    }
-
-    fn result(&self) -> &CubeResult {
-        &self.result
-    }
-
-    fn shared_result(&self) -> Arc<CubeResult> {
-        Arc::clone(&self.result)
-    }
-
-    fn stats(&self) -> &RunStats {
-        self.result.stats()
-    }
-}
-
 /// Runs Algorithm 2 with the given path (or the default dimension-order
 /// path when `path` is `None`).
 ///
@@ -340,8 +202,10 @@ impl CubingEngine for PopularPathEngine {
 /// popular-path cubing).
 ///
 /// # Errors
-/// * [`CoreError::BadInput`] for structurally invalid tuples.
-/// * [`CoreError::Olap`] for a path that does not span the lattice.
+/// * [`CoreError::BadInput`](crate::CoreError::BadInput) for
+///   structurally invalid tuples.
+/// * [`CoreError::Olap`](crate::CoreError::Olap) for a path that does
+///   not span the lattice.
 pub fn compute(
     schema: &CubeSchema,
     layers: &CriticalLayers,
@@ -362,6 +226,7 @@ pub fn compute(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::CoreError;
     use crate::result::Algorithm;
     use crate::table::aggregate_from;
     use regcube_olap::cell::project_key;

@@ -71,18 +71,20 @@ impl CubeResult {
     }
 
     /// Makes this the result of another unit of the same engine: its
-    /// critical tables, exception stores and statistics. The layers,
-    /// policy and algorithm are the engine's and stay.
+    /// critical tables, exception stores, path tables and statistics.
+    /// The layers, policy and algorithm are the engine's and stay.
     pub(crate) fn replace_unit(
         &mut self,
         m_table: CuboidTable,
         o_table: CuboidTable,
         exceptions: FxHashMap<CuboidSpec, CuboidTable>,
+        path_tables: FxHashMap<CuboidSpec, CuboidTable>,
         stats: RunStats,
     ) {
         self.m_table = m_table;
         self.o_table = o_table;
         self.exceptions = exceptions;
+        self.path_tables = path_tables;
         self.stats = stats;
     }
 

@@ -437,27 +437,30 @@ impl<'a> Dec<'a> {
             }),
         }
     }
-    /// Bounded count: a corrupt length can't trigger a huge allocation.
-    fn count(&mut self, what: &str) -> Result<usize> {
+    /// A count of elements that each encode to `min_bytes` or more,
+    /// bounded by what the rest of the payload can hold: a corrupt or
+    /// forged length can't reserve more than the payload's size.
+    fn count(&mut self, min_bytes: usize, what: &str) -> Result<usize> {
         let n = self.u64(what)? as usize;
         let remaining = self.remaining();
-        if n > remaining {
+        if n > remaining / min_bytes {
             return Err(StreamError::Checkpoint {
                 detail: format!(
-                    "implausible count {n} decoding {what}: only {remaining} payload bytes remain"
+                    "implausible count {n} decoding {what}: only {remaining} payload bytes \
+                     remain for elements of {min_bytes} or more"
                 ),
             });
         }
         Ok(n)
     }
     fn str(&mut self, what: &str) -> Result<String> {
-        let n = self.count(what)?;
+        let n = self.count(1, what)?;
         String::from_utf8(self.take(n, what)?.to_vec()).map_err(|_| StreamError::Checkpoint {
             detail: format!("invalid UTF-8 decoding {what}"),
         })
     }
     fn ids(&mut self, what: &str) -> Result<Vec<u32>> {
-        let n = self.count(what)?;
+        let n = self.count(4, what)?;
         (0..n).map(|_| self.u32(what)).collect()
     }
     fn isb(&mut self, what: &str) -> Result<Isb> {
@@ -710,7 +713,8 @@ fn decode_into(engine: &mut OnlineEngine<BoxedEngine>, payload: &[u8]) -> Result
 
     // Rebuild the cube by re-cubing the saved window's m-tuples through
     // the configured path: deterministic.
-    let n = dec.count("m-tuple count")?;
+    // Each is a key (an id count and ids) and an ISB.
+    let n = dec.count(8 + 32, "m-tuple count")?;
     let mut tuples = Vec::with_capacity(n);
     for _ in 0..n {
         let ids = dec.ids("m-tuple key")?;
@@ -742,7 +746,8 @@ fn decode_into(engine: &mut OnlineEngine<BoxedEngine>, payload: &[u8]) -> Result
     engine.frames = decode_family(&mut dec, &never_active, "m-frame count")?;
     engine.o_frames = decode_family(&mut dec, &never_active, "o-frame count")?;
 
-    let n = dec.count("alarm count")?;
+    // Each is a key, an ISB, a score and a threshold.
+    let n = dec.count(8 + 32 + 16, "alarm count")?;
     engine.last_alarms = (0..n)
         .map(|_| {
             Ok(Alarm {
@@ -769,7 +774,7 @@ fn decode_into(engine: &mut OnlineEngine<BoxedEngine>, payload: &[u8]) -> Result
     }
     if let Some(st) = engine.reorder.as_mut() {
         st.max_seen_unit = dec.opt_i64("reorder max_seen")?;
-        for _ in 0..dec.count("source count")? {
+        for _ in 0..dec.count(4 + 8, "source count")? {
             let source = dec.u32("source id")?;
             st.sources.insert(source, dec.i64("source mark")?);
         }
@@ -782,7 +787,7 @@ fn decode_into(engine: &mut OnlineEngine<BoxedEngine>, payload: &[u8]) -> Result
         let packer = engine.ingestor.packer();
         let bad_bucket =
             |detail: String| fail(format!("invalid reorder buffer in checkpoint: {detail}"));
-        for _ in 0..dec.count("buffered unit count")? {
+        for _ in 0..dec.count(8 + 8, "buffered unit count")? {
             let unit = dec.i64("buffered unit")?;
             if unit < open_unit {
                 return Err(bad_bucket(format!(
@@ -792,7 +797,8 @@ fn decode_into(engine: &mut OnlineEngine<BoxedEngine>, payload: &[u8]) -> Result
             if st.units.contains_key(&unit) {
                 return Err(bad_bucket(format!("unit {unit} is buffered twice")));
             }
-            let m = dec.count("buffered record count")?;
+            // Each is ids, a tick, a value and a source.
+            let m = dec.count(8 + 8 + 8 + 4, "buffered record count")?;
             let mut bucket = Vec::with_capacity(m);
             for _ in 0..m {
                 let ids = dec.ids("record ids")?;
@@ -815,7 +821,8 @@ fn decode_into(engine: &mut OnlineEngine<BoxedEngine>, payload: &[u8]) -> Result
         }
     }
 
-    let n = dec.count("amendment count")?;
+    // Each is two keys and five 8-byte fields.
+    let n = dec.count(8 + 8 + 5 * 8, "amendment count")?;
     engine.pending_amendments = (0..n)
         .map(|_| {
             Ok(LateAmendment {
@@ -830,7 +837,8 @@ fn decode_into(engine: &mut OnlineEngine<BoxedEngine>, payload: &[u8]) -> Result
         })
         .collect::<Result<_>>()?;
 
-    let n = dec.count("revision count")?;
+    // Each is a kind, a cuboid, a key and four 8-byte fields.
+    let n = dec.count(1 + 8 + 8 + 4 * 8, "revision count")?;
     engine.pending_revisions = (0..n)
         .map(|_| decode_revision(&mut dec))
         .collect::<Result<_>>()?;
@@ -856,7 +864,9 @@ fn decode_family(
     let num_levels = never_active.spec().num_levels();
     let clock = never_active.next_unit();
     let expired_units = never_active.stats().expired_units;
-    let n = dec.count(what)?;
+    // Each frame's header: its key, its clock, its expiry and its level
+    // count.
+    let n = dec.count(8 + 3 * 8, what)?;
     // Each frame's key and where its slots sit in the layer's one slot
     // buffer. The file lists a frame's levels finest first; a frame
     // keeps them coarsest first (the order `TiltFrame::history` has), so
@@ -879,7 +889,7 @@ fn decode_family(
                  {clock} ingested units age out {expired_units}"
             )));
         }
-        let levels = dec.count("frame level count")?;
+        let levels = dec.count(8, "frame level count")?;
         if levels != num_levels {
             return Err(invalid(format!(
                 "frame capture of {key} has {levels} levels, spec defines {num_levels}"
@@ -887,7 +897,7 @@ fn decode_family(
         }
         let start = slots.len();
         for _ in 0..levels {
-            let len = dec.count("frame slot count")?;
+            let len = dec.count(SLOT_BYTES, "frame slot count")?;
             for _ in 0..len {
                 let unit = dec.u64("slot unit")?;
                 let measure = dec.isb("slot measure")?;
@@ -1159,6 +1169,6 @@ mod tests {
         let mut enc = Enc::with_capacity(0);
         enc.u64(u64::MAX); // implausible count
         let mut dec = Dec::new(&enc.buf);
-        assert!(dec.count("test").is_err());
+        assert!(dec.count(1, "test").is_err());
     }
 }

@@ -5,8 +5,10 @@
 //! never a silently half-restored engine.
 
 use proptest::prelude::*;
-use regcube_core::engine::MoCubingEngine;
-use regcube_core::ExceptionPolicy;
+use regcube_core::engine::{MoCubingEngine, PopularPathEngine};
+use regcube_core::mo_cubing::PlanEngine;
+use regcube_core::result::Algorithm;
+use regcube_core::{CriticalLayers, ExceptionPolicy};
 use regcube_olap::{CubeSchema, CuboidSpec};
 use regcube_stream::{
     restore_bytes, EngineConfig, OnlineEngine, RawRecord, StreamError, UnitReport, WatermarkPolicy,
@@ -318,15 +320,28 @@ fn strict_order_checkpoint_requires_a_unit_boundary() {
     assert_eq!(report.unit, 1);
 }
 
+/// How a test builds a cubing engine by hand.
+type Make<E> = fn(CubeSchema, CriticalLayers, ExceptionPolicy) -> regcube_core::Result<E>;
+
 /// A fixed population reports every tick, so the cubing engine gets one
 /// key sequence every unit and replays its roll-up plan from the second
 /// unit on. A restored engine re-cubes the
 /// checkpointed unit cold from its m-table sorted by key, which is the
 /// sequence the ingestor closes units in, so it replays from its second
 /// unit after the restore. Unit by unit, it must serve what the engine
-/// that never stopped serves.
+/// that never stopped serves, with either algorithm: both run on the
+/// engine that keeps plans.
 #[test]
 fn a_restored_engine_serves_recurring_units_like_one_that_never_stopped() {
+    recurring_units(Algorithm::MoCubing, MoCubingEngine::new);
+    recurring_units(Algorithm::PopularPath, |s, l, p| {
+        PopularPathEngine::new(s, l, p, None)
+    });
+}
+
+/// [`a_restored_engine_serves_recurring_units_like_one_that_never_stopped`]
+/// with `algorithm`, the engine that never stopped made by `make`.
+fn recurring_units<const DRILL: bool>(algorithm: Algorithm, make: Make<PlanEngine<DRILL>>) {
     const UNITS: i64 = 8;
     const CUT: i64 = 3;
     let cfg = || {
@@ -338,6 +353,7 @@ fn a_restored_engine_serves_recurring_units_like_one_that_never_stopped() {
         .with_policy(ExceptionPolicy::slope_threshold(0.8))
         .with_tilt(TiltSpec::new(vec![("unit", 4), ("coarse", 3)]).unwrap())
         .with_ticks_per_unit(TPU)
+        .with_algorithm(algorithm)
     };
     let unit = |u: i64| -> Vec<RawRecord> {
         let mut records = Vec::new();
@@ -353,7 +369,7 @@ fn a_restored_engine_serves_recurring_units_like_one_that_never_stopped() {
         records
     };
 
-    let mut reference = cfg().build_with(MoCubingEngine::new).unwrap();
+    let mut reference = cfg().build_with(make).unwrap();
     let (mut want, mut want_text) = (Vec::new(), Vec::new());
     for u in 0..UNITS {
         for r in unit(u) {
@@ -362,7 +378,11 @@ fn a_restored_engine_serves_recurring_units_like_one_that_never_stopped() {
         want.push(reference.close_unit().unwrap());
         want_text.push(reference.snapshot().canonical_text());
     }
-    assert_eq!(reference.cubing().units_replayed(), UNITS as u64 - 1);
+    assert_eq!(
+        reference.cubing().units_replayed(),
+        UNITS as u64 - 1,
+        "{algorithm:?}"
+    );
 
     let (mut got, mut got_text) = (Vec::new(), Vec::new());
     let mut victim = cfg().build().unwrap();
@@ -386,13 +406,11 @@ fn a_restored_engine_serves_recurring_units_like_one_that_never_stopped() {
         got.push(revived.close_unit().unwrap());
         got_text.push(revived.snapshot().canonical_text());
     }
-    assert_reports_eq(&want, &got, "restored recurring units");
-    assert!(
-        want.iter().any(|r| !r.alarms.is_empty()),
-        "some unit alarms"
-    );
+    let what = format!("{algorithm:?}: restored recurring units");
+    assert_reports_eq(&want, &got, &what);
+    assert!(want.iter().any(|r| !r.alarms.is_empty()), "{what}: alarms");
     for (u, (w, g)) in want_text.iter().zip(&got_text).enumerate() {
-        assert_eq!(w, g, "unit {u}");
+        assert_eq!(w, g, "{what}: unit {u}");
     }
 }
 
@@ -402,9 +420,18 @@ fn a_restored_engine_serves_recurring_units_like_one_that_never_stopped() {
 /// second on. Checkpointed mid-rotation, the restored engine starts
 /// with no plans, re-cubes the checkpointed unit cold and works its way
 /// back into replaying; unit by unit, it must serve what the engine
-/// that never stopped serves.
+/// that never stopped serves, with either algorithm.
 #[test]
 fn a_restore_mid_rotation_serves_like_one_that_never_stopped() {
+    mid_rotation(Algorithm::MoCubing, MoCubingEngine::new);
+    mid_rotation(Algorithm::PopularPath, |s, l, p| {
+        PopularPathEngine::new(s, l, p, None)
+    });
+}
+
+/// [`a_restore_mid_rotation_serves_like_one_that_never_stopped`] with
+/// `algorithm`, the engine that never stopped made by `make`.
+fn mid_rotation<const DRILL: bool>(algorithm: Algorithm, make: Make<PlanEngine<DRILL>>) {
     const QUARTERS: i64 = 4;
     const UNITS: i64 = 4 * QUARTERS;
     const CUT: i64 = QUARTERS + 2;
@@ -417,6 +444,7 @@ fn a_restore_mid_rotation_serves_like_one_that_never_stopped() {
         .with_policy(ExceptionPolicy::slope_threshold(0.8))
         .with_tilt(TiltSpec::new(vec![("unit", 4), ("coarse", 3)]).unwrap())
         .with_ticks_per_unit(TPU)
+        .with_algorithm(algorithm)
     };
     let cells: Vec<[u32; 2]> = (0..8u32)
         .flat_map(|a| (0..8u32).map(move |b| [a, b]))
@@ -435,7 +463,7 @@ fn a_restore_mid_rotation_serves_like_one_that_never_stopped() {
         records
     };
 
-    let mut reference = cfg().build_with(MoCubingEngine::new).unwrap();
+    let mut reference = cfg().build_with(make).unwrap();
     let (mut want, mut want_text) = (Vec::new(), Vec::new());
     for u in 0..UNITS {
         for r in unit(u) {
@@ -444,12 +472,14 @@ fn a_restore_mid_rotation_serves_like_one_that_never_stopped() {
         want.push(reference.close_unit().unwrap());
         want_text.push(reference.snapshot().canonical_text());
         if u < QUARTERS {
-            assert_eq!(reference.cubing().units_replayed(), 0, "unit {u}");
+            let replayed = reference.cubing().units_replayed();
+            assert_eq!(replayed, 0, "{algorithm:?}: unit {u}");
         }
     }
     assert_eq!(
         reference.cubing().units_replayed(),
-        (UNITS - QUARTERS) as u64
+        (UNITS - QUARTERS) as u64,
+        "{algorithm:?}"
     );
 
     let (mut got, mut got_text) = (Vec::new(), Vec::new());
@@ -474,13 +504,11 @@ fn a_restore_mid_rotation_serves_like_one_that_never_stopped() {
         got.push(revived.close_unit().unwrap());
         got_text.push(revived.snapshot().canonical_text());
     }
-    assert_reports_eq(&want, &got, "restored mid-rotation");
-    assert!(
-        want.iter().any(|r| !r.alarms.is_empty()),
-        "some unit alarms"
-    );
+    let what = format!("{algorithm:?}: restored mid-rotation");
+    assert_reports_eq(&want, &got, &what);
+    assert!(want.iter().any(|r| !r.alarms.is_empty()), "{what}: alarms");
     for (u, (w, g)) in want_text.iter().zip(&got_text).enumerate() {
-        assert_eq!(w, g, "unit {u}");
+        assert_eq!(w, g, "{what}: unit {u}");
     }
 }
 
@@ -764,6 +792,28 @@ fn reencoded_checkpoint_with_an_out_of_range_m_tuple_is_a_typed_error() {
     let text = err.to_string();
     assert!(text.contains("saved m-tuples"), "{text}");
     assert!(text.contains("id 9 out of range"), "{text}");
+}
+
+/// A count is bounded by the elements the rest of the payload can hold,
+/// each at its smallest encoding. An m-tuple takes 40 bytes or more (an
+/// id count and an ISB), so a sealed file whose m-tuple count is one
+/// more than the rest of the payload holds is refused at that count,
+/// before anything is reserved for it.
+#[test]
+fn a_count_beyond_what_the_payload_holds_is_refused_at_the_count() {
+    let (_, bytes) = one_cell_checkpoint(6);
+    let fingerprint = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
+    // computed flag, units_closed, last_closed_unit (present), open_unit
+    let count = 24 + fingerprint + 1 + 8 + 9 + 8;
+    assert_eq!(bytes[count..count + 8], 1u64.to_le_bytes());
+    let remaining = bytes.len() - 8 - (count + 8); // up to the checksum
+    let forged_count = remaining / 40 + 1;
+    let mut forged = bytes.clone();
+    forged[count..count + 8].copy_from_slice(&(forged_count as u64).to_le_bytes());
+    let err = expect_checkpoint_err(restore_bytes(config(), &reseal(forged)));
+    let text = err.to_string();
+    let want = format!("implausible count {forged_count} decoding m-tuple count");
+    assert!(text.contains(&want), "{text}");
 }
 
 /// The fingerprint is the payload's first field and is checked as soon
