@@ -711,9 +711,10 @@ fn one_cell_checkpoint(units: i64) -> (OnlineEngine, Vec<u8>) {
 }
 
 /// Every frame of a layer sits on the engine's clock. A frame captured
-/// exactly one unit earlier is self-consistent — `from_parts` accepts
-/// it for its own clock — and the parent commit restored it: the frame
-/// then took every later unit under the wrong number, or refused it.
+/// exactly one unit earlier is self-consistent — what a frame of its
+/// own clock holds — and an engine that checked each frame only against
+/// its own clock restored it: the frame then took every later unit
+/// under the wrong number, or refused it.
 #[test]
 fn reencoded_checkpoint_with_a_frame_one_unit_behind_is_a_typed_error() {
     let (_, behind) = one_cell_checkpoint(5);

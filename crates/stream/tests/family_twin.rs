@@ -3,114 +3,61 @@
 //! `crates/tilt/tests/family_model.rs`, on `CellKey` and `Isb`.
 //!
 //! The oracle is `push_unit_into_frames` and `ensure_backfilled_frame`
-//! as `online.rs` had them, verbatim, over
-//! `FxHashMap<CellKey, TiltFrame<Isb>>`. It is fed what the engine
-//! reports — each close's m- and o-layer tuples, each late amendment —
-//! and must end every unit holding the frames the engine's snapshot
-//! renders, bit for bit: same cells (late joiners back-filled, all-zero
-//! cells retired and recreated), same slots. Half-way the engine is
-//! checkpointed and restored, so the second half runs on families whose
-//! fills were rebuilt rather than accumulated.
+//! as `online.rs` had them, over one `TiltFrame<Isb>` per cell: the
+//! tilt crate's `tests/support/frame_map.rs`, which `family_model.rs`
+//! includes too. It is fed what the engine reports — each close's m- and
+//! o-layer tuples, each late amendment — and must end every unit holding
+//! the frames the engine's snapshot renders, bit for bit: same cells
+//! (late joiners back-filled, all-zero cells retired and recreated),
+//! same slots. Half-way the engine is checkpointed and restored, so the
+//! second half runs on families whose fills were rebuilt rather than
+//! accumulated.
 
+#[path = "../../tilt/tests/support/frame_map.rs"]
+mod frame_map;
+
+use frame_map::FrameMap;
 use proptest::prelude::*;
 use regcube_core::alarm::LateAmendment;
 use regcube_core::ExceptionPolicy;
 use regcube_olap::cell::CellKey;
-use regcube_olap::fxhash::{FxHashMap, FxHashSet};
+use regcube_olap::fxhash::FxHashMap;
 use regcube_olap::{CubeSchema, CuboidSpec};
 use regcube_regress::Isb;
 use regcube_stream::{restore_bytes, EngineConfig, OnlineEngine, RawRecord, UnitReport};
-use regcube_tilt::{AmendOutcome, TiltError, TiltFrame, TiltSpec};
+use regcube_tilt::{AmendOutcome, TiltSpec};
 use std::fmt::Write as _;
 
 const TPU: usize = 4;
 const LATENESS: i64 = 2;
 
-type Frames = FxHashMap<CellKey, TiltFrame<Isb>>;
+type Frames = FrameMap<CellKey, Isb>;
 
-/// Pushes one closed unit into a family of per-cell tilt frames: active
-/// cells receive their unit ISB (new cells are zero-backfilled so their
-/// timeline starts at the epoch), inactive-but-known cells receive a
-/// zero-usage fill. Keeps every frame contiguous with the global clock.
-fn push_unit_into_frames(
-    frames: &mut Frames,
-    spec: &TiltSpec,
-    active_cells: &[(CellKey, Isb)],
-    unit: i64,
-    window: (i64, i64),
-    ticks_per_unit: usize,
-) -> Result<(), TiltError> {
-    let zero_fill = Isb::new(window.0, window.1, 0.0, 0.0)?;
-    let mut active: FxHashSet<&CellKey> = FxHashSet::default();
-    for (key, isb) in active_cells {
-        active.insert(key);
-        let frame = frames
-            .entry(key.clone())
-            .or_insert_with(|| TiltFrame::new(spec.clone()));
-        if frame.next_unit() == 0 && unit > 0 {
-            // Backfill zero slots so the frame timeline matches the
-            // global unit clock.
-            for u in 0..unit {
-                let s = u * ticks_per_unit as i64;
-                let fill = Isb::new(s, s + ticks_per_unit as i64 - 1, 0.0, 0.0)?;
-                frame.push(fill)?;
-            }
-        }
-        frame.push(*isb)?;
-    }
-    let mut retired: Vec<CellKey> = Vec::new();
-    for (key, frame) in frames.iter_mut() {
-        if !active.contains(key) {
-            frame.push(zero_fill)?;
-            // A ladder that is zero-usage end to end carries nothing the
-            // epoch backfill cannot reproduce: retire the frame so
-            // transient cells don't pin memory forever. If the cell
-            // returns, the recreated frame's replayed zero history
-            // expires and promotes identically — the same ladder.
-            if frame
-                .history()
-                .iter()
-                .all(|slot| slot.measure.base() == 0.0 && slot.measure.slope() == 0.0)
-            {
-                retired.push(key.clone());
-            }
-        }
-    }
-    for key in retired {
-        frames.remove(&key);
-    }
-    Ok(())
+/// The zero-usage fill of a finest unit.
+fn zero_fill(unit: u64) -> Isb {
+    let first = unit as i64 * TPU as i64;
+    Isb::new(first, first + TPU as i64 - 1, 0.0, 0.0).unwrap()
 }
 
-/// Looks up (or recreates, zero-backfilled from the epoch) the tilt
-/// frame of `key` so a late amendment always has a slot to land in.
-fn ensure_backfilled_frame<'a>(
-    frames: &'a mut Frames,
-    spec: &TiltSpec,
-    key: &CellKey,
-    units_closed: u64,
-    ticks_per_unit: usize,
-) -> Result<&'a mut TiltFrame<Isb>, TiltError> {
-    if !frames.contains_key(key) {
-        let mut frame = TiltFrame::new(spec.clone());
-        for u in 0..units_closed as i64 {
-            let s = u * ticks_per_unit as i64;
-            let fill = Isb::new(s, s + ticks_per_unit as i64 - 1, 0.0, 0.0)?;
-            frame.push(fill)?;
-        }
-        frames.insert(key.clone(), frame);
-    }
-    Ok(frames.get_mut(key).expect("present or just inserted"))
+/// The engine's retirement rule: zero base and slope.
+fn is_zero(m: &Isb) -> bool {
+    m.base() == 0.0 && m.slope() == 0.0
 }
 
 /// The two maps the engine used to hold, maintained from its reports.
 struct Oracle {
-    spec: TiltSpec,
     frames: Frames,
     o_frames: Frames,
 }
 
 impl Oracle {
+    fn new(spec: &TiltSpec) -> Self {
+        Oracle {
+            frames: Frames::new(spec.clone(), zero_fill, is_zero),
+            o_frames: Frames::new(spec.clone(), zero_fill, is_zero),
+        }
+    }
+
     /// What the engine did between two closes, then the close itself.
     fn follow(&mut self, engine: &OnlineEngine, report: &UnitReport) {
         let closed_before = report.unit as u64;
@@ -128,8 +75,7 @@ impl Oracle {
                 (&mut self.frames, m_cell, m_level),
                 (&mut self.o_frames, o_cell, o_level),
             ] {
-                let frame =
-                    ensure_backfilled_frame(frames, &self.spec, key, closed_before, TPU).unwrap();
+                let frame = frames.ensure_backfilled_frame(key, closed_before).unwrap();
                 let outcome = frame
                     .amend_slot(*unit, |m| Ok(m.amend_tick(*tick, *delta)?))
                     .unwrap();
@@ -152,10 +98,10 @@ impl Oracle {
             Err(_) => (Vec::new(), Vec::new()),
         };
         assert_eq!(m_cells.len(), report.m_cells);
-        let first = report.unit * TPU as i64;
-        let window = (first, first + TPU as i64 - 1);
         for (frames, cells) in [(&mut self.frames, m_cells), (&mut self.o_frames, o_cells)] {
-            push_unit_into_frames(frames, &self.spec, &cells, report.unit, window, TPU).unwrap();
+            frames
+                .push_unit_into_frames(&cells, report.unit as u64)
+                .unwrap();
         }
     }
 
@@ -163,10 +109,10 @@ impl Oracle {
     fn render(&self) -> String {
         let mut out = String::new();
         for (tag, frames) in [("mframe", &self.frames), ("oframe", &self.o_frames)] {
-            let mut keys: Vec<_> = frames.keys().collect();
+            let mut keys: Vec<_> = frames.frames.keys().collect();
             keys.sort();
             for key in keys {
-                for (level, slot) in frames[key].timeline() {
+                for (level, slot) in frames.frames[key].timeline() {
                     let m = &slot.measure;
                     let _ = writeln!(
                         out,
@@ -232,11 +178,7 @@ proptest! {
             names.iter().map(String::as_str).zip(groups.iter().copied()).collect(),
         ).unwrap();
         let mut engine = config(&spec).build().unwrap();
-        let mut oracle = Oracle {
-            spec: spec.clone(),
-            frames: Frames::default(),
-            o_frames: Frames::default(),
-        };
+        let mut oracle = Oracle::new(&spec);
         let restore_at = units.len() / 2;
         let mut amended = 0;
 
@@ -287,10 +229,10 @@ proptest! {
             amended += report.late_amendments.len();
             oracle.follow(&engine, &report);
             prop_assert_eq!(frame_lines(&engine), oracle.render(), "after unit {}", unit);
-            for (key, frame) in &oracle.frames {
+            for (key, frame) in &oracle.frames.frames {
                 prop_assert_eq!(engine.tilt_frame(key), Some(frame.clone()));
             }
-            for (key, frame) in &oracle.o_frames {
+            for (key, frame) in &oracle.o_frames.frames {
                 prop_assert_eq!(engine.o_layer_frame(key), Some(frame.clone()));
             }
         }

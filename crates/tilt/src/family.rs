@@ -24,14 +24,16 @@
 //!  index     key → row, behind one Arc
 //! ```
 //!
-//! * **Pushing a unit** appends one column, spanning the unit's active
-//!   rows from the lowest to the highest, and carries promotions
-//!   exactly as [`TiltFrame::push`] does, row by row through the same
-//!   [`TimeMergeable::merge_run`] on the same operands in the same
-//!   order. A promotion merges only the rows some constituent holds; a
+//! * **The columns are one [`TiltFrame`]**, whose measure is a column:
+//!   promotion, expiry, amendment lookup and level ranges are the
+//!   frame's, run once per column instead of once per cell. Merging a
+//!   run of columns merges their fills once, then each row some
+//!   constituent holds, through the same [`TimeMergeable::merge_run`] on
+//!   the same operands in the same order as the cell's own frame would; a
 //!   row outside every constituent's window would merge their fills,
-//!   which is the merged column's fill. A unit either lands in every
-//!   row or in none.
+//!   which is the merged column's fill. Pushing a unit appends one
+//!   column, spanning the unit's active rows from the lowest to the
+//!   highest. A unit either lands in every row or in none.
 //! * **A column costs the rows its slot saw.** Rows are numbered by
 //!   first arrival, so cells that start reporting together sit next to
 //!   each other and a unit in which a rotating block reports holds that
@@ -51,10 +53,13 @@
 //!   late amendment copies at most the column it lands in, a new key
 //!   copies the index only while a snapshot still shares it.
 //!
-//! [`TiltFrame`] stays the single-cell structure of Section 4.2: what
-//! [`FamilySnapshot::frame`] hands out, the unit of checkpoint
-//! encoding, and the bit-for-bit oracle of the family
-//! (`tests/family_model.rs`).
+//! The family itself keeps only what concerns rows: the key → row
+//! index, the windows, the per-row count of non-idle slots that decides
+//! retirement, the remembered key sequence and the rollback of a failed
+//! push. [`TiltFrame`] stays the single-cell structure of Section 4.2
+//! too: what [`FamilySnapshot::frame`] hands out, the unit of checkpoint
+//! encoding, and, as a map of one frame per cell, the bit-for-bit
+//! oracle of the family (`tests/family_model.rs`).
 
 use crate::error::TiltError;
 use crate::frame::{AmendOutcome, TiltFrame, TiltSlot};
@@ -71,8 +76,6 @@ use std::sync::Arc;
 /// One slot of the shared ladder, for every row of the family.
 #[derive(Debug, Clone)]
 struct Column<M> {
-    /// The slot's unit index at its level.
-    unit: u64,
     /// What a row that was never active in the slot holds.
     fill: M,
     /// The first row of the window `rows` holds (`0` when it is empty).
@@ -84,12 +87,11 @@ struct Column<M> {
 
 impl<M> Column<M> {
     /// A column of `fill` over `window`: an empty window holds no row.
-    fn filled(unit: u64, fill: M, window: Range<usize>) -> Self
+    fn filled(fill: M, window: Range<usize>) -> Self
     where
         M: Clone,
     {
         Column {
-            unit,
             rows: vec![fill.clone(); window.len()],
             lo: if window.is_empty() { 0 } else { window.start },
             fill,
@@ -130,33 +132,67 @@ impl<M> Column<M> {
     }
 }
 
+/// A column as the measure of the family's frame: a clone is a
+/// reference-count bump, and a merge is a promotion of every row.
+type Col<M> = Arc<Column<M>>;
+
+impl<M: TimeMergeable> TimeMergeable for Col<M> {
+    /// Merges the fills once, then each row over the hull of the
+    /// windows, oldest column first. A row outside every window is not
+    /// merged: it reads the merged fill, the same `merge_run` over the
+    /// same fills.
+    fn merge_run(run: &[Self]) -> Result<Self> {
+        let mut cells = Vec::with_capacity(run.len());
+        let fill = merge_cells(&mut cells, run.iter().map(|column| &column.fill))?;
+        let (lo, hi) = run
+            .iter()
+            .filter(|column| !column.rows.is_empty())
+            .map(|column| column.window())
+            .fold((usize::MAX, 0), |(lo, hi), w| {
+                (lo.min(w.start), hi.max(w.end))
+            });
+        let mut rows = Vec::with_capacity(hi.saturating_sub(lo));
+        for row in lo..hi {
+            rows.push(merge_cells(
+                &mut cells,
+                run.iter().map(|column| column.get(row)),
+            )?);
+        }
+        Ok(Arc::new(Column {
+            fill,
+            lo: if rows.is_empty() { 0 } else { lo },
+            rows,
+        }))
+    }
+
+    /// Every row of a column spans what its fill spans.
+    fn continues(&self, next: &Self) -> bool {
+        self.fill.continues(&next.fill)
+    }
+}
+
 /// One immutable generation of a [`FrameFamily`]: the layer's clock,
 /// its key → row index and its columns, all shared by reference count.
-/// Cloning allocates one `Vec` of pointers and copies no measure, which
-/// is what makes it the value a published snapshot holds.
+/// Cloning allocates one `Vec` of slots (a unit and an `Arc` each) and
+/// copies no measure, which is what makes it the value a published
+/// snapshot holds.
 #[derive(Debug)]
 pub struct FamilySnapshot<K, M, S = RandomState> {
-    spec: TiltSpec,
-    next_unit: u64,
     index: Arc<HashMap<K, usize, S>>,
-    /// Every retained slot in timeline order (coarsest level first,
-    /// oldest first within a level) — the order of
-    /// [`TiltFrame::history`].
-    columns: Vec<Arc<Column<M>>>,
-    /// Where each level's slots lie in `columns`: level `l` holds
-    /// `edges[l + 1]..edges[l]`, so `edges[0]` is the column count and
-    /// the last edge is `0`. Recorded whenever the clock advances, so a
-    /// read finds a level without deriving the ladder's shape.
+    /// The layer's one frame: a column per retained slot, in timeline
+    /// order (coarsest level first, oldest first within a level).
+    frame: TiltFrame<Col<M>>,
+    /// Where each level's columns lie in the frame
+    /// ([`TiltFrame::edges`]), recorded whenever the clock advances, so
+    /// a read finds a level without deriving the ladder's shape.
     edges: Arc<[usize]>,
 }
 
 impl<K, M, S> Clone for FamilySnapshot<K, M, S> {
     fn clone(&self) -> Self {
         FamilySnapshot {
-            spec: self.spec.clone(),
-            next_unit: self.next_unit,
             index: Arc::clone(&self.index),
-            columns: self.columns.clone(),
+            frame: self.frame.clone(),
             edges: Arc::clone(&self.edges),
         }
     }
@@ -166,14 +202,14 @@ impl<K, M, S> FamilySnapshot<K, M, S> {
     /// The specification every frame of the family follows.
     #[inline]
     pub fn spec(&self) -> &TiltSpec {
-        &self.spec
+        self.frame.spec()
     }
 
     /// The family's clock: the finest-unit index the next push covers,
     /// and [`TiltFrame::next_unit`] of every frame it holds.
     #[inline]
     pub fn next_unit(&self) -> u64 {
-        self.next_unit
+        self.frame.next_unit()
     }
 
     /// Number of cells that have a frame.
@@ -191,14 +227,17 @@ impl<K, M, S> FamilySnapshot<K, M, S> {
     /// Slots every frame of the family retains.
     #[inline]
     pub fn retained_slots(&self) -> usize {
-        self.columns.len()
+        self.frame.retained_slots()
     }
 
     /// The rows each retained column holds, in timeline order; every row
     /// outside a column's window reads its fill. A probe of the layout.
     #[doc(hidden)]
     pub fn held_windows(&self) -> impl Iterator<Item = Range<usize>> + '_ {
-        self.columns.iter().map(|column| column.window())
+        self.frame
+            .history()
+            .iter()
+            .map(|slot| slot.measure.window())
     }
 
     /// The rows all retained columns hold together: the sum of
@@ -211,31 +250,12 @@ impl<K, M, S> FamilySnapshot<K, M, S> {
     /// Finest units that have aged out of the coarsest level — a
     /// function of the spec and the clock, the same for every frame.
     pub fn expired_units(&self) -> u64 {
-        self.spec.expired_units(self.next_unit)
-    }
-
-    /// The retained slot covering finest unit `fine_unit`, as `(level,
-    /// slot unit at that level, column)`; `None` once it has aged out.
-    /// Levels cover disjoint spans, so at most one slot holds the unit.
-    fn locate(&self, fine_unit: u64) -> Option<(usize, u64, usize)> {
-        let mut end = self.columns.len();
-        for (level, shape) in self.spec.shape(self.next_unit).enumerate() {
-            let start = end - shape.len;
-            let first = shape.completed - shape.len as u64;
-            let slot_unit = fine_unit / shape.per;
-            if (first..shape.completed).contains(&slot_unit) {
-                return Some((level, slot_unit, start + (slot_unit - first) as usize));
-            }
-            end = start;
-        }
-        None
+        self.frame.stats().expired_units
     }
 
     fn ladder_of(&self, row: usize) -> Ladder<'_, M> {
         Ladder {
-            spec: &self.spec,
-            next_unit: self.next_unit,
-            columns: &self.columns,
+            frame: &self.frame,
             edges: &self.edges,
             row,
         }
@@ -267,7 +287,7 @@ impl<K: Hash + Eq, M, S: BuildHasher> FamilySnapshot<K, M, S> {
     where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
-        M: TimeMergeable,
+        M: Clone,
     {
         self.ladder(key).map(|ladder| ladder.to_frame())
     }
@@ -277,9 +297,7 @@ impl<K: Hash + Eq, M, S: BuildHasher> FamilySnapshot<K, M, S> {
 /// gathered from the columns on demand.
 #[derive(Debug)]
 pub struct Ladder<'a, M> {
-    spec: &'a TiltSpec,
-    next_unit: u64,
-    columns: &'a [Arc<Column<M>>],
+    frame: &'a TiltFrame<Col<M>>,
     edges: &'a [usize],
     row: usize,
 }
@@ -295,12 +313,12 @@ impl<'a, M> Ladder<'a, M> {
     /// The specification the frame follows.
     #[inline]
     pub fn spec(&self) -> &'a TiltSpec {
-        self.spec
+        self.frame.spec()
     }
 
     fn level_slots(&self, range: Range<usize>) -> LevelSlots<'a, M> {
         LevelSlots {
-            columns: &self.columns[range],
+            slots: &self.frame.history()[range],
             row: self.row,
         }
     }
@@ -310,11 +328,9 @@ impl<'a, M> Ladder<'a, M> {
     /// # Errors
     /// [`TiltError::UnknownLevel`] for an out-of-range level.
     pub fn slots(&self, level: usize) -> Result<LevelSlots<'a, M>> {
-        if level >= self.spec.num_levels() {
-            return Err(TiltError::UnknownLevel {
-                level,
-                count: self.spec.num_levels(),
-            });
+        let count = self.spec().num_levels();
+        if level >= count {
+            return Err(TiltError::UnknownLevel { level, count });
         }
         Ok(self.level_slots(self.edges[level + 1]..self.edges[level]))
     }
@@ -346,30 +362,16 @@ impl<'a, M> Ladder<'a, M> {
     /// The row as an owned [`TiltFrame`].
     pub fn to_frame(&self) -> TiltFrame<M>
     where
-        M: TimeMergeable,
+        M: Clone,
     {
-        let slots = self
-            .columns
-            .iter()
-            .map(|column| TiltSlot {
-                unit: column.unit,
-                measure: column.get(self.row).clone(),
-            })
-            .collect();
-        TiltFrame::from_parts(
-            self.spec.clone(),
-            slots,
-            self.next_unit,
-            self.spec.expired_units(self.next_unit),
-        )
-        .expect("a family's columns follow the shape of its spec and clock")
+        self.frame.map(|column| column.get(self.row).clone())
     }
 }
 
 /// The slots one row holds at one level, oldest first.
 #[derive(Debug)]
 pub struct LevelSlots<'a, M> {
-    columns: &'a [Arc<Column<M>>],
+    slots: &'a [TiltSlot<Col<M>>],
     row: usize,
 }
 
@@ -384,36 +386,36 @@ impl<'a, M> LevelSlots<'a, M> {
     /// Slots retained at the level.
     #[inline]
     pub fn len(&self) -> usize {
-        self.columns.len()
+        self.slots.len()
     }
 
     /// Whether the level retains no slot.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.columns.is_empty()
+        self.slots.is_empty()
     }
 
     /// The `idx`-th oldest slot as `(unit at the level, measure)`.
     #[inline]
     pub fn get(&self, idx: usize) -> Option<(u64, &'a M)> {
-        let column = self.columns.get(idx)?;
-        Some((column.unit, column.get(self.row)))
+        let slot = self.slots.get(idx)?;
+        Some((slot.unit, slot.measure.get(self.row)))
     }
 
     /// Where the slot of `unit` sits, if the level retains it. A
     /// level's slots are consecutive units, so this is arithmetic.
     pub fn position(&self, unit: u64) -> Option<usize> {
-        let first = self.columns.first()?.unit;
+        let first = self.slots.first()?.unit;
         let idx = usize::try_from(unit.checked_sub(first)?).ok()?;
-        (idx < self.columns.len()).then_some(idx)
+        (idx < self.slots.len()).then_some(idx)
     }
 
     /// `(unit at the level, measure)` of every slot, oldest first.
     pub fn iter(&self) -> impl DoubleEndedIterator<Item = (u64, &'a M)> + ExactSizeIterator + 'a {
         let row = self.row;
-        self.columns
+        self.slots
             .iter()
-            .map(move |column| (column.unit, column.get(row)))
+            .map(move |slot| (slot.unit, slot.measure.get(row)))
     }
 }
 
@@ -456,8 +458,6 @@ pub struct FrameFamily<K, M, S = RandomState> {
     sequence: Vec<(K, usize)>,
     /// The active cells of the unit being pushed (reused buffer).
     cells: Vec<(usize, M)>,
-    /// The operands of one `merge_run` call (reused buffer).
-    run: Vec<M>,
 }
 
 impl<K, M, S> Deref for FrameFamily<K, M, S> {
@@ -467,16 +467,6 @@ impl<K, M, S> Deref for FrameFamily<K, M, S> {
     fn deref(&self) -> &Self::Target {
         &self.current
     }
-}
-
-/// What one unit does to the columns, built beside them.
-struct BuiltUnit<M> {
-    /// Columns `keep..` are consumed by promotion.
-    keep: usize,
-    /// The column that replaces them.
-    carry: Column<M>,
-    /// Whether the carry reached the coarsest level.
-    reached_top: bool,
 }
 
 impl<K, M, S> FrameFamily<K, M, S>
@@ -493,23 +483,16 @@ where
     /// A family without keys at the clock of `never_active`, whose
     /// slots become the columns' fills.
     fn empty_at(never_active: &TiltFrame<M>, idle: fn(&M) -> bool, rows: usize) -> Self {
-        let columns = never_active
-            .history()
-            .iter()
-            .map(|slot| {
-                debug_assert!(idle(&slot.measure), "a never-active frame holds idle fills");
-                Arc::new(Column::filled(slot.unit, slot.measure.clone(), 0..0))
-            })
-            .collect();
-        let spec = never_active.spec();
-        let mut edges = vec![0; spec.num_levels() + 1];
-        level_edges(spec, never_active.next_unit(), &mut edges);
+        let frame = never_active.map(|fill| {
+            debug_assert!(idle(fill), "a never-active frame holds idle fills");
+            Arc::new(Column::filled(fill.clone(), 0..0))
+        });
+        let mut edges = vec![0; frame.spec().num_levels() + 1];
+        frame.edges(&mut edges);
         FrameFamily {
             current: FamilySnapshot {
-                spec: spec.clone(),
-                next_unit: never_active.next_unit(),
                 index: Arc::new(HashMap::with_capacity_and_hasher(rows, S::default())),
-                columns,
+                frame,
                 edges: edges.into(),
             },
             idle,
@@ -517,7 +500,6 @@ where
             free: Vec::new(),
             sequence: Vec::new(),
             cells: Vec::new(),
-            run: Vec::new(),
         }
     }
 
@@ -530,9 +512,8 @@ where
     /// and its slots are the columns' fills.
     ///
     /// A frame's shape is a function of the spec and the clock, so every
-    /// frame is held to `never_active`'s, exactly as
-    /// [`TiltFrame::from_parts`] would hold it: a frame from another
-    /// clock cannot join, however valid for its own.
+    /// frame is held to `never_active`'s, slot unit by slot unit: a frame
+    /// from another clock cannot join, however valid for its own.
     ///
     /// Rows are numbered in the order the frames come. Each column holds
     /// the window from its first to its last row whose slot is not
@@ -557,20 +538,22 @@ where
         let listed = frames.size_hint().0;
         let mut family = Self::empty_at(never_active, idle, listed);
         let bad = |detail: String| Err(TiltError::BadSpec { detail });
+        let next_unit = never_active.next_unit();
         let current = &mut family.current;
-        let next_unit = current.next_unit;
         let index = Arc::get_mut(&mut current.index).expect("not shared yet");
-        let mut columns: Vec<&mut Column<M>> = current
-            .columns
-            .iter_mut()
-            .map(|column| Arc::get_mut(column).expect("not shared yet"))
-            .collect();
+        let mut columns: Vec<(u64, &mut Column<M>)> = Vec::new();
+        for slot in current.frame.history_mut() {
+            columns.push((
+                slot.unit,
+                Arc::get_mut(&mut slot.measure).expect("not shared yet"),
+            ));
+        }
         for (key, slots) in frames {
             let mut slots = slots.into_iter();
             let mut busy = 0;
-            for column in &mut columns {
+            for (unit, column) in &mut columns {
                 match slots.next() {
-                    Some(slot) if slot.unit == column.unit => {
+                    Some(slot) if slot.unit == *unit => {
                         busy += u32::from(!idle(&slot.measure));
                         if !slot.measure.same_bits(&column.fill) {
                             // Rows come in order: the window grows at its
@@ -590,7 +573,7 @@ where
                         return bad(format!(
                             "the frame of {key:?} holds unit {} where unit {} belongs \
                              after {next_unit} ingested units",
-                            slot.unit, column.unit
+                            slot.unit, unit
                         ));
                     }
                     None => {
@@ -615,7 +598,7 @@ where
             };
             family.rows.push(RowState { busy, active_at: 0 });
         }
-        for column in columns {
+        for (_, column) in columns {
             column.rows.shrink_to_fit();
         }
         Ok(family)
@@ -649,8 +632,7 @@ where
     ///
     /// # Errors
     /// * [`TiltError::OutOfOrder`] when `fill` or an active measure does
-    ///   not continue the family's newest finest slot, or a key is
-    ///   listed twice.
+    ///   not continue the family's newest slot, or a key is listed twice.
     /// * Merge errors from promotion.
     pub fn push_unit<'a, I>(&mut self, fill: M, active: I) -> Result<()>
     where
@@ -659,66 +641,56 @@ where
     {
         let known_rows = self.rows.len();
         let mut added: Vec<&'a K> = Vec::new();
-        match self.build_unit(fill, active, &mut added) {
-            Ok(built) => {
-                self.commit_unit(built);
-                Ok(())
+        let column = self.unit_column(fill, active, &mut added);
+        let (rows, idle) = (&mut self.rows, self.idle);
+        let gone = |slot: TiltSlot<Col<M>>| forget_column(rows, &slot.measure, idle);
+        if let Err(e) = column.and_then(|column| self.current.frame.push_with(column, gone)) {
+            // Take back the rows handed to new keys; nothing else has
+            // been written.
+            for (row, _) in self.cells.drain(..) {
+                self.rows[row].active_at = 0;
             }
-            Err(e) => {
-                // Take back the rows handed to new keys; nothing else
-                // has been written.
-                for (row, _) in self.cells.drain(..) {
-                    self.rows[row].active_at = 0;
-                }
-                self.sequence.clear();
-                if !added.is_empty() {
-                    let index = Arc::make_mut(&mut self.current.index);
-                    for key in added.into_iter().rev() {
-                        let row = index.remove(key).expect("added by this push");
-                        if row < known_rows {
-                            self.rows[row].active_at = FREE;
-                            self.free.push(row);
-                        }
+            self.sequence.clear();
+            if !added.is_empty() {
+                let index = Arc::make_mut(&mut self.current.index);
+                for key in added.into_iter().rev() {
+                    let row = index.remove(key).expect("added by this push");
+                    if row < known_rows {
+                        self.rows[row].active_at = FREE;
+                        self.free.push(row);
                     }
-                    self.rows.truncate(known_rows);
                 }
-                Err(e)
+                self.rows.truncate(known_rows);
             }
+            return Err(e);
         }
+        self.commit_unit();
+        Ok(())
     }
 
-    /// Resolves the unit's rows and builds its columns without touching
-    /// a retained one. Keys registered on the way are listed in `added`
-    /// for [`push_unit`](Self::push_unit) to take back on failure.
-    fn build_unit<'a, I>(
-        &mut self,
-        fill: M,
-        active: I,
-        added: &mut Vec<&'a K>,
-    ) -> Result<BuiltUnit<M>>
+    /// Resolves the unit's rows and builds its column, the fill over the
+    /// active rows' span with their measures written over it, without
+    /// touching a retained one. Keys registered on the way are listed in
+    /// `added` for [`push_unit`](Self::push_unit) to take back on failure.
+    fn unit_column<'a, I>(&mut self, fill: M, active: I, added: &mut Vec<&'a K>) -> Result<Col<M>>
     where
         K: 'a,
         I: IntoIterator<Item = (&'a K, M)>,
     {
         debug_assert!((self.idle)(&fill), "the fill of a unit must be idle");
-        let pushed = self.current.next_unit + 1;
+        let unit = self.current.next_unit();
+        let pushed = unit + 1;
         let out_of_order = |what: &str| TiltError::OutOfOrder {
-            detail: format!("finest unit {}: {what}", pushed - 1),
+            detail: format!("finest unit {unit}: {what}"),
         };
-        // One clock, one check: every cell of the newest finest column
-        // spans what its fill spans.
-        let finest = self
-            .current
-            .spec
-            .shape(self.current.next_unit)
-            .next()
-            .expect("a spec has at least one level");
+        // One clock, one check: every cell of the newest column, at
+        // whatever level it sits, spans what its fill spans.
         let newest_fill = self
             .current
-            .columns
+            .frame
+            .history()
             .last()
-            .filter(|_| finest.len > 0)
-            .map(|newest| newest.fill.clone());
+            .map(|newest| newest.measure.fill.clone());
         let continues = |measure: &M| newest_fill.as_ref().map_or(true, |f| f.continues(measure));
         if !continues(&fill) {
             return Err(out_of_order("the fill does not continue the family"));
@@ -756,72 +728,29 @@ where
         // Keys of the last push beyond this one's may go silent and
         // retire: they leave the sequence now.
         self.sequence.truncate(self.cells.len());
-        // The new column spans the unit's active rows, lowest to highest.
-        let mut carry = Column::filled(self.current.next_unit, fill, lo..hi);
+        let mut column = Column::filled(fill, lo..hi);
         for (row, measure) in &self.cells {
-            carry.rows[row - carry.lo] = measure.clone();
+            column.rows[row - column.lo] = measure.clone();
         }
-
-        // Carry the new column up the ladder, as `TiltFrame::push`
-        // carries a slot: every level its arrival completes is merged,
-        // with the carried column as the run's newest member, into one
-        // column of the next level.
-        let columns = &self.current.columns;
-        let levels = self.current.spec.levels();
-        let top = levels.len() - 1;
-        let mut keep = columns.len();
-        let mut level = 0;
-        let mut per = 1u64;
-        while level < top {
-            let group = levels[level].group;
-            per = per.saturating_mul(group as u64);
-            if pushed % per != 0 {
-                break;
-            }
-            let start = keep - (group - 1);
-            carry = merge_columns(&mut self.run, &columns[start..keep], &carry, group)?;
-            keep = start;
-            level += 1;
-        }
-        Ok(BuiltUnit {
-            keep,
-            carry,
-            reached_top: level == top,
-        })
+        Ok(Arc::new(column))
     }
 
-    /// Swaps the built columns in and settles what follows from them:
-    /// the busy counts, the coarsest level's expiry, retirement.
-    fn commit_unit(&mut self, built: BuiltUnit<M>) {
+    /// Settles what follows from a pushed unit: its column's busy
+    /// counts, the level edges, retirement.
+    fn commit_unit(&mut self) {
         let idle = self.idle;
         let current = &mut self.current;
         let rows = &mut self.rows;
-        for column in current.columns.drain(built.keep..) {
-            forget_column(rows, &column, idle);
-        }
-        for (state, measure) in rows[built.carry.window()].iter_mut().zip(&built.carry.rows) {
+        let newest = &current.frame.history().last().expect("just pushed").measure;
+        for (state, measure) in rows[newest.window()].iter_mut().zip(&newest.rows) {
             state.busy += u32::from(!idle(measure));
         }
-        current.columns.push(Arc::new(built.carry));
-        current.next_unit += 1;
-        // The coarsest level retains `group` slots and ages out its
-        // oldest on overflow. When the carry reached it every finer
-        // level is empty, so the columns are the coarsest level alone.
-        let top_group = current.spec.levels()[current.spec.num_levels() - 1].group;
-        if built.reached_top && current.columns.len() > top_group {
-            forget_column(rows, &current.columns.remove(0), idle);
-        }
-        level_edges(
-            &current.spec,
-            current.next_unit,
-            Arc::make_mut(&mut current.edges),
-        );
-        debug_assert_eq!(current.edges[0], current.columns.len());
+        current.frame.edges(Arc::make_mut(&mut current.edges));
 
         // A row silent in this unit and idle end to end holds nothing
         // the fills cannot reproduce: retire it, so transient cells do
         // not pin a key and a row forever.
-        let pushed = current.next_unit;
+        let pushed = current.frame.next_unit();
         let mut retired = false;
         for (row, state) in rows.iter_mut().enumerate() {
             if state.busy == 0 && state.active_at != pushed && state.active_at != FREE {
@@ -850,9 +779,9 @@ where
         };
         let row = match self.free.pop() {
             Some(row) => {
-                for column in &mut self.current.columns {
-                    if column.window().contains(&row) {
-                        let column = Arc::make_mut(column);
+                for slot in self.current.frame.history_mut() {
+                    if slot.measure.window().contains(&row) {
+                        let column = Arc::make_mut(&mut slot.measure);
                         column.rows[row - column.lo] = column.fill.clone();
                     }
                 }
@@ -884,19 +813,12 @@ where
     where
         F: FnOnce(&M) -> Result<M>,
     {
-        if fine_unit >= self.current.next_unit {
-            return Err(TiltError::OutOfOrder {
-                detail: format!(
-                    "cannot amend finest unit {fine_unit}: the family has only ingested {}",
-                    self.current.next_unit
-                ),
-            });
-        }
+        let found = self.current.frame.locate(fine_unit)?;
         let (row, _) = self.assign_row(key);
-        let Some((level, slot_unit, at)) = self.current.locate(fine_unit) else {
+        let Some((level, slot_unit, at)) = found else {
             return Ok(AmendOutcome::Expired);
         };
-        let column = &mut self.current.columns[at];
+        let column = &mut self.current.frame.history_mut()[at].measure;
         let old = column.get(row);
         let new = f(old)?;
         let state = &mut self.rows[row];
@@ -907,56 +829,11 @@ where
     }
 }
 
-/// Writes [`FamilySnapshot::edges`] for a family of `spec` after
-/// `next_unit` pushes: the levels' lengths, finest first, laid from the
-/// columns' tail to their head.
-fn level_edges(spec: &TiltSpec, next_unit: u64, edges: &mut [usize]) {
-    let total: usize = spec.shape(next_unit).map(|shape| shape.len).sum();
-    edges[0] = total;
-    for (level, shape) in spec.shape(next_unit).enumerate() {
-        edges[level + 1] = edges[level] - shape.len;
-    }
-}
-
 /// Takes a column that leaves the family out of the busy counts.
 fn forget_column<M>(rows: &mut [RowState], column: &Column<M>, idle: fn(&M) -> bool) {
     for (state, measure) in rows[column.window()].iter_mut().zip(&column.rows) {
         state.busy -= u32::from(!idle(measure));
     }
-}
-
-/// Merges the `group - 1` retained columns of a completed level and the
-/// carried column — the run's newest member — into one column of the
-/// next level, row by row over the union of their windows. A row outside
-/// every window is not merged: it reads the merged fill, the same
-/// `merge_run` over the same fills.
-fn merge_columns<M: TimeMergeable>(
-    run: &mut Vec<M>,
-    older: &[Arc<Column<M>>],
-    newest: &Column<M>,
-    group: usize,
-) -> Result<Column<M>> {
-    let constituents = || older.iter().map(|column| &**column).chain([newest]);
-    let fill = merge_cells(run, constituents().map(|column| &column.fill))?;
-    let (lo, hi) = constituents()
-        .filter(|column| !column.rows.is_empty())
-        .map(|column| column.window())
-        .fold((usize::MAX, 0), |(lo, hi), w| {
-            (lo.min(w.start), hi.max(w.end))
-        });
-    let mut rows = Vec::with_capacity(hi.saturating_sub(lo));
-    for row in lo..hi {
-        rows.push(merge_cells(
-            run,
-            constituents().map(|column| column.get(row)),
-        )?);
-    }
-    Ok(Column {
-        unit: older[0].unit / group as u64,
-        fill,
-        lo: if rows.is_empty() { 0 } else { lo },
-        rows,
-    })
 }
 
 /// One `merge_run` over `cells`, oldest first, gathered into `run`.

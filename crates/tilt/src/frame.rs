@@ -59,125 +59,31 @@ pub struct TiltStats {
 /// A frame is one heap block: every retained slot lives in a single
 /// buffer in timeline order (coarsest level first, oldest first within a
 /// level), and the [`TiltSpec`] is shared. How many slots each level
-/// holds is a function of the spec and [`next_unit`](Self::next_unit)
-/// (`TiltSpec::shape`), so it is derived, not stored. A level only ever
-/// fills when every finer level is empty, which puts the slots a
-/// promotion consumes at the buffer's tail: promotion is truncate and
-/// push.
+/// holds, and how many finest units have aged out, are functions of the
+/// spec and [`next_unit`](Self::next_unit) (`TiltSpec::shape`), so they
+/// are derived, not stored. A level only ever fills when every finer
+/// level is empty, which puts the slots a promotion consumes at the
+/// buffer's tail: promotion is truncate and push.
+///
+/// A [`FrameFamily`](crate::FrameFamily) is one of these too, whose
+/// measure is a column of every cell's slot: this is the only promotion,
+/// expiry and amendment lookup of the crate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TiltFrame<M> {
     spec: TiltSpec,
     /// Every retained slot, oldest → newest.
     slots: Vec<TiltSlot<M>>,
     next_unit: u64,
-    expired_units: u64,
 }
 
-impl<M: TimeMergeable> TiltFrame<M> {
+impl<M> TiltFrame<M> {
     /// Creates an empty frame for `spec`.
     pub fn new(spec: TiltSpec) -> Self {
         TiltFrame {
             spec,
             slots: Vec::new(),
             next_unit: 0,
-            expired_units: 0,
         }
-    }
-
-    /// Reconstructs a frame from previously captured state — the
-    /// checkpoint/restore seam. `slots` holds every retained slot in
-    /// timeline order, exactly as [`history`](Self::history) reported
-    /// them; `next_unit` and `expired_units` are the values
-    /// [`next_unit`](Self::next_unit) and [`stats`](Self::stats)
-    /// reported. The caller is trusted on the measures (they are opaque
-    /// here), but a frame's shape is a function of `(spec, next_unit)`
-    /// and is validated exactly, so a torn capture cannot build a frame
-    /// that later panics or promotes a wrong run.
-    ///
-    /// # Errors
-    /// [`TiltError::BadSpec`] when the capture is not what `next_unit`
-    /// pushes into an empty frame of `spec` leave behind: a wrong slot
-    /// count, a slot whose unit is not the one its position must hold,
-    /// or an `expired_units` the coarsest level cannot have aged out.
-    pub fn from_parts(
-        spec: TiltSpec,
-        slots: Vec<TiltSlot<M>>,
-        next_unit: u64,
-        expired_units: u64,
-    ) -> Result<Self> {
-        let bad = |detail: String| Err(TiltError::BadSpec { detail });
-        let mut end = slots.len();
-        for (level, shape) in spec.shape(next_unit).enumerate() {
-            let Some(start) = end.checked_sub(shape.len) else {
-                return bad(format!(
-                    "frame capture holds {} slots, too few for {next_unit} ingested units",
-                    slots.len()
-                ));
-            };
-            let first_unit = shape.completed - shape.len as u64;
-            for (slot, unit) in slots[start..end].iter().zip(first_unit..) {
-                if slot.unit != unit {
-                    return bad(format!(
-                        "level {level} capture holds unit {} where unit {unit} belongs",
-                        slot.unit
-                    ));
-                }
-            }
-            end = start;
-        }
-        let aged_out = spec.expired_units(next_unit);
-        if expired_units != aged_out {
-            return bad(format!(
-                "frame capture reports {expired_units} expired units, \
-                 {next_unit} ingested units age out {aged_out}"
-            ));
-        }
-        if end != 0 {
-            return bad(format!(
-                "frame capture holds {} slots, {end} more than {next_unit} ingested units retain",
-                slots.len()
-            ));
-        }
-        Ok(TiltFrame {
-            spec,
-            slots,
-            next_unit,
-            expired_units,
-        })
-    }
-
-    /// The frame of a cell that took `fill_of(unit)` in every finest
-    /// unit before `next_unit` — what pushing those measures one by one
-    /// from the epoch leaves behind, bit for bit, at the cost of the
-    /// retained span only. Whatever aged out of the coarsest level left
-    /// no trace in a retained slot, and the oldest retained slot starts
-    /// on a boundary of every level, so replaying from there merges the
-    /// same runs in the same order.
-    ///
-    /// # Errors
-    /// Whatever `fill_of` returns, and [`push`](Self::push) errors for
-    /// fills that do not continue each other.
-    pub fn backfilled(
-        spec: TiltSpec,
-        next_unit: u64,
-        mut fill_of: impl FnMut(u64) -> Result<M>,
-    ) -> Result<Self> {
-        let expired_units = spec.expired_units(next_unit);
-        let mut frame = TiltFrame::new(spec);
-        for unit in expired_units..next_unit {
-            frame.push(fill_of(unit)?)?;
-        }
-        // The replay's clock started at zero: move it, and every slot's
-        // unit at its level, to where the replay really began.
-        let ranges: Vec<(Range<usize>, u64)> = frame.level_ranges().collect();
-        for (range, per) in ranges {
-            for slot in &mut frame.slots[range] {
-                slot.unit += expired_units / per;
-            }
-        }
-        frame.next_unit = next_unit;
-        frame.expired_units = expired_units;
-        Ok(frame)
     }
 
     /// The frame's specification.
@@ -202,6 +108,16 @@ impl<M: TimeMergeable> TiltFrame<M> {
             end = start;
             (range, shape.per)
         })
+    }
+
+    /// Writes where each level's slots lie in [`history`](Self::history):
+    /// level `l` holds `edges[l + 1]..edges[l]`, so `edges[0]` is the
+    /// slot count and the last edge is `0`.
+    pub(crate) fn edges(&self, edges: &mut [usize]) {
+        edges[0] = self.slots.len();
+        for (edge, (range, _)) in edges[1..].iter_mut().zip(self.level_ranges()) {
+            *edge = range.start;
+        }
     }
 
     /// Slots at `level`, oldest first.
@@ -233,20 +149,155 @@ impl<M: TimeMergeable> TiltFrame<M> {
         &self.slots
     }
 
+    /// [`history`](Self::history), writable in place: the slots' units
+    /// and the frame's shape stay the frame's.
+    pub(crate) fn history_mut(&mut self) -> &mut [TiltSlot<M>] {
+        &mut self.slots
+    }
+
+    /// The frame whose every slot holds `f` of this frame's: the same
+    /// spec, clock and units.
+    pub(crate) fn map<N>(&self, mut f: impl FnMut(&M) -> N) -> TiltFrame<N> {
+        TiltFrame {
+            spec: self.spec.clone(),
+            slots: self
+                .slots
+                .iter()
+                .map(|slot| TiltSlot {
+                    unit: slot.unit,
+                    measure: f(&slot.measure),
+                })
+                .collect(),
+            next_unit: self.next_unit,
+        }
+    }
+
+    /// The retained slot covering finest unit `fine_unit`: its level, its
+    /// unit at that level and its index in [`history`](Self::history);
+    /// `None` once it has aged out. Levels cover disjoint spans of
+    /// consecutive units, so at most one slot holds the unit, and finding
+    /// it is arithmetic. [`amend_slot`](Self::amend_slot) and
+    /// `FrameFamily::amend` both look slots up here.
+    ///
+    /// # Errors
+    /// [`TiltError::OutOfOrder`] when `fine_unit` has not been pushed
+    /// yet: amendment never extends history.
+    pub(crate) fn locate(&self, fine_unit: u64) -> Result<Option<(usize, u64, usize)>> {
+        if fine_unit >= self.next_unit {
+            return Err(TiltError::OutOfOrder {
+                detail: format!(
+                    "cannot amend finest unit {fine_unit}: frame has only ingested {}",
+                    self.next_unit
+                ),
+            });
+        }
+        Ok(self
+            .level_ranges()
+            .enumerate()
+            .find_map(|(level, (range, per))| {
+                let slot_unit = fine_unit / per;
+                let first = self.slots[range.clone()].first()?.unit;
+                let at = usize::try_from(slot_unit.checked_sub(first)?).ok()?;
+                (at < range.len()).then_some((level, slot_unit, range.start + at))
+            }))
+    }
+
+    /// All retained measures ordered oldest → newest (coarsest level
+    /// first), with their level index — the analyst's full observation
+    /// deck.
+    pub fn timeline(&self) -> Vec<(usize, &TiltSlot<M>)> {
+        // The levels come finest first, from the buffer's tail: tag the
+        // slots newest → oldest, then turn the deck around.
+        let mut out: Vec<(usize, &TiltSlot<M>)> = self
+            .level_ranges()
+            .enumerate()
+            .flat_map(|(level, (range, _))| {
+                self.slots[range]
+                    .iter()
+                    .rev()
+                    .map(move |slot| (level, slot))
+            })
+            .collect();
+        out.reverse();
+        out
+    }
+
+    /// Number of slots currently held.
+    #[inline]
+    pub fn retained_slots(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Occupancy/compression statistics.
+    pub fn stats(&self) -> TiltStats {
+        TiltStats {
+            retained_slots: self.retained_slots(),
+            capacity_slots: self.spec.capacity_slots(),
+            ingested_units: self.next_unit,
+            expired_units: self.spec.expired_units(self.next_unit),
+        }
+    }
+}
+
+impl<M: TimeMergeable> TiltFrame<M> {
+    /// The frame of a cell that took `fill_of(unit)` in every finest
+    /// unit before `next_unit` — what pushing those measures one by one
+    /// from the epoch leaves behind, bit for bit, at the cost of the
+    /// retained span only. Whatever aged out of the coarsest level left
+    /// no trace in a retained slot, and the oldest retained slot starts
+    /// on a boundary of every level, so replaying from there merges the
+    /// same runs in the same order.
+    ///
+    /// # Errors
+    /// Whatever `fill_of` returns, and [`push`](Self::push) errors for
+    /// fills that do not continue each other.
+    pub fn backfilled(
+        spec: TiltSpec,
+        next_unit: u64,
+        mut fill_of: impl FnMut(u64) -> Result<M>,
+    ) -> Result<Self> {
+        let expired_units = spec.expired_units(next_unit);
+        let mut frame = TiltFrame::new(spec);
+        for unit in expired_units..next_unit {
+            frame.push(fill_of(unit)?)?;
+        }
+        // The replay's clock started at zero: move it, and every slot's
+        // unit at its level, to where the replay really began.
+        let ranges: Vec<(Range<usize>, u64)> = frame.level_ranges().collect();
+        for (range, per) in ranges {
+            for slot in &mut frame.slots[range] {
+                slot.unit += expired_units / per;
+            }
+        }
+        frame.next_unit = next_unit;
+        Ok(frame)
+    }
+
     /// Ingests the measure of the next finest unit and cascades promotion.
     ///
     /// The caller supplies measures in strict unit order; contiguity with
-    /// the previous slot is validated through [`TimeMergeable::continues`].
-    /// A failed push leaves the frame as it was.
+    /// the newest retained slot, at whatever level it sits, is validated
+    /// through [`TimeMergeable::continues`]. A failed push leaves the
+    /// frame as it was.
     ///
     /// # Errors
     /// * [`TiltError::OutOfOrder`] when the measure does not continue the
-    ///   frame's newest finest slot.
+    ///   frame's newest slot.
     /// * Merge errors from promotion.
     pub fn push(&mut self, measure: M) -> Result<()> {
-        let finest = self.slots(0).expect("a spec has at least one level");
-        if let Some(last) = finest.last() {
-            if !last.measure.continues(&measure) {
+        self.push_with(measure, |_| {})
+    }
+
+    /// [`push`](Self::push), handing each slot the push consumes by
+    /// promotion or ages out of the coarsest level to `gone`, once every
+    /// merge has succeeded.
+    pub(crate) fn push_with(
+        &mut self,
+        measure: M,
+        mut gone: impl FnMut(TiltSlot<M>),
+    ) -> Result<()> {
+        if let Some(newest) = self.slots.last() {
+            if !newest.measure.continues(&measure) {
                 return Err(TiltError::OutOfOrder {
                     detail: format!("finest unit {} does not continue the frame", self.next_unit),
                 });
@@ -269,7 +320,7 @@ impl<M: TimeMergeable> TiltFrame<M> {
         let mut per = 1u64;
         while level < top {
             let group = levels[level].group;
-            per = per.saturating_mul(group as u64);
+            per *= group as u64;
             if pushed % per != 0 {
                 break;
             }
@@ -286,7 +337,7 @@ impl<M: TimeMergeable> TiltFrame<M> {
             keep = start;
             level += 1;
         }
-        self.slots.truncate(keep);
+        self.slots.drain(keep..).for_each(&mut gone);
         self.slots.push(carry);
         self.next_unit = pushed;
         // The coarsest level retains `group` slots and ages out its
@@ -294,8 +345,7 @@ impl<M: TimeMergeable> TiltFrame<M> {
         // past. When the carry reached it every finer level is empty,
         // so the buffer is the coarsest level alone.
         if level == top && self.slots.len() > levels[top].group {
-            self.slots.remove(0);
-            self.expired_units += per;
+            gone(self.slots.remove(0));
         }
         Ok(())
     }
@@ -323,28 +373,10 @@ impl<M: TimeMergeable> TiltFrame<M> {
     where
         F: FnOnce(&M) -> Result<M>,
     {
-        if fine_unit >= self.next_unit {
-            return Err(TiltError::OutOfOrder {
-                detail: format!(
-                    "cannot amend finest unit {fine_unit}: frame has only ingested {}",
-                    self.next_unit
-                ),
-            });
-        }
-        let found = self
-            .level_ranges()
-            .enumerate()
-            .find_map(|(level, (range, per))| {
-                let slot_unit = fine_unit / per;
-                let at = self.slots[range.clone()]
-                    .iter()
-                    .position(|s| s.unit == slot_unit)?;
-                Some((level, slot_unit, range.start + at))
-            });
-        let Some((level, slot_unit, index)) = found else {
+        let Some((level, slot_unit, at)) = self.locate(fine_unit)? else {
             return Ok(AmendOutcome::Expired);
         };
-        let slot = &mut self.slots[index];
+        let slot = &mut self.slots[at];
         slot.measure = f(&slot.measure)?;
         Ok(AmendOutcome::Amended { level, slot_unit })
     }
@@ -388,42 +420,6 @@ impl<M: TimeMergeable> TiltFrame<M> {
     /// [`push`](Self::push)).
     pub fn merge_all(&self) -> Result<Option<M>> {
         Self::merge_slots(&self.slots)
-    }
-
-    /// All retained measures ordered oldest → newest (coarsest level
-    /// first), with their level index — the analyst's full observation
-    /// deck.
-    pub fn timeline(&self) -> Vec<(usize, &TiltSlot<M>)> {
-        // The levels come finest first, from the buffer's tail: tag the
-        // slots newest → oldest, then turn the deck around.
-        let mut out: Vec<(usize, &TiltSlot<M>)> = self
-            .level_ranges()
-            .enumerate()
-            .flat_map(|(level, (range, _))| {
-                self.slots[range]
-                    .iter()
-                    .rev()
-                    .map(move |slot| (level, slot))
-            })
-            .collect();
-        out.reverse();
-        out
-    }
-
-    /// Number of slots currently held.
-    #[inline]
-    pub fn retained_slots(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Occupancy/compression statistics.
-    pub fn stats(&self) -> TiltStats {
-        TiltStats {
-            retained_slots: self.retained_slots(),
-            capacity_slots: self.spec.capacity_slots(),
-            ingested_units: self.next_unit,
-            expired_units: self.expired_units,
-        }
     }
 }
 
@@ -495,6 +491,22 @@ mod tests {
         f.push(CountSum::unit(0, 1.0)).unwrap();
         let err = f.push(CountSum::unit(5, 1.0)).unwrap_err();
         assert!(matches!(err, TiltError::OutOfOrder { .. }));
+        // A gap right after a promotion, when the finest level is empty,
+        // is refused at the push too: the newest slot is the promoted
+        // one. The frame does not wedge: every contiguous push after it
+        // is accepted.
+        for u in 1..3 {
+            f.push(CountSum::unit(u, 1.0)).unwrap();
+        }
+        assert!(f.slots(0).unwrap().is_empty());
+        let before = f.clone();
+        let err = f.push(CountSum::unit(10, 1.0)).unwrap_err();
+        assert!(matches!(err, TiltError::OutOfOrder { .. }), "{err}");
+        assert_eq!(f, before);
+        for u in 3..40 {
+            f.push(CountSum::unit(u, 1.0)).unwrap();
+        }
+        assert_eq!(f.next_unit(), 40);
     }
 
     #[test]
@@ -649,94 +661,6 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_round_trips_a_live_frame() {
-        let mut f: TiltFrame<Isb> = TiltFrame::new(small_spec());
-        for u in 0..17 {
-            f.push(unit_isb(u, 5)).unwrap();
-        }
-        let stats = f.stats();
-        let rebuilt = TiltFrame::from_parts(
-            small_spec(),
-            f.history().to_vec(),
-            f.next_unit(),
-            stats.expired_units,
-        )
-        .unwrap();
-        assert_eq!(rebuilt, f);
-        assert_eq!(rebuilt.stats(), stats);
-        // Both frames keep evolving identically.
-        let mut f2 = rebuilt;
-        let mut f1 = f;
-        for u in 17..50 {
-            f1.push(unit_isb(u, 5)).unwrap();
-            f2.push(unit_isb(u, 5)).unwrap();
-        }
-        assert_eq!(f1, f2);
-    }
-
-    fn slots_of(units: impl IntoIterator<Item = u64>) -> Vec<TiltSlot<CountSum>> {
-        units
-            .into_iter()
-            .map(|unit| TiltSlot {
-                unit,
-                measure: CountSum::unit(unit, 1.0),
-            })
-            .collect()
-    }
-
-    #[test]
-    fn from_parts_rejects_malformed_captures() {
-        let build = |slots, next_unit, expired| {
-            TiltFrame::<CountSum>::from_parts(small_spec(), slots, next_unit, expired)
-        };
-        // Five pushes leave one mid slot (unit 0) and fine units 3 and 4.
-        assert!(build(slots_of([0, 3, 4]), 5, 0).is_ok());
-        // Too few and too many slots for the clock.
-        assert!(build(slots_of([3, 4]), 5, 0).is_err());
-        assert!(build(slots_of([0, 2, 3, 4]), 5, 0).is_err());
-        // Out-of-order slots within a level.
-        assert!(build(slots_of([0, 4, 3]), 5, 0).is_err());
-        // Nothing has aged out after five pushes.
-        assert!(build(slots_of([0, 3, 4]), 5, 12).is_err());
-    }
-
-    /// The parent's `from_parts` checked `len > group` only, so each of
-    /// these captures built a frame whose next push merged `group + 1`
-    /// slots into one coarse slot.
-    #[test]
-    fn from_parts_rejects_shapes_no_push_sequence_produces() {
-        let build = |slots, next_unit, expired| {
-            TiltFrame::<CountSum>::from_parts(small_spec(), slots, next_unit, expired)
-        };
-        // A non-top level holding exactly `group` slots: the third fine
-        // unit must already have been promoted.
-        assert!(matches!(
-            build(slots_of([0, 1, 2]), 3, 0),
-            Err(TiltError::BadSpec { .. })
-        ));
-        // Slot units that disagree with the clock: after four pushes
-        // the fine level holds unit 3, not unit 2.
-        assert!(matches!(
-            build(slots_of([0, 2]), 4, 0),
-            Err(TiltError::BadSpec { .. })
-        ));
-        // An expiry the coarsest level cannot have had: 36 pushes age
-        // out exactly one coarse unit (12 fine units).
-        assert!(build(slots_of([1, 2]), 36, 12).is_ok());
-        assert!(matches!(
-            build(slots_of([1, 2]), 36, 0),
-            Err(TiltError::BadSpec { .. })
-        ));
-        // What the parent accepted and then mis-promoted: pushing onto
-        // a valid capture keeps every level within its group.
-        let mut f = build(slots_of([0, 3, 4]), 5, 0).unwrap();
-        f.push(CountSum::unit(5, 1.0)).unwrap();
-        assert_eq!(f.slots(0).unwrap().len(), 0);
-        assert_eq!(f.slots(1).unwrap().len(), 2);
-        assert_eq!(f.slots(1).unwrap()[1].measure.units, 3);
-    }
-
-    #[test]
     fn backfilled_is_the_replay_from_the_epoch() {
         // Across every promotion boundary and well past the first
         // expiry of the coarsest level (36 units).
@@ -765,18 +689,56 @@ mod tests {
         assert!(matches!(err, Err(TiltError::BadSpec { .. })));
     }
 
+    /// A run-length measure whose merge fails when the merged run
+    /// reaches `breaks_at` units, i.e. at one chosen promotion.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Brittle {
+        start_unit: u64,
+        units: u64,
+        breaks_at: u64,
+    }
+
+    impl TimeMergeable for Brittle {
+        fn merge_run(run: &[Self]) -> Result<Self> {
+            let mut acc = run[0];
+            for next in &run[1..] {
+                acc.units += next.units;
+                acc.breaks_at = acc.breaks_at.max(next.breaks_at);
+            }
+            if acc.units == acc.breaks_at {
+                return Err(TiltError::BadSpec {
+                    detail: format!("breaks at {} units", acc.units),
+                });
+            }
+            Ok(acc)
+        }
+
+        fn continues(&self, next: &Self) -> bool {
+            next.start_unit == self.start_unit + self.units
+        }
+    }
+
     #[test]
     fn a_failed_promotion_leaves_the_frame_untouched() {
-        // An arrival is checked against the newest fine slot only, so a
-        // gap right after a promotion (fine level empty) goes unnoticed
-        // until the mid level fills and its run is merged.
-        let mut f: TiltFrame<CountSum> = TiltFrame::new(small_spec());
-        for u in (0..3).chain(10..18) {
-            f.push(CountSum::unit(u, 1.0)).unwrap();
+        let brittle = |start_unit, breaks_at| Brittle {
+            start_unit,
+            units: 1,
+            breaks_at,
+        };
+        // Unit 11 completes a mid slot (units 9..12) and then the coarse
+        // slot of units 0..12; the second merge fails, after the first
+        // has succeeded.
+        let mut f: TiltFrame<Brittle> = TiltFrame::new(small_spec());
+        for u in 0..11 {
+            f.push(brittle(u, 0)).unwrap();
         }
         let before = f.clone();
-        assert!(f.push(CountSum::unit(18, 1.0)).is_err());
+        let err = f.push(brittle(11, 12)).unwrap_err();
+        assert!(matches!(err, TiltError::BadSpec { .. }), "{err}");
         assert_eq!(f, before);
+        // The next valid unit pushes normally, and promotes.
+        f.push(brittle(11, 0)).unwrap();
+        assert_eq!(f.slots(2).unwrap()[0].measure.units, 12);
     }
 
     #[test]

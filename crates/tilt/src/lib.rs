@@ -19,7 +19,9 @@
 //! * [`family::FrameFamily`] holds every frame of one layer on one clock,
 //!   slot-major: one shared column per retained slot instead of one
 //!   frame per cell, so a unit close writes what changed and a snapshot
-//!   shares the rest.
+//!   shares the rest. Its columns are the slots of one `TiltFrame` whose
+//!   measure is a column, so promotion, expiry and the amendment lookup
+//!   are written once, in [`frame`].
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

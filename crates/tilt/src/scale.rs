@@ -42,9 +42,10 @@ impl TiltSpec {
     /// Builds a spec from `(name, group)` pairs ordered finest → coarsest.
     ///
     /// # Errors
-    /// [`TiltError::BadSpec`] when no levels are given or any group is
+    /// [`TiltError::BadSpec`] when no levels are given, any group is
     /// smaller than 2 (a group of 1 would promote every slot immediately
-    /// and the level could never be observed).
+    /// and the level could never be observed), or the frame would span
+    /// more finest units than a `u64` counts.
     pub fn new(levels: Vec<(&str, usize)>) -> Result<Self> {
         if levels.is_empty() {
             return Err(TiltError::BadSpec {
@@ -54,6 +55,11 @@ impl TiltSpec {
         if let Some((name, g)) = levels.iter().find(|(_, g)| *g < 2) {
             return Err(TiltError::BadSpec {
                 detail: format!("level {name} has group {g}; groups must be >= 2"),
+            });
+        }
+        if span(levels.iter().map(|&(_, group)| group)).is_none() {
+            return Err(TiltError::BadSpec {
+                detail: format!("the frame spans more than {} finest units", u64::MAX),
             });
         }
         Ok(TiltSpec {
@@ -133,7 +139,7 @@ impl TiltSpec {
                 completed,
                 len: len as usize,
             };
-            per = per.saturating_mul(group);
+            per *= group;
             shape
         })
     }
@@ -146,7 +152,7 @@ impl TiltSpec {
             .shape(next_unit)
             .last()
             .expect("a spec has at least one level");
-        (top.completed - top.len as u64).saturating_mul(top.per)
+        (top.completed - top.len as u64) * top.per
     }
 
     /// Total finest units the full frame spans when every level is at
@@ -154,13 +160,7 @@ impl TiltSpec {
     /// — more than a flat year because the month level alone retains 12
     /// months of 31 days.
     pub fn span_finest_units(&self) -> u64 {
-        let mut span = 0u64;
-        let mut per_unit = 1u64;
-        for l in self.levels.iter() {
-            span += per_unit * l.group as u64;
-            per_unit *= l.group as u64;
-        }
-        span
+        span(self.levels.iter().map(|l| l.group)).expect("TiltSpec::new refuses a wider span")
     }
 
     /// The flat-registration slot count the paper compares against: the
@@ -170,6 +170,17 @@ impl TiltSpec {
     pub fn compression_ratio(&self, flat_slots: u64) -> f64 {
         flat_slots as f64 / self.capacity_slots() as f64
     }
+}
+
+/// `Σ group_l · ∏_{i < l} group_i` over levels finest first — the
+/// finest units a full frame spans — or `None` past `u64::MAX`. Every
+/// level's unit size, and every promotion's, is at most this.
+fn span(mut groups: impl Iterator<Item = usize>) -> Option<u64> {
+    let (span, _) = groups.try_fold((0u64, 1u64), |(span, per), group| {
+        let per = per.checked_mul(group as u64)?;
+        Some((span.checked_add(per)?, per))
+    })?;
+    Some(span)
 }
 
 #[cfg(test)]
@@ -207,6 +218,26 @@ mod tests {
         assert!(TiltSpec::new(vec![("a", 1)]).is_err());
         assert!(TiltSpec::new(vec![("a", 0)]).is_err());
         assert!(TiltSpec::new(vec![("a", 2)]).is_ok());
+    }
+
+    /// A spec whose span does not fit a `u64` would overflow
+    /// `finest_units_per` and `span_finest_units`: it is refused.
+    #[test]
+    fn a_span_past_u64_is_refused() {
+        let g = 1usize << 22;
+        assert!(matches!(
+            TiltSpec::new(vec![("a", g), ("b", g), ("c", g), ("d", 2)]),
+            Err(TiltError::BadSpec { .. })
+        ));
+        let g = 1usize << 32;
+        assert!(TiltSpec::new(vec![("a", g), ("b", g)]).is_err());
+        // (2³² − 1) + (2³² − 1) · 2³² = 2⁶⁴ − 1: just inside.
+        let spec = TiltSpec::new(vec![("a", g - 1), ("b", g)]).unwrap();
+        assert_eq!(spec.span_finest_units(), u64::MAX);
+        assert_eq!(spec.finest_units_per(1).unwrap(), g as u64 - 1);
+        // 2⁶⁴ − 1 pushes age one top-level unit (2³² − 1 finest units)
+        // out, and no step of the shape overflows.
+        assert_eq!(spec.expired_units(u64::MAX), g as u64 - 1);
     }
 
     /// Checkpoints embed the spec's `Debug` text in their configuration

@@ -1,14 +1,13 @@
 //! The slot-major [`FrameFamily`] against the map it replaced.
 //!
 //! [`Oracle`] is the per-cell bookkeeping `OnlineEngine` used to do over
-//! a `HashMap<K, TiltFrame<M>>` — `push_unit_into_frames` and
-//! `ensure_backfilled_frame`, kept verbatim except that the zero fill
-//! and the "all zero" test are parameters instead of `Isb` literals. It
-//! pushes into every frame every unit, replays a new cell's history
-//! from the epoch, and rescans every silent frame to retire it: the
-//! obviously-right, linear-in-everything reference. Random specs and
-//! random unit / amendment sequences must leave the family with the
-//! same keys and, per key, the same frame, bit for bit.
+//! a `HashMap<K, TiltFrame<M>>` (`support/frame_map.rs`, shared with the
+//! stream layer's `family_twin.rs`). Random specs and random unit /
+//! amendment sequences must leave the family with the same keys and, per
+//! key, the same frame, bit for bit.
+
+#[path = "support/frame_map.rs"]
+mod frame_map;
 
 use proptest::prelude::*;
 use regcube_regress::Isb;
@@ -17,91 +16,13 @@ use regcube_tilt::{
     TimeMergeable,
 };
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::ops::Range;
 
 type Result<T> = std::result::Result<T, TiltError>;
 
-/// The per-cell frame map and the two functions that maintained it.
-struct Oracle<M> {
-    frames: HashMap<u32, TiltFrame<M>>,
-    spec: TiltSpec,
-    /// The zero-usage fill of a finest unit.
-    zero_fill: fn(u64) -> M,
-    is_zero: fn(&M) -> bool,
-}
-
-impl<M: TimeMergeable> Oracle<M> {
-    fn new(spec: TiltSpec, zero_fill: fn(u64) -> M, is_zero: fn(&M) -> bool) -> Self {
-        Oracle {
-            frames: HashMap::new(),
-            spec,
-            zero_fill,
-            is_zero,
-        }
-    }
-
-    /// Pushes one closed unit into a family of per-cell tilt frames:
-    /// active cells receive their unit measure (new cells are
-    /// zero-backfilled so their timeline starts at the epoch),
-    /// inactive-but-known cells receive a zero-usage fill. Keeps every
-    /// frame contiguous with the global clock.
-    fn push_unit_into_frames(&mut self, active_cells: &[(u32, M)], unit: u64) -> Result<()> {
-        let frames = &mut self.frames;
-        let zero_fill = (self.zero_fill)(unit);
-        let mut active: HashSet<&u32> = HashSet::new();
-        for (key, measure) in active_cells {
-            active.insert(key);
-            let frame = frames
-                .entry(*key)
-                .or_insert_with(|| TiltFrame::new(self.spec.clone()));
-            if frame.next_unit() == 0 && unit > 0 {
-                // Backfill zero slots so the frame timeline matches the
-                // global unit clock.
-                for u in 0..unit {
-                    frame.push((self.zero_fill)(u))?;
-                }
-            }
-            frame.push(measure.clone())?;
-        }
-        let mut retired: Vec<u32> = Vec::new();
-        for (key, frame) in frames.iter_mut() {
-            if !active.contains(key) {
-                frame.push(zero_fill.clone())?;
-                // A ladder that is zero-usage end to end carries nothing
-                // the epoch backfill cannot reproduce: retire the frame.
-                if frame
-                    .history()
-                    .iter()
-                    .all(|slot| (self.is_zero)(&slot.measure))
-                {
-                    retired.push(*key);
-                }
-            }
-        }
-        for key in retired {
-            frames.remove(&key);
-        }
-        Ok(())
-    }
-
-    /// Looks up (or recreates, zero-backfilled from the epoch) the tilt
-    /// frame of `key` so a late amendment always has a slot to land in.
-    fn ensure_backfilled_frame(
-        &mut self,
-        key: u32,
-        units_closed: u64,
-    ) -> Result<&mut TiltFrame<M>> {
-        if let std::collections::hash_map::Entry::Vacant(slot) = self.frames.entry(key) {
-            let mut frame = TiltFrame::new(self.spec.clone());
-            for u in 0..units_closed {
-                frame.push((self.zero_fill)(u))?;
-            }
-            slot.insert(frame);
-        }
-        Ok(self.frames.get_mut(&key).expect("present or just inserted"))
-    }
-}
+/// The per-cell frame map, on this suite's keys.
+type Oracle<M> = frame_map::FrameMap<u32, M>;
 
 // ---------------------------------------------------------------------------
 // Isb: the production measure
@@ -263,7 +184,7 @@ proptest! {
                     let delta = if kind == 0 { value } else { 0.0 };
                     let got = family.amend(&key, fine_unit, |m| Ok(m.amend_tick(tick, delta)?));
                     let want = oracle
-                        .ensure_backfilled_frame(key, units)
+                        .ensure_backfilled_frame(&key, units)
                         .unwrap()
                         .amend_slot(fine_unit, |m| Ok(m.amend_tick(tick, delta)?));
                     prop_assert_eq!(&got, &want, "amend outcome at step {}", step);
@@ -409,6 +330,14 @@ fn from_rows_rebuilds_the_family_and_rejects_what_cannot_be_one() {
         err.contains("of 3 holds unit 2 where unit 1 belongs"),
         "{err}"
     );
+    // Two slots of one level in the wrong order.
+    let mut swapped = captured[0].1.history().to_vec();
+    swapped.swap(2, 3);
+    let err = FrameFamily::<u32, Isb>::from_rows(&never_active, isb_is_zero, [(0, swapped)])
+        .map(|_| ())
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("holds unit 10 where unit 9 belongs"), "{err}");
     // A slot too many.
     let mut long = captured[0].1.history().to_vec();
     long.push(long[0].clone());
@@ -561,12 +490,9 @@ fn a_failed_push_leaves_the_family_as_it_was() {
         assert!(oracle.push_unit_into_frames(&sorted, 3).is_err());
         let clocks: Vec<u64> = (1..=3).map(|k| oracle.frames[&k].next_unit()).collect();
         assert_eq!(clocks, vec![4, 3, 3], "half-pushed");
-        // And skewed for good: the frame that got ahead has an empty
-        // finest level, so the retry lands in it under the wrong unit
-        // number, unnoticed.
-        oracle.push_unit_into_frames(&healthy, 3).unwrap();
-        let clocks: Vec<u64> = (1..=3).map(|k| oracle.frames[&k].next_unit()).collect();
-        assert_eq!(clocks, vec![5, 4, 4]);
+        // And skewed for good: the retry is refused by the frame that got
+        // ahead, whose newest slot already covers unit 3.
+        assert!(oracle.push_unit_into_frames(&healthy, 3).is_err());
     }
 }
 
@@ -598,6 +524,18 @@ fn malformed_units_are_refused_whole() {
         .push_unit(Probe::zero_fill(1), [(&5, a), (&1, b)])
         .unwrap();
     assert_eq!(family.len(), 2);
+    // Unit 2 promotes units 0..3, which empties the finest level: a gap
+    // right after it, in the fill or in a measure, is refused too.
+    family
+        .push_unit(Probe::zero_fill(2), [(&1, Probe::unit(2, 1.0))])
+        .unwrap();
+    let before = probe_frames(&family);
+    assert!(family.push_unit(Probe::zero_fill(4), []).is_err());
+    let gap = Probe::unit(4, 1.0);
+    assert!(family.push_unit(Probe::zero_fill(3), [(&1, gap)]).is_err());
+    assert_eq!(probe_frames(&family), before);
+    family.push_unit(Probe::zero_fill(3), []).unwrap();
+    assert_eq!(family.next_unit(), 4);
 }
 
 fn merges_of(f: impl FnOnce()) -> u64 {
@@ -729,7 +667,7 @@ impl Twin {
             .amend(&key, fine_unit, |m| Ok(m.amend_tick(tick, 0.75)?));
         let want = self
             .oracle
-            .ensure_backfilled_frame(key, self.units)
+            .ensure_backfilled_frame(&key, self.units)
             .unwrap()
             .amend_slot(fine_unit, |m| Ok(m.amend_tick(tick, 0.75)?));
         assert_eq!(got, want);

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use regcube_regress::Isb;
-use regcube_tilt::{AmendOutcome, TiltFrame, TiltSlot, TiltSpec, TimeMergeable};
+use regcube_tilt::{AmendOutcome, FrameFamily, TiltFrame, TiltSlot, TiltSpec, TimeMergeable};
 use std::collections::VecDeque;
 
 /// Raw ticks per finest unit of the generated measures.
@@ -168,14 +168,20 @@ fn assert_same(
     prop_assert_eq!(stats.expired_units, model.expired_units);
     prop_assert_eq!(stats.retained_slots, want.len());
     prop_assert_eq!(frame.retained_slots(), want.len());
-    // A capture of the frame rebuilds the frame.
-    let rebuilt = TiltFrame::from_parts(
-        spec.clone(),
-        frame.history().to_vec(),
-        frame.next_unit(),
-        stats.expired_units,
-    );
-    prop_assert_eq!(rebuilt.as_ref(), Ok(frame));
+    // A capture of the frame rebuilds the frame: the one-row family
+    // restored from it, as a checkpoint restores a layer, reads it back.
+    let never_active = TiltFrame::backfilled(spec.clone(), frame.next_unit(), |unit| {
+        let start = unit as i64 * TICKS;
+        Ok(Isb::new(start, start + TICKS - 1, 0.0, 0.0)?)
+    })
+    .unwrap();
+    let rebuilt = FrameFamily::<u32, Isb>::from_rows(
+        &never_active,
+        |m| m.base() == 0.0 && m.slope() == 0.0,
+        [(0, frame.history().to_vec())],
+    )
+    .unwrap();
+    prop_assert_eq!(rebuilt.frame(&0), Some(frame.clone()));
     Ok(())
 }
 
