@@ -601,8 +601,10 @@ fn decode_revision(dec: &mut Dec<'_>) -> Result<AlarmRevision> {
 fn encode_state<E: CubingEngine>(engine: &OnlineEngine<E>, enc: &mut Enc) {
     enc.str(&engine_fingerprint(engine));
     enc.u8(u8::from(engine.computed));
-    enc.u64(engine.units_closed);
-    enc.opt_i64(engine.last_closed_unit);
+    // The format keeps three copies of the engine's one clock.
+    let clock = engine.units_closed();
+    enc.u64(clock);
+    enc.opt_i64(clock.checked_sub(1).map(|unit| unit as i64));
     enc.i64(engine.ingestor.open_unit());
 
     // The last window's m-layer tuples, sorted: the cube rebuild seed.
@@ -700,21 +702,32 @@ fn decode_into(engine: &mut OnlineEngine<BoxedEngine>, payload: &[u8]) -> Result
         1 => true,
         tag => return Err(fail(format!("bad computed flag {tag}"))),
     };
+    // The three copies of the one clock must agree.
     let clock = dec.u64("units_closed")?;
-    engine.last_closed_unit = dec.opt_i64("last_closed_unit")?;
+    let last_closed = dec.opt_i64("last_closed_unit")?;
     let open_unit = dec.i64("open_unit")?;
     if i64::try_from(clock).ok() != Some(open_unit) {
         return Err(fail(format!(
             "checkpoint closed {clock} units but resumes at unit {open_unit}"
         )));
     }
-    engine.units_closed = clock;
+    if last_closed != clock.checked_sub(1).map(|unit| unit as i64) {
+        return Err(fail(format!(
+            "checkpoint closed {clock} units but names {last_closed:?} as the last one"
+        )));
+    }
     engine.ingestor.set_open_unit(open_unit);
 
     // Rebuild the cube by re-cubing the saved window's m-tuples through
     // the configured path: deterministic.
     // Each is a key (an id count and ids) and an ISB.
     let n = dec.count(8 + 32, "m-tuple count")?;
+    if computed != (n > 0) {
+        return Err(fail(format!(
+            "computed flag {} disagrees with {n} saved m-tuples",
+            u8::from(computed)
+        )));
+    }
     let mut tuples = Vec::with_capacity(n);
     for _ in 0..n {
         let ids = dec.ids("m-tuple key")?;

@@ -378,7 +378,6 @@ impl EngineConfig {
             frames: LayerFamily::new(tilt_spec.clone(), zero_usage),
             o_frames: LayerFamily::new(tilt_spec, zero_usage),
             ticks_per_unit,
-            units_closed: 0,
             sinks,
             m_layer: Arc::new(m_layer),
             o_layer: Arc::new(o_layer),
@@ -390,7 +389,6 @@ impl EngineConfig {
             pending_revisions: Vec::new(),
             late_amended_total: 0,
             last_alarms: Vec::new(),
-            last_closed_unit: None,
             snapshots_published: AtomicU64::new(0),
         })
     }
@@ -400,17 +398,17 @@ impl EngineConfig {
 ///
 /// Feed raw records with [`ingest`](Self::ingest); call
 /// [`close_unit`](Self::close_unit) at every m-layer time-unit boundary
-/// (e.g. every quarter of an hour). Each close:
-///
-/// 1. rolls the unit's records up to m-layer ISB tuples,
-/// 2. pushes the unit into the m-layer's frame family: one new slot
-///    column holding every active cell's unit ISB (absent cells read its
-///    zero-usage fill, so every frame stays on the engine's clock),
-/// 3. hands the unit's tuples — the window's complete m-layer — to the
-///    [`CubingEngine`], which cubes the unit once, and
-/// 4. raises an alarm for every o-layer cell whose unit regression is
-///    exceptional: its slope's magnitude is at least the o-layer's
-///    threshold.
+/// (e.g. every quarter of an hour). The engine keeps one clock, the
+/// open unit ([`units_closed`](Self::units_closed)), and every close —
+/// of an empty, a refused or a cubed unit — runs one sequence: it rolls
+/// the unit's records up to m-layer ISB tuples and pushes them into the
+/// m-layer's frame family (one new slot column; absent cells read its
+/// zero-usage fill), hands a non-empty unit's tuples — the window's
+/// complete m-layer — to the [`CubingEngine`], which cubes it once,
+/// pushes the cube's o-layer (or a zero fill) into the o-layer's
+/// family, and raises an alarm for every o-layer cell whose unit
+/// regression is exceptional: its slope's magnitude is at least the
+/// o-layer's threshold.
 ///
 /// `E` defaults to the runtime-selected [`BoxedEngine`] that
 /// [`EngineConfig::build`] produces; [`EngineConfig::build_with`] plugs
@@ -426,14 +424,13 @@ pub struct OnlineEngine<E: CubingEngine = BoxedEngine> {
     /// Whether at least one non-empty unit reached the cubing engine.
     pub(crate) computed: bool,
     /// The m-cells' tilt frames (the warehoused stream history), all on
-    /// one clock: `units_closed`.
+    /// the engine's one clock: the ingestor's open unit.
     pub(crate) frames: LayerFamily,
     /// The o-cells' tilt frames — "the cuboids at the o-layer should be
     /// computed dynamically according to the tilt time frame model as
     /// well" (Example 4): the observation deck at every granularity.
     pub(crate) o_frames: LayerFamily,
     pub(crate) ticks_per_unit: usize,
-    pub(crate) units_closed: u64,
     /// Alarm sinks receiving the merged, sorted per-unit delta.
     sinks: SinkSet,
     /// The m-layer spec (for projecting late records to their o-cell).
@@ -458,22 +455,10 @@ pub struct OnlineEngine<E: CubingEngine = BoxedEngine> {
     /// serving layer's published view carries the alarm state of its
     /// unit boundary.
     pub(crate) last_alarms: Vec<Alarm>,
-    /// The last closed unit index (`None` before the first close).
-    pub(crate) last_closed_unit: Option<i64>,
     /// Snapshots taken from this engine ([`snapshot`](Self::snapshot)),
     /// surfaced as [`RunStats::snapshots_published`]. Atomic so the
     /// shared-reference snapshot hook can count without `&mut self`.
     snapshots_published: AtomicU64,
-}
-
-impl OnlineEngine {
-    /// Creates a runtime-configured engine (see [`EngineConfig::build`]).
-    ///
-    /// # Errors
-    /// Configuration validation from the ingestor and cube substrates.
-    pub fn new(config: EngineConfig) -> Result<Self> {
-        config.build()
-    }
 }
 
 impl<E: CubingEngine> OnlineEngine<E> {
@@ -624,10 +609,7 @@ impl<E: CubingEngine> OnlineEngine<E> {
     /// list captured into snapshots and unit reports must agree with
     /// the amended frames it is published alongside.
     fn patch_frontier_alarms(&mut self, rev: &AlarmRevision, measure: Isb, threshold: f64) {
-        let frontier = self
-            .last_closed_unit
-            .is_some_and(|u| u >= 0 && rev.level == 0 && rev.unit == u as u64);
-        if !frontier {
+        if rev.level != 0 || rev.unit + 1 != self.units_closed() {
             return;
         }
         let cell = &rev.cell;
@@ -662,10 +644,12 @@ impl<E: CubingEngine> OnlineEngine<E> {
         self.ingestor.open_unit()
     }
 
-    /// Units closed so far.
+    /// Units closed so far: the engine's one clock, which every unit
+    /// index, epoch and frame family reads. Units are numbered from 0,
+    /// so this is the open unit.
     #[inline]
     pub fn units_closed(&self) -> u64 {
-        self.units_closed
+        self.ingestor.open_unit() as u64
     }
 
     /// The tilt frame of an m-layer cell, if the cell has ever been
@@ -707,15 +691,27 @@ impl<E: CubingEngine> OnlineEngine<E> {
         self.sinks.len()
     }
 
-    /// Closes the open unit and performs the per-unit pipeline.
+    /// Closes the open unit. An empty, a refused and a cubed unit all
+    /// run one sequence:
+    ///
+    /// 1. close the unit's tuples (in watermark mode, after folding its
+    ///    buffered records);
+    /// 2. push them into the m-layer's frame family;
+    /// 3. cube the unit, unless it is empty;
+    /// 4. push the cube's o-layer into the o-layer family — a zero fill
+    ///    when there is no cube, so both families stay on the one clock;
+    /// 5. set the alarms, none when there is no cube;
+    /// 6. return the cubing engine's error for a refused unit;
+    /// 7. fan the pending amendments and revisions, then the delta, out
+    ///    to the alarm sinks;
+    /// 8. report.
     ///
     /// # Errors
-    /// Propagates substrate failures; an empty unit (no records at all)
-    /// yields a report with no alarms and leaves the cube untouched. A
-    /// unit the cubing engine rejects is returned as that error once:
-    /// the unit is spent (its m-layer frames are pushed, its o-layer
-    /// frames zero-filled, the cube stays on the previous unit) and the
-    /// next close proceeds normally.
+    /// Propagates substrate failures. A unit the cubing engine refuses
+    /// is returned as that error once, at step 6: the unit is spent (the
+    /// cube stays on the previous unit), its pending amendments,
+    /// revisions and drop count wait for the next report, and the next
+    /// close proceeds normally.
     pub fn close_unit(&mut self) -> Result<UnitReport> {
         // Watermark mode: fold the open unit's buffered records in
         // arrival order. The ingestor re-sums every slot two records
@@ -735,135 +731,83 @@ impl<E: CubingEngine> OnlineEngine<E> {
         // The unit's tuples, in key order: the one vector the m-frames
         // and the cubing engine both read.
         let (unit, tuples) = self.ingestor.close_tuples()?;
-        self.units_closed += 1;
-
-        // Tilt maintenance for the m-layer: one new slot column, the
-        // active cells' unit ISBs written over its zero-usage fill.
         let zero_fill = Isb::new(window.0, window.1, 0.0, 0.0).map_err(StreamError::from)?;
         self.frames
             .push_unit(zero_fill, tuples.iter().map(|t| (t.key(), *t.isb())))
             .map_err(StreamError::from)?;
 
+        // One call per non-empty unit: the tuples are the window's
+        // complete m-layer, and the window is later than any the engine
+        // has seen. Sinks see the delta sorted (the trait's contract,
+        // verified in O(n); only a foreign engine that breaks it pays
+        // the sort).
         let m_cells = tuples.len();
-        if tuples.is_empty() {
-            self.close_without_cube(unit, zero_fill)?;
-            let late_amendments = std::mem::take(&mut self.pending_amendments);
-            let alarm_revisions = std::mem::take(&mut self.pending_revisions);
-            let late_dropped = self
-                .reorder
-                .as_mut()
-                .map_or(0, ReorderState::take_dropped_since_report);
-            let mut sink_errors = self.sinks.dispatch_amendments(&late_amendments);
-            sink_errors.extend(self.sinks.dispatch_revisions(&alarm_revisions));
-            return Ok(UnitReport {
-                unit,
-                m_cells: 0,
-                alarms: Vec::new(),
-                exception_cells: 0,
-                recompute_time: Duration::ZERO,
-                cube_delta: None,
-                sink_errors,
-                late_amendments,
-                alarm_revisions,
-                late_dropped,
-                snapshot_epoch: self.units_closed,
+        let mut recompute_time = Duration::ZERO;
+        let cubed = if tuples.is_empty() {
+            Ok(None)
+        } else {
+            let started = Instant::now();
+            let cubed = self.cubing.ingest_unit(tuples).map(|mut delta| {
+                delta.sort_cells();
+                Some(delta)
             });
-        }
-
-        // One call per unit: the tuples are the window's complete
-        // m-layer, and the window is later than any the engine has seen.
-        let started = Instant::now();
-        let mut delta = match self.cubing.ingest_unit(tuples) {
-            Ok(delta) => delta,
-            Err(e) => {
-                // The unit is spent either way: the ingestor has rolled
-                // over and the m-frames hold it.
-                self.close_without_cube(unit, zero_fill)?;
-                return Err(e.into());
-            }
+            recompute_time = started.elapsed();
+            cubed
         };
-        // The built-in engines guarantee sorted deltas (the trait's
-        // sorted-delta contract) and `sort_cells` skips after one O(n)
-        // verification; only foreign `CubingEngine` implementations that
-        // violate the contract pay the sort before sinks observe the
-        // delta.
-        delta.sort_cells();
-        self.computed = true;
-        let recompute_time = started.elapsed();
+        self.ingestor.release_tuples();
+        let result = matches!(cubed, Ok(Some(_))).then(|| self.cubing.result());
+        self.computed |= result.is_some();
 
-        // O-layer alarms: the one test on every o-cell's unit regression,
-        // hottest first.
-        let result = self.cubing.result();
-        let threshold = result.policy().threshold_for(result.layers().o_layer());
-        let alarms: Vec<Alarm> = result
-            .exceptional_o_cells()
-            .into_iter()
-            .map(|(key, measure)| Alarm {
-                key: key.clone(),
-                measure: *measure,
-                score: exception_score(measure),
-                threshold,
-            })
-            .collect();
+        // The observation deck at every granularity, and the one test on
+        // every o-cell's unit regression, hottest first.
+        let o_cells = result.into_iter().flat_map(|r| r.o_table().iter());
+        self.o_frames
+            .push_unit(zero_fill, o_cells.map(|(key, isb)| (key, *isb)))
+            .map_err(StreamError::from)?;
+        self.last_alarms = result.map_or_else(Vec::new, |result| {
+            let threshold = result.policy().threshold_for(result.layers().o_layer());
+            result
+                .exceptional_o_cells()
+                .into_iter()
+                .map(|(key, measure)| Alarm {
+                    key: key.clone(),
+                    measure: *measure,
+                    score: exception_score(measure),
+                    threshold,
+                })
+                .collect()
+        });
+        let exception_cells = result.map_or(0, CubeResult::total_exception_cells);
+        // The unit is spent either way: the ingestor has rolled over and
+        // both families hold it.
+        let delta = cubed?;
 
-        // Fan the unit's late amendments (corrections to earlier units)
-        // and then its delta out to the alarm sinks. Sinks see the
-        // post-batch cube; their failures are collected, never allowed
-        // to fail the unit (the cube is already updated).
+        // Sinks see the post-unit cube; their failures are collected,
+        // never allowed to fail the unit.
         let late_amendments = std::mem::take(&mut self.pending_amendments);
         let alarm_revisions = std::mem::take(&mut self.pending_revisions);
         let mut sink_errors = self.sinks.dispatch_amendments(&late_amendments);
         sink_errors.extend(self.sinks.dispatch_revisions(&alarm_revisions));
-        if !self.sinks.is_empty() {
-            sink_errors.extend(
-                self.sinks
-                    .dispatch(&delta, &AlarmContext::new(result, &delta)),
-            );
+        if let Some(delta) = delta.as_ref().filter(|_| !self.sinks.is_empty()) {
+            let ctx = AlarmContext::new(self.cubing.result(), delta);
+            sink_errors.extend(self.sinks.dispatch(delta, &ctx));
         }
-
-        // O-layer tilt frames: the observation deck at every granularity.
-        let exception_cells = result.total_exception_cells();
-        self.o_frames
-            .push_unit(
-                zero_fill,
-                result.o_table().iter().map(|(key, isb)| (key, *isb)),
-            )
-            .map_err(StreamError::from)?;
-
-        let late_dropped = self
-            .reorder
-            .as_mut()
-            .map_or(0, ReorderState::take_dropped_since_report);
-        self.last_alarms = alarms.clone();
-        self.last_closed_unit = Some(unit);
-        self.ingestor.release_tuples();
         Ok(UnitReport {
             unit,
             m_cells,
-            alarms,
+            alarms: self.last_alarms.clone(),
             exception_cells,
             recompute_time,
-            cube_delta: Some(delta),
+            cube_delta: delta,
             sink_errors,
             late_amendments,
             alarm_revisions,
-            late_dropped,
-            snapshot_epoch: self.units_closed,
+            late_dropped: self
+                .reorder
+                .as_mut()
+                .map_or(0, ReorderState::take_dropped_since_report),
+            snapshot_epoch: self.units_closed(),
         })
-    }
-
-    /// Finishes a unit that produced no cube — an empty one, or one the
-    /// cubing engine rejected. The o-layer frames take a zero fill for
-    /// it, so their clock stays contiguous with the m-layer frames';
-    /// without it the next non-empty unit's o-frame push fails as out of
-    /// order, and so does every close after that.
-    fn close_without_cube(&mut self, unit: i64, zero_fill: Isb) -> Result<()> {
-        self.o_frames
-            .push_unit(zero_fill, [])
-            .map_err(StreamError::from)?;
-        self.last_alarms.clear();
-        self.last_closed_unit = Some(unit);
-        Ok(())
     }
 
     /// The low watermark in units: everything strictly below it is
@@ -996,8 +940,7 @@ impl<E: CubingEngine> OnlineEngine<E> {
     pub fn snapshot(&self) -> CubeSnapshot {
         self.snapshots_published.fetch_add(1, Ordering::Relaxed);
         CubeSnapshot {
-            epoch: self.units_closed,
-            unit: self.last_closed_unit,
+            epoch: self.units_closed(),
             schema: Arc::clone(&self.schema),
             cube: self.computed.then(|| self.cubing.shared_result()),
             frames: self.frames.snapshot(),
@@ -1544,58 +1487,108 @@ mod tests {
         }
     }
 
+    /// Every close, a refused one included, leaves the engine on one
+    /// clock: the open unit, the snapshot's epoch and unit, the report's
+    /// epoch and both families' clocks agree with `units_closed`.
+    fn assert_one_clock<E: CubingEngine>(e: &OnlineEngine<E>, report: Option<&UnitReport>) {
+        let clock = e.units_closed();
+        let snapshot = e.snapshot();
+        assert_eq!(e.open_unit(), clock as i64);
+        assert_eq!(snapshot.epoch(), clock);
+        assert_eq!(snapshot.unit(), Some(clock as i64 - 1));
+        assert_eq!(report.map_or(clock, |r| r.snapshot_epoch), clock);
+        assert_eq!(e.frames.next_unit(), clock);
+        assert_eq!(e.o_frames.next_unit(), clock);
+    }
+
     #[test]
     fn a_failed_cubing_close_surfaces_once_without_poisoning_the_engine() {
-        let schema = CubeSchema::synthetic(2, 2, 2).unwrap();
-        let mut e = EngineConfig::new(
-            schema,
-            CuboidSpec::new(vec![0, 0]),
-            CuboidSpec::new(vec![2, 2]),
-        )
-        .with_policy(ExceptionPolicy::slope_threshold(1.0))
-        .with_tilt(TiltSpec::new(vec![("unit", 4), ("coarse", 3)]).unwrap())
-        .with_ticks_per_unit(4)
-        .build_with(|schema, layers, policy| {
-            MoCubingEngine::transient(schema, layers, policy).map(|inner| FailsOnce {
-                inner,
-                calls: 0,
-                fail_on: 2,
-            })
-        })
-        .unwrap();
+        let build = |reordering: bool| {
+            let schema = CubeSchema::synthetic(2, 2, 2).unwrap();
+            let config = EngineConfig::new(
+                schema,
+                CuboidSpec::new(vec![0, 0]),
+                CuboidSpec::new(vec![2, 2]),
+            )
+            .with_policy(ExceptionPolicy::slope_threshold(1.0))
+            .with_tilt(TiltSpec::new(vec![("unit", 4), ("coarse", 3)]).unwrap())
+            .with_ticks_per_unit(4);
+            let config = if reordering {
+                config.with_reordering(4, 2)
+            } else {
+                config
+            };
+            config
+                .build_with(|schema, layers, policy| {
+                    MoCubingEngine::transient(schema, layers, policy).map(|inner| FailsOnce {
+                        inner,
+                        calls: 0,
+                        fail_on: 2,
+                    })
+                })
+                .unwrap()
+        };
 
-        feed_unit(&mut e, 0, 2.0);
-        assert_eq!(e.close_unit().unwrap().unit, 0);
-        feed_unit(&mut e, 1, 2.0);
-        let err = e.close_unit().unwrap_err();
-        assert!(
-            matches!(&err, StreamError::Core(CoreError::BadInput { detail }) if detail == "injected"),
-            "{err}"
-        );
-        assert_eq!(e.units_closed(), 2, "the failed unit is spent, not retried");
+        // In order, unit 1 is refused. With reordering, unit 1 is empty
+        // and unit 2 refused, and a late record for unit 0 arrives ahead
+        // of the refused close: the close after it reports the amendment.
+        for reordering in [false, true] {
+            let mut e = build(reordering);
+            let (empty, refused) = if reordering { (Some(1), 2) } else { (None, 1) };
+            for unit in 0..5 {
+                if empty != Some(unit) {
+                    feed_unit(&mut e, unit, 2.0);
+                }
+                if reordering && unit == refused {
+                    e.ingest(&RawRecord::new(vec![0, 0], 1, 8.0)).unwrap();
+                }
+                let closed = e.close_unit();
+                assert_eq!(
+                    e.units_closed(),
+                    unit as u64 + 1,
+                    "a unit is spent, not retried"
+                );
+                let report = match closed {
+                    Ok(report) => report,
+                    Err(err) => {
+                        assert_eq!(unit, refused);
+                        assert!(
+                            matches!(&err, StreamError::Core(CoreError::BadInput { detail }) if detail == "injected"),
+                            "{err}"
+                        );
+                        assert_one_clock(&e, None);
+                        continue;
+                    }
+                };
+                assert_ne!(unit, refused);
+                assert_eq!(report.unit, unit);
+                let alarms = usize::from(empty != Some(unit));
+                assert_eq!(report.alarms.len(), alarms, "unit {unit}");
+                let amended: Vec<u64> = report.late_amendments.iter().map(|a| a.unit).collect();
+                let expected = if reordering && unit == refused + 1 {
+                    vec![0]
+                } else {
+                    vec![]
+                };
+                assert_eq!(amended, expected, "unit {unit}");
+                assert_one_clock(&e, Some(&report));
+            }
 
-        // The next three closes succeed, on the units that follow.
-        for unit in 2..5 {
-            feed_unit(&mut e, unit, 2.0);
-            let report = e.close_unit().unwrap();
-            assert_eq!(report.unit, unit);
-            assert_eq!(report.alarms.len(), 1, "unit {unit}");
-        }
-
-        // Both frame clocks advanced through the failed unit, so the
-        // apex o-cell's ladder reads as one gapless timeline.
-        let apex = CellKey::new(vec![0, 0]);
-        assert_eq!(e.o_layer_frame(&apex).unwrap().next_unit(), 5);
-        assert_eq!(
-            e.tilt_frame(&CellKey::new(vec![0, 0])).unwrap().next_unit(),
-            5
-        );
-        let ladder = e.drill_history(&apex).unwrap();
-        let spans: Vec<(i64, i64)> = ladder.iter().map(|hit| hit.measure.interval()).collect();
-        assert_eq!(spans.first().map(|s| s.0), Some(0));
-        assert_eq!(spans.last().map(|s| s.1), Some(19));
-        for pair in spans.windows(2) {
-            assert_eq!(pair[0].1 + 1, pair[1].0, "gap in the ladder: {spans:?}");
+            // Both frame clocks advanced through the failed unit, so the
+            // apex o-cell's ladder reads as one gapless timeline.
+            let apex = CellKey::new(vec![0, 0]);
+            assert_eq!(e.o_layer_frame(&apex).unwrap().next_unit(), 5);
+            assert_eq!(
+                e.tilt_frame(&CellKey::new(vec![0, 0])).unwrap().next_unit(),
+                5
+            );
+            let ladder = e.drill_history(&apex).unwrap();
+            let spans: Vec<(i64, i64)> = ladder.iter().map(|hit| hit.measure.interval()).collect();
+            assert_eq!(spans.first().map(|s| s.0), Some(0));
+            assert_eq!(spans.last().map(|s| s.1), Some(19));
+            for pair in spans.windows(2) {
+                assert_eq!(pair[0].1 + 1, pair[1].0, "gap in the ladder: {spans:?}");
+            }
         }
     }
 

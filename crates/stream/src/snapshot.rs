@@ -54,7 +54,6 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct CubeSnapshot {
     pub(crate) epoch: u64,
-    pub(crate) unit: Option<i64>,
     pub(crate) schema: Arc<CubeSchema>,
     pub(crate) cube: Option<Arc<CubeResult>>,
     pub(crate) frames: LayerFrames,
@@ -75,10 +74,11 @@ impl CubeSnapshot {
         self.epoch
     }
 
-    /// The last closed unit index (`None` before the first close).
+    /// The last closed unit index (`None` before the first close):
+    /// units are numbered from 0, so it is one behind the epoch.
     #[inline]
     pub fn unit(&self) -> Option<i64> {
-        self.unit
+        self.epoch.checked_sub(1).map(|unit| unit as i64)
     }
 
     /// The captured cube.
@@ -203,7 +203,7 @@ impl CubeSnapshot {
     /// the same epoch.
     pub fn canonical_text(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(out, "epoch {} unit {:?}", self.epoch, self.unit);
+        let _ = writeln!(out, "epoch {} unit {:?}", self.epoch, self.unit());
         match &self.cube {
             None => {
                 let _ = writeln!(out, "cube: none");

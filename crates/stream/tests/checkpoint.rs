@@ -754,23 +754,64 @@ fn reencoded_checkpoint_with_a_key_listed_twice_is_a_typed_error() {
     assert!(text.contains("[0, 0]") && text.contains("twice"), "{text}");
 }
 
-/// The open unit is the number of units closed; a file that resumes
-/// anywhere else would push its next unit under the wrong number.
+/// The open unit is the number of units closed, and the last closed
+/// unit the one before it: a file that resumes anywhere else would push
+/// its next unit under the wrong number, and one that names another
+/// last unit would be served under it.
 #[test]
 fn reencoded_checkpoint_resuming_at_another_unit_is_a_typed_error() {
     let (_, bytes) = one_cell_checkpoint(6);
     let fingerprint = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
     // computed flag, units_closed, last_closed_unit (present), open_unit
-    let open_unit = 24 + fingerprint + 1 + 8 + 9;
+    let last_closed = 24 + fingerprint + 1 + 8;
+    let open_unit = last_closed + 9;
+    assert_eq!(bytes[last_closed], 1);
+    assert_eq!(bytes[last_closed + 1..open_unit], 5i64.to_le_bytes());
     assert_eq!(bytes[open_unit..open_unit + 8], 6i64.to_le_bytes());
-    let mut forged = bytes.clone();
-    forged[open_unit..open_unit + 8].copy_from_slice(&5i64.to_le_bytes());
-    let err = expect_checkpoint_err(restore_bytes(config(), &reseal(forged)));
-    assert!(
-        err.to_string()
-            .contains("closed 6 units but resumes at unit 5"),
-        "{err}"
-    );
+    let splice = |at: usize, len: usize, with: &[u8]| {
+        let mut forged = bytes[..at].to_vec();
+        forged.extend_from_slice(with);
+        forged.extend_from_slice(&bytes[at + len..]);
+        reseal(forged)
+    };
+    let mut last_99 = vec![1];
+    last_99.extend_from_slice(&99i64.to_le_bytes());
+    for (forged, want) in [
+        (
+            splice(open_unit, 8, &5i64.to_le_bytes()),
+            "closed 6 units but resumes at unit 5",
+        ),
+        (
+            splice(last_closed, 9, &last_99),
+            "closed 6 units but names Some(99) as the last one",
+        ),
+        (
+            splice(last_closed, 9, &[0]),
+            "closed 6 units but names None as the last one",
+        ),
+    ] {
+        let err = expect_checkpoint_err(restore_bytes(config(), &forged));
+        assert!(err.to_string().contains(want), "{err}");
+    }
+}
+
+/// The writer saves the last window's m-tuples exactly when the engine
+/// has a cube. A file whose computed flag was cleared over saved tuples
+/// used to restore without its cube, and re-encode to other bytes; the
+/// flag set over no tuples is refused the same way.
+#[test]
+fn reencoded_checkpoint_whose_computed_flag_disagrees_with_its_m_tuples_is_a_typed_error() {
+    for (units, flag, tuples) in [(6, 0, 1), (0, 1, 0)] {
+        let (_, bytes) = one_cell_checkpoint(units);
+        let fingerprint = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
+        let computed = 24 + fingerprint;
+        assert_eq!(bytes[computed], 1 - flag);
+        let mut forged = bytes.clone();
+        forged[computed] = flag;
+        let err = expect_checkpoint_err(restore_bytes(config(), &reseal(forged)));
+        let want = format!("computed flag {flag} disagrees with {tuples} saved m-tuples");
+        assert!(err.to_string().contains(&want), "{err}");
+    }
 }
 
 /// The saved m-tuples are re-cubed through the configured engine. A
